@@ -25,7 +25,7 @@ experiments:
   ablation-multi         multi-item cache exploitation (Sec 6.3 extension)
   parallel               sequential vs parallel pipeline (writes BENCH_parallel.json)
   obs                    per-phase latency + cache/fetch aggregates (writes BENCH_obs.json)
-  perf                   block path vs legacy: qps, allocs/query, coalescing (writes BENCH_perf.json)
+  perf                   query hot path: qps, allocs/query, coalescing (writes BENCH_perf.json)
   policy                 replacement policies x compositional hits, incl. Zipf workload (writes BENCH_policy.json)
   check                  skycheck model-check stats for the shared-cache protocol (writes BENCH_check.json)
   serve                  TCP server under concurrent load: qps/p99, coalescing, read scaling (writes BENCH_serve.json)

@@ -866,23 +866,22 @@ pub fn obs(scale: &Scale) {
     }
 }
 
-/// `repro perf` — the block-path performance experiment (this
+/// `repro perf` — the query hot-path performance experiment (this
 /// repository's zero-copy extension, not a paper figure): both paper
-/// workload generators run through CBCS twice under the exact MPR — once
-/// on the legacy per-point pipeline (`block_path: false`), once on the
-/// block-oriented zero-copy hot path — measuring throughput,
-/// heap-allocation events per query (via this crate's counting global
-/// allocator), and the coalescing planner's range-query savings.
+/// workload generators run through CBCS at its default operating point,
+/// measuring throughput, heap-allocation events per query (via this
+/// crate's counting global allocator), and the range queries the
+/// coalescing fetch planner absorbed.
 ///
 /// Each measurement is one full pass over a fresh workload against a
 /// fresh executor: interactive chains reach their case-(c)/(d) steady
 /// state within a few queries, while a repeated identical pass would
 /// degenerate to pure exact hits and measure the cache instead of the
 /// fetch/merge/skyline hot path. Results are written to
-/// `BENCH_perf.json` (schema `skyperf-bench/2`), including a d ≥ 5
+/// `BENCH_perf.json` (schema `skyperf-bench/3`), including a d ≥ 5
 /// dominance-kernel microbench and per-kernel-generation end-to-end
 /// throughput (the [`Kernel`] generation is flipped in-process around
-/// the block-path runs, then restored to the environment default).
+/// the runs, then restored to the environment default).
 pub fn perf(scale: &Scale) {
     use std::time::Instant;
 
@@ -891,7 +890,7 @@ pub fn perf(scale: &Scale) {
 
     use crate::allocations;
 
-    println!("\n#### Block path: throughput, allocations/query, coalescing ####");
+    println!("\n#### Query hot path: throughput, allocations/query, coalescing ####");
 
     // Dominance-kernel microbench: block-vs-block filtering at d >= 5,
     // where the wide lane-blocked generation amortizes best. The window
@@ -979,12 +978,11 @@ pub fn perf(scale: &Scale) {
     // engine actually runs. Best-of-3 on wall clock — each rep replays the
     // whole workload against a fresh executor, so reps are independent and
     // the minimum filters out scheduler noise on shared hosts.
-    let run_one = |queries: &[Constraints], block_path: bool| -> Measured {
+    let run_one = |queries: &[Constraints]| -> Measured {
         const REPS: usize = 3;
         let mut best: Option<Measured> = None;
         for _ in 0..REPS {
-            let config = CbcsConfig { block_path, ..Default::default() };
-            let mut ex = CbcsExecutor::new(&table, config);
+            let mut ex = CbcsExecutor::new(&table, CbcsConfig::default());
             let a0 = allocations();
             let t0 = Instant::now();
             let records = run_queries(&mut ex, queries);
@@ -1018,29 +1016,24 @@ pub fn perf(scale: &Scale) {
 
     let mut entries = Vec::new();
     for (name, queries) in &workloads {
-        let legacy = run_one(queries, false);
         // Per-kernel-generation end-to-end throughput: pin each generation
-        // in-process around a block-path run so one `repro perf` invocation
-        // covers both, then restore the pin-or-adaptive default for the
-        // headline `block` measurement (what a stock deployment runs).
+        // in-process around a run so one `repro perf` invocation covers
+        // both, then restore the pin-or-adaptive default for the headline
+        // `block` measurement (what a stock deployment runs).
         Kernel::set_active(Kernel::Scalar);
-        let block_scalar = run_one(queries, true);
+        let block_scalar = run_one(queries);
         Kernel::set_active(Kernel::Wide);
-        let block_wide = run_one(queries, true);
+        let block_wide = run_one(queries);
         Kernel::reset_to_env();
-        let block = run_one(queries, true);
-        let alloc_reduction = legacy.allocs_per_query / block.allocs_per_query.max(1e-9);
+        let block = run_one(queries);
 
         print_header(
             &format!("{name} workload (q = {}, n = {}, |D| = {dims})", queries.len(), fmt_size(n)),
             &["qps".into(), "allocs/q".into(), "rq exec".into(), "coalesced".into()],
         );
-        for (label, m) in [
-            ("legacy", &legacy),
-            ("block/scalar", &block_scalar),
-            ("block/wide", &block_wide),
-            ("block/auto", &block),
-        ] {
+        for (label, m) in
+            [("block/scalar", &block_scalar), ("block/wide", &block_wide), ("block/auto", &block)]
+        {
             print_row(
                 label,
                 &[
@@ -1051,7 +1044,6 @@ pub fn perf(scale: &Scale) {
                 ],
             );
         }
-        println!("allocation reduction: {alloc_reduction:.1}x");
 
         let fmt_measured = |m: &Measured| {
             format!(
@@ -1074,28 +1066,22 @@ pub fn perf(scale: &Scale) {
                 "{{\n",
                 "      \"name\": \"{}\",\n",
                 "      \"queries\": {},\n",
-                "      \"legacy\": {},\n",
                 "      \"block\": {},\n",
-                "      \"kernels\": {{\"scalar_qps\": {:.1}, \"wide_qps\": {:.1}}},\n",
-                "      \"alloc_reduction\": {:.2},\n",
-                "      \"rq_saved_by_coalescing\": {}\n",
+                "      \"kernels\": {{\"scalar_qps\": {:.1}, \"wide_qps\": {:.1}}}\n",
                 "    }}"
             ),
             name,
             queries.len(),
-            fmt_measured(&legacy),
             fmt_measured(&block),
             block_scalar.qps,
             block_wide.qps,
-            alloc_reduction,
-            legacy.rq_executed.saturating_sub(block.rq_executed),
         ));
     }
 
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"skyperf-bench/2\",\n",
+            "  \"schema\": \"skyperf-bench/3\",\n",
             "  \"n\": {},\n",
             "  \"dims\": {},\n",
             "  \"mpr\": \"aMPR(k=1)\",\n",

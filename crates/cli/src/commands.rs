@@ -89,12 +89,12 @@ pub fn query(args: &Args) -> CmdResult {
     let t0 = Instant::now();
     let req = QueryRequest::new(c.clone());
     let result = match method.as_str() {
-        "baseline" => BaselineExecutor::new(&table).execute(&req)?.into_result(),
+        "baseline" => BaselineExecutor::new(&table).execute(&req)?,
         "bbs" => {
             println!("building BBS R-tree...");
-            BbsExecutor::new(&table).execute(&req)?.into_result()
+            BbsExecutor::new(&table).execute(&req)?
         }
-        "cbcs" => CbcsExecutor::new(&table, CbcsConfig::default()).execute(&req)?.into_result(),
+        "cbcs" => CbcsExecutor::new(&table, CbcsConfig::default()).execute(&req)?,
         other => return Err(format!("unknown method: {other}").into()),
     };
     let wall = t0.elapsed();

@@ -11,12 +11,19 @@
 //! Queries enter through [`Executor::execute`] with a [`QueryRequest`] —
 //! constraints plus per-query execution-mode/algorithm overrides and an
 //! opt-in recording flag — and return a [`QueryOutcome`]: the skyline, the
-//! legacy [`QueryStats`] mirror, and (when recording) a
+//! always-on [`QueryStats`] counters, and (when recording) a
 //! [`skycache_obs::QueryReport`] with the six-phase span breakdown and the
 //! full metric registry. Instrumentation flows through the
 //! [`skycache_obs::Recorder`] interface; with recording off the pipeline
 //! only feeds the plain-struct [`QueryStats`], so the hot path allocates
 //! nothing for observability.
+//!
+//! The CBCS flow of the paper's Section 6 is written once, as
+//! `CbcsState::execute`: it searches the cache through a plain `&Cache`
+//! and mutates it through the `CacheAccess` trait, so the exclusive
+//! executors ([`CbcsExecutor`], [`DynamicCbcsExecutor`]) and the
+//! concurrent [`crate::SharedCbcsExecutor`] differ only in the cache
+//! handle they pass in.
 //!
 //! Wall-clock figures combine measured CPU time with the deterministic
 //! simulated I/O latency of the table's [`skycache_storage::CostModel`]
@@ -180,21 +187,14 @@ pub struct QueryOutcome {
     pub report: Option<QueryReport>,
 }
 
-impl QueryOutcome {
-    /// Drops the report and converts to the legacy [`QueryResult`].
-    pub fn into_result(self) -> QueryResult {
-        QueryResult { skyline: self.skyline, stats: self.stats }
-    }
-}
-
 /// Observation fan-out for one running query: the always-on
-/// [`QueryStats`] mirror plus an optional detailed [`QueryRecorder`].
+/// [`QueryStats`] plus an optional detailed [`QueryRecorder`].
 ///
 /// The pipeline emits every event exactly once, through this; with
 /// recording off the recorder half is `None` and each event is one
 /// match-free struct update.
 pub(crate) struct Probe<'a> {
-    /// Legacy counters, kept exactly as populated by previous releases.
+    /// The always-on counters.
     pub stats: &'a mut QueryStats,
     /// Detailed capture, present only when the request asked to record.
     pub rec: Option<&'a mut QueryRecorder>,
@@ -241,8 +241,9 @@ impl<'a> Probe<'a> {
 
 /// Reusable per-executor buffers for the block-oriented query hot path.
 ///
-/// One instance lives inside each executor. After a few queries the
-/// buffers reach their high-water marks and steady-state queries run
+/// One instance lives inside each executor's [`CbcsState`] (and in the
+/// [`BaselineExecutor`]). After a few queries the buffers reach their
+/// high-water marks and steady-state queries run
 /// (near-)allocation-free: fetched rows land in the columnar
 /// [`FetchScratch`], merge and skyline operate on [`PointBlock`]s, and
 /// owned [`Point`]s are materialized exactly once — for the returned
@@ -287,19 +288,19 @@ fn reuse_block(slot: &mut Option<PointBlock>, dims: usize) -> &mut PointBlock {
     block
 }
 
-/// Total order on coordinate rows by bit pattern — the same identity
-/// notion as [`merge_dedup`]'s `to_bits` keys (`-0.0 ≠ 0.0`, NaN
-/// payloads distinct). Only grouping matters; the order itself is
-/// arbitrary but consistent.
+/// Total order on coordinate rows by bit pattern — identity is `to_bits`
+/// equality per coordinate (`-0.0 ≠ 0.0`, NaN payloads distinct). Only
+/// grouping matters; the order itself is arbitrary but consistent.
 fn cmp_bits(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
     a.iter().map(|v| v.to_bits()).cmp(b.iter().map(|v| v.to_bits()))
 }
 
-/// Block-native [`merge_dedup`]: fills `merged` with the retained points
-/// followed by the fetched rows that survive deduplication, dropping one
-/// fetched copy per identical retained point. `order` and `budget` are
-/// reusable index buffers; output order and drop semantics match the Vec
-/// path row for row.
+/// Fills `merged` with the retained points followed by the fetched rows
+/// that survive deduplication, dropping one fetched copy per identical
+/// retained point: with the approximate MPR, regions not pruned by a
+/// retained point `u` may re-fetch `u`'s stored row, and keeping both
+/// copies would duplicate `u` in the result. `order` and `budget` are
+/// reusable index buffers.
 fn merge_rows(
     retained: &PointBlock,
     fetched: &FetchBuf,
@@ -378,11 +379,12 @@ pub fn skyline_route(exec: ExecMode, n: usize, dims: usize) -> SkylineRoute {
     SkylineRoute::Sequential
 }
 
-/// Block-native skyline stage: runs on flat rows in place, materializing
-/// owned points only for the returned skyline. Algorithms without a
-/// block kernel ([`SkylineAlgorithm::compute_block`] returning `None`)
-/// fall back to the Vec path. Dispatch, counters and output order are
-/// identical to [`compute_skyline`].
+/// The skyline stage: runs on flat rows in place under `exec` (see
+/// [`skyline_route`]), materializing owned points only for the returned
+/// skyline. Algorithms without a block kernel
+/// ([`SkylineAlgorithm::compute_block`] returning `None`) materialize the
+/// rows and run their Vec implementation. Dominance tests (and, when
+/// detailed, parallel-lane gauges) go to the probe.
 fn compute_skyline_rows(
     algo: &dyn SkylineAlgorithm,
     exec: ExecMode,
@@ -422,36 +424,6 @@ fn compute_skyline_rows(
     }
 }
 
-/// Runs the skyline stage under `exec`: the configured sequential
-/// algorithm, or [`ParallelDc`] when parallel mode is on and the input is
-/// large enough to amortize thread spawns. Returns the skyline; dominance
-/// tests (and, when detailed, parallel-lane gauges) go to the probe.
-fn compute_skyline(
-    algo: &dyn SkylineAlgorithm,
-    exec: ExecMode,
-    points: Vec<Point>,
-    probe: &mut Probe<'_>,
-) -> Vec<Point> {
-    let dims = points.first().map_or(0, Point::dims);
-    let route = skyline_route(exec, points.len(), dims);
-    let out = match exec {
-        ExecMode::Parallel { lanes, dc_threshold }
-            if matches!(route, SkylineRoute::Parallel { .. }) =>
-        {
-            let (out, report) = ParallelDc { threads: lanes, sequential_threshold: dc_threshold }
-                .compute_with_report(points);
-            if probe.detailed() && report.workers > 0 {
-                probe.set_gauge(names::LANES_SKYLINE_WORKERS, report.workers as f64);
-                probe.set_gauge(names::LANES_SKYLINE_IMBALANCE, report.imbalance());
-            }
-            out
-        }
-        _ => algo.compute(points),
-    };
-    probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, out.dominance_tests);
-    out.skyline
-}
-
 /// The Figure-10 stage breakdown of one query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
@@ -488,7 +460,7 @@ pub struct QueryStats {
     /// Range queries discarded by index-only emptiness detection.
     pub range_queries_empty: u64,
     /// Candidate range queries absorbed into a neighbor by the coalescing
-    /// fetch planner (block path only; 0 without coalescing).
+    /// fetch planner.
     pub regions_coalesced: u64,
     /// Pairwise dominance tests performed.
     pub dominance_tests: u64,
@@ -523,10 +495,10 @@ pub struct QueryStats {
     pub bbs: Option<BbsStats>,
 }
 
-/// The legacy mirror: spans fold into the three Figure-10 stages and the
-/// canonical counters land in the struct fields previous releases exposed.
-/// Events without a corresponding field (index probes, histograms,
-/// gauges) are dropped here — the detailed recorder keeps them.
+/// Spans fold into the three Figure-10 stages and the canonical counters
+/// land in the named struct fields. Events without a corresponding field
+/// (index probes, histograms, gauges) are dropped here — the detailed
+/// recorder keeps them.
 impl Recorder for QueryStats {
     fn record_span(&mut self, phase: Phase, elapsed: Duration) {
         match phase {
@@ -565,15 +537,6 @@ impl QueryStats {
     pub fn stable(&self) -> Option<bool> {
         self.case.map(Overlap::is_stable)
     }
-}
-
-/// Result of one query: the constrained skyline and its statistics.
-#[derive(Clone, Debug)]
-pub struct QueryResult {
-    /// The constrained skyline `Sky(S, C)`.
-    pub skyline: Vec<Point>,
-    /// Work and latency counters.
-    pub stats: QueryStats,
 }
 
 /// A constrained-skyline query executor.
@@ -775,13 +738,6 @@ pub struct CbcsConfig {
     pub compose_items: usize,
     /// Sequential or parallel execution of the fetch and skyline stages.
     pub exec: ExecMode,
-    /// Run the block-oriented zero-copy hot path: fetches fill reusable
-    /// columnar scratch buffers, the fetch planner coalesces overlapping
-    /// index ranges, and merge/skyline run on [`PointBlock`]s. `false`
-    /// selects the legacy per-point materializing pipeline (same results
-    /// and counters, minus coalescing savings) — kept for benchmarking
-    /// the block path against its baseline.
-    pub block_path: bool,
 }
 
 impl Default for CbcsConfig {
@@ -797,147 +753,152 @@ impl Default for CbcsConfig {
             compose: false,
             compose_items: 4,
             exec: ExecMode::Sequential,
-            block_path: true,
         }
     }
 }
 
-/// The paper's contribution: Cache-Based Constrained Skyline.
-///
-/// Flow per query (Section 6): R\*-tree cache lookup → search strategy →
-/// case classification → specialized solution or (a)MPR → fetch the
-/// missing regions → merge with retained cached points → skyline → cache
-/// the result.
-pub struct CbcsExecutor<'t> {
-    table: &'t Table,
-    cache: Cache,
-    config: CbcsConfig,
-    algo: Box<dyn SkylineAlgorithm>,
+impl CbcsConfig {
+    /// An empty cache with this configuration's capacity and policy.
+    pub(crate) fn new_cache(&self, dims: usize) -> Cache {
+        Cache::with_capacity(dims, self.capacity, self.policy)
+    }
+}
+
+/// How the CBCS pipeline reaches its cache: the read phase searches a
+/// plain `&Cache` handed out by [`CacheAccess::read`], the write phase
+/// goes through the three mutators. Implemented by [`Cache`] itself
+/// (exclusive access) and by [`crate::SharedCache`] (published snapshot
+/// for reads, locked master + republication for writes).
+pub(crate) trait CacheAccess {
+    /// Runs `f` over the cache state queries are answered from. Nothing
+    /// borrowed from it outlives the call, so a shared implementation
+    /// pins its snapshot for exactly the search-and-plan phase.
+    fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R;
+
+    /// Records a hit on item `id` (replacement bookkeeping; a no-op if
+    /// the item is gone).
+    fn touch(&mut self, id: u64);
+
+    /// Records demand for an already-cached key (see
+    /// [`Cache::note_demand`]).
+    fn note_demand(&mut self, constraints: &Constraints);
+
+    /// Offers a query result to the cache.
+    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted;
+}
+
+/// What one [`CacheAccess::insert`] did, returned by value so telemetry
+/// is published after any lock the implementation took has dropped.
+pub(crate) struct Inserted {
+    /// Whether the item passed the admission gate and was stored.
+    pub admitted: bool,
+    /// Items the insert evicted.
+    pub evicted: u64,
+    /// Insert attempts the admission gate rejected (0 or 1).
+    pub rejected: u64,
+}
+
+impl CacheAccess for Cache {
+    fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
+        f(self)
+    }
+
+    fn touch(&mut self, id: u64) {
+        Cache::touch(self, id);
+    }
+
+    fn note_demand(&mut self, constraints: &Constraints) {
+        Cache::note_demand(self, constraints);
+    }
+
+    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted {
+        let evictions_before = self.evictions();
+        let rejects_before = self.admission_rejects();
+        let admitted = self.insert_with_cost(constraints, skyline, cost).is_some();
+        Inserted {
+            admitted,
+            evicted: self.evictions() - evictions_before,
+            rejected: self.admission_rejects() - rejects_before,
+        }
+    }
+}
+
+/// Everything a CBCS executor holds besides its table and cache handle,
+/// and the one implementation of the paper's query flow.
+pub(crate) struct CbcsState {
+    pub(crate) config: CbcsConfig,
+    /// The in-memory skyline component (SFS unless replaced).
+    pub(crate) algo: Box<dyn SkylineAlgorithm>,
+    /// Drives the `Random` search strategy.
     rng: StdRng,
+    /// Bounding box of the table's points (normalizes strategy scores
+    /// and bounds composed covers); grows with dynamic inserts.
     data_bounds: Aabb,
     scratch: QueryScratch,
 }
 
-impl<'t> CbcsExecutor<'t> {
-    /// Creates a CBCS executor with an empty cache.
-    pub fn new(table: &'t Table, config: CbcsConfig) -> Self {
-        let cache = Cache::with_capacity(table.dims(), config.capacity, config.policy);
+impl CbcsState {
+    /// State for an executor over `table`: SFS, an RNG seeded from the
+    /// configuration, empty scratch.
+    pub(crate) fn new(table: &Table, config: CbcsConfig) -> Self {
         let data_bounds = Aabb::bounding(table.all_points())
             // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
             .expect("tables are non-empty");
         let rng = StdRng::seed_from_u64(config.seed);
-        CbcsExecutor {
-            table,
-            cache,
-            config,
-            algo: Box::new(Sfs),
-            rng,
-            data_bounds,
-            scratch: QueryScratch::new(),
-        }
+        CbcsState { config, algo: Box::new(Sfs), rng, data_bounds, scratch: QueryScratch::new() }
     }
 
-    /// Replaces the in-memory skyline component.
-    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.algo = algo;
-        self
-    }
+    /// The CBCS query pipeline (paper Section 6): R\*-tree cache lookup →
+    /// search strategy → case classification → specialized solution or
+    /// (a)MPR → fetch the missing regions → merge with retained cached
+    /// points → skyline → cache the result.
+    ///
+    /// Spans: cache-lookup (R\*-tree search + bounding-box
+    /// short-circuit), case-analysis (strategy selection), mpr-compute
+    /// (plan construction); the fetch/merge/skyline spans are recorded by
+    /// [`query_naive`]/[`query_planned`].
+    pub(crate) fn execute(
+        &mut self,
+        table: &Table,
+        cache: &mut impl CacheAccess,
+        req: &QueryRequest,
+    ) -> Result<QueryOutcome> {
+        let c = &req.constraints;
+        check_dims(table, c)?;
+        let CbcsState { config, algo, rng, data_bounds, scratch } = self;
+        let exec = req.exec.unwrap_or(config.exec);
+        let algo: &dyn SkylineAlgorithm = match req.algo {
+            Some(choice) => choice.algorithm(),
+            None => algo.as_ref(),
+        };
 
-    /// Read access to the cache (for inspection and tests).
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
+        let mut stats = QueryStats::default();
+        let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
+        let mut probe = Probe::new(&mut stats, rec.as_mut());
 
-    /// Drops all cached items.
-    pub fn clear_cache(&mut self) {
-        self.cache =
-            Cache::with_capacity(self.table.dims(), self.config.capacity, self.config.policy);
-    }
+        // Processing stage, against the cache state `read` pins: lookup,
+        // strategy, classification, MPR. The lookup fills the reused id
+        // scratch (cover-ordered); candidate items are resolved lazily
+        // through the cache, so no per-query `Vec<&CacheItem>` is built,
+        // and the plans own their points, so nothing borrowed from the
+        // cache survives into the fetch.
+        let selection: Option<Selection> = cache.read(|items| {
+            let t0 = Stopwatch::start();
+            let lookup = items.lookup_into(c, &mut scratch.lookup_ids);
+            let ids: &[u64] = &scratch.lookup_ids;
+            probe.record_span(Phase::CacheLookup, t0.elapsed());
+            probe.add_counter(names::CACHE_CANDIDATES, ids.len() as u64);
+            probe.add_counter(names::CACHE_OVERLAP_SCANS, lookup.scans);
 
-    /// The active configuration.
-    pub fn config(&self) -> &CbcsConfig {
-        &self.config
-    }
-}
-
-impl Executor for CbcsExecutor<'_> {
-    fn name(&self) -> String {
-        format!("CBCS[{}]", self.config.mpr.label())
-    }
-
-    fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        execute_cbcs_query(
-            self.table,
-            &mut self.cache,
-            &self.config,
-            self.algo.as_ref(),
-            &mut self.rng,
-            &self.data_bounds,
-            &mut self.scratch,
-            req,
-        )
-    }
-}
-
-/// The CBCS query pipeline (paper Section 6), shared by the borrowing
-/// [`CbcsExecutor`] and the owning [`DynamicCbcsExecutor`].
-///
-/// Spans: cache-lookup (R\*-tree search + bounding-box short-circuit),
-/// case-analysis (strategy selection + extra-item harvest), mpr-compute
-/// (plan construction); the fetch/merge/skyline spans are recorded by
-/// [`query_naive`]/[`query_planned`].
-#[allow(clippy::too_many_arguments)]
-fn execute_cbcs_query(
-    table: &Table,
-    cache: &mut Cache,
-    config: &CbcsConfig,
-    algo: &dyn SkylineAlgorithm,
-    rng: &mut StdRng,
-    data_bounds: &Aabb,
-    scratch: &mut QueryScratch,
-    req: &QueryRequest,
-) -> Result<QueryOutcome> {
-    let c = &req.constraints;
-    check_dims(table, c)?;
-    let exec = req.exec.unwrap_or(config.exec);
-    let algo: &dyn SkylineAlgorithm = match req.algo {
-        Some(choice) => choice.algorithm(),
-        None => algo,
-    };
-
-    let mut stats = QueryStats::default();
-    let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
-    let mut probe = Probe::new(&mut stats, rec.as_mut());
-
-    // Processing stage: cache lookup, strategy, classification, MPR.
-    // The lookup fills the reused id scratch (cover-ordered); candidate
-    // items are resolved lazily through the cache, so no per-query
-    // `Vec<&CacheItem>` is built.
-    let selection: Option<Selection> = {
-        let t0 = Stopwatch::start();
-        let lookup = cache.lookup_into(c, &mut scratch.lookup_ids);
-        let ids: &[u64] = &scratch.lookup_ids;
-        let items: &Cache = cache;
-        probe.record_span(Phase::CacheLookup, t0.elapsed());
-        probe.add_counter(names::CACHE_CANDIDATES, ids.len() as u64);
-        probe.add_counter(names::CACHE_OVERLAP_SCANS, lookup.scans);
-
-        let t1 = Stopwatch::start();
-        let picked = config
-            .strategy
-            .select_indexed(
-                ids.len(),
-                // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                |i| items.get(ids[i]).expect("lookup ids are live"),
-                c,
-                data_bounds,
-                rng,
-            )
             // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-            .map(|idx| items.get(ids[idx]).expect("lookup ids are live"));
-        probe.record_span(Phase::CaseAnalysis, t1.elapsed());
+            let item = |id: u64| items.get(id).expect("lookup ids are live");
 
-        picked.map(|primary| {
+            let t1 = Stopwatch::start();
+            let picked =
+                config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, data_bounds, rng);
+            probe.record_span(Phase::CaseAnalysis, t1.elapsed());
+            let primary = item(ids[picked?]);
+
             // Compositional answering (DESIGN.md §17.3): when enabled and
             // the primary has no free-solution fast path, try composing
             // the cover-ordered candidates into one remainder plan.
@@ -952,23 +913,19 @@ fn execute_cbcs_query(
                     Overlap::Exact | Overlap::CaseB { .. }
                 )
             {
-                let mut parts: Vec<(&Constraints, &PointBlock)> =
-                    Vec::with_capacity(config.compose_items);
                 let mut part_ids: Vec<u64> = Vec::with_capacity(config.compose_items);
-                parts.push((&primary.constraints, &primary.skyline));
                 part_ids.push(primary.id);
-                for &id in ids {
-                    if parts.len() >= config.compose_items {
-                        break;
-                    }
-                    if id == primary.id {
-                        continue;
-                    }
-                    // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                    let item = items.get(id).expect("lookup ids are live");
-                    parts.push((&item.constraints, &item.skyline));
-                    part_ids.push(id);
-                }
+                part_ids.extend(
+                    ids.iter()
+                        .copied()
+                        .filter(|&id| id != primary.id)
+                        .take(config.compose_items - 1),
+                );
+                let parts: Vec<(&Constraints, &PointBlock)> = part_ids
+                    .iter()
+                    .map(|&id| item(id))
+                    .map(|it| (&it.constraints, &it.skyline))
+                    .collect();
                 let t2 = Stopwatch::start();
                 let composed = plan_composed(&parts, c, config.mpr, data_bounds);
                 probe.record_span(Phase::MprCompute, t2.elapsed());
@@ -976,7 +933,7 @@ fn execute_cbcs_query(
                     // Every candidate overlaps the query, so contributors
                     // are exactly the first `items_used` parts in order.
                     part_ids.truncate(composed.items_used);
-                    return Selection::Composed(part_ids, composed);
+                    return Some(Selection::Composed(part_ids, composed));
                 }
             }
 
@@ -985,18 +942,17 @@ fn execute_cbcs_query(
             let extra: Vec<Point> = if config.extra_items > 0 {
                 let mut others: Vec<u64> =
                     ids.iter().copied().filter(|&id| id != primary.id).collect();
+                // total_cmp: overlap volumes of partially unbounded
+                // regions may be inf or NaN (0·inf).
                 others.sort_by(|&a, &b| {
-                    // total_cmp: overlap volumes of partially
-                    // unbounded regions may be inf or NaN (0·inf).
-                    let va = items.get(a).map_or(0.0, |it| c.overlap_volume(&it.constraints));
-                    let vb = items.get(b).map_or(0.0, |it| c.overlap_volume(&it.constraints));
+                    let va = c.overlap_volume(&item(a).constraints);
+                    let vb = c.overlap_volume(&item(b).constraints);
                     vb.total_cmp(&va)
                 });
                 others
                     .into_iter()
                     .take(config.extra_items)
-                    .filter_map(|id| items.get(id))
-                    .flat_map(|it| it.skyline.to_points())
+                    .flat_map(|id| item(id).skyline.to_points())
                     .collect()
             } else {
                 Vec::new()
@@ -1005,78 +961,66 @@ fn execute_cbcs_query(
             let plan =
                 plan_with_extra(&primary.constraints, &primary.skyline, &extra, c, config.mpr);
             probe.record_span(Phase::MprCompute, t2.elapsed());
-            Selection::Single(primary.id, plan)
-        })
-    };
+            Some(Selection::Single(primary.id, plan))
+        });
 
-    let skyline = match selection {
-        None => {
-            probe.add_counter(names::CACHE_MISSES, 1);
-            if config.block_path {
+        let skyline = match selection {
+            None => {
+                probe.add_counter(names::CACHE_MISSES, 1);
                 query_naive(table, algo, exec, c, scratch, &mut probe)
-            } else {
-                query_naive_legacy(table, algo, exec, c, &mut probe)
             }
-        }
-        Some(Selection::Single(item_id, query_plan)) => {
-            probe.add_counter(names::CACHE_HITS, 1);
-            probe.stats.cache_hit = true;
-            probe.stats.composed_items = 1;
-            cache.touch(item_id);
-            if config.block_path {
-                query_planned(table, algo, exec, query_plan, scratch, &mut probe)
-            } else {
-                query_planned_legacy(table, algo, exec, query_plan, &mut probe)
+            Some(selection) => {
+                probe.add_counter(names::CACHE_HITS, 1);
+                probe.stats.cache_hit = true;
+                let plan = match selection {
+                    Selection::Single(item_id, plan) => {
+                        probe.stats.composed_items = 1;
+                        cache.touch(item_id);
+                        plan
+                    }
+                    Selection::Composed(part_ids, composed) => {
+                        probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
+                        probe.stats.composed_items = composed.items_used;
+                        probe.stats.cover_fraction = composed.cover_fraction;
+                        probe.set_gauge(names::CACHE_COVER_FRACTION, composed.cover_fraction);
+                        for &id in &part_ids {
+                            cache.touch(id);
+                        }
+                        composed.plan
+                    }
+                };
+                query_planned(table, algo, exec, plan, scratch, &mut probe)
             }
-        }
-        Some(Selection::Composed(part_ids, composed)) => {
-            probe.add_counter(names::CACHE_HITS, 1);
-            probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
-            probe.stats.cache_hit = true;
-            probe.stats.composed_items = composed.items_used;
-            probe.stats.cover_fraction = composed.cover_fraction;
-            probe.set_gauge(names::CACHE_COVER_FRACTION, composed.cover_fraction);
-            for &id in &part_ids {
-                cache.touch(id);
-            }
-            if config.block_path {
-                query_planned(table, algo, exec, composed.plan, scratch, &mut probe)
-            } else {
-                query_planned_legacy(table, algo, exec, composed.plan, &mut probe)
-            }
-        }
-    };
-    probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
+        };
+        probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
 
-    if config.cache_results {
-        if matches!(probe.stats.case, Some(Overlap::Exact)) {
-            // The result is already cached under these very constraints;
-            // re-inserting would duplicate the item and evict an
-            // innocent victim on every repeat. Keep the key's popularity
-            // visible to the admission sketch instead.
-            cache.note_demand(c);
-        } else {
-            let evictions_before = cache.evictions();
-            let rejects_before = cache.admission_rejects();
-            let cost = ItemCost {
-                points_read: probe.stats.points_read,
-                fetch_ns: probe.stats.fetch_sim_ns,
-            };
-            if cache.insert_with_cost(c.clone(), &skyline, cost).is_some() {
-                probe.add_counter(names::CACHE_INSERTIONS, 1);
-            }
-            let evicted = cache.evictions() - evictions_before;
-            if evicted > 0 {
-                probe.add_counter(names::CACHE_EVICTIONS, evicted);
-            }
-            let rejected = cache.admission_rejects() - rejects_before;
-            if rejected > 0 {
-                probe.add_counter(names::CACHE_ADMISSION_REJECTS, rejected);
+        if config.cache_results {
+            if matches!(probe.stats.case, Some(Overlap::Exact)) {
+                // The result is already cached under these very
+                // constraints; re-inserting would duplicate the item and
+                // evict an innocent victim on every repeat. Keep the key's
+                // popularity visible to the admission sketch instead.
+                cache.note_demand(c);
+            } else {
+                let cost = ItemCost {
+                    points_read: probe.stats.points_read,
+                    fetch_ns: probe.stats.fetch_sim_ns,
+                };
+                let inserted = cache.insert(c.clone(), &skyline, cost);
+                if inserted.admitted {
+                    probe.add_counter(names::CACHE_INSERTIONS, 1);
+                }
+                if inserted.evicted > 0 {
+                    probe.add_counter(names::CACHE_EVICTIONS, inserted.evicted);
+                }
+                if inserted.rejected > 0 {
+                    probe.add_counter(names::CACHE_ADMISSION_REJECTS, inserted.rejected);
+                }
             }
         }
+
+        Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
     }
-
-    Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
 }
 
 /// What the processing stage decided for one query: answer from a single
@@ -1090,10 +1034,57 @@ enum Selection {
     Composed(Vec<u64>, ComposedPlan),
 }
 
-/// The cache-miss path on the block-oriented hot path: one constraint
-/// range query into the reusable fetch scratch, then the skyline kernel
-/// directly over the columnar rows. Results and counters are identical
-/// to [`query_naive_legacy`]; only allocation behavior differs.
+/// The paper's contribution: Cache-Based Constrained Skyline, over a
+/// borrowed table and an exclusively owned cache. The query flow is
+/// `CbcsState::execute`.
+pub struct CbcsExecutor<'t> {
+    table: &'t Table,
+    cache: Cache,
+    state: CbcsState,
+}
+
+impl<'t> CbcsExecutor<'t> {
+    /// Creates a CBCS executor with an empty cache.
+    pub fn new(table: &'t Table, config: CbcsConfig) -> Self {
+        let cache = config.new_cache(table.dims());
+        CbcsExecutor { table, cache, state: CbcsState::new(table, config) }
+    }
+
+    /// Replaces the in-memory skyline component.
+    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
+        self.state.algo = algo;
+        self
+    }
+
+    /// Read access to the cache (for inspection and tests).
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
+    /// Drops all cached items.
+    pub fn clear_cache(&mut self) {
+        self.cache = self.state.config.new_cache(self.table.dims());
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &CbcsConfig {
+        &self.state.config
+    }
+}
+
+impl Executor for CbcsExecutor<'_> {
+    fn name(&self) -> String {
+        format!("CBCS[{}]", self.state.config.mpr.label())
+    }
+
+    fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
+        self.state.execute(self.table, &mut self.cache, req)
+    }
+}
+
+/// The cache-miss path: one constraint range query into the reusable
+/// fetch scratch, then the skyline kernel directly over the columnar
+/// rows.
 pub(crate) fn query_naive(
     table: &Table,
     algo: &dyn SkylineAlgorithm,
@@ -1102,17 +1093,7 @@ pub(crate) fn query_naive(
     scratch: &mut QueryScratch,
     probe: &mut Probe<'_>,
 ) -> Vec<Point> {
-    let t0 = Stopwatch::start();
-    let outcome = table.fetch_plan_into(&FetchPlan::constrained(c), &mut scratch.fetch);
-    probe.stats.fetch_sim_ns += outcome.simulated_latency.as_nanos() as u64;
-    probe.record_span(Phase::Fetch, t0.elapsed() + outcome.simulated_latency);
-    outcome.record_into(probe);
-    if probe.detailed() {
-        probe.add_counter(
-            names::FETCH_PAGES_TOUCHED,
-            table.pages_touched_ids(scratch.fetch.rows().ids()),
-        );
-    }
+    fetch_into_scratch(table, &FetchPlan::constrained(c), scratch, probe);
 
     let t1 = Stopwatch::start();
     let dims = table.dims();
@@ -1123,37 +1104,33 @@ pub(crate) fn query_naive(
     skyline
 }
 
-/// The cache-miss path: one constraint range query plus a full skyline.
-pub(crate) fn query_naive_legacy(
+/// The fetch stage: runs `plan` into the scratch's columnar buffers and
+/// publishes the span (measured time plus the cost model's simulated
+/// latency), `fetch_sim_ns` and the `fetch.*` counters.
+fn fetch_into_scratch(
     table: &Table,
-    algo: &dyn SkylineAlgorithm,
-    exec: ExecMode,
-    c: &Constraints,
+    plan: &FetchPlan,
+    scratch: &mut QueryScratch,
     probe: &mut Probe<'_>,
-) -> Vec<Point> {
+) {
     let t0 = Stopwatch::start();
-    let fetch = table.fetch_plan(&FetchPlan::constrained(c));
-    probe.stats.fetch_sim_ns += fetch.simulated_latency.as_nanos() as u64;
-    probe.record_span(Phase::Fetch, t0.elapsed() + fetch.simulated_latency);
-    fetch.record_into(probe);
+    let outcome = table.fetch_plan_into(plan, &mut scratch.fetch);
+    probe.stats.fetch_sim_ns += outcome.simulated_latency.as_nanos() as u64;
+    probe.record_span(Phase::Fetch, t0.elapsed() + outcome.simulated_latency);
+    outcome.record_into(probe);
     if probe.detailed() {
-        probe.add_counter(names::FETCH_PAGES_TOUCHED, table.pages_touched(&fetch.rows));
+        probe.add_counter(
+            names::FETCH_PAGES_TOUCHED,
+            table.pages_touched_ids(scratch.fetch.rows().ids()),
+        );
     }
-
-    let t1 = Stopwatch::start();
-    let points: Vec<Point> = fetch.rows.into_iter().map(|r| r.point).collect();
-    let skyline = compute_skyline(algo, exec, points, probe);
-    probe.record_span(Phase::Skyline, t1.elapsed());
-    skyline
 }
 
-/// The cache-hit path on the block-oriented hot path: fetch the plan's
-/// regions with a *coalescing* plan (overlapping or abutting index
-/// ranges merge into one range query; rows are deduplicated across
-/// regions), block-merge with the retained points, and run the skyline
-/// kernel over the merged block. The skyline and all non-coalescing
-/// counters match [`query_planned_legacy`]; `fetch.regions_coalesced`
-/// additionally reports the planner's savings.
+/// The cache-hit path: fetch the plan's regions with a *coalescing* plan
+/// (overlapping or abutting index ranges merge into one range query; rows
+/// are deduplicated across regions; in parallel mode over `exec.lanes()`
+/// concurrent lanes), block-merge with the retained points, and run the
+/// skyline kernel over the merged block.
 pub(crate) fn query_planned(
     table: &Table,
     algo: &dyn SkylineAlgorithm,
@@ -1169,18 +1146,8 @@ pub(crate) fn query_planned(
     probe.add_counter(names::MPR_PRUNE_POINTS, plan.prune_points_used as u64);
     probe.add_counter(names::MPR_INVALIDATED_PIECES, plan.invalidated_pieces as u64);
 
-    let t0 = Stopwatch::start();
     let fetch_plan = FetchPlan::remainder(plan.regions).with_lanes(exec.lanes());
-    let outcome = table.fetch_plan_into(&fetch_plan, &mut scratch.fetch);
-    probe.stats.fetch_sim_ns += outcome.simulated_latency.as_nanos() as u64;
-    probe.record_span(Phase::Fetch, t0.elapsed() + outcome.simulated_latency);
-    outcome.record_into(probe);
-    if probe.detailed() {
-        probe.add_counter(
-            names::FETCH_PAGES_TOUCHED,
-            table.pages_touched_ids(scratch.fetch.rows().ids()),
-        );
-    }
+    fetch_into_scratch(table, &fetch_plan, scratch, probe);
 
     if plan.needs_skyline {
         let dims = table.dims();
@@ -1193,50 +1160,6 @@ pub(crate) fn query_planned(
         let t2 = Stopwatch::start();
         let out = reuse_block(sky_out, dims);
         let skyline = compute_skyline_rows(algo, exec, merged.as_flat(), dims, sky, out, probe);
-        probe.record_span(Phase::Skyline, t2.elapsed());
-        skyline
-    } else {
-        // Exact hit or Case (b): the retained points are the answer.
-        plan.retained.to_points()
-    }
-}
-
-/// The cache-hit path: fetch the plan's regions, merge, recompute.
-///
-/// In parallel mode the MPR/aMPR regions are fetched over `exec.lanes()`
-/// concurrent lanes; rows and fetch counters are identical to the
-/// sequential path, and the simulated latency is the slowest lane.
-pub(crate) fn query_planned_legacy(
-    table: &Table,
-    algo: &dyn SkylineAlgorithm,
-    exec: ExecMode,
-    plan: QueryPlan,
-    probe: &mut Probe<'_>,
-) -> Vec<Point> {
-    probe.stats.case = Some(plan.overlap);
-    probe.add_counter(names::CACHE_RETAINED_POINTS, plan.retained.len() as u64);
-    probe.add_counter(names::CACHE_REMOVED_POINTS, plan.removed_points as u64);
-    probe.add_counter(names::MPR_REGIONS, plan.regions.len() as u64);
-    probe.add_counter(names::MPR_PRUNE_POINTS, plan.prune_points_used as u64);
-    probe.add_counter(names::MPR_INVALIDATED_PIECES, plan.invalidated_pieces as u64);
-
-    let t0 = Stopwatch::start();
-    let fetch = table.fetch_plan(&FetchPlan::new(plan.regions).with_lanes(exec.lanes()));
-    probe.stats.fetch_sim_ns += fetch.simulated_latency.as_nanos() as u64;
-    probe.record_span(Phase::Fetch, t0.elapsed() + fetch.simulated_latency);
-    fetch.record_into(probe);
-    if probe.detailed() {
-        probe.add_counter(names::FETCH_PAGES_TOUCHED, table.pages_touched(&fetch.rows));
-    }
-
-    if plan.needs_skyline {
-        let t1 = Stopwatch::start();
-        let fetched: Vec<Point> = fetch.rows.into_iter().map(|r| r.point).collect();
-        let merged = merge_dedup(plan.retained.to_points(), fetched);
-        probe.record_span(Phase::Merge, t1.elapsed());
-
-        let t2 = Stopwatch::start();
-        let skyline = compute_skyline(algo, exec, merged, probe);
         probe.record_span(Phase::Skyline, t2.elapsed());
         skyline
     } else {
@@ -1262,35 +1185,20 @@ pub(crate) fn query_planned_legacy(
 pub struct DynamicCbcsExecutor {
     table: Table,
     cache: Cache,
-    config: CbcsConfig,
-    algo: Box<dyn SkylineAlgorithm>,
-    rng: StdRng,
-    data_bounds: Aabb,
-    scratch: QueryScratch,
+    state: CbcsState,
 }
 
 impl DynamicCbcsExecutor {
     /// Takes ownership of the table and starts with an empty cache.
     pub fn new(table: Table, config: CbcsConfig) -> Self {
-        let cache = Cache::with_capacity(table.dims(), config.capacity, config.policy);
-        let data_bounds = Aabb::bounding(table.all_points())
-            // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
-            .expect("tables are non-empty");
-        let rng = StdRng::seed_from_u64(config.seed);
-        DynamicCbcsExecutor {
-            table,
-            cache,
-            config,
-            algo: Box::new(Sfs),
-            rng,
-            data_bounds,
-            scratch: QueryScratch::new(),
-        }
+        let cache = config.new_cache(table.dims());
+        let state = CbcsState::new(&table, config);
+        DynamicCbcsExecutor { table, cache, state }
     }
 
     /// Replaces the in-memory skyline component.
     pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.algo = algo;
+        self.state.algo = algo;
         self
     }
 
@@ -1308,7 +1216,7 @@ impl DynamicCbcsExecutor {
     /// every affected cached skyline. Returns the new row id.
     pub fn insert(&mut self, p: Point) -> Result<skycache_storage::RowId> {
         let row = self.table.insert(p.clone())?;
-        self.data_bounds.merge(&Aabb::from_point(&p));
+        self.state.data_bounds.merge(&Aabb::from_point(&p));
         self.cache.on_insert(&p);
         Ok(row)
     }
@@ -1324,49 +1232,12 @@ impl DynamicCbcsExecutor {
 
 impl Executor for DynamicCbcsExecutor {
     fn name(&self) -> String {
-        format!("DynamicCBCS[{}]", self.config.mpr.label())
+        format!("DynamicCBCS[{}]", self.state.config.mpr.label())
     }
 
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        execute_cbcs_query(
-            &self.table,
-            &mut self.cache,
-            &self.config,
-            self.algo.as_ref(),
-            &mut self.rng,
-            &self.data_bounds,
-            &mut self.scratch,
-            req,
-        )
+        self.state.execute(&self.table, &mut self.cache, req)
     }
-}
-
-/// Merges retained cached points with fetched rows, dropping one fetched
-/// copy per identical retained point: with the approximate MPR, regions
-/// not pruned by a retained point `u` may re-fetch `u`'s stored row, and
-/// keeping both copies would duplicate `u` in the result.
-fn merge_dedup(retained: Vec<Point>, fetched: Vec<Point>) -> Vec<Point> {
-    // BTreeMap for the determinism policy; the map is lookup-only, so
-    // only code shape (not behavior) depends on the choice.
-    use std::collections::BTreeMap;
-    if retained.is_empty() {
-        return fetched;
-    }
-    let mut counts: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-    for p in &retained {
-        let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    let mut merged = retained;
-    merged.reserve(fetched.len());
-    for p in fetched {
-        let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
-        match counts.get_mut(&key) {
-            Some(n) if *n > 0 => *n -= 1, // drop this duplicate copy
-            _ => merged.push(p),
-        }
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -1390,8 +1261,33 @@ mod tests {
         Constraints::from_pairs(pairs).unwrap()
     }
 
-    fn run(ex: &mut impl Executor, cc: &Constraints) -> QueryResult {
-        ex.execute(&QueryRequest::new(cc.clone())).unwrap().into_result()
+    /// Vec-based reference for [`merge_rows`]: retained points followed by
+    /// the fetched ones, minus one fetched copy per identical retained
+    /// point.
+    fn merge_dedup(retained: Vec<Point>, fetched: Vec<Point>) -> Vec<Point> {
+        use std::collections::BTreeMap;
+        if retained.is_empty() {
+            return fetched;
+        }
+        let mut counts: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+        for p in &retained {
+            let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
+            *counts.entry(key).or_insert(0) += 1;
+        }
+        let mut merged = retained;
+        merged.reserve(fetched.len());
+        for p in fetched {
+            let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
+            match counts.get_mut(&key) {
+                Some(n) if *n > 0 => *n -= 1, // drop this duplicate copy
+                _ => merged.push(p),
+            }
+        }
+        merged
+    }
+
+    fn run(ex: &mut impl Executor, cc: &Constraints) -> QueryOutcome {
+        ex.execute(&QueryRequest::new(cc.clone())).unwrap()
     }
 
     #[test]
@@ -1588,42 +1484,6 @@ mod tests {
     }
 
     #[test]
-    fn block_and_legacy_paths_agree_on_chains() {
-        // The block path must be a pure performance change: same skyline
-        // set, same non-coalescing counters, same case classification.
-        let table = grid_table();
-        let mut block = CbcsExecutor::new(&table, CbcsConfig::default());
-        let legacy_cfg = CbcsConfig { block_path: false, ..CbcsConfig::default() };
-        let mut legacy = CbcsExecutor::new(&table, legacy_cfg);
-        let chain = [
-            c(&[(0.0, 1.5), (0.0, 1.5)]),
-            c(&[(0.3, 1.5), (0.0, 1.5)]), // case (d)
-            c(&[(0.3, 1.5), (0.4, 1.5)]), // case (d)
-            c(&[(0.2, 1.5), (0.4, 1.5)]), // case (a)
-            c(&[(0.1, 1.2), (0.3, 1.4)]),
-            c(&[(0.1, 1.2), (0.3, 1.4)]), // exact hit
-        ];
-        for cc in &chain {
-            let b = run(&mut block, cc);
-            let l = run(&mut legacy, cc);
-            let key = |x: &Point| (x[0].to_bits(), x[1].to_bits());
-            let mut bs = b.skyline.clone();
-            let mut ls = l.skyline.clone();
-            bs.sort_by_key(key);
-            ls.sort_by_key(key);
-            assert_eq!(bs, ls, "skyline diverged on {cc:?}");
-            assert_eq!(b.stats.points_read, l.stats.points_read, "points_read on {cc:?}");
-            assert_eq!(b.stats.case, l.stats.case, "case on {cc:?}");
-            assert_eq!(b.stats.result_size, l.stats.result_size);
-            assert_eq!(b.stats.retained_points, l.stats.retained_points);
-            assert_eq!(b.stats.cache_hit, l.stats.cache_hit);
-            // Coalescing can only save range queries, never add them.
-            assert!(b.stats.range_queries_executed <= l.stats.range_queries_executed);
-            assert_eq!(l.stats.regions_coalesced, 0, "legacy path never coalesces");
-        }
-    }
-
-    #[test]
     fn merge_rows_matches_merge_dedup() {
         // Rows fetched into the columnar scratch, merged block-natively,
         // must equal the Vec-based merge point for point — including the
@@ -1709,7 +1569,7 @@ mod tests {
         assert_eq!(hit.counter(names::CACHE_MISSES), 0);
         assert!(hit.counter(names::CACHE_RETAINED_POINTS) > 0);
         assert!(hit.counter(names::MPR_REGIONS) > 0);
-        // The report carries the same totals as the legacy stats mirror.
+        // The report carries the same totals as the always-on stats.
         let out = cbcs.execute(&QueryRequest::new(c1).recorded()).unwrap();
         let report = out.report.unwrap();
         assert_eq!(report.counter(names::FETCH_POINTS_READ), out.stats.points_read);

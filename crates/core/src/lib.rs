@@ -25,7 +25,9 @@
 //!   paper's evaluation plots — plus the extensions the paper sketches as
 //!   future work: [`DynamicCbcsExecutor`] (dynamic data, Section 6.2),
 //!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3), and a
-//!   thread-safe [`SharedCache`] for multi-user deployments.
+//!   thread-safe [`SharedCache`] for multi-user deployments. The CBCS
+//!   query flow is written once; the single-user, dynamic and shared
+//!   executors differ only in how they reach their cache.
 //!
 //! ```
 //! use skycache_core::{CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest};
@@ -84,8 +86,8 @@ pub use cache::{
 pub use cases::{plan_composed, ComposedPlan};
 pub use engine::{
     skyline_route, AlgoChoice, BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor,
-    DynamicCbcsExecutor, ExecMode, Executor, QueryOutcome, QueryRequest, QueryResult, QueryStats,
-    SkylineRoute, StageTimes,
+    DynamicCbcsExecutor, ExecMode, Executor, QueryOutcome, QueryRequest, QueryStats, SkylineRoute,
+    StageTimes,
 };
 pub use error::CoreError;
 pub use mpr::{missing_points_region, missing_points_region_multi, MprMode, MprOutput};

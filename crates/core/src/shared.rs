@@ -18,14 +18,15 @@
 //!
 //! Readers call [`SharedCache::snapshot`], which clones the `Arc` under
 //! a momentary read lock and releases it before any lookup work begins:
-//! the expensive cache search, case analysis, planning, fetching and the
-//! skyline computation all run against the immutable snapshot with *no*
-//! lock held, so concurrent lookups never serialize on the write side and
-//! an in-flight insert never blocks them. A monotone epoch counter is
-//! bumped with every publication so observers can tell snapshots apart
-//! without comparing contents; because the snapshot is swapped as a whole
-//! `Arc`, a reader sees either the pre-insert or the post-insert cache,
-//! never a torn intermediate (model-checked in
+//! the cache search, case analysis and planning run against the pinned
+//! immutable snapshot with *no* lock held, so concurrent lookups never
+//! serialize on the write side and an in-flight insert never blocks them.
+//! The plan owns the points it retained, so the snapshot is released
+//! before fetching and the skyline computation start. A monotone epoch
+//! counter is bumped with every publication so observers can tell
+//! snapshots apart without comparing contents; because the snapshot is
+//! swapped as a whole `Arc`, a reader sees either the pre-insert or the
+//! post-insert cache, never a torn intermediate (model-checked in
 //! `crates/core/tests/model_serve.rs`).
 //!
 //! `touch` (LRU bookkeeping on a hit) deliberately mutates only the
@@ -36,33 +37,30 @@
 //!
 //! Lock order is `master → snap`, only ever in that direction (the
 //! publication happens nested under the master guard so two racing
-//! inserts cannot publish out of order). Telemetry (spans/counters) is
-//! collected into locals and published after guards drop — skylint's
-//! `guard-hold-span` rule enforces that no guard is live across a
-//! recorder call. A cached item may be evicted between the snapshot read
-//! and the write phase; that is benign (the executor works on its own
-//! clone, and `touch` on a gone item is a no-op).
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! inserts cannot publish out of order). Every guard lives inside one
+//! [`SharedCache`] method; what a write did comes back by value and the
+//! pipeline publishes its telemetry (spans/counters) after the call
+//! returns — skylint's `guard-hold-span` rule enforces that no guard is
+//! live across a recorder call. A cached item may be evicted between the
+//! snapshot read and the write phase; that is benign (the plan was built
+//! from the pinned snapshot, and `touch` on a gone item is a no-op).
+//!
+//! The query flow itself is not written here: [`SharedCbcsExecutor`] runs
+//! the one CBCS pipeline of [`crate::engine`], and this module supplies
+//! its cache access — snapshot reads, master writes.
 
 // Shim sync primitives: identical to `std`/`parking_lot` in production,
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
 use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
 
-use skycache_algos::{Sfs, SkylineAlgorithm};
-use skycache_geom::{Aabb, Constraints, Point, PointBlock};
-use skycache_obs::{names, Phase, QueryRecorder, Recorder};
+use skycache_algos::SkylineAlgorithm;
+use skycache_geom::{Constraints, Point};
 use skycache_storage::Table;
 
 use crate::cache::{Cache, ItemCost};
-use crate::cases::{plan_composed, plan_with_extra};
-use crate::clock::Stopwatch;
 use crate::engine::{
-    check_dims, query_naive, query_naive_legacy, query_planned, query_planned_legacy, CbcsConfig,
-    Executor, Probe, QueryOutcome, QueryRequest, QueryScratch, QueryStats,
+    CacheAccess, CbcsConfig, CbcsState, Executor, Inserted, QueryOutcome, QueryRequest,
 };
-use crate::stability::{classify, Overlap};
 use crate::Result;
 
 /// Write side plus published snapshot; see the module docs for the
@@ -91,7 +89,7 @@ pub struct SharedCache {
 impl SharedCache {
     /// Creates a shared cache with the capacity/policy of `config`.
     pub fn new(dims: usize, config: &CbcsConfig) -> Self {
-        let master = Cache::with_capacity(dims, config.capacity, config.policy);
+        let master = config.new_cache(dims);
         let snap = Arc::new(master.clone());
         SharedCache {
             inner: Arc::new(SharedCacheInner {
@@ -141,22 +139,6 @@ impl SharedCache {
         f(&self.inner.master.read()) // lock-order: read
     }
 
-    /// Records a cache hit on the master (LRU bookkeeping only — no
-    /// republication, see the module docs). A no-op if the item has
-    /// been evicted meanwhile.
-    pub(crate) fn touch(&self, id: u64) {
-        // skylint: allow(lock-order) — the callee is `Cache::touch` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
-        self.inner.master.write().touch(id); // lock-order: write
-    }
-
-    /// Records an exact-hit demand in the master's admission sketch
-    /// (sketch bookkeeping only — the item store is unchanged, so like
-    /// [`SharedCache::touch`] this does not republish).
-    pub(crate) fn note_demand(&self, constraints: &Constraints) {
-        // skylint: allow(lock-order) — the callee is `Cache::note_demand` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
-        self.inner.master.write().note_demand(constraints); // lock-order: write
-    }
-
     /// Inserts a result into the master, publishes a fresh snapshot and
     /// bumps the epoch. Reports whether the admission gate admitted the
     /// item and how many items the insert evicted/rejected.
@@ -165,14 +147,9 @@ impl SharedCache {
         constraints: Constraints,
         skyline: &[Point],
         cost: ItemCost,
-    ) -> PublishOutcome {
-        // skylint: allow(lock-order) — `master.insert_with_cost` is a `Cache` method on the guard's own target (lock-free); the bare-name matches to Table/RStarTree/ColumnIndex inserts never run under this guard.
+    ) -> Inserted {
         let mut master = self.inner.master.write(); // lock-order: write
-        let evictions_before = master.evictions();
-        let rejects_before = master.admission_rejects();
-        let admitted = master.insert_with_cost(constraints, skyline, cost).is_some();
-        let evicted = master.evictions() - evictions_before;
-        let rejected = master.admission_rejects() - rejects_before;
+        let inserted = CacheAccess::insert(&mut *master, constraints, skyline, cost);
         // Publish nested under the master guard: racing inserts publish
         // in master order, so a newer snapshot is never overwritten by
         // an older one. A rejected insert still publishes — the TinyLFU
@@ -180,22 +157,40 @@ impl SharedCache {
         let published = Arc::new(master.clone());
         *self.inner.snap.write() = published; // lock-order: write
         self.inner.epoch.fetch_add(1, Ordering::Release);
-        PublishOutcome { admitted, evicted, rejected }
+        inserted
     }
 }
 
-/// What [`SharedCache::insert_and_publish`] did, reported after the
-/// guards drop so telemetry never runs under a lock.
-pub(crate) struct PublishOutcome {
-    /// Whether the item passed the admission gate and was stored.
-    pub admitted: bool,
-    /// Items the insert evicted.
-    pub evicted: u64,
-    /// Insert attempts the admission gate rejected (0 or 1 here).
-    pub rejected: u64,
+/// Shared access: reads search the published snapshot — pinned for the
+/// search-and-plan phase only, with no lock held — and every write locks
+/// the master (`insert` republishes; `touch`/`note_demand` do not).
+impl CacheAccess for SharedCache {
+    fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
+        f(&self.snapshot())
+    }
+
+    /// LRU bookkeeping on the master only — no republication, see the
+    /// module docs.
+    fn touch(&mut self, id: u64) {
+        // skylint: allow(lock-order) — the callee is `Cache::touch` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
+        self.inner.master.write().touch(id); // lock-order: write
+    }
+
+    /// Sketch bookkeeping on the master only — the item store is
+    /// unchanged, so like `touch` this does not republish.
+    fn note_demand(&mut self, constraints: &Constraints) {
+        // skylint: allow(lock-order) — the callee is `Cache::note_demand` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
+        self.inner.master.write().note_demand(constraints); // lock-order: write
+    }
+
+    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted {
+        self.insert_and_publish(constraints, skyline, cost)
+    }
 }
 
-/// A per-user CBCS executor over a [`SharedCache`].
+/// A per-user CBCS executor over a [`SharedCache`]: the same pipeline as
+/// [`crate::CbcsExecutor`] (`CbcsState::execute`), reading the
+/// published snapshot and writing through the master.
 ///
 /// Constructed through [`crate::service::Service::session`]; the raw
 /// constructor is crate-private so every concurrent deployment goes
@@ -204,11 +199,7 @@ pub(crate) struct PublishOutcome {
 pub struct SharedCbcsExecutor<'t> {
     table: &'t Table,
     cache: SharedCache,
-    config: CbcsConfig,
-    algo: Box<dyn SkylineAlgorithm>,
-    rng: StdRng,
-    data_bounds: Aabb,
-    scratch: QueryScratch,
+    state: CbcsState,
 }
 
 impl<'t> SharedCbcsExecutor<'t> {
@@ -221,24 +212,12 @@ impl<'t> SharedCbcsExecutor<'t> {
         // the panic formatting machinery runs.
         let cache_dims = cache.dims();
         assert_eq!(cache_dims, table.dims(), "cache/table dimensionality mismatch");
-        let data_bounds = Aabb::bounding(table.all_points())
-            // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
-            .expect("tables are non-empty");
-        let rng = StdRng::seed_from_u64(config.seed);
-        SharedCbcsExecutor {
-            table,
-            cache,
-            config,
-            algo: Box::new(Sfs),
-            rng,
-            data_bounds,
-            scratch: QueryScratch::new(),
-        }
+        SharedCbcsExecutor { table, cache, state: CbcsState::new(table, config) }
     }
 
     /// Replaces the in-memory skyline component.
     pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.algo = algo;
+        self.state.algo = algo;
         self
     }
 
@@ -250,190 +229,11 @@ impl<'t> SharedCbcsExecutor<'t> {
 
 impl Executor for SharedCbcsExecutor<'_> {
     fn name(&self) -> String {
-        format!("SharedCBCS[{}]", self.config.mpr.label())
+        format!("SharedCBCS[{}]", self.state.config.mpr.label())
     }
 
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        let c = &req.constraints;
-        check_dims(self.table, c)?;
-        let exec = req.exec.unwrap_or(self.config.exec);
-        let algo: &dyn SkylineAlgorithm = match req.algo {
-            Some(choice) => choice.algorithm(),
-            None => self.algo.as_ref(),
-        };
-
-        let mut stats = QueryStats::default();
-        let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
-        let mut probe = Probe::new(&mut stats, rec.as_mut());
-
-        // Phase 1 (lock-free): search the published snapshot and clone
-        // the selected item(s) out. The snapshot is an immutable `Arc`
-        // clone, so no lock is held across the search — concurrent
-        // lookups never serialize on the cache write side.
-        let (selection, lookup_elapsed, analysis_elapsed, n_candidates, overlap_scans) = {
-            let cache = self.cache.snapshot();
-            let t0 = Stopwatch::start();
-            let lookup = cache.lookup_into(c, &mut self.scratch.lookup_ids);
-            let ids: &[u64] = &self.scratch.lookup_ids;
-            let lookup_elapsed = t0.elapsed();
-
-            let t1 = Stopwatch::start();
-            let picked = self
-                .config
-                .strategy
-                .select_indexed(
-                    ids.len(),
-                    // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                    |i| cache.get(ids[i]).expect("lookup ids are live"),
-                    c,
-                    &self.data_bounds,
-                    &mut self.rng,
-                )
-                .map(|idx| {
-                    // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                    let primary = cache.get(ids[idx]).expect("lookup ids are live");
-                    let extra: Vec<Point> = if self.config.extra_items > 0 {
-                        let mut others: Vec<u64> =
-                            ids.iter().copied().filter(|&id| id != primary.id).collect();
-                        others.sort_by(|&a, &b| {
-                            let va =
-                                cache.get(a).map_or(0.0, |it| c.overlap_volume(&it.constraints));
-                            let vb =
-                                cache.get(b).map_or(0.0, |it| c.overlap_volume(&it.constraints));
-                            vb.total_cmp(&va)
-                        });
-                        others
-                            .into_iter()
-                            .take(self.config.extra_items)
-                            .filter_map(|id| cache.get(id))
-                            .flat_map(|it| it.skyline.to_points())
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    // Compositional answering (DESIGN.md §17.3): clone the
-                    // cover-ordered contributors out of the snapshot so the
-                    // expensive composition itself runs in phase 2 with no
-                    // snapshot pinned. The single-item fallback reuses
-                    // `parts[0]`, so a failed composition costs nothing
-                    // beyond these clones.
-                    let compose = self.config.compose
-                        && self.config.compose_items >= 2
-                        && ids.len() >= 2
-                        && !matches!(
-                            classify(&primary.constraints, c),
-                            Overlap::Exact | Overlap::CaseB { .. }
-                        );
-                    let mut parts: Vec<(u64, Constraints, PointBlock)> = Vec::new();
-                    parts.push((primary.id, primary.constraints.clone(), primary.skyline.clone()));
-                    if compose {
-                        for &id in ids {
-                            if parts.len() >= self.config.compose_items {
-                                break;
-                            }
-                            if id == primary.id {
-                                continue;
-                            }
-                            // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-                            let item = cache.get(id).expect("lookup ids are live");
-                            parts.push((item.id, item.constraints.clone(), item.skyline.clone()));
-                        }
-                    }
-                    (parts, extra)
-                });
-            (picked, lookup_elapsed, t1.elapsed(), ids.len() as u64, lookup.scans)
-        };
-        probe.record_span(Phase::CacheLookup, lookup_elapsed);
-        probe.record_span(Phase::CaseAnalysis, analysis_elapsed);
-        probe.add_counter(names::CACHE_CANDIDATES, n_candidates);
-        probe.add_counter(names::CACHE_OVERLAP_SCANS, overlap_scans);
-
-        // Phase 2 (no lock): plan, fetch, merge, skyline. The executor's
-        // own scratch buffers carry the block path — they are private to
-        // this session, so the shared cache stays the only contended
-        // state.
-        let skyline = match selection {
-            None => {
-                probe.add_counter(names::CACHE_MISSES, 1);
-                if self.config.block_path {
-                    query_naive(self.table, algo, exec, c, &mut self.scratch, &mut probe)
-                } else {
-                    query_naive_legacy(self.table, algo, exec, c, &mut probe)
-                }
-            }
-            Some((parts, extra)) => {
-                probe.add_counter(names::CACHE_HITS, 1);
-                probe.stats.cache_hit = true;
-
-                let t2 = Stopwatch::start();
-                let composed = if parts.len() >= 2 {
-                    let refs: Vec<(&Constraints, &PointBlock)> =
-                        parts.iter().map(|(_, pc, sky)| (pc, sky)).collect();
-                    plan_composed(&refs, c, self.config.mpr, &self.data_bounds)
-                } else {
-                    None
-                };
-                let plan = match composed {
-                    Some(cp) => {
-                        probe.stats.composed_items = cp.items_used;
-                        probe.stats.cover_fraction = cp.cover_fraction;
-                        probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
-                        probe.set_gauge(names::CACHE_COVER_FRACTION, cp.cover_fraction);
-                        // Contributors are the first `items_used` parts
-                        // (cover order, primary first).
-                        for (id, _, _) in parts.iter().take(cp.items_used) {
-                            self.cache.touch(*id);
-                        }
-                        cp.plan
-                    }
-                    None => {
-                        let (primary_id, old_c, old_sky) =
-                            // skylint: allow(no-panic-paths) — the selection is built with the primary as its first part, so the vector is never empty here.
-                            parts.first().expect("selection carries the primary item");
-                        probe.stats.composed_items = 1;
-                        self.cache.touch(*primary_id);
-                        plan_with_extra(old_c, old_sky, &extra, c, self.config.mpr)
-                    }
-                };
-                probe.record_span(Phase::MprCompute, t2.elapsed());
-
-                if self.config.block_path {
-                    query_planned(self.table, algo, exec, plan, &mut self.scratch, &mut probe)
-                } else {
-                    query_planned_legacy(self.table, algo, exec, plan, &mut probe)
-                }
-            }
-        };
-        probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
-
-        // Phase 3 (write): record the result on the master and publish a
-        // fresh snapshot. The guards live inside `insert_and_publish`;
-        // counters go out after it returns.
-        if self.config.cache_results {
-            if matches!(probe.stats.case, Some(Overlap::Exact)) {
-                // Already cached under these very constraints:
-                // re-inserting would duplicate the item and evict an
-                // innocent victim. Record the demand for admission only.
-                self.cache.note_demand(c);
-            } else {
-                let cost = ItemCost {
-                    points_read: probe.stats.points_read,
-                    fetch_ns: probe.stats.fetch_sim_ns,
-                };
-                let outcome = self.cache.insert_and_publish(c.clone(), &skyline, cost);
-                if outcome.admitted {
-                    probe.add_counter(names::CACHE_INSERTIONS, 1);
-                }
-                if outcome.evicted > 0 {
-                    probe.add_counter(names::CACHE_EVICTIONS, outcome.evicted);
-                }
-                if outcome.rejected > 0 {
-                    probe.add_counter(names::CACHE_ADMISSION_REJECTS, outcome.rejected);
-                }
-            }
-        }
-
-        Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
+        self.state.execute(self.table, &mut self.cache, req)
     }
 }
 
@@ -443,8 +243,8 @@ mod tests {
     use skycache_geom::{Constraints, Point};
     use skycache_storage::TableConfig;
 
-    fn run(ex: &mut impl Executor, c: &Constraints) -> crate::engine::QueryResult {
-        ex.execute(&QueryRequest::new(c.clone())).unwrap().into_result()
+    fn run(ex: &mut impl Executor, c: &Constraints) -> QueryOutcome {
+        ex.execute(&QueryRequest::new(c.clone())).unwrap()
     }
 
     fn table() -> Table {

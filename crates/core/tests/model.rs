@@ -60,7 +60,7 @@ fn raw_config(cbcs: CbcsConfig) -> ServiceConfig {
 }
 
 fn run_query(session: &mut skycache_core::Session<'_>, c: &Constraints) -> (Vec<Point>, bool) {
-    let r = session.execute(&QueryRequest::new(c.clone())).unwrap().into_result();
+    let r = session.execute(&QueryRequest::new(c.clone())).unwrap();
     (sorted(r.skyline), r.stats.cache_hit)
 }
 

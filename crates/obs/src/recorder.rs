@@ -109,8 +109,8 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// Forwards every event to two recorders (e.g. the engine's legacy
-/// `QueryStats` mirror plus a [`crate::QueryRecorder`]).
+/// Forwards every event to two recorders (e.g. the engine's always-on
+/// `QueryStats` plus a [`crate::QueryRecorder`]).
 pub struct Tee<'a> {
     first: &'a mut dyn Recorder,
     second: &'a mut dyn Recorder,

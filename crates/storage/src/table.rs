@@ -40,11 +40,10 @@ impl Default for TableConfig {
 }
 
 /// Declarative description of one storage access: which regions to
-/// range-query and how many concurrent I/O lanes to use.
-///
-/// This replaces the old quartet of `fetch` / `fetch_batch` /
-/// `fetch_batch_parallel` / `fetch_constrained` entry points: callers
-/// build a plan and hand it to [`Table::fetch_plan`].
+/// range-query, how many concurrent I/O lanes to use, and whether the
+/// planner may coalesce. Callers build a plan and hand it to
+/// [`Table::fetch_plan_into`] (columnar scratch, the query hot path) or
+/// [`Table::fetch_plan`] (materialized rows).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
@@ -137,8 +136,8 @@ impl FetchResult {
     /// `fetch.*` / `lanes.*` metric names — the single place the storage
     /// layer talks to observability, so call sites no longer hand-sum
     /// [`FetchStats`] fields. Heap-page accounting is derived separately
-    /// (see [`Table::pages_touched`]) because it needs the table's page
-    /// geometry.
+    /// (see [`Table::pages_touched_ids`]) because it needs the table's
+    /// page geometry.
     pub fn record_into(&self, rec: &mut dyn Recorder) {
         record_fetch(&self.stats, self.simulated_latency, &self.lane_latencies, rec);
     }
@@ -747,50 +746,16 @@ impl Table {
         }
     }
 
-    /// Distinct heap pages touched by a set of fetched rows (the derived
-    /// `fetch.pages_touched` metric; needs the table's page geometry, so
-    /// it lives here rather than on [`FetchResult`]).
-    pub fn pages_touched(&self, rows: &[Row]) -> u64 {
-        let mut pages = std::collections::BTreeSet::new();
-        for row in rows {
-            pages.insert(self.page_of(row.id));
-        }
-        pages.len() as u64
-    }
-
-    /// [`Table::pages_touched`] over bare row ids (the block-path variant,
-    /// fed from [`FetchBuf::ids`]).
+    /// Distinct heap pages touched by a set of fetched row ids (the
+    /// derived `fetch.pages_touched` metric, fed from [`FetchBuf::ids`];
+    /// needs the table's page geometry, so it lives here rather than on
+    /// [`FetchOutcome`]).
     pub fn pages_touched_ids(&self, ids: &[RowId]) -> u64 {
         let mut pages = std::collections::BTreeSet::new();
         for &id in ids {
             pages.insert(self.page_of(id));
         }
         pages.len() as u64
-    }
-
-    /// Executes one range query over a (possibly half-open) region.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::single")]
-    pub fn fetch(&self, region: &HyperRect) -> FetchResult {
-        self.fetch_plan(&FetchPlan::single(region.clone()))
-    }
-
-    /// Executes a batch of disjoint range queries, merging rows and stats.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::new")]
-    pub fn fetch_batch(&self, regions: &[HyperRect]) -> FetchResult {
-        self.fetch_plan(&FetchPlan::new(regions.to_vec()))
-    }
-
-    /// Executes a batch of disjoint range queries over up to `lanes`
-    /// concurrent I/O streams.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::with_lanes")]
-    pub fn fetch_batch_parallel(&self, regions: &[HyperRect], lanes: usize) -> FetchResult {
-        self.fetch_plan(&FetchPlan::new(regions.to_vec()).with_lanes(lanes))
-    }
-
-    /// Executes the constraint range query `RQ(C)` of the naive approach.
-    #[deprecated(note = "use Table::fetch_plan with FetchPlan::constrained")]
-    pub fn fetch_constrained(&self, c: &Constraints) -> FetchResult {
-        self.fetch_plan(&FetchPlan::constrained(c))
     }
 }
 
@@ -1045,10 +1010,11 @@ mod tests {
         // 10i..10i+10, i.e. exactly one page.
         let c = Constraints::from_pairs(&[(3.0, 3.0), (0.0, 9.0)]).unwrap();
         let res = fetch_c(&t, &c);
-        assert_eq!(t.pages_touched(&res.rows), 1);
+        let ids = |rows: &[Row]| rows.iter().map(|r| r.id).collect::<Vec<RowId>>();
+        assert_eq!(t.pages_touched_ids(&ids(&res.rows)), 1);
         let all = fetch_c(&t, &Constraints::unbounded(2).unwrap());
-        assert_eq!(t.pages_touched(&all.rows), 10);
-        assert_eq!(t.pages_touched(&[]), 0);
+        assert_eq!(t.pages_touched_ids(&ids(&all.rows)), 10);
+        assert_eq!(t.pages_touched_ids(&[]), 0);
     }
 
     #[test]
@@ -1064,27 +1030,6 @@ mod tests {
         let two = FetchPlan::new(vec![c.region(), c.region()]).with_lanes(0);
         assert_eq!(two.resolved_lanes(), 1);
         assert_eq!(two.with_lanes(8).resolved_lanes(), 2);
-    }
-
-    /// The deprecated entry points must stay behaviourally identical to
-    /// the [`FetchPlan`] they delegate to until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_fetch_plan() {
-        let t = table();
-        let c = Constraints::from_pairs(&[(2.0, 4.0), (3.0, 5.0)]).unwrap();
-        let r = c.region();
-        assert_eq!(t.fetch(&r).stats, fetch_one(&t, &r).stats);
-        assert_eq!(t.fetch_constrained(&c).rows, fetch_c(&t, &c).rows);
-        let regions = vec![r.clone(), Constraints::unbounded(2).unwrap().region()];
-        assert_eq!(
-            t.fetch_batch(&regions).stats,
-            t.fetch_plan(&FetchPlan::new(regions.clone())).stats
-        );
-        let par = t.fetch_batch_parallel(&regions, 2);
-        let planned = t.fetch_plan(&FetchPlan::new(regions).with_lanes(2));
-        assert_eq!(par.stats, planned.stats);
-        assert_eq!(par.lane_latencies, planned.lane_latencies);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use skycache::core::{
     BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest,
-    SearchStrategy,
+    QueryStats, ReplacementPolicy, SearchStrategy, Service, ServiceConfig,
 };
 use skycache::datagen::{
     DimStats, Distribution, IndependentWorkload, InteractiveWorkload, SyntheticGen,
@@ -154,7 +154,7 @@ fn bbs_matches_baseline_on_workload() {
 fn cbcs_with_bounded_cache_stays_correct() {
     let table = table_for(Distribution::Independent, 3, 2_000, 29);
     let queries = interactive_queries(&table, 60, 41);
-    for policy in [skycache::core::ReplacementPolicy::Lru, skycache::core::ReplacementPolicy::Lcu] {
+    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
         let config = CbcsConfig { capacity: Some(4), policy, ..Default::default() };
         let cbcs = CbcsExecutor::new(&table, config);
         assert_matches_baseline(&table, &queries, cbcs, &format!("{policy:?}-cap4"));
@@ -204,4 +204,79 @@ fn cbcs_reads_fewer_points_than_baseline_on_refinement_chains() {
         cbcs_read * 2 < base_read,
         "expected >2x fewer points read: CBCS {cbcs_read} vs Baseline {base_read}"
     );
+}
+
+/// Every deterministic field of [`QueryStats`] — everything except the
+/// wall-clock stage times (and the BBS-only counters).
+fn deterministic(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
+    (
+        (stats.cache_hit, stats.case, stats.candidates),
+        (stats.retained_points, stats.removed_points),
+        (
+            stats.points_read,
+            stats.heap_fetches,
+            stats.range_queries_issued,
+            stats.range_queries_executed,
+            stats.range_queries_empty,
+            stats.regions_coalesced,
+        ),
+        (stats.dominance_tests, stats.result_size, stats.fetch_sim_ns),
+        (stats.composed_items, stats.cover_fraction.to_bits(), stats.admission_rejects),
+    )
+}
+
+#[test]
+fn exclusive_and_shared_cache_access_answer_identically() {
+    // One pipeline, two cache-access impls: the exclusive `&mut Cache` of
+    // `CbcsExecutor` and the snapshot + publish `SharedCache` behind a
+    // `Service` session (service fast paths off, so every query reaches
+    // the executor). A single session sees its own writes in order, so
+    // the two must agree on the skyline — order included — and on every
+    // deterministic counter, for every policy and multi-item mode.
+    // Default cost model: `fetch_sim_ns` feeds cost-aware eviction.
+    let points = SyntheticGen::new(Distribution::Independent, 3, 53).generate(2_000);
+    let table = Table::build(points, TableConfig::default()).unwrap();
+    let mut queries = interactive_queries(&table, 60, 59);
+    queries.extend(independent_queries(&table, 40, 61));
+
+    for policy in [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Lcu,
+        ReplacementPolicy::TinyLfu,
+        ReplacementPolicy::CostAware,
+    ] {
+        for capacity in [None, Some(8)] {
+            for compose in [false, true] {
+                for extra_items in [0, 2] {
+                    let cbcs =
+                        CbcsConfig { policy, capacity, compose, extra_items, ..Default::default() };
+                    let label = format!(
+                        "{policy:?}/cap {capacity:?}/compose {compose}/extra {extra_items}"
+                    );
+                    let mut exclusive = CbcsExecutor::new(&table, cbcs.clone());
+                    let service = Service::open(
+                        &table,
+                        ServiceConfig {
+                            coalesce: false,
+                            negative_cache: false,
+                            ..ServiceConfig::with_cbcs(cbcs)
+                        },
+                    );
+                    let mut shared = service.session();
+                    for (i, c) in queries.iter().enumerate() {
+                        let req = QueryRequest::new(c.clone());
+                        let a = exclusive.execute(&req).unwrap();
+                        let b = shared.execute(&req).unwrap();
+                        assert_eq!(a.skyline, b.skyline, "{label}: query {i} skyline");
+                        assert_eq!(
+                            deterministic(&a.stats),
+                            deterministic(&b.stats),
+                            "{label}: query {i} stats"
+                        );
+                    }
+                    assert_eq!(exclusive.cache().len(), service.cache().len(), "{label}: len");
+                }
+            }
+        }
+    }
 }
