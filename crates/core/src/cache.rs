@@ -20,6 +20,7 @@
 // of cache reindexing feed back into query planning, and iteration
 // order must not depend on a randomized hasher (determinism lint).
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use skycache_geom::dominance::dominates_raw;
 use skycache_geom::{Aabb, Constraints, Point, PointBlock};
@@ -47,8 +48,10 @@ pub struct CacheItem {
     pub constraints: Constraints,
     /// The cached result `Sky(S, C)` in columnar form: steady-state
     /// planning copies coordinate rows out of this block instead of
-    /// cloning one heap-boxed `Point` per cached result point.
-    pub skyline: PointBlock,
+    /// cloning one heap-boxed `Point` per cached result point. Behind its
+    /// own `Arc`, so copying an item to update its counters
+    /// ([`Cache::touch`]) never copies points.
+    pub skyline: Arc<PointBlock>,
     /// Minimum bounding rectangle of the skyline (`None` when empty).
     pub mbr: Option<Aabb>,
     /// Logical insertion time.
@@ -252,12 +255,17 @@ pub struct LookupStats {
 /// The cache: items plus an R\*-tree over their index boxes.
 ///
 /// `Clone` is deliberate: the multi-tenant [`crate::SharedCache`]
-/// publishes immutable epoch snapshots by cloning the write-side master
-/// — every owned field here is a value type, so a clone is a fully
-/// independent, internally consistent cache state.
+/// publishes immutable epoch snapshots by cloning the write-side master.
+/// A clone is a fully independent, internally consistent cache state
+/// that *shares* everything immutable with its source: items (and their
+/// skyline blocks) sit behind `Arc` and both R\*-trees are persistent,
+/// so cloning copies one pointer per item plus the victim index —
+/// no points, no boxes, no tree nodes. Every mutation un-shares just
+/// what it changes (`Arc::make_mut`), so neither copy can observe the
+/// other's writes.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    items: BTreeMap<u64, CacheItem>,
+    items: BTreeMap<u64, Arc<CacheItem>>,
     index: RStarTree<u64>,
     /// Second R\*-tree, over the items' *constraint* regions (closed
     /// covers of possibly-open boxes). Dynamic-data maintenance probes it
@@ -415,7 +423,7 @@ impl Cache {
         let item = CacheItem {
             id,
             constraints,
-            skyline: block,
+            skyline: Arc::new(block),
             mbr,
             inserted_at: self.clock,
             last_used: self.clock,
@@ -424,7 +432,7 @@ impl Cache {
             key_hash,
         };
         self.victims.insert(victim_key(self.policy, &item));
-        self.items.insert(id, item);
+        self.items.insert(id, Arc::new(item));
         if let Some(cap) = self.capacity {
             while self.items.len() > cap {
                 self.evict_one(id);
@@ -462,8 +470,9 @@ impl Cache {
         }
     }
 
-    /// Removes an item by id, returning it.
-    pub fn remove(&mut self, id: u64) -> Option<CacheItem> {
+    /// Removes an item by id, returning it (still shared with any clone
+    /// of the cache that holds it).
+    pub fn remove(&mut self, id: u64) -> Option<Arc<CacheItem>> {
         let item = self.items.remove(&id)?;
         let dropped = self.victims.remove(&victim_key(self.policy, &item));
         debug_assert!(dropped, "victim index out of sync with items");
@@ -478,7 +487,7 @@ impl Cache {
 
     /// Returns an item by id.
     pub fn get(&self, id: u64) -> Option<&CacheItem> {
-        self.items.get(&id)
+        self.items.get(&id).map(Arc::as_ref)
     }
 
     /// All items whose index box intersects the query region `R_C′`
@@ -493,35 +502,32 @@ impl Cache {
     pub fn lookup(&self, new: &Constraints) -> LookupOutcome<'_> {
         let mut ids = Vec::new();
         let stats = self.lookup_into(new, &mut ids);
-        let items: Vec<&CacheItem> = ids.iter().filter_map(|id| self.items.get(id)).collect();
+        let items: Vec<&CacheItem> = ids.iter().filter_map(|&id| self.get(id)).collect();
         debug_assert_eq!(items.len(), ids.len(), "index out of sync with items");
         LookupOutcome { items, scans: stats.scans, short_circuited: stats.short_circuited }
     }
 
-    /// Cover rank of an item against the query box: exact constraint
-    /// matches first (they answer with zero fetch, so they must win the
-    /// downstream strategy's first-of-ties argmax), then descending
-    /// overlap area between the item's index box and the query box.
-    /// Missing ids rank last.
-    fn cover_rank(&self, id: u64, query: &Aabb) -> (bool, f64) {
-        self.items.get(&id).map_or((false, 0.0), |item| {
-            let index_box = item.mbr.as_ref().unwrap_or_else(|| item.constraints.aabb());
-            (item.constraints.aabb() == query, index_box.overlap_area(query))
-        })
-    }
-
     /// Scratch-based lookup: fills `ids` with every overlapping item's
-    /// id, *cover-ordered* — exact constraint matches first, then
-    /// descending overlap area between the item's index box and the
-    /// query region, ties by ascending id — and
+    /// id, *cover-ordered* — exact constraint matches first (they answer
+    /// with zero fetch, so they must win the downstream strategy's
+    /// first-of-ties argmax), then descending overlap area between the
+    /// item's index box and the query region, ties by ascending id — and
     /// returns the work accounting. The overlap search first tests the
     /// query region against the cache-wide bounding box, so a query
     /// disjoint from everything cached is answered in `O(d)` with zero
     /// per-item scans and no R\*-tree walk.
     ///
+    /// Each candidate is ranked once, while the R\*-tree visitor hands
+    /// over its index box (one item-map probe for exactness, one
+    /// `overlap_area`), and the sort compares the decorated entries
+    /// without going back to the cache. The decoration lives in `ids`
+    /// itself — three words `[exact, area bits, id]` per candidate until
+    /// the sorted ids are compacted to the front — so the caller's
+    /// scratch vector is still the only storage used.
+    ///
     /// Allocation-free in steady state: the R\*-tree walk is a recursive
-    /// visitor and the sort is in-place, so a warm `ids` vector is the
-    /// only storage used.
+    /// visitor and the sort is in-place, so a warm `ids` vector (three
+    /// words per candidate of the largest lookup so far) never regrows.
     ///
     /// # Panics
     /// Panics on dimensionality mismatch.
@@ -536,19 +542,25 @@ impl Cache {
             return LookupStats { scans: 0, short_circuited: true };
         }
         let query = new.aabb();
-        self.index.for_each_in(query, |_, &id| {
+        self.index.for_each_in(query, |index_box, &id| {
+            let exact = self.get(id).is_some_and(|item| item.constraints.aabb() == query);
             // skylint: allow(hot-path-alloc) — appends into the caller's reused scratch vector; steady state reuses its capacity.
-            ids.push(id);
+            ids.extend([u64::from(exact), index_box.overlap_area(query).to_bits(), id]);
         });
-        let scans = ids.len() as u64;
+        let (ranked, _) = ids.as_chunks_mut::<3>();
         // Unstable sort: allocation-free, and the ascending-id tiebreak
-        // makes the order total, hence deterministic.
-        ids.sort_unstable_by(|&a, &b| {
-            let (exact_a, area_a) = self.cover_rank(a, query);
-            let (exact_b, area_b) = self.cover_rank(b, query);
+        // makes the order total, hence deterministic. total_cmp: the
+        // overlap of partially unbounded boxes may be inf or NaN.
+        ranked.sort_unstable_by(|&[exact_a, area_a, a], &[exact_b, area_b, b]| {
+            let (area_a, area_b) = (f64::from_bits(area_a), f64::from_bits(area_b));
             exact_b.cmp(&exact_a).then(area_b.total_cmp(&area_a)).then_with(|| a.cmp(&b))
         });
-        LookupStats { scans, short_circuited: false }
+        let scans = ranked.len();
+        for rank in 0..scans {
+            ids.swap(rank, 3 * rank + 2);
+        }
+        ids.truncate(scans);
+        LookupStats { scans: scans as u64, short_circuited: false }
     }
 
     /// Union of every cached item's index box (`None` when empty).
@@ -606,7 +618,7 @@ impl Cache {
     /// freeze the cache once the popular set drifts.
     pub fn touch(&mut self, id: u64) {
         let policy = self.policy;
-        if let Some(item) = self.items.get_mut(&id) {
+        if let Some(item) = self.items.get_mut(&id).map(Arc::make_mut) {
             let old_key = victim_key(policy, item);
             self.clock += 1;
             item.last_used = self.clock;
@@ -620,7 +632,7 @@ impl Cache {
 
     /// Iterates over all items.
     pub fn iter(&self) -> impl Iterator<Item = &CacheItem> {
-        self.items.values()
+        self.items.values().map(Arc::as_ref)
     }
 
     /// Re-derives an item's MBR and index entry after its skyline changed.
@@ -631,6 +643,7 @@ impl Cache {
         if new_mbr == item.mbr {
             return;
         }
+        let item = Arc::make_mut(item);
         item.mbr = new_mbr;
         let new_key = Self::index_box(&item.constraints, &item.mbr);
         let removed = self.index.remove(&old_key, |&v| v == id);
@@ -662,12 +675,15 @@ impl Cache {
             if item.skyline.rows().any(|s| dominates_raw(s, p.coords())) {
                 continue; // dominated: the cached skyline is unchanged
             }
-            // p enters the skyline; points it dominates leave. The
-            // skyline length feeds the cost-aware victim rank, so the
-            // victim-index entry moves with it.
+            // p enters the skyline; points it dominates leave — in this
+            // cache's own copy of the item and its block, never in one a
+            // clone still shares. The skyline length feeds the cost-aware
+            // victim rank, so the victim-index entry moves with it.
+            let item = Arc::make_mut(item);
             let old_key = victim_key(policy, item);
-            item.skyline.retain_rows(|s| !dominates_raw(p.coords(), s));
-            item.skyline.push(p);
+            let skyline = Arc::make_mut(&mut item.skyline);
+            skyline.retain_rows(|s| !dominates_raw(p.coords(), s));
+            skyline.push(p);
             let new_key = victim_key(policy, item);
             if new_key != old_key {
                 let dropped = self.victims.remove(&old_key);
@@ -835,6 +851,23 @@ mod tests {
         // An incomparable insertion joins the skyline.
         assert_eq!(cache.on_insert(&p(&[0.1, 0.9])), 1);
         assert_eq!(cache.get(a).unwrap().skyline.len(), 2);
+    }
+
+    #[test]
+    fn on_insert_on_a_clone_leaves_the_original_untouched() {
+        let mut original = Cache::new(2);
+        let a = original.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
+        let mut copy = original.clone();
+        // The clone shares the item, block and all.
+        assert!(std::ptr::eq(original.get(a).unwrap(), copy.get(a).unwrap()));
+
+        assert_eq!(copy.on_insert(&p(&[0.2, 0.2])), 1);
+        assert_eq!(copy.get(a).unwrap().skyline.to_points(), vec![p(&[0.2, 0.2])]);
+        assert_eq!(original.get(a).unwrap().skyline.to_points(), vec![p(&[0.5, 0.5])]);
+        // Each copy's index follows its own skyline.
+        let old_spot = c(&[(0.45, 0.55), (0.45, 0.55)]);
+        assert_eq!(original.overlapping(&old_spot).len(), 1);
+        assert!(copy.overlapping(&old_spot).is_empty());
     }
 
     #[test]

@@ -924,7 +924,7 @@ impl CbcsState {
                 let parts: Vec<(&Constraints, &PointBlock)> = part_ids
                     .iter()
                     .map(|&id| item(id))
-                    .map(|it| (&it.constraints, &it.skyline))
+                    .map(|it| (&it.constraints, &*it.skyline))
                     .collect();
                 let t2 = Stopwatch::start();
                 let composed = plan_composed(&parts, c, config.mpr, data_bounds);

@@ -16,6 +16,16 @@
 //!   replaced wholesale by `insert` (clone-and-publish), never mutated
 //!   in place.
 //!
+//! Clone-and-publish is cheap because [`Cache`] shares structure: items
+//! (and their skyline blocks) sit behind `Arc` and both R\*-trees are
+//! persistent, so `master.clone()` copies one pointer per item plus the
+//! victim index — no points, no boxes, no tree nodes — and dropping the
+//! snapshot it replaces frees only what no other snapshot or the master
+//! still holds. The master then un-shares exactly what its next write
+//! changes: the tree nodes on one insert path, or the one item a `touch`
+//! updates. What a publish costs follows what changed since the last
+//! one, not everything ever cached.
+//!
 //! Readers call [`SharedCache::snapshot`], which clones the `Arc` under
 //! a momentary read lock and releases it before any lookup work begins:
 //! the cache search, case analysis and planning run against the pinned
@@ -31,9 +41,12 @@
 //!
 //! `touch` (LRU bookkeeping on a hit) deliberately mutates only the
 //! master: replacement decisions made under the master lock always see
-//! it, and skipping republication keeps the hit path O(1) instead of
-//! O(cache size). Snapshots therefore carry slightly stale recency
-//! metadata — never stale results.
+//! it, and a hit stays free of the publication — the snapshot swap, the
+//! epoch bump and the per-item pointer copies — that nothing reading a
+//! snapshot needs (lookups rank by geometry, never by recency). The
+//! master copies the touched item's counters away from the snapshots
+//! that share it; its points stay shared. Snapshots therefore carry
+//! slightly stale recency metadata — never stale results.
 //!
 //! Lock order is `master → snap`, only ever in that direction (the
 //! publication happens nested under the master guard so two racing
@@ -153,7 +166,9 @@ impl SharedCache {
         // Publish nested under the master guard: racing inserts publish
         // in master order, so a newer snapshot is never overwritten by
         // an older one. A rejected insert still publishes — the TinyLFU
-        // sketch occupancy changed and the epoch must cover it.
+        // sketch occupancy changed and the epoch must cover it. The
+        // clone shares items and tree nodes with the master (see the
+        // module docs), so holding the lock across it is cheap.
         let published = Arc::new(master.clone());
         *self.inner.snap.write() = published; // lock-order: write
         self.inner.epoch.fetch_add(1, Ordering::Release);
@@ -292,6 +307,37 @@ mod tests {
         assert_eq!(shared.snapshot().len(), 1);
         // The pre-insert snapshot is immutable: still empty.
         assert!(before.is_empty());
+    }
+
+    #[test]
+    fn publish_shares_items_and_touch_stays_on_the_master() {
+        let shared = SharedCache::new(2, &CbcsConfig::default());
+        let boxed = |lo: f64| Constraints::from_pairs(&[(lo, lo + 1.0), (lo, lo + 1.0)]).unwrap();
+        let point = |v: f64| [Point::from(vec![v, v])];
+        shared.insert_and_publish(boxed(0.0), &point(0.5), ItemCost::default());
+        let first = shared.snapshot();
+        shared.insert_and_publish(boxed(2.0), &point(2.5), ItemCost::default());
+        let second = shared.snapshot();
+        assert_eq!((first.len(), second.len()), (1, 2));
+
+        // The item both snapshots hold is one allocation, not two copies.
+        let id = first.iter().next().unwrap().id;
+        assert!(std::ptr::eq(first.get(id).unwrap(), second.get(id).unwrap()));
+
+        // A hit's bookkeeping lands on the master's own copy of the item:
+        // no published snapshot sees it, and no points were copied for it.
+        CacheAccess::touch(&mut shared.clone(), id);
+        for snap in [&first, &second] {
+            let item = snap.get(id).unwrap();
+            assert_eq!((item.use_count, item.last_used), (0, item.inserted_at));
+        }
+        shared.with_read(|master| {
+            let item = master.get(id).unwrap();
+            assert_eq!(item.use_count, 1);
+            assert!(item.last_used > item.inserted_at);
+            let published = second.get(id).unwrap();
+            assert!(std::sync::Arc::ptr_eq(&item.skyline, &published.skyline));
+        });
     }
 
     #[test]

@@ -249,7 +249,7 @@ mod tests {
         CacheItem {
             id,
             constraints,
-            skyline,
+            skyline: skyline.into(),
             mbr,
             inserted_at: id,
             last_used: id,

@@ -4,6 +4,8 @@
 //! STR (Leutenegger et al.) packs fully-filled, well-clustered nodes in
 //! `O(n log n)` and is how the BBS dataset index is constructed.
 
+use std::sync::Arc;
+
 use skycache_geom::{Aabb, Point};
 
 use crate::node::{ChildEntry, LeafEntry, Node};
@@ -29,8 +31,8 @@ impl<T> RStarTree<T> {
         let leaf_entries: Vec<LeafEntry<T>> =
             items.into_iter().map(|(mbr, value)| LeafEntry { mbr, value }).collect();
         let groups = str_partition(leaf_entries, dims, params.max_entries);
-        let mut nodes: Vec<Box<Node<T>>> =
-            groups.into_iter().map(|g| Box::new(Node::Leaf(g))).collect();
+        let mut nodes: Vec<Arc<Node<T>>> =
+            groups.into_iter().map(|g| Arc::new(Node::Leaf(g))).collect();
 
         // Pack upper levels until a single root remains.
         let mut level = 1usize;
@@ -45,7 +47,7 @@ impl<T> RStarTree<T> {
                 .collect();
             let groups = str_partition(children, dims, params.max_entries);
             nodes =
-                groups.into_iter().map(|g| Box::new(Node::Inner { level, children: g })).collect();
+                groups.into_iter().map(|g| Arc::new(Node::Inner { level, children: g })).collect();
             level += 1;
         }
         // skylint: allow(no-panic-paths) — the packing loop always leaves a root.

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use skycache_geom::Aabb;
 
 /// A data entry stored at the leaf level.
@@ -7,11 +9,14 @@ pub(crate) struct LeafEntry<T> {
     pub value: T,
 }
 
-/// A child pointer stored at inner levels.
+/// A child pointer stored at inner levels. The child is shared
+/// (`Arc`), so cloning an entry — and with it a node, and with the root
+/// a whole tree — copies pointers, never subtrees; the mutating
+/// operations un-share exactly the nodes they change (`Arc::make_mut`).
 #[derive(Clone, Debug)]
 pub(crate) struct ChildEntry<T> {
     pub mbr: Aabb,
-    pub child: Box<Node<T>>,
+    pub child: Arc<Node<T>>,
 }
 
 /// A tree node. All leaves sit at the same depth; `level` is 0 for leaves

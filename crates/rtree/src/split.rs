@@ -2,7 +2,7 @@
 
 use skycache_geom::Aabb;
 
-use crate::node::{ChildEntry, LeafEntry, Node};
+use crate::node::{ChildEntry, LeafEntry};
 
 /// Anything with a minimum bounding rectangle — both entry kinds.
 pub(crate) trait HasMbr {
@@ -18,12 +18,6 @@ impl<T> HasMbr for LeafEntry<T> {
 impl<T> HasMbr for ChildEntry<T> {
     fn mbr(&self) -> &Aabb {
         &self.mbr
-    }
-}
-
-impl<T> HasMbr for Box<Node<T>> {
-    fn mbr(&self) -> &Aabb {
-        unreachable!("nodes are wrapped in ChildEntry before splitting")
     }
 }
 

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use skycache_geom::Aabb;
 
 use crate::node::{ChildEntry, LeafEntry, Node};
@@ -89,9 +91,14 @@ impl TreeStats {
 }
 
 /// An R\*-tree mapping bounding boxes to values.
+///
+/// The tree is *persistent*: nodes are shared behind `Arc`, so `clone` is
+/// one pointer copy whatever the size, and [`insert`](RStarTree::insert) /
+/// [`remove`](RStarTree::remove) copy only the nodes on the paths they
+/// change — every clone taken earlier keeps seeing the tree it cloned.
 #[derive(Clone, Debug)]
 pub struct RStarTree<T> {
-    pub(crate) root: Box<Node<T>>,
+    pub(crate) root: Arc<Node<T>>,
     params: RTreeParams,
     dims: usize,
     len: usize,
@@ -110,11 +117,11 @@ impl<T> RStarTree<T> {
     pub fn with_params(dims: usize, params: RTreeParams) -> Self {
         assert!(dims > 0, "zero-dimensional tree");
         params.validate();
-        RStarTree { root: Box::new(Node::Leaf(Vec::new())), params, dims, len: 0 }
+        RStarTree { root: Arc::new(Node::Leaf(Vec::new())), params, dims, len: 0 }
     }
 
     pub(crate) fn from_root(
-        root: Box<Node<T>>,
+        root: Arc<Node<T>>,
         params: RTreeParams,
         dims: usize,
         len: usize,
@@ -150,84 +157,6 @@ impl<T> RStarTree<T> {
     /// Bounding box of the whole tree, `None` when empty.
     pub fn mbr(&self) -> Option<Aabb> {
         self.root.mbr()
-    }
-
-    /// Inserts a value with its bounding box.
-    ///
-    /// # Panics
-    /// Panics if `mbr` has the wrong dimensionality.
-    pub fn insert(&mut self, mbr: Aabb, value: T) {
-        assert_eq!(mbr.dims(), self.dims, "box/tree dimensionality mismatch");
-        self.len += 1;
-        // One forced-reinsert chance per level for this insertion.
-        let mut reinserted = vec![false; self.root.level() + 1];
-        let mut queue: Vec<AnyEntry<T>> = vec![AnyEntry::Leaf(LeafEntry { mbr, value })];
-        while let Some(entry) = queue.pop() {
-            self.insert_entry(entry, &mut queue, &mut reinserted);
-        }
-    }
-
-    fn insert_entry(
-        &mut self,
-        entry: AnyEntry<T>,
-        queue: &mut Vec<AnyEntry<T>>,
-        reinserted: &mut Vec<bool>,
-    ) {
-        let target = entry.target_level();
-        let params = self.params;
-        let split = insert_impl(&mut self.root, entry, target, &params, queue, reinserted, true);
-        if let Some(sibling) = split {
-            // Root split: grow the tree by one level.
-            let old_root = std::mem::replace(&mut self.root, Box::new(Node::Leaf(Vec::new())));
-            // skylint: allow(no-panic-paths) — a root that just split holds entries.
-            let old_mbr = old_root.mbr().expect("split root is non-empty");
-            let level = old_root.level() + 1;
-            *self.root = Node::Inner {
-                level,
-                children: vec![ChildEntry { mbr: old_mbr, child: old_root }, sibling],
-            };
-            reinserted.resize(level + 1, false);
-        }
-    }
-
-    /// Removes one entry whose box equals `mbr` and whose value satisfies
-    /// `pred`, returning the value. Underflowing nodes are dissolved and
-    /// their entries reinserted (the classic condense-tree step).
-    pub fn remove(&mut self, mbr: &Aabb, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        assert_eq!(mbr.dims(), self.dims, "box/tree dimensionality mismatch");
-        let mut orphans: Vec<AnyEntry<T>> = Vec::new();
-        let removed = remove_impl(&mut self.root, mbr, &mut pred, &mut orphans, &self.params)?;
-        self.len -= 1;
-
-        // Shrink the root while it is a trivial chain.
-        loop {
-            let replace = match self.root.as_ref() {
-                Node::Inner { children, .. } if children.len() == 1 => true,
-                Node::Inner { children, .. } if children.is_empty() => {
-                    *self.root = Node::Leaf(Vec::new());
-                    false
-                }
-                _ => false,
-            };
-            if !replace {
-                break;
-            }
-            if let Node::Inner { children, .. } = self.root.as_mut() {
-                // skylint: allow(no-panic-paths) — guarded by len() == 1 just above.
-                let only = children.pop().expect("one child");
-                self.root = only.child;
-            }
-        }
-
-        // Reinsert orphans at their original level; no forced reinserts.
-        while let Some(entry) = orphans.pop() {
-            let mut reinserted = vec![true; self.root.level() + 1];
-            let mut queue = vec![entry];
-            while let Some(e) = queue.pop() {
-                self.insert_entry(e, &mut queue, &mut reinserted);
-            }
-        }
-        Some(removed)
     }
 
     /// Visits every `(mbr, value)` whose box intersects `window`. The
@@ -351,6 +280,91 @@ impl<T> RStarTree<T> {
     }
 }
 
+/// The mutating operations. `T: Clone` because un-sharing a leaf that an
+/// earlier clone of the tree still holds copies its values; read-only
+/// users (BBS over a bulk-loaded tree) never need the bound.
+impl<T: Clone> RStarTree<T> {
+    /// Inserts a value with its bounding box.
+    ///
+    /// # Panics
+    /// Panics if `mbr` has the wrong dimensionality.
+    pub fn insert(&mut self, mbr: Aabb, value: T) {
+        assert_eq!(mbr.dims(), self.dims, "box/tree dimensionality mismatch");
+        self.len += 1;
+        // One forced-reinsert chance per level for this insertion.
+        let mut reinserted = vec![false; self.root.level() + 1];
+        let mut queue: Vec<AnyEntry<T>> = vec![AnyEntry::Leaf(LeafEntry { mbr, value })];
+        while let Some(entry) = queue.pop() {
+            self.insert_entry(entry, &mut queue, &mut reinserted);
+        }
+    }
+
+    fn insert_entry(
+        &mut self,
+        entry: AnyEntry<T>,
+        queue: &mut Vec<AnyEntry<T>>,
+        reinserted: &mut Vec<bool>,
+    ) {
+        let target = entry.target_level();
+        let params = self.params;
+        let root = Arc::make_mut(&mut self.root);
+        let split = insert_impl(root, entry, target, &params, queue, reinserted, true);
+        if let Some(sibling) = split {
+            // Root split: grow the tree by one level.
+            let old_root = Arc::clone(&self.root);
+            // skylint: allow(no-panic-paths) — a root that just split holds entries.
+            let old_mbr = old_root.mbr().expect("split root is non-empty");
+            let level = old_root.level() + 1;
+            self.root = Arc::new(Node::Inner {
+                level,
+                children: vec![ChildEntry { mbr: old_mbr, child: old_root }, sibling],
+            });
+            reinserted.resize(level + 1, false);
+        }
+    }
+
+    /// Removes one entry whose box equals `mbr` and whose value satisfies
+    /// `pred`, returning the value. Underflowing nodes are dissolved and
+    /// their entries reinserted (the classic condense-tree step).
+    ///
+    /// The entry is located read-only first, so a miss — and every
+    /// subtree searched in vain on the way to a hit — copies nothing.
+    pub fn remove(&mut self, mbr: &Aabb, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
+        assert_eq!(mbr.dims(), self.dims, "box/tree dimensionality mismatch");
+        let mut path = Vec::with_capacity(self.height());
+        if !locate(&self.root, mbr, &mut pred, &mut path) {
+            return None;
+        }
+        let mut orphans: Vec<AnyEntry<T>> = Vec::new();
+        let removed = remove_at(Arc::make_mut(&mut self.root), &path, &mut orphans, &self.params);
+        self.len -= 1;
+
+        // Shrink the root while it is a trivial chain.
+        loop {
+            match self.root.as_ref() {
+                Node::Inner { children, .. } if children.len() == 1 => {
+                    self.root = Arc::clone(&children[0].child);
+                }
+                Node::Inner { children, .. } if children.is_empty() => {
+                    self.root = Arc::new(Node::Leaf(Vec::new()));
+                    break;
+                }
+                _ => break,
+            }
+        }
+
+        // Reinsert orphans at their original level; no forced reinserts.
+        while let Some(entry) = orphans.pop() {
+            let mut reinserted = vec![true; self.root.level() + 1];
+            let mut queue = vec![entry];
+            while let Some(e) = queue.pop() {
+                self.insert_entry(e, &mut queue, &mut reinserted);
+            }
+        }
+        Some(removed)
+    }
+}
+
 /// Chooses the child of `children` best suited to receive `mbr`.
 ///
 /// R\* rule: when the children are leaves, minimize overlap enlargement
@@ -401,7 +415,7 @@ fn choose_subtree<T>(children: &[ChildEntry<T>], mbr: &Aabb) -> usize {
 
 /// Recursive insertion. Returns a split-off sibling for the caller to
 /// adopt, if the node overflowed and split.
-fn insert_impl<T>(
+fn insert_impl<T: Clone>(
     node: &mut Node<T>,
     entry: AnyEntry<T>,
     target_level: usize,
@@ -435,7 +449,7 @@ fn insert_impl<T>(
     let level = *level;
     let idx = choose_subtree(children, entry.mbr());
     let split = insert_impl(
-        &mut children[idx].child,
+        Arc::make_mut(&mut children[idx].child),
         entry,
         target_level,
         params,
@@ -481,7 +495,7 @@ fn overflow_leaf<T>(
     let sibling = Node::Leaf(split);
     // skylint: allow(no-panic-paths) — rstar_split emits two non-empty groups.
     let mbr = sibling.mbr().expect("split group is non-empty");
-    Some(ChildEntry { mbr, child: Box::new(sibling) })
+    Some(ChildEntry { mbr, child: Arc::new(sibling) })
 }
 
 /// R\* OverflowTreatment for an inner node.
@@ -506,7 +520,7 @@ fn overflow_inner<T>(
     let sibling = Node::Inner { level, children: split };
     // skylint: allow(no-panic-paths) — rstar_split emits two non-empty groups.
     let mbr = sibling.mbr().expect("split group is non-empty");
-    Some(ChildEntry { mbr, child: Box::new(sibling) })
+    Some(ChildEntry { mbr, child: Arc::new(sibling) })
 }
 
 /// Removes the `count` entries whose centers are farthest from the node
@@ -529,37 +543,54 @@ fn strip_farthest<E: crate::split::HasMbr>(entries: &mut Vec<E>, count: usize) -
     entries.split_off(at)
 }
 
-/// Recursive removal with condense-tree. Returns the removed value.
-fn remove_impl<T>(
-    node: &mut Node<T>,
+/// Read-only search for the entry `remove` is after. On a hit `path`
+/// holds the child index taken at every inner level, root first, then
+/// the entry's index in its leaf.
+fn locate<T>(
+    node: &Node<T>,
     mbr: &Aabb,
     pred: &mut impl FnMut(&T) -> bool,
-    orphans: &mut Vec<AnyEntry<T>>,
-    params: &RTreeParams,
-) -> Option<T> {
+    path: &mut Vec<usize>,
+) -> bool {
     match node {
         Node::Leaf(entries) => {
-            let idx = entries.iter().position(|e| e.mbr == *mbr && pred(&e.value))?;
-            Some(entries.swap_remove(idx).value)
+            let found = entries.iter().position(|e| e.mbr == *mbr && pred(&e.value));
+            path.extend(found);
+            found.is_some()
         }
         Node::Inner { children, .. } => {
-            let mut removed = None;
-            let mut child_idx = None;
-            for (i, c) in children.iter_mut().enumerate() {
+            for (i, c) in children.iter().enumerate() {
                 if !c.mbr.contains_box(mbr) {
                     continue;
                 }
-                if let Some(v) = remove_impl(&mut c.child, mbr, pred, orphans, params) {
-                    removed = Some(v);
-                    child_idx = Some(i);
-                    break;
+                path.push(i);
+                if locate(&c.child, mbr, pred, path) {
+                    return true;
                 }
+                path.pop();
             }
-            let i = child_idx?;
+            false
+        }
+    }
+}
+
+/// Removal along a path found by [`locate`], with condense-tree: only
+/// the nodes on the path are un-shared. Returns the removed value.
+fn remove_at<T: Clone>(
+    node: &mut Node<T>,
+    path: &[usize],
+    orphans: &mut Vec<AnyEntry<T>>,
+    params: &RTreeParams,
+) -> T {
+    let (i, rest) = (path[0], &path[1..]);
+    match node {
+        Node::Leaf(entries) => entries.swap_remove(i).value,
+        Node::Inner { children, .. } => {
+            let removed = remove_at(Arc::make_mut(&mut children[i].child), rest, orphans, params);
             if children[i].child.len() < params.min_entries {
                 // Dissolve the underfull child; reinsert its entries.
                 let dead = children.swap_remove(i);
-                match *dead.child {
+                match Arc::unwrap_or_clone(dead.child) {
                     Node::Leaf(entries) => {
                         orphans.extend(entries.into_iter().map(AnyEntry::Leaf));
                     }

@@ -25,6 +25,20 @@ fn pt_box(x: u8, y: u8) -> Aabb {
     Aabb::from_point(&Point::from(vec![f64::from(x), f64::from(y)]))
 }
 
+fn apply(tree: &mut RStarTree<(u8, u8)>, ops: &[Op]) {
+    for op in ops {
+        match *op {
+            Op::Insert(x, y) => tree.insert(pt_box(x, y), (x, y)),
+            Op::Remove(x, y) => drop(tree.remove(&pt_box(x, y), |&p| p == (x, y))),
+        }
+    }
+}
+
+/// Every entry in visiting order — equal lists mean equal tree shapes.
+fn entries(tree: &RStarTree<(u8, u8)>) -> Vec<(Aabb, (u8, u8))> {
+    tree.iter().map(|(b, &v)| (b.clone(), v)).collect()
+}
+
 proptest! {
     /// A random insert/remove sequence, mirrored against a Vec model:
     /// the tree and the model agree on every window query, and structural
@@ -68,6 +82,32 @@ proptest! {
         got.sort_unstable();
         want.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+
+    /// Structural sharing: a clone shares every node with its original,
+    /// so mutating one copy must leave the other exactly as it was, and
+    /// must build exactly the tree a never-shared copy would have built.
+    /// Small nodes make even short sequences split, reinsert and condense
+    /// several levels deep.
+    #[test]
+    fn mutating_a_clone_leaves_the_original_untouched(before in ops(), after in ops()) {
+        let params = RTreeParams { max_entries: 4, min_entries: 2, reinsert_count: 1 };
+        let mut original: RStarTree<(u8, u8)> = RStarTree::with_params(2, params);
+        apply(&mut original, &before);
+        let frozen = entries(&original);
+
+        let mut copy = original.clone();
+        apply(&mut copy, &after);
+
+        prop_assert_eq!(entries(&original), frozen);
+        original.check_invariants();
+        copy.check_invariants();
+
+        let mut scratch: RStarTree<(u8, u8)> = RStarTree::with_params(2, params);
+        apply(&mut scratch, &before);
+        apply(&mut scratch, &after);
+        prop_assert_eq!(entries(&copy), entries(&scratch));
+        prop_assert_eq!(copy.height(), scratch.height());
     }
 
     /// Bulk loading N points yields the same query results as inserting

@@ -104,10 +104,7 @@ fn parse_bound(token: &str, unbounded: f64) -> Result<f64, String> {
 /// comma-joined coordinates in canonical bitwise order.
 pub fn query_reply(outcome: &QueryOutcome) -> String {
     let mut sky: Vec<&[f64]> = outcome.skyline.iter().map(|p| p.coords()).collect();
-    sky.sort_by(|a, b| {
-        let key = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        key(a).cmp(&key(b))
-    });
+    sky.sort_by(|a, b| a.iter().map(|x| x.to_bits()).cmp(b.iter().map(|x| x.to_bits())));
     let mut line =
         format!("OK {} {}", sky.len(), if outcome.stats.cache_hit { "hit" } else { "miss" });
     for coords in sky {

@@ -29,6 +29,11 @@ use crate::proto::{self, Request};
 /// How often an idle connection re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// Longest request line a connection may send. Buffered bytes without a
+/// newline beyond this get `ERR line too long` and the connection is
+/// closed, so one client cannot grow the server's memory without limit.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Handle to a running server: its bound address plus shutdown control.
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -161,6 +166,12 @@ fn handle_conn(
             if let Flow::Quit = respond(text, &mut session, service, &mut out)? {
                 return out.flush();
             }
+        }
+        // Every complete line is answered, so what is left is one
+        // unterminated line.
+        if pending.len() > MAX_LINE_BYTES {
+            writeln!(out, "{}", proto::err_reply("line too long"))?;
+            return out.flush();
         }
         match reader.read(&mut buf) {
             Ok(0) => return out.flush(), // client closed

@@ -1,7 +1,7 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, real
 //! TCP clients speaking the line protocol.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use skycache_core::ServiceConfig;
@@ -88,6 +88,29 @@ fn unbounded_and_recorded_queries() {
     assert_eq!(client.roundtrip("Q * * * *"), "OK 1 miss 0,0");
     // A recorded query bypasses coalescing but still answers normally.
     assert_eq!(client.roundtrip("Q * * * * record"), "OK 1 hit 0,0");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn an_over_long_line_is_refused_and_the_server_keeps_serving() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut flood = TcpStream::connect(handle.addr()).unwrap();
+    // 1 MiB without a newline. The server stops reading after 64 KiB and
+    // closes, so the tail of the write may fail — that is the refusal.
+    let chunk = [b'7'; 4096];
+    for _ in 0..256 {
+        if flood.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    // Whatever the server said before closing is its whole reply; the
+    // close itself may surface as end-of-stream or as a reset.
+    let mut reply = Vec::new();
+    drop(flood.read_to_end(&mut reply));
+    assert_eq!(String::from_utf8_lossy(&reply), "ERR line too long\n");
+
+    let mut fresh = Client::connect(handle.addr());
+    assert_eq!(fresh.roundtrip("PING"), "OK pong");
     handle.shutdown().unwrap();
 }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use skycache::algos::{Sfs, SkylineAlgorithm};
-use skycache::core::{CbcsConfig, CbcsExecutor, Executor, QueryRequest, ReplacementPolicy};
+use skycache::core::{Cache, CbcsConfig, CbcsExecutor, Executor, QueryRequest, ReplacementPolicy};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
 
@@ -23,6 +23,19 @@ fn constraints(dims: usize) -> impl Strategy<Value = Constraints> {
             Constraints::new(lo, hi).expect("ordered")
         },
     )
+}
+
+/// A 3-d constraint box whose every bound may be unbounded (the wire
+/// protocol's `*`): overlap areas of such boxes can be `inf`, or NaN
+/// where a zero-width side meets an infinite one.
+fn open_constraints() -> impl Strategy<Value = Constraints> {
+    let lo = || prop_oneof![coord(), coord(), coord(), Just(f64::NEG_INFINITY)];
+    let hi = || prop_oneof![coord(), coord(), coord(), Just(f64::INFINITY)];
+    prop::collection::vec((lo(), hi()), 3).prop_map(|sides| {
+        let (lo, hi): (Vec<f64>, Vec<f64>) =
+            sides.into_iter().map(|(a, b)| (a.min(b), a.max(b))).unzip();
+        Constraints::new(lo, hi).expect("ordered")
+    })
 }
 
 fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -150,6 +163,51 @@ proptest! {
             // Same distinctness caveat as above: with duplicate data
             // points, the two paths may keep different duplicate copies.
             assert_skyline_eq(&points, b.skyline, a.skyline)?;
+        }
+    }
+
+    /// `lookup_into` ranks every candidate once and sorts the decorated
+    /// list; the order must be the one the retired comparator produced,
+    /// which went back to the cache for both sides of every comparison:
+    /// exact constraint matches first, then descending overlap area of
+    /// index box and query (`total_cmp`, so `inf` and NaN have a place),
+    /// then ascending id. Items without points are indexed by their —
+    /// possibly unbounded — constraint box.
+    #[test]
+    fn lookup_order_matches_the_per_comparison_comparator(
+        items in prop::collection::vec(
+            (open_constraints(), prop::collection::vec(prop::collection::vec(coord(), 3), 0..3)),
+            1..40,
+        ),
+        queries in prop::collection::vec(open_constraints(), 1..6),
+        repeat in 0..40usize,
+    ) {
+        let mut cache = Cache::new(3);
+        for (c, rows) in &items {
+            let skyline: Vec<Point> = rows.iter().cloned().map(Point::from).collect();
+            cache.insert(c.clone(), &skyline);
+        }
+        // One query repeats a cached box, so exact matches are ranked too.
+        let repeated = items[repeat % items.len()].0.clone();
+        let mut ids = Vec::new();
+        for q in queries.iter().chain([&repeated]) {
+            cache.lookup_into(q, &mut ids);
+            let query = q.aabb();
+            let index_box = |id: u64| {
+                let item = cache.get(id).expect("lookup ids are live");
+                item.mbr.clone().unwrap_or_else(|| item.constraints.aabb().clone())
+            };
+            let rank = |id: u64| {
+                let exact = cache.get(id).expect("lookup ids are live").constraints.aabb() == query;
+                (exact, index_box(id).overlap_area(query))
+            };
+            let mut want: Vec<u64> =
+                cache.iter().map(|it| it.id).filter(|&id| index_box(id).intersects(query)).collect();
+            want.sort_by(|&a, &b| {
+                let ((exact_a, area_a), (exact_b, area_b)) = (rank(a), rank(b));
+                exact_b.cmp(&exact_a).then(area_b.total_cmp(&area_a)).then_with(|| a.cmp(&b))
+            });
+            prop_assert_eq!(&ids, &want);
         }
     }
 }
