@@ -334,15 +334,7 @@ mod tests {
     use crate::testutil::{naive_skyline, sorted};
 
     fn algos() -> Vec<Box<dyn SkylineAlgorithm>> {
-        vec![
-            Box::new(Bnl),
-            Box::new(Sfs),
-            Box::new(DivideConquer),
-            Box::new(Salsa),
-            // Forced thread count + tiny threshold so the scoped-thread
-            // path is exercised even on single-core hosts.
-            Box::new(crate::ParallelDc { threads: 4, sequential_threshold: 32 }),
-        ]
+        vec![Box::new(Bnl), Box::new(Sfs), Box::new(DivideConquer), Box::new(Salsa)]
     }
 
     fn p(c: &[f64]) -> Point {

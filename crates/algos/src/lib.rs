@@ -16,10 +16,7 @@
 //! * [`DivideConquer`] — the D&C scheme of Börzsönyi et al. in its basic
 //!   two-way form, included for completeness of the in-memory suite;
 //! * [`Salsa`] — the Sort-and-Limit variant (Bartolini et al.), whose
-//!   early-termination behaviour rounds out the pluggable-component study;
-//! * [`ParallelDc`] — divide & conquer across scoped threads: local
-//!   skylines per chunk plus a parallel cross-filter merge, set-identical
-//!   to the sequential algorithms.
+//!   early-termination behaviour rounds out the pluggable-component study.
 //!
 //! Every routine counts its dominance tests — the paper's proxy for
 //! skyline computation cost.
@@ -48,13 +45,11 @@
 pub mod bbs;
 pub mod cardinality;
 mod inmem;
-mod parallel;
 pub mod planar;
 
 pub use bbs::{bbs_constrained, BbsOutput, BbsStats};
 pub use cardinality::{expected_skyline_size, sample_skyline_fraction, Adaptive};
 pub use inmem::{Bnl, DivideConquer, Salsa, Sfs, SkylineAlgorithm, SkylineOutput, SkylineScratch};
-pub use parallel::{LaneReport, ParallelDc};
 pub use planar::{planar_applicable, planar_skyline_into, PLANAR_DIMS};
 
 #[cfg(test)]

@@ -23,7 +23,6 @@ experiments:
   ablation-replacement   LRU vs LCU under small capacities
   ablation-k             aMPR nearest-neighbor sweep
   ablation-multi         multi-item cache exploitation (Sec 6.3 extension)
-  parallel               sequential vs parallel pipeline (writes BENCH_parallel.json)
   obs                    per-phase latency + cache/fetch aggregates (writes BENCH_obs.json)
   perf                   query hot path: qps, allocs/query, coalescing (writes BENCH_perf.json)
   policy                 replacement policies x compositional hits, incl. Zipf workload (writes BENCH_policy.json)
@@ -64,7 +63,6 @@ fn main() -> ExitCode {
         ("ablation-replacement", figures::ablation_replacement),
         ("ablation-k", figures::ablation_k),
         ("ablation-multi", figures::ablation_multi),
-        ("parallel", figures::parallel),
         ("obs", figures::obs),
         ("perf", figures::perf),
         ("policy", figures::policy),

@@ -42,8 +42,6 @@ pub struct Scale {
     pub independent_queries: usize,
     /// Cache preload size for independent workloads.
     pub preload: usize,
-    /// `(cardinality, dims)` cases for the parallel-pipeline experiment.
-    pub parallel_cases: Vec<(usize, usize)>,
 }
 
 impl Default for Scale {
@@ -59,7 +57,6 @@ impl Default for Scale {
             interactive_queries: 100,
             independent_queries: 100,
             preload: 300,
-            parallel_cases: vec![(50_000, 5), (100_000, 5), (100_000, 7)],
         }
     }
 }
@@ -79,7 +76,6 @@ impl Scale {
             interactive_queries: 500,
             independent_queries: 500,
             preload: 2_000,
-            parallel_cases: vec![(500_000, 5), (1_000_000, 5), (1_000_000, 7)],
         }
     }
 }
@@ -607,158 +603,6 @@ pub fn ablation_multi(scale: &Scale) {
                 &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
             );
         }
-    }
-}
-
-/// Parallel-pipeline experiment (this repository's performance extension,
-/// not a paper figure): sequential vs parallel skyline kernels across
-/// cardinality/dimensionality/lane counts, plus the end-to-end CBCS
-/// pipeline under [`skycache_core::ExecMode`]. Results are printed as a
-/// table and written to `BENCH_parallel.json` in the working directory so
-/// the perf trajectory is tracked across revisions.
-pub fn parallel(scale: &Scale) {
-    use std::time::Instant;
-
-    use skycache_algos::{ParallelDc, Sfs, SkylineAlgorithm};
-    use skycache_core::ExecMode;
-    use skycache_datagen::SyntheticGen;
-
-    fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\n#### Parallel pipeline: sequential vs parallel (host parallelism = {host}) ####");
-
-    // Lane counts below 2 would compare the sequential fallback against
-    // SFS, which says nothing about parallelism.
-    let mut lane_set = vec![2, 4, host];
-    lane_set.retain(|&l| l >= 2);
-    lane_set.sort_unstable();
-    lane_set.dedup();
-
-    // Part 1: the skyline stage alone — SFS vs the *adaptive* ParallelDc
-    // on the raw point sets (independent distribution, as in most paper
-    // figures). Configurations the cost gate rejects report the
-    // sequential fallback they actually run (`gated: true`, speedup 1.0):
-    // after the adaptive gate, no configuration can lose to sequential.
-    print_header(
-        "Skyline stage",
-        &[
-            "n".into(),
-            "|D|".into(),
-            "lanes".into(),
-            "seq".into(),
-            "par".into(),
-            "speedup".into(),
-            "gated".into(),
-        ],
-    );
-    let mut skyline_rows = Vec::new();
-    for &(n, dims) in &scale.parallel_cases {
-        let points = SyntheticGen::new(Distribution::Independent, dims, 42).generate(n);
-        let seq_s = best_secs(2, || Sfs.compute(points.clone()));
-        for &lanes in &lane_set {
-            let algo = ParallelDc { threads: lanes, sequential_threshold: 4096 };
-            let gated = !algo.should_engage(n, dims);
-            // A gated configuration runs the sequential block path, so
-            // both sides of its ratio are the same measurement by
-            // construction — report it that way instead of re-timing the
-            // identical code and calling the noise a speedup.
-            let par_s = if gated { seq_s } else { best_secs(2, || algo.compute(points.clone())) };
-            let speedup = seq_s / par_s;
-            print_row(
-                "",
-                &[
-                    fmt_size(n),
-                    dims.to_string(),
-                    lanes.to_string(),
-                    ms(seq_s),
-                    ms(par_s),
-                    format!("{speedup:.2}x"),
-                    if gated { "yes".into() } else { "no".into() },
-                ],
-            );
-            let floor = ParallelDc::min_parallel_points(lanes, dims);
-            let floor_json =
-                if floor == usize::MAX { "null".to_string() } else { floor.to_string() };
-            skyline_rows.push(format!(
-                concat!(
-                    "{{\"n\": {}, \"dims\": {}, \"lanes\": {}, ",
-                    "\"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {:.3}, ",
-                    "\"gated\": {}, \"min_parallel_points\": {}}}"
-                ),
-                n,
-                dims,
-                lanes,
-                seq_s * 1e3,
-                par_s * 1e3,
-                speedup,
-                gated,
-                floor_json
-            ));
-        }
-    }
-
-    // Part 2: the end-to-end CBCS pipeline — ExecMode::Sequential vs
-    // ExecMode::Parallel on an interactive workload (exact MPR, whose
-    // multi-region plans are what the fetch lanes spread out). Reported
-    // times include the deterministic simulated I/O latency, so the
-    // fetch-side gain (per-lane max vs sum) is machine-independent.
-    let (n, dims) = *scale.parallel_cases.first().expect("at least one parallel case");
-    let table = synthetic_table(Distribution::Independent, dims, n, 42);
-    let queries = interactive_queries(&table, scale.interactive_queries, 17, None);
-    let lanes = host.max(2);
-    let exec = ExecMode::Parallel { lanes, dc_threshold: 4096 };
-
-    print_header(
-        &format!("End-to-end CBCS (exact MPR, n = {}, |D| = {dims})", fmt_size(n)),
-        &["avg time".into(), "pts read".into(), "range qs".into()],
-    );
-    let mut summaries = Vec::new();
-    for (label, exec_mode) in [("Sequential", ExecMode::Sequential), ("Parallel", exec)] {
-        let config = CbcsConfig { mpr: MprMode::Exact, exec: exec_mode, ..Default::default() };
-        let records = run_queries(&mut CbcsExecutor::new(&table, config), &queries);
-        let s = summarize(records.iter());
-        print_row(label, &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
-        summaries.push(s);
-    }
-    let pipeline_speedup = summaries[0].avg_time_s / summaries[1].avg_time_s;
-    println!("pipeline speedup: {pipeline_speedup:.2}x");
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"host_parallelism\": {},\n",
-            "  \"gate\": {{\"spawn_overhead_ns\": {}, \"seq_ns_per_cell\": {:.1}, ",
-            "\"parallel_efficiency\": {:.2}, \"planar_dims\": {}}},\n",
-            "  \"skyline\": [\n    {}\n  ],\n",
-            "  \"pipeline\": {{\"n\": {}, \"dims\": {}, \"lanes\": {}, ",
-            "\"seq_avg_ms\": {:.3}, \"par_avg_ms\": {:.3}, \"speedup\": {:.3}}}\n",
-            "}}\n"
-        ),
-        host,
-        ParallelDc::SPAWN_OVERHEAD_NS,
-        ParallelDc::SEQ_NS_PER_CELL,
-        ParallelDc::PARALLEL_EFFICIENCY,
-        skycache_algos::PLANAR_DIMS,
-        skyline_rows.join(",\n    "),
-        n,
-        dims,
-        lanes,
-        summaries[0].avg_time_s * 1e3,
-        summaries[1].avg_time_s * 1e3,
-        pipeline_speedup
-    );
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => println!("wrote BENCH_parallel.json"),
-        Err(e) => eprintln!("could not write BENCH_parallel.json: {e}"),
     }
 }
 

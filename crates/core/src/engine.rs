@@ -9,8 +9,8 @@
 //! skyline computation).
 //!
 //! Queries enter through [`Executor::execute`] with a [`QueryRequest`] —
-//! constraints plus per-query execution-mode/algorithm overrides and an
-//! opt-in recording flag — and return a [`QueryOutcome`]: the skyline, the
+//! constraints plus a per-query algorithm override and an opt-in
+//! recording flag — and return a [`QueryOutcome`]: the skyline, the
 //! always-on [`QueryStats`] counters, and (when recording) a
 //! [`skycache_obs::QueryReport`] with the six-phase span breakdown and the
 //! full metric registry. Instrumentation flows through the
@@ -36,8 +36,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use skycache_algos::{
-    bbs_constrained, BbsStats, Bnl, DivideConquer, ParallelDc, Salsa, Sfs, SkylineAlgorithm,
-    SkylineScratch,
+    bbs_constrained, BbsStats, Bnl, DivideConquer, Salsa, Sfs, SkylineAlgorithm, SkylineScratch,
 };
 use skycache_geom::{Aabb, Constraints, Point, PointBlock};
 use skycache_obs::{names, Phase, QueryRecorder, QueryReport, Recorder};
@@ -52,59 +51,10 @@ use crate::stability::{classify, Overlap};
 use crate::strategy::SearchStrategy;
 use crate::{CoreError, Result};
 
-/// How an executor runs the fetch and skyline stages of a query.
+/// The in-memory skyline algorithm of a [`QueryRequest`].
 ///
-/// `Sequential` is the paper's single-threaded pipeline and the default.
-/// `Parallel` fetches a plan's regions over `lanes` concurrent I/O lanes
-/// ([`Table::fetch_plan`] with a multi-lane [`FetchPlan`]) and *offers*
-/// the skyline stage to [`ParallelDc`] once the merged input reaches
-/// `dc_threshold` points — the split only actually engages when the
-/// adaptive cost gate ([`ParallelDc::should_engage`]) predicts a win for
-/// the input shape on this host (enough cores, `dims > 2`, input above
-/// the calibrated floor); otherwise the sequential block path runs, so
-/// parallel mode never loses to sequential. `dims == 2` inputs always
-/// take the planar sweep (see [`skyline_route`]). Both modes produce the
-/// same skyline *set* and identical fetch counters (`points_read`,
-/// `heap_fetches`, `range_queries_*`); only `dominance_tests` and the
-/// simulated latency may differ — see DESIGN.md.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Single-threaded fetching and skyline computation.
-    #[default]
-    Sequential,
-    /// Concurrent fetch lanes plus a parallel skyline kernel.
-    Parallel {
-        /// Concurrent I/O lanes for multi-region fetches, and the worker
-        /// count of the parallel skyline kernel.
-        lanes: usize,
-        /// Minimum merged input size before [`ParallelDc`] replaces the
-        /// configured sequential algorithm.
-        dc_threshold: usize,
-    },
-}
-
-impl ExecMode {
-    /// Parallel mode sized to the host: one lane per available core,
-    /// default [`ParallelDc`] fallback threshold.
-    pub fn parallel_auto() -> Self {
-        let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
-        ExecMode::Parallel { lanes, dc_threshold: ParallelDc::DEFAULT_SEQUENTIAL_THRESHOLD }
-    }
-
-    /// The fetch-lane count (1 in sequential mode).
-    pub fn lanes(&self) -> usize {
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel { lanes, .. } => (*lanes).max(1),
-        }
-    }
-}
-
-/// The in-memory skyline algorithm of a [`QueryRequest`] override.
-///
-/// Executors carry a configured default (SFS, as in the paper's
-/// evaluation); a request may swap it per query without rebuilding the
-/// executor or its cache.
+/// Executors default to SFS, as in the paper's evaluation; a request may
+/// swap it per query without rebuilding the executor or its cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AlgoChoice {
     /// Sort-Filter-Skyline (the paper's evaluation default).
@@ -138,12 +88,8 @@ impl AlgoChoice {
 pub struct QueryRequest {
     /// The query constraints `C`.
     pub constraints: Constraints,
-    /// Per-query execution-mode override (`None` — use the executor's
-    /// configured mode).
-    pub exec: Option<ExecMode>,
-    /// Per-query skyline-algorithm override (`None` — use the executor's
-    /// configured algorithm). Ignored by [`BbsExecutor`], whose traversal
-    /// *is* its algorithm.
+    /// Per-query skyline-algorithm override (`None` — SFS). Ignored by
+    /// [`BbsExecutor`], whose traversal *is* its algorithm.
     pub algo: Option<AlgoChoice>,
     /// Capture a per-query [`QueryReport`] (spans, counters, gauges,
     /// histograms). Off by default: the report costs allocations.
@@ -153,13 +99,7 @@ pub struct QueryRequest {
 impl QueryRequest {
     /// A request answering `Sky(S, C)` with the executor's configuration.
     pub fn new(constraints: Constraints) -> Self {
-        QueryRequest { constraints, exec: None, algo: None, record: false }
-    }
-
-    /// Overrides the execution mode for this query only.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = Some(exec);
-        self
+        QueryRequest { constraints, algo: None, record: false }
     }
 
     /// Overrides the in-memory skyline algorithm for this query only.
@@ -344,69 +284,20 @@ fn merge_rows(
     }
 }
 
-/// Which kernel the skyline stage will run for a given execution mode
-/// and input shape — the dispatch decision of [`compute_skyline_rows`]
-/// factored out pure so tests can assert it directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SkylineRoute {
-    /// `dims == 2`: the planar monotone sweep (no pairwise dominance
-    /// tests), via the block-capable algorithm's own dispatch.
-    Planar,
-    /// The [`ParallelDc`] split: the adaptive cost gate predicts a win.
-    Parallel {
-        /// Resolved worker count the split will use.
-        threads: usize,
-    },
-    /// The configured algorithm's sequential (block) path.
-    Sequential,
-}
-
-/// Routes the skyline stage: planar for d = 2 always (a sorted sweep
-/// beats any dominance-testing kernel, parallel included), the
-/// [`ParallelDc`] split when parallel mode is on *and* the adaptive cost
-/// gate predicts a win for `(n, dims)` on this host, the sequential
-/// block path otherwise.
-pub fn skyline_route(exec: ExecMode, n: usize, dims: usize) -> SkylineRoute {
-    if skycache_algos::planar_applicable(dims) {
-        return SkylineRoute::Planar;
-    }
-    if let ExecMode::Parallel { lanes, dc_threshold } = exec {
-        let pd = ParallelDc { threads: lanes, sequential_threshold: dc_threshold };
-        if pd.should_engage(n, dims) {
-            return SkylineRoute::Parallel { threads: pd.resolved_threads() };
-        }
-    }
-    SkylineRoute::Sequential
-}
-
-/// The skyline stage: runs on flat rows in place under `exec` (see
-/// [`skyline_route`]), materializing owned points only for the returned
-/// skyline. Algorithms without a block kernel
-/// ([`SkylineAlgorithm::compute_block`] returning `None`) materialize the
-/// rows and run their Vec implementation. Dominance tests (and, when
-/// detailed, parallel-lane gauges) go to the probe.
+/// The skyline stage: runs `algo` on flat rows in place (d = 2 inputs
+/// take the planar sweep inside the block kernel's own dispatch),
+/// materializing owned points only for the returned skyline. Algorithms
+/// without a block kernel ([`SkylineAlgorithm::compute_block`] returning
+/// `None`) materialize the rows and run their Vec implementation.
+/// Dominance tests go to the probe.
 fn compute_skyline_rows(
     algo: &dyn SkylineAlgorithm,
-    exec: ExecMode,
     rows: &[f64],
     dims: usize,
     sky: &mut SkylineScratch,
     out: &mut PointBlock,
     probe: &mut Probe<'_>,
 ) -> Vec<Point> {
-    let n = rows.len() / dims;
-    if let (SkylineRoute::Parallel { .. }, ExecMode::Parallel { lanes, dc_threshold }) =
-        (skyline_route(exec, n, dims), exec)
-    {
-        let (tests, report) = ParallelDc { threads: lanes, sequential_threshold: dc_threshold }
-            .compute_rows(rows, dims, sky, out);
-        if probe.detailed() && report.workers > 0 {
-            probe.set_gauge(names::LANES_SKYLINE_WORKERS, report.workers as f64);
-            probe.set_gauge(names::LANES_SKYLINE_IMBALANCE, report.imbalance());
-        }
-        probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, tests);
-        return out.to_points();
-    }
     match algo.compute_block(rows, dims, sky, out) {
         Some(tests) => {
             probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, tests);
@@ -565,27 +456,13 @@ pub(crate) fn check_dims(table: &Table, c: &Constraints) -> Result<()> {
 /// paper's evaluation).
 pub struct BaselineExecutor<'t> {
     table: &'t Table,
-    algo: Box<dyn SkylineAlgorithm>,
-    exec: ExecMode,
     scratch: QueryScratch,
 }
 
 impl<'t> BaselineExecutor<'t> {
-    /// Creates a Baseline executor using SFS.
+    /// Creates a Baseline executor.
     pub fn new(table: &'t Table) -> Self {
-        BaselineExecutor {
-            table,
-            algo: Box::new(Sfs),
-            exec: ExecMode::default(),
-            scratch: QueryScratch::new(),
-        }
-    }
-
-    /// Replaces the skyline component (the paper argues CBCS's benefit is
-    /// independent of this choice; so is Baseline's cost profile).
-    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.algo = algo;
-        self
+        BaselineExecutor { table, scratch: QueryScratch::new() }
     }
 }
 
@@ -597,16 +474,12 @@ impl Executor for BaselineExecutor<'_> {
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         let c = &req.constraints;
         check_dims(self.table, c)?;
-        let exec = req.exec.unwrap_or(self.exec);
-        let algo: &dyn SkylineAlgorithm = match req.algo {
-            Some(choice) => choice.algorithm(),
-            None => self.algo.as_ref(),
-        };
+        let algo = req.algo.unwrap_or_default().algorithm();
 
         let mut stats = QueryStats::default();
         let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
         let mut probe = Probe::new(&mut stats, rec.as_mut());
-        let skyline = query_naive(self.table, algo, exec, c, &mut self.scratch, &mut probe);
+        let skyline = query_naive(self.table, algo, c, &mut self.scratch, &mut probe);
         probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
 
         Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
@@ -638,10 +511,9 @@ impl Default for BbsConfig {
 /// The I/O-optimal BBS method of Papadias et al. over an STR-bulk-loaded
 /// R\*-tree of the dataset.
 ///
-/// BBS's branch-and-bound traversal *is* its algorithm, so
-/// [`QueryRequest::algo`] and [`QueryRequest::exec`] overrides are
-/// ignored; recording still works (fetch/skyline spans, dominance tests,
-/// points read).
+/// BBS's branch-and-bound traversal *is* its algorithm, so the
+/// [`QueryRequest::algo`] override is ignored; recording still works
+/// (fetch/skyline spans, dominance tests, points read).
 pub struct BbsExecutor<'t> {
     table: &'t Table,
     tree: RStarTree<u32>,
@@ -736,8 +608,6 @@ pub struct CbcsConfig {
     pub compose: bool,
     /// Maximum cached items composed per query (primary included).
     pub compose_items: usize,
-    /// Sequential or parallel execution of the fetch and skyline stages.
-    pub exec: ExecMode,
 }
 
 impl Default for CbcsConfig {
@@ -752,7 +622,6 @@ impl Default for CbcsConfig {
             extra_items: 0,
             compose: false,
             compose_items: 4,
-            exec: ExecMode::Sequential,
         }
     }
 }
@@ -827,8 +696,6 @@ impl CacheAccess for Cache {
 /// and the one implementation of the paper's query flow.
 pub(crate) struct CbcsState {
     pub(crate) config: CbcsConfig,
-    /// The in-memory skyline component (SFS unless replaced).
-    pub(crate) algo: Box<dyn SkylineAlgorithm>,
     /// Drives the `Random` search strategy.
     rng: StdRng,
     /// Bounding box of the table's points (normalizes strategy scores
@@ -838,14 +705,14 @@ pub(crate) struct CbcsState {
 }
 
 impl CbcsState {
-    /// State for an executor over `table`: SFS, an RNG seeded from the
+    /// State for an executor over `table`: an RNG seeded from the
     /// configuration, empty scratch.
     pub(crate) fn new(table: &Table, config: CbcsConfig) -> Self {
         let data_bounds = Aabb::bounding(table.all_points())
             // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
             .expect("tables are non-empty");
         let rng = StdRng::seed_from_u64(config.seed);
-        CbcsState { config, algo: Box::new(Sfs), rng, data_bounds, scratch: QueryScratch::new() }
+        CbcsState { config, rng, data_bounds, scratch: QueryScratch::new() }
     }
 
     /// The CBCS query pipeline (paper Section 6): R\*-tree cache lookup →
@@ -865,12 +732,8 @@ impl CbcsState {
     ) -> Result<QueryOutcome> {
         let c = &req.constraints;
         check_dims(table, c)?;
-        let CbcsState { config, algo, rng, data_bounds, scratch } = self;
-        let exec = req.exec.unwrap_or(config.exec);
-        let algo: &dyn SkylineAlgorithm = match req.algo {
-            Some(choice) => choice.algorithm(),
-            None => algo.as_ref(),
-        };
+        let CbcsState { config, rng, data_bounds, scratch } = self;
+        let algo = req.algo.unwrap_or_default().algorithm();
 
         let mut stats = QueryStats::default();
         let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
@@ -967,7 +830,7 @@ impl CbcsState {
         let skyline = match selection {
             None => {
                 probe.add_counter(names::CACHE_MISSES, 1);
-                query_naive(table, algo, exec, c, scratch, &mut probe)
+                query_naive(table, algo, c, scratch, &mut probe)
             }
             Some(selection) => {
                 probe.add_counter(names::CACHE_HITS, 1);
@@ -989,7 +852,7 @@ impl CbcsState {
                         composed.plan
                     }
                 };
-                query_planned(table, algo, exec, plan, scratch, &mut probe)
+                query_planned(table, algo, plan, scratch, &mut probe)
             }
         };
         probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
@@ -1050,12 +913,6 @@ impl<'t> CbcsExecutor<'t> {
         CbcsExecutor { table, cache, state: CbcsState::new(table, config) }
     }
 
-    /// Replaces the in-memory skyline component.
-    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.state.algo = algo;
-        self
-    }
-
     /// Read access to the cache (for inspection and tests).
     pub fn cache(&self) -> &Cache {
         &self.cache
@@ -1088,7 +945,6 @@ impl Executor for CbcsExecutor<'_> {
 pub(crate) fn query_naive(
     table: &Table,
     algo: &dyn SkylineAlgorithm,
-    exec: ExecMode,
     c: &Constraints,
     scratch: &mut QueryScratch,
     probe: &mut Probe<'_>,
@@ -1099,7 +955,7 @@ pub(crate) fn query_naive(
     let dims = table.dims();
     let QueryScratch { fetch, sky, sky_out, .. } = scratch;
     let out = reuse_block(sky_out, dims);
-    let skyline = compute_skyline_rows(algo, exec, fetch.rows().coords(), dims, sky, out, probe);
+    let skyline = compute_skyline_rows(algo, fetch.rows().coords(), dims, sky, out, probe);
     probe.record_span(Phase::Skyline, t1.elapsed());
     skyline
 }
@@ -1128,13 +984,11 @@ fn fetch_into_scratch(
 
 /// The cache-hit path: fetch the plan's regions with a *coalescing* plan
 /// (overlapping or abutting index ranges merge into one range query; rows
-/// are deduplicated across regions; in parallel mode over `exec.lanes()`
-/// concurrent lanes), block-merge with the retained points, and run the
-/// skyline kernel over the merged block.
+/// are deduplicated across regions), block-merge with the retained
+/// points, and run the skyline kernel over the merged block.
 pub(crate) fn query_planned(
     table: &Table,
     algo: &dyn SkylineAlgorithm,
-    exec: ExecMode,
     plan: QueryPlan,
     scratch: &mut QueryScratch,
     probe: &mut Probe<'_>,
@@ -1146,8 +1000,7 @@ pub(crate) fn query_planned(
     probe.add_counter(names::MPR_PRUNE_POINTS, plan.prune_points_used as u64);
     probe.add_counter(names::MPR_INVALIDATED_PIECES, plan.invalidated_pieces as u64);
 
-    let fetch_plan = FetchPlan::remainder(plan.regions).with_lanes(exec.lanes());
-    fetch_into_scratch(table, &fetch_plan, scratch, probe);
+    fetch_into_scratch(table, &FetchPlan::remainder(plan.regions), scratch, probe);
 
     if plan.needs_skyline {
         let dims = table.dims();
@@ -1159,7 +1012,7 @@ pub(crate) fn query_planned(
 
         let t2 = Stopwatch::start();
         let out = reuse_block(sky_out, dims);
-        let skyline = compute_skyline_rows(algo, exec, merged.as_flat(), dims, sky, out, probe);
+        let skyline = compute_skyline_rows(algo, merged.as_flat(), dims, sky, out, probe);
         probe.record_span(Phase::Skyline, t2.elapsed());
         skyline
     } else {
@@ -1194,12 +1047,6 @@ impl DynamicCbcsExecutor {
         let cache = config.new_cache(table.dims());
         let state = CbcsState::new(&table, config);
         DynamicCbcsExecutor { table, cache, state }
-    }
-
-    /// Replaces the in-memory skyline component.
-    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.state.algo = algo;
-        self
     }
 
     /// Read access to the table.
@@ -1299,38 +1146,6 @@ mod tests {
         assert_eq!(res.skyline, vec![p(&[0.5, 0.5])]);
         assert!(res.stats.points_read > 0);
         assert_eq!(res.stats.range_queries_issued, 1);
-    }
-
-    #[test]
-    fn skyline_route_planar_wins_at_two_dims() {
-        // d = 2 always takes the planar sweep, even under parallel exec
-        // with thresholds that would otherwise engage the split.
-        let par = ExecMode::Parallel { lanes: 8, dc_threshold: 1 };
-        assert_eq!(skyline_route(par, 1 << 20, 2), SkylineRoute::Planar);
-        assert_eq!(skyline_route(ExecMode::Sequential, 10, 2), SkylineRoute::Planar);
-    }
-
-    #[test]
-    fn skyline_route_gates_the_parallel_split() {
-        // Sequential mode never routes to the split.
-        assert_eq!(skyline_route(ExecMode::Sequential, 1 << 20, 5), SkylineRoute::Sequential);
-        // Tiny inputs fall back to the sequential block path even in
-        // parallel mode: the spawn overhead can't amortize.
-        let par = ExecMode::Parallel { lanes: 4, dc_threshold: 16 };
-        assert_eq!(skyline_route(par, 100, 5), SkylineRoute::Sequential);
-        // A single lane has nothing to split across.
-        let one = ExecMode::Parallel { lanes: 1, dc_threshold: 16 };
-        assert_eq!(skyline_route(one, 1 << 20, 5), SkylineRoute::Sequential);
-        // Large high-dimensional inputs engage exactly when the host can
-        // actually run lanes concurrently — the same decision the gate
-        // makes, asserted here against the route.
-        let engaged = skyline_route(par, 1 << 20, 5);
-        let pd = ParallelDc { threads: 4, sequential_threshold: 16 };
-        if pd.should_engage(1 << 20, 5) {
-            assert_eq!(engaged, SkylineRoute::Parallel { threads: pd.resolved_threads() });
-        } else {
-            assert_eq!(engaged, SkylineRoute::Sequential);
-        }
     }
 
     #[test]
@@ -1586,8 +1401,6 @@ mod tests {
             QueryRequest::new(cc.clone()).with_algo(AlgoChoice::Bnl),
             QueryRequest::new(cc.clone()).with_algo(AlgoChoice::DivideConquer),
             QueryRequest::new(cc.clone()).with_algo(AlgoChoice::Salsa),
-            QueryRequest::new(cc.clone())
-                .with_exec(ExecMode::Parallel { lanes: 4, dc_threshold: 1 }),
         ] {
             let mut got = ex.execute(&req).unwrap().skyline;
             let mut want = base.skyline.clone();

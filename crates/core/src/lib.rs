@@ -85,9 +85,8 @@ pub use cache::{
 };
 pub use cases::{plan_composed, ComposedPlan};
 pub use engine::{
-    skyline_route, AlgoChoice, BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor,
-    DynamicCbcsExecutor, ExecMode, Executor, QueryOutcome, QueryRequest, QueryStats, SkylineRoute,
-    StageTimes,
+    AlgoChoice, BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, DynamicCbcsExecutor,
+    Executor, QueryOutcome, QueryRequest, QueryStats, StageTimes,
 };
 pub use error::CoreError;
 pub use mpr::{missing_points_region, missing_points_region_multi, MprMode, MprOutput};

@@ -48,7 +48,7 @@ use skycache_obs::{names, QueryRecorder, Recorder};
 use skycache_storage::Table;
 
 use crate::engine::{
-    check_dims, AlgoChoice, CbcsConfig, ExecMode, Executor, QueryOutcome, QueryRequest, QueryStats,
+    check_dims, AlgoChoice, CbcsConfig, Executor, QueryOutcome, QueryRequest, QueryStats,
 };
 use crate::shared::{SharedCache, SharedCbcsExecutor};
 use crate::Result;
@@ -302,7 +302,7 @@ impl Session<'_> {
 
     /// Singleflight path: lead a new flight or join an existing one.
     fn execute_coalesced(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        let key = flight_key(&req.constraints, req.exec, req.algo);
+        let key = flight_key(&req.constraints, req.algo);
         // skylint: allow(lock-order) — the `execute` called below is the field's concrete `SharedCbcsExecutor::execute` (flights-free); the bare-name match back to `Session::execute` is not a real call, and the table guard is dropped before any compute.
         let mut flights = self.shared.flights.lock();
         if let Some(flight) = flights.get(&key) {
@@ -435,18 +435,9 @@ fn constraint_key(c: &Constraints) -> Vec<u64> {
 
 /// Canonical key of a full request — the singleflight key: two queries
 /// may only share an outcome if the constraints *and* the per-query
-/// overrides (execution mode, algorithm) agree.
-fn flight_key(c: &Constraints, exec: Option<ExecMode>, algo: Option<AlgoChoice>) -> Vec<u64> {
+/// algorithm override agree.
+fn flight_key(c: &Constraints, algo: Option<AlgoChoice>) -> Vec<u64> {
     let mut key = constraint_key(c);
-    match exec {
-        None => key.push(u64::MAX),
-        Some(ExecMode::Sequential) => key.push(0),
-        Some(ExecMode::Parallel { lanes, dc_threshold }) => {
-            key.push(1);
-            key.push(lanes as u64);
-            key.push(dc_threshold as u64);
-        }
-    }
     key.push(match algo {
         None => u64::MAX,
         Some(AlgoChoice::Sfs) => 0,
@@ -594,16 +585,9 @@ mod tests {
     fn flight_keys_canonicalize_and_discriminate() {
         let a = Constraints::from_pairs(&[(-0.0, 1.0), (0.0, 2.0)]).unwrap();
         let b = Constraints::from_pairs(&[(0.0, 1.0), (-0.0, 2.0)]).unwrap();
-        assert_eq!(flight_key(&a, None, None), flight_key(&b, None, None));
-        assert_ne!(
-            flight_key(&a, None, Some(AlgoChoice::Bnl)),
-            flight_key(&a, None, Some(AlgoChoice::Salsa)),
-        );
-        assert_ne!(
-            flight_key(&a, Some(ExecMode::Sequential), None),
-            flight_key(&a, Some(ExecMode::Parallel { lanes: 2, dc_threshold: 64 }), None),
-        );
-        assert_ne!(flight_key(&a, None, None), flight_key(&a, Some(ExecMode::Sequential), None));
+        assert_eq!(flight_key(&a, None), flight_key(&b, None));
+        assert_ne!(flight_key(&a, Some(AlgoChoice::Bnl)), flight_key(&a, Some(AlgoChoice::Salsa)));
+        assert_ne!(flight_key(&a, None), flight_key(&a, Some(AlgoChoice::Sfs)));
     }
 
     #[test]

@@ -66,7 +66,6 @@
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
 use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
 
-use skycache_algos::SkylineAlgorithm;
 use skycache_geom::{Constraints, Point};
 use skycache_storage::Table;
 
@@ -228,12 +227,6 @@ impl<'t> SharedCbcsExecutor<'t> {
         let cache_dims = cache.dims();
         assert_eq!(cache_dims, table.dims(), "cache/table dimensionality mismatch");
         SharedCbcsExecutor { table, cache, state: CbcsState::new(table, config) }
-    }
-
-    /// Replaces the in-memory skyline component.
-    pub fn with_algorithm(mut self, algo: Box<dyn SkylineAlgorithm>) -> Self {
-        self.state.algo = algo;
-        self
     }
 
     /// Handle to the shared cache.

@@ -2,10 +2,10 @@
 //!
 //! A [`PointBlock`] stores `len` points of fixed dimensionality `dims` in
 //! one contiguous `Vec<f64>` with stride `dims`. Skyline inner loops
-//! (BNL/SFS windows, the parallel divide-and-conquer merge) operate on
-//! bare `&[f64]` rows via [`crate::dominance::dominates_raw`], so the hot
-//! path performs no per-point allocation and walks memory linearly —
-//! unlike `Vec<Point>`, where every comparison chases a separate `Box`.
+//! (BNL/SFS windows) operate on bare `&[f64]` rows via
+//! [`crate::dominance::dominates_raw`], so the hot path performs no
+//! per-point allocation and walks memory linearly — unlike `Vec<Point>`,
+//! where every comparison chases a separate `Box`.
 
 use crate::{GeomError, Kernel, Point, Result};
 
@@ -22,7 +22,7 @@ impl PointBlock {
         if dims == 0 {
             return Err(GeomError::ZeroDimensions);
         }
-        Ok(PointBlock { coords: Vec::new(), dims }) // skylint: allow(hot-path-alloc) — constructs the buffer itself
+        Ok(PointBlock { coords: Vec::new(), dims })
     }
 
     /// Creates an empty block with room for `capacity` points.
@@ -42,7 +42,7 @@ impl PointBlock {
         let dims = points.first().map_or(0, Point::dims);
         let mut block = PointBlock::with_capacity(dims, points.len())?;
         for p in points {
-            block.push(p); // skylint: allow(hot-path-alloc) — fills the pre-sized buffer from with_capacity
+            block.push(p);
         }
         Ok(block)
     }
@@ -135,7 +135,6 @@ impl PointBlock {
 
     /// Materializes the block as owned [`Point`]s.
     pub fn to_points(&self) -> Vec<Point> {
-        // skylint: allow(hot-path-alloc) — explicit SoA→AoS materialization boundary
         self.rows().map(|r| Point::new_unchecked(r.to_vec())).collect()
     }
 }

@@ -26,8 +26,8 @@
 //!   query, and its versioned JSON rendering (`"skyobs-report/1"`, same
 //!   hand-rolled style as skylint's `skylint-report/2`).
 //!
-//! Hot-path rule: designated kernels (`ParallelDc::compute`, the storage
-//! fetch lanes) never call a [`Recorder`]; they return their counts by
+//! Hot-path rule: designated kernels (the dominance kernels, the storage
+//! fetch units) never call a [`Recorder`]; they return their counts by
 //! value and the engine layer records them. skylint's `hot-path-alloc`
 //! rule enforces this (`rules.hot-path-alloc.recorder-idents`).
 

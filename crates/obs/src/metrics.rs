@@ -260,12 +260,12 @@ mod tests {
         let mut r = Registry::new();
         r.add_counter("cache.hits", 1);
         r.add_counter("cache.hits", 2);
-        r.set_gauge("lanes.fetch", 2.0);
-        r.set_gauge("lanes.fetch", 4.0);
+        r.set_gauge("alloc.per_query", 2.0);
+        r.set_gauge("alloc.per_query", 4.0);
         r.observe("fetch.latency_ns", 10.0);
         assert_eq!(r.counter("cache.hits"), 3);
         assert_eq!(r.counter("cache.misses"), 0);
-        assert_eq!(r.gauge("lanes.fetch"), Some(4.0));
+        assert_eq!(r.gauge("alloc.per_query"), Some(4.0));
         assert_eq!(r.histogram("fetch.latency_ns").unwrap().count(), 1);
         assert!(!r.is_empty());
     }
@@ -278,10 +278,10 @@ mod tests {
         let mut b = Registry::new();
         b.add_counter("cache.hits", 4);
         b.observe("fetch.latency_ns", 16.0);
-        b.set_gauge("lanes.fetch", 2.0);
+        b.set_gauge("alloc.per_query", 2.0);
         a.merge(&b);
         assert_eq!(a.counter("cache.hits"), 5);
         assert_eq!(a.histogram("fetch.latency_ns").unwrap().count(), 2);
-        assert_eq!(a.gauge("lanes.fetch"), Some(2.0));
+        assert_eq!(a.gauge("alloc.per_query"), Some(2.0));
     }
 }

@@ -81,21 +81,6 @@ pub const SKYLINE_DOMINANCE_TESTS: &str = "skyline.dominance_tests";
 /// Result cardinality. Counter.
 pub const SKYLINE_RESULT_SIZE: &str = "skyline.result_size";
 
-// -- lanes ------------------------------------------------------------------
-
-/// Concurrent fetch lanes used by the last multi-region fetch. Gauge.
-pub const LANES_FETCH: &str = "lanes.fetch";
-/// Fetch-lane imbalance: slowest lane's simulated latency divided by the
-/// mean lane latency (1.0 = perfectly balanced). Gauge.
-pub const LANES_FETCH_IMBALANCE: &str = "lanes.fetch_imbalance";
-/// Per-lane simulated fetch latency, in nanoseconds. Histogram.
-pub const LANES_FETCH_LATENCY_NS: &str = "lanes.fetch_latency_ns";
-/// Workers used by the parallel skyline kernel. Gauge.
-pub const LANES_SKYLINE_WORKERS: &str = "lanes.skyline_workers";
-/// Parallel-skyline imbalance: largest chunk-local skyline divided by
-/// the mean local skyline size (1.0 = perfectly balanced). Gauge.
-pub const LANES_SKYLINE_IMBALANCE: &str = "lanes.skyline_imbalance";
-
 // -- serve ------------------------------------------------------------------
 
 /// Queries answered by joining another session's in-flight computation

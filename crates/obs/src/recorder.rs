@@ -171,7 +171,7 @@ mod tests {
         assert!(!r.detailed());
         r.record_span(Phase::Fetch, Duration::from_nanos(5));
         r.add_counter("cache.hits", 1);
-        r.set_gauge("lanes.fetch", 4.0);
+        r.set_gauge("alloc.per_query", 4.0);
         r.observe_value("fetch.latency_ns", 123.0);
     }
 

@@ -205,7 +205,7 @@ mod tests {
         rec.record_span(Phase::Fetch, Duration::from_nanos(1_000)); // accumulates
         rec.add_counter("cache.hits", 1);
         rec.add_counter("fetch.points_read", 42);
-        rec.set_gauge("lanes.fetch", 4.0);
+        rec.set_gauge("alloc.per_query", 4.0);
         rec.observe_value("fetch.latency_ns", 2_500.0);
         rec.into_report()
     }
@@ -219,7 +219,7 @@ mod tests {
         assert_eq!(r.total_ns(), 5_100);
         assert_eq!(r.counter("cache.hits"), 1);
         assert_eq!(r.counter("fetch.points_read"), 42);
-        assert_eq!(r.gauge("lanes.fetch"), Some(4.0));
+        assert_eq!(r.gauge("alloc.per_query"), Some(4.0));
         assert_eq!(r.registry().histogram("fetch.latency_ns").unwrap().count(), 1);
     }
 
@@ -241,7 +241,7 @@ mod tests {
             assert!(json.contains(&format!("\"{}\"", phase.label())), "missing {phase:?}");
         }
         assert!(json.contains("\"cache.hits\": 1"));
-        assert!(json.contains("\"lanes.fetch\": 4"));
+        assert!(json.contains("\"alloc.per_query\": 4"));
         assert!(json.ends_with("}\n"));
     }
 

@@ -106,8 +106,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  audited decision\n\
              \n\
              Rationale: the paper's stability theory (Thm. 1, Cors. 1–2) and\n\
-             MPR minimality (Thms. 6–7) assume a cached plan replayed under\n\
-             any ExecMode yields the identical skyline. HashMap iteration\n\
+             MPR minimality (Thms. 6–7) assume a cached plan replayed later\n\
+             yields the identical skyline. HashMap iteration\n\
              order leaking into eviction order, R-tree insertion order or\n\
              result assembly silently breaks that; so does any wall-clock\n\
              value feeding planning.\n\
@@ -120,9 +120,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Checks:\n\
                * `spawn(…)` (std::thread::spawn, scope.spawn, …) is permitted\n\
                  only in the files listed under\n\
-                 [rules.concurrency-hygiene].spawn-allowed — today the two\n\
-                 parallel lanes: algos/src/parallel.rs and\n\
-                 storage/src/table.rs. Tests may spawn freely.\n\
+                 [rules.concurrency-hygiene].spawn-allowed — today none:\n\
+                 no library crate spawns a thread on the query path.\n\
+                 Tests may spawn freely.\n\
                * In lock-protocol files ([rules.concurrency-hygiene]\n\
                  .lock-protocol-files), every `.read()` / `.write()` /\n\
                  `.lock()` acquisition must carry a `// lock-order: <phase>`\n\
@@ -220,7 +220,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              path from the kernel as a witness.\n\
              \n\
              Rationale: PR 1's SoA fast paths (geom::block dominance\n\
-             kernels, algos::parallel merge lanes, storage bulk fetch) win\n\
+             kernels, storage bulk fetch) win\n\
              by staying allocation-free per point; one stray `clone()` in a\n\
              helper re-introduces per-tuple heap traffic that the benches\n\
              only catch after the regression lands. Deliberate staging\n\
@@ -649,9 +649,9 @@ fn concurrency_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 out,
                 RULE,
                 t.line,
-                "spawn() outside the sanctioned parallel lanes \
-                 (algos/src/parallel.rs, storage/src/table.rs) — route \
-                 parallelism through those modules"
+                "spawn() in library code outside \
+                 [rules.concurrency-hygiene].spawn-allowed — no library \
+                 crate spawns a thread on the query path"
                     .to_owned(),
             );
         }

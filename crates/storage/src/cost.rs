@@ -61,17 +61,6 @@ impl CostModel {
         Duration::from_nanos(ns)
     }
 
-    /// Simulated latency of a batch fetched over concurrent I/O lanes.
-    ///
-    /// Each element of `lane_totals` is the sequential latency sum of one
-    /// lane's queries; concurrent streams overlap, so the batch is
-    /// charged its slowest lane — the critical path. Deterministic by
-    /// construction: no queueing or contention jitter is modelled, and a
-    /// single lane degenerates to the sequential sum.
-    pub fn critical_path_latency(&self, lane_totals: &[Duration]) -> Duration {
-        lane_totals.iter().copied().max().unwrap_or(Duration::ZERO)
-    }
-
     /// Ratio of index-entry-scan cost to heap-fetch cost, used by the
     /// planner to compare a bitmap plan against a single-index plan.
     pub(crate) fn entry_to_point_ratio(&self) -> f64 {

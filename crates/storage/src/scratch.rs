@@ -19,9 +19,7 @@
 //! the lint's allocation list — growth happens here, once, not per row
 //! on the hot path.
 
-use std::time::Duration;
-
-use crate::cost::{CostModel, FetchStats};
+use crate::cost::FetchStats;
 use crate::table::RowId;
 
 /// Columnar fetch output: row ids plus a row-major coordinate block,
@@ -83,14 +81,6 @@ impl FetchBuf {
         debug_assert_eq!(row.len(), self.dims);
         self.ids.push(id);
         self.coords.extend_from_slice(row);
-    }
-
-    /// Appends row `i` of another buffer.
-    #[inline]
-    pub(crate) fn append_from(&mut self, other: &FetchBuf, i: usize) {
-        debug_assert_eq!(other.dims, self.dims);
-        self.ids.push(other.ids[i]);
-        self.coords.extend_from_slice(other.row(i));
     }
 }
 
@@ -169,10 +159,6 @@ pub(crate) struct FetchUnit {
     pub pos_lo: u32,
     pub pos_hi: u32,
     pub kind: UnitKind,
-    /// Plan-time latency estimate, used to order coalesced execution.
-    pub est_ns: u64,
-    /// Position of this unit in the execution order.
-    pub exec_pos: u32,
 }
 
 /// Per-heap-slot dedup marks with epoch-based O(1) reset.
@@ -210,44 +196,8 @@ impl SeenSet {
     }
 }
 
-/// One lane's private staging state during multi-lane execution.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct LaneWorkspace {
-    /// Rows fetched by this lane, in this lane's execution order.
-    pub buf: FetchBuf,
-    /// `(unit, start, end)` spans into `buf`, one per executed unit.
-    pub segs: Vec<LaneSegment>,
-    /// Sum of this lane's unit stats.
-    pub stats: FetchStats,
-    /// Sequential latency total of this lane.
-    pub total: Duration,
-}
-
-/// Span of one unit's rows inside a lane buffer.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LaneSegment {
-    pub unit: u32,
-    pub start: u32,
-    pub end: u32,
-}
-
-impl LaneWorkspace {
-    fn reset(&mut self, dims: usize) {
-        self.buf.reset(dims);
-        self.segs.clear();
-        self.stats = FetchStats::default();
-        self.total = Duration::ZERO;
-    }
-
-    /// Records the span of rows a unit appended to this lane's buffer.
-    #[inline]
-    pub(crate) fn seg_mark(&mut self, unit: u32, start: u32, end: u32) {
-        self.segs.push(LaneSegment { unit, start, end });
-    }
-}
-
-/// Shared read-only view of the planning state, handed to execution
-/// lanes (all slices, so it is `Copy + Send + Sync`).
+/// Read-only view of the planning state, split off the scratch so units
+/// can read it while appending to the output buffer.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecView<'a> {
     pub probed: &'a [ProbedDim],
@@ -255,7 +205,6 @@ pub(crate) struct ExecView<'a> {
     pub region_stats: &'a [FetchStats],
     pub order: &'a [u32],
     pub units: &'a [FetchUnit],
-    pub exec_order: &'a [u32],
 }
 
 impl ExecView<'_> {
@@ -281,7 +230,7 @@ impl ExecView<'_> {
 /// the next fetch reuses the buffers.
 #[derive(Clone, Debug, Default)]
 pub struct FetchScratch {
-    /// Final merged output rows.
+    /// Output rows, in unit order.
     out: FetchBuf,
     /// Flat probe records, region-delimited via `RegionProbe`.
     probed: Vec<ProbedDim>,
@@ -291,15 +240,10 @@ pub struct FetchScratch {
     region_stats: Vec<FetchStats>,
     /// Region indices, grouped into units (`FetchUnit` spans).
     order: Vec<u32>,
-    /// Executable units.
+    /// Executable units, in execution order.
     units: Vec<FetchUnit>,
-    /// Unit indices in execution order.
-    exec_order: Vec<u32>,
-    /// Per-lane staging buffers.
-    lanes: Vec<LaneWorkspace>,
     /// Cross-unit row dedup marks (coalesced plans only).
     seen: SeenSet,
-    dims: usize,
 }
 
 impl FetchScratch {
@@ -321,8 +265,6 @@ impl FetchScratch {
         self.region_stats.clear();
         self.order.clear();
         self.units.clear();
-        self.exec_order.clear();
-        self.dims = dims;
     }
 
     /// Current length of the probe log (used to delimit a region's run).
@@ -350,36 +292,21 @@ impl FetchScratch {
         self.region_stats.push(stats);
     }
 
-    /// Number of executable units built for the current plan.
-    #[inline]
-    pub(crate) fn unit_count(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Groups the planned regions into executable units and fixes the
-    /// execution order. Returns the number of range queries saved by
-    /// coalescing (ready candidates minus ready units; `0` when
-    /// `coalesce` is off).
+    /// Groups the planned regions into executable units, in execution
+    /// order. Returns the number of range queries saved by coalescing
+    /// (ready candidates minus ready units; `0` when `coalesce` is off).
     ///
-    /// Non-coalescing plans get exactly one unit per region, executed in
-    /// region order — the legacy per-region semantics. Coalescing plans
-    /// group ready regions by chosen dimension, merge position ranges
-    /// that overlap or abut into one range query each, and execute units
-    /// cheapest-estimate-first (deterministic tie-break: first member
-    /// region index).
-    pub(crate) fn build_units(
-        &mut self,
-        coalesce: bool,
-        model: &CostModel,
-        slot_count: usize,
-    ) -> u64 {
+    /// Non-coalescing plans get exactly one unit per region, in region
+    /// order. Coalescing plans put the non-ready regions first (in region
+    /// order), then group ready regions by chosen dimension and merge
+    /// position ranges that overlap or abut into one range query each.
+    pub(crate) fn build_units(&mut self, coalesce: bool) -> u64 {
         self.units.clear();
-        self.exec_order.clear();
         self.order.clear();
         let n = self.regions.len();
         self.order.extend(0..n as u32);
 
-        let saved = if coalesce {
+        if coalesce {
             // Group ready regions: sort by (dim, pos_lo, pos_hi, idx) after
             // the non-ready ones (kept in region order), then merge
             // consecutive overlapping/abutting position ranges.
@@ -411,8 +338,6 @@ impl FetchScratch {
                             pos_lo: pr.pos_lo,
                             pos_hi: pr.pos_hi,
                             kind,
-                            est_ns: 0,
-                            exec_pos: 0,
                         });
                         k += 1;
                     }
@@ -443,8 +368,6 @@ impl FetchScratch {
                             pos_lo,
                             pos_hi,
                             kind: if members == 1 { UnitKind::Single } else { UnitKind::Merged },
-                            est_ns: 0,
-                            exec_pos: 0,
                         });
                     }
                 }
@@ -465,104 +388,16 @@ impl FetchScratch {
                     pos_lo: pr.pos_lo,
                     pos_hi: pr.pos_hi,
                     kind,
-                    est_ns: 0,
-                    exec_pos: 0,
                 });
             }
             0
-        };
-
-        // Plan-time latency estimates (for ordering only; accounting uses
-        // actual post-execution stats).
-        for unit in &mut self.units {
-            let mut est = FetchStats::default();
-            for &r in &self.order[unit.members_start as usize..unit.members_end as usize] {
-                est += self.region_stats[r as usize];
-            }
-            match unit.kind {
-                UnitKind::Degenerate | UnitKind::ProbedEmpty => {}
-                UnitKind::Scan => {
-                    est.range_queries_executed = 1;
-                    est.heap_fetches = slot_count as u64;
-                }
-                UnitKind::Single | UnitKind::Merged => {
-                    let span = (unit.pos_hi - unit.pos_lo) as u64;
-                    est.range_queries_executed = 1;
-                    est.heap_fetches = span;
-                    est.index_entries_scanned = span;
-                }
-            }
-            unit.est_ns = model.fetch_latency(&est).as_nanos() as u64;
         }
-
-        self.exec_order.extend(0..self.units.len() as u32);
-        if coalesce {
-            let units = &self.units;
-            let order = &self.order;
-            self.exec_order.sort_unstable_by_key(|&u| {
-                let unit = &units[u as usize];
-                (unit.est_ns, order[unit.members_start as usize])
-            });
-        }
-        for (p, &u) in self.exec_order.iter().enumerate() {
-            self.units[u as usize].exec_pos = p as u32;
-        }
-        saved
     }
 
-    /// Splits the workspace into a shared planning view plus `lanes`
-    /// reset lane workspaces for execution.
-    pub(crate) fn view_and_lanes(&mut self, lanes: usize) -> (ExecView<'_>, &mut [LaneWorkspace]) {
-        if self.lanes.len() < lanes {
-            self.lanes.resize_with(lanes, LaneWorkspace::default);
-        }
-        let dims = self.dims;
-        for ws in &mut self.lanes[..lanes] {
-            ws.reset(dims);
-        }
-        let FetchScratch {
-            probed, regions, region_stats, order, units, exec_order, lanes: lw, ..
-        } = self;
-        (ExecView { probed, regions, region_stats, order, units, exec_order }, &mut lw[..lanes])
-    }
-
-    /// Splits the workspace for the merge phase: planning view, output
-    /// buffer, the executed lane workspaces, and the dedup set.
-    pub(crate) fn merge_parts(
-        &mut self,
-        lanes: usize,
-    ) -> (ExecView<'_>, &mut FetchBuf, &[LaneWorkspace], &mut SeenSet) {
-        let FetchScratch {
-            out,
-            probed,
-            regions,
-            region_stats,
-            order,
-            units,
-            exec_order,
-            lanes: lw,
-            seen,
-            ..
-        } = self;
-        (
-            ExecView { probed, regions, region_stats, order, units, exec_order },
-            out,
-            &lw[..lanes],
-            seen,
-        )
-    }
-
-    /// The per-lane latency totals of the last execution, as an owned
-    /// list (one entry per active lane).
-    pub(crate) fn lane_latency_list(&self, lanes: usize) -> Vec<Duration> {
-        self.lanes[..lanes].iter().map(|ws| ws.total).collect()
-    }
-
-    /// Sequential latency total of one lane from the last execution
-    /// (allocation-free alternative to [`FetchScratch::lane_latency_list`]
-    /// for single-lane plans).
-    #[inline]
-    pub(crate) fn lane_total(&self, lane: usize) -> Duration {
-        self.lanes[lane].total
+    /// Splits the workspace for execution: planning view, output buffer
+    /// and the dedup set.
+    pub(crate) fn exec_parts(&mut self) -> (ExecView<'_>, &mut FetchBuf, &mut SeenSet) {
+        let FetchScratch { out, probed, regions, region_stats, order, units, seen } = self;
+        (ExecView { probed, regions, region_stats, order, units }, out, seen)
     }
 }

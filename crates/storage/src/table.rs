@@ -7,8 +7,8 @@ use crate::cost::{CostModel, FetchStats};
 use crate::error::StorageError;
 use crate::index::ColumnIndex;
 use crate::scratch::{
-    ExecView, FetchBuf, FetchScratch, FetchUnit, LaneWorkspace, ProbedDim, RegionProbe,
-    RegionState, UnitKind,
+    ExecView, FetchBuf, FetchScratch, FetchUnit, ProbedDim, RegionProbe, RegionState, SeenSet,
+    UnitKind,
 };
 use crate::Result;
 
@@ -40,17 +40,14 @@ impl Default for TableConfig {
 }
 
 /// Declarative description of one storage access: which regions to
-/// range-query, how many concurrent I/O lanes to use, and whether the
-/// planner may coalesce. Callers build a plan and hand it to
+/// range-query and whether the planner may coalesce. Callers build a plan
+/// and hand it to
 /// [`Table::fetch_plan_into`] (columnar scratch, the query hot path) or
 /// [`Table::fetch_plan`] (materialized rows).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
     pub regions: Vec<HyperRect>,
-    /// Concurrent I/O lanes; clamped to the number of executable units
-    /// at execution time, so `1` (the default) is fully sequential.
-    pub lanes: usize,
     /// Whether the planner may coalesce regions whose chosen-dimension
     /// index ranges overlap or abut into single range queries, and dedup
     /// row ids across regions. Off by default (exact per-region
@@ -59,9 +56,9 @@ pub struct FetchPlan {
 }
 
 impl FetchPlan {
-    /// A sequential plan over `regions`.
+    /// A non-coalescing plan over `regions`.
     pub fn new(regions: Vec<HyperRect>) -> Self {
-        FetchPlan { regions, lanes: 1, coalesce: false }
+        FetchPlan { regions, coalesce: false }
     }
 
     /// A plan fetching a single region.
@@ -83,12 +80,6 @@ impl FetchPlan {
         FetchPlan::new(regions).coalesced()
     }
 
-    /// Sets the lane count (builder style).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
     /// Enables planner coalescing (builder style): each heap row is
     /// fetched at most once even when it lies in several candidate
     /// ranges, and overlapping/abutting index ranges merge into one
@@ -97,13 +88,6 @@ impl FetchPlan {
     pub fn coalesced(mut self) -> Self {
         self.coalesce = true;
         self
-    }
-
-    /// The lane count [`Table::fetch_plan`] will actually use, before
-    /// coalescing (a coalescing plan may execute on fewer lanes when
-    /// regions merge into fewer units).
-    pub fn resolved_lanes(&self) -> usize {
-        self.lanes.clamp(1, self.regions.len().max(1))
     }
 }
 
@@ -116,64 +100,42 @@ pub struct FetchResult {
     pub stats: FetchStats,
     /// Simulated latency under the table's [`CostModel`].
     pub simulated_latency: Duration,
-    /// Per-lane simulated latency totals when the plan ran on more than
-    /// one lane; empty for sequential plans. Left untouched by
-    /// [`FetchResult::absorb`] (lane accounting does not compose across
-    /// separate fetches).
-    pub lane_latencies: Vec<Duration>,
 }
 
 impl FetchResult {
-    /// Folds another fetch into this one (rows, counters and latency;
-    /// `lane_latencies` is deliberately not merged).
-    pub fn absorb(&mut self, other: FetchResult) {
-        self.rows.extend(other.rows);
-        self.stats.merge(&other.stats);
-        self.simulated_latency += other.simulated_latency;
-    }
-
     /// Publishes this result into a [`Recorder`] under the canonical
-    /// `fetch.*` / `lanes.*` metric names — the single place the storage
+    /// `fetch.*` metric names — the single place the storage
     /// layer talks to observability, so call sites no longer hand-sum
     /// [`FetchStats`] fields. Heap-page accounting is derived separately
     /// (see [`Table::pages_touched_ids`]) because it needs the table's
     /// page geometry.
     pub fn record_into(&self, rec: &mut dyn Recorder) {
-        record_fetch(&self.stats, self.simulated_latency, &self.lane_latencies, rec);
+        record_fetch(&self.stats, self.simulated_latency, rec);
     }
 }
 
 /// Result of [`Table::fetch_plan_into`]: accounting only. The fetched
 /// rows stay inside the caller's [`FetchScratch`] as a borrowed columnar
 /// view ([`FetchScratch::rows`]) — `Point`s are materialized only when a
-/// caller crosses the public-API boundary (see [`Table::fetch_with`]).
-#[derive(Clone, Debug, Default)]
+/// caller crosses the public-API boundary (see [`Table::fetch_plan`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FetchOutcome {
     /// I/O counters for the fetch (deduped work for coalescing plans).
     pub stats: FetchStats,
     /// Simulated latency under the table's [`CostModel`].
     pub simulated_latency: Duration,
-    /// Per-lane simulated latency totals when the plan executed on more
-    /// than one lane; empty for sequential plans.
-    pub lane_latencies: Vec<Duration>,
 }
 
 impl FetchOutcome {
     /// Publishes this outcome into a [`Recorder`]; see
     /// [`FetchResult::record_into`].
     pub fn record_into(&self, rec: &mut dyn Recorder) {
-        record_fetch(&self.stats, self.simulated_latency, &self.lane_latencies, rec);
+        record_fetch(&self.stats, self.simulated_latency, rec);
     }
 }
 
-/// Shared `fetch.*` / `lanes.*` publication for [`FetchResult`] and
-/// [`FetchOutcome`].
-fn record_fetch(
-    stats: &FetchStats,
-    simulated_latency: Duration,
-    lane_latencies: &[Duration],
-    rec: &mut dyn Recorder,
-) {
+/// Shared `fetch.*` publication for [`FetchResult`] and [`FetchOutcome`].
+fn record_fetch(stats: &FetchStats, simulated_latency: Duration, rec: &mut dyn Recorder) {
     rec.add_counter(names::FETCH_REGIONS, stats.range_queries_issued);
     rec.add_counter(names::FETCH_RQ_EXECUTED, stats.range_queries_executed);
     rec.add_counter(names::FETCH_RQ_EMPTY, stats.range_queries_empty);
@@ -186,20 +148,6 @@ fn record_fetch(
         rec.add_counter(names::FETCH_REGIONS_COALESCED, stats.regions_coalesced);
     }
     rec.observe_value(names::FETCH_LATENCY_NS, simulated_latency.as_nanos() as f64);
-    if !lane_latencies.is_empty() {
-        let lanes = lane_latencies.len() as f64;
-        let mut sum = 0.0;
-        let mut slowest = 0.0f64;
-        for lane in lane_latencies {
-            let ns = lane.as_nanos() as f64;
-            rec.observe_value(names::LANES_FETCH_LATENCY_NS, ns);
-            sum += ns;
-            slowest = slowest.max(ns);
-        }
-        rec.set_gauge(names::LANES_FETCH, lanes);
-        let imbalance = if sum > 0.0 { slowest / (sum / lanes) } else { 1.0 };
-        rec.set_gauge(names::LANES_FETCH_IMBALANCE, imbalance);
-    }
 }
 
 /// A read-only table of points: paged heap plus one [`ColumnIndex`] per
@@ -403,22 +351,13 @@ impl Table {
         row as usize / self.config.page_capacity
     }
 
-    /// Executes a [`FetchPlan`] with owned-row materialization — the
-    /// compatibility entry point. Equivalent to [`Table::fetch_with`]
-    /// over a throwaway scratch; hot callers should hold a
-    /// [`FetchScratch`] and use [`Table::fetch_plan_into`] instead.
+    /// Executes a [`FetchPlan`], materializing owned [`Row`]s from a
+    /// throwaway scratch. This is the public-API boundary where `Point`
+    /// allocation is allowed; hot callers hold a [`FetchScratch`] and use
+    /// [`Table::fetch_plan_into`] instead.
     pub fn fetch_plan(&self, plan: &FetchPlan) -> FetchResult {
         let mut scratch = FetchScratch::new();
-        self.fetch_with(plan, &mut scratch)
-    }
-
-    /// Executes a [`FetchPlan`] via a reusable scratch, materializing
-    /// owned [`Row`]s from the block buffer at the end. This is the
-    /// public-API boundary where `Point` allocation is allowed; the
-    /// fetch itself runs allocation-free through
-    /// [`Table::fetch_plan_into`].
-    pub fn fetch_with(&self, plan: &FetchPlan, scratch: &mut FetchScratch) -> FetchResult {
-        let outcome = self.fetch_plan_into(plan, scratch);
+        let outcome = self.fetch_plan_into(plan, &mut scratch);
         let buf = scratch.rows();
         let rows: Vec<Row> = buf
             .ids()
@@ -426,12 +365,7 @@ impl Table {
             .enumerate()
             .map(|(i, &id)| Row { id, point: Point::new_unchecked(buf.row(i).to_vec()) })
             .collect();
-        FetchResult {
-            rows,
-            stats: outcome.stats,
-            simulated_latency: outcome.simulated_latency,
-            lane_latencies: outcome.lane_latencies,
-        }
+        FetchResult { rows, stats: outcome.stats, simulated_latency: outcome.simulated_latency }
     }
 
     /// Executes a [`FetchPlan`] into a caller-provided [`FetchScratch`]
@@ -449,29 +383,21 @@ impl Table {
     ///    dimension's index position range.
     /// 2. **Coalesce** (when [`FetchPlan::coalesce`] is set): regions
     ///    whose chosen-dimension position ranges overlap or abut merge
-    ///    into one range query each; units execute
-    ///    cheapest-estimate-first and each heap row is emitted at most
-    ///    once across the whole plan. Without coalescing, one unit per
-    ///    region executes in region order with exact per-region
-    ///    semantics (duplicates across overlapping regions preserved).
-    /// 3. **Execute**: units are dealt round-robin onto
-    ///    `min(plan.lanes, units)` lanes (scoped threads when more than
-    ///    one — small plans never spawn idle threads). Rows and every
-    ///    [`FetchStats`] counter are **identical** regardless of the
-    ///    lane count: lane buffers merge in unit order, counters
-    ///    describe work done, which parallelism does not change. With
-    ///    one lane `simulated_latency` is the sum over units; with `n`
-    ///    lanes the plan is charged the slowest lane via
-    ///    [`CostModel::critical_path_latency`] and per-lane totals are
-    ///    exposed in [`FetchOutcome::lane_latencies`].
+    ///    into one range query each. Without coalescing there is one
+    ///    unit per region, in region order.
+    /// 3. **Execute**: units run in unit order, appending straight into
+    ///    the output buffer. A coalescing plan emits each heap row at
+    ///    most once across the whole plan; a non-coalescing plan keeps
+    ///    exact per-region semantics (duplicates across overlapping
+    ///    regions preserved).
     ///
     /// Accounting contract: `range_queries_issued` counts plan regions,
     /// `range_queries_executed` counts range queries actually run after
     /// coalescing, their difference for non-empty regions is
-    /// `regions_coalesced`, and `points_read` / `rows_matched` count the
-    /// **deduped** emitted rows.
+    /// `regions_coalesced`, `points_read` / `rows_matched` count the
+    /// **deduped** emitted rows, and `simulated_latency` is the
+    /// [`CostModel`] charge for the summed unit stats.
     pub fn fetch_plan_into(&self, plan: &FetchPlan, scratch: &mut FetchScratch) -> FetchOutcome {
-        let mut outcome = FetchOutcome::default();
         scratch.begin(self.dims);
 
         // Phase 1: plan every region (index probes only).
@@ -480,56 +406,25 @@ impl Table {
         }
 
         // Phase 2: group regions into executable units.
-        let saved = scratch.build_units(plan.coalesce, &self.config.cost_model, self.points.len());
+        let saved = scratch.build_units(plan.coalesce);
 
-        // Phase 3: execute the units over the lanes.
-        let lanes = plan.lanes.clamp(1, scratch.unit_count().max(1));
-        let (view, lane_ws) = scratch.view_and_lanes(lanes);
-        if let [ws] = lane_ws {
-            self.run_lane(&plan.regions, view, 0, 1, ws);
-        } else {
-            std::thread::scope(|s| {
-                for (lane, ws) in lane_ws.iter_mut().enumerate() {
-                    s.spawn(move || self.run_lane(&plan.regions, view, lane, lanes, ws));
-                }
-            });
-        }
-
-        // Phase 4: merge lane buffers in unit order, dedup across units
-        // when coalescing. A unit at execution position p ran as the
-        // (p / lanes)-th segment of lane (p % lanes).
-        let (view, out, lane_done, seen) = scratch.merge_parts(lanes);
-        if plan.coalesce {
+        // Phase 3: execute the units in order.
+        let (view, out, seen) = scratch.exec_parts();
+        let mut seen = if plan.coalesce {
             seen.begin_pass(self.points.len());
-        }
-        for (u, unit) in view.units.iter().enumerate() {
-            let exec_pos = unit.exec_pos as usize;
-            let ws = &lane_done[exec_pos % lanes];
-            let seg = ws.segs[exec_pos / lanes];
-            debug_assert_eq!(seg.unit as usize, u);
-            for i in seg.start as usize..seg.end as usize {
-                if plan.coalesce && !seen.mark(ws.buf.ids()[i]) {
-                    continue;
-                }
-                out.append_from(&ws.buf, i);
-            }
-        }
-        for ws in lane_done {
-            outcome.stats += ws.stats;
-        }
-        outcome.stats.rows_matched = out.len() as u64;
-        outcome.stats.points_read = outcome.stats.rows_matched;
-        outcome.stats.regions_coalesced = saved;
-
-        if lanes > 1 {
-            let lane_latencies = scratch.lane_latency_list(lanes);
-            outcome.simulated_latency =
-                self.config.cost_model.critical_path_latency(&lane_latencies);
-            outcome.lane_latencies = lane_latencies;
+            Some(seen)
         } else {
-            outcome.simulated_latency = scratch.lane_total(0);
+            None
+        };
+        let mut stats = FetchStats::default();
+        for unit in view.units {
+            stats += self.run_unit(&plan.regions, view, unit, out, seen.as_deref_mut());
         }
-        outcome
+        let simulated_latency = self.config.cost_model.fetch_latency(&stats);
+        stats.rows_matched = out.len() as u64;
+        stats.points_read = stats.rows_matched;
+        stats.regions_coalesced = saved;
+        FetchOutcome { stats, simulated_latency }
     }
 
     /// Plans one region: index probes, emptiness detection and chosen
@@ -600,34 +495,11 @@ impl Table {
         scratch.note_region(probe, stats);
     }
 
-    /// Executes the units dealt to one lane (execution positions
-    /// `lane, lane + lanes, …`), staging rows and accounting in the
-    /// lane's private workspace.
-    fn run_lane(
-        &self,
-        regions: &[HyperRect],
-        view: ExecView<'_>,
-        lane: usize,
-        lanes: usize,
-        ws: &mut LaneWorkspace,
-    ) {
-        let mut pos = lane;
-        while pos < view.exec_order.len() {
-            let u = view.exec_order[pos];
-            let unit = view.units[u as usize];
-            let start = ws.buf.len() as u32;
-            let stats = self.run_unit(regions, view, &unit, &mut ws.buf);
-            ws.seg_mark(u, start, ws.buf.len() as u32);
-            ws.total += self.config.cost_model.fetch_latency(&stats);
-            ws.stats += stats;
-            pos += lanes;
-        }
-    }
-
-    /// Executes one unit, appending matching rows to `buf` and returning
-    /// the unit's stats (planning stats of its member regions plus the
-    /// heap work; `points_read` / `rows_matched` are set globally at
-    /// merge time from the deduped emitted rows).
+    /// Executes one unit, appending matching rows to `out` — skipping
+    /// rows an earlier unit already emitted when `seen` is given — and
+    /// returning the unit's stats (planning stats of its member regions
+    /// plus the heap work, which dedup does not reduce; `points_read` /
+    /// `rows_matched` are set by the caller from the emitted rows).
     ///
     /// Indexed single-region units choose between a **single-index
     /// scan** (fetch the chosen dimension's candidates from the heap,
@@ -644,13 +516,23 @@ impl Table {
         regions: &[HyperRect],
         view: ExecView<'_>,
         unit: &FetchUnit,
-        buf: &mut FetchBuf,
+        out: &mut FetchBuf,
+        mut seen: Option<&mut SeenSet>,
     ) -> FetchStats {
         let members = view.members_of(unit);
         let mut stats = FetchStats::default();
         for &r in members {
             stats += view.region_stats[r as usize];
         }
+        let mut emit = |row: RowId, coords: &[f64]| {
+            let first_sighting = match seen.as_deref_mut() {
+                Some(seen) => seen.mark(row),
+                None => true,
+            };
+            if first_sighting {
+                out.append(row, coords);
+            }
+        };
         match unit.kind {
             UnitKind::Degenerate | UnitKind::ProbedEmpty => stats,
             UnitKind::Scan => {
@@ -660,7 +542,7 @@ impl Table {
                 stats.heap_fetches += self.points.len() as u64;
                 for (row, point) in self.points.iter().enumerate() {
                     if self.live[row] {
-                        buf.append(row as RowId, point.coords());
+                        emit(row as RowId, point.coords());
                     }
                 }
                 stats
@@ -682,14 +564,15 @@ impl Table {
                 // dimension are scanned and filtered; the plans differ in
                 // what touches the *heap*, i.e. in the accounting.
                 stats.range_queries_executed += 1;
-                let before = buf.len();
+                let mut matched = 0u64;
                 let kernel = Kernel::for_dims(self.dims);
                 for &row in self.indexes[unit.dim as usize]
                     .rows_at(unit.pos_lo as usize, unit.pos_hi as usize)
                 {
                     let coords = self.points[row as usize].coords();
                     if region.contains_coords_k(kernel, coords) {
-                        buf.append(row, coords);
+                        matched += 1;
+                        emit(row, coords);
                     }
                 }
                 if use_bitmap {
@@ -697,7 +580,7 @@ impl Table {
                     // (cheap, index-only); only intersecting rows hit the
                     // heap.
                     stats.index_entries_scanned += entries as u64;
-                    stats.heap_fetches += (buf.len() - before) as u64;
+                    stats.heap_fetches += matched;
                 } else {
                     // Single-index scan: every candidate tuple of the most
                     // selective dimension is fetched and post-filtered.
@@ -738,7 +621,7 @@ impl Table {
                         pos < view.regions[r as usize].pos_hi
                             && regions[r as usize].contains_coords_k(kernel, coords)
                     }) {
-                        buf.append(row, coords);
+                        emit(row, coords);
                     }
                 }
                 stats
@@ -891,84 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_exactly() {
-        let t = table();
-        let regions: Vec<HyperRect> = [
-            [(0.0, 2.0), (0.0, 2.0)],
-            [(7.0, 9.0), (7.0, 9.0)],
-            [(3.0, 4.0), (5.0, 6.0)],
-            [(20.0, 30.0), (0.0, 9.0)], // empty
-            [(5.0, 5.0), (0.0, 9.0)],
-        ]
-        .iter()
-        .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-        .collect();
-        let seq = t.fetch_plan(&FetchPlan::new(regions.clone()));
-        for lanes in [1, 2, 3, 8] {
-            let par = t.fetch_plan(&FetchPlan::new(regions.clone()).with_lanes(lanes));
-            assert_eq!(par.rows, seq.rows, "{lanes} lanes: row mismatch");
-            assert_eq!(par.stats, seq.stats, "{lanes} lanes: stats mismatch");
-        }
-    }
-
-    #[test]
-    fn parallel_batch_charges_slowest_lane() {
-        let t = table();
-        let regions: Vec<HyperRect> =
-            [[(0.0, 2.0), (0.0, 2.0)], [(7.0, 9.0), (7.0, 9.0)], [(3.0, 4.0), (5.0, 6.0)]]
-                .iter()
-                .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-                .collect();
-        let singles: Vec<Duration> =
-            regions.iter().map(|r| fetch_one(&t, r).simulated_latency).collect();
-
-        // 3 lanes, 3 regions: each lane runs one query, so the batch
-        // costs exactly the most expensive single query.
-        let par = t.fetch_plan(&FetchPlan::new(regions.clone()).with_lanes(3));
-        assert_eq!(par.simulated_latency, singles.iter().copied().max().unwrap());
-        assert!(
-            par.simulated_latency
-                < t.fetch_plan(&FetchPlan::new(regions.clone())).simulated_latency
-        );
-
-        // 2 lanes, round-robin: lane 0 gets regions 0 and 2, lane 1 gets
-        // region 1.
-        let par2 = t.fetch_plan(&FetchPlan::new(regions.clone()).with_lanes(2));
-        assert_eq!(par2.simulated_latency, (singles[0] + singles[2]).max(singles[1]));
-
-        // 1 lane degenerates to the sequential sum.
-        let par1 = t.fetch_plan(&FetchPlan::new(regions.clone()).with_lanes(1));
-        assert_eq!(
-            par1.simulated_latency,
-            t.fetch_plan(&FetchPlan::new(regions.clone())).simulated_latency
-        );
-    }
-
-    #[test]
-    fn lane_latencies_expose_per_lane_totals() {
-        let t = table();
-        let regions: Vec<HyperRect> =
-            [[(0.0, 2.0), (0.0, 2.0)], [(7.0, 9.0), (7.0, 9.0)], [(3.0, 4.0), (5.0, 6.0)]]
-                .iter()
-                .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-                .collect();
-        let singles: Vec<Duration> =
-            regions.iter().map(|r| fetch_one(&t, r).simulated_latency).collect();
-
-        // Round-robin: 3 lanes ↔ one region each; 2 lanes ↔ {0, 2} and {1}.
-        let par3 = t.fetch_plan(&FetchPlan::new(regions.clone()).with_lanes(3));
-        assert_eq!(par3.lane_latencies, singles);
-        let par2 = t.fetch_plan(&FetchPlan::new(regions.clone()).with_lanes(2));
-        assert_eq!(par2.lane_latencies, vec![singles[0] + singles[2], singles[1]]);
-        // Sequential plans report no lanes, and absorb never merges them.
-        let seq = t.fetch_plan(&FetchPlan::new(regions.clone()));
-        assert!(seq.lane_latencies.is_empty());
-        let mut folded = par3.clone();
-        folded.absorb(seq);
-        assert_eq!(folded.lane_latencies, singles);
-    }
-
-    #[test]
     fn record_into_publishes_canonical_metrics() {
         let t = table();
         let regions: Vec<HyperRect> = [
@@ -979,7 +784,7 @@ mod tests {
         .iter()
         .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
         .collect();
-        let res = t.fetch_plan(&FetchPlan::new(regions).with_lanes(3));
+        let res = t.fetch_plan(&FetchPlan::new(regions));
 
         let mut rec = skycache_obs::QueryRecorder::new();
         res.record_into(&mut rec);
@@ -990,10 +795,6 @@ mod tests {
         assert_eq!(report.counter(names::FETCH_POINTS_READ), res.stats.points_read);
         assert_eq!(report.counter(names::FETCH_HEAP_FETCHES), res.stats.heap_fetches);
         assert_eq!(report.counter(names::FETCH_INDEX_PROBES), res.stats.index_probes);
-        assert_eq!(report.gauge(names::LANES_FETCH), Some(3.0));
-        assert!(report.gauge(names::LANES_FETCH_IMBALANCE).unwrap() >= 1.0);
-        let lanes_hist = report.registry().histogram(names::LANES_FETCH_LATENCY_NS).unwrap();
-        assert_eq!(lanes_hist.count(), 3);
         let fetch_hist = report.registry().histogram(names::FETCH_LATENCY_NS).unwrap();
         assert_eq!(fetch_hist.count(), 1);
         assert_eq!(fetch_hist.sum(), res.simulated_latency.as_nanos() as f64);
@@ -1022,30 +823,16 @@ mod tests {
         let c = Constraints::from_pairs(&[(1.0, 2.0), (1.0, 2.0)]).unwrap();
         let plan = FetchPlan::constrained(&c);
         assert_eq!(plan.regions, vec![c.region()]);
-        assert_eq!(plan.lanes, 1);
-        assert_eq!(plan.resolved_lanes(), 1);
-        // Lanes clamp to the region count (and to 1 from below).
-        assert_eq!(FetchPlan::single(c.region()).with_lanes(16).resolved_lanes(), 1);
-        assert_eq!(FetchPlan::new(vec![]).with_lanes(4).resolved_lanes(), 1);
-        let two = FetchPlan::new(vec![c.region(), c.region()]).with_lanes(0);
-        assert_eq!(two.resolved_lanes(), 1);
-        assert_eq!(two.with_lanes(8).resolved_lanes(), 2);
+        assert!(!plan.coalesce);
+        assert!(FetchPlan::remainder(vec![c.region()]).coalesce);
     }
 
     #[test]
-    fn parallel_batch_handles_degenerate_inputs() {
-        let t = table();
-        // Empty region list.
-        let none = t.fetch_plan(&FetchPlan::new(vec![]).with_lanes(4));
+    fn empty_plan_fetches_nothing() {
+        let none = table().fetch_plan(&FetchPlan::new(vec![]));
         assert!(none.rows.is_empty());
         assert_eq!(none.stats, FetchStats::default());
-        // More lanes than regions is clamped.
-        let r = Constraints::from_pairs(&[(1.0, 2.0), (1.0, 2.0)]).unwrap().region();
-        let one = t.fetch_plan(&FetchPlan::single(r.clone()).with_lanes(16));
-        assert_eq!(one.rows, fetch_one(&t, &r).rows);
-        // Zero lanes behaves as one.
-        let zero = t.fetch_plan(&FetchPlan::single(r.clone()).with_lanes(0));
-        assert_eq!(zero.stats, one.stats);
+        assert_eq!(none.simulated_latency, Duration::ZERO);
     }
 
     #[test]
@@ -1183,58 +970,10 @@ mod tests {
         assert_eq!(res.rows.len(), 40);
     }
 
-    /// A coalesced plan executes on at most as many lanes as it has
-    /// units: merging three regions into one unit makes the fetch
-    /// sequential no matter how many lanes the plan requested.
-    #[test]
-    fn lanes_clamp_to_executable_units() {
-        let t = table();
-        let merged: Vec<HyperRect> =
-            [[(0.0, 2.0), (0.0, 9.0)], [(2.0, 4.0), (0.0, 9.0)], [(3.0, 5.0), (0.0, 9.0)]]
-                .iter()
-                .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-                .collect();
-        let res = t.fetch_plan(&FetchPlan::new(merged).coalesced().with_lanes(3));
-        assert!(res.lane_latencies.is_empty(), "single merged unit runs sequentially");
-        assert!(res.simulated_latency > Duration::ZERO);
-
-        let two_units: Vec<HyperRect> = [[(0.0, 1.0), (0.0, 9.0)], [(5.0, 6.0), (0.0, 9.0)]]
-            .iter()
-            .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-            .collect();
-        let res = t.fetch_plan(&FetchPlan::new(two_units).coalesced().with_lanes(8));
-        assert_eq!(res.lane_latencies.len(), 2, "lanes clamp to the two units");
-        assert!(res.lane_latencies.iter().all(|&d| d > Duration::ZERO));
-    }
-
-    /// Coalesced plans are lane-invariant: rows (order included) and all
-    /// counters match the sequential execution for any lane count.
-    #[test]
-    fn coalesced_plan_matches_across_lane_counts() {
-        let t = table();
-        let regions: Vec<HyperRect> = [
-            [(0.0, 2.0), (0.0, 9.0)],
-            [(2.0, 4.0), (0.0, 9.0)],   // overlaps the first
-            [(20.0, 30.0), (0.0, 9.0)], // empty
-            [(7.0, 9.0), (0.0, 9.0)],
-            [(3.0, 4.0), (5.0, 6.0)], // bitmap-eligible, overlaps second
-        ]
-        .iter()
-        .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-        .collect();
-        let seq = t.fetch_plan(&FetchPlan::new(regions.clone()).coalesced());
-        assert!(seq.stats.regions_coalesced > 0, "plan must actually coalesce");
-        for lanes in [2, 3, 8] {
-            let par = t.fetch_plan(&FetchPlan::new(regions.clone()).coalesced().with_lanes(lanes));
-            assert_eq!(par.rows, seq.rows, "{lanes} lanes: row mismatch");
-            assert_eq!(par.stats, seq.stats, "{lanes} lanes: stats mismatch");
-        }
-    }
-
     /// The zero-copy entry point leaves the rows in the caller's scratch;
-    /// materializing them via fetch_with yields the same result.
+    /// materializing them via fetch_plan yields the same result.
     #[test]
-    fn fetch_plan_into_matches_fetch_with() {
+    fn fetch_plan_into_matches_fetch_plan() {
         let t = table();
         let plan = FetchPlan::new(vec![
             Constraints::from_pairs(&[(2.0, 4.0), (3.0, 5.0)]).unwrap().region(),

@@ -4,14 +4,14 @@
 //!
 //! 1. **Recording is invisible.** Running the same query sequence with
 //!    per-query recording on and off produces identical skylines and
-//!    identical deterministic statistics, across both execution modes
-//!    and the cache search strategies the paper evaluates.
+//!    identical deterministic statistics, across the cache search
+//!    strategies the paper evaluates.
 //! 2. **The report format is frozen.** `skyobs-report/1` JSON is pinned
 //!    byte-for-byte by a golden file; any change to the rendering is a
 //!    schema change and must bump the version tag.
 
 use skycache::core::{
-    CbcsConfig, CbcsExecutor, ExecMode, Executor, QueryRequest, QueryStats, SearchStrategy,
+    CbcsConfig, CbcsExecutor, Executor, QueryRequest, QueryStats, SearchStrategy,
 };
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::geom::{Constraints, Point};
@@ -64,46 +64,40 @@ fn deterministic(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
 fn recording_is_invisible_across_modes_and_strategies() {
     let table = table_for(3, 3_000, 101);
     let queries = interactive(&table, 40, 103);
-    let parallel = ExecMode::Parallel { lanes: 4, dc_threshold: 16 };
 
-    for exec in [ExecMode::Sequential, parallel] {
-        for strategy in [
-            SearchStrategy::MaxOverlapSP,
-            SearchStrategy::Prioritized1D,
-            SearchStrategy::prioritized_nd_std(),
-        ] {
-            let config = CbcsConfig { strategy: strategy.clone(), exec, ..Default::default() };
-            let mut plain = CbcsExecutor::new(&table, config.clone());
-            let mut recorded = CbcsExecutor::new(&table, config);
-            for (i, c) in queries.iter().enumerate() {
-                let off = plain.execute(&QueryRequest::new(c.clone())).unwrap();
-                let on = recorded.execute(&QueryRequest::new(c.clone()).recorded()).unwrap();
-                assert!(off.report.is_none(), "unrecorded request produced a report");
-                let report = on.report.expect("recorded request yields a report");
+    for strategy in [
+        SearchStrategy::MaxOverlapSP,
+        SearchStrategy::Prioritized1D,
+        SearchStrategy::prioritized_nd_std(),
+    ] {
+        let config = CbcsConfig { strategy: strategy.clone(), ..Default::default() };
+        let mut plain = CbcsExecutor::new(&table, config.clone());
+        let mut recorded = CbcsExecutor::new(&table, config);
+        for (i, c) in queries.iter().enumerate() {
+            let off = plain.execute(&QueryRequest::new(c.clone())).unwrap();
+            let on = recorded.execute(&QueryRequest::new(c.clone()).recorded()).unwrap();
+            assert!(off.report.is_none(), "unrecorded request produced a report");
+            let report = on.report.expect("recorded request yields a report");
 
-                assert_eq!(
-                    sorted(off.skyline),
-                    sorted(on.skyline),
-                    "{exec:?}/{strategy:?}: query {i} skyline diverged under recording"
-                );
-                assert_eq!(
-                    deterministic(&off.stats),
-                    deterministic(&on.stats),
-                    "{exec:?}/{strategy:?}: query {i} stats diverged under recording"
-                );
+            assert_eq!(
+                sorted(off.skyline),
+                sorted(on.skyline),
+                "{strategy:?}: query {i} skyline diverged under recording"
+            );
+            assert_eq!(
+                deterministic(&off.stats),
+                deterministic(&on.stats),
+                "{strategy:?}: query {i} stats diverged under recording"
+            );
 
-                // The report's canonical counters mirror the legacy stats.
-                assert_eq!(report.counter(names::FETCH_POINTS_READ), on.stats.points_read);
-                assert_eq!(
-                    report.counter(names::SKYLINE_DOMINANCE_TESTS),
-                    on.stats.dominance_tests
-                );
-                assert_eq!(
-                    report.counter(names::CACHE_HITS) == 1,
-                    on.stats.cache_hit,
-                    "{exec:?}/{strategy:?}: query {i} hit flag mismatch"
-                );
-            }
+            // The report's canonical counters mirror the legacy stats.
+            assert_eq!(report.counter(names::FETCH_POINTS_READ), on.stats.points_read);
+            assert_eq!(report.counter(names::SKYLINE_DOMINANCE_TESTS), on.stats.dominance_tests);
+            assert_eq!(
+                report.counter(names::CACHE_HITS) == 1,
+                on.stats.cache_hit,
+                "{strategy:?}: query {i} hit flag mismatch"
+            );
         }
     }
 }
@@ -129,12 +123,11 @@ fn report_json_matches_golden_file() {
     rec.add_counter(names::FETCH_POINTS_READ, 420);
     rec.add_counter(names::SKYLINE_DOMINANCE_TESTS, 1_337);
     rec.add_counter(names::SKYLINE_RESULT_SIZE, 17);
-    rec.set_gauge(names::LANES_FETCH, 4.0);
-    rec.set_gauge(names::LANES_FETCH_IMBALANCE, 1.25);
+    rec.set_gauge(names::ALLOC_PER_QUERY, 255.0);
+    rec.set_gauge(names::CACHE_COVER_FRACTION, 0.75);
     rec.observe_value(names::FETCH_LATENCY_NS, 1_000.0);
     rec.observe_value(names::FETCH_LATENCY_NS, 3_000.0);
     rec.observe_value(names::FETCH_LATENCY_NS, 2_000.0);
-    rec.observe_value(names::LANES_FETCH_LATENCY_NS, 1_500.0);
 
     let got = rec.into_report().to_json();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/skyobs_report.json");
