@@ -10,7 +10,7 @@
 //! entry that survives both checks when popped is a skyline point, which
 //! makes the traversal I/O-optimal.
 
-use skycache_geom::{Aabb, Constraints, Kernel, Point};
+use skycache_geom::{dominates_rows, Aabb, Constraints, Point};
 use skycache_rtree::{BestFirst, Popped, RStarTree};
 
 /// Work counters of one BBS run.
@@ -85,10 +85,9 @@ pub fn bbs_constrained<T>(tree: &RStarTree<T>, c: &Constraints) -> BbsOutput {
 /// point of the box).
 fn corner_dominated(mbr: &Aabb, skyline: &[Point], stats: &mut BbsStats) -> bool {
     let corner = mbr.lo();
-    let kernel = Kernel::for_dims(corner.len());
     for s in skyline {
         stats.dominance_tests += 1;
-        if kernel.dominates(s.coords(), corner) {
+        if dominates_rows(s.coords(), corner) {
             return true;
         }
     }

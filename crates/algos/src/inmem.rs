@@ -5,7 +5,9 @@
 //! does no per-point allocation and no pointer chasing.
 
 use skycache_geom::dominance::DomRelation;
-use skycache_geom::{dominates, retain_nondominated, Kernel, Point, PointBlock};
+use skycache_geom::{
+    compare_rows, dominates, dominates_rows, retain_nondominated, Point, PointBlock,
+};
 
 use crate::planar::{planar_applicable, planar_skyline_into};
 
@@ -86,13 +88,12 @@ impl SkylineAlgorithm for Bnl {
         };
         // skylint: allow(no-panic-paths) — input.dims() >= 1 by PointBlock construction.
         let mut window = PointBlock::new(input.dims()).expect("dims > 0");
-        let kernel = Kernel::for_dims(input.dims());
         let mut tests = 0u64;
         'next_point: for row in input.rows() {
             let mut i = 0;
             while i < window.len() {
                 tests += 1;
-                match kernel.compare(window.row(i), row) {
+                match compare_rows(window.row(i), row) {
                     DomRelation::Dominates => continue 'next_point,
                     DomRelation::DominatedBy => {
                         window.swap_remove(i);
@@ -135,8 +136,8 @@ impl Sfs {
 
     /// The classic sum-sorted filter: sorts row indices by coordinate
     /// sum and filters each row, in score order, against the growing
-    /// skyline block under the active [`Kernel`] generation.
-    /// Allocation-free once `scratch` and `out` have warmed up.
+    /// skyline block. Allocation-free once `scratch` and `out` have
+    /// warmed up.
     ///
     /// The index sort is *stable*, so rows with equal sums keep their
     /// input order — exactly what the `Vec<Point>` sort in
@@ -165,14 +166,13 @@ impl Sfs {
             scratch.order.push((sum, i as u32));
         }
         scratch.order.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let kernel = Kernel::for_dims(dims);
         let mut tests = 0u64;
         for &(_, i) in &scratch.order {
             let row = &rows[i as usize * dims..(i as usize + 1) * dims];
             let mut dominated = false;
             for s in out.rows() {
                 tests += 1;
-                if kernel.dominates(s, row) {
+                if dominates_rows(s, row) {
                     dominated = true;
                     break;
                 }
@@ -257,18 +257,16 @@ fn dc(mut points: Vec<Point>, depth: usize, tests: &mut u64) -> Vec<Point> {
 }
 
 /// Skyline of `points` by one [`retain_nondominated`] pass of the rows
-/// against themselves, under the kernel generation selected for the
-/// block's dimensionality. This is the
-/// D&C leaf/merge kernel: inputs here are small (≤ [`DC_CUTOFF`] at the
-/// leaves, unions of two partial skylines at the merges), so the flat
-/// block pass beats BNL's window churn despite doing the full O(k²) scan.
+/// against themselves. This is the D&C leaf/merge kernel: inputs here
+/// are small (≤ [`DC_CUTOFF`] at the leaves, unions of two partial
+/// skylines at the merges), so the flat block pass beats BNL's window
+/// churn despite doing the full O(k²) scan.
 fn block_cross_filter(points: &[Point], tests: &mut u64) -> Vec<Point> {
     let Ok(mut candidates) = PointBlock::from_points(points) else {
         return Vec::new();
     };
     let window = candidates.clone();
-    let kernel = Kernel::for_dims(window.dims());
-    let stats = retain_nondominated(&mut candidates, &window, kernel);
+    let stats = retain_nondominated(&mut candidates, &window);
     *tests += stats.dominance_tests;
     candidates.to_points()
 }

@@ -2,11 +2,10 @@
 //! protocol under the skycheck model checker (DESIGN.md §15).
 //!
 //! Runs the three load-bearing invariants of `core::shared`'s
-//! read → compute → write protocol, the two service-layer protocols
-//! (singleflight coalescing and epoch publication, DESIGN.md §16) and
-//! the kernel-pin publication harness, each explored to exhaustion at
-//! preemption bound 2, and writes the per-harness exploration
-//! statistics to `BENCH_check.json`
+//! read → compute → write protocol and the two service-layer protocols
+//! (singleflight coalescing and epoch publication, DESIGN.md §16), each
+//! explored to exhaustion at preemption bound 2, and writes the
+//! per-harness exploration statistics to `BENCH_check.json`
 //! (schema `skycheck-bench/1`) so CI can track schedule counts, pruning
 //! effectiveness and wall time across commits.
 //!
@@ -17,7 +16,7 @@
 
 use skycache_core::engine::{CbcsConfig, QueryRequest};
 use skycache_core::{Cache, ReplacementPolicy, Service, ServiceConfig, Session};
-use skycache_geom::{Constraints, Kernel, Point};
+use skycache_geom::{Constraints, Point};
 use skycache_storage::{Table, TableConfig};
 use skycheck::sync::{thread, Arc, RwLock};
 use skycheck::{Explorer, Outcome};
@@ -77,7 +76,6 @@ fn eviction_race() -> Outcome {
     let cb = Constraints::from_pairs(&[(0.6, 1.0), (0.0, 1.0)]).expect("constraints");
     let config = CbcsConfig { capacity: Some(1), ..Default::default() };
     Explorer::new().with_preemption_bound(PREEMPTION_BOUND).explore(move || {
-        Kernel::set_active(Kernel::Scalar);
         let service = Service::open(&t, raw_config(config.clone()));
         let mut sa = service.session();
         let mut sb = service.session();
@@ -99,7 +97,6 @@ fn no_deadlock() -> Outcome {
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).expect("constraints");
     Explorer::new().with_preemption_bound(PREEMPTION_BOUND).explore(move || {
-        Kernel::set_active(Kernel::Scalar);
         let service = Service::open(&t, raw_config(CbcsConfig::default()));
         let mut sa = service.session();
         let mut sb = service.session();
@@ -123,7 +120,6 @@ fn singleflight() -> Outcome {
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).expect("constraints");
     Explorer::new().with_preemption_bound(PREEMPTION_BOUND).explore(move || {
-        Kernel::set_active(Kernel::Scalar);
         let config = ServiceConfig { negative_cache: false, ..ServiceConfig::default() };
         let service = Service::open(&t, config);
         let mut sa = service.session();
@@ -151,7 +147,6 @@ fn epoch_publish() -> Outcome {
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).expect("constraints");
     Explorer::new().with_preemption_bound(PREEMPTION_BOUND).explore(move || {
-        Kernel::set_active(Kernel::Scalar);
         let config = ServiceConfig { negative_cache: false, ..ServiceConfig::default() };
         let service = Service::open(&t, config);
         let mut writer = service.session();
@@ -168,17 +163,6 @@ fn epoch_publish() -> Outcome {
         assert!(!r.skyline.is_empty());
         reader.join().expect("reader");
         assert_eq!(service.cache().epoch(), 1);
-    })
-}
-
-/// Satellite pin: a kernel generation published before `spawn` must be
-/// observed by the worker in every schedule (release/acquire pair).
-fn kernel_pin() -> Outcome {
-    Explorer::new().with_preemption_bound(PREEMPTION_BOUND).explore(|| {
-        Kernel::set_active(Kernel::Wide);
-        let h = thread::spawn(|| Kernel::for_dims(2));
-        assert_eq!(h.join().expect("worker"), Kernel::Wide);
-        Kernel::reset_to_env();
     })
 }
 
@@ -199,13 +183,12 @@ pub fn check(_scale: &Scale) {
         "harness", "schedules", "pruned-sleep", "pruned-preempt", "depth", "wall-ms"
     );
 
-    let harnesses: [Harness; 6] = [
+    let harnesses: [Harness; 5] = [
         ("clock-monotone", clock_monotone),
         ("eviction-race", eviction_race),
         ("no-deadlock", no_deadlock),
         ("singleflight", singleflight),
         ("epoch-publish", epoch_publish),
-        ("kernel-pin", kernel_pin),
     ];
     let mut rows = Vec::new();
     let mut all_ok = true;

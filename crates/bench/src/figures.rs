@@ -722,87 +722,15 @@ pub fn obs(scale: &Scale) {
 /// state within a few queries, while a repeated identical pass would
 /// degenerate to pure exact hits and measure the cache instead of the
 /// fetch/merge/skyline hot path. Results are written to
-/// `BENCH_perf.json` (schema `skyperf-bench/3`), including a d ≥ 5
-/// dominance-kernel microbench and per-kernel-generation end-to-end
-/// throughput (the [`Kernel`] generation is flipped in-process around
-/// the runs, then restored to the environment default).
+/// `BENCH_perf.json` (schema `skyperf-bench/4`).
 pub fn perf(scale: &Scale) {
     use std::time::Instant;
 
-    use skycache_geom::{retain_nondominated, Kernel, PointBlock};
     use skycache_obs::names;
 
     use crate::allocations;
 
     println!("\n#### Query hot path: throughput, allocations/query, coalescing ####");
-
-    // Dominance-kernel microbench: block-vs-block filtering at d >= 5,
-    // where the wide lane-blocked generation amortizes best. The window
-    // is the skyline of an independent sample (exactly what a D&C merge
-    // filters against); the candidate block is raw random data. Both
-    // generations perform identical dominance tests (same row-granular
-    // early exit), so the throughput ratio is a pure kernel comparison.
-    let micro_dims = 6;
-    let micro_cands = 4096;
-    let micro = {
-        use skycache_algos::{Sfs, SkylineAlgorithm};
-        use skycache_datagen::SyntheticGen;
-
-        let cand_pts =
-            SyntheticGen::new(Distribution::Independent, micro_dims, 97).generate(micro_cands);
-        let window_pts =
-            SyntheticGen::new(Distribution::Independent, micro_dims, 89).generate(micro_cands);
-        let window = PointBlock::from_points(&Sfs.compute(window_pts).skyline)
-            .expect("skyline of a nonempty sample is nonempty");
-        let candidates = PointBlock::from_points(&cand_pts).expect("generated data is uniform");
-        let run = |kernel: Kernel| -> (f64, u64) {
-            let mut best = f64::INFINITY;
-            let mut tests = 0;
-            for _ in 0..5 {
-                let mut scratch = candidates.clone();
-                let t0 = Instant::now();
-                let stats =
-                    std::hint::black_box(retain_nondominated(&mut scratch, &window, kernel));
-                best = best.min(t0.elapsed().as_secs_f64());
-                tests = stats.dominance_tests;
-            }
-            (best, tests)
-        };
-        let (scalar_s, tests) = run(Kernel::Scalar);
-        let (wide_s, wide_tests) = run(Kernel::Wide);
-        assert_eq!(tests, wide_tests, "generations must count identically");
-        let speedup = scalar_s / wide_s;
-        print_header(
-            &format!(
-                "Dominance kernel (retain_nondominated, |D| = {micro_dims}, \
-                 {micro_cands} candidates x {} window rows)",
-                window.len()
-            ),
-            &["scalar Mt/s".into(), "wide Mt/s".into(), "speedup".into()],
-        );
-        print_row(
-            "",
-            &[
-                format!("{:.1}", tests as f64 / scalar_s / 1e6),
-                format!("{:.1}", tests as f64 / wide_s / 1e6),
-                format!("{speedup:.2}x"),
-            ],
-        );
-        format!(
-            concat!(
-                "{{\"dims\": {}, \"candidates\": {}, \"window_rows\": {}, ",
-                "\"dominance_tests\": {}, \"scalar_mtests_per_s\": {:.2}, ",
-                "\"wide_mtests_per_s\": {:.2}, \"wide_speedup\": {:.3}}}"
-            ),
-            micro_dims,
-            micro_cands,
-            window.len(),
-            tests,
-            tests as f64 / scalar_s / 1e6,
-            tests as f64 / wide_s / 1e6,
-            speedup
-        )
-    };
 
     let dims = 4;
     let n = scale.mid_n.min(100_000);
@@ -860,34 +788,21 @@ pub fn perf(scale: &Scale) {
 
     let mut entries = Vec::new();
     for (name, queries) in &workloads {
-        // Per-kernel-generation end-to-end throughput: pin each generation
-        // in-process around a run so one `repro perf` invocation covers
-        // both, then restore the pin-or-adaptive default for the headline
-        // `block` measurement (what a stock deployment runs).
-        Kernel::set_active(Kernel::Scalar);
-        let block_scalar = run_one(queries);
-        Kernel::set_active(Kernel::Wide);
-        let block_wide = run_one(queries);
-        Kernel::reset_to_env();
         let block = run_one(queries);
 
         print_header(
             &format!("{name} workload (q = {}, n = {}, |D| = {dims})", queries.len(), fmt_size(n)),
             &["qps".into(), "allocs/q".into(), "rq exec".into(), "coalesced".into()],
         );
-        for (label, m) in
-            [("block/scalar", &block_scalar), ("block/wide", &block_wide), ("block/auto", &block)]
-        {
-            print_row(
-                label,
-                &[
-                    format!("{:.0}", m.qps),
-                    format!("{:.1}", m.allocs_per_query),
-                    m.rq_executed.to_string(),
-                    m.regions_coalesced.to_string(),
-                ],
-            );
-        }
+        print_row(
+            "block",
+            &[
+                format!("{:.0}", block.qps),
+                format!("{:.1}", block.allocs_per_query),
+                block.rq_executed.to_string(),
+                block.regions_coalesced.to_string(),
+            ],
+        );
 
         let fmt_measured = |m: &Measured| {
             format!(
@@ -910,32 +825,27 @@ pub fn perf(scale: &Scale) {
                 "{{\n",
                 "      \"name\": \"{}\",\n",
                 "      \"queries\": {},\n",
-                "      \"block\": {},\n",
-                "      \"kernels\": {{\"scalar_qps\": {:.1}, \"wide_qps\": {:.1}}}\n",
+                "      \"block\": {}\n",
                 "    }}"
             ),
             name,
             queries.len(),
             fmt_measured(&block),
-            block_scalar.qps,
-            block_wide.qps,
         ));
     }
 
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"skyperf-bench/3\",\n",
+            "  \"schema\": \"skyperf-bench/4\",\n",
             "  \"n\": {},\n",
             "  \"dims\": {},\n",
             "  \"mpr\": \"aMPR(k=1)\",\n",
-            "  \"kernel_microbench\": {},\n",
             "  \"workloads\": [\n    {}\n  ]\n",
             "}}\n"
         ),
         n,
         dims,
-        micro,
         entries.join(",\n    ")
     );
     match std::fs::write("BENCH_perf.json", &json) {

@@ -22,8 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use skycache_geom::dominance::dominates_raw;
-use skycache_geom::{Aabb, Constraints, Point, PointBlock};
+use skycache_geom::{dominated_by_any_rows, dominates_rows, Aabb, Constraints, Point, PointBlock};
 use skycache_rtree::RStarTree;
 
 /// Measured benefit recorded when a result is inserted: what it cost to
@@ -672,7 +671,7 @@ impl Cache {
         let mut updated = 0;
         for id in affected {
             let Some(item) = self.items.get_mut(&id) else { continue };
-            if item.skyline.rows().any(|s| dominates_raw(s, p.coords())) {
+            if dominated_by_any_rows(p.coords(), &item.skyline) {
                 continue; // dominated: the cached skyline is unchanged
             }
             // p enters the skyline; points it dominates leave — in this
@@ -682,7 +681,7 @@ impl Cache {
             let item = Arc::make_mut(item);
             let old_key = victim_key(policy, item);
             let skyline = Arc::make_mut(&mut item.skyline);
-            skyline.retain_rows(|s| !dominates_raw(p.coords(), s));
+            skyline.retain_rows(|s| !dominates_rows(p.coords(), s));
             skyline.push(p);
             let new_key = victim_key(policy, item);
             if new_key != old_key {

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use skycache_geom::dominance::dominance_box_coords;
 use skycache_geom::subtract::{disjoint_union, subtract_box_from_all};
-use skycache_geom::{Aabb, Constraints, HyperRect, Kernel, Point, PointBlock};
+use skycache_geom::{Aabb, Constraints, HyperRect, Point, PointBlock};
 
 use crate::mpr::{missing_points_region_multi, prune_regions, MprMode};
 use crate::stability::{classify, Overlap};
@@ -91,9 +91,8 @@ pub fn plan_with_extra(
                 // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
                 .expect("constraints are at least one-dimensional");
             let mut removed = 0usize;
-            let kernel = Kernel::for_dims(new.dims());
             for row in cached_skyline.rows() {
-                if new.satisfies_coords_k(kernel, row) {
+                if new.satisfies_coords(row) {
                     retained.push_row(row);
                 } else {
                     removed += 1;
@@ -177,7 +176,6 @@ pub fn plan_composed(
         return None;
     }
     let dims = new.dims();
-    let kernel = Kernel::for_dims(dims);
     let mut unknown = vec![new.region()];
     let mut retained = PointBlock::new(dims)
         // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
@@ -201,7 +199,7 @@ pub fn plan_composed(
         // dedup across items so shared points are merged once.
         let mut removed: Vec<usize> = Vec::new();
         for (i, row) in cached.rows().enumerate() {
-            if new.satisfies_coords_k(kernel, row) {
+            if new.satisfies_coords(row) {
                 let key: Vec<u64> = row.iter().map(|c| c.to_bits()).collect();
                 if seen.insert(key) {
                     retained.push_row(row);

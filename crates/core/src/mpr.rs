@@ -28,7 +28,7 @@
 
 use skycache_geom::dominance::dominance_box_coords;
 use skycache_geom::subtract::{disjoint_union, subtract_box, subtract_box_from_all};
-use skycache_geom::{Constraints, HyperRect, Kernel, Point, PointBlock};
+use skycache_geom::{Constraints, HyperRect, Point, PointBlock};
 
 /// Exact or approximate MPR computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,9 +129,8 @@ pub fn missing_points_region_multi(
         // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
         .expect("constraints are at least one-dimensional");
     let mut removed: Vec<usize> = Vec::new();
-    let kernel = Kernel::for_dims(new.dims());
     for (i, row) in cached_skyline.rows().enumerate() {
-        if new.satisfies_coords_k(kernel, row) {
+        if new.satisfies_coords(row) {
             retained.push_row(row);
         } else {
             removed.push(i);

@@ -11,31 +11,20 @@
 //! (c) the lock-order annotations in `shared.rs` admit no AB/BA schedule —
 //!     two full concurrent `execute()` calls cannot deadlock.
 //!
-//! Plus the satellite pins: the `geom::Kernel` `ACTIVE` publish/observe
-//! pair, `SharedCache::with_read` re-entrancy, and a deliberately seeded
-//! touch-without-write-lock bug that must yield a byte-reproducible
-//! failing trace.
+//! Plus the satellite pins: `SharedCache::with_read` re-entrancy, and a
+//! deliberately seeded touch-without-write-lock bug that must yield a
+//! byte-reproducible failing trace.
 //!
-//! Statics (the kernel pin) keep their real value across runs, so every
-//! harness that reaches kernel dispatch normalizes it first — run-to-run
-//! determinism is what makes trace replay byte-stable.
-
-use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
+//! The library holds no process-wide mutable state, so every run of a
+//! harness starts from the same state — run-to-run determinism is what
+//! makes trace replay byte-stable.
 
 use skycache_core::engine::{CbcsConfig, QueryRequest};
 use skycache_core::{Cache, ReplacementPolicy, Service, ServiceConfig, SharedCache};
-use skycache_geom::{Constraints, Kernel, Point};
+use skycache_geom::{Constraints, Point};
 use skycache_storage::{Table, TableConfig};
 use skycheck::sync::{thread, Arc, RwLock};
 use skycheck::{Explorer, FailureKind};
-
-/// Model runs interleave threads around process-wide statics (the kernel
-/// pin); running two explorations concurrently would let one run's stores
-/// leak into another's schedule. Serialize the harnesses.
-fn serial() -> StdMutexGuard<'static, ()> {
-    static GATE: StdMutex<()> = StdMutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn table() -> Table {
     let points: Vec<Point> = (0..3)
@@ -66,11 +55,8 @@ fn run_query(session: &mut skycache_core::Session<'_>, c: &Constraints) -> (Vec<
 
 /// The sequential answer, for comparison inside the model runs.
 fn reference(table: &Table, c: &Constraints) -> Vec<Point> {
-    Kernel::set_active(Kernel::Scalar);
     let service = Service::open(table, raw_config(CbcsConfig::default()));
-    let out = run_query(&mut service.session(), c).0;
-    Kernel::reset_to_env();
-    out
+    run_query(&mut service.session(), c).0
 }
 
 /// Invariant (a): concurrent `touch` and `insert` through the shim RwLock
@@ -79,7 +65,6 @@ fn reference(table: &Table, c: &Constraints) -> Vec<Point> {
 /// schedule panics inside the model run and surfaces as a failure.
 #[test]
 fn harness_a_concurrent_touch_insert_keeps_clock_monotone() {
-    let _gate = serial();
     let c0 = Constraints::from_pairs(&[(0.0, 0.4), (0.0, 1.0)]).unwrap();
     let c1 = Constraints::from_pairs(&[(0.6, 1.0), (0.0, 1.0)]).unwrap();
     let pts = vec![Point::from(vec![0.1, 0.1])];
@@ -113,7 +98,6 @@ fn harness_a_concurrent_touch_insert_keeps_clock_monotone() {
 /// exactly one eviction happens, and neither counts a spurious hit.
 #[test]
 fn harness_b_eviction_between_phases_never_loses_or_double_counts() {
-    let _gate = serial();
     let t = table();
     let ca = Constraints::from_pairs(&[(0.0, 0.4), (0.0, 1.0)]).unwrap();
     let cb = Constraints::from_pairs(&[(0.6, 1.0), (0.0, 1.0)]).unwrap();
@@ -122,7 +106,6 @@ fn harness_b_eviction_between_phases_never_loses_or_double_counts() {
 
     let config = CbcsConfig { capacity: Some(1), ..Default::default() };
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        Kernel::set_active(Kernel::Scalar);
         let service = Service::open(&t, raw_config(config.clone()));
         let mut sa = service.session();
         let mut sb = service.session();
@@ -150,13 +133,11 @@ fn harness_b_eviction_between_phases_never_loses_or_double_counts() {
 /// exploration finds no deadlock, and hit accounting stays consistent.
 #[test]
 fn harness_c_concurrent_execute_admits_no_deadlock() {
-    let _gate = serial();
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).unwrap();
     let want = reference(&t, &c);
 
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        Kernel::set_active(Kernel::Scalar);
         let service = Service::open(&t, raw_config(CbcsConfig::default()));
         let mut sa = service.session();
         let mut sb = service.session();
@@ -188,7 +169,6 @@ fn harness_c_concurrent_execute_admits_no_deadlock() {
 /// concurrent writer waiting.
 #[test]
 fn with_read_reentrancy_is_safe_under_the_shim_rwlock() {
-    let _gate = serial();
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
         let shared = SharedCache::new(2, &CbcsConfig::default());
         let observer = shared.clone();
@@ -206,27 +186,6 @@ fn with_read_reentrancy_is_safe_under_the_shim_rwlock() {
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
 }
 
-/// Satellite: the `geom::Kernel` `ACTIVE` pin. A generation pinned before
-/// spawning must be observed by the worker in every schedule — the
-/// release store / acquire load pair made model-checkable by the shim.
-#[test]
-fn kernel_active_pin_is_visible_to_spawned_workers() {
-    let _gate = serial();
-    let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        Kernel::set_active(Kernel::Wide);
-        let h = thread::spawn(|| Kernel::for_dims(2));
-        let seen = h.join().expect("worker");
-        assert_eq!(
-            seen,
-            Kernel::Wide,
-            "a pin published before spawn must be visible to the worker"
-        );
-        Kernel::reset_to_env();
-    });
-    outcome.assert_ok();
-    assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
-}
-
 /// Seeded bug: perform `touch`'s clock bump the *wrong* way — read the
 /// clock under a read lock, drop it, then write the incremented value
 /// under a separate write lock (i.e. skip the touch write-lock critical
@@ -234,7 +193,6 @@ fn kernel_active_pin_is_visible_to_spawned_workers() {
 /// byte-reproducible, replayable schedule trace.
 #[test]
 fn seeded_bug_touch_without_write_lock_yields_reproducible_trace() {
-    let _gate = serial();
     let harness = || {
         let clock = Arc::new(RwLock::new(0u64));
         let clock2 = clock.clone();

@@ -18,21 +18,13 @@
 //!   immutable no matter how the writer is scheduled around it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
 
 use skycache_core::engine::QueryRequest;
 use skycache_core::{Service, ServiceConfig, Session};
-use skycache_geom::{Constraints, Kernel, Point};
+use skycache_geom::{Constraints, Point};
 use skycache_storage::{Table, TableConfig};
 use skycheck::sync::thread;
 use skycheck::Explorer;
-
-/// Model runs interleave threads around process-wide statics (the kernel
-/// pin); serialize the harnesses (same gate discipline as `model.rs`).
-fn serial() -> StdMutexGuard<'static, ()> {
-    static GATE: StdMutex<()> = StdMutex::new(());
-    GATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn table() -> Table {
     let points: Vec<Point> = (0..3)
@@ -63,16 +55,9 @@ fn coalescing_config() -> ServiceConfig {
 /// across the exhaustive exploration, at least one schedule coalesces.
 #[test]
 fn singleflight_two_identical_queries_compute_once_per_leader() {
-    let _gate = serial();
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).unwrap();
-    let want = {
-        Kernel::set_active(Kernel::Scalar);
-        let service = Service::open(&t, coalescing_config());
-        let out = run_query(&mut service.session(), &c);
-        Kernel::reset_to_env();
-        out
-    };
+    let want = run_query(&mut Service::open(&t, coalescing_config()).session(), &c);
 
     // Process-level: did ANY schedule coalesce? (Serial schedules finish
     // the first flight before the second query arrives, so per-schedule
@@ -82,7 +67,6 @@ fn singleflight_two_identical_queries_compute_once_per_leader() {
     let schedules_with_join = AtomicU64::new(0);
 
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        Kernel::set_active(Kernel::Scalar);
         let service = Service::open(&t, coalescing_config());
         let mut sa = service.session();
         let mut sb = service.session();
@@ -121,7 +105,6 @@ fn singleflight_two_identical_queries_compute_once_per_leader() {
         "exhaustive exploration must include schedules where the queries \
          actually coalesce"
     );
-    Kernel::reset_to_env();
 }
 
 /// Epoch publication: while a writer session computes-and-publishes, a
@@ -130,12 +113,10 @@ fn singleflight_two_identical_queries_compute_once_per_leader() {
 /// guarantees the next snapshot contains the insert.
 #[test]
 fn epoch_publication_is_never_torn() {
-    let _gate = serial();
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).unwrap();
 
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        Kernel::set_active(Kernel::Scalar);
         let service = Service::open(&t, coalescing_config());
         let mut writer = service.session();
         let pre_insert = service.cache().snapshot();
@@ -175,5 +156,4 @@ fn epoch_publication_is_never_torn() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
-    Kernel::reset_to_env();
 }

@@ -111,19 +111,11 @@ impl Aabb {
 
     /// Bare-row membership: the zero-copy twin of
     /// [`Aabb::contains_point`] for coordinate slices coming out of a
-    /// [`crate::PointBlock`].
+    /// [`crate::PointBlock`]. Exits on the first failing dimension.
+    #[inline]
     pub fn contains_coords(&self, row: &[f64]) -> bool {
         debug_assert_eq!(self.dims(), row.len());
         self.lo.iter().zip(self.hi.iter()).zip(row).all(|((l, h), c)| l <= c && c <= h)
-    }
-
-    /// Kernel-dispatched twin of [`Aabb::contains_coords`]:
-    /// membership-test loops hoist [`crate::Kernel::for_dims`] once and
-    /// pass it here per row.
-    #[inline]
-    pub fn contains_coords_k(&self, kernel: crate::Kernel, row: &[f64]) -> bool {
-        debug_assert_eq!(self.dims(), row.len());
-        kernel.contains(&self.lo, &self.hi, row)
     }
 
     /// Whether `other` lies entirely inside `self`.

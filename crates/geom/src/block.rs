@@ -3,11 +3,11 @@
 //! A [`PointBlock`] stores `len` points of fixed dimensionality `dims` in
 //! one contiguous `Vec<f64>` with stride `dims`. Skyline inner loops
 //! (BNL/SFS windows) operate on bare `&[f64]` rows via
-//! [`crate::dominance::dominates_raw`], so the hot path performs no
+//! [`crate::dominates_rows`], so the hot path performs no
 //! per-point allocation and walks memory linearly — unlike `Vec<Point>`,
 //! where every comparison chases a separate `Box`.
 
-use crate::{GeomError, Kernel, Point, Result};
+use crate::{dominates_rows, GeomError, Point, Result};
 
 /// A dense block of equal-dimensionality points (structure-of-arrays).
 #[derive(Clone, Debug, PartialEq)]
@@ -161,36 +161,16 @@ pub struct BlockFilter {
     pub removed: usize,
 }
 
-/// Removes from `candidates` every row strictly dominated by some row of
-/// `window`, compacting survivors in place (stable order, no per-point
-/// allocation), under the scalar kernel generation.
-///
-/// Thin wrapper over [`retain_nondominated`] kept for callers that pin
-/// the scalar generation (and for its exact early-exit
-/// `dominance_tests` accounting, which both generations share).
-pub fn filter_block(candidates: &mut PointBlock, window: &PointBlock) -> BlockFilter {
-    retain_nondominated(candidates, window, Kernel::Scalar)
-}
-
 /// Block-vs-block dominance filter: removes from `candidates` every row
 /// strictly dominated by some row of `window` in one pass, compacting
-/// survivors in place (stable order, no per-point allocation), with the
-/// row-level dominance test dispatched to the chosen [`Kernel`]
-/// generation.
-///
-/// Both generations perform the same per-candidate window scan with the
-/// same early exit on the first dominating window row, so `dominance_tests`
-/// and the survivor set are generation-independent — only the cost of each
-/// row-pair test changes.
+/// survivors in place (stable order, no per-point allocation). Each
+/// candidate's window scan stops at the first dominating window row;
+/// `dominance_tests` counts the row pairs actually tested.
 ///
 /// `window` and `candidates` may be the same data copied into two blocks,
 /// but aliasing one block for both roles is impossible by construction
 /// (`&mut` vs `&`), which is what makes the in-place compaction sound.
-pub fn retain_nondominated(
-    candidates: &mut PointBlock,
-    window: &PointBlock,
-    kernel: Kernel,
-) -> BlockFilter {
+pub fn retain_nondominated(candidates: &mut PointBlock, window: &PointBlock) -> BlockFilter {
     debug_assert_eq!(candidates.dims(), window.dims());
     let dims = candidates.dims;
     let mut stats = BlockFilter::default();
@@ -200,7 +180,7 @@ pub fn retain_nondominated(
         let mut dominated = false;
         for w in window.rows() {
             stats.dominance_tests += 1;
-            if kernel.dominates(w, row) {
+            if dominates_rows(w, row) {
                 dominated = true;
                 break;
             }
@@ -268,12 +248,12 @@ mod tests {
     }
 
     #[test]
-    fn filter_block_matches_naive() {
+    fn retain_nondominated_matches_naive() {
         let window = block(&[&[1.0, 1.0], &[0.0, 3.0]]);
         // Dominated by (1,1); incomparable; equal to a window row
         // (equality does not dominate); dominated by (0,3).
         let mut cands = block(&[&[2.0, 2.0], &[0.5, 1.5], &[1.0, 1.0], &[0.0, 4.0]]);
-        let stats = filter_block(&mut cands, &window);
+        let stats = retain_nondominated(&mut cands, &window);
         assert_eq!(
             cands.to_points(),
             vec![Point::from(vec![0.5, 1.5]), Point::from(vec![1.0, 1.0]),]
@@ -284,24 +264,35 @@ mod tests {
         assert_eq!(stats.dominance_tests, 1 + 2 + 2 + 2);
     }
 
+    /// The production (lane-blocked) filter against a per-row scan with
+    /// the early-exit reference test: same survivors, tests and removals.
     #[test]
     fn retain_nondominated_generations_agree() {
+        use crate::dominance::dominates_raw;
         let window = block(&[&[1.0, 1.0, 5.0], &[0.0, 3.0, 0.5]]);
         let rows: &[&[f64]] =
             &[&[2.0, 2.0, 6.0], &[0.5, 1.5, 0.25], &[1.0, 1.0, 5.0], &[0.0, 4.0, 0.75]];
-        let mut scalar = block(rows);
-        let mut wide = block(rows);
-        let a = retain_nondominated(&mut scalar, &window, Kernel::Scalar);
-        let b = retain_nondominated(&mut wide, &window, Kernel::Wide);
-        assert_eq!(scalar, wide);
-        assert_eq!(a, b, "same tests and removals under both generations");
+        let mut want = PointBlock::new(3).unwrap();
+        let mut want_stats = BlockFilter::default();
+        for r in rows {
+            let hit = window.rows().position(|w| dominates_raw(w, r));
+            want_stats.dominance_tests += hit.map_or(window.len(), |i| i + 1) as u64;
+            match hit {
+                Some(_) => want_stats.removed += 1,
+                None => want.push_row(r),
+            }
+        }
+        let mut got = block(rows);
+        let stats = retain_nondominated(&mut got, &window);
+        assert_eq!(got, want);
+        assert_eq!(stats, want_stats, "same tests and removals under both generations");
     }
 
     #[test]
-    fn filter_block_empty_window_keeps_all() {
+    fn retain_nondominated_empty_window_keeps_all() {
         let window = PointBlock::new(2).unwrap();
         let mut cands = block(&[&[9.0, 9.0], &[0.0, 0.0]]);
-        let stats = filter_block(&mut cands, &window);
+        let stats = retain_nondominated(&mut cands, &window);
         assert_eq!(cands.len(), 2);
         assert_eq!(stats, BlockFilter::default());
     }

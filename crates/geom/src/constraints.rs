@@ -84,14 +84,6 @@ impl Constraints {
         self.bounds.contains_coords(row)
     }
 
-    /// Kernel-dispatched twin of [`Constraints::satisfies_coords`]:
-    /// membership-test loops hoist [`crate::Kernel::for_dims`] once and
-    /// pass it here per row.
-    #[inline]
-    pub fn satisfies_coords_k(&self, kernel: crate::Kernel, row: &[f64]) -> bool {
-        kernel.contains(self.lo(), self.hi(), row)
-    }
-
     /// Whether the two constraint regions overlap (`R_C ∩ R_C′ ≠ ∅`).
     pub fn overlaps(&self, other: &Constraints) -> bool {
         self.bounds.intersects(&other.bounds)

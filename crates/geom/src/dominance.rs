@@ -7,7 +7,7 @@
 //! `[s, ∞)` minus `s` itself; constrained to `C` it becomes
 //! `DR(s, C) = [s, C̄] \ {s}` for `s` satisfying `C`.
 
-use crate::{Aabb, Constraints, Kernel, Point};
+use crate::{compare_rows, dominates_rows, Aabb, Constraints, Point};
 
 /// The outcome of comparing two points under Pareto dominance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,9 +22,9 @@ pub enum DomRelation {
     Incomparable,
 }
 
-/// Raw-slice form of [`dominates`]: operates on bare coordinate rows so
-/// that flat [`crate::PointBlock`] storage can test dominance without
-/// materializing `Point`s.
+/// Early-exit strict dominance over bare coordinate rows: the reference
+/// the production [`crate::dominates_rows`] is pinned against (same
+/// classification on every input, one data-dependent branch per element).
 #[inline]
 pub fn dominates_raw(s: &[f64], t: &[f64]) -> bool {
     debug_assert_eq!(s.len(), t.len());
@@ -47,7 +47,7 @@ pub fn dominates_weak_raw(s: &[f64], t: &[f64]) -> bool {
     s.iter().zip(t).all(|(a, b)| a <= b)
 }
 
-/// Raw-slice form of [`compare`].
+/// Early-exit reference for [`crate::compare_rows`].
 pub fn compare_raw(s: &[f64], t: &[f64]) -> DomRelation {
     debug_assert_eq!(s.len(), t.len());
     let (mut s_less, mut t_less) = (false, false);
@@ -74,7 +74,7 @@ pub fn compare_raw(s: &[f64], t: &[f64]) -> DomRelation {
 #[inline]
 pub fn dominates(s: &Point, t: &Point) -> bool {
     debug_assert_eq!(s.dims(), t.dims());
-    dominates_raw(s.coords(), t.coords())
+    dominates_rows(s.coords(), t.coords())
 }
 
 /// Weak dominance: `s[i] ≤ t[i]` for all `i` (allows equality everywhere).
@@ -87,7 +87,7 @@ pub fn dominates_weak(s: &Point, t: &Point) -> bool {
 /// Single-pass comparison classifying the relation between two points.
 pub fn compare(s: &Point, t: &Point) -> DomRelation {
     debug_assert_eq!(s.dims(), t.dims());
-    compare_raw(s.coords(), t.coords())
+    compare_rows(s.coords(), t.coords())
 }
 
 /// The constrained dominance region `DR(s, C)` as a closed box
@@ -124,11 +124,10 @@ pub fn dominated_by_any(t: &Point, candidates: &[Point]) -> bool {
 
 /// Rows-based twin of [`dominated_by_any`]: scans a [`crate::PointBlock`]'s
 /// rows directly, so callers holding SoA storage need not materialize
-/// `Point`s, with the row test dispatched to the chosen kernel
-/// generation.
+/// `Point`s.
 #[inline]
-pub fn dominated_by_any_rows(t: &[f64], candidates: &crate::PointBlock, kernel: Kernel) -> bool {
-    candidates.rows().any(|s| kernel.dominates(s, t))
+pub fn dominated_by_any_rows(t: &[f64], candidates: &crate::PointBlock) -> bool {
+    candidates.rows().any(|s| dominates_rows(s, t))
 }
 
 #[cfg(test)]
@@ -188,12 +187,13 @@ mod tests {
         let cands = vec![p(&[5.0, 5.0]), p(&[1.0, 1.0])];
         let block = crate::PointBlock::from_points(&cands).unwrap();
         for t in [p(&[2.0, 2.0]), p(&[0.5, 0.5]), p(&[1.0, 1.0])] {
-            let want = dominated_by_any(&t, &cands);
-            for k in [Kernel::Scalar, Kernel::Wide] {
-                assert_eq!(dominated_by_any_rows(t.coords(), &block, k), want, "{t:?} {k:?}");
-            }
+            assert_eq!(
+                dominated_by_any_rows(t.coords(), &block),
+                dominated_by_any(&t, &cands),
+                "{t:?}"
+            );
         }
         let empty = crate::PointBlock::new(2).unwrap();
-        assert!(!dominated_by_any_rows(&[0.0, 0.0], &empty, Kernel::Wide));
+        assert!(!dominated_by_any_rows(&[0.0, 0.0], &empty));
     }
 }

@@ -1,221 +1,86 @@
-//! Kernel generations for the dominance-heavy inner loops.
+//! The production row-level dominance tests, and the pair the
+//! differential tests and benchmarks name them by.
 //!
 //! The SoA [`crate::PointBlock`] layout stores coordinates as flat
 //! `&[f64]` rows precisely so the dominance tests can run without
-//! pointer chasing — this module adds a second *generation* of those
-//! tests that exploits the layout. Every scalar kernel
-//! ([`crate::dominance::dominates_raw`], [`crate::dominance::compare_raw`],
-//! [`Aabb::contains_coords`], …) early-exits per element, which is
-//! optimal when the first coordinate already decides the outcome but
-//! costs a data-dependent branch per element; on random data roughly
-//! half of those branches mispredict. The **wide** generation instead
-//! processes rows in fixed-size lane blocks with branch-free boolean
-//! accumulation — exactly the shape the autovectorizer turns into packed
-//! `f64` compares plus a movmsk — and branches at most once per row.
+//! pointer chasing. [`dominates_rows`] and [`compare_rows`] exploit that
+//! layout: they process rows in fixed-size lane blocks with branch-free
+//! boolean accumulation — exactly the shape the autovectorizer turns
+//! into packed `f64` compares plus a movmsk — and branch at most once
+//! per row. Every dominance loop in the workspace (SFS, BNL, the D&C
+//! cross-filter, the BBS corner prune, cache maintenance) calls them.
 //!
-//! The two generations are *bitwise equivalent*: each wide kernel
-//! accumulates precisely the predicates its scalar twin tests (`a > b`,
-//! `a < b`, …), so even exotic inputs (signed zeros, infinities, equal
-//! rows) classify identically. `tests/prop_kernels.rs` pins this
-//! differentially.
+//! The early-exit forms [`crate::dominance::dominates_raw`] /
+//! [`crate::dominance::compare_raw`] cost a data-dependent branch per
+//! element, which a sort-filter window scan mispredicts about half the
+//! time: measured through the server they lose the SFS pass at d = 4 and
+//! d = 6 and tie at d = 3 (DESIGN.md §13). They stay as the *reference*:
+//! each lane-blocked test accumulates precisely the predicates its
+//! reference tests (`a > b`, `a < b`), so even exotic inputs (signed
+//! zeros, infinities, equal rows) classify identically, and
+//! `tests/prop_kernels.rs` pins that differentially.
 //!
-//! Selection is runtime, not compile-time, and *adaptive by
-//! dimensionality*: hot loops hoist [`Kernel::for_dims`] once per loop,
-//! which picks the wide generation at [`WIDE_MIN_DIMS`] dimensions and
-//! up — where lane blocks amortize — and the scalar generation below,
-//! where the early exit usually fires within the first couple of
-//! elements and branch-free full-row scans only waste work (measured:
-//! wide is ≥ 1.3× faster on the d = 6 block-filter microbench but loses
-//! up to 25% end-to-end on the d = 4 paper workloads). The
-//! `SKYCACHE_KERNEL` environment variable (`"scalar"` / `"wide"`) pins
-//! one generation for the whole process, overriding the heuristic;
-//! benchmarks pin in-process through [`Kernel::set_active`] and restore
-//! with [`Kernel::reset_to_env`].
+//! Row *containment* is the opposite case — a selective post-filter
+//! rejects most rows on their first or second coordinate — and exists
+//! only in its early-exit form ([`crate::HyperRect::contains_coords`],
+//! [`crate::Aabb::contains_coords`]).
 
-use std::sync::OnceLock;
+use crate::dominance::{compare_raw, dominates_raw, DomRelation};
 
-// Shim atomic: identical to `std::sync::atomic` in production,
-// schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
-use skycheck::sync::{AtomicU8, Ordering};
+/// Number of `f64` lanes each block processes branch-free. Matches one
+/// AVX2 register (4 × 64 bit); on narrower targets the autovectorizer
+/// splits the block into two 128-bit halves.
+const LANES: usize = 4;
 
-use crate::dominance::{compare_raw, dominance_box_coords, dominates_raw, DomRelation};
-use crate::{Aabb, Constraints};
-
-/// Number of `f64` lanes each wide-kernel block processes branch-free.
-/// Matches one AVX2 register (4 × 64 bit); on narrower targets the
-/// autovectorizer splits the block into two 128-bit halves.
-pub const WIDE_LANES: usize = 4;
-
-/// A dominance-kernel generation: which implementation of the row-level
-/// geometric predicates the hot loops run.
+/// Names the two implementations of the row-level dominance test for
+/// differential tests and throughput probes. Production code calls
+/// [`dominates_rows`] / [`compare_rows`] directly and never holds one of
+/// these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// Per-element loops with early exit (the original generation).
+    /// The early-exit reference ([`dominates_raw`] / [`compare_raw`]).
     Scalar,
-    /// Lane-blocked, branch-free accumulation (autovectorizer-friendly).
+    /// The lane-blocked production test ([`dominates_rows`] /
+    /// [`compare_rows`]).
     Wide,
 }
 
-/// Dimensionality at and above which [`Kernel::for_dims`] auto-selects
-/// the wide generation. Calibrated on the paper workloads: at d ≤ 4 the
-/// scalar early exit decides most row pairs within two comparisons and
-/// wins end-to-end; from d = 5 the lane-blocked scan amortizes its
-/// branch-free full-row cost.
-pub const WIDE_MIN_DIMS: usize = 5;
-
-/// 0 = not yet resolved, 1 = pinned scalar, 2 = pinned wide,
-/// 3 = auto (no `SKYCACHE_KERNEL` pin; select by dimensionality).
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
 impl Kernel {
-    /// Short identifier used in benchmark output and `SKYCACHE_KERNEL`.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Wide => "wide",
-        }
-    }
-
-    /// Parses a generation name (case-insensitive `"scalar"` / `"wide"`).
-    pub fn from_name(name: &str) -> Option<Kernel> {
-        if name.eq_ignore_ascii_case("scalar") {
-            Some(Kernel::Scalar)
-        } else if name.eq_ignore_ascii_case("wide") {
-            Some(Kernel::Wide)
-        } else {
-            None
-        }
-    }
-
-    /// Reads and parses the `SKYCACHE_KERNEL` pin, exactly once per
-    /// process. The sole ambient-environment read in the library (the
-    /// designated `env-read-confinement` site in `skylint.toml`):
-    /// caching the first answer means a mid-run mutation of the
-    /// variable can never flip kernel generations between two loops of
-    /// the same process.
-    fn env_pin() -> Option<Kernel> {
-        static PIN: OnceLock<Option<Kernel>> = OnceLock::new();
-        *PIN.get_or_init(|| {
-            std::env::var("SKYCACHE_KERNEL").ok().and_then(|v| Kernel::from_name(&v))
-        })
-    }
-
-    /// The generation pinned by the `SKYCACHE_KERNEL` environment
-    /// variable, or `None` when unset or unrecognized (auto selection).
-    /// The variable is read once on first use and the answer is cached
-    /// for the life of the process.
-    pub fn from_env() -> Option<Kernel> {
-        Kernel::env_pin()
-    }
-
-    /// The generation the hot loops should run for `dims`-dimensional
-    /// rows: the process-wide pin (environment or [`Kernel::set_active`])
-    /// when one is set, otherwise wide at [`WIDE_MIN_DIMS`] and up and
-    /// scalar below. The environment is resolved on first use; one
-    /// acquire atomic load afterwards (pairing with the release stores in
-    /// [`Kernel::set_active`] / [`Kernel::reset_to_env`], so a worker
-    /// spawned after a pin is guaranteed to observe it), and callers
-    /// hoist the result once per loop rather than per row.
-    #[inline]
-    pub fn for_dims(dims: usize) -> Kernel {
-        match ACTIVE.load(Ordering::Acquire) {
-            1 => Kernel::Scalar,
-            2 => Kernel::Wide,
-            3 => Kernel::auto(dims),
-            _ => {
-                Kernel::reset_to_env();
-                Kernel::for_dims(dims)
-            }
-        }
-    }
-
-    /// The dimensionality heuristic alone, ignoring any pin.
-    #[inline]
-    fn auto(dims: usize) -> Kernel {
-        if dims >= WIDE_MIN_DIMS {
-            Kernel::Wide
-        } else {
-            Kernel::Scalar
-        }
-    }
-
-    /// Pins the process-wide generation (benchmark harnesses measure
-    /// both generations in one process; tests pin one). Undo with
-    /// [`Kernel::reset_to_env`].
-    pub fn set_active(kernel: Kernel) {
-        let v = match kernel {
-            Kernel::Scalar => 1,
-            Kernel::Wide => 2,
-        };
-        // Release: pairs with the acquire load in `for_dims` so threads
-        // spawned after the pin observe it.
-        ACTIVE.store(v, Ordering::Release);
-    }
-
-    /// Restores the selection state to the environment: pinned when
-    /// `SKYCACHE_KERNEL` names a generation, auto otherwise.
-    pub fn reset_to_env() {
-        let v = match Kernel::from_env() {
-            Some(Kernel::Scalar) => 1,
-            Some(Kernel::Wide) => 2,
-            None => 3,
-        };
-        // Release: pairs with the acquire load in `for_dims`.
-        ACTIVE.store(v, Ordering::Release);
-    }
-
-    /// Kernel-dispatched strict Pareto dominance `s ≺ t`.
+    /// Strict Pareto dominance `s ≺ t` under the named implementation.
     #[inline]
     pub fn dominates(self, s: &[f64], t: &[f64]) -> bool {
         match self {
             Kernel::Scalar => dominates_raw(s, t),
-            Kernel::Wide => dominates_wide(s, t),
+            Kernel::Wide => dominates_rows(s, t),
         }
     }
 
-    /// Kernel-dispatched single-pass dominance classification.
+    /// Single-pass dominance classification under the named
+    /// implementation.
     #[inline]
     pub fn compare(self, s: &[f64], t: &[f64]) -> DomRelation {
         match self {
             Kernel::Scalar => compare_raw(s, t),
-            Kernel::Wide => compare_wide(s, t),
-        }
-    }
-
-    /// Kernel-dispatched closed-box membership `lo ≤ row ≤ hi`.
-    #[inline]
-    pub fn contains(self, lo: &[f64], hi: &[f64], row: &[f64]) -> bool {
-        match self {
-            Kernel::Scalar => lo.iter().zip(hi).zip(row).all(|((l, h), c)| l <= c && c <= h),
-            Kernel::Wide => contains_coords_wide(lo, hi, row),
-        }
-    }
-
-    /// Kernel-dispatched constrained dominance box `DR(s, C)` (see
-    /// [`crate::dominance::dominance_box_coords`]).
-    #[inline]
-    pub fn dominance_box(self, s: &[f64], c: &Constraints) -> Option<Aabb> {
-        match self {
-            Kernel::Scalar => dominance_box_coords(s, c),
-            Kernel::Wide => dominance_box_coords_wide(s, c),
+            Kernel::Wide => compare_rows(s, t),
         }
     }
 }
 
-/// Wide generation of [`dominates_raw`]: accumulates `any(s[i] > t[i])`
-/// and `any(s[i] < t[i])` over [`WIDE_LANES`]-element blocks with no
-/// per-element branch, then decides once: `s ≺ t ⇔ ¬any_gt ∧ any_lt`.
+/// Strict Pareto dominance `s ≺ t` over bare coordinate rows:
+/// accumulates `any(s[i] > t[i])` and `any(s[i] < t[i])` over
+/// `LANES`-element blocks with no per-element branch, then decides
+/// once: `s ≺ t ⇔ ¬any_gt ∧ any_lt`.
 #[inline]
-pub fn dominates_wide(s: &[f64], t: &[f64]) -> bool {
+pub fn dominates_rows(s: &[f64], t: &[f64]) -> bool {
     debug_assert_eq!(s.len(), t.len());
     let mut any_gt = false;
     let mut any_lt = false;
-    let mut sc = s.chunks_exact(WIDE_LANES);
-    let mut tc = t.chunks_exact(WIDE_LANES);
+    let mut sc = s.chunks_exact(LANES);
+    let mut tc = t.chunks_exact(LANES);
     for (a, b) in sc.by_ref().zip(tc.by_ref()) {
         let mut gt = false;
         let mut lt = false;
-        for l in 0..WIDE_LANES {
+        for l in 0..LANES {
             gt |= a[l] > b[l];
             lt |= a[l] < b[l];
         }
@@ -229,20 +94,21 @@ pub fn dominates_wide(s: &[f64], t: &[f64]) -> bool {
     !any_gt && any_lt
 }
 
-/// Wide generation of [`compare_raw`]: same lane-blocked accumulation of
-/// the `s[i] < t[i]` / `t[i] < s[i]` witnesses, classified once at the
-/// end instead of early-returning `Incomparable` mid-row.
+/// Single-pass dominance classification over bare coordinate rows: the
+/// same lane-blocked accumulation of the `s[i] < t[i]` / `t[i] < s[i]`
+/// witnesses, classified once at the end instead of early-returning
+/// `Incomparable` mid-row.
 #[inline]
-pub fn compare_wide(s: &[f64], t: &[f64]) -> DomRelation {
+pub fn compare_rows(s: &[f64], t: &[f64]) -> DomRelation {
     debug_assert_eq!(s.len(), t.len());
     let mut s_less = false;
     let mut t_less = false;
-    let mut sc = s.chunks_exact(WIDE_LANES);
-    let mut tc = t.chunks_exact(WIDE_LANES);
+    let mut sc = s.chunks_exact(LANES);
+    let mut tc = t.chunks_exact(LANES);
     for (a, b) in sc.by_ref().zip(tc.by_ref()) {
         let mut sl = false;
         let mut tl = false;
-        for l in 0..WIDE_LANES {
+        for l in 0..LANES {
             sl |= a[l] < b[l];
             tl |= b[l] < a[l];
         }
@@ -261,89 +127,9 @@ pub fn compare_wide(s: &[f64], t: &[f64]) -> DomRelation {
     }
 }
 
-/// Wide generation of [`Aabb::contains_coords`] /
-/// [`Constraints::satisfies_coords`]: accumulates the same
-/// `lo[i] ≤ row[i] ∧ row[i] ≤ hi[i]` conjunction branch-free.
-#[inline]
-pub fn contains_coords_wide(lo: &[f64], hi: &[f64], row: &[f64]) -> bool {
-    debug_assert_eq!(lo.len(), row.len());
-    debug_assert_eq!(hi.len(), row.len());
-    let mut inside = true;
-    let mut lc = lo.chunks_exact(WIDE_LANES);
-    let mut hc = hi.chunks_exact(WIDE_LANES);
-    let mut rc = row.chunks_exact(WIDE_LANES);
-    for ((l, h), r) in lc.by_ref().zip(hc.by_ref()).zip(rc.by_ref()) {
-        let mut ok = true;
-        for i in 0..WIDE_LANES {
-            ok &= l[i] <= r[i] && r[i] <= h[i];
-        }
-        inside &= ok;
-    }
-    for ((l, h), r) in lc.remainder().iter().zip(hc.remainder()).zip(rc.remainder()) {
-        inside &= l <= r && r <= h;
-    }
-    inside
-}
-
-/// Wide generation of [`dominance_box_coords`]: the `s[i] > C̄[i]`
-/// emptiness scan runs lane-blocked; box construction is unchanged (it
-/// allocates the corner vectors either way and is not loop-hot).
-pub fn dominance_box_coords_wide(s: &[f64], c: &Constraints) -> Option<Aabb> {
-    debug_assert_eq!(s.len(), c.dims());
-    let hi = c.hi();
-    let mut beyond = false;
-    let mut sc = s.chunks_exact(WIDE_LANES);
-    let mut hc = hi.chunks_exact(WIDE_LANES);
-    for (a, b) in sc.by_ref().zip(hc.by_ref()) {
-        let mut gt = false;
-        for l in 0..WIDE_LANES {
-            gt |= a[l] > b[l];
-        }
-        beyond |= gt;
-    }
-    for (a, b) in sc.remainder().iter().zip(hc.remainder()) {
-        beyond |= a > b;
-    }
-    if beyond {
-        return None;
-    }
-    let lo: Vec<f64> = s.iter().zip(c.lo()).map(|(a, b)| a.max(*b)).collect();
-    Some(Aabb::new_unchecked(lo, hi.to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for k in [Kernel::Scalar, Kernel::Wide] {
-            assert_eq!(Kernel::from_name(k.label()), Some(k));
-        }
-        assert_eq!(Kernel::from_name("WIDE"), Some(Kernel::Wide));
-        assert_eq!(Kernel::from_name("avx512"), None);
-    }
-
-    #[test]
-    fn pin_and_auto_selection() {
-        // A pin overrides the dimensionality heuristic everywhere...
-        Kernel::set_active(Kernel::Scalar);
-        assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS + 2), Kernel::Scalar);
-        Kernel::set_active(Kernel::Wide);
-        assert_eq!(Kernel::for_dims(1), Kernel::Wide);
-        // ...and resetting restores the env pin or the auto heuristic.
-        Kernel::reset_to_env();
-        match Kernel::from_env() {
-            Some(k) => {
-                assert_eq!(Kernel::for_dims(2), k);
-                assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS), k);
-            }
-            None => {
-                assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS - 1), Kernel::Scalar);
-                assert_eq!(Kernel::for_dims(WIDE_MIN_DIMS), Kernel::Wide);
-            }
-        }
-    }
 
     /// Hand-picked rows covering every classification plus the equal /
     /// signed-zero / long-row edges; the bulk differential coverage
@@ -362,56 +148,16 @@ mod tests {
         ];
         for s in rows {
             for t in rows {
-                assert_eq!(dominates_wide(s, t), dominates_raw(s, t), "{s:?} vs {t:?}");
-                assert_eq!(compare_wide(s, t), compare_raw(s, t), "{s:?} vs {t:?}");
+                assert_eq!(dominates_rows(s, t), dominates_raw(s, t), "{s:?} vs {t:?}");
+                assert_eq!(compare_rows(s, t), compare_raw(s, t), "{s:?} vs {t:?}");
             }
         }
         // Short rows exercise the pure-remainder path.
-        assert!(dominates_wide(&[1.0], &[2.0]));
-        assert!(!dominates_wide(&[1.0], &[1.0]));
-        assert_eq!(compare_wide(&[2.0], &[1.0]), DomRelation::DominatedBy);
+        assert!(dominates_rows(&[1.0], &[2.0]));
+        assert!(!dominates_rows(&[1.0], &[1.0]));
+        assert_eq!(compare_rows(&[2.0], &[1.0]), DomRelation::DominatedBy);
         // Empty rows: nothing is strictly smaller, so Equal / no dominance.
-        assert!(!dominates_wide(&[], &[]));
-        assert_eq!(compare_wide(&[], &[]), DomRelation::Equal);
-    }
-
-    #[test]
-    fn contains_wide_matches_aabb() {
-        let lo = [0.0, 0.0, 0.0, 0.0, 0.0];
-        let hi = [1.0, 1.0, 1.0, 1.0, 1.0];
-        let aabb = Aabb::new(lo.to_vec(), hi.to_vec()).unwrap();
-        let rows: [&[f64]; 5] = [
-            &[0.5, 0.5, 0.5, 0.5, 0.5],
-            &[0.0, 1.0, 0.0, 1.0, 0.0],
-            &[-0.0, 0.5, 0.5, 0.5, 1.0],
-            &[0.5, 0.5, 0.5, 0.5, 1.1],
-            &[-0.1, 0.5, 0.5, 0.5, 0.5],
-        ];
-        for r in rows {
-            assert_eq!(contains_coords_wide(&lo, &hi, r), aabb.contains_coords(r), "{r:?}");
-            for k in [Kernel::Scalar, Kernel::Wide] {
-                assert_eq!(k.contains(&lo, &hi, r), aabb.contains_coords(r), "{k:?} {r:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn dominance_box_wide_matches_scalar() {
-        let c = Constraints::new(vec![0.0; 5], vec![10.0; 5]).unwrap();
-        let rows: [&[f64]; 4] = [
-            &[2.0, 3.0, 4.0, 5.0, 6.0],
-            &[-5.0, 3.0, 4.0, 5.0, 6.0],
-            &[2.0, 3.0, 4.0, 5.0, 11.0],
-            &[0.0, -0.0, 0.0, 0.0, 0.0],
-        ];
-        for s in rows {
-            let want = dominance_box_coords(s, &c);
-            let got = dominance_box_coords_wide(s, &c);
-            assert_eq!(got.is_some(), want.is_some(), "{s:?}");
-            if let (Some(a), Some(b)) = (got, want) {
-                assert_eq!(a.lo(), b.lo());
-                assert_eq!(a.hi(), b.hi());
-            }
-        }
+        assert!(!dominates_rows(&[], &[]));
+        assert_eq!(compare_rows(&[], &[]), DomRelation::Equal);
     }
 }

@@ -34,7 +34,7 @@ mod error;
 /// Explicit float-comparison helpers (exact vs. tolerance semantics).
 pub mod float;
 mod interval;
-/// Kernel generations (scalar vs. wide) for the dominance inner loops.
+/// The lane-blocked production dominance tests over bare rows.
 pub mod kernel;
 mod point;
 mod rect;
@@ -42,12 +42,12 @@ mod rect;
 pub mod subtract;
 
 pub use aabb::Aabb;
-pub use block::{filter_block, retain_nondominated, BlockFilter, PointBlock};
+pub use block::{retain_nondominated, BlockFilter, PointBlock};
 pub use constraints::Constraints;
 pub use dominance::{dominated_by_any_rows, dominates, dominates_weak, DomRelation};
 pub use error::GeomError;
 pub use interval::Interval;
-pub use kernel::Kernel;
+pub use kernel::{compare_rows, dominates_rows, Kernel};
 pub use point::Point;
 pub use rect::HyperRect;
 

@@ -74,32 +74,13 @@ impl HyperRect {
 
     /// Bare-row membership: the zero-copy twin of
     /// [`HyperRect::contains_point`] for coordinate slices coming from a
-    /// [`crate::PointBlock`] or a columnar fetch buffer.
+    /// [`crate::PointBlock`] or a columnar fetch buffer. Exits on the
+    /// first failing dimension: the fetch post-filters that call this per
+    /// row reject most rows within a coordinate or two.
+    #[inline]
     pub fn contains_coords(&self, row: &[f64]) -> bool {
         debug_assert_eq!(self.dims(), row.len());
         self.dims.iter().zip(row).all(|(iv, &c)| iv.contains(c))
-    }
-
-    /// Kernel-dispatched twin of [`HyperRect::contains_coords`]. The wide
-    /// generation evaluates every dimension with a branch-free boolean
-    /// accumulate (openness folded into the comparison selection, which is
-    /// loop-invariant per interval) instead of early-exiting, so fetch
-    /// membership scans stay autovectorizer-friendly.
-    #[inline]
-    pub fn contains_coords_k(&self, kernel: crate::Kernel, row: &[f64]) -> bool {
-        debug_assert_eq!(self.dims(), row.len());
-        match kernel {
-            crate::Kernel::Scalar => self.contains_coords(row),
-            crate::Kernel::Wide => {
-                let mut ok = true;
-                for (iv, &c) in self.dims.iter().zip(row) {
-                    let above_lo = if iv.lo_open() { c > iv.lo() } else { c >= iv.lo() };
-                    let below_hi = if iv.hi_open() { c < iv.hi() } else { c <= iv.hi() };
-                    ok &= above_lo & below_hi;
-                }
-                ok
-            }
-        }
     }
 
     /// Whether two rectangles share at least one point.

@@ -10,7 +10,7 @@ use skycache_geom::dominance::{
     compare, dominated_by_any, dominated_by_any_rows, dominates, DomRelation,
 };
 use skycache_geom::subtract::{disjoint_union, pairwise_disjoint, subtract_box};
-use skycache_geom::{Aabb, HyperRect, Kernel, Point, PointBlock};
+use skycache_geom::{Aabb, HyperRect, Point, PointBlock};
 
 const DIMS: usize = 3;
 
@@ -119,8 +119,7 @@ proptest! {
         prop_assert!(d <= p.dist_sq(&corner) + 1e-12);
     }
 
-    /// dominated_by_any and its rows-based twin agree with a naive scan
-    /// under both kernel generations.
+    /// dominated_by_any and its rows-based twin agree with a naive scan.
     #[test]
     fn dominated_by_any_matches_scan(t in point(), cands in prop::collection::vec(point(), 0..8)) {
         let naive = cands.iter().any(|s| dominates(s, &t));
@@ -129,7 +128,6 @@ proptest! {
         for s in &cands {
             block.push_row(s.coords());
         }
-        prop_assert_eq!(dominated_by_any_rows(t.coords(), &block, Kernel::Scalar), naive);
-        prop_assert_eq!(dominated_by_any_rows(t.coords(), &block, Kernel::Wide), naive);
+        prop_assert_eq!(dominated_by_any_rows(t.coords(), &block), naive);
     }
 }

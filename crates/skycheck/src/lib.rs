@@ -3,8 +3,8 @@
 //!
 //! The crate has two halves:
 //!
-//! * [`sync`] — shim primitives (`Mutex`, `RwLock`, `AtomicU8`/`AtomicU64`,
-//!   `Arc`, `thread`) that behave exactly like their `std`/`parking_lot`
+//! * [`sync`] — shim primitives (`Mutex`, `RwLock`, `AtomicU64`, `Arc`,
+//!   `thread`) that behave exactly like their `std`/`parking_lot`
 //!   counterparts in production, and become schedulable under a model run;
 //! * [`Explorer`] — a DFS schedule explorer with a bounded-preemption budget
 //!   and DPOR-lite sleep-set reduction that exhaustively interleaves code

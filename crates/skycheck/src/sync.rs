@@ -11,9 +11,9 @@
 //!
 //! Atomics are modelled under sequential consistency (interleaving
 //! exploration, not weak memory); `Ordering` arguments are honoured verbatim
-//! on the passthrough path and recorded for the `atomic-ordering` lint, not
-//! by the scheduler. Statics are supported: object identity is re-registered
-//! per run via an epoch-tagged cell.
+//! on the passthrough path and ignored by the scheduler. Statics are
+//! supported: object identity is re-registered per run via an
+//! epoch-tagged cell.
 
 pub use std::sync::atomic::Ordering;
 pub use std::sync::Arc;
@@ -328,7 +328,6 @@ macro_rules! shim_atomic {
     };
 }
 
-shim_atomic!(AtomicU8, std::sync::atomic::AtomicU8, u8);
 shim_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 
 /// Schedulable subset of `std::thread`: `spawn`, `scope`, and the

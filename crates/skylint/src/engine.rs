@@ -110,7 +110,7 @@ pub struct Policy {
     pub expensive_exempt: Vec<String>,
     /// Type-name prefixes treated as synchronized when they appear in a
     /// captured binding's declaration (capture-race): `Atomic` covers
-    /// AtomicUsize/AtomicU8/…, `Mutex` covers Mutex<T>.
+    /// AtomicUsize/AtomicU64/…, `Mutex` covers Mutex<T>.
     pub sync_types: Vec<String>,
     /// Function designators allowed to read the process environment
     /// (env-read-confinement): the once-style init/pin functions.
@@ -130,9 +130,6 @@ pub struct Policy {
     /// Files/dirs whose sync primitives must come from the
     /// `skycheck::sync` shims (sync-confinement). Empty disables the rule.
     pub sync_confine_files: Vec<String>,
-    /// Files/dirs scanned for static atomics and their access sites
-    /// (atomic-ordering). Empty disables the rule.
-    pub atomic_files: Vec<String>,
 }
 
 impl Policy {
@@ -225,13 +222,12 @@ impl Policy {
             ),
             taint_validators: list_or("rules.range-taint.validators", &[]),
             sync_confine_files: list_or("rules.sync-confinement.files", &[]),
-            atomic_files: list_or("rules.atomic-ordering.files", &[]),
         }
     }
 }
 
 /// Every `section.key` the config may set. Anything else is a hard error.
-const KNOWN_KEYS: [&str; 32] = [
+const KNOWN_KEYS: [&str; 31] = [
     "paths.include",
     "paths.exclude",
     "crates.library",
@@ -263,7 +259,6 @@ const KNOWN_KEYS: [&str; 32] = [
     "rules.range-taint.sinks",
     "rules.range-taint.validators",
     "rules.sync-confinement.files",
-    "rules.atomic-ordering.files",
 ];
 
 /// Panic-fact kinds `[rules.panic-reachability].sources` may name.

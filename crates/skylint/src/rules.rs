@@ -21,7 +21,6 @@
 //! | `lock-order`          | acyclic, annotation-consistent lock graph        |
 //! | `panic-reachability`  | no transitive panic behind a public API          |
 //! | `hot-path-alloc`      | allocation-free designated kernels               |
-//! | `atomic-ordering`     | no Relaxed on cross-thread statics (w/ witness)  |
 //! | `dead-allow`          | every allow annotation still suppresses          |
 //!
 //! CFG + guard-liveness dataflow rules (v3, see `cfg.rs`):
@@ -46,7 +45,7 @@ use crate::report::Finding;
 use crate::symbols::{match_paren, next_code_idx, statement_end, EventKind, LockKind};
 
 /// All rule ids, in reporting order.
-pub const RULE_IDS: [&str; 14] = [
+pub const RULE_IDS: [&str; 13] = [
     "no-panic-paths",
     "determinism",
     "concurrency-hygiene",
@@ -59,7 +58,6 @@ pub const RULE_IDS: [&str; 14] = [
     "capture-race",
     "env-read-confinement",
     "range-taint",
-    "atomic-ordering",
     "dead-allow",
 ];
 
@@ -294,9 +292,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              \n\
              Rationale: ambient environment reads are hidden inputs — they\n\
              fork behaviour between runs (determinism) and between the\n\
-             serving threads of one process (a worker re-reading\n\
-             SKYCACHE_KERNEL mid-flight could select a different dominance\n\
-             kernel than the one the cached plan was built with). The\n\
+             serving threads of one process (a worker re-reading a\n\
+             mode variable mid-flight could take a different code path\n\
+             than the one the cached plan was built with). The\n\
              sanctioned pattern is one once-style pin function that reads\n\
              the variable a single time and caches the decision; everything\n\
              else takes configuration explicitly.\n\
@@ -361,31 +359,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              \n\
              Escape hatch: `// skylint: allow(sync-confinement) — <why the\n\
              primitive is out of model scope>`.",
-        ),
-        "atomic-ordering" => Some(
-            "atomic-ordering — no `Ordering::Relaxed` on statics shared\n\
-             across threads.\n\
-             \n\
-             Within the files listed under [rules.atomic-ordering].files,\n\
-             a `static X: Atomic…` that has both load and store/RMW sites,\n\
-             at least one of which is reachable (over the call graph) from\n\
-             a function in a spawn-allowed file\n\
-             ([rules.concurrency-hygiene].spawn-allowed — the thread\n\
-             lanes), is cross-thread. Every access to such a static that\n\
-             passes `Ordering::Relaxed` is a finding, with a witness call\n\
-             path from the thread lane to the access.\n\
-             \n\
-             Rationale: Relaxed guarantees atomicity but no ordering — a\n\
-             worker spawned after `set_active` stored a kernel choice with\n\
-             Relaxed may still observe the old value and select a\n\
-             different dominance kernel than the one the cached plan was\n\
-             built with. Cross-thread publication must be\n\
-             Release (store) / Acquire (load) or SeqCst; Relaxed is only\n\
-             acceptable for single-thread or counter-only statics, which\n\
-             this rule's reachability test excludes.\n\
-             \n\
-             Escape hatch: `// skylint: allow(atomic-ordering) — <why\n\
-             ordering is irrelevant here>`.",
         ),
         "dead-allow" => Some(
             "dead-allow — `// skylint: allow(…)` escapes must still earn\n\
@@ -1122,9 +1095,6 @@ pub fn run_workspace(
     if !policy.taint_files.is_empty() {
         range_taint(ws, models, policy, out);
     }
-    if !policy.atomic_files.is_empty() {
-        atomic_ordering(ws, models, policy, out);
-    }
 }
 
 /// Emits one workspace finding unless an allow annotation covers it.
@@ -1391,178 +1361,6 @@ fn hot_path_alloc(
                     ),
                 );
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// atomic-ordering
-// ---------------------------------------------------------------------------
-
-/// Atomic method names that observe a value.
-const ATOMIC_READS: [&str; 1] = ["load"];
-
-/// Atomic method names that publish a value (stores and RMWs).
-const ATOMIC_WRITES: [&str; 10] = [
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-/// One access to a static atomic, as harvested from the call graph.
-struct AtomicAccess {
-    file: String,
-    line: u32,
-    fn_idx: usize,
-    fn_name: String,
-    is_write: bool,
-    relaxed: bool,
-}
-
-/// Names of `static … : Atomic…` declarations in `model`.
-fn static_atomics(model: &SourceModel) -> Vec<String> {
-    let toks = &model.tokens;
-    let mut names = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_comment() || !t.is_ident("static") {
-            continue;
-        }
-        let Some(mut j) = next_code_idx(toks, i) else { continue };
-        if toks[j].is_ident("mut") {
-            match next_code_idx(toks, j) {
-                Some(k) => j = k,
-                None => continue,
-            }
-        }
-        if toks[j].kind != TokKind::Ident {
-            continue;
-        }
-        let Some(colon) = next_code_idx(toks, j) else { continue };
-        if !toks[colon].is_op(":") {
-            continue;
-        }
-        // The type may be bare (`AtomicU8`) or path-qualified
-        // (`atomic::AtomicU8`): scan the annotation up to `=`/`;`.
-        let mut k = colon;
-        let mut is_atomic = false;
-        while let Some(n) = next_code_idx(toks, k) {
-            if toks[n].is_op("=") || toks[n].is_op(";") {
-                break;
-            }
-            if toks[n].kind == TokKind::Ident && toks[n].text.starts_with("Atomic") {
-                is_atomic = true;
-                break;
-            }
-            k = n;
-        }
-        if is_atomic {
-            names.push(toks[j].text.clone());
-        }
-    }
-    names
-}
-
-fn atomic_ordering(
-    ws: &Workspace,
-    models: &BTreeMap<&str, &SourceModel>,
-    policy: &Policy,
-    out: &mut Vec<Finding>,
-) {
-    const RULE: &str = "atomic-ordering";
-    // 1. Static atomics declared in the scoped files.
-    let mut statics: Vec<String> = Vec::new();
-    for (file, model) in models {
-        if file_in(file, &policy.atomic_files) {
-            statics.extend(static_atomics(model));
-        }
-    }
-    if statics.is_empty() {
-        return;
-    }
-    // 2. Every load/store/RMW whose receiver is one of those statics.
-    let mut accesses: BTreeMap<String, Vec<AtomicAccess>> = BTreeMap::new();
-    for (i, f) in ws.fns.iter().enumerate() {
-        if !file_in(&f.file, &policy.atomic_files) {
-            continue;
-        }
-        let Some(model) = models.get(f.file.as_str()) else { continue };
-        for e in &f.events {
-            let EventKind::Method { recv, .. } = &e.kind else { continue };
-            let Some(target) = recv.last().filter(|r| statics.contains(r)) else { continue };
-            let is_write = ATOMIC_WRITES.contains(&e.name.as_str());
-            if !is_write && !ATOMIC_READS.contains(&e.name.as_str()) {
-                continue;
-            }
-            accesses.entry(target.clone()).or_default().push(AtomicAccess {
-                file: f.file.clone(),
-                line: e.line,
-                fn_idx: i,
-                fn_name: f.name.clone(),
-                is_write,
-                relaxed: call_args_mention(&model.tokens, e.tok, "Relaxed"),
-            });
-        }
-    }
-    // 3. Thread lanes: everything reachable from the spawn-allowed files.
-    let roots: Vec<usize> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| file_in(&f.file, &policy.spawn_allowed))
-        .map(|(i, _)| i)
-        .collect();
-    let reach = ws.reachable_with_paths(&roots);
-    // 4. A static with both sides present, at least one on a thread path,
-    //    must not be accessed with Relaxed anywhere.
-    for (st, accs) in &accesses {
-        if !accs.iter().any(|a| a.is_write) || !accs.iter().any(|a| !a.is_write) {
-            continue;
-        }
-        let Some(threaded) = accs.iter().find(|a| reach.contains_key(&a.fn_idx)) else {
-            continue;
-        };
-        let witness: String = reach[&threaded.fn_idx]
-            .iter()
-            .map(|&c| ws.fns[c].name.clone())
-            .collect::<Vec<_>>()
-            .join(" → ");
-        for acc in accs.iter().filter(|a| a.relaxed) {
-            let (side, want, pair) = if acc.is_write {
-                ("store", "Release", "Acquire")
-            } else {
-                ("load", "Acquire", "Release")
-            };
-            let opp = accs.iter().find(|a| a.is_write != acc.is_write);
-            let opp_at = opp
-                .map(|o| {
-                    format!(
-                        ", {} in `{}` at {}:{}",
-                        if o.is_write { "written" } else { "read" },
-                        o.fn_name,
-                        o.file,
-                        o.line
-                    )
-                })
-                .unwrap_or_default();
-            push_ws(
-                models,
-                out,
-                RULE,
-                &acc.file,
-                acc.line,
-                format!(
-                    "`Ordering::Relaxed` {side} on static `{st}`, which crosses a \
-                     spawn boundary (thread witness: {witness}{opp_at}) — use \
-                     `Ordering::{want}` pairing with `{pair}` on the other side"
-                ),
-            );
         }
     }
 }

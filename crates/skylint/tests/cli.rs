@@ -205,22 +205,6 @@ fn sealed_guard_tree_is_clean() {
 }
 
 #[test]
-fn relaxed_cross_thread_static_tree_is_flagged() {
-    let stdout = assert_bad("atomic_ordering_bad", "atomic-ordering");
-    // Both sides are findings, each carrying the thread witness path.
-    assert!(stdout.contains("`ACTIVE`"), "{stdout}");
-    assert!(stdout.contains("worker_lane → current"), "{stdout}");
-    assert!(stdout.contains("Ordering::Release"), "{stdout}");
-    assert!(stdout.contains("Ordering::Acquire"), "{stdout}");
-}
-
-#[test]
-fn release_acquire_static_tree_is_clean() {
-    // Release/Acquire on the pin; Relaxed only on the lane-local tally.
-    assert_clean("atomic_ordering_clean");
-}
-
-#[test]
 fn recursive_shared_reads_tree_is_clean() {
     // Shared → shared re-entry on one lock is safe under the shim RwLock.
     assert_clean("recursive_read_clean");

@@ -58,7 +58,6 @@ fn policy() -> Policy {
         taint_sinks: vec!["with_capacity".into(), "locate".into()],
         taint_validators: vec!["clamped".into()],
         sync_confine_files: vec!["lib/src/confined.rs".into()],
-        atomic_files: vec!["lib/src".into()],
     }
 }
 
@@ -447,56 +446,4 @@ pub fn share(v: u64) -> std::sync::Arc<u64> {
     assert_only(&found, "sync-confinement", 3);
     // The same source outside the confined list is not checked.
     assert_only(&findings("lib/src/free.rs", src), "sync-confinement", 0);
-}
-
-// ---------------------------------------------------------------------------
-// atomic-ordering
-// ---------------------------------------------------------------------------
-
-#[test]
-fn relaxed_cross_thread_static_is_flagged_on_both_sides() {
-    let src = r#"//! Fixture (lives in the spawn lane, so accesses are threaded).
-use std::sync::atomic::{AtomicU8, Ordering};
-
-static PIN: AtomicU8 = AtomicU8::new(0);
-
-/// BAD: relaxed publication.
-pub fn set_pin(v: u8) {
-    PIN.store(v, Ordering::Relaxed);
-}
-
-/// BAD: relaxed observation.
-pub fn get_pin() -> u8 {
-    PIN.load(Ordering::Relaxed)
-}
-"#;
-    let found = findings("lib/src/par.rs", src);
-    assert_only(&found, "atomic-ordering", 2);
-    assert!(found.iter().any(|f| f.message.contains("Ordering::Release")), "{found:?}");
-    assert!(found.iter().any(|f| f.message.contains("Ordering::Acquire")), "{found:?}");
-    assert!(found.iter().all(|f| f.message.contains("thread witness")), "{found:?}");
-}
-
-#[test]
-fn release_acquire_and_single_sided_statics_are_clean() {
-    let src = r#"//! Fixture.
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
-
-static PIN: AtomicU8 = AtomicU8::new(0);
-static PROBES: AtomicU64 = AtomicU64::new(0);
-
-/// Clean: release publication.
-pub fn set_pin(v: u8) {
-    PIN.store(v, Ordering::Release);
-}
-
-/// Clean: acquire observation; the relaxed load below is single-sided
-/// (PROBES is never stored to), so it cannot race a publication.
-pub fn get_pin() -> u8 {
-    let _ = PROBES.load(Ordering::Relaxed);
-    PIN.load(Ordering::Acquire)
-}
-"#;
-    let found = findings("lib/src/par.rs", src);
-    assert_only(&found, "-", 0);
 }

@@ -1,6 +1,6 @@
 use std::time::Duration;
 
-use skycache_geom::{Constraints, HyperRect, Kernel, Point};
+use skycache_geom::{Constraints, HyperRect, Point};
 use skycache_obs::{names, Recorder};
 
 use crate::cost::{CostModel, FetchStats};
@@ -207,20 +207,16 @@ impl Table {
         let mut indexes: Vec<ColumnIndex> = Vec::with_capacity(dims);
         for d in 0..dims {
             let mut index = ColumnIndex::build(&[], d);
-            // Construction, not a kernel: the only inbound "hot" edge is the
-            // name collision AtomicU8::load ↔ persist::load (Kernel::for_dims
-            // never reaches table building).
             let mut pairs: Vec<(f64, RowId)> = points
                 .iter()
                 .enumerate()
                 .filter(|&(row, _)| live[row])
                 .map(|(row, p)| (p[d], row as RowId))
-                .collect(); // skylint: allow(hot-path-alloc) — name-collision edge, see above.
+                .collect();
             pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             for (key, row) in pairs {
                 index.push_sorted(key, row);
             }
-            // skylint: allow(hot-path-alloc) — same name-collision edge.
             indexes.push(index);
         }
         Ok(Table { points, live, live_count, indexes, dims, config })
@@ -565,12 +561,11 @@ impl Table {
                 // what touches the *heap*, i.e. in the accounting.
                 stats.range_queries_executed += 1;
                 let mut matched = 0u64;
-                let kernel = Kernel::for_dims(self.dims);
                 for &row in self.indexes[unit.dim as usize]
                     .rows_at(unit.pos_lo as usize, unit.pos_hi as usize)
                 {
                     let coords = self.points[row as usize].coords();
-                    if region.contains_coords_k(kernel, coords) {
+                    if region.contains_coords(coords) {
                         matched += 1;
                         emit(row, coords);
                     }
@@ -604,7 +599,6 @@ impl Table {
                 let rows = self.indexes[unit.dim as usize]
                     .rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
                 let (mut first, mut last) = (0usize, 0usize);
-                let kernel = Kernel::for_dims(self.dims);
                 for (offset, &row) in rows.iter().enumerate() {
                     let pos = unit.pos_lo + offset as u32;
                     while last < members.len() && view.regions[members[last] as usize].pos_lo <= pos
@@ -619,7 +613,7 @@ impl Table {
                     // matches, so `any` short-circuits on the first hit.
                     if members[first..last].iter().any(|&r| {
                         pos < view.regions[r as usize].pos_hi
-                            && regions[r as usize].contains_coords_k(kernel, coords)
+                            && regions[r as usize].contains_coords(coords)
                     }) {
                         emit(row, coords);
                     }
