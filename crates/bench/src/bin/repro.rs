@@ -22,13 +22,12 @@ experiments:
   fig12  real-estate dataset (interactive + independent)
   ablation-replacement   LRU vs LCU under small capacities
   ablation-k             aMPR nearest-neighbor sweep
-  ablation-multi         multi-item cache exploitation (Sec 6.3 extension)
-  obs                    per-phase latency + cache/fetch aggregates (writes BENCH_obs.json)
-  perf                   query hot path: qps, allocs/query, coalescing (writes BENCH_perf.json)
+  ablation-multi         multi-item answering: Sec 6.3 harvest vs composition
   policy                 replacement policies x compositional hits, incl. Zipf workload (writes BENCH_policy.json)
-  check                  skycheck model-check stats for the shared-cache protocol (writes BENCH_check.json)
   serve                  TCP server under concurrent load: qps/p99, coalescing, read scaling (writes BENCH_serve.json)
-  all    everything above";
+  all    everything above
+timings come from benchmark/run.sh (skybench), schedule exploration from
+`cargo test -p skycache-core --test model --test model_serve`";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,10 +62,7 @@ fn main() -> ExitCode {
         ("ablation-replacement", figures::ablation_replacement),
         ("ablation-k", figures::ablation_k),
         ("ablation-multi", figures::ablation_multi),
-        ("obs", figures::obs),
-        ("perf", figures::perf),
         ("policy", figures::policy),
-        ("check", skycache_bench::check::check),
         ("serve", skycache_bench::serve::serve_bench),
     ] {
         if want(name) {

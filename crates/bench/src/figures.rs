@@ -561,16 +561,17 @@ pub fn ablation_k(scale: &Scale) {
     }
 }
 
-/// Ablation: multi-item cache exploitation (the paper's Section 6.3
-/// future work, implemented here): harvest pruning points from extra
-/// overlapping cache items.
+/// Ablation: the two multi-item mechanisms side by side at matched item
+/// counts — the Section 6.3 harvest of pruning points from `extra`
+/// additional overlapping items (the paper's future work), then
+/// compositional answering (DESIGN.md §17) over `compose` items in total.
 pub fn ablation_multi(scale: &Scale) {
     println!("\n#### Ablation: multi-item processing (Section 6.3 extension) ####");
     let table = synthetic_table(Distribution::Independent, 4, scale.mid_n.min(200_000), 42);
     for interactive in [true, false] {
         let name = if interactive { "interactive" } else { "independent" };
         print_header(
-            &format!("extra items ({name})"),
+            &format!("multi-item ({name})"),
             &["avg time".into(), "pts read".into(), "range qs".into()],
         );
         let (preload, queries) = if interactive {
@@ -581,7 +582,9 @@ pub fn ablation_multi(scale: &Scale) {
                 independent_queries(&table, scale.independent_queries.min(60), 19, None),
             )
         };
-        for extra in [0usize, 1, 2, 4, 8] {
+        let harvest = [0usize, 1, 2, 4, 8].map(|n| (format!("extra={n}"), n, 0));
+        let compose = [2usize, 3, 4, 5, 9].map(|n| (format!("compose={n}"), 0, n));
+        for (label, extra_items, compose_items) in harvest.into_iter().chain(compose) {
             let config = CbcsConfig {
                 mpr: MprMode::Approximate { k: 2 },
                 strategy: if interactive {
@@ -589,7 +592,9 @@ pub fn ablation_multi(scale: &Scale) {
                 } else {
                     SearchStrategy::MaxOverlap
                 },
-                extra_items: extra,
+                extra_items,
+                compose: compose_items > 0,
+                compose_items,
                 ..Default::default()
             };
             let mut ex = CbcsExecutor::new(&table, config);
@@ -598,259 +603,8 @@ pub fn ablation_multi(scale: &Scale) {
             }
             let records = run_queries(&mut ex, &queries);
             let s = summarize(records.iter());
-            print_row(
-                &format!("extra={extra}"),
-                &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
-            );
+            print_row(&label, &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
         }
-    }
-}
-
-/// `repro obs` — the observability pass: both paper workload generators
-/// run through CBCS with per-query recording on, and the merged
-/// [`skycache_obs::QueryReport`]s are aggregated into per-phase latency
-/// and cache/fetch counter series.
-///
-/// Besides the text tables, the aggregates are written to
-/// `BENCH_obs.json` (schema `skyobs-bench/1`); each workload entry
-/// embeds its merged report in the versioned `skyobs-report/1` format.
-pub fn obs(scale: &Scale) {
-    use skycache_obs::{names, Phase, QueryReport};
-
-    println!("\n#### Observability: per-phase latency and cache/fetch aggregates ####");
-
-    let dims = 4;
-    let n = scale.mid_n.min(100_000);
-    let table = synthetic_table(Distribution::Independent, dims, n, 42);
-
-    // A bounded cache so the eviction counters are exercised too.
-    let capacity = 32;
-
-    let run_recorded = |queries: &[Constraints]| -> (QueryReport, usize) {
-        let config = CbcsConfig { capacity: Some(capacity), ..Default::default() };
-        let mut ex = CbcsExecutor::new(&table, config);
-        let mut agg = QueryReport::default();
-        for c in queries {
-            let out = ex
-                .execute(&QueryRequest::new(c.clone()).recorded())
-                .expect("recorded benchmark query succeeds");
-            agg.merge(&out.report.expect("recorded request yields a report"));
-        }
-        (agg, queries.len())
-    };
-
-    let workloads: Vec<(&str, QueryReport, usize)> = {
-        let interactive = interactive_queries(&table, scale.interactive_queries, 17, None);
-        let independent = independent_queries(&table, scale.independent_queries, 19, None);
-        let (int_report, int_n) = run_recorded(&interactive);
-        let (ind_report, ind_n) = run_recorded(&independent);
-        vec![("interactive", int_report, int_n), ("independent", ind_report, ind_n)]
-    };
-
-    let mut entries = Vec::new();
-    for (name, report, queries) in &workloads {
-        let hits = report.counter(names::CACHE_HITS);
-        let misses = report.counter(names::CACHE_MISSES);
-        let hit_rate = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
-
-        print_header(
-            &format!(
-                "{name} workload (q = {queries}, n = {}, |D| = {dims}, capacity = {capacity})",
-                fmt_size(n)
-            ),
-            &["total".into(), "avg/query".into()],
-        );
-        for phase in Phase::ALL {
-            let total_s = report.phase_ns(phase) as f64 * 1e-9;
-            print_row(phase.label(), &[secs(total_s), ms(total_s / *queries as f64)]);
-        }
-        println!(
-            "hits {hits}  misses {misses}  hit-rate {:.0}%  evictions {}  points read {}  range queries {}",
-            hit_rate * 100.0,
-            report.counter(names::CACHE_EVICTIONS),
-            report.counter(names::FETCH_POINTS_READ),
-            report.counter(names::FETCH_RQ_EXECUTED),
-        );
-
-        // Embed the merged report in its own versioned format, indented
-        // to sit inside the workload object.
-        let embedded = report.to_json();
-        let embedded = embedded.trim_end().replace('\n', "\n      ");
-        entries.push(format!(
-            concat!(
-                "{{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"queries\": {},\n",
-                "      \"hit_rate\": {:.4},\n",
-                "      \"report\": {}\n",
-                "    }}"
-            ),
-            name, queries, hit_rate, embedded
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"skyobs-bench/1\",\n",
-            "  \"n\": {},\n",
-            "  \"dims\": {},\n",
-            "  \"cache_capacity\": {},\n",
-            "  \"workloads\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        n,
-        dims,
-        capacity,
-        entries.join(",\n    ")
-    );
-    match std::fs::write("BENCH_obs.json", &json) {
-        Ok(()) => println!("wrote BENCH_obs.json"),
-        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-    }
-}
-
-/// `repro perf` — the query hot-path performance experiment (this
-/// repository's zero-copy extension, not a paper figure): both paper
-/// workload generators run through CBCS at its default operating point,
-/// measuring throughput, heap-allocation events per query (via this
-/// crate's counting global allocator), and the range queries the
-/// coalescing fetch planner absorbed.
-///
-/// Each measurement is one full pass over a fresh workload against a
-/// fresh executor: interactive chains reach their case-(c)/(d) steady
-/// state within a few queries, while a repeated identical pass would
-/// degenerate to pure exact hits and measure the cache instead of the
-/// fetch/merge/skyline hot path. Results are written to
-/// `BENCH_perf.json` (schema `skyperf-bench/4`).
-pub fn perf(scale: &Scale) {
-    use std::time::Instant;
-
-    use skycache_obs::names;
-
-    use crate::allocations;
-
-    println!("\n#### Query hot path: throughput, allocations/query, coalescing ####");
-
-    let dims = 4;
-    let n = scale.mid_n.min(100_000);
-    let table = synthetic_table(Distribution::Independent, dims, n, 42);
-
-    struct Measured {
-        qps: f64,
-        allocs_per_query: f64,
-        points_read: u64,
-        rq_issued: u64,
-        rq_executed: u64,
-        regions_coalesced: u64,
-    }
-
-    // Measured at the paper's default operating point (aMPR with k = 1,
-    // the `CbcsConfig` default): the steady-state cached workload the
-    // engine actually runs. Best-of-3 on wall clock — each rep replays the
-    // whole workload against a fresh executor, so reps are independent and
-    // the minimum filters out scheduler noise on shared hosts.
-    let run_one = |queries: &[Constraints]| -> Measured {
-        const REPS: usize = 3;
-        let mut best: Option<Measured> = None;
-        for _ in 0..REPS {
-            let mut ex = CbcsExecutor::new(&table, CbcsConfig::default());
-            let a0 = allocations();
-            let t0 = Instant::now();
-            let records = run_queries(&mut ex, queries);
-            let wall = t0.elapsed().as_secs_f64();
-            let allocs = allocations() - a0;
-            let mut m = Measured {
-                qps: queries.len() as f64 / wall.max(1e-9),
-                allocs_per_query: allocs as f64 / queries.len() as f64,
-                points_read: 0,
-                rq_issued: 0,
-                rq_executed: 0,
-                regions_coalesced: 0,
-            };
-            for r in &records {
-                m.points_read += r.stats.points_read;
-                m.rq_issued += r.stats.range_queries_issued;
-                m.rq_executed += r.stats.range_queries_executed;
-                m.regions_coalesced += r.stats.regions_coalesced;
-            }
-            if best.as_ref().is_none_or(|b| m.qps > b.qps) {
-                best = Some(m);
-            }
-        }
-        best.expect("REPS > 0")
-    };
-
-    let workloads: Vec<(&str, Vec<Constraints>)> = vec![
-        ("interactive", interactive_queries(&table, scale.interactive_queries, 17, None)),
-        ("independent", independent_queries(&table, scale.independent_queries, 19, None)),
-    ];
-
-    let mut entries = Vec::new();
-    for (name, queries) in &workloads {
-        let block = run_one(queries);
-
-        print_header(
-            &format!("{name} workload (q = {}, n = {}, |D| = {dims})", queries.len(), fmt_size(n)),
-            &["qps".into(), "allocs/q".into(), "rq exec".into(), "coalesced".into()],
-        );
-        print_row(
-            "block",
-            &[
-                format!("{:.0}", block.qps),
-                format!("{:.1}", block.allocs_per_query),
-                block.rq_executed.to_string(),
-                block.regions_coalesced.to_string(),
-            ],
-        );
-
-        let fmt_measured = |m: &Measured| {
-            format!(
-                concat!(
-                    "{{\"qps\": {:.1}, \"{}\": {:.2}, \"points_read\": {}, ",
-                    "\"rq_issued\": {}, \"rq_executed\": {}, \"{}\": {}}}"
-                ),
-                m.qps,
-                names::ALLOC_PER_QUERY,
-                m.allocs_per_query,
-                m.points_read,
-                m.rq_issued,
-                m.rq_executed,
-                names::FETCH_REGIONS_COALESCED,
-                m.regions_coalesced,
-            )
-        };
-        entries.push(format!(
-            concat!(
-                "{{\n",
-                "      \"name\": \"{}\",\n",
-                "      \"queries\": {},\n",
-                "      \"block\": {}\n",
-                "    }}"
-            ),
-            name,
-            queries.len(),
-            fmt_measured(&block),
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"skyperf-bench/4\",\n",
-            "  \"n\": {},\n",
-            "  \"dims\": {},\n",
-            "  \"mpr\": \"aMPR(k=1)\",\n",
-            "  \"workloads\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        n,
-        dims,
-        entries.join(",\n    ")
-    );
-    match std::fs::write("BENCH_perf.json", &json) {
-        Ok(()) => println!("wrote BENCH_perf.json"),
-        Err(e) => eprintln!("could not write BENCH_perf.json: {e}"),
     }
 }
 

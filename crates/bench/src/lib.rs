@@ -1,21 +1,18 @@
 //! Shared experiment harness for reproducing the paper's evaluation
 //! (Section 7).
 //!
-//! The `repro` binary regenerates every table/figure series; the Criterion
-//! benches in `benches/` measure the same code paths at reduced scale.
-//! This library holds the common pieces: dataset/workload construction,
-//! executor runners, per-query record collection, and aggregation into the
-//! series the paper plots.
+//! The `repro` binary regenerates every table/figure series. This library
+//! holds the common pieces: dataset/workload construction, executor
+//! runners, per-query record collection, and aggregation into the series
+//! the paper plots. Performance numbers come from skybench
+//! (`benchmark/run.sh`), not from here.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod check;
 pub mod figures;
 pub mod serve;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use skycache_core::{Executor, Overlap, QueryRequest, QueryStats};
@@ -25,52 +22,6 @@ use skycache_datagen::{
 };
 use skycache_geom::Constraints;
 use skycache_storage::{Table, TableConfig};
-
-/// Counting wrapper around the system allocator: every benchmark and test
-/// binary linking this crate counts heap-allocation *events* (alloc,
-/// realloc, alloc_zeroed — frees are not counted), so `repro perf` and the
-/// allocation-ceiling tests can report allocations per query. The count is
-/// a process-wide monotone counter; measure deltas around the region of
-/// interest via [`allocations`].
-pub struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// Relaxed atomic with no effect on allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: caller upholds GlobalAlloc's contract for `ptr`/`layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: caller upholds GlobalAlloc's contract for `ptr`/`layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-/// The process-wide allocator for every binary in this crate.
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap-allocation events since process start (monotone; take deltas).
-pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// Builds a synthetic table.
 pub fn synthetic_table(dist: Distribution, dims: usize, n: usize, seed: u64) -> Table {

@@ -1,33 +1,81 @@
-//! Allocation-count regression tests for the block-oriented hot path.
+//! Allocation-count regression tests for the block-oriented hot path,
+//! plus the exact fetch counters of the same seeded runs.
 //!
-//! This crate installs a counting global allocator (see
-//! `skycache_bench::allocations`), so allocation events here are exact
-//! and deterministic: the workloads are seeded, the engine is
-//! single-threaded, and the tests serialize on [`SERIAL`] because the
-//! counter is process-wide. Two properties are pinned:
+//! This test binary installs a counting global allocator (`repro` and
+//! every other binary run on the system allocator), so allocation events
+//! here are exact and deterministic: the workloads are seeded, the engine
+//! is single-threaded, and the tests serialize on [`SERIAL`] because the
+//! counter is process-wide. Three properties are pinned:
 //!
-//! 1. allocs/query on the cached steady-state workload (the same
-//!    measurement `repro perf` records in BENCH_perf.json, at test
-//!    scale) stays under a fixed ceiling — reintroducing a per-point
-//!    clone anywhere in the fetch → merge → skyline pipeline costs one
-//!    alloc per point per stage and blows the bound immediately;
+//! 1. allocs/query on the cached steady-state workload stays under a
+//!    fixed ceiling — reintroducing a per-point clone anywhere in the
+//!    fetch → merge → skyline pipeline costs one alloc per point per
+//!    stage and blows the bound immediately (through the server, the
+//!    same quantity is skybench's `core.service.allocs_per_query`);
 //! 2. exact-hit replays (no fetch, no merge) stay under a fixed
 //!    ceiling, pinning the residual per-query cost of answering
 //!    straight from the cache — result materialization at the API
 //!    boundary plus the admission-sketch demand note (exact hits never
-//!    re-insert their item; see `Cache::note_demand`).
+//!    re-insert their item; see `Cache::note_demand`);
+//! 3. points read and range queries issued / executed / coalesced over
+//!    both paper workloads are exact: the planner and the coalescing
+//!    fetch are seeded end to end, so any drift is a behaviour change.
 //!
 //! The ceilings are deliberately loose (~2× observed) so unrelated
 //! changes don't trip them, while per-point regressions — hundreds of
 //! extra allocations per query at this scale — still fail loudly.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use skycache_bench::{allocations, interactive_queries, run_queries, synthetic_table};
+use skycache_bench::{independent_queries, interactive_queries, run_queries, synthetic_table};
 use skycache_core::{Cache, CbcsConfig, CbcsExecutor};
 use skycache_datagen::Distribution;
 use skycache_geom::Constraints;
 use skycache_storage::Table;
+
+/// Counting wrapper around the system allocator: counts heap-allocation
+/// *events* (alloc, realloc, alloc_zeroed — frees are not counted) in a
+/// process-wide monotone counter; measure deltas via [`allocations`].
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers entirely to the system allocator; the counter is a
+// Relaxed atomic with no effect on allocation behavior.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: caller upholds GlobalAlloc's contract for `ptr`/`layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: caller upholds GlobalAlloc's contract for `ptr`/`layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap-allocation events since process start (monotone; take deltas).
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 const DIMS: usize = 4;
 const N: usize = 100_000;
@@ -47,17 +95,25 @@ fn table() -> Table {
     synthetic_table(Distribution::Independent, DIMS, N, 42)
 }
 
-/// Allocs/query over one cold-start run of the workload — the cache
-/// warms within the first few queries, so this is dominated by the
-/// cached steady state, exactly like `repro perf`.
-fn workload_allocs_per_query(table: &Table, queries: &[Constraints]) -> f64 {
+/// One cold-start run of a workload: allocs/query plus the summed
+/// points read and range queries issued / executed / coalesced. The
+/// cache warms within the first few queries, so the run is dominated by
+/// the cached steady state.
+fn cold_run(table: &Table, queries: &[Constraints]) -> (f64, [u64; 4]) {
     let mut ex = CbcsExecutor::new(table, CbcsConfig::default());
     let a0 = allocations();
     let records = run_queries(&mut ex, queries);
     let allocs = allocations() - a0;
     let hits = records.iter().filter(|r| r.stats.cache_hit).count();
     assert!(hits * 2 > queries.len(), "workload must be cache-dominated, got {hits} hits");
-    allocs as f64 / queries.len() as f64
+    let mut fetch = [0u64; 4];
+    for r in &records {
+        fetch[0] += r.stats.points_read;
+        fetch[1] += r.stats.range_queries_issued;
+        fetch[2] += r.stats.range_queries_executed;
+        fetch[3] += r.stats.regions_coalesced;
+    }
+    (allocs as f64 / queries.len() as f64, fetch)
 }
 
 /// Allocs/query when re-running a workload the cache has already
@@ -77,11 +133,21 @@ fn steady_state_cached_path_allocs_stay_under_ceiling() {
     let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
-    let allocs = workload_allocs_per_query(&table, &queries);
+    let (allocs, fetch) = cold_run(&table, &queries);
     assert!(
         allocs <= BLOCK_CEILING,
         "cached steady state regressed to {allocs:.1} allocs/query (ceiling {BLOCK_CEILING})"
     );
+    assert_eq!(fetch, [83_681, 218, 60, 44], "interactive fetch counters moved");
+}
+
+#[test]
+fn independent_workload_fetch_counters_are_exact() {
+    let _serial = serial();
+    let table = table();
+    let queries = independent_queries(&table, QUERIES, 19, None);
+    let (_, fetch) = cold_run(&table, &queries);
+    assert_eq!(fetch, [280_548, 551, 193, 201], "independent fetch counters moved");
 }
 
 #[test]
@@ -137,7 +203,7 @@ fn warm_cache_lookup_is_allocation_free() {
     );
 }
 
-/// ~2× the observed steady-state cost (255.0 allocs/query).
+/// ~2× the observed steady-state cost (256.6 allocs/query).
 const BLOCK_CEILING: f64 = 510.0;
 /// ~2× the observed exact-hit replay cost (182.5 allocs/query — exact
 /// hits re-materialize the full result, so this scales with result

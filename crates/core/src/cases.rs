@@ -123,12 +123,6 @@ pub fn plan_with_extra(
     }
 }
 
-/// Theorem 3's closed-form Case (b) solution, exposed for direct use:
-/// simply drop cached skyline points that violate the new constraints.
-pub fn case_b_solution(cached_skyline: &[Point], new: &Constraints) -> Vec<Point> {
-    cached_skyline.iter().filter(|p| new.satisfies(p)).cloned().collect()
-}
-
 /// A compositional multi-item plan: the [`QueryPlan`] plus how much of
 /// the query region the contributing cached items covered.
 #[derive(Clone, Debug)]
@@ -331,7 +325,6 @@ mod tests {
         assert!(!plan.needs_skyline);
         assert_eq!(plan.retained.to_points(), vec![p(&[0.5, 0.2])]);
         assert_eq!(plan.removed_points, 1);
-        assert_eq!(case_b_solution(&sky, &new), vec![p(&[0.5, 0.2])]);
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! deliberately seeded touch-without-write-lock bug that must yield a
 //! byte-reproducible failing trace.
 //!
+//! Every exhaustive harness also asserts a schedule ceiling, so a change
+//! that blows up the interleaving space fails here instead of just
+//! running longer.
+//!
 //! The library holds no process-wide mutable state, so every run of a
 //! harness starts from the same state — run-to-run determinism is what
 //! makes trace replay byte-stable.
@@ -90,6 +94,8 @@ fn harness_a_concurrent_touch_insert_keeps_clock_monotone() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
+    // 4 schedules observed (debug and release alike); ceiling 2×.
+    assert!(outcome.stats.schedules <= 8, "interleaving space grew: {:?}", outcome.stats);
 }
 
 /// Invariant (b): with a capacity-1 cache, two concurrent executors with
@@ -125,6 +131,8 @@ fn harness_b_eviction_between_phases_never_loses_or_double_counts() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
+    // 130 schedules observed (debug and release alike); ceiling 2×.
+    assert!(outcome.stats.schedules <= 260, "interleaving space grew: {:?}", outcome.stats);
 }
 
 /// Invariant (c): the `// lock-order: read`/`write` protocol in
@@ -161,6 +169,8 @@ fn harness_c_concurrent_execute_admits_no_deadlock() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
+    // 124 schedules observed (debug and release alike); ceiling 2×.
+    assert!(outcome.stats.schedules <= 248, "interleaving space grew: {:?}", outcome.stats);
 }
 
 /// Satellite: `SharedCache::with_read` re-entrancy. The shim RwLock grants
@@ -184,6 +194,8 @@ fn with_read_reentrancy_is_safe_under_the_shim_rwlock() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
+    // 13 schedules observed (debug and release alike); ceiling 2×.
+    assert!(outcome.stats.schedules <= 26, "interleaving space grew: {:?}", outcome.stats);
 }
 
 /// Seeded bug: perform `touch`'s clock bump the *wrong* way — read the

@@ -16,6 +16,8 @@
 //!   cache (never torn), an observed epoch ≥ 1 guarantees the snapshot
 //!   read after it sees the insert, and a snapshot taken early is
 //!   immutable no matter how the writer is scheduled around it.
+//!
+//! Both also assert a schedule ceiling, as the harnesses in `model.rs` do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -100,6 +102,8 @@ fn singleflight_two_identical_queries_compute_once_per_leader() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
+    // 188 schedules observed (debug and release alike); ceiling 2×.
+    assert!(outcome.stats.schedules <= 376, "interleaving space grew: {:?}", outcome.stats);
     assert!(
         schedules_with_join.load(Ordering::Relaxed) >= 1,
         "exhaustive exploration must include schedules where the queries \
@@ -156,4 +160,6 @@ fn epoch_publication_is_never_torn() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
+    // 81 schedules observed (debug and release alike); ceiling 2×.
+    assert!(outcome.stats.schedules <= 162, "interleaving space grew: {:?}", outcome.stats);
 }

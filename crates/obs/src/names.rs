@@ -99,6 +99,6 @@ pub const SERVE_COMPUTES: &str = "serve.computes";
 // -- alloc ------------------------------------------------------------------
 
 /// Heap allocations per query on the steady-state path, as measured by
-/// the bench harness's counting allocator (reported by `repro perf`, not
-/// by the engine itself). Gauge.
+/// a counting allocator outside the engine (skybench reports it as
+/// `core.service.allocs_per_query`). Gauge.
 pub const ALLOC_PER_QUERY: &str = "alloc.per_query";

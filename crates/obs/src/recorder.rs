@@ -109,46 +109,6 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// Forwards every event to two recorders (e.g. the engine's always-on
-/// `QueryStats` plus a [`crate::QueryRecorder`]).
-pub struct Tee<'a> {
-    first: &'a mut dyn Recorder,
-    second: &'a mut dyn Recorder,
-}
-
-impl<'a> Tee<'a> {
-    /// Builds a tee over two recorders.
-    pub fn new(first: &'a mut dyn Recorder, second: &'a mut dyn Recorder) -> Self {
-        Tee { first, second }
-    }
-}
-
-impl Recorder for Tee<'_> {
-    fn detailed(&self) -> bool {
-        self.first.detailed() || self.second.detailed()
-    }
-
-    fn record_span(&mut self, phase: Phase, elapsed: Duration) {
-        self.first.record_span(phase, elapsed);
-        self.second.record_span(phase, elapsed);
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        self.first.add_counter(name, delta);
-        self.second.add_counter(name, delta);
-    }
-
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.first.set_gauge(name, value);
-        self.second.set_gauge(name, value);
-    }
-
-    fn observe_value(&mut self, name: &'static str, value: f64) {
-        self.first.observe_value(name, value);
-        self.second.observe_value(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,23 +133,5 @@ mod tests {
         r.add_counter("cache.hits", 1);
         r.set_gauge("alloc.per_query", 4.0);
         r.observe_value("fetch.latency_ns", 123.0);
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        use crate::QueryRecorder;
-        let mut a = QueryRecorder::new();
-        let mut b = QueryRecorder::new();
-        {
-            let mut tee = Tee::new(&mut a, &mut b);
-            assert!(tee.detailed());
-            tee.add_counter("cache.hits", 2);
-            tee.record_span(Phase::Skyline, Duration::from_nanos(7));
-        }
-        for rec in [a, b] {
-            let report = rec.into_report();
-            assert_eq!(report.counter("cache.hits"), 2);
-            assert_eq!(report.phase_ns(Phase::Skyline), 7);
-        }
     }
 }

@@ -607,7 +607,7 @@ pub struct Stats {
 /// Result of an exploration.
 #[derive(Clone, Debug)]
 pub struct Outcome {
-    /// Counters for reporting (`BENCH_check.json`).
+    /// Exploration counters (the model tests gate on `schedules`).
     pub stats: Stats,
     /// First failing schedule, if any.
     pub failure: Option<Failure>,

@@ -142,8 +142,7 @@ fn report_json_matches_golden_file() {
     );
 }
 
-/// Merging reports must add phase times and counters — the aggregation
-/// the bench's `repro obs` mode relies on.
+/// Merging reports must add phase times and counters.
 #[test]
 fn merged_reports_aggregate_phases_and_counters() {
     use std::time::Duration;
