@@ -16,6 +16,8 @@ pub enum StorageError {
     },
     /// Page capacity must be at least one point.
     InvalidPageCapacity,
+    /// The table would hold more heap slots than row ids exist.
+    TooManyRows,
     /// An underlying geometric constructor failed.
     Geom(GeomError),
     /// An I/O failure during save/load.
@@ -32,6 +34,9 @@ impl fmt::Display for StorageError {
                 write!(f, "point dimensionality {actual} != table dimensionality {expected}")
             }
             StorageError::InvalidPageCapacity => write!(f, "page capacity must be >= 1"),
+            StorageError::TooManyRows => {
+                write!(f, "a table holds at most {} rows", crate::RowId::MAX)
+            }
             StorageError::Geom(e) => write!(f, "geometry error: {e}"),
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
             StorageError::Corrupt(why) => write!(f, "corrupt table file: {why}"),
@@ -57,5 +62,16 @@ impl From<GeomError> for StorageError {
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io(e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_table_is_not_reported_as_a_page_capacity_problem() {
+        assert_eq!(StorageError::TooManyRows.to_string(), "a table holds at most 4294967295 rows");
+        assert_eq!(StorageError::InvalidPageCapacity.to_string(), "page capacity must be >= 1");
     }
 }

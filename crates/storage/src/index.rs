@@ -1,4 +1,4 @@
-use skycache_geom::{Interval, Point};
+use skycache_geom::Interval;
 
 use crate::table::RowId;
 
@@ -16,10 +16,10 @@ pub struct ColumnIndex {
 }
 
 impl ColumnIndex {
-    /// Builds the index of dimension `dim` over `points`.
-    pub fn build(points: &[Point], dim: usize) -> Self {
-        let mut pairs: Vec<(f64, RowId)> =
-            points.iter().enumerate().map(|(row, p)| (p[dim], row as RowId)).collect();
+    /// Builds the index of one dimension from the `(key, row)` entries of
+    /// the rows it should cover (a table passes its live rows only).
+    pub fn build(entries: impl Iterator<Item = (f64, RowId)>) -> Self {
+        let mut pairs: Vec<(f64, RowId)> = entries.collect();
         pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         ColumnIndex {
             keys: pairs.iter().map(|p| p.0).collect(),
@@ -94,6 +94,18 @@ impl ColumnIndex {
         Some((*self.keys.first()?, *self.keys.last()?))
     }
 
+    /// All `(key, row)` entries in key order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (f64, RowId)> + '_ {
+        self.keys.iter().copied().zip(self.rows.iter().copied())
+    }
+
+    /// The `parts - 1` keys that cut the sorted keys into `parts` runs of
+    /// equal length (fewer when the index is empty; repeated when a key
+    /// run spans a cut): the bucket sketch's split values.
+    pub(crate) fn quantile_keys(&self, parts: usize) -> Vec<f64> {
+        (1..parts).filter_map(|i| self.keys.get(i * self.keys.len() / parts).copied()).collect()
+    }
+
     /// Inserts a `(key, row)` entry, keeping keys sorted (`O(n)` memmove,
     /// like a B-tree leaf insert without node splits — adequate for the
     /// moderate update rates of the dynamic-data extension).
@@ -105,14 +117,6 @@ impl ColumnIndex {
         let pos = self.keys.partition_point(|&k| k.total_cmp(&key).is_lt());
         self.keys.insert(pos, key);
         self.rows.insert(pos, row);
-    }
-
-    /// Appends an entry known to be `>=` (in total order) every existing
-    /// key (bulk reconstruction fast path).
-    pub(crate) fn push_sorted(&mut self, key: f64, row: RowId) {
-        debug_assert!(self.keys.last().is_none_or(|&k| k.total_cmp(&key).is_le()));
-        self.keys.push(key);
-        self.rows.push(row);
     }
 
     /// Removes the entry for `(key, row)`. Returns whether it existed.
@@ -158,10 +162,13 @@ fn norm_up(v: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// An index over `keys`, row ids in slice order.
+    fn index_of(keys: &[f64]) -> ColumnIndex {
+        ColumnIndex::build(keys.iter().copied().zip(0..))
+    }
+
     fn idx() -> ColumnIndex {
-        let pts: Vec<Point> =
-            [5.0, 1.0, 3.0, 3.0, 9.0].iter().map(|&v| Point::from(vec![v, 0.0])).collect();
-        ColumnIndex::build(&pts, 0)
+        index_of(&[5.0, 1.0, 3.0, 3.0, 9.0])
     }
 
     #[test]
@@ -234,9 +241,7 @@ mod tests {
         // total_cmp sorts -0.0 before 0.0; numerically they are equal, so
         // every range bound of either zero sign must treat the whole run
         // of zeros as one key value.
-        let pts: Vec<Point> =
-            [-0.0, 2.0, 0.0, -1.0].iter().map(|&v| Point::from(vec![v, 0.0])).collect();
-        let i = ColumnIndex::build(&pts, 0);
+        let i = index_of(&[-0.0, 2.0, 0.0, -1.0]);
         assert_eq!(i.count_in(&Interval::closed(0.0, 0.0)), 2);
         assert_eq!(i.count_in(&Interval::closed(-0.0, 0.0)), 2);
         assert_eq!(i.count_in(&Interval::closed(-1.0, -0.0)), 3);
@@ -252,7 +257,7 @@ mod tests {
 
     #[test]
     fn insert_mixed_zero_signs_keeps_total_order() {
-        let mut i = ColumnIndex::build(&[], 0);
+        let mut i = index_of(&[]);
         // A numeric `<` insert predicate would place 0.0 *before* an
         // existing -0.0, breaking the total_cmp sort order.
         i.insert(-0.0, 1);
@@ -272,9 +277,18 @@ mod tests {
 
     #[test]
     fn empty_index() {
-        let i = ColumnIndex::build(&[], 0);
+        let i = index_of(&[]);
         assert!(i.is_empty());
         assert_eq!(i.count_in(&Interval::closed(0.0, 1.0)), 0);
         assert_eq!(i.key_bounds(), None);
+        assert!(i.quantile_keys(128).is_empty());
+    }
+
+    #[test]
+    fn quantile_keys_cut_equal_runs() {
+        let keys: Vec<f64> = (0..256).rev().map(f64::from).collect();
+        assert_eq!(index_of(&keys).quantile_keys(4), vec![64.0, 128.0, 192.0]);
+        // Fewer keys than parts: cuts repeat, ascending all the same.
+        assert_eq!(idx().quantile_keys(8), vec![1.0, 3.0, 3.0, 3.0, 5.0, 5.0, 9.0]);
     }
 }

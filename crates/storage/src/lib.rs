@@ -6,9 +6,11 @@
 //! behaviours the evaluation depends on:
 //!
 //! 1. **Single-index range plans.** A range query probes every per-dimension
-//!    index, picks the most selective one, fetches that index's candidate
-//!    rows from the heap and post-filters the remaining dimensions — the
-//!    plan PostgreSQL chooses for one-index-applicable range predicates.
+//!    index, picks the most selective one and is *charged* what PostgreSQL
+//!    would pay: that index's candidate rows fetched from the heap and
+//!    post-filtered on the remaining dimensions (or, when cheaper, a
+//!    bitmap AND of the per-dimension row sets). What the walk really
+//!    dereferences is smaller — see the bucket sketch below.
 //! 2. **Empty-query detection.** "The remaining queries were discarded by
 //!    the DBMS without any disk seeks because the B-trees detect the empty
 //!    queries" (Section 7.3.2): a query whose projection on any indexed
@@ -20,11 +22,16 @@
 //!    (points read — Fig. 8; range queries generated/executed — Fig. 9;
 //!    fetch time — Figs. 5–7, 10, 12).
 //!
-//! The store itself is columnar-free and in-memory: pages of points plus a
+//! The store itself is in-memory: a heap of points in row-id order, a
 //! sorted `(key, row)` array per dimension (the B-tree equivalent, with
-//! `O(log n)` range location); [`Table::insert`]/[`Table::delete`] support
-//! the dynamic-data extension and [`Table::save`]/[`Table::load`] persist
-//! snapshots.
+//! `O(log n)` range location) and the *bucket sketch* — one packed `u64`
+//! per heap slot holding a 7-bit equi-depth bucket per dimension, which
+//! the candidate walk tests against the region's bucket box before it
+//! touches the heap row, so the measured fetch dereferences about the rows
+//! it returns while [`FetchStats`] keeps charging the simulated plan
+//! (DESIGN.md §12). [`Table::insert`]/[`Table::delete`] support the
+//! dynamic-data extension and [`Table::save`]/[`Table::load`] persist
+//! snapshots (heap and tombstones only; indexes and sketch are rebuilt).
 //!
 //! ```
 //! use skycache_geom::{Constraints, Point};
@@ -53,6 +60,7 @@ mod error;
 mod index;
 mod persist;
 mod scratch;
+mod sketch;
 mod table;
 
 pub use cost::{CostModel, FetchStats};

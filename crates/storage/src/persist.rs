@@ -21,7 +21,7 @@
 //! freedom before constructing the table.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -143,21 +143,24 @@ impl Table {
         Ok(())
     }
 
-    /// Loads a table previously written by [`Table::save`].
+    /// Loads a table previously written by [`Table::save`]. The file is
+    /// held in memory once — verified, then parsed in place — and released
+    /// before the indexes are rebuilt.
     pub fn load(path: impl AsRef<Path>) -> Result<Table> {
-        let mut raw = Vec::new();
-        BufReader::new(File::open(path)?).read_to_end(&mut raw)?;
-        if raw.len() < 8 {
-            return Err(StorageError::Corrupt("file too short".into()));
-        }
-        let (payload, tail) = raw.split_at(raw.len() - 8);
+        let mut raw = std::fs::read(path)?;
+        let payload_len = raw
+            .len()
+            .checked_sub(8)
+            .ok_or_else(|| StorageError::Corrupt("file too short".into()))?;
+        let (payload, tail) = raw.split_at(payload_len);
         // skylint: allow(no-panic-paths) — split_at gives tail exactly 8 bytes.
         let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
         if fnv1a(payload) != stored {
             return Err(StorageError::Corrupt("checksum mismatch".into()));
         }
+        raw.truncate(payload_len);
 
-        let mut buf = Bytes::copy_from_slice(payload);
+        let mut buf = Bytes::from(raw);
         fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
             if buf.remaining() < n {
                 return Err(StorageError::Corrupt(format!("truncated {what}")));
@@ -189,9 +192,9 @@ impl Table {
 
         let bitmap_len = n.div_ceil(8);
         need(&buf, bitmap_len, "live bitmap")?;
-        let mut bitmap = vec![0u8; bitmap_len];
-        buf.copy_to_slice(&mut bitmap);
+        let bitmap = &buf.chunk()[..bitmap_len];
         let live: Vec<bool> = (0..n).map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0).collect();
+        buf.advance(bitmap_len);
 
         let payload_len = n
             .checked_mul(dims * 8)
@@ -205,6 +208,9 @@ impl Table {
             }
             points.push(Point::new_unchecked(coords));
         }
+        // The file image goes before the index build allocates its sort
+        // buffers: from here on the heap is the only copy of the data.
+        drop(buf);
 
         Table::from_parts(points, live, TableConfig { page_capacity, cost_model })
     }

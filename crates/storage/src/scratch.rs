@@ -20,6 +20,7 @@
 //! on the hot path.
 
 use crate::cost::FetchStats;
+use crate::sketch::BucketBox;
 use crate::table::RowId;
 
 /// Columnar fetch output: row ids plus a row-major coordinate block,
@@ -110,6 +111,9 @@ pub(crate) struct RegionProbe {
     /// Position range `[pos_lo, pos_hi)` in the chosen dimension's index.
     pub pos_lo: u32,
     pub pos_hi: u32,
+    /// The region in bucket space, when `Ready`: what the candidate walk
+    /// tests a row's sketch word against before touching the heap.
+    pub bucket_box: BucketBox,
 }
 
 /// One probed dimension of a region: its index position range.
@@ -127,25 +131,6 @@ impl ProbedDim {
     }
 }
 
-/// Execution shape of a unit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum UnitKind {
-    /// A degenerate region: accounting only.
-    #[default]
-    Degenerate,
-    /// Proved empty by index probes: accounting only.
-    ProbedEmpty,
-    /// One fully unbounded region: sequential heap scan.
-    Scan,
-    /// One ready region: the classic single-region plan (bitmap or
-    /// single-index scan).
-    Single,
-    /// Several ready regions sharing one merged index range: one range
-    /// query scanning the union slice, candidates tested against every
-    /// member region.
-    Merged,
-}
-
 /// One executable unit of a fetch plan: a group of regions answered by a
 /// single (possibly merged) range query.
 #[derive(Clone, Copy, Debug, Default)]
@@ -158,7 +143,12 @@ pub(crate) struct FetchUnit {
     /// Merged position range `[pos_lo, pos_hi)` in that dimension.
     pub pos_lo: u32,
     pub pos_hi: u32,
-    pub kind: UnitKind,
+    /// The planning state its members share. Only `Ready` units have more
+    /// than one member: ready regions whose index ranges merged into one
+    /// range query walking the union slice, candidates tested against
+    /// every member region. A ready unit of one member is charged as the
+    /// classic single-region plan (bitmap or single-index scan).
+    pub state: RegionState,
 }
 
 /// Per-heap-slot dedup marks with epoch-based O(1) reset.
@@ -326,18 +316,13 @@ impl FetchScratch {
                 let pr = self.regions[i];
                 match pr.state {
                     RegionState::Degenerate | RegionState::Empty | RegionState::FullScan => {
-                        let kind = match pr.state {
-                            RegionState::Degenerate => UnitKind::Degenerate,
-                            RegionState::Empty => UnitKind::ProbedEmpty,
-                            _ => UnitKind::Scan,
-                        };
                         self.units.push(FetchUnit {
                             members_start: k as u32,
                             members_end: k as u32 + 1,
                             dim: pr.chosen_dim,
                             pos_lo: pr.pos_lo,
                             pos_hi: pr.pos_hi,
-                            kind,
+                            state: pr.state,
                         });
                         k += 1;
                     }
@@ -367,7 +352,7 @@ impl FetchScratch {
                             dim,
                             pos_lo,
                             pos_hi,
-                            kind: if members == 1 { UnitKind::Single } else { UnitKind::Merged },
+                            state: RegionState::Ready,
                         });
                     }
                 }
@@ -375,19 +360,13 @@ impl FetchScratch {
             ready_candidates - ready_units
         } else {
             for (i, pr) in self.regions.iter().enumerate() {
-                let kind = match pr.state {
-                    RegionState::Degenerate => UnitKind::Degenerate,
-                    RegionState::Empty => UnitKind::ProbedEmpty,
-                    RegionState::FullScan => UnitKind::Scan,
-                    RegionState::Ready => UnitKind::Single,
-                };
                 self.units.push(FetchUnit {
                     members_start: i as u32,
                     members_end: i as u32 + 1,
                     dim: pr.chosen_dim,
                     pos_lo: pr.pos_lo,
                     pos_hi: pr.pos_hi,
-                    kind,
+                    state: pr.state,
                 });
             }
             0

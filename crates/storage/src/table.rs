@@ -8,9 +8,14 @@ use crate::error::StorageError;
 use crate::index::ColumnIndex;
 use crate::scratch::{
     ExecView, FetchBuf, FetchScratch, FetchUnit, ProbedDim, RegionProbe, RegionState, SeenSet,
-    UnitKind,
 };
+use crate::sketch::Sketch;
 use crate::Result;
+
+/// How many admitted candidates [`Table::run_unit`] fetches from the heap
+/// together. Enough to overlap their cache misses; 16 and 64 measure the
+/// same.
+const BATCH: usize = 32;
 
 /// Identifier of a stored row.
 pub type RowId = u32;
@@ -162,32 +167,30 @@ pub struct Table {
     live: Vec<bool>,
     live_count: usize,
     indexes: Vec<ColumnIndex>,
+    /// One packed bucket word per heap slot: the candidate walk's cheap
+    /// pre-filter in front of the heap (never persisted; rebuilt from the
+    /// indexes on load).
+    sketch: Sketch,
     dims: usize,
     config: TableConfig,
+}
+
+/// The row id of heap slot `slot`, or [`StorageError::TooManyRows`] when
+/// the slot is past the last id a table hands out (`RowId::MAX - 1`).
+fn checked_row(slot: usize) -> Result<RowId> {
+    RowId::try_from(slot).ok().filter(|&row| row < RowId::MAX).ok_or(StorageError::TooManyRows)
 }
 
 impl Table {
     /// Builds a table (heap + all indexes) from a non-empty point set.
     pub fn build(points: Vec<Point>, config: TableConfig) -> Result<Self> {
-        if config.page_capacity == 0 {
-            return Err(StorageError::InvalidPageCapacity);
-        }
-        let dims = points.first().ok_or(StorageError::EmptyTable)?.dims();
-        if let Some(bad) = points.iter().find(|p| p.dims() != dims) {
-            return Err(StorageError::DimensionMismatch { expected: dims, actual: bad.dims() });
-        }
-        if points.len() > RowId::MAX as usize {
-            return Err(StorageError::InvalidPageCapacity);
-        }
-        let indexes = (0..dims).map(|d| ColumnIndex::build(&points, d)).collect();
         let live = vec![true; points.len()];
-        let live_count = points.len();
-        Ok(Table { points, live, live_count, indexes, dims, config })
+        Table::from_parts(points, live, config)
     }
 
-    /// Reconstructs a table from persisted parts (heap slots plus a
-    /// liveness bitmap), rebuilding the per-dimension indexes over the
-    /// live rows only.
+    /// Assembles a table from heap slots plus a liveness bitmap (all set
+    /// for a fresh build, persisted for a load): the per-dimension indexes
+    /// over the live rows only, then the bucket sketch from their keys.
     pub(crate) fn from_parts(
         points: Vec<Point>,
         live: Vec<bool>,
@@ -203,23 +206,16 @@ impl Table {
         if let Some(bad) = points.iter().find(|p| p.dims() != dims) {
             return Err(StorageError::DimensionMismatch { expected: dims, actual: bad.dims() });
         }
+        checked_row(points.len() - 1)?;
         let live_count = live.iter().filter(|&&l| l).count();
-        let mut indexes: Vec<ColumnIndex> = Vec::with_capacity(dims);
-        for d in 0..dims {
-            let mut index = ColumnIndex::build(&[], d);
-            let mut pairs: Vec<(f64, RowId)> = points
-                .iter()
-                .enumerate()
-                .filter(|&(row, _)| live[row])
-                .map(|(row, p)| (p[d], row as RowId))
-                .collect();
-            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            for (key, row) in pairs {
-                index.push_sorted(key, row);
-            }
-            indexes.push(index);
-        }
-        Ok(Table { points, live, live_count, indexes, dims, config })
+        let indexes: Vec<ColumnIndex> = (0..dims)
+            .map(|d| {
+                let live_rows = points.iter().enumerate().filter(|&(row, _)| live[row]);
+                ColumnIndex::build(live_rows.map(|(row, p)| (p[d], row as RowId)))
+            })
+            .collect();
+        let sketch = Sketch::build(&indexes, points.len());
+        Ok(Table { points, live, live_count, indexes, sketch, dims, config })
     }
 
     /// Number of live points.
@@ -311,13 +307,11 @@ impl Table {
                 actual: point.dims(),
             });
         }
-        if self.points.len() >= RowId::MAX as usize {
-            return Err(StorageError::InvalidPageCapacity);
-        }
-        let row = self.points.len() as RowId;
+        let row = checked_row(self.points.len())?;
         for (dim, index) in self.indexes.iter_mut().enumerate() {
             index.insert(point[dim], row);
         }
+        self.sketch.push(point.coords());
         self.points.push(point);
         self.live.push(true);
         self.live_count += 1;
@@ -325,8 +319,9 @@ impl Table {
     }
 
     /// Deletes a row (tombstoning its heap slot and removing its index
-    /// entries). Returns the deleted point, or `None` if the row does not
-    /// exist or was already deleted.
+    /// entries; its sketch word stays, unreachable like the slot). Returns
+    /// the deleted point, or `None` if the row does not exist or was
+    /// already deleted.
     pub fn delete(&mut self, row: RowId) -> Option<Point> {
         let idx = row as usize;
         if !self.live.get(idx).copied().unwrap_or(false) {
@@ -486,6 +481,7 @@ impl Table {
                 chosen_dim: best.dim,
                 pos_lo: best.pos_lo,
                 pos_hi: best.pos_hi,
+                bucket_box: self.sketch.region_box(region),
             },
         };
         scratch.note_region(probe, stats);
@@ -497,16 +493,23 @@ impl Table {
     /// plus the heap work, which dedup does not reduce; `points_read` /
     /// `rows_matched` are set by the caller from the emitted rows).
     ///
-    /// Indexed single-region units choose between a **single-index
-    /// scan** (fetch the chosen dimension's candidates from the heap,
-    /// post-filter the rest — heap cost: the candidate count) and a
-    /// **bitmap AND scan** (intersect the per-dimension row sets in the
-    /// indexes, fetch only the intersection — heap cost ≈ the matching
-    /// rows plus cheap per-entry index work), using the standard
-    /// selectivity-product estimate. Merged units run one range query
-    /// over the union slice and test each candidate against every member
-    /// region (MPR regions are pairwise disjoint, so at most one
-    /// matches).
+    /// An indexed unit runs one range query: one walk over its (merged)
+    /// slice of the chosen dimension's index. The walk itself reads no heap
+    /// row: each candidate's sketch word is tested against the bucket box
+    /// of every member region whose probed range covers the position.
+    /// Only candidates some box admits are fetched from the heap, a batch
+    /// at a time, and put to that region's exact `contains_coords` test,
+    /// which alone decides what is emitted — in walk order.
+    ///
+    /// What the walk *costs* is the simulated plan's business, not the
+    /// walk's. A unit of one region is charged as the cheaper of a
+    /// **single-index scan** (the chosen dimension's candidates fetched
+    /// from the heap and post-filtered — heap cost: the candidate count)
+    /// and a **bitmap AND scan** (the per-dimension row sets intersected
+    /// in the indexes, only the intersection fetched — heap cost ≈ the
+    /// matching rows plus cheap per-entry index work), by the standard
+    /// selectivity-product estimate. A merged unit is charged its whole
+    /// slice.
     fn run_unit(
         &self,
         regions: &[HyperRect],
@@ -529,9 +532,9 @@ impl Table {
                 out.append(row, coords);
             }
         };
-        match unit.kind {
-            UnitKind::Degenerate | UnitKind::ProbedEmpty => stats,
-            UnitKind::Scan => {
+        match unit.state {
+            RegionState::Degenerate | RegionState::Empty => stats,
+            RegionState::FullScan => {
                 // Sequential scan of the heap (dead slots are still paged
                 // in, hence still charged).
                 stats.range_queries_executed += 1;
@@ -543,61 +546,40 @@ impl Table {
                 }
                 stats
             }
-            UnitKind::Single => {
-                let r = members[0];
-                let region = &regions[r as usize];
-                let probed = view.probed_of(r);
-                let best_count = (unit.pos_hi - unit.pos_lo) as usize;
-                // Plan choice: single-index heap cost vs bitmap estimate.
-                let n = self.points.len() as f64;
-                let est_match: f64 = probed.iter().fold(n, |acc, p| acc * (p.count() as f64 / n));
-                let entries: usize = probed.iter().map(ProbedDim::count).sum();
-                let ratio = self.config.cost_model.entry_to_point_ratio();
-                let bitmap_cost = est_match + ratio * entries as f64;
-                let use_bitmap = probed.len() > 1 && bitmap_cost < best_count as f64;
-
-                // Either way the candidates of the most selective
-                // dimension are scanned and filtered; the plans differ in
-                // what touches the *heap*, i.e. in the accounting.
-                stats.range_queries_executed += 1;
-                let mut matched = 0u64;
-                for &row in self.indexes[unit.dim as usize]
-                    .rows_at(unit.pos_lo as usize, unit.pos_hi as usize)
-                {
-                    let coords = self.points[row as usize].coords();
-                    if region.contains_coords(coords) {
-                        matched += 1;
-                        emit(row, coords);
-                    }
-                }
-                if use_bitmap {
-                    // Bitmap AND: every constrained index range is scanned
-                    // (cheap, index-only); only intersecting rows hit the
-                    // heap.
-                    stats.index_entries_scanned += entries as u64;
-                    stats.heap_fetches += matched;
-                } else {
-                    // Single-index scan: every candidate tuple of the most
-                    // selective dimension is fetched and post-filtered.
-                    stats.index_entries_scanned += best_count as u64;
-                    stats.heap_fetches += best_count as u64;
-                }
-                stats
-            }
-            UnitKind::Merged => {
-                // One range query over the merged index slice; each
-                // candidate is fetched once and tested against the member
-                // regions. Members arrive sorted by `pos_lo` and the slice
-                // is walked in position order, so a sliding activation
-                // window `[first, last)` keeps the per-candidate test to
-                // the members whose probed range can still cover the
-                // current position instead of all of them.
-                let span = (unit.pos_hi - unit.pos_lo) as u64;
-                stats.range_queries_executed += 1;
-                stats.heap_fetches += span;
-                stats.index_entries_scanned += span;
+            RegionState::Ready => {
                 let rows = self.indexes[unit.dim as usize]
                     .rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
+                // The heap side, a batch of admitted `(row, region)` pairs
+                // at a time: first every row's header, then exact filter
+                // and emission, so that the first of a heap row's two
+                // dependent cache misses overlaps across the batch instead
+                // of stalling the walk one row at a time.
+                let mut matched = 0u64;
+                let mut emitted = RowId::MAX; // no row has this id
+                let mut fetch_batch = |batch: &[(RowId, u32)]| {
+                    let mut coords: [&[f64]; BATCH] = [&[]; BATCH];
+                    for (slot, &(row, _)) in batch.iter().enumerate() {
+                        coords[slot] = self.points[row as usize].coords();
+                    }
+                    for (slot, &(row, r)) in batch.iter().enumerate() {
+                        // MPR regions are pairwise disjoint, but a plan's
+                        // need not be: a candidate is emitted once however
+                        // many of the unit's regions it satisfies.
+                        if row != emitted && regions[r as usize].contains_coords(coords[slot]) {
+                            emitted = row;
+                            matched += 1;
+                            emit(row, coords[slot]);
+                        }
+                    }
+                };
+
+                // The walk: sketch words only. Members arrive sorted by
+                // `pos_lo` and the slice is walked in position order, so a
+                // sliding activation window `[first, last)` keeps the
+                // per-candidate test to the members whose probed range can
+                // still cover the current position instead of all of them.
+                let mut batch = [(0 as RowId, 0u32); BATCH];
+                let mut filled = 0usize;
                 let (mut first, mut last) = (0usize, 0usize);
                 for (offset, &row) in rows.iter().enumerate() {
                     let pos = unit.pos_lo + offset as u32;
@@ -608,18 +590,57 @@ impl Table {
                     while first < last && view.regions[members[first] as usize].pos_hi <= pos {
                         first += 1;
                     }
-                    let coords = self.points[row as usize].coords();
-                    // MPR regions are pairwise disjoint: at most one member
-                    // matches, so `any` short-circuits on the first hit.
-                    if members[first..last].iter().any(|&r| {
-                        pos < view.regions[r as usize].pos_hi
-                            && regions[r as usize].contains_coords(coords)
-                    }) {
-                        emit(row, coords);
+                    let word = self.sketch.word(row);
+                    for &r in &members[first..last] {
+                        let probe = &view.regions[r as usize];
+                        if pos < probe.pos_hi && probe.bucket_box.admits(word) {
+                            batch[filled] = (row, r);
+                            filled += 1;
+                            if filled == BATCH {
+                                fetch_batch(&batch);
+                                filled = 0;
+                            }
+                        }
                     }
                 }
+                fetch_batch(&batch[..filled]);
+
+                stats.range_queries_executed += 1;
+                let span = rows.len() as u64;
+                let (heap_fetches, index_entries) = match members {
+                    [r] => self.single_region_charge(view.probed_of(*r), span, matched),
+                    _ => (span, span),
+                };
+                stats.heap_fetches += heap_fetches;
+                stats.index_entries_scanned += index_entries;
                 stats
             }
+        }
+    }
+
+    /// The simulated `(heap fetches, index entries scanned)` of a
+    /// one-region range query whose chosen dimension holds `best_count`
+    /// candidates of which `matched` satisfy the region.
+    fn single_region_charge(
+        &self,
+        probed: &[ProbedDim],
+        best_count: u64,
+        matched: u64,
+    ) -> (u64, u64) {
+        // Plan choice: single-index heap cost vs bitmap estimate.
+        let n = self.points.len() as f64;
+        let est_match: f64 = probed.iter().fold(n, |acc, p| acc * (p.count() as f64 / n));
+        let entries: usize = probed.iter().map(ProbedDim::count).sum();
+        let ratio = self.config.cost_model.entry_to_point_ratio();
+        let bitmap_cost = est_match + ratio * entries as f64;
+        if probed.len() > 1 && bitmap_cost < best_count as f64 {
+            // Bitmap AND: every constrained index range is scanned
+            // (cheap, index-only); only intersecting rows hit the heap.
+            (matched, entries as u64)
+        } else {
+            // Single-index scan: every candidate tuple of the most
+            // selective dimension is fetched and post-filtered.
+            (best_count, best_count)
         }
     }
 
@@ -988,6 +1009,67 @@ mod tests {
         let single = FetchPlan::single(Constraints::unbounded(2).unwrap().region());
         t.fetch_plan_into(&single, &mut scratch);
         assert_eq!(scratch.rows().len(), 100);
+    }
+
+    /// The sketch's one obligation, stated directly: at every
+    /// dimensionality, however a row got there (built, or inserted later
+    /// with keys the frozen splits never saw), a live row inside a region
+    /// is admitted by the region's bucket box.
+    #[test]
+    fn bucket_box_admits_every_row_inside_the_region() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let coord = |rng: &mut StdRng| match rng.gen_range(0..20u8) {
+            0 => -0.0,
+            1 => -40.0,
+            2 => 100.0,
+            v => f64::from(v % 9) * 0.5,
+        };
+        for dims in 1..=10 {
+            let point =
+                |rng: &mut StdRng| Point::from((0..dims).map(|_| coord(rng)).collect::<Vec<_>>());
+            let initial: Vec<Point> = (0..150).map(|_| point(&mut rng)).collect();
+            let mut t = Table::build(initial, TableConfig::default()).unwrap();
+            for step in 0..90 {
+                if step % 3 == 0 {
+                    t.delete(rng.gen_range(0..t.slot_count()) as RowId);
+                } else {
+                    t.insert(point(&mut rng)).unwrap();
+                }
+            }
+            let mut inside = 0;
+            for _ in 0..60 {
+                let region = HyperRect::from_intervals(
+                    (0..dims)
+                        .map(|_| {
+                            let (a, b) = (coord(&mut rng), coord(&mut rng));
+                            let (lo_open, hi_open) =
+                                (rng.gen_range(0..2) == 0, rng.gen_range(0..2) == 0);
+                            match rng.gen_range(0..4u8) {
+                                0 => Interval::closed(f64::NEG_INFINITY, f64::INFINITY),
+                                1 => Interval::new(f64::NEG_INFINITY, b, false, hi_open),
+                                2 => Interval::new(a, f64::INFINITY, lo_open, false),
+                                _ => Interval::new(a.min(b), a.max(b), lo_open, hi_open),
+                            }
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                let bucket_box = t.sketch.region_box(&region);
+                for (row, p) in t.live_points().filter(|(_, p)| region.contains_point(p)) {
+                    inside += 1;
+                    assert!(bucket_box.admits(t.sketch.word(row)), "d={dims} {p:?} in {region:?}");
+                }
+            }
+            assert!(inside > 0, "d={dims}: no region held a row");
+        }
+    }
+
+    #[test]
+    fn a_full_table_is_refused_with_its_own_error() {
+        assert_eq!(checked_row(0), Ok(0));
+        assert_eq!(checked_row(RowId::MAX as usize - 1), Ok(RowId::MAX - 1));
+        assert_eq!(checked_row(RowId::MAX as usize), Err(StorageError::TooManyRows));
+        assert_eq!(checked_row(usize::MAX), Err(StorageError::TooManyRows));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! list. `tests/prop_coalescing.rs` compares sorted row sets only, so a
 //! reordering would pass there and fail here.
 //!
-//! The expected lines live in `tests/golden/fetch_contract.txt`;
+//! The expected lines live in `tests/golden/fetch_contract.txt` (d = 4)
+//! and `tests/golden/fetch_contract_wide.txt` (d = 6 and d = 10: ties,
+//! signed zeros, duplicate rows and bounds placed on data values);
 //! regenerate with `UPDATE_GOLDEN=1 cargo test --test fetch_contract`
 //! only for a deliberate change of the fetch contract.
 
@@ -13,7 +15,7 @@ use std::fmt::Write as _;
 
 use skycache::algos::{Sfs, SkylineAlgorithm};
 use skycache::core::{cases, MprMode};
-use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
+use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen, Workload};
 use skycache::geom::{Constraints, HyperRect, Interval, Point, PointBlock};
 use skycache::storage::{FetchPlan, FetchScratch, Table, TableConfig};
 
@@ -163,6 +165,37 @@ fn hand_built() -> Vec<(&'static str, Vec<HyperRect>)> {
     ]
 }
 
+/// Remainder plans the engine really issues: each refinement of an
+/// interactive chain planned against its predecessor's skyline. Returns
+/// how many non-trivial plans ran.
+fn chain_lines(
+    points: &[Point],
+    table: &Table,
+    scratch: &mut FetchScratch,
+    prefix: &str,
+    workload: &Workload,
+    modes: [(&str, MprMode); 2],
+    out: &mut String,
+) -> usize {
+    let mut chain_plans = 0usize;
+    for (i, pair) in workload.queries().windows(2).enumerate() {
+        let (old, new) = (&pair[0], &pair[1]);
+        if new.step == 0 {
+            continue;
+        }
+        let cached = cached_skyline(points, &old.constraints);
+        for (label, mode) in modes {
+            let plan = cases::plan(&old.constraints, &cached, &new.constraints, mode);
+            if plan.regions.is_empty() {
+                continue;
+            }
+            chain_plans += 1;
+            run_line(table, scratch, &format!("{prefix}chain-{i}-{label}"), &plan.regions, out);
+        }
+    }
+    chain_plans
+}
+
 #[test]
 fn fetch_rows_order_stats_and_latency_match_golden_file() {
     let points = SyntheticGen::new(Distribution::Independent, DIMS, 0x5EED).generate(4_000);
@@ -170,26 +203,9 @@ fn fetch_rows_order_stats_and_latency_match_golden_file() {
     let mut scratch = FetchScratch::new();
     let mut got = String::new();
 
-    // Remainder plans the engine really issues: each refinement of an
-    // interactive chain planned against its predecessor's skyline.
     let workload = InteractiveWorkload::new(DimStats::compute(&points)).generate(160, 7);
-    let queries = workload.queries();
-    let mut chain_plans = 0usize;
-    for (i, pair) in queries.windows(2).enumerate() {
-        let (old, new) = (&pair[0], &pair[1]);
-        if new.step == 0 {
-            continue;
-        }
-        let cached = cached_skyline(&points, &old.constraints);
-        for (label, mode) in [("ampr1", MprMode::Approximate { k: 1 }), ("exact", MprMode::Exact)] {
-            let plan = cases::plan(&old.constraints, &cached, &new.constraints, mode);
-            if plan.regions.is_empty() {
-                continue;
-            }
-            chain_plans += 1;
-            run_line(&table, &mut scratch, &format!("chain-{i}-{label}"), &plan.regions, &mut got);
-        }
-    }
+    let modes = [("ampr1", MprMode::Approximate { k: 1 }), ("exact", MprMode::Exact)];
+    let chain_plans = chain_lines(&points, &table, &mut scratch, "", &workload, modes, &mut got);
     assert!(chain_plans >= 100, "only {chain_plans} non-trivial remainder plans");
 
     let sets = hand_built();
@@ -198,20 +214,254 @@ fn fetch_rows_order_stats_and_latency_match_golden_file() {
         run_line(&table, &mut scratch, name, regions, &mut got);
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fetch_contract.txt");
+    check_golden("fetch_contract.txt", &got);
+}
+
+/// A generated dataset bent into what the d = 4 golden's continuous
+/// coordinates never produce: runs of repeated coordinates (every 7th
+/// row snapped to a 1/16 grid), exact duplicate rows, `0.0` / `-0.0`
+/// keys in the first, a middle and the last dimension, and a few
+/// negative coordinates so the zero run is not the column minimum.
+fn wide_points(dist: Distribution, dims: usize, n: usize, seed: u64) -> Vec<Point> {
+    let mut rows: Vec<Vec<f64>> = SyntheticGen::new(dist, dims, seed)
+        .generate(n)
+        .iter()
+        .map(|p| p.coords().to_vec())
+        .collect();
+    for (i, row) in rows.iter_mut().enumerate() {
+        if i % 7 == 0 {
+            for c in row.iter_mut() {
+                *c = (*c * 16.0).round() / 16.0;
+            }
+        }
+        if i % 13 == 0 {
+            let zero = if i % 2 == 0 { 0.0 } else { -0.0 };
+            row[[0, dims / 2, dims - 1][i % 3]] = zero;
+        }
+        if i % 97 == 0 {
+            row[i % dims] = -0.25;
+        }
+    }
+    for i in 0..40 {
+        rows[n - 1 - i] = rows[3 * i + 1].clone();
+    }
+    rows.into_iter().map(Point::from).collect()
+}
+
+/// Region sets whose bounds sit *on* data values — the equi-depth
+/// quantiles of each column (where any bucketing of the keys splits),
+/// the 1/16 grid, both zeros and whole stored rows — with every mix of
+/// open, closed, half-infinite and degenerate ends. Most sets pair the
+/// dimension under test with a quantile band on its neighbour, so the
+/// shaped bound is decided by the post-filter, not by the index walk.
+fn wide_regions(points: &[Point]) -> Vec<(String, Vec<HyperRect>)> {
+    let dims = points[0].dims();
+    let n = points.len();
+    let any = Interval::closed(ALL.0, ALL.1);
+    // `boxed(&[(dim, interval), …])`: unbounded everywhere else.
+    let boxed = |bounds: &[(usize, Interval)]| {
+        let mut ivs = vec![any; dims];
+        for &(dim, iv) in bounds {
+            ivs[dim] = iv;
+        }
+        HyperRect::from_intervals(ivs)
+    };
+    let columns: Vec<Vec<f64>> = (0..dims)
+        .map(|dim| {
+            let mut col: Vec<f64> = points.iter().map(|p| p[dim]).collect();
+            col.sort_unstable_by(f64::total_cmp);
+            col
+        })
+        .collect();
+    // The key at equi-depth rank `k`/128 of column `dim`.
+    let q = |dim: usize, k: usize| columns[dim][(k * n / 128).min(n - 1)];
+    let mut sets: Vec<(String, Vec<HyperRect>)> = Vec::new();
+
+    let mut probe_dims = vec![0, dims / 2, dims - 1];
+    if dims > 8 {
+        probe_dims.push(8); // first unsketched lane
+    }
+    for &dim in &probe_dims {
+        let next = (dim + 1) % dims;
+        let band = (next, Interval::closed(q(next, 40), q(next, 56)));
+        // Two keys of this dimension held by rows inside the band, so an
+        // open end really excludes a candidate.
+        let mut in_band: Vec<f64> =
+            points.iter().filter(|p| band.1.contains(p[next])).map(|p| p[dim]).collect();
+        in_band.sort_unstable_by(f64::total_cmp);
+        let (a, b) = (in_band[in_band.len() / 4], in_band[3 * in_band.len() / 4]);
+        let mut shapes: Vec<(String, Interval)> = Vec::new();
+        for (lo_open, hi_open) in [(false, false), (true, true), (true, false), (false, true)] {
+            let ends = format!("lo_open={lo_open}-hi_open={hi_open}");
+            shapes.push((format!("keys-{ends}"), Interval::new(a, b, lo_open, hi_open)));
+            shapes.push((format!("grid-{ends}"), Interval::new(0.25, 0.75, lo_open, hi_open)));
+        }
+        for open in [false, true] {
+            shapes.push((format!("below-key-open={open}"), Interval::new(ALL.0, a, false, open)));
+            shapes.push((format!("above-key-open={open}"), Interval::new(b, ALL.1, open, false)));
+            shapes
+                .push((format!("below-grid-open={open}"), Interval::new(ALL.0, 0.5, false, open)));
+            shapes
+                .push((format!("above-grid-open={open}"), Interval::new(0.5, ALL.1, open, false)));
+        }
+        shapes.push(("point-key".into(), Interval::closed(a, a)));
+        shapes.push(("point-grid".into(), Interval::closed(0.5, 0.5)));
+        shapes.push(("degenerate-grid".into(), Interval::new(0.5, 0.5, true, false)));
+        // Both zeros are one key value, whichever sign the bound has.
+        shapes.push(("zero-point".into(), Interval::closed(0.0, 0.0)));
+        shapes.push(("neg-zero-point".into(), Interval::closed(-0.0, -0.0)));
+        shapes.push(("above-zero-open".into(), Interval::new(0.0, 0.25, true, false)));
+        shapes.push(("from-neg-zero".into(), Interval::new(-0.0, 0.25, false, true)));
+        shapes.push(("below-neg-zero-open".into(), Interval::new(-0.25, -0.0, false, true)));
+        shapes.push(("through-zero".into(), Interval::closed(-0.25, 0.0)));
+        for (name, iv) in shapes {
+            sets.push((format!("dim{dim}-{name}"), vec![boxed(&[band, (dim, iv)])]));
+        }
+        // The same shapes with the tested dimension driving the walk.
+        sets.push((
+            format!("dim{dim}-alone-ends"),
+            vec![
+                boxed(&[(dim, Interval::new(q(dim, 10), q(dim, 14), true, false))]),
+                boxed(&[(dim, Interval::new(q(dim, 13), q(dim, 17), true, true))]),
+                boxed(&[(dim, Interval::new(q(dim, 17), q(dim, 19), false, true))]),
+                boxed(&[(dim, Interval::new(0.0, 0.0625, true, false))]),
+                boxed(&[(dim, Interval::closed(-0.25, -0.0))]),
+            ],
+        ));
+        // Split at a data value: exactly one side may own it.
+        sets.push((
+            format!("dim{dim}-split-at-grid"),
+            vec![
+                boxed(&[band, (dim, Interval::new(0.25, 0.5, false, true))]),
+                boxed(&[band, (dim, Interval::new(0.5, 0.75, false, false))]),
+            ],
+        ));
+        sets.push((
+            format!("dim{dim}-split-at-key"),
+            vec![
+                boxed(&[band, (dim, Interval::new(ALL.0, a, false, true))]),
+                boxed(&[band, (dim, Interval::new(a, b, false, false))]),
+                boxed(&[band, (dim, Interval::new(b, ALL.1, true, false))]),
+            ],
+        ));
+    }
+
+    // Every dimension bounded on grid values (ties on all lanes).
+    for (lo_open, hi_open) in [(false, false), (true, true), (false, true)] {
+        let iv = Interval::new(0.25, 0.75, lo_open, hi_open);
+        sets.push((
+            format!("grid-box-lo_open={lo_open}-hi_open={hi_open}"),
+            vec![HyperRect::from_intervals(vec![iv; dims])],
+        ));
+    }
+    // Every dimension bounded on its own quantile keys, ends alternating.
+    sets.push((
+        "quantile-box-all-dims".into(),
+        vec![HyperRect::from_intervals(
+            (0..dims)
+                .map(|dim| Interval::new(q(dim, 8), q(dim, 120), dim % 2 == 0, dim % 3 == 0))
+                .collect::<Vec<_>>(),
+        )],
+    ));
+    // Grid cells sharing faces: abutting ranges in the chosen dimension.
+    sets.push((
+        "grid-cells".into(),
+        [(0.25, 0.5), (0.5, 0.75)]
+            .iter()
+            .flat_map(|&(a, b)| {
+                [(0.25, 0.5), (0.5, 0.75)].map(|(c, d)| {
+                    boxed(&[
+                        (0, Interval::new(a, b, false, true)),
+                        (dims - 1, Interval::new(c, d, true, false)),
+                    ])
+                })
+            })
+            .collect(),
+    ));
+    // A stored (duplicated) row as a point region, and as the excluded
+    // corner of an open box.
+    let dup = points[n - 1].coords();
+    let around = |f: &dyn Fn(f64) -> Interval| {
+        HyperRect::from_intervals(dup.iter().map(|&c| f(c)).collect::<Vec<_>>())
+    };
+    sets.push(("duplicate-row-point".into(), vec![around(&|c| Interval::closed(c, c))]));
+    sets.push((
+        "duplicate-row-open-corner".into(),
+        vec![around(&|c| Interval::new(c, c + 0.25, true, false))],
+    ));
+    sets.push((
+        "duplicate-row-closed-corner".into(),
+        vec![around(&|c| Interval::new(c, c + 0.25, false, true))],
+    ));
+    // Quantile boxes over the first two, the last two and a split pair of
+    // dimensions: at d = 10 the second set is decided by lanes 8–9 alone.
+    for (name, a, b) in [("head", 0, 1), ("tail", dims - 2, dims - 1), ("head-tail", 1, dims - 1)] {
+        sets.push((
+            format!("{name}-quantile-boxes"),
+            vec![
+                boxed(&[
+                    (a, Interval::closed(q(a, 20), q(a, 50))),
+                    (b, Interval::new(q(b, 30), q(b, 70), true, false)),
+                ]),
+                boxed(&[
+                    (a, Interval::new(q(a, 50), q(a, 80), true, false)),
+                    (b, Interval::closed(q(b, 30), q(b, 70))),
+                ]),
+                boxed(&[
+                    (a, Interval::new(q(a, 20), q(a, 80), false, true)),
+                    (b, Interval::new(q(b, 70), ALL.1, true, false)),
+                ]),
+            ],
+        ));
+    }
+    sets
+}
+
+#[test]
+fn wide_tables_match_golden_file() {
+    let mut scratch = FetchScratch::new();
+    let mut got = String::new();
+    for (tag, dist, dims, n, seed) in [
+        ("d6-", Distribution::AntiCorrelated, 6, 5_000, 0x5EED6),
+        ("d10-", Distribution::Independent, 10, 2_000, 0x5EED10),
+    ] {
+        let points = wide_points(dist, dims, n, seed);
+        let table = Table::build(points.clone(), TableConfig::default()).expect("valid points");
+        // Interactive chains only where they return rows: a 3-sigma box
+        // in ten dimensions over 2 000 points is almost always empty.
+        if dims == 6 {
+            let workload = InteractiveWorkload::new(DimStats::compute(&points)).generate(60, 7);
+            let modes = [
+                ("ampr1", MprMode::Approximate { k: 1 }),
+                ("ampr4", MprMode::Approximate { k: 4 }),
+            ];
+            let chain_plans =
+                chain_lines(&points, &table, &mut scratch, tag, &workload, modes, &mut got);
+            assert!(chain_plans >= 30, "only {chain_plans} non-trivial remainder plans");
+        }
+        for (name, regions) in &wide_regions(&points) {
+            run_line(&table, &mut scratch, &format!("{tag}{name}"), regions, &mut got);
+        }
+    }
+    check_golden("fetch_contract_wide.txt", &got);
+}
+
+/// Compares `got` with `tests/golden/<file>` line by line.
+fn check_golden(file: &str, got: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("golden file is writable");
+        std::fs::write(&path, got).expect("golden file is writable");
     }
-    let want = std::fs::read_to_string(path).expect("golden file exists");
+    let want = std::fs::read_to_string(&path).expect("golden file exists");
     for (line, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "fetch contract changed at golden line {}", line + 1);
+        assert_eq!(g, w, "fetch contract changed at {file} line {}", line + 1);
     }
-    assert_eq!(got.lines().count(), want.lines().count(), "plan count changed");
+    assert_eq!(got.lines().count(), want.lines().count(), "plan count changed in {file}");
 }
 
 fn cached_skyline(points: &[Point], c: &Constraints) -> PointBlock {
     let constrained: Vec<Point> = points.iter().filter(|p| c.satisfies(p)).cloned().collect();
-    let mut block = PointBlock::new(DIMS).expect("DIMS > 0");
+    let mut block = PointBlock::new(points[0].dims()).expect("dims > 0");
     for p in &Sfs.compute(constrained).skyline {
         block.push(p);
     }
