@@ -4,6 +4,8 @@
 //! structure-of-arrays coordinate buffer — so the dominance-test hot path
 //! does no per-point allocation and no pointer chasing.
 
+use std::cmp::Ordering;
+
 use skycache_geom::dominance::DomRelation;
 use skycache_geom::{
     compare_rows, dominates, dominates_rows, retain_nondominated, Point, PointBlock,
@@ -27,7 +29,8 @@ pub struct SkylineOutput {
 /// allocate.
 #[derive(Clone, Debug, Default)]
 pub struct SkylineScratch {
-    /// `(monotone score, row index)` pairs, sorted before filtering.
+    /// `(coordinate sum, row index)` pairs, brought into SFS canonical
+    /// order as far as the filter needs it.
     pub(crate) order: Vec<(f64, u32)>,
     /// Secondary `(score, row index)` buffer: the planar sweep's
     /// survivor list, re-sorted into canonical output order.
@@ -134,17 +137,27 @@ impl Sfs {
         self.classic_block_into(rows, dims, scratch, out)
     }
 
-    /// The classic sum-sorted filter: sorts row indices by coordinate
-    /// sum and filters each row, in score order, against the growing
-    /// skyline block. Allocation-free once `scratch` and `out` have
-    /// warmed up.
+    /// The classic sum-sorted filter: orders row indices by
+    /// [`canonical_cmp`] and filters each row, in that order, against the
+    /// growing skyline block. Allocation-free once `scratch` and `out`
+    /// have warmed up.
     ///
-    /// The index sort is *stable*, so rows with equal sums keep their
-    /// input order — exactly what the `Vec<Point>` sort in
-    /// [`SkylineAlgorithm::compute`] does — and the two entry points emit
-    /// identical output orders and dominance-test counts. Public so the
-    /// differential tests can compare the planar sweep against it at
-    /// `dims == 2` without hitting their own dispatch.
+    /// The sort is lazy. Most rows of a typical input are dominated by
+    /// the first few skyline rows, so sorting them is wasted: only the
+    /// `head = max(32, n / 16)` smallest rows are selected, sorted and
+    /// filtered into the window prefix `W0`; the other `n − head` rows
+    /// are first filtered against `W0` unsorted, and only the survivors
+    /// are sorted and filtered against the window rows after `W0`. The
+    /// classic scan tests every row against the window in window order
+    /// and stops at its first dominator, and `W0` is a prefix of the
+    /// window of every row past the head — so each row meets the same
+    /// window rows in the same order as after a full sort, and the
+    /// emitted rows, their order and the dominance-test count are
+    /// identical to it (`tests/prop_kernels.rs` pins all three). Inputs
+    /// of at most `2 · head` rows sort whole: the head is the input.
+    ///
+    /// Public so the differential tests can compare the planar sweep
+    /// against it at `dims == 2` without hitting their own dispatch.
     pub fn classic_block_into(
         &self,
         rows: &[f64],
@@ -155,33 +168,92 @@ impl Sfs {
         debug_assert!(dims > 0 && rows.len().is_multiple_of(dims));
         debug_assert_eq!(out.dims(), dims);
         out.clear();
-        // The entropy score is monotone w.r.t. dominance for the
-        // non-negative data of the benchmarks; the coordinate sum is
-        // monotone in general. Use the sum: s ≺ t ⇒ sum(s) < sum(t),
-        // so after sorting ascending no point dominates a predecessor.
         let n = rows.len() / dims;
-        scratch.order.clear();
-        for i in 0..n {
-            let sum: f64 = rows[i * dims..(i + 1) * dims].iter().sum();
-            scratch.order.push((sum, i as u32));
-        }
-        scratch.order.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let order = &mut scratch.order;
+        order.clear();
+        order.extend(
+            rows.chunks_exact(dims).enumerate().map(|(i, row)| (row.iter().sum::<f64>(), i as u32)),
+        );
+        let cmp = |a: &(f64, u32), b: &(f64, u32)| canonical_cmp(rows, dims, a, b);
+        let head = (n / 16).max(32);
+        let head = if n <= 2 * head {
+            n
+        } else {
+            order.select_nth_unstable_by(head, cmp);
+            head
+        };
+        let (smallest, rest) = order.split_at_mut(head);
+        smallest.sort_unstable_by(cmp);
         let mut tests = 0u64;
-        for &(_, i) in &scratch.order {
-            let row = &rows[i as usize * dims..(i as usize + 1) * dims];
-            let mut dominated = false;
-            for s in out.rows() {
-                tests += 1;
-                if dominates_rows(s, row) {
-                    dominated = true;
-                    break;
-                }
-            }
-            if !dominated {
-                out.push_row(row);
+        filter_sorted(rows, smallest, 0, out, &mut tests);
+        let w0 = out.len();
+        let mut kept = 0;
+        for k in 0..rest.len() {
+            let entry = rest[k];
+            let row = &rows[entry.1 as usize * dims..(entry.1 as usize + 1) * dims];
+            if !dominated_in(out.as_flat(), row, &mut tests) {
+                rest[kept] = entry;
+                kept += 1;
             }
         }
+        let survivors = &mut rest[..kept];
+        survivors.sort_unstable_by(cmp);
+        filter_sorted(rows, survivors, w0, out, &mut tests);
         tests
+    }
+}
+
+/// SFS canonical order over `(coordinate sum, row index)` entries of the
+/// row-major block `rows`: ascending sum, equal sums by the coordinates
+/// lexicographically, then by row index — a strict total order, so an
+/// unstable sort by it is deterministic.
+///
+/// No row sorts before a row that dominates it. `s ≺ t` gives
+/// `sum(s) ≤ sum(t)` (floating-point addition is monotone), but not
+/// `<`: the sums of `[0.5, 0.5, 1e-17]` and `[0.5, 0.5, 2e-17]` both
+/// round to 1. On such a tie the dominator is the lexicographically
+/// smaller row, as it is `≤` everywhere and `<` where the two first
+/// differ. The coordinates compare *numerically*: `-0.0` and `0.0` are
+/// equal there, where `total_cmp` would rank a dominated row's `-0.0`
+/// ahead of its dominator's `0.0`.
+pub(crate) fn canonical_cmp(rows: &[f64], dims: usize, a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    let row = |i: u32| &rows[i as usize * dims..(i as usize + 1) * dims];
+    a.0.total_cmp(&b.0).then_with(|| lex_cmp(row(a.1), row(b.1))).then(a.1.cmp(&b.1))
+}
+
+/// Lexicographic numeric order of two coordinate rows (`-0.0 = 0.0`;
+/// rows are NaN-free by `Point` construction).
+fn lex_cmp(a: &[f64], b: &[f64]) -> Ordering {
+    a.partial_cmp(b).unwrap_or(Ordering::Equal)
+}
+
+/// Whether a row of the flat `window` dominates `row`, scanning in
+/// window order and stopping at the first dominator; the tests made are
+/// added to `tests` once, after the scan (counting inside it costs a
+/// wide window a store per test).
+#[inline]
+fn dominated_in(window: &[f64], row: &[f64], tests: &mut u64) -> bool {
+    let hit = window.chunks_exact(row.len()).position(|s| dominates_rows(s, row));
+    *tests += hit.map_or(window.len() / row.len(), |at| at + 1) as u64;
+    hit.is_some()
+}
+
+/// The SFS filter pass over `order`, already in canonical order: each
+/// row is tested against the window rows of `out` from row `from` on
+/// and appended when none dominates it.
+fn filter_sorted(
+    rows: &[f64],
+    order: &[(f64, u32)],
+    from: usize,
+    out: &mut PointBlock,
+    tests: &mut u64,
+) {
+    let dims = out.dims();
+    for &(_, i) in order {
+        let row = &rows[i as usize * dims..(i as usize + 1) * dims];
+        if !dominated_in(&out.as_flat()[from * dims..], row, tests) {
+            out.push_row(row);
+        }
     }
 }
 
@@ -286,18 +358,24 @@ impl SkylineAlgorithm for Salsa {
     }
 
     fn compute(&self, mut points: Vec<Point>) -> SkylineOutput {
+        // `+ 0.0` folds a `-0.0` minimum into `0.0`: the sort below ranks
+        // minC by `total_cmp`, which would put a dominated row's `-0.0`
+        // ahead of its dominator's `0.0`.
         let min_coord =
-            |p: &Point| -> f64 { p.coords().iter().copied().fold(f64::INFINITY, f64::min) };
+            |p: &Point| -> f64 { p.coords().iter().copied().fold(f64::INFINITY, f64::min) + 0.0 };
         let max_coord =
             |p: &Point| -> f64 { p.coords().iter().copied().fold(f64::NEG_INFINITY, f64::max) };
-        // Sort by (minC, sum): minC ordering enables the stop test; the
-        // sum tie-break keeps the order monotone w.r.t. dominance (a
-        // dominator cannot sort after a point it dominates: its minC and
-        // its sum are both <=, with the sum strictly smaller).
+        // Sort by (minC, sum, coordinates): the minC ordering enables the
+        // stop test; the other two keys keep the order monotone w.r.t.
+        // dominance. A dominator's minC and sum are both <= those of the
+        // row it dominates, but in floating point either can tie (the
+        // sums round equal), and then the dominator is the
+        // lexicographically smaller row — see `canonical_cmp`.
         points.sort_by(|a, b| {
             min_coord(a)
                 .total_cmp(&min_coord(b))
                 .then_with(|| a.coord_sum().total_cmp(&b.coord_sum()))
+                .then_with(|| lex_cmp(a.coords(), b.coords()))
         });
 
         let mut skyline: Vec<Point> = Vec::new();

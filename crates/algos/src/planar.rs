@@ -11,15 +11,17 @@
 //! arrives presorted by `x` (as index-ordered range output does).
 //!
 //! The survivors are then re-emitted in **SFS canonical order**
-//! (ascending coordinate sum, ties in input order) so this routine is a
-//! drop-in replacement for the block-native SFS filter: callers caching
-//! the result plan the same follow-up regions whichever path computed it.
+//! (ascending coordinate sum, equal sums by coordinates, then input
+//! order: `canonical_cmp`) so this routine is a drop-in replacement for
+//! the block-native SFS filter: callers caching the result plan the same
+//! follow-up regions whichever path computed it.
 //! [`crate::Sfs`] dispatches here automatically when `dims == 2`; the
 //! engine's merge and MPR remainder-merge inherit the fast path through
 //! that dispatch.
 
 use skycache_geom::PointBlock;
 
+use crate::inmem::canonical_cmp;
 use crate::SkylineScratch;
 
 /// Dimensionality handled by the planar sweep.
@@ -32,9 +34,9 @@ pub fn planar_applicable(dims: usize) -> bool {
 }
 
 /// Computes the d = 2 skyline of the row-major coordinate block `rows`
-/// into `out`, in SFS canonical order (ascending coordinate sum, stable
-/// by input index). Keep-duplicates semantics: equal points never
-/// dominate each other, so every copy of a skyline point survives.
+/// into `out`, in SFS canonical order (`canonical_cmp`). Keep-duplicates
+/// semantics: equal points never dominate each other, so every copy of a
+/// skyline point survives.
 ///
 /// Returns the number of pairwise dominance tests performed — always 0:
 /// the sweep decides each point against scalar sweep state instead of
@@ -99,10 +101,10 @@ pub fn planar_skyline_into(
         }
     }
 
-    // Re-emit survivors in SFS canonical order: ascending coordinate
-    // sum, ties by input index — exactly what SFS's stable sum-sort
-    // produces for the surviving subset.
-    scratch.aux.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    // Re-emit survivors in SFS canonical order — the comparator the
+    // classic filter sorts by, so the surviving subset comes out in the
+    // order that filter emits it.
+    scratch.aux.sort_unstable_by(|a, b| canonical_cmp(rows, PLANAR_DIMS, a, b));
     for &(_, i) in &scratch.aux {
         out.push_row(&rows[i as usize * PLANAR_DIMS..(i as usize + 1) * PLANAR_DIMS]);
     }

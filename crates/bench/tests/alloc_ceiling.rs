@@ -203,12 +203,12 @@ fn warm_cache_lookup_is_allocation_free() {
     );
 }
 
-/// ~2× the observed steady-state cost (256.6 allocs/query).
-const BLOCK_CEILING: f64 = 510.0;
-/// ~2× the observed exact-hit replay cost (182.5 allocs/query — exact
+/// ~2× the observed steady-state cost (183.7 allocs/query).
+const BLOCK_CEILING: f64 = 370.0;
+/// ~2× the observed exact-hit replay cost (75.1 allocs/query — exact
 /// hits re-materialize the full result, so this scales with result
 /// size, not points read).
-const REPLAY_CEILING: f64 = 365.0;
+const REPLAY_CEILING: f64 = 150.0;
 /// Warm lookups are allocation-free; anything above rounding noise
 /// (a fraction of an alloc per lookup amortized over the run) fails.
 const LOOKUP_CEILING: f64 = 0.5;

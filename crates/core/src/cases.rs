@@ -22,11 +22,10 @@
 
 use std::collections::BTreeSet;
 
-use skycache_geom::dominance::dominance_box_coords;
-use skycache_geom::subtract::{disjoint_union, subtract_box_from_all};
+use skycache_geom::subtract::subtract_box_from_all;
 use skycache_geom::{Aabb, Constraints, HyperRect, Point, PointBlock};
 
-use crate::mpr::{missing_points_region_multi, prune_regions, MprMode};
+use crate::mpr::{invalidated_space, missing_points_region_multi, prune_regions, MprMode};
 use crate::stability::{classify, Overlap};
 
 /// What the engine must do to answer `C′` from a cached item.
@@ -205,27 +204,7 @@ pub fn plan_composed(
         removed_points += removed.len();
         // The space this item invalidates inside R_C′: removed points'
         // old dominance regions (the unstable preprocessing, per item).
-        let invalid_boxes: Vec<Aabb> = removed
-            .iter()
-            .filter_map(|&t| dominance_box_coords(cached.row(t), old))
-            .filter_map(|dr| dr.intersection(new.aabb()))
-            .collect();
-        let pieces = match mode {
-            MprMode::Exact => disjoint_union(&invalid_boxes),
-            // The aMPR trade again: one conservative cover box instead of
-            // a disjoint decomposition (still inside the overlap, so the
-            // disjointness of the unknown set survives).
-            MprMode::Approximate { .. } => match invalid_boxes.split_first() {
-                None => Vec::new(),
-                Some((first, rest)) => {
-                    let mut cover = first.clone();
-                    for b in rest {
-                        cover.merge(b);
-                    }
-                    vec![cover.to_rect()]
-                }
-            },
-        };
+        let pieces = invalidated_space(cached, &removed, old, new, mode);
         invalidated_pieces += pieces.len();
         unknown = compose_cover(unknown, &overlap, &pieces);
         items_used += 1;

@@ -198,6 +198,8 @@ pub(crate) struct QueryScratch {
     merged: Option<PointBlock>,
     /// Skyline output block.
     sky_out: Option<PointBlock>,
+    /// Bounding box of the retained points: lower corner, then upper.
+    merge_box: Vec<f64>,
     /// Indices of retained points sorted by coordinate bit pattern.
     merge_order: Vec<u32>,
     /// Per retained point: fetched duplicate copies still to drop.
@@ -239,36 +241,56 @@ fn cmp_bits(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
 /// that survive deduplication, dropping one fetched copy per identical
 /// retained point: with the approximate MPR, regions not pruned by a
 /// retained point `u` may re-fetch `u`'s stored row, and keeping both
-/// copies would duplicate `u` in the result. `order` and `budget` are
-/// reusable index buffers.
+/// copies would duplicate `u` in the result.
+///
+/// Only a fetched row inside the retained rows' bounding box can be such
+/// a copy — a row bit-identical to a retained one is numerically inside
+/// it — and few are, so every other row is copied straight through, and
+/// the sorted index of the retained rows is built when the first fetched
+/// row lands inside the box, if one does. `bbox`, `order` and `budget`
+/// are reusable buffers.
 fn merge_rows(
     retained: &PointBlock,
     fetched: &FetchBuf,
     merged: &mut PointBlock,
+    bbox: &mut Vec<f64>,
     order: &mut Vec<u32>,
     budget: &mut Vec<u32>,
 ) {
+    // Lower corner then upper corner; empty (nothing is inside) until a
+    // retained row widens it.
+    let dims = retained.dims();
+    bbox.clear();
+    bbox.resize(dims, f64::INFINITY);
+    bbox.resize(2 * dims, f64::NEG_INFINITY);
+    let (lo, hi) = bbox.split_at_mut(dims);
     for row in retained.rows() {
         merged.push_row(row);
-    }
-    if retained.is_empty() {
-        for i in 0..fetched.len() {
-            merged.push_row(fetched.row(i));
+        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+            *l = l.min(v);
+            *h = h.max(v);
         }
-        return;
     }
-    order.clear();
-    order.extend(0..retained.len() as u32);
-    order.sort_unstable_by(|&a, &b| {
-        cmp_bits(retained.row(a as usize), retained.row(b as usize)).then(a.cmp(&b))
-    });
-    budget.clear();
-    budget.resize(retained.len(), 1);
+    let mut indexed = false;
     for i in 0..fetched.len() {
         let row = fetched.row(i);
-        let lo = order.partition_point(|&idx| cmp_bits(retained.row(idx as usize), row).is_lt());
+        if !row.iter().zip(lo.iter().zip(hi.iter())).all(|(v, (l, h))| l <= v && v <= h) {
+            merged.push_row(row);
+            continue;
+        }
+        if !indexed {
+            indexed = true;
+            order.clear();
+            order.extend(0..retained.len() as u32);
+            order.sort_unstable_by(|&a, &b| {
+                cmp_bits(retained.row(a as usize), retained.row(b as usize)).then(a.cmp(&b))
+            });
+            budget.clear();
+            budget.resize(retained.len(), 1);
+        }
+        let start = order.partition_point(|&idx| cmp_bits(retained.row(idx as usize), row).is_lt());
         let mut taken = false;
-        for &idx in &order[lo..] {
+        for &idx in &order[start..] {
             if cmp_bits(retained.row(idx as usize), row).is_ne() {
                 break;
             }
@@ -1005,9 +1027,11 @@ pub(crate) fn query_planned(
     if plan.needs_skyline {
         let dims = table.dims();
         let t1 = Stopwatch::start();
-        let QueryScratch { fetch, sky, merged, sky_out, merge_order, dup_budget, .. } = scratch;
+        let QueryScratch {
+            fetch, sky, merged, sky_out, merge_box, merge_order, dup_budget, ..
+        } = scratch;
         let merged = reuse_block(merged, dims);
-        merge_rows(&plan.retained, fetch.rows(), merged, merge_order, dup_budget);
+        merge_rows(&plan.retained, fetch.rows(), merged, merge_box, merge_order, dup_budget);
         probe.record_span(Phase::Merge, t1.elapsed());
 
         let t2 = Stopwatch::start();
@@ -1301,30 +1325,56 @@ mod tests {
     #[test]
     fn merge_rows_matches_merge_dedup() {
         // Rows fetched into the columnar scratch, merged block-natively,
-        // must equal the Vec-based merge point for point — including the
-        // duplicate-budget semantics with repeated retained points.
-        let table = grid_table();
+        // must equal the Vec-based merge bit for bit — including the
+        // duplicate-budget semantics with repeated retained points, and
+        // wherever the fetched rows lie relative to the retained rows'
+        // bounding box. Besides the grid the table holds three copies of
+        // (0.35, 0.45) and a (0.0, 0.45) row.
+        let mut points: Vec<Point> = (0..20)
+            .flat_map(|i| (0..20).map(move |j| p(&[f64::from(i) / 10.0, f64::from(j) / 10.0])))
+            .collect();
+        points.extend([p(&[0.35, 0.45]), p(&[0.35, 0.45]), p(&[0.35, 0.45]), p(&[0.0, 0.45])]);
+        let table = Table::build(points, TableConfig::default()).unwrap();
         let mut fetch_scratch = skycache_storage::FetchScratch::new();
-        let cc = c(&[(0.2, 0.5), (0.2, 0.5)]);
+        let cc = c(&[(0.0, 0.5), (0.2, 0.5)]);
         table.fetch_plan_into(&FetchPlan::constrained(&cc), &mut fetch_scratch);
         let buf = fetch_scratch.rows();
         let fetched: Vec<Point> = (0..buf.len()).map(|i| p(buf.row(i))).collect();
+        assert_eq!(fetched.iter().filter(|f| **f == p(&[0.35, 0.45])).count(), 3);
 
-        for retained in [
-            vec![],
-            vec![p(&[0.3, 0.4]), p(&[9.0, 9.0])],
-            vec![p(&[0.3, 0.4]), p(&[0.3, 0.4]), p(&[0.2, 0.2])],
+        let bits = |pts: &[Point]| -> Vec<Vec<u64>> {
+            pts.iter().map(|q| q.coords().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        // The buffers are reused across cases, as the engine reuses them.
+        let mut bbox = Vec::new();
+        let mut order = Vec::new();
+        let mut budget = Vec::new();
+        for (retained, dropped) in [
+            // Empty retained block: the box is empty, nothing is inside.
+            (vec![], 0),
+            // Every fetched row outside the box: no index is built.
+            (vec![p(&[9.0, 9.0]), p(&[8.0, 9.5])], 0),
+            // Fetched rows outside, inside and on the faces of the box
+            // [0.2, 0.4] x [0.2, 0.4]; its corners are fetched copies.
+            (vec![p(&[0.2, 0.4]), p(&[0.4, 0.2])], 2),
+            (vec![p(&[0.3, 0.4]), p(&[9.0, 9.0])], 1),
+            (vec![p(&[0.3, 0.4]), p(&[0.3, 0.4]), p(&[0.2, 0.2])], 2),
+            // More fetched copies (three) than budget (one, then two).
+            (vec![p(&[0.35, 0.45]), p(&[0.1, 0.3])], 2),
+            (vec![p(&[0.35, 0.45]), p(&[0.35, 0.45])], 2),
+            // -0.0 retained, 0.0 fetched: inside the box (on its face)
+            // but not identical, so both rows are kept.
+            (vec![p(&[-0.0, 0.45]), p(&[0.1, 0.5])], 1),
         ] {
             let want = merge_dedup(retained.clone(), fetched.clone());
+            assert_eq!(want.len(), retained.len() + fetched.len() - dropped, "{retained:?}");
             let mut merged = PointBlock::new(2).unwrap();
-            let mut order = Vec::new();
-            let mut budget = Vec::new();
             let mut retained_block = PointBlock::new(2).unwrap();
             for rp in &retained {
                 retained_block.push(rp);
             }
-            merge_rows(&retained_block, buf, &mut merged, &mut order, &mut budget);
-            assert_eq!(merged.to_points(), want, "retained = {retained:?}");
+            merge_rows(&retained_block, buf, &mut merged, &mut bbox, &mut order, &mut budget);
+            assert_eq!(bits(&merged.to_points()), bits(&want), "retained = {retained:?}");
         }
     }
 

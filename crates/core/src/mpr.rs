@@ -28,7 +28,7 @@
 
 use skycache_geom::dominance::dominance_box_coords;
 use skycache_geom::subtract::{disjoint_union, subtract_box, subtract_box_from_all};
-use skycache_geom::{Constraints, HyperRect, Point, PointBlock};
+use skycache_geom::{Constraints, HyperRect, Interval, Point, PointBlock};
 
 /// Exact or approximate MPR computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,36 +155,9 @@ pub fn missing_points_region_multi(
         }
     }
 
-    // Step 2: invalidated space (the unstable preprocessing). For each
-    // removed point t, DR(t, C) ∩ R_C′. These lie inside the overlap
-    // region, hence disjoint from step 1.
-    //
-    // The exact MPR decomposes the union of these boxes into disjoint
-    // pieces — minimal reads, but "cache invalidation yields a
-    // prohibitive amount of range queries with subsequent random access
-    // latency for MPR" (paper, Section 7.2). The approximate MPR instead
-    // covers the union with its bounding box: a conservative superset
-    // (completeness is preserved; only extra points may be read) that
-    // keeps the number of range queries small, mirroring how aMPR trades
-    // reads for fewer queries on the pruning side.
-    let invalid_boxes: Vec<_> = removed
-        .iter()
-        .filter_map(|&t| dominance_box_coords(cached_skyline.row(t), old))
-        .filter_map(|dr| dr.intersection(new.aabb()))
-        .collect();
-    let invalidated = match mode {
-        MprMode::Exact => disjoint_union(&invalid_boxes),
-        MprMode::Approximate { .. } => match invalid_boxes.split_first() {
-            None => Vec::new(),
-            Some((first, rest)) => {
-                let mut cover = first.clone();
-                for b in rest {
-                    cover.merge(b);
-                }
-                vec![cover.to_rect()]
-            }
-        },
-    };
+    // Step 2: invalidated space (the unstable preprocessing). It lies
+    // inside the overlap region, hence disjoint from step 1.
+    let invalidated = invalidated_space(cached_skyline, &removed, old, new, mode);
     let invalidated_pieces = invalidated.len();
     regions.extend(invalidated);
 
@@ -197,6 +170,80 @@ pub fn missing_points_region_multi(
         prune_points_used,
         invalidated_pieces,
     }
+}
+
+/// The space a cached item's removed skyline rows invalidate inside
+/// `R_C′`: for each removed row `t`, `DR(t, C) ∩ R_C′` — points `t` used
+/// to dominate may resurface. Shared with the compositional planner
+/// ([`crate::cases::plan_composed`]), which applies it per item.
+///
+/// The exact MPR decomposes the union of these boxes into disjoint
+/// pieces — minimal reads, but "cache invalidation yields a prohibitive
+/// amount of range queries with subsequent random access latency for
+/// MPR" (paper, Section 7.2). The approximate MPR instead covers the
+/// union with its bounding box ([`invalid_cover`]): a conservative
+/// superset (completeness is preserved; only extra points may be read)
+/// that keeps the number of range queries small, mirroring how aMPR
+/// trades reads for fewer queries on the pruning side.
+pub(crate) fn invalidated_space(
+    cached: &PointBlock,
+    removed: &[usize],
+    old: &Constraints,
+    new: &Constraints,
+    mode: MprMode,
+) -> Vec<HyperRect> {
+    match mode {
+        MprMode::Exact => {
+            let boxes: Vec<_> = removed
+                .iter()
+                .filter_map(|&t| dominance_box_coords(cached.row(t), old))
+                .filter_map(|dr| dr.intersection(new.aabb()))
+                .collect();
+            disjoint_union(&boxes)
+        }
+        MprMode::Approximate { .. } => {
+            invalid_cover(removed.iter().map(|&t| cached.row(t)), old, new).into_iter().collect()
+        }
+    }
+}
+
+/// Bounding box of `DR(t, C) ∩ R_C′` over the removed rows `t` for which
+/// that intersection is non-empty, or `None` when it is empty for all.
+///
+/// `DR(t, C)` is the closed box `[max(t, C̲), C̄]`, empty when `t` lies
+/// above `C̄` somewhere. Where the two regions overlap at all it meets
+/// `R_C′` iff `t` lies below `C̄′` as well, and every such intersection
+/// has the upper corner `min(C̄, C̄′)` — so only the lower corner, the
+/// minimum over the rows of `max(t, C̲, C̲′)`, is folded, straight into
+/// the returned rectangle: no box per row is built.
+pub(crate) fn invalid_cover<'a>(
+    removed: impl Iterator<Item = &'a [f64]>,
+    old: &Constraints,
+    new: &Constraints,
+) -> Option<HyperRect> {
+    if !old.overlaps(new) {
+        return None;
+    }
+    let mut cover: Option<Vec<Interval>> = None;
+    for t in removed {
+        if !(0..t.len()).all(|d| t[d] <= old.hi()[d] && t[d] <= new.hi()[d]) {
+            continue;
+        }
+        let lo = |d: usize| t[d].max(old.lo()[d]).max(new.lo()[d]);
+        match &mut cover {
+            Some(cover) => {
+                for (d, side) in cover.iter_mut().enumerate() {
+                    *side = Interval::closed(side.lo().min(lo(d)), side.hi());
+                }
+            }
+            None => {
+                let hi = |d: usize| old.hi()[d].min(new.hi()[d]);
+                // skylint: allow(hot-path-alloc) — the returned rectangle, the one allocation of the cover.
+                cover = Some((0..t.len()).map(|d| Interval::closed(lo(d), hi(d))).collect());
+            }
+        }
+    }
+    cover.map(HyperRect::from_intervals)
 }
 
 /// Step 3 of the MPR construction, shared with the compositional
@@ -265,6 +312,7 @@ pub(crate) fn prune_regions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skycache_geom::subtract::pairwise_disjoint;
 
     fn c(pairs: &[(f64, f64)]) -> Constraints {
@@ -490,5 +538,82 @@ mod tests {
         assert_eq!(out.prune_points_used, 0);
         // ΔC is fetched whole.
         assert_eq!(covers(&out.regions, &p(&[1.2, 0.9])), 1);
+    }
+
+    /// The aMPR cover as it was composed before [`invalid_cover`]: one
+    /// dominance box per removed row, clipped to `R_C′`, then merged.
+    fn cover_box_by_box(
+        rows: &PointBlock,
+        old: &Constraints,
+        new: &Constraints,
+    ) -> Option<HyperRect> {
+        let mut boxes = rows
+            .rows()
+            .filter_map(|t| dominance_box_coords(t, old))
+            .filter_map(|dr| dr.intersection(new.aabb()));
+        let mut cover = boxes.next()?;
+        for b in boxes {
+            cover.merge(&b);
+        }
+        Some(cover.to_rect())
+    }
+
+    /// Coordinates on a coarse grid (so rows land exactly on constraint
+    /// faces) mixed with arbitrary ones.
+    fn coord() -> impl Strategy<Value = f64> {
+        prop_oneof![(-4..=8i8).prop_map(|v| f64::from(v) / 4.0), -1.0..2.0f64]
+    }
+
+    /// Most dimensions the generated cases use; narrower cases truncate.
+    const MAX_DIMS: usize = 6;
+
+    /// One `(lo, hi)` pair per dimension; about one bound in six is
+    /// unbounded.
+    fn sides() -> impl Strategy<Value = Vec<(f64, f64)>> {
+        prop::collection::vec(
+            (coord(), coord(), 0..6u8, 0..6u8).prop_map(|(a, b, open_lo, open_hi)| {
+                (
+                    if open_lo == 0 { f64::NEG_INFINITY } else { a.min(b) },
+                    if open_hi == 0 { f64::INFINITY } else { a.max(b) },
+                )
+            }),
+            MAX_DIMS,
+        )
+    }
+
+    proptest! {
+        /// `invalid_cover` is the box-by-box composition bit for bit —
+        /// same rows skipped, same corner — on random and partially
+        /// unbounded constraints, with rows on, inside and outside them.
+        #[test]
+        fn invalid_cover_matches_box_by_box(
+            dims in 1usize..=MAX_DIMS,
+            old in sides(),
+            new in sides(),
+            rows in prop::collection::vec(prop::collection::vec(coord(), MAX_DIMS), 0..12),
+        ) {
+            let old = Constraints::from_pairs(&old[..dims]).unwrap();
+            let new = Constraints::from_pairs(&new[..dims]).unwrap();
+            let mut removed = PointBlock::new(dims).unwrap();
+            for row in &rows {
+                removed.push_row(&row[..dims]);
+            }
+            let got = invalid_cover(removed.rows(), &old, &new);
+            let want = cover_box_by_box(&removed, &old, &new);
+            let bits = |r: &Option<HyperRect>| {
+                r.as_ref().map(|r| {
+                    r.intervals()
+                        .iter()
+                        .map(|i| (i.lo().to_bits(), i.hi().to_bits(), i.lo_open(), i.hi_open()))
+                        .collect::<Vec<_>>()
+                })
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+            // Approximate planning emits exactly that cover.
+            let order: Vec<usize> = (0..removed.len()).collect();
+            let pieces =
+                invalidated_space(&removed, &order, &old, &new, MprMode::Approximate { k: 1 });
+            prop_assert_eq!(pieces, want.into_iter().collect::<Vec<_>>());
+        }
     }
 }

@@ -173,6 +173,10 @@ fn argmax_by<'a, K: Ord>(
     best
 }
 
+/// `c` clamped to `bounds`, with an empty side collapsed onto its lower
+/// end: the reference the allocation-free scores below are tested
+/// against.
+#[cfg(test)]
 fn clamp_box(c: &Constraints, bounds: &Aabb) -> Aabb {
     let lo: Vec<f64> = c.lo().iter().zip(bounds.lo()).map(|(v, b)| v.max(*b)).collect();
     let hi: Vec<f64> =
@@ -180,16 +184,41 @@ fn clamp_box(c: &Constraints, bounds: &Aabb) -> Aabb {
     Aabb::new_unchecked(lo, hi)
 }
 
-fn clamped_overlap(item: &CacheItem, new: &Constraints, bounds: &Aabb) -> FiniteF64 {
-    let a = clamp_box(&item.constraints, bounds);
-    let b = clamp_box(new, bounds);
-    FiniteF64(a.overlap_area(&b))
+/// Dimension `d` of `c` clamped to `bounds`: `(lo, hi)` with
+/// `lo = max(c.lo, bounds.lo)` and `hi = max(min(c.hi, bounds.hi), lo)`.
+#[inline]
+fn clamped_side(c: &Constraints, bounds: &Aabb, d: usize) -> (f64, f64) {
+    let lo = c.lo()[d].max(bounds.lo()[d]);
+    (lo, c.hi()[d].min(bounds.hi()[d]).max(lo))
 }
 
+/// Overlap volume of the item's and the query's constraint boxes, both
+/// clamped to `bounds` — [`Aabb::overlap_area`] of the two clamped boxes
+/// bit for bit (same `min` / `max`, same left-to-right product), without
+/// building either: this runs once per candidate of every lookup.
+fn clamped_overlap(item: &CacheItem, new: &Constraints, bounds: &Aabb) -> FiniteF64 {
+    let mut volume = 1.0;
+    for d in 0..new.dims() {
+        let (al, ah) = clamped_side(&item.constraints, bounds, d);
+        let (bl, bh) = clamped_side(new, bounds, d);
+        if !(al <= bh && bl <= ah) {
+            return FiniteF64(0.0);
+        }
+        volume *= ah.min(bh) - al.max(bl);
+    }
+    FiniteF64(volume)
+}
+
+/// Squared distance between the lower corners of the item's and the
+/// query's constraint boxes, both clamped to `bounds`.
 fn corner_distance(item: &CacheItem, new: &Constraints, bounds: &Aabb) -> f64 {
-    let a = clamp_box(&item.constraints, bounds);
-    let b = clamp_box(new, bounds);
-    a.lo().iter().zip(b.lo()).map(|(x, y)| (x - y) * (x - y)).sum()
+    (0..new.dims())
+        .map(|d| {
+            let (x, _) = clamped_side(&item.constraints, bounds, d);
+            let (y, _) = clamped_side(new, bounds, d);
+            (x - y) * (x - y)
+        })
+        .sum()
 }
 
 /// Rank of a case for `Prioritized1D`: lower is better. Exact hits beat
@@ -261,6 +290,41 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// The allocation-free scores equal their definitions over
+    /// [`clamp_box`] bit for bit: on boxes inside, across and outside the
+    /// data bounds, touching ones, and partially unbounded ones.
+    #[test]
+    fn scores_match_clamp_box_reference() {
+        let mut rng = rng();
+        // Quarter steps make touching and coinciding faces common; about
+        // one bound in six is unbounded.
+        let side = |rng: &mut StdRng| {
+            let a = f64::from(rng.gen_range(-4..=44i32)) / 4.0;
+            let b = a + f64::from(rng.gen_range(0..=24i32)) / 4.0 * rng.gen_range(0.0..1.0f64);
+            (
+                if rng.gen_range(0..6) == 0 { f64::NEG_INFINITY } else { a },
+                if rng.gen_range(0..6) == 0 { f64::INFINITY } else { b },
+            )
+        };
+        let (mut disjoint, mut overlapping) = (0, 0);
+        let mut a = item(0, &[(0.0, 1.0), (0.0, 1.0)]);
+        for _ in 0..2_000 {
+            a.constraints = Constraints::from_pairs(&[side(&mut rng), side(&mut rng)]).unwrap();
+            let new = Constraints::from_pairs(&[side(&mut rng), side(&mut rng)]).unwrap();
+            let (ca, cn) = (clamp_box(&a.constraints, &bounds()), clamp_box(&new, &bounds()));
+            let want = ca.overlap_area(&cn);
+            assert_eq!(clamped_overlap(&a, &new, &bounds()).0.to_bits(), want.to_bits());
+            let want_dist: f64 = ca.lo().iter().zip(cn.lo()).map(|(x, y)| (x - y) * (x - y)).sum();
+            assert_eq!(corner_distance(&a, &new, &bounds()).to_bits(), want_dist.to_bits());
+            if ca.intersects(&cn) {
+                overlapping += 1;
+            } else {
+                disjoint += 1;
+            }
+        }
+        assert!(disjoint > 100 && overlapping > 100, "{disjoint} / {overlapping}");
     }
 
     #[test]
