@@ -16,7 +16,8 @@
 //!    ceiling, pinning the residual per-query cost of answering
 //!    straight from the cache — result materialization at the API
 //!    boundary plus the admission-sketch demand note (exact hits never
-//!    re-insert their item; see `Cache::note_demand`);
+//!    re-insert their item; see `Cache::note_demand`) — and the reply
+//!    to one allocates at most twice, the cached item keeping its text;
 //! 3. points read and range queries issued / executed / coalesced over
 //!    both paper workloads are exact: the planner and the coalescing
 //!    fetch are seeded end to end, so any drift is a behaviour change.
@@ -30,9 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use skycache_bench::{independent_queries, interactive_queries, run_queries, synthetic_table};
-use skycache_core::{Cache, CbcsConfig, CbcsExecutor};
+use skycache_core::{Cache, CbcsConfig, CbcsExecutor, Executor, Overlap, QueryRequest};
 use skycache_datagen::Distribution;
 use skycache_geom::Constraints;
+use skycache_serve::proto;
 use skycache_storage::Table;
 
 /// Counting wrapper around the system allocator: counts heap-allocation
@@ -162,6 +164,31 @@ fn exact_hit_replay_allocs_stay_under_ceiling() {
     );
 }
 
+/// An exact hit brings its reply text with it (the cached item keeps
+/// it), so `proto::query_reply` is a header and a copy: one allocation
+/// for the line, a second allowed for the header's formatting, however
+/// many points the answer has. Rendering them again costs the sort's
+/// `Vec` on top, and the points' formatting every time.
+#[test]
+fn an_exact_hit_reply_allocates_at_most_twice() {
+    let _serial = serial();
+    let table = table();
+    let queries = interactive_queries(&table, QUERIES, 17, None);
+    let mut ex = CbcsExecutor::new(&table, CbcsConfig::default());
+    run_queries(&mut ex, &queries);
+    let mut points = 0;
+    for c in &queries {
+        let outcome = ex.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+        assert_eq!(outcome.stats.case, Some(Overlap::Exact), "a replayed query is an exact hit");
+        let a0 = allocations();
+        let reply = proto::query_reply(&outcome);
+        let allocs = allocations() - a0;
+        assert!(allocs <= 2, "{allocs} allocations for a reply of {} bytes", reply.len());
+        points += outcome.skyline.len();
+    }
+    assert!(points > queries.len(), "the replies must carry points");
+}
+
 /// The lookup itself — `Cache::lookup_into` with a reused scratch ids
 /// vector — must be allocation-free in steady state: the cache-wide
 /// bound check, the R*-tree walk, and the cover-order sort all run
@@ -205,9 +232,11 @@ fn warm_cache_lookup_is_allocation_free() {
 
 /// ~2× the observed steady-state cost (183.7 allocs/query).
 const BLOCK_CEILING: f64 = 370.0;
-/// ~2× the observed exact-hit replay cost (75.1 allocs/query — exact
+/// ~2× the observed exact-hit replay cost (77.3 allocs/query — exact
 /// hits re-materialize the full result, so this scales with result
-/// size, not points read).
+/// size, not points read; the measured replay is every item's first
+/// exact hit, so it includes rendering each item's reply text once,
+/// three allocations).
 const REPLAY_CEILING: f64 = 150.0;
 /// Warm lookups are allocation-free; anything above rounding noise
 /// (a fraction of an alloc per lookup amortized over the run) fails.

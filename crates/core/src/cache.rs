@@ -6,7 +6,9 @@
 //! (For an item whose skyline is *empty*, the MBR is undefined; we index
 //! such items by their constraint region instead so the knowledge "this
 //! region is empty" stays discoverable — a strict improvement documented
-//! in DESIGN.md.)
+//! in DESIGN.md.) A `C′` the cache has seen before is the exception: the
+//! item cached under it answers alone, found without the MBR search, and
+//! keeps the text of its skyline for the reply (DESIGN.md §17.5).
 //!
 //! Replacement (Section 6.2 and DESIGN.md §17): insertion and use
 //! counters on the items support LRU (least recently used) and LCU
@@ -20,7 +22,8 @@
 // of cache reindexing feed back into query planning, and iteration
 // order must not depend on a randomized hasher (determinism lint).
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 use skycache_geom::{dominated_by_any_rows, dominates_rows, Aabb, Constraints, Point, PointBlock};
 use skycache_rtree::RStarTree;
@@ -64,6 +67,61 @@ pub struct CacheItem {
     /// Hash of the constraint box — the item's key in the admission
     /// frequency sketch ([`ReplacementPolicy::TinyLfu`]).
     pub key_hash: u64,
+    /// `skyline` as text ([`render_points`]): empty until the first exact
+    /// hit renders it, read by every later one. Behind its own `Arc`, so
+    /// the copy of an item a cache makes to update its counters
+    /// ([`Cache::touch`]) still shares the slot with every snapshot that
+    /// holds the item; whoever changes `skyline` must start a new slot
+    /// with it.
+    pub(crate) text: Arc<OnceLock<Arc<str>>>,
+}
+
+impl CacheItem {
+    /// The cached skyline as [`render_points`] text, rendered on the
+    /// first call and shared from then on.
+    pub fn skyline_text(&self) -> Arc<str> {
+        let render = || {
+            let mut text = String::new();
+            render_points(&mut text, self.skyline.rows());
+            text.into()
+        };
+        Arc::clone(self.text.get_or_init(render))
+    }
+
+    /// Write access to this copy's skyline, un-shared from every other
+    /// copy of the item. Text rendered from the old skyline would be a
+    /// wrong answer for the new one, so the slot is replaced here, with
+    /// an empty one; the copies that keep the old block keep the old
+    /// slot.
+    fn skyline_mut(&mut self) -> &mut PointBlock {
+        self.text = Arc::default();
+        Arc::make_mut(&mut self.skyline)
+    }
+}
+
+/// Appends a skyline to `out` in its one text form: ` x,y,..` per point
+/// (coordinates in `f64`'s round-tripping `Display` form), points in
+/// ascending order of their coordinates' bit patterns — so equal point
+/// sets always render to equal bytes, whatever order they arrive in.
+/// This is the body of a query reply on the wire and what a
+/// [`CacheItem`] keeps of its skyline for exact repeats.
+pub fn render_points<'a>(out: &mut String, rows: impl Iterator<Item = &'a [f64]>) {
+    let mut sky: Vec<&[f64]> = rows.collect();
+    // Unstable: rows that compare equal are bit-identical, so their
+    // order cannot show in the text.
+    sky.sort_unstable_by(|a, b| a.iter().map(|x| x.to_bits()).cmp(b.iter().map(|x| x.to_bits())));
+    // One growth of `out` for the usual skyline: a round-tripped
+    // coordinate takes about 18 bytes and its separator one.
+    out.reserve(sky.iter().map(|coords| coords.len() * 20).sum());
+    for coords in sky {
+        let mut sep = ' ';
+        for c in coords {
+            out.push(sep);
+            sep = ',';
+            // Writing into a String cannot fail.
+            let _ = write!(out, "{c}");
+        }
+    }
 }
 
 /// Benefit-per-cached-point score for cost-aware eviction. Non-negative
@@ -225,27 +283,13 @@ pub enum ReplacementPolicy {
     CostAware,
 }
 
-/// Result of a [`Cache::lookup`]: the overlapping items plus the work
-/// done finding them, so the caller can account for lookup cost (the
-/// `cache.overlap_scans` metric) instead of guessing.
-#[derive(Debug)]
-pub struct LookupOutcome<'a> {
-    /// Items whose index box intersects the query region, cover-ordered
-    /// (descending overlap with the query; ties by ascending id).
-    pub items: Vec<&'a CacheItem>,
-    /// Cached items individually tested for overlap (0 when the lookup
-    /// short-circuited).
-    pub scans: u64,
-    /// Whether the cache-wide bounding box proved the lookup empty
-    /// without consulting the R\*-tree at all.
-    pub short_circuited: bool,
-}
-
-/// Work accounting for a scratch-based [`Cache::lookup_into`] — the
-/// candidate ids themselves land in the caller's scratch vector.
+/// Work accounting for a [`Cache::lookup_into`] — the candidate ids
+/// themselves land in the caller's scratch vector.
 #[derive(Clone, Copy, Debug)]
 pub struct LookupStats {
-    /// Cached items individually tested for overlap.
+    /// Cached items individually tested for overlap (1 when an item
+    /// cached under the very constraints answered the lookup alone, 0
+    /// when the lookup short-circuited).
     pub scans: u64,
     /// Whether the cache-wide bounding box proved the lookup empty.
     pub short_circuited: bool,
@@ -270,7 +314,8 @@ pub struct Cache {
     /// covers of possibly-open boxes). Dynamic-data maintenance probes it
     /// with the inserted point instead of scanning every item; candidates
     /// are re-filtered with the exact [`Constraints::satisfies`] test, so
-    /// open boundaries stay correct.
+    /// open boundaries stay correct. Every lookup asks it first for an
+    /// item under the query's own constraints ([`Cache::lookup_into`]).
     constraint_index: RStarTree<u64>,
     /// Ordered victim index: one `(rank, inserted_at, id)` key per item,
     /// maintained incrementally on insert/touch/remove so eviction pops
@@ -429,6 +474,7 @@ impl Cache {
             use_count: 0,
             cost,
             key_hash,
+            text: Arc::default(),
         };
         self.victims.insert(victim_key(self.policy, &item));
         self.items.insert(id, Arc::new(item));
@@ -489,43 +535,34 @@ impl Cache {
         self.items.get(&id).map(Arc::as_ref)
     }
 
-    /// All items whose index box intersects the query region `R_C′`
-    /// (the paper's `R_C′ ∩ MBR ≠ ∅` lookup), cover-ordered.
-    pub fn overlapping(&self, new: &Constraints) -> Vec<&CacheItem> {
-        self.lookup(new).items
-    }
-
-    /// [`Cache::overlapping`] with work accounting. Allocates the result
-    /// vector; steady-state callers should prefer [`Cache::lookup_into`]
-    /// with a reused scratch vector.
-    pub fn lookup(&self, new: &Constraints) -> LookupOutcome<'_> {
-        let mut ids = Vec::new();
-        let stats = self.lookup_into(new, &mut ids);
-        let items: Vec<&CacheItem> = ids.iter().filter_map(|&id| self.get(id)).collect();
-        debug_assert_eq!(items.len(), ids.len(), "index out of sync with items");
-        LookupOutcome { items, scans: stats.scans, short_circuited: stats.short_circuited }
-    }
-
-    /// Scratch-based lookup: fills `ids` with every overlapping item's
-    /// id, *cover-ordered* — exact constraint matches first (they answer
-    /// with zero fetch, so they must win the downstream strategy's
-    /// first-of-ties argmax), then descending overlap area between the
-    /// item's index box and the query region, ties by ascending id — and
-    /// returns the work accounting. The overlap search first tests the
-    /// query region against the cache-wide bounding box, so a query
-    /// disjoint from everything cached is answered in `O(d)` with zero
-    /// per-item scans and no R\*-tree walk.
+    /// The lookup, exact first: if an item is cached under constraints
+    /// numerically equal to `new` (`-0.0 == 0.0` — the equality
+    /// [`crate::classify`] reports as [`crate::Overlap::Exact`]), `ids`
+    /// is that item's id alone, the lowest among duplicates; otherwise
+    /// `ids` is every item whose index box intersects the query region
+    /// (the paper's `R_C′ ∩ MBR ≠ ∅`), *cover-ordered*: descending
+    /// overlap area between index box and query region, ties by
+    /// ascending id. Returns the work accounting.
     ///
-    /// Each candidate is ranked once, while the R\*-tree visitor hands
-    /// over its index box (one item-map probe for exactness, one
-    /// `overlap_area`), and the sort compares the decorated entries
-    /// without going back to the cache. The decoration lives in `ids`
-    /// itself — three words `[exact, area bits, id]` per candidate until
-    /// the sorted ids are compacted to the front — so the caller's
-    /// scratch vector is still the only storage used.
+    /// An exact item answers with zero fetch under every search
+    /// strategy, so nothing else is worth finding once it is: the probe
+    /// is one containment descent of the constraint R\*-tree
+    /// ([`RStarTree::for_each_equal`]), and the MBR walk, the ranking
+    /// and the sort never run. Before either, the query region is tested
+    /// against the cache-wide bounding box, so a query disjoint from
+    /// everything cached — it can have no exact item either, an item's
+    /// index box lies inside its constraints — is answered in `O(d)`
+    /// with zero per-item scans.
     ///
-    /// Allocation-free in steady state: the R\*-tree walk is a recursive
-    /// visitor and the sort is in-place, so a warm `ids` vector (three
+    /// On the slow path each candidate is ranked once, while the
+    /// R\*-tree visitor hands over its index box, and the sort compares
+    /// the decorated entries without going back to the cache. The
+    /// decoration lives in `ids` itself — two words `[area bits, id]`
+    /// per candidate until the sorted ids are compacted to the front —
+    /// so the caller's scratch vector is still the only storage used.
+    ///
+    /// Allocation-free in steady state: both tree walks are recursive
+    /// visitors and the sort is in-place, so a warm `ids` vector (two
     /// words per candidate of the largest lookup so far) never regrows.
     ///
     /// # Panics
@@ -533,33 +570,42 @@ impl Cache {
     pub fn lookup_into(&self, new: &Constraints, ids: &mut Vec<u64>) -> LookupStats {
         assert_eq!(new.dims(), self.dims, "constraints dimensionality mismatch");
         ids.clear();
-        let disjoint = match &self.bound {
-            None => true,
-            Some(b) => !b.intersects(new.aabb()),
-        };
-        if disjoint {
+        let query = new.aabb();
+        if !self.bound.as_ref().is_some_and(|b| b.intersects(query)) {
             return LookupStats { scans: 0, short_circuited: true };
         }
-        let query = new.aabb();
+        if let Some(id) = self.exact_id(query) {
+            // skylint: allow(hot-path-alloc) — one id into the caller's reused scratch vector; steady state reuses its capacity.
+            ids.push(id);
+            return LookupStats { scans: 1, short_circuited: false };
+        }
         self.index.for_each_in(query, |index_box, &id| {
-            let exact = self.get(id).is_some_and(|item| item.constraints.aabb() == query);
             // skylint: allow(hot-path-alloc) — appends into the caller's reused scratch vector; steady state reuses its capacity.
-            ids.extend([u64::from(exact), index_box.overlap_area(query).to_bits(), id]);
+            ids.extend([index_box.overlap_area(query).to_bits(), id]);
         });
-        let (ranked, _) = ids.as_chunks_mut::<3>();
+        let (ranked, _) = ids.as_chunks_mut::<2>();
         // Unstable sort: allocation-free, and the ascending-id tiebreak
         // makes the order total, hence deterministic. total_cmp: the
         // overlap of partially unbounded boxes may be inf or NaN.
-        ranked.sort_unstable_by(|&[exact_a, area_a, a], &[exact_b, area_b, b]| {
-            let (area_a, area_b) = (f64::from_bits(area_a), f64::from_bits(area_b));
-            exact_b.cmp(&exact_a).then(area_b.total_cmp(&area_a)).then_with(|| a.cmp(&b))
+        ranked.sort_unstable_by(|&[area_a, a], &[area_b, b]| {
+            f64::from_bits(area_b).total_cmp(&f64::from_bits(area_a)).then_with(|| a.cmp(&b))
         });
         let scans = ranked.len();
         for rank in 0..scans {
-            ids.swap(rank, 3 * rank + 2);
+            ids.swap(rank, 2 * rank + 1);
         }
         ids.truncate(scans);
         LookupStats { scans: scans as u64, short_circuited: false }
+    }
+
+    /// The lowest id cached under constraints whose box equals `query`
+    /// numerically, if any: one containment descent of the constraint
+    /// R\*-tree every insert, eviction and publish already maintains.
+    fn exact_id(&self, query: &Aabb) -> Option<u64> {
+        let mut found: Option<u64> = None;
+        self.constraint_index
+            .for_each_equal(query, |&id| found = Some(found.map_or(id, |low| low.min(id))));
+        found
     }
 
     /// Union of every cached item's index box (`None` when empty).
@@ -680,7 +726,7 @@ impl Cache {
             // victim rank, so the victim-index entry moves with it.
             let item = Arc::make_mut(item);
             let old_key = victim_key(policy, item);
-            let skyline = Arc::make_mut(&mut item.skyline);
+            let skyline = item.skyline_mut();
             skyline.retain_rows(|s| !dominates_rows(p.coords(), s));
             skyline.push(p);
             let new_key = victim_key(policy, item);
@@ -729,6 +775,15 @@ mod tests {
         Point::from(coords.to_vec())
     }
 
+    /// `lookup_into` with a throwaway scratch: the ids it found (in
+    /// order) and its work accounting.
+    fn lookup(cache: &Cache, new: &Constraints) -> (Vec<u64>, LookupStats) {
+        let mut ids = Vec::new();
+        let stats = cache.lookup_into(new, &mut ids);
+        assert!(ids.iter().all(|&id| cache.get(id).is_some()), "index out of sync with items");
+        (ids, stats)
+    }
+
     #[test]
     fn insert_and_lookup_by_mbr() {
         let mut cache = Cache::new(2);
@@ -736,11 +791,10 @@ mod tests {
             cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.2, 0.8]), p(&[0.6, 0.3])]).unwrap();
         assert_eq!(cache.len(), 1);
         // Query overlapping the skyline MBR [0.2,0.6]x[0.3,0.8].
-        let hits = cache.overlapping(&c(&[(0.5, 0.9), (0.1, 0.4)]));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, id);
+        let (hits, _) = lookup(&cache, &c(&[(0.5, 0.9), (0.1, 0.4)]));
+        assert_eq!(hits, [id]);
         // Query overlapping the constraint region but not the MBR.
-        let misses = cache.overlapping(&c(&[(0.9, 1.0), (0.9, 1.0)]));
+        let (misses, _) = lookup(&cache, &c(&[(0.9, 1.0), (0.9, 1.0)]));
         assert!(misses.is_empty());
     }
 
@@ -748,10 +802,9 @@ mod tests {
     fn empty_skyline_indexed_by_constraints() {
         let mut cache = Cache::new(2);
         let id = cache.insert(c(&[(0.4, 0.6), (0.4, 0.6)]), &[]).unwrap();
-        let hits = cache.overlapping(&c(&[(0.5, 0.9), (0.5, 0.9)]));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, id);
-        assert!(hits[0].mbr.is_none());
+        let (hits, _) = lookup(&cache, &c(&[(0.5, 0.9), (0.5, 0.9)]));
+        assert_eq!(hits, [id]);
+        assert!(cache.get(id).unwrap().mbr.is_none());
     }
 
     #[test]
@@ -797,9 +850,8 @@ mod tests {
         assert_eq!(cache.len(), 2);
         let removed = cache.remove(a).unwrap();
         assert_eq!(removed.id, a);
-        let hits = cache.overlapping(&c(&[(0.0, 1.0), (0.0, 1.0)]));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, b);
+        let (hits, _) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
+        assert_eq!(hits, [b]);
         assert!(cache.remove(a).is_none());
     }
 
@@ -824,7 +876,7 @@ mod tests {
             vec![10.3, f64::INFINITY, f64::INFINITY],
         )
         .unwrap();
-        let hits = cache.overlapping(&probe);
+        let (hits, _) = lookup(&cache, &probe);
         assert_eq!(hits.len(), 1);
     }
 
@@ -840,8 +892,8 @@ mod tests {
         assert_eq!(cache.get(a).unwrap().skyline.to_points(), vec![p(&[0.2, 0.2])]);
         assert_eq!(cache.get(b).unwrap().skyline.to_points(), vec![p(&[2.5, 2.5])]);
         // The MBR index moved with the skyline.
-        let hits = cache.overlapping(&c(&[(0.1, 0.3), (0.1, 0.3)]));
-        assert!(hits.iter().any(|it| it.id == a));
+        let (hits, _) = lookup(&cache, &c(&[(0.1, 0.3), (0.1, 0.3)]));
+        assert!(hits.contains(&a));
 
         // A dominated insertion changes nothing.
         assert_eq!(cache.on_insert(&p(&[0.9, 0.9])), 0);
@@ -865,8 +917,8 @@ mod tests {
         assert_eq!(original.get(a).unwrap().skyline.to_points(), vec![p(&[0.5, 0.5])]);
         // Each copy's index follows its own skyline.
         let old_spot = c(&[(0.45, 0.55), (0.45, 0.55)]);
-        assert_eq!(original.overlapping(&old_spot).len(), 1);
-        assert!(copy.overlapping(&old_spot).is_empty());
+        assert_eq!(lookup(&original, &old_spot).0.len(), 1);
+        assert!(lookup(&copy, &old_spot).0.is_empty());
     }
 
     #[test]
@@ -914,28 +966,26 @@ mod tests {
     fn lookup_short_circuits_disjoint_queries() {
         let mut cache = Cache::new(2);
         // Empty cache: trivially short-circuited.
-        let out = cache.lookup(&c(&[(0.0, 1.0), (0.0, 1.0)]));
-        assert!(out.short_circuited);
-        assert_eq!(out.scans, 0);
-        assert!(out.items.is_empty());
+        let (ids, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
+        assert!(stats.short_circuited);
+        assert_eq!(stats.scans, 0);
+        assert!(ids.is_empty());
 
         cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.2, 0.8]), p(&[0.6, 0.3])]);
         cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]);
 
         // Disjoint from the union of index boxes: answered from the
         // cache-wide bound, zero per-item scans.
-        let miss = cache.lookup(&c(&[(8.0, 9.0), (8.0, 9.0)]));
+        let (ids, miss) = lookup(&cache, &c(&[(8.0, 9.0), (8.0, 9.0)]));
         assert!(miss.short_circuited);
         assert_eq!(miss.scans, 0);
-        assert!(miss.items.is_empty());
+        assert!(ids.is_empty());
 
         // Overlapping: the R*-tree walk scans candidates.
-        let hit = cache.lookup(&c(&[(0.5, 0.9), (0.1, 0.4)]));
+        let (ids, hit) = lookup(&cache, &c(&[(0.5, 0.9), (0.1, 0.4)]));
         assert!(!hit.short_circuited);
-        assert_eq!(hit.items.len(), 1);
+        assert_eq!(ids.len(), 1);
         assert!(hit.scans >= 1);
-        // overlapping() stays the thin façade over lookup().
-        assert_eq!(cache.overlapping(&c(&[(0.5, 0.9), (0.1, 0.4)])).len(), 1);
     }
 
     #[test]
@@ -953,7 +1003,7 @@ mod tests {
         let shrunk = cache.bound().unwrap().clone();
         assert!(shrunk.contains_point(&p(&[0.5])));
         assert!(!shrunk.contains_point(&p(&[5.5])));
-        assert!(cache.lookup(&c(&[(5.0, 6.0)])).short_circuited);
+        assert!(lookup(&cache, &c(&[(5.0, 6.0)])).1.short_circuited);
 
         cache.remove(a).unwrap();
         assert!(cache.bound().is_none());
@@ -1163,16 +1213,50 @@ mod tests {
         let large = cache
             .insert(c(&[(0.0, 0.9), (0.0, 0.9)]), &[p(&[0.05, 0.85]), p(&[0.85, 0.05])])
             .unwrap();
-        let out = cache.lookup(&c(&[(0.0, 1.0), (0.0, 1.0)]));
-        let order: Vec<u64> = out.items.iter().map(|it| it.id).collect();
+        let (order, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
         assert_eq!(order, vec![large, medium, small], "descending overlap area");
-
-        // The scratch-based entry point agrees with the façade.
-        let mut ids = Vec::new();
-        let stats = cache.lookup_into(&c(&[(0.0, 1.0), (0.0, 1.0)]), &mut ids);
-        assert_eq!(ids, order);
         assert_eq!(stats.scans, 3);
         assert!(!stats.short_circuited);
+    }
+
+    #[test]
+    fn lookup_answers_a_repeat_with_the_lowest_exact_id_alone() {
+        let mut cache = Cache::new(2);
+        let wide = cache.insert(c(&[(0.0, 2.0), (0.0, 2.0)]), &[p(&[0.5, 0.5])]).unwrap();
+        let first = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
+        let second = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[]).unwrap();
+        // No item under these constraints: every overlapping item.
+        let (ids, stats) = lookup(&cache, &c(&[(0.0, 1.5), (0.0, 1.5)]));
+        assert_eq!((ids.len(), stats.scans), (3, 3));
+        // A repeat, however it spells its zeros: the older duplicate alone.
+        let repeat = c(&[(-0.0, 1.0), (-0.0, 1.0)]);
+        let (ids, stats) = lookup(&cache, &repeat);
+        assert_eq!((ids, stats.scans, stats.short_circuited), (vec![first], 1, false));
+        cache.remove(first).unwrap();
+        assert_eq!(lookup(&cache, &repeat).0, [second]);
+        // With no exact item left the slow path answers again.
+        cache.remove(second).unwrap();
+        assert_eq!(lookup(&cache, &repeat).0, [wide]);
+    }
+
+    #[test]
+    fn skyline_text_is_shared_between_copies_and_replaced_with_the_skyline() {
+        let mut master = Cache::new(2);
+        let a =
+            master.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5]), p(&[0.2, 0.8])]).unwrap();
+        let snapshot = master.clone();
+        // The master copies the item to count the use; the slot stays one.
+        master.touch(a);
+        assert!(!std::ptr::eq(master.get(a).unwrap(), snapshot.get(a).unwrap()));
+        let text = snapshot.get(a).unwrap().skyline_text();
+        assert_eq!(&*text, " 0.2,0.8 0.5,0.5");
+        assert!(Arc::ptr_eq(&text, &master.get(a).unwrap().skyline_text()));
+
+        // A changed skyline starts a slot of its own; the snapshot keeps
+        // the old block and the old text.
+        assert_eq!(master.on_insert(&p(&[0.1, 0.1])), 1);
+        assert_eq!(&*master.get(a).unwrap().skyline_text(), " 0.1,0.1");
+        assert!(Arc::ptr_eq(&text, &snapshot.get(a).unwrap().skyline_text()));
     }
 
     #[test]

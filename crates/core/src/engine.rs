@@ -10,8 +10,9 @@
 //!
 //! Queries enter through [`Executor::execute`] with a [`QueryRequest`] —
 //! constraints plus a per-query algorithm override and an opt-in
-//! recording flag — and return a [`QueryOutcome`]: the skyline, the
-//! always-on [`QueryStats`] counters, and (when recording) a
+//! recording flag — and return a [`QueryOutcome`]: the skyline (with the
+//! cached item's text of it when the cache held the answer as it is),
+//! the always-on [`QueryStats`] counters, and (when recording) a
 //! [`skycache_obs::QueryReport`] with the six-phase span breakdown and the
 //! full metric registry. Instrumentation flows through the
 //! [`skycache_obs::Recorder`] interface; with recording off the pipeline
@@ -30,6 +31,7 @@
 //! (see DESIGN.md: the substitution preserves the paper's cost structure
 //! while staying machine-independent).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -120,6 +122,10 @@ impl QueryRequest {
 pub struct QueryOutcome {
     /// The constrained skyline `Sky(S, C)`.
     pub skyline: Vec<Point>,
+    /// `skyline` as [`crate::render_points`] text, when the answer is a
+    /// cached item's skyline unchanged (an exact hit) and the item keeps
+    /// that text; `None` everywhere else — render `skyline`.
+    pub text: Option<Arc<str>>,
     /// Work and latency counters (always populated).
     pub stats: QueryStats,
     /// The detailed per-query report; `Some` iff the request set
@@ -504,7 +510,7 @@ impl Executor for BaselineExecutor<'_> {
         let skyline = query_naive(self.table, algo, c, &mut self.scratch, &mut probe);
         probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
 
-        Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
+        Ok(QueryOutcome { skyline, text: None, stats, report: rec.map(QueryRecorder::into_report) })
     }
 }
 
@@ -592,6 +598,7 @@ impl Executor for BbsExecutor<'_> {
 
         Ok(QueryOutcome {
             skyline: out.skyline,
+            text: None,
             stats,
             report: rec.map(QueryRecorder::into_report),
         })
@@ -846,9 +853,14 @@ impl CbcsState {
             let plan =
                 plan_with_extra(&primary.constraints, &primary.skyline, &extra, c, config.mpr);
             probe.record_span(Phase::MprCompute, t2.elapsed());
-            Some(Selection::Single(primary.id, plan))
+            // An exact hit returns the item's skyline as it is, so the
+            // item's text of it — rendered here if this is its first
+            // exact hit — is the answer's text.
+            let text = (plan.overlap == Overlap::Exact).then(|| primary.skyline_text());
+            Some(Selection::Single(primary.id, plan, text))
         });
 
+        let mut text = None;
         let skyline = match selection {
             None => {
                 probe.add_counter(names::CACHE_MISSES, 1);
@@ -858,9 +870,10 @@ impl CbcsState {
                 probe.add_counter(names::CACHE_HITS, 1);
                 probe.stats.cache_hit = true;
                 let plan = match selection {
-                    Selection::Single(item_id, plan) => {
+                    Selection::Single(item_id, plan, item_text) => {
                         probe.stats.composed_items = 1;
                         cache.touch(item_id);
+                        text = item_text;
                         plan
                     }
                     Selection::Composed(part_ids, composed) => {
@@ -904,7 +917,7 @@ impl CbcsState {
             }
         }
 
-        Ok(QueryOutcome { skyline, stats, report: rec.map(QueryRecorder::into_report) })
+        Ok(QueryOutcome { skyline, text, stats, report: rec.map(QueryRecorder::into_report) })
     }
 }
 
@@ -912,8 +925,9 @@ impl CbcsState {
 /// cached item (with optional harvested pruning points folded into its
 /// plan) or compose several cached items' trusted space.
 enum Selection {
-    /// Primary item id plus its single-item plan.
-    Single(u64, QueryPlan),
+    /// Primary item id plus its single-item plan and, on an exact hit,
+    /// the item's text of its skyline.
+    Single(u64, QueryPlan, Option<Arc<str>>),
     /// Contributing item ids (cover-ordered, primary first) plus the
     /// composed remainder plan.
     Composed(Vec<u64>, ComposedPlan),

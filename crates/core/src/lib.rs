@@ -81,7 +81,7 @@ pub mod stability;
 pub mod strategy;
 
 pub use cache::{
-    Cache, CacheItem, FrequencySketch, ItemCost, LookupOutcome, LookupStats, ReplacementPolicy,
+    render_points, Cache, CacheItem, FrequencySketch, ItemCost, LookupStats, ReplacementPolicy,
 };
 pub use cases::{plan_composed, ComposedPlan};
 pub use engine::{

@@ -408,7 +408,7 @@ fn empty_outcome(req: &QueryRequest, from_negative_cache: bool) -> QueryOutcome 
         }
         rec.into_report()
     });
-    QueryOutcome { skyline: Vec::new(), stats, report }
+    QueryOutcome { skyline: Vec::new(), text: None, stats, report }
 }
 
 /// Canonical bit-encoding of constraint bounds: `-0.0` folds onto `0.0`

@@ -285,6 +285,7 @@ mod tests {
             use_count: 0,
             cost: crate::cache::ItemCost::default(),
             key_hash: id,
+            text: Default::default(),
         }
     }
 

@@ -183,6 +183,20 @@ impl<T> RStarTree<T> {
         walk(&self.root, window, &mut f);
     }
 
+    /// Visits the value of every entry stored under a box equal to `mbr`
+    /// — numerically, bound by bound, so `-0.0 == 0.0`. A subtree can
+    /// hold such an entry only if its box contains `mbr`, so this is one
+    /// containment descent (the read-only half of
+    /// [`remove`](RStarTree::remove)), not a window search; it allocates
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics if `mbr` has the wrong dimensionality.
+    pub fn for_each_equal<'a>(&'a self, mbr: &Aabb, mut f: impl FnMut(&'a T)) {
+        assert_eq!(mbr.dims(), self.dims, "box/tree dimensionality mismatch");
+        visit_equal(&self.root, mbr, &mut f);
+    }
+
     /// Values whose box intersects `window`.
     pub fn search(&self, window: &Aabb) -> Vec<&T> {
         let mut out = Vec::new();
@@ -543,9 +557,31 @@ fn strip_farthest<E: crate::split::HasMbr>(entries: &mut Vec<E>, count: usize) -
     entries.split_off(at)
 }
 
-/// Read-only search for the entry `remove` is after. On a hit `path`
-/// holds the child index taken at every inner level, root first, then
-/// the entry's index in its leaf.
+/// The walk of [`RStarTree::for_each_equal`]: every entry under a box
+/// equal to `mbr`, through the subtrees whose box contains it.
+fn visit_equal<'a, T>(node: &'a Node<T>, mbr: &Aabb, f: &mut impl FnMut(&'a T)) {
+    match node {
+        Node::Leaf(entries) => {
+            for e in entries {
+                if e.mbr == *mbr {
+                    f(&e.value);
+                }
+            }
+        }
+        Node::Inner { children, .. } => {
+            for c in children {
+                if c.mbr.contains_box(mbr) {
+                    visit_equal(&c.child, mbr, f);
+                }
+            }
+        }
+    }
+}
+
+/// Read-only search for the entry `remove` is after: the containment
+/// descent of [`RStarTree::for_each_equal`], stopped at the first entry
+/// `pred` accepts. On a hit `path` holds the child index taken at every
+/// inner level, root first, then the entry's index in its leaf.
 fn locate<T>(
     node: &Node<T>,
     mbr: &Aabb,

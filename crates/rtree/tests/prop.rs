@@ -136,6 +136,53 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// `for_each_equal` against a linear scan of `iter()`: after a random
+    /// insert / remove sequence over a few small boxes — so most boxes are
+    /// stored several times, under distinct values, and the tree (small
+    /// nodes) is several levels deep — every stored box, its spelling
+    /// with negative zeros, and a box that may be absent each yield
+    /// exactly the values the scan finds.
+    #[test]
+    fn for_each_equal_matches_a_linear_scan(
+        ops in prop::collection::vec(
+            (any::<bool>(), 0..4u8, 0..4u8, 0..3u8, 0..3u8),
+            0..160,
+        ),
+        absent in (0..4u8, 0..4u8, 0..3u8, 0..3u8),
+    ) {
+        let boxed = |(x, y, w, h): (u8, u8, u8, u8), zero: f64| {
+            let at = |v: u8| if v == 0 { zero } else { f64::from(v) };
+            Aabb::new(vec![at(x), at(y)], vec![at(x + w), at(y + h)]).unwrap()
+        };
+        let params = RTreeParams { max_entries: 4, min_entries: 2, reinsert_count: 1 };
+        let mut tree: RStarTree<usize> = RStarTree::with_params(2, params);
+        for (seq, &(insert, x, y, w, h)) in ops.iter().enumerate() {
+            let b = boxed((x, y, w, h), 0.0);
+            if insert {
+                tree.insert(b, seq);
+            } else {
+                tree.remove(&b, |_| true);
+            }
+        }
+        tree.check_invariants();
+
+        let stored = ops.iter().map(|&(_, x, y, w, h)| (x, y, w, h));
+        for key in stored.chain([absent]) {
+            let mut want: Vec<usize> = tree
+                .iter()
+                .filter(|(b, _)| **b == boxed(key, 0.0))
+                .map(|(_, &v)| v)
+                .collect();
+            want.sort_unstable();
+            for zero in [0.0, -0.0] {
+                let mut got = Vec::new();
+                tree.for_each_equal(&boxed(key, zero), |&v| got.push(v));
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want);
+            }
+        }
+    }
+
     /// nearest_k distances are sorted and match brute force.
     #[test]
     fn nearest_k_sorted_and_correct(

@@ -19,13 +19,16 @@
 
 use std::fmt::Write as _;
 
-use skycache_core::{QueryOutcome, ServiceMetrics};
-use skycache_geom::Constraints;
+use skycache_core::{render_points, QueryOutcome, ServiceMetrics};
+use skycache_geom::{Constraints, Point};
 
 /// Reply to `PING`.
 pub const PONG: &str = "OK pong";
 /// Reply to `QUIT`, sent just before the server closes the connection.
 pub const BYE: &str = "OK bye";
+/// The whole conversation with a client that connects while the server
+/// is serving as many connections as it will: this line, then a close.
+pub const BUSY: &str = "ERR busy";
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -103,22 +106,31 @@ fn parse_bound(token: &str, unbounded: f64) -> Result<f64, String> {
 /// Formats a query outcome: `OK <n> <hit|miss> <point> ...`, points as
 /// comma-joined coordinates in canonical bitwise order.
 pub fn query_reply(outcome: &QueryOutcome) -> String {
-    let mut sky: Vec<&[f64]> = outcome.skyline.iter().map(|p| p.coords()).collect();
-    sky.sort_by(|a, b| a.iter().map(|x| x.to_bits()).cmp(b.iter().map(|x| x.to_bits())));
-    let mut line =
-        format!("OK {} {}", sky.len(), if outcome.stats.cache_hit { "hit" } else { "miss" });
-    for coords in sky {
-        line.push(' ');
-        for (i, c) in coords.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            // f64 Display round-trips, so the client can parse exactly.
-            let _ = write!(line, "{c}");
-        }
-    }
+    let mut line = String::new();
+    write_query_reply(&mut line, outcome);
     line
 }
+
+/// Appends [`query_reply`]'s line to `out`. The header is written per
+/// reply — the miss that cached an item said `miss`, its repeats say
+/// `hit` — and the points are either the text the outcome brings (an
+/// exact hit: the cached item keeps it) or rendered here, in place, by
+/// the same [`render_points`] that produced that text.
+pub(crate) fn write_query_reply(out: &mut String, outcome: &QueryOutcome) {
+    // The whole line at once when the outcome brings its text;
+    // `render_points` makes room for what it writes.
+    out.reserve(HEADER_BYTES + outcome.text.as_ref().map_or(0, |text| text.len()));
+    let verdict = if outcome.stats.cache_hit { "hit" } else { "miss" };
+    // Writing into a String cannot fail.
+    let _ = write!(out, "OK {} {verdict}", outcome.skyline.len());
+    match &outcome.text {
+        Some(text) => out.push_str(text),
+        None => render_points(out, outcome.skyline.iter().map(Point::coords)),
+    }
+}
+
+/// Room for `OK <n> <hit|miss>`.
+const HEADER_BYTES: usize = 32;
 
 /// Formats the `STATS` reply from the service counters plus the shared
 /// cache's authoritative size and epoch.
@@ -187,11 +199,17 @@ mod tests {
     fn query_reply_is_canonical() {
         let outcome = QueryOutcome {
             skyline: vec![Point::from(vec![2.0, 1.0]), Point::from(vec![1.0, 2.0])],
+            text: None,
             stats: QueryStats { cache_hit: true, ..QueryStats::default() },
             report: None,
         };
         assert_eq!(query_reply(&outcome), "OK 2 hit 1,2 2,1");
-        let empty = QueryOutcome { skyline: vec![], stats: QueryStats::default(), report: None };
+        let empty = QueryOutcome {
+            skyline: vec![],
+            text: None,
+            stats: QueryStats::default(),
+            report: None,
+        };
         assert_eq!(query_reply(&empty), "OK 0 miss");
     }
 

@@ -7,7 +7,16 @@
 //! connection gets a scoped thread with its own session — sessions own
 //! their executor scratch, so connections contend only on the service
 //! state the paper's cache design already shares (the epoch-published
-//! snapshot, the singleflight table, the negative cache).
+//! snapshot, the singleflight table, the negative cache). At most
+//! [`MAX_CONNECTIONS`] are served at once: past that the accept thread
+//! answers `ERR busy` itself and closes, so a connection flood costs
+//! neither threads nor sessions.
+//!
+//! A connection owns one reply buffer: every reply is rendered into it
+//! with its newline and leaves in one `write`, so under `TCP_NODELAY` a
+//! reply is one segment train however long it is. Request lines are
+//! parsed where they lie in the read buffer, which is drained once per
+//! batch of buffered lines.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] raises a flag and
 //! pokes the listener with a throwaway connection to unblock `accept`;
@@ -16,7 +25,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -34,10 +43,16 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// closed, so one client cannot grow the server's memory without limit.
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Most connections served at once — each holds a thread and a
+/// session's scratch buffers. The next one is answered `ERR busy` and
+/// closed; a slot frees when its connection ends.
+pub const MAX_CONNECTIONS: usize = 256;
+
 /// Handle to a running server: its bound address plus shutdown control.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    live: Arc<AtomicUsize>,
     join: Option<JoinHandle<io::Result<()>>>,
 }
 
@@ -45,6 +60,12 @@ impl ServerHandle {
     /// The address the server is listening on (resolves `:0` binds).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connections being served right now, each on its own thread (at
+    /// most [`MAX_CONNECTIONS`]).
+    pub fn live_connections(&self) -> usize {
+        self.live.load(Ordering::Acquire)
     }
 
     /// Signals shutdown and waits for the accept loop and every open
@@ -110,28 +131,55 @@ pub fn serve(
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = stop.clone();
+    let live = Arc::new(AtomicUsize::new(0));
+    let (thread_stop, thread_live) = (stop.clone(), live.clone());
     let join = thread::Builder::new().name("skyserve-accept".to_owned()).spawn(move || {
         let service = Service::open(&table, config);
-        accept_loop(&listener, &service, &thread_stop)
+        accept_loop(&listener, &service, &thread_stop, &thread_live)
     })?;
-    Ok(ServerHandle { addr, stop, join: Some(join) })
+    Ok(ServerHandle { addr, stop, live, join: Some(join) })
 }
 
-fn accept_loop(listener: &TcpListener, service: &Service<'_>, stop: &AtomicBool) -> io::Result<()> {
+/// One of the [`MAX_CONNECTIONS`] slots, held by a connection's thread
+/// and given back when it ends, however it ends.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+fn accept_loop(
+    listener: &TcpListener,
+    service: &Service<'_>,
+    stop: &AtomicBool,
+    live: &AtomicUsize,
+) -> io::Result<()> {
     thread::scope(|s| {
         for conn in listener.incoming() {
             if stop.load(Ordering::Acquire) {
                 break;
             }
-            let stream = match conn {
+            let mut stream = match conn {
                 Ok(stream) => stream,
                 // Transient accept errors (e.g. a client aborting its
                 // handshake) must not take the server down.
                 Err(_) => continue,
             };
+            // Only this thread takes slots, so the count cannot pass the
+            // cap between the check and the increment.
+            if live.load(Ordering::Acquire) >= MAX_CONNECTIONS {
+                drop(send_line(&mut stream, proto::BUSY));
+                continue;
+            }
+            live.fetch_add(1, Ordering::AcqRel);
+            let slot = Slot(live);
             let session = service.session();
-            s.spawn(move || drop(handle_conn(stream, session, service, stop)));
+            s.spawn(move || {
+                let _slot = slot;
+                drop(handle_conn(stream, session, service, stop));
+            });
         }
         Ok(())
     })
@@ -142,45 +190,56 @@ enum Flow {
     Quit,
 }
 
+/// Sends a reply line from outside the request loop, in one `write` like
+/// every other reply.
+fn send_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())
+}
+
 fn handle_conn(
-    stream: TcpStream,
+    mut stream: TcpStream,
     mut session: Session<'_>,
     service: &Service<'_>,
     stop: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     drop(stream.set_nodelay(true));
-    let mut reader = stream.try_clone()?;
-    let mut out = io::BufWriter::new(stream);
     let mut pending: Vec<u8> = Vec::new();
+    let mut reply = String::new();
     let mut buf = [0u8; 4096];
     loop {
-        // Answer every complete line already buffered before reading more.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&line);
-            let text = text.trim();
-            if text.is_empty() {
+        // Answer every complete line already buffered before reading
+        // more; the whole batch leaves `pending` in one drain.
+        let mut answered = 0;
+        while let Some(len) = pending[answered..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&pending[answered..answered + len]);
+            answered += len + 1;
+            let line = line.trim();
+            if line.is_empty() {
                 continue;
             }
-            if let Flow::Quit = respond(text, &mut session, service, &mut out)? {
-                return out.flush();
+            reply.clear();
+            let flow = respond(line, &mut session, service, &mut reply);
+            reply.push('\n');
+            stream.write_all(reply.as_bytes())?;
+            if let Flow::Quit = flow {
+                return Ok(());
             }
         }
+        pending.drain(..answered);
         // Every complete line is answered, so what is left is one
         // unterminated line.
         if pending.len() > MAX_LINE_BYTES {
-            writeln!(out, "{}", proto::err_reply("line too long"))?;
-            return out.flush();
+            return send_line(&mut stream, &proto::err_reply("line too long"));
         }
-        match reader.read(&mut buf) {
-            Ok(0) => return out.flush(), // client closed
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(()), // client closed
             Ok(n) => pending.extend_from_slice(&buf[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if stop.load(Ordering::Acquire) {
-                    return out.flush();
+                    return Ok(());
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -189,23 +248,18 @@ fn handle_conn(
     }
 }
 
-fn respond(
-    line: &str,
-    session: &mut Session<'_>,
-    service: &Service<'_>,
-    out: &mut impl Write,
-) -> io::Result<Flow> {
-    let reply = match proto::parse_request(line) {
-        Err(msg) => proto::err_reply(&msg),
-        Ok(Request::Ping) => proto::PONG.to_owned(),
+/// Renders the reply to one request line into `out`, without its newline.
+fn respond(line: &str, session: &mut Session<'_>, service: &Service<'_>, out: &mut String) -> Flow {
+    match proto::parse_request(line) {
+        Err(msg) => out.push_str(&proto::err_reply(&msg)),
+        Ok(Request::Ping) => out.push_str(proto::PONG),
         Ok(Request::Quit) => {
-            writeln!(out, "{}", proto::BYE)?;
-            out.flush()?;
-            return Ok(Flow::Quit);
+            out.push_str(proto::BYE);
+            return Flow::Quit;
         }
         Ok(Request::Stats) => {
             let cache = service.cache();
-            proto::stats_reply(&service.metrics(), cache.len(), cache.epoch())
+            out.push_str(&proto::stats_reply(&service.metrics(), cache.len(), cache.epoch()));
         }
         Ok(Request::Query { constraints, record }) => {
             let mut req = QueryRequest::new(constraints);
@@ -213,12 +267,10 @@ fn respond(
                 req = req.recorded();
             }
             match session.execute(&req) {
-                Ok(outcome) => proto::query_reply(&outcome),
-                Err(e) => proto::err_reply(&e.to_string()),
+                Ok(outcome) => proto::write_query_reply(out, &outcome),
+                Err(e) => out.push_str(&proto::err_reply(&e.to_string())),
             }
         }
-    };
-    writeln!(out, "{reply}")?;
-    out.flush()?;
-    Ok(Flow::Continue)
+    }
+    Flow::Continue
 }

@@ -3,10 +3,12 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use skycache_core::ServiceConfig;
 use skycache_geom::Point;
-use skycache_serve::serve;
+use skycache_serve::server::MAX_CONNECTIONS;
+use skycache_serve::{serve, ServerHandle};
 use skycache_storage::{Table, TableConfig};
 
 fn grid_table() -> Table {
@@ -36,6 +38,21 @@ impl Client {
         self.reader.read_line(&mut line).expect("read reply");
         assert!(line.ends_with('\n'), "reply must be a complete line: {line:?}");
         line.trim_end().to_owned()
+    }
+}
+
+/// Waits for the server to be serving exactly `want` connections: a
+/// connection's thread gives its slot back after its last reply, so the
+/// count trails what a client has seen by a moment.
+fn await_live_connections(handle: &ServerHandle, want: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.live_connections() != want {
+        assert!(
+            Instant::now() < deadline,
+            "{} live connections, expected {want}",
+            handle.live_connections()
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -163,5 +180,59 @@ fn concurrent_clients_agree_and_coalesce_under_load() {
     };
     assert!(field("computes") >= 1);
     assert!(field("coalesced") + field("computes") == 8, "got {stats:?}");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn connections_past_the_cap_are_refused_and_a_freed_slot_is_reusable() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    // Fill every slot; the round trip proves the connection is being
+    // served, not waiting in the listener's backlog.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = Client::connect(handle.addr());
+            assert_eq!(client.roundtrip("PING"), "OK pong");
+            client
+        })
+        .collect();
+    assert_eq!(handle.live_connections(), MAX_CONNECTIONS);
+
+    // One more is told so and closed, without a thread or a session.
+    let mut refused = TcpStream::connect(handle.addr()).unwrap();
+    let mut said = String::new();
+    refused.read_to_string(&mut said).unwrap();
+    assert_eq!(said, "ERR busy\n");
+    assert_eq!(handle.live_connections(), MAX_CONNECTIONS);
+    assert_eq!(held[0].roundtrip("PING"), "OK pong");
+
+    // A connection that ends frees its slot for the next client.
+    assert_eq!(held.pop().unwrap().roundtrip("QUIT"), "OK bye");
+    await_live_connections(&handle, MAX_CONNECTIONS - 1);
+    let mut next = Client::connect(handle.addr());
+    assert_eq!(next.roundtrip("Q * * * *"), "OK 1 miss 0,0");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn clients_that_disconnect_mid_query_leave_nothing_behind() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut steady = Client::connect(handle.addr());
+    assert_eq!(steady.roundtrip("PING"), "OK pong");
+    assert_eq!(handle.live_connections(), 1);
+
+    // A query, or most of one, and gone before the reply: the server
+    // computes an answer nobody reads, or reads a line nobody finishes.
+    for request in ["Q 0.3 1.4 0.3 1.4\n", "Q 0.3 1.4 0.3", "Q * * * *\nQ 0.2 1.0 0.2 1.0\nQ 0."] {
+        for _ in 0..4 {
+            let mut gone = TcpStream::connect(handle.addr()).unwrap();
+            gone.write_all(request.as_bytes()).unwrap();
+        }
+    }
+
+    // The server keeps serving, and every abandoned connection's thread
+    // ends: the count returns to the one client still here.
+    assert!(steady.roundtrip("Q 0.3 1.4 0.3 1.4").starts_with("OK 1 "));
+    await_live_connections(&handle, 1);
+    assert_eq!(steady.roundtrip("PING"), "OK pong");
     handle.shutdown().unwrap();
 }

@@ -648,12 +648,18 @@ impl Table {
     /// derived `fetch.pages_touched` metric, fed from [`FetchBuf::ids`];
     /// needs the table's page geometry, so it lives here rather than on
     /// [`FetchOutcome`]).
+    ///
+    /// Runs on every recorded fetch, over every fetched id: one bit per
+    /// page up to the highest one touched, set and counted — no ordered
+    /// set, one allocation.
     pub fn pages_touched_ids(&self, ids: &[RowId]) -> u64 {
-        let mut pages = std::collections::BTreeSet::new();
+        let Some(&top) = ids.iter().max() else { return 0 };
+        let mut touched = vec![0u64; self.page_of(top) / 64 + 1];
         for &id in ids {
-            pages.insert(self.page_of(id));
+            let page = self.page_of(id);
+            touched[page / 64] |= 1 << (page % 64);
         }
-        pages.len() as u64
+        touched.iter().map(|word| u64::from(word.count_ones())).sum()
     }
 }
 

@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use skycache::algos::{Sfs, SkylineAlgorithm};
-use skycache::core::{Cache, CbcsConfig, CbcsExecutor, Executor, QueryRequest, ReplacementPolicy};
+use skycache::core::{
+    Cache, CbcsConfig, CbcsExecutor, Executor, Overlap, QueryRequest, ReplacementPolicy,
+};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
 
@@ -36,6 +38,15 @@ fn open_constraints() -> impl Strategy<Value = Constraints> {
             sides.into_iter().map(|(a, b)| (a.min(b), a.max(b))).unzip();
         Constraints::new(lo, hi).expect("ordered")
     })
+}
+
+/// The same box with every zero bound spelled the other way (`0.0` ↔
+/// `-0.0`): numerically equal, bitwise different.
+fn respell_zeros(c: &Constraints) -> Constraints {
+    let flip = |v: &f64| if *v == 0.0 { -*v } else { *v };
+    let lo: Vec<f64> = c.lo().iter().map(flip).collect();
+    let hi: Vec<f64> = c.hi().iter().map(flip).collect();
+    Constraints::new(lo, hi).expect("the same numbers stay ordered")
 }
 
 fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -166,13 +177,17 @@ proptest! {
         }
     }
 
-    /// `lookup_into` ranks every candidate once and sorts the decorated
-    /// list; the order must be the one the retired comparator produced,
-    /// which went back to the cache for both sides of every comparison:
-    /// exact constraint matches first, then descending overlap area of
-    /// index box and query (`total_cmp`, so `inf` and NaN have a place),
-    /// then ascending id. Items without points are indexed by their —
-    /// possibly unbounded — constraint box.
+    /// `lookup_into` is exact first. With no item cached under the query's
+    /// own constraints it ranks every candidate once and sorts the
+    /// decorated list, and the order must be the one the retired
+    /// comparator produced, which went back to the cache for both sides of
+    /// every comparison: descending overlap area of index box and query
+    /// (`total_cmp`, so `inf` and NaN have a place), then ascending id.
+    /// With one or more such items — found here by scanning `iter()` for
+    /// numerically equal constraints — the answer is the lowest of their
+    /// ids and nothing else, however the query spells its zeros. Items
+    /// without points are indexed by their — possibly unbounded —
+    /// constraint box.
     #[test]
     fn lookup_order_matches_the_per_comparison_comparator(
         items in prop::collection::vec(
@@ -184,30 +199,83 @@ proptest! {
     ) {
         let mut cache = Cache::new(3);
         for (c, rows) in &items {
-            let skyline: Vec<Point> = rows.iter().cloned().map(Point::from).collect();
+            // A cached skyline lies inside its constraints.
+            let inside = |row: &Vec<f64>| -> Vec<f64> {
+                let sides = c.lo().iter().zip(c.hi());
+                row.iter().zip(sides).map(|(v, (lo, hi))| v.clamp(*lo, *hi)).collect()
+            };
+            let skyline: Vec<Point> = rows.iter().map(inside).map(Point::from).collect();
             cache.insert(c.clone(), &skyline);
         }
-        // One query repeats a cached box, so exact matches are ranked too.
+        // Two queries repeat a cached box, one of them with the other
+        // spelling of every zero bound; that box is cached a second time,
+        // without points, so the repeats meet duplicates.
         let repeated = items[repeat % items.len()].0.clone();
+        cache.insert(repeated.clone(), &[]);
+        let respelled = respell_zeros(&repeated);
         let mut ids = Vec::new();
-        for q in queries.iter().chain([&repeated]) {
-            cache.lookup_into(q, &mut ids);
+        for q in queries.iter().chain([&repeated, &respelled]) {
+            let stats = cache.lookup_into(q, &mut ids);
             let query = q.aabb();
+            let exact =
+                cache.iter().filter(|it| it.constraints.aabb() == query).map(|it| it.id).min();
+            if let Some(lowest) = exact {
+                prop_assert_eq!(&ids, &vec![lowest]);
+                prop_assert_eq!(stats.scans, 1);
+                continue;
+            }
             let index_box = |id: u64| {
                 let item = cache.get(id).expect("lookup ids are live");
                 item.mbr.clone().unwrap_or_else(|| item.constraints.aabb().clone())
             };
-            let rank = |id: u64| {
-                let exact = cache.get(id).expect("lookup ids are live").constraints.aabb() == query;
-                (exact, index_box(id).overlap_area(query))
-            };
+            let area = |id: u64| index_box(id).overlap_area(query);
             let mut want: Vec<u64> =
                 cache.iter().map(|it| it.id).filter(|&id| index_box(id).intersects(query)).collect();
-            want.sort_by(|&a, &b| {
-                let ((exact_a, area_a), (exact_b, area_b)) = (rank(a), rank(b));
-                exact_b.cmp(&exact_a).then(area_b.total_cmp(&area_a)).then_with(|| a.cmp(&b))
-            });
+            want.sort_by(|&a, &b| area(b).total_cmp(&area(a)).then_with(|| a.cmp(&b)));
             prop_assert_eq!(&ids, &want);
+        }
+        prop_assert_eq!(cache.lookup_into(&repeated, &mut ids).scans, 1, "the repeat is exact");
+    }
+
+    /// The exact path against the slow path, through the executor: before
+    /// each query the test finds the exact item itself, by scanning the
+    /// executor's cache for numerically equal constraints, and the
+    /// outcome must be what that scan predicts — `Overlap::Exact` and the
+    /// item's own skyline with nothing read when there is one, any other
+    /// case when there is none (never cached, rejected by admission, or
+    /// evicted since, under each of the four policies) — and the
+    /// from-scratch skyline either way. The pool is small, so queries
+    /// repeat; a repeat may spell its zero bounds the other way; bounds
+    /// may be unbounded and regions empty.
+    #[test]
+    fn an_exact_hit_is_what_a_scan_for_equal_constraints_predicts(
+        points in dataset(3),
+        pool in prop::collection::vec(open_constraints(), 2..6),
+        picks in prop::collection::vec((0..6usize, any::<bool>()), 4..24),
+        policy in policy(),
+        capacity in prop_oneof![Just(None), Just(Some(2usize))],
+    ) {
+        let table = build(points.clone());
+        let config = CbcsConfig { policy, capacity, ..Default::default() };
+        let mut ex = CbcsExecutor::new(&table, config);
+        for (pick, respell) in picks {
+            let q = &pool[pick % pool.len()];
+            let q = if respell { respell_zeros(q) } else { q.clone() };
+            let predicted: Option<Vec<Point>> = ex
+                .cache()
+                .iter()
+                .filter(|it| it.constraints.aabb() == q.aabb())
+                .min_by_key(|it| it.id)
+                .map(|it| it.skyline.to_points());
+            let out = ex.execute(&QueryRequest::new(q.clone())).unwrap();
+            prop_assert_eq!(out.stats.case == Some(Overlap::Exact), predicted.is_some());
+            prop_assert_eq!(out.text.is_some(), predicted.is_some());
+            if let Some(cached) = predicted {
+                prop_assert!(out.stats.cache_hit);
+                prop_assert_eq!(out.stats.points_read, 0);
+                prop_assert_eq!(sorted(out.skyline.clone()), sorted(cached));
+            }
+            assert_skyline_eq(&points, out.skyline, reference(&points, &q))?;
         }
     }
 }
