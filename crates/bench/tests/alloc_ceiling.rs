@@ -26,6 +26,10 @@
 //! changes don't trip them, while per-point regressions — hundreds of
 //! extra allocations per query at this scale — still fail loudly.
 
+// The counting allocator below is the only `unsafe` in the scanned tree
+// (every library crate root carries `#![forbid(unsafe_code)]`).
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 /// The constrained-skyline cache (Section 6): items, index, replacement.
 pub mod cache;

@@ -304,13 +304,13 @@ impl Session<'_> {
     fn execute_coalesced(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         let key = flight_key(&req.constraints, req.algo);
         // skylint: allow(lock-order) — the `execute` called below is the field's concrete `SharedCbcsExecutor::execute` (flights-free); the bare-name match back to `Session::execute` is not a real call, and the table guard is dropped before any compute.
-        let mut flights = self.shared.flights.lock();
+        let mut flights = self.shared.flights.lock(); // lock-order: write
         if let Some(flight) = flights.get(&key) {
             // Join: block on the leader's slot, then share its outcome.
             let flight = flight.clone();
             drop(flights);
             self.shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            let joined = flight.slot.lock().clone();
+            let joined = flight.slot.lock().clone(); // lock-order: write
             return match joined {
                 Some(outcome) => Ok(outcome),
                 // The leader failed; compute independently.
@@ -328,7 +328,7 @@ impl Session<'_> {
         let flight = Arc::new(Flight { slot: Mutex::new(None) });
         flights.insert(key.clone(), flight.clone());
         // skylint: allow(lock-order) — the compute under this slot guard is `SharedCbcsExecutor::execute`, which never touches the flights table; the slot→flights cycle only exists through the bare-name match to `Session::execute`, and the real flights re-lock at the end of this fn happens after the slot guard is dropped.
-        let mut slot = flight.slot.lock();
+        let mut slot = flight.slot.lock(); // lock-order: write
         drop(flights);
         self.shared.computes.fetch_add(1, Ordering::Relaxed);
         // skylint: allow(guard-hold-span) — the flight slot guard exists to span this compute: it is private to this flight (never contended by unrelated queries), and joiners blocking on it is the designed coalescing behavior.
@@ -337,7 +337,7 @@ impl Session<'_> {
             *slot = Some(outcome.clone());
         }
         drop(slot);
-        self.shared.flights.lock().remove(&key);
+        self.shared.flights.lock().remove(&key); // lock-order: write
         computed
     }
 
@@ -345,7 +345,7 @@ impl Session<'_> {
     fn negative_lookup(&mut self, req: &QueryRequest, now: u64) -> Option<QueryOutcome> {
         let key = constraint_key(&req.constraints);
         let hit = {
-            let mut neg = self.shared.negative.lock();
+            let mut neg = self.shared.negative.lock(); // lock-order: write
             match neg.entries.get(&key) {
                 Some(&expires) if expires >= now => true,
                 Some(_) => {
@@ -366,7 +366,7 @@ impl Session<'_> {
     fn negative_insert(&mut self, req: &QueryRequest, now: u64) -> QueryOutcome {
         let key = constraint_key(&req.constraints);
         {
-            let mut neg = self.shared.negative.lock();
+            let mut neg = self.shared.negative.lock(); // lock-order: write
             if neg.entries.len() >= NEGATIVE_CAPACITY {
                 neg.entries.retain(|_, &mut expires| expires >= now);
             }

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod real_estate;
 mod synthetic;

@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 mod aabb;
 /// Flat structure-of-arrays point storage for allocation-free hot loops.

@@ -23,8 +23,8 @@
 //!   power-of-two-bucket [`Histogram`]s keyed by the `&'static str`
 //!   names of [`names`].
 //! * [`QueryRecorder`] / [`QueryReport`] — a recorder capturing one
-//!   query, and its versioned JSON rendering (`"skyobs-report/1"`, same
-//!   hand-rolled style as skylint's `skylint-report/2`).
+//!   query, and its versioned JSON rendering (`"skyobs-report/1"`,
+//!   hand-rolled, no serde).
 //!
 //! Hot-path rule: designated kernels (the dominance kernels, the storage
 //! fetch units) never call a [`Recorder`]; they return their counts by
@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 /// Metric registry: counters, gauges, log-bucket histograms.
 pub mod metrics;

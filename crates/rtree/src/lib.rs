@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 mod bulk;
 mod node;

@@ -19,13 +19,6 @@ pub struct Span {
     pub hi: usize,
 }
 
-impl Span {
-    /// Whether token index `i` falls inside the span.
-    pub fn contains(&self, i: usize) -> bool {
-        self.lo <= i && i < self.hi
-    }
-}
-
 /// A parsed source file: the root of the AST.
 #[derive(Debug)]
 pub struct File {
@@ -109,19 +102,6 @@ pub enum BlockChild {
     Block(Block),
     /// A nested item (in practice: `fn` defined inside a function body).
     Item(Item),
-}
-
-impl Block {
-    /// Spans of nested *items* (not plain blocks), used to exclude a
-    /// nested fn's tokens from its parent's analysis, recursively.
-    pub fn nested_item_spans(&self, out: &mut Vec<Span>) {
-        for c in &self.children {
-            match c {
-                BlockChild::Item(it) => out.push(it.span),
-                BlockChild::Block(b) => b.nested_item_spans(out),
-            }
-        }
-    }
 }
 
 impl File {

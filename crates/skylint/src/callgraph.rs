@@ -22,6 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::engine::file_in;
 use crate::symbols::{Event, EventKind, FnDef, LockKind};
 
 /// The resolved call graph over one scan's function universe.
@@ -157,54 +158,25 @@ impl Workspace {
     }
 
     /// Computes, per function, whether a panic is reachable and how.
-    /// `sources` selects the fact kinds (`unwrap`, `expect`, `panic-macro`,
-    /// `indexing`, `arithmetic`); `justified` reports whether the fact at
-    /// a given line carries an accepted allow annotation.
+    /// `fact` describes the unjustified panic an event amounts to, if any
+    /// (`.unwrap()`, `panic!`, …); the first one in a function seeds it,
+    /// and seeds propagate to callers with a witness chain.
     pub fn may_panic(
         &self,
-        sources: &[String],
-        justified: &dyn Fn(&FnDef, u32) -> bool,
+        fact: &dyn Fn(&FnDef, &Event) -> Option<String>,
     ) -> Vec<Option<PanicInfo>> {
-        let has = |s: &str| sources.iter().any(|x| x == s);
         let mut info: Vec<Option<PanicInfo>> = self
             .fns
             .iter()
             .map(|f| {
-                for e in &f.events {
-                    let desc = match &e.kind {
-                        EventKind::Method { .. } | EventKind::Bare
-                            if (e.name == "unwrap" && has("unwrap"))
-                                || (e.name == "expect" && has("expect")) =>
-                        {
-                            Some(format!(".{}()", e.name))
-                        }
-                        EventKind::MacroUse
-                            if has("panic-macro")
-                                && matches!(
-                                    e.name.as_str(),
-                                    "panic" | "todo" | "unimplemented"
-                                ) =>
-                        {
-                            Some(format!("{}!", e.name))
-                        }
-                        EventKind::Index if has("indexing") => Some("bracket indexing".to_owned()),
-                        EventKind::IntArith if has("arithmetic") => {
-                            Some(format!("unchecked integer `{}`", e.name))
-                        }
-                        _ => None,
-                    };
-                    if let Some(desc) = desc {
-                        if !justified(f, e.line) {
-                            return Some(PanicInfo {
-                                chain: Vec::new(),
-                                desc,
-                                file: f.file.clone(),
-                                line: e.line,
-                            });
-                        }
-                    }
-                }
-                None
+                f.events.iter().find_map(|e| {
+                    fact(f, e).map(|desc| PanicInfo {
+                        chain: Vec::new(),
+                        desc,
+                        file: f.file.clone(),
+                        line: e.line,
+                    })
+                })
             })
             .collect();
         loop {
@@ -283,8 +255,6 @@ impl Workspace {
     /// in files under the `lock_files` prefixes. Edges are deduplicated by
     /// (locks, kinds, holder, via).
     pub fn lock_edges(&self, lock_files: &[String]) -> Vec<LockEdge> {
-        let in_scope =
-            |file: &str| lock_files.iter().any(|p| file == p || file.starts_with(&format!("{p}/")));
         let own = self.own_sites();
         // Transitive acquisition sets: what ends up locked anywhere below
         // each function. Deduplicate by (lock, kind) to bound the fixpoint.
@@ -314,7 +284,7 @@ impl Workspace {
         let mut seen: BTreeSet<(String, LockKind, String, LockKind, String, Option<String>)> =
             BTreeSet::new();
         for (i, f) in self.fns.iter().enumerate() {
-            if !in_scope(&f.file) {
+            if !file_in(&f.file, lock_files) {
                 continue;
             }
             for a in &f.events {
@@ -468,7 +438,7 @@ mod tests {
              fn mid(xs: &[u32]) -> u32 { deep(xs) }\n\
              fn deep(xs: &[u32]) -> u32 { xs.first().unwrap().wrapping_add(1) }\n",
         )]);
-        let info = ws.may_panic(&["unwrap".to_owned()], &|_, _| false);
+        let info = ws.may_panic(&|_, e| (e.name == "unwrap").then(|| ".unwrap()".to_owned()));
         let api = info[id(&ws, "api")].as_ref().expect("api must reach a panic");
         assert_eq!(api.desc, ".unwrap()");
         let names: Vec<&str> = api.chain.iter().map(|&c| ws.fns[c].name.as_str()).collect();
@@ -483,7 +453,7 @@ mod tests {
             "pub fn api(xs: &[u32]) -> u32 { deep(xs) }\n\
              fn deep(xs: &[u32]) -> u32 { *xs.first().unwrap() }\n",
         )]);
-        let info = ws.may_panic(&["unwrap".to_owned()], &|_, _| true);
+        let info = ws.may_panic(&|_, _| None);
         assert!(info.iter().all(Option::is_none));
     }
 

@@ -5,8 +5,6 @@
 //! ```toml
 //! # comment
 //! [section.subsection]
-//! key = "string"
-//! flag = true
 //! names = ["a", "b"]        # single-line or
 //! files = [
 //!     "one",
@@ -14,28 +12,17 @@
 //! ]                         # multi-line arrays
 //! ```
 //!
-//! Values are exposed as strings, bools and string arrays, addressed by
-//! `"section.subsection.key"`. Unknown syntax is a hard error: a policy
-//! file that cannot be read exactly must not silently weaken the policy.
+//! Every value is a string array, addressed by `"section.subsection.key"`.
+//! Unknown syntax is a hard error: a policy file that cannot be read
+//! exactly must not silently weaken the policy.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed configuration value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// A quoted string.
-    Str(String),
-    /// `true` / `false`.
-    Bool(bool),
-    /// An array of quoted strings.
-    List(Vec<String>),
-}
-
 /// Parsed configuration: a flat map keyed `section.key`.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
-    values: BTreeMap<String, Value>,
+    values: BTreeMap<String, Vec<String>>,
 }
 
 /// Error raised on malformed configuration input.
@@ -103,34 +90,9 @@ impl Config {
         Ok(Config { values })
     }
 
-    /// String value at `key`, if present and a string.
-    pub fn str(&self, key: &str) -> Option<&str> {
-        match self.values.get(key) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Bool value at `key`; `default` when absent.
-    pub fn bool(&self, key: &str, default: bool) -> bool {
-        match self.values.get(key) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-
-    /// String-list value at `key`; empty when absent.
+    /// The list at `key`; empty when absent.
     pub fn list(&self, key: &str) -> Vec<String> {
-        match self.values.get(key) {
-            Some(Value::List(v)) => v.clone(),
-            Some(Value::Str(s)) => vec![s.clone()],
-            _ => Vec::new(),
-        }
-    }
-
-    /// Whether `key` exists at all.
-    pub fn contains(&self, key: &str) -> bool {
-        self.values.contains_key(key)
+        self.values.get(key).cloned().unwrap_or_default()
     }
 
     /// All `section.key` names present, sorted (for strict validation).
@@ -172,31 +134,22 @@ fn balanced(s: &str) -> bool {
     depth == 0 && !in_str
 }
 
-fn parse_value(rhs: &str) -> Result<Value, String> {
-    if rhs == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if rhs == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Some(s) = parse_string(rhs) {
-        return Ok(Value::Str(s));
-    }
-    if let Some(inner) = rhs.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-        let mut items = Vec::new();
-        for piece in split_top_level(inner) {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
-            }
-            match parse_string(piece) {
-                Some(s) => items.push(s),
-                None => return Err(format!("array items must be quoted strings, got {piece:?}")),
-            }
+fn parse_value(rhs: &str) -> Result<Vec<String>, String> {
+    let Some(inner) = rhs.strip_prefix('[').and_then(|r| r.strip_suffix(']')) else {
+        return Err(format!("unsupported value syntax: {rhs:?}"));
+    };
+    let mut items = Vec::new();
+    for piece in split_top_level(inner) {
+        let piece = piece.trim();
+        if piece.is_empty() {
+            continue;
         }
-        return Ok(Value::List(items));
+        match parse_string(piece) {
+            Some(s) => items.push(s),
+            None => return Err(format!("array items must be quoted strings, got {piece:?}")),
+        }
     }
-    Err(format!("unsupported value syntax: {rhs:?}"))
+    Ok(items)
 }
 
 fn parse_string(s: &str) -> Option<String> {
@@ -250,9 +203,8 @@ mod tests {
         let cfg = Config::parse(
             r#"
 # top comment
-top = "level"
+top = ["level"]
 [rules.determinism]
-enabled = true
 names = ["HashMap", "HashSet"] # trailing comment
 files = [
     "a/b.rs",
@@ -261,17 +213,17 @@ files = [
 "#,
         )
         .unwrap();
-        assert_eq!(cfg.str("top"), Some("level"));
-        assert!(cfg.bool("rules.determinism.enabled", false));
+        assert_eq!(cfg.list("top"), vec!["level"]);
         assert_eq!(cfg.list("rules.determinism.names"), vec!["HashMap", "HashSet"]);
         assert_eq!(cfg.list("rules.determinism.files"), vec!["a/b.rs", "c/d.rs"]);
-        assert!(!cfg.contains("rules.determinism.missing"));
+        assert!(cfg.list("rules.determinism.missing").is_empty());
+        assert_eq!(cfg.keys().count(), 3);
     }
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let cfg = Config::parse("k = \"a # b\"").unwrap();
-        assert_eq!(cfg.str("k"), Some("a # b"));
+        let cfg = Config::parse("k = [\"a # b\"]").unwrap();
+        assert_eq!(cfg.list("k"), vec!["a # b"]);
     }
 
     #[test]
@@ -279,6 +231,8 @@ files = [
         assert!(Config::parse("[unterminated").is_err());
         assert!(Config::parse("novalue").is_err());
         assert!(Config::parse("k = [1, 2]").is_err());
+        assert!(Config::parse("k = true").is_err());
+        assert!(Config::parse("k = \"bare\"").is_err());
         let err = Config::parse("\n\nk = @").unwrap_err();
         assert_eq!(err.line, 3);
     }

@@ -46,44 +46,32 @@ impl From<std::io::Error> for ScanError {
     }
 }
 
-/// Resolved policy: every knob `skylint.toml` can set, with defaults that
-/// match this repository's layout.
+/// Resolved policy: one field per `skylint.toml` key. An absent key is
+/// an empty list — a rule with no subject — never a built-in default.
 #[derive(Clone, Debug)]
 pub struct Policy {
     /// Path prefixes scanned for Rust sources.
     pub include: Vec<String>,
     /// Path prefixes skipped entirely (vendored code, build output, …).
     pub exclude: Vec<String>,
-    /// Crates whose `src/` trees carry the full library policy.
+    /// Crates (or single files) that carry the full library policy.
     pub library_paths: Vec<String>,
-    /// Files where bracket indexing is forbidden (no-panic-paths).
+    /// Files where bracket indexing counts as a panic site
+    /// (no-panic-paths).
     pub index_strict_files: Vec<String>,
-    /// Wall-clock type names forbidden by `determinism`.
-    pub time_idents: Vec<String>,
-    /// Hash-collection type names forbidden by `determinism`.
-    pub hash_idents: Vec<String>,
-    /// Files where float `==`/`!=` is checked.
+    /// Files where float `==`/`!=` is checked (determinism).
     pub float_files: Vec<String>,
     /// Identifier names treated as float-valued in those files.
     pub float_fields: Vec<String>,
-    /// Files allowed to call `spawn(…)`.
+    /// Library files allowed to call `spawn(…)` (concurrency-hygiene).
     pub spawn_allowed: Vec<String>,
-    /// Files under the lock-order protocol.
-    pub lock_files: Vec<String>,
-    /// Declared lock phases, in acquisition order.
-    pub lock_phases: Vec<String>,
-    /// Headers every library crate root must carry.
+    /// Headers every library crate root must carry (api-hygiene).
     pub required_headers: Vec<String>,
-    /// Crates whose module-scope `pub` items must carry doc comments.
-    pub doc_paths: Vec<String>,
-    /// Files/dirs whose functions enter the lock-acquisition graph
-    /// (lock-order). Empty disables the rule.
+    /// Files/dirs whose functions enter the lock-acquisition graph and
+    /// whose acquisitions need a `// lock-order:` phase (lock-order).
     pub lock_graph_files: Vec<String>,
-    /// May-panic fact kinds tracked by panic-reachability: any of
-    /// `unwrap`, `expect`, `panic-macro`, `indexing`, `arithmetic`.
-    pub panic_sources: Vec<String>,
     /// Kernel designators (`fn` or `Type::fn`) rooting hot-path-alloc
-    /// reachability. Empty disables the rule.
+    /// reachability.
     pub alloc_kernels: Vec<String>,
     /// Files/dirs where allocation calls reachable from a kernel are
     /// flagged (keeps shared helpers out of scope).
@@ -91,207 +79,131 @@ pub struct Policy {
     /// Call names (`push`) and paths (`Vec::new`) counted as allocation
     /// machinery.
     pub alloc_calls: Vec<String>,
-    /// Macro names counted as allocation machinery (`vec`, `format`).
-    pub alloc_macros: Vec<String>,
     /// Recorder method names forbidden inside the kernels' reachable
     /// call tree (hot-path-alloc): kernels return stats by value, the
-    /// engine publishes them. Empty disables the check.
+    /// engine publishes them.
     pub recorder_idents: Vec<String>,
     /// Files/dirs whose functions are checked by guard-hold-span.
-    /// Empty disables the rule.
     pub guard_span_files: Vec<String>,
     /// Designators (`fn` or `Type::fn`) of expensive operations a live
     /// lock guard must not span; callees reaching one transitively over
-    /// the call graph count too. Empty disables guard-hold-span.
+    /// the call graph count too.
     pub expensive_calls: Vec<String>,
     /// Designators never treated as expensive, cutting transitive
     /// propagation through them: the publish steps a guard *exists* to
     /// cover (and known victims of name-only call resolution).
     pub expensive_exempt: Vec<String>,
-    /// Type-name prefixes treated as synchronized when they appear in a
-    /// captured binding's declaration (capture-race): `Atomic` covers
-    /// AtomicUsize/AtomicU64/…, `Mutex` covers Mutex<T>.
-    pub sync_types: Vec<String>,
-    /// Function designators allowed to read the process environment
-    /// (env-read-confinement): the once-style init/pin functions.
-    pub env_allowed_fns: Vec<String>,
-    /// Files/dirs additionally allowed to read the process environment.
-    pub env_allowed_files: Vec<String>,
-    /// Files/dirs checked by range-taint. Empty disables the rule.
+    /// Files/dirs checked by range-taint.
     pub taint_files: Vec<String>,
-    /// Call names whose results are tainted (range-taint sources:
-    /// byte/endpoint decoders and parsers).
-    pub taint_sources: Vec<String>,
-    /// Call names that must not receive tainted values (range scans and
-    /// allocation-size sinks).
-    pub taint_sinks: Vec<String>,
     /// Call names that bless a tainted argument (range-taint validators).
     pub taint_validators: Vec<String>,
     /// Files/dirs whose sync primitives must come from the
-    /// `skycheck::sync` shims (sync-confinement). Empty disables the rule.
+    /// `skycheck::sync` shims (sync-confinement).
     pub sync_confine_files: Vec<String>,
 }
 
-impl Policy {
-    /// Builds the policy from a parsed config, falling back to built-in
-    /// defaults for absent keys.
-    pub fn from_config(cfg: &Config) -> Policy {
-        let list_or = |key: &str, default: &[&str]| -> Vec<String> {
-            if cfg.contains(key) {
-                cfg.list(key)
-            } else {
-                default.iter().map(|s| (*s).to_owned()).collect()
-            }
-        };
-        Policy {
-            include: list_or("paths.include", &["crates", "src"]),
-            exclude: list_or(
-                "paths.exclude",
-                &["target", "vendor", "crates/skylint/tests/fixtures"],
-            ),
-            library_paths: list_or(
-                "crates.library",
-                &[
-                    "crates/geom",
-                    "crates/algos",
-                    "crates/core",
-                    "crates/storage",
-                    "crates/rtree",
-                    "crates/datagen",
-                    "src",
-                ],
-            ),
-            index_strict_files: list_or("rules.no-panic-paths.index-strict-files", &[]),
-            time_idents: list_or("rules.determinism.time-idents", &["Instant", "SystemTime"]),
-            hash_idents: list_or("rules.determinism.hash-idents", &["HashMap", "HashSet"]),
-            float_files: list_or("rules.determinism.float-eq-files", &[]),
-            float_fields: list_or("rules.determinism.float-fields", &["lo", "hi"]),
-            spawn_allowed: list_or("rules.concurrency-hygiene.spawn-allowed", &[]),
-            lock_files: list_or("rules.concurrency-hygiene.lock-protocol-files", &[]),
-            lock_phases: list_or("rules.concurrency-hygiene.lock-phases", &["read", "write"]),
-            required_headers: list_or("rules.api-hygiene.required-headers", &[]),
-            doc_paths: list_or("rules.api-hygiene.doc-paths", &[]),
-            lock_graph_files: list_or("rules.lock-order.files", &[]),
-            panic_sources: list_or(
-                "rules.panic-reachability.sources",
-                &["unwrap", "expect", "panic-macro"],
-            ),
-            alloc_kernels: list_or("rules.hot-path-alloc.kernels", &[]),
-            alloc_scope_files: list_or("rules.hot-path-alloc.scope-files", &[]),
-            alloc_calls: list_or(
-                "rules.hot-path-alloc.calls",
-                &[
-                    "Vec::new",
-                    "Box::new",
-                    "push",
-                    "clone",
-                    "to_vec",
-                    "to_owned",
-                    "to_string",
-                    "collect",
-                    "extend",
-                ],
-            ),
-            alloc_macros: list_or("rules.hot-path-alloc.macros", &["vec", "format"]),
-            recorder_idents: list_or("rules.hot-path-alloc.recorder-idents", &[]),
-            guard_span_files: list_or("rules.guard-hold-span.files", &[]),
-            expensive_calls: list_or("rules.guard-hold-span.expensive", &[]),
-            expensive_exempt: list_or("rules.guard-hold-span.exempt", &[]),
-            sync_types: list_or(
-                "rules.capture-race.sync-types",
-                &["Mutex", "RwLock", "Atomic", "mpsc", "channel", "Condvar", "Barrier", "Once"],
-            ),
-            env_allowed_fns: list_or("rules.env-read-confinement.allowed-fns", &[]),
-            env_allowed_files: list_or("rules.env-read-confinement.allowed-files", &[]),
-            taint_files: list_or("rules.range-taint.files", &[]),
-            taint_sources: list_or(
-                "rules.range-taint.sources",
-                &[
-                    "get_u16_le",
-                    "get_u32_le",
-                    "get_u64_le",
-                    "get_f64_le",
-                    "from_le_bytes",
-                    "from_be_bytes",
-                    "parse",
-                ],
-            ),
-            taint_sinks: list_or(
-                "rules.range-taint.sinks",
-                &["locate", "with_capacity", "reserve"],
-            ),
-            taint_validators: list_or("rules.range-taint.validators", &[]),
-            sync_confine_files: list_or("rules.sync-confinement.files", &[]),
-        }
-    }
-}
-
 /// Every `section.key` the config may set. Anything else is a hard error.
-const KNOWN_KEYS: [&str; 31] = [
+const KNOWN_KEYS: [&str; 19] = [
     "paths.include",
     "paths.exclude",
     "crates.library",
     "rules.no-panic-paths.index-strict-files",
-    "rules.determinism.time-idents",
-    "rules.determinism.hash-idents",
     "rules.determinism.float-eq-files",
     "rules.determinism.float-fields",
     "rules.concurrency-hygiene.spawn-allowed",
-    "rules.concurrency-hygiene.lock-protocol-files",
-    "rules.concurrency-hygiene.lock-phases",
     "rules.api-hygiene.required-headers",
-    "rules.api-hygiene.doc-paths",
     "rules.lock-order.files",
-    "rules.panic-reachability.sources",
     "rules.hot-path-alloc.kernels",
     "rules.hot-path-alloc.scope-files",
     "rules.hot-path-alloc.calls",
-    "rules.hot-path-alloc.macros",
     "rules.hot-path-alloc.recorder-idents",
     "rules.guard-hold-span.files",
     "rules.guard-hold-span.expensive",
     "rules.guard-hold-span.exempt",
-    "rules.capture-race.sync-types",
-    "rules.env-read-confinement.allowed-fns",
-    "rules.env-read-confinement.allowed-files",
     "rules.range-taint.files",
-    "rules.range-taint.sources",
-    "rules.range-taint.sinks",
     "rules.range-taint.validators",
     "rules.sync-confinement.files",
 ];
 
-/// Panic-fact kinds `[rules.panic-reachability].sources` may name.
-const PANIC_SOURCES: [&str; 5] = ["unwrap", "expect", "panic-macro", "indexing", "arithmetic"];
+impl Policy {
+    /// Reads and strictly validates `<root>/skylint.toml`: a missing or
+    /// unparsable file and unknown sections or keys are all hard errors.
+    pub fn load(root: &Path) -> Result<Policy, ScanError> {
+        let path = root.join("skylint.toml");
+        let src = fs::read_to_string(&path)
+            .map_err(|e| ScanError::Policy(vec![format!("cannot read {}: {e}", path.display())]))?;
+        let cfg = Config::parse(&src).map_err(|e| ScanError::Policy(vec![e.to_string()]))?;
+        let errors = validate_config(&cfg);
+        if !errors.is_empty() {
+            return Err(ScanError::Policy(errors));
+        }
+        Ok(Policy::from_config(&cfg))
+    }
 
-/// Validates a parsed config strictly: unknown keys, unknown rule names
-/// in `rules.*` sections and unknown panic sources are all hard errors.
-pub fn validate_config(cfg: &Config) -> Vec<String> {
-    let mut errors = Vec::new();
-    for key in cfg.keys() {
-        if !KNOWN_KEYS.contains(&key.as_str()) {
-            if let Some(rest) = key.strip_prefix("rules.") {
-                let rule = rest.split('.').next().unwrap_or(rest);
-                if !RULE_IDS.contains(&rule) {
-                    errors.push(format!(
-                        "skylint.toml: `[rules.{rule}]` is not a known rule \
-                         (known: {})",
-                        RULE_IDS.join(", ")
-                    ));
-                    continue;
-                }
-            }
-            errors.push(format!("skylint.toml: unknown key `{key}`"));
+    /// Builds the policy from a parsed config.
+    pub fn from_config(cfg: &Config) -> Policy {
+        Policy {
+            include: cfg.list("paths.include"),
+            exclude: cfg.list("paths.exclude"),
+            library_paths: cfg.list("crates.library"),
+            index_strict_files: cfg.list("rules.no-panic-paths.index-strict-files"),
+            float_files: cfg.list("rules.determinism.float-eq-files"),
+            float_fields: cfg.list("rules.determinism.float-fields"),
+            spawn_allowed: cfg.list("rules.concurrency-hygiene.spawn-allowed"),
+            required_headers: cfg.list("rules.api-hygiene.required-headers"),
+            lock_graph_files: cfg.list("rules.lock-order.files"),
+            alloc_kernels: cfg.list("rules.hot-path-alloc.kernels"),
+            alloc_scope_files: cfg.list("rules.hot-path-alloc.scope-files"),
+            alloc_calls: cfg.list("rules.hot-path-alloc.calls"),
+            recorder_idents: cfg.list("rules.hot-path-alloc.recorder-idents"),
+            guard_span_files: cfg.list("rules.guard-hold-span.files"),
+            expensive_calls: cfg.list("rules.guard-hold-span.expensive"),
+            expensive_exempt: cfg.list("rules.guard-hold-span.exempt"),
+            taint_files: cfg.list("rules.range-taint.files"),
+            taint_validators: cfg.list("rules.range-taint.validators"),
+            sync_confine_files: cfg.list("rules.sync-confinement.files"),
         }
     }
-    if cfg.contains("rules.panic-reachability.sources") {
-        for s in cfg.list("rules.panic-reachability.sources") {
-            if !PANIC_SOURCES.contains(&s.as_str()) {
-                errors.push(format!(
-                    "skylint.toml: `{s}` is not a panic source (known: {})",
-                    PANIC_SOURCES.join(", ")
-                ));
-            }
+
+    /// The path-valued lists, by key. A path that does not exist under
+    /// the scan root silently disables whatever it was meant to scope.
+    fn path_lists(&self) -> [(&'static str, &[String]); 10] {
+        [
+            ("paths.include", &self.include),
+            ("crates.library", &self.library_paths),
+            ("rules.no-panic-paths.index-strict-files", &self.index_strict_files),
+            ("rules.determinism.float-eq-files", &self.float_files),
+            ("rules.concurrency-hygiene.spawn-allowed", &self.spawn_allowed),
+            ("rules.lock-order.files", &self.lock_graph_files),
+            ("rules.hot-path-alloc.scope-files", &self.alloc_scope_files),
+            ("rules.guard-hold-span.files", &self.guard_span_files),
+            ("rules.range-taint.files", &self.taint_files),
+            ("rules.sync-confinement.files", &self.sync_confine_files),
+        ]
+    }
+
+    /// The function-designator lists, by key. A designator that matches
+    /// no scanned function roots or cuts nothing.
+    fn designator_lists(&self) -> [(&'static str, &[String]); 3] {
+        [
+            ("rules.hot-path-alloc.kernels", &self.alloc_kernels),
+            ("rules.guard-hold-span.expensive", &self.expensive_calls),
+            ("rules.guard-hold-span.exempt", &self.expensive_exempt),
+        ]
+    }
+}
+
+/// Validates a parsed config strictly: unknown keys and unknown rule
+/// names in `rules.*` sections are hard errors.
+fn validate_config(cfg: &Config) -> Vec<String> {
+    let mut errors = Vec::new();
+    for key in cfg.keys().filter(|k| !KNOWN_KEYS.contains(&k.as_str())) {
+        match key.strip_prefix("rules.").and_then(|rest| rest.split('.').next()) {
+            Some(rule) if !RULE_IDS.contains(&rule) => errors.push(format!(
+                "skylint.toml: `[rules.{rule}]` is not a known rule (known: {})",
+                RULE_IDS.join(", ")
+            )),
+            _ => errors.push(format!("skylint.toml: unknown key `{key}`")),
         }
     }
     errors
@@ -313,12 +225,23 @@ pub struct ScanOutcome {
 
 /// Scans `root` under `policy` and returns every finding.
 ///
-/// Two passes: per-file token rules first, then the whole-workspace
-/// dataflow rules over the call graph of library functions, then
-/// `dead-allow` last (it needs to see every suppression the earlier
-/// rules recorded). Malformed or unknown allow annotations abort the
-/// scan with [`ScanError::Policy`].
+/// Per-file name bans first, then the whole-workspace event rules over
+/// the call graph of library functions, then `dead-allow` last (it needs
+/// to see every suppression the earlier rules recorded). A policy that
+/// names a path missing under `root` or a designator no function
+/// matches, and malformed or unknown allow annotations, abort the scan
+/// with [`ScanError::Policy`].
 pub fn scan(root: &Path, policy: &Policy) -> Result<ScanOutcome, ScanError> {
+    let mut missing = Vec::new();
+    for (key, list) in policy.path_lists() {
+        for p in list.iter().filter(|p| !root.join(p).exists()) {
+            missing.push(format!("skylint.toml: `{key}` names `{p}`, which does not exist"));
+        }
+    }
+    if !missing.is_empty() {
+        return Err(ScanError::Policy(missing));
+    }
+
     let mut files = Vec::new();
     for inc in &policy.include {
         collect_rs_files(root, &root.join(inc), policy, &mut files)?;
@@ -333,36 +256,60 @@ pub fn scan(root: &Path, policy: &Policy) -> Result<ScanOutcome, ScanError> {
         lines_scanned += src.lines().count();
         models.push(SourceModel::build(rel.clone(), &src));
     }
-    let outcome = scan_models(&models, policy)?;
-    Ok(ScanOutcome { lines_scanned, files_scanned: files.len(), ..outcome })
+    let outcome = scan_models(&models, policy, true)?;
+    Ok(ScanOutcome { lines_scanned, ..outcome })
 }
 
 /// Lints a single in-memory file (used by the fixture tests). Runs the
 /// per-file rules *and* the workspace rules with this file as the whole
-/// universe.
+/// universe; the policy's paths and designators are not resolved, so one
+/// synthetic policy can serve many fixtures.
 pub fn scan_source(path: &str, src: &str, policy: &Policy) -> Result<Vec<Finding>, ScanError> {
     let models = vec![SourceModel::build(path.to_owned(), src)];
-    Ok(scan_models(&models, policy)?.findings)
+    Ok(scan_models(&models, policy, false)?.findings)
 }
 
 /// The shared second half of [`scan`]/[`scan_source`]: annotation
 /// validation, per-file rules, workspace rules, dead-allow.
-fn scan_models(models: &[SourceModel], policy: &Policy) -> Result<ScanOutcome, ScanError> {
+fn scan_models(
+    models: &[SourceModel],
+    policy: &Policy,
+    resolve_designators: bool,
+) -> Result<ScanOutcome, ScanError> {
     let mut errors = Vec::new();
     for m in models {
         for (line, msg) in &m.malformed_allows {
             errors.push(format!("{}:{line}: malformed skylint annotation: {msg}", m.path));
         }
         for (line, rules) in &m.allows {
-            for r in rules {
-                if !RULE_IDS.contains(&r.as_str()) {
-                    errors.push(format!(
-                        "{}:{line}: allow annotation names unknown rule `{r}` \
-                         (known: {})",
-                        m.path,
-                        RULE_IDS.join(", ")
-                    ));
-                }
+            for r in rules.iter().filter(|r| !RULE_IDS.contains(&r.as_str())) {
+                errors.push(format!(
+                    "{}:{line}: allow annotation names unknown rule `{r}` (known: {})",
+                    m.path,
+                    RULE_IDS.join(", ")
+                ));
+            }
+        }
+    }
+
+    // The workspace universe: library, non-test functions only.
+    let is_library =
+        |m: &SourceModel| file_in(&m.path, &policy.library_paths) && !is_test_path(&m.path);
+    let mut fns = Vec::new();
+    let mut by_path: BTreeMap<&str, &SourceModel> = BTreeMap::new();
+    for m in models {
+        by_path.insert(m.path.as_str(), m);
+        if is_library(m) {
+            let file = parse(&m.tokens);
+            fns.extend(extract_fns(m, &file).into_iter().filter(|f| !f.in_test));
+        }
+    }
+    let ws = Workspace::build(fns);
+    if resolve_designators {
+        for (key, list) in policy.designator_lists() {
+            for d in list.iter().filter(|d| !ws.fns.iter().any(|f| f.matches_designator(d))) {
+                errors
+                    .push(format!("skylint.toml: `{key}` names `{d}`, which matches no function"));
             }
         }
     }
@@ -372,27 +319,8 @@ fn scan_models(models: &[SourceModel], policy: &Policy) -> Result<ScanOutcome, S
 
     let mut findings = Vec::new();
     for m in models {
-        let ctx = FileCtx {
-            is_library: in_library(&m.path, policy),
-            is_test_file: is_test_path(&m.path),
-            model: m,
-            policy,
-        };
-        run_all(&ctx, &mut findings);
+        run_all(&FileCtx { is_library: is_library(m), model: m, policy }, &mut findings);
     }
-
-    // Whole-workspace pass: library, non-test functions only.
-    let mut fns = Vec::new();
-    let mut by_path: BTreeMap<&str, &SourceModel> = BTreeMap::new();
-    for m in models {
-        by_path.insert(m.path.as_str(), m);
-        if !in_library(&m.path, policy) || is_test_path(&m.path) {
-            continue;
-        }
-        let file = parse(&m.tokens);
-        fns.extend(extract_fns(m, &file).into_iter().filter(|f| !f.in_test));
-    }
-    let ws = Workspace::build(fns);
     run_workspace(&ws, &by_path, policy, &mut findings);
     dead_allow(models, &by_path, &mut findings);
 
@@ -411,8 +339,11 @@ fn scan_models(models: &[SourceModel], policy: &Policy) -> Result<ScanOutcome, S
     })
 }
 
-fn in_library(rel: &str, policy: &Policy) -> bool {
-    policy.library_paths.iter().any(|p| rel == p || rel.starts_with(&format!("{p}/")))
+/// Whether `file` is one of `prefixes` or lies under one of them.
+pub(crate) fn file_in(file: &str, prefixes: &[String]) -> bool {
+    prefixes
+        .iter()
+        .any(|p| file == p || file.strip_prefix(p.as_str()).is_some_and(|r| r.starts_with('/')))
 }
 
 /// Whether a repo-relative path is test/bench/example code, exempt from
@@ -427,9 +358,6 @@ fn collect_rs_files(
     policy: &Policy,
     out: &mut Vec<String>,
 ) -> std::io::Result<()> {
-    if !dir.exists() {
-        return Ok(());
-    }
     let rel_of = |p: &Path| -> String {
         p.strip_prefix(root)
             .unwrap_or(p)
@@ -440,7 +368,7 @@ fn collect_rs_files(
     };
     if dir.is_file() {
         let rel = rel_of(dir);
-        if rel.ends_with(".rs") && !excluded(&rel, policy) {
+        if rel.ends_with(".rs") && !file_in(&rel, &policy.exclude) {
             out.push(rel);
         }
         return Ok(());
@@ -450,7 +378,7 @@ fn collect_rs_files(
     entries.sort();
     for path in entries {
         let rel = rel_of(&path);
-        if excluded(&rel, policy) {
+        if file_in(&rel, &policy.exclude) {
             continue;
         }
         if path.is_dir() {
@@ -460,8 +388,4 @@ fn collect_rs_files(
         }
     }
     Ok(())
-}
-
-fn excluded(rel: &str, policy: &Policy) -> bool {
-    policy.exclude.iter().any(|p| rel == p || rel.starts_with(&format!("{p}/")))
 }

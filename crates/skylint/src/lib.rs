@@ -1,47 +1,36 @@
 //! `skylint` — in-repo static analysis for the skycache workspace.
 //!
-//! Enforces the policies that keep the paper's correctness story intact
-//! mechanically rather than by review vigilance:
-//!
-//! * **no-panic-paths** — library crates surface typed errors, never
-//!   panics, on data-dependent failures;
-//! * **determinism** — no wall clocks, no hash-iteration order, no raw
-//!   float equality in the paths that produce cached results (Thm. 1 /
-//!   Cors. 1–2 stability and Thms. 6–7 MPR minimality assume replayed
-//!   plans are byte-identical);
-//! * **concurrency-hygiene** — thread spawns only in the sanctioned
-//!   parallel lanes, annotated-and-ordered lock acquisitions in the shared
-//!   cache, `// SAFETY:` on every unsafe block;
-//! * **api-hygiene** — lint headers and a documented public surface.
+//! The paper's contract is that a cached answer replayed later is the
+//! from-scratch answer (Thm. 1 stability, Thms. 6–7 MPR completeness and
+//! minimality). skylint keeps the invariants behind that contract —
+//! which the compiler cannot see — checked inside tier-1 `cargo test`:
+//! no hidden panic behind a library API, no wall clock / hash order /
+//! raw float `==` / environment read in planning, a sealed and annotated
+//! lock protocol, allocation-free kernels, validated decoded sizes.
 //!
 //! The analysis is a hand-rolled lexer, a lossless recursive-descent
-//! parser over the token stream, a per-file symbol/event extraction pass
-//! and a workspace call graph — no `syn`, no network dependencies —
-//! consistent with this workspace's vendored-offline build (see
-//! `vendor/README.md`). On top of the call graph run the whole-program
-//! rule families: **lock-order** (inter-procedural lock-acquisition
-//! graph, cycle detection, annotation verification),
-//! **panic-reachability** (transitive may-panic facts into public
-//! APIs), **hot-path-alloc** (allocation machinery reachable from
-//! designated kernels) and **dead-allow** (escape comments that no
-//! longer suppress anything; `check --fix-dead-allows` repairs them).
-//! A per-function control-flow graph and forward gen/kill liveness
-//! engine ([`cfg`]) power four more: **guard-hold-span** (lock guards
-//! live across transitively expensive calls), **capture-race**
-//! (spawned closures mutating unsynchronized captured locals read
-//! after the spawn), **env-read-confinement** (ambient environment
-//! reads outside the sanctioned pin functions) and **range-taint**
-//! (decoded sizes reaching allocation sinks unvalidated).
+//! parser over the token stream, a per-file event extraction pass, a
+//! workspace call graph and a per-function control-flow graph — no
+//! `syn`, no network dependencies — consistent with this workspace's
+//! vendored-offline build (see `vendor/README.md`). Ten rules run on it
+//! in two layers ([`rules`] has the table): the per-file token layer
+//! bans *names* (`determinism`, `concurrency-hygiene`, `api-hygiene`,
+//! `sync-confinement`); everything about *behaviour* is read once from
+//! the event stream (`no-panic-paths`, the environment half of
+//! `determinism`, `lock-order`, `hot-path-alloc`, `guard-hold-span`,
+//! `range-taint`), and `dead-allow` audits the escapes last.
 //! Run it with:
 //!
 //! ```text
 //! cargo run -p skylint -- check
-//! cargo run -p skylint -- explain determinism
+//! cargo run -p skylint -- rules
 //! ```
 //!
-//! Policy knobs live in `skylint.toml` at the repository root; per-line
-//! escapes use `// skylint: allow(<rule>) — <justification>`. See
-//! DESIGN.md §9–§10 and §14 for the rationale of every rule.
+//! `skylint.toml` at the scan root is the only policy source: an absent
+//! key means a rule has no subject, never a built-in default, and a key,
+//! path or designator that names nothing is a hard error. Per-line
+//! escapes use `// skylint: allow(<rule>) — <justification>`. DESIGN.md
+//! §9 is the one home of every rule's rationale and record.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

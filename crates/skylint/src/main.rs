@@ -1,56 +1,31 @@
-//! `skylint` CLI: `check`, `explain <rule>`, `rules`.
+//! `skylint` CLI: `check [--root PATH]`, `rules`.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use skylint::engine::validate_config;
-use skylint::report::{render_bench, render_human, render_json};
-use skylint::rules::{explain, RULE_IDS};
-use skylint::{scan, Config, Policy};
+use skylint::report::render_human;
+use skylint::rules::RULES;
+use skylint::{scan, Policy};
 
 const USAGE: &str = "\
 skylint — static analysis for the skycache workspace
 
 USAGE:
-    skylint check [--root PATH] [--config PATH] [--json] [--bench-out PATH] [--quiet]
-                  [--fix-dead-allows [--dry-run]]
-    skylint explain <rule>
-    skylint rules
+    skylint check [--root PATH]    lint the tree under PATH (default `.`)
+                                   with the policy in PATH/skylint.toml
+    skylint rules                  list every rule with a one-line summary
 
-`--fix-dead-allows` rewrites source files to drop `skylint: allow(…)`
-annotations the dead-allow rule reports as suppressing nothing; with
-`--dry-run` it prints the edits as a -/+ diff and writes nothing.
-
-Exit codes: 0 clean · 1 violations found · 2 usage or I/O error.
-With --fix-dead-allows (no --dry-run), repaired dead-allow findings do
-not count as violations; anything else still exits 1.";
+Exit codes: 0 clean · 1 violations found · 2 usage, policy or I/O error.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") => check(&args[1..]),
-        Some("explain") => match args.get(1) {
-            Some(rule) => match explain(rule) {
-                Some(text) => {
-                    println!("{text}");
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!("unknown rule {rule:?}; known rules: {}", RULE_IDS.join(", "));
-                    ExitCode::from(2)
-                }
-            },
-            None => {
-                eprintln!("usage: skylint explain <rule>");
-                ExitCode::from(2)
-            }
-        },
-        Some("rules") => {
-            for r in RULE_IDS {
-                println!("{r}");
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["check"] => check(Path::new(".")),
+        ["check", "--root", root] => check(Path::new(root)),
+        ["rules"] => {
+            for (id, summary) in RULES {
+                println!("{id} — {summary}");
             }
             ExitCode::SUCCESS
         }
@@ -61,219 +36,26 @@ fn main() -> ExitCode {
     }
 }
 
-fn check(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
-    let mut json = false;
-    let mut quiet = false;
-    let mut bench_out: Option<PathBuf> = None;
-    let mut fix_dead = false;
-    let mut dry_run = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = PathBuf::from(p),
-                None => return usage_err("--root needs a path"),
-            },
-            "--config" => match it.next() {
-                Some(p) => config_path = Some(PathBuf::from(p)),
-                None => return usage_err("--config needs a path"),
-            },
-            "--bench-out" => match it.next() {
-                Some(p) => bench_out = Some(PathBuf::from(p)),
-                None => return usage_err("--bench-out needs a path"),
-            },
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--fix-dead-allows" => fix_dead = true,
-            "--dry-run" => dry_run = true,
-            other => return usage_err(&format!("unknown argument {other:?}")),
-        }
-    }
-    if dry_run && !fix_dead {
-        return usage_err("--dry-run only makes sense with --fix-dead-allows");
-    }
-
-    // Default config: <root>/skylint.toml when present.
-    let config_path = config_path.unwrap_or_else(|| root.join("skylint.toml"));
-    let cfg = if config_path.exists() {
-        match std::fs::read_to_string(&config_path) {
-            Ok(src) => match Config::parse(&src) {
-                Ok(cfg) => cfg,
-                Err(e) => {
-                    eprintln!("skylint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("skylint: cannot read {}: {e}", config_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Config::default()
-    };
-    let config_errors = validate_config(&cfg);
-    if !config_errors.is_empty() {
-        for e in &config_errors {
-            eprintln!("skylint: {e}");
-        }
-        return ExitCode::from(2);
-    }
-    let policy = Policy::from_config(&cfg);
-
-    let t0 = Instant::now();
-    let mut outcome = match scan(&root, &policy) {
-        Ok(o) => o,
+fn check(root: &Path) -> ExitCode {
+    let outcome = match Policy::load(root).and_then(|policy| scan(root, &policy)) {
+        Ok(outcome) => outcome,
         Err(e) => {
-            eprintln!("skylint: scan failed: {e}");
+            eprintln!("skylint: {e}");
             return ExitCode::from(2);
         }
     };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    if fix_dead {
-        match fix_dead_allows(&root, &outcome.findings, dry_run) {
-            Ok(fixed) if dry_run => {
-                // Preview only: findings (dead-allow included) still count.
-                if fixed == 0 && !quiet {
-                    println!("skylint: no stale allows to fix");
-                }
-            }
-            Ok(fixed) => {
-                if !quiet && fixed > 0 {
-                    println!("skylint: removed {fixed} stale allow annotation(s)");
-                }
-                // The repaired findings are resolved; report the rest.
-                outcome.findings.retain(|f| f.rule != "dead-allow");
-            }
-            Err(e) => {
-                eprintln!("skylint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if let Some(path) = bench_out {
-        let record = render_bench(&outcome, &RULE_IDS, wall_ms);
-        if let Err(e) = std::fs::write(&path, record) {
-            eprintln!("skylint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if json {
-        print!("{}", render_json(&outcome, &RULE_IDS));
-    } else if !outcome.findings.is_empty() {
-        print!("{}", render_human(&outcome.findings));
-    } else if !quiet {
+    if outcome.findings.is_empty() {
         println!(
-            "skylint: clean — {} files, {} lines, {} fns, {} call edges, {} rules, {:.1} ms",
+            "skylint: clean — {} files, {} lines, {} fns, {} call edges, {} rules",
             outcome.files_scanned,
             outcome.lines_scanned,
             outcome.functions_analyzed,
             outcome.call_edges,
-            RULE_IDS.len(),
-            wall_ms
+            RULES.len(),
         );
-    }
-
-    if outcome.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
+        print!("{}", render_human(&outcome.findings));
         ExitCode::from(1)
-    }
-}
-
-fn usage_err(msg: &str) -> ExitCode {
-    eprintln!("skylint: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
-
-/// Applies (or previews, with `dry_run`) the dead-allow auto-fix: every
-/// `dead-allow` finding names an annotation line whose listed rule
-/// suppresses nothing; drop that rule from the annotation, and drop the
-/// whole comment (or comment-only line) when no live rule remains.
-/// Returns the number of stale rule entries removed.
-fn fix_dead_allows(
-    root: &std::path::Path,
-    findings: &[skylint::report::Finding],
-    dry_run: bool,
-) -> Result<usize, String> {
-    // file → line → stale rules on that line.
-    let mut by_file: BTreeMap<&str, BTreeMap<u32, Vec<String>>> = BTreeMap::new();
-    for f in findings.iter().filter(|f| f.rule == "dead-allow") {
-        let rule = f
-            .message
-            .split_once("allow(")
-            .and_then(|(_, rest)| rest.split_once(')'))
-            .map(|(r, _)| r.trim().to_owned())
-            .ok_or_else(|| format!("unparsable dead-allow message: {}", f.message))?;
-        by_file.entry(&f.file).or_default().entry(f.line).or_default().push(rule);
-    }
-
-    let mut removed = 0;
-    for (file, lines) in &by_file {
-        let path = root.join(file);
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let had_trailing_newline = src.ends_with('\n');
-        let mut out: Vec<String> = Vec::new();
-        let mut diff = String::new();
-        for (idx, line) in src.lines().enumerate() {
-            let lineno = (idx + 1) as u32;
-            let Some(dead) = lines.get(&lineno) else {
-                out.push(line.to_owned());
-                continue;
-            };
-            removed += dead.len();
-            match strip_allow_rules(line, dead) {
-                Some(new_line) => {
-                    let _ = writeln!(diff, "{file}:{lineno}\n- {line}\n+ {new_line}");
-                    out.push(new_line);
-                }
-                None => {
-                    let _ = writeln!(diff, "{file}:{lineno}\n- {line}");
-                }
-            }
-        }
-        if dry_run {
-            print!("{diff}");
-        } else {
-            let mut new_src = out.join("\n");
-            if had_trailing_newline {
-                new_src.push('\n');
-            }
-            std::fs::write(&path, new_src)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        }
-    }
-    Ok(removed)
-}
-
-/// Rewrites one source line, dropping `dead` rules from its
-/// `// skylint: allow(…)` annotation. `None` means the whole line goes
-/// (the annotation died and nothing but the comment lived there).
-fn strip_allow_rules(line: &str, dead: &[String]) -> Option<String> {
-    let marker = "// skylint: allow(";
-    let start = line.find(marker)?;
-    let open = start + marker.len();
-    let close = open + line[open..].find(')')?;
-    let kept: Vec<&str> = line[open..close]
-        .split(',')
-        .map(str::trim)
-        .filter(|r| !r.is_empty() && !dead.iter().any(|d| d == r))
-        .collect();
-    if kept.is_empty() {
-        let prefix = &line[..start];
-        if prefix.trim().is_empty() {
-            None
-        } else {
-            Some(prefix.trim_end().to_owned())
-        }
-    } else {
-        Some(format!("{}{marker}{}{}", &line[..start], kept.join(", "), &line[close..]))
     }
 }

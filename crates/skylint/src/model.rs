@@ -1,6 +1,6 @@
 //! Per-file source model built on top of the token stream.
 //!
-//! Rules need three structural facts the raw tokens don't carry:
+//! Rules need two structural facts the raw tokens don't carry:
 //!
 //! 1. **Test regions** — spans of `#[cfg(test)] mod … { … }` (any
 //!    attribute order). Policies forbid panics/nondeterminism in *library*
@@ -12,8 +12,6 @@
 //!    malformed annotation is a hard configuration error, not a silent
 //!    no-op. Every suppression is recorded so the `dead-allow` rule can
 //!    report annotations that no longer suppress anything.
-//! 3. **Function spans** — which tokens belong to which `fn` body, used by
-//!    the lock-order check to reason per function.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -35,22 +33,9 @@ pub struct SourceModel {
     pub malformed_allows: Vec<(u32, String)>,
     /// Inclusive line ranges covered by `#[cfg(test)]` modules.
     pub test_line_ranges: Vec<(u32, u32)>,
-    /// Token-index ranges `[start, end)` of function bodies, with the
-    /// function name (innermost functions listed after their parents).
-    pub fn_spans: Vec<FnSpan>,
     /// `(annotation line, rule)` pairs that suppressed at least one
     /// finding this scan — the complement feeds `dead-allow`.
     pub hits: RefCell<BTreeSet<(u32, String)>>,
-}
-
-/// A function body's token range.
-pub struct FnSpan {
-    /// Function name.
-    pub name: String,
-    /// Index of the opening-brace token.
-    pub body_start: usize,
-    /// Index one past the closing-brace token.
-    pub body_end: usize,
 }
 
 impl SourceModel {
@@ -60,7 +45,6 @@ impl SourceModel {
         let lines = src.lines().map(str::to_owned).collect();
         let (allows, malformed_allows) = collect_allows(&tokens);
         let test_line_ranges = collect_test_regions(&tokens);
-        let fn_spans = collect_fn_spans(&tokens);
         SourceModel {
             path,
             lines,
@@ -68,7 +52,6 @@ impl SourceModel {
             allows,
             malformed_allows,
             test_line_ranges,
-            fn_spans,
             hits: RefCell::new(BTreeSet::new()),
         }
     }
@@ -104,7 +87,7 @@ impl SourceModel {
     }
 
     /// Returns any comment token ending on `line` or `line - 1` whose text
-    /// contains `needle` (used for `// SAFETY:` and `// lock-order:`).
+    /// contains `needle` (used for `// lock-order:`).
     pub fn comment_near(&self, line: u32, needle: &str) -> Option<&str> {
         // Line comments sit on one line; that is the only shape the
         // annotations use, so a per-line scan of comment tokens suffices.
@@ -292,61 +275,6 @@ fn matching_brace(toks: &[(usize, &Token)], open: usize) -> usize {
     toks.len() - 1
 }
 
-/// Collects `fn name(…) … { … }` body token spans (indexes into the *full*
-/// token stream, comments included).
-fn collect_fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("fn") {
-            let name = tokens
-                .get(i + 1)
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-                .unwrap_or_default();
-            // Scan to the body `{`, skipping where-clauses etc. A `;`
-            // first means a trait method signature — no body.
-            let mut j = i + 1;
-            let mut angle = 0i32;
-            let mut paren = 0i32;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_op("<") {
-                    angle += 1;
-                } else if t.is_op(">") {
-                    angle -= 1;
-                } else if t.is_op("(") {
-                    paren += 1;
-                } else if t.is_op(")") {
-                    paren -= 1;
-                } else if t.is_op(";") && paren <= 0 {
-                    break;
-                } else if t.is_op("{") && paren <= 0 && angle <= 0 {
-                    // Body found; match braces over the full stream.
-                    let mut depth = 0i32;
-                    let mut k = j;
-                    while k < tokens.len() {
-                        if tokens[k].is_op("{") {
-                            depth += 1;
-                        } else if tokens[k].is_op("}") {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    spans.push(FnSpan { name, body_start: j, body_end: (k + 1).min(tokens.len()) });
-                    break;
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,25 +347,5 @@ mod tests {
         let hits = m.hits.borrow();
         assert!(hits.contains(&(1, "no-panic-paths".to_owned())));
         assert!(!hits.iter().any(|(l, _)| *l == 3));
-    }
-
-    #[test]
-    fn fn_spans_cover_bodies() {
-        let src = "fn a() { inner(); }\nstruct S;\nimpl S {\n    fn b(&self) -> i32 { 1 }\n}\n";
-        let m = SourceModel::build("x.rs".into(), src);
-        let names: Vec<_> = m.fn_spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b"]);
-        for s in &m.fn_spans {
-            assert!(m.tokens[s.body_start].is_op("{"));
-            assert!(m.tokens[s.body_end - 1].is_op("}"));
-        }
-    }
-
-    #[test]
-    fn trait_signatures_have_no_span() {
-        let src = "trait T { fn sig(&self) -> usize; fn with_body(&self) { } }";
-        let m = SourceModel::build("x.rs".into(), src);
-        let names: Vec<_> = m.fn_spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["with_body"]);
     }
 }

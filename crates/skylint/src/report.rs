@@ -1,20 +1,6 @@
-//! Finding types and output formatting (human, JSON, bench record).
-//!
-//! The machine-readable report is versioned: the top-level object carries
-//! `"schema": "skylint-report/3"` and consumers must check it. Schema
-//! history — `/1` was a bare findings array (PR 2); `/2` wrapped it in an
-//! object with scan-scale counters (PR 3); `/3` extends the rule universe
-//! with the CFG-dataflow families (guard-hold-span, capture-race,
-//! env-read-confinement, range-taint), which changes the `rules` list and
-//! the per-rule count map in the bench record. The golden-file test under
-//! `tests/golden/` pins the exact bytes.
+//! The finding type and its terminal rendering.
 
 use std::fmt::Write as _;
-
-use crate::engine::ScanOutcome;
-
-/// Version tag of the `--json` report format.
-pub const REPORT_SCHEMA: &str = "skylint-report/3";
 
 /// One policy violation.
 #[derive(Clone, Debug)]
@@ -49,131 +35,22 @@ pub fn render_human(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders the versioned JSON report object (stable field order, no
-/// deps). See the module docs for the schema contract.
-pub fn render_json(outcome: &ScanOutcome, rules: &[&str]) -> String {
-    let rule_list = rules.iter().map(|r| json_str(r)).collect::<Vec<_>>().join(", ");
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": {},", json_str(REPORT_SCHEMA));
-    let _ = writeln!(out, "  \"files_scanned\": {},", outcome.files_scanned);
-    let _ = writeln!(out, "  \"lines_scanned\": {},", outcome.lines_scanned);
-    let _ = writeln!(out, "  \"functions_analyzed\": {},", outcome.functions_analyzed);
-    let _ = writeln!(out, "  \"call_edges\": {},", outcome.call_edges);
-    let _ = writeln!(out, "  \"rules\": [{rule_list}],");
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in outcome.findings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"snippet\": {}}}",
-            json_str(&f.file),
-            f.line,
-            json_str(&f.rule),
-            json_str(&f.message),
-            json_str(&f.snippet),
-        );
-        out.push_str(if i + 1 < outcome.findings.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The `BENCH_skylint.json` record: scan scale, per-rule finding counts
-/// and wall time, so future PRs can track the cost of the analysis pass.
-pub fn render_bench(outcome: &ScanOutcome, rules: &[&str], wall_ms: f64) -> String {
-    let rule_list = rules.iter().map(|r| json_str(r)).collect::<Vec<_>>().join(", ");
-    let per_rule = rules
-        .iter()
-        .map(|r| {
-            let n = outcome.findings.iter().filter(|f| f.rule == **r).count();
-            format!("    {}: {n}", json_str(r))
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"tool\": \"skylint\",\n  \"schema\": \"skylint-bench/3\",\n  \
-         \"files_scanned\": {},\n  \"lines_scanned\": {},\n  \
-         \"functions_analyzed\": {},\n  \"call_edges\": {},\n  \
-         \"rules_run\": [{rule_list}],\n  \"findings_per_rule\": {{\n{per_rule}\n  }},\n  \
-         \"findings\": {},\n  \"wall_ms\": {wall_ms:.2}\n}}\n",
-        outcome.files_scanned,
-        outcome.lines_scanned,
-        outcome.functions_analyzed,
-        outcome.call_edges,
-        outcome.findings.len(),
-    )
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn f() -> Finding {
-        Finding {
+    #[test]
+    fn human_output_has_location_rule_and_snippet() {
+        let f = Finding {
             rule: "determinism".into(),
             file: "crates/core/src/cache.rs".into(),
             line: 15,
             message: "HashMap has randomized iteration order".into(),
             snippet: "use std::collections::HashMap;".into(),
-        }
-    }
-
-    #[test]
-    fn human_output_has_location_rule_and_snippet() {
-        let s = render_human(&[f()]);
+        };
+        let s = render_human(&[f]);
         assert!(s.contains("crates/core/src/cache.rs:15 [determinism]"));
         assert!(s.contains("| use std::collections::HashMap;"));
         assert!(s.contains("1 violation found"));
-    }
-
-    #[test]
-    fn json_report_is_versioned_and_escapes_quotes() {
-        let mut bad = f();
-        bad.message = "a \"quoted\" msg".into();
-        let outcome = ScanOutcome {
-            findings: vec![bad],
-            files_scanned: 1,
-            lines_scanned: 20,
-            functions_analyzed: 3,
-            call_edges: 2,
-        };
-        let s = render_json(&outcome, &["determinism"]);
-        assert!(s.starts_with("{\n  \"schema\": \"skylint-report/3\","));
-        assert!(s.contains("a \\\"quoted\\\" msg"));
-        assert!(s.contains("\"functions_analyzed\": 3"));
-        assert!(s.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn bench_record_counts_findings_per_rule() {
-        let outcome = ScanOutcome {
-            findings: vec![f(), f()],
-            files_scanned: 1,
-            lines_scanned: 20,
-            functions_analyzed: 3,
-            call_edges: 2,
-        };
-        let s = render_bench(&outcome, &["determinism", "lock-order"], 1.5);
-        assert!(s.contains("\"determinism\": 2"));
-        assert!(s.contains("\"lock-order\": 0"));
-        assert!(s.contains("\"schema\": \"skylint-bench/3\""));
     }
 }

@@ -1,408 +1,119 @@
-//! The policy rule families.
+//! The ten rules.
 //!
-//! Every rule reports findings as `(rule-id, line, message)` against a
-//! [`SourceModel`]; the engine handles allow-annotations, test-region
-//! exemptions and path scoping before a finding becomes user-visible.
+//! Two layers, one kind of question each. The per-file token layer
+//! answers "may this *name* appear here" — a lexer is the right tool for
+//! a ban on an identifier or path. Everything about *behaviour* (panic
+//! sites, environment reads, lock acquisitions, allocation, guard
+//! liveness, taint) is read from the [`FnDef`] event stream that
+//! `symbols.rs` extracts once and the call graph / CFG consume.
 //!
-//! Per-file token rules:
+//! | id                    | substrate          | guards                                        |
+//! |-----------------------|--------------------|-----------------------------------------------|
+//! | `no-panic-paths`      | events, call graph | typed errors, no hidden panic behind an API   |
+//! | `determinism`         | name ban, events   | byte-reproducible plans, no hidden inputs     |
+//! | `concurrency-hygiene` | name ban           | `spawn(` only in the listed library files     |
+//! | `api-hygiene`         | name ban           | crate-root docs and lint headers              |
+//! | `sync-confinement`    | name ban           | sync primitives stay behind skycheck shims    |
+//! | `lock-order`          | events, call graph | annotated, acyclic, upgrade-free lock graph   |
+//! | `hot-path-alloc`      | events, call graph | allocation-free designated kernels            |
+//! | `guard-hold-span`     | events, CFG        | no lock guard live across expensive calls     |
+//! | `range-taint`         | events, CFG        | decoded sizes validated before sinks          |
+//! | `dead-allow`          | suppression log    | every allow annotation still suppresses       |
 //!
-//! | id                    | guards                                           |
-//! |-----------------------|--------------------------------------------------|
-//! | `no-panic-paths`      | typed-error discipline in library crates         |
-//! | `determinism`         | byte-reproducible results across plans/modes     |
-//! | `concurrency-hygiene` | thread/lock discipline of the parallel lanes     |
-//! | `api-hygiene`         | lint headers + documented public surface         |
-//! | `sync-confinement`    | raw sync primitives stay behind skycheck shims   |
-//!
-//! Whole-workspace dataflow rules (AST + call graph):
-//!
-//! | id                    | guards                                           |
-//! |-----------------------|--------------------------------------------------|
-//! | `lock-order`          | acyclic, annotation-consistent lock graph        |
-//! | `panic-reachability`  | no transitive panic behind a public API          |
-//! | `hot-path-alloc`      | allocation-free designated kernels               |
-//! | `dead-allow`          | every allow annotation still suppresses          |
-//!
-//! CFG + guard-liveness dataflow rules (v3, see `cfg.rs`):
-//!
-//! | id                     | guards                                          |
-//! |------------------------|-------------------------------------------------|
-//! | `guard-hold-span`      | no lock guard live across expensive calls       |
-//! | `capture-race`         | no unsynchronized mutable captures in spawns    |
-//! | `env-read-confinement` | `std::env` reads only in designated pin fns     |
-//! | `range-taint`          | decoded sizes/endpoints validated before sinks  |
-//!
-//! Run `skylint explain <rule>` for the full rationale of each rule.
+//! DESIGN.md §9 is the one home of each rule's rationale and record.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{lock_cycles, Workspace};
 use crate::cfg::{FactDef, Liveness};
-use crate::engine::Policy;
+use crate::engine::{file_in, is_test_path, Policy};
 use crate::lexer::{TokKind, Token};
 use crate::model::SourceModel;
 use crate::report::Finding;
-use crate::symbols::{match_paren, next_code_idx, statement_end, EventKind, LockKind};
+use crate::symbols::{
+    match_paren, next_code_idx, prev_code_idx, statement_end, Event, EventKind, FnDef, LockKind,
+};
 
-/// All rule ids, in reporting order.
-pub const RULE_IDS: [&str; 13] = [
-    "no-panic-paths",
-    "determinism",
-    "concurrency-hygiene",
-    "api-hygiene",
-    "sync-confinement",
-    "lock-order",
-    "panic-reachability",
-    "hot-path-alloc",
-    "guard-hold-span",
-    "capture-race",
-    "env-read-confinement",
-    "range-taint",
-    "dead-allow",
+/// Every rule, in reporting order: id and the one-line summary `skylint
+/// rules` prints.
+pub const RULES: [(&str, &str); 10] = [
+    (
+        "no-panic-paths",
+        "no unwrap/expect/panic! in library code, none reachable from a pub fn (DESIGN §9.1)",
+    ),
+    (
+        "determinism",
+        "no wall clock, hash order, raw float == or environment read in planning (DESIGN §9.2)",
+    ),
+    ("concurrency-hygiene", "library code spawns threads only in the listed files (DESIGN §9.3)"),
+    ("api-hygiene", "library crate roots carry docs and the required lint headers (DESIGN §9.4)"),
+    (
+        "sync-confinement",
+        "protocol files use the skycheck::sync shims and return no guard (DESIGN §9.5)",
+    ),
+    ("lock-order", "annotated acquisitions, no upgrade, no cycle in the lock graph (DESIGN §9.6)"),
+    (
+        "hot-path-alloc",
+        "nothing reachable from a designated kernel allocates or records (DESIGN §9.7)",
+    ),
+    ("guard-hold-span", "no lock guard is live across an expensive call (DESIGN §9.8)"),
+    ("range-taint", "decoded sizes pass a validator before they reach a sink (DESIGN §9.9)"),
+    ("dead-allow", "every allow annotation still suppresses a finding (DESIGN §9.10)"),
 ];
 
-/// Long-form `explain` text for a rule id, if known.
-pub fn explain(rule: &str) -> Option<&'static str> {
-    match rule {
-        "no-panic-paths" => Some(
-            "no-panic-paths — library crates must not contain hidden panic paths.\n\
-             \n\
-             Forbidden in library code (crates listed under [crates].library),\n\
-             outside #[cfg(test)] modules:\n\
-               * `.unwrap()` and `.expect(…)` method calls\n\
-               * `panic!`, `todo!`, `unimplemented!` macro invocations\n\
-               * bracket indexing (`xs[i]`) in files listed under\n\
-                 [rules.no-panic-paths].index-strict-files — use `.get(i)`\n\
-             \n\
-             Rationale: the CBCS engine is meant to serve shared, long-lived\n\
-             caches (ROADMAP: production-scale, heavy traffic). A panic in a\n\
-             library crate kills the worker thread mid-query; callers hold\n\
-             typed error channels (GeomError / StorageError / CoreError) that\n\
-             every fallible path must use instead. `assert!`-style contract\n\
-             checks with documented `# Panics` sections remain permitted: they\n\
-             guard API misuse, not data-dependent failures.\n\
-             \n\
-             Escape hatch: `// skylint: allow(no-panic-paths) — <why safe>`\n\
-             on (or directly above) the offending line, for invariants the\n\
-             type system cannot carry (e.g. re-raising a worker panic after\n\
-             `JoinHandle::join`).",
-        ),
-        "determinism" => Some(
-            "determinism — cached plans must be byte-for-byte reproducible.\n\
-             \n\
-             Forbidden in library code outside #[cfg(test)] modules:\n\
-               * `std::time::Instant` / `SystemTime` (any mention) — wall\n\
-                 clocks fork behaviour between runs; the one audited site is\n\
-                 core/src/clock.rs, which carries the allow annotation\n\
-               * `HashMap` / `HashSet` — iteration order is randomized per\n\
-                 process; every result-producing path must use BTreeMap /\n\
-                 BTreeSet / sorted vectors instead\n\
-               * float `==` / `!=` in files listed under\n\
-                 [rules.determinism].float-eq-files — comparisons on raw f64\n\
-                 expressions must go through skycache_geom::float helpers\n\
-                 (approx_eq / exact_eq), making every float comparison an\n\
-                 audited decision\n\
-             \n\
-             Rationale: the paper's stability theory (Thm. 1, Cors. 1–2) and\n\
-             MPR minimality (Thms. 6–7) assume a cached plan replayed later\n\
-             yields the identical skyline. HashMap iteration\n\
-             order leaking into eviction order, R-tree insertion order or\n\
-             result assembly silently breaks that; so does any wall-clock\n\
-             value feeding planning.\n\
-             \n\
-             Escape hatch: `// skylint: allow(determinism) — <why benign>`.",
-        ),
-        "concurrency-hygiene" => Some(
-            "concurrency-hygiene — thread and lock discipline.\n\
-             \n\
-             Checks:\n\
-               * `spawn(…)` (std::thread::spawn, scope.spawn, …) is permitted\n\
-                 only in the files listed under\n\
-                 [rules.concurrency-hygiene].spawn-allowed — today none:\n\
-                 no library crate spawns a thread on the query path.\n\
-                 Tests may spawn freely.\n\
-               * In lock-protocol files ([rules.concurrency-hygiene]\n\
-                 .lock-protocol-files), every `.read()` / `.write()` /\n\
-                 `.lock()` acquisition must carry a `// lock-order: <phase>`\n\
-                 annotation naming a declared phase, and within one function\n\
-                 phases must appear in declared order (read before write in\n\
-                 core/src/shared.rs) — enforcing the documented\n\
-                 search → compute-unlocked → publish protocol.\n\
-               * Every `unsafe {` block needs a `// SAFETY:` comment on or\n\
-                 directly above the line.\n\
-             \n\
-             Rationale: the shared multi-user cache (core/src/shared.rs)\n\
-             stays deadlock-free because no code path upgrades read → write\n\
-             while holding a guard; annotating each acquisition keeps the\n\
-             protocol reviewable and lets the linter reject regressions.",
-        ),
-        "api-hygiene" => Some(
-            "api-hygiene — library crates keep a warnings-clean surface.\n\
-             \n\
-             Checks:\n\
-               * each library crate root (src/lib.rs) starts with `//!` crate\n\
-                 docs and carries every header listed under\n\
-                 [rules.api-hygiene].required-headers (the\n\
-                 `#![deny(warnings)]`-compatible lint set)\n\
-               * public items at module scope in the crates listed under\n\
-                 [rules.api-hygiene].doc-paths carry `///` doc comments\n\
-                 (compile-time `#![warn(missing_docs)]` also covers impl\n\
-                 bodies; the lint runs without compiling)\n\
-             \n\
-             Rationale: CI promotes clippy/rustfmt to required jobs; the\n\
-             headers keep every crate compatible with `-D warnings`, and the\n\
-             documented public surface is what makes the cache reusable as a\n\
-             library (ROADMAP north star).",
-        ),
-        "lock-order" => Some(
-            "lock-order — the inferred lock-acquisition graph must be a DAG\n\
-             consistent with the `// lock-order:` annotations.\n\
-             \n\
-             For every function in the files under [rules.lock-order].files,\n\
-             skylint parses the AST, extracts each `.read()`/`.write()`/\n\
-             `.lock()` acquisition with the live range of its guard\n\
-             (let-bound guards live to end of block; chained temporaries to\n\
-             end of statement, matching Rust drop semantics), and builds the\n\
-             inter-procedural graph: lock A → lock B when B is acquired —\n\
-             directly or anywhere inside a callee — while a guard on A is\n\
-             live. Flagged:\n\
-               * read → write or write → anything re-entry on the *same*\n\
-                 lock (self-deadlock / upgrade; read → read shared guards\n\
-                 are permitted)\n\
-               * cycles among distinct locks (classic AB/BA deadlock)\n\
-               * acquisitions whose declared phases contradict the declared\n\
-                 order while one guard is held\n\
-               * annotations whose phase disagrees with the acquisition\n\
-                 kind (`read` on `.write()`, …)\n\
-             \n\
-             Rationale: PR 2 trusted the shared.rs annotations; this rule\n\
-             verifies them against the code, so the shared-cache protocol\n\
-             (search → compute-unlocked → publish) is checked, not declared.\n\
-             Call edges resolve by name (no type inference), which can only\n\
-             over-approximate the graph — a clean result is therefore sound.",
-        ),
-        "panic-reachability" => Some(
-            "panic-reachability — no public library API may transitively\n\
-             reach an unjustified panic.\n\
-             \n\
-             May-panic facts ([rules.panic-reachability].sources — unwrap,\n\
-             expect, panic-macro, optionally indexing and arithmetic) are\n\
-             collected per function and propagated over the workspace call\n\
-             graph to a fixpoint. A `pub fn` in a library crate whose callee\n\
-             chain reaches such a fact is flagged, with the full witness\n\
-             chain (api → helper → sink) in the message. Facts carrying a\n\
-             `skylint: allow(no-panic-paths)` or `allow(panic-reachability)`\n\
-             justification do not propagate. Direct (same-function) panics\n\
-             are left to no-panic-paths to avoid double-reporting.\n\
-             \n\
-             Rationale: a panic one call deep behind `SharedCbcsExecutor::\n\
-             query` still kills a worker lane mid-fetch; single-line token\n\
-             patterns cannot see it, the call graph can.\n\
-             \n\
-             Escape hatch: `// skylint: allow(panic-reachability) — <why>`\n\
-             on the public fn or on the panic site.",
-        ),
-        "hot-path-alloc" => Some(
-            "hot-path-alloc — designated kernels stay allocation-free.\n\
-             \n\
-             Roots are the kernels named in [rules.hot-path-alloc].kernels\n\
-             (`fn` or `Type::fn` designators). Every function reachable from\n\
-             a root over the call graph and defined under\n\
-             [rules.hot-path-alloc].scope-files is checked for allocation\n\
-             machinery: the calls in .calls (Vec::new, push, clone, to_vec,\n\
-             collect, …) and the macros in .macros (vec!, format!). The\n\
-             method names in .recorder-idents (record_span, add_counter, …)\n\
-             are flagged the same way: kernels return stats by value, the\n\
-             engine records them — a reachable Recorder call means\n\
-             observability leaked into a kernel. Findings carry the call\n\
-             path from the kernel as a witness.\n\
-             \n\
-             Rationale: PR 1's SoA fast paths (geom::block dominance\n\
-             kernels, storage bulk fetch) win\n\
-             by staying allocation-free per point; one stray `clone()` in a\n\
-             helper re-introduces per-tuple heap traffic that the benches\n\
-             only catch after the regression lands. Deliberate staging\n\
-             buffers carry `// skylint: allow(hot-path-alloc) — <why>`.",
-        ),
-        "guard-hold-span" => Some(
-            "guard-hold-span — no lock guard may be live across a call into\n\
-             the designated expensive set.\n\
-             \n\
-             For every function in the files under [rules.guard-hold-span]\n\
-             .files, skylint builds the per-function control-flow graph\n\
-             (if/else, loops, match arms, early return/`?`) and runs a\n\
-             forward guard-liveness dataflow: each `.read()`/`.write()`/\n\
-             `.lock()` acquisition generates a fact that dies at the guard's\n\
-             drop point (explicit `drop(g)`, end of statement for chained\n\
-             temporaries, end of block for let-bound guards — Rust drop\n\
-             semantics). A call executed while any guard fact is live is\n\
-             flagged when its callee is *expensive*: it matches a designator\n\
-             in [rules.guard-hold-span].expensive (`fn` or `Type::fn`), or\n\
-             transitively calls one over the workspace call graph. Findings\n\
-             carry the witness chain to the expensive sink.\n\
-             \n\
-             Rationale: the shared multi-user cache only scales if lookups\n\
-             never serialize behind long computations (ROADMAP item 1).\n\
-             Holding the cache RwLock across MPR planning, fetching, skyline\n\
-             compute or Recorder I/O turns every concurrent query into a\n\
-             convoy. The sanctioned protocol is: search and *copy out* under\n\
-             a short read guard, compute unlocked, re-acquire write only to\n\
-             publish. Name-only call resolution over-approximates, so a\n\
-             clean result is sound.\n\
-             \n\
-             Escape hatch: `// skylint: allow(guard-hold-span) — <why>` on\n\
-             the call line, for calls that are cheap despite their name.",
-        ),
-        "capture-race" => Some(
-            "capture-race — closures handed to `spawn` must not mutate\n\
-             state that is also read outside the closure without a\n\
-             synchronization type.\n\
-             \n\
-             At every `spawn(…)` call site in library code skylint inspects\n\
-             the closure argument's body for writes to captured bindings:\n\
-             `x = …`, compound assignment (`x += …`), or taking `&mut x`.\n\
-             A write is flagged when the binding is declared with `let`\n\
-             *outside* the closure, its declaration does not involve one of\n\
-             the types in [rules.capture-race].sync-types (Mutex, RwLock,\n\
-             Atomic*, mpsc, …), and the binding is read again after the\n\
-             closure body — the classic pattern where scoped-thread results\n\
-             race instead of being returned through join handles or\n\
-             channels.\n\
-             \n\
-             Rationale: rustc rejects most capture races, but `thread::scope`\n\
-             plus interior mutability (Cell/RefCell in a single-threaded\n\
-             type, raw pointers in unsafe blocks) and per-iteration re-borrow\n\
-             patterns can compile and still be logically racy or become racy\n\
-             on refactor. The parallel lanes return values through join\n\
-             handles; this rule keeps that discipline mechanical.\n\
-             \n\
-             Escape hatch: `// skylint: allow(capture-race) — <why>` on the\n\
-             mutation line.",
-        ),
-        "env-read-confinement" => Some(
-            "env-read-confinement — process-environment reads are confined\n\
-             to designated init/pin functions.\n\
-             \n\
-             Any `std::env::*` call (var, vars, temp_dir, …) or `env!`/\n\
-             `option_env!` macro in a library, non-test function is flagged\n\
-             unless the enclosing function matches a designator in\n\
-             [rules.env-read-confinement].allowed-fns or the file is listed\n\
-             in .allowed-files. Tool crates (cli, bench, skylint) are not\n\
-             library crates and may read the environment freely.\n\
-             \n\
-             Rationale: ambient environment reads are hidden inputs — they\n\
-             fork behaviour between runs (determinism) and between the\n\
-             serving threads of one process (a worker re-reading a\n\
-             mode variable mid-flight could take a different code path\n\
-             than the one the cached plan was built with). The\n\
-             sanctioned pattern is one once-style pin function that reads\n\
-             the variable a single time and caches the decision; everything\n\
-             else takes configuration explicitly.\n\
-             \n\
-             Escape hatch: `// skylint: allow(env-read-confinement) — <why>`.",
-        ),
-        "range-taint" => Some(
-            "range-taint — decoded or parsed values must pass a validator\n\
-             before reaching range scans or allocation sizes.\n\
-             \n\
-             Within the files under [rules.range-taint].files, a `let`\n\
-             binding whose initializer calls a source in .sources\n\
-             (get_u64_le, from_le_bytes, parse, …) is tainted; taint\n\
-             propagates through later `let` bindings that mention a tainted\n\
-             variable. A call to a validator in .validators with the\n\
-             tainted variable as argument kills the taint (guard-liveness\n\
-             dataflow over the CFG, so a validation on one branch clears\n\
-             only that branch). A sink in .sinks (ColumnIndex::locate,\n\
-             Vec::with_capacity, reserve, …) receiving a still-tainted\n\
-             variable is a finding. A binding validated at birth\n\
-             (`let n = checked_len(buf.get_u64_le(), max)?;`) is never\n\
-             tainted.\n\
-             \n\
-             Rationale: the future query server feeds client-supplied\n\
-             constraint endpoints into ColumnIndex::locate scans, and the\n\
-             persist loader turns file bytes into allocation sizes — an\n\
-             unvalidated 8-byte length is a remote OOM. Input hardening\n\
-             must be checkable, not reviewed.\n\
-             \n\
-             Escape hatch: `// skylint: allow(range-taint) — <why bounded>`.",
-        ),
-        "sync-confinement" => Some(
-            "sync-confinement — concurrency primitives in the shared-cache\n\
-             protocol code must come from the `skycheck::sync` shims.\n\
-             \n\
-             Within the files listed under [rules.sync-confinement].files\n\
-             (library code, outside #[cfg(test)] modules), any mention of:\n\
-               * `parking_lot` (imports or paths)\n\
-               * `std::sync::{Mutex, RwLock, Condvar, Barrier, Once, mpsc,\n\
-                 atomic}` paths\n\
-               * `std::thread` paths, except\n\
-                 `std::thread::available_parallelism`\n\
-             is a finding. `std::sync::Arc`, `OnceLock` and the shim\n\
-             re-exports are fine.\n\
-             \n\
-             Additionally, a `pub fn` whose signature returns a lock\n\
-             guard (`MutexGuard`, `RwLockReadGuard`, `RwLockWriteGuard`)\n\
-             is a finding: a guard that escapes the file unseals the\n\
-             lock protocol — callers can hold it across arbitrary code,\n\
-             invisible to the lock-order and guard-hold-span analyses.\n\
-             Expose `with_…(f: impl FnOnce(&T) -> R)` closure APIs, or\n\
-             publish immutable snapshots, instead. Private helpers may\n\
-             still pass guards around within the file.\n\
-             \n\
-             Rationale: skycheck's deterministic model checker can only\n\
-             explore interleavings of operations it can see. The shims in\n\
-             `skycheck::sync` compile to the real `std` primitives in\n\
-             production and become schedule points under an Explorer run;\n\
-             a raw `std::sync::RwLock` or `std::thread::spawn` in protocol\n\
-             code is invisible to the checker, so the model-checked\n\
-             invariants silently stop covering it.\n\
-             \n\
-             Escape hatch: `// skylint: allow(sync-confinement) — <why the\n\
-             primitive is out of model scope>`.",
-        ),
-        "dead-allow" => Some(
-            "dead-allow — `// skylint: allow(…)` escapes must still earn\n\
-             their keep.\n\
-             \n\
-             Every suppression is recorded during the scan; after all other\n\
-             rules ran, any allow annotation (outside tests) that suppressed\n\
-             nothing is reported. Stale escapes are deleted, not kept as\n\
-             decoration — otherwise the next real finding on that line is\n\
-             silently swallowed.\n\
-             \n\
-             Note the annotation must also be well-formed and name known\n\
-             rules; malformed or unknown-rule annotations are hard errors\n\
-             (exit 2), not findings.",
-        ),
-        _ => None,
+/// All rule ids, in reporting order.
+pub const RULE_IDS: [&str; 10] = {
+    let mut ids = [""; 10];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = RULES[i].0;
+        i += 1;
     }
-}
+    ids
+};
 
-/// Context handed to each rule for one file.
+/// Wall-clock type names forbidden by `determinism`.
+const TIME_IDENTS: [&str; 2] = ["Instant", "SystemTime"];
+/// Hash-collection type names forbidden by `determinism`.
+const HASH_IDENTS: [&str; 2] = ["HashMap", "HashSet"];
+/// The `// lock-order:` phases, in acquisition order.
+const LOCK_PHASES: [&str; 2] = ["read", "write"];
+/// Macros counted as allocation machinery by `hot-path-alloc`.
+const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
+/// Calls whose results `range-taint` treats as untrusted: byte decoders
+/// and parsers.
+const TAINT_SOURCES: [&str; 7] = [
+    "get_u16_le",
+    "get_u32_le",
+    "get_u64_le",
+    "get_f64_le",
+    "from_le_bytes",
+    "from_be_bytes",
+    "parse",
+];
+/// Calls that must not receive a tainted value: range scans and
+/// allocation sizes.
+const TAINT_SINKS: [&str; 3] = ["locate", "with_capacity", "reserve"];
+
+/// Context handed to each per-file rule.
 pub struct FileCtx<'a> {
     /// Lexed + indexed source.
     pub model: &'a SourceModel,
-    /// File belongs to a library crate's `src/` tree.
+    /// File carries the library policy: listed under `crates.library` and
+    /// not under `tests/`, `benches/` or `examples/`.
     pub is_library: bool,
-    /// File lives under `tests/`, `benches/` or `examples/`.
-    pub is_test_file: bool,
     /// Resolved policy configuration.
     pub policy: &'a Policy,
 }
 
 impl FileCtx<'_> {
     fn lib_code_at(&self, line: u32) -> bool {
-        self.is_library && !self.is_test_file && !self.model.in_test_region(line)
-    }
-
-    fn path_in(&self, list: &[String]) -> bool {
-        list.iter().any(|p| self.model.path == *p || self.model.path.starts_with(p.as_str()))
+        self.is_library && !self.model.in_test_region(line)
     }
 }
 
-/// Runs every rule over one file.
+/// Runs every per-file rule over one file: the bans on names.
 pub fn run_all(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    no_panic_paths(ctx, out);
     determinism(ctx, out);
     concurrency_hygiene(ctx, out);
     api_hygiene(ctx, out);
@@ -423,118 +134,18 @@ fn push(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, rule: &str, line: u32, messag
 }
 
 // ---------------------------------------------------------------------------
-// no-panic-paths
-// ---------------------------------------------------------------------------
-
-fn no_panic_paths(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "no-panic-paths";
-    let toks = &ctx.model.tokens;
-    let index_strict = ctx.path_in(&ctx.policy.index_strict_files);
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_comment() || !ctx.lib_code_at(t.line) {
-            continue;
-        }
-        // `.unwrap()` / `.expect(` method calls.
-        if t.kind == TokKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && prev_code(toks, i).is_some_and(|p| p.is_op("."))
-            && next_code(toks, i).is_some_and(|n| n.is_op("("))
-        {
-            push(
-                ctx,
-                out,
-                RULE,
-                t.line,
-                format!(
-                    ".{}() panics on the error path — return a typed error \
-                     or annotate the invariant",
-                    t.text
-                ),
-            );
-        }
-        // panic!/todo!/unimplemented! macros.
-        if t.kind == TokKind::Ident
-            && matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && next_code(toks, i).is_some_and(|n| n.is_op("!"))
-        {
-            push(
-                ctx,
-                out,
-                RULE,
-                t.line,
-                format!("{}! in library code — return a typed error instead", t.text),
-            );
-        }
-        // Index-without-get in strict files: `expr[` where expr is an
-        // identifier, `)` or `]` (expression position, not a type, attr or
-        // macro like vec![…]).
-        if index_strict
-            && t.is_op("[")
-            && prev_code(toks, i).is_some_and(|p| {
-                p.kind == TokKind::Ident && !is_keyword(&p.text) || p.is_op(")") || p.is_op("]")
-            })
-        {
-            push(
-                ctx,
-                out,
-                RULE,
-                t.line,
-                "bracket indexing can panic out-of-bounds — use .get(i) \
-                 (index-strict file)"
-                    .to_owned(),
-            );
-        }
-    }
-}
-
-/// Keywords that can precede `[` without forming an index expression
-/// (`if let Some(x) = …`, `return [a, b]`, `in [1, 2]`, …).
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "if" | "else"
-            | "match"
-            | "return"
-            | "in"
-            | "mut"
-            | "ref"
-            | "move"
-            | "let"
-            | "const"
-            | "static"
-            | "as"
-            | "break"
-            | "continue"
-            | "where"
-            | "impl"
-            | "dyn"
-            | "fn"
-            | "for"
-            | "while"
-            | "loop"
-            | "unsafe"
-            | "use"
-            | "pub"
-            | "type"
-            | "struct"
-            | "enum"
-            | "trait"
-    )
-}
-
-// ---------------------------------------------------------------------------
 // determinism
 // ---------------------------------------------------------------------------
 
 fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "determinism";
     let toks = &ctx.model.tokens;
-    let float_strict = ctx.path_in(&ctx.policy.float_files);
+    let float_strict = file_in(&ctx.model.path, &ctx.policy.float_files);
     for (i, t) in toks.iter().enumerate() {
         if t.is_comment() || !ctx.lib_code_at(t.line) {
             continue;
         }
-        if t.kind == TokKind::Ident && ctx.policy.time_idents.contains(&t.text) {
+        if t.kind == TokKind::Ident && TIME_IDENTS.contains(&t.text.as_str()) {
             push(
                 ctx,
                 out,
@@ -547,7 +158,7 @@ fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 ),
             );
         }
-        if t.kind == TokKind::Ident && ctx.policy.hash_idents.contains(&t.text) {
+        if t.kind == TokKind::Ident && HASH_IDENTS.contains(&t.text.as_str()) {
             push(
                 ctx,
                 out,
@@ -604,124 +215,25 @@ fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 fn concurrency_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "concurrency-hygiene";
+    if file_in(&ctx.model.path, &ctx.policy.spawn_allowed) {
+        return;
+    }
     let toks = &ctx.model.tokens;
-    let spawn_ok = ctx.path_in(&ctx.policy.spawn_allowed);
     for (i, t) in toks.iter().enumerate() {
-        if t.is_comment() {
-            continue;
-        }
-        // spawn() outside the sanctioned lanes.
-        if !spawn_ok
+        if t.is_ident("spawn")
             && ctx.lib_code_at(t.line)
-            && t.is_ident("spawn")
             && next_code(toks, i).is_some_and(|n| n.is_op("("))
         {
             push(
                 ctx,
                 out,
-                RULE,
+                "concurrency-hygiene",
                 t.line,
                 "spawn() in library code outside \
                  [rules.concurrency-hygiene].spawn-allowed — no library \
                  crate spawns a thread on the query path"
                     .to_owned(),
             );
-        }
-        // unsafe blocks need SAFETY comments (everywhere, tests included —
-        // unsound test code is still unsound).
-        if t.is_ident("unsafe")
-            && next_code(toks, i).is_some_and(|n| n.is_op("{"))
-            && ctx.model.comment_near(t.line, "SAFETY:").is_none()
-        {
-            push(
-                ctx,
-                out,
-                RULE,
-                t.line,
-                "unsafe block without a `// SAFETY:` comment on or above \
-                 the line"
-                    .to_owned(),
-            );
-        }
-    }
-    // Lock protocol, per function.
-    if ctx.path_in(&ctx.policy.lock_files) {
-        lock_protocol(ctx, out);
-    }
-}
-
-fn lock_protocol(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "concurrency-hygiene";
-    let toks = &ctx.model.tokens;
-    let phases = &ctx.policy.lock_phases;
-    for span in &ctx.model.fn_spans {
-        let mut last_phase: Option<usize> = None;
-        for i in span.body_start..span.body_end.min(toks.len()) {
-            let t = &toks[i];
-            if t.is_comment() || ctx.model.in_test_region(t.line) {
-                continue;
-            }
-            let is_acquisition = t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "read" | "write" | "lock" | "try_lock")
-                && prev_code(toks, i).is_some_and(|p| p.is_op("."))
-                && next_code(toks, i).is_some_and(|n| n.is_op("("));
-            if !is_acquisition {
-                continue;
-            }
-            let Some(comment) = ctx.model.comment_near(t.line, "lock-order:") else {
-                push(
-                    ctx,
-                    out,
-                    RULE,
-                    t.line,
-                    format!(
-                        ".{}() lock acquisition without a `// lock-order: \
-                         <phase>` annotation (declared phases: {})",
-                        t.text,
-                        phases.join(" < ")
-                    ),
-                );
-                continue;
-            };
-            let annotated = comment
-                .split("lock-order:")
-                .nth(1)
-                .map(|s| s.split_whitespace().next().unwrap_or("").to_owned())
-                .unwrap_or_default();
-            let Some(pos) = phases.iter().position(|p| *p == annotated) else {
-                push(
-                    ctx,
-                    out,
-                    RULE,
-                    t.line,
-                    format!(
-                        "lock-order phase {annotated:?} is not declared \
-                         (declared: {})",
-                        phases.join(" < ")
-                    ),
-                );
-                continue;
-            };
-            if let Some(prev) = last_phase {
-                if pos < prev {
-                    push(
-                        ctx,
-                        out,
-                        RULE,
-                        t.line,
-                        format!(
-                            "lock phase {:?} acquired after {:?} in fn {} — \
-                             violates the declared order {}",
-                            phases[pos],
-                            phases[prev],
-                            span.name,
-                            phases.join(" < ")
-                        ),
-                    );
-                }
-            }
-            last_phase = Some(pos.max(last_phase.unwrap_or(0)));
         }
     }
 }
@@ -732,141 +244,21 @@ fn lock_protocol(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 
 fn api_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "api-hygiene";
-    if !ctx.is_library || ctx.is_test_file {
+    let m = ctx.model;
+    if !ctx.is_library || !m.path.ends_with("src/lib.rs") {
         return;
     }
-    let m = ctx.model;
-    // Crate roots: required headers + crate docs.
-    if m.path.ends_with("src/lib.rs") {
-        let src = m.lines.join("\n");
-        for header in &ctx.policy.required_headers {
-            if !src.contains(header.as_str()) {
-                push(
-                    ctx,
-                    out,
-                    RULE,
-                    1,
-                    format!("crate root is missing the required header `{header}`"),
-                );
-            }
-        }
-        if !m
-            .tokens
-            .first()
-            .is_some_and(|t| t.kind == TokKind::LineComment && t.text.starts_with("//!"))
-        {
-            push(ctx, out, RULE, 1, "crate root must open with `//!` crate documentation".into());
-        }
+    let src = m.lines.join("\n");
+    for header in ctx.policy.required_headers.iter().filter(|h| !src.contains(h.as_str())) {
+        push(ctx, out, RULE, 1, format!("crate root is missing the required header `{header}`"));
     }
-    // Documented public items at module scope.
-    if ctx.path_in(&ctx.policy.doc_paths) {
-        undocumented_pub_items(ctx, out);
+    if !m
+        .tokens
+        .first()
+        .is_some_and(|t| t.kind == TokKind::LineComment && t.text.starts_with("//!"))
+    {
+        push(ctx, out, RULE, 1, "crate root must open with `//!` crate documentation".into());
     }
-}
-
-/// Flags `pub fn/struct/enum/trait/type/const/static/mod` items at module
-/// scope (brace depth 0, or inside non-test `mod` blocks — approximated by
-/// "not inside any fn body") lacking a preceding doc comment.
-fn undocumented_pub_items(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    const RULE: &str = "api-hygiene";
-    let toks = &ctx.model.tokens;
-    let in_fn_body =
-        |i: usize| ctx.model.fn_spans.iter().any(|s| s.body_start < i && i < s.body_end);
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("pub") || ctx.model.in_test_region(t.line) || in_fn_body(i) {
-            continue;
-        }
-        // Skip visibility qualifiers: pub(crate), pub(super), pub(in …).
-        let mut j = i + 1;
-        if toks.get(j).is_some_and(|n| n.is_op("(")) {
-            continue; // pub(crate)/pub(super) items are not public API
-        }
-        while toks.get(j).is_some_and(|n| n.is_comment()) {
-            j += 1;
-        }
-        let Some(item) = toks.get(j) else { continue };
-        let kind = item.text.as_str();
-        if !matches!(
-            kind,
-            "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "mod" | "union"
-        ) {
-            continue; // pub use re-exports need no doc of their own
-        }
-        // Inside an impl block, missing_docs governs; the lexical check
-        // covers module scope only. Heuristic: an item whose enclosing
-        // brace context is an impl is preceded (searching back) by an
-        // `impl` at lower depth — approximate by checking whether any
-        // `impl` token appears before `i` with an unclosed brace.
-        if inside_impl(toks, i) {
-            continue;
-        }
-        if !has_doc_before(toks, i) {
-            push(ctx, out, RULE, t.line, format!("public `{kind}` lacks a doc comment (///)"));
-        }
-    }
-}
-
-/// Whether token `i` sits inside an `impl … { … }` body.
-fn inside_impl(toks: &[Token], i: usize) -> bool {
-    // Track a stack of open braces, noting which were opened by impl/mod.
-    let mut stack: Vec<bool> = Vec::new(); // true = impl brace
-    let mut pending_impl = false;
-    for t in &toks[..i] {
-        if t.is_comment() {
-            continue;
-        }
-        if t.is_ident("impl") {
-            pending_impl = true;
-        } else if t.is_op("{") {
-            stack.push(pending_impl);
-            pending_impl = false;
-        } else if t.is_op("}") {
-            stack.pop();
-        } else if t.is_op(";") {
-            pending_impl = false;
-        }
-    }
-    stack.iter().any(|&b| b)
-}
-
-/// Whether the item starting at token `i` has a doc comment or doc
-/// attribute directly above (skipping other attributes like #[derive]).
-fn has_doc_before(toks: &[Token], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        match t.kind {
-            TokKind::LineComment if t.text.starts_with("///") || t.text.starts_with("//!") => {
-                return true
-            }
-            TokKind::BlockComment if t.text.starts_with("/**") || t.text.starts_with("/*!") => {
-                return true
-            }
-            TokKind::LineComment | TokKind::BlockComment => continue,
-            // Walk over attributes: `]` closes one; skip to its `#`.
-            TokKind::Op if t.text == "]" => {
-                let mut depth = 1i32;
-                while j > 0 && depth > 0 {
-                    j -= 1;
-                    if toks[j].is_op("]") {
-                        depth += 1;
-                    } else if toks[j].is_op("[") {
-                        depth -= 1;
-                    }
-                }
-                // Check for a doc attribute #[doc = "…"].
-                if toks[j..i].iter().any(|t| t.is_ident("doc")) {
-                    return true;
-                }
-                if j > 0 && toks[j - 1].is_op("#") {
-                    j -= 1;
-                }
-            }
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Previous non-comment token.
@@ -891,7 +283,7 @@ const CONFINED_SYNC_ITEMS: [&str; 7] =
 
 fn sync_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
     const RULE: &str = "sync-confinement";
-    if ctx.policy.sync_confine_files.is_empty() || !ctx.path_in(&ctx.policy.sync_confine_files) {
+    if !file_in(&ctx.model.path, &ctx.policy.sync_confine_files) {
         return;
     }
     guard_escape(ctx, out);
@@ -1053,11 +445,6 @@ fn visibility_is_pub(toks: &[Token], i: usize) -> bool {
     }
 }
 
-/// Previous non-comment token's index.
-fn prev_code_idx(toks: &[Token], i: usize) -> Option<usize> {
-    (0..i).rev().find(|&j| !toks[j].is_comment())
-}
-
 /// Token index of the path segment following `i`, if the next code token
 /// is `::` and the one after it an identifier.
 fn path_segment_after(toks: &[Token], i: usize) -> Option<usize> {
@@ -1070,31 +457,36 @@ fn path_segment_after(toks: &[Token], i: usize) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-workspace dataflow rules
+// Whole-workspace event rules
 // ---------------------------------------------------------------------------
 
-/// Runs the call-graph rules after every per-file rule has run.
+/// Runs the event-stream rules after every per-file rule has run. A rule
+/// whose file or designator lists are empty has no subject and reports
+/// nothing.
 pub fn run_workspace(
     ws: &Workspace,
     models: &BTreeMap<&str, &SourceModel>,
     policy: &Policy,
     out: &mut Vec<Finding>,
 ) {
-    if !policy.lock_graph_files.is_empty() {
-        lock_order(ws, models, policy, out);
-    }
-    panic_reachability(ws, models, policy, out);
-    if !policy.alloc_kernels.is_empty() {
-        hot_path_alloc(ws, models, policy, out);
-    }
-    if !policy.guard_span_files.is_empty() && !policy.expensive_calls.is_empty() {
-        guard_hold_span(ws, models, policy, out);
-    }
-    capture_race(ws, models, policy, out);
-    env_read_confinement(ws, models, policy, out);
-    if !policy.taint_files.is_empty() {
-        range_taint(ws, models, policy, out);
-    }
+    no_panic_paths(ws, models, policy, out);
+    env_reads(ws, models, out);
+    lock_order(ws, models, policy, out);
+    hot_path_alloc(ws, models, policy, out);
+    guard_hold_span(ws, models, policy, out);
+    range_taint(ws, models, policy, out);
+}
+
+/// A workspace finding with its source snippet.
+fn finding(
+    models: &BTreeMap<&str, &SourceModel>,
+    rule: &str,
+    file: &str,
+    line: u32,
+    message: String,
+) -> Finding {
+    let snippet = models.get(file).map(|m| m.snippet(line)).unwrap_or_default();
+    Finding { rule: rule.to_owned(), file: file.to_owned(), line, message, snippet }
 }
 
 /// Emits one workspace finding unless an allow annotation covers it.
@@ -1106,14 +498,113 @@ fn push_ws(
     line: u32,
     message: String,
 ) {
-    let mut snippet = String::new();
-    if let Some(m) = models.get(file) {
-        if m.is_allowed(rule, line) {
-            return;
-        }
-        snippet = m.snippet(line);
+    if !models.get(file).is_some_and(|m| m.is_allowed(rule, line)) {
+        out.push(finding(models, rule, file, line, message));
     }
-    out.push(Finding { rule: rule.to_owned(), file: file.to_owned(), line, message, snippet });
+}
+
+/// Direct panic sites and their transitive witnesses, from one
+/// may-panic pass: every unjustified site is a finding where it stands,
+/// and every `pub fn` that reaches one only through callees is a finding
+/// carrying the witness chain. A site justified by an allow neither
+/// fires nor propagates.
+fn no_panic_paths(
+    ws: &Workspace,
+    models: &BTreeMap<&str, &SourceModel>,
+    policy: &Policy,
+    out: &mut Vec<Finding>,
+) {
+    const RULE: &str = "no-panic-paths";
+    let what_panics = |f: &FnDef, e: &Event| -> Option<String> {
+        match &e.kind {
+            EventKind::Method { .. } if matches!(e.name.as_str(), "unwrap" | "expect") => {
+                Some(format!(".{}()", e.name))
+            }
+            EventKind::MacroUse
+                if matches!(e.name.as_str(), "panic" | "todo" | "unimplemented") =>
+            {
+                Some(format!("{}!", e.name))
+            }
+            EventKind::Index if file_in(&f.file, &policy.index_strict_files) => {
+                Some("bracket indexing".to_owned())
+            }
+            _ => None,
+        }
+    };
+    for f in &ws.fns {
+        for e in &f.events {
+            if let Some(what) = what_panics(f, e) {
+                push_ws(
+                    models,
+                    out,
+                    RULE,
+                    &f.file,
+                    e.line,
+                    format!(
+                        "{what} can panic in library code — return a typed error \
+                         or annotate the invariant"
+                    ),
+                );
+            }
+        }
+    }
+    let unjustified = |f: &FnDef, e: &Event| {
+        what_panics(f, e)
+            .filter(|_| !models.get(f.file.as_str()).is_some_and(|m| m.is_allowed(RULE, e.line)))
+    };
+    let info = ws.may_panic(&unjustified);
+    for (f, pi) in ws.fns.iter().zip(&info) {
+        let Some(pi) = pi.as_ref().filter(|pi| f.is_pub && !pi.chain.is_empty()) else {
+            continue;
+        };
+        let chain: Vec<String> =
+            pi.chain.iter().map(|&c| format!("`{}`", ws.fns[c].qualified())).collect();
+        push_ws(
+            models,
+            out,
+            RULE,
+            &f.file,
+            f.line,
+            format!(
+                "pub fn `{}` can reach {} at {}:{} via {}",
+                f.qualified(),
+                pi.desc,
+                pi.file,
+                pi.line,
+                chain.join(" → "),
+            ),
+        );
+    }
+}
+
+/// The event half of `determinism`: the process environment is a hidden
+/// input, so no library function reads it (`std::env::*`, `env!`,
+/// `option_env!`) — configuration arrives as explicit arguments.
+fn env_reads(ws: &Workspace, models: &BTreeMap<&str, &SourceModel>, out: &mut Vec<Finding>) {
+    for f in &ws.fns {
+        for e in &f.events {
+            let hit = match &e.kind {
+                EventKind::Path { qual } => qual.last().is_some_and(|q| q == "env"),
+                EventKind::MacroUse => e.name == "env" || e.name == "option_env",
+                _ => false,
+            };
+            if hit {
+                push_ws(
+                    models,
+                    out,
+                    "determinism",
+                    &f.file,
+                    e.line,
+                    format!(
+                        "`env::{}` read in fn `{}` — the process environment is a \
+                         hidden input; take the value as explicit configuration",
+                        e.name,
+                        f.qualified(),
+                    ),
+                );
+            }
+        }
+    }
 }
 
 fn lock_order(
@@ -1125,7 +616,7 @@ fn lock_order(
     const RULE: &str = "lock-order";
     let edges = ws.lock_edges(&policy.lock_graph_files);
     let phase_pos = |p: &Option<String>| -> Option<usize> {
-        p.as_ref().and_then(|p| policy.lock_phases.iter().position(|q| q == p))
+        p.as_deref().and_then(|p| LOCK_PHASES.iter().position(|q| *q == p))
     };
     for e in &edges {
         let via = e.via.as_ref().map(|v| format!(" (inside callee `{v}`)")).unwrap_or_default();
@@ -1173,10 +664,10 @@ fn lock_order(
                          `{}` (phase {:?}) — contradicts the declared order {}",
                         e.holder,
                         e.to.lock,
-                        policy.lock_phases[pt],
+                        LOCK_PHASES[pt],
                         e.from.lock,
-                        policy.lock_phases[pf],
-                        policy.lock_phases.join(" < "),
+                        LOCK_PHASES[pf],
+                        LOCK_PHASES.join(" < "),
                     ),
                 );
             }
@@ -1203,76 +694,32 @@ fn lock_order(
             ),
         );
     }
-    // Annotation/kind consistency on every in-scope acquisition.
-    let in_scope = |file: &str| {
-        policy.lock_graph_files.iter().any(|p| file == p || file.starts_with(&format!("{p}/")))
-    };
-    for f in ws.fns.iter().filter(|f| in_scope(&f.file)) {
+    // Every in-scope acquisition declares its phase, and the phase
+    // agrees with the acquisition kind.
+    for f in ws.fns.iter().filter(|f| file_in(&f.file, &policy.lock_graph_files)) {
         for e in &f.events {
-            let EventKind::Acquire { lock, kind, phase: Some(phase), .. } = &e.kind else {
-                continue;
+            let EventKind::Acquire { lock, kind, phase, .. } = &e.kind else { continue };
+            let problem = match phase.as_deref() {
+                None => format!(
+                    "carries no `// lock-order: <phase>` annotation (phases: {})",
+                    LOCK_PHASES.join(" < ")
+                ),
+                Some(p) if !LOCK_PHASES.contains(&p) => format!(
+                    "is annotated `lock-order: {p}`, which is not a declared phase ({})",
+                    LOCK_PHASES.join(" < ")
+                ),
+                Some(p) if p != kind.as_str() => format!(
+                    "is annotated `lock-order: {p}` — annotation contradicts the \
+                     acquisition kind"
+                ),
+                Some(_) => continue,
             };
-            let consistent = match kind {
-                LockKind::Read => phase != "write",
-                LockKind::Write => phase != "read",
-            };
-            if !consistent {
-                push_ws(
-                    models,
-                    out,
-                    RULE,
-                    &f.file,
-                    e.line,
-                    format!(
-                        "`{}` acquisition of `{lock}` is annotated \
-                         `lock-order: {phase}` — annotation contradicts the \
-                         acquisition kind",
-                        kind.as_str(),
-                    ),
-                );
-            }
+            // Not suppressible: the fix is always the comment itself, and
+            // an `allow(lock-order)` that justifies a graph finding on the
+            // same line must not swallow a missing declaration.
+            let message = format!("`{}` acquisition of `{lock}` {problem}", kind.as_str());
+            out.push(finding(models, RULE, &f.file, e.line, message));
         }
-    }
-}
-
-fn panic_reachability(
-    ws: &Workspace,
-    models: &BTreeMap<&str, &SourceModel>,
-    policy: &Policy,
-    out: &mut Vec<Finding>,
-) {
-    const RULE: &str = "panic-reachability";
-    let justified = |f: &crate::symbols::FnDef, line: u32| {
-        models
-            .get(f.file.as_str())
-            .is_some_and(|m| m.is_allowed("no-panic-paths", line) || m.is_allowed(RULE, line))
-    };
-    let info = ws.may_panic(&policy.panic_sources, &justified);
-    for (i, f) in ws.fns.iter().enumerate() {
-        if !f.is_pub {
-            continue;
-        }
-        let Some(pi) = &info[i] else { continue };
-        if pi.chain.is_empty() {
-            continue; // direct panic — no-panic-paths already reports the site
-        }
-        let chain: Vec<String> =
-            pi.chain.iter().map(|&c| format!("`{}`", ws.fns[c].qualified())).collect();
-        push_ws(
-            models,
-            out,
-            RULE,
-            &f.file,
-            f.line,
-            format!(
-                "pub fn `{}` can reach {} at {}:{} via {}",
-                f.qualified(),
-                pi.desc,
-                pi.file,
-                pi.line,
-                chain.join(" → "),
-            ),
-        );
     }
 }
 
@@ -1291,16 +738,9 @@ fn hot_path_alloc(
         .map(|(i, _)| i)
         .collect();
     let reach = ws.reachable_with_paths(&roots);
-    let in_scope = |file: &str| {
-        policy.alloc_scope_files.is_empty()
-            || policy
-                .alloc_scope_files
-                .iter()
-                .any(|p| file == p || file.starts_with(&format!("{p}/")))
-    };
     for (&i, path) in &reach {
         let f = &ws.fns[i];
-        if !in_scope(&f.file) {
+        if !file_in(&f.file, &policy.alloc_scope_files) {
             continue;
         }
         let witness = || -> String {
@@ -1342,7 +782,7 @@ fn hot_path_alloc(
                         .unwrap_or_else(|| e.name.clone());
                     policy.alloc_calls.iter().any(|c| *c == full || *c == e.name).then_some(full)
                 }
-                EventKind::MacroUse if policy.alloc_macros.contains(&e.name) => {
+                EventKind::MacroUse if ALLOC_MACROS.contains(&e.name.as_str()) => {
                     Some(format!("{}!", e.name))
                 }
                 _ => None,
@@ -1368,11 +808,6 @@ fn hot_path_alloc(
 // ---------------------------------------------------------------------------
 // guard-hold-span (CFG + guard-liveness dataflow)
 // ---------------------------------------------------------------------------
-
-/// Whether `file` is equal to or under any of the path prefixes.
-fn file_in(file: &str, prefixes: &[String]) -> bool {
-    prefixes.iter().any(|p| file == p || file.starts_with(&format!("{p}/")))
-}
 
 /// Token index of the `;`/`{`/`}` delimiter preceding the statement that
 /// contains `at` (naive backward scan matching `symbols::statement_is_let`).
@@ -1554,202 +989,6 @@ fn guard_hold_span(
 }
 
 // ---------------------------------------------------------------------------
-// capture-race
-// ---------------------------------------------------------------------------
-
-fn capture_race(
-    ws: &Workspace,
-    models: &BTreeMap<&str, &SourceModel>,
-    policy: &Policy,
-    out: &mut Vec<Finding>,
-) {
-    const RULE: &str = "capture-race";
-    for f in &ws.fns {
-        let Some(model) = models.get(f.file.as_str()) else { continue };
-        let Some((body_lo, body_hi)) = f.body_span else { continue };
-        let toks = &model.tokens;
-        for e in &f.events {
-            let is_spawn = matches!(
-                e.kind,
-                EventKind::Method { .. } | EventKind::Bare | EventKind::Path { .. }
-            ) && e.name == "spawn";
-            if !is_spawn {
-                continue;
-            }
-            let Some(open) = (e.tok..toks.len().min(e.tok + 6)).find(|&j| toks[j].is_op("("))
-            else {
-                continue;
-            };
-            let close = match_paren(toks, open, body_hi.saturating_sub(1));
-            // Outermost block inside the argument list = the closure body.
-            let Some(&(blo, bhi)) = f.block_spans.iter().find(|&&(lo, _)| open < lo && lo < close)
-            else {
-                continue;
-            };
-            for (name, line) in mutated_captures(toks, blo, bhi) {
-                // Declared with `let` before the closure, in this body?
-                let Some(decl) = let_decl_before(toks, body_lo, blo, &name) else { continue };
-                // Synchronized declarations are fine.
-                let decl_end = statement_end(toks, decl, body_hi.saturating_sub(1));
-                let synced = toks[decl..=decl_end.min(toks.len() - 1)].iter().any(|t| {
-                    t.kind == TokKind::Ident
-                        && policy.sync_types.iter().any(|s| t.text.starts_with(s.as_str()))
-                });
-                if synced {
-                    continue;
-                }
-                // Read again after the closure body?
-                let read_after = (bhi..body_hi.min(toks.len())).any(|j| toks[j].is_ident(&name));
-                if !read_after {
-                    continue;
-                }
-                push_ws(
-                    models,
-                    out,
-                    RULE,
-                    &f.file,
-                    line,
-                    format!(
-                        "closure passed to `spawn` in fn `{}` mutates captured \
-                         `{name}`, which is read again outside the closure with \
-                         no synchronization type — return the value through the \
-                         join handle or wrap it in a Mutex/Atomic",
-                        f.qualified(),
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Identifiers written inside `[blo, bhi)`: assignment targets (`x = …`,
-/// `x += …`, taking the head of a dotted chain) and `&mut x` borrows.
-/// Returns `(name, line)` pairs, deduplicated per name.
-fn mutated_captures(toks: &[Token], blo: usize, bhi: usize) -> Vec<(String, u32)> {
-    let mut out: Vec<(String, u32)> = Vec::new();
-    let mut push = |name: &str, line: u32| {
-        if !out.iter().any(|(n, _)| n == name) {
-            out.push((name.to_owned(), line));
-        }
-    };
-    for j in blo + 1..bhi.min(toks.len()).saturating_sub(1) {
-        let t = &toks[j];
-        if t.is_comment() {
-            continue;
-        }
-        // `&mut x`
-        if t.is_op("&")
-            && toks.get(j + 1).is_some_and(|n| n.is_ident("mut"))
-            && toks.get(j + 2).is_some_and(|n| n.kind == TokKind::Ident)
-        {
-            push(&toks[j + 2].text, toks[j + 2].line);
-        }
-        // Assignment: ident (possibly `head.field`) followed by = / += / …
-        if t.kind == TokKind::Op
-            && matches!(t.text.as_str(), "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "|=" | "&=")
-        {
-            // Walk the dotted chain left of the operator to its head.
-            let mut k = j;
-            let mut head: Option<usize> = None;
-            while k > blo {
-                k -= 1;
-                let p = &toks[k];
-                if p.is_comment() {
-                    continue;
-                }
-                if p.kind == TokKind::Ident && !is_keyword(&p.text) {
-                    head = Some(k);
-                    // keep walking through `.`-chains
-                    match toks[..k].iter().rposition(|q| !q.is_comment()) {
-                        Some(q) if toks[q].is_op(".") && q > blo => k = q,
-                        _ => break,
-                    }
-                } else {
-                    break;
-                }
-            }
-            if let Some(h) = head {
-                // `let x = …` declares a closure-local — not a capture.
-                let is_decl = toks[..h]
-                    .iter()
-                    .rposition(|q| !q.is_comment())
-                    .is_some_and(|q| toks[q].is_ident("let") || toks[q].is_ident("mut"));
-                if !is_decl {
-                    push(&toks[h].text, toks[h].line);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Token index of a `let [mut] name` declaration between `lo` and `hi`.
-fn let_decl_before(toks: &[Token], lo: usize, hi: usize, name: &str) -> Option<usize> {
-    for j in lo..hi.min(toks.len()) {
-        if !toks[j].is_ident("let") {
-            continue;
-        }
-        let mut k = next_code_idx(toks, j)?;
-        if toks[k].is_ident("mut") {
-            k = next_code_idx(toks, k)?;
-        }
-        if toks[k].is_ident(name) {
-            return Some(j);
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// env-read-confinement
-// ---------------------------------------------------------------------------
-
-fn env_read_confinement(
-    ws: &Workspace,
-    models: &BTreeMap<&str, &SourceModel>,
-    policy: &Policy,
-    out: &mut Vec<Finding>,
-) {
-    const RULE: &str = "env-read-confinement";
-    for f in &ws.fns {
-        if file_in(&f.file, &policy.env_allowed_files)
-            || policy.env_allowed_fns.iter().any(|d| f.matches_designator(d))
-        {
-            continue;
-        }
-        for e in &f.events {
-            let hit = match &e.kind {
-                EventKind::Path { qual } => qual.last().is_some_and(|q| q == "env"),
-                EventKind::MacroUse => e.name == "env" || e.name == "option_env",
-                _ => false,
-            };
-            if !hit {
-                continue;
-            }
-            let allowed = if policy.env_allowed_fns.is_empty() {
-                "none declared".to_owned()
-            } else {
-                policy.env_allowed_fns.join(", ")
-            };
-            push_ws(
-                models,
-                out,
-                RULE,
-                &f.file,
-                e.line,
-                format!(
-                    "`env::{}` read in fn `{}` — ambient environment access is \
-                     confined to the designated pin functions ({allowed}); take \
-                     the value as explicit configuration instead",
-                    e.name,
-                    f.qualified(),
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // range-taint
 // ---------------------------------------------------------------------------
 
@@ -1768,7 +1007,7 @@ fn range_taint(
     out: &mut Vec<Finding>,
 ) {
     const RULE: &str = "range-taint";
-    let is_call = |e: &crate::symbols::Event| {
+    let is_call = |e: &Event| {
         matches!(e.kind, EventKind::Method { .. } | EventKind::Bare | EventKind::Path { .. })
     };
     for f in &ws.fns {
@@ -1781,7 +1020,7 @@ fn range_taint(
         let body_close = body_hi.saturating_sub(1);
 
         // Validator call sites, each with the set of identifiers it blesses.
-        let validators: Vec<&crate::symbols::Event> = f
+        let validators: Vec<&Event> = f
             .events
             .iter()
             .filter(|e| is_call(e) && policy.taint_validators.contains(&e.name))
@@ -1792,7 +1031,8 @@ fn range_taint(
         // Seed taints: `let v = … source(…) …;` with no validator in the
         // statement. Then propagate through later `let w = … v …;`.
         let mut taints: Vec<Taint> = Vec::new();
-        for e in f.events.iter().filter(|e| is_call(e) && policy.taint_sources.contains(&e.name)) {
+        for e in f.events.iter().filter(|e| is_call(e) && TAINT_SOURCES.contains(&e.name.as_str()))
+        {
             let Some(var) = let_binding_of(toks, e.tok) else { continue };
             let end = statement_end(toks, e.tok, body_close);
             if stmt_has_validator(stmt_start(toks, e.tok), end) {
@@ -1853,7 +1093,7 @@ fn range_taint(
             .collect();
         let live = Liveness::compute(&f.cfg, &facts);
 
-        for e in f.events.iter().filter(|e| is_call(e) && policy.taint_sinks.contains(&e.name)) {
+        for e in f.events.iter().filter(|e| is_call(e) && TAINT_SINKS.contains(&e.name.as_str())) {
             for &fi in &live.live_at(&f.cfg, e.tok) {
                 let t = &taints[fi];
                 if !call_args_mention(toks, e.tok, &t.var) {
@@ -1890,7 +1130,7 @@ pub fn dead_allow(
 ) {
     const RULE: &str = "dead-allow";
     for m in models {
-        if crate::engine::is_test_path(&m.path) {
+        if is_test_path(&m.path) {
             continue;
         }
         let hits = m.hits.borrow().clone();

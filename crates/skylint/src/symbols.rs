@@ -3,8 +3,8 @@
 //!
 //! The parser gives structure (which tokens belong to which function); this
 //! module turns each function body into a flat list of [`Event`]s — method
-//! calls with receiver chains, path calls, macro uses, indexing, integer
-//! arithmetic, and lock acquisitions with **guard liveness extents**. The
+//! calls with receiver chains, path calls, macro uses, indexing, and lock
+//! acquisitions with **guard liveness extents**. The
 //! call graph (`callgraph.rs`) consumes these events; it never looks at raw
 //! tokens again.
 //!
@@ -63,8 +63,6 @@ pub enum EventKind {
     MacroUse,
     /// `expr[…]` indexing in expression position.
     Index,
-    /// `+`/`-`/`*` (or compound assignment) with an integer-literal side.
-    IntArith,
     /// A zero-argument `.read()`/`.write()`/`.lock()` on a named lock.
     Acquire {
         /// Lock identity: the last receiver segment (`inner`, `clock`).
@@ -114,9 +112,6 @@ pub struct FnDef {
     pub body_span: Option<(usize, usize)>,
     /// Control-flow graph of the body (trivial entry→exit when bodiless).
     pub cfg: Cfg,
-    /// Token spans of every nested block inside the body (scopes, match
-    /// bodies, closures) in source order — nested `fn` items excluded.
-    pub block_spans: Vec<(usize, usize)>,
 }
 
 impl FnDef {
@@ -144,18 +139,13 @@ pub fn extract_fns(model: &SourceModel, file: &File) -> Vec<FnDef> {
     let mut out = Vec::new();
     file.walk_items(&mut |item: &Item, mods: &[String], owner: &str| {
         let ItemKind::Fn(f) = &item.kind else { return };
-        let (events, body_span, cfg, block_spans) = match &f.body {
-            Some(body) => {
-                let mut spans = Vec::new();
-                collect_block_spans(body, &mut spans);
-                (
-                    extract_events(model, body),
-                    Some((body.span.lo, body.span.hi)),
-                    Cfg::build(&model.tokens, body),
-                    spans,
-                )
-            }
-            None => (Vec::new(), None, Cfg::empty(), Vec::new()),
+        let (events, body_span, cfg) = match &f.body {
+            Some(body) => (
+                extract_events(model, body),
+                Some((body.span.lo, body.span.hi)),
+                Cfg::build(&model.tokens, body),
+            ),
+            None => (Vec::new(), None, Cfg::empty()),
         };
         out.push(FnDef {
             file: model.path.clone(),
@@ -168,21 +158,9 @@ pub fn extract_fns(model: &SourceModel, file: &File) -> Vec<FnDef> {
             events,
             body_span,
             cfg,
-            block_spans,
         });
     });
     out
-}
-
-/// Records the spans of all blocks nested inside `body` (not `body`
-/// itself), skipping nested `fn` items whose blocks belong to them.
-fn collect_block_spans(body: &Block, out: &mut Vec<(usize, usize)>) {
-    for child in &body.children {
-        if let BlockChild::Block(b) = child {
-            out.push((b.span.lo, b.span.hi));
-            collect_block_spans(b, out);
-        }
-    }
 }
 
 /// Keywords that can precede `(` or `[` without being a call/index.
@@ -272,24 +250,6 @@ fn scan_range(model: &SourceModel, lo: usize, hi: usize, block_close: usize, out
             })
         {
             out.push(Event { kind: EventKind::Index, name: "[".into(), tok: i, line: t.line });
-        }
-        // Integer arithmetic with a literal side (overflow candidates).
-        if t.kind == TokKind::Op && matches!(t.text.as_str(), "+" | "-" | "*" | "+=" | "-=" | "*=")
-        {
-            let prev = prev_code_idx(toks, i).map(|p| &toks[p]);
-            let next = next_code_idx(toks, i).map(|n| &toks[n]);
-            let literal_side = prev.is_some_and(|p| p.kind == TokKind::Int)
-                || next.is_some_and(|n| n.kind == TokKind::Int);
-            let unary =
-                prev.is_none_or(|p| p.kind == TokKind::Op && !p.is_op(")") && !p.is_op("]"));
-            if literal_side && !unary {
-                out.push(Event {
-                    kind: EventKind::IntArith,
-                    name: t.text.clone(),
-                    tok: i,
-                    line: t.line,
-                });
-            }
         }
     }
 }

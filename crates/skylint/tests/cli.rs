@@ -1,7 +1,8 @@
 //! End-to-end CLI tests: exit codes and output shapes of the `skylint`
-//! binary over the fixture trees. Every semantic rule family has a
-//! bad/clean tree pair here, and the two hard-error paths (malformed
-//! annotations, unknown config keys) are pinned to exit code 2.
+//! binary over the fixture trees. Every event-stream rule has a bad/clean
+//! tree pair here, and the usage and hard-error paths (retired flags,
+//! malformed annotations, unknown config keys, config values that name
+//! nothing, no config at all) are pinned to exit code 2.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -74,10 +75,13 @@ fn lock_order_consistent_tree_is_clean() {
 
 #[test]
 fn transitive_panic_tree_is_flagged_at_the_public_api() {
-    let stdout = assert_bad("panic_transitive_bad", "panic-reachability");
-    // The finding lands on the public API and names the private chain.
-    assert!(stdout.contains("`api`"), "{stdout}");
-    assert!(stdout.contains("mid") && stdout.contains("deep"), "{stdout}");
+    let stdout = assert_bad("panic_transitive_bad", "no-panic-paths");
+    // One rule, two findings: the site where it stands, and the witness
+    // on the public API naming the private chain. `mid` gets neither.
+    assert!(stdout.contains("src/lib.rs:17 [no-panic-paths] bracket indexing"), "{stdout}");
+    assert!(stdout.contains("src/lib.rs:8 [no-panic-paths] pub fn `api`"), "{stdout}");
+    assert!(stdout.contains("via `mid` → `deep`"), "{stdout}");
+    assert!(stdout.contains("2 violations found"), "{stdout}");
 }
 
 #[test]
@@ -125,30 +129,17 @@ fn copy_drop_compute_tree_is_clean() {
 }
 
 #[test]
-fn capture_race_tree_is_flagged() {
-    let stdout = assert_bad("capture_race_bad", "capture-race");
-    assert!(stdout.contains("`count`"), "{stdout}");
-    assert!(stdout.contains("spawn"), "{stdout}");
-}
-
-#[test]
-fn synchronized_capture_tree_is_clean() {
-    assert_clean("capture_race_clean");
-}
-
-#[test]
 fn scattered_env_read_tree_is_flagged() {
-    let stdout = assert_bad("env_read_bad", "env-read-confinement");
-    // Both the path form and the macro form are findings; the pin
-    // function itself is exempt.
-    assert!(stdout.contains("`env::var`"), "{stdout}");
-    assert!(stdout.contains("`env::option_env`"), "{stdout}");
-    assert!(stdout.contains("pinned_mode"), "{stdout}");
-    assert!(!stdout.contains("fn `pinned_mode`"), "{stdout}");
+    let stdout = assert_bad("env_read_bad", "determinism");
+    // Both the path form and the macro form are findings.
+    assert!(stdout.contains("`env::var` read in fn `scattered`"), "{stdout}");
+    assert!(stdout.contains("`env::option_env` read in fn `compiled_in`"), "{stdout}");
 }
 
 #[test]
 fn pinned_env_read_tree_is_clean() {
+    // The one read is pinned to `tools/main.rs`: scanned, but outside
+    // `crates.library`, so the ban does not apply to it.
     assert_clean("env_read_clean");
 }
 
@@ -211,67 +202,19 @@ fn recursive_shared_reads_tree_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// --fix-dead-allows: dry-run previews, the real thing rewrites
+// Usage errors and hard errors: exit 2 before any findings are produced
 // ---------------------------------------------------------------------------
-
-/// Copies a fixture tree into the target tmpdir so the fixer can write.
-fn scratch_copy(tree: &str, dest_name: &str) -> PathBuf {
-    let src = fixture(tree);
-    let dest = Path::new(env!("CARGO_TARGET_TMPDIR")).join(dest_name);
-    std::fs::remove_dir_all(&dest).ok();
-    std::fs::create_dir_all(dest.join("src")).expect("mkdir");
-    for rel in ["skylint.toml", "src/lib.rs"] {
-        std::fs::copy(src.join(rel), dest.join(rel)).expect("copy fixture file");
-    }
-    dest
-}
-
-#[test]
-fn fix_dead_allows_dry_run_prints_a_diff_and_writes_nothing() {
-    let tree = scratch_copy("dead_allow_bad", "fix_dry_run");
-    let before = std::fs::read_to_string(tree.join("src/lib.rs")).expect("read");
-    let out = skylint(&[
-        "check",
-        "--root",
-        tree.to_str().expect("utf-8 path"),
-        "--fix-dead-allows",
-        "--dry-run",
-    ]);
-    // Dry-run keeps check semantics: the dead-allow still counts.
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("- "), "expected a -/+ diff in:\n{stdout}");
-    assert!(stdout.contains("skylint: allow(no-panic-paths)"), "{stdout}");
-    let after = std::fs::read_to_string(tree.join("src/lib.rs")).expect("read");
-    assert_eq!(before, after, "--dry-run must not modify the tree");
-}
-
-#[test]
-fn fix_dead_allows_rewrites_the_tree_to_clean() {
-    let tree = scratch_copy("dead_allow_bad", "fix_apply");
-    let root = tree.to_str().expect("utf-8 path");
-    let out = skylint(&["check", "--root", root, "--fix-dead-allows"]);
-    // Repaired dead-allows no longer count as violations.
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("removed 1 stale allow"), "{stdout}");
-    let after = std::fs::read_to_string(tree.join("src/lib.rs")).expect("read");
-    assert!(!after.contains("skylint: allow"), "annotation must be gone:\n{after}");
-    // The rewritten tree now checks clean end to end.
-    let recheck = skylint(&["check", "--root", root]);
-    assert_eq!(recheck.status.code(), Some(0));
-}
 
 #[test]
 fn dry_run_without_fix_flag_is_a_usage_error() {
+    // `check` takes `--root` and nothing else: the retired flags are
+    // rejected like any unknown argument, not silently ignored.
     let root = fixture("clean_tree");
-    let out = skylint(&["check", "--root", root.to_str().expect("utf-8 path"), "--dry-run"]);
-    assert_eq!(out.status.code(), Some(2));
+    let root = root.to_str().expect("utf-8 path");
+    for flag in ["--dry-run", "--fix-dead-allows", "--json", "--quiet", "--bench-out", "--config"] {
+        assert_eq!(skylint(&["check", "--root", root, flag]).status.code(), Some(2), "{flag}");
+    }
 }
-
-// ---------------------------------------------------------------------------
-// Hard errors: exit 2 before any findings are produced
-// ---------------------------------------------------------------------------
 
 #[test]
 fn malformed_annotation_is_a_hard_error() {
@@ -288,55 +231,37 @@ fn unknown_config_section_is_a_hard_error() {
     assert!(stderr.contains("frobnicate"), "{stderr}");
 }
 
-// ---------------------------------------------------------------------------
-// Report formats
-// ---------------------------------------------------------------------------
-
 #[test]
-fn json_output_is_a_versioned_report_object() {
-    let root = fixture("bad_tree");
-    let out = skylint(&["check", "--json", "--root", root.to_str().expect("utf-8 path")]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.trim_start().starts_with('{'), "{stdout}");
-    assert!(stdout.contains("\"schema\": \"skylint-report/3\""), "{stdout}");
-    assert!(stdout.contains("\"rule\""), "{stdout}");
-    assert!(stdout.contains("\"line\""), "{stdout}");
-    assert!(stdout.contains("\"functions_analyzed\""), "{stdout}");
+fn misspelled_config_values_are_hard_errors() {
+    // Known keys whose values name nothing: a path missing under the
+    // root is reported before the scan, a designator matching no
+    // function after it — each with its key and the offending value.
+    let (code, stdout, stderr) = check_tree("misspelled_config_tree");
+    assert_eq!(code, Some(2), "stdout: {stdout}stderr: {stderr}");
+    assert!(stderr.contains("`rules.hot-path-alloc.scope-files` names `scr`"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+
+    let tree = Path::new(env!("CARGO_TARGET_TMPDIR")).join("misspelled_designator_tree");
+    std::fs::remove_dir_all(&tree).ok();
+    std::fs::create_dir_all(tree.join("src")).expect("mkdir");
+    let src = fixture("misspelled_config_tree");
+    std::fs::copy(src.join("src/lib.rs"), tree.join("src/lib.rs")).expect("copy source");
+    let toml = std::fs::read_to_string(src.join("skylint.toml")).expect("read policy");
+    std::fs::write(tree.join("skylint.toml"), toml.replace("\"scr\"", "\"src\"")).expect("write");
+    let out = skylint(&["check", "--root", tree.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("`rules.hot-path-alloc.kernels` names `kernal`"), "{stderr}");
 }
 
 #[test]
-fn json_report_matches_the_golden_file() {
-    let root = fixture("bad_tree");
-    let out = skylint(&["check", "--json", "--root", root.to_str().expect("utf-8 path")]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let golden = include_str!("golden/bad_tree.json");
-    assert_eq!(
-        stdout, golden,
-        "the --json report drifted from tests/golden/bad_tree.json; \
-         if the schema changed intentionally, bump REPORT_SCHEMA and \
-         regenerate the golden file"
-    );
-}
-
-#[test]
-fn bench_out_writes_a_record() {
-    let root = fixture("clean_tree");
-    let bench = Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_skylint_test.json");
-    let out = skylint(&[
-        "check",
-        "--quiet",
-        "--root",
-        root.to_str().expect("utf-8 path"),
-        "--bench-out",
-        bench.to_str().expect("utf-8 path"),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    let record = std::fs::read_to_string(&bench).expect("bench record written");
-    assert!(record.contains("\"skylint-bench/3\""), "{record}");
-    assert!(record.contains("\"files_scanned\""), "{record}");
-    assert!(record.contains("\"wall_ms\""), "{record}");
-    assert!(record.contains("\"findings_per_rule\""), "{record}");
+fn missing_policy_file_is_a_hard_error() {
+    // No skylint.toml means no policy, and no policy must not read as
+    // "clean": there is no built-in default to fall back to.
+    let root = fixture("clean_tree/src");
+    let out = skylint(&["check", "--root", root.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("skylint.toml"));
 }
 
 #[test]
@@ -344,12 +269,13 @@ fn explain_and_rules_subcommands() {
     let rules = skylint(&["rules"]);
     assert_eq!(rules.status.code(), Some(0));
     let listed = String::from_utf8_lossy(&rules.stdout);
-    for rule in RULE_IDS {
-        assert!(listed.contains(rule), "{listed}");
-        let explained = skylint(&["explain", rule]);
-        assert_eq!(explained.status.code(), Some(0), "explain {rule}");
-        assert!(!explained.stdout.is_empty(), "explain {rule} printed nothing");
+    assert_eq!(listed.lines().count(), RULE_IDS.len(), "{listed}");
+    for (rule, line) in RULE_IDS.iter().zip(listed.lines()) {
+        // `id — summary (DESIGN §9.n)`: DESIGN.md is the rationale's home.
+        assert!(line.starts_with(&format!("{rule} — ")), "{line}");
+        assert!(line.contains("(DESIGN §9."), "{line}");
     }
-    assert_eq!(skylint(&["explain", "bogus"]).status.code(), Some(2));
+    // `explain` went with its four-copies-of-the-rationale text.
+    assert_eq!(skylint(&["explain", "determinism"]).status.code(), Some(2));
     assert_eq!(skylint(&["frobnicate"]).status.code(), Some(2));
 }

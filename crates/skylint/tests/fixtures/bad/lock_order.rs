@@ -1,10 +1,11 @@
-//! Bad fixture: lock-protocol violations.
+//! Bad fixture: lock-protocol violations, one per function.
 
 use std::sync::RwLock;
 
 /// Shared state under the read-then-write protocol.
 pub struct Shared {
     inner: RwLock<Vec<u64>>,
+    log: RwLock<Vec<u64>>,
 }
 
 impl Shared {
@@ -18,10 +19,15 @@ impl Shared {
         self.inner.read().first().copied() // lock-order: browse
     }
 
-    /// Write acquired before read within one function.
+    /// Annotation contradicts the acquisition kind.
+    pub fn bump(&self) {
+        self.inner.write().push(1); // lock-order: read
+    }
+
+    /// A read phase entered while a write guard is still held.
     pub fn swap(&self) -> usize {
-        self.inner.write().push(1); // lock-order: write
-        let extra = 0;
-        self.inner.read().len() + extra // lock-order: read
+        let mut log = self.log.write(); // lock-order: write
+        log.push(1);
+        self.inner.read().len() // lock-order: read
     }
 }

@@ -1,5 +1,5 @@
 // A crate root that violates several policies at once: no `//!` docs,
-// no lint headers, an undocumented public item, and a hidden panic path.
+// no lint headers, and a hidden panic path.
 
 pub fn boom(xs: &[u64]) -> u64 {
     *xs.first().unwrap()

@@ -1,13 +1,8 @@
-//! Env-read-confinement bad fixture: ambient environment reads outside
-//! the designated pin function, in both path and macro form.
-//! `skylint check` must exit 1 with `env-read-confinement` findings.
+//! Environment-read bad fixture: library functions reading the process
+//! environment, in both path and macro form. `skylint check` must exit 1
+//! with a `determinism` finding for each.
 
-/// The designated pin — the one legal ambient read (see skylint.toml).
-pub fn pinned_mode() -> Option<String> {
-    std::env::var("FIXTURE_MODE").ok()
-}
-
-/// BAD: a scattered `env::var` read outside the pin function.
+/// BAD: an `env::var` read inside a library function.
 pub fn scattered() -> String {
     std::env::var("FIXTURE_MODE").unwrap_or_default()
 }

@@ -1,14 +1,8 @@
-//! Env-read-confinement clean fixture: exactly one ambient read, inside
-//! the registered pin function; everything downstream takes the value
-//! as explicit configuration. `skylint check` must exit 0.
+//! Environment-read clean fixture: the library takes its mode as explicit
+//! configuration; the one ambient read is pinned to the tool in
+//! `tools/main.rs`, outside `crates.library`. `skylint check` must exit 0.
 
-/// The designated pin — the one legal ambient read (see skylint.toml).
-pub fn pinned_mode() -> Option<String> {
-    std::env::var("FIXTURE_MODE").ok()
-}
-
-/// Resolves the effective mode from explicit configuration, falling
-/// back to the pin only through the designated function.
+/// Resolves the effective mode from explicit configuration.
 pub fn effective(explicit: Option<String>) -> String {
-    explicit.or_else(pinned_mode).unwrap_or_default()
+    explicit.unwrap_or_default()
 }

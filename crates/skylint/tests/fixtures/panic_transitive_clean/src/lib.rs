@@ -1,4 +1,4 @@
-//! Panic-reachability clean fixture: the same `api → mid → deep` chain as
+//! Transitive-panic clean fixture: the same `api → mid → deep` chain as
 //! the bad tree, but the deep helper handles the empty slice instead of
 //! indexing into it. Nothing propagates; `skylint check` must exit 0.
 

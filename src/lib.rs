@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub use skycache_algos as algos;
 pub use skycache_core as core;
