@@ -23,8 +23,8 @@ pub struct SkylineOutput {
     pub dominance_tests: u64,
 }
 
-/// Reusable buffer for the block-native skyline entry points
-/// ([`SkylineAlgorithm::compute_block`]): one `(score, row)` slot per
+/// Reusable buffer for the block-native skyline entry point
+/// ([`Sfs::compute_block_into`]): one `(score, row)` slot per
 /// input row, kept across queries so steady-state computation does not
 /// allocate.
 #[derive(Clone, Debug, Default)]
@@ -44,34 +44,17 @@ impl SkylineScratch {
     }
 }
 
-/// A pluggable in-memory skyline routine.
+/// An in-memory skyline routine.
 ///
-/// CBCS's benefit is orthogonal to this choice (paper, Section 7): the
-/// engine accepts any implementor.
+/// CBCS's benefit is orthogonal to this choice (paper, Section 7); the
+/// engine runs [`Sfs`] on flat rows ([`Sfs::compute_block_into`]), and
+/// the other implementors are the references the tests compare it with.
 pub trait SkylineAlgorithm: Send + Sync {
     /// Short identifier used in benchmark output.
     fn name(&self) -> &'static str;
 
     /// Computes the skyline of `points` (minimization in all dimensions).
     fn compute(&self, points: Vec<Point>) -> SkylineOutput;
-
-    /// Block-native variant: computes the skyline of the row-major
-    /// coordinate block `rows` (`dims` columns per row) into `out`,
-    /// returning `Some(dominance_tests)` — or `None` when the
-    /// implementation has no block path, in which case the caller
-    /// materializes [`Point`]s and falls back to
-    /// [`SkylineAlgorithm::compute`]. Implementations must fill `out` in
-    /// exactly the order `compute` would return, so the two paths are
-    /// interchangeable row for row.
-    fn compute_block(
-        &self,
-        _rows: &[f64],
-        _dims: usize,
-        _scratch: &mut SkylineScratch,
-        _out: &mut PointBlock,
-    ) -> Option<u64> {
-        None
-    }
 }
 
 /// Block-Nested-Loops (Börzsönyi et al., ICDE 2001), unbounded-window
@@ -272,16 +255,6 @@ impl SkylineAlgorithm for Sfs {
         let tests =
             self.compute_block_into(input.as_flat(), input.dims(), &mut scratch, &mut skyline);
         SkylineOutput { skyline: skyline.to_points(), dominance_tests: tests }
-    }
-
-    fn compute_block(
-        &self,
-        rows: &[f64],
-        dims: usize,
-        scratch: &mut SkylineScratch,
-        out: &mut PointBlock,
-    ) -> Option<u64> {
-        Some(self.compute_block_into(rows, dims, scratch, out))
     }
 }
 
@@ -485,9 +458,7 @@ mod tests {
         let input = PointBlock::from_points(&pts).unwrap();
         let mut scratch = SkylineScratch::new();
         let mut out = PointBlock::new(3).unwrap();
-        let tests = Sfs
-            .compute_block(input.as_flat(), 3, &mut scratch, &mut out)
-            .expect("SFS has a block path");
+        let tests = Sfs.compute_block_into(input.as_flat(), 3, &mut scratch, &mut out);
         assert_eq!(tests, want.dominance_tests);
         assert_eq!(out.to_points(), want.skyline, "same rows in the same order");
 
@@ -495,12 +466,9 @@ mod tests {
         let pts2 = pseudo_random_points(150, 3, 22);
         let want2 = Sfs.compute(pts2.clone());
         let input2 = PointBlock::from_points(&pts2).unwrap();
-        let tests2 = Sfs.compute_block(input2.as_flat(), 3, &mut scratch, &mut out).unwrap();
+        let tests2 = Sfs.compute_block_into(input2.as_flat(), 3, &mut scratch, &mut out);
         assert_eq!(tests2, want2.dominance_tests);
         assert_eq!(out.to_points(), want2.skyline);
-
-        // Algorithms without a block path opt out with None.
-        assert!(Bnl.compute_block(input.as_flat(), 3, &mut scratch, &mut out).is_none());
     }
 
     #[test]

@@ -44,12 +44,10 @@
 #![forbid(unsafe_code)]
 
 pub mod bbs;
-pub mod cardinality;
 mod inmem;
 pub mod planar;
 
 pub use bbs::{bbs_constrained, BbsOutput, BbsStats};
-pub use cardinality::{expected_skyline_size, sample_skyline_fraction, Adaptive};
 pub use inmem::{Bnl, DivideConquer, Salsa, Sfs, SkylineAlgorithm, SkylineOutput, SkylineScratch};
 pub use planar::{planar_applicable, planar_skyline_into, PLANAR_DIMS};
 

@@ -337,7 +337,7 @@ pub struct Cache {
     /// Candidate results turned away by the TinyLFU admission gate.
     admission_rejects: u64,
     /// Items individually examined by dynamic-data maintenance
-    /// ([`Cache::on_insert`]) — the `cache.maintenance_scans` metric.
+    /// ([`Cache::on_insert`]).
     maintenance_scans: u64,
 }
 
@@ -641,9 +641,9 @@ impl Cache {
     }
 
     /// Items individually examined by dynamic-data maintenance since
-    /// construction — the `cache.maintenance_scans` metric. With the
-    /// constraint R\*-tree this grows with the number of items whose
-    /// regions actually contain the inserted points, not with cache size.
+    /// construction. With the constraint R\*-tree this grows with the
+    /// number of items whose regions actually contain the inserted points,
+    /// not with cache size.
     pub fn maintenance_scans(&self) -> u64 {
         self.maintenance_scans
     }

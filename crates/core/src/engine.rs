@@ -9,10 +9,10 @@
 //! skyline computation).
 //!
 //! Queries enter through [`Executor::execute`] with a [`QueryRequest`] —
-//! constraints plus a per-query algorithm override and an opt-in
-//! recording flag — and return a [`QueryOutcome`]: the skyline (with the
-//! cached item's text of it when the cache held the answer as it is),
-//! the always-on [`QueryStats`] counters, and (when recording) a
+//! constraints plus an opt-in recording flag — and return a
+//! [`QueryOutcome`]: the skyline (with the cached item's text of it when
+//! the cache held the answer as it is), the always-on [`QueryStats`]
+//! counters, and (when recording) a
 //! [`skycache_obs::QueryReport`] with the six-phase span breakdown and the
 //! full metric registry. Instrumentation flows through the
 //! [`skycache_obs::Recorder`] interface; with recording off the pipeline
@@ -23,8 +23,9 @@
 //! `CbcsState::execute`: it searches the cache through a plain `&Cache`
 //! and mutates it through the `CacheAccess` trait, so the exclusive
 //! executors ([`CbcsExecutor`], [`DynamicCbcsExecutor`]) and the
-//! concurrent [`crate::SharedCbcsExecutor`] differ only in the cache
-//! handle they pass in.
+//! concurrent [`crate::Session`] differ only in the cache handle they
+//! pass in. The in-memory skyline stage is SFS, as in the paper's
+//! evaluation.
 //!
 //! Wall-clock figures combine measured CPU time with the deterministic
 //! simulated I/O latency of the table's [`skycache_storage::CostModel`]
@@ -37,62 +38,28 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use skycache_algos::{
-    bbs_constrained, BbsStats, Bnl, DivideConquer, Salsa, Sfs, SkylineAlgorithm, SkylineScratch,
-};
+use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
 use skycache_geom::{Aabb, Constraints, Point, PointBlock};
 use skycache_obs::{names, Phase, QueryRecorder, QueryReport, Recorder};
 use skycache_rtree::{RStarTree, RTreeParams};
 use skycache_storage::{FetchBuf, FetchPlan, FetchScratch, Table};
 
 use crate::cache::{Cache, ItemCost, ReplacementPolicy};
-use crate::cases::{plan_composed, plan_with_extra, ComposedPlan, QueryPlan};
+use crate::cases::{plan_parts, QueryPlan};
 use crate::clock::Stopwatch;
 use crate::mpr::MprMode;
 use crate::stability::{classify, Overlap};
 use crate::strategy::SearchStrategy;
 use crate::{CoreError, Result};
 
-/// The in-memory skyline algorithm of a [`QueryRequest`].
-///
-/// Executors default to SFS, as in the paper's evaluation; a request may
-/// swap it per query without rebuilding the executor or its cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AlgoChoice {
-    /// Sort-Filter-Skyline (the paper's evaluation default).
-    #[default]
-    Sfs,
-    /// Block-Nested-Loops.
-    Bnl,
-    /// Divide-and-conquer.
-    DivideConquer,
-    /// SaLSa (sort and limit skyline algorithm).
-    Salsa,
-}
-
-impl AlgoChoice {
-    /// The algorithm implementation behind this choice.
-    pub fn algorithm(self) -> &'static dyn SkylineAlgorithm {
-        match self {
-            AlgoChoice::Sfs => &Sfs,
-            AlgoChoice::Bnl => &Bnl,
-            AlgoChoice::DivideConquer => &DivideConquer,
-            AlgoChoice::Salsa => &Salsa,
-        }
-    }
-}
-
 /// One constrained-skyline query, as handed to [`Executor::execute`].
 ///
-/// Built with [`QueryRequest::new`] plus the builder methods; the plain
-/// `new` form reproduces the executor's configured behavior exactly.
+/// Built with [`QueryRequest::new`], plus [`QueryRequest::recorded`] to
+/// capture a report.
 #[derive(Clone, Debug)]
 pub struct QueryRequest {
     /// The query constraints `C`.
     pub constraints: Constraints,
-    /// Per-query skyline-algorithm override (`None` — SFS). Ignored by
-    /// [`BbsExecutor`], whose traversal *is* its algorithm.
-    pub algo: Option<AlgoChoice>,
     /// Capture a per-query [`QueryReport`] (spans, counters, gauges,
     /// histograms). Off by default: the report costs allocations.
     pub record: bool,
@@ -101,13 +68,7 @@ pub struct QueryRequest {
 impl QueryRequest {
     /// A request answering `Sky(S, C)` with the executor's configuration.
     pub fn new(constraints: Constraints) -> Self {
-        QueryRequest { constraints, algo: None, record: false }
-    }
-
-    /// Overrides the in-memory skyline algorithm for this query only.
-    pub fn with_algo(mut self, algo: AlgoChoice) -> Self {
-        self.algo = Some(algo);
-        self
+        QueryRequest { constraints, record: false }
     }
 
     /// Turns on per-query recording ([`QueryOutcome::report`]).
@@ -214,6 +175,9 @@ pub(crate) struct QueryScratch {
     /// across queries so the lookup path allocates nothing in steady
     /// state (mirrors [`FetchScratch`] on the storage side).
     pub(crate) lookup_ids: Vec<u64>,
+    /// Ids of the cached items handed to the planner, primary first;
+    /// reused like `lookup_ids`.
+    part_ids: Vec<u64>,
 }
 
 impl QueryScratch {
@@ -312,35 +276,20 @@ fn merge_rows(
     }
 }
 
-/// The skyline stage: runs `algo` on flat rows in place (d = 2 inputs
-/// take the planar sweep inside the block kernel's own dispatch),
-/// materializing owned points only for the returned skyline. Algorithms
-/// without a block kernel ([`SkylineAlgorithm::compute_block`] returning
-/// `None`) materialize the rows and run their Vec implementation.
-/// Dominance tests go to the probe.
+/// The skyline stage: SFS on flat rows in place (d = 2 inputs take the
+/// planar sweep inside the block kernel's own dispatch), materializing
+/// owned points only for the returned skyline. Dominance tests go to the
+/// probe.
 fn compute_skyline_rows(
-    algo: &dyn SkylineAlgorithm,
     rows: &[f64],
     dims: usize,
     sky: &mut SkylineScratch,
     out: &mut PointBlock,
     probe: &mut Probe<'_>,
 ) -> Vec<Point> {
-    match algo.compute_block(rows, dims, sky, out) {
-        Some(tests) => {
-            probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, tests);
-            out.to_points()
-        }
-        None => {
-            // No block kernel (BNL, D&C, SaLSa): materialize and run the
-            // Vec-based algorithm.
-            let points: Vec<Point> =
-                rows.chunks_exact(dims).map(|r| Point::new_unchecked(r.to_vec())).collect();
-            let computed = algo.compute(points);
-            probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, computed.dominance_tests);
-            computed.skyline
-        }
-    }
+    let tests = Sfs.compute_block_into(rows, dims, sky, out);
+    probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, tests);
+    out.to_points()
 }
 
 /// The Figure-10 stage breakdown of one query.
@@ -460,11 +409,8 @@ impl QueryStats {
 
 /// A constrained-skyline query executor.
 pub trait Executor {
-    /// Human-readable method name (used by benchmark output).
-    fn name(&self) -> String;
-
     /// Answers the request: `Sky(S, C)` for its constraints, honoring its
-    /// overrides and recording flag.
+    /// recording flag.
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome>;
 }
 
@@ -480,8 +426,8 @@ pub(crate) fn check_dims(table: &Table, c: &Constraints) -> Result<()> {
 // ---------------------------------------------------------------------------
 
 /// The naive method of Börzsönyi et al.: one range query fetching all of
-/// `S_C`, then an in-memory skyline algorithm (SFS by default, as in the
-/// paper's evaluation).
+/// `S_C`, then the in-memory skyline algorithm (SFS, as in the paper's
+/// evaluation).
 pub struct BaselineExecutor<'t> {
     table: &'t Table,
     scratch: QueryScratch,
@@ -495,19 +441,14 @@ impl<'t> BaselineExecutor<'t> {
 }
 
 impl Executor for BaselineExecutor<'_> {
-    fn name(&self) -> String {
-        "Baseline".into()
-    }
-
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         let c = &req.constraints;
         check_dims(self.table, c)?;
-        let algo = req.algo.unwrap_or_default().algorithm();
 
         let mut stats = QueryStats::default();
         let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
         let mut probe = Probe::new(&mut stats, rec.as_mut());
-        let skyline = query_naive(self.table, algo, c, &mut self.scratch, &mut probe);
+        let skyline = query_naive(self.table, c, &mut self.scratch, &mut probe);
         probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
 
         Ok(QueryOutcome { skyline, text: None, stats, report: rec.map(QueryRecorder::into_report) })
@@ -518,57 +459,35 @@ impl Executor for BaselineExecutor<'_> {
 // BBS
 // ---------------------------------------------------------------------------
 
-/// Configuration of the BBS executor's I/O accounting.
-#[derive(Clone, Copy, Debug)]
-pub struct BbsConfig {
-    /// Simulated latency per R-tree node access (one page read).
-    pub node_ns: u64,
-    /// R-tree fan-out parameters.
-    pub params: RTreeParams,
-}
-
-impl Default for BbsConfig {
-    fn default() -> Self {
-        // A node access is a random page read on a cold cache — same
-        // order as the range executor's per-seek charge, scaled down
-        // because R-tree traversals enjoy some upper-level locality.
-        BbsConfig { node_ns: 2_000_000, params: RTreeParams::default() }
-    }
-}
+/// Simulated latency per R-tree node access (one page read): a random
+/// page read on a cold cache — same order as the range executor's
+/// per-seek charge, scaled down because R-tree traversals enjoy some
+/// upper-level locality.
+const BBS_NODE_NS: u64 = 2_000_000;
 
 /// The I/O-optimal BBS method of Papadias et al. over an STR-bulk-loaded
 /// R\*-tree of the dataset.
 ///
-/// BBS's branch-and-bound traversal *is* its algorithm, so the
-/// [`QueryRequest::algo`] override is ignored; recording still works
-/// (fetch/skyline spans, dominance tests, points read).
+/// BBS's branch-and-bound traversal *is* its skyline algorithm;
+/// recording works as for the others (fetch/skyline spans, dominance
+/// tests, points read).
 pub struct BbsExecutor<'t> {
     table: &'t Table,
     tree: RStarTree<u32>,
-    config: BbsConfig,
 }
 
 impl<'t> BbsExecutor<'t> {
     /// Builds the dataset R-tree (STR bulk load) and the executor.
     pub fn new(table: &'t Table) -> Self {
-        Self::with_config(table, BbsConfig::default())
-    }
-
-    /// Creates an executor with explicit I/O accounting parameters.
-    pub fn with_config(table: &'t Table, config: BbsConfig) -> Self {
         let tree = RStarTree::bulk_load_points(
             table.all_points().iter().enumerate().map(|(i, p)| (p.clone(), i as u32)),
-            config.params,
+            RTreeParams::default(),
         );
-        BbsExecutor { table, tree, config }
+        BbsExecutor { table, tree }
     }
 }
 
 impl Executor for BbsExecutor<'_> {
-    fn name(&self) -> String {
-        "BBS".into()
-    }
-
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         let c = &req.constraints;
         check_dims(self.table, c)?;
@@ -583,10 +502,8 @@ impl Executor for BbsExecutor<'_> {
         // BBS interleaves I/O and computation; attribute the simulated
         // node-access latency to fetching and the measured CPU time to the
         // skyline stage.
-        probe.record_span(
-            Phase::Fetch,
-            Duration::from_nanos(self.config.node_ns * out.stats.node_accesses),
-        );
+        probe
+            .record_span(Phase::Fetch, Duration::from_nanos(BBS_NODE_NS * out.stats.node_accesses));
         probe.record_span(Phase::Skyline, wall);
         probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, out.stats.dominance_tests);
         probe.add_counter(
@@ -762,7 +679,6 @@ impl CbcsState {
         let c = &req.constraints;
         check_dims(table, c)?;
         let CbcsState { config, rng, data_bounds, scratch } = self;
-        let algo = req.algo.unwrap_or_default().algorithm();
 
         let mut stats = QueryStats::default();
         let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
@@ -772,9 +688,9 @@ impl CbcsState {
         // strategy, classification, MPR. The lookup fills the reused id
         // scratch (cover-ordered); candidate items are resolved lazily
         // through the cache, so no per-query `Vec<&CacheItem>` is built,
-        // and the plans own their points, so nothing borrowed from the
+        // and the plan owns its points, so nothing borrowed from the
         // cache survives into the fetch.
-        let selection: Option<Selection> = cache.read(|items| {
+        let selection: Option<(QueryPlan, Option<Arc<str>>)> = cache.read(|items| {
             let t0 = Stopwatch::start();
             let lookup = items.lookup_into(c, &mut scratch.lookup_ids);
             let ids: &[u64] = &scratch.lookup_ids;
@@ -791,103 +707,75 @@ impl CbcsState {
             probe.record_span(Phase::CaseAnalysis, t1.elapsed());
             let primary = item(ids[picked?]);
 
-            // Compositional answering (DESIGN.md §17.3): when enabled and
-            // the primary has no free-solution fast path, try composing
-            // the cover-ordered candidates into one remainder plan.
-            // `plan_composed` reports `None` when fewer than two items
-            // contribute — then the single-item path below runs, so the
-            // pinned single-item geometry is untouched.
-            if config.compose
-                && config.compose_items >= 2
+            // The cached items handed to the planner, primary first. The
+            // multi-item mechanisms add to the list only when the primary
+            // has no free-solution fast path: compositional answering
+            // (DESIGN.md §17.3) the next cover-ordered candidates, which
+            // may subtract their trusted space like the primary; the
+            // Section 6.3 harvest the next-best remaining items by
+            // constraint overlap, which only lend pruning points.
+            let parts = &mut scratch.part_ids;
+            parts.clear();
+            parts.push(primary.id);
+            let mut trusted = 1;
+            if (config.compose || config.extra_items > 0)
                 && ids.len() >= 2
                 && !matches!(
                     classify(&primary.constraints, c),
                     Overlap::Exact | Overlap::CaseB { .. }
                 )
             {
-                let mut part_ids: Vec<u64> = Vec::with_capacity(config.compose_items);
-                part_ids.push(primary.id);
-                part_ids.extend(
-                    ids.iter()
-                        .copied()
-                        .filter(|&id| id != primary.id)
-                        .take(config.compose_items - 1),
-                );
-                let parts: Vec<(&Constraints, &PointBlock)> = part_ids
-                    .iter()
-                    .map(|&id| item(id))
-                    .map(|it| (&it.constraints, &*it.skyline))
-                    .collect();
-                let t2 = Stopwatch::start();
-                let composed = plan_composed(&parts, c, config.mpr, data_bounds);
-                probe.record_span(Phase::MprCompute, t2.elapsed());
-                if let Some(composed) = composed {
-                    // Every candidate overlaps the query, so contributors
-                    // are exactly the first `items_used` parts in order.
-                    part_ids.truncate(composed.items_used);
-                    return Some(Selection::Composed(part_ids, composed));
+                if config.compose {
+                    let others = ids.iter().copied().filter(|&id| id != primary.id);
+                    parts.extend(others.take(config.compose_items.saturating_sub(1)));
+                    trusted = parts.len();
+                }
+                if config.extra_items > 0 {
+                    let mut others: Vec<u64> =
+                        ids.iter().copied().filter(|id| !parts.contains(id)).collect();
+                    // total_cmp: overlap volumes of partially unbounded
+                    // regions may be inf or NaN (0·inf).
+                    others.sort_by(|&a, &b| {
+                        let va = c.overlap_volume(&item(a).constraints);
+                        let vb = c.overlap_volume(&item(b).constraints);
+                        vb.total_cmp(&va)
+                    });
+                    parts.extend(others.into_iter().take(config.extra_items));
                 }
             }
-
-            // Section 6.3 extension: harvest extra pruning points
-            // from the next-best items by constraint overlap.
-            let extra: Vec<Point> = if config.extra_items > 0 {
-                let mut others: Vec<u64> =
-                    ids.iter().copied().filter(|&id| id != primary.id).collect();
-                // total_cmp: overlap volumes of partially unbounded
-                // regions may be inf or NaN (0·inf).
-                others.sort_by(|&a, &b| {
-                    let va = c.overlap_volume(&item(a).constraints);
-                    let vb = c.overlap_volume(&item(b).constraints);
-                    vb.total_cmp(&va)
-                });
-                others
-                    .into_iter()
-                    .take(config.extra_items)
-                    .flat_map(|id| item(id).skyline.to_points())
-                    .collect()
-            } else {
-                Vec::new()
-            };
             let t2 = Stopwatch::start();
-            let plan =
-                plan_with_extra(&primary.constraints, &primary.skyline, &extra, c, config.mpr);
+            let blocks = parts.iter().map(|&id| item(id)).map(|it| (&it.constraints, &*it.skyline));
+            let plan = plan_parts(blocks, trusted, c, config.mpr, data_bounds);
             probe.record_span(Phase::MprCompute, t2.elapsed());
             // An exact hit returns the item's skyline as it is, so the
             // item's text of it — rendered here if this is its first
             // exact hit — is the answer's text.
             let text = (plan.overlap == Overlap::Exact).then(|| primary.skyline_text());
-            Some(Selection::Single(primary.id, plan, text))
+            Some((plan, text))
         });
 
         let mut text = None;
         let skyline = match selection {
             None => {
                 probe.add_counter(names::CACHE_MISSES, 1);
-                query_naive(table, algo, c, scratch, &mut probe)
+                query_naive(table, c, scratch, &mut probe)
             }
-            Some(selection) => {
+            Some((plan, item_text)) => {
                 probe.add_counter(names::CACHE_HITS, 1);
                 probe.stats.cache_hit = true;
-                let plan = match selection {
-                    Selection::Single(item_id, plan, item_text) => {
-                        probe.stats.composed_items = 1;
-                        cache.touch(item_id);
-                        text = item_text;
-                        plan
-                    }
-                    Selection::Composed(part_ids, composed) => {
-                        probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
-                        probe.stats.composed_items = composed.items_used;
-                        probe.stats.cover_fraction = composed.cover_fraction;
-                        probe.set_gauge(names::CACHE_COVER_FRACTION, composed.cover_fraction);
-                        for &id in &part_ids {
-                            cache.touch(id);
-                        }
-                        composed.plan
-                    }
-                };
-                query_planned(table, algo, plan, scratch, &mut probe)
+                probe.stats.composed_items = plan.parts_used;
+                if plan.parts_used >= 2 {
+                    probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
+                    probe.stats.cover_fraction = plan.cover_fraction;
+                    probe.set_gauge(names::CACHE_COVER_FRACTION, plan.cover_fraction);
+                }
+                // Every candidate overlaps the query, so the items whose
+                // trusted space the plan rests on lead the list.
+                for &id in scratch.part_ids.iter().take(plan.parts_used) {
+                    cache.touch(id);
+                }
+                text = item_text;
+                query_planned(table, plan, scratch, &mut probe)
             }
         };
         probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
@@ -921,18 +809,6 @@ impl CbcsState {
     }
 }
 
-/// What the processing stage decided for one query: answer from a single
-/// cached item (with optional harvested pruning points folded into its
-/// plan) or compose several cached items' trusted space.
-enum Selection {
-    /// Primary item id plus its single-item plan and, on an exact hit,
-    /// the item's text of its skyline.
-    Single(u64, QueryPlan, Option<Arc<str>>),
-    /// Contributing item ids (cover-ordered, primary first) plus the
-    /// composed remainder plan.
-    Composed(Vec<u64>, ComposedPlan),
-}
-
 /// The paper's contribution: Cache-Based Constrained Skyline, over a
 /// borrowed table and an exclusively owned cache. The query flow is
 /// `CbcsState::execute`.
@@ -954,11 +830,6 @@ impl<'t> CbcsExecutor<'t> {
         &self.cache
     }
 
-    /// Drops all cached items.
-    pub fn clear_cache(&mut self) {
-        self.cache = self.state.config.new_cache(self.table.dims());
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &CbcsConfig {
         &self.state.config
@@ -966,10 +837,6 @@ impl<'t> CbcsExecutor<'t> {
 }
 
 impl Executor for CbcsExecutor<'_> {
-    fn name(&self) -> String {
-        format!("CBCS[{}]", self.state.config.mpr.label())
-    }
-
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         self.state.execute(self.table, &mut self.cache, req)
     }
@@ -980,7 +847,6 @@ impl Executor for CbcsExecutor<'_> {
 /// rows.
 pub(crate) fn query_naive(
     table: &Table,
-    algo: &dyn SkylineAlgorithm,
     c: &Constraints,
     scratch: &mut QueryScratch,
     probe: &mut Probe<'_>,
@@ -991,7 +857,7 @@ pub(crate) fn query_naive(
     let dims = table.dims();
     let QueryScratch { fetch, sky, sky_out, .. } = scratch;
     let out = reuse_block(sky_out, dims);
-    let skyline = compute_skyline_rows(algo, fetch.rows().coords(), dims, sky, out, probe);
+    let skyline = compute_skyline_rows(fetch.rows().coords(), dims, sky, out, probe);
     probe.record_span(Phase::Skyline, t1.elapsed());
     skyline
 }
@@ -1024,7 +890,6 @@ fn fetch_into_scratch(
 /// points, and run the skyline kernel over the merged block.
 pub(crate) fn query_planned(
     table: &Table,
-    algo: &dyn SkylineAlgorithm,
     plan: QueryPlan,
     scratch: &mut QueryScratch,
     probe: &mut Probe<'_>,
@@ -1050,7 +915,7 @@ pub(crate) fn query_planned(
 
         let t2 = Stopwatch::start();
         let out = reuse_block(sky_out, dims);
-        let skyline = compute_skyline_rows(algo, merged.as_flat(), dims, sky, out, probe);
+        let skyline = compute_skyline_rows(merged.as_flat(), dims, sky, out, probe);
         probe.record_span(Phase::Skyline, t2.elapsed());
         skyline
     } else {
@@ -1116,10 +981,6 @@ impl DynamicCbcsExecutor {
 }
 
 impl Executor for DynamicCbcsExecutor {
-    fn name(&self) -> String {
-        format!("DynamicCBCS[{}]", self.state.config.mpr.label())
-    }
-
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         self.state.execute(&self.table, &mut self.cache, req)
     }
@@ -1453,26 +1314,6 @@ mod tests {
         let report = out.report.unwrap();
         assert_eq!(report.counter(names::FETCH_POINTS_READ), out.stats.points_read);
         assert_eq!(report.counter(names::SKYLINE_RESULT_SIZE), out.stats.result_size);
-    }
-
-    #[test]
-    fn request_overrides_exec_and_algo() {
-        let table = grid_table();
-        let cc = c(&[(0.0, 1.9), (0.0, 1.9)]);
-        let mut ex = BaselineExecutor::new(&table);
-        let base = run(&mut ex, &cc);
-        for req in [
-            QueryRequest::new(cc.clone()).with_algo(AlgoChoice::Bnl),
-            QueryRequest::new(cc.clone()).with_algo(AlgoChoice::DivideConquer),
-            QueryRequest::new(cc.clone()).with_algo(AlgoChoice::Salsa),
-        ] {
-            let mut got = ex.execute(&req).unwrap().skyline;
-            let mut want = base.skyline.clone();
-            let key = |x: &Point| (x[0].to_bits(), x[1].to_bits());
-            got.sort_by_key(key);
-            want.sort_by_key(key);
-            assert_eq!(got, want, "override {req:?} diverged");
-        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * [`stability`] — the stability theory of Section 4.1 (Definition 4,
 //!   Theorem 1) and the classification of a cached-query/new-query pair
 //!   into the paper's overlap cases;
-//! * [`cases`] — the specialized solutions for the four incremental
-//!   single-bound changes (Theorems 2–5);
+//! * [`cases`] — the planner: the specialized solutions for the four
+//!   incremental single-bound changes (Theorems 2–5) and the general MPR,
+//!   for one cached item or several (harvested or composed);
 //! * [`mpr`] — the Missing Points Region of Section 5: the minimal
 //!   possibly-disjoint region that must be fetched from disk (Definition
 //!   5, complete and minimal per Theorems 6–7), computed by
@@ -25,9 +26,10 @@
 //!   paper's evaluation plots — plus the extensions the paper sketches as
 //!   future work: [`DynamicCbcsExecutor`] (dynamic data, Section 6.2),
 //!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3), and a
-//!   thread-safe [`SharedCache`] for multi-user deployments. The CBCS
-//!   query flow is written once; the single-user, dynamic and shared
-//!   executors differ only in how they reach their cache.
+//!   thread-safe [`SharedCache`] behind the [`Service`] for multi-user
+//!   deployments. The CBCS query flow is written once; the single-user
+//!   and dynamic executors and the service's [`Session`] differ only in
+//!   how they reach their cache.
 //!
 //! ```
 //! use skycache_core::{CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest};
@@ -84,15 +86,14 @@ pub mod strategy;
 pub use cache::{
     render_points, Cache, CacheItem, FrequencySketch, ItemCost, LookupStats, ReplacementPolicy,
 };
-pub use cases::{plan_composed, ComposedPlan};
 pub use engine::{
-    AlgoChoice, BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, DynamicCbcsExecutor,
-    Executor, QueryOutcome, QueryRequest, QueryStats, StageTimes,
+    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, DynamicCbcsExecutor, Executor,
+    QueryOutcome, QueryRequest, QueryStats, StageTimes,
 };
 pub use error::CoreError;
-pub use mpr::{missing_points_region, missing_points_region_multi, MprMode, MprOutput};
+pub use mpr::{missing_points_region, MprMode, MprOutput};
 pub use service::{Service, ServiceConfig, ServiceMetrics, Session};
-pub use shared::{SharedCache, SharedCbcsExecutor};
+pub use shared::SharedCache;
 pub use stability::{classify, is_stable, Overlap};
 pub use strategy::SearchStrategy;
 

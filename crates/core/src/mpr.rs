@@ -26,9 +26,11 @@
 //! superset that trades extra points read for drastically fewer range
 //! queries (Section 5.3).
 
+use std::collections::BTreeMap;
+
 use skycache_geom::dominance::dominance_box_coords;
-use skycache_geom::subtract::{disjoint_union, subtract_box, subtract_box_from_all};
-use skycache_geom::{Constraints, HyperRect, Interval, Point, PointBlock};
+use skycache_geom::subtract::{disjoint_union, subtract_box_from_all, subtract_box_into};
+use skycache_geom::{Aabb, Constraints, HyperRect, Interval, PointBlock};
 
 /// Exact or approximate MPR computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +71,13 @@ pub struct MprOutput {
     pub prune_points_used: usize,
     /// Disjoint pieces contributed by the invalidated (unstable) region.
     pub invalidated_pieces: usize,
+    /// Cached items that subtracted trusted space (1 for single-item
+    /// answering, ≥ 2 for a composition).
+    pub parts_used: usize,
+    /// Fraction of the query region's volume (clamped to the data bounds)
+    /// that the parts covered — the `cache.cover_fraction` metric; 0.0
+    /// unless `parts_used ≥ 2`.
+    pub cover_fraction: f64,
 }
 
 /// Computes the (approximate) Missing Points Region.
@@ -84,98 +93,196 @@ pub fn missing_points_region(
     new: &Constraints,
     mode: MprMode,
 ) -> MprOutput {
-    missing_points_region_multi(old, cached_skyline, &[], new, mode)
+    // One part measures no cover fraction, so the bounds go unread.
+    missing_points_region_parts([(old, cached_skyline)], 1, new, mode, new.aabb())
 }
 
-/// Multi-item variant (the paper's Section 6.3 extension): `extra_points`
-/// are skyline points taken from *other* overlapping cache items.
+/// The MPR of `new` against one to N cached items (`parts`, the
+/// strategy-selected primary first). The first `trusted` parts subtract
+/// their *trusted* space — their overlap with `R_C′` minus what their
+/// removed skyline rows invalidate — from the unknown region: 1 is the
+/// paper's single-item answering, more is composition (DESIGN.md §17.3).
+/// Later parts are harvested (the paper's Section 6.3 extension): they
+/// only add pruning points. Every part pools its rows that satisfy `C′`,
+/// and parts reached after nothing is left unknown are not used at all.
 ///
-/// Soundness: for any stored point `u` satisfying `C′`, every point of
-/// `DR(u, C′)` is dominated by `u` and hence excluded from `Sky(S, C′)` —
-/// regardless of which cached query produced `u` — so subtracting its
-/// dominance region from the MPR never loses a result point, *provided*
-/// `u` itself joins the merge set. Completeness of the final skyline also
-/// holds for extra points that are not themselves in `Sky(S, C′)`: if
-/// some `v ≺ u` exists in `S_C′`, then `v` is either a retained point, a
-/// fetched point, or itself dominated by a pruning point `w` (and then
-/// `w ≺ u` with `w` in the merge set), so `u` is always filtered out by
-/// the final skyline computation. The returned `retained` therefore
-/// includes the surviving extra points.
+/// Soundness of subtracting trusted space, per part `i`: any skyline
+/// point of `C′` inside `R_Ci ∩ R_C′` is either in `i`'s cached skyline
+/// (→ retained) or dominated by a removed row of `i` (→ that row's
+/// dominance region is unknown again), so no result point is lost.
+///
+/// Soundness of pooling: for any stored point `u` satisfying `C′`, every
+/// point of `DR(u, C′)` is dominated by `u` and hence excluded from
+/// `Sky(S, C′)` — regardless of which cached query produced `u` — so
+/// subtracting its dominance region never loses a result point,
+/// *provided* `u` itself joins the merge set. Completeness of the final
+/// skyline also holds for pooled points that are not themselves in
+/// `Sky(S, C′)`: if some `v ≺ u` exists in `S_C′`, then `v` is either a
+/// retained point, a fetched point, or itself dominated by a pruning
+/// point `w` (and then `w ≺ u` with `w` in the merge set), so `u` is
+/// always filtered out by the final skyline computation.
+///
+/// Duplicate rows: the closed box `DR(u, C′)` contains `u`'s own
+/// coordinates, so pruning with `u` un-fetches *every* stored copy of it.
+/// That is exact because every copy of a cached skyline row lies in the
+/// same item — equal rows satisfy the same constraints and do not
+/// dominate one another — provided the pool keeps them all: a row joins
+/// only beyond the copies already pooled, counted per part, so the pool
+/// holds each row as often as the part that holds it most often.
+///
+/// `cover_fraction` is measured (against `data_bounds`) only when two or
+/// more parts subtracted space.
 ///
 /// # Panics
 /// Panics if dimensionalities differ.
-pub fn missing_points_region_multi(
-    old: &Constraints,
-    cached_skyline: &PointBlock,
-    extra_points: &[Point],
+pub(crate) fn missing_points_region_parts<'a>(
+    parts: impl IntoIterator<Item = (&'a Constraints, &'a PointBlock)>,
+    trusted: usize,
     new: &Constraints,
     mode: MprMode,
+    data_bounds: &Aabb,
 ) -> MprOutput {
-    assert_eq!(old.dims(), new.dims(), "constraints dimensionality mismatch");
-
-    let new_region = new.region();
-
-    // Step 1: unknown space = R_C′ \ overlap (Algorithm 1 lines 2–12).
-    let mut regions = match old.overlap_region(new) {
-        Some(overlap) => subtract_box(&new_region, &overlap),
-        None => vec![new_region],
-    };
-
-    // Partition the cached skyline by the new constraints. Retained rows
-    // are copied into a columnar block (two buffer allocations per plan,
-    // not one `Point` clone per row); removed rows stay as indices into
-    // the cached block.
+    let region = new.region();
+    // `None`: nothing subtracted yet, all of `region` is unknown.
+    let mut unknown: Option<Vec<HyperRect>> = None;
     let mut retained = PointBlock::new(new.dims())
         // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
         .expect("constraints are at least one-dimensional");
+    // Built when a second part contributes rows, so single-item planning
+    // never keys a row.
+    let mut pool: Option<Pool> = None;
     let mut removed: Vec<usize> = Vec::new();
-    for (i, row) in cached_skyline.rows().enumerate() {
-        if new.satisfies_coords(row) {
-            retained.push_row(row);
+    let mut removed_points = 0;
+    let mut invalidated_pieces = 0;
+    let mut parts_used = 0;
+
+    for (i, (old, cached)) in parts.into_iter().enumerate() {
+        assert_eq!(old.dims(), new.dims(), "constraints dimensionality mismatch");
+        let current = unknown.as_deref().unwrap_or(std::slice::from_ref(&region));
+        if current.is_empty() {
+            break;
+        }
+        // Partition this part's skyline under C′: satisfying rows are
+        // copied into the columnar pool (not one `Point` clone per row),
+        // removed rows stay as indices into the cached block.
+        let (first, trusts) = (retained.is_empty(), i < trusted);
+        if let Some(pool) = &mut pool {
+            pool.values_mut().for_each(|copies| copies.1 = 0);
+        }
+        removed.clear();
+        for (r, row) in cached.rows().enumerate() {
+            if !new.satisfies_coords(row) {
+                if trusts {
+                    removed.push(r);
+                }
+            } else if first {
+                retained.push_row(row);
+            } else {
+                pool_row(&mut pool, &mut retained, row);
+            }
+        }
+        if !trusts {
+            continue; // harvested: pruning points only
+        }
+        removed_points += removed.len();
+        // The space this part invalidates inside R_C′ (the unstable
+        // preprocessing); it lies inside the overlap box.
+        let pieces = invalidated_space(cached, &removed, old, new, mode);
+        invalidated_pieces += pieces.len();
+        if let Some(overlap) = old.overlap_region(new) {
+            unknown = Some(cover_step(current, &overlap, pieces));
+            parts_used += 1;
+        }
+    }
+    let unknown = unknown.unwrap_or_else(|| vec![region]);
+
+    // Before dominance pruning: how much of the query region the cache
+    // itself accounted for, clamped to the data bounds so partially
+    // unbounded constraint boxes still measure finitely.
+    let cover_fraction = if parts_used < 2 {
+        0.0
+    } else {
+        let bounds = data_bounds.to_rect();
+        let clamped = |r: &HyperRect| r.intersection(&bounds).map_or(0.0, |i| i.volume());
+        let total = clamped(&new.region());
+        let missing: f64 = unknown.iter().map(clamped).sum();
+        if total.is_finite() && total > 0.0 {
+            ((total - missing) / total).clamp(0.0, 1.0)
+        } else if unknown.is_empty() {
+            1.0
         } else {
-            removed.push(i);
+            0.0
         }
-    }
+    };
 
-    // Adopt extra pruning points from other cache items (deduplicated
-    // against the primary item's retained points by coordinates).
-    if !extra_points.is_empty() {
-        // BTreeSet for the determinism policy (membership-only here, but
-        // keeping hash collections out of planning paths is the point).
-        let mut seen: std::collections::BTreeSet<Vec<u64>> =
-            retained.rows().map(|r| r.iter().map(|c| c.to_bits()).collect()).collect();
-        for p in extra_points {
-            if !new.satisfies(p) {
-                continue;
-            }
-            let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
-            if seen.insert(key) {
-                retained.push_row(p.coords());
-            }
-        }
-    }
-
-    // Step 2: invalidated space (the unstable preprocessing). It lies
-    // inside the overlap region, hence disjoint from step 1.
-    let invalidated = invalidated_space(cached_skyline, &removed, old, new, mode);
-    let invalidated_pieces = invalidated.len();
-    regions.extend(invalidated);
-
-    let (regions, prune_points_used) = prune_regions(regions, &retained, new, mode);
-
+    let (regions, prune_points_used) = prune_regions(unknown, &retained, new, mode);
     MprOutput {
         regions,
         retained,
-        removed_points: removed.len(),
+        removed_points,
         prune_points_used,
         invalidated_pieces,
+        parts_used,
+        cover_fraction,
     }
+}
+
+/// Row identity (`to_bits` per coordinate) → (copies pooled, copies met
+/// in the part being pooled). A BTreeMap for the determinism policy.
+type Pool = BTreeMap<Vec<u64>, (usize, usize)>;
+
+/// Pools one row of a part after the first contributing one: it joins
+/// `retained` only beyond the copies already there, so the pool ends up
+/// holding each row as often as the part that holds it most often — parts
+/// that share a stored row add it once, and a row stored twice stays
+/// twice.
+fn pool_row(pool: &mut Option<Pool>, retained: &mut PointBlock, row: &[f64]) {
+    let key = |row: &[f64]| -> Vec<u64> { row.iter().map(|c| c.to_bits()).collect() };
+    let pool = pool.get_or_insert_with(|| {
+        let mut pool = Pool::new();
+        for pooled in retained.rows() {
+            pool.entry(key(pooled)).or_default().0 += 1;
+        }
+        pool
+    });
+    let copies = pool.entry(key(row)).or_default();
+    copies.1 += 1;
+    if copies.1 > copies.0 {
+        copies.0 = copies.1;
+        retained.push_row(row);
+    }
+}
+
+/// One cover step: the unknown set after a part subtracted its trusted
+/// space, `(unknown ∖ overlap) ∪ (unknown ∩ pieces)` — the uncovered
+/// remainder first, then the resurfaced invalid pieces. The two halves
+/// are disjoint because every invalid piece lies inside the overlap box,
+/// and each is internally disjoint because its inputs are.
+fn cover_step(unknown: &[HyperRect], overlap: &Aabb, pieces: Vec<HyperRect>) -> Vec<HyperRect> {
+    // skylint: allow(hot-path-alloc) — output set construction; bounded by |unknown|·|pieces| and consumed immediately by the planner.
+    let mut next: Vec<HyperRect> = Vec::new();
+    for u in unknown {
+        subtract_box_into(u, overlap, &mut next);
+    }
+    for piece in pieces {
+        // The unknown rectangles are disjoint: a piece inside one of them
+        // (every piece of the first part, whose unknown is all of R_C′)
+        // meets no other and resurfaces as it is.
+        if unknown.iter().any(|u| u.contains_rect(&piece)) {
+            // skylint: allow(hot-path-alloc) — appends a rect that survives into the next composition round.
+            next.push(piece);
+            continue;
+        }
+        let clipped = unknown.iter().filter_map(|u| u.intersection(&piece));
+        // skylint: allow(hot-path-alloc) — appends the resurfaced parts of the piece; same output set as above.
+        next.extend(clipped.filter(|r| !r.is_empty()));
+    }
+    next
 }
 
 /// The space a cached item's removed skyline rows invalidate inside
 /// `R_C′`: for each removed row `t`, `DR(t, C) ∩ R_C′` — points `t` used
-/// to dominate may resurface. Shared with the compositional planner
-/// ([`crate::cases::plan_composed`]), which applies it per item.
+/// to dominate may resurface.
 ///
 /// The exact MPR decomposes the union of these boxes into disjoint
 /// pieces — minimal reads, but "cache invalidation yields a prohibitive
@@ -185,7 +292,7 @@ pub fn missing_points_region_multi(
 /// superset (completeness is preserved; only extra points may be read)
 /// that keeps the number of range queries small, mirroring how aMPR
 /// trades reads for fewer queries on the pruning side.
-pub(crate) fn invalidated_space(
+fn invalidated_space(
     cached: &PointBlock,
     removed: &[usize],
     old: &Constraints,
@@ -216,7 +323,7 @@ pub(crate) fn invalidated_space(
 /// has the upper corner `min(C̄, C̄′)` — so only the lower corner, the
 /// minimum over the rows of `max(t, C̲, C̲′)`, is folded, straight into
 /// the returned rectangle: no box per row is built.
-pub(crate) fn invalid_cover<'a>(
+fn invalid_cover<'a>(
     removed: impl Iterator<Item = &'a [f64]>,
     old: &Constraints,
     new: &Constraints,
@@ -246,14 +353,13 @@ pub(crate) fn invalid_cover<'a>(
     cover.map(HyperRect::from_intervals)
 }
 
-/// Step 3 of the MPR construction, shared with the compositional
-/// planner ([`crate::cases::plan_composed`]): subtract retained
-/// dominance regions `DR(u, C′)` from the unknown regions (Algorithm 1
-/// lines 13–26). Pruning points are applied nearest-to-`C̲′` first — the
-/// near points prune the most (Section 5.3) — and the aMPR stops after
-/// `k` of them. Returns the pruned regions (degenerate leftovers
-/// dropped) and the number of pruning points actually applied.
-pub(crate) fn prune_regions(
+/// Step 3 of the MPR construction: subtract retained dominance regions
+/// `DR(u, C′)` from the unknown regions (Algorithm 1 lines 13–26).
+/// Pruning points are applied nearest-to-`C̲′` first — the near points
+/// prune the most (Section 5.3) — and the aMPR stops after `k` of them.
+/// Returns the pruned regions (degenerate leftovers dropped) and the
+/// number of pruning points actually applied.
+fn prune_regions(
     mut regions: Vec<HyperRect>,
     retained: &PointBlock,
     new: &Constraints,
@@ -314,6 +420,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use skycache_geom::subtract::pairwise_disjoint;
+    use skycache_geom::Point;
 
     fn c(pairs: &[(f64, f64)]) -> Constraints {
         Constraints::from_pairs(pairs).unwrap()
@@ -474,8 +581,7 @@ mod tests {
 
     #[test]
     fn regions_are_pairwise_disjoint_in_every_mode() {
-        // Invariant backing the debug_assert in
-        // missing_points_region_multi: whatever the mode and however the
+        // Invariant backing the debug_assert in `prune_regions`: whatever the mode and however the
         // constraints moved (widened, narrowed, shifted — stable and
         // unstable cases alike), the emitted range queries never overlap.
         let old = c(&[(0.2, 1.0), (0.1, 0.9), (0.0, 0.8)]);

@@ -1,20 +1,20 @@
 //! The multi-tenant query service: [`Service`], [`Session`] and the
-//! production-cache machinery around the shared CBCS executor.
+//! production-cache machinery around the shared-cache CBCS pipeline.
 //!
 //! The paper evaluates the cache one query at a time; a deployed service
 //! runs many sessions against one cache. This module is the concurrent
-//! entry point for that shape — ad-hoc `SharedCbcsExecutor` wiring is
-//! crate-private, so every multi-user deployment flows through here and
-//! picks up three protections the raw executor does not have:
+//! entry point for that shape — a [`Session`] is the only holder of the
+//! pipeline over a [`SharedCache`], so every multi-user deployment flows
+//! through here and picks up three protections:
 //!
 //! 1. **Snapshot reads** — lookups run against the epoch-published
 //!    `Arc<Cache>` snapshot (see [`crate::shared`]), so concurrent
 //!    sessions never serialize on the cache write lock.
 //! 2. **Singleflight coalescing** — identical in-flight queries (same
-//!    canonicalized constraints and per-query overrides) compute once;
-//!    the joiners block on the leader's flight slot and share its
-//!    [`QueryOutcome`]. Keyed by [`flight_key`]'s canonical encoding so
-//!    `-0.0`/`0.0` bound spellings coalesce.
+//!    canonicalized constraints) compute once; the joiners block on the
+//!    leader's flight slot and share its [`QueryOutcome`]. Keyed by
+//!    [`constraint_key`]'s canonical encoding so `-0.0`/`0.0` bound
+//!    spellings coalesce.
 //! 3. **Negative caching** — constraint regions the per-dimension
 //!    indexes prove empty ([`Table::probe_region_empty`]) are remembered
 //!    with a deterministic (seeded-jitter) TTL in logical ticks, and
@@ -31,8 +31,8 @@
 //! acquires its fresh slot while still holding the table lock, so a
 //! joiner can never observe a registered flight whose slot is free);
 //! the slot is held across the leader's compute by design — that is the
-//! coalescing point — and the cache locks live below it inside
-//! [`SharedCbcsExecutor::execute`].
+//! coalescing point — and the cache locks live below it inside the
+//! pipeline (`CbcsState::execute`).
 
 use std::collections::BTreeMap;
 
@@ -48,14 +48,23 @@ use skycache_obs::{names, QueryRecorder, Recorder};
 use skycache_storage::Table;
 
 use crate::engine::{
-    check_dims, AlgoChoice, CbcsConfig, Executor, QueryOutcome, QueryRequest, QueryStats,
+    check_dims, CbcsConfig, CbcsState, Executor, QueryOutcome, QueryRequest, QueryStats,
 };
-use crate::shared::{SharedCache, SharedCbcsExecutor};
+use crate::shared::SharedCache;
 use crate::Result;
 
 /// Bound on remembered provably-empty regions; expired entries are
 /// purged lazily once the table grows past it.
 const NEGATIVE_CAPACITY: usize = 1024;
+
+/// Base lifetime of a negative entry, in logical ticks (one tick per
+/// query the service executes).
+const NEGATIVE_TTL: u64 = 256;
+
+/// Upper bound on the deterministic per-entry TTL jitter, drawn from a
+/// `cbcs.seed`-seeded generator so expiries de-synchronize without
+/// wall-clock randomness.
+const NEGATIVE_JITTER: u64 = 32;
 
 /// Service-level configuration: the per-session CBCS configuration plus
 /// the production-cache knobs layered on top.
@@ -69,24 +78,11 @@ pub struct ServiceConfig {
     /// Remember provably-empty constraint regions and answer them
     /// without computing (on by default).
     pub negative_cache: bool,
-    /// Base lifetime of a negative entry, in logical ticks (one tick per
-    /// query the service executes).
-    pub negative_ttl: u64,
-    /// Upper bound on the deterministic per-entry TTL jitter, drawn from
-    /// a `cbcs.seed`-seeded generator so expiries de-synchronize without
-    /// wall-clock randomness.
-    pub negative_jitter: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            cbcs: CbcsConfig::default(),
-            coalesce: true,
-            negative_cache: true,
-            negative_ttl: 256,
-            negative_jitter: 32,
-        }
+        ServiceConfig { cbcs: CbcsConfig::default(), coalesce: true, negative_cache: true }
     }
 }
 
@@ -189,6 +185,10 @@ impl<'t> Service<'t> {
     /// Opens a service over `table` with a fresh shared cache.
     pub fn open(table: &'t Table, config: ServiceConfig) -> Self {
         let cache = SharedCache::new(table.dims(), &config.cbcs);
+        // Hoisted out of the assert so the lock provably drops before
+        // the panic formatting machinery runs.
+        let cache_dims = cache.dims();
+        assert_eq!(cache_dims, table.dims(), "cache/table dimensionality mismatch");
         let shared = Arc::new(ServiceShared {
             cache,
             flights: Mutex::new(BTreeMap::new()),
@@ -208,7 +208,7 @@ impl<'t> Service<'t> {
 
     /// Creates a session: the per-client query handle.
     ///
-    /// Sessions are `Send` and own their executor scratch; each gets a
+    /// Sessions are `Send` and own their pipeline scratch; each gets a
     /// distinct deterministic seed derived from the configured one, so
     /// randomized search strategies de-correlate across sessions while
     /// staying reproducible.
@@ -216,12 +216,11 @@ impl<'t> Service<'t> {
         let idx = self.shared.sessions.fetch_add(1, Ordering::Relaxed);
         let mut cbcs = self.config.cbcs.clone();
         cbcs.seed = cbcs.seed.wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let executor = SharedCbcsExecutor::new(self.table, self.shared.cache.clone(), cbcs);
         Session {
             table: self.table,
             config: self.config.clone(),
             shared: self.shared.clone(),
-            executor,
+            state: CbcsState::new(self.table, cbcs),
         }
     }
 
@@ -261,19 +260,22 @@ impl<'t> Service<'t> {
 
 /// A per-client query handle over a [`Service`].
 ///
-/// Owns its CBCS executor (scratch buffers, strategy RNG) so queries
-/// from distinct sessions share only the service state. Obtained from
-/// [`Service::session`]; also usable anywhere an [`Executor`] is.
+/// Owns its CBCS pipeline state (scratch buffers, strategy RNG) so
+/// queries from distinct sessions share only the service state: the same
+/// pipeline as [`crate::CbcsExecutor`] (`CbcsState::execute`), reading
+/// the published snapshot of the shared cache and writing through its
+/// master. Obtained from [`Service::session`]; also usable anywhere an
+/// [`Executor`] is.
 pub struct Session<'t> {
     table: &'t Table,
     config: ServiceConfig,
     shared: Arc<ServiceShared>,
-    executor: SharedCbcsExecutor<'t>,
+    state: CbcsState,
 }
 
 impl Session<'_> {
     /// Answers one query through the service fast paths: negative cache,
-    /// then singleflight, then the shared-cache CBCS executor.
+    /// then singleflight, then the CBCS pipeline over the shared cache.
     pub fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         check_dims(self.table, &req.constraints)?;
 
@@ -296,14 +298,20 @@ impl Session<'_> {
         if self.config.coalesce && !req.record {
             return self.execute_coalesced(req);
         }
+        self.compute(req)
+    }
+
+    /// The CBCS pipeline over the shared cache: snapshot reads, master
+    /// writes (see [`crate::shared`]).
+    fn compute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         self.shared.computes.fetch_add(1, Ordering::Relaxed);
-        self.executor.execute(req)
+        self.state.execute(self.table, &mut &self.shared.cache, req)
     }
 
     /// Singleflight path: lead a new flight or join an existing one.
     fn execute_coalesced(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        let key = flight_key(&req.constraints, req.algo);
-        // skylint: allow(lock-order) — the `execute` called below is the field's concrete `SharedCbcsExecutor::execute` (flights-free); the bare-name match back to `Session::execute` is not a real call, and the table guard is dropped before any compute.
+        let key = constraint_key(&req.constraints);
+        // skylint: allow(lock-order) — the `execute` reached below is `CbcsState::execute` (flights-free); the bare-name match back to `Session::execute` is not a real call, and the table guard is dropped before any compute.
         let mut flights = self.shared.flights.lock(); // lock-order: write
         if let Some(flight) = flights.get(&key) {
             // Join: block on the leader's slot, then share its outcome.
@@ -314,10 +322,7 @@ impl Session<'_> {
             return match joined {
                 Some(outcome) => Ok(outcome),
                 // The leader failed; compute independently.
-                None => {
-                    self.shared.computes.fetch_add(1, Ordering::Relaxed);
-                    self.executor.execute(req)
-                }
+                None => self.compute(req),
             };
         }
         // Lead: register the flight and take its slot *before* releasing
@@ -327,12 +332,11 @@ impl Session<'_> {
         // instead of redoing the work.
         let flight = Arc::new(Flight { slot: Mutex::new(None) });
         flights.insert(key.clone(), flight.clone());
-        // skylint: allow(lock-order) — the compute under this slot guard is `SharedCbcsExecutor::execute`, which never touches the flights table; the slot→flights cycle only exists through the bare-name match to `Session::execute`, and the real flights re-lock at the end of this fn happens after the slot guard is dropped.
+        // skylint: allow(lock-order) — the compute under this slot guard is `CbcsState::execute`, which never touches the flights table; the slot→flights cycle only exists through the bare-name match to `Session::execute`, and the real flights re-lock at the end of this fn happens after the slot guard is dropped.
         let mut slot = flight.slot.lock(); // lock-order: write
         drop(flights);
-        self.shared.computes.fetch_add(1, Ordering::Relaxed);
         // skylint: allow(guard-hold-span) — the flight slot guard exists to span this compute: it is private to this flight (never contended by unrelated queries), and joiners blocking on it is the designed coalescing behavior.
-        let computed = self.executor.execute(req);
+        let computed = self.compute(req);
         if let Ok(outcome) = &computed {
             *slot = Some(outcome.clone());
         }
@@ -370,12 +374,8 @@ impl Session<'_> {
             if neg.entries.len() >= NEGATIVE_CAPACITY {
                 neg.entries.retain(|_, &mut expires| expires >= now);
             }
-            let jitter = if self.config.negative_jitter == 0 {
-                0
-            } else {
-                neg.rng.gen_range(0..=self.config.negative_jitter)
-            };
-            let expires = now.saturating_add(self.config.negative_ttl).saturating_add(jitter);
+            let jitter = neg.rng.gen_range(0..=NEGATIVE_JITTER);
+            let expires = now.saturating_add(NEGATIVE_TTL).saturating_add(jitter);
             neg.entries.insert(key, expires);
         }
         self.shared.negative_inserts.fetch_add(1, Ordering::Relaxed);
@@ -384,10 +384,6 @@ impl Session<'_> {
 }
 
 impl Executor for Session<'_> {
-    fn name(&self) -> String {
-        format!("Service[{}]", self.config.cbcs.mpr.label())
-    }
-
     fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         Session::execute(self, req)
     }
@@ -421,30 +417,15 @@ fn canonical_bits(x: f64) -> u64 {
     }
 }
 
-/// Canonical key of a constraint region (geometry only) — the negative
-/// cache key: emptiness depends on the region, not on how the query
-/// would execute.
+/// Canonical key of a constraint region — the negative-cache key and
+/// the singleflight key: emptiness and the answer depend on the region
+/// alone.
 fn constraint_key(c: &Constraints) -> Vec<u64> {
     let mut key = Vec::with_capacity(2 * c.dims());
     for dim in 0..c.dims() {
         key.push(canonical_bits(c.lo()[dim]));
         key.push(canonical_bits(c.hi()[dim]));
     }
-    key
-}
-
-/// Canonical key of a full request — the singleflight key: two queries
-/// may only share an outcome if the constraints *and* the per-query
-/// algorithm override agree.
-fn flight_key(c: &Constraints, algo: Option<AlgoChoice>) -> Vec<u64> {
-    let mut key = constraint_key(c);
-    key.push(match algo {
-        None => u64::MAX,
-        Some(AlgoChoice::Sfs) => 0,
-        Some(AlgoChoice::Bnl) => 1,
-        Some(AlgoChoice::DivideConquer) => 2,
-        Some(AlgoChoice::Salsa) => 3,
-    });
     key
 }
 
@@ -504,17 +485,17 @@ mod tests {
     #[test]
     fn negative_entries_expire_after_ttl() {
         let t = table();
-        let config =
-            ServiceConfig { negative_ttl: 2, negative_jitter: 0, ..ServiceConfig::default() };
-        let service = Service::open(&t, config);
+        let service = Service::open(&t, ServiceConfig::default());
         let mut s = service.session();
         let empty = Constraints::from_pairs(&[(0.11, 0.19), (0.11, 0.19)]).unwrap();
         let busy = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
-        s.execute(&QueryRequest::new(empty.clone())).unwrap(); // insert at tick 1, expires 3
+        s.execute(&QueryRequest::new(empty.clone())).unwrap(); // insert at tick 1
         s.execute(&QueryRequest::new(empty.clone())).unwrap(); // tick 2: hit
-        s.execute(&QueryRequest::new(busy.clone())).unwrap(); // tick 3
-        s.execute(&QueryRequest::new(busy)).unwrap(); // tick 4
-        s.execute(&QueryRequest::new(empty)).unwrap(); // tick 5: expired → re-probed
+                                                               // Drive the logical clock past the longest possible lifetime.
+        for _ in 0..NEGATIVE_TTL + NEGATIVE_JITTER {
+            s.execute(&QueryRequest::new(busy.clone())).unwrap();
+        }
+        s.execute(&QueryRequest::new(empty)).unwrap(); // expired → re-probed
         let m = service.metrics();
         assert_eq!(m.negative_hits, 1);
         assert_eq!(m.negative_inserts, 2, "expired entry must be re-probed and re-inserted");
@@ -585,9 +566,9 @@ mod tests {
     fn flight_keys_canonicalize_and_discriminate() {
         let a = Constraints::from_pairs(&[(-0.0, 1.0), (0.0, 2.0)]).unwrap();
         let b = Constraints::from_pairs(&[(0.0, 1.0), (-0.0, 2.0)]).unwrap();
-        assert_eq!(flight_key(&a, None), flight_key(&b, None));
-        assert_ne!(flight_key(&a, Some(AlgoChoice::Bnl)), flight_key(&a, Some(AlgoChoice::Salsa)));
-        assert_ne!(flight_key(&a, None), flight_key(&a, Some(AlgoChoice::Sfs)));
+        assert_eq!(constraint_key(&a), constraint_key(&b));
+        let wider = Constraints::from_pairs(&[(0.0, 1.0), (0.0, 2.5)]).unwrap();
+        assert_ne!(constraint_key(&a), constraint_key(&wider));
     }
 
     #[test]
@@ -596,7 +577,6 @@ mod tests {
         let service = Service::open(&t, ServiceConfig::default());
         let mut s = service.session();
         let ex: &mut dyn Executor = &mut s;
-        assert!(ex.name().starts_with("Service["));
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
         assert!(!ex.execute(&QueryRequest::new(c)).unwrap().skyline.is_empty());
     }

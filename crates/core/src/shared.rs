@@ -3,7 +3,7 @@
 //! The paper's second workload models "independent queries in a
 //! multi-user system" — many users benefiting from one cache. This module
 //! provides that deployment shape: a [`SharedCache`] shared by one
-//! [`SharedCbcsExecutor`] per user/session (constructed through
+//! [`crate::service::Session`] per user (constructed through
 //! [`crate::service::Service::session`]).
 //!
 //! # Epoch/snapshot protocol
@@ -58,22 +58,18 @@
 //! snapshot read and the write phase; that is benign (the plan was built
 //! from the pinned snapshot, and `touch` on a gone item is a no-op).
 //!
-//! The query flow itself is not written here: [`SharedCbcsExecutor`] runs
-//! the one CBCS pipeline of [`crate::engine`], and this module supplies
-//! its cache access — snapshot reads, master writes.
+//! The query flow itself is not written here: a session runs the one
+//! CBCS pipeline of [`crate::engine`], and this module supplies its cache
+//! access — snapshot reads, master writes.
 
 // Shim sync primitives: identical to `std`/`parking_lot` in production,
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
 use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
 
 use skycache_geom::{Constraints, Point};
-use skycache_storage::Table;
 
 use crate::cache::{Cache, ItemCost};
-use crate::engine::{
-    CacheAccess, CbcsConfig, CbcsState, Executor, Inserted, QueryOutcome, QueryRequest,
-};
-use crate::Result;
+use crate::engine::{CacheAccess, CbcsConfig, Inserted};
 
 /// Write side plus published snapshot; see the module docs for the
 /// protocol. Private so no caller can reach a raw lock or its guard —
@@ -175,10 +171,11 @@ impl SharedCache {
     }
 }
 
-/// Shared access: reads search the published snapshot — pinned for the
-/// search-and-plan phase only, with no lock held — and every write locks
-/// the master (`insert` republishes; `touch`/`note_demand` do not).
-impl CacheAccess for SharedCache {
+/// Shared access, through a shared reference: reads search the published
+/// snapshot — pinned for the search-and-plan phase only, with no lock
+/// held — and every write locks the master (`insert` republishes;
+/// `touch`/`note_demand` do not).
+impl CacheAccess for &SharedCache {
     fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
         f(&self.snapshot())
     }
@@ -202,57 +199,21 @@ impl CacheAccess for SharedCache {
     }
 }
 
-/// A per-user CBCS executor over a [`SharedCache`]: the same pipeline as
-/// [`crate::CbcsExecutor`] (`CbcsState::execute`), reading the
-/// published snapshot and writing through the master.
-///
-/// Constructed through [`crate::service::Service::session`]; the raw
-/// constructor is crate-private so every concurrent deployment goes
-/// through the service layer (singleflight, negative cache, snapshot
-/// reads) rather than wiring executors ad hoc.
-pub struct SharedCbcsExecutor<'t> {
-    table: &'t Table,
-    cache: SharedCache,
-    state: CbcsState,
-}
-
-impl<'t> SharedCbcsExecutor<'t> {
-    /// Creates an executor bound to an existing shared cache.
-    ///
-    /// # Panics
-    /// Panics if the cache and table dimensionalities differ.
-    pub(crate) fn new(table: &'t Table, cache: SharedCache, config: CbcsConfig) -> Self {
-        // Hoisted out of the assert so the lock provably drops before
-        // the panic formatting machinery runs.
-        let cache_dims = cache.dims();
-        assert_eq!(cache_dims, table.dims(), "cache/table dimensionality mismatch");
-        SharedCbcsExecutor { table, cache, state: CbcsState::new(table, config) }
-    }
-
-    /// Handle to the shared cache.
-    pub fn cache(&self) -> &SharedCache {
-        &self.cache
-    }
-}
-
-impl Executor for SharedCbcsExecutor<'_> {
-    fn name(&self) -> String {
-        format!("SharedCBCS[{}]", self.state.config.mpr.label())
-    }
-
-    fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        self.state.execute(self.table, &mut self.cache, req)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skycache_geom::{Constraints, Point};
-    use skycache_storage::TableConfig;
+    use crate::engine::{Executor, QueryOutcome, QueryRequest};
+    use crate::service::{Service, ServiceConfig};
+    use skycache_storage::{Table, TableConfig};
 
     fn run(ex: &mut impl Executor, c: &Constraints) -> QueryOutcome {
         ex.execute(&QueryRequest::new(c.clone())).unwrap()
+    }
+
+    /// The door every deployment uses, with the service fast paths off so
+    /// each query reaches the shared-cache pipeline.
+    fn open(t: &Table, cbcs: CbcsConfig) -> Service<'_> {
+        Service::open(t, ServiceConfig { cbcs, coalesce: false, negative_cache: false })
     }
 
     fn table() -> Table {
@@ -267,9 +228,10 @@ mod tests {
     #[test]
     fn second_user_hits_first_users_result() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
-        let mut alice = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
-        let mut bob = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
+        let service = open(&t, CbcsConfig::default());
+        let shared = service.cache();
+        let mut alice = service.session();
+        let mut bob = service.session();
 
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
         let r1 = run(&mut alice, &c);
@@ -286,12 +248,13 @@ mod tests {
     #[test]
     fn epoch_advances_once_per_insert_and_snapshots_are_stable() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
+        let service = open(&t, CbcsConfig::default());
+        let shared = service.cache();
         assert_eq!(shared.epoch(), 0);
         let before = shared.snapshot();
         assert!(before.is_empty());
 
-        let mut ex = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
+        let mut ex = service.session();
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
         run(&mut ex, &c);
 
@@ -304,7 +267,9 @@ mod tests {
 
     #[test]
     fn publish_shares_items_and_touch_stays_on_the_master() {
-        let shared = SharedCache::new(2, &CbcsConfig::default());
+        let t = table();
+        let service = open(&t, CbcsConfig::default());
+        let shared = service.cache();
         let boxed = |lo: f64| Constraints::from_pairs(&[(lo, lo + 1.0), (lo, lo + 1.0)]).unwrap();
         let point = |v: f64| [Point::from(vec![v, v])];
         shared.insert_and_publish(boxed(0.0), &point(0.5), ItemCost::default());
@@ -319,7 +284,7 @@ mod tests {
 
         // A hit's bookkeeping lands on the master's own copy of the item:
         // no published snapshot sees it, and no points were copied for it.
-        CacheAccess::touch(&mut shared.clone(), id);
+        CacheAccess::touch(&mut &*shared, id);
         for snap in [&first, &second] {
             let item = snap.get(id).unwrap();
             assert_eq!((item.use_count, item.last_used), (0, item.inserted_at));
@@ -336,13 +301,13 @@ mod tests {
     #[test]
     fn touch_does_not_republish() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
-        let mut ex = SharedCbcsExecutor::new(&t, shared.clone(), CbcsConfig::default());
+        let service = open(&t, CbcsConfig::default());
+        let shared = service.cache();
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
-        run(&mut ex, &c); // miss + insert → epoch 1
-        let config = CbcsConfig { cache_results: false, ..CbcsConfig::default() };
-        let mut ro = SharedCbcsExecutor::new(&t, shared.clone(), config);
-        let r = run(&mut ro, &c); // hit (touch), result not cached
+        run(&mut service.session(), &c); // miss + insert → epoch 1
+                                         // An exact hit from another session: touch and demand note, and
+                                         // nothing to insert — the key is cached already.
+        let r = run(&mut service.session(), &c);
         assert!(r.stats.cache_hit);
         assert_eq!(shared.epoch(), 1, "a hit must not publish a snapshot");
         // But the master saw the LRU bookkeeping.
@@ -354,7 +319,8 @@ mod tests {
     #[test]
     fn concurrent_users_stay_correct() {
         let t = table();
-        let shared = SharedCache::new(2, &CbcsConfig::default());
+        let service = open(&t, CbcsConfig::default());
+        let shared = service.cache();
         let queries: Vec<Constraints> = (0..8)
             .map(|i| {
                 let lo = f64::from(i) * 0.05;
@@ -375,13 +341,10 @@ mod tests {
 
         std::thread::scope(|scope| {
             for worker in 0..4 {
-                let t = &t;
-                let shared = shared.clone();
+                let mut ex = service.session();
                 let queries = &queries;
                 let reference = &reference;
                 scope.spawn(move || {
-                    let config = CbcsConfig { seed: worker as u64, ..Default::default() };
-                    let mut ex = SharedCbcsExecutor::new(t, shared, config);
                     for _round in 0..3 {
                         for (c, want) in queries.iter().zip(reference) {
                             let mut got = run(&mut ex, c).skyline;

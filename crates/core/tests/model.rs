@@ -49,7 +49,7 @@ fn sorted(mut sky: Vec<Point>) -> Vec<Point> {
 /// harnesses in `model_serve.rs`; these harnesses want every session to
 /// reach `execute`'s read → compute → write protocol itself.
 fn raw_config(cbcs: CbcsConfig) -> ServiceConfig {
-    ServiceConfig { cbcs, coalesce: false, negative_cache: false, ..ServiceConfig::default() }
+    ServiceConfig { cbcs, coalesce: false, negative_cache: false }
 }
 
 fn run_query(session: &mut skycache_core::Session<'_>, c: &Constraints) -> (Vec<Point>, bool) {

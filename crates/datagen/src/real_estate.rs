@@ -24,10 +24,8 @@ use skycache_geom::Point;
 
 use crate::util::{log_normal, normal};
 
-/// Dimension order of generated records.
-pub const DIM_LABELS: [&str; 4] = ["neg_year", "neg_sqm", "valuation", "price"];
-
-/// Seeded generator for property-like 4-D records.
+/// Seeded generator for property-like 4-D records, in the dimension order
+/// negated year, negated m², valuation, price.
 #[derive(Clone, Debug)]
 pub struct RealEstateGen {
     seed: u64,

@@ -232,13 +232,6 @@ impl Aabb {
             .collect()
     }
 
-    /// Sum of lower-corner coordinates: the `mindist` ordering key used by
-    /// BBS for `L1` preference towards the origin of a minimization skyline.
-    pub fn mindist_l1(&self, origin: &[f64]) -> f64 {
-        debug_assert_eq!(self.dims(), origin.len());
-        self.lo.iter().zip(origin).map(|(l, o)| (l - o).max(0.0)).sum()
-    }
-
     /// Converts to a closed [`HyperRect`].
     pub fn to_rect(&self) -> HyperRect {
         HyperRect::from_intervals(

@@ -36,11 +36,6 @@ impl Constraints {
         })
     }
 
-    /// Wraps an existing closed box.
-    pub fn from_aabb(bounds: Aabb) -> Self {
-        Constraints { bounds }
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
@@ -118,12 +113,6 @@ impl Constraints {
         new_hi[dim] = hi;
         Constraints::new(new_lo, new_hi)
     }
-
-    /// Squared distance between the lower corners of two constraint sets —
-    /// the score of the `OptimumDistance` cache search strategy.
-    pub fn lower_corner_dist_sq(&self, other: &Constraints) -> f64 {
-        self.lo().iter().zip(other.lo()).map(|(a, b)| (a - b) * (a - b)).sum()
-    }
 }
 
 impl fmt::Debug for Constraints {
@@ -173,12 +162,5 @@ mod tests {
         assert_eq!(o.lo(), &[1.0, 1.0]);
         assert_eq!(o.hi(), &[2.0, 2.0]);
         assert!(a.contains(&c(&[0.5, 0.5], &[1.5, 1.5])));
-    }
-
-    #[test]
-    fn lower_corner_distance() {
-        let a = c(&[0.0, 0.0], &[2.0, 2.0]);
-        let b = c(&[3.0, 4.0], &[5.0, 6.0]);
-        assert_eq!(a.lower_corner_dist_sq(&b), 25.0);
     }
 }

@@ -65,12 +65,6 @@ impl Point {
     pub fn coord_sum(&self) -> f64 {
         self.coords.iter().sum()
     }
-
-    /// The "entropy" score `Σ ln(1 + s[i])` of Chomicki et al., also
-    /// monotone with respect to dominance for non-negative data.
-    pub fn entropy_score(&self) -> f64 {
-        self.coords.iter().map(|c| (1.0 + c.max(0.0)).ln()).sum()
-    }
 }
 
 impl Index<usize> for Point {
@@ -123,12 +117,5 @@ mod tests {
         let a = Point::new(vec![0.0, 0.0]).unwrap();
         let b = Point::new(vec![3.0, 4.0]).unwrap();
         assert_eq!(a.dist_sq(&b), 25.0);
-    }
-
-    #[test]
-    fn entropy_score_monotone_under_dominance() {
-        let a = Point::new(vec![0.1, 0.2]).unwrap();
-        let b = Point::new(vec![0.3, 0.2]).unwrap();
-        assert!(a.entropy_score() < b.entropy_score());
     }
 }

@@ -33,9 +33,6 @@ pub const CACHE_ADMISSION_REJECTS: &str = "cache.admission_rejects";
 pub const CACHE_RETAINED_POINTS: &str = "cache.retained_points";
 /// Cached skyline points invalidated by the new constraints. Counter.
 pub const CACHE_REMOVED_POINTS: &str = "cache.removed_points";
-/// Cached items examined by dynamic-data maintenance (constraint-box
-/// index candidates tested on insert). Counter.
-pub const CACHE_MAINTENANCE_SCANS: &str = "cache.maintenance_scans";
 
 // -- fetch ------------------------------------------------------------------
 

@@ -8,6 +8,8 @@
 //! planning, the R\*-tree, or the skyline algorithms shows up here as a
 //! skyline mismatch.
 
+mod common;
+
 use skycache::core::{
     BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest,
     QueryStats, ReplacementPolicy, SearchStrategy, Service, ServiceConfig,
@@ -232,49 +234,71 @@ fn exclusive_and_shared_cache_access_answer_identically() {
     // `Service` session (service fast paths off, so every query reaches
     // the executor). A single session sees its own writes in order, so
     // the two must agree on the skyline — order included — and on every
-    // deterministic counter, for every policy and multi-item mode.
+    // deterministic counter, for every policy and multi-item mode; and
+    // the skyline is Baseline's, row for row as a multiset, also where
+    // every row is stored twice.
     // Default cost model: `fetch_sim_ns` feeds cost-aware eviction.
     let points = SyntheticGen::new(Distribution::Independent, 3, 53).generate(2_000);
-    let table = Table::build(points, TableConfig::default()).unwrap();
-    let mut queries = interactive_queries(&table, 60, 59);
-    queries.extend(independent_queries(&table, 40, 61));
+    let uniform = Table::build(points, TableConfig::default()).unwrap();
+    let mut queries = interactive_queries(&uniform, 60, 59);
+    queries.extend(independent_queries(&uniform, 40, 61));
+    let twins = common::twin_grid_table(3, 300, 1);
 
-    for policy in [
-        ReplacementPolicy::Lru,
-        ReplacementPolicy::Lcu,
-        ReplacementPolicy::TinyLfu,
-        ReplacementPolicy::CostAware,
-    ] {
-        for capacity in [None, Some(8)] {
-            for compose in [false, true] {
-                for extra_items in [0, 2] {
-                    let cbcs =
-                        CbcsConfig { policy, capacity, compose, extra_items, ..Default::default() };
-                    let label = format!(
-                        "{policy:?}/cap {capacity:?}/compose {compose}/extra {extra_items}"
-                    );
-                    let mut exclusive = CbcsExecutor::new(&table, cbcs.clone());
-                    let service = Service::open(
-                        &table,
-                        ServiceConfig {
-                            coalesce: false,
-                            negative_cache: false,
-                            ..ServiceConfig::with_cbcs(cbcs)
-                        },
-                    );
-                    let mut shared = service.session();
-                    for (i, c) in queries.iter().enumerate() {
-                        let req = QueryRequest::new(c.clone());
-                        let a = exclusive.execute(&req).unwrap();
-                        let b = shared.execute(&req).unwrap();
-                        assert_eq!(a.skyline, b.skyline, "{label}: query {i} skyline");
-                        assert_eq!(
-                            deterministic(&a.stats),
-                            deterministic(&b.stats),
-                            "{label}: query {i} stats"
+    for (name, table, queries) in
+        [("uniform", &uniform, queries), ("twins", &twins, common::grid_boxes(3, 100, 2))]
+    {
+        let mut baseline = BaselineExecutor::new(table);
+        let want: Vec<Vec<Point>> = queries
+            .iter()
+            .map(|c| sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline))
+            .collect();
+        for policy in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Lcu,
+            ReplacementPolicy::TinyLfu,
+            ReplacementPolicy::CostAware,
+        ] {
+            for capacity in [None, Some(8)] {
+                for compose in [false, true] {
+                    for extra_items in [0, 2] {
+                        let cbcs = CbcsConfig {
+                            policy,
+                            capacity,
+                            compose,
+                            extra_items,
+                            ..Default::default()
+                        };
+                        let label = format!(
+                            "{name}/{policy:?}/cap {capacity:?}/compose {compose}/extra {extra_items}"
                         );
+                        let mut exclusive = CbcsExecutor::new(table, cbcs.clone());
+                        let service = Service::open(
+                            table,
+                            ServiceConfig {
+                                coalesce: false,
+                                negative_cache: false,
+                                ..ServiceConfig::with_cbcs(cbcs)
+                            },
+                        );
+                        let mut shared = service.session();
+                        for (i, c) in queries.iter().enumerate() {
+                            let req = QueryRequest::new(c.clone());
+                            let a = exclusive.execute(&req).unwrap();
+                            let b = shared.execute(&req).unwrap();
+                            assert_eq!(a.skyline, b.skyline, "{label}: query {i} skyline");
+                            assert_eq!(
+                                deterministic(&a.stats),
+                                deterministic(&b.stats),
+                                "{label}: query {i} stats"
+                            );
+                            assert_eq!(
+                                sorted(a.skyline),
+                                want[i],
+                                "{label}: query {i} vs Baseline"
+                            );
+                        }
+                        assert_eq!(exclusive.cache().len(), service.cache().len(), "{label}: len");
                     }
-                    assert_eq!(exclusive.cache().len(), service.cache().len(), "{label}: len");
                 }
             }
         }

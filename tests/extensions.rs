@@ -2,6 +2,8 @@
 //! this library: multi-item cache exploitation (Section 6.3) and dynamic
 //! data (Section 6.2).
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,20 +42,28 @@ fn workload(table: &Table, n: usize, seed: u64) -> Vec<Constraints> {
 
 #[test]
 fn multi_item_stays_correct() {
-    let table = table_3d(4_000, 3);
-    let queries = workload(&table, 80, 7);
-    let mut baseline = BaselineExecutor::new(&table);
-    for extra in [1usize, 2, 4] {
-        let config = CbcsConfig {
-            mpr: MprMode::Approximate { k: 2 },
-            extra_items: extra,
-            ..Default::default()
-        };
-        let mut cbcs = CbcsExecutor::new(&table, config);
-        for (i, c) in queries.iter().enumerate() {
-            let want = sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
-            let got = sorted(cbcs.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
-            assert_eq!(got, want, "extra_items={extra}, query {i}");
+    // Uniform data, and a grid sample whose every row is stored twice:
+    // the pooled pruning points must keep both copies.
+    let uniform = table_3d(4_000, 3);
+    let twins = common::twin_grid_table(3, 300, 1);
+    let inputs = [
+        ("uniform", &uniform, workload(&uniform, 80, 7)),
+        ("twins", &twins, common::grid_boxes(3, 200, 2)),
+    ];
+    for (name, table, queries) in inputs {
+        let mut baseline = BaselineExecutor::new(table);
+        for extra in [1usize, 2, 4] {
+            let config = CbcsConfig {
+                mpr: MprMode::Approximate { k: 2 },
+                extra_items: extra,
+                ..Default::default()
+            };
+            let mut cbcs = CbcsExecutor::new(table, config);
+            for (i, c) in queries.iter().enumerate() {
+                let want = sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
+                let got = sorted(cbcs.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
+                assert_eq!(got, want, "{name}: extra_items={extra}, query {i}");
+            }
         }
     }
 }

@@ -52,36 +52,6 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
     v
 }
 
-fn all_distinct(points: &[Point]) -> bool {
-    let mut keys: Vec<Vec<u64>> =
-        points.iter().map(|p| p.coords().iter().map(|c| c.to_bits()).collect()).collect();
-    keys.sort();
-    keys.windows(2).all(|w| w[0] != w[1])
-}
-
-fn dedup(v: Vec<Point>) -> Vec<Point> {
-    let mut v = sorted(v);
-    v.dedup();
-    v
-}
-
-/// Compares skylines under the paper's distinctness assumption: exact
-/// multiset equality for distinct data; with duplicates, a duplicate of a
-/// cached skyline point may be dropped by the MPR (see DESIGN.md,
-/// "Semantics notes"), so equality holds on coordinate *sets*.
-fn assert_skyline_eq(
-    points: &[Point],
-    got: Vec<Point>,
-    want: Vec<Point>,
-) -> Result<(), TestCaseError> {
-    if all_distinct(points) {
-        prop_assert_eq!(sorted(got), sorted(want));
-    } else {
-        prop_assert_eq!(dedup(got), dedup(want));
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -104,10 +74,10 @@ proptest! {
         let mut cbcs = CbcsExecutor::new(&table, CbcsConfig { mpr: mode, ..Default::default() });
 
         let r_old = cbcs.execute(&QueryRequest::new(c_old.clone())).unwrap();
-        assert_skyline_eq(&points, r_old.skyline, reference(&points, &c_old))?;
+        prop_assert_eq!(sorted(r_old.skyline), reference(&points, &c_old));
 
         let r_new = cbcs.execute(&QueryRequest::new(c_new.clone())).unwrap();
-        assert_skyline_eq(&points, r_new.skyline, reference(&points, &c_new))?;
+        prop_assert_eq!(sorted(r_new.skyline), reference(&points, &c_new));
     }
 
     /// Theorem 6 at the MPR level, without the engine: the cached skyline
@@ -144,9 +114,8 @@ proptest! {
                 merged.push(p.clone());
             }
         }
-        let got = Sfs.compute(merged).skyline;
-        let want = reference(&points, &c_new);
-        assert_skyline_eq(&points, got, want)?;
+        let got = sorted(Sfs.compute(merged).skyline);
+        prop_assert_eq!(got, reference(&points, &c_new));
     }
 
     /// Minimality direction (Theorem 7 flavour): the exact MPR never

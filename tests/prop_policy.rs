@@ -58,12 +58,17 @@ fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
 /// count exceeds the smallest capacity below, so evictions (and, under
 /// TinyLFU, admission rejections) actually fire. Generated at d = 6 and
 /// projected down to the sampled dimensionality (the vendored proptest
-/// subset has no `prop_flat_map`).
+/// subset has no `prop_flat_map`). The grid coordinates already collide;
+/// half the scenarios also store every row twice, so each skyline row has
+/// a twin every path must keep.
 fn scenario() -> impl Strategy<Value = (Vec<Point>, Vec<Constraints>)> {
-    (2..=6usize, dataset(6), prop::collection::vec(constraints(6), 2..8)).prop_map(
-        |(dims, points, queries)| {
-            let points: Vec<Point> =
-                points.into_iter().map(|p| Point::from(p.coords()[..dims].to_vec())).collect();
+    (2..=6usize, dataset(6), prop::collection::vec(constraints(6), 2..8), any::<bool>()).prop_map(
+        |(dims, points, queries, twins)| {
+            let copies = if twins { 2 } else { 1 };
+            let points: Vec<Point> = points
+                .into_iter()
+                .flat_map(|p| vec![Point::from(p.coords()[..dims].to_vec()); copies])
+                .collect();
             let queries: Vec<Constraints> = queries
                 .into_iter()
                 .map(|c| {
@@ -100,56 +105,28 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
     v
 }
 
-fn all_distinct(points: &[Point]) -> bool {
-    let mut keys: Vec<Vec<u64>> =
-        points.iter().map(|p| p.coords().iter().map(|c| c.to_bits()).collect()).collect();
-    keys.sort();
-    keys.windows(2).all(|w| w[0] != w[1])
-}
-
-fn dedup(v: Vec<Point>) -> Vec<Point> {
-    let mut v = sorted(v);
-    v.dedup();
-    v
-}
-
-/// Compares skylines under the paper's distinctness assumption: exact
-/// multiset equality for distinct data; with duplicates, a duplicate of
-/// a cached skyline point may be dropped by the MPR (see DESIGN.md,
-/// "Semantics notes"), so equality holds on coordinate *sets*.
-fn assert_skyline_eq(
-    points: &[Point],
-    got: Vec<Point>,
-    want: Vec<Point>,
-) -> Result<(), TestCaseError> {
-    if all_distinct(points) {
-        prop_assert_eq!(sorted(got), sorted(want));
-    } else {
-        prop_assert_eq!(dedup(got), dedup(want));
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every (policy × compose × capacity) cell answers every query in
-    /// the sequence exactly like a from-scratch recompute, no matter
-    /// which items the policy evicted or rejected in between.
+    /// Every (policy × compose × harvest × capacity) cell answers every
+    /// query in the sequence exactly like a from-scratch recompute — the
+    /// same rows as often — no matter which items the policy evicted or
+    /// rejected in between.
     #[test]
     fn every_policy_and_composition_equals_naive(
         scenario in scenario(),
         policy in policy(),
         compose in any::<bool>(),
+        extra_items in 0..3usize,
         capacity in prop_oneof![Just(None), Just(Some(2usize)), Just(Some(4usize))],
     ) {
         let (points, queries) = scenario;
         let table = build(points.clone());
-        let config = CbcsConfig { policy, compose, capacity, ..Default::default() };
+        let config = CbcsConfig { policy, compose, extra_items, capacity, ..Default::default() };
         let mut ex = CbcsExecutor::new(&table, config);
         for c in &queries {
             let got = ex.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
-            assert_skyline_eq(&points, got, reference(&points, c))?;
+            prop_assert_eq!(sorted(got), reference(&points, c));
         }
     }
 
@@ -171,9 +148,7 @@ proptest! {
         for c in &queries {
             let a = plain.execute(&QueryRequest::new(c.clone())).unwrap();
             let b = composed.execute(&QueryRequest::new(c.clone())).unwrap();
-            // Same distinctness caveat as above: with duplicate data
-            // points, the two paths may keep different duplicate copies.
-            assert_skyline_eq(&points, b.skyline, a.skyline)?;
+            prop_assert_eq!(sorted(b.skyline), sorted(a.skyline));
         }
     }
 
@@ -275,7 +250,7 @@ proptest! {
                 prop_assert_eq!(out.stats.points_read, 0);
                 prop_assert_eq!(sorted(out.skyline.clone()), sorted(cached));
             }
-            assert_skyline_eq(&points, out.skyline, reference(&points, &q))?;
+            prop_assert_eq!(sorted(out.skyline), reference(&points, &q));
         }
     }
 }
