@@ -144,7 +144,11 @@ fn steady_state_cached_path_allocs_stay_under_ceiling() {
         allocs <= BLOCK_CEILING,
         "cached steady state regressed to {allocs:.1} allocs/query (ceiling {BLOCK_CEILING})"
     );
-    assert_eq!(fetch, [83_681, 218, 60, 44], "interactive fetch counters moved");
+    // `executed` counts the range queries a unit is *charged* — the cheapest
+    // covering set, not one per walk (DESIGN.md §12): on this workload every
+    // one of the 44 regions that share a walk is cheaper fetched by a query
+    // of its own (60 + 44 = 104), so none counts as coalesced.
+    assert_eq!(fetch, [83_681, 218, 104, 0], "interactive fetch counters moved");
 }
 
 #[test]
@@ -153,7 +157,9 @@ fn independent_workload_fetch_counters_are_exact() {
     let table = table();
     let queries = independent_queries(&table, QUERIES, 19, None);
     let (_, fetch) = cold_run(&table, &queries);
-    assert_eq!(fetch, [280_548, 551, 193, 201], "independent fetch counters moved");
+    // As above: of the 201 regions sharing a walk with a neighbour, 196 are
+    // charged a range query of their own (193 + 196 = 389) and 5 a merged one.
+    assert_eq!(fetch, [280_548, 551, 389, 5], "independent fetch counters moved");
 }
 
 #[test]

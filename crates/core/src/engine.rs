@@ -327,8 +327,9 @@ pub struct QueryStats {
     pub range_queries_executed: u64,
     /// Range queries discarded by index-only emptiness detection.
     pub range_queries_empty: u64,
-    /// Candidate range queries absorbed into a neighbor by the coalescing
-    /// fetch planner.
+    /// Range queries saved by the coalescing fetch planner: regions it
+    /// charged as part of a neighbor's merged range query because that
+    /// was predicted cheaper than a query of their own.
     pub regions_coalesced: u64,
     /// Pairwise dominance tests performed.
     pub dominance_tests: u64,

@@ -61,15 +61,30 @@ impl CostModel {
         Duration::from_nanos(ns)
     }
 
+    /// The model the planner *decides* with: this one, or — in counter-only
+    /// mode — the default hardware's, so that plan choice stays realistic
+    /// and no counter depends on whether latency is charged.
+    fn planning(&self) -> CostModel {
+        match self.per_point_ns {
+            0 => CostModel::default(),
+            _ => *self,
+        }
+    }
+
     /// Ratio of index-entry-scan cost to heap-fetch cost, used by the
     /// planner to compare a bitmap plan against a single-index plan.
     pub(crate) fn entry_to_point_ratio(&self) -> f64 {
-        if self.per_point_ns == 0 {
-            // Counter-only mode: use the default hardware ratio so plan
-            // choice stays realistic.
-            return 20.0 / 150_000.0;
-        }
-        self.index_entry_ns as f64 / self.per_point_ns as f64
+        let m = self.planning();
+        m.index_entry_ns as f64 / m.per_point_ns as f64
+    }
+
+    /// Predicted latency in nanoseconds of one range query expected to
+    /// fetch `rows` heap rows and scan `entries` index entries: the terms
+    /// of [`CostModel::fetch_latency`] a planner can trade against each
+    /// other (probes are spent before any plan is chosen).
+    pub(crate) fn predicted_ns(&self, rows: f64, entries: f64) -> f64 {
+        let m = self.planning();
+        m.seek_ns as f64 + m.per_point_ns as f64 * rows + m.index_entry_ns as f64 * entries
     }
 }
 
@@ -82,7 +97,10 @@ impl CostModel {
 pub struct FetchStats {
     /// Range queries handed to the executor.
     pub range_queries_issued: u64,
-    /// Range queries that actually touched the heap.
+    /// Range queries that actually touched the heap, one seek each. A
+    /// coalescing plan is charged, per group of regions whose index ranges
+    /// overlap or abut, the cheapest set of range queries covering them
+    /// (never more than one per region).
     pub range_queries_executed: u64,
     /// Range queries discarded by index-only emptiness detection.
     pub range_queries_empty: u64,
@@ -91,9 +109,10 @@ pub struct FetchStats {
     /// that scan extra candidate tuples surface that work in
     /// [`FetchStats::heap_fetches`] and the latency model instead.
     pub points_read: u64,
-    /// Heap tuples actually fetched by the chosen plan (candidates of a
-    /// single-index scan, or just the matches of a bitmap AND scan) —
-    /// the latency driver.
+    /// Heap tuples actually fetched by the chosen plan, summed over its
+    /// executed range queries (candidates of a single-index scan, just the
+    /// matches of a bitmap AND scan, or the merged slice of a range query
+    /// serving several regions) — the latency driver.
     pub heap_fetches: u64,
     /// Rows surviving the full constraint filter (= `points_read`).
     pub rows_matched: u64,
@@ -102,8 +121,9 @@ pub struct FetchStats {
     /// Index entries scanned by bitmap index scans.
     pub index_entries_scanned: u64,
     /// Range queries *saved* by the coalescing fetch planner: non-empty
-    /// candidate regions minus the merged range queries actually executed
-    /// for them. Zero for non-coalescing plans.
+    /// indexed regions minus the range queries executed for them. Zero for
+    /// non-coalescing plans, and for regions that share a walk but are
+    /// each cheaper fetched by a range query of their own.
     pub regions_coalesced: u64,
 }
 

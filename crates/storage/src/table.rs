@@ -8,6 +8,7 @@ use crate::error::StorageError;
 use crate::index::ColumnIndex;
 use crate::scratch::{
     ExecView, FetchBuf, FetchScratch, FetchUnit, ProbedDim, RegionProbe, RegionState, SeenSet,
+    UnitCharge,
 };
 use crate::sketch::Sketch;
 use crate::Result;
@@ -54,9 +55,10 @@ pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
     pub regions: Vec<HyperRect>,
     /// Whether the planner may coalesce regions whose chosen-dimension
-    /// index ranges overlap or abut into single range queries, and dedup
-    /// row ids across regions. Off by default (exact per-region
-    /// semantics, duplicates across overlapping regions preserved).
+    /// index ranges overlap or abut into single range queries — where
+    /// that is predicted cheaper than a query each — and dedup row ids
+    /// across regions. Off by default (exact per-region semantics,
+    /// duplicates across overlapping regions preserved).
     pub coalesce: bool,
 }
 
@@ -86,10 +88,11 @@ impl FetchPlan {
     }
 
     /// Enables planner coalescing (builder style): each heap row is
-    /// fetched at most once even when it lies in several candidate
-    /// ranges, and overlapping/abutting index ranges merge into one
-    /// range query. The saving is reported in
-    /// [`FetchStats::regions_coalesced`].
+    /// emitted at most once even when it lies in several candidate
+    /// ranges, and overlapping/abutting index ranges are charged as one
+    /// range query wherever one scan of the merged slice is predicted
+    /// cheaper than a range query per region. The range queries saved
+    /// are reported in [`FetchStats::regions_coalesced`].
     pub fn coalesced(mut self) -> Self {
         self.coalesce = true;
         self
@@ -373,8 +376,8 @@ impl Table {
     ///    Section 7.3.2) and annotated with its most selective
     ///    dimension's index position range.
     /// 2. **Coalesce** (when [`FetchPlan::coalesce`] is set): regions
-    ///    whose chosen-dimension position ranges overlap or abut merge
-    ///    into one range query each. Without coalescing there is one
+    ///    whose chosen-dimension position ranges overlap or abut share
+    ///    one unit — one walk — each. Without coalescing there is one
     ///    unit per region, in region order.
     /// 3. **Execute**: units run in unit order, appending straight into
     ///    the output buffer. A coalescing plan emits each heap row at
@@ -383,8 +386,9 @@ impl Table {
     ///    regions preserved).
     ///
     /// Accounting contract: `range_queries_issued` counts plan regions,
-    /// `range_queries_executed` counts range queries actually run after
-    /// coalescing, their difference for non-empty regions is
+    /// `range_queries_executed` counts the range queries the units are
+    /// charged — per unit the cheapest set covering its regions, see
+    /// `Table::run_unit` — their difference for non-empty regions is
     /// `regions_coalesced`, `points_read` / `rows_matched` count the
     /// **deduped** emitted rows, and `simulated_latency` is the
     /// [`CostModel`] charge for the summed unit stats.
@@ -397,10 +401,10 @@ impl Table {
         }
 
         // Phase 2: group regions into executable units.
-        let saved = scratch.build_units(plan.coalesce);
+        scratch.build_units(plan.coalesce);
 
         // Phase 3: execute the units in order.
-        let (view, out, seen) = scratch.exec_parts();
+        let (view, out, seen, charge) = scratch.exec_parts();
         let mut seen = if plan.coalesce {
             seen.begin_pass(self.points.len());
             Some(seen)
@@ -409,12 +413,11 @@ impl Table {
         };
         let mut stats = FetchStats::default();
         for unit in view.units {
-            stats += self.run_unit(&plan.regions, view, unit, out, seen.as_deref_mut());
+            stats += self.run_unit(&plan.regions, view, unit, out, seen.as_deref_mut(), charge);
         }
         let simulated_latency = self.config.cost_model.fetch_latency(&stats);
         stats.rows_matched = out.len() as u64;
         stats.points_read = stats.rows_matched;
-        stats.regions_coalesced = saved;
         FetchOutcome { stats, simulated_latency }
     }
 
@@ -493,23 +496,29 @@ impl Table {
     /// plus the heap work, which dedup does not reduce; `points_read` /
     /// `rows_matched` are set by the caller from the emitted rows).
     ///
-    /// An indexed unit runs one range query: one walk over its (merged)
-    /// slice of the chosen dimension's index. The walk itself reads no heap
-    /// row: each candidate's sketch word is tested against the bucket box
-    /// of every member region whose probed range covers the position.
-    /// Only candidates some box admits are fetched from the heap, a batch
-    /// at a time, and put to that region's exact `contains_coords` test,
-    /// which alone decides what is emitted — in walk order.
+    /// An indexed unit is one *walk* over its (merged) slice of the chosen
+    /// dimension's index. The walk itself reads no heap row: each
+    /// candidate's sketch word is tested against the bucket box of every
+    /// member region whose probed range covers the position. Only
+    /// candidates some box admits are fetched from the heap, a batch at a
+    /// time, and put to that region's exact `contains_coords` test, which
+    /// alone decides what is emitted — in walk order.
     ///
     /// What the walk *costs* is the simulated plan's business, not the
-    /// walk's. A unit of one region is charged as the cheaper of a
-    /// **single-index scan** (the chosen dimension's candidates fetched
-    /// from the heap and post-filtered — heap cost: the candidate count)
-    /// and a **bitmap AND scan** (the per-dimension row sets intersected
-    /// in the indexes, only the intersection fetched — heap cost ≈ the
-    /// matching rows plus cheap per-entry index work), by the standard
-    /// selectivity-product estimate. A merged unit is charged its whole
-    /// slice.
+    /// walk's: the unit is charged the cheapest set of range queries that
+    /// covers its member regions ([`UnitCharge`] — contiguous groups of
+    /// the members, one seek each). A group of one region is charged as
+    /// every one-region plan is, the cheaper of a **single-index scan**
+    /// (the chosen dimension's candidates fetched from the heap and
+    /// post-filtered — heap cost: the candidate count) and a **bitmap AND
+    /// scan** (the per-dimension row sets intersected in the indexes, only
+    /// the intersection fetched — heap cost ≈ the matching rows plus cheap
+    /// per-entry index work), by the standard selectivity-product
+    /// estimate. A group of several is charged one scan of its own merged
+    /// slice. Which groups is decided before the walk, on the predicted
+    /// cost of each ([`Table::predict_single`], the estimate the
+    /// one-region choice already uses); what they pay is counted by the
+    /// walk — predicted decides, actual pays, as for a unit of one region.
     fn run_unit(
         &self,
         regions: &[HyperRect],
@@ -517,6 +526,7 @@ impl Table {
         unit: &FetchUnit,
         out: &mut FetchBuf,
         mut seen: Option<&mut SeenSet>,
+        charge: &mut UnitCharge,
     ) -> FetchStats {
         let members = view.members_of(unit);
         let mut stats = FetchStats::default();
@@ -547,6 +557,18 @@ impl Table {
                 stats
             }
             RegionState::Ready => {
+                // The charge is settled before the walk, on predicted cost.
+                let model = self.config.cost_model;
+                charge.partition(
+                    members.iter().map(|&r| {
+                        let probe = &view.regions[r as usize];
+                        let count = u64::from(probe.pos_hi - probe.pos_lo);
+                        let (_, rows, entries) = self.predict_single(view.probed_of(r), count);
+                        (probe.pos_lo, probe.pos_hi, model.predicted_ns(rows, entries as f64))
+                    }),
+                    |span| model.predicted_ns(f64::from(span), f64::from(span)),
+                );
+
                 let rows = self.indexes[unit.dim as usize]
                     .rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
                 // The heap side, a batch of admitted `(row, region)` pairs
@@ -554,7 +576,6 @@ impl Table {
                 // and emission, so that the first of a heap row's two
                 // dependent cache misses overlaps across the batch instead
                 // of stalling the walk one row at a time.
-                let mut matched = 0u64;
                 let mut emitted = RowId::MAX; // no row has this id
                 let mut fetch_batch = |batch: &[(RowId, u32)]| {
                     let mut coords: [&[f64]; BATCH] = [&[]; BATCH];
@@ -564,11 +585,14 @@ impl Table {
                     for (slot, &(row, r)) in batch.iter().enumerate() {
                         // MPR regions are pairwise disjoint, but a plan's
                         // need not be: a candidate is emitted once however
-                        // many of the unit's regions it satisfies.
-                        if row != emitted && regions[r as usize].contains_coords(coords[slot]) {
-                            emitted = row;
-                            matched += 1;
-                            emit(row, coords[slot]);
+                        // many of the unit's regions it satisfies, and
+                        // counted for each of them.
+                        if regions[r as usize].contains_coords(coords[slot]) {
+                            charge.matched[r as usize] += 1;
+                            if row != emitted {
+                                emitted = row;
+                                emit(row, coords[slot]);
+                            }
                         }
                     }
                 };
@@ -605,16 +629,43 @@ impl Table {
                 }
                 fetch_batch(&batch[..filled]);
 
-                stats.range_queries_executed += 1;
-                let span = rows.len() as u64;
-                let (heap_fetches, index_entries) = match members {
-                    [r] => self.single_region_charge(view.probed_of(*r), span, matched),
-                    _ => (span, span),
-                };
-                stats.heap_fetches += heap_fetches;
-                stats.index_entries_scanned += index_entries;
+                // What the chosen range queries pay, on actual counts.
+                stats.regions_coalesced += members.len() as u64;
+                for (group, span) in charge.groups() {
+                    let (heap_fetches, index_entries) = match members[group] {
+                        [r] => {
+                            let matched = charge.matched[r as usize];
+                            self.single_region_charge(view.probed_of(r), span, matched)
+                        }
+                        _ => (span, span),
+                    };
+                    stats.range_queries_executed += 1;
+                    stats.regions_coalesced -= 1;
+                    stats.heap_fetches += heap_fetches;
+                    stats.index_entries_scanned += index_entries;
+                }
                 stats
             }
+        }
+    }
+
+    /// The one plan-choice estimate: whether, by the standard
+    /// selectivity-product estimate, a bitmap AND of the probed ranges is
+    /// cheaper than a single-index scan of the `best_count` candidates of
+    /// the most selective one, and the `(heap rows, index entries)` the
+    /// cheaper plan is predicted to cost. [`Table::single_region_charge`]
+    /// charges by it; [`Table::run_unit`] prices a region alone with it.
+    fn predict_single(&self, probed: &[ProbedDim], best_count: u64) -> (bool, f64, usize) {
+        // Plan choice: single-index heap cost vs bitmap estimate.
+        let n = self.points.len() as f64;
+        let est_match: f64 = probed.iter().fold(n, |acc, p| acc * (p.count() as f64 / n));
+        let entries: usize = probed.iter().map(ProbedDim::count).sum();
+        let ratio = self.config.cost_model.entry_to_point_ratio();
+        let bitmap_cost = est_match + ratio * entries as f64;
+        if probed.len() > 1 && bitmap_cost < best_count as f64 {
+            (true, est_match, entries)
+        } else {
+            (false, best_count as f64, best_count as usize)
         }
     }
 
@@ -627,13 +678,8 @@ impl Table {
         best_count: u64,
         matched: u64,
     ) -> (u64, u64) {
-        // Plan choice: single-index heap cost vs bitmap estimate.
-        let n = self.points.len() as f64;
-        let est_match: f64 = probed.iter().fold(n, |acc, p| acc * (p.count() as f64 / n));
-        let entries: usize = probed.iter().map(ProbedDim::count).sum();
-        let ratio = self.config.cost_model.entry_to_point_ratio();
-        let bitmap_cost = est_match + ratio * entries as f64;
-        if probed.len() > 1 && bitmap_cost < best_count as f64 {
+        let (bitmap, _, entries) = self.predict_single(probed, best_count);
+        if bitmap {
             // Bitmap AND: every constrained index range is scanned
             // (cheap, index-only); only intersecting rows hit the heap.
             (matched, entries as u64)

@@ -2,7 +2,10 @@
 //! *arbitrary* region sets — overlapping, abutting, nested, or genuine
 //! MPR output — the coalesced plan must fetch exactly the rows a naive
 //! per-region scan fetches (after deduplication) and yield the same
-//! skyline over them.
+//! skyline over them — and account for it by the planner's contract
+//! (DESIGN.md §12): never more range queries than ready regions, latency
+//! the cost model's charge for the counters, and counters that do not
+//! depend on whether latency is charged at all.
 
 use proptest::prelude::*;
 
@@ -30,9 +33,13 @@ fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
         .prop_map(|rows| rows.into_iter().map(Point::from).collect())
 }
 
-fn build(points: Vec<Point>) -> Table {
-    Table::build(points, TableConfig { cost_model: CostModel::free(), ..Default::default() })
+fn build_with(points: Vec<Point>, cost_model: CostModel) -> Table {
+    Table::build(points, TableConfig { cost_model, ..Default::default() })
         .expect("generated data is valid")
+}
+
+fn build(points: Vec<Point>) -> Table {
+    build_with(points, CostModel::free())
 }
 
 fn sorted_points(mut v: Vec<Point>) -> Vec<Point> {
@@ -83,6 +90,27 @@ fn assert_same_rows_and_skyline(
     let naive_sky = sorted_points(Sfs.compute(naive_points).skyline);
     let plan_sky = sorted_points(Sfs.compute(plan_points).skyline);
     prop_assert_eq!(naive_sky, plan_sky, "skyline over fetched rows diverged");
+    assert_accounting(table, regions)
+}
+
+/// The accounting half of the contract. `table` counts only
+/// (`CostModel::free()`); its twin charges the default model.
+fn assert_accounting(
+    table: &Table,
+    regions: &[HyperRect],
+) -> std::result::Result<(), TestCaseError> {
+    let plan = FetchPlan::new(regions.to_vec()).coalesced();
+    let counted = table.fetch_plan(&plan);
+    let charged = build_with(table.all_points().to_vec(), CostModel::default()).fetch_plan(&plan);
+    prop_assert_eq!(counted.stats, charged.stats, "counters depend on whether latency is charged");
+    prop_assert_eq!(counted.simulated_latency, std::time::Duration::ZERO);
+
+    let s = charged.stats;
+    prop_assert_eq!(charged.simulated_latency, CostModel::default().fetch_latency(&s));
+    // Every generated region is bounded, so a region is empty or ready.
+    let ready = s.range_queries_issued - s.range_queries_empty;
+    prop_assert!(s.range_queries_executed <= ready, "more range queries than ready regions");
+    prop_assert_eq!(s.regions_coalesced, ready - s.range_queries_executed);
     Ok(())
 }
 
@@ -96,6 +124,28 @@ proptest! {
         let table = build(points);
         let regions: Vec<HyperRect> = region_boxes.iter().map(Constraints::region).collect();
         assert_same_rows_and_skyline(&table, &regions)?;
+    }
+
+    /// Slabs — one bounded dimension each, so a region's predicted cost
+    /// alone *is* what it is charged alone: the coalesced plan is never
+    /// dearer than the same regions fetched one by one.
+    #[test]
+    fn coalesced_slabs_never_cost_more_than_separate_ones(
+        points in dataset(3),
+        slabs in prop::collection::vec((0..3usize, coord(), coord()), 1..8),
+    ) {
+        let table = build_with(points, CostModel::default());
+        let regions: Vec<HyperRect> = slabs
+            .iter()
+            .map(|&(dim, a, b)| {
+                let mut pairs = [(f64::NEG_INFINITY, f64::INFINITY); 3];
+                pairs[dim] = (a.min(b), a.max(b));
+                Constraints::from_pairs(&pairs).expect("ordered").region()
+            })
+            .collect();
+        let separate = table.fetch_plan(&FetchPlan::new(regions.clone()));
+        let coalesced = table.fetch_plan(&FetchPlan::new(regions).coalesced());
+        prop_assert!(coalesced.simulated_latency <= separate.simulated_latency);
     }
 
     /// Genuine MPR region sets: the planner input the engine actually
