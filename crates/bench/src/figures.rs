@@ -7,7 +7,7 @@
 
 use skycache_core::{
     BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, Overlap,
-    QueryRequest, ReplacementPolicy, SearchStrategy,
+    QueryRequest, QueryStats, ReplacementPolicy, SearchStrategy,
 };
 use skycache_datagen::Distribution;
 use skycache_geom::Constraints;
@@ -15,8 +15,7 @@ use skycache_storage::Table;
 
 use crate::{
     filter_by_case, fmt_size, independent_queries, interactive_queries, print_header, print_row,
-    real_estate_table, run_queries, split_by_stability, summarize, synthetic_table, Record,
-    Summary,
+    real_estate_table, run_queries, split_by_stability, summarize, synthetic_table, Summary,
 };
 
 /// Experiment scale knobs.
@@ -104,7 +103,7 @@ fn run_cbcs(
     preload: &[Constraints],
     mpr: MprMode,
     strategy: SearchStrategy,
-) -> Vec<Record> {
+) -> Vec<QueryStats> {
     let mut ex = CbcsExecutor::new(table, cbcs_config(mpr, strategy));
     for c in preload {
         ex.execute(&QueryRequest::new(c.clone())).expect("preload query succeeds");
@@ -112,7 +111,7 @@ fn run_cbcs(
     run_queries(&mut ex, queries)
 }
 
-fn method_rows(label: &str, records: &[Record]) {
+fn method_rows(label: &str, records: &[QueryStats]) {
     let all = summarize(records.iter());
     let (stable, unstable) = split_by_stability(records);
     print_row(label, &[secs(all.avg_time_s), count(all.avg_points), count(all.avg_rq)]);
@@ -267,7 +266,7 @@ pub fn fig8(scale: &Scale) {
     }
 }
 
-fn points_rows(label: &str, records: &[Record]) {
+fn points_rows(label: &str, records: &[QueryStats]) {
     let all = summarize(records.iter());
     print_row(label, &[count(all.avg_points), count(all.avg_rq), count(all.avg_rq_executed)]);
     let (stable, unstable) = split_by_stability(records);
@@ -513,7 +512,7 @@ pub fn ablation_replacement(scale: &Scale) {
         let mut ex = CbcsExecutor::new(&table, config);
         let records = run_queries(&mut ex, &queries);
         let s = summarize(records.iter());
-        let hits = records.iter().filter(|r| r.stats.cache_hit).count();
+        let hits = records.iter().filter(|r| r.cache_hit).count();
         print_row(
             label,
             &[
@@ -682,21 +681,19 @@ pub fn policy(scale: &Scale) {
 
                 let free_hits = records
                     .iter()
-                    .filter(|r| {
-                        matches!(r.stats.case, Some(Overlap::Exact | Overlap::CaseB { .. }))
-                    })
+                    .filter(|r| matches!(r.case, Some(Overlap::Exact | Overlap::CaseB { .. })))
                     .count();
-                let overlap_hits = records.iter().filter(|r| r.stats.cache_hit).count();
-                let composed_hits = records.iter().filter(|r| r.stats.composed_items >= 2).count();
+                let overlap_hits = records.iter().filter(|r| r.cache_hit).count();
+                let composed_hits = records.iter().filter(|r| r.composed_items >= 2).count();
                 let cover_sum: f64 = records
                     .iter()
-                    .filter(|r| r.stats.composed_items >= 2)
-                    .map(|r| r.stats.cover_fraction)
+                    .filter(|r| r.composed_items >= 2)
+                    .map(|r| r.cover_fraction)
                     .sum();
                 let avg_cover =
                     if composed_hits > 0 { cover_sum / composed_hits as f64 } else { 0.0 };
-                let points_read: u64 = records.iter().map(|r| r.stats.points_read).sum();
-                let rejects: u64 = records.iter().map(|r| r.stats.admission_rejects).sum();
+                let points_read: u64 = records.iter().map(|r| r.points_read).sum();
+                let rejects: u64 = records.iter().map(|r| r.admission_rejects).sum();
                 let q = records.len() as f64;
                 let hit_rate = free_hits as f64 / q;
                 let overlap_rate = overlap_hits as f64 / q;

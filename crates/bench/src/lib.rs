@@ -13,8 +13,6 @@
 pub mod figures;
 pub mod serve;
 
-use std::time::Duration;
-
 use skycache_core::{Executor, Overlap, QueryRequest, QueryStats};
 use skycache_datagen::{
     DimStats, Distribution, IndependentWorkload, InteractiveWorkload, RealEstateGen, SyntheticGen,
@@ -86,33 +84,14 @@ pub fn zipf_queries(
     generator.generate(total, seed).queries().iter().map(|q| q.constraints.clone()).collect()
 }
 
-/// One executed query's record, kept for later slicing.
-#[derive(Clone, Debug)]
-pub struct Record {
-    /// Full engine statistics.
-    pub stats: QueryStats,
-}
-
-impl Record {
-    /// Total latency (measured CPU + simulated I/O).
-    pub fn total(&self) -> Duration {
-        self.stats.stages.total()
-    }
-}
-
-/// Runs every query through the executor, collecting records.
+/// Runs every query through the executor, collecting its statistics.
 ///
 /// # Panics
 /// Panics if a query fails (benchmark configurations are known-valid).
-pub fn run_queries(ex: &mut dyn Executor, queries: &[Constraints]) -> Vec<Record> {
+pub fn run_queries(ex: &mut dyn Executor, queries: &[Constraints]) -> Vec<QueryStats> {
     queries
         .iter()
-        .map(|c| Record {
-            stats: ex
-                .execute(&QueryRequest::new(c.clone()))
-                .expect("benchmark query succeeds")
-                .stats,
-        })
+        .map(|c| ex.execute(&QueryRequest::new(c.clone())).expect("benchmark query succeeds").stats)
         .collect()
 }
 
@@ -136,18 +115,19 @@ pub struct Summary {
 }
 
 /// Summarizes records, optionally filtered.
-pub fn summarize<'a>(records: impl IntoIterator<Item = &'a Record>) -> Summary {
+pub fn summarize<'a>(records: impl IntoIterator<Item = &'a QueryStats>) -> Summary {
     let mut s = Summary::default();
     for r in records {
+        let stages = r.stages();
         s.n += 1;
-        s.avg_time_s += r.total().as_secs_f64();
-        s.avg_points += r.stats.points_read as f64;
-        s.avg_rq += r.stats.range_queries_issued as f64;
-        s.avg_rq_executed += r.stats.range_queries_executed as f64;
-        s.avg_dom_tests += r.stats.dominance_tests as f64;
-        s.stages_s[0] += r.stats.stages.processing.as_secs_f64();
-        s.stages_s[1] += r.stats.stages.fetching.as_secs_f64();
-        s.stages_s[2] += r.stats.stages.skyline.as_secs_f64();
+        s.avg_time_s += stages.total().as_secs_f64();
+        s.avg_points += r.points_read as f64;
+        s.avg_rq += r.range_queries_issued as f64;
+        s.avg_rq_executed += r.range_queries_executed as f64;
+        s.avg_dom_tests += r.dominance_tests as f64;
+        s.stages_s[0] += stages.processing.as_secs_f64();
+        s.stages_s[1] += stages.fetching.as_secs_f64();
+        s.stages_s[2] += stages.skyline.as_secs_f64();
     }
     if s.n > 0 {
         let n = s.n as f64;
@@ -164,18 +144,18 @@ pub fn summarize<'a>(records: impl IntoIterator<Item = &'a Record>) -> Summary {
 }
 
 /// Slices records by stability of the used cache item.
-pub fn split_by_stability(records: &[Record]) -> (Vec<&Record>, Vec<&Record>) {
-    let stable = records.iter().filter(|r| r.stats.stable() == Some(true)).collect();
-    let unstable = records.iter().filter(|r| r.stats.stable() == Some(false)).collect();
+pub fn split_by_stability(records: &[QueryStats]) -> (Vec<&QueryStats>, Vec<&QueryStats>) {
+    let stable = records.iter().filter(|r| r.stable() == Some(true)).collect();
+    let unstable = records.iter().filter(|r| r.stable() == Some(false)).collect();
     (stable, unstable)
 }
 
 /// Records whose used-cache-item classification matches `pred`.
 pub fn filter_by_case<'a>(
-    records: &'a [Record],
+    records: &'a [QueryStats],
     pred: impl Fn(Overlap) -> bool + 'a,
-) -> Vec<&'a Record> {
-    records.iter().filter(|r| r.stats.case.is_some_and(&pred)).collect()
+) -> Vec<&'a QueryStats> {
+    records.iter().filter(|r| r.case.is_some_and(&pred)).collect()
 }
 
 /// Formats a dataset size like the paper's axis labels (`2M`, `500k`).

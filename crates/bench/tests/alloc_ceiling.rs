@@ -110,14 +110,14 @@ fn cold_run(table: &Table, queries: &[Constraints]) -> (f64, [u64; 4]) {
     let a0 = allocations();
     let records = run_queries(&mut ex, queries);
     let allocs = allocations() - a0;
-    let hits = records.iter().filter(|r| r.stats.cache_hit).count();
+    let hits = records.iter().filter(|r| r.cache_hit).count();
     assert!(hits * 2 > queries.len(), "workload must be cache-dominated, got {hits} hits");
     let mut fetch = [0u64; 4];
     for r in &records {
-        fetch[0] += r.stats.points_read;
-        fetch[1] += r.stats.range_queries_issued;
-        fetch[2] += r.stats.range_queries_executed;
-        fetch[3] += r.stats.regions_coalesced;
+        fetch[0] += r.points_read;
+        fetch[1] += r.range_queries_issued;
+        fetch[2] += r.range_queries_executed;
+        fetch[3] += r.regions_coalesced;
     }
     (allocs as f64 / queries.len() as f64, fetch)
 }
@@ -130,7 +130,7 @@ fn replay_allocs_per_query(table: &Table, queries: &[Constraints]) -> f64 {
     let a0 = allocations();
     let records = run_queries(&mut ex, queries);
     let allocs = allocations() - a0;
-    assert!(records.iter().all(|r| r.stats.cache_hit), "replay must be all cache hits");
+    assert!(records.iter().all(|r| r.cache_hit), "replay must be all cache hits");
     allocs as f64 / queries.len() as f64
 }
 

@@ -6,15 +6,13 @@
 //! (paper Fig. 5). Both inverted once without a test noticing, when every
 //! coalesced unit was charged its whole merged slice.
 
-use skycache_bench::{
-    interactive_queries, run_queries, split_by_stability, synthetic_table, Record,
-};
-use skycache_core::{BaselineExecutor, CbcsConfig, CbcsExecutor};
+use skycache_bench::{interactive_queries, run_queries, split_by_stability, synthetic_table};
+use skycache_core::{BaselineExecutor, CbcsConfig, CbcsExecutor, QueryStats};
 use skycache_datagen::Distribution;
 
 /// Mean simulated fetch nanoseconds per query.
-fn mean_sim_ns<'a>(records: impl IntoIterator<Item = &'a Record>) -> u64 {
-    let sims: Vec<u64> = records.into_iter().map(|r| r.stats.fetch_sim_ns).collect();
+fn mean_sim_ns<'a>(records: impl IntoIterator<Item = &'a QueryStats>) -> u64 {
+    let sims: Vec<u64> = records.into_iter().map(|r| r.fetch_sim_ns).collect();
     sims.iter().sum::<u64>() / sims.len() as u64
 }
 

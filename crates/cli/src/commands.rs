@@ -105,7 +105,7 @@ pub fn query(args: &Args) -> CmdResult {
         result.skyline.len(),
         result.stats.points_read,
         result.stats.dominance_tests,
-        result.stats.stages.total(),
+        result.stats.stages().total(),
     );
     let mut sky = result.skyline;
     sky.sort_by(|a, b| a.coord_sum().partial_cmp(&b.coord_sum()).expect("NaN-free"));
@@ -170,7 +170,7 @@ pub fn workload(args: &Args) -> CmdResult {
     for (i, c) in queries.iter().enumerate() {
         let r = ex.execute(&QueryRequest::new(c.clone()))?;
         total_pts += r.stats.points_read;
-        total_time += r.stats.stages.total().as_secs_f64();
+        total_time += r.stats.stages().total().as_secs_f64();
         if r.stats.cache_hit {
             hits += 1;
         }
@@ -222,7 +222,7 @@ pub fn compare(args: &Args) -> CmdResult {
         let mut sizes = Vec::with_capacity(queries.len());
         for c in &queries {
             let r = ex.execute(&QueryRequest::new(c.clone()))?;
-            time += r.stats.stages.total().as_secs_f64();
+            time += r.stats.stages().total().as_secs_f64();
             pts += r.stats.points_read;
             dom += r.stats.dominance_tests;
             sizes.push(r.skyline.len());

@@ -11,13 +11,12 @@
 //! Queries enter through [`Executor::execute`] with a [`QueryRequest`] —
 //! constraints plus an opt-in recording flag — and return a
 //! [`QueryOutcome`]: the skyline (with the cached item's text of it when
-//! the cache held the answer as it is), the always-on [`QueryStats`]
-//! counters, and (when recording) a
-//! [`skycache_obs::QueryReport`] with the six-phase span breakdown and the
-//! full metric registry. Instrumentation flows through the
-//! [`skycache_obs::Recorder`] interface; with recording off the pipeline
-//! only feeds the plain-struct [`QueryStats`], so the hot path allocates
-//! nothing for observability.
+//! the cache held the answer as it is), the always-on [`QueryStats`] and
+//! (when recording) a [`skycache_obs::QueryReport`]. [`QueryStats`] is
+//! the one thing the pipeline writes — plain fields, written directly, so
+//! the hot path allocates nothing for observability; the Figure-10
+//! [`StageTimes`] and the report are read off it afterwards
+//! ([`QueryStats::stages`], [`QueryStats::report`]).
 //!
 //! The CBCS flow of the paper's Section 6 is written once, as
 //! `CbcsState::execute`: it searches the cache through a plain `&Cache`
@@ -27,10 +26,12 @@
 //! pass in. The in-memory skyline stage is SFS, as in the paper's
 //! evaluation.
 //!
-//! Wall-clock figures combine measured CPU time with the deterministic
+//! Measured CPU time ([`QueryStats::phase_ns`]) and the deterministic
 //! simulated I/O latency of the table's [`skycache_storage::CostModel`]
-//! (see DESIGN.md: the substitution preserves the paper's cost structure
-//! while staying machine-independent).
+//! ([`QueryStats::fetch_sim_ns`]) are kept in separate fields; the two
+//! derived views show their sum (see DESIGN.md: the substitution
+//! preserves the paper's cost structure while staying
+//! machine-independent).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,9 +41,9 @@ use rand::SeedableRng;
 
 use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
 use skycache_geom::{Aabb, Constraints, Point, PointBlock};
-use skycache_obs::{names, Phase, QueryRecorder, QueryReport, Recorder};
+use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
-use skycache_storage::{FetchBuf, FetchPlan, FetchScratch, Table};
+use skycache_storage::{FetchBuf, FetchOutcome, FetchPlan, FetchScratch, Table};
 
 use crate::cache::{Cache, ItemCost, ReplacementPolicy};
 use crate::cases::{plan_parts, QueryPlan};
@@ -60,8 +61,8 @@ use crate::{CoreError, Result};
 pub struct QueryRequest {
     /// The query constraints `C`.
     pub constraints: Constraints,
-    /// Capture a per-query [`QueryReport`] (spans, counters, gauges,
-    /// histograms). Off by default: the report costs allocations.
+    /// Render a per-query [`QueryReport`] (phase times, counters,
+    /// gauges). Off by default: the report costs allocations.
     pub record: bool,
 }
 
@@ -89,60 +90,23 @@ pub struct QueryOutcome {
     pub text: Option<Arc<str>>,
     /// Work and latency counters (always populated).
     pub stats: QueryStats,
-    /// The detailed per-query report; `Some` iff the request set
+    /// [`QueryStats::report`] of `stats`; `Some` iff the request set
     /// [`QueryRequest::record`].
     pub report: Option<QueryReport>,
 }
 
-/// Observation fan-out for one running query: the always-on
-/// [`QueryStats`] plus an optional detailed [`QueryRecorder`].
-///
-/// The pipeline emits every event exactly once, through this; with
-/// recording off the recorder half is `None` and each event is one
-/// match-free struct update.
-pub(crate) struct Probe<'a> {
-    /// The always-on counters.
-    pub stats: &'a mut QueryStats,
-    /// Detailed capture, present only when the request asked to record.
-    pub rec: Option<&'a mut QueryRecorder>,
-}
-
-impl Recorder for Probe<'_> {
-    fn detailed(&self) -> bool {
-        self.rec.is_some()
-    }
-
-    fn record_span(&mut self, phase: Phase, elapsed: Duration) {
-        self.stats.record_span(phase, elapsed);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.record_span(phase, elapsed);
-        }
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        self.stats.add_counter(name, delta);
-        if let Some(rec) = self.rec.as_mut() {
-            rec.add_counter(name, delta);
-        }
-    }
-
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
-        if let Some(rec) = self.rec.as_mut() {
-            rec.set_gauge(name, value);
-        }
-    }
-
-    fn observe_value(&mut self, name: &'static str, value: f64) {
-        if let Some(rec) = self.rec.as_mut() {
-            rec.observe_value(name, value);
-        }
-    }
-}
-
-impl<'a> Probe<'a> {
-    /// Builds the probe for one query from the request's recording flag.
-    pub fn new(stats: &'a mut QueryStats, rec: Option<&'a mut QueryRecorder>) -> Self {
-        Probe { stats, rec }
+impl QueryOutcome {
+    /// Closes a query: the final stats, and their report if `req` asked
+    /// for one.
+    pub(crate) fn finish(
+        req: &QueryRequest,
+        skyline: Vec<Point>,
+        text: Option<Arc<str>>,
+        mut stats: QueryStats,
+    ) -> Self {
+        stats.result_size = skyline.len() as u64;
+        let report = req.record.then(|| stats.report());
+        QueryOutcome { skyline, text, stats, report }
     }
 }
 
@@ -278,21 +242,19 @@ fn merge_rows(
 
 /// The skyline stage: SFS on flat rows in place (d = 2 inputs take the
 /// planar sweep inside the block kernel's own dispatch), materializing
-/// owned points only for the returned skyline. Dominance tests go to the
-/// probe.
+/// owned points only for the returned skyline.
 fn compute_skyline_rows(
     rows: &[f64],
     dims: usize,
     sky: &mut SkylineScratch,
     out: &mut PointBlock,
-    probe: &mut Probe<'_>,
+    stats: &mut QueryStats,
 ) -> Vec<Point> {
-    let tests = Sfs.compute_block_into(rows, dims, sky, out);
-    probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, tests);
+    stats.dominance_tests += Sfs.compute_block_into(rows, dims, sky, out);
     out.to_points()
 }
 
-/// The Figure-10 stage breakdown of one query.
+/// The Figure-10 stage breakdown of one query ([`QueryStats::stages`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Main-memory planning: cache search, case classification, MPR
@@ -312,7 +274,9 @@ impl StageTimes {
     }
 }
 
-/// Statistics of one executed query.
+/// Statistics of one executed query: the one record the pipeline writes.
+/// Every field is a plain value the executors add to directly;
+/// [`QueryStats::stages`] and [`QueryStats::report`] are read off it.
 #[derive(Clone, Debug, Default)]
 pub struct QueryStats {
     /// Rows of the queried regions read from the heap — the paper's
@@ -331,73 +295,70 @@ pub struct QueryStats {
     /// charged as part of a neighbor's merged range query because that
     /// was predicted cheaper than a query of their own.
     pub regions_coalesced: u64,
+    /// Rows matching their region after post-filtering.
+    pub rows_matched: u64,
+    /// Per-dimension B-tree probes during fetch planning.
+    pub index_probes: u64,
+    /// Index entries scanned by the chosen storage plans.
+    pub index_entries_scanned: u64,
+    /// Distinct heap pages the fetched rows sit on. Derived after the
+    /// query and only for a recorded request (0 otherwise): it costs a
+    /// pass over the fetched row ids.
+    pub pages_touched: u64,
     /// Pairwise dominance tests performed.
     pub dominance_tests: u64,
-    /// Stage time breakdown.
-    pub stages: StageTimes,
+    /// Measured time per [`Phase`] in nanoseconds, indexed by
+    /// [`Phase::index`] — wall clock only; the simulated disk time of the
+    /// fetch phase is [`QueryStats::fetch_sim_ns`].
+    pub phase_ns: [u64; Phase::COUNT],
+    /// Simulated storage fetch latency (nanoseconds) charged by the cost
+    /// model — deterministic, unlike the measured phase times, so it can
+    /// feed cost-aware cache replacement reproducibly.
+    pub fetch_sim_ns: u64,
     /// Whether a cached item was used.
     pub cache_hit: bool,
+    /// Whether the cache was searched and offered no usable item (false
+    /// for executors without a cache and for negative-cache answers).
+    pub cache_miss: bool,
     /// Overlap classification of the used cache item, if any.
     pub case: Option<Overlap>,
     /// Number of overlapping cache items the lookup returned.
     pub candidates: usize,
+    /// Cached items individually tested for overlap during the lookup
+    /// (0 when the cache-wide bounding box short-circuits the search).
+    pub overlap_scans: u64,
     /// Cached skyline points merged into the result computation.
     pub retained_points: u64,
     /// Cached skyline points invalidated by the new constraints.
     pub removed_points: u64,
+    /// Regions in the executed (a)MPR plan.
+    pub mpr_regions: u64,
+    /// Cached skyline points used for pruning during MPR construction.
+    pub mpr_prune_points: u64,
+    /// Cached-region pieces invalidated by inverted-logic preprocessing.
+    pub mpr_invalidated_pieces: u64,
     /// Result cardinality.
     pub result_size: u64,
-    /// Simulated storage fetch latency (nanoseconds) charged by the cost
-    /// model — deterministic, unlike the wall-clock stage times, so it
-    /// can feed cost-aware cache replacement reproducibly.
-    pub fetch_sim_ns: u64,
     /// Cached items composed into the answer (0 on misses; 1 on
     /// single-item hits; ≥ 2 on compositional hits).
     pub composed_items: usize,
     /// Fraction of the query region covered by cached items on a
     /// compositional hit (0.0 otherwise).
     pub cover_fraction: f64,
+    /// Whether this query's result was stored in the cache (0 or 1).
+    pub insertions: u64,
+    /// Items evicted while this query's result was being cached.
+    pub evictions: u64,
     /// Results turned away by the TinyLFU admission gate while this
     /// query's result was being cached.
     pub admission_rejects: u64,
+    /// Whether the service's negative cache answered the query (0 or 1).
+    pub negative_hits: u64,
+    /// Whether the query's region was probed empty and remembered in the
+    /// service's negative cache (0 or 1).
+    pub negative_inserts: u64,
     /// BBS-specific counters (BBS executor only).
     pub bbs: Option<BbsStats>,
-}
-
-/// Spans fold into the three Figure-10 stages and the canonical counters
-/// land in the named struct fields. Events without a corresponding field
-/// (index probes, histograms, gauges) are dropped here — the detailed
-/// recorder keeps them.
-impl Recorder for QueryStats {
-    fn record_span(&mut self, phase: Phase, elapsed: Duration) {
-        match phase {
-            Phase::CacheLookup | Phase::CaseAnalysis | Phase::MprCompute => {
-                self.stages.processing += elapsed;
-            }
-            Phase::Fetch => self.stages.fetching += elapsed,
-            Phase::Merge | Phase::Skyline => self.stages.skyline += elapsed,
-        }
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        match name {
-            names::FETCH_POINTS_READ => self.points_read += delta,
-            names::FETCH_HEAP_FETCHES => self.heap_fetches += delta,
-            names::FETCH_REGIONS => self.range_queries_issued += delta,
-            names::FETCH_RQ_EXECUTED => self.range_queries_executed += delta,
-            names::FETCH_RQ_EMPTY => self.range_queries_empty += delta,
-            names::FETCH_REGIONS_COALESCED => self.regions_coalesced += delta,
-            names::SKYLINE_DOMINANCE_TESTS => self.dominance_tests += delta,
-            names::CACHE_RETAINED_POINTS => self.retained_points += delta,
-            names::CACHE_REMOVED_POINTS => self.removed_points += delta,
-            names::SKYLINE_RESULT_SIZE => self.result_size += delta,
-            names::CACHE_CANDIDATES => {
-                self.candidates += usize::try_from(delta).unwrap_or(usize::MAX);
-            }
-            names::CACHE_ADMISSION_REJECTS => self.admission_rejects += delta,
-            _ => {}
-        }
-    }
 }
 
 impl QueryStats {
@@ -405,6 +366,92 @@ impl QueryStats {
     /// no cache item was used).
     pub fn stable(&self) -> Option<bool> {
         self.case.map(Overlap::is_stable)
+    }
+
+    /// Adds the time measured since `since` to `phase`.
+    fn time(&mut self, phase: Phase, since: Stopwatch) {
+        self.phase_ns[phase.index()] += since.elapsed().as_nanos() as u64;
+    }
+
+    /// Folds one storage fetch into the counters and the simulated time.
+    fn absorb(&mut self, fetch: FetchOutcome) {
+        let f = fetch.stats;
+        self.points_read += f.points_read;
+        self.heap_fetches += f.heap_fetches;
+        self.range_queries_issued += f.range_queries_issued;
+        self.range_queries_executed += f.range_queries_executed;
+        self.range_queries_empty += f.range_queries_empty;
+        self.regions_coalesced += f.regions_coalesced;
+        self.rows_matched += f.rows_matched;
+        self.index_probes += f.index_probes;
+        self.index_entries_scanned += f.index_entries_scanned;
+        self.fetch_sim_ns += fetch.simulated_latency.as_nanos() as u64;
+    }
+
+    /// What a reader is shown for one phase: its measured time, plus —
+    /// the one place the two are added — the simulated disk time for
+    /// [`Phase::Fetch`], so the stage keeps the cost structure of the
+    /// paper's disk-backed set-up.
+    fn shown_ns(&self, phase: Phase) -> u64 {
+        let sim = if phase == Phase::Fetch { self.fetch_sim_ns } else { 0 };
+        self.phase_ns[phase.index()] + sim
+    }
+
+    /// The Figure-10 view: *processing* is the first three phases,
+    /// *fetching* the fetch phase (measured plus simulated), *skyline*
+    /// merge plus skyline.
+    pub fn stages(&self) -> StageTimes {
+        let sum =
+            |phases: &[Phase]| Duration::from_nanos(phases.iter().map(|&p| self.shown_ns(p)).sum());
+        StageTimes {
+            processing: sum(&[Phase::CacheLookup, Phase::CaseAnalysis, Phase::MprCompute]),
+            fetching: sum(&[Phase::Fetch]),
+            skyline: sum(&[Phase::Merge, Phase::Skyline]),
+        }
+    }
+
+    /// Renders the versioned report: the phases as shown (the fetch phase
+    /// is measured plus simulated; [`names::FETCH_SIM_NS`] lets a reader
+    /// split it) and every counter under its canonical name. The only
+    /// user of [`skycache_obs::names`] in the pipeline.
+    pub fn report(&self) -> QueryReport {
+        let mut metrics = Registry::new();
+        for (name, value) in [
+            (names::CACHE_HITS, u64::from(self.cache_hit)),
+            (names::CACHE_MISSES, u64::from(self.cache_miss)),
+            (names::CACHE_EVICTIONS, self.evictions),
+            (names::CACHE_INSERTIONS, self.insertions),
+            (names::CACHE_CANDIDATES, self.candidates as u64),
+            (names::CACHE_OVERLAP_SCANS, self.overlap_scans),
+            (names::CACHE_COMPOSED_HITS, u64::from(self.composed_items >= 2)),
+            (names::CACHE_ADMISSION_REJECTS, self.admission_rejects),
+            (names::CACHE_RETAINED_POINTS, self.retained_points),
+            (names::CACHE_REMOVED_POINTS, self.removed_points),
+            (names::FETCH_REGIONS, self.range_queries_issued),
+            (names::FETCH_RQ_EXECUTED, self.range_queries_executed),
+            (names::FETCH_RQ_EMPTY, self.range_queries_empty),
+            (names::FETCH_POINTS_READ, self.points_read),
+            (names::FETCH_HEAP_FETCHES, self.heap_fetches),
+            (names::FETCH_ROWS_MATCHED, self.rows_matched),
+            (names::FETCH_INDEX_PROBES, self.index_probes),
+            (names::FETCH_INDEX_ENTRIES, self.index_entries_scanned),
+            (names::FETCH_PAGES_TOUCHED, self.pages_touched),
+            (names::FETCH_REGIONS_COALESCED, self.regions_coalesced),
+            (names::FETCH_SIM_NS, self.fetch_sim_ns),
+            (names::MPR_REGIONS, self.mpr_regions),
+            (names::MPR_PRUNE_POINTS, self.mpr_prune_points),
+            (names::MPR_INVALIDATED_PIECES, self.mpr_invalidated_pieces),
+            (names::SKYLINE_DOMINANCE_TESTS, self.dominance_tests),
+            (names::SKYLINE_RESULT_SIZE, self.result_size),
+            (names::SERVE_NEGATIVE_HITS, self.negative_hits),
+            (names::SERVE_NEGATIVE_INSERTS, self.negative_inserts),
+        ] {
+            metrics.add(name, value);
+        }
+        if self.composed_items >= 2 {
+            metrics.set(names::CACHE_COVER_FRACTION, self.cover_fraction);
+        }
+        QueryReport::new(Phase::ALL.map(|p| self.shown_ns(p)), metrics)
     }
 }
 
@@ -447,12 +494,12 @@ impl Executor for BaselineExecutor<'_> {
         check_dims(self.table, c)?;
 
         let mut stats = QueryStats::default();
-        let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
-        let mut probe = Probe::new(&mut stats, rec.as_mut());
-        let skyline = query_naive(self.table, c, &mut self.scratch, &mut probe);
-        probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
-
-        Ok(QueryOutcome { skyline, text: None, stats, report: rec.map(QueryRecorder::into_report) })
+        let skyline = query_naive(self.table, c, &mut self.scratch, &mut stats);
+        if req.record {
+            let fetched = self.scratch.fetch.rows();
+            stats.pages_touched = self.table.pages_touched_ids(fetched.ids());
+        }
+        Ok(QueryOutcome::finish(req, skyline, None, stats))
     }
 }
 
@@ -469,9 +516,9 @@ const BBS_NODE_NS: u64 = 2_000_000;
 /// The I/O-optimal BBS method of Papadias et al. over an STR-bulk-loaded
 /// R\*-tree of the dataset.
 ///
-/// BBS's branch-and-bound traversal *is* its skyline algorithm;
-/// recording works as for the others (fetch/skyline spans, dominance
-/// tests, points read).
+/// BBS's branch-and-bound traversal *is* its skyline algorithm: its
+/// measured time is the skyline phase, its node accesses are charged as
+/// simulated fetch time.
 pub struct BbsExecutor<'t> {
     table: &'t Table,
     tree: RStarTree<u32>,
@@ -493,33 +540,19 @@ impl Executor for BbsExecutor<'_> {
         let c = &req.constraints;
         check_dims(self.table, c)?;
         let mut stats = QueryStats::default();
-        let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
-        let mut probe = Probe::new(&mut stats, rec.as_mut());
 
         let t0 = Stopwatch::start();
         let out = bbs_constrained(&self.tree, c);
-        let wall = t0.elapsed();
-
         // BBS interleaves I/O and computation; attribute the simulated
         // node-access latency to fetching and the measured CPU time to the
         // skyline stage.
-        probe
-            .record_span(Phase::Fetch, Duration::from_nanos(BBS_NODE_NS * out.stats.node_accesses));
-        probe.record_span(Phase::Skyline, wall);
-        probe.add_counter(names::SKYLINE_DOMINANCE_TESTS, out.stats.dominance_tests);
-        probe.add_counter(
-            names::FETCH_POINTS_READ,
-            out.stats.entries_popped - out.stats.node_accesses,
-        );
-        probe.add_counter(names::SKYLINE_RESULT_SIZE, out.skyline.len() as u64);
+        stats.time(Phase::Skyline, t0);
+        stats.fetch_sim_ns = BBS_NODE_NS * out.stats.node_accesses;
+        stats.dominance_tests = out.stats.dominance_tests;
+        stats.points_read = out.stats.entries_popped - out.stats.node_accesses;
         stats.bbs = Some(out.stats);
 
-        Ok(QueryOutcome {
-            skyline: out.skyline,
-            text: None,
-            stats,
-            report: rec.map(QueryRecorder::into_report),
-        })
+        Ok(QueryOutcome::finish(req, out.skyline, None, stats))
     }
 }
 
@@ -603,8 +636,9 @@ pub(crate) trait CacheAccess {
     fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted;
 }
 
-/// What one [`CacheAccess::insert`] did, returned by value so telemetry
-/// is published after any lock the implementation took has dropped.
+/// What one [`CacheAccess::insert`] did, by value: a shared
+/// implementation counts under its master guard and the pipeline adds
+/// the counts to its [`QueryStats`] after the guard is gone.
 pub(crate) struct Inserted {
     /// Whether the item passed the admission gate and was stored.
     pub admitted: bool,
@@ -667,9 +701,9 @@ impl CbcsState {
     /// (a)MPR → fetch the missing regions → merge with retained cached
     /// points → skyline → cache the result.
     ///
-    /// Spans: cache-lookup (R\*-tree search + bounding-box
+    /// Phases timed here: cache-lookup (R\*-tree search + bounding-box
     /// short-circuit), case-analysis (strategy selection), mpr-compute
-    /// (plan construction); the fetch/merge/skyline spans are recorded by
+    /// (plan construction); fetch, merge and skyline are timed by
     /// [`query_naive`]/[`query_planned`].
     pub(crate) fn execute(
         &mut self,
@@ -682,8 +716,6 @@ impl CbcsState {
         let CbcsState { config, rng, data_bounds, scratch } = self;
 
         let mut stats = QueryStats::default();
-        let mut rec = if req.record { Some(QueryRecorder::new()) } else { None };
-        let mut probe = Probe::new(&mut stats, rec.as_mut());
 
         // Processing stage, against the cache state `read` pins: lookup,
         // strategy, classification, MPR. The lookup fills the reused id
@@ -695,9 +727,9 @@ impl CbcsState {
             let t0 = Stopwatch::start();
             let lookup = items.lookup_into(c, &mut scratch.lookup_ids);
             let ids: &[u64] = &scratch.lookup_ids;
-            probe.record_span(Phase::CacheLookup, t0.elapsed());
-            probe.add_counter(names::CACHE_CANDIDATES, ids.len() as u64);
-            probe.add_counter(names::CACHE_OVERLAP_SCANS, lookup.scans);
+            stats.time(Phase::CacheLookup, t0);
+            stats.candidates = ids.len();
+            stats.overlap_scans = lookup.scans;
 
             // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
             let item = |id: u64| items.get(id).expect("lookup ids are live");
@@ -705,7 +737,7 @@ impl CbcsState {
             let t1 = Stopwatch::start();
             let picked =
                 config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, data_bounds, rng);
-            probe.record_span(Phase::CaseAnalysis, t1.elapsed());
+            stats.time(Phase::CaseAnalysis, t1);
             let primary = item(ids[picked?]);
 
             // The cached items handed to the planner, primary first. The
@@ -747,7 +779,7 @@ impl CbcsState {
             let t2 = Stopwatch::start();
             let blocks = parts.iter().map(|&id| item(id)).map(|it| (&it.constraints, &*it.skyline));
             let plan = plan_parts(blocks, trusted, c, config.mpr, data_bounds);
-            probe.record_span(Phase::MprCompute, t2.elapsed());
+            stats.time(Phase::MprCompute, t2);
             // An exact hit returns the item's skyline as it is, so the
             // item's text of it — rendered here if this is its first
             // exact hit — is the answer's text.
@@ -758,17 +790,14 @@ impl CbcsState {
         let mut text = None;
         let skyline = match selection {
             None => {
-                probe.add_counter(names::CACHE_MISSES, 1);
-                query_naive(table, c, scratch, &mut probe)
+                stats.cache_miss = true;
+                query_naive(table, c, scratch, &mut stats)
             }
             Some((plan, item_text)) => {
-                probe.add_counter(names::CACHE_HITS, 1);
-                probe.stats.cache_hit = true;
-                probe.stats.composed_items = plan.parts_used;
+                stats.cache_hit = true;
+                stats.composed_items = plan.parts_used;
                 if plan.parts_used >= 2 {
-                    probe.add_counter(names::CACHE_COMPOSED_HITS, 1);
-                    probe.stats.cover_fraction = plan.cover_fraction;
-                    probe.set_gauge(names::CACHE_COVER_FRACTION, plan.cover_fraction);
+                    stats.cover_fraction = plan.cover_fraction;
                 }
                 // Every candidate overlaps the query, so the items whose
                 // trusted space the plan rests on lead the list.
@@ -776,37 +805,32 @@ impl CbcsState {
                     cache.touch(id);
                 }
                 text = item_text;
-                query_planned(table, plan, scratch, &mut probe)
+                query_planned(table, plan, scratch, &mut stats)
             }
         };
-        probe.add_counter(names::SKYLINE_RESULT_SIZE, skyline.len() as u64);
+        if req.record {
+            // The rows of this query's one fetch are still in the scratch.
+            stats.pages_touched = table.pages_touched_ids(scratch.fetch.rows().ids());
+        }
 
         if config.cache_results {
-            if matches!(probe.stats.case, Some(Overlap::Exact)) {
+            if matches!(stats.case, Some(Overlap::Exact)) {
                 // The result is already cached under these very
                 // constraints; re-inserting would duplicate the item and
                 // evict an innocent victim on every repeat. Keep the key's
                 // popularity visible to the admission sketch instead.
                 cache.note_demand(c);
             } else {
-                let cost = ItemCost {
-                    points_read: probe.stats.points_read,
-                    fetch_ns: probe.stats.fetch_sim_ns,
-                };
+                let cost =
+                    ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
                 let inserted = cache.insert(c.clone(), &skyline, cost);
-                if inserted.admitted {
-                    probe.add_counter(names::CACHE_INSERTIONS, 1);
-                }
-                if inserted.evicted > 0 {
-                    probe.add_counter(names::CACHE_EVICTIONS, inserted.evicted);
-                }
-                if inserted.rejected > 0 {
-                    probe.add_counter(names::CACHE_ADMISSION_REJECTS, inserted.rejected);
-                }
+                stats.insertions = u64::from(inserted.admitted);
+                stats.evictions = inserted.evicted;
+                stats.admission_rejects = inserted.rejected;
             }
         }
 
-        Ok(QueryOutcome { skyline, text, stats, report: rec.map(QueryRecorder::into_report) })
+        Ok(QueryOutcome::finish(req, skyline, text, stats))
     }
 }
 
@@ -850,39 +874,32 @@ pub(crate) fn query_naive(
     table: &Table,
     c: &Constraints,
     scratch: &mut QueryScratch,
-    probe: &mut Probe<'_>,
+    stats: &mut QueryStats,
 ) -> Vec<Point> {
-    fetch_into_scratch(table, &FetchPlan::constrained(c), scratch, probe);
+    fetch_into_scratch(table, &FetchPlan::constrained(c), scratch, stats);
 
     let t1 = Stopwatch::start();
     let dims = table.dims();
     let QueryScratch { fetch, sky, sky_out, .. } = scratch;
     let out = reuse_block(sky_out, dims);
-    let skyline = compute_skyline_rows(fetch.rows().coords(), dims, sky, out, probe);
-    probe.record_span(Phase::Skyline, t1.elapsed());
+    let skyline = compute_skyline_rows(fetch.rows().coords(), dims, sky, out, stats);
+    stats.time(Phase::Skyline, t1);
     skyline
 }
 
-/// The fetch stage: runs `plan` into the scratch's columnar buffers and
-/// publishes the span (measured time plus the cost model's simulated
-/// latency), `fetch_sim_ns` and the `fetch.*` counters.
+/// The fetch stage — one per query: runs `plan` into the scratch's
+/// columnar buffers, times it, and folds the storage counters and the
+/// cost model's simulated latency into `stats`.
 fn fetch_into_scratch(
     table: &Table,
     plan: &FetchPlan,
     scratch: &mut QueryScratch,
-    probe: &mut Probe<'_>,
+    stats: &mut QueryStats,
 ) {
     let t0 = Stopwatch::start();
     let outcome = table.fetch_plan_into(plan, &mut scratch.fetch);
-    probe.stats.fetch_sim_ns += outcome.simulated_latency.as_nanos() as u64;
-    probe.record_span(Phase::Fetch, t0.elapsed() + outcome.simulated_latency);
-    outcome.record_into(probe);
-    if probe.detailed() {
-        probe.add_counter(
-            names::FETCH_PAGES_TOUCHED,
-            table.pages_touched_ids(scratch.fetch.rows().ids()),
-        );
-    }
+    stats.time(Phase::Fetch, t0);
+    stats.absorb(outcome);
 }
 
 /// The cache-hit path: fetch the plan's regions with a *coalescing* plan
@@ -893,16 +910,16 @@ pub(crate) fn query_planned(
     table: &Table,
     plan: QueryPlan,
     scratch: &mut QueryScratch,
-    probe: &mut Probe<'_>,
+    stats: &mut QueryStats,
 ) -> Vec<Point> {
-    probe.stats.case = Some(plan.overlap);
-    probe.add_counter(names::CACHE_RETAINED_POINTS, plan.retained.len() as u64);
-    probe.add_counter(names::CACHE_REMOVED_POINTS, plan.removed_points as u64);
-    probe.add_counter(names::MPR_REGIONS, plan.regions.len() as u64);
-    probe.add_counter(names::MPR_PRUNE_POINTS, plan.prune_points_used as u64);
-    probe.add_counter(names::MPR_INVALIDATED_PIECES, plan.invalidated_pieces as u64);
+    stats.case = Some(plan.overlap);
+    stats.retained_points = plan.retained.len() as u64;
+    stats.removed_points = plan.removed_points as u64;
+    stats.mpr_regions = plan.regions.len() as u64;
+    stats.mpr_prune_points = plan.prune_points_used as u64;
+    stats.mpr_invalidated_pieces = plan.invalidated_pieces as u64;
 
-    fetch_into_scratch(table, &FetchPlan::remainder(plan.regions), scratch, probe);
+    fetch_into_scratch(table, &FetchPlan::remainder(plan.regions), scratch, stats);
 
     if plan.needs_skyline {
         let dims = table.dims();
@@ -912,12 +929,12 @@ pub(crate) fn query_planned(
         } = scratch;
         let merged = reuse_block(merged, dims);
         merge_rows(&plan.retained, fetch.rows(), merged, merge_box, merge_order, dup_budget);
-        probe.record_span(Phase::Merge, t1.elapsed());
+        stats.time(Phase::Merge, t1);
 
         let t2 = Stopwatch::start();
         let out = reuse_block(sky_out, dims);
-        let skyline = compute_skyline_rows(merged.as_flat(), dims, sky, out, probe);
-        probe.record_span(Phase::Skyline, t2.elapsed());
+        let skyline = compute_skyline_rows(merged.as_flat(), dims, sky, out, stats);
+        stats.time(Phase::Skyline, t2);
         skyline
     } else {
         // Exact hit or Case (b): the retained points are the answer.
@@ -1257,8 +1274,11 @@ mod tests {
     #[test]
     fn regions_coalesced_maps_into_stats() {
         let mut stats = QueryStats::default();
-        stats.add_counter(names::FETCH_REGIONS_COALESCED, 3);
+        let fetch = skycache_storage::FetchStats { regions_coalesced: 3, ..Default::default() };
+        stats.absorb(FetchOutcome { stats: fetch, simulated_latency: Duration::from_nanos(7) });
         assert_eq!(stats.regions_coalesced, 3);
+        assert_eq!(stats.fetch_sim_ns, 7);
+        assert_eq!(stats.report().counter(names::FETCH_REGIONS_COALESCED), 3);
     }
 
     #[test]

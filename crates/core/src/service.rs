@@ -44,7 +44,6 @@ use rand::{Rng, SeedableRng};
 use skycheck::sync::{Arc, AtomicU64, Mutex, Ordering};
 
 use skycache_geom::Constraints;
-use skycache_obs::{names, QueryRecorder, Recorder};
 use skycache_storage::Table;
 
 use crate::engine::{
@@ -111,17 +110,6 @@ pub struct ServiceMetrics {
     /// Logical ticks elapsed (one per query executed while the negative
     /// cache is enabled — the TTL time base).
     pub ticks: u64,
-}
-
-impl ServiceMetrics {
-    /// Publishes the counters through a [`Recorder`] under the canonical
-    /// `serve.*` metric names.
-    pub fn record_into(&self, rec: &mut dyn Recorder) {
-        rec.add_counter(names::SERVE_COALESCED, self.coalesced);
-        rec.add_counter(names::SERVE_NEGATIVE_HITS, self.negative_hits);
-        rec.add_counter(names::SERVE_NEGATIVE_INSERTS, self.negative_inserts);
-        rec.add_counter(names::SERVE_COMPUTES, self.computes);
-    }
 }
 
 /// One in-flight computation: the leader holds `slot` while computing
@@ -390,21 +378,17 @@ impl Executor for Session<'_> {
 }
 
 /// The outcome of a query proven empty without computing: the empty
-/// skyline, one issued-and-empty range query in the stats, and — when
-/// the request records — a report carrying the serve-side counter.
+/// skyline, one issued-and-empty range query in the stats, and the
+/// serve-side counter of whichever fast path proved it.
 fn empty_outcome(req: &QueryRequest, from_negative_cache: bool) -> QueryOutcome {
-    let stats =
-        QueryStats { range_queries_issued: 1, range_queries_empty: 1, ..QueryStats::default() };
-    let report = req.record.then(|| {
-        let mut rec = QueryRecorder::new();
-        if from_negative_cache {
-            rec.add_counter(names::SERVE_NEGATIVE_HITS, 1);
-        } else {
-            rec.add_counter(names::SERVE_NEGATIVE_INSERTS, 1);
-        }
-        rec.into_report()
-    });
-    QueryOutcome { skyline: Vec::new(), text: None, stats, report }
+    let stats = QueryStats {
+        range_queries_issued: 1,
+        range_queries_empty: 1,
+        negative_hits: u64::from(from_negative_cache),
+        negative_inserts: u64::from(!from_negative_cache),
+        ..QueryStats::default()
+    };
+    QueryOutcome::finish(req, Vec::new(), None, stats)
 }
 
 /// Canonical bit-encoding of constraint bounds: `-0.0` folds onto `0.0`
@@ -472,7 +456,7 @@ mod tests {
         let r2 = s.execute(&QueryRequest::new(c).recorded()).unwrap();
         assert!(r2.skyline.is_empty());
         let report = r2.report.expect("recorded");
-        assert_eq!(report.counter(names::SERVE_NEGATIVE_HITS), 1);
+        assert_eq!(report.counter(skycache_obs::names::SERVE_NEGATIVE_HITS), 1);
         let m = service.metrics();
         assert_eq!(m.negative_inserts, 1);
         assert_eq!(m.negative_hits, 1);

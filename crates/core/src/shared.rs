@@ -52,11 +52,12 @@
 //! publication happens nested under the master guard so two racing
 //! inserts cannot publish out of order). Every guard lives inside one
 //! [`SharedCache`] method; what a write did comes back by value and the
-//! pipeline publishes its telemetry (spans/counters) after the call
-//! returns — skylint's `guard-hold-span` rule enforces that no guard is
-//! live across a recorder call. A cached item may be evicted between the
-//! snapshot read and the write phase; that is benign (the plan was built
-//! from the pinned snapshot, and `touch` on a gone item is a no-op).
+//! pipeline adds it to its statistics after the call returns — skylint's
+//! `guard-hold-span` rule enforces that no guard is live across
+//! planning, fetching or the skyline. A cached item may be evicted
+//! between the snapshot read and the write phase; that is benign (the
+//! plan was built from the pinned snapshot, and `touch` on a gone item
+//! is a no-op).
 //!
 //! The query flow itself is not written here: a session runs the one
 //! CBCS pipeline of [`crate::engine`], and this module supplies its cache

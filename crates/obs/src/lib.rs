@@ -1,50 +1,39 @@
-//! Observability for the skycache query pipeline: spans, metrics and
-//! per-query reports.
+//! Observability vocabulary for the skycache query pipeline: phases,
+//! metric names and the per-query report.
 //!
 //! The paper's claims are quantitative — cache hit ratios, points fetched
 //! from disk, range queries issued by the (a)MPR — and its evaluation
-//! slices latency per pipeline stage (Figure 10). This crate gives every
-//! executor the instruments to report those numbers without paying for
-//! them when nobody is looking:
+//! slices latency per pipeline stage (Figure 10). The pipeline counts all
+//! of that in one plain struct (`skycache_core::QueryStats`, written
+//! field by field); this crate holds what a *reader* of those numbers
+//! needs and nothing the pipeline calls while it runs:
 //!
-//! * [`Recorder`] — the observation interface threaded through the
-//!   engine, cache and storage layers. Every method has a no-op default
-//!   body, so the disabled path costs one virtual call and allocates
-//!   nothing ([`NoopRecorder`] is the zero-sized witness). Recorders are
-//!   **observation-only** by contract: query results must be identical
-//!   with recording on and off (the differential test in
-//!   `tests/observability.rs` pins this).
 //! * [`Phase`] — the six spans of one constrained-skyline query:
 //!   cache-lookup, case-analysis, mpr-compute, fetch, merge, skyline.
-//!   Span wall time comes from the engine's sanctioned clock
-//!   (`skycache_core::clock::Stopwatch`); this crate only stores
-//!   durations it is handed.
-//! * [`Registry`] — deterministic metric storage: counters, gauges and
-//!   power-of-two-bucket [`Histogram`]s keyed by the `&'static str`
-//!   names of [`names`].
-//! * [`QueryRecorder`] / [`QueryReport`] — a recorder capturing one
-//!   query, and its versioned JSON rendering (`"skyobs-report/1"`,
-//!   hand-rolled, no serde).
+//! * [`names`] — the canonical metric names, shared by the one function
+//!   that renders them (`QueryStats::report`) and every consumer.
+//! * [`QueryReport`] — one query's phase times plus a [`Registry`] of
+//!   named counters and gauges, with a versioned JSON rendering
+//!   (`"skyobs-report/2"`, hand-rolled, no serde). Built on request only,
+//!   after the query has finished.
 //!
-//! Hot-path rule: designated kernels (the dominance kernels, the storage
-//! fetch units) never call a [`Recorder`]; they return their counts by
-//! value and the engine layer records them. skylint's `hot-path-alloc`
-//! rule enforces this (`rules.hot-path-alloc.recorder-idents`).
+//! Nothing below `core` depends on this crate: kernels (geom, algos,
+//! rtree, storage) return their counts by value.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-/// Metric registry: counters, gauges, log-bucket histograms.
+/// Named counters and gauges in deterministic order.
 pub mod metrics;
 /// Canonical metric names shared by producers and consumers.
 pub mod names;
-/// The [`Recorder`] trait, phases and the no-op recorder.
+/// The phases of one query.
 pub mod recorder;
-/// Per-query capture and the versioned JSON report.
+/// The per-query report and its versioned JSON rendering.
 pub mod report;
 
-pub use metrics::{Histogram, Registry};
-pub use recorder::{NoopRecorder, Phase, Recorder};
-pub use report::{QueryRecorder, QueryReport, REPORT_SCHEMA};
+pub use metrics::Registry;
+pub use recorder::Phase;
+pub use report::{QueryReport, REPORT_SCHEMA};

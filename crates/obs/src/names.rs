@@ -1,8 +1,9 @@
 //! Canonical metric names.
 //!
-//! One constant per metric, shared by producers (engine, cache, storage)
-//! and consumers (reports, the bench aggregator, tests), so a renamed
-//! metric is a compile error, not a silently empty dashboard column.
+//! One constant per metric, shared by the one function that renders them
+//! (`skycache_core::QueryStats::report`) and every consumer (report
+//! readers, tests), so a renamed metric is a compile error, not a
+//! silently empty dashboard column.
 //! The README's "Observability" section carries the same table in prose.
 
 // -- cache ------------------------------------------------------------------
@@ -52,15 +53,16 @@ pub const FETCH_ROWS_MATCHED: &str = "fetch.rows_matched";
 pub const FETCH_INDEX_PROBES: &str = "fetch.index_probes";
 /// Index entries scanned by the chosen plans. Counter.
 pub const FETCH_INDEX_ENTRIES: &str = "fetch.index_entries_scanned";
-/// Distinct heap pages touched by fetched rows (derived; only recorded
-/// when the recorder is [`detailed`](crate::Recorder::detailed)). Counter.
+/// Distinct heap pages touched by fetched rows (derived from the fetched
+/// row ids after the query, for recorded requests only). Counter.
 pub const FETCH_PAGES_TOUCHED: &str = "fetch.pages_touched";
 /// Range queries saved by the coalescing fetch planner (non-empty
-/// candidate regions minus merged range queries executed for them; only
-/// recorded when non-zero). Counter.
+/// candidate regions minus merged range queries executed for them).
+/// Counter.
 pub const FETCH_REGIONS_COALESCED: &str = "fetch.regions_coalesced";
-/// Simulated I/O latency per fetch call, in nanoseconds. Histogram.
-pub const FETCH_LATENCY_NS: &str = "fetch.latency_ns";
+/// Simulated I/O latency charged by the cost model, in nanoseconds —
+/// the part of the report's `fetch` phase that was not measured. Counter.
+pub const FETCH_SIM_NS: &str = "fetch.sim_ns";
 
 // -- mpr --------------------------------------------------------------------
 
@@ -80,22 +82,9 @@ pub const SKYLINE_RESULT_SIZE: &str = "skyline.result_size";
 
 // -- serve ------------------------------------------------------------------
 
-/// Queries answered by joining another session's in-flight computation
-/// (singleflight coalescing in the service layer). Counter.
-pub const SERVE_COALESCED: &str = "serve.coalesced";
 /// Queries answered from the negative cache of provably-empty constraint
 /// regions, without touching index or heap. Counter.
 pub const SERVE_NEGATIVE_HITS: &str = "serve.negative_hits";
 /// Constraint regions classified provably empty by the index-only probe
 /// and recorded in the negative cache. Counter.
 pub const SERVE_NEGATIVE_INSERTS: &str = "serve.negative_inserts";
-/// Skyline computations actually executed by the service (misses plus
-/// singleflight leaders). Counter.
-pub const SERVE_COMPUTES: &str = "serve.computes";
-
-// -- alloc ------------------------------------------------------------------
-
-/// Heap allocations per query on the steady-state path, as measured by
-/// a counting allocator outside the engine (skybench reports it as
-/// `core.service.allocs_per_query`). Gauge.
-pub const ALLOC_PER_QUERY: &str = "alloc.per_query";

@@ -1,6 +1,4 @@
-//! The observation interface: query phases and the [`Recorder`] trait.
-
-use std::time::Duration;
+//! What the pipeline records time against: the query [`Phase`]s.
 
 /// The six spans of one constrained-skyline query, in pipeline order.
 ///
@@ -17,8 +15,9 @@ pub enum Phase {
     CaseAnalysis,
     /// (Approximate) Missing Points Region construction.
     MprCompute,
-    /// Reading the plan's regions from storage (measured wall time plus
-    /// the cost model's simulated I/O latency).
+    /// Reading the plan's regions from storage. The pipeline measures
+    /// its CPU time and is charged the cost model's simulated I/O
+    /// latency separately; a report shows the sum.
     Fetch,
     /// Merging retained cached points with fetched rows (dedup).
     Merge,
@@ -65,50 +64,6 @@ impl Phase {
     }
 }
 
-/// Observation sink for the query pipeline.
-///
-/// Every method defaults to a no-op, so instrumented code runs unchanged
-/// against a [`NoopRecorder`] and the compiler sees straight-line code
-/// with one virtual call per event. Implementations must be
-/// **observation-only**: nothing an executor computes may depend on what
-/// a recorder does with the events.
-pub trait Recorder {
-    /// Whether this recorder wants *derived* metrics that cost extra
-    /// work to produce (e.g. distinct heap pages touched by a fetch).
-    /// Producers must guard such computations behind this flag so the
-    /// disabled path stays free.
-    fn detailed(&self) -> bool {
-        false
-    }
-
-    /// Records the wall time of one phase. Phases may be recorded more
-    /// than once per query (times accumulate).
-    fn record_span(&mut self, phase: Phase, elapsed: Duration) {
-        let _ = (phase, elapsed);
-    }
-
-    /// Adds to a monotone counter (see [`crate::names`]).
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Sets a point-in-time gauge value.
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Adds one sample to a distribution (histogram).
-    fn observe_value(&mut self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-}
-
-/// The zero-cost recorder: every event is dropped.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,15 +78,5 @@ mod tests {
             labels,
             ["cache-lookup", "case-analysis", "mpr-compute", "fetch", "merge", "skyline"]
         );
-    }
-
-    #[test]
-    fn noop_recorder_accepts_everything() {
-        let mut r = NoopRecorder;
-        assert!(!r.detailed());
-        r.record_span(Phase::Fetch, Duration::from_nanos(5));
-        r.add_counter("cache.hits", 1);
-        r.set_gauge("alloc.per_query", 4.0);
-        r.observe_value("fetch.latency_ns", 123.0);
     }
 }

@@ -1,103 +1,47 @@
-//! Per-query capture ([`QueryRecorder`]) and the versioned JSON report.
+//! The per-query [`QueryReport`] and its versioned JSON rendering.
 //!
 //! The report format is versioned: the top-level object carries
-//! `"schema": "skyobs-report/1"` and consumers must check it. Field
+//! `"schema": "skyobs-report/2"` and consumers must check it. Field
 //! order is fixed (phases in pipeline order, metrics in name order), so
-//! two runs recording the same events serialize byte-identically — the
-//! golden-file test under `tests/golden/` pins the exact bytes.
+//! two equal reports serialize byte-identically — the golden-file test
+//! under `tests/golden/` pins the exact bytes.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
-use crate::metrics::{Histogram, Registry};
-use crate::recorder::{Phase, Recorder};
+use crate::metrics::Registry;
+use crate::recorder::Phase;
 
 /// Version tag of the report format.
-pub const REPORT_SCHEMA: &str = "skyobs-report/1";
+pub const REPORT_SCHEMA: &str = "skyobs-report/2";
 
-/// A [`Recorder`] capturing one query into a [`QueryReport`].
-#[derive(Clone, Debug, Default)]
-pub struct QueryRecorder {
-    registry: Registry,
-    phase_ns: [u64; Phase::COUNT],
-}
-
-impl QueryRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        QueryRecorder::default()
-    }
-
-    /// Finishes recording and returns the captured report.
-    pub fn into_report(self) -> QueryReport {
-        QueryReport { registry: self.registry, phase_ns: self.phase_ns }
-    }
-}
-
-impl Recorder for QueryRecorder {
-    fn detailed(&self) -> bool {
-        true
-    }
-
-    fn record_span(&mut self, phase: Phase, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.phase_ns[phase.index()] = self.phase_ns[phase.index()].saturating_add(ns);
-    }
-
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
-        self.registry.add_counter(name, delta);
-    }
-
-    fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.registry.set_gauge(name, value);
-    }
-
-    fn observe_value(&mut self, name: &'static str, value: f64) {
-        self.registry.observe(name, value);
-    }
-}
-
-/// Everything one query reported: per-phase wall time plus the metric
-/// registry.
+/// Everything one query reported: per-phase time plus its named counters
+/// and gauges.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryReport {
-    registry: Registry,
     phase_ns: [u64; Phase::COUNT],
+    metrics: Registry,
 }
 
 impl QueryReport {
-    /// Wall nanoseconds recorded for one phase.
+    /// A report of the given phase times (indexed by [`Phase::index`])
+    /// and metrics.
+    pub fn new(phase_ns: [u64; Phase::COUNT], metrics: Registry) -> Self {
+        QueryReport { phase_ns, metrics }
+    }
+
+    /// Nanoseconds reported for one phase.
     pub fn phase_ns(&self, phase: Phase) -> u64 {
         self.phase_ns[phase.index()]
     }
 
-    /// Total wall nanoseconds across all phases.
-    pub fn total_ns(&self) -> u64 {
-        self.phase_ns.iter().sum()
-    }
-
-    /// A counter's value (0 when never recorded).
+    /// A counter's value (0 when not reported).
     pub fn counter(&self, name: &str) -> u64 {
-        self.registry.counter(name)
+        self.metrics.counter(name)
     }
 
-    /// A gauge's value, if recorded.
+    /// A gauge's value, if reported.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.registry.gauge(name)
-    }
-
-    /// The underlying metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Folds another report into this one (phase times and counters
-    /// add, histograms merge) — the bench aggregation primitive.
-    pub fn merge(&mut self, other: &QueryReport) {
-        for (a, b) in self.phase_ns.iter_mut().zip(other.phase_ns.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.registry.merge(&other.registry);
+        self.metrics.gauge(name)
     }
 
     /// Renders the versioned JSON object (stable field order, no deps).
@@ -111,16 +55,12 @@ impl QueryReport {
         }
         out.push_str("  },\n");
 
-        render_map(&mut out, "counters", self.registry.counters(), |out, v| {
+        render_map(&mut out, "counters", self.metrics.counters(), |out, v| {
             let _ = write!(out, "{v}");
         });
         out.push_str(",\n");
-        render_map(&mut out, "gauges", self.registry.gauges(), |out, v| {
+        render_map(&mut out, "gauges", self.metrics.gauges(), |out, v| {
             out.push_str(&json_f64(v));
-        });
-        out.push_str(",\n");
-        render_map(&mut out, "histograms", self.registry.histograms(), |out, h| {
-            render_histogram(out, h);
         });
         out.push_str("\n}\n");
         out
@@ -148,19 +88,6 @@ fn render_map<V>(
         out.push_str(if i + 1 < n { ",\n" } else { "\n" });
     }
     out.push_str("  }");
-}
-
-fn render_histogram(out: &mut String, h: &Histogram) {
-    let _ = write!(
-        out,
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p99\": {}}}",
-        h.count(),
-        json_f64(h.sum()),
-        json_f64(h.min()),
-        json_f64(h.max()),
-        json_f64(h.quantile(0.5)),
-        json_f64(h.quantile(0.99)),
-    );
 }
 
 /// JSON number rendering for `f64`: Rust's shortest round-trip `Display`
@@ -199,15 +126,14 @@ mod tests {
     use super::*;
 
     fn sample_report() -> QueryReport {
-        let mut rec = QueryRecorder::new();
-        rec.record_span(Phase::CacheLookup, Duration::from_nanos(100));
-        rec.record_span(Phase::Fetch, Duration::from_nanos(4_000));
-        rec.record_span(Phase::Fetch, Duration::from_nanos(1_000)); // accumulates
-        rec.add_counter("cache.hits", 1);
-        rec.add_counter("fetch.points_read", 42);
-        rec.set_gauge("alloc.per_query", 4.0);
-        rec.observe_value("fetch.latency_ns", 2_500.0);
-        rec.into_report()
+        let mut phase_ns = [0; Phase::COUNT];
+        phase_ns[Phase::CacheLookup.index()] = 100;
+        phase_ns[Phase::Fetch.index()] = 5_000;
+        let mut metrics = Registry::new();
+        metrics.add("cache.hits", 1);
+        metrics.add("fetch.points_read", 42);
+        metrics.set("cache.cover_fraction", 0.5);
+        QueryReport::new(phase_ns, metrics)
     }
 
     #[test]
@@ -216,32 +142,21 @@ mod tests {
         assert_eq!(r.phase_ns(Phase::CacheLookup), 100);
         assert_eq!(r.phase_ns(Phase::Fetch), 5_000);
         assert_eq!(r.phase_ns(Phase::Skyline), 0);
-        assert_eq!(r.total_ns(), 5_100);
         assert_eq!(r.counter("cache.hits"), 1);
         assert_eq!(r.counter("fetch.points_read"), 42);
-        assert_eq!(r.gauge("alloc.per_query"), Some(4.0));
-        assert_eq!(r.registry().histogram("fetch.latency_ns").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn merge_accumulates_reports() {
-        let mut a = sample_report();
-        let b = sample_report();
-        a.merge(&b);
-        assert_eq!(a.phase_ns(Phase::Fetch), 10_000);
-        assert_eq!(a.counter("fetch.points_read"), 84);
-        assert_eq!(a.registry().histogram("fetch.latency_ns").unwrap().count(), 2);
+        assert_eq!(r.counter("cache.misses"), 0);
+        assert_eq!(r.gauge("cache.cover_fraction"), Some(0.5));
     }
 
     #[test]
     fn json_has_schema_and_all_phases() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"skyobs-report/1\",\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"skyobs-report/2\",\n"));
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"{}\"", phase.label())), "missing {phase:?}");
         }
         assert!(json.contains("\"cache.hits\": 1"));
-        assert!(json.contains("\"alloc.per_query\": 4"));
+        assert!(json.contains("\"cache.cover_fraction\": 0.5"));
         assert!(json.ends_with("}\n"));
     }
 
@@ -252,10 +167,9 @@ mod tests {
 
     #[test]
     fn empty_report_serializes_empty_maps() {
-        let json = QueryRecorder::new().into_report().to_json();
+        let json = QueryReport::default().to_json();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"gauges\": {}"));
-        assert!(json.contains("\"histograms\": {}"));
     }
 
     #[test]

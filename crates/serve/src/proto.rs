@@ -9,7 +9,8 @@
 //! QUIT                                   close the connection
 //! ```
 //!
-//! A bound of `*` means unbounded on that side. Every request gets
+//! A bound of `*` means unbounded on that side. A trailing `record` is
+//! accepted and reserved (no reply carries a report yet). Every request gets
 //! exactly one reply line: `OK ...` on success, `ERR <message>` on
 //! failure. Query replies are
 //! `OK <n> <hit|miss> <x,y,..> <x,y,..> ...` with the skyline points in
@@ -37,8 +38,9 @@ pub enum Request {
     Query {
         /// The query constraints, one `(lo, hi)` pair per dimension.
         constraints: Constraints,
-        /// Whether to record per-query observability (bypasses
-        /// coalescing: reports are per-request property).
+        /// Whether the line ended in `record`. Accepted and reserved:
+        /// no reply carries a report yet, so the server answers the query
+        /// as if the token were absent.
         record: bool,
     },
     /// Service counters: coalesced/negative/compute totals, cache size

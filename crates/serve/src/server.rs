@@ -261,12 +261,11 @@ fn respond(line: &str, session: &mut Session<'_>, service: &Service<'_>, out: &m
             let cache = service.cache();
             out.push_str(&proto::stats_reply(&service.metrics(), cache.len(), cache.epoch()));
         }
-        Ok(Request::Query { constraints, record }) => {
-            let mut req = QueryRequest::new(constraints);
-            if record {
-                req = req.recorded();
-            }
-            match session.execute(&req) {
+        // `record` is accepted and not acted on: a reply line has no place
+        // for a report, and a recorded request would bypass coalescing to
+        // build one nobody reads.
+        Ok(Request::Query { constraints, record: _ }) => {
+            match session.execute(&QueryRequest::new(constraints)) {
                 Ok(outcome) => proto::write_query_reply(out, &outcome),
                 Err(e) => out.push_str(&proto::err_reply(&e.to_string())),
             }

@@ -103,7 +103,7 @@ fn unbounded_and_recorded_queries() {
 
     // Fully unbounded: the global skyline of the grid is its origin.
     assert_eq!(client.roundtrip("Q * * * *"), "OK 1 miss 0,0");
-    // A recorded query bypasses coalescing but still answers normally.
+    // The reserved `record` token changes nothing about the answer.
     assert_eq!(client.roundtrip("Q * * * * record"), "OK 1 hit 0,0");
     handle.shutdown().unwrap();
 }

@@ -79,20 +79,12 @@ pub struct Policy {
     /// Call names (`push`) and paths (`Vec::new`) counted as allocation
     /// machinery.
     pub alloc_calls: Vec<String>,
-    /// Recorder method names forbidden inside the kernels' reachable
-    /// call tree (hot-path-alloc): kernels return stats by value, the
-    /// engine publishes them.
-    pub recorder_idents: Vec<String>,
     /// Files/dirs whose functions are checked by guard-hold-span.
     pub guard_span_files: Vec<String>,
     /// Designators (`fn` or `Type::fn`) of expensive operations a live
     /// lock guard must not span; callees reaching one transitively over
     /// the call graph count too.
     pub expensive_calls: Vec<String>,
-    /// Designators never treated as expensive, cutting transitive
-    /// propagation through them: the publish steps a guard *exists* to
-    /// cover (and known victims of name-only call resolution).
-    pub expensive_exempt: Vec<String>,
     /// Files/dirs checked by range-taint.
     pub taint_files: Vec<String>,
     /// Call names that bless a tainted argument (range-taint validators).
@@ -103,7 +95,7 @@ pub struct Policy {
 }
 
 /// Every `section.key` the config may set. Anything else is a hard error.
-const KNOWN_KEYS: [&str; 19] = [
+const KNOWN_KEYS: [&str; 17] = [
     "paths.include",
     "paths.exclude",
     "crates.library",
@@ -116,10 +108,8 @@ const KNOWN_KEYS: [&str; 19] = [
     "rules.hot-path-alloc.kernels",
     "rules.hot-path-alloc.scope-files",
     "rules.hot-path-alloc.calls",
-    "rules.hot-path-alloc.recorder-idents",
     "rules.guard-hold-span.files",
     "rules.guard-hold-span.expensive",
-    "rules.guard-hold-span.exempt",
     "rules.range-taint.files",
     "rules.range-taint.validators",
     "rules.sync-confinement.files",
@@ -155,10 +145,8 @@ impl Policy {
             alloc_kernels: cfg.list("rules.hot-path-alloc.kernels"),
             alloc_scope_files: cfg.list("rules.hot-path-alloc.scope-files"),
             alloc_calls: cfg.list("rules.hot-path-alloc.calls"),
-            recorder_idents: cfg.list("rules.hot-path-alloc.recorder-idents"),
             guard_span_files: cfg.list("rules.guard-hold-span.files"),
             expensive_calls: cfg.list("rules.guard-hold-span.expensive"),
-            expensive_exempt: cfg.list("rules.guard-hold-span.exempt"),
             taint_files: cfg.list("rules.range-taint.files"),
             taint_validators: cfg.list("rules.range-taint.validators"),
             sync_confine_files: cfg.list("rules.sync-confinement.files"),
@@ -184,11 +172,10 @@ impl Policy {
 
     /// The function-designator lists, by key. A designator that matches
     /// no scanned function roots or cuts nothing.
-    fn designator_lists(&self) -> [(&'static str, &[String]); 3] {
+    fn designator_lists(&self) -> [(&'static str, &[String]); 2] {
         [
             ("rules.hot-path-alloc.kernels", &self.alloc_kernels),
             ("rules.guard-hold-span.expensive", &self.expensive_calls),
-            ("rules.guard-hold-span.exempt", &self.expensive_exempt),
         ]
     }
 }

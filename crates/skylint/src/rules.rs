@@ -747,28 +747,6 @@ fn hot_path_alloc(
             path.iter().map(|&c| ws.fns[c].name.clone()).collect::<Vec<_>>().join(" → ")
         };
         for e in &f.events {
-            // Recorder calls are forbidden on kernel hot paths outright:
-            // kernels return their stats by value and the engine
-            // publishes them, so a reachable `record_span`/`add_counter`
-            // means observability leaked into a kernel.
-            if matches!(e.kind, EventKind::Method { .. } | EventKind::Bare)
-                && policy.recorder_idents.contains(&e.name)
-            {
-                push_ws(
-                    models,
-                    out,
-                    RULE,
-                    &f.file,
-                    e.line,
-                    format!(
-                        "Recorder call `.{}()` on a kernel hot path (reached via \
-                         {}) — kernels return stats by value; record in the engine",
-                        e.name,
-                        witness(),
-                    ),
-                );
-                continue;
-            }
             let what = match &e.kind {
                 EventKind::Method { .. } | EventKind::Bare
                     if policy.alloc_calls.contains(&e.name) =>
@@ -861,26 +839,15 @@ fn guard_hold_span(
     // Transitively-expensive set over the call graph, with witness chains:
     // a function is expensive if it matches a designator or calls an
     // expensive function (same fixpoint shape as may-panic propagation).
-    // Exempt designators are never marked, cutting propagation through
-    // them — the publish steps a guard exists to cover stay cheap even
-    // when name-only resolution wires them to an expensive namesake.
-    let exempt: Vec<bool> = ws
-        .fns
-        .iter()
-        .map(|f| policy.expensive_exempt.iter().any(|d| f.matches_designator(d)))
-        .collect();
     let mut expensive: Vec<Option<Vec<usize>>> = ws
         .fns
         .iter()
-        .zip(&exempt)
-        .map(|(f, &ex)| {
-            (!ex && policy.expensive_calls.iter().any(|d| f.matches_designator(d))).then(Vec::new)
-        })
+        .map(|f| policy.expensive_calls.iter().any(|d| f.matches_designator(d)).then(Vec::new))
         .collect();
     loop {
         let mut changed = false;
         for i in 0..ws.fns.len() {
-            if expensive[i].is_some() || exempt[i] {
+            if expensive[i].is_some() {
                 continue;
             }
             if let Some(&c) = ws.callees[i].iter().find(|&&c| expensive[c].is_some()) {

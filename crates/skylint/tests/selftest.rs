@@ -143,7 +143,7 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
         "crates/core/src/shared.rs",
         "let inserted = CacheAccess::insert(&mut *master, constraints, skyline, cost);\n",
         "let inserted = CacheAccess::insert(&mut *master, constraints, skyline, cost);\n        \
-         rec.add_counter(\"inserted\", 1);\n",
+         planner.plan_parts();\n",
     ),
     (
         "range-taint",
@@ -214,9 +214,15 @@ fn panic_census_matches_the_merge_ledger() {
     // 38 at the parent of the merge, less three public functions deleted
     // since (`sample_skyline_fraction`, `Adaptive::choice`,
     // `BbsExecutor::with_config`), plus the two `Server` entry points
-    // that joined the library universe with `crates/serve`.
+    // that joined the library universe with `crates/serve`. 35 → 29 with
+    // the obs merges: `Registry::merge` and `QueryReport::merge` are
+    // deleted, and with them the name-only `merge` edge through which
+    // `Node::mbr`, `RStarTree::mbr`, `BestFirst::new`,
+    // `RStarTree::nearest_k` and `bbs_constrained` reached a panic;
+    // `QueryStats::report` is new (its `Registry::set` name-matches
+    // `Cache::insert`).
     let in_serve = witnesses.iter().filter(|f| f.file.starts_with("crates/serve/")).count();
-    assert_eq!((witnesses.len() - in_serve, in_serve), (35, 2), "witnesses:\n{}", report(&found));
+    assert_eq!((witnesses.len() - in_serve, in_serve), (29, 2), "witnesses:\n{}", report(&found));
 }
 
 /// Every `.rs` file at or under `path`.

@@ -1,7 +1,6 @@
 use std::time::Duration;
 
 use skycache_geom::{Constraints, HyperRect, Point};
-use skycache_obs::{names, Recorder};
 
 use crate::cost::{CostModel, FetchStats};
 use crate::error::StorageError;
@@ -110,18 +109,6 @@ pub struct FetchResult {
     pub simulated_latency: Duration,
 }
 
-impl FetchResult {
-    /// Publishes this result into a [`Recorder`] under the canonical
-    /// `fetch.*` metric names — the single place the storage
-    /// layer talks to observability, so call sites no longer hand-sum
-    /// [`FetchStats`] fields. Heap-page accounting is derived separately
-    /// (see [`Table::pages_touched_ids`]) because it needs the table's
-    /// page geometry.
-    pub fn record_into(&self, rec: &mut dyn Recorder) {
-        record_fetch(&self.stats, self.simulated_latency, rec);
-    }
-}
-
 /// Result of [`Table::fetch_plan_into`]: accounting only. The fetched
 /// rows stay inside the caller's [`FetchScratch`] as a borrowed columnar
 /// view ([`FetchScratch::rows`]) — `Point`s are materialized only when a
@@ -132,30 +119,6 @@ pub struct FetchOutcome {
     pub stats: FetchStats,
     /// Simulated latency under the table's [`CostModel`].
     pub simulated_latency: Duration,
-}
-
-impl FetchOutcome {
-    /// Publishes this outcome into a [`Recorder`]; see
-    /// [`FetchResult::record_into`].
-    pub fn record_into(&self, rec: &mut dyn Recorder) {
-        record_fetch(&self.stats, self.simulated_latency, rec);
-    }
-}
-
-/// Shared `fetch.*` publication for [`FetchResult`] and [`FetchOutcome`].
-fn record_fetch(stats: &FetchStats, simulated_latency: Duration, rec: &mut dyn Recorder) {
-    rec.add_counter(names::FETCH_REGIONS, stats.range_queries_issued);
-    rec.add_counter(names::FETCH_RQ_EXECUTED, stats.range_queries_executed);
-    rec.add_counter(names::FETCH_RQ_EMPTY, stats.range_queries_empty);
-    rec.add_counter(names::FETCH_POINTS_READ, stats.points_read);
-    rec.add_counter(names::FETCH_HEAP_FETCHES, stats.heap_fetches);
-    rec.add_counter(names::FETCH_ROWS_MATCHED, stats.rows_matched);
-    rec.add_counter(names::FETCH_INDEX_PROBES, stats.index_probes);
-    rec.add_counter(names::FETCH_INDEX_ENTRIES, stats.index_entries_scanned);
-    if stats.regions_coalesced > 0 {
-        rec.add_counter(names::FETCH_REGIONS_COALESCED, stats.regions_coalesced);
-    }
-    rec.observe_value(names::FETCH_LATENCY_NS, simulated_latency.as_nanos() as f64);
 }
 
 /// A read-only table of points: paged heap plus one [`ColumnIndex`] per
@@ -838,33 +801,6 @@ mod tests {
         assert_eq!(res.stats.range_queries_issued, 2);
         assert_eq!(res.stats.range_queries_executed, 2);
         assert_eq!(res.stats.rows_matched, 8);
-    }
-
-    #[test]
-    fn record_into_publishes_canonical_metrics() {
-        let t = table();
-        let regions: Vec<HyperRect> = [
-            [(0.0, 2.0), (0.0, 2.0)],
-            [(7.0, 9.0), (7.0, 9.0)],
-            [(20.0, 30.0), (0.0, 9.0)], // empty
-        ]
-        .iter()
-        .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-        .collect();
-        let res = t.fetch_plan(&FetchPlan::new(regions));
-
-        let mut rec = skycache_obs::QueryRecorder::new();
-        res.record_into(&mut rec);
-        let report = rec.into_report();
-        assert_eq!(report.counter(names::FETCH_REGIONS), res.stats.range_queries_issued);
-        assert_eq!(report.counter(names::FETCH_RQ_EXECUTED), 2);
-        assert_eq!(report.counter(names::FETCH_RQ_EMPTY), 1);
-        assert_eq!(report.counter(names::FETCH_POINTS_READ), res.stats.points_read);
-        assert_eq!(report.counter(names::FETCH_HEAP_FETCHES), res.stats.heap_fetches);
-        assert_eq!(report.counter(names::FETCH_INDEX_PROBES), res.stats.index_probes);
-        let fetch_hist = report.registry().histogram(names::FETCH_LATENCY_NS).unwrap();
-        assert_eq!(fetch_hist.count(), 1);
-        assert_eq!(fetch_hist.sum(), res.simulated_latency.as_nanos() as f64);
     }
 
     #[test]

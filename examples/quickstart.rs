@@ -43,7 +43,7 @@ fn main() {
             r.stats.points_read,
             b.stats.points_read,
             r.stats.case.map_or("miss", |c| c.label()),
-            r.stats.stages.total(),
+            r.stats.stages().total(),
         );
     }
 

@@ -51,9 +51,9 @@ fn main() {
         assert_eq!(r_c.skyline.len(), r_b.skyline.len(), "executors must agree");
         assert_eq!(r_s.skyline.len(), r_b.skyline.len(), "executors must agree");
         let t = [
-            r_c.stats.stages.total().as_secs_f64(),
-            r_b.stats.stages.total().as_secs_f64(),
-            r_s.stats.stages.total().as_secs_f64(),
+            r_c.stats.stages().total().as_secs_f64(),
+            r_b.stats.stages().total().as_secs_f64(),
+            r_s.stats.stages().total().as_secs_f64(),
         ];
         for (acc, v) in totals.iter_mut().zip(t) {
             *acc += v;

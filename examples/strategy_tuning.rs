@@ -37,7 +37,7 @@ fn main() {
         for q in workload.queries() {
             let r =
                 engine.execute(&QueryRequest::new(q.constraints.clone())).expect("query succeeds");
-            time += r.stats.stages.total().as_secs_f64();
+            time += r.stats.stages().total().as_secs_f64();
             pts += r.stats.points_read;
             rq += r.stats.range_queries_issued;
             if r.stats.stable() == Some(false) {

@@ -12,8 +12,8 @@
 //!   cost model (the "PostgreSQL + B-trees" substrate of the paper);
 //! * [`rtree`] — an R\*-tree (the "libspatialindex" substrate);
 //! * [`algos`] — skyline algorithms: BNL, SFS, divide & conquer, BBS;
-//! * [`obs`] — the observability layer: phase spans, the metric registry,
-//!   and the versioned per-query [`obs::QueryReport`];
+//! * [`obs`] — the observability vocabulary: phases, metric names and the
+//!   versioned per-query [`obs::QueryReport`];
 //! * [`core`] — the paper's contribution: stability theory, the four
 //!   incremental cases, the (approximate) Missing Points Region, the cache
 //!   with its search strategies, and the CBCS engine — plus the
