@@ -592,7 +592,6 @@ pub fn ablation_multi(scale: &Scale) {
                     SearchStrategy::MaxOverlap
                 },
                 extra_items,
-                compose: compose_items > 0,
                 compose_items,
                 ..Default::default()
             };
@@ -671,9 +670,9 @@ pub fn policy(scale: &Scale) {
             ],
         );
         for (pname, policy) in policies {
-            for compose in [false, true] {
-                let config =
-                    CbcsConfig { capacity: Some(capacity), policy, compose, ..Default::default() };
+            let base = CbcsConfig { capacity: Some(capacity), policy, ..Default::default() };
+            for (compose, compose_items) in [(false, 1), (true, 4)] {
+                let config = CbcsConfig { compose_items, ..base.clone() };
                 let mut ex = CbcsExecutor::new(&table, config);
                 let start = Instant::now();
                 let records = run_queries(&mut ex, queries);

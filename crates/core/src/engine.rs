@@ -318,7 +318,8 @@ pub struct QueryStats {
     /// Whether a cached item was used.
     pub cache_hit: bool,
     /// Whether the cache was searched and offered no usable item (false
-    /// for executors without a cache and for negative-cache answers).
+    /// for executors without a cache and for regions the service's
+    /// indexes prove empty, which never reach the cache).
     pub cache_miss: bool,
     /// Overlap classification of the used cache item, if any.
     pub case: Option<Overlap>,
@@ -352,11 +353,9 @@ pub struct QueryStats {
     /// Results turned away by the TinyLFU admission gate while this
     /// query's result was being cached.
     pub admission_rejects: u64,
-    /// Whether the service's negative cache answered the query (0 or 1).
+    /// Whether a service answered the query empty because the indexes
+    /// prove its region holds no row (0 or 1).
     pub negative_hits: u64,
-    /// Whether the query's region was probed empty and remembered in the
-    /// service's negative cache (0 or 1).
-    pub negative_inserts: u64,
     /// BBS-specific counters (BBS executor only).
     pub bbs: Option<BbsStats>,
 }
@@ -444,7 +443,6 @@ impl QueryStats {
             (names::SKYLINE_DOMINANCE_TESTS, self.dominance_tests),
             (names::SKYLINE_RESULT_SIZE, self.result_size),
             (names::SERVE_NEGATIVE_HITS, self.negative_hits),
-            (names::SERVE_NEGATIVE_INSERTS, self.negative_inserts),
         ] {
             metrics.add(name, value);
         }
@@ -581,12 +579,10 @@ pub struct CbcsConfig {
     /// single-item CBCS — is the default.
     pub extra_items: usize,
     /// Compositional multi-item hits (DESIGN.md §17.3): when the primary
-    /// item is neither an exact hit nor Case (b), compose up to
-    /// [`CbcsConfig::compose_items`] cover-ordered cached items into one
-    /// remainder plan and fetch only the jointly uncovered space. `false`
-    /// — the paper's single-item answering — is the default.
-    pub compose: bool,
-    /// Maximum cached items composed per query (primary included).
+    /// item is neither an exact hit nor Case (b), compose up to this many
+    /// cover-ordered cached items (primary included) into one remainder
+    /// plan and fetch only the jointly uncovered space. `1` — or `0` —
+    /// is the paper's single-item answering and the default.
     pub compose_items: usize,
 }
 
@@ -600,8 +596,7 @@ impl Default for CbcsConfig {
             seed: 0xC0FFEE,
             cache_results: true,
             extra_items: 0,
-            compose: false,
-            compose_items: 4,
+            compose_items: 1,
         }
     }
 }
@@ -751,18 +746,16 @@ impl CbcsState {
             parts.clear();
             parts.push(primary.id);
             let mut trusted = 1;
-            if (config.compose || config.extra_items > 0)
+            if (config.compose_items > 1 || config.extra_items > 0)
                 && ids.len() >= 2
                 && !matches!(
                     classify(&primary.constraints, c),
                     Overlap::Exact | Overlap::CaseB { .. }
                 )
             {
-                if config.compose {
-                    let others = ids.iter().copied().filter(|&id| id != primary.id);
-                    parts.extend(others.take(config.compose_items.saturating_sub(1)));
-                    trusted = parts.len();
-                }
+                let others = ids.iter().copied().filter(|&id| id != primary.id);
+                parts.extend(others.take(config.compose_items.saturating_sub(1)));
+                trusted = parts.len();
                 if config.extra_items > 0 {
                     let mut others: Vec<u64> =
                         ids.iter().copied().filter(|id| !parts.contains(id)).collect();
@@ -1147,7 +1140,7 @@ mod tests {
         let table = grid_table();
         let mut plain = CbcsExecutor::new(&table, CbcsConfig::default());
         let mut composed =
-            CbcsExecutor::new(&table, CbcsConfig { compose: true, ..CbcsConfig::default() });
+            CbcsExecutor::new(&table, CbcsConfig { compose_items: 4, ..CbcsConfig::default() });
         for ex in [&mut plain, &mut composed] {
             run(ex, &left);
             run(ex, &right);

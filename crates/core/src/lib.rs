@@ -74,7 +74,7 @@ pub mod engine;
 mod error;
 /// The (approximate) Missing Points Region (Section 5).
 pub mod mpr;
-/// The multi-tenant query service: sessions, singleflight, negative cache.
+/// The multi-tenant query service: sessions, singleflight, index-proven empties.
 pub mod service;
 /// Thread-safe shared cache for multi-user deployments.
 pub mod shared;

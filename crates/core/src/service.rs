@@ -5,7 +5,7 @@
 //! runs many sessions against one cache. This module is the concurrent
 //! entry point for that shape — a [`Session`] is the only holder of the
 //! pipeline over a [`SharedCache`], so every multi-user deployment flows
-//! through here and picks up three protections:
+//! through here and picks up three fast paths:
 //!
 //! 1. **Snapshot reads** — lookups run against the epoch-published
 //!    `Arc<Cache>` snapshot (see [`crate::shared`]), so concurrent
@@ -15,11 +15,12 @@
 //!    leader's flight slot and share its [`QueryOutcome`]. Keyed by
 //!    [`constraint_key`]'s canonical encoding so `-0.0`/`0.0` bound
 //!    spellings coalesce.
-//! 3. **Negative caching** — constraint regions the per-dimension
-//!    indexes prove empty ([`Table::probe_region_empty`]) are remembered
-//!    with a deterministic (seeded-jitter) TTL in logical ticks, and
-//!    answered with the empty skyline without planning, locking a
-//!    flight, or touching the heap.
+//! 3. **Index-proven empties** — a constraint region the per-dimension
+//!    indexes prove empty ([`Table::probe_region_empty`], the paper's
+//!    "the B-trees detect the empty queries", Sec. 7.3.2) is answered
+//!    with the empty skyline without planning, locking a flight, or
+//!    touching the heap. The table is immutable under a service, so the
+//!    probe is its own memo: nothing is remembered.
 //!
 //! All synchronization uses the `skycheck::sync` shims, so the whole
 //! protocol is model-checkable (`crates/core/tests/model_serve.rs`
@@ -36,9 +37,6 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 // Shim sync primitives: identical to `std` in production, schedulable
 // under a `skycheck::Explorer` model run (see DESIGN.md §15–16).
 use skycheck::sync::{Arc, AtomicU64, Mutex, Ordering};
@@ -52,21 +50,8 @@ use crate::engine::{
 use crate::shared::SharedCache;
 use crate::Result;
 
-/// Bound on remembered provably-empty regions; expired entries are
-/// purged lazily once the table grows past it.
-const NEGATIVE_CAPACITY: usize = 1024;
-
-/// Base lifetime of a negative entry, in logical ticks (one tick per
-/// query the service executes).
-const NEGATIVE_TTL: u64 = 256;
-
-/// Upper bound on the deterministic per-entry TTL jitter, drawn from a
-/// `cbcs.seed`-seeded generator so expiries de-synchronize without
-/// wall-clock randomness.
-const NEGATIVE_JITTER: u64 = 32;
-
 /// Service-level configuration: the per-session CBCS configuration plus
-/// the production-cache knobs layered on top.
+/// the one production-cache knob layered on top.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Configuration handed to every session's CBCS executor.
@@ -74,14 +59,11 @@ pub struct ServiceConfig {
     /// Coalesce identical in-flight queries through the singleflight
     /// table (on by default).
     pub coalesce: bool,
-    /// Remember provably-empty constraint regions and answer them
-    /// without computing (on by default).
-    pub negative_cache: bool,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { cbcs: CbcsConfig::default(), coalesce: true, negative_cache: true }
+        ServiceConfig { cbcs: CbcsConfig::default(), coalesce: true }
     }
 }
 
@@ -95,21 +77,18 @@ impl ServiceConfig {
 /// Point-in-time counters of the service-layer fast paths.
 ///
 /// `coalesced + negative_hits + computes` equals the number of executed
-/// queries (every query either joins a flight, hits the negative cache,
-/// or computes).
+/// queries: every query either is proven empty by the indexes, joins a
+/// flight, or computes (a joiner whose leader failed counts as both
+/// coalesced and a compute).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceMetrics {
     /// Queries that joined another session's in-flight computation.
     pub coalesced: u64,
-    /// Queries answered from the negative cache.
+    /// Queries answered empty because the indexes prove their region
+    /// holds no row.
     pub negative_hits: u64,
-    /// Regions classified provably empty and remembered.
-    pub negative_inserts: u64,
     /// Skyline computations actually executed (misses + leaders).
     pub computes: u64,
-    /// Logical ticks elapsed (one per query executed while the negative
-    /// cache is enabled — the TTL time base).
-    pub ticks: u64,
 }
 
 /// One in-flight computation: the leader holds `slot` while computing
@@ -120,26 +99,14 @@ struct Flight {
     slot: Mutex<Option<QueryOutcome>>,
 }
 
-/// Negative cache: canonical constraint key → expiry tick.
-struct NegativeCache {
-    entries: BTreeMap<Vec<u64>, u64>,
-    /// Deterministic jitter source (seeded from the service config).
-    rng: StdRng,
-}
-
 /// State shared by the service handle and every session.
 struct ServiceShared {
     cache: SharedCache,
     /// Singleflight table: canonical request key → in-flight computation.
     flights: Mutex<BTreeMap<Vec<u64>, Arc<Flight>>>,
-    negative: Mutex<NegativeCache>,
-    /// Logical clock: one tick per executed query, the time base for
-    /// negative-entry TTLs (no wall clock — deterministic under test).
-    ticks: AtomicU64,
     sessions: AtomicU64,
     coalesced: AtomicU64,
     negative_hits: AtomicU64,
-    negative_inserts: AtomicU64,
     computes: AtomicU64,
 }
 
@@ -180,15 +147,9 @@ impl<'t> Service<'t> {
         let shared = Arc::new(ServiceShared {
             cache,
             flights: Mutex::new(BTreeMap::new()),
-            negative: Mutex::new(NegativeCache {
-                entries: BTreeMap::new(),
-                rng: StdRng::seed_from_u64(config.cbcs.seed ^ 0x5EED_CAFE),
-            }),
-            ticks: AtomicU64::new(0),
             sessions: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             negative_hits: AtomicU64::new(0),
-            negative_inserts: AtomicU64::new(0),
             computes: AtomicU64::new(0),
         });
         Service { table, config, shared }
@@ -206,7 +167,7 @@ impl<'t> Service<'t> {
         cbcs.seed = cbcs.seed.wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         Session {
             table: self.table,
-            config: self.config.clone(),
+            coalesce: self.config.coalesce,
             shared: self.shared.clone(),
             state: CbcsState::new(self.table, cbcs),
         }
@@ -227,21 +188,12 @@ impl<'t> Service<'t> {
         &self.config
     }
 
-    /// Insert attempts the cache's admission gate has rejected so far
-    /// (authoritative, reads the master; always 0 unless the configured
-    /// replacement policy is [`crate::ReplacementPolicy::TinyLfu`]).
-    pub fn admission_rejects(&self) -> u64 {
-        self.shared.cache.with_read(crate::cache::Cache::admission_rejects)
-    }
-
     /// Snapshot of the service-layer counters.
     pub fn metrics(&self) -> ServiceMetrics {
         ServiceMetrics {
             coalesced: self.shared.coalesced.load(Ordering::Relaxed),
             negative_hits: self.shared.negative_hits.load(Ordering::Relaxed),
-            negative_inserts: self.shared.negative_inserts.load(Ordering::Relaxed),
             computes: self.shared.computes.load(Ordering::Relaxed),
-            ticks: self.shared.ticks.load(Ordering::Relaxed),
         }
     }
 }
@@ -256,34 +208,28 @@ impl<'t> Service<'t> {
 /// [`Executor`] is.
 pub struct Session<'t> {
     table: &'t Table,
-    config: ServiceConfig,
+    /// [`ServiceConfig::coalesce`], the one service knob a session reads.
+    coalesce: bool,
     shared: Arc<ServiceShared>,
     state: CbcsState,
 }
 
 impl Session<'_> {
-    /// Answers one query through the service fast paths: negative cache,
-    /// then singleflight, then the CBCS pipeline over the shared cache.
+    /// Answers one query through the service fast paths: the index-only
+    /// emptiness probe, then singleflight, then the CBCS pipeline over
+    /// the shared cache.
     pub fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
         check_dims(self.table, &req.constraints)?;
 
-        if self.config.negative_cache {
-            // The logical TTL clock only runs while the negative cache
-            // is on — it is the sole consumer, and skipping the atomic
-            // otherwise keeps model-checked schedules small.
-            let now = self.shared.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(outcome) = self.negative_lookup(req, now) {
-                return Ok(outcome);
-            }
-            if self.table.probe_region_empty(&req.constraints.region()) {
-                return Ok(self.negative_insert(req, now));
-            }
+        if self.table.probe_region_empty(&req.constraints.region()) {
+            self.shared.negative_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(empty_outcome(req));
         }
 
         // Recorded requests bypass coalescing: a joiner would otherwise
         // receive the leader's report (or none), and reports are
         // per-request property.
-        if self.config.coalesce && !req.record {
+        if self.coalesce && !req.record {
             return self.execute_coalesced(req);
         }
         self.compute(req)
@@ -332,43 +278,6 @@ impl Session<'_> {
         self.shared.flights.lock().remove(&key); // lock-order: write
         computed
     }
-
-    /// Consults the negative cache; `Some` is a hit (the empty skyline).
-    fn negative_lookup(&mut self, req: &QueryRequest, now: u64) -> Option<QueryOutcome> {
-        let key = constraint_key(&req.constraints);
-        let hit = {
-            let mut neg = self.shared.negative.lock(); // lock-order: write
-            match neg.entries.get(&key) {
-                Some(&expires) if expires >= now => true,
-                Some(_) => {
-                    neg.entries.remove(&key);
-                    false
-                }
-                None => false,
-            }
-        };
-        if !hit {
-            return None;
-        }
-        self.shared.negative_hits.fetch_add(1, Ordering::Relaxed);
-        Some(empty_outcome(req, true))
-    }
-
-    /// Records a probed-empty region and returns the empty skyline.
-    fn negative_insert(&mut self, req: &QueryRequest, now: u64) -> QueryOutcome {
-        let key = constraint_key(&req.constraints);
-        {
-            let mut neg = self.shared.negative.lock(); // lock-order: write
-            if neg.entries.len() >= NEGATIVE_CAPACITY {
-                neg.entries.retain(|_, &mut expires| expires >= now);
-            }
-            let jitter = neg.rng.gen_range(0..=NEGATIVE_JITTER);
-            let expires = now.saturating_add(NEGATIVE_TTL).saturating_add(jitter);
-            neg.entries.insert(key, expires);
-        }
-        self.shared.negative_inserts.fetch_add(1, Ordering::Relaxed);
-        empty_outcome(req, false)
-    }
 }
 
 impl Executor for Session<'_> {
@@ -377,15 +286,13 @@ impl Executor for Session<'_> {
     }
 }
 
-/// The outcome of a query proven empty without computing: the empty
-/// skyline, one issued-and-empty range query in the stats, and the
-/// serve-side counter of whichever fast path proved it.
-fn empty_outcome(req: &QueryRequest, from_negative_cache: bool) -> QueryOutcome {
+/// The outcome of a query the indexes prove empty: the empty skyline,
+/// one issued-and-empty range query and one negative hit in the stats.
+fn empty_outcome(req: &QueryRequest) -> QueryOutcome {
     let stats = QueryStats {
         range_queries_issued: 1,
         range_queries_empty: 1,
-        negative_hits: u64::from(from_negative_cache),
-        negative_inserts: u64::from(!from_negative_cache),
+        negative_hits: 1,
         ..QueryStats::default()
     };
     QueryOutcome::finish(req, Vec::new(), None, stats)
@@ -401,9 +308,8 @@ fn canonical_bits(x: f64) -> u64 {
     }
 }
 
-/// Canonical key of a constraint region — the negative-cache key and
-/// the singleflight key: emptiness and the answer depend on the region
-/// alone.
+/// Canonical key of a constraint region — the singleflight key: the
+/// answer depends on the region alone.
 fn constraint_key(c: &Constraints) -> Vec<u64> {
     let mut key = Vec::with_capacity(2 * c.dims());
     for dim in 0..c.dims() {
@@ -448,60 +354,59 @@ mod tests {
         let service = Service::open(&t, ServiceConfig::default());
         let mut s = service.session();
         // Between grid coordinates: the per-dimension index proves no
-        // row can fall in (0.11, 0.19).
+        // row can fall in (0.11, 0.19) — on every ask, nothing remembered.
         let c = Constraints::from_pairs(&[(0.11, 0.19), (0.11, 0.19)]).unwrap();
-        let r1 = s.execute(&QueryRequest::new(c.clone())).unwrap();
-        assert!(r1.skyline.is_empty());
-        assert_eq!(r1.stats.range_queries_empty, 1);
-        let r2 = s.execute(&QueryRequest::new(c).recorded()).unwrap();
-        assert!(r2.skyline.is_empty());
-        let report = r2.report.expect("recorded");
-        assert_eq!(report.counter(skycache_obs::names::SERVE_NEGATIVE_HITS), 1);
+        for req in [QueryRequest::new(c.clone()), QueryRequest::new(c).recorded()] {
+            let outcome = s.execute(&req).unwrap();
+            assert!(outcome.skyline.is_empty());
+            assert_eq!(
+                (outcome.stats.range_queries_issued, outcome.stats.range_queries_empty),
+                (1, 1)
+            );
+            assert_eq!(outcome.stats.negative_hits, 1);
+        }
         let m = service.metrics();
-        assert_eq!(m.negative_inserts, 1);
-        assert_eq!(m.negative_hits, 1);
-        assert_eq!(m.computes, 0, "no skyline computation for a provably-empty region");
-        // Nothing was cached positively and nothing published.
+        assert_eq!(m, ServiceMetrics { negative_hits: 2, ..ServiceMetrics::default() });
+        // No skyline computation: nothing cached, nothing published.
         assert!(service.cache().is_empty());
         assert_eq!(service.cache().epoch(), 0);
     }
 
+    /// Every executed query leaves by exactly one exit: proven empty,
+    /// joined a flight, or computed — with coalescing on and off, over
+    /// fresh and repeated empties, misses and hits.
     #[test]
-    fn negative_entries_expire_after_ttl() {
+    fn every_query_leaves_by_one_exit() {
         let t = table();
-        let service = Service::open(&t, ServiceConfig::default());
-        let mut s = service.session();
-        let empty = Constraints::from_pairs(&[(0.11, 0.19), (0.11, 0.19)]).unwrap();
-        let busy = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
-        s.execute(&QueryRequest::new(empty.clone())).unwrap(); // insert at tick 1
-        s.execute(&QueryRequest::new(empty.clone())).unwrap(); // tick 2: hit
-                                                               // Drive the logical clock past the longest possible lifetime.
-        for _ in 0..NEGATIVE_TTL + NEGATIVE_JITTER {
-            s.execute(&QueryRequest::new(busy.clone())).unwrap();
-        }
-        s.execute(&QueryRequest::new(empty)).unwrap(); // expired → re-probed
-        let m = service.metrics();
-        assert_eq!(m.negative_hits, 1);
-        assert_eq!(m.negative_inserts, 2, "expired entry must be re-probed and re-inserted");
-    }
-
-    #[test]
-    fn negative_ttl_jitter_is_deterministic() {
-        let t = table();
-        let run = || {
-            let service = Service::open(&t, ServiceConfig::default());
-            let mut s = service.session();
-            for i in 0..8 {
-                let lo = 0.101 + f64::from(i) * 0.001;
-                let c = Constraints::from_pairs(&[(lo, 0.109), (0.11, 0.19)]).unwrap();
-                // Drive the ticks far enough that some entries expire.
-                for _ in 0..40 {
-                    s.execute(&QueryRequest::new(c.clone())).unwrap();
+        let empty = |lo: f64| Constraints::from_pairs(&[(lo, 0.19), (0.11, 0.19)]).unwrap();
+        let busy = |lo: f64| Constraints::from_pairs(&[(lo, 1.3), (0.2, 1.3)]).unwrap();
+        let stream = [empty(0.11), busy(0.2), empty(0.11), busy(0.2), empty(0.12), busy(0.3)];
+        for coalesce in [true, false] {
+            let service = Service::open(&t, ServiceConfig { coalesce, ..ServiceConfig::default() });
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    let mut s = service.session();
+                    let stream = &stream;
+                    scope.spawn(move || {
+                        for c in stream {
+                            s.execute(&QueryRequest::new(c.clone())).unwrap();
+                        }
+                    });
                 }
-            }
-            service.metrics()
-        };
-        assert_eq!(run(), run(), "seeded jitter must reproduce exactly");
+            });
+            let m = service.metrics();
+            let queries = 4 * stream.len() as u64;
+            assert_eq!(
+                m.coalesced + m.negative_hits + m.computes,
+                queries,
+                "coalesce {coalesce}: {m:?}"
+            );
+            assert_eq!(
+                m.negative_hits,
+                4 * 3,
+                "coalesce {coalesce}: every empty is a negative hit"
+            );
+        }
     }
 
     #[test]

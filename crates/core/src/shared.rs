@@ -211,10 +211,10 @@ mod tests {
         ex.execute(&QueryRequest::new(c.clone())).unwrap()
     }
 
-    /// The door every deployment uses, with the service fast paths off so
-    /// each query reaches the shared-cache pipeline.
+    /// The door every deployment uses, with coalescing off so each
+    /// query reaches the shared-cache pipeline.
     fn open(t: &Table, cbcs: CbcsConfig) -> Service<'_> {
-        Service::open(t, ServiceConfig { cbcs, coalesce: false, negative_cache: false })
+        Service::open(t, ServiceConfig { cbcs, coalesce: false })
     }
 
     fn table() -> Table {

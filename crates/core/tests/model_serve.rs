@@ -46,12 +46,6 @@ fn run_query(session: &mut Session<'_>, c: &Constraints) -> Vec<Point> {
     sorted(session.execute(&QueryRequest::new(c.clone())).unwrap().skyline)
 }
 
-/// Coalescing on, negative cache off: the singleflight protocol is the
-/// subject; the TTL clock would only add schedule points.
-fn coalescing_config() -> ServiceConfig {
-    ServiceConfig { negative_cache: false, ..ServiceConfig::default() }
-}
-
 /// Singleflight: two concurrent identical queries → in every schedule,
 /// no deadlock, correct results, and exactly `2 − joins` computations;
 /// across the exhaustive exploration, at least one schedule coalesces.
@@ -59,7 +53,7 @@ fn coalescing_config() -> ServiceConfig {
 fn singleflight_two_identical_queries_compute_once_per_leader() {
     let t = table();
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).unwrap();
-    let want = run_query(&mut Service::open(&t, coalescing_config()).session(), &c);
+    let want = run_query(&mut Service::open(&t, ServiceConfig::default()).session(), &c);
 
     // Process-level: did ANY schedule coalesce? (Serial schedules finish
     // the first flight before the second query arrives, so per-schedule
@@ -69,7 +63,7 @@ fn singleflight_two_identical_queries_compute_once_per_leader() {
     let schedules_with_join = AtomicU64::new(0);
 
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        let service = Service::open(&t, coalescing_config());
+        let service = Service::open(&t, ServiceConfig::default());
         let mut sa = service.session();
         let mut sb = service.session();
         let (got_a, got_b) = thread::scope(|s| {
@@ -121,7 +115,7 @@ fn epoch_publication_is_never_torn() {
     let c = Constraints::from_pairs(&[(0.0, 0.9), (0.0, 0.9)]).unwrap();
 
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
-        let service = Service::open(&t, coalescing_config());
+        let service = Service::open(&t, ServiceConfig::default());
         let mut writer = service.session();
         let pre_insert = service.cache().snapshot();
         assert!(pre_insert.is_empty());

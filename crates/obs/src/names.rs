@@ -82,9 +82,6 @@ pub const SKYLINE_RESULT_SIZE: &str = "skyline.result_size";
 
 // -- serve ------------------------------------------------------------------
 
-/// Queries answered from the negative cache of provably-empty constraint
-/// regions, without touching index or heap. Counter.
+/// Queries a service answered empty because the index-only probe proves
+/// their constraint region holds no row — no plan, no heap. Counter.
 pub const SERVE_NEGATIVE_HITS: &str = "serve.negative_hits";
-/// Constraint regions classified provably empty by the index-only probe
-/// and recorded in the negative cache. Counter.
-pub const SERVE_NEGATIVE_INSERTS: &str = "serve.negative_inserts";

@@ -20,8 +20,7 @@ const USAGE: &str = "usage: skyserve [options]
   --dims <d>           dimensionality (default 3)
   --seed <s>           data seed (default 42)
   --dist <name>        independent | correlated | anticorrelated (default independent)
-  --no-coalesce        disable singleflight coalescing
-  --no-negative        disable the negative cache";
+  --no-coalesce        disable singleflight coalescing";
 
 struct Options {
     addr: String,
@@ -69,7 +68,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--no-coalesce" => opts.config.coalesce = false,
-            "--no-negative" => opts.config.negative_cache = false,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -107,14 +105,13 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "skyserve listening on {} ({} {} points, {} dims, seed {}, coalesce {}, negative {})",
+        "skyserve listening on {} ({} {} points, {} dims, seed {}, coalesce {})",
         handle.addr(),
         opts.points,
         opts.dist.label(),
         opts.dims,
         opts.seed,
         opts.config.coalesce,
-        opts.config.negative_cache,
     );
     match handle.wait() {
         Ok(()) => ExitCode::SUCCESS,

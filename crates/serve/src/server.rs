@@ -7,7 +7,7 @@
 //! connection gets a scoped thread with its own session — sessions own
 //! their executor scratch, so connections contend only on the service
 //! state the paper's cache design already shares (the epoch-published
-//! snapshot, the singleflight table, the negative cache). At most
+//! snapshot, the singleflight table). At most
 //! [`MAX_CONNECTIONS`] are served at once: past that the accept thread
 //! answers `ERR busy` itself and closes, so a connection flood costs
 //! neither threads nor sessions.

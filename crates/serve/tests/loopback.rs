@@ -80,7 +80,7 @@ fn queries_stats_and_control_verbs_over_tcp() {
 
     let stats = alice.roundtrip("STATS");
     assert!(stats.starts_with("OK coalesced="), "got {stats:?}");
-    assert!(stats.contains("negative_inserts=1"), "got {stats:?}");
+    assert!(stats.contains("negative_hits=1"), "got {stats:?}");
     // Only Alice's miss cached a result — Bob's exact hit touches her
     // item instead of re-inserting — so one epoch was published.
     assert!(stats.contains("cache_len=1"), "got {stats:?}");

@@ -67,7 +67,6 @@ mod table;
 pub use cost::{CostModel, FetchStats};
 pub use error::StorageError;
 pub use index::ColumnIndex;
-pub use persist::SnapshotDir;
 pub use scratch::{FetchBuf, FetchScratch};
 pub use table::{FetchOutcome, FetchPlan, FetchResult, Row, RowId, Table, TableConfig};
 

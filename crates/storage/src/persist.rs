@@ -22,7 +22,7 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -47,43 +47,6 @@ fn checked_len(n: u64, item_bytes: usize, buf: &Bytes, what: &str) -> Result<usi
     match n.checked_mul(item_bytes) {
         Some(total) if total <= buf.remaining() => Ok(n),
         _ => Err(StorageError::Corrupt(format!("{what} exceeds payload"))),
-    }
-}
-
-/// Explicit on-disk location for table snapshots.
-///
-/// Persistence never consults ambient process state: callers choose the
-/// directory (CLI flag, experiment config, test tmpdir) and everything
-/// downstream takes it from this value. This is the configuration
-/// counterpart of skylint's `env-read-confinement` rule — the library
-/// has no `std::env` read to confine because the directory arrives as
-/// an argument.
-#[derive(Clone, Debug)]
-pub struct SnapshotDir {
-    dir: PathBuf,
-}
-
-impl SnapshotDir {
-    /// A snapshot store rooted at an explicitly chosen directory.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        SnapshotDir { dir: dir.into() }
-    }
-
-    /// The file path the named snapshot lives at (`<dir>/<name>.skyc`).
-    pub fn path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.skyc"))
-    }
-
-    /// Saves `table` under `name`, returning the written path.
-    pub fn save(&self, table: &Table, name: &str) -> Result<PathBuf> {
-        let path = self.path(name);
-        table.save(&path)?;
-        Ok(path)
-    }
-
-    /// Loads the snapshot previously saved under `name`.
-    pub fn load(&self, name: &str) -> Result<Table> {
-        Table::load(self.path(name))
     }
 }
 
@@ -221,15 +184,8 @@ mod tests {
     use super::*;
     use skycache_geom::Constraints;
 
-    /// The one ambient read in this module, at the very edge: tests
-    /// resolve the system tmpdir once and route it through the explicit
-    /// [`SnapshotDir`] config like any other caller would.
-    fn store() -> SnapshotDir {
-        SnapshotDir::new(std::env::temp_dir())
-    }
-
     fn temp(name: &str) -> std::path::PathBuf {
-        store().path(&format!("skycache-test-{}-{name}", std::process::id()))
+        std::env::temp_dir().join(format!("skycache-test-{}-{name}.skyc", std::process::id()))
     }
 
     fn sample_table() -> Table {
@@ -276,15 +232,17 @@ mod tests {
         }
     }
 
+    /// A snapshot is named by a plain path the caller chooses; saving
+    /// under a name that already holds one replaces it.
     #[test]
     fn snapshot_dir_round_trips_by_name() {
-        let t = sample_table();
-        let dir = store();
-        let name = format!("skycache-test-{}-named", std::process::id());
-        let written = dir.save(&t, &name).unwrap();
-        assert_eq!(written, dir.path(&name));
-        let loaded = dir.load(&name).unwrap();
-        std::fs::remove_file(&written).ok();
+        let mut t = sample_table();
+        let path = temp("named");
+        t.save(&path).unwrap();
+        t.insert(Point::from(vec![1.5, 2.5])).unwrap();
+        t.save(&path).unwrap();
+        let loaded = Table::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(loaded.len(), t.len());
         assert_eq!(loaded.dims(), t.dims());
     }

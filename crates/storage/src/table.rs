@@ -214,8 +214,8 @@ impl Table {
     ///
     /// This is the planning-time emptiness detection of
     /// [`Table::fetch_plan`] exposed as a standalone predicate so callers
-    /// (the service layer's negative cache) can classify a constraint
-    /// region as provably empty before committing to a full query.
+    /// (the query service) can answer a provably empty constraint region
+    /// before committing to a full query.
     /// Conservative: a `false` answer means "not provably empty", not
     /// "non-empty" — a region can pass every single-dimension probe and
     /// still match no row.

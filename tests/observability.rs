@@ -9,7 +9,7 @@
 //! 2. **The report is a rendering.** Every name in `obs::names` shows one
 //!    `QueryStats` field, on every executor, and the report's fetch phase
 //!    is the one place measured and simulated time are summed.
-//! 3. **The report format is frozen.** `skyobs-report/2` JSON is pinned
+//! 3. **The report format is frozen.** `skyobs-report/3` JSON is pinned
 //!    byte-for-byte by a golden file; any change to the rendering is a
 //!    schema change and must bump the version tag.
 
@@ -96,7 +96,7 @@ type Field = fn(&QueryStats) -> u64;
 
 /// One row per counter constant of `obs::names`: the name and the
 /// [`QueryStats`] field it renders (the one gauge is checked beside them).
-const COUNTERS: [(&str, Field); 28] = [
+const COUNTERS: [(&str, Field); 27] = [
     (names::CACHE_HITS, |s| u64::from(s.cache_hit)),
     (names::CACHE_MISSES, |s| u64::from(s.cache_miss)),
     (names::CACHE_EVICTIONS, |s| s.evictions),
@@ -124,7 +124,6 @@ const COUNTERS: [(&str, Field); 28] = [
     (names::SKYLINE_DOMINANCE_TESTS, |s| s.dominance_tests),
     (names::SKYLINE_RESULT_SIZE, |s| s.result_size),
     (names::SERVE_NEGATIVE_HITS, |s| s.negative_hits),
-    (names::SERVE_NEGATIVE_INSERTS, |s| s.negative_inserts),
 ];
 
 /// The counters plus the one gauge, `cache.cover_fraction`.
@@ -176,7 +175,7 @@ fn report_renders_every_named_field_on_every_executor() {
 
     let small = CbcsConfig { capacity: Some(4), ..Default::default() };
     let composing =
-        CbcsConfig { compose: true, policy: ReplacementPolicy::TinyLfu, ..small.clone() };
+        CbcsConfig { compose_items: 4, policy: ReplacementPolicy::TinyLfu, ..small.clone() };
     for (who, config) in [("cbcs", small), ("cbcs composing", composing)] {
         let mut cbcs = CbcsExecutor::new(&table, config);
         for c in queries.iter().chain(&queries) {
@@ -200,14 +199,14 @@ fn report_renders_every_named_field_on_every_executor() {
     assert!(bbs_sim_ns > 0, "BBS's node accesses must show in fetch_sim_ns");
 
     // A session: a computed query, then a region no row can fall in —
-    // probed empty and remembered, then answered from that memory.
+    // proven empty by the indexes on every ask.
     let service = Service::open(&table, ServiceConfig::default());
     let mut session = service.session();
     let nowhere = Constraints::from_pairs(&[(2.0, 3.0), (2.0, 3.0), (2.0, 3.0)]).unwrap();
-    for (c, negative) in [(&queries[0], (0, 0)), (&nowhere, (0, 1)), (&nowhere, (1, 0))] {
+    for (c, negative) in [(&queries[0], 0), (&nowhere, 1), (&nowhere, 1)] {
         let outcome = session.execute(&QueryRequest::new(c.clone()).recorded()).unwrap();
         check_rendering("session", &outcome, &mut produced);
-        assert_eq!((outcome.stats.negative_hits, outcome.stats.negative_inserts), negative);
+        assert_eq!(outcome.stats.negative_hits, negative);
     }
 
     // Every row has a producer among the runs above.
@@ -227,7 +226,7 @@ fn sorted_names(mut v: Vec<&str>) -> Vec<&str> {
     v
 }
 
-/// Pins the `skyobs-report/2` rendering byte-for-byte. Regenerate the
+/// Pins the `skyobs-report/3` rendering byte-for-byte. Regenerate the
 /// golden file with `UPDATE_GOLDEN=1 cargo test --test observability`
 /// after a deliberate schema bump.
 #[test]
@@ -263,7 +262,6 @@ fn report_json_matches_golden_file() {
         evictions: 2,
         admission_rejects: 0,
         negative_hits: 0,
-        negative_inserts: 0,
         bbs: None,
     };
 
@@ -275,7 +273,7 @@ fn report_json_matches_golden_file() {
     let want = std::fs::read_to_string(path).expect("golden file exists");
     assert_eq!(
         got, want,
-        "skyobs-report/2 bytes changed; if deliberate, bump REPORT_SCHEMA \
+        "skyobs-report/3 bytes changed; if deliberate, bump REPORT_SCHEMA \
          and regenerate with UPDATE_GOLDEN=1"
     );
 }

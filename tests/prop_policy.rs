@@ -122,7 +122,9 @@ proptest! {
     ) {
         let (points, queries) = scenario;
         let table = build(points.clone());
-        let config = CbcsConfig { policy, compose, extra_items, capacity, ..Default::default() };
+        let compose_items = if compose { 4 } else { 1 };
+        let config =
+            CbcsConfig { policy, compose_items, extra_items, capacity, ..Default::default() };
         let mut ex = CbcsExecutor::new(&table, config);
         for c in &queries {
             let got = ex.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
@@ -143,8 +145,8 @@ proptest! {
         let (points, queries) = scenario;
         let table = build(points.clone());
         let base = CbcsConfig { policy, capacity: Some(4), ..Default::default() };
-        let mut plain = CbcsExecutor::new(&table, CbcsConfig { compose: false, ..base.clone() });
-        let mut composed = CbcsExecutor::new(&table, CbcsConfig { compose: true, ..base });
+        let mut plain = CbcsExecutor::new(&table, base.clone());
+        let mut composed = CbcsExecutor::new(&table, CbcsConfig { compose_items: 4, ..base });
         for c in &queries {
             let a = plain.execute(&QueryRequest::new(c.clone())).unwrap();
             let b = composed.execute(&QueryRequest::new(c.clone())).unwrap();
