@@ -15,9 +15,9 @@
 //! 2. exact-hit replays (no fetch, no merge) stay under a fixed
 //!    ceiling, pinning the residual per-query cost of answering
 //!    straight from the cache — result materialization at the API
-//!    boundary plus the admission-sketch demand note (exact hits never
-//!    re-insert their item; see `Cache::note_demand`) — and the reply
-//!    to one allocates at most twice, the cached item keeping its text;
+//!    boundary plus the hit's one `touch` (exact hits never re-insert
+//!    their item) — and the reply to one allocates at most twice, the
+//!    cached item keeping its text;
 //! 3. points read and range queries issued / executed / coalesced over
 //!    both paper workloads are exact: the planner and the coalescing
 //!    fetch are seeded end to end, so any drift is a behaviour change.

@@ -12,11 +12,11 @@
 //!
 //! Replacement (Section 6.2 and DESIGN.md §17): insertion and use
 //! counters on the items support LRU (least recently used) and LCU
-//! (least commonly used) eviction when a capacity is set; the TinyLFU
-//! policy adds a frequency-sketch admission gate on top of LRU victim
-//! order, and the cost-aware policy evicts the item whose measured
-//! benefit per cached point is smallest. Eviction order is maintained
-//! incrementally in an ordered victim index — no per-eviction scan.
+//! (least commonly used) eviction when a capacity is set, and the
+//! cost-aware policy evicts the item whose measured benefit per cached
+//! point is smallest. Every insert is stored; eviction order is
+//! maintained incrementally in an ordered victim index — no
+//! per-eviction scan.
 
 // BTreeMap/BTreeSet, not HashMap/HashSet: eviction order and the order
 // of cache reindexing feed back into query planning, and iteration
@@ -64,9 +64,6 @@ pub struct CacheItem {
     pub use_count: u64,
     /// What building this result cost (drives [`ReplacementPolicy::CostAware`]).
     pub cost: ItemCost,
-    /// Hash of the constraint box — the item's key in the admission
-    /// frequency sketch ([`ReplacementPolicy::TinyLfu`]).
-    pub key_hash: u64,
     /// `skyline` as text ([`render_points`]): empty until the first exact
     /// hit renders it, read by every later one. Behind its own `Arc`, so
     /// the copy of an item a cache makes to update its counters
@@ -137,131 +134,9 @@ fn cost_score(item: &CacheItem) -> f64 {
 /// is always the *smallest* key present. Lower = evicted sooner.
 fn victim_key(policy: ReplacementPolicy, item: &CacheItem) -> (u64, u64, u64) {
     match policy {
-        // TinyLFU evicts in LRU order; the sketch gates admission instead.
-        ReplacementPolicy::Lru | ReplacementPolicy::TinyLfu => {
-            (item.last_used, item.inserted_at, item.id)
-        }
+        ReplacementPolicy::Lru => (item.last_used, item.inserted_at, item.id),
         ReplacementPolicy::Lcu => (item.use_count, item.inserted_at, item.id),
         ReplacementPolicy::CostAware => (cost_score(item).to_bits(), item.inserted_at, item.id),
-    }
-}
-
-/// `splitmix64` finalizer — the deterministic zero-dependency hash
-/// behind the admission sketch (std's `Hasher` is excluded by the
-/// determinism lint; this mixer is fixed for all runs and platforms).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Sketch key for a constraint box: fold the corner coordinates' bit
-/// patterns through the mixer. Collisions only merge two constraints'
-/// frequency estimates — harmless for admission.
-fn constraint_key(constraints: &Constraints) -> u64 {
-    let aabb = constraints.aabb();
-    let mut h = 0x5115_07A1_u64;
-    for &v in aabb.lo().iter().chain(aabb.hi().iter()) {
-        h = splitmix64(h ^ v.to_bits());
-    }
-    h
-}
-
-/// A 4-bit count-min frequency sketch with periodic halving — the
-/// TinyLFU admission filter, hand-rolled with zero dependencies.
-///
-/// Sixteen 4-bit counters pack into each `u64` word. Every recorded key
-/// increments four counters chosen by independent `splitmix64` streams;
-/// an estimate reads the minimum of the four (the classic count-min
-/// bound). Once the sample cap of increments has been recorded
-/// (`10 × counters` by default; `10 × capacity` when sized for a cache,
-/// see [`FrequencySketch::with_counters`]), every counter is halved in
-/// place, so the sketch tracks *recent* popularity rather than all of
-/// history.
-#[derive(Clone, Debug)]
-pub struct FrequencySketch {
-    words: Vec<u64>,
-    /// `counters − 1`; the counter count is a power of two.
-    mask: u64,
-    /// Increments recorded since the last halving.
-    sample: u64,
-    /// Halving threshold (`10 ×` the counter count).
-    sample_cap: u64,
-}
-
-/// Per-key index streams: four fixed seeds, one per count-min row.
-const SKETCH_SEEDS: [u64; 4] = [0x9E37_79B9, 0xA2C6_8F57, 0xD6E8_FEB8, 0x7FEB_352D];
-
-impl FrequencySketch {
-    /// Creates a sketch with at least `counters` 4-bit counters
-    /// (rounded up to a power of two, minimum 16).
-    pub fn with_counters(counters: usize) -> Self {
-        let counters = counters.next_power_of_two().max(16);
-        FrequencySketch {
-            words: vec![0u64; counters / 16],
-            mask: counters as u64 - 1,
-            sample: 0,
-            sample_cap: counters as u64 * 10,
-        }
-    }
-
-    /// Sketch sized for a cache holding `capacity` items: ~16 counters
-    /// per slot keeps estimate inflation from collisions negligible,
-    /// while the halving threshold is `10 × capacity` *accesses* — the
-    /// cache-turnover timescale (Caffeine's sample size), not the
-    /// counter count. The sketch must forget faster than the cache
-    /// churns, or admission keeps favoring formerly-hot keys long after
-    /// the popular set has drifted.
-    fn for_capacity(capacity: usize) -> Self {
-        let mut sketch = Self::with_counters(capacity.saturating_mul(16).max(1024));
-        sketch.sample_cap = (capacity as u64).saturating_mul(10).max(64);
-        sketch
-    }
-
-    /// Counter position of `key` in count-min row `row`.
-    fn slot(&self, key: u64, row: usize) -> (usize, u32) {
-        let seed = SKETCH_SEEDS.get(row).copied().unwrap_or(0);
-        let idx = splitmix64(key ^ seed) & self.mask;
-        ((idx / 16) as usize, (idx % 16) as u32 * 4)
-    }
-
-    /// Records one occurrence of `key` (saturating at 15 per counter),
-    /// halving every counter once the sample threshold is reached.
-    pub fn record(&mut self, key: u64) {
-        for row in 0..SKETCH_SEEDS.len() {
-            let (word, shift) = self.slot(key, row);
-            if let Some(w) = self.words.get_mut(word) {
-                let nibble = (*w >> shift) & 0xF;
-                if nibble < 15 {
-                    *w += 1u64 << shift;
-                }
-            }
-        }
-        self.sample += 1;
-        if self.sample >= self.sample_cap {
-            self.halve();
-        }
-    }
-
-    /// Estimated frequency of `key`: the minimum over the four rows.
-    pub fn estimate(&self, key: u64) -> u64 {
-        let mut min = u64::MAX;
-        for row in 0..SKETCH_SEEDS.len() {
-            let (word, shift) = self.slot(key, row);
-            let nibble = self.words.get(word).map_or(0, |w| (*w >> shift) & 0xF);
-            min = min.min(nibble);
-        }
-        min
-    }
-
-    /// Halves every counter in place (aging), halving the sample count
-    /// with them so the window keeps its proportions.
-    fn halve(&mut self) {
-        for w in &mut self.words {
-            *w = (*w >> 1) & 0x7777_7777_7777_7777;
-        }
-        self.sample /= 2;
     }
 }
 
@@ -273,10 +148,6 @@ pub enum ReplacementPolicy {
     Lru,
     /// Evict the least commonly used item (ties: older first).
     Lcu,
-    /// LRU victim order plus a TinyLFU admission gate: a new result is
-    /// only admitted (displacing the LRU victim) when its frequency in
-    /// the 4-bit count-min sketch exceeds the victim's.
-    TinyLfu,
     /// Evict the item whose measured benefit (points read + simulated
     /// fetch time saved, per cached point) is smallest — cheap-to-
     /// recompute results yield first.
@@ -321,8 +192,6 @@ pub struct Cache {
     /// maintained incrementally on insert/touch/remove so eviction pops
     /// the smallest key in `O(log n)` instead of scanning every item.
     victims: BTreeSet<(u64, u64, u64)>,
-    /// TinyLFU admission sketch (present only under that policy).
-    sketch: Option<FrequencySketch>,
     clock: u64,
     next_id: u64,
     capacity: Option<usize>,
@@ -334,8 +203,6 @@ pub struct Cache {
     bound: Option<Aabb>,
     /// Items evicted by the replacement policy since construction.
     evictions: u64,
-    /// Candidate results turned away by the TinyLFU admission gate.
-    admission_rejects: u64,
     /// Items individually examined by dynamic-data maintenance
     /// ([`Cache::on_insert`]).
     maintenance_scans: u64,
@@ -354,14 +221,11 @@ impl Cache {
     pub fn with_capacity(dims: usize, capacity: Option<usize>, policy: ReplacementPolicy) -> Self {
         assert!(dims > 0, "zero-dimensional cache");
         assert!(capacity != Some(0), "capacity must be at least 1");
-        let sketch = (policy == ReplacementPolicy::TinyLfu)
-            .then(|| FrequencySketch::for_capacity(capacity.unwrap_or(64)));
         Cache {
             items: BTreeMap::new(),
             index: RStarTree::new(dims),
             constraint_index: RStarTree::new(dims),
             victims: BTreeSet::new(),
-            sketch,
             clock: 0,
             next_id: 0,
             capacity,
@@ -369,7 +233,6 @@ impl Cache {
             dims,
             bound: None,
             evictions: 0,
-            admission_rejects: 0,
             maintenance_scans: 0,
         }
     }
@@ -389,11 +252,6 @@ impl Cache {
         self.dims
     }
 
-    /// The configured eviction policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
     /// The box an item is indexed under: the skyline MBR, or the
     /// constraint region for empty skylines.
     fn index_box(constraints: &Constraints, mbr: &Option<Aabb>) -> Aabb {
@@ -401,22 +259,17 @@ impl Cache {
     }
 
     /// Inserts a result with no recorded cost, evicting if over
-    /// capacity. Returns the item id, or `None` when the TinyLFU
-    /// admission gate turns the candidate away.
+    /// capacity. Returns the item id.
     ///
     /// # Panics
     /// Panics on dimensionality mismatch.
-    pub fn insert(&mut self, constraints: Constraints, skyline: &[Point]) -> Option<u64> {
+    pub fn insert(&mut self, constraints: Constraints, skyline: &[Point]) -> u64 {
         self.insert_with_cost(constraints, skyline, ItemCost::default())
     }
 
     /// [`Cache::insert`] with the measured build cost attached — the
-    /// signal [`ReplacementPolicy::CostAware`] ranks items by.
-    ///
-    /// Under [`ReplacementPolicy::TinyLfu`] at capacity, the candidate
-    /// is admitted only if its sketch frequency exceeds the current
-    /// victim's; a rejected candidate still records one sketch
-    /// occurrence, so repeated attempts build up admission pressure.
+    /// signal [`ReplacementPolicy::CostAware`] ranks items by. The new
+    /// item is never the one evicted.
     ///
     /// # Panics
     /// Panics on dimensionality mismatch.
@@ -425,28 +278,8 @@ impl Cache {
         constraints: Constraints,
         skyline: &[Point],
         cost: ItemCost,
-    ) -> Option<u64> {
+    ) -> u64 {
         assert_eq!(constraints.dims(), self.dims, "constraints dimensionality mismatch");
-        let key_hash = constraint_key(&constraints);
-        if let Some(sketch) = &mut self.sketch {
-            sketch.record(key_hash);
-        }
-        if let (Some(cap), Some(sketch)) = (self.capacity, &self.sketch) {
-            if self.items.len() >= cap {
-                let victim_freq = self
-                    .victims
-                    .iter()
-                    .next()
-                    .and_then(|&(_, _, id)| self.items.get(&id))
-                    .map(|victim| sketch.estimate(victim.key_hash));
-                if let Some(victim_freq) = victim_freq {
-                    if sketch.estimate(key_hash) <= victim_freq {
-                        self.admission_rejects += 1;
-                        return None;
-                    }
-                }
-            }
-        }
         self.clock += 1;
         let id = self.next_id;
         self.next_id += 1;
@@ -473,7 +306,6 @@ impl Cache {
             last_used: self.clock,
             use_count: 0,
             cost,
-            key_hash,
             text: Arc::default(),
         };
         self.victims.insert(victim_key(self.policy, &item));
@@ -484,7 +316,7 @@ impl Cache {
             }
         }
         self.debug_assert_clock_monotone();
-        Some(id)
+        id
     }
 
     /// Invariant (debug builds): the logical clock dominates every
@@ -619,27 +451,6 @@ impl Cache {
         self.evictions
     }
 
-    /// Records one demand for `constraints` in the admission sketch
-    /// without touching the item store (no-op under the other policies).
-    ///
-    /// The engine calls this on *exact* hits instead of re-inserting:
-    /// the result is already cached under these very constraints, so an
-    /// insert would duplicate the item and evict an innocent victim —
-    /// but the key's popularity must stay visible to TinyLFU admission,
-    /// or resident hot keys would freeze at their admission-time
-    /// frequency and eventually be out-climbed by tail keys.
-    pub fn note_demand(&mut self, constraints: &Constraints) {
-        if let Some(sketch) = &mut self.sketch {
-            sketch.record(constraint_key(constraints));
-        }
-    }
-
-    /// Candidates turned away by the TinyLFU admission gate since
-    /// construction — the `cache.admission_rejects` metric.
-    pub fn admission_rejects(&self) -> u64 {
-        self.admission_rejects
-    }
-
     /// Items individually examined by dynamic-data maintenance since
     /// construction. With the constraint R\*-tree this grows with the
     /// number of items whose regions actually contain the inserted points,
@@ -651,16 +462,6 @@ impl Cache {
     /// Records a use of the item (updates LRU/LCU counters). A miss on
     /// an unknown id leaves the logical clock untouched, so recency
     /// ordering only advances on real cache events.
-    ///
-    /// Deliberately does *not* record into the admission sketch: a touch
-    /// means the item happened to overlap some query, not that its own
-    /// key was demanded again. The sketch tracks demand at *miss* time
-    /// (every [`Cache::insert_with_cost`] attempt, admitted or not), so
-    /// a repeatedly-demanded key climbs past a resident victim — whose
-    /// estimate froze at admission — within a few attempts, while
-    /// one-off keys never do. Recording touches would let long-resident
-    /// items inflate their estimates through incidental overlap hits and
-    /// freeze the cache once the popular set drifts.
     pub fn touch(&mut self, id: u64) {
         let policy = self.policy;
         if let Some(item) = self.items.get_mut(&id).map(Arc::make_mut) {
@@ -787,8 +588,7 @@ mod tests {
     #[test]
     fn insert_and_lookup_by_mbr() {
         let mut cache = Cache::new(2);
-        let id =
-            cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.2, 0.8]), p(&[0.6, 0.3])]).unwrap();
+        let id = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.2, 0.8]), p(&[0.6, 0.3])]);
         assert_eq!(cache.len(), 1);
         // Query overlapping the skyline MBR [0.2,0.6]x[0.3,0.8].
         let (hits, _) = lookup(&cache, &c(&[(0.5, 0.9), (0.1, 0.4)]));
@@ -801,7 +601,7 @@ mod tests {
     #[test]
     fn empty_skyline_indexed_by_constraints() {
         let mut cache = Cache::new(2);
-        let id = cache.insert(c(&[(0.4, 0.6), (0.4, 0.6)]), &[]).unwrap();
+        let id = cache.insert(c(&[(0.4, 0.6), (0.4, 0.6)]), &[]);
         let (hits, _) = lookup(&cache, &c(&[(0.5, 0.9), (0.5, 0.9)]));
         assert_eq!(hits, [id]);
         assert!(cache.get(id).unwrap().mbr.is_none());
@@ -810,10 +610,10 @@ mod tests {
     #[test]
     fn lru_eviction() {
         let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::Lru);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
+        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
         cache.touch(a); // a is now more recent than b
-        let _c = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]).unwrap();
+        let _c = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(a).is_some(), "recently used item kept");
         assert!(cache.get(b).is_none(), "LRU item evicted");
@@ -822,12 +622,12 @@ mod tests {
     #[test]
     fn lcu_eviction() {
         let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::Lcu);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
+        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
         cache.touch(b);
         cache.touch(b);
         cache.touch(a);
-        let _c = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]).unwrap();
+        let _c = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
         assert!(cache.get(b).is_some(), "commonly used item kept");
         assert!(cache.get(a).is_none(), "LCU item evicted");
     }
@@ -835,8 +635,8 @@ mod tests {
     #[test]
     fn newest_item_is_protected_from_eviction() {
         let mut cache = Cache::with_capacity(1, Some(1), ReplacementPolicy::Lru);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
+        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(a).is_none());
         assert!(cache.get(b).is_some());
@@ -845,8 +645,8 @@ mod tests {
     #[test]
     fn remove_keeps_index_consistent() {
         let mut cache = Cache::new(2);
-        let a = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
-        let b = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]);
+        let b = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]);
         assert_eq!(cache.len(), 2);
         let removed = cache.remove(a).unwrap();
         assert_eq!(removed.id, a);
@@ -883,8 +683,8 @@ mod tests {
     #[test]
     fn on_insert_updates_affected_items() {
         let mut cache = Cache::new(2);
-        let a = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
-        let b = cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]);
+        let b = cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]);
 
         // New point inside item a's constraints, dominating its skyline.
         let updated = cache.on_insert(&p(&[0.2, 0.2]));
@@ -907,7 +707,7 @@ mod tests {
     #[test]
     fn on_insert_on_a_clone_leaves_the_original_untouched() {
         let mut original = Cache::new(2);
-        let a = original.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
+        let a = original.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]);
         let mut copy = original.clone();
         // The clone shares the item, block and all.
         assert!(std::ptr::eq(original.get(a).unwrap(), copy.get(a).unwrap()));
@@ -929,7 +729,7 @@ mod tests {
             let lo = 10.0 + f64::from(i);
             cache.insert(c(&[(lo, lo + 0.5), (lo, lo + 0.5)]), &[p(&[lo, lo])]);
         }
-        let near = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.8, 0.8])]).unwrap();
+        let near = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.8, 0.8])]);
         assert_eq!(cache.maintenance_scans(), 0);
 
         let updated = cache.on_insert(&p(&[0.5, 0.5]));
@@ -948,10 +748,9 @@ mod tests {
     #[test]
     fn on_delete_drops_items_holding_the_point() {
         let mut cache = Cache::new(2);
-        let a = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
-        let b =
-            cache.insert(c(&[(0.0, 2.0), (0.0, 2.0)]), &[p(&[0.5, 0.5]), p(&[1.5, 0.2])]).unwrap();
-        let keep = cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]);
+        let b = cache.insert(c(&[(0.0, 2.0), (0.0, 2.0)]), &[p(&[0.5, 0.5]), p(&[1.5, 0.2])]);
+        let keep = cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]);
 
         let dropped = cache.on_delete(&p(&[0.5, 0.5]));
         assert_eq!(dropped, 2);
@@ -992,8 +791,8 @@ mod tests {
     fn bound_tracks_inserts_and_removals() {
         let mut cache = Cache::new(1);
         assert!(cache.bound().is_none());
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
-        let b = cache.insert(c(&[(5.0, 6.0)]), &[p(&[5.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
+        let b = cache.insert(c(&[(5.0, 6.0)]), &[p(&[5.5])]);
         let both = cache.bound().unwrap().clone();
         assert!(both.contains_point(&p(&[0.5])));
         assert!(both.contains_point(&p(&[5.5])));
@@ -1012,7 +811,7 @@ mod tests {
     #[test]
     fn evictions_counter_counts_only_policy_evictions() {
         let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::Lru);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
         cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
         assert_eq!(cache.evictions(), 0);
         cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
@@ -1027,7 +826,7 @@ mod tests {
     #[test]
     fn touch_updates_counters() {
         let mut cache = Cache::new(1);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
         let before = cache.get(a).unwrap().last_used;
         cache.touch(a);
         let item = cache.get(a).unwrap();
@@ -1045,7 +844,7 @@ mod tests {
         let mut seen_max = 0u64;
         let mut ids = Vec::new();
         for i in 0..5 {
-            let id = cache.insert(c(&[(f64::from(i), f64::from(i) + 1.0)]), &[]).unwrap();
+            let id = cache.insert(c(&[(f64::from(i), f64::from(i) + 1.0)]), &[]);
             let stamp = cache.get(id).unwrap().inserted_at;
             assert!(stamp > seen_max, "insert stamp {stamp} not past {seen_max}");
             seen_max = stamp;
@@ -1067,9 +866,9 @@ mod tests {
         // Regression: touch() used to bump the clock before checking
         // presence, so misses inflated later items' recency timestamps.
         let mut cache = Cache::new(1);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
+        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
         cache.touch(a + 1000); // no such item
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]).unwrap();
+        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
         assert_eq!(cache.get(a).unwrap().inserted_at, 1);
         assert_eq!(cache.get(b).unwrap().inserted_at, 2);
         assert_eq!(cache.get(a).unwrap().use_count, 0);
@@ -1081,9 +880,7 @@ mod tests {
         cache
             .iter()
             .min_by_key(|it| match policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::TinyLfu => {
-                    (it.last_used, it.inserted_at, it.id)
-                }
+                ReplacementPolicy::Lru => (it.last_used, it.inserted_at, it.id),
                 ReplacementPolicy::Lcu => (it.use_count, it.inserted_at, it.id),
                 ReplacementPolicy::CostAware => (cost_score(it).to_bits(), it.inserted_at, it.id),
             })
@@ -1094,10 +891,12 @@ mod tests {
     fn victim_index_matches_reference_scan() {
         // Differential pin: the incremental ordered victim index evicts
         // exactly the item the old O(n) min_by_key scan selected, over a
-        // deterministic pseudo-random insert/touch schedule. (The newly
-        // inserted item is protected in both implementations, so the
-        // pre-insert scan predicts the victim.)
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
+        // deterministic pseudo-random insert/touch schedule with seeded,
+        // varied build costs. (The newly inserted item is protected in
+        // both implementations, so the pre-insert scan predicts the
+        // victim.)
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu, ReplacementPolicy::CostAware]
+        {
             let mut cache = Cache::with_capacity(1, Some(4), policy);
             let mut state = 0x2545_F491_4F6C_DD1Du64; // LCG seed
             let mut live: Vec<u64> = Vec::new();
@@ -1110,7 +909,8 @@ mod tests {
                 }
                 let predicted = (cache.len() == 4).then(|| scan_victim(&cache, policy).unwrap());
                 let lo = f64::from(i);
-                let id = cache.insert(c(&[(lo, lo + 0.5)]), &[p(&[lo + 0.25])]).unwrap();
+                let cost = ItemCost { points_read: (state >> 20) % 5_000, fetch_ns: state >> 44 };
+                let id = cache.insert_with_cost(c(&[(lo, lo + 0.5)]), &[p(&[lo + 0.25])], cost);
                 live.push(id);
                 if let Some(victim) = predicted {
                     assert!(
@@ -1127,76 +927,26 @@ mod tests {
     #[test]
     fn cost_aware_evicts_cheapest_to_recompute() {
         let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::CostAware);
-        let cheap = cache
-            .insert_with_cost(
-                c(&[(0.0, 1.0)]),
-                &[p(&[0.5])],
-                ItemCost { points_read: 2, fetch_ns: 100 },
-            )
-            .unwrap();
-        let dear = cache
-            .insert_with_cost(
-                c(&[(1.0, 2.0)]),
-                &[p(&[1.5])],
-                ItemCost { points_read: 5_000, fetch_ns: 900_000 },
-            )
-            .unwrap();
+        let cheap = cache.insert_with_cost(
+            c(&[(0.0, 1.0)]),
+            &[p(&[0.5])],
+            ItemCost { points_read: 2, fetch_ns: 100 },
+        );
+        let dear = cache.insert_with_cost(
+            c(&[(1.0, 2.0)]),
+            &[p(&[1.5])],
+            ItemCost { points_read: 5_000, fetch_ns: 900_000 },
+        );
         // Recency does not matter under the cost-aware policy: the cheap
         // item yields even though it was used more recently.
         cache.touch(cheap);
-        cache
-            .insert_with_cost(
-                c(&[(2.0, 3.0)]),
-                &[p(&[2.5])],
-                ItemCost { points_read: 100, fetch_ns: 10_000 },
-            )
-            .unwrap();
+        cache.insert_with_cost(
+            c(&[(2.0, 3.0)]),
+            &[p(&[2.5])],
+            ItemCost { points_read: 100, fetch_ns: 10_000 },
+        );
         assert!(cache.get(cheap).is_none(), "cheap-to-recompute item evicted first");
         assert!(cache.get(dear).is_some(), "expensive item kept");
-    }
-
-    #[test]
-    fn tinylfu_admission_rejects_cold_candidates() {
-        let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::TinyLfu);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]).unwrap();
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]).unwrap();
-        // Touches advance recency but not the sketch: admission compares
-        // demand-at-miss frequencies, and the residents were each
-        // demanded once (their admitted insert).
-        for _ in 0..4 {
-            cache.touch(a);
-            cache.touch(b);
-        }
-        // A cold candidate (sketch frequency 1, not *strictly* above the
-        // victim's 1) is turned away and counted.
-        assert_eq!(cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]), None);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.admission_rejects(), 1);
-        assert!(cache.get(a).is_some() && cache.get(b).is_some());
-
-        // Repeated attempts build admission pressure (each rejected
-        // attempt still records a sketch occurrence): once the candidate
-        // is hotter than the victim, it displaces it.
-        let mut admitted = None;
-        for _ in 0..8 {
-            admitted = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
-            if admitted.is_some() {
-                break;
-            }
-        }
-        assert!(admitted.is_some(), "hot candidate eventually admitted");
-        assert_eq!(cache.len(), 2);
-        assert!(cache.admission_rejects() >= 1);
-    }
-
-    #[test]
-    fn tinylfu_below_capacity_admits_everything() {
-        let mut cache = Cache::with_capacity(1, Some(8), ReplacementPolicy::TinyLfu);
-        for i in 0..8 {
-            let lo = f64::from(i);
-            assert!(cache.insert(c(&[(lo, lo + 0.5)]), &[p(&[lo + 0.25])]).is_some());
-        }
-        assert_eq!(cache.admission_rejects(), 0);
     }
 
     #[test]
@@ -1204,15 +954,12 @@ mod tests {
         let mut cache = Cache::new(2);
         // Three items with strictly increasing overlap with the query
         // region, inserted in ascending-overlap order.
-        let small = cache
-            .insert(c(&[(0.0, 0.2), (0.0, 0.2)]), &[p(&[0.05, 0.05]), p(&[0.15, 0.15])])
-            .unwrap();
-        let medium = cache
-            .insert(c(&[(0.0, 0.5), (0.0, 0.5)]), &[p(&[0.05, 0.45]), p(&[0.45, 0.05])])
-            .unwrap();
-        let large = cache
-            .insert(c(&[(0.0, 0.9), (0.0, 0.9)]), &[p(&[0.05, 0.85]), p(&[0.85, 0.05])])
-            .unwrap();
+        let small =
+            cache.insert(c(&[(0.0, 0.2), (0.0, 0.2)]), &[p(&[0.05, 0.05]), p(&[0.15, 0.15])]);
+        let medium =
+            cache.insert(c(&[(0.0, 0.5), (0.0, 0.5)]), &[p(&[0.05, 0.45]), p(&[0.45, 0.05])]);
+        let large =
+            cache.insert(c(&[(0.0, 0.9), (0.0, 0.9)]), &[p(&[0.05, 0.85]), p(&[0.85, 0.05])]);
         let (order, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
         assert_eq!(order, vec![large, medium, small], "descending overlap area");
         assert_eq!(stats.scans, 3);
@@ -1222,9 +969,9 @@ mod tests {
     #[test]
     fn lookup_answers_a_repeat_with_the_lowest_exact_id_alone() {
         let mut cache = Cache::new(2);
-        let wide = cache.insert(c(&[(0.0, 2.0), (0.0, 2.0)]), &[p(&[0.5, 0.5])]).unwrap();
-        let first = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]).unwrap();
-        let second = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[]).unwrap();
+        let wide = cache.insert(c(&[(0.0, 2.0), (0.0, 2.0)]), &[p(&[0.5, 0.5])]);
+        let first = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5])]);
+        let second = cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[]);
         // No item under these constraints: every overlapping item.
         let (ids, stats) = lookup(&cache, &c(&[(0.0, 1.5), (0.0, 1.5)]));
         assert_eq!((ids.len(), stats.scans), (3, 3));
@@ -1242,8 +989,7 @@ mod tests {
     #[test]
     fn skyline_text_is_shared_between_copies_and_replaced_with_the_skyline() {
         let mut master = Cache::new(2);
-        let a =
-            master.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5]), p(&[0.2, 0.8])]).unwrap();
+        let a = master.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5]), p(&[0.2, 0.8])]);
         let snapshot = master.clone();
         // The master copies the item to count the use; the slot stays one.
         master.touch(a);
@@ -1257,41 +1003,5 @@ mod tests {
         assert_eq!(master.on_insert(&p(&[0.1, 0.1])), 1);
         assert_eq!(&*master.get(a).unwrap().skyline_text(), " 0.1,0.1");
         assert!(Arc::ptr_eq(&text, &snapshot.get(a).unwrap().skyline_text()));
-    }
-
-    #[test]
-    fn sketch_estimates_track_recorded_frequency() {
-        let mut sketch = FrequencySketch::with_counters(1024);
-        let hot = 0xDEAD_BEEF_u64;
-        let cold = 0x0BAD_CAFE_u64;
-        for _ in 0..5 {
-            sketch.record(hot);
-        }
-        assert_eq!(sketch.estimate(hot), 5);
-        assert_eq!(sketch.estimate(cold), 0);
-        // Counters saturate at 15 (4-bit).
-        for _ in 0..100 {
-            sketch.record(hot);
-        }
-        assert_eq!(sketch.estimate(hot), 15);
-    }
-
-    #[test]
-    fn sketch_halves_counters_at_the_sample_cap() {
-        // 16 counters → sample cap 160: the 161st record halves every
-        // counter, so old popularity decays instead of pinning forever.
-        let mut sketch = FrequencySketch::with_counters(16);
-        let hot = 0x1234_5678_u64;
-        for _ in 0..12 {
-            sketch.record(hot);
-        }
-        let before = sketch.estimate(hot);
-        assert!(before >= 12, "pre-halving estimate at least the true count");
-        let filler = 0x9999_0000_u64;
-        for i in 0..160 {
-            sketch.record(filler ^ i);
-        }
-        let after = sketch.estimate(hot);
-        assert!(after < before, "halving decayed the hot key ({before} -> {after})");
     }
 }

@@ -350,9 +350,6 @@ pub struct QueryStats {
     pub insertions: u64,
     /// Items evicted while this query's result was being cached.
     pub evictions: u64,
-    /// Results turned away by the TinyLFU admission gate while this
-    /// query's result was being cached.
-    pub admission_rejects: u64,
     /// Whether a service answered the query empty because the indexes
     /// prove its region holds no row (0 or 1).
     pub negative_hits: u64,
@@ -423,7 +420,6 @@ impl QueryStats {
             (names::CACHE_CANDIDATES, self.candidates as u64),
             (names::CACHE_OVERLAP_SCANS, self.overlap_scans),
             (names::CACHE_COMPOSED_HITS, u64::from(self.composed_items >= 2)),
-            (names::CACHE_ADMISSION_REJECTS, self.admission_rejects),
             (names::CACHE_RETAINED_POINTS, self.retained_points),
             (names::CACHE_REMOVED_POINTS, self.removed_points),
             (names::FETCH_REGIONS, self.range_queries_issued),
@@ -610,7 +606,7 @@ impl CbcsConfig {
 
 /// How the CBCS pipeline reaches its cache: the read phase searches a
 /// plain `&Cache` handed out by [`CacheAccess::read`], the write phase
-/// goes through the three mutators. Implemented by [`Cache`] itself
+/// goes through the two mutators. Implemented by [`Cache`] itself
 /// (exclusive access) and by [`crate::SharedCache`] (published snapshot
 /// for reads, locked master + republication for writes).
 pub(crate) trait CacheAccess {
@@ -623,24 +619,11 @@ pub(crate) trait CacheAccess {
     /// the item is gone).
     fn touch(&mut self, id: u64);
 
-    /// Records demand for an already-cached key (see
-    /// [`Cache::note_demand`]).
-    fn note_demand(&mut self, constraints: &Constraints);
-
-    /// Offers a query result to the cache.
-    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted;
-}
-
-/// What one [`CacheAccess::insert`] did, by value: a shared
-/// implementation counts under its master guard and the pipeline adds
-/// the counts to its [`QueryStats`] after the guard is gone.
-pub(crate) struct Inserted {
-    /// Whether the item passed the admission gate and was stored.
-    pub admitted: bool,
-    /// Items the insert evicted.
-    pub evicted: u64,
-    /// Insert attempts the admission gate rejected (0 or 1).
-    pub rejected: u64,
+    /// Stores a query result and returns how many items it evicted — by
+    /// value: a shared implementation counts under its master guard and
+    /// the pipeline adds the count to its [`QueryStats`] after the guard
+    /// is gone.
+    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> u64;
 }
 
 impl CacheAccess for Cache {
@@ -652,19 +635,10 @@ impl CacheAccess for Cache {
         Cache::touch(self, id);
     }
 
-    fn note_demand(&mut self, constraints: &Constraints) {
-        Cache::note_demand(self, constraints);
-    }
-
-    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted {
+    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> u64 {
         let evictions_before = self.evictions();
-        let rejects_before = self.admission_rejects();
-        let admitted = self.insert_with_cost(constraints, skyline, cost).is_some();
-        Inserted {
-            admitted,
-            evicted: self.evictions() - evictions_before,
-            rejected: self.admission_rejects() - rejects_before,
-        }
+        self.insert_with_cost(constraints, skyline, cost);
+        self.evictions() - evictions_before
     }
 }
 
@@ -806,21 +780,13 @@ impl CbcsState {
             stats.pages_touched = table.pages_touched_ids(scratch.fetch.rows().ids());
         }
 
-        if config.cache_results {
-            if matches!(stats.case, Some(Overlap::Exact)) {
-                // The result is already cached under these very
-                // constraints; re-inserting would duplicate the item and
-                // evict an innocent victim on every repeat. Keep the key's
-                // popularity visible to the admission sketch instead.
-                cache.note_demand(c);
-            } else {
-                let cost =
-                    ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
-                let inserted = cache.insert(c.clone(), &skyline, cost);
-                stats.insertions = u64::from(inserted.admitted);
-                stats.evictions = inserted.evicted;
-                stats.admission_rejects = inserted.rejected;
-            }
+        // An exact hit's result is already cached under these very
+        // constraints; re-inserting would duplicate the item and evict an
+        // innocent victim on every repeat.
+        if config.cache_results && stats.case != Some(Overlap::Exact) {
+            let cost = ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
+            stats.evictions = cache.insert(c.clone(), &skyline, cost);
+            stats.insertions = 1;
         }
 
         Ok(QueryOutcome::finish(req, skyline, text, stats))

@@ -83,9 +83,7 @@ pub mod stability;
 /// Cache search strategies (Section 6.1).
 pub mod strategy;
 
-pub use cache::{
-    render_points, Cache, CacheItem, FrequencySketch, ItemCost, LookupStats, ReplacementPolicy,
-};
+pub use cache::{render_points, Cache, CacheItem, ItemCost, LookupStats, ReplacementPolicy};
 pub use engine::{
     BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, DynamicCbcsExecutor, Executor,
     QueryOutcome, QueryRequest, QueryStats, StageTimes,

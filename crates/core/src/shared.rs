@@ -46,7 +46,10 @@
 //! snapshot needs (lookups rank by geometry, never by recency). The
 //! master copies the touched item's counters away from the snapshots
 //! that share it; its points stay shared. Snapshots therefore carry
-//! slightly stale recency metadata — never stale results.
+//! slightly stale recency metadata — never stale results. An exact hit's
+//! whole write phase is that one `touch`: a single master write lock and
+//! no publication. Every other answer is inserted — the cache refuses
+//! none — and publishes once.
 //!
 //! Lock order is `master → snap`, only ever in that direction (the
 //! publication happens nested under the master guard so two racing
@@ -70,7 +73,7 @@ use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
 use skycache_geom::{Constraints, Point};
 
 use crate::cache::{Cache, ItemCost};
-use crate::engine::{CacheAccess, CbcsConfig, Inserted};
+use crate::engine::{CacheAccess, CbcsConfig};
 
 /// Write side plus published snapshot; see the module docs for the
 /// protocol. Private so no caller can reach a raw lock or its guard —
@@ -149,33 +152,31 @@ impl SharedCache {
     }
 
     /// Inserts a result into the master, publishes a fresh snapshot and
-    /// bumps the epoch. Reports whether the admission gate admitted the
-    /// item and how many items the insert evicted/rejected.
+    /// bumps the epoch. Returns how many items the insert evicted.
     pub(crate) fn insert_and_publish(
         &self,
         constraints: Constraints,
         skyline: &[Point],
         cost: ItemCost,
-    ) -> Inserted {
+    ) -> u64 {
         let mut master = self.inner.master.write(); // lock-order: write
-        let inserted = CacheAccess::insert(&mut *master, constraints, skyline, cost);
+        let evicted = CacheAccess::insert(&mut *master, constraints, skyline, cost);
         // Publish nested under the master guard: racing inserts publish
         // in master order, so a newer snapshot is never overwritten by
-        // an older one. A rejected insert still publishes — the TinyLFU
-        // sketch occupancy changed and the epoch must cover it. The
-        // clone shares items and tree nodes with the master (see the
-        // module docs), so holding the lock across it is cheap.
+        // an older one. The clone shares items and tree nodes with the
+        // master (see the module docs), so holding the lock across it is
+        // cheap.
         let published = Arc::new(master.clone());
         *self.inner.snap.write() = published; // lock-order: write
         self.inner.epoch.fetch_add(1, Ordering::Release);
-        inserted
+        evicted
     }
 }
 
 /// Shared access, through a shared reference: reads search the published
 /// snapshot — pinned for the search-and-plan phase only, with no lock
 /// held — and every write locks the master (`insert` republishes;
-/// `touch`/`note_demand` do not).
+/// `touch` does not).
 impl CacheAccess for &SharedCache {
     fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
         f(&self.snapshot())
@@ -188,14 +189,7 @@ impl CacheAccess for &SharedCache {
         self.inner.master.write().touch(id); // lock-order: write
     }
 
-    /// Sketch bookkeeping on the master only — the item store is
-    /// unchanged, so like `touch` this does not republish.
-    fn note_demand(&mut self, constraints: &Constraints) {
-        // skylint: allow(lock-order) — the callee is `Cache::note_demand` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
-        self.inner.master.write().note_demand(constraints); // lock-order: write
-    }
-
-    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> Inserted {
+    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> u64 {
         self.insert_and_publish(constraints, skyline, cost)
     }
 }
@@ -305,9 +299,9 @@ mod tests {
         let service = open(&t, CbcsConfig::default());
         let shared = service.cache();
         let c = Constraints::from_pairs(&[(0.2, 1.0), (0.2, 1.0)]).unwrap();
-        run(&mut service.session(), &c); // miss + insert → epoch 1
-                                         // An exact hit from another session: touch and demand note, and
-                                         // nothing to insert — the key is cached already.
+        // A miss and its insert publish epoch 1; an exact hit from another
+        // session only touches — the key is cached already.
+        run(&mut service.session(), &c);
         let r = run(&mut service.session(), &c);
         assert!(r.stats.cache_hit);
         assert_eq!(shared.epoch(), 1, "a hit must not publish a snapshot");

@@ -284,7 +284,6 @@ mod tests {
             last_used: id,
             use_count: 0,
             cost: crate::cache::ItemCost::default(),
-            key_hash: id,
             text: Default::default(),
         }
     }

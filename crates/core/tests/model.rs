@@ -76,7 +76,7 @@ fn harness_a_concurrent_touch_insert_keeps_clock_monotone() {
 
     let outcome = Explorer::new().with_preemption_bound(2).explore(|| {
         let cache = Arc::new(RwLock::new(Cache::with_capacity(2, None, ReplacementPolicy::Lru)));
-        let id = cache.write().insert(c0.clone(), &pts).expect("Lru admits below capacity");
+        let id = cache.write().insert(c0.clone(), &pts);
         let cache2 = cache.clone();
         let h = thread::spawn(move || cache2.write().touch(id));
         cache.write().insert(c1.clone(), &pts);
@@ -170,7 +170,7 @@ fn harness_c_concurrent_execute_admits_no_deadlock() {
     });
     outcome.assert_ok();
     assert!(outcome.exhausted, "schedule space must be exhausted: {:?}", outcome.stats);
-    // 124 schedules observed (debug and release alike); ceiling 2×.
+    // 112 schedules observed; ceiling 248.
     assert!(outcome.stats.schedules <= 248, "interleaving space grew: {:?}", outcome.stats);
 }
 

@@ -260,8 +260,7 @@ impl IndependentWorkload {
 /// a base by Zipf rank (`weight(r) ∝ 1/rᔆ` over the pool ordered by
 /// rank), so a handful of "hot" regions dominate the stream — the
 /// popularity skew real multi-user traffic shows and the regime where
-/// frequency-aware cache replacement (TinyLFU admission, cost-aware
-/// eviction) separates from pure recency.
+/// cost-aware cache replacement separates from pure recency.
 ///
 /// With probability [`ZipfWorkload::refine_prob`], an issued query is
 /// additionally refined once (same single-bound mutation as the
@@ -271,9 +270,8 @@ impl IndependentWorkload {
 /// With [`ZipfWorkload::rotate_every`] set, the rank→base assignment
 /// additionally shifts by a quarter of the pool every period, so the
 /// *identity* of the hot queries drifts over the stream (trending
-/// traffic). Popularity drift is the regime where frequency *aging*
-/// matters: a policy that never forgets (use-count eviction) pins
-/// formerly-hot items, while TinyLFU's periodic halving adapts.
+/// traffic). Popularity drift is the regime where a policy that never
+/// forgets (use-count eviction) pins formerly-hot items.
 ///
 /// [`QuerySpec::chain`] carries the pool index of the base query
 /// (equal to the Zipf rank while rotation is off) and

@@ -27,9 +27,6 @@ pub const CACHE_COMPOSED_HITS: &str = "cache.composed_hits";
 /// Fraction of the query region covered by cached items' trusted space
 /// on a composed hit, in `[0, 1]`. Gauge.
 pub const CACHE_COVER_FRACTION: &str = "cache.cover_fraction";
-/// Insert attempts rejected by the TinyLFU admission gate
-/// (DESIGN.md §17.1). Counter.
-pub const CACHE_ADMISSION_REJECTS: &str = "cache.admission_rejects";
 /// Cached skyline points retained into the new computation. Counter.
 pub const CACHE_RETAINED_POINTS: &str = "cache.retained_points";
 /// Cached skyline points invalidated by the new constraints. Counter.

@@ -93,7 +93,7 @@ proptest! {
     ) {
         let skyline: Vec<Point> = rows.into_iter().map(Point::from).collect();
         let mut cache = Cache::new(3);
-        let id = cache.insert(Constraints::unbounded(3).unwrap(), &skyline).expect("admitted");
+        let id = cache.insert(Constraints::unbounded(3).unwrap(), &skyline);
         let mut with_text = exact_hit(&cache, id);
         with_text.stats.cache_hit = hit;
         let mut rendered = QueryOutcome { text: None, ..with_text.clone() };

@@ -141,8 +141,8 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
     (
         "guard-hold-span",
         "crates/core/src/shared.rs",
-        "let inserted = CacheAccess::insert(&mut *master, constraints, skyline, cost);\n",
-        "let inserted = CacheAccess::insert(&mut *master, constraints, skyline, cost);\n        \
+        "let evicted = CacheAccess::insert(&mut *master, constraints, skyline, cost);\n",
+        "let evicted = CacheAccess::insert(&mut *master, constraints, skyline, cost);\n        \
          planner.plan_parts();\n",
     ),
     (

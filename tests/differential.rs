@@ -223,7 +223,7 @@ fn deterministic(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
             stats.regions_coalesced,
         ),
         (stats.dominance_tests, stats.result_size, stats.fetch_sim_ns),
-        (stats.composed_items, stats.cover_fraction.to_bits(), stats.admission_rejects),
+        (stats.composed_items, stats.cover_fraction.to_bits()),
     )
 }
 
@@ -262,12 +262,8 @@ fn exclusive_and_shared_cache_access_answer_identically() {
             .iter()
             .map(|c| sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline))
             .collect();
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Lcu,
-            ReplacementPolicy::TinyLfu,
-            ReplacementPolicy::CostAware,
-        ] {
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu, ReplacementPolicy::CostAware]
+        {
             for capacity in [None, Some(8)] {
                 for compose_items in [1, 4] {
                     for extra_items in [0, 2] {

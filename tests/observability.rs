@@ -9,7 +9,7 @@
 //! 2. **The report is a rendering.** Every name in `obs::names` shows one
 //!    `QueryStats` field, on every executor, and the report's fetch phase
 //!    is the one place measured and simulated time are summed.
-//! 3. **The report format is frozen.** `skyobs-report/3` JSON is pinned
+//! 3. **The report format is frozen.** `skyobs-report/4` JSON is pinned
 //!    byte-for-byte by a golden file; any change to the rendering is a
 //!    schema change and must bump the version tag.
 
@@ -96,7 +96,7 @@ type Field = fn(&QueryStats) -> u64;
 
 /// One row per counter constant of `obs::names`: the name and the
 /// [`QueryStats`] field it renders (the one gauge is checked beside them).
-const COUNTERS: [(&str, Field); 27] = [
+const COUNTERS: [(&str, Field); 26] = [
     (names::CACHE_HITS, |s| u64::from(s.cache_hit)),
     (names::CACHE_MISSES, |s| u64::from(s.cache_miss)),
     (names::CACHE_EVICTIONS, |s| s.evictions),
@@ -104,7 +104,6 @@ const COUNTERS: [(&str, Field); 27] = [
     (names::CACHE_CANDIDATES, |s| s.candidates as u64),
     (names::CACHE_OVERLAP_SCANS, |s| s.overlap_scans),
     (names::CACHE_COMPOSED_HITS, |s| u64::from(s.composed_items >= 2)),
-    (names::CACHE_ADMISSION_REJECTS, |s| s.admission_rejects),
     (names::CACHE_RETAINED_POINTS, |s| s.retained_points),
     (names::CACHE_REMOVED_POINTS, |s| s.removed_points),
     (names::FETCH_REGIONS, |s| s.range_queries_issued),
@@ -175,7 +174,7 @@ fn report_renders_every_named_field_on_every_executor() {
 
     let small = CbcsConfig { capacity: Some(4), ..Default::default() };
     let composing =
-        CbcsConfig { compose_items: 4, policy: ReplacementPolicy::TinyLfu, ..small.clone() };
+        CbcsConfig { compose_items: 4, policy: ReplacementPolicy::CostAware, ..small.clone() };
     for (who, config) in [("cbcs", small), ("cbcs composing", composing)] {
         let mut cbcs = CbcsExecutor::new(&table, config);
         for c in queries.iter().chain(&queries) {
@@ -226,7 +225,7 @@ fn sorted_names(mut v: Vec<&str>) -> Vec<&str> {
     v
 }
 
-/// Pins the `skyobs-report/3` rendering byte-for-byte. Regenerate the
+/// Pins the `skyobs-report/4` rendering byte-for-byte. Regenerate the
 /// golden file with `UPDATE_GOLDEN=1 cargo test --test observability`
 /// after a deliberate schema bump.
 #[test]
@@ -260,7 +259,6 @@ fn report_json_matches_golden_file() {
         cover_fraction: 0.75,
         insertions: 1,
         evictions: 2,
-        admission_rejects: 0,
         negative_hits: 0,
         bbs: None,
     };
@@ -273,7 +271,7 @@ fn report_json_matches_golden_file() {
     let want = std::fs::read_to_string(path).expect("golden file exists");
     assert_eq!(
         got, want,
-        "skyobs-report/3 bytes changed; if deliberate, bump REPORT_SCHEMA \
+        "skyobs-report/4 bytes changed; if deliberate, bump REPORT_SCHEMA \
          and regenerate with UPDATE_GOLDEN=1"
     );
 }

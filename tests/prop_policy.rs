@@ -1,8 +1,8 @@
 //! Property tests for the cache-policy layer (DESIGN.md §17): under
-//! every replacement policy (LRU, LCU, TinyLFU, cost-aware), with
-//! compositional multi-item answering on or off and with admission
-//! rejections and evictions firing along the way, a sequence of queries
-//! answered through the cache must equal the from-scratch answer.
+//! every replacement policy (LRU, LCU, cost-aware), with compositional
+//! multi-item answering on or off and with evictions firing along the
+//! way, a sequence of queries answered through the cache must equal the
+//! from-scratch answer.
 
 use proptest::prelude::*;
 
@@ -55,8 +55,8 @@ fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
 }
 
 /// Dimensionality plus matching dataset and query sequence: the query
-/// count exceeds the smallest capacity below, so evictions (and, under
-/// TinyLFU, admission rejections) actually fire. Generated at d = 6 and
+/// count exceeds the smallest capacity below, so evictions actually
+/// fire. Generated at d = 6 and
 /// projected down to the sampled dimensionality (the vendored proptest
 /// subset has no `prop_flat_map`). The grid coordinates already collide;
 /// half the scenarios also store every row twice, so each skyline row has
@@ -85,7 +85,6 @@ fn policy() -> impl Strategy<Value = ReplacementPolicy> {
     prop_oneof![
         Just(ReplacementPolicy::Lru),
         Just(ReplacementPolicy::Lcu),
-        Just(ReplacementPolicy::TinyLfu),
         Just(ReplacementPolicy::CostAware),
     ]
 }
@@ -110,8 +109,8 @@ proptest! {
 
     /// Every (policy × compose × harvest × capacity) cell answers every
     /// query in the sequence exactly like a from-scratch recompute — the
-    /// same rows as often — no matter which items the policy evicted or
-    /// rejected in between.
+    /// same rows as often — no matter which items the policy evicted in
+    /// between.
     #[test]
     fn every_policy_and_composition_equals_naive(
         scenario in scenario(),
@@ -219,11 +218,13 @@ proptest! {
     /// executor's cache for numerically equal constraints, and the
     /// outcome must be what that scan predicts — `Overlap::Exact` and the
     /// item's own skyline with nothing read when there is one, any other
-    /// case when there is none (never cached, rejected by admission, or
-    /// evicted since, under each of the four policies) — and the
-    /// from-scratch skyline either way. The pool is small, so queries
-    /// repeat; a repeat may spell its zero bounds the other way; bounds
-    /// may be unbounded and regions empty.
+    /// case when there is none (never cached, or evicted since, under
+    /// each of the three policies) — and the from-scratch skyline either
+    /// way. Every answer that was not an exact hit is then cached under
+    /// the query's constraints: the cache stores what it computes, and
+    /// the newest item is never the one evicted. The pool is small, so
+    /// queries repeat; a repeat may spell its zero bounds the other way;
+    /// bounds may be unbounded and regions empty.
     #[test]
     fn an_exact_hit_is_what_a_scan_for_equal_constraints_predicts(
         points in dataset(3),
@@ -251,6 +252,9 @@ proptest! {
                 prop_assert!(out.stats.cache_hit);
                 prop_assert_eq!(out.stats.points_read, 0);
                 prop_assert_eq!(sorted(out.skyline.clone()), sorted(cached));
+            } else {
+                let stored = ex.cache().iter().any(|it| it.constraints.aabb() == q.aabb());
+                prop_assert!(stored, "a computed answer was not cached");
             }
             prop_assert_eq!(sorted(out.skyline), reference(&points, &q));
         }
