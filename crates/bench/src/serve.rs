@@ -1,18 +1,13 @@
 //! `repro serve` — concurrent-load benchmark of the TCP query server
 //! (DESIGN.md §16), written to `BENCH_serve.json` (schema
-//! `skyserve-bench/1`).
+//! `skyserve-bench/2`).
 //!
-//! Three phases against a real loopback server:
+//! Two phases against a real loopback server:
 //!
-//! 1. **Load matrix** — qps and latency percentiles per client count,
-//!    with singleflight coalescing on and off, over the seeded
-//!    interactive workload (clients stride the same query list, so
-//!    identical queries genuinely collide in flight).
-//! 2. **Coalesce burst** — barrier-synchronized clients fire the *same
-//!    fresh expensive query* each round; the run asserts at least one
-//!    join happened, so the dedup counter in the artifact is never
-//!    vacuous.
-//! 3. **Read scaling** — the cache is warmed with the full workload,
+//! 1. **Load matrix** — qps and latency percentiles per client count
+//!    over the seeded interactive workload (clients stride the same
+//!    query list, so identical queries genuinely collide in flight).
+//! 2. **Read scaling** — the cache is warmed with the full workload,
 //!    then hit-only throughput is measured per client count; snapshot
 //!    reads should scale instead of serializing on the cache lock.
 //!
@@ -20,10 +15,9 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Barrier;
 use std::time::Instant;
 
-use skycache_core::{CbcsConfig, ServiceConfig};
+use skycache_core::ServiceConfig;
 use skycache_datagen::Distribution;
 use skycache_geom::{Constraints, Point};
 use skycache_serve::{serve, ServerHandle};
@@ -38,12 +32,6 @@ const SEED: u64 = 101;
 
 /// Client counts for the load matrix and read-scaling phases.
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Barrier-synchronized clients in the coalesce burst.
-const BURST_CLIENTS: usize = 4;
-
-/// Rounds in the coalesce burst (one fresh query per round).
-const BURST_ROUNDS: usize = 32;
 
 /// One TCP client speaking the line protocol.
 struct Client {
@@ -81,9 +69,7 @@ fn query_line(c: &Constraints) -> String {
 /// Server-side counters scraped from a `STATS` reply.
 #[derive(Clone, Copy, Debug, Default)]
 struct Stats {
-    coalesced: u64,
     negative_hits: u64,
-    negative_inserts: u64,
     computes: u64,
 }
 
@@ -99,19 +85,13 @@ fn fetch_stats(addr: SocketAddr) -> Stats {
             .parse()
             .expect("numeric stats field")
     };
-    Stats {
-        coalesced: field("coalesced"),
-        negative_hits: field("negative_hits"),
-        negative_inserts: field("negative_inserts"),
-        computes: field("computes"),
-    }
+    Stats { negative_hits: field("negative_hits"), computes: field("computes") }
 }
 
-fn start_server(points: &[Point], coalesce: bool) -> ServerHandle {
+fn start_server(points: &[Point]) -> ServerHandle {
     let table =
         Table::build(points.to_vec(), TableConfig::default()).expect("bench table is valid");
-    let config = ServiceConfig { coalesce, ..ServiceConfig::default() };
-    serve(table, config, "127.0.0.1:0").expect("bind loopback server")
+    serve(table, ServiceConfig::default(), "127.0.0.1:0").expect("bind loopback server")
 }
 
 /// Runs `clients` threads striding `queries`; returns (qps, p50µs, p99µs).
@@ -148,7 +128,6 @@ fn drive(addr: SocketAddr, clients: usize, queries: &[String], rounds: usize) ->
 /// One load-matrix row as both a table line and a JSON object.
 struct Run {
     clients: usize,
-    coalesce: bool,
     qps: f64,
     p50_us: u64,
     p99_us: u64,
@@ -159,18 +138,14 @@ impl Run {
     fn json(&self) -> String {
         format!(
             concat!(
-                "    {{\"clients\": {}, \"coalesce\": {}, \"qps\": {:.1}, ",
-                "\"p50_us\": {}, \"p99_us\": {}, \"coalesced\": {}, ",
-                "\"negative_hits\": {}, \"negative_inserts\": {}, \"computes\": {}}}"
+                "    {{\"clients\": {}, \"qps\": {:.1}, \"p50_us\": {}, ",
+                "\"p99_us\": {}, \"negative_hits\": {}, \"computes\": {}}}"
             ),
             self.clients,
-            self.coalesce,
             self.qps,
             self.p50_us,
             self.p99_us,
-            self.stats.coalesced,
             self.stats.negative_hits,
-            self.stats.negative_inserts,
             self.stats.computes,
         )
     }
@@ -179,8 +154,7 @@ impl Run {
 /// `repro serve` entry point.
 ///
 /// # Panics
-/// Panics if the server misbehaves or the coalesce burst never joins a
-/// flight (which would make the dedup numbers in the artifact vacuous).
+/// Panics if the server misbehaves.
 pub fn serve_bench(scale: &Scale) {
     let n = scale.mid_n / 4;
     let dims = 3;
@@ -196,77 +170,31 @@ pub fn serve_bench(scale: &Scale) {
     // ---- Phase 1: load matrix --------------------------------------
     print_header(
         &format!("serve: loopback load, {} points, {} queries", fmt_size(n), queries.len()),
-        &["clients", "coalesce", "qps", "p50", "p99", "joined", "neg-hits"].map(String::from),
+        &["clients", "qps", "p50", "p99", "neg-hits", "computes"].map(String::from),
     );
     let mut runs = Vec::new();
-    for coalesce in [true, false] {
-        for clients in CLIENTS {
-            let server = start_server(&points, coalesce);
-            let addr = server.addr();
-            let (qps, p50_us, p99_us) = drive(addr, clients, &queries, 2);
-            let stats = fetch_stats(addr);
-            server.shutdown().expect("clean shutdown");
-            print_row(
-                "",
-                &[
-                    clients.to_string(),
-                    coalesce.to_string(),
-                    format!("{qps:.0}"),
-                    format!("{p50_us}us"),
-                    format!("{p99_us}us"),
-                    stats.coalesced.to_string(),
-                    stats.negative_hits.to_string(),
-                ],
-            );
-            runs.push(Run { clients, coalesce, qps, p50_us, p99_us, stats });
-        }
+    for clients in CLIENTS {
+        let server = start_server(&points);
+        let addr = server.addr();
+        let (qps, p50_us, p99_us) = drive(addr, clients, &queries, 2);
+        let stats = fetch_stats(addr);
+        server.shutdown().expect("clean shutdown");
+        print_row(
+            "",
+            &[
+                clients.to_string(),
+                format!("{qps:.0}"),
+                format!("{p50_us}us"),
+                format!("{p99_us}us"),
+                stats.negative_hits.to_string(),
+                stats.computes.to_string(),
+            ],
+        );
+        runs.push(Run { clients, qps, p50_us, p99_us, stats });
     }
 
-    // ---- Phase 2: coalesce burst -----------------------------------
-    // Each round: a fresh, expensive (wide-region) query fired by all
-    // clients at a barrier. Anti-correlated data maximizes the skyline
-    // work, and result caching is off so every round recomputes from
-    // scratch instead of refining the previous round's cached item —
-    // the leader's compute window stays wide enough to span the other
-    // arrivals even on a loaded host, and the assertion below keeps the
-    // artifact honest.
-    let burst_points =
-        skycache_datagen::SyntheticGen::new(Distribution::AntiCorrelated, dims, SEED).generate(n);
-    let burst_table =
-        Table::build(burst_points, TableConfig::default()).expect("bench table is valid");
-    let burst_cbcs = CbcsConfig { cache_results: false, ..CbcsConfig::default() };
-    let burst_config = ServiceConfig::with_cbcs(burst_cbcs);
-    let server = serve(burst_table, burst_config, "127.0.0.1:0").expect("bind loopback server");
-    let addr = server.addr();
-    let barrier = Barrier::new(BURST_CLIENTS);
-    std::thread::scope(|s| {
-        let barrier = &barrier;
-        for _ in 0..BURST_CLIENTS {
-            s.spawn(move || {
-                let mut client = Client::connect(addr);
-                for round in 0..BURST_ROUNDS {
-                    let hi = 0.90 + round as f64 * 0.001;
-                    let line = format!("Q 0 {hi} 0 {hi} 0 {hi}");
-                    barrier.wait();
-                    client.roundtrip(&line);
-                }
-                client.roundtrip("QUIT");
-            });
-        }
-    });
-    let burst = fetch_stats(addr);
-    server.shutdown().expect("clean shutdown");
-    println!(
-        "\nserve: coalesce burst — {} clients x {} rounds: {} joined, {} computed",
-        BURST_CLIENTS, BURST_ROUNDS, burst.coalesced, burst.computes
-    );
-    assert!(
-        burst.coalesced > 0,
-        "no burst query ever joined a flight — singleflight dedup is not engaging"
-    );
-
-    // ---- Phase 3: read scaling over a warm cache -------------------
-    let server = start_server(&points, true);
+    // ---- Phase 2: read scaling over a warm cache -------------------
+    let server = start_server(&points);
     let addr = server.addr();
     {
         let mut warm = Client::connect(addr);
@@ -287,15 +215,13 @@ pub fn serve_bench(scale: &Scale) {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"skyserve-bench/1\",\n",
+            "  \"schema\": \"skyserve-bench/2\",\n",
             "  \"points\": {},\n",
             "  \"dims\": {},\n",
             "  \"seed\": {},\n",
             "  \"queries\": {},\n",
             "  \"cores\": {},\n",
             "  \"runs\": [\n{}\n  ],\n",
-            "  \"burst\": {{\"clients\": {}, \"rounds\": {}, \"coalesced\": {}, ",
-            "\"computes\": {}}},\n",
             "  \"read_scaling\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -305,10 +231,6 @@ pub fn serve_bench(scale: &Scale) {
         queries.len(),
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         runs.iter().map(Run::json).collect::<Vec<_>>().join(",\n"),
-        BURST_CLIENTS,
-        BURST_ROUNDS,
-        burst.coalesced,
-        burst.computes,
         scaling.join(",\n"),
     );
     match std::fs::write("BENCH_serve.json", &json) {
@@ -331,22 +253,18 @@ mod tests {
     fn run_rows_emit_the_schema_fields() {
         let run = Run {
             clients: 4,
-            coalesce: true,
             qps: 1234.5,
             p50_us: 80,
             p99_us: 900,
-            stats: Stats { coalesced: 3, negative_hits: 2, negative_inserts: 1, computes: 7 },
+            stats: Stats { negative_hits: 2, computes: 7 },
         };
         let json = run.json();
         for field in [
             "\"clients\": 4",
-            "\"coalesce\": true",
             "\"qps\": 1234.5",
             "\"p50_us\": 80",
             "\"p99_us\": 900",
-            "\"coalesced\": 3",
             "\"negative_hits\": 2",
-            "\"negative_inserts\": 1",
             "\"computes\": 7",
         ] {
             assert!(json.contains(field), "{field} missing from {json}");

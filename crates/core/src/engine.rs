@@ -567,8 +567,6 @@ pub struct CbcsConfig {
     pub policy: ReplacementPolicy,
     /// Seed for the `Random` strategy.
     pub seed: u64,
-    /// Whether every query result is inserted into the cache.
-    pub cache_results: bool,
     /// Multi-item processing (the paper's Section 6.3 extension): harvest
     /// pruning points from up to this many *additional* overlapping cache
     /// items (by descending constraint overlap). `0` — the paper's
@@ -590,7 +588,6 @@ impl Default for CbcsConfig {
             capacity: None,
             policy: ReplacementPolicy::Lru,
             seed: 0xC0FFEE,
-            cache_results: true,
             extra_items: 0,
             compose_items: 1,
         }
@@ -783,7 +780,7 @@ impl CbcsState {
         // An exact hit's result is already cached under these very
         // constraints; re-inserting would duplicate the item and evict an
         // innocent victim on every repeat.
-        if config.cache_results && stats.case != Some(Overlap::Exact) {
+        if stats.case != Some(Overlap::Exact) {
             let cost = ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
             stats.evictions = cache.insert(c.clone(), &skyline, cost);
             stats.insertions = 1;

@@ -74,7 +74,7 @@ pub mod engine;
 mod error;
 /// The (approximate) Missing Points Region (Section 5).
 pub mod mpr;
-/// The multi-tenant query service: sessions, singleflight, index-proven empties.
+/// The multi-tenant query service: sessions over one shared cache, index-proven empties.
 pub mod service;
 /// Thread-safe shared cache for multi-user deployments.
 pub mod shared;

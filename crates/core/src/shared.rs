@@ -205,10 +205,9 @@ mod tests {
         ex.execute(&QueryRequest::new(c.clone())).unwrap()
     }
 
-    /// The door every deployment uses, with coalescing off so each
-    /// query reaches the shared-cache pipeline.
+    /// The door every deployment uses.
     fn open(t: &Table, cbcs: CbcsConfig) -> Service<'_> {
-        Service::open(t, ServiceConfig { cbcs, coalesce: false })
+        Service::open(t, ServiceConfig::with_cbcs(cbcs))
     }
 
     fn table() -> Table {

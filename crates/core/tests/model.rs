@@ -44,13 +44,12 @@ fn sorted(mut sky: Vec<Point>) -> Vec<Point> {
     sky
 }
 
-/// Service config pinning the raw shared-cache protocol: singleflight is
-/// explored by its own harnesses in `model_serve.rs`; these harnesses
-/// want every session to reach `execute`'s read → compute → write
-/// protocol itself. (The emptiness probe in front of it touches no shim
-/// primitive, and no region here is provably empty.)
+/// Service config for the raw shared-cache protocol: every session
+/// reaches `execute`'s read → compute → write protocol itself. (The
+/// emptiness probe in front of it touches no shim primitive, and no
+/// region here is provably empty.)
 fn raw_config(cbcs: CbcsConfig) -> ServiceConfig {
-    ServiceConfig { cbcs, coalesce: false }
+    ServiceConfig::with_cbcs(cbcs)
 }
 
 fn run_query(session: &mut skycache_core::Session<'_>, c: &Constraints) -> (Vec<Point>, bool) {

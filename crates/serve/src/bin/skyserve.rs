@@ -19,8 +19,7 @@ const USAGE: &str = "usage: skyserve [options]
   --points <n>         synthetic table size (default 100000)
   --dims <d>           dimensionality (default 3)
   --seed <s>           data seed (default 42)
-  --dist <name>        independent | correlated | anticorrelated (default independent)
-  --no-coalesce        disable singleflight coalescing";
+  --dist <name>        independent | correlated | anticorrelated (default independent)";
 
 struct Options {
     addr: String,
@@ -28,7 +27,6 @@ struct Options {
     dims: usize,
     seed: u64,
     dist: Distribution,
-    config: ServiceConfig,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -38,7 +36,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         dims: 3,
         seed: 42,
         dist: Distribution::Independent,
-        config: ServiceConfig::default(),
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -67,7 +64,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown distribution {other:?}")),
                 };
             }
-            "--no-coalesce" => opts.config.coalesce = false,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -97,7 +93,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let handle = match serve(table, opts.config.clone(), opts.addr.as_str()) {
+    let handle = match serve(table, ServiceConfig::default(), opts.addr.as_str()) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("skyserve: could not bind {}: {e}", opts.addr);
@@ -105,13 +101,12 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "skyserve listening on {} ({} {} points, {} dims, seed {}, coalesce {})",
+        "skyserve listening on {} ({} {} points, {} dims, seed {})",
         handle.addr(),
         opts.points,
         opts.dist.label(),
         opts.dims,
         opts.seed,
-        opts.config.coalesce,
     );
     match handle.wait() {
         Ok(()) => ExitCode::SUCCESS,

@@ -4,8 +4,8 @@
 //! The paper's cache is evaluated one query at a time; this crate is the
 //! deployed shape — many clients over one table and one shared cache,
 //! each connection a [`Session`](skycache_core::Session) that picks up
-//! the service fast paths (epoch-snapshot reads, singleflight
-//! coalescing, index-proven empty answers) for free. The wire format is a
+//! the service fast paths (epoch-snapshot reads, index-proven empty
+//! answers) for free. The wire format is a
 //! line-oriented text protocol ([`proto`], DESIGN.md §16.4) chosen so
 //! `nc` is a complete client:
 //!

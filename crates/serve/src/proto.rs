@@ -15,11 +15,11 @@
 //! failure. Query replies are
 //! `OK <n> <hit|miss> <x,y,..> <x,y,..> ...` with the skyline points in
 //! canonical (bitwise-lexicographic) order, so identical queries —
-//! including a coalesced joiner and its leader — always serialize to the
-//! same bytes. The `STATS` reply is
-//! `OK coalesced=N negative_hits=N negative_inserts=0 computes=N
-//! cache_len=N epoch=N`; `negative_inserts=0` is reserved, like the
-//! `record` token.
+//! from any client, hit or miss — always serialize to the same bytes.
+//! The `STATS` reply is
+//! `OK coalesced=0 negative_hits=N negative_inserts=0 computes=N
+//! cache_len=N epoch=N`; `coalesced=0` and `negative_inserts=0` are
+//! reserved, like the `record` token.
 
 use std::fmt::Write as _;
 
@@ -46,8 +46,8 @@ pub enum Request {
         /// as if the token were absent.
         record: bool,
     },
-    /// Service counters: coalesced/negative-hit/compute totals, cache
-    /// size and epoch.
+    /// Service counters: negative-hit/compute totals, cache size and
+    /// epoch.
     Stats,
     /// Liveness check.
     Ping,
@@ -138,14 +138,15 @@ pub(crate) fn write_query_reply(out: &mut String, outcome: &QueryOutcome) {
 const HEADER_BYTES: usize = 32;
 
 /// Formats the `STATS` reply from the service counters plus the shared
-/// cache's authoritative size and epoch. `negative_inserts=0` is
-/// reserved: the service remembers no empty region any more, but
-/// skybench's `STATS` parser requires the key.
+/// cache's authoritative size and epoch. `coalesced=0` and
+/// `negative_inserts=0` are reserved: the service neither joins
+/// identical queries nor remembers empty regions any more, but
+/// skybench's `STATS` parser requires both keys.
 pub fn stats_reply(m: &ServiceMetrics, cache_len: usize, epoch: u64) -> String {
     format!(
-        "OK coalesced={} negative_hits={} negative_inserts=0 computes={} \
+        "OK coalesced=0 negative_hits={} negative_inserts=0 computes={} \
          cache_len={cache_len} epoch={epoch}",
-        m.coalesced, m.negative_hits, m.computes,
+        m.negative_hits, m.computes,
     )
 }
 
@@ -222,10 +223,10 @@ mod tests {
 
     #[test]
     fn stats_and_error_replies() {
-        let m = ServiceMetrics { coalesced: 3, negative_hits: 1, computes: 7 };
+        let m = ServiceMetrics { negative_hits: 1, computes: 7 };
         assert_eq!(
             stats_reply(&m, 5, 7),
-            "OK coalesced=3 negative_hits=1 negative_inserts=0 computes=7 cache_len=5 epoch=7"
+            "OK coalesced=0 negative_hits=1 negative_inserts=0 computes=7 cache_len=5 epoch=7"
         );
         assert_eq!(err_reply("bad\nthing"), "ERR bad thing");
     }

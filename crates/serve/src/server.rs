@@ -7,7 +7,7 @@
 //! connection gets a scoped thread with its own session — sessions own
 //! their executor scratch, so connections contend only on the service
 //! state the paper's cache design already shares (the epoch-published
-//! snapshot, the singleflight table). At most
+//! snapshot and the master behind it). At most
 //! [`MAX_CONNECTIONS`] are served at once: past that the accept thread
 //! answers `ERR busy` itself and closes, so a connection flood costs
 //! neither threads nor sessions.
@@ -262,8 +262,8 @@ fn respond(line: &str, session: &mut Session<'_>, service: &Service<'_>, out: &m
             out.push_str(&proto::stats_reply(&service.metrics(), cache.len(), cache.epoch()));
         }
         // `record` is accepted and not acted on: a reply line has no place
-        // for a report, and a recorded request would bypass coalescing to
-        // build one nobody reads.
+        // for a report, so a recorded request would build one nobody
+        // reads.
         Ok(Request::Query { constraints, record: _ }) => {
             match session.execute(&QueryRequest::new(constraints)) {
                 Ok(outcome) => proto::write_query_reply(out, &outcome),

@@ -123,8 +123,8 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
     (
         "sync-confinement",
         "crates/core/src/service.rs",
-        "use std::collections::BTreeMap;\n",
-        "use std::collections::BTreeMap;\nuse std::sync::Mutex as RawMutex;\n",
+        "use skycheck::sync::{Arc, AtomicU64, Ordering};\n",
+        "use skycheck::sync::{Arc, AtomicU64, Ordering};\nuse std::sync::Mutex as RawMutex;\n",
     ),
     (
         "lock-order",

@@ -231,8 +231,8 @@ fn deterministic(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
 fn exclusive_and_shared_cache_access_answer_identically() {
     // One pipeline, two cache-access impls: the exclusive `&mut Cache` of
     // `CbcsExecutor` and the snapshot + publish `SharedCache` behind a
-    // `Service` session (coalescing off, so every query reaches the
-    // executor). A single session sees its own writes in order, so the
+    // `Service` session (every query kept below reaches the executor).
+    // A single session sees its own writes in order, so the
     // two must agree on the skyline — order included — and on every
     // deterministic counter, for every policy and multi-item mode; and
     // the skyline is Baseline's, row for row as a multiset, also where
@@ -278,7 +278,7 @@ fn exclusive_and_shared_cache_access_answer_identically() {
                             "{name}/{policy:?}/cap {capacity:?}/compose {compose_items}/extra {extra_items}"
                         );
                         let mut exclusive = CbcsExecutor::new(table, cbcs.clone());
-                        let service = Service::open(table, ServiceConfig { cbcs, coalesce: false });
+                        let service = Service::open(table, ServiceConfig::with_cbcs(cbcs));
                         let mut shared = service.session();
                         for (i, c) in queries.iter().enumerate() {
                             let req = QueryRequest::new(c.clone());
