@@ -6,8 +6,8 @@
 //! original experiments).
 
 use skycache_core::{
-    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, Overlap,
-    QueryRequest, QueryStats, ReplacementPolicy, SearchStrategy,
+    BaselineExecutor, BbsExecutor, CbcsConfig, MprMode, Overlap, QueryStats, ReplacementPolicy,
+    SearchStrategy, Service, ServiceConfig,
 };
 use skycache_datagen::Distribution;
 use skycache_geom::Constraints;
@@ -95,20 +95,18 @@ fn cbcs_config(mpr: MprMode, strategy: SearchStrategy) -> CbcsConfig {
     CbcsConfig { mpr, strategy, ..Default::default() }
 }
 
-/// Runs CBCS over `queries` with the given MPR mode/strategy and an
-/// optional warm-up workload (not recorded).
+/// Runs CBCS — one session of a fresh [`Service`] — over `queries`, after
+/// a warm-up workload whose records are dropped.
 fn run_cbcs(
     table: &Table,
     queries: &[Constraints],
     preload: &[Constraints],
-    mpr: MprMode,
-    strategy: SearchStrategy,
+    config: CbcsConfig,
 ) -> Vec<QueryStats> {
-    let mut ex = CbcsExecutor::new(table, cbcs_config(mpr, strategy));
-    for c in preload {
-        ex.execute(&QueryRequest::new(c.clone())).expect("preload query succeeds");
-    }
-    run_queries(&mut ex, queries)
+    let service = Service::open(table, ServiceConfig::with_cbcs(config));
+    let mut session = service.session();
+    run_queries(&mut session, preload);
+    run_queries(&mut session, queries)
 }
 
 fn method_rows(label: &str, records: &[QueryStats]) {
@@ -158,14 +156,7 @@ pub fn fig5(scale: &Scale) {
             let s = summarize(&run_queries(&mut bbs, &queries));
             print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
 
-            let records = run_cbcs(
-                &table,
-                &queries,
-                &[],
-                MprMode::Approximate { k: 1 },
-                SearchStrategy::MaxOverlapSP,
-            );
-            method_rows("aMPR", &records);
+            method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
         }
     }
 }
@@ -187,17 +178,9 @@ pub fn fig6(scale: &Scale) {
         let s = summarize(&run_queries(&mut bbs, &queries));
         print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
 
-        let records = run_cbcs(&table, &queries, &[], MprMode::Exact, SearchStrategy::MaxOverlapSP);
-        method_rows("MPR", &records);
-
-        let records = run_cbcs(
-            &table,
-            &queries,
-            &[],
-            MprMode::Approximate { k: 1 },
-            SearchStrategy::MaxOverlapSP,
-        );
-        method_rows("aMPR", &records);
+        let exact = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
+        method_rows("MPR", &run_cbcs(&table, &queries, &[], exact));
+        method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
     }
 }
 
@@ -219,14 +202,7 @@ pub fn fig7(scale: &Scale) {
         let s = summarize(&run_queries(&mut bbs, &queries));
         print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
 
-        let records = run_cbcs(
-            &table,
-            &queries,
-            &[],
-            MprMode::Approximate { k: 1 },
-            SearchStrategy::MaxOverlapSP,
-        );
-        method_rows("aMPR", &records);
+        method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
     }
 }
 
@@ -250,18 +226,10 @@ pub fn fig8(scale: &Scale) {
             );
 
             if with_mpr {
-                let records =
-                    run_cbcs(&table, &queries, &[], MprMode::Exact, SearchStrategy::MaxOverlapSP);
-                points_rows("MPR", &records);
+                let exact = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
+                points_rows("MPR", &run_cbcs(&table, &queries, &[], exact));
             }
-            let records = run_cbcs(
-                &table,
-                &queries,
-                &[],
-                MprMode::Approximate { k: 1 },
-                SearchStrategy::MaxOverlapSP,
-            );
-            points_rows("aMPR", &records);
+            points_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
         }
     }
 }
@@ -319,17 +287,17 @@ pub fn fig9(scale: &Scale) {
                 let table = synthetic_table(Distribution::Independent, d, 5_000, 42);
                 let records = if interactive {
                     let queries = interactive_queries(&table, 60, 17, None);
-                    run_cbcs(&table, &queries, &[], *mode, SearchStrategy::MaxOverlapSP)
-                } else {
-                    let preload = independent_queries(&table, 60, 5, None);
-                    let queries = independent_queries(&table, 30, 19, None);
                     run_cbcs(
                         &table,
                         &queries,
-                        &preload,
-                        *mode,
-                        SearchStrategy::prioritized_nd_std(),
+                        &[],
+                        cbcs_config(*mode, SearchStrategy::MaxOverlapSP),
                     )
+                } else {
+                    let preload = independent_queries(&table, 60, 5, None);
+                    let queries = independent_queries(&table, 30, 19, None);
+                    let config = cbcs_config(*mode, SearchStrategy::prioritized_nd_std());
+                    run_cbcs(&table, &queries, &preload, config)
                 };
                 // Average over cache hits (query/cache-item pairs).
                 let hits = filter_by_case(&records, |_| true);
@@ -360,13 +328,8 @@ pub fn fig10(scale: &Scale) {
     print_stage_row("Baseline", &b);
 
     // Prioritized1D surfaces the single-bound cases the figure reports.
-    let records = run_cbcs(
-        &table,
-        &queries,
-        &[],
-        MprMode::Approximate { k: 1 },
-        SearchStrategy::Prioritized1D,
-    );
+    let config = CbcsConfig { strategy: SearchStrategy::Prioritized1D, ..Default::default() };
+    let records = run_cbcs(&table, &queries, &[], config);
     let all = summarize(records.iter());
     print_stage_row("aMPR (all hits)", &all);
     for (label, want) in [
@@ -411,9 +374,8 @@ pub fn fig11(scale: &Scale) {
     let queries = interactive_queries(&table, scale.interactive_queries, 17, None);
     print_header("Fig 11a (interactive)", &size_columns());
     for strategy in &strategies {
-        let records =
-            run_cbcs(&table, &queries, &[], MprMode::Approximate { k: 1 }, strategy.clone());
-        let s = summarize(records.iter());
+        let config = CbcsConfig { strategy: strategy.clone(), ..Default::default() };
+        let s = summarize(&run_cbcs(&table, &queries, &[], config));
         print_row(&strategy.label(), &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
     }
 
@@ -426,9 +388,8 @@ pub fn fig11(scale: &Scale) {
         if *strategy == SearchStrategy::Prioritized1D {
             continue;
         }
-        let records =
-            run_cbcs(&table, &queries, &preload, MprMode::Approximate { k: 1 }, strategy.clone());
-        let s = summarize(records.iter());
+        let config = CbcsConfig { strategy: strategy.clone(), ..Default::default() };
+        let s = summarize(&run_cbcs(&table, &queries, &preload, config));
         print_row(&strategy.label(), &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
     }
 }
@@ -453,14 +414,7 @@ pub fn fig12(scale: &Scale) {
     let s = summarize(&run_queries(&mut bbs, &queries));
     print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
 
-    let records = run_cbcs(
-        &table,
-        &queries,
-        &[],
-        MprMode::Approximate { k: 1 },
-        SearchStrategy::MaxOverlapSP,
-    );
-    method_rows("aMPR", &records);
+    method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
 
     // (b) independent queries, preloaded cache, varying #NN.
     let preload = independent_queries(&table, scale.preload, 5, None);
@@ -473,14 +427,8 @@ pub fn fig12(scale: &Scale) {
     let s = summarize(&run_queries(&mut bbs, &queries));
     print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
     for k in [1usize, 5, 10] {
-        let records = run_cbcs(
-            &table,
-            &queries,
-            &preload,
-            MprMode::Approximate { k },
-            SearchStrategy::prioritized_nd_std(),
-        );
-        let s = summarize(records.iter());
+        let config = cbcs_config(MprMode::Approximate { k }, SearchStrategy::prioritized_nd_std());
+        let s = summarize(&run_cbcs(&table, &queries, &preload, config));
         print_row(
             &format!("aMPR({k}p)"),
             &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
@@ -502,15 +450,8 @@ pub fn ablation_replacement(scale: &Scale) {
         ("LRU cap=2", Some(2), ReplacementPolicy::Lru),
         ("LCU cap=2", Some(2), ReplacementPolicy::Lcu),
     ] {
-        let config = CbcsConfig {
-            mpr: MprMode::Approximate { k: 1 },
-            strategy: SearchStrategy::MaxOverlapSP,
-            capacity,
-            policy,
-            ..Default::default()
-        };
-        let mut ex = CbcsExecutor::new(&table, config);
-        let records = run_queries(&mut ex, &queries);
+        let config = CbcsConfig { capacity, policy, ..Default::default() };
+        let records = run_cbcs(&table, &queries, &[], config);
         let s = summarize(records.iter());
         let hits = records.iter().filter(|r| r.cache_hit).count();
         print_row(
@@ -549,8 +490,8 @@ pub fn ablation_k(scale: &Scale) {
             } else {
                 SearchStrategy::prioritized_nd_std()
             };
-            let records =
-                run_cbcs(&table, &queries, &preload, MprMode::Approximate { k }, strategy);
+            let config = cbcs_config(MprMode::Approximate { k }, strategy);
+            let records = run_cbcs(&table, &queries, &preload, config);
             let s = summarize(records.iter());
             print_row(
                 &format!("k={k}"),
@@ -595,11 +536,7 @@ pub fn ablation_multi(scale: &Scale) {
                 compose_items,
                 ..Default::default()
             };
-            let mut ex = CbcsExecutor::new(&table, config);
-            for c in &preload {
-                ex.execute(&QueryRequest::new(c.clone())).expect("preload query succeeds");
-            }
-            let records = run_queries(&mut ex, &queries);
+            let records = run_cbcs(&table, &queries, &preload, config);
             let s = summarize(records.iter());
             print_row(&label, &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
         }
@@ -672,9 +609,9 @@ pub fn policy(scale: &Scale) {
             let base = CbcsConfig { capacity: Some(capacity), policy, ..Default::default() };
             for (compose, compose_items) in [(false, 1), (true, 4)] {
                 let config = CbcsConfig { compose_items, ..base.clone() };
-                let mut ex = CbcsExecutor::new(&table, config);
+                let service = Service::open(&table, ServiceConfig::with_cbcs(config));
                 let start = Instant::now();
-                let records = run_queries(&mut ex, queries);
+                let records = run_queries(&mut service.session(), queries);
                 let wall = start.elapsed().as_secs_f64().max(1e-9);
 
                 let free_hits = records

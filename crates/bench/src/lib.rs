@@ -187,7 +187,7 @@ pub fn print_header(title: &str, columns: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skycache_core::{BaselineExecutor, CbcsConfig, CbcsExecutor};
+    use skycache_core::{BaselineExecutor, Service, ServiceConfig};
 
     #[test]
     fn harness_runs_and_summarizes() {
@@ -202,8 +202,8 @@ mod tests {
         assert!(s.avg_points > 0.0);
         assert!(s.avg_time_s > 0.0);
 
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
-        let records = run_queries(&mut cbcs, &queries);
+        let service = Service::open(&table, ServiceConfig::default());
+        let records = run_queries(&mut service.session(), &queries);
         let (stable, unstable) = split_by_stability(&records);
         assert!(stable.len() + unstable.len() <= records.len());
         let hits = filter_by_case(&records, |_| true);

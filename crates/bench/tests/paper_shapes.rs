@@ -7,7 +7,7 @@
 //! coalesced unit was charged its whole merged slice.
 
 use skycache_bench::{interactive_queries, run_queries, split_by_stability, synthetic_table};
-use skycache_core::{BaselineExecutor, CbcsConfig, CbcsExecutor, QueryStats};
+use skycache_core::{BaselineExecutor, QueryStats, Service, ServiceConfig};
 use skycache_datagen::Distribution;
 
 /// Mean simulated fetch nanoseconds per query.
@@ -22,7 +22,8 @@ fn cbcs_beats_baseline_and_stable_hits_beat_unstable_ones() {
     let queries = interactive_queries(&table, 100, 17, None);
 
     let baseline = run_queries(&mut BaselineExecutor::new(&table), &queries);
-    let cbcs = run_queries(&mut CbcsExecutor::new(&table, CbcsConfig::default()), &queries);
+    let service = Service::open(&table, ServiceConfig::default());
+    let cbcs = run_queries(&mut service.session(), &queries);
     let (baseline_ns, cbcs_ns) = (mean_sim_ns(&baseline), mean_sim_ns(&cbcs));
     assert!(cbcs_ns < baseline_ns, "CBCS {cbcs_ns} ns/query vs Baseline {baseline_ns} ns/query");
 

@@ -4,8 +4,8 @@ use std::error::Error;
 use std::time::Instant;
 
 use skycache_core::{
-    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest,
-    SearchStrategy,
+    BaselineExecutor, BbsExecutor, CbcsConfig, Executor, MprMode, QueryRequest, SearchStrategy,
+    Service, ServiceConfig,
 };
 use skycache_datagen::{
     DimStats, Distribution, IndependentWorkload, InteractiveWorkload, RealEstateGen, SyntheticGen,
@@ -94,7 +94,7 @@ pub fn query(args: &Args) -> CmdResult {
             println!("building BBS R-tree...");
             BbsExecutor::new(&table).execute(&req)?
         }
-        "cbcs" => CbcsExecutor::new(&table, CbcsConfig::default()).execute(&req)?,
+        "cbcs" => Service::open(&table, ServiceConfig::default()).session().execute(&req)?,
         other => return Err(format!("unknown method: {other}").into()),
     };
     let wall = t0.elapsed();
@@ -162,7 +162,8 @@ pub fn workload(args: &Args) -> CmdResult {
     let config = cbcs_config(args)?;
     args.finish()?;
 
-    let mut ex = CbcsExecutor::new(&table, config);
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+    let mut ex = service.session();
     let mut total_pts = 0u64;
     let mut total_time = 0.0f64;
     let mut hits = 0usize;
@@ -171,9 +172,7 @@ pub fn workload(args: &Args) -> CmdResult {
         let r = ex.execute(&QueryRequest::new(c.clone()))?;
         total_pts += r.stats.points_read;
         total_time += r.stats.stages().total().as_secs_f64();
-        if r.stats.cache_hit {
-            hits += 1;
-        }
+        hits += usize::from(r.stats.cache_hit);
         println!(
             "{i:<6} {:>10} {:>10} {:>8} {:>18}",
             r.skyline.len(),
@@ -209,10 +208,11 @@ pub fn compare(args: &Args) -> CmdResult {
     args.finish()?;
 
     println!("building BBS R-tree...");
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
     let mut methods: Vec<(&str, Box<dyn Executor>)> = vec![
         ("Baseline", Box::new(BaselineExecutor::new(&table))),
         ("BBS", Box::new(BbsExecutor::new(&table))),
-        ("CBCS (aMPR)", Box::new(CbcsExecutor::new(&table, config))),
+        ("CBCS (aMPR)", Box::new(service.session())),
     ];
 
     println!("\n{:<14} {:>12} {:>12} {:>14}", "method", "avg time", "pts read", "dom. tests");

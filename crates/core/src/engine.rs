@@ -18,13 +18,13 @@
 //! [`StageTimes`] and the report are read off it afterwards
 //! ([`QueryStats::stages`], [`QueryStats::report`]).
 //!
-//! The CBCS flow of the paper's Section 6 is written once, as
-//! `CbcsState::execute`: it searches the cache through a plain `&Cache`
-//! and mutates it through the `CacheAccess` trait, so the exclusive
-//! executors ([`CbcsExecutor`], [`DynamicCbcsExecutor`]) and the
-//! concurrent [`crate::Session`] differ only in the cache handle they
-//! pass in. The in-memory skyline stage is SFS, as in the paper's
-//! evaluation.
+//! The CBCS flow of the paper's Section 6 is written once, in
+//! [`crate::service`]: a [`crate::Session`] of a [`crate::Service`] is
+//! the one CBCS executor, whether one session runs (the figures, the CLI)
+//! or many (the server). This module holds its [`CbcsConfig`] and the
+//! stages it shares with Baseline — the miss path's one range query, the
+//! hit path's coalesced remainder fetch, merge and skyline. The in-memory
+//! skyline stage is SFS, as in the paper's evaluation.
 //!
 //! Measured CPU time ([`QueryStats::phase_ns`]) and the deterministic
 //! simulated I/O latency of the table's [`skycache_storage::CostModel`]
@@ -36,20 +36,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
-use skycache_geom::{Aabb, Constraints, Point, PointBlock};
+use skycache_geom::{Constraints, Point, PointBlock};
 use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
 use skycache_storage::{FetchBuf, FetchOutcome, FetchPlan, FetchScratch, Table};
 
-use crate::cache::{Cache, ItemCost, ReplacementPolicy};
-use crate::cases::{plan_parts, QueryPlan};
+use crate::cache::ReplacementPolicy;
+use crate::cases::QueryPlan;
 use crate::clock::Stopwatch;
 use crate::mpr::MprMode;
-use crate::stability::{classify, Overlap};
+use crate::stability::Overlap;
 use crate::strategy::SearchStrategy;
 use crate::{CoreError, Result};
 
@@ -112,7 +109,7 @@ impl QueryOutcome {
 
 /// Reusable per-executor buffers for the block-oriented query hot path.
 ///
-/// One instance lives inside each executor's [`CbcsState`] (and in the
+/// One instance lives inside each [`crate::Session`] (and in the
 /// [`BaselineExecutor`]). After a few queries the buffers reach their
 /// high-water marks and steady-state queries run
 /// (near-)allocation-free: fetched rows land in the columnar
@@ -122,7 +119,7 @@ impl QueryOutcome {
 #[derive(Default)]
 pub(crate) struct QueryScratch {
     /// Storage-side fetch buffers (row ids + columnar coordinates).
-    fetch: FetchScratch,
+    pub(crate) fetch: FetchScratch,
     /// Skyline-kernel ordering buffer.
     sky: SkylineScratch,
     /// Merge output: retained ∪ fetched rows, deduplicated.
@@ -141,7 +138,7 @@ pub(crate) struct QueryScratch {
     pub(crate) lookup_ids: Vec<u64>,
     /// Ids of the cached items handed to the planner, primary first;
     /// reused like `lookup_ids`.
-    part_ids: Vec<u64>,
+    pub(crate) part_ids: Vec<u64>,
 }
 
 impl QueryScratch {
@@ -365,7 +362,7 @@ impl QueryStats {
     }
 
     /// Adds the time measured since `since` to `phase`.
-    fn time(&mut self, phase: Phase, since: Stopwatch) {
+    pub(crate) fn time(&mut self, phase: Phase, since: Stopwatch) {
         self.phase_ns[phase.index()] += since.elapsed().as_nanos() as u64;
     }
 
@@ -594,235 +591,6 @@ impl Default for CbcsConfig {
     }
 }
 
-impl CbcsConfig {
-    /// An empty cache with this configuration's capacity and policy.
-    pub(crate) fn new_cache(&self, dims: usize) -> Cache {
-        Cache::with_capacity(dims, self.capacity, self.policy)
-    }
-}
-
-/// How the CBCS pipeline reaches its cache: the read phase searches a
-/// plain `&Cache` handed out by [`CacheAccess::read`], the write phase
-/// goes through the two mutators. Implemented by [`Cache`] itself
-/// (exclusive access) and by [`crate::SharedCache`] (published snapshot
-/// for reads, locked master + republication for writes).
-pub(crate) trait CacheAccess {
-    /// Runs `f` over the cache state queries are answered from. Nothing
-    /// borrowed from it outlives the call, so a shared implementation
-    /// pins its snapshot for exactly the search-and-plan phase.
-    fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R;
-
-    /// Records a hit on item `id` (replacement bookkeeping; a no-op if
-    /// the item is gone).
-    fn touch(&mut self, id: u64);
-
-    /// Stores a query result and returns how many items it evicted — by
-    /// value: a shared implementation counts under its master guard and
-    /// the pipeline adds the count to its [`QueryStats`] after the guard
-    /// is gone.
-    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> u64;
-}
-
-impl CacheAccess for Cache {
-    fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
-        f(self)
-    }
-
-    fn touch(&mut self, id: u64) {
-        Cache::touch(self, id);
-    }
-
-    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> u64 {
-        let evictions_before = self.evictions();
-        self.insert_with_cost(constraints, skyline, cost);
-        self.evictions() - evictions_before
-    }
-}
-
-/// Everything a CBCS executor holds besides its table and cache handle,
-/// and the one implementation of the paper's query flow.
-pub(crate) struct CbcsState {
-    pub(crate) config: CbcsConfig,
-    /// Drives the `Random` search strategy.
-    rng: StdRng,
-    /// Bounding box of the table's points (normalizes strategy scores
-    /// and bounds composed covers); grows with dynamic inserts.
-    data_bounds: Aabb,
-    scratch: QueryScratch,
-}
-
-impl CbcsState {
-    /// State for an executor over `table`: an RNG seeded from the
-    /// configuration, empty scratch.
-    pub(crate) fn new(table: &Table, config: CbcsConfig) -> Self {
-        let data_bounds = Aabb::bounding(table.all_points())
-            // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
-            .expect("tables are non-empty");
-        let rng = StdRng::seed_from_u64(config.seed);
-        CbcsState { config, rng, data_bounds, scratch: QueryScratch::new() }
-    }
-
-    /// The CBCS query pipeline (paper Section 6): R\*-tree cache lookup →
-    /// search strategy → case classification → specialized solution or
-    /// (a)MPR → fetch the missing regions → merge with retained cached
-    /// points → skyline → cache the result.
-    ///
-    /// Phases timed here: cache-lookup (R\*-tree search + bounding-box
-    /// short-circuit), case-analysis (strategy selection), mpr-compute
-    /// (plan construction); fetch, merge and skyline are timed by
-    /// [`query_naive`]/[`query_planned`].
-    pub(crate) fn execute(
-        &mut self,
-        table: &Table,
-        cache: &mut impl CacheAccess,
-        req: &QueryRequest,
-    ) -> Result<QueryOutcome> {
-        let c = &req.constraints;
-        check_dims(table, c)?;
-        let CbcsState { config, rng, data_bounds, scratch } = self;
-
-        let mut stats = QueryStats::default();
-
-        // Processing stage, against the cache state `read` pins: lookup,
-        // strategy, classification, MPR. The lookup fills the reused id
-        // scratch (cover-ordered); candidate items are resolved lazily
-        // through the cache, so no per-query `Vec<&CacheItem>` is built,
-        // and the plan owns its points, so nothing borrowed from the
-        // cache survives into the fetch.
-        let selection: Option<(QueryPlan, Option<Arc<str>>)> = cache.read(|items| {
-            let t0 = Stopwatch::start();
-            let lookup = items.lookup_into(c, &mut scratch.lookup_ids);
-            let ids: &[u64] = &scratch.lookup_ids;
-            stats.time(Phase::CacheLookup, t0);
-            stats.candidates = ids.len();
-            stats.overlap_scans = lookup.scans;
-
-            // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
-            let item = |id: u64| items.get(id).expect("lookup ids are live");
-
-            let t1 = Stopwatch::start();
-            let picked =
-                config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, data_bounds, rng);
-            stats.time(Phase::CaseAnalysis, t1);
-            let primary = item(ids[picked?]);
-
-            // The cached items handed to the planner, primary first. The
-            // multi-item mechanisms add to the list only when the primary
-            // has no free-solution fast path: compositional answering
-            // (DESIGN.md §17.3) the next cover-ordered candidates, which
-            // may subtract their trusted space like the primary; the
-            // Section 6.3 harvest the next-best remaining items by
-            // constraint overlap, which only lend pruning points.
-            let parts = &mut scratch.part_ids;
-            parts.clear();
-            parts.push(primary.id);
-            let mut trusted = 1;
-            if (config.compose_items > 1 || config.extra_items > 0)
-                && ids.len() >= 2
-                && !matches!(
-                    classify(&primary.constraints, c),
-                    Overlap::Exact | Overlap::CaseB { .. }
-                )
-            {
-                let others = ids.iter().copied().filter(|&id| id != primary.id);
-                parts.extend(others.take(config.compose_items.saturating_sub(1)));
-                trusted = parts.len();
-                if config.extra_items > 0 {
-                    let mut others: Vec<u64> =
-                        ids.iter().copied().filter(|id| !parts.contains(id)).collect();
-                    // total_cmp: overlap volumes of partially unbounded
-                    // regions may be inf or NaN (0·inf).
-                    others.sort_by(|&a, &b| {
-                        let va = c.overlap_volume(&item(a).constraints);
-                        let vb = c.overlap_volume(&item(b).constraints);
-                        vb.total_cmp(&va)
-                    });
-                    parts.extend(others.into_iter().take(config.extra_items));
-                }
-            }
-            let t2 = Stopwatch::start();
-            let blocks = parts.iter().map(|&id| item(id)).map(|it| (&it.constraints, &*it.skyline));
-            let plan = plan_parts(blocks, trusted, c, config.mpr, data_bounds);
-            stats.time(Phase::MprCompute, t2);
-            // An exact hit returns the item's skyline as it is, so the
-            // item's text of it — rendered here if this is its first
-            // exact hit — is the answer's text.
-            let text = (plan.overlap == Overlap::Exact).then(|| primary.skyline_text());
-            Some((plan, text))
-        });
-
-        let mut text = None;
-        let skyline = match selection {
-            None => {
-                stats.cache_miss = true;
-                query_naive(table, c, scratch, &mut stats)
-            }
-            Some((plan, item_text)) => {
-                stats.cache_hit = true;
-                stats.composed_items = plan.parts_used;
-                if plan.parts_used >= 2 {
-                    stats.cover_fraction = plan.cover_fraction;
-                }
-                // Every candidate overlaps the query, so the items whose
-                // trusted space the plan rests on lead the list.
-                for &id in scratch.part_ids.iter().take(plan.parts_used) {
-                    cache.touch(id);
-                }
-                text = item_text;
-                query_planned(table, plan, scratch, &mut stats)
-            }
-        };
-        if req.record {
-            // The rows of this query's one fetch are still in the scratch.
-            stats.pages_touched = table.pages_touched_ids(scratch.fetch.rows().ids());
-        }
-
-        // An exact hit's result is already cached under these very
-        // constraints; re-inserting would duplicate the item and evict an
-        // innocent victim on every repeat.
-        if stats.case != Some(Overlap::Exact) {
-            let cost = ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
-            stats.evictions = cache.insert(c.clone(), &skyline, cost);
-            stats.insertions = 1;
-        }
-
-        Ok(QueryOutcome::finish(req, skyline, text, stats))
-    }
-}
-
-/// The paper's contribution: Cache-Based Constrained Skyline, over a
-/// borrowed table and an exclusively owned cache. The query flow is
-/// `CbcsState::execute`.
-pub struct CbcsExecutor<'t> {
-    table: &'t Table,
-    cache: Cache,
-    state: CbcsState,
-}
-
-impl<'t> CbcsExecutor<'t> {
-    /// Creates a CBCS executor with an empty cache.
-    pub fn new(table: &'t Table, config: CbcsConfig) -> Self {
-        let cache = config.new_cache(table.dims());
-        CbcsExecutor { table, cache, state: CbcsState::new(table, config) }
-    }
-
-    /// Read access to the cache (for inspection and tests).
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &CbcsConfig {
-        &self.state.config
-    }
-}
-
-impl Executor for CbcsExecutor<'_> {
-    fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        self.state.execute(self.table, &mut self.cache, req)
-    }
-}
-
 /// The cache-miss path: one constraint range query into the reusable
 /// fetch scratch, then the skyline kernel directly over the columnar
 /// rows.
@@ -898,71 +666,11 @@ pub(crate) fn query_planned(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dynamic CBCS (paper Section 6.2: dynamic data)
-// ---------------------------------------------------------------------------
-
-/// CBCS over a table it owns and may mutate.
-///
-/// The paper sketches dynamic-data support "by viewing each cache item as
-/// a separate dataset with a continuous skyline query": on
-/// [`insert`](DynamicCbcsExecutor::insert) the new point is folded into
-/// every cached skyline whose constraints it satisfies; on
-/// [`delete`](DynamicCbcsExecutor::delete), cached results holding the
-/// deleted point are dropped (the conservative maintenance policy — see
-/// [`Cache::on_delete`]). Query answering is identical to
-/// [`CbcsExecutor`].
-pub struct DynamicCbcsExecutor {
-    table: Table,
-    cache: Cache,
-    state: CbcsState,
-}
-
-impl DynamicCbcsExecutor {
-    /// Takes ownership of the table and starts with an empty cache.
-    pub fn new(table: Table, config: CbcsConfig) -> Self {
-        let cache = config.new_cache(table.dims());
-        let state = CbcsState::new(&table, config);
-        DynamicCbcsExecutor { table, cache, state }
-    }
-
-    /// Read access to the table.
-    pub fn table(&self) -> &Table {
-        &self.table
-    }
-
-    /// Read access to the cache.
-    pub fn cache(&self) -> &Cache {
-        &self.cache
-    }
-
-    /// Inserts a data point, maintaining both the storage indexes and
-    /// every affected cached skyline. Returns the new row id.
-    pub fn insert(&mut self, p: Point) -> Result<skycache_storage::RowId> {
-        let row = self.table.insert(p.clone())?;
-        self.state.data_bounds.merge(&Aabb::from_point(&p));
-        self.cache.on_insert(&p);
-        Ok(row)
-    }
-
-    /// Deletes a row, dropping cached results that can no longer be
-    /// trusted. Returns the deleted point.
-    pub fn delete(&mut self, row: skycache_storage::RowId) -> Option<Point> {
-        let p = self.table.delete(row)?;
-        self.cache.on_delete(&p);
-        Some(p)
-    }
-}
-
-impl Executor for DynamicCbcsExecutor {
-    fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        self.state.execute(&self.table, &mut self.cache, req)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
+    use crate::service::{Service, ServiceConfig};
     use skycache_storage::TableConfig;
 
     fn p(coords: &[f64]) -> Point {
@@ -1010,6 +718,11 @@ mod tests {
         ex.execute(&QueryRequest::new(cc.clone())).unwrap()
     }
 
+    /// The CBCS executor: a session of this service.
+    fn open(table: &Table, config: CbcsConfig) -> Service<'_> {
+        Service::open(table, ServiceConfig::with_cbcs(config))
+    }
+
     #[test]
     fn baseline_computes_constrained_skyline() {
         let table = grid_table();
@@ -1026,7 +739,8 @@ mod tests {
         let table = grid_table();
         let mut baseline = BaselineExecutor::new(&table);
         let mut bbs = BbsExecutor::new(&table);
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         for cc in [
             c(&[(0.3, 1.2), (0.2, 0.8)]),
             c(&[(0.35, 1.2), (0.2, 0.8)]),
@@ -1048,11 +762,12 @@ mod tests {
     #[test]
     fn cbcs_first_query_misses_then_hits() {
         let table = grid_table();
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         let c1 = c(&[(0.2, 1.0), (0.2, 1.0)]);
         let r1 = run(&mut cbcs, &c1);
         assert!(!r1.stats.cache_hit);
-        assert_eq!(cbcs.cache().len(), 1);
+        assert_eq!(service.cache().len(), 1);
 
         // Case (c): widen the upper bound of dim 0.
         let c2 = c(&[(0.2, 1.2), (0.2, 1.0)]);
@@ -1065,7 +780,8 @@ mod tests {
     #[test]
     fn cbcs_case_b_needs_no_fetch() {
         let table = grid_table();
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         let c1 = c(&[(0.2, 1.0), (0.2, 1.0)]);
         run(&mut cbcs, &c1);
         let c2 = c(&[(0.2, 0.8), (0.2, 1.0)]);
@@ -1079,7 +795,8 @@ mod tests {
     #[test]
     fn cbcs_exact_hit_is_free() {
         let table = grid_table();
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         let c1 = c(&[(0.2, 1.0), (0.2, 1.0)]);
         let r1 = run(&mut cbcs, &c1);
         let r2 = run(&mut cbcs, &c1);
@@ -1101,9 +818,11 @@ mod tests {
         let spanning = c(&[(0.0, 1.5), (0.0, 1.9)]);
 
         let table = grid_table();
-        let mut plain = CbcsExecutor::new(&table, CbcsConfig::default());
-        let mut composed =
-            CbcsExecutor::new(&table, CbcsConfig { compose_items: 4, ..CbcsConfig::default() });
+        let plain_service = open(&table, CbcsConfig::default());
+        let mut plain = plain_service.session();
+        let composed_service =
+            open(&table, CbcsConfig { compose_items: 4, ..CbcsConfig::default() });
+        let mut composed = composed_service.session();
         for ex in [&mut plain, &mut composed] {
             run(ex, &left);
             run(ex, &right);
@@ -1128,7 +847,8 @@ mod tests {
     fn cbcs_matches_baseline_on_unstable_chain() {
         let table = grid_table();
         let mut baseline = BaselineExecutor::new(&table);
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         let chain = [
             c(&[(0.0, 1.5), (0.0, 1.5)]),
             c(&[(0.3, 1.5), (0.0, 1.5)]), // case (d): lower increased
@@ -1151,7 +871,8 @@ mod tests {
         // re-fetched, and dedup must kill the copies.
         let table = grid_table();
         let config = CbcsConfig { mpr: MprMode::Approximate { k: 0 }, ..CbcsConfig::default() };
-        let mut cbcs = CbcsExecutor::new(&table, config);
+        let service = open(&table, config);
+        let mut cbcs = service.session();
         run(&mut cbcs, &c(&[(0.2, 1.0), (0.2, 1.0)]));
         let res = run(&mut cbcs, &c(&[(0.1, 1.0), (0.2, 1.0)]));
         let mut sky = res.skyline.clone();
@@ -1260,7 +981,8 @@ mod tests {
     #[test]
     fn request_without_recording_has_no_report() {
         let table = grid_table();
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         let out = cbcs.execute(&QueryRequest::new(c(&[(0.2, 1.0), (0.2, 1.0)]))).unwrap();
         assert!(out.report.is_none());
     }
@@ -1268,7 +990,8 @@ mod tests {
     #[test]
     fn recorded_request_reports_spans_and_counters() {
         let table = grid_table();
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
         let c1 = c(&[(0.2, 1.0), (0.2, 1.0)]);
         let miss = cbcs.execute(&QueryRequest::new(c1.clone()).recorded()).unwrap().report.unwrap();
         assert_eq!(miss.counter(names::CACHE_MISSES), 1);
@@ -1297,13 +1020,14 @@ mod tests {
     fn recording_reports_evictions() {
         let table = grid_table();
         let config = CbcsConfig { capacity: Some(1), ..CbcsConfig::default() };
-        let mut cbcs = CbcsExecutor::new(&table, config);
+        let service = open(&table, config);
+        let mut cbcs = service.session();
         run(&mut cbcs, &c(&[(0.2, 1.0), (0.2, 1.0)]));
         // Disjoint constraints: a miss whose insert evicts the first item.
         let out =
             cbcs.execute(&QueryRequest::new(c(&[(1.2, 1.9), (1.2, 1.9)])).recorded()).unwrap();
         let report = out.report.unwrap();
         assert_eq!(report.counter(names::CACHE_EVICTIONS), 1);
-        assert_eq!(cbcs.cache().evictions(), 1);
+        assert_eq!(service.cache().with_read(Cache::evictions), 1);
     }
 }

@@ -20,19 +20,19 @@
 //!   items `⟨Sky(S,C), MBR, C⟩` indexed by an R\*-tree over their MBRs,
 //!   with LRU/LCU replacement;
 //! * [`strategy`] — the cache search strategies of Section 6.1;
-//! * [`engine`] — three executors sharing one interface: the naive
-//!   [`BaselineExecutor`], the [`BbsExecutor`] state of the art, and the
-//!   caching [`CbcsExecutor`], each reporting the per-query statistics the
-//!   paper's evaluation plots — plus the extensions the paper sketches as
-//!   future work: [`DynamicCbcsExecutor`] (dynamic data, Section 6.2),
-//!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3), and a
-//!   thread-safe [`SharedCache`] behind the [`Service`] for multi-user
-//!   deployments. The CBCS query flow is written once; the single-user
-//!   and dynamic executors and the service's [`Session`] differ only in
-//!   how they reach their cache.
+//! * [`engine`] — the executor interface, the naive [`BaselineExecutor`]
+//!   and the [`BbsExecutor`] state of the art, each reporting the
+//!   per-query statistics the paper's evaluation plots;
+//! * [`service`] — the caching executor: a [`Service`] holds the table
+//!   and a thread-safe [`SharedCache`], and each [`Session`] runs the one
+//!   CBCS query flow over them, whether one session runs (the paper's
+//!   single-user figures) or many (multi-user deployments). It carries
+//!   the extensions the paper sketches as future work: dynamic data
+//!   ([`Service::insert`], [`Service::delete`], Section 6.2) and
+//!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3).
 //!
 //! ```
-//! use skycache_core::{CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest};
+//! use skycache_core::{CbcsConfig, MprMode, QueryRequest, Service, ServiceConfig};
 //! use skycache_geom::{Constraints, Point};
 //! use skycache_storage::{Table, TableConfig};
 //!
@@ -42,7 +42,8 @@
 //! let table = Table::build(points, TableConfig::default()).unwrap();
 //!
 //! let config = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
-//! let mut cbcs = CbcsExecutor::new(&table, config);
+//! let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+//! let mut cbcs = service.session();
 //!
 //! let c1 = Constraints::from_pairs(&[(5.0, 20.0), (5.0, 20.0)]).unwrap();
 //! let miss = cbcs.execute(&QueryRequest::new(c1)).unwrap();
@@ -69,12 +70,12 @@ pub mod cache;
 pub mod cases;
 /// The audited wall-clock site ([`clock::Stopwatch`]).
 pub mod clock;
-/// Query executors: Baseline, BBS and CBCS behind one interface.
+/// Query executors: Baseline, BBS and the stages CBCS shares with them.
 pub mod engine;
 mod error;
 /// The (approximate) Missing Points Region (Section 5).
 pub mod mpr;
-/// The multi-tenant query service: sessions over one shared cache, index-proven empties.
+/// The one CBCS holder: a service over a table and a shared cache, its sessions, dynamic data.
 pub mod service;
 /// Thread-safe shared cache for multi-user deployments.
 pub mod shared;
@@ -85,8 +86,8 @@ pub mod strategy;
 
 pub use cache::{render_points, Cache, CacheItem, ItemCost, LookupStats, ReplacementPolicy};
 pub use engine::{
-    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, DynamicCbcsExecutor, Executor,
-    QueryOutcome, QueryRequest, QueryStats, StageTimes,
+    BaselineExecutor, BbsExecutor, CbcsConfig, Executor, QueryOutcome, QueryRequest, QueryStats,
+    StageTimes,
 };
 pub use error::CoreError;
 pub use mpr::{missing_points_region, MprMode, MprOutput};

@@ -1,47 +1,66 @@
-//! The multi-tenant query service: [`Service`], [`Session`] and the
-//! production-cache machinery around the shared-cache CBCS pipeline.
+//! The one CBCS holder: [`Service`] owns the shared cache and its table,
+//! [`Session`] is its query handle, and the paper's Section 6 pipeline is
+//! written here once, as `Session::pipeline`.
 //!
 //! The paper evaluates the cache one query at a time; a deployed service
-//! runs many sessions against one cache. This module is the concurrent
-//! entry point for that shape — a [`Session`] is the only holder of the
-//! pipeline over a [`SharedCache`], so every multi-user deployment flows
-//! through here and picks up two fast paths:
+//! runs many sessions against one cache. Both are a [`Service`]: the
+//! figures, the CLI and the examples run one session, the server one per
+//! connection. A session answers in three steps:
 //!
-//! 1. **Index-proven empties** — a constraint region the per-dimension
+//! 1. **Dimensions** — constraints of another dimensionality are an error.
+//! 2. **Index-proven empties** — a constraint region the per-dimension
 //!    indexes prove empty ([`Table::probe_region_empty`], the paper's
 //!    "the B-trees detect the empty queries", Sec. 7.3.2) is answered
 //!    with the empty skyline without planning, locking the cache, or
-//!    touching the heap. The table is immutable under a service, so the
-//!    probe is its own memo: nothing is remembered.
-//! 2. **Snapshot reads** — every other query runs the CBCS pipeline,
-//!    whose lookups read the epoch-published `Arc<Cache>` snapshot (see
-//!    [`crate::shared`]), so concurrent sessions never serialize on the
-//!    cache write lock, and an exact repeat is a lookup and one `touch`.
+//!    touching the heap. Nothing is cached for it: the probe reads the
+//!    live indexes, so it is its own memo, across writes too.
+//! 3. **The pipeline** — every other query searches the epoch-published
+//!    `Arc<Cache>` snapshot (see [`crate::shared`]), so concurrent
+//!    sessions never serialize on the cache write lock, and an exact
+//!    repeat is a lookup and one `touch`.
+//!
+//! Dynamic data (Sec. 6.2) is [`Service::insert`] and [`Service::delete`]
+//! on `&mut self`: a session borrows its service, so the borrow checker
+//! proves no session is alive during a write, and the table needs no
+//! synchronization of its own. A service opened over a borrowed table
+//! copies it on its first write.
 //!
 //! The service holds no lock of its own: its counters are atomics, and
 //! the only locks a query takes are the shared cache's, in the order
-//! `master → snap` (`CbcsState::execute`'s write phase). All
-//! synchronization uses the `skycheck::sync` shims, so the whole protocol
-//! is model-checkable (`crates/core/tests/model_serve.rs` explores epoch
-//! publication exhaustively at preemption bound 2).
+//! `master → snap` (`SharedCache::publish`). All synchronization uses
+//! the `skycheck::sync` shims, so the whole protocol is model-checkable
+//! (`crates/core/tests/model_serve.rs` explores epoch publication
+//! exhaustively at preemption bound 2).
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 // Shim sync primitives: identical to `std` in production, schedulable
 // under a `skycheck::Explorer` model run (see DESIGN.md §15–16).
-use skycheck::sync::{Arc, AtomicU64, Ordering};
+use skycheck::sync::{AtomicU64, Ordering};
 
-use skycache_storage::Table;
+use skycache_geom::{Aabb, Constraints, Point};
+use skycache_obs::Phase;
+use skycache_storage::{RowId, Table};
 
+use crate::cache::{Cache, ItemCost};
+use crate::cases::{plan_parts, QueryPlan};
+use crate::clock::Stopwatch;
 use crate::engine::{
-    check_dims, CbcsConfig, CbcsState, Executor, QueryOutcome, QueryRequest, QueryStats,
+    check_dims, query_naive, query_planned, CbcsConfig, Executor, QueryOutcome, QueryRequest,
+    QueryScratch, QueryStats,
 };
 use crate::shared::SharedCache;
+use crate::stability::{classify, Overlap};
 use crate::Result;
 
 /// Service-level configuration: the CBCS configuration every session
 /// runs with.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceConfig {
-    /// Configuration handed to every session's CBCS executor.
+    /// Configuration of the CBCS pipeline every session runs.
     pub cbcs: CbcsConfig,
 }
 
@@ -65,15 +84,7 @@ pub struct ServiceMetrics {
     pub computes: u64,
 }
 
-/// State shared by the service handle and every session.
-struct ServiceShared {
-    cache: SharedCache,
-    sessions: AtomicU64,
-    negative_hits: AtomicU64,
-    computes: AtomicU64,
-}
-
-/// The multi-tenant query service over one table and one shared cache.
+/// The query service over one table and one shared cache.
 ///
 /// Cheap to share by reference; spawn one [`Session`] per client/thread:
 ///
@@ -86,61 +97,70 @@ struct ServiceShared {
 /// let points: Vec<Point> =
 ///     (0..100).map(|i| Point::from(vec![f64::from(i % 7), f64::from(i % 11)])).collect();
 /// let table = Table::build(points, TableConfig::default()).unwrap();
-/// let service = Service::open(&table, ServiceConfig::default());
+/// let mut service = Service::open(&table, ServiceConfig::default());
 ///
-/// let mut session = service.session();
-/// let c = Constraints::from_pairs(&[(1.0, 6.0), (1.0, 9.0)]).unwrap();
-/// let outcome = session.execute(&QueryRequest::new(c)).unwrap();
+/// let c = Constraints::from_pairs(&[(1.5, 6.0), (1.5, 9.0)]).unwrap();
+/// let outcome = service.session().execute(&QueryRequest::new(c.clone())).unwrap();
 /// assert!(!outcome.skyline.is_empty());
+///
+/// // A write takes the service by `&mut`: the borrowed table is copied,
+/// // the caller's stays as it was.
+/// service.insert(Point::from(vec![1.75, 1.75])).unwrap();
+/// let outcome = service.session().execute(&QueryRequest::new(c)).unwrap();
+/// assert_eq!(outcome.skyline, vec![Point::from(vec![1.75, 1.75])]);
+/// assert_eq!((table.len(), service.table().len()), (100, 101));
 /// ```
 pub struct Service<'t> {
-    table: &'t Table,
+    table: Cow<'t, Table>,
     config: ServiceConfig,
-    shared: Arc<ServiceShared>,
+    cache: SharedCache,
+    /// Bounding box of the table's points: normalizes strategy scores and
+    /// bounds composed covers. Computed at `open`, grown by `insert`.
+    data_bounds: Aabb,
+    sessions: AtomicU64,
+    negative_hits: AtomicU64,
+    computes: AtomicU64,
 }
 
 impl<'t> Service<'t> {
-    /// Opens a service over `table` with a fresh shared cache.
-    pub fn open(table: &'t Table, config: ServiceConfig) -> Self {
-        let cache = SharedCache::new(table.dims(), &config.cbcs);
-        // Hoisted out of the assert so the lock provably drops before
-        // the panic formatting machinery runs.
-        let cache_dims = cache.dims();
-        assert_eq!(cache_dims, table.dims(), "cache/table dimensionality mismatch");
-        let shared = Arc::new(ServiceShared {
-            cache,
+    /// Opens a service with a fresh shared cache over `table`: borrowed
+    /// (`&Table`, copied on the first write) or owned (`Table`).
+    pub fn open(table: impl Into<Cow<'t, Table>>, config: ServiceConfig) -> Self {
+        let table = table.into();
+        let data_bounds = Aabb::bounding(table.all_points())
+            // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
+            .expect("tables are non-empty");
+        Service {
+            cache: SharedCache::new(table.dims(), &config.cbcs),
+            table,
+            config,
+            data_bounds,
             sessions: AtomicU64::new(0),
             negative_hits: AtomicU64::new(0),
             computes: AtomicU64::new(0),
-        });
-        Service { table, config, shared }
+        }
     }
 
     /// Creates a session: the per-client query handle.
     ///
     /// Sessions are `Send` and own their pipeline scratch; each gets a
-    /// distinct deterministic seed derived from the configured one, so
-    /// randomized search strategies de-correlate across sessions while
-    /// staying reproducible.
-    pub fn session(&self) -> Session<'t> {
-        let idx = self.shared.sessions.fetch_add(1, Ordering::Relaxed);
-        let mut cbcs = self.config.cbcs.clone();
-        cbcs.seed = cbcs.seed.wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Session {
-            table: self.table,
-            shared: self.shared.clone(),
-            state: CbcsState::new(self.table, cbcs),
-        }
+    /// distinct deterministic seed derived from the configured one (the
+    /// first session the configured one itself), so randomized search
+    /// strategies de-correlate across sessions while staying reproducible.
+    pub fn session(&self) -> Session<'_> {
+        let idx = self.sessions.fetch_add(1, Ordering::Relaxed);
+        let seed = self.config.cbcs.seed.wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        Session { service: self, rng: StdRng::seed_from_u64(seed), scratch: QueryScratch::new() }
     }
 
     /// The table this service answers queries over.
-    pub fn table(&self) -> &'t Table {
-        self.table
+    pub fn table(&self) -> &Table {
+        &self.table
     }
 
     /// Handle to the shared cache (snapshot reads, authoritative stats).
     pub fn cache(&self) -> &SharedCache {
-        &self.shared.cache
+        &self.cache
     }
 
     /// The service configuration.
@@ -151,42 +171,197 @@ impl<'t> Service<'t> {
     /// Snapshot of the service-layer counters.
     pub fn metrics(&self) -> ServiceMetrics {
         ServiceMetrics {
-            negative_hits: self.shared.negative_hits.load(Ordering::Relaxed),
-            computes: self.shared.computes.load(Ordering::Relaxed),
+            negative_hits: self.negative_hits.load(Ordering::Relaxed),
+            computes: self.computes.load(Ordering::Relaxed),
         }
+    }
+
+    /// Inserts a data point (the dynamic-data extension, paper Section
+    /// 6.2): the table's indexes take it — a borrowed table is copied
+    /// first — and every cached skyline whose constraints it satisfies
+    /// folds it in ([`Cache::on_insert`]), published as one new snapshot.
+    /// Returns the new row id.
+    pub fn insert(&mut self, p: Point) -> Result<RowId> {
+        let row = self.table.to_mut().insert(p.clone())?;
+        self.data_bounds.merge(&Aabb::from_point(&p));
+        self.cache.publish(|cache| cache.on_insert(&p));
+        Ok(row)
+    }
+
+    /// Deletes a row, dropping the cached results that can no longer be
+    /// trusted ([`Cache::on_delete`]) in one new snapshot. Returns the
+    /// deleted point, or `None` if the row was not live.
+    pub fn delete(&mut self, row: RowId) -> Option<Point> {
+        let p = self.table.to_mut().delete(row)?;
+        self.cache.publish(|cache| cache.on_delete(&p));
+        Some(p)
     }
 }
 
-/// A per-client query handle over a [`Service`].
+/// A per-client query handle over a [`Service`], which it borrows.
 ///
-/// Owns its CBCS pipeline state (scratch buffers, strategy RNG) so
-/// queries from distinct sessions share only the service state: the same
-/// pipeline as [`crate::CbcsExecutor`] (`CbcsState::execute`), reading
-/// the published snapshot of the shared cache and writing through its
-/// master. Two sessions racing the same miss both compute and both
-/// insert; the exact lookup answers later repeats from the lowest id.
-/// Obtained from [`Service::session`]; also usable anywhere an
-/// [`Executor`] is.
-pub struct Session<'t> {
-    table: &'t Table,
-    shared: Arc<ServiceShared>,
-    state: CbcsState,
+/// Owns its pipeline scratch and strategy RNG, so queries from distinct
+/// sessions share only the service: they read the published snapshot of
+/// its cache and write through the master. Two sessions racing the same
+/// miss both compute and both insert; the exact lookup answers later
+/// repeats from the lowest id. Obtained from [`Service::session`]; also
+/// usable anywhere an [`Executor`] is.
+pub struct Session<'s> {
+    service: &'s Service<'s>,
+    /// Drives the `Random` search strategy.
+    rng: StdRng,
+    scratch: QueryScratch,
 }
 
 impl Session<'_> {
-    /// Answers one query: the index-only emptiness probe, then the CBCS
-    /// pipeline over the shared cache — snapshot reads, master writes
-    /// (see [`crate::shared`]).
+    /// Answers one query: the dimensions check, the index-only emptiness
+    /// probe, then the CBCS pipeline over the shared cache.
     pub fn execute(&mut self, req: &QueryRequest) -> Result<QueryOutcome> {
-        check_dims(self.table, &req.constraints)?;
+        let service = self.service;
+        check_dims(&service.table, &req.constraints)?;
 
-        if self.table.probe_region_empty(&req.constraints.region()) {
-            self.shared.negative_hits.fetch_add(1, Ordering::Relaxed);
+        if service.table.probe_region_empty(&req.constraints.region()) {
+            service.negative_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(empty_outcome(req));
         }
 
-        self.shared.computes.fetch_add(1, Ordering::Relaxed);
-        self.state.execute(self.table, &mut &self.shared.cache, req)
+        service.computes.fetch_add(1, Ordering::Relaxed);
+        Ok(self.pipeline(req))
+    }
+
+    /// The CBCS query pipeline (paper Section 6): R\*-tree cache lookup →
+    /// search strategy → case classification → specialized solution or
+    /// (a)MPR → fetch the missing regions → merge with retained cached
+    /// points → skyline → cache the result.
+    ///
+    /// The published snapshot is pinned for the search and the plan only:
+    /// the plan owns its points, so the snapshot is dropped before the
+    /// fetch. Fetch, merge and skyline are timed by
+    /// `query_naive` / `query_planned`.
+    fn pipeline(&mut self, req: &QueryRequest) -> QueryOutcome {
+        let (service, c) = (self.service, &req.constraints);
+        let table = &*service.table;
+        let mut stats = QueryStats::default();
+        let selection = self.process(&service.cache.snapshot(), c, &mut stats);
+
+        let scratch = &mut self.scratch;
+        let mut text = None;
+        let skyline = match selection {
+            None => {
+                stats.cache_miss = true;
+                query_naive(table, c, scratch, &mut stats)
+            }
+            Some((plan, item_text)) => {
+                stats.cache_hit = true;
+                stats.composed_items = plan.parts_used;
+                if plan.parts_used >= 2 {
+                    stats.cover_fraction = plan.cover_fraction;
+                }
+                // Every candidate overlaps the query, so the items whose
+                // trusted space the plan rests on lead the list.
+                for &id in scratch.part_ids.iter().take(plan.parts_used) {
+                    service.cache.touch(id);
+                }
+                text = item_text;
+                query_planned(table, plan, scratch, &mut stats)
+            }
+        };
+        if req.record {
+            // The rows of this query's one fetch are still in the scratch.
+            stats.pages_touched = table.pages_touched_ids(scratch.fetch.rows().ids());
+        }
+
+        // An exact hit's result is already cached under these very
+        // constraints; re-inserting would duplicate the item and evict an
+        // innocent victim on every repeat.
+        if stats.case != Some(Overlap::Exact) {
+            // The key is cloned before the master guard is taken.
+            let key = c.clone();
+            let cost = ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
+            stats.evictions = service.cache.publish(|cache| {
+                let evictions_before = cache.evictions();
+                cache.insert_with_cost(key, &skyline, cost);
+                cache.evictions() - evictions_before
+            });
+            stats.insertions = 1;
+        }
+
+        QueryOutcome::finish(req, skyline, text, stats)
+    }
+
+    /// The processing stage, against one pinned cache state: lookup,
+    /// strategy, classification, MPR; `None` is a miss. The lookup fills
+    /// the reused id scratch (cover-ordered); candidate items are resolved
+    /// lazily through the cache, so no per-query `Vec<&CacheItem>` is
+    /// built, and the plan owns its points, so nothing borrowed from the
+    /// cache survives into the fetch. Phases timed here: cache-lookup
+    /// (R\*-tree search + bounding-box short-circuit), case-analysis
+    /// (strategy selection), mpr-compute (plan construction).
+    fn process(
+        &mut self,
+        items: &Cache,
+        c: &Constraints,
+        stats: &mut QueryStats,
+    ) -> Option<(QueryPlan, Option<Arc<str>>)> {
+        let Session { service, rng, scratch } = self;
+        let (config, data_bounds) = (&service.config.cbcs, &service.data_bounds);
+
+        let t0 = Stopwatch::start();
+        let lookup = items.lookup_into(c, &mut scratch.lookup_ids);
+        let ids: &[u64] = &scratch.lookup_ids;
+        stats.time(Phase::CacheLookup, t0);
+        stats.candidates = ids.len();
+        stats.overlap_scans = lookup.scans;
+
+        // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
+        let item = |id: u64| items.get(id).expect("lookup ids are live");
+
+        let t1 = Stopwatch::start();
+        let picked =
+            config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, data_bounds, rng);
+        stats.time(Phase::CaseAnalysis, t1);
+        let primary = item(ids[picked?]);
+
+        // The cached items handed to the planner, primary first. The
+        // multi-item mechanisms add to the list only when the primary
+        // has no free-solution fast path: compositional answering
+        // (DESIGN.md §17.3) the next cover-ordered candidates, which
+        // may subtract their trusted space like the primary; the
+        // Section 6.3 harvest the next-best remaining items by
+        // constraint overlap, which only lend pruning points.
+        let parts = &mut scratch.part_ids;
+        parts.clear();
+        parts.push(primary.id);
+        let mut trusted = 1;
+        if (config.compose_items > 1 || config.extra_items > 0)
+            && ids.len() >= 2
+            && !matches!(classify(&primary.constraints, c), Overlap::Exact | Overlap::CaseB { .. })
+        {
+            let others = ids.iter().copied().filter(|&id| id != primary.id);
+            parts.extend(others.take(config.compose_items.saturating_sub(1)));
+            trusted = parts.len();
+            if config.extra_items > 0 {
+                let mut others: Vec<u64> =
+                    ids.iter().copied().filter(|id| !parts.contains(id)).collect();
+                // total_cmp: overlap volumes of partially unbounded
+                // regions may be inf or NaN (0·inf).
+                others.sort_by(|&a, &b| {
+                    let va = c.overlap_volume(&item(a).constraints);
+                    let vb = c.overlap_volume(&item(b).constraints);
+                    vb.total_cmp(&va)
+                });
+                parts.extend(others.into_iter().take(config.extra_items));
+            }
+        }
+        let t2 = Stopwatch::start();
+        let blocks = parts.iter().map(|&id| item(id)).map(|it| (&it.constraints, &*it.skyline));
+        let plan = plan_parts(blocks, trusted, c, config.mpr, data_bounds);
+        stats.time(Phase::MprCompute, t2);
+        // An exact hit returns the item's skyline as it is, so the
+        // item's text of it — rendered here if this is its first
+        // exact hit — is the answer's text.
+        let text = (plan.overlap == Overlap::Exact).then(|| primary.skyline_text());
+        Some((plan, text))
     }
 }
 
@@ -211,7 +386,6 @@ fn empty_outcome(req: &QueryRequest) -> QueryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skycache_geom::{Constraints, Point};
     use skycache_storage::TableConfig;
 
     fn table() -> Table {

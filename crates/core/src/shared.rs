@@ -11,9 +11,9 @@
 //! The cache state is held twice:
 //!
 //! * a **master** copy behind a `RwLock` — the authoritative write side
-//!   every mutation (`touch`, `insert`) goes through;
+//!   every mutation (`touch`, `publish`) goes through;
 //! * a **published snapshot** — an `Arc<Cache>` behind an `RwLock`,
-//!   replaced wholesale by `insert` (clone-and-publish), never mutated
+//!   replaced wholesale by `publish` (clone-and-publish), never mutated
 //!   in place.
 //!
 //! Clone-and-publish is cheap because [`Cache`] shares structure: items
@@ -48,8 +48,10 @@
 //! that share it; its points stay shared. Snapshots therefore carry
 //! slightly stale recency metadata — never stale results. An exact hit's
 //! whole write phase is that one `touch`: a single master write lock and
-//! no publication. Every other answer is inserted — the cache refuses
-//! none — and publishes once.
+//! no publication. Every other computed answer is inserted — the cache
+//! refuses none — and publishes once, as does each write of
+//! [`crate::Service::insert`] and [`crate::Service::delete`]: `publish` is
+//! the one write path that changes what queries see.
 //!
 //! Lock order is `master → snap`, only ever in that direction (the
 //! publication happens nested under the master guard so two racing
@@ -63,17 +65,15 @@
 //! is a no-op).
 //!
 //! The query flow itself is not written here: a session runs the one
-//! CBCS pipeline of [`crate::engine`], and this module supplies its cache
-//! access — snapshot reads, master writes.
+//! CBCS pipeline of [`crate::service`] against these methods — snapshot
+//! reads, master writes.
 
 // Shim sync primitives: identical to `std`/`parking_lot` in production,
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
 use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
 
-use skycache_geom::{Constraints, Point};
-
-use crate::cache::{Cache, ItemCost};
-use crate::engine::{CacheAccess, CbcsConfig};
+use crate::cache::Cache;
+use crate::engine::CbcsConfig;
 
 /// Write side plus published snapshot; see the module docs for the
 /// protocol. Private so no caller can reach a raw lock or its guard —
@@ -101,7 +101,7 @@ pub struct SharedCache {
 impl SharedCache {
     /// Creates a shared cache with the capacity/policy of `config`.
     pub fn new(dims: usize, config: &CbcsConfig) -> Self {
-        let master = config.new_cache(dims);
+        let master = Cache::with_capacity(dims, config.capacity, config.policy);
         let snap = Arc::new(master.clone());
         SharedCache {
             inner: Arc::new(SharedCacheInner {
@@ -151,17 +151,23 @@ impl SharedCache {
         f(&self.inner.master.read()) // lock-order: read
     }
 
-    /// Inserts a result into the master, publishes a fresh snapshot and
-    /// bumps the epoch. Returns how many items the insert evicted.
-    pub(crate) fn insert_and_publish(
-        &self,
-        constraints: Constraints,
-        skyline: &[Point],
-        cost: ItemCost,
-    ) -> u64 {
+    /// Records a hit on item `id` (replacement bookkeeping; a no-op if
+    /// the item is gone) on the master only — no republication, see the
+    /// module docs.
+    pub(crate) fn touch(&self, id: u64) {
+        // skylint: allow(lock-order) — the callee is `Cache::touch` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
+        self.inner.master.write().touch(id); // lock-order: write
+    }
+
+    /// Runs `write` on the master, publishes a fresh snapshot and bumps
+    /// the epoch; returns what `write` returned, by value, so the caller
+    /// adds it to its statistics after the guard is gone. `write` runs
+    /// under the master guard and must stay cheap: an insert or an
+    /// index-probed maintenance pass, never planning or a fetch.
+    pub(crate) fn publish<R>(&self, write: impl FnOnce(&mut Cache) -> R) -> R {
         let mut master = self.inner.master.write(); // lock-order: write
-        let evicted = CacheAccess::insert(&mut *master, constraints, skyline, cost);
-        // Publish nested under the master guard: racing inserts publish
+        let written = write(&mut master);
+        // Publish nested under the master guard: racing writes publish
         // in master order, so a newer snapshot is never overwritten by
         // an older one. The clone shares items and tree nodes with the
         // master (see the module docs), so holding the lock across it is
@@ -169,28 +175,7 @@ impl SharedCache {
         let published = Arc::new(master.clone());
         *self.inner.snap.write() = published; // lock-order: write
         self.inner.epoch.fetch_add(1, Ordering::Release);
-        evicted
-    }
-}
-
-/// Shared access, through a shared reference: reads search the published
-/// snapshot — pinned for the search-and-plan phase only, with no lock
-/// held — and every write locks the master (`insert` republishes;
-/// `touch` does not).
-impl CacheAccess for &SharedCache {
-    fn read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
-        f(&self.snapshot())
-    }
-
-    /// LRU bookkeeping on the master only — no republication, see the
-    /// module docs.
-    fn touch(&mut self, id: u64) {
-        // skylint: allow(lock-order) — the callee is `Cache::touch` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
-        self.inner.master.write().touch(id); // lock-order: write
-    }
-
-    fn insert(&mut self, constraints: Constraints, skyline: &[Point], cost: ItemCost) -> u64 {
-        self.insert_and_publish(constraints, skyline, cost)
+        written
     }
 }
 
@@ -199,6 +184,7 @@ mod tests {
     use super::*;
     use crate::engine::{Executor, QueryOutcome, QueryRequest};
     use crate::service::{Service, ServiceConfig};
+    use skycache_geom::{Constraints, Point};
     use skycache_storage::{Table, TableConfig};
 
     fn run(ex: &mut impl Executor, c: &Constraints) -> QueryOutcome {
@@ -266,9 +252,9 @@ mod tests {
         let shared = service.cache();
         let boxed = |lo: f64| Constraints::from_pairs(&[(lo, lo + 1.0), (lo, lo + 1.0)]).unwrap();
         let point = |v: f64| [Point::from(vec![v, v])];
-        shared.insert_and_publish(boxed(0.0), &point(0.5), ItemCost::default());
+        shared.publish(|cache| cache.insert(boxed(0.0), &point(0.5)));
         let first = shared.snapshot();
-        shared.insert_and_publish(boxed(2.0), &point(2.5), ItemCost::default());
+        shared.publish(|cache| cache.insert(boxed(2.0), &point(2.5)));
         let second = shared.snapshot();
         assert_eq!((first.len(), second.len()), (1, 2));
 
@@ -278,7 +264,7 @@ mod tests {
 
         // A hit's bookkeeping lands on the master's own copy of the item:
         // no published snapshot sees it, and no points were copied for it.
-        CacheAccess::touch(&mut &*shared, id);
+        shared.touch(id);
         for snap in [&first, &second] {
             let item = snap.get(id).unwrap();
             assert_eq!((item.use_count, item.last_used), (0, item.inserted_at));

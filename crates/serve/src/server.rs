@@ -3,11 +3,11 @@
 //!
 //! Threading model: [`serve`] binds the listener on the caller's thread
 //! (so an ephemeral `:0` port is immediately known), then spawns one
-//! accept thread that owns the table and the service. Each accepted
-//! connection gets a scoped thread with its own session — sessions own
-//! their executor scratch, so connections contend only on the service
-//! state the paper's cache design already shares (the epoch-published
-//! snapshot and the master behind it). At most
+//! accept thread that owns the service, which owns the table. Each
+//! accepted connection gets a scoped thread with its own session —
+//! sessions own their executor scratch, so connections contend only on
+//! the service state the paper's cache design already shares (the
+//! epoch-published snapshot and the master behind it). At most
 //! [`MAX_CONNECTIONS`] are served at once: past that the accept thread
 //! answers `ERR busy` itself and closes, so a connection flood costs
 //! neither threads nor sessions.
@@ -134,7 +134,7 @@ pub fn serve(
     let live = Arc::new(AtomicUsize::new(0));
     let (thread_stop, thread_live) = (stop.clone(), live.clone());
     let join = thread::Builder::new().name("skyserve-accept".to_owned()).spawn(move || {
-        let service = Service::open(&table, config);
+        let service = Service::open(table, config);
         accept_loop(&listener, &service, &thread_stop, &thread_live)
     })?;
     Ok(ServerHandle { addr, stop, live, join: Some(join) })

@@ -8,8 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use skycache_core::{
-    Cache, CbcsConfig, DynamicCbcsExecutor, Executor, Overlap, QueryOutcome, QueryRequest,
-    QueryStats,
+    Cache, Overlap, QueryOutcome, QueryRequest, QueryStats, Service, ServiceConfig,
 };
 use skycache_geom::{Constraints, Point};
 use skycache_serve::proto::query_reply;
@@ -31,35 +30,36 @@ fn an_insert_that_enters_a_cached_skyline_replaces_its_text() {
     let p = |x: f64, y: f64| Point::from(vec![x, y]);
     let table =
         Table::build(vec![p(1.0, 3.0), p(3.0, 1.0), p(3.0, 3.0)], TableConfig::default()).unwrap();
-    let mut ex = DynamicCbcsExecutor::new(table, CbcsConfig::default());
+    let mut service = Service::open(table, ServiceConfig::default());
     let req = QueryRequest::new(Constraints::from_pairs(&[(0.0, 4.0), (0.0, 4.0)]).unwrap());
 
-    let miss = ex.execute(&req).unwrap();
+    let miss = service.session().execute(&req).unwrap();
     assert!(miss.text.is_none(), "a miss renders its own reply");
     assert_eq!(query_reply(&miss), "OK 2 miss 1,3 3,1");
     // The repeat is an exact hit: it renders the item's text and brings it.
-    let hit = ex.execute(&req).unwrap();
+    let hit = service.session().execute(&req).unwrap();
     assert_eq!(hit.text.as_deref(), Some(" 1,3 3,1"));
     assert_eq!(query_reply(&hit), "OK 2 hit 1,3 3,1");
-    let before = ex.cache().clone();
+    let before = service.cache().snapshot();
     let id = before.iter().next().expect("the miss cached its result").id;
 
     // A point the cached skyline dominates changes nothing: the next
     // repeat brings the very same text, not a second rendering of it.
-    ex.insert(p(3.5, 3.5)).unwrap();
-    let unchanged = ex.execute(&req).unwrap();
+    service.insert(p(3.5, 3.5)).unwrap();
+    let unchanged = service.session().execute(&req).unwrap();
     assert!(Arc::ptr_eq(unchanged.text.as_ref().unwrap(), hit.text.as_ref().unwrap()));
 
     // (2, 2) enters the skyline, so the text of the old one must go.
-    ex.insert(p(2.0, 2.0)).unwrap();
-    let after = ex.execute(&req).unwrap();
+    service.insert(p(2.0, 2.0)).unwrap();
+    let after = service.session().execute(&req).unwrap();
     assert_eq!(after.stats.case, Some(Overlap::Exact));
     assert_eq!(query_reply(&after), "OK 3 hit 1,3 2,2 3,1");
 
-    // The clone taken before the insert still holds the old skyline, and
-    // the old text with it.
+    // The snapshot taken before the insert still holds the old skyline,
+    // and the old text with it.
     assert_eq!(query_reply(&exact_hit(&before, id)), "OK 2 hit 1,3 3,1");
-    assert_eq!(query_reply(&exact_hit(ex.cache(), id)), "OK 3 hit 1,3 2,2 3,1");
+    let now = service.cache().snapshot();
+    assert_eq!(query_reply(&exact_hit(&now, id)), "OK 3 hit 1,3 2,2 3,1");
 }
 
 /// Coordinates whose text form is easy to get wrong: both zeros,

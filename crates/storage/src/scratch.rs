@@ -88,10 +88,9 @@ impl FetchBuf {
 /// How a region left the planning phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) enum RegionState {
-    /// Geometrically empty; rejected before any index work.
+    /// Matches nothing: geometrically empty (rejected before any index
+    /// work), or an index probe proved it.
     #[default]
-    Degenerate,
-    /// An index probe proved the region matches nothing.
     Empty,
     /// No dimension is bounded: answered by a full heap scan.
     FullScan,

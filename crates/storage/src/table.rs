@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::time::Duration;
 
 use skycache_geom::{Constraints, HyperRect, Point};
@@ -220,6 +221,16 @@ impl Table {
     /// "non-empty" — a region can pass every single-dimension probe and
     /// still match no row.
     pub fn probe_region_empty(&self, region: &HyperRect) -> bool {
+        self.probe(region, |_, _, _| {})
+    }
+
+    /// The one probe loop, shared by [`Table::probe_region_empty`] and
+    /// fetch planning: locates every bounded dimension of `region` in its
+    /// index, in dimension order, hands `probed` each `(dim, lo, hi)`
+    /// position range, and stops at the first empty one. Returns whether
+    /// the indexes prove the region empty; a degenerate region is, before
+    /// any probe.
+    fn probe(&self, region: &HyperRect, mut probed: impl FnMut(usize, usize, usize)) -> bool {
         assert_eq!(region.dims(), self.dims, "query/table dimensionality mismatch");
         if region.is_empty() {
             return true;
@@ -229,6 +240,7 @@ impl Table {
                 continue; // no predicate on this dimension
             }
             let (lo, hi) = self.indexes[dim].locate(iv);
+            probed(dim, lo, hi);
             if lo == hi {
                 return true;
             }
@@ -388,66 +400,30 @@ impl Table {
     /// (most selective) dimension. Mirrors a DBMS with one B-tree per
     /// dimension; no heap access happens here.
     fn plan_region(&self, region: &HyperRect, scratch: &mut FetchScratch) {
-        assert_eq!(region.dims(), self.dims, "query/table dimensionality mismatch");
         let mut stats = FetchStats { range_queries_issued: 1, ..Default::default() };
         let mark = scratch.probe_mark();
-
-        if region.is_empty() {
-            // Degenerate regions are rejected during planning, before any
-            // index work.
-            stats.range_queries_empty = 1;
-            scratch.note_region(
-                RegionProbe { probed_start: mark, probed_end: mark, ..Default::default() },
-                stats,
-            );
-            return;
-        }
-
-        let mut empty = false;
-        for (dim, iv) in region.intervals().iter().enumerate() {
-            let unbounded = iv.lo() == f64::NEG_INFINITY && iv.hi() == f64::INFINITY;
-            if unbounded {
-                continue; // no predicate on this dimension
-            }
+        // The probe that proves a region empty is counted, not logged.
+        let empty = self.probe(region, |dim, lo, hi| {
             stats.index_probes += 1;
-            let (lo, hi) = self.indexes[dim].locate(iv);
-            if lo == hi {
-                empty = true;
-                break;
+            if lo < hi {
+                scratch.note_probe(dim as u32, lo as u32, hi as u32);
             }
-            scratch.note_probe(dim as u32, lo as u32, hi as u32);
-        }
+        });
+        stats.range_queries_empty = u64::from(empty);
 
-        if empty {
-            stats.range_queries_empty = 1;
-            scratch.note_region(
-                RegionProbe {
-                    probed_start: mark,
-                    probed_end: scratch.probe_mark(),
-                    state: RegionState::Empty,
-                    ..Default::default()
-                },
-                stats,
-            );
-            return;
-        }
-
+        let end = scratch.probe_mark();
+        let base = RegionProbe { probed_start: mark, probed_end: end, ..Default::default() };
         let probe = match scratch.probes_since(mark).iter().min_by_key(|p| p.count()) {
+            _ if empty => base,
             // Fully unbounded region: answered by a sequential heap scan.
-            None => RegionProbe {
-                probed_start: mark,
-                probed_end: mark,
-                state: RegionState::FullScan,
-                ..Default::default()
-            },
+            None => RegionProbe { state: RegionState::FullScan, ..base },
             Some(best) => RegionProbe {
-                probed_start: mark,
-                probed_end: scratch.probe_mark(),
                 state: RegionState::Ready,
                 chosen_dim: best.dim,
                 pos_lo: best.pos_lo,
                 pos_hi: best.pos_hi,
                 bucket_box: self.sketch.region_box(region),
+                ..base
             },
         };
         scratch.note_region(probe, stats);
@@ -506,7 +482,7 @@ impl Table {
             }
         };
         match unit.state {
-            RegionState::Degenerate | RegionState::Empty => stats,
+            RegionState::Empty => stats,
             RegionState::FullScan => {
                 // Sequential scan of the heap (dead slots are still paged
                 // in, hence still charged).
@@ -669,6 +645,20 @@ impl Table {
             touched[page / 64] |= 1 << (page % 64);
         }
         touched.iter().map(|word| u64::from(word.count_ones())).sum()
+    }
+}
+
+/// A borrowed table, for holders that copy it on their first write.
+impl<'t> From<&'t Table> for Cow<'t, Table> {
+    fn from(table: &'t Table) -> Self {
+        Cow::Borrowed(table)
+    }
+}
+
+/// An owned table, for holders that write it in place.
+impl From<Table> for Cow<'_, Table> {
+    fn from(table: Table) -> Self {
+        Cow::Owned(table)
     }
 }
 

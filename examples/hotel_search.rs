@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use skycache::core::{CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest, SearchStrategy};
+use skycache::core::{CbcsConfig, MprMode, QueryRequest, SearchStrategy, Service, ServiceConfig};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{Table, TableConfig};
 
@@ -42,16 +42,15 @@ fn show(skyline: &[Point]) -> String {
 
 fn main() {
     let table = Table::build(hotels(50_000, 7), TableConfig::default()).expect("valid data");
-    let mut engine = CbcsExecutor::new(
-        &table,
-        // Prioritized1D favours the simple single-bound cases, so the
-        // session below exercises exactly the four cases of Section 4.
-        CbcsConfig {
-            mpr: MprMode::Exact,
-            strategy: SearchStrategy::Prioritized1D,
-            ..Default::default()
-        },
-    );
+    // Prioritized1D favours the simple single-bound cases, so the
+    // session below exercises exactly the four cases of Section 4.
+    let config = CbcsConfig {
+        mpr: MprMode::Exact,
+        strategy: SearchStrategy::Prioritized1D,
+        ..Default::default()
+    };
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+    let mut engine = service.session();
 
     // A conference attendee's refinement session. Dimensions:
     // 0 = distance (km), 1 = price (EUR). Both minimized.

@@ -1,7 +1,8 @@
 //! Dynamic data and multi-user caching — the paper's Section 6.2
 //! deployment scenarios, implemented by this library as extensions.
 //!
-//! Part 1: a [`DynamicCbcsExecutor`] owns its table; inserting and
+//! Part 1: a [`Service`] owns its table and takes inserts and deletes on
+//! `&mut self` (no session is alive during a write); inserting and
 //! deleting listings maintains cached skylines incrementally ("each cache
 //! item as a separate dataset with a continuous skyline query").
 //!
@@ -10,9 +11,7 @@
 //!
 //! Run with: `cargo run --release --example live_updates`
 
-use skycache::core::{
-    CbcsConfig, DynamicCbcsExecutor, Executor, QueryRequest, Service, ServiceConfig,
-};
+use skycache::core::{QueryRequest, Service, ServiceConfig};
 use skycache::datagen::{Distribution, SyntheticGen};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{Table, TableConfig};
@@ -22,17 +21,17 @@ fn main() {
     println!("== dynamic data (Section 6.2) ==");
     let points = SyntheticGen::new(Distribution::Independent, 2, 11).generate(50_000);
     let table = Table::build(points, TableConfig::default()).expect("valid data");
-    let mut engine = DynamicCbcsExecutor::new(table, CbcsConfig::default());
+    let mut service = Service::open(table, ServiceConfig::default());
 
     let c = Constraints::from_pairs(&[(0.2, 0.7), (0.2, 0.7)]).expect("valid");
-    let r1 = engine.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+    let r1 = service.session().execute(&QueryRequest::new(c.clone())).expect("query succeeds");
     println!("initial skyline: {} points (cache miss)", r1.skyline.len());
 
     // A hot new listing lands at the cached region's best corner — it
     // dominates everything there and must take over the cached skyline.
     let hot = Point::from(vec![0.2, 0.2]);
-    engine.insert(hot.clone()).expect("insert succeeds");
-    let r2 = engine.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+    service.insert(hot.clone()).expect("insert succeeds");
+    let r2 = service.session().execute(&QueryRequest::new(c.clone())).expect("query succeeds");
     println!(
         "after insert:    {} points (cache hit: {}, includes new listing: {})",
         r2.skyline.len(),
@@ -42,14 +41,14 @@ fn main() {
 
     // The listing is sold (deleted): its cached items are invalidated and
     // the next query recomputes, then re-caches.
-    let row = engine
+    let row = service
         .table()
         .live_points()
         .find(|(_, p)| **p == hot)
         .map(|(row, _)| row)
         .expect("just inserted");
-    engine.delete(row).expect("delete succeeds");
-    let r3 = engine.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+    service.delete(row).expect("delete succeeds");
+    let r3 = service.session().execute(&QueryRequest::new(c.clone())).expect("query succeeds");
     println!(
         "after delete:    {} points (gone again: {})\n",
         r3.skyline.len(),

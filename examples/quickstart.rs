@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use skycache::core::{BaselineExecutor, CbcsConfig, CbcsExecutor, Executor, QueryRequest};
+use skycache::core::{BaselineExecutor, Executor, QueryRequest, Service, ServiceConfig};
 use skycache::datagen::{Distribution, SyntheticGen};
 use skycache::geom::Constraints;
 use skycache::storage::{Table, TableConfig};
@@ -15,7 +15,9 @@ fn main() {
     let points = SyntheticGen::new(Distribution::Independent, 3, 42).generate(100_000);
     let table = Table::build(points, TableConfig::default()).expect("valid dataset");
 
-    let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+    // One session of a CBCS service: the cache-backed executor.
+    let service = Service::open(&table, ServiceConfig::default());
+    let mut cbcs = service.session();
     let mut baseline = BaselineExecutor::new(&table);
 
     // An exploratory session: a user refines one bound at a time.
@@ -47,6 +49,6 @@ fn main() {
         );
     }
 
-    println!("\ncache now holds {} items", cbcs.cache().len());
+    println!("\ncache now holds {} items", service.cache().len());
     println!("(points read drop sharply once the cache warms up — that is the paper's effect)");
 }

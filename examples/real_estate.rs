@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example real_estate`
 
 use skycache::core::{
-    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest,
-    SearchStrategy,
+    BaselineExecutor, BbsExecutor, CbcsConfig, Executor, MprMode, QueryRequest, SearchStrategy,
+    Service, ServiceConfig,
 };
 use skycache::datagen::{DimStats, IndependentWorkload, RealEstateGen};
 use skycache::storage::{Table, TableConfig};
@@ -26,7 +26,8 @@ fn main() {
         strategy: SearchStrategy::prioritized_nd_std(),
         ..Default::default()
     };
-    let mut cbcs = CbcsExecutor::new(&table, config);
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+    let mut cbcs = service.session();
     println!("preloading cache with {} queries...", preload.len());
     for q in preload.queries() {
         cbcs.execute(&QueryRequest::new(q.constraints.clone())).expect("preload query succeeds");

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example strategy_tuning`
 
-use skycache::core::{CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest, SearchStrategy};
+use skycache::core::{CbcsConfig, MprMode, QueryRequest, SearchStrategy, Service, ServiceConfig};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::storage::{Table, TableConfig};
 
@@ -32,7 +32,8 @@ fn main() {
         let label = strategy.label();
         let config =
             CbcsConfig { mpr: MprMode::Approximate { k: 1 }, strategy, ..Default::default() };
-        let mut engine = CbcsExecutor::new(&table, config);
+        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let mut engine = service.session();
         let (mut time, mut pts, mut rq, mut unstable, mut hits) = (0.0, 0u64, 0u64, 0u64, 0u64);
         for q in workload.queries() {
             let r =

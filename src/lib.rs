@@ -16,14 +16,14 @@
 //!   versioned per-query [`obs::QueryReport`];
 //! * [`core`] — the paper's contribution: stability theory, the four
 //!   incremental cases, the (approximate) Missing Points Region, the cache
-//!   with its search strategies, and the CBCS engine — plus the
-//!   future-work extensions (dynamic data, multi-item pruning, a
-//!   thread-safe shared cache for multi-user deployments).
+//!   with its search strategies, and the CBCS service — plus the
+//!   future-work extensions (dynamic data, multi-item pruning, one
+//!   thread-safe cache shared by every session of a service).
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use skycache::core::{CbcsConfig, CbcsExecutor, Executor, QueryRequest};
+//! use skycache::core::{QueryRequest, Service, ServiceConfig};
 //! use skycache::datagen::{Distribution, SyntheticGen};
 //! use skycache::geom::Constraints;
 //! use skycache::storage::Table;
@@ -32,7 +32,9 @@
 //! let points = SyntheticGen::new(Distribution::Independent, 3, 42).generate(10_000);
 //! let table = Table::build(points, Default::default()).unwrap();
 //!
-//! let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+//! // One session of a service is the CBCS executor.
+//! let service = Service::open(&table, ServiceConfig::default());
+//! let mut cbcs = service.session();
 //!
 //! // First query: cache miss, computed from scratch and cached.
 //! let c1 = Constraints::from_pairs(&[(0.1, 0.6), (0.1, 0.6), (0.1, 0.6)]).unwrap();

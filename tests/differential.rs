@@ -11,8 +11,8 @@
 mod common;
 
 use skycache::core::{
-    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest,
-    QueryStats, ReplacementPolicy, SearchStrategy, Service, ServiceConfig,
+    BaselineExecutor, BbsExecutor, CbcsConfig, Executor, MprMode, QueryRequest, ReplacementPolicy,
+    SearchStrategy, Service, ServiceConfig,
 };
 use skycache::datagen::{
     DimStats, Distribution, IndependentWorkload, InteractiveWorkload, SyntheticGen,
@@ -35,12 +35,16 @@ fn table_for(dist: Distribution, dims: usize, n: usize, seed: u64) -> Table {
     Table::build(points, config).unwrap()
 }
 
+/// Runs `queries` through one session of a fresh service with `config`,
+/// checking each skyline against Baseline's.
 fn assert_matches_baseline(
     table: &Table,
     queries: &[Constraints],
-    mut cbcs: CbcsExecutor<'_>,
+    config: CbcsConfig,
     label: &str,
 ) {
+    let service = Service::open(table, ServiceConfig::with_cbcs(config));
+    let mut cbcs = service.session();
     let mut baseline = BaselineExecutor::new(table);
     for (i, c) in queries.iter().enumerate() {
         let want = sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
@@ -83,12 +87,7 @@ fn cbcs_exact_mpr_matches_baseline_interactive_all_distributions() {
         let table = table_for(dist, 3, 4_000, 11);
         let queries = interactive_queries(&table, 60, 21);
         let config = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
-        assert_matches_baseline(
-            &table,
-            &queries,
-            CbcsExecutor::new(&table, config),
-            &format!("exact-MPR/{dist:?}"),
-        );
+        assert_matches_baseline(&table, &queries, config, &format!("exact-MPR/{dist:?}"));
     }
 }
 
@@ -98,12 +97,7 @@ fn cbcs_ampr_matches_baseline_for_all_k() {
     let queries = interactive_queries(&table, 50, 23);
     for k in [0, 1, 3, 6, 10] {
         let config = CbcsConfig { mpr: MprMode::Approximate { k }, ..Default::default() };
-        assert_matches_baseline(
-            &table,
-            &queries,
-            CbcsExecutor::new(&table, config),
-            &format!("aMPR({k})"),
-        );
+        assert_matches_baseline(&table, &queries, config, &format!("aMPR({k})"));
     }
 }
 
@@ -123,7 +117,7 @@ fn cbcs_matches_baseline_under_every_strategy() {
         let label = strategy.label();
         let config =
             CbcsConfig { mpr: MprMode::Approximate { k: 2 }, strategy, ..Default::default() };
-        assert_matches_baseline(&table, &queries, CbcsExecutor::new(&table, config), &label);
+        assert_matches_baseline(&table, &queries, config, &label);
     }
 }
 
@@ -136,7 +130,7 @@ fn cbcs_matches_baseline_on_independent_workload_with_warm_cache() {
         strategy: SearchStrategy::prioritized_nd_std(),
         ..Default::default()
     };
-    assert_matches_baseline(&table, &queries, CbcsExecutor::new(&table, config), "independent");
+    assert_matches_baseline(&table, &queries, config, "independent");
 }
 
 #[test]
@@ -158,7 +152,7 @@ fn cbcs_with_bounded_cache_stays_correct() {
     let queries = interactive_queries(&table, 60, 41);
     for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
         let config = CbcsConfig { capacity: Some(4), policy, ..Default::default() };
-        let cbcs = CbcsExecutor::new(&table, config);
+        let cbcs = config;
         assert_matches_baseline(&table, &queries, cbcs, &format!("{policy:?}-cap4"));
     }
 }
@@ -167,7 +161,8 @@ fn cbcs_with_bounded_cache_stays_correct() {
 fn cbcs_handles_degenerate_and_empty_regions() {
     let table = table_for(Distribution::Independent, 2, 1_000, 31);
     let mut baseline = BaselineExecutor::new(&table);
-    let mut cbcs = CbcsExecutor::new(&table, CbcsConfig::default());
+    let service = Service::open(&table, ServiceConfig::default());
+    let mut cbcs = service.session();
     let queries = [
         // Empty region (outside the data space).
         Constraints::from_pairs(&[(2.0, 3.0), (2.0, 3.0)]).unwrap(),
@@ -192,10 +187,9 @@ fn cbcs_reads_fewer_points_than_baseline_on_refinement_chains() {
     let table = table_for(Distribution::Independent, 3, 20_000, 37);
     let queries = interactive_queries(&table, 100, 43);
     let mut baseline = BaselineExecutor::new(&table);
-    let mut cbcs = CbcsExecutor::new(
-        &table,
-        CbcsConfig { mpr: MprMode::Approximate { k: 1 }, ..Default::default() },
-    );
+    let config = CbcsConfig { mpr: MprMode::Approximate { k: 1 }, ..Default::default() };
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+    let mut cbcs = service.session();
     let mut base_read = 0u64;
     let mut cbcs_read = 0u64;
     for c in &queries {
@@ -208,35 +202,12 @@ fn cbcs_reads_fewer_points_than_baseline_on_refinement_chains() {
     );
 }
 
-/// Every deterministic field of [`QueryStats`] — everything except the
-/// wall-clock stage times (and the BBS-only counters).
-fn deterministic(stats: &QueryStats) -> impl PartialEq + std::fmt::Debug {
-    (
-        (stats.cache_hit, stats.case, stats.candidates),
-        (stats.retained_points, stats.removed_points),
-        (
-            stats.points_read,
-            stats.heap_fetches,
-            stats.range_queries_issued,
-            stats.range_queries_executed,
-            stats.range_queries_empty,
-            stats.regions_coalesced,
-        ),
-        (stats.dominance_tests, stats.result_size, stats.fetch_sim_ns),
-        (stats.composed_items, stats.cover_fraction.to_bits()),
-    )
-}
-
 #[test]
-fn exclusive_and_shared_cache_access_answer_identically() {
-    // One pipeline, two cache-access impls: the exclusive `&mut Cache` of
-    // `CbcsExecutor` and the snapshot + publish `SharedCache` behind a
-    // `Service` session (every query kept below reaches the executor).
-    // A single session sees its own writes in order, so the
-    // two must agree on the skyline — order included — and on every
-    // deterministic counter, for every policy and multi-item mode; and
-    // the skyline is Baseline's, row for row as a multiset, also where
-    // every row is stored twice.
+fn every_policy_and_multi_item_mode_matches_baseline() {
+    // Every replacement policy × capacity × multi-item mode, through a
+    // one-session service: the skyline is Baseline's, row for row as a
+    // multiset, on uniform data and where every row is stored twice —
+    // all 200 queries, the ones the indexes prove empty included.
     // Default cost model: `fetch_sim_ns` feeds cost-aware eviction.
     let points = SyntheticGen::new(Distribution::Independent, 3, 53).generate(2_000);
     let uniform = Table::build(points, TableConfig::default()).unwrap();
@@ -244,24 +215,9 @@ fn exclusive_and_shared_cache_access_answer_identically() {
     queries.extend(independent_queries(&uniform, 40, 61));
     let twins = common::twin_grid_table(3, 300, 1);
 
-    let (mut asked, mut kept) = (0, 0);
-    for (name, table, mut queries) in
+    for (name, table, queries) in
         [("uniform", &uniform, queries), ("twins", &twins, common::grid_boxes(3, 100, 2))]
     {
-        // A session answers a region the indexes prove empty without the
-        // pipeline, so nothing is cached; the exclusive executor caches it
-        // (paper semantics, DESIGN.md §4). The two only diverge there, so
-        // those queries leave the stream: 27 of the 100 on "uniform" (the
-        // interactive chains that drift off the data, and some small
-        // independent boxes), none on "twins" — 173 of 200 are kept.
-        asked += queries.len();
-        queries.retain(|c| !table.probe_region_empty(&c.region()));
-        kept += queries.len();
-        let mut baseline = BaselineExecutor::new(table);
-        let want: Vec<Vec<Point>> = queries
-            .iter()
-            .map(|c| sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline))
-            .collect();
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu, ReplacementPolicy::CostAware]
         {
             for capacity in [None, Some(8)] {
@@ -277,30 +233,10 @@ fn exclusive_and_shared_cache_access_answer_identically() {
                         let label = format!(
                             "{name}/{policy:?}/cap {capacity:?}/compose {compose_items}/extra {extra_items}"
                         );
-                        let mut exclusive = CbcsExecutor::new(table, cbcs.clone());
-                        let service = Service::open(table, ServiceConfig::with_cbcs(cbcs));
-                        let mut shared = service.session();
-                        for (i, c) in queries.iter().enumerate() {
-                            let req = QueryRequest::new(c.clone());
-                            let a = exclusive.execute(&req).unwrap();
-                            let b = shared.execute(&req).unwrap();
-                            assert_eq!(a.skyline, b.skyline, "{label}: query {i} skyline");
-                            assert_eq!(
-                                deterministic(&a.stats),
-                                deterministic(&b.stats),
-                                "{label}: query {i} stats"
-                            );
-                            assert_eq!(
-                                sorted(a.skyline),
-                                want[i],
-                                "{label}: query {i} vs Baseline"
-                            );
-                        }
-                        assert_eq!(exclusive.cache().len(), service.cache().len(), "{label}: len");
+                        assert_matches_baseline(table, &queries, cbcs, &label);
                     }
                 }
             }
         }
     }
-    assert!(kept * 5 >= asked * 4, "the empty-region filter kept only {kept} of {asked}");
 }

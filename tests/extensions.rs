@@ -1,6 +1,6 @@
 //! Integration tests for the paper's future-work extensions implemented by
 //! this library: multi-item cache exploitation (Section 6.3) and dynamic
-//! data (Section 6.2).
+//! data (Section 6.2), both through a one-session [`Service`].
 
 mod common;
 
@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skycache::core::{
-    BaselineExecutor, CbcsConfig, CbcsExecutor, DynamicCbcsExecutor, Executor, MprMode,
-    QueryRequest, SearchStrategy,
+    BaselineExecutor, CbcsConfig, Executor, MprMode, QueryRequest, SearchStrategy, Service,
+    ServiceConfig,
 };
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::geom::{Constraints, Point};
@@ -58,7 +58,8 @@ fn multi_item_stays_correct() {
                 extra_items: extra,
                 ..Default::default()
             };
-            let mut cbcs = CbcsExecutor::new(table, config);
+            let service = Service::open(table, ServiceConfig::with_cbcs(config));
+            let mut cbcs = service.session();
             for (i, c) in queries.iter().enumerate() {
                 let want = sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
                 let got = sorted(cbcs.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
@@ -83,7 +84,8 @@ fn multi_item_never_reads_more_points() {
             extra_items: extra,
             ..Default::default()
         };
-        let mut cbcs = CbcsExecutor::new(&table, config);
+        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let mut cbcs = service.session();
         for c in &queries {
             *total += cbcs.execute(&QueryRequest::new(c.clone())).unwrap().stats.points_read;
         }
@@ -100,7 +102,7 @@ fn dynamic_executor_matches_recomputation_under_churn() {
     let mut rng = StdRng::seed_from_u64(99);
     let table = table_3d(2_000, 13);
     let queries = workload(&table, 60, 17);
-    let mut dynamic = DynamicCbcsExecutor::new(table, CbcsConfig::default());
+    let mut service = Service::open(table, ServiceConfig::default());
 
     let mut live_rows: Vec<u32> = (0..2_000).collect();
     for (i, c) in queries.iter().enumerate() {
@@ -111,18 +113,18 @@ fn dynamic_executor_matches_recomputation_under_churn() {
                 rng.gen_range(0.0..1.0),
                 rng.gen_range(0.0..1.0),
             ]);
-            let row = dynamic.insert(p).unwrap();
+            let row = service.insert(p).unwrap();
             live_rows.push(row);
         }
         for _ in 0..2 {
             let pos = rng.gen_range(0..live_rows.len());
             let row = live_rows.swap_remove(pos);
-            assert!(dynamic.delete(row).is_some());
+            assert!(service.delete(row).is_some());
         }
 
         // The cached answer must equal recomputing from the live data.
-        let got = sorted(dynamic.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
-        let live: Vec<Point> = dynamic.table().live_points().map(|(_, p)| p.clone()).collect();
+        let got = sorted(service.session().execute(&QueryRequest::new(c.clone())).unwrap().skyline);
+        let live: Vec<Point> = service.table().live_points().map(|(_, p)| p.clone()).collect();
         let fresh =
             Table::build(live, TableConfig { cost_model: CostModel::free(), ..Default::default() })
                 .unwrap();
@@ -136,13 +138,13 @@ fn dynamic_executor_matches_recomputation_under_churn() {
 #[test]
 fn insert_into_cached_region_updates_answers() {
     let table = table_3d(1_000, 19);
-    let mut dynamic = DynamicCbcsExecutor::new(table, CbcsConfig::default());
+    let mut service = Service::open(table, ServiceConfig::default());
     let c = Constraints::from_pairs(&[(0.2, 0.8); 3]).unwrap();
-    let before = dynamic.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
+    let before = service.session().execute(&QueryRequest::new(c.clone())).unwrap().skyline;
 
     // A point dominating the whole region becomes the sole skyline point.
-    dynamic.insert(Point::from(vec![0.2, 0.2, 0.2])).unwrap();
-    let after = dynamic.execute(&QueryRequest::new(c.clone())).unwrap();
+    service.insert(Point::from(vec![0.2, 0.2, 0.2])).unwrap();
+    let after = service.session().execute(&QueryRequest::new(c.clone())).unwrap();
     assert_eq!(after.skyline, vec![Point::from(vec![0.2, 0.2, 0.2])]);
     // And it was answered from the (maintained) cache, not recomputed.
     assert!(after.stats.cache_hit);
@@ -152,31 +154,31 @@ fn insert_into_cached_region_updates_answers() {
 #[test]
 fn delete_of_skyline_point_invalidates_only_affected_items() {
     let table = table_3d(1_000, 23);
-    let mut dynamic = DynamicCbcsExecutor::new(table, CbcsConfig::default());
+    let mut service = Service::open(table, ServiceConfig::default());
 
     // Two disjoint cached regions.
     let c1 = Constraints::from_pairs(&[(0.0, 0.45); 3]).unwrap();
     let c2 = Constraints::from_pairs(&[(0.55, 1.0); 3]).unwrap();
-    let r1 = dynamic.execute(&QueryRequest::new(c1.clone())).unwrap().skyline;
-    dynamic.execute(&QueryRequest::new(c2.clone())).unwrap();
-    assert_eq!(dynamic.cache().len(), 2);
+    let r1 = service.session().execute(&QueryRequest::new(c1.clone())).unwrap().skyline;
+    service.session().execute(&QueryRequest::new(c2.clone())).unwrap();
+    assert_eq!(service.cache().len(), 2);
 
     // Delete a skyline point of region 1.
     let victim = r1[0].clone();
-    let row = dynamic
+    let row = service
         .table()
         .live_points()
         .find(|(_, p)| **p == victim)
         .map(|(row, _)| row)
         .expect("skyline point exists in table");
-    dynamic.delete(row).unwrap();
+    service.delete(row).unwrap();
 
     // Region 1's item was dropped; region 2's survived.
-    assert_eq!(dynamic.cache().len(), 1);
+    assert_eq!(service.cache().len(), 1);
 
     // Re-querying region 1 is correct (recomputed, then re-cached).
-    let got = sorted(dynamic.execute(&QueryRequest::new(c1.clone())).unwrap().skyline);
-    let live: Vec<Point> = dynamic.table().live_points().map(|(_, p)| p.clone()).collect();
+    let got = sorted(service.session().execute(&QueryRequest::new(c1.clone())).unwrap().skyline);
+    let live: Vec<Point> = service.table().live_points().map(|(_, p)| p.clone()).collect();
     let fresh =
         Table::build(live, TableConfig { cost_model: CostModel::free(), ..Default::default() })
             .unwrap();
@@ -184,4 +186,25 @@ fn delete_of_skyline_point_invalidates_only_affected_items() {
         BaselineExecutor::new(&fresh).execute(&QueryRequest::new(c1.clone())).unwrap().skyline,
     );
     assert_eq!(got, want);
+}
+
+#[test]
+fn a_borrowed_table_is_copied_on_the_first_write() {
+    let table = table_3d(1_000, 29);
+    let c = Constraints::from_pairs(&[(0.2, 0.8); 3]).unwrap();
+    let corner = Point::from(vec![0.2, 0.2, 0.2]);
+    let mut service = Service::open(&table, ServiceConfig::default());
+    let before = service.session().execute(&QueryRequest::new(c.clone())).unwrap().skyline;
+
+    // The service writes its own copy and answers over it...
+    let row = service.insert(corner.clone()).unwrap();
+    let after = service.session().execute(&QueryRequest::new(c.clone())).unwrap().skyline;
+    assert_eq!(after, vec![corner]);
+    assert_eq!(service.table().len(), 1_001);
+
+    // ...while the caller's table is as it was.
+    assert_eq!(table.len(), 1_000);
+    assert!(!table.is_live(row));
+    let base = BaselineExecutor::new(&table).execute(&QueryRequest::new(c)).unwrap().skyline;
+    assert_eq!(sorted(base), sorted(before));
 }

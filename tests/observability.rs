@@ -14,8 +14,8 @@
 //!    schema change and must bump the version tag.
 
 use skycache::core::{
-    BaselineExecutor, BbsExecutor, CbcsConfig, CbcsExecutor, Executor, Overlap, QueryOutcome,
-    QueryRequest, QueryStats, ReplacementPolicy, SearchStrategy, Service, ServiceConfig,
+    BaselineExecutor, BbsExecutor, CbcsConfig, Executor, Overlap, QueryOutcome, QueryRequest,
+    QueryStats, ReplacementPolicy, SearchStrategy, Service, ServiceConfig,
 };
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::geom::{Constraints, Point};
@@ -62,8 +62,9 @@ fn recording_is_invisible_across_modes_and_strategies() {
     ] {
         let config =
             CbcsConfig { strategy: strategy.clone(), capacity: Some(4), ..Default::default() };
-        let mut plain = CbcsExecutor::new(&table, config.clone());
-        let mut recorded = CbcsExecutor::new(&table, config);
+        let plain_service = Service::open(&table, ServiceConfig::with_cbcs(config.clone()));
+        let recorded_service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let (mut plain, mut recorded) = (plain_service.session(), recorded_service.session());
         let (mut evictions, mut mpr_regions) = (0, 0);
         for (i, c) in queries.iter().enumerate() {
             let off = plain.execute(&QueryRequest::new(c.clone())).unwrap();
@@ -176,7 +177,8 @@ fn report_renders_every_named_field_on_every_executor() {
     let composing =
         CbcsConfig { compose_items: 4, policy: ReplacementPolicy::CostAware, ..small.clone() };
     for (who, config) in [("cbcs", small), ("cbcs composing", composing)] {
-        let mut cbcs = CbcsExecutor::new(&table, config);
+        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let mut cbcs = service.session();
         for c in queries.iter().chain(&queries) {
             let outcome = cbcs.execute(&QueryRequest::new(c.clone()).recorded()).unwrap();
             check_rendering(who, &outcome, &mut produced);

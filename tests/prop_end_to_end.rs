@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use skycache::algos::{Sfs, SkylineAlgorithm};
 use skycache::core::{
-    missing_points_region, CbcsConfig, CbcsExecutor, Executor, MprMode, QueryRequest,
+    missing_points_region, CbcsConfig, MprMode, QueryRequest, Service, ServiceConfig,
 };
 use skycache::geom::{Constraints, Point, PointBlock};
 use skycache::storage::{CostModel, Table, TableConfig};
@@ -71,7 +71,9 @@ proptest! {
             TableConfig { cost_model: CostModel::free(), ..Default::default() },
         ).unwrap();
         let mode = if exact { MprMode::Exact } else { MprMode::Approximate { k } };
-        let mut cbcs = CbcsExecutor::new(&table, CbcsConfig { mpr: mode, ..Default::default() });
+        let config = CbcsConfig { mpr: mode, ..Default::default() };
+        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let mut cbcs = service.session();
 
         let r_old = cbcs.execute(&QueryRequest::new(c_old.clone())).unwrap();
         prop_assert_eq!(sorted(r_old.skyline), reference(&points, &c_old));

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use skycache::algos::{Sfs, SkylineAlgorithm};
 use skycache::core::{
-    Cache, CbcsConfig, CbcsExecutor, Executor, Overlap, QueryRequest, ReplacementPolicy,
+    Cache, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy, Service, ServiceConfig,
 };
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
@@ -124,7 +124,8 @@ proptest! {
         let compose_items = if compose { 4 } else { 1 };
         let config =
             CbcsConfig { policy, compose_items, extra_items, capacity, ..Default::default() };
-        let mut ex = CbcsExecutor::new(&table, config);
+        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let mut ex = service.session();
         for c in &queries {
             let got = ex.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
             prop_assert_eq!(sorted(got), reference(&points, c));
@@ -144,8 +145,10 @@ proptest! {
         let (points, queries) = scenario;
         let table = build(points.clone());
         let base = CbcsConfig { policy, capacity: Some(4), ..Default::default() };
-        let mut plain = CbcsExecutor::new(&table, base.clone());
-        let mut composed = CbcsExecutor::new(&table, CbcsConfig { compose_items: 4, ..base });
+        let plain_service = Service::open(&table, ServiceConfig::with_cbcs(base.clone()));
+        let composed =
+            Service::open(&table, ServiceConfig::with_cbcs(CbcsConfig { compose_items: 4, ..base }));
+        let (mut plain, mut composed) = (plain_service.session(), composed.session());
         for c in &queries {
             let a = plain.execute(&QueryRequest::new(c.clone())).unwrap();
             let b = composed.execute(&QueryRequest::new(c.clone())).unwrap();
@@ -213,18 +216,20 @@ proptest! {
         prop_assert_eq!(cache.lookup_into(&repeated, &mut ids).scans, 1, "the repeat is exact");
     }
 
-    /// The exact path against the slow path, through the executor: before
+    /// The exact path against the slow path, through a session: before
     /// each query the test finds the exact item itself, by scanning the
-    /// executor's cache for numerically equal constraints, and the
+    /// service's cache for numerically equal constraints, and the
     /// outcome must be what that scan predicts — `Overlap::Exact` and the
     /// item's own skyline with nothing read when there is one, any other
     /// case when there is none (never cached, or evicted since, under
     /// each of the three policies) — and the from-scratch skyline either
-    /// way. Every answer that was not an exact hit is then cached under
-    /// the query's constraints: the cache stores what it computes, and
-    /// the newest item is never the one evicted. The pool is small, so
-    /// queries repeat; a repeat may spell its zero bounds the other way;
-    /// bounds may be unbounded and regions empty.
+    /// way. Every answer that was computed is then cached under the
+    /// query's constraints: the cache stores what it computes, and the
+    /// newest item is never the one evicted. An answer the indexes prove
+    /// empty is not computed, and leaves the cache untouched: nothing
+    /// published, nothing touched. The pool is small, so queries repeat;
+    /// a repeat may spell its zero bounds the other way; bounds may be
+    /// unbounded and regions empty.
     #[test]
     fn an_exact_hit_is_what_a_scan_for_equal_constraints_predicts(
         points in dataset(3),
@@ -235,16 +240,24 @@ proptest! {
     ) {
         let table = build(points.clone());
         let config = CbcsConfig { policy, capacity, ..Default::default() };
-        let mut ex = CbcsExecutor::new(&table, config);
+        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+        let mut ex = service.session();
+        // What a query can change in the cache: publications and touches.
+        let writes = || {
+            let touches = service.cache().with_read(|c| c.iter().map(|it| it.use_count).sum());
+            (service.cache().epoch(), touches)
+        };
         for (pick, respell) in picks {
             let q = &pool[pick % pool.len()];
             let q = if respell { respell_zeros(q) } else { q.clone() };
-            let predicted: Option<Vec<Point>> = ex
+            let predicted: Option<Vec<Point>> = service
                 .cache()
+                .snapshot()
                 .iter()
                 .filter(|it| it.constraints.aabb() == q.aabb())
                 .min_by_key(|it| it.id)
                 .map(|it| it.skyline.to_points());
+            let before: (u64, u64) = writes();
             let out = ex.execute(&QueryRequest::new(q.clone())).unwrap();
             prop_assert_eq!(out.stats.case == Some(Overlap::Exact), predicted.is_some());
             prop_assert_eq!(out.text.is_some(), predicted.is_some());
@@ -252,8 +265,11 @@ proptest! {
                 prop_assert!(out.stats.cache_hit);
                 prop_assert_eq!(out.stats.points_read, 0);
                 prop_assert_eq!(sorted(out.skyline.clone()), sorted(cached));
+            } else if out.stats.negative_hits == 1 {
+                prop_assert_eq!(writes(), before, "a proven-empty answer wrote to the cache");
             } else {
-                let stored = ex.cache().iter().any(|it| it.constraints.aabb() == q.aabb());
+                let snapshot = service.cache().snapshot();
+                let stored = snapshot.iter().any(|it| it.constraints.aabb() == q.aabb());
                 prop_assert!(stored, "a computed answer was not cached");
             }
             prop_assert_eq!(sorted(out.skyline), reference(&points, &q));
