@@ -22,7 +22,7 @@ experiments:
   fig12  real-estate dataset (interactive + independent)
   ablation-replacement   LRU vs LCU under small capacities
   ablation-k             aMPR nearest-neighbor sweep
-  ablation-multi         multi-item answering: Sec 6.3 harvest vs composition
+  ablation-multi         multi-item answering: composition vs a single item
   policy                 replacement policies x compositional hits, incl. Zipf workload (writes BENCH_policy.json)
   serve                  TCP server under concurrent load: qps/p99, coalescing, read scaling (writes BENCH_serve.json)
   all    everything above

@@ -501,10 +501,9 @@ pub fn ablation_k(scale: &Scale) {
     }
 }
 
-/// Ablation: the two multi-item mechanisms side by side at matched item
-/// counts — the Section 6.3 harvest of pruning points from `extra`
-/// additional overlapping items (the paper's future work), then
-/// compositional answering (DESIGN.md §17) over `compose` items in total.
+/// Ablation: multi-item processing (the paper's Section 6.3 future work)
+/// as compositional answering (DESIGN.md §17) over `compose` items in
+/// total; `compose=1` is the paper's single-item answer.
 pub fn ablation_multi(scale: &Scale) {
     println!("\n#### Ablation: multi-item processing (Section 6.3 extension) ####");
     let table = synthetic_table(Distribution::Independent, 4, scale.mid_n.min(200_000), 42);
@@ -522,9 +521,7 @@ pub fn ablation_multi(scale: &Scale) {
                 independent_queries(&table, scale.independent_queries.min(60), 19, None),
             )
         };
-        let harvest = [0usize, 1, 2, 4, 8].map(|n| (format!("extra={n}"), n, 0));
-        let compose = [2usize, 3, 4, 5, 9].map(|n| (format!("compose={n}"), 0, n));
-        for (label, extra_items, compose_items) in harvest.into_iter().chain(compose) {
+        for compose_items in [1usize, 2, 3, 4, 5, 9] {
             let config = CbcsConfig {
                 mpr: MprMode::Approximate { k: 2 },
                 strategy: if interactive {
@@ -532,12 +529,12 @@ pub fn ablation_multi(scale: &Scale) {
                 } else {
                     SearchStrategy::MaxOverlap
                 },
-                extra_items,
                 compose_items,
                 ..Default::default()
             };
             let records = run_cbcs(&table, &queries, &preload, config);
             let s = summarize(records.iter());
+            let label = format!("compose={compose_items}");
             print_row(&label, &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
         }
     }
@@ -549,14 +546,10 @@ pub fn ablation_multi(scale: &Scale) {
 /// plus a Zipf-skewed multi-user workload whose base-query pool exceeds
 /// the cache capacity.
 ///
-/// Two properties this experiment demonstrates (asserted by CI against
-/// `BENCH_policy.json`, schema `skypolicy-bench/2`):
-///
-/// 1. composition on reduces total points read versus composition off on
-///    at least one paper workload at equal capacity and policy;
-/// 2. cost-aware reads fewer points than both LRU and LCU under Zipf
-///    skew at equal capacity, composition off and on — the paper's own
-///    measure (Sec. 7.3).
+/// It writes `BENCH_policy.json` (schema `skypolicy-bench/2`, checked by
+/// CI). With the corner-first fetch stage (DESIGN.md §18) the grid no
+/// longer shows composition or cost-aware eviction reading fewer points
+/// than the single-item LRU / LCU cells; DESIGN.md §17.4 has the cells.
 ///
 /// `hit_rate` in the JSON is the *free-hit* fraction (exact or case-(b)
 /// hits that answer from cache with zero fetch); `overlap_hit_rate`

@@ -5,7 +5,7 @@
 //! every other binary run on the system allocator), so allocation events
 //! here are exact and deterministic: the workloads are seeded, the engine
 //! is single-threaded, and the tests serialize on [`SERIAL`] because the
-//! counter is process-wide. Three properties are pinned:
+//! counter is process-wide. Four properties are pinned:
 //!
 //! 1. allocs/query on the cached steady-state workload stays under a
 //!    fixed ceiling — reintroducing a per-point clone anywhere in the
@@ -21,7 +21,9 @@
 //!    empty is answered by the probe, never by the cache;
 //! 3. points read and range queries issued / executed / coalesced over
 //!    both paper workloads are exact: the planner and the coalescing
-//!    fetch are seeded end to end, so any drift is a behaviour change.
+//!    fetch are seeded end to end, so any drift is a behaviour change;
+//! 4. the storage estimates the fetch stage plans with (`Table::predict`,
+//!    `Table::corner_cut`) allocate nothing.
 //!
 //! The ceilings are deliberately loose (~2× observed) so unrelated
 //! changes don't trip them, while per-point regressions — hundreds of
@@ -40,7 +42,7 @@ use skycache_core::{Cache, Overlap, QueryRequest, Service, ServiceConfig};
 use skycache_datagen::Distribution;
 use skycache_geom::Constraints;
 use skycache_serve::proto;
-use skycache_storage::Table;
+use skycache_storage::{FetchPlan, Table};
 
 /// Counting wrapper around the system allocator: counts heap-allocation
 /// *events* (alloc, realloc, alloc_zeroed — frees are not counted) in a
@@ -151,12 +153,12 @@ fn steady_state_cached_path_allocs_stay_under_ceiling() {
         "cached steady state regressed to {allocs:.1} allocs/query (ceiling {BLOCK_CEILING})"
     );
     // 40 of the 100 queries are provably empty: each is one issued range
-    // query the indexes answer, and reads nothing. `executed` counts the
-    // range queries a unit is *charged* — the cheapest covering set, not
-    // one per walk (DESIGN.md §12): on this workload every one of the 43
-    // regions that share a walk is cheaper fetched by a query of its own
-    // (62 + 43 = 105), so none counts as coalesced.
-    assert_eq!(fetch, [70_776, 232, 105, 0], "interactive fetch counters moved");
+    // query the indexes answer, and reads nothing. The others issue their
+    // plan's regions, plus the corner read where the corner-first step
+    // pays (DESIGN.md §18). `executed` counts the range queries a unit is
+    // *charged* — the cheapest covering set, not one per walk (DESIGN.md
+    // §12): 26 regions share a merged one.
+    assert_eq!(fetch, [19_686, 297, 144, 26], "interactive fetch counters moved");
 }
 
 #[test]
@@ -165,10 +167,9 @@ fn independent_workload_fetch_counters_are_exact() {
     let table = table();
     let queries = independent_queries(&table, QUERIES, 19, None);
     let (_, fetch) = cold_run(&table, &queries);
-    // As above: 26 of the 100 queries are provably empty, and of the 206
-    // regions sharing a walk with a neighbour, 201 are charged a range
-    // query of their own (195 + 201 = 396) and 5 a merged one.
-    assert_eq!(fetch, [276_546, 526, 396, 5], "independent fetch counters moved");
+    // As above: 26 of the 100 queries are provably empty, and 86 regions
+    // share a merged range query.
+    assert_eq!(fetch, [65_513, 1_218, 959, 86], "independent fetch counters moved");
 }
 
 #[test]
@@ -208,6 +209,36 @@ fn an_exact_hit_reply_allocates_at_most_twice() {
         points += outcome.skyline.len();
     }
     assert!(points > queries.len(), "the replies must carry points");
+}
+
+/// The fetch stage's estimates read the indexes only: pricing a plan
+/// (`Table::predict`) and cutting a query region's corner
+/// (`Table::corner_cut`) allocate nothing, over single- and two-region
+/// plans of a whole workload.
+#[test]
+fn predicting_a_plan_allocates_nothing() {
+    let _serial = serial();
+    let table = table();
+    let queries = interactive_queries(&table, QUERIES, 17, None);
+    let plans: Vec<FetchPlan> = queries
+        .iter()
+        .zip(queries.iter().skip(1))
+        .flat_map(|(a, b)| {
+            [FetchPlan::constrained(a), FetchPlan::new(vec![a.region(), b.region()])]
+        })
+        .collect();
+    let rows = table.config().cost_model.seek_rows();
+    let mut cut = vec![0.0; DIMS];
+    let (mut ns, mut cuts) = (0.0, 0);
+    let a0 = allocations();
+    for plan in &plans {
+        ns += table.predict(plan).ns;
+        cuts +=
+            usize::from(table.corner_cut(plan.regions[0].intervals(), rows, &mut cut).is_some());
+    }
+    let allocs = allocations() - a0;
+    assert_eq!(allocs, 0, "predicting {} plans allocated", plans.len());
+    assert!(ns > 0.0 && cuts > 0, "the plans must be priced and cut");
 }
 
 /// The lookup itself — `Cache::lookup_into` with a reused scratch ids
@@ -251,7 +282,7 @@ fn warm_cache_lookup_is_allocation_free() {
     );
 }
 
-/// ~2× the observed steady-state cost (193.2 allocs/query).
+/// ~2× the observed steady-state cost (194.4 allocs/query).
 const BLOCK_CEILING: f64 = 370.0;
 /// ~2× the observed exact-hit replay cost (80.8 allocs/query — exact
 /// hits re-materialize the full result, so this scales with result

@@ -136,7 +136,6 @@ fn cbcs_config(args: &Args) -> Result<CbcsConfig, Box<dyn Error>> {
     Ok(CbcsConfig {
         mpr: MprMode::Approximate { k: args.get_or("k", 1usize)? },
         strategy: strategy_from_flag(args)?,
-        extra_items: args.get_or("extra-items", 0usize)?,
         seed: args.get_or("seed", 0xC0FFEE)?,
         ..Default::default()
     })

@@ -22,7 +22,7 @@ commands:
              [--method baseline|bbs|cbcs]  [--limit ROWS]
   workload   run a generated workload through CBCS
              skycache workload FILE [--interactive N | --independent N]
-             [--seed S] [--k NN] [--strategy NAME] [--extra-items M]
+             [--seed S] [--k NN] [--strategy NAME]
   compare    run the same workload through Baseline, BBS and CBCS
              skycache compare FILE [--queries N] [--seed S] [--k NN]
 

@@ -63,14 +63,13 @@ pub fn plan(
     mode: MprMode,
 ) -> QueryPlan {
     // One part measures no cover fraction, so the bounds go unread.
-    plan_parts([(old, cached_skyline)], 1, new, mode, new.aabb())
+    plan_parts([(old, cached_skyline)], new, mode, new.aabb())
 }
 
 /// The one planner, for one to N cached items: `parts` with the
-/// strategy-selected primary first, of which the first `trusted` may
-/// subtract their trusted space — 1 for the paper's single-item answering
-/// and for the Section 6.3 harvest, more for composition — and every one
-/// pools its rows that satisfy `new` (see
+/// strategy-selected primary first — one for the paper's single-item
+/// answering, more for composition — each of which subtracts its trusted
+/// space and pools its rows that satisfy `new` (see
 /// [`missing_points_region_parts`] for the geometry and its soundness).
 /// The exact-hit and Case (b) fast paths are decided on the primary
 /// alone: their results are fully determined by it.
@@ -79,7 +78,6 @@ pub fn plan(
 /// Panics if `parts` is empty or dimensionalities differ.
 pub(crate) fn plan_parts<'a>(
     parts: impl IntoIterator<Item = (&'a Constraints, &'a PointBlock)>,
-    trusted: usize,
     new: &Constraints,
     mode: MprMode,
     data_bounds: &Aabb,
@@ -119,7 +117,7 @@ pub(crate) fn plan_parts<'a>(
         }
         _ => {
             let parts = std::iter::once((old, cached_skyline)).chain(parts);
-            let out = missing_points_region_parts(parts, trusted, new, mode, data_bounds);
+            let out = missing_points_region_parts(parts, new, mode, data_bounds);
             QueryPlan {
                 overlap,
                 regions: out.regions,
@@ -201,7 +199,7 @@ mod tests {
         // only one contributor, so the plan is the single-item plan.
         let far = c(&[(5.0, 6.0), (5.0, 6.0)]);
         let sky_far = block(&[p(&[5.5, 5.5])]);
-        let out = plan_parts([(&a, &sky_a), (&far, &sky_far)], 2, &new, MprMode::Exact, &bounds);
+        let out = plan_parts([(&a, &sky_a), (&far, &sky_far)], &new, MprMode::Exact, &bounds);
         assert_eq!(out.parts_used, 1);
         assert_eq!(out.cover_fraction, 0.0, "measured only for a composition");
         assert_eq!(out.regions, single.regions);
@@ -219,7 +217,7 @@ mod tests {
         let b = c(&[(0.4, 1.0), (0.0, 1.0)]);
         let sky_a = block(&[p(&[0.1, 0.3]), p(&[0.5, 0.1])]);
         let sky_b = block(&[p(&[0.5, 0.1]), p(&[0.9, 0.05])]);
-        let out = plan_parts([(&a, &sky_a), (&b, &sky_b)], 2, &new, MprMode::Exact, &bounds);
+        let out = plan_parts([(&a, &sky_a), (&b, &sky_b)], &new, MprMode::Exact, &bounds);
         assert_eq!(out.parts_used, 2);
         assert!(out.regions.is_empty(), "full cover leaves nothing to fetch");
         assert!((out.cover_fraction - 1.0).abs() < 1e-9);
@@ -227,7 +225,7 @@ mod tests {
         assert!(out.needs_skyline);
         // A third part is reached with nothing left unknown: not used.
         let all = [(&a, &sky_a), (&b, &sky_b), (&new, &sky_a)];
-        let out3 = plan_parts(all, 3, &new, MprMode::Exact, &bounds);
+        let out3 = plan_parts(all, &new, MprMode::Exact, &bounds);
         assert_eq!((out3.parts_used, out3.retained.len()), (2, 3));
     }
 
@@ -246,19 +244,14 @@ mod tests {
         let once = block(&[p(&[0.9, 0.05])]);
         let copies =
             |plan: &QueryPlan| plan.retained.to_points().iter().filter(|q| **q == twin).count();
-        for trusted in [1, 2] {
-            // Both parts hold the row twice: twice, not once and not four times.
-            let both =
-                plan_parts([(&a, &twice), (&b, &twice)], trusted, &new, MprMode::Exact, &bounds);
-            assert_eq!((copies(&both), both.retained.len()), (2, 3), "trusted = {trusted}");
-            // One part holds it twice, the other not at all — in either order.
-            let ab =
-                plan_parts([(&a, &twice), (&b, &once)], trusted, &new, MprMode::Exact, &bounds);
-            let ba =
-                plan_parts([(&b, &once), (&a, &twice)], trusted, &new, MprMode::Exact, &bounds);
-            assert_eq!((copies(&ab), copies(&ba)), (2, 2), "trusted = {trusted}");
-            assert_eq!((ab.retained.len(), ba.retained.len()), (4, 4));
-        }
+        // Both parts hold the row twice: twice, not once and not four times.
+        let both = plan_parts([(&a, &twice), (&b, &twice)], &new, MprMode::Exact, &bounds);
+        assert_eq!((copies(&both), both.retained.len()), (2, 3));
+        // One part holds it twice, the other not at all — in either order.
+        let ab = plan_parts([(&a, &twice), (&b, &once)], &new, MprMode::Exact, &bounds);
+        let ba = plan_parts([(&b, &once), (&a, &twice)], &new, MprMode::Exact, &bounds);
+        assert_eq!((copies(&ab), copies(&ba)), (2, 2));
+        assert_eq!((ab.retained.len(), ba.retained.len()), (4, 4));
     }
 
     #[test]
@@ -271,7 +264,7 @@ mod tests {
         let b = c(&[(1.0, 1.5), (0.0, 2.0)]);
         let sky_a = block(&[p(&[0.5, 0.5])]); // removed under C′
         let sky_b = block(&[p(&[1.2, 0.8])]);
-        let out = plan_parts([(&a, &sky_a), (&b, &sky_b)], 2, &new, MprMode::Exact, &bounds);
+        let out = plan_parts([(&a, &sky_a), (&b, &sky_b)], &new, MprMode::Exact, &bounds);
         assert_eq!(out.parts_used, 2);
         assert_eq!(out.removed_points, 1);
         assert!(out.invalidated_pieces > 0);

@@ -37,10 +37,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
-use skycache_geom::{Constraints, Point, PointBlock};
+use skycache_geom::{Constraints, HyperRect, Interval, Point, PointBlock};
 use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
-use skycache_storage::{FetchBuf, FetchOutcome, FetchPlan, FetchScratch, Table};
+use skycache_storage::{FetchOutcome, FetchPlan, FetchScratch, RowId, Table};
 
 use crate::cache::ReplacementPolicy;
 use crate::cases::QueryPlan;
@@ -120,6 +120,8 @@ impl QueryOutcome {
 pub(crate) struct QueryScratch {
     /// Storage-side fetch buffers (row ids + columnar coordinates).
     pub(crate) fetch: FetchScratch,
+    /// The corner-first step's buffers.
+    corner: CornerScratch,
     /// Skyline-kernel ordering buffer.
     sky: SkylineScratch,
     /// Merge output: retained ∪ fetched rows, deduplicated.
@@ -142,10 +144,38 @@ pub(crate) struct QueryScratch {
 }
 
 impl QueryScratch {
-    /// An empty scratch; buffers grow to their high-water marks in use.
-    pub fn new() -> Self {
-        QueryScratch::default()
+    /// Row ids of the last fetch stage's reads: the corner's, if it read
+    /// one, then the remainder's.
+    pub(crate) fn fetched_ids(&self) -> Vec<RowId> {
+        let corner = if self.corner.taken { self.corner.fetch.rows().ids() } else { &[] };
+        [corner, self.fetch.rows().ids()].concat()
     }
+}
+
+/// The corner-first step's buffers (DESIGN.md §18), reused across queries
+/// so that in steady state it allocates only the regions it hands to
+/// storage.
+#[derive(Default)]
+struct CornerScratch {
+    /// The corner range query's rows, and whether this query read them.
+    fetch: FetchScratch,
+    taken: bool,
+    /// The corner's upper keys, then one pruning point's `DR` lower corner.
+    cut: Vec<f64>,
+    /// Pruning candidates: dominated volume inside `R_C′`, skyline row.
+    order: Vec<(f64, u32)>,
+    regions: Remainder,
+}
+
+/// The remainder being pruned and a trial one: region lists of `d`
+/// intervals per region, beside the predicted nanoseconds of each region
+/// fetched by a range query of its own.
+#[derive(Default)]
+struct Remainder {
+    rest: Vec<Interval>,
+    rest_ns: Vec<f64>,
+    trial: Vec<Interval>,
+    trial_ns: Vec<f64>,
 }
 
 /// Hands out a cleared [`PointBlock`] of the right dimensionality from a
@@ -168,10 +198,11 @@ fn cmp_bits(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
     a.iter().map(|v| v.to_bits()).cmp(b.iter().map(|v| v.to_bits()))
 }
 
-/// Fills `merged` with the retained points followed by the fetched rows
-/// that survive deduplication, dropping one fetched copy per identical
-/// retained point: with the approximate MPR, regions not pruned by a
-/// retained point `u` may re-fetch `u`'s stored row, and keeping both
+/// Fills `merged` with the retained rows (flat, `merged`'s stride)
+/// followed by the fetched rows that survive deduplication, dropping one
+/// fetched copy per identical retained row: with the approximate MPR,
+/// regions not pruned by a retained point `u` may re-fetch `u`'s stored
+/// row, and a corner read may re-fetch any retained row; keeping both
 /// copies would duplicate `u` in the result.
 ///
 /// Only a fetched row inside the retained rows' bounding box can be such
@@ -180,9 +211,9 @@ fn cmp_bits(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
 /// the sorted index of the retained rows is built when the first fetched
 /// row lands inside the box, if one does. `bbox`, `order` and `budget`
 /// are reusable buffers.
-fn merge_rows(
-    retained: &PointBlock,
-    fetched: &FetchBuf,
+fn merge_rows<'a>(
+    retained: &[f64],
+    fetched: impl Iterator<Item = &'a [f64]>,
     merged: &mut PointBlock,
     bbox: &mut Vec<f64>,
     order: &mut Vec<u32>,
@@ -190,12 +221,13 @@ fn merge_rows(
 ) {
     // Lower corner then upper corner; empty (nothing is inside) until a
     // retained row widens it.
-    let dims = retained.dims();
+    let dims = merged.dims();
+    let kept = |idx: u32| &retained[idx as usize * dims..(idx as usize + 1) * dims];
     bbox.clear();
     bbox.resize(dims, f64::INFINITY);
     bbox.resize(2 * dims, f64::NEG_INFINITY);
     let (lo, hi) = bbox.split_at_mut(dims);
-    for row in retained.rows() {
+    for row in retained.chunks_exact(dims) {
         merged.push_row(row);
         for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
             *l = l.min(v);
@@ -203,8 +235,7 @@ fn merge_rows(
         }
     }
     let mut indexed = false;
-    for i in 0..fetched.len() {
-        let row = fetched.row(i);
+    for row in fetched {
         if !row.iter().zip(lo.iter().zip(hi.iter())).all(|(v, (l, h))| l <= v && v <= h) {
             merged.push_row(row);
             continue;
@@ -212,17 +243,16 @@ fn merge_rows(
         if !indexed {
             indexed = true;
             order.clear();
-            order.extend(0..retained.len() as u32);
-            order.sort_unstable_by(|&a, &b| {
-                cmp_bits(retained.row(a as usize), retained.row(b as usize)).then(a.cmp(&b))
-            });
+            // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+            order.extend(0..(retained.len() / dims) as u32);
+            order.sort_unstable_by(|&a, &b| cmp_bits(kept(a), kept(b)).then(a.cmp(&b)));
             budget.clear();
-            budget.resize(retained.len(), 1);
+            budget.resize(order.len(), 1);
         }
-        let start = order.partition_point(|&idx| cmp_bits(retained.row(idx as usize), row).is_lt());
+        let start = order.partition_point(|&idx| cmp_bits(kept(idx), row).is_lt());
         let mut taken = false;
         for &idx in &order[start..] {
-            if cmp_bits(retained.row(idx as usize), row).is_ne() {
+            if cmp_bits(kept(idx), row).is_ne() {
                 break;
             }
             if budget[idx as usize] > 0 {
@@ -235,20 +265,6 @@ fn merge_rows(
             merged.push_row(row);
         }
     }
-}
-
-/// The skyline stage: SFS on flat rows in place (d = 2 inputs take the
-/// planar sweep inside the block kernel's own dispatch), materializing
-/// owned points only for the returned skyline.
-fn compute_skyline_rows(
-    rows: &[f64],
-    dims: usize,
-    sky: &mut SkylineScratch,
-    out: &mut PointBlock,
-    stats: &mut QueryStats,
-) -> Vec<Point> {
-    stats.dominance_tests += Sfs.compute_block_into(rows, dims, sky, out);
-    out.to_points()
 }
 
 /// The Figure-10 stage breakdown of one query ([`QueryStats::stages`]).
@@ -475,7 +491,7 @@ pub struct BaselineExecutor<'t> {
 impl<'t> BaselineExecutor<'t> {
     /// Creates a Baseline executor.
     pub fn new(table: &'t Table) -> Self {
-        BaselineExecutor { table, scratch: QueryScratch::new() }
+        BaselineExecutor { table, scratch: QueryScratch::default() }
     }
 }
 
@@ -564,11 +580,6 @@ pub struct CbcsConfig {
     pub policy: ReplacementPolicy,
     /// Seed for the `Random` strategy.
     pub seed: u64,
-    /// Multi-item processing (the paper's Section 6.3 extension): harvest
-    /// pruning points from up to this many *additional* overlapping cache
-    /// items (by descending constraint overlap). `0` — the paper's
-    /// single-item CBCS — is the default.
-    pub extra_items: usize,
     /// Compositional multi-item hits (DESIGN.md §17.3): when the primary
     /// item is neither an exact hit nor Case (b), compose up to this many
     /// cover-ordered cached items (primary included) into one remainder
@@ -585,53 +596,46 @@ impl Default for CbcsConfig {
             capacity: None,
             policy: ReplacementPolicy::Lru,
             seed: 0xC0FFEE,
-            extra_items: 0,
             compose_items: 1,
         }
     }
 }
 
-/// The cache-miss path: one constraint range query into the reusable
+/// The naive method's path: one constraint range query into the reusable
 /// fetch scratch, then the skyline kernel directly over the columnar
 /// rows.
-pub(crate) fn query_naive(
+fn query_naive(
     table: &Table,
     c: &Constraints,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
 ) -> Vec<Point> {
-    fetch_into_scratch(table, &FetchPlan::constrained(c), scratch, stats);
+    fetch_into(table, &FetchPlan::constrained(c), &mut scratch.fetch, stats);
 
     let t1 = Stopwatch::start();
     let dims = table.dims();
     let QueryScratch { fetch, sky, sky_out, .. } = scratch;
     let out = reuse_block(sky_out, dims);
-    let skyline = compute_skyline_rows(fetch.rows().coords(), dims, sky, out, stats);
+    stats.dominance_tests += Sfs.compute_block_into(fetch.rows().coords(), dims, sky, out);
     stats.time(Phase::Skyline, t1);
-    skyline
+    out.to_points()
 }
 
-/// The fetch stage — one per query: runs `plan` into the scratch's
-/// columnar buffers, times it, and folds the storage counters and the
-/// cost model's simulated latency into `stats`.
-fn fetch_into_scratch(
-    table: &Table,
-    plan: &FetchPlan,
-    scratch: &mut QueryScratch,
-    stats: &mut QueryStats,
-) {
+/// One storage fetch: runs `plan` into `fetch`'s columnar buffers, times
+/// it, and folds the storage counters and the cost model's simulated
+/// latency into `stats`.
+fn fetch_into(table: &Table, plan: &FetchPlan, fetch: &mut FetchScratch, stats: &mut QueryStats) {
     let t0 = Stopwatch::start();
-    let outcome = table.fetch_plan_into(plan, &mut scratch.fetch);
+    let outcome = table.fetch_plan_into(plan, fetch);
     stats.time(Phase::Fetch, t0);
     stats.absorb(outcome);
 }
 
-/// The cache-hit path: fetch the plan's regions with a *coalescing* plan
-/// (overlapping or abutting index ranges merge into one range query; rows
-/// are deduplicated across regions), block-merge with the retained
-/// points, and run the skyline kernel over the merged block.
+/// A cache hit: the plan's counters, then the fetch stage — or, for an
+/// exact hit or Case (b), the retained points as they are.
 pub(crate) fn query_planned(
     table: &Table,
+    c: &Constraints,
     plan: QueryPlan,
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
@@ -642,27 +646,200 @@ pub(crate) fn query_planned(
     stats.mpr_regions = plan.regions.len() as u64;
     stats.mpr_prune_points = plan.prune_points_used as u64;
     stats.mpr_invalidated_pieces = plan.invalidated_pieces as u64;
-
-    fetch_into_scratch(table, &FetchPlan::remainder(plan.regions), scratch, stats);
-
     if plan.needs_skyline {
+        scratch.fetch_stage(table, c, plan.regions, plan.retained.as_flat(), stats)
+    } else {
+        plan.retained.to_points()
+    }
+}
+
+/// Corner skyline rows tried as pruning points, best first.
+const CORNER_CANDIDATES: usize = 8;
+
+impl QueryScratch {
+    /// The fetch stage of every computed answer, miss or hit: reads
+    /// `regions` — the part of `R_C′` the cache leaves unknown, all of it
+    /// on a miss — with a *coalescing* plan (overlapping or abutting index
+    /// ranges merge into one range query; rows are deduplicated across
+    /// regions), merges the rows with the `retained` ones (flat rows) and
+    /// runs the skyline kernel over them. Where the cost model predicts it
+    /// pays, the corner-first step reads the lower corner of `R_C′` first
+    /// ([`QueryScratch::corner_first`]).
+    pub(crate) fn fetch_stage(
+        &mut self,
+        table: &Table,
+        c: &Constraints,
+        regions: Vec<HyperRect>,
+        retained: &[f64],
+        stats: &mut QueryStats,
+    ) -> Vec<Point> {
         let dims = table.dims();
+        let regions = self.corner_first(table, c, regions, stats);
+        fetch_into(table, &FetchPlan::remainder(regions), &mut self.fetch, stats);
+
+        let t0 = Stopwatch::start();
+        let corner = if self.corner.taken { self.corner.fetch.rows().coords() } else { &[] };
+        let fetched = self.fetch.rows().coords().chunks_exact(dims);
+        let merged = reuse_block(&mut self.merged, dims);
+        let (bbox, order, budget) =
+            (&mut self.merge_box, &mut self.merge_order, &mut self.dup_budget);
+        merge_rows(retained, corner.chunks_exact(dims).chain(fetched), merged, bbox, order, budget);
+        stats.time(Phase::Merge, t0);
+
         let t1 = Stopwatch::start();
-        let QueryScratch {
-            fetch, sky, merged, sky_out, merge_box, merge_order, dup_budget, ..
-        } = scratch;
-        let merged = reuse_block(merged, dims);
-        merge_rows(&plan.retained, fetch.rows(), merged, merge_box, merge_order, dup_budget);
-        stats.time(Phase::Merge, t1);
+        let out = reuse_block(&mut self.sky_out, dims);
+        stats.dominance_tests += Sfs.compute_block_into(merged.as_flat(), dims, &mut self.sky, out);
+        stats.time(Phase::Skyline, t1);
+        // skylint: allow(hot-path-alloc) — the returned skyline, owned at the public-API boundary.
+        out.to_points()
+    }
+
+    /// The corner-first step (DESIGN.md §18): when [`CornerScratch::choose`]
+    /// predicts it pays, one range query reads the lower corner of `R_C′`,
+    /// and the corner's skyline rows `u`, largest dominated volume inside
+    /// `R_C′` first, each subtract `DR(u, C′)` from `regions ∖ corner` if
+    /// that lowers its predicted cost ([`Table::predict_region`]),
+    /// [`CORNER_CANDIDATES`] tried at most. Returns what is left to fetch —
+    /// `regions` as they are if the step does not pay or the corner holds
+    /// no row. The choice and the pruning are timed as MPR computation,
+    /// the corner read as fetch, its skyline as skyline.
+    fn corner_first(
+        &mut self,
+        table: &Table,
+        c: &Constraints,
+        regions: Vec<HyperRect>,
+        stats: &mut QueryStats,
+    ) -> Vec<HyperRect> {
+        let t0 = Stopwatch::start();
+        let corner = self.corner.choose(table, c, &regions);
+        stats.time(Phase::MprCompute, t0);
+        self.corner.taken = corner.is_some();
+        let Some(corner) = corner else { return regions };
+        // skylint: allow(hot-path-alloc) — the corner read's one-region list.
+        fetch_into(table, &FetchPlan::new(vec![corner]), &mut self.corner.fetch, stats);
+        let (dims, rows) = (table.dims(), self.corner.fetch.rows().coords());
+        if rows.is_empty() {
+            return regions;
+        }
+        let t1 = Stopwatch::start();
+        let candidates = reuse_block(&mut self.sky_out, dims);
+        stats.dominance_tests += Sfs.compute_block_into(rows, dims, &mut self.sky, candidates);
+        stats.time(Phase::Skyline, t1);
 
         let t2 = Stopwatch::start();
-        let out = reuse_block(sky_out, dims);
-        let skyline = compute_skyline_rows(merged.as_flat(), dims, sky, out, stats);
-        stats.time(Phase::Skyline, t2);
-        skyline
-    } else {
-        // Exact hit or Case (b): the retained points are the answer.
-        plan.retained.to_points()
+        let (s, lo, hi) = (&mut self.corner, c.lo(), c.hi());
+        let dominated = |u: &[f64]| -> f64 {
+            u.iter().zip(lo.iter().zip(hi)).map(|(&u, (&l, &h))| h - u.max(l)).product()
+        };
+        s.order.clear();
+        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        s.order.extend(candidates.rows().enumerate().map(|(i, u)| (dominated(u), i as u32)));
+        s.order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut cost: f64 = s.regions.rest_ns.iter().sum();
+        for &(_, i) in s.order.iter().take(CORNER_CANDIDATES) {
+            // `DR(u, C′)` is the box from `max(u, C̲′)` to `C̄′`.
+            for ((key, &u), &l) in s.cut.iter_mut().zip(candidates.row(i as usize)).zip(lo) {
+                *key = u.max(l);
+            }
+            let trial = s.regions.carve(table, &s.cut, hi);
+            if trial < cost {
+                s.regions.keep_trial();
+                cost = trial;
+            }
+        }
+        let rest = s.regions.rest.chunks_exact(dims);
+        // skylint: allow(hot-path-alloc) — the regions handed to storage, one allocation each.
+        let regions = rest.map(|r| HyperRect::from_intervals(r.to_vec())).collect();
+        stats.time(Phase::MprCompute, t2);
+        regions
+    }
+}
+
+impl CornerScratch {
+    /// The corner-first step's choice, on predicted cost alone
+    /// ([`Table::predict_region`]): the corner `[C̲′, cut]` of `R_C′`
+    /// predicted to hold one seek's worth of rows ([`Table::corner_cut`]),
+    /// if reading it and then `regions ∖ corner ∖ [cut, C̄′]` is predicted
+    /// to cost less than reading `regions` — with `regions ∖ corner` left
+    /// as the remainder — else `None`.
+    fn choose(
+        &mut self,
+        table: &Table,
+        c: &Constraints,
+        regions: &[HyperRect],
+    ) -> Option<HyperRect> {
+        let rows = table.config().cost_model.seek_rows();
+        let (lo, hi, r) = (c.lo(), c.hi(), &mut self.regions);
+        // The trial list holds `R_C′`, then the corner, until the first carve.
+        r.trial.clear();
+        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        r.trial.extend(lo.iter().zip(hi).map(|(&l, &h)| Interval::closed(l, h)));
+        self.cut.resize(lo.len(), 0.0);
+        // Any row of a non-empty corner dominates [cut, C̄′]: go on only if
+        // that space is predicted to hold two seeks' worth of rows.
+        if table.corner_cut(&r.trial, rows, &mut self.cut)? < 2.0 * rows {
+            return None;
+        }
+        for (iv, &key) in r.trial.iter_mut().zip(&self.cut) {
+            *iv = Interval::closed(iv.lo(), key);
+        }
+        let corner = table.predict_region(&r.trial).ns;
+        r.rest.clear();
+        r.rest_ns.clear();
+        regions.iter().for_each(|region| r.rest.extend_from_slice(region.intervals()));
+        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        r.rest_ns.extend(regions.iter().map(|region| table.predict_region(region.intervals()).ns));
+        let before: f64 = r.rest_ns.iter().sum();
+        r.carve(table, lo, &self.cut);
+        r.keep_trial();
+        let pays = corner + r.carve(table, &self.cut, hi) < before;
+        pays.then(|| HyperRect::closed(lo, &self.cut))
+    }
+}
+
+impl Remainder {
+    /// Carves the closed box `[lo, hi]` out of the remainder into the
+    /// trial list — pairwise disjoint pieces, carved and ordered as
+    /// [`skycache_geom::subtract::subtract_box_into`] carves them, without
+    /// its allocation per piece — and returns the trial's predicted cost. Only the pieces are priced: a
+    /// region the box misses keeps its cost. A region the box meets is
+    /// narrowed in place at the end of the list, its pieces copied out
+    /// behind it, and dropped once the box covers the rest.
+    fn carve(&mut self, table: &Table, lo: &[f64], hi: &[f64]) -> f64 {
+        let (d, side) = (lo.len(), |i: usize| Interval::closed(lo[i], hi[i]));
+        let (out, costs) = (&mut self.trial, &mut self.trial_ns);
+        out.clear();
+        costs.clear();
+        for (r, &ns) in self.rest.chunks_exact(d).zip(&self.rest_ns) {
+            let at = out.len();
+            out.extend_from_slice(r);
+            if !r.iter().enumerate().all(|(i, iv)| iv.intersects(&side(i))) {
+                // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+                costs.push(ns);
+                continue;
+            }
+            for i in 0..d {
+                let iv = out[at + i];
+                for piece in [iv.below(lo[i], true), iv.above(hi[i], true)] {
+                    if !piece.is_empty() {
+                        out.extend_from_within(at..at + d);
+                        let last = out.len() - d + i;
+                        out[last] = piece;
+                    }
+                }
+                out[at + i] = iv.intersect(&side(i));
+            }
+            out.drain(at..at + d);
+            // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+            costs.extend(out[at..].chunks_exact(d).map(|piece| table.predict_region(piece).ns));
+        }
+        costs.iter().sum()
+    }
+
+    /// Makes the trial list the remainder.
+    fn keep_trial(&mut self) {
+        std::mem::swap(&mut self.rest, &mut self.trial);
+        std::mem::swap(&mut self.rest_ns, &mut self.trial_ns);
     }
 }
 
@@ -943,7 +1120,9 @@ mod tests {
             for rp in &retained {
                 retained_block.push(rp);
             }
-            merge_rows(&retained_block, buf, &mut merged, &mut bbox, &mut order, &mut budget);
+            let fetched_rows = buf.coords().chunks_exact(2);
+            let flat = retained_block.as_flat();
+            merge_rows(flat, fetched_rows, &mut merged, &mut bbox, &mut order, &mut budget);
             assert_eq!(bits(&merged.to_points()), bits(&want), "retained = {retained:?}");
         }
     }

@@ -9,7 +9,7 @@
 //!   into the paper's overlap cases;
 //! * [`cases`] — the planner: the specialized solutions for the four
 //!   incremental single-bound changes (Theorems 2–5) and the general MPR,
-//!   for one cached item or several (harvested or composed);
+//!   for one cached item or several composed ones;
 //! * [`mpr`] — the Missing Points Region of Section 5: the minimal
 //!   possibly-disjoint region that must be fetched from disk (Definition
 //!   5, complete and minimal per Theorems 6–7), computed by
@@ -27,9 +27,8 @@
 //!   and a thread-safe [`SharedCache`], and each [`Session`] runs the one
 //!   CBCS query flow over them, whether one session runs (the paper's
 //!   single-user figures) or many (multi-user deployments). It carries
-//!   the extensions the paper sketches as future work: dynamic data
-//!   ([`Service::insert`], [`Service::delete`], Section 6.2) and
-//!   multi-item pruning ([`CbcsConfig::extra_items`], Section 6.3).
+//!   the extension the paper sketches as future work for dynamic data
+//!   ([`Service::insert`], [`Service::delete`], Section 6.2).
 //!
 //! ```
 //! use skycache_core::{CbcsConfig, MprMode, QueryRequest, Service, ServiceConfig};

@@ -94,17 +94,16 @@ pub fn missing_points_region(
     mode: MprMode,
 ) -> MprOutput {
     // One part measures no cover fraction, so the bounds go unread.
-    missing_points_region_parts([(old, cached_skyline)], 1, new, mode, new.aabb())
+    missing_points_region_parts([(old, cached_skyline)], new, mode, new.aabb())
 }
 
 /// The MPR of `new` against one to N cached items (`parts`, the
-/// strategy-selected primary first). The first `trusted` parts subtract
-/// their *trusted* space — their overlap with `R_C′` minus what their
-/// removed skyline rows invalidate — from the unknown region: 1 is the
-/// paper's single-item answering, more is composition (DESIGN.md §17.3).
-/// Later parts are harvested (the paper's Section 6.3 extension): they
-/// only add pruning points. Every part pools its rows that satisfy `C′`,
-/// and parts reached after nothing is left unknown are not used at all.
+/// strategy-selected primary first). Every part subtracts its *trusted*
+/// space — its overlap with `R_C′` minus what its removed skyline rows
+/// invalidate — from the unknown region: one part is the paper's
+/// single-item answering, more is composition (DESIGN.md §17.3). Every
+/// part pools its rows that satisfy `C′`, and parts reached after nothing
+/// is left unknown are not used at all.
 ///
 /// Soundness of subtracting trusted space, per part `i`: any skyline
 /// point of `C′` inside `R_Ci ∩ R_C′` is either in `i`'s cached skyline
@@ -137,7 +136,6 @@ pub fn missing_points_region(
 /// Panics if dimensionalities differ.
 pub(crate) fn missing_points_region_parts<'a>(
     parts: impl IntoIterator<Item = (&'a Constraints, &'a PointBlock)>,
-    trusted: usize,
     new: &Constraints,
     mode: MprMode,
     data_bounds: &Aabb,
@@ -156,7 +154,7 @@ pub(crate) fn missing_points_region_parts<'a>(
     let mut invalidated_pieces = 0;
     let mut parts_used = 0;
 
-    for (i, (old, cached)) in parts.into_iter().enumerate() {
+    for (old, cached) in parts {
         assert_eq!(old.dims(), new.dims(), "constraints dimensionality mismatch");
         let current = unknown.as_deref().unwrap_or(std::slice::from_ref(&region));
         if current.is_empty() {
@@ -165,24 +163,19 @@ pub(crate) fn missing_points_region_parts<'a>(
         // Partition this part's skyline under C′: satisfying rows are
         // copied into the columnar pool (not one `Point` clone per row),
         // removed rows stay as indices into the cached block.
-        let (first, trusts) = (retained.is_empty(), i < trusted);
+        let first = retained.is_empty();
         if let Some(pool) = &mut pool {
             pool.values_mut().for_each(|copies| copies.1 = 0);
         }
         removed.clear();
         for (r, row) in cached.rows().enumerate() {
             if !new.satisfies_coords(row) {
-                if trusts {
-                    removed.push(r);
-                }
+                removed.push(r);
             } else if first {
                 retained.push_row(row);
             } else {
                 pool_row(&mut pool, &mut retained, row);
             }
-        }
-        if !trusts {
-            continue; // harvested: pruning points only
         }
         removed_points += removed.len();
         // The space this part invalidates inside R_C′ (the unstable

@@ -49,8 +49,8 @@ use crate::cache::{Cache, ItemCost};
 use crate::cases::{plan_parts, QueryPlan};
 use crate::clock::Stopwatch;
 use crate::engine::{
-    check_dims, query_naive, query_planned, CbcsConfig, Executor, QueryOutcome, QueryRequest,
-    QueryScratch, QueryStats,
+    check_dims, query_planned, CbcsConfig, Executor, QueryOutcome, QueryRequest, QueryScratch,
+    QueryStats,
 };
 use crate::shared::SharedCache;
 use crate::stability::{classify, Overlap};
@@ -150,7 +150,7 @@ impl<'t> Service<'t> {
     pub fn session(&self) -> Session<'_> {
         let idx = self.sessions.fetch_add(1, Ordering::Relaxed);
         let seed = self.config.cbcs.seed.wrapping_add(idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Session { service: self, rng: StdRng::seed_from_u64(seed), scratch: QueryScratch::new() }
+        Session { service: self, rng: StdRng::seed_from_u64(seed), scratch: Default::default() }
     }
 
     /// The table this service answers queries over.
@@ -231,13 +231,13 @@ impl Session<'_> {
 
     /// The CBCS query pipeline (paper Section 6): R\*-tree cache lookup →
     /// search strategy → case classification → specialized solution or
-    /// (a)MPR → fetch the missing regions → merge with retained cached
+    /// (a)MPR → fetch the missing regions, a miss all of `R_C′`, with the
+    /// corner-first step where it pays → merge with retained cached
     /// points → skyline → cache the result.
     ///
     /// The published snapshot is pinned for the search and the plan only:
     /// the plan owns its points, so the snapshot is dropped before the
-    /// fetch. Fetch, merge and skyline are timed by
-    /// `query_naive` / `query_planned`.
+    /// fetch. Fetch, merge and skyline are timed by the fetch stage.
     fn pipeline(&mut self, req: &QueryRequest) -> QueryOutcome {
         let (service, c) = (self.service, &req.constraints);
         let table = &*service.table;
@@ -249,7 +249,7 @@ impl Session<'_> {
         let skyline = match selection {
             None => {
                 stats.cache_miss = true;
-                query_naive(table, c, scratch, &mut stats)
+                scratch.fetch_stage(table, c, vec![c.region()], &[], &mut stats)
             }
             Some((plan, item_text)) => {
                 stats.cache_hit = true;
@@ -263,12 +263,12 @@ impl Session<'_> {
                     service.cache.touch(id);
                 }
                 text = item_text;
-                query_planned(table, plan, scratch, &mut stats)
+                query_planned(table, c, plan, scratch, &mut stats)
             }
         };
-        if req.record {
-            // The rows of this query's one fetch are still in the scratch.
-            stats.pages_touched = table.pages_touched_ids(scratch.fetch.rows().ids());
+        if req.record && stats.range_queries_issued > 0 {
+            // The rows of this query's fetches are still in the scratch.
+            stats.pages_touched = table.pages_touched_ids(&scratch.fetched_ids());
         }
 
         // An exact hit's result is already cached under these very
@@ -322,40 +322,22 @@ impl Session<'_> {
         stats.time(Phase::CaseAnalysis, t1);
         let primary = item(ids[picked?]);
 
-        // The cached items handed to the planner, primary first. The
-        // multi-item mechanisms add to the list only when the primary
-        // has no free-solution fast path: compositional answering
-        // (DESIGN.md §17.3) the next cover-ordered candidates, which
-        // may subtract their trusted space like the primary; the
-        // Section 6.3 harvest the next-best remaining items by
-        // constraint overlap, which only lend pruning points.
+        // The cached items handed to the planner, primary first: with
+        // compositional answering (DESIGN.md §17.3) and no free-solution
+        // fast path for the primary, the next cover-ordered candidates,
+        // which may subtract their trusted space like the primary.
         let parts = &mut scratch.part_ids;
         parts.clear();
         parts.push(primary.id);
-        let mut trusted = 1;
-        if (config.compose_items > 1 || config.extra_items > 0)
-            && ids.len() >= 2
+        if config.compose_items > 1
             && !matches!(classify(&primary.constraints, c), Overlap::Exact | Overlap::CaseB { .. })
         {
             let others = ids.iter().copied().filter(|&id| id != primary.id);
-            parts.extend(others.take(config.compose_items.saturating_sub(1)));
-            trusted = parts.len();
-            if config.extra_items > 0 {
-                let mut others: Vec<u64> =
-                    ids.iter().copied().filter(|id| !parts.contains(id)).collect();
-                // total_cmp: overlap volumes of partially unbounded
-                // regions may be inf or NaN (0·inf).
-                others.sort_by(|&a, &b| {
-                    let va = c.overlap_volume(&item(a).constraints);
-                    let vb = c.overlap_volume(&item(b).constraints);
-                    vb.total_cmp(&va)
-                });
-                parts.extend(others.into_iter().take(config.extra_items));
-            }
+            parts.extend(others.take(config.compose_items - 1));
         }
         let t2 = Stopwatch::start();
         let blocks = parts.iter().map(|&id| item(id)).map(|it| (&it.constraints, &*it.skyline));
-        let plan = plan_parts(blocks, trusted, c, config.mpr, data_bounds);
+        let plan = plan_parts(blocks, c, config.mpr, data_bounds);
         stats.time(Phase::MprCompute, t2);
         // An exact hit returns the item's skyline as it is, so the
         // item's text of it — rendered here if this is its first

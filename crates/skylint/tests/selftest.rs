@@ -103,9 +103,9 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
     (
         "determinism",
         "crates/core/src/mpr.rs",
-        "    missing_points_region_parts([(old, cached_skyline)], 1, new, mode, new.aabb())\n}",
+        "    missing_points_region_parts([(old, cached_skyline)], new, mode, new.aabb())\n}",
         "    let _t = std::time::Instant::now();\n    \
-         missing_points_region_parts([(old, cached_skyline)], 1, new, mode, new.aabb())\n}",
+         missing_points_region_parts([(old, cached_skyline)], new, mode, new.aabb())\n}",
     ),
     (
         "determinism",

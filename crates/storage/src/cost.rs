@@ -1,4 +1,4 @@
-use std::ops::{Add, AddAssign};
+use std::ops::AddAssign;
 use std::time::Duration;
 
 /// Deterministic I/O latency model.
@@ -86,6 +86,30 @@ impl CostModel {
         let m = self.planning();
         m.seek_ns as f64 + m.per_point_ns as f64 * rows + m.index_entry_ns as f64 * entries
     }
+
+    /// Heap rows whose fetch the planner prices like one seek
+    /// (`seek_ns / per_point_ns` of the planning model, ≈ 26.7 by
+    /// default): the exchange rate between reading rows and issuing range
+    /// queries.
+    pub fn seek_rows(&self) -> f64 {
+        let m = self.planning();
+        m.seek_ns as f64 / m.per_point_ns as f64
+    }
+}
+
+/// What [`crate::Table::predict`] expects a plan to cost, from index
+/// probes alone: each region its own range query, priced as the planner
+/// prices one.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Prediction {
+    /// One per region the indexes do not prove empty (coalescing can only
+    /// charge fewer).
+    pub range_queries: u64,
+    /// Heap rows the chosen per-region plans fetch.
+    pub heap_fetches: f64,
+    /// Seeks, heap rows and index entries in nanoseconds, under the
+    /// planning model (probes are spent either way).
+    pub ns: f64,
 }
 
 /// Counters describing the I/O work of one or more range queries.
@@ -125,22 +149,6 @@ pub struct FetchStats {
     /// non-coalescing plans, and for regions that share a walk but are
     /// each cheaper fetched by a range query of their own.
     pub regions_coalesced: u64,
-}
-
-impl FetchStats {
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &FetchStats) {
-        *self += *other;
-    }
-}
-
-impl Add for FetchStats {
-    type Output = FetchStats;
-
-    fn add(mut self, rhs: FetchStats) -> FetchStats {
-        self += rhs;
-        self
-    }
 }
 
 impl AddAssign for FetchStats {
@@ -190,9 +198,8 @@ mod tests {
 
     #[test]
     fn stats_addition() {
-        let a = FetchStats { points_read: 5, rows_matched: 2, ..Default::default() };
-        let b = FetchStats { points_read: 7, index_probes: 3, ..Default::default() };
-        let c = a + b;
+        let mut c = FetchStats { points_read: 5, rows_matched: 2, ..Default::default() };
+        c += FetchStats { points_read: 7, index_probes: 3, ..Default::default() };
         assert_eq!(c.points_read, 12);
         assert_eq!(c.rows_matched, 2);
         assert_eq!(c.index_probes, 3);

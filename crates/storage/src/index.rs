@@ -71,6 +71,12 @@ impl ColumnIndex {
         (start, end.max(start))
     }
 
+    /// The key at sorted position `pos`.
+    #[inline]
+    pub(crate) fn key_at(&self, pos: usize) -> f64 {
+        self.keys[pos]
+    }
+
     /// Row ids at sorted-key positions `[start, end)`.
     #[inline]
     pub(crate) fn rows_at(&self, start: usize, end: usize) -> &[RowId] {

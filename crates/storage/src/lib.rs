@@ -64,7 +64,7 @@ mod scratch;
 mod sketch;
 mod table;
 
-pub use cost::{CostModel, FetchStats};
+pub use cost::{CostModel, FetchStats, Prediction};
 pub use error::StorageError;
 pub use index::ColumnIndex;
 pub use scratch::{FetchBuf, FetchScratch};

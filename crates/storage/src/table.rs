@@ -1,9 +1,9 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
-use skycache_geom::{Constraints, HyperRect, Point};
+use skycache_geom::{Constraints, HyperRect, Interval, Point};
 
-use crate::cost::{CostModel, FetchStats};
+use crate::cost::{CostModel, FetchStats, Prediction};
 use crate::error::StorageError;
 use crate::index::ColumnIndex;
 use crate::scratch::{
@@ -221,31 +221,29 @@ impl Table {
     /// "non-empty" — a region can pass every single-dimension probe and
     /// still match no row.
     pub fn probe_region_empty(&self, region: &HyperRect) -> bool {
-        self.probe(region, |_, _, _| {})
+        let region = region.intervals();
+        region.iter().any(Interval::is_empty) || self.probes(region).any(|(_, lo, hi)| lo == hi)
     }
 
-    /// The one probe loop, shared by [`Table::probe_region_empty`] and
-    /// fetch planning: locates every bounded dimension of `region` in its
-    /// index, in dimension order, hands `probed` each `(dim, lo, hi)`
-    /// position range, and stops at the first empty one. Returns whether
-    /// the indexes prove the region empty; a degenerate region is, before
-    /// any probe.
-    fn probe(&self, region: &HyperRect, mut probed: impl FnMut(usize, usize, usize)) -> bool {
-        assert_eq!(region.dims(), self.dims, "query/table dimensionality mismatch");
-        if region.is_empty() {
-            return true;
-        }
-        for (dim, iv) in region.intervals().iter().enumerate() {
-            if iv.lo() == f64::NEG_INFINITY && iv.hi() == f64::INFINITY {
-                continue; // no predicate on this dimension
-            }
-            let (lo, hi) = self.indexes[dim].locate(iv);
-            probed(dim, lo, hi);
-            if lo == hi {
-                return true;
-            }
-        }
-        false
+    /// The one probe loop, shared by [`Table::probe_region_empty`], fetch
+    /// planning and [`Table::predict_region`]: locates every bounded
+    /// dimension of `region` in its index, in dimension order, as
+    /// `(dim, lo, hi)` position ranges. An empty range proves the region
+    /// empty, as a degenerate interval does before any probe; a caller may
+    /// stop at the first.
+    fn probes<'a>(
+        &'a self,
+        region: &'a [Interval],
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        assert_eq!(region.len(), self.dims, "query/table dimensionality mismatch");
+        region.iter().zip(&self.indexes).enumerate().filter_map(|(dim, (iv, index))| {
+            // Both ends infinite: no predicate on this dimension.
+            let bounded = iv.lo() != f64::NEG_INFINITY || iv.hi() != f64::INFINITY;
+            bounded.then(|| {
+                let (lo, hi) = index.locate(iv);
+                (dim, lo, hi)
+            })
+        })
     }
 
     /// Direct access to a stored point (no I/O accounting; for index
@@ -403,12 +401,15 @@ impl Table {
         let mut stats = FetchStats { range_queries_issued: 1, ..Default::default() };
         let mark = scratch.probe_mark();
         // The probe that proves a region empty is counted, not logged.
-        let empty = self.probe(region, |dim, lo, hi| {
-            stats.index_probes += 1;
-            if lo < hi {
-                scratch.note_probe(dim as u32, lo as u32, hi as u32);
-            }
-        });
+        let intervals = region.intervals();
+        let empty = intervals.iter().any(Interval::is_empty)
+            || self.probes(intervals).any(|(dim, lo, hi)| {
+                stats.index_probes += 1;
+                if lo < hi {
+                    scratch.note_probe(dim as u32, lo as u32, hi as u32);
+                }
+                lo == hi
+            });
         stats.range_queries_empty = u64::from(empty);
 
         let end = scratch.probe_mark();
@@ -501,8 +502,8 @@ impl Table {
                 charge.partition(
                     members.iter().map(|&r| {
                         let probe = &view.regions[r as usize];
-                        let count = u64::from(probe.pos_hi - probe.pos_lo);
-                        let (_, rows, entries) = self.predict_single(view.probed_of(r), count);
+                        let counts = view.probed_of(r).iter().map(ProbedDim::count);
+                        let (_, rows, entries) = self.predict_single(counts);
                         (probe.pos_lo, probe.pos_hi, model.predicted_ns(rows, entries as f64))
                     }),
                     |span| model.predicted_ns(f64::from(span), f64::from(span)),
@@ -589,23 +590,90 @@ impl Table {
     }
 
     /// The one plan-choice estimate: whether, by the standard
-    /// selectivity-product estimate, a bitmap AND of the probed ranges is
-    /// cheaper than a single-index scan of the `best_count` candidates of
-    /// the most selective one, and the `(heap rows, index entries)` the
-    /// cheaper plan is predicted to cost. [`Table::single_region_charge`]
-    /// charges by it; [`Table::run_unit`] prices a region alone with it.
-    fn predict_single(&self, probed: &[ProbedDim], best_count: u64) -> (bool, f64, usize) {
-        // Plan choice: single-index heap cost vs bitmap estimate.
-        let n = self.points.len() as f64;
-        let est_match: f64 = probed.iter().fold(n, |acc, p| acc * (p.count() as f64 / n));
-        let entries: usize = probed.iter().map(ProbedDim::count).sum();
+    /// selectivity-product estimate over the probed ranges' index position
+    /// `counts` (in dimension order), a bitmap AND of them is cheaper than
+    /// a single-index scan of the candidates of the most selective one,
+    /// and the `(heap rows, index entries)` the cheaper plan is predicted
+    /// to cost. [`Table::single_region_charge`] charges by it;
+    /// [`Table::run_unit`] and [`Table::predict_region`] price a region
+    /// alone with it (no range at all: a scan of every slot).
+    fn predict_single(&self, counts: impl IntoIterator<Item = usize>) -> (bool, f64, usize) {
+        let n = self.points.len();
+        let (mut probed, mut est_match, mut entries, mut best) = (0, n as f64, 0, n);
+        for count in counts {
+            probed += 1;
+            est_match *= count as f64 / n as f64;
+            entries += count;
+            best = best.min(count);
+        }
         let ratio = self.config.cost_model.entry_to_point_ratio();
         let bitmap_cost = est_match + ratio * entries as f64;
-        if probed.len() > 1 && bitmap_cost < best_count as f64 {
+        if probed > 1 && bitmap_cost < best as f64 {
             (true, est_match, entries)
         } else {
-            (false, best_count as f64, best_count as usize)
+            (false, best as f64, best)
         }
+    }
+
+    /// What [`Table::fetch_plan_into`] is predicted to charge `plan`,
+    /// every region priced as a range query of its own
+    /// ([`Table::predict_region`]). Index probes only: no heap row is
+    /// read and nothing is allocated.
+    pub fn predict(&self, plan: &FetchPlan) -> Prediction {
+        let mut total = Prediction::default();
+        for p in plan.regions.iter().map(|region| self.predict_region(region.intervals())) {
+            total.range_queries += p.range_queries;
+            total.heap_fetches += p.heap_fetches;
+            total.ns += p.ns;
+        }
+        total
+    }
+
+    /// The predicted cost of one range query over `region`: nothing when
+    /// the indexes prove it empty, a heap scan when it bounds no
+    /// dimension, else the cheaper one-region plan [`Table::run_unit`]
+    /// would charge it alone.
+    pub fn predict_region(&self, region: &[Interval]) -> Prediction {
+        let mut empty = region.iter().any(Interval::is_empty);
+        let (_, rows, entries) = self.predict_single(self.probes(region).map(|(_, lo, hi)| {
+            empty |= lo == hi;
+            hi - lo
+        }));
+        if empty {
+            return Prediction::default();
+        }
+        let ns = self.config.cost_model.predicted_ns(rows, entries as f64);
+        Prediction { range_queries: 1, heap_fetches: rows, ns }
+    }
+
+    /// The lower corner of `region` predicted to hold `rows` rows, written
+    /// to `cut` (one key per dimension) as the upper corner of the box
+    /// `[lo, cut]`: per dimension, the index key at position
+    /// `lo + ⌈f · count⌉` of the region's index range, with
+    /// `f = (rows / est)^(1/d)` and `est` the selectivity-product estimate
+    /// of the region's rows. Returns the rows `[cut, hi]` is predicted to
+    /// hold, `est · (1 − f)^d` — every one dominated by any row of a
+    /// non-empty corner — or `None` when `region` is not predicted to hold
+    /// more than `rows` or a cut position falls outside its range. Index
+    /// probes only.
+    pub fn corner_cut(&self, region: &[Interval], rows: f64, cut: &mut [f64]) -> Option<f64> {
+        assert_eq!((region.len(), cut.len()), (self.dims, self.dims), "dimensionality mismatch");
+        let n = self.points.len() as f64;
+        let ranges = || region.iter().zip(&self.indexes).map(|(iv, index)| index.locate(iv));
+        let est = ranges().fold(n, |est, (lo, hi)| est * ((hi - lo) as f64 / n));
+        if est <= rows {
+            return None;
+        }
+        let d = self.dims as f64;
+        let f = (rows / est).powf(d.recip());
+        for ((lo, hi), (index, key)) in ranges().zip(self.indexes.iter().zip(cut)) {
+            let pos = lo + (f * (hi - lo) as f64).ceil() as usize;
+            if pos >= hi {
+                return None;
+            }
+            *key = index.key_at(pos);
+        }
+        Some(est * (1.0 - f).powf(d))
     }
 
     /// The simulated `(heap fetches, index entries scanned)` of a
@@ -617,7 +685,7 @@ impl Table {
         best_count: u64,
         matched: u64,
     ) -> (u64, u64) {
-        let (bitmap, _, entries) = self.predict_single(probed, best_count);
+        let (bitmap, _, entries) = self.predict_single(probed.iter().map(ProbedDim::count));
         if bitmap {
             // Bitmap AND: every constrained index range is scanned
             // (cheap, index-only); only intersecting rows hit the heap.

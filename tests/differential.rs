@@ -222,21 +222,48 @@ fn every_policy_and_multi_item_mode_matches_baseline() {
         {
             for capacity in [None, Some(8)] {
                 for compose_items in [1, 4] {
-                    for extra_items in [0, 2] {
-                        let cbcs = CbcsConfig {
-                            policy,
-                            capacity,
-                            compose_items,
-                            extra_items,
-                            ..Default::default()
-                        };
-                        let label = format!(
-                            "{name}/{policy:?}/cap {capacity:?}/compose {compose_items}/extra {extra_items}"
-                        );
-                        assert_matches_baseline(table, &queries, cbcs, &label);
-                    }
+                    let cbcs = CbcsConfig { policy, capacity, compose_items, ..Default::default() };
+                    let label =
+                        format!("{name}/{policy:?}/cap {capacity:?}/compose {compose_items}");
+                    assert_matches_baseline(table, &queries, cbcs, &label);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn corner_first_reads_less_than_the_constrained_data() {
+    // A miss over [lo, hi]³, then a hit whose three lower bounds moved
+    // down (a general overlap): the rows near the lower corner prune most
+    // of R_C′, so each reads under half of S_C′ — the parent's miss read
+    // all of it, its hit the 3/4 of R_C′ outside the cached box — and
+    // answers exactly like Baseline, where every row is stored twice too.
+    let uniform = table_for(Distribution::Independent, 3, 20_000, 67);
+    let twins = common::twin_grid_table(3, 3_000, 3);
+    let cube = |lo: f64, hi: f64| Constraints::from_pairs(&[(lo, hi); 3]).unwrap();
+    for (name, table, cached, query) in [
+        ("uniform", &uniform, cube(0.4, 0.9), cube(0.1, 0.9)),
+        ("twins", &twins, cube(4.0, 11.0), cube(1.0, 11.0)),
+    ] {
+        let mut baseline = BaselineExecutor::new(table);
+        for warm in [None, Some(&cached)] {
+            let service = Service::open(table, ServiceConfig::default());
+            let mut cbcs = service.session();
+            if let Some(c) = warm {
+                cbcs.execute(&QueryRequest::new(c.clone())).unwrap();
+            }
+            let want = baseline.execute(&QueryRequest::new(query.clone())).unwrap();
+            let got = cbcs.execute(&QueryRequest::new(query.clone())).unwrap();
+            let s_c = want.stats.points_read;
+            assert_eq!(got.stats.cache_hit, warm.is_some(), "{name}");
+            assert!(
+                got.stats.points_read * 2 < s_c,
+                "{name}, hit {}: read {} of |S_C′| = {s_c}",
+                warm.is_some(),
+                got.stats.points_read
+            );
+            assert_eq!(sorted(got.skyline), sorted(want.skyline), "{name}, hit {}", warm.is_some());
         }
     }
 }

@@ -4,7 +4,8 @@
 //! nanoseconds, for coalescing and non-coalescing runs of the same region
 //! list. `tests/prop_coalescing.rs` compares sorted row sets only, so a
 //! reordering would pass there and fail here. Every case is also held to
-//! `sim_ns(coalesce=true) <= sim_ns(coalesce=false)`.
+//! `sim_ns(coalesce=true) <= sim_ns(coalesce=false)`, and `Table::predict`
+//! to what each run was charged (`check_prediction`).
 //!
 //! The expected lines live in `tests/golden/fetch_contract.txt` (d = 4)
 //! and `tests/golden/fetch_contract_wide.txt` (d = 6 and d = 10: ties,
@@ -18,7 +19,7 @@ use skycache::algos::{Sfs, SkylineAlgorithm};
 use skycache::core::{cases, MprMode};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen, Workload};
 use skycache::geom::{Constraints, HyperRect, Interval, Point, PointBlock};
-use skycache::storage::{FetchPlan, FetchScratch, Table, TableConfig};
+use skycache::storage::{FetchPlan, FetchScratch, FetchStats, Table, TableConfig};
 
 const DIMS: usize = 4;
 
@@ -53,6 +54,7 @@ fn run_line(
             outcome.simulated_latency
         );
         let s = outcome.stats;
+        check_prediction(table, &plan, &s, name);
         let ids = scratch.rows().ids();
         writeln!(
             out,
@@ -75,6 +77,26 @@ fn run_line(
         )
         .expect("writing to a String cannot fail");
     }
+}
+
+/// Pins [`Table::predict`] against what the fetch charged. It predicts
+/// one range query per region the indexes do not prove empty — coalescing
+/// can only charge fewer — and heap rows within a factor 2 of the charged
+/// ones, give or take 2 rows for regions that hold next to none; a range
+/// query coalescing saves may buy up to one seek's worth of rows on top
+/// (DESIGN.md §12), and is allowed for.
+fn check_prediction(table: &Table, plan: &FetchPlan, s: &FetchStats, name: &str) {
+    let p = table.predict(plan);
+    let ready = s.range_queries_issued - s.range_queries_empty;
+    assert_eq!(p.range_queries, ready, "{name}: predicted range queries");
+    assert!(p.range_queries >= s.range_queries_executed, "{name}: more executed than predicted");
+    let (rows, charged) = (p.heap_fetches, s.heap_fetches as f64);
+    let bought = table.config().cost_model.seek_rows() * s.regions_coalesced as f64;
+    assert!(
+        rows <= 2.0 * charged + 2.0 && charged <= 2.0 * rows + 2.0 + bought,
+        "{name}: predicted {rows:.1} heap rows, charged {charged} (coalesced {})",
+        s.regions_coalesced
+    );
 }
 
 fn closed(pairs: [(f64, f64); DIMS]) -> HyperRect {

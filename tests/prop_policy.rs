@@ -107,7 +107,7 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every (policy × compose × harvest × capacity) cell answers every
+    /// Every (policy × compose × capacity) cell answers every
     /// query in the sequence exactly like a from-scratch recompute — the
     /// same rows as often — no matter which items the policy evicted in
     /// between.
@@ -116,14 +116,12 @@ proptest! {
         scenario in scenario(),
         policy in policy(),
         compose in any::<bool>(),
-        extra_items in 0..3usize,
         capacity in prop_oneof![Just(None), Just(Some(2usize)), Just(Some(4usize))],
     ) {
         let (points, queries) = scenario;
         let table = build(points.clone());
         let compose_items = if compose { 4 } else { 1 };
-        let config =
-            CbcsConfig { policy, compose_items, extra_items, capacity, ..Default::default() };
+        let config = CbcsConfig { policy, compose_items, capacity, ..Default::default() };
         let service = Service::open(&table, ServiceConfig::with_cbcs(config));
         let mut ex = service.session();
         for c in &queries {
