@@ -20,11 +20,9 @@ experiments:
   fig10  avg ms per stage (processing / fetching / skyline)
   fig11  cache search strategies (interactive + independent)
   fig12  real-estate dataset (interactive + independent)
-  ablation-replacement   LRU vs LCU under small capacities
+  ablation-replacement   LRU vs LCU under small capacities (interactive + Zipf)
   ablation-k             aMPR nearest-neighbor sweep
-  ablation-multi         multi-item answering: composition vs a single item
-  policy                 replacement policies x compositional hits, incl. Zipf workload (writes BENCH_policy.json)
-  serve                  TCP server under concurrent load: qps/p99, coalescing, read scaling (writes BENCH_serve.json)
+  serve                  TCP server under concurrent load: qps/p99 per client count, read scaling (writes BENCH_serve.json)
   all    everything above
 timings come from benchmark/run.sh (skybench), schedule exploration from
 `cargo test -p skycache-core --test model --test model_serve`";
@@ -61,8 +59,6 @@ fn main() -> ExitCode {
         ("fig12", figures::fig12),
         ("ablation-replacement", figures::ablation_replacement),
         ("ablation-k", figures::ablation_k),
-        ("ablation-multi", figures::ablation_multi),
-        ("policy", figures::policy),
         ("serve", skycache_bench::serve::serve_bench),
     ] {
         if want(name) {

@@ -15,7 +15,8 @@ use skycache_storage::Table;
 
 use crate::{
     filter_by_case, fmt_size, independent_queries, interactive_queries, print_header, print_row,
-    real_estate_table, run_queries, split_by_stability, summarize, synthetic_table, Summary,
+    real_estate_table, run_queries, split_by_stability, summarize, synthetic_table, zipf_queries,
+    Summary,
 };
 
 /// Experiment scale knobs.
@@ -437,28 +438,66 @@ pub fn fig12(scale: &Scale) {
 }
 
 /// Ablation (Section 6.2, left as future work by the paper): LRU vs LCU
-/// cache replacement under a small capacity.
+/// cache replacement under a small capacity, on interactive chains and on
+/// a Zipf-skewed multi-user stream whose base-query pool exceeds the
+/// cache.
 pub fn ablation_replacement(scale: &Scale) {
     println!("\n#### Ablation: cache replacement policies (interactive, |D|=3) ####");
     let table = synthetic_table(Distribution::Independent, 3, scale.mid_n.min(200_000), 42);
     let queries = interactive_queries(&table, scale.interactive_queries.max(200), 17, None);
-    print_header("replacement", &["avg time".into(), "pts read".into(), "hit rate".into()]);
-    for (label, capacity, policy) in [
-        ("unbounded", None, ReplacementPolicy::Lru),
-        ("LRU cap=8", Some(8), ReplacementPolicy::Lru),
-        ("LCU cap=8", Some(8), ReplacementPolicy::Lcu),
-        ("LRU cap=2", Some(2), ReplacementPolicy::Lru),
-        ("LCU cap=2", Some(2), ReplacementPolicy::Lcu),
-    ] {
+    replacement_rows(
+        "replacement",
+        &table,
+        &queries,
+        &[
+            ("unbounded", None, ReplacementPolicy::Lru),
+            ("LRU cap=8", Some(8), ReplacementPolicy::Lru),
+            ("LCU cap=8", Some(8), ReplacementPolicy::Lcu),
+            ("LRU cap=2", Some(2), ReplacementPolicy::Lru),
+            ("LCU cap=2", Some(2), ReplacementPolicy::Lcu),
+        ],
+    );
+
+    // A skewed multi-user stream whose pool of 96 query bases exceeds the
+    // cache of 32.
+    let n = scale.mid_n.min(100_000);
+    let table = synthetic_table(Distribution::Independent, 4, n, 42);
+    let queries = zipf_queries(&table, 400, 23, 96, 1.1, 0);
+    replacement_rows(
+        &format!("replacement (zipf, |D|=4, |S| = {})", fmt_size(n)),
+        &table,
+        &queries,
+        &[
+            ("unbounded", None, ReplacementPolicy::Lru),
+            ("LRU cap=32", Some(32), ReplacementPolicy::Lru),
+            ("LCU cap=32", Some(32), ReplacementPolicy::Lcu),
+        ],
+    );
+}
+
+/// One row per `(label, capacity, policy)`: average time, average and
+/// total points read, and the share of queries answered from a cached
+/// item.
+fn replacement_rows(
+    title: &str,
+    table: &Table,
+    queries: &[Constraints],
+    rows: &[(&str, Option<usize>, ReplacementPolicy)],
+) {
+    let columns = ["avg time".into(), "pts read".into(), "total pts".into(), "hit rate".into()];
+    print_header(title, &columns);
+    for &(label, capacity, policy) in rows {
         let config = CbcsConfig { capacity, policy, ..Default::default() };
-        let records = run_cbcs(&table, &queries, &[], config);
+        let records = run_cbcs(table, queries, &[], config);
         let s = summarize(records.iter());
+        let total: u64 = records.iter().map(|r| r.points_read).sum();
         let hits = records.iter().filter(|r| r.cache_hit).count();
         print_row(
             label,
             &[
                 secs(s.avg_time_s),
                 count(s.avg_points),
+                total.to_string(),
                 format!("{:.0}%", hits as f64 / records.len() as f64 * 100.0),
             ],
         );
@@ -498,196 +537,5 @@ pub fn ablation_k(scale: &Scale) {
                 &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
             );
         }
-    }
-}
-
-/// Ablation: multi-item processing (the paper's Section 6.3 future work)
-/// as compositional answering (DESIGN.md §17) over `compose` items in
-/// total; `compose=1` is the paper's single-item answer.
-pub fn ablation_multi(scale: &Scale) {
-    println!("\n#### Ablation: multi-item processing (Section 6.3 extension) ####");
-    let table = synthetic_table(Distribution::Independent, 4, scale.mid_n.min(200_000), 42);
-    for interactive in [true, false] {
-        let name = if interactive { "interactive" } else { "independent" };
-        print_header(
-            &format!("multi-item ({name})"),
-            &["avg time".into(), "pts read".into(), "range qs".into()],
-        );
-        let (preload, queries) = if interactive {
-            (Vec::new(), interactive_queries(&table, scale.interactive_queries, 17, None))
-        } else {
-            (
-                independent_queries(&table, scale.preload, 5, None),
-                independent_queries(&table, scale.independent_queries.min(60), 19, None),
-            )
-        };
-        for compose_items in [1usize, 2, 3, 4, 5, 9] {
-            let config = CbcsConfig {
-                mpr: MprMode::Approximate { k: 2 },
-                strategy: if interactive {
-                    SearchStrategy::MaxOverlapSP
-                } else {
-                    SearchStrategy::MaxOverlap
-                },
-                compose_items,
-                ..Default::default()
-            };
-            let records = run_cbcs(&table, &queries, &preload, config);
-            let s = summarize(records.iter());
-            let label = format!("compose={compose_items}");
-            print_row(&label, &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
-        }
-    }
-}
-
-/// `repro policy` — the cache-policy study (DESIGN.md §17): every
-/// replacement policy (LRU, LCU, cost-aware) crossed with
-/// compositional multi-item hits on/off, over the two paper workloads
-/// plus a Zipf-skewed multi-user workload whose base-query pool exceeds
-/// the cache capacity.
-///
-/// It writes `BENCH_policy.json` (schema `skypolicy-bench/2`, checked by
-/// CI). With the corner-first fetch stage (DESIGN.md §18) the grid no
-/// longer shows composition or cost-aware eviction reading fewer points
-/// than the single-item LRU / LCU cells; DESIGN.md §17.4 has the cells.
-///
-/// `hit_rate` in the JSON is the *free-hit* fraction (exact or case-(b)
-/// hits that answer from cache with zero fetch); `overlap_hit_rate`
-/// is the any-overlap fraction (near 1.0 once the cache warms — every
-/// policy keeps *some* overlapping item, so it does not discriminate).
-pub fn policy(scale: &Scale) {
-    use std::time::Instant;
-
-    use crate::zipf_queries;
-
-    println!("\n#### Cache policy: replacement x compositional hits ####");
-
-    let dims = 4;
-    let n = scale.mid_n.min(100_000);
-    let table = synthetic_table(Distribution::Independent, dims, n, 42);
-    let capacity = 32;
-    let zipf_pool = 96;
-    let zipf_exponent = 1.1;
-    let zipf_rotate = 0;
-
-    let workloads: Vec<(&str, Vec<Constraints>)> = vec![
-        ("interactive", interactive_queries(&table, scale.interactive_queries.max(200), 17, None)),
-        ("independent", independent_queries(&table, scale.independent_queries.max(200), 19, None)),
-        ("zipf", zipf_queries(&table, 400, 23, zipf_pool, zipf_exponent, zipf_rotate)),
-    ];
-
-    let policies = [
-        ("lru", ReplacementPolicy::Lru),
-        ("lcu", ReplacementPolicy::Lcu),
-        ("costaware", ReplacementPolicy::CostAware),
-    ];
-
-    let mut cells = Vec::new();
-    for (wname, queries) in &workloads {
-        print_header(
-            &format!(
-                "{wname} (q = {}, n = {}, |D| = {dims}, capacity = {capacity})",
-                queries.len(),
-                fmt_size(n)
-            ),
-            &[
-                "free hits".into(),
-                "overlap".into(),
-                "composed".into(),
-                "pts read".into(),
-                "qps".into(),
-            ],
-        );
-        for (pname, policy) in policies {
-            let base = CbcsConfig { capacity: Some(capacity), policy, ..Default::default() };
-            for (compose, compose_items) in [(false, 1), (true, 4)] {
-                let config = CbcsConfig { compose_items, ..base.clone() };
-                let service = Service::open(&table, ServiceConfig::with_cbcs(config));
-                let start = Instant::now();
-                let records = run_queries(&mut service.session(), queries);
-                let wall = start.elapsed().as_secs_f64().max(1e-9);
-
-                let free_hits = records
-                    .iter()
-                    .filter(|r| matches!(r.case, Some(Overlap::Exact | Overlap::CaseB { .. })))
-                    .count();
-                let overlap_hits = records.iter().filter(|r| r.cache_hit).count();
-                let composed_hits = records.iter().filter(|r| r.composed_items >= 2).count();
-                let cover_sum: f64 = records
-                    .iter()
-                    .filter(|r| r.composed_items >= 2)
-                    .map(|r| r.cover_fraction)
-                    .sum();
-                let avg_cover =
-                    if composed_hits > 0 { cover_sum / composed_hits as f64 } else { 0.0 };
-                let points_read: u64 = records.iter().map(|r| r.points_read).sum();
-                let q = records.len() as f64;
-                let hit_rate = free_hits as f64 / q;
-                let overlap_rate = overlap_hits as f64 / q;
-                let qps = q / wall;
-
-                print_row(
-                    &format!("{pname}{}", if compose { " +compose" } else { "" }),
-                    &[
-                        format!("{:.0}%", hit_rate * 100.0),
-                        format!("{:.0}%", overlap_rate * 100.0),
-                        composed_hits.to_string(),
-                        count(points_read as f64 / q),
-                        count(qps),
-                    ],
-                );
-
-                cells.push(format!(
-                    concat!(
-                        "{{\n",
-                        "      \"workload\": \"{}\",\n",
-                        "      \"policy\": \"{}\",\n",
-                        "      \"compose\": {},\n",
-                        "      \"queries\": {},\n",
-                        "      \"hit_rate\": {:.4},\n",
-                        "      \"overlap_hit_rate\": {:.4},\n",
-                        "      \"composed_hits\": {},\n",
-                        "      \"avg_cover_fraction\": {:.4},\n",
-                        "      \"points_read\": {},\n",
-                        "      \"qps\": {:.1}\n",
-                        "    }}"
-                    ),
-                    wname,
-                    pname,
-                    compose,
-                    records.len(),
-                    hit_rate,
-                    overlap_rate,
-                    composed_hits,
-                    avg_cover,
-                    points_read,
-                    qps
-                ));
-            }
-        }
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"skypolicy-bench/2\",\n",
-            "  \"n\": {},\n",
-            "  \"dims\": {},\n",
-            "  \"cache_capacity\": {},\n",
-            "  \"zipf\": {{ \"pool\": {}, \"exponent\": {:.2}, \"rotate_every\": {} }},\n",
-            "  \"cells\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        n,
-        dims,
-        capacity,
-        zipf_pool,
-        zipf_exponent,
-        zipf_rotate,
-        cells.join(",\n    ")
-    );
-    match std::fs::write("BENCH_policy.json", &json) {
-        Ok(()) => println!("wrote BENCH_policy.json"),
-        Err(e) => eprintln!("could not write BENCH_policy.json: {e}"),
     }
 }

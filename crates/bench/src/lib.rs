@@ -64,7 +64,7 @@ pub fn independent_queries(
     generator.generate(total, seed).queries().iter().map(|q| q.constraints.clone()).collect()
 }
 
-/// Zipf-skewed multi-user queries (DESIGN.md §17): a fixed pool of base
+/// Zipf-skewed multi-user queries (DESIGN.md §17.4): a fixed pool of base
 /// queries re-issued with popularity ∝ 1/rank^`exponent`, plus occasional
 /// one-step refinement drift. `rotate_every > 0` shifts the hot set by a
 /// quarter of the pool every that many queries (trending traffic).

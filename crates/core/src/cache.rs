@@ -10,12 +10,10 @@
 //! item cached under it answers alone, found without the MBR search, and
 //! keeps the text of its skyline for the reply (DESIGN.md §17.5).
 //!
-//! Replacement (Section 6.2 and DESIGN.md §17): insertion and use
-//! counters on the items support LRU (least recently used) and LCU
-//! (least commonly used) eviction when a capacity is set, and the
-//! cost-aware policy evicts the item whose measured benefit per cached
-//! point is smallest. Every insert is stored; eviction order is
-//! maintained incrementally in an ordered victim index — no
+//! Replacement (Section 6.2): insertion and use counters on the items
+//! support LRU (least recently used) and LCU (least commonly used)
+//! eviction when a capacity is set. Every insert is stored; eviction
+//! order is maintained incrementally in an ordered victim index — no
 //! per-eviction scan.
 
 // BTreeMap/BTreeSet, not HashMap/HashSet: eviction order and the order
@@ -28,11 +26,9 @@ use std::sync::{Arc, OnceLock};
 use skycache_geom::{dominated_by_any_rows, dominates_rows, Aabb, Constraints, Point, PointBlock};
 use skycache_rtree::RStarTree;
 
-/// Measured benefit recorded when a result is inserted: what it cost to
-/// compute the skyline from storage, i.e. what a future exact hit saves.
-/// Both components are deterministic (points read from the fetch plan and
-/// the storage cost model's *simulated* latency — never wall-clock), so
-/// cost-aware eviction order is reproducible across runs.
+/// What building a result cost, as [`Cache::insert_with_cost`] takes it.
+/// Nothing reads it: it remains only because skybench names it, until
+/// ROADMAP item 1h deletes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ItemCost {
     /// Data points the query read from storage to build this result.
@@ -60,10 +56,8 @@ pub struct CacheItem {
     pub inserted_at: u64,
     /// Logical time of last use.
     pub last_used: u64,
-    /// Number of times the item answered (part of) a query.
+    /// Number of times the item answered a query.
     pub use_count: u64,
-    /// What building this result cost (drives [`ReplacementPolicy::CostAware`]).
-    pub cost: ItemCost,
     /// `skyline` as text ([`render_points`]): empty until the first exact
     /// hit renders it, read by every later one. Behind its own `Arc`, so
     /// the copy of an item a cache makes to update its counters
@@ -121,22 +115,12 @@ pub fn render_points<'a>(out: &mut String, rows: impl Iterator<Item = &'a [f64]>
     }
 }
 
-/// Benefit-per-cached-point score for cost-aware eviction. Non-negative
-/// and finite, so `f64::to_bits` is order-preserving and the score can
-/// key the ordered victim index directly.
-fn cost_score(item: &CacheItem) -> f64 {
-    let benefit = item.cost.points_read as f64 + item.cost.fetch_ns as f64 / 1_000.0;
-    let footprint = item.skyline.len() as f64 + 1.0;
-    benefit / footprint
-}
-
 /// The ordered victim-index key for an item under a policy: the victim
 /// is always the *smallest* key present. Lower = evicted sooner.
 fn victim_key(policy: ReplacementPolicy, item: &CacheItem) -> (u64, u64, u64) {
     match policy {
         ReplacementPolicy::Lru => (item.last_used, item.inserted_at, item.id),
         ReplacementPolicy::Lcu => (item.use_count, item.inserted_at, item.id),
-        ReplacementPolicy::CostAware => (cost_score(item).to_bits(), item.inserted_at, item.id),
     }
 }
 
@@ -148,10 +132,6 @@ pub enum ReplacementPolicy {
     Lru,
     /// Evict the least commonly used item (ties: older first).
     Lcu,
-    /// Evict the item whose measured benefit (points read + simulated
-    /// fetch time saved, per cached point) is smallest — cheap-to-
-    /// recompute results yield first.
-    CostAware,
 }
 
 /// Work accounting for a [`Cache::lookup_into`] — the candidate ids
@@ -258,27 +238,12 @@ impl Cache {
         mbr.clone().unwrap_or_else(|| constraints.aabb().clone())
     }
 
-    /// Inserts a result with no recorded cost, evicting if over
-    /// capacity. Returns the item id.
+    /// Inserts a result, evicting if over capacity; the new item is
+    /// never the one evicted. Returns the item id.
     ///
     /// # Panics
     /// Panics on dimensionality mismatch.
     pub fn insert(&mut self, constraints: Constraints, skyline: &[Point]) -> u64 {
-        self.insert_with_cost(constraints, skyline, ItemCost::default())
-    }
-
-    /// [`Cache::insert`] with the measured build cost attached — the
-    /// signal [`ReplacementPolicy::CostAware`] ranks items by. The new
-    /// item is never the one evicted.
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch.
-    pub fn insert_with_cost(
-        &mut self,
-        constraints: Constraints,
-        skyline: &[Point],
-        cost: ItemCost,
-    ) -> u64 {
         assert_eq!(constraints.dims(), self.dims, "constraints dimensionality mismatch");
         self.clock += 1;
         let id = self.next_id;
@@ -305,7 +270,6 @@ impl Cache {
             inserted_at: self.clock,
             last_used: self.clock,
             use_count: 0,
-            cost,
             text: Arc::default(),
         };
         self.victims.insert(victim_key(self.policy, &item));
@@ -317,6 +281,12 @@ impl Cache {
         }
         self.debug_assert_clock_monotone();
         id
+    }
+
+    /// [`Cache::insert`], ignoring `cost`: it remains only because
+    /// skybench calls it, until ROADMAP item 1h deletes it and [`ItemCost`].
+    pub fn insert_with_cost(&mut self, c: Constraints, skyline: &[Point], _: ItemCost) -> u64 {
+        self.insert(c, skyline)
     }
 
     /// Invariant (debug builds): the logical clock dominates every
@@ -514,7 +484,6 @@ impl Cache {
         self.maintenance_scans += affected.len() as u64;
         affected.sort_unstable();
         affected.retain(|id| self.items.get(id).is_some_and(|item| item.constraints.satisfies(p)));
-        let policy = self.policy;
         let mut updated = 0;
         for id in affected {
             let Some(item) = self.items.get_mut(&id) else { continue };
@@ -523,19 +492,10 @@ impl Cache {
             }
             // p enters the skyline; points it dominates leave — in this
             // cache's own copy of the item and its block, never in one a
-            // clone still shares. The skyline length feeds the cost-aware
-            // victim rank, so the victim-index entry moves with it.
-            let item = Arc::make_mut(item);
-            let old_key = victim_key(policy, item);
-            let skyline = item.skyline_mut();
+            // clone still shares.
+            let skyline = Arc::make_mut(item).skyline_mut();
             skyline.retain_rows(|s| !dominates_rows(p.coords(), s));
             skyline.push(p);
-            let new_key = victim_key(policy, item);
-            if new_key != old_key {
-                let dropped = self.victims.remove(&old_key);
-                debug_assert!(dropped, "victim index out of sync with items");
-                self.victims.insert(new_key);
-            }
             self.reindex(id);
             updated += 1;
         }
@@ -882,7 +842,6 @@ mod tests {
             .min_by_key(|it| match policy {
                 ReplacementPolicy::Lru => (it.last_used, it.inserted_at, it.id),
                 ReplacementPolicy::Lcu => (it.use_count, it.inserted_at, it.id),
-                ReplacementPolicy::CostAware => (cost_score(it).to_bits(), it.inserted_at, it.id),
             })
             .map(|it| it.id)
     }
@@ -891,12 +850,12 @@ mod tests {
     fn victim_index_matches_reference_scan() {
         // Differential pin: the incremental ordered victim index evicts
         // exactly the item the old O(n) min_by_key scan selected, over a
-        // deterministic pseudo-random insert/touch schedule with seeded,
-        // varied build costs. (The newly inserted item is protected in
-        // both implementations, so the pre-insert scan predicts the
-        // victim.)
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu, ReplacementPolicy::CostAware]
-        {
+        // deterministic pseudo-random schedule of inserts, touches and
+        // dynamic-data maintenance — inserted points that change a live
+        // item's skyline, deleted points that drop the item. (The newly
+        // inserted item is protected in both implementations, so the
+        // pre-insert scan predicts the victim.)
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
             let mut cache = Cache::with_capacity(1, Some(4), policy);
             let mut state = 0x2545_F491_4F6C_DD1Du64; // LCG seed
             let mut live: Vec<u64> = Vec::new();
@@ -907,10 +866,22 @@ mod tests {
                     let pick = live[(state >> 33) as usize % live.len()];
                     cache.touch(pick);
                 }
+                // Every item's constraints are disjoint from the others',
+                // so each point lands in exactly the picked item.
+                if !live.is_empty() && (state >> 40).is_multiple_of(4) {
+                    let pick = live[(state >> 13) as usize % live.len()];
+                    let item = cache.get(pick).unwrap();
+                    let (lo, row) = (item.constraints.lo()[0], item.skyline.row(0)[0]);
+                    if (state >> 50).is_multiple_of(2) {
+                        assert_eq!(cache.on_insert(&p(&[(lo + row) / 2.0])), 1);
+                    } else {
+                        assert_eq!(cache.on_delete(&p(&[row])), 1);
+                        live.retain(|&v| v != pick);
+                    }
+                }
                 let predicted = (cache.len() == 4).then(|| scan_victim(&cache, policy).unwrap());
                 let lo = f64::from(i);
-                let cost = ItemCost { points_read: (state >> 20) % 5_000, fetch_ns: state >> 44 };
-                let id = cache.insert_with_cost(c(&[(lo, lo + 0.5)]), &[p(&[lo + 0.25])], cost);
+                let id = cache.insert(c(&[(lo, lo + 0.5)]), &[p(&[lo + 0.25])]);
                 live.push(id);
                 if let Some(victim) = predicted {
                     assert!(
@@ -922,31 +893,6 @@ mod tests {
                 assert_eq!(cache.len(), live.len().min(4));
             }
         }
-    }
-
-    #[test]
-    fn cost_aware_evicts_cheapest_to_recompute() {
-        let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::CostAware);
-        let cheap = cache.insert_with_cost(
-            c(&[(0.0, 1.0)]),
-            &[p(&[0.5])],
-            ItemCost { points_read: 2, fetch_ns: 100 },
-        );
-        let dear = cache.insert_with_cost(
-            c(&[(1.0, 2.0)]),
-            &[p(&[1.5])],
-            ItemCost { points_read: 5_000, fetch_ns: 900_000 },
-        );
-        // Recency does not matter under the cost-aware policy: the cheap
-        // item yields even though it was used more recently.
-        cache.touch(cheap);
-        cache.insert_with_cost(
-            c(&[(2.0, 3.0)]),
-            &[p(&[2.5])],
-            ItemCost { points_read: 100, fetch_ns: 10_000 },
-        );
-        assert!(cache.get(cheap).is_none(), "cheap-to-recompute item evicted first");
-        assert!(cache.get(dear).is_some(), "expensive item kept");
     }
 
     #[test]

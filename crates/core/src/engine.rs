@@ -58,8 +58,8 @@ use crate::{CoreError, Result};
 pub struct QueryRequest {
     /// The query constraints `C`.
     pub constraints: Constraints,
-    /// Render a per-query [`QueryReport`] (phase times, counters,
-    /// gauges). Off by default: the report costs allocations.
+    /// Render a per-query [`QueryReport`] (phase times, counters). Off
+    /// by default: the report costs allocations.
     pub record: bool,
 }
 
@@ -138,9 +138,6 @@ pub(crate) struct QueryScratch {
     /// across queries so the lookup path allocates nothing in steady
     /// state (mirrors [`FetchScratch`] on the storage side).
     pub(crate) lookup_ids: Vec<u64>,
-    /// Ids of the cached items handed to the planner, primary first;
-    /// reused like `lookup_ids`.
-    pub(crate) part_ids: Vec<u64>,
 }
 
 impl QueryScratch {
@@ -325,8 +322,7 @@ pub struct QueryStats {
     /// fetch phase is [`QueryStats::fetch_sim_ns`].
     pub phase_ns: [u64; Phase::COUNT],
     /// Simulated storage fetch latency (nanoseconds) charged by the cost
-    /// model — deterministic, unlike the measured phase times, so it can
-    /// feed cost-aware cache replacement reproducibly.
+    /// model — deterministic, unlike the measured phase times.
     pub fetch_sim_ns: u64,
     /// Whether a cached item was used.
     pub cache_hit: bool,
@@ -353,12 +349,6 @@ pub struct QueryStats {
     pub mpr_invalidated_pieces: u64,
     /// Result cardinality.
     pub result_size: u64,
-    /// Cached items composed into the answer (0 on misses; 1 on
-    /// single-item hits; ≥ 2 on compositional hits).
-    pub composed_items: usize,
-    /// Fraction of the query region covered by cached items on a
-    /// compositional hit (0.0 otherwise).
-    pub cover_fraction: f64,
     /// Whether this query's result was stored in the cache (0 or 1).
     pub insertions: u64,
     /// Items evicted while this query's result was being cached.
@@ -432,7 +422,6 @@ impl QueryStats {
             (names::CACHE_INSERTIONS, self.insertions),
             (names::CACHE_CANDIDATES, self.candidates as u64),
             (names::CACHE_OVERLAP_SCANS, self.overlap_scans),
-            (names::CACHE_COMPOSED_HITS, u64::from(self.composed_items >= 2)),
             (names::CACHE_RETAINED_POINTS, self.retained_points),
             (names::CACHE_REMOVED_POINTS, self.removed_points),
             (names::FETCH_REGIONS, self.range_queries_issued),
@@ -454,9 +443,6 @@ impl QueryStats {
             (names::SERVE_NEGATIVE_HITS, self.negative_hits),
         ] {
             metrics.add(name, value);
-        }
-        if self.composed_items >= 2 {
-            metrics.set(names::CACHE_COVER_FRACTION, self.cover_fraction);
         }
         QueryReport::new(Phase::ALL.map(|p| self.shown_ns(p)), metrics)
     }
@@ -580,12 +566,6 @@ pub struct CbcsConfig {
     pub policy: ReplacementPolicy,
     /// Seed for the `Random` strategy.
     pub seed: u64,
-    /// Compositional multi-item hits (DESIGN.md §17.3): when the primary
-    /// item is neither an exact hit nor Case (b), compose up to this many
-    /// cover-ordered cached items (primary included) into one remainder
-    /// plan and fetch only the jointly uncovered space. `1` — or `0` —
-    /// is the paper's single-item answering and the default.
-    pub compose_items: usize,
 }
 
 impl Default for CbcsConfig {
@@ -596,7 +576,6 @@ impl Default for CbcsConfig {
             capacity: None,
             policy: ReplacementPolicy::Lru,
             seed: 0xC0FFEE,
-            compose_items: 1,
         }
     }
 }
@@ -980,44 +959,6 @@ mod tests {
         assert_eq!(r2.stats.case, Some(Overlap::Exact));
         assert_eq!(r2.stats.points_read, 0);
         assert_eq!(r2.skyline, r1.skyline);
-    }
-
-    #[test]
-    fn cbcs_composes_two_cached_items_and_matches_single_item_path() {
-        // Two primed halves jointly cover the third query's region; with
-        // composition on, both contribute and the merged skyline equals
-        // the single-item (compose-off) answer on the same sequence.
-        // (The spanning box keeps both cached skyline corners — (0,0)
-        // and (0.9,0) — inside it, so the MBR index surfaces both items
-        // as candidates.)
-        let left = c(&[(0.0, 0.9), (0.0, 1.9)]);
-        let right = c(&[(0.9, 1.9), (0.0, 1.9)]);
-        let spanning = c(&[(0.0, 1.5), (0.0, 1.9)]);
-
-        let table = grid_table();
-        let plain_service = open(&table, CbcsConfig::default());
-        let mut plain = plain_service.session();
-        let composed_service =
-            open(&table, CbcsConfig { compose_items: 4, ..CbcsConfig::default() });
-        let mut composed = composed_service.session();
-        for ex in [&mut plain, &mut composed] {
-            run(ex, &left);
-            run(ex, &right);
-        }
-
-        let a = run(&mut plain, &spanning);
-        let b = run(&mut composed, &spanning);
-        assert_eq!(a.stats.composed_items, 1, "compose off must stay single-item");
-        assert!(b.stats.composed_items >= 2, "got {} items", b.stats.composed_items);
-        assert!(b.stats.cover_fraction > 0.9, "got cover {}", b.stats.cover_fraction);
-        let key = |x: &Point| (x[0].to_bits(), x[1].to_bits());
-        let mut sa = a.skyline;
-        let mut sb = b.skyline;
-        sa.sort_by_key(key);
-        sb.sort_by_key(key);
-        assert_eq!(sa, sb, "composed answer diverged from single-item answer");
-        // The composed cover leaves a smaller remainder to fetch.
-        assert!(b.stats.points_read <= a.stats.points_read);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   Theorem 1) and the classification of a cached-query/new-query pair
 //!   into the paper's overlap cases;
 //! * [`cases`] — the planner: the specialized solutions for the four
-//!   incremental single-bound changes (Theorems 2–5) and the general MPR,
-//!   for one cached item or several composed ones;
+//!   incremental single-bound changes (Theorems 2–5) and the general MPR
+//!   over one cached item;
 //! * [`mpr`] — the Missing Points Region of Section 5: the minimal
 //!   possibly-disjoint region that must be fetched from disk (Definition
 //!   5, complete and minimal per Theorems 6–7), computed by

@@ -26,11 +26,9 @@
 //! superset that trades extra points read for drastically fewer range
 //! queries (Section 5.3).
 
-use std::collections::BTreeMap;
-
 use skycache_geom::dominance::dominance_box_coords;
 use skycache_geom::subtract::{disjoint_union, subtract_box_from_all, subtract_box_into};
-use skycache_geom::{Aabb, Constraints, HyperRect, Interval, PointBlock};
+use skycache_geom::{Constraints, HyperRect, Interval, PointBlock};
 
 /// Exact or approximate MPR computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,19 +69,26 @@ pub struct MprOutput {
     pub prune_points_used: usize,
     /// Disjoint pieces contributed by the invalidated (unstable) region.
     pub invalidated_pieces: usize,
-    /// Cached items that subtracted trusted space (1 for single-item
-    /// answering, ≥ 2 for a composition).
-    pub parts_used: usize,
-    /// Fraction of the query region's volume (clamped to the data bounds)
-    /// that the parts covered — the `cache.cover_fraction` metric; 0.0
-    /// unless `parts_used ≥ 2`.
-    pub cover_fraction: f64,
 }
 
 /// Computes the (approximate) Missing Points Region.
 ///
 /// Returns disjoint range queries plus the retained cached points; per
-/// Theorem 6, `Sky(S, C′) = Sky(retained ∪ fetch(regions), C′)`.
+/// Theorem 6, `Sky(S, C′) = Sky(retained ∪ fetch(regions), C′)`. The
+/// cached item's *trusted* space — its overlap with `R_C′` minus what its
+/// removed skyline rows invalidate — is subtracted from `R_C′`; the
+/// retained rows then prune the rest.
+///
+/// Soundness of subtracting trusted space: any skyline point of `C′`
+/// inside `R_C ∩ R_C′` is either in the cached skyline (→ retained) or
+/// dominated by a removed row (→ that row's dominance region is unknown
+/// again), so no result point is lost.
+///
+/// Duplicate rows: the closed box `DR(u, C′)` contains `u`'s own
+/// coordinates, so pruning with `u` un-fetches *every* stored copy of it.
+/// That is exact because every copy of a cached skyline row is in the
+/// cached skyline — equal rows satisfy the same constraints and do not
+/// dominate one another — and so is retained.
 ///
 /// # Panics
 /// Panics if dimensionalities differ.
@@ -93,184 +98,56 @@ pub fn missing_points_region(
     new: &Constraints,
     mode: MprMode,
 ) -> MprOutput {
-    // One part measures no cover fraction, so the bounds go unread.
-    missing_points_region_parts([(old, cached_skyline)], new, mode, new.aabb())
-}
-
-/// The MPR of `new` against one to N cached items (`parts`, the
-/// strategy-selected primary first). Every part subtracts its *trusted*
-/// space — its overlap with `R_C′` minus what its removed skyline rows
-/// invalidate — from the unknown region: one part is the paper's
-/// single-item answering, more is composition (DESIGN.md §17.3). Every
-/// part pools its rows that satisfy `C′`, and parts reached after nothing
-/// is left unknown are not used at all.
-///
-/// Soundness of subtracting trusted space, per part `i`: any skyline
-/// point of `C′` inside `R_Ci ∩ R_C′` is either in `i`'s cached skyline
-/// (→ retained) or dominated by a removed row of `i` (→ that row's
-/// dominance region is unknown again), so no result point is lost.
-///
-/// Soundness of pooling: for any stored point `u` satisfying `C′`, every
-/// point of `DR(u, C′)` is dominated by `u` and hence excluded from
-/// `Sky(S, C′)` — regardless of which cached query produced `u` — so
-/// subtracting its dominance region never loses a result point,
-/// *provided* `u` itself joins the merge set. Completeness of the final
-/// skyline also holds for pooled points that are not themselves in
-/// `Sky(S, C′)`: if some `v ≺ u` exists in `S_C′`, then `v` is either a
-/// retained point, a fetched point, or itself dominated by a pruning
-/// point `w` (and then `w ≺ u` with `w` in the merge set), so `u` is
-/// always filtered out by the final skyline computation.
-///
-/// Duplicate rows: the closed box `DR(u, C′)` contains `u`'s own
-/// coordinates, so pruning with `u` un-fetches *every* stored copy of it.
-/// That is exact because every copy of a cached skyline row lies in the
-/// same item — equal rows satisfy the same constraints and do not
-/// dominate one another — provided the pool keeps them all: a row joins
-/// only beyond the copies already pooled, counted per part, so the pool
-/// holds each row as often as the part that holds it most often.
-///
-/// `cover_fraction` is measured (against `data_bounds`) only when two or
-/// more parts subtracted space.
-///
-/// # Panics
-/// Panics if dimensionalities differ.
-pub(crate) fn missing_points_region_parts<'a>(
-    parts: impl IntoIterator<Item = (&'a Constraints, &'a PointBlock)>,
-    new: &Constraints,
-    mode: MprMode,
-    data_bounds: &Aabb,
-) -> MprOutput {
-    let region = new.region();
-    // `None`: nothing subtracted yet, all of `region` is unknown.
-    let mut unknown: Option<Vec<HyperRect>> = None;
+    assert_eq!(old.dims(), new.dims(), "constraints dimensionality mismatch");
+    // Partition the cached skyline under C′: satisfying rows are copied
+    // into the columnar block (not one `Point` clone per row), removed
+    // rows stay as indices into the cached block.
     let mut retained = PointBlock::new(new.dims())
         // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
         .expect("constraints are at least one-dimensional");
-    // Built when a second part contributes rows, so single-item planning
-    // never keys a row.
-    let mut pool: Option<Pool> = None;
     let mut removed: Vec<usize> = Vec::new();
-    let mut removed_points = 0;
-    let mut invalidated_pieces = 0;
-    let mut parts_used = 0;
-
-    for (old, cached) in parts {
-        assert_eq!(old.dims(), new.dims(), "constraints dimensionality mismatch");
-        let current = unknown.as_deref().unwrap_or(std::slice::from_ref(&region));
-        if current.is_empty() {
-            break;
-        }
-        // Partition this part's skyline under C′: satisfying rows are
-        // copied into the columnar pool (not one `Point` clone per row),
-        // removed rows stay as indices into the cached block.
-        let first = retained.is_empty();
-        if let Some(pool) = &mut pool {
-            pool.values_mut().for_each(|copies| copies.1 = 0);
-        }
-        removed.clear();
-        for (r, row) in cached.rows().enumerate() {
-            if !new.satisfies_coords(row) {
-                removed.push(r);
-            } else if first {
-                retained.push_row(row);
-            } else {
-                pool_row(&mut pool, &mut retained, row);
-            }
-        }
-        removed_points += removed.len();
-        // The space this part invalidates inside R_C′ (the unstable
-        // preprocessing); it lies inside the overlap box.
-        let pieces = invalidated_space(cached, &removed, old, new, mode);
-        invalidated_pieces += pieces.len();
-        if let Some(overlap) = old.overlap_region(new) {
-            unknown = Some(cover_step(current, &overlap, pieces));
-            parts_used += 1;
+    for (r, row) in cached_skyline.rows().enumerate() {
+        if new.satisfies_coords(row) {
+            retained.push_row(row);
+        } else {
+            removed.push(r);
         }
     }
-    let unknown = unknown.unwrap_or_else(|| vec![region]);
-
-    // Before dominance pruning: how much of the query region the cache
-    // itself accounted for, clamped to the data bounds so partially
-    // unbounded constraint boxes still measure finitely.
-    let cover_fraction = if parts_used < 2 {
-        0.0
-    } else {
-        let bounds = data_bounds.to_rect();
-        let clamped = |r: &HyperRect| r.intersection(&bounds).map_or(0.0, |i| i.volume());
-        let total = clamped(&new.region());
-        let missing: f64 = unknown.iter().map(clamped).sum();
-        if total.is_finite() && total > 0.0 {
-            ((total - missing) / total).clamp(0.0, 1.0)
-        } else if unknown.is_empty() {
-            1.0
-        } else {
-            0.0
+    // The space the removed rows invalidate inside R_C′ (the unstable
+    // preprocessing); it lies inside the overlap box.
+    let pieces = invalidated_space(cached_skyline, &removed, old, new, mode);
+    let invalidated_pieces = pieces.len();
+    let region = new.region();
+    // The unknown space: `(R_C′ ∖ overlap)`, then the resurfaced invalid
+    // pieces. The two halves are disjoint because every piece lies inside
+    // the overlap box; a piece poking out of an open face of `R_C′` is
+    // clipped to it.
+    let unknown = match old.overlap_region(new) {
+        Some(overlap) => {
+            let mut unknown = Vec::new();
+            subtract_box_into(&region, &overlap, &mut unknown);
+            for piece in pieces {
+                if region.contains_rect(&piece) {
+                    unknown.push(piece);
+                } else if let Some(clipped) = region.intersection(&piece) {
+                    if !clipped.is_empty() {
+                        unknown.push(clipped);
+                    }
+                }
+            }
+            unknown
         }
+        None => vec![region],
     };
 
     let (regions, prune_points_used) = prune_regions(unknown, &retained, new, mode);
     MprOutput {
         regions,
         retained,
-        removed_points,
+        removed_points: removed.len(),
         prune_points_used,
         invalidated_pieces,
-        parts_used,
-        cover_fraction,
     }
-}
-
-/// Row identity (`to_bits` per coordinate) → (copies pooled, copies met
-/// in the part being pooled). A BTreeMap for the determinism policy.
-type Pool = BTreeMap<Vec<u64>, (usize, usize)>;
-
-/// Pools one row of a part after the first contributing one: it joins
-/// `retained` only beyond the copies already there, so the pool ends up
-/// holding each row as often as the part that holds it most often — parts
-/// that share a stored row add it once, and a row stored twice stays
-/// twice.
-fn pool_row(pool: &mut Option<Pool>, retained: &mut PointBlock, row: &[f64]) {
-    let key = |row: &[f64]| -> Vec<u64> { row.iter().map(|c| c.to_bits()).collect() };
-    let pool = pool.get_or_insert_with(|| {
-        let mut pool = Pool::new();
-        for pooled in retained.rows() {
-            pool.entry(key(pooled)).or_default().0 += 1;
-        }
-        pool
-    });
-    let copies = pool.entry(key(row)).or_default();
-    copies.1 += 1;
-    if copies.1 > copies.0 {
-        copies.0 = copies.1;
-        retained.push_row(row);
-    }
-}
-
-/// One cover step: the unknown set after a part subtracted its trusted
-/// space, `(unknown ∖ overlap) ∪ (unknown ∩ pieces)` — the uncovered
-/// remainder first, then the resurfaced invalid pieces. The two halves
-/// are disjoint because every invalid piece lies inside the overlap box,
-/// and each is internally disjoint because its inputs are.
-fn cover_step(unknown: &[HyperRect], overlap: &Aabb, pieces: Vec<HyperRect>) -> Vec<HyperRect> {
-    // skylint: allow(hot-path-alloc) — output set construction; bounded by |unknown|·|pieces| and consumed immediately by the planner.
-    let mut next: Vec<HyperRect> = Vec::new();
-    for u in unknown {
-        subtract_box_into(u, overlap, &mut next);
-    }
-    for piece in pieces {
-        // The unknown rectangles are disjoint: a piece inside one of them
-        // (every piece of the first part, whose unknown is all of R_C′)
-        // meets no other and resurfaces as it is.
-        if unknown.iter().any(|u| u.contains_rect(&piece)) {
-            // skylint: allow(hot-path-alloc) — appends a rect that survives into the next composition round.
-            next.push(piece);
-            continue;
-        }
-        let clipped = unknown.iter().filter_map(|u| u.intersection(&piece));
-        // skylint: allow(hot-path-alloc) — appends the resurfaced parts of the piece; same output set as above.
-        next.extend(clipped.filter(|r| !r.is_empty()));
-    }
-    next
 }
 
 /// The space a cached item's removed skyline rows invalidate inside

@@ -45,15 +45,15 @@ use skycache_geom::{Aabb, Constraints, Point};
 use skycache_obs::Phase;
 use skycache_storage::{RowId, Table};
 
-use crate::cache::{Cache, ItemCost};
-use crate::cases::{plan_parts, QueryPlan};
+use crate::cache::Cache;
+use crate::cases::{self, QueryPlan};
 use crate::clock::Stopwatch;
 use crate::engine::{
     check_dims, query_planned, CbcsConfig, Executor, QueryOutcome, QueryRequest, QueryScratch,
     QueryStats,
 };
 use crate::shared::SharedCache;
-use crate::stability::{classify, Overlap};
+use crate::stability::Overlap;
 use crate::Result;
 
 /// Service-level configuration: the CBCS configuration every session
@@ -114,8 +114,8 @@ pub struct Service<'t> {
     table: Cow<'t, Table>,
     config: ServiceConfig,
     cache: SharedCache,
-    /// Bounding box of the table's points: normalizes strategy scores and
-    /// bounds composed covers. Computed at `open`, grown by `insert`.
+    /// Bounding box of the table's points: normalizes strategy scores.
+    /// Computed at `open`, grown by `insert`.
     data_bounds: Aabb,
     sessions: AtomicU64,
     negative_hits: AtomicU64,
@@ -251,17 +251,11 @@ impl Session<'_> {
                 stats.cache_miss = true;
                 scratch.fetch_stage(table, c, vec![c.region()], &[], &mut stats)
             }
-            Some((plan, item_text)) => {
+            Some((plan, id, item_text)) => {
                 stats.cache_hit = true;
-                stats.composed_items = plan.parts_used;
-                if plan.parts_used >= 2 {
-                    stats.cover_fraction = plan.cover_fraction;
-                }
-                // Every candidate overlaps the query, so the items whose
-                // trusted space the plan rests on lead the list.
-                for &id in scratch.part_ids.iter().take(plan.parts_used) {
-                    service.cache.touch(id);
-                }
+                // An index box lies inside its item's constraints, so every
+                // candidate overlaps the query: the plan rests on the item.
+                service.cache.touch(id);
                 text = item_text;
                 query_planned(table, c, plan, scratch, &mut stats)
             }
@@ -277,10 +271,9 @@ impl Session<'_> {
         if stats.case != Some(Overlap::Exact) {
             // The key is cloned before the master guard is taken.
             let key = c.clone();
-            let cost = ItemCost { points_read: stats.points_read, fetch_ns: stats.fetch_sim_ns };
             stats.evictions = service.cache.publish(|cache| {
                 let evictions_before = cache.evictions();
-                cache.insert_with_cost(key, &skyline, cost);
+                cache.insert(key, &skyline);
                 cache.evictions() - evictions_before
             });
             stats.insertions = 1;
@@ -290,7 +283,8 @@ impl Session<'_> {
     }
 
     /// The processing stage, against one pinned cache state: lookup,
-    /// strategy, classification, MPR; `None` is a miss. The lookup fills
+    /// strategy, classification, MPR; the plan and the selected item's id,
+    /// or `None` for a miss. The lookup fills
     /// the reused id scratch (cover-ordered); candidate items are resolved
     /// lazily through the cache, so no per-query `Vec<&CacheItem>` is
     /// built, and the plan owns its points, so nothing borrowed from the
@@ -302,7 +296,7 @@ impl Session<'_> {
         items: &Cache,
         c: &Constraints,
         stats: &mut QueryStats,
-    ) -> Option<(QueryPlan, Option<Arc<str>>)> {
+    ) -> Option<(QueryPlan, u64, Option<Arc<str>>)> {
         let Session { service, rng, scratch } = self;
         let (config, data_bounds) = (&service.config.cbcs, &service.data_bounds);
 
@@ -320,30 +314,16 @@ impl Session<'_> {
         let picked =
             config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, data_bounds, rng);
         stats.time(Phase::CaseAnalysis, t1);
-        let primary = item(ids[picked?]);
+        let selected = item(ids[picked?]);
 
-        // The cached items handed to the planner, primary first: with
-        // compositional answering (DESIGN.md §17.3) and no free-solution
-        // fast path for the primary, the next cover-ordered candidates,
-        // which may subtract their trusted space like the primary.
-        let parts = &mut scratch.part_ids;
-        parts.clear();
-        parts.push(primary.id);
-        if config.compose_items > 1
-            && !matches!(classify(&primary.constraints, c), Overlap::Exact | Overlap::CaseB { .. })
-        {
-            let others = ids.iter().copied().filter(|&id| id != primary.id);
-            parts.extend(others.take(config.compose_items - 1));
-        }
         let t2 = Stopwatch::start();
-        let blocks = parts.iter().map(|&id| item(id)).map(|it| (&it.constraints, &*it.skyline));
-        let plan = plan_parts(blocks, c, config.mpr, data_bounds);
+        let plan = cases::plan(&selected.constraints, &selected.skyline, c, config.mpr);
         stats.time(Phase::MprCompute, t2);
         // An exact hit returns the item's skyline as it is, so the
         // item's text of it — rendered here if this is its first
         // exact hit — is the answer's text.
-        let text = (plan.overlap == Overlap::Exact).then(|| primary.skyline_text());
-        Some((plan, text))
+        let text = (plan.overlap == Overlap::Exact).then(|| selected.skyline_text());
+        Some((plan, selected.id, text))
     }
 }
 

@@ -283,7 +283,6 @@ mod tests {
             inserted_at: id,
             last_used: id,
             use_count: 0,
-            cost: crate::cache::ItemCost::default(),
             text: Default::default(),
         }
     }

@@ -260,7 +260,8 @@ impl IndependentWorkload {
 /// a base by Zipf rank (`weight(r) ∝ 1/rᔆ` over the pool ordered by
 /// rank), so a handful of "hot" regions dominate the stream — the
 /// popularity skew real multi-user traffic shows and the regime where
-/// cost-aware cache replacement separates from pure recency.
+/// frequency-aware cache replacement (LCU) separates from pure recency
+/// (LRU).
 ///
 /// With probability [`ZipfWorkload::refine_prob`], an issued query is
 /// additionally refined once (same single-bound mutation as the

@@ -13,8 +13,8 @@
 //! * [`names`] — the canonical metric names, shared by the one function
 //!   that renders them (`QueryStats::report`) and every consumer.
 //! * [`QueryReport`] — one query's phase times plus a [`Registry`] of
-//!   named counters and gauges, with a versioned JSON rendering
-//!   (`"skyobs-report/4"`, hand-rolled, no serde). Built on request only,
+//!   named counters, with a versioned JSON rendering
+//!   (`"skyobs-report/5"`, hand-rolled, no serde). Built on request only,
 //!   after the query has finished.
 //!
 //! Nothing below `core` depends on this crate: kernels (geom, algos,
@@ -25,7 +25,7 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-/// Named counters and gauges in deterministic order.
+/// Named counters in deterministic order.
 pub mod metrics;
 /// Canonical metric names shared by producers and consumers.
 pub mod names;

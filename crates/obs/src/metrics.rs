@@ -1,4 +1,4 @@
-//! Deterministic metric storage: named counters and gauges.
+//! Deterministic metric storage: named counters.
 //!
 //! Everything is keyed by `&'static str` names (see [`crate::names`]) in
 //! `BTreeMap`s, so iteration order — and therefore every serialized
@@ -7,11 +7,10 @@
 
 use std::collections::BTreeMap;
 
-/// Counters and gauges under their canonical names.
+/// Counters under their canonical names.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
 }
 
 impl Registry {
@@ -25,29 +24,14 @@ impl Registry {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    /// Sets a gauge to a point-in-time value (last write wins).
-    pub fn set(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
     /// A counter's value (0 when never written).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// A gauge's value, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(&k, &v)| (k, v))
     }
 }
 
@@ -56,16 +40,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_counters_gauges_histograms() {
+    fn registry_adds_counters_in_name_order() {
         let mut r = Registry::new();
         r.add("cache.hits", 1);
         r.add("cache.hits", 2);
-        r.set("cache.cover_fraction", 0.25);
-        r.set("cache.cover_fraction", 0.5);
         assert_eq!(r.counter("cache.hits"), 3);
         assert_eq!(r.counter("cache.misses"), 0);
-        assert_eq!(r.gauge("cache.cover_fraction"), Some(0.5));
-        assert_eq!(r.gauge("cache.hits"), None);
         assert_eq!(r.counters().collect::<Vec<_>>(), [("cache.hits", 3)]);
     }
 }

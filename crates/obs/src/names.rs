@@ -21,12 +21,6 @@ pub const CACHE_CANDIDATES: &str = "cache.candidates";
 /// Cached items individually tested for overlap during lookups (0 when
 /// the cache-wide bounding box short-circuits the search). Counter.
 pub const CACHE_OVERLAP_SCANS: &str = "cache.overlap_scans";
-/// Cache hits answered by composing two or more cached items
-/// (DESIGN.md §17.3). Counter; a strict subset of `cache.hits`.
-pub const CACHE_COMPOSED_HITS: &str = "cache.composed_hits";
-/// Fraction of the query region covered by cached items' trusted space
-/// on a composed hit, in `[0, 1]`. Gauge.
-pub const CACHE_COVER_FRACTION: &str = "cache.cover_fraction";
 /// Cached skyline points retained into the new computation. Counter.
 pub const CACHE_RETAINED_POINTS: &str = "cache.retained_points";
 /// Cached skyline points invalidated by the new constraints. Counter.

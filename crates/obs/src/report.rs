@@ -1,7 +1,7 @@
 //! The per-query [`QueryReport`] and its versioned JSON rendering.
 //!
 //! The report format is versioned: the top-level object carries
-//! `"schema": "skyobs-report/4"` and consumers must check it. Field
+//! `"schema": "skyobs-report/5"` and consumers must check it. Field
 //! order is fixed (phases in pipeline order, metrics in name order), so
 //! two equal reports serialize byte-identically — the golden-file test
 //! under `tests/golden/` pins the exact bytes.
@@ -12,10 +12,9 @@ use crate::metrics::Registry;
 use crate::recorder::Phase;
 
 /// Version tag of the report format.
-pub const REPORT_SCHEMA: &str = "skyobs-report/4";
+pub const REPORT_SCHEMA: &str = "skyobs-report/5";
 
-/// Everything one query reported: per-phase time plus its named counters
-/// and gauges.
+/// Everything one query reported: per-phase time plus its named counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryReport {
     phase_ns: [u64; Phase::COUNT],
@@ -39,11 +38,6 @@ impl QueryReport {
         self.metrics.counter(name)
     }
 
-    /// A gauge's value, if reported.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.metrics.gauge(name)
-    }
-
     /// Renders the versioned JSON object (stable field order, no deps).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -55,49 +49,27 @@ impl QueryReport {
         }
         out.push_str("  },\n");
 
-        render_map(&mut out, "counters", self.metrics.counters(), |out, v| {
-            let _ = write!(out, "{v}");
-        });
-        out.push_str(",\n");
-        render_map(&mut out, "gauges", self.metrics.gauges(), |out, v| {
-            out.push_str(&json_f64(v));
-        });
+        render_counters(&mut out, self.metrics.counters());
         out.push_str("\n}\n");
         out
     }
 }
 
-/// Renders one `"name": { "k": v, ... }` sub-object with its entries on
-/// separate lines, or `"name": {}` when empty.
-fn render_map<V>(
-    out: &mut String,
-    name: &str,
-    entries: impl Iterator<Item = (&'static str, V)>,
-    mut render: impl FnMut(&mut String, V),
-) {
-    let entries: Vec<(&'static str, V)> = entries.collect();
+/// Renders the `"counters": { "k": v, ... }` sub-object with its entries
+/// on separate lines, or `"counters": {}` when empty.
+fn render_counters(out: &mut String, entries: impl Iterator<Item = (&'static str, u64)>) {
+    let entries: Vec<(&'static str, u64)> = entries.collect();
     if entries.is_empty() {
-        let _ = write!(out, "  \"{name}\": {{}}");
+        out.push_str("  \"counters\": {}");
         return;
     }
-    let _ = writeln!(out, "  \"{name}\": {{");
+    out.push_str("  \"counters\": {\n");
     let n = entries.len();
     for (i, (key, value)) in entries.into_iter().enumerate() {
-        let _ = write!(out, "    {}: ", json_str(key));
-        render(out, value);
+        let _ = write!(out, "    {}: {value}", json_str(key));
         out.push_str(if i + 1 < n { ",\n" } else { "\n" });
     }
     out.push_str("  }");
-}
-
-/// JSON number rendering for `f64`: Rust's shortest round-trip `Display`
-/// (deterministic), with non-finite values mapped to `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
@@ -132,7 +104,6 @@ mod tests {
         let mut metrics = Registry::new();
         metrics.add("cache.hits", 1);
         metrics.add("fetch.points_read", 42);
-        metrics.set("cache.cover_fraction", 0.5);
         QueryReport::new(phase_ns, metrics)
     }
 
@@ -145,18 +116,16 @@ mod tests {
         assert_eq!(r.counter("cache.hits"), 1);
         assert_eq!(r.counter("fetch.points_read"), 42);
         assert_eq!(r.counter("cache.misses"), 0);
-        assert_eq!(r.gauge("cache.cover_fraction"), Some(0.5));
     }
 
     #[test]
     fn json_has_schema_and_all_phases() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"skyobs-report/4\",\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"skyobs-report/5\",\n"));
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"{}\"", phase.label())), "missing {phase:?}");
         }
         assert!(json.contains("\"cache.hits\": 1"));
-        assert!(json.contains("\"cache.cover_fraction\": 0.5"));
         assert!(json.ends_with("}\n"));
     }
 
@@ -169,14 +138,10 @@ mod tests {
     fn empty_report_serializes_empty_maps() {
         let json = QueryReport::default().to_json();
         assert!(json.contains("\"counters\": {}"));
-        assert!(json.contains("\"gauges\": {}"));
     }
 
     #[test]
     fn json_str_escapes() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.25), "1.25");
-        assert_eq!(json_f64(123.0), "123");
     }
 }

@@ -103,9 +103,8 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
     (
         "determinism",
         "crates/core/src/mpr.rs",
-        "    missing_points_region_parts([(old, cached_skyline)], new, mode, new.aabb())\n}",
-        "    let _t = std::time::Instant::now();\n    \
-         missing_points_region_parts([(old, cached_skyline)], new, mode, new.aabb())\n}",
+        "    let invalidated_pieces = pieces.len();\n",
+        "    let invalidated_pieces = pieces.len();\n    let _t = std::time::Instant::now();\n",
     ),
     (
         "determinism",
@@ -143,7 +142,7 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
         "guard-hold-span",
         "crates/core/src/shared.rs",
         "let written = write(&mut master);\n",
-        "let written = write(&mut master);\n        planner.plan_parts();\n",
+        "let written = write(&mut master);\n        planner.plan();\n",
     ),
     (
         "range-taint",
@@ -210,7 +209,7 @@ fn panic_census_matches_the_merge_ledger() {
     assert!(found.iter().all(|f| f.rule == "no-panic-paths"), "{}", report(&found));
     let (witnesses, direct): (Vec<_>, Vec<_>) =
         found.iter().partition(|f| f.message.contains("can reach"));
-    assert_eq!((disabled, direct.len()), (23, 23), "direct sites:\n{}", report(&found));
+    assert_eq!((disabled, direct.len()), (22, 22), "direct sites:\n{}", report(&found));
     // 38 at the parent of the merge, less three public functions deleted
     // since (`sample_skyline_fraction`, `Adaptive::choice`,
     // `BbsExecutor::with_config`), plus the two `Server` entry points
@@ -227,8 +226,15 @@ fn panic_census_matches_the_merge_ledger() {
     // `expect`, which is now `Service::open`'s own; the dynamic
     // executor's `insert` and `delete` went with their type, and
     // `Service::{insert, delete}` are new and reach what those did.
+    // 25 → 21 with single-item planning: `plan` and
+    // `missing_points_region` hold the planner's sites themselves now
+    // (the multi-part planner's primary-part `expect`, a direct site, is
+    // gone: 23 → 22 direct), `Registry::set` is deleted and
+    // `QueryStats::report` reached a panic only through it, and
+    // `Cache::insert_with_cost`, now a forward, takes `Cache::insert`'s
+    // place.
     let in_serve = witnesses.iter().filter(|f| f.file.starts_with("crates/serve/")).count();
-    assert_eq!((witnesses.len() - in_serve, in_serve), (25, 2), "witnesses:\n{}", report(&found));
+    assert_eq!((witnesses.len() - in_serve, in_serve), (21, 2), "witnesses:\n{}", report(&found));
 }
 
 /// Every `.rs` file at or under `path`.

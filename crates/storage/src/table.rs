@@ -78,11 +78,10 @@ impl FetchPlan {
         FetchPlan::single(c.region())
     }
 
-    /// A coalescing plan over an MPR/composed-cover *remainder*: the
-    /// region lists the planners emit routinely contain overlapping or
-    /// abutting boxes (subtraction fragments, per-item unknown space),
-    /// so each heap row must be fetched at most once for the merged
-    /// skyline to stay duplicate-budget exact.
+    /// A coalescing plan over an MPR *remainder*: the region lists the
+    /// planner emits routinely contain overlapping or abutting boxes
+    /// (subtraction fragments), so each heap row must be fetched at most
+    /// once for the merged skyline to stay duplicate-budget exact.
     pub fn remainder(regions: Vec<HyperRect>) -> Self {
         FetchPlan::new(regions).coalesced()
     }

@@ -17,8 +17,8 @@
 //! * [`core`] — the paper's contribution: stability theory, the four
 //!   incremental cases, the (approximate) Missing Points Region, the cache
 //!   with its search strategies, and the CBCS service — plus the
-//!   future-work extensions (dynamic data, multi-item pruning, one
-//!   thread-safe cache shared by every session of a service).
+//!   future-work extensions (dynamic data, one thread-safe cache shared
+//!   by every session of a service).
 //!
 //! ## Quickstart
 //!

@@ -1,16 +1,11 @@
-//! Integration tests for the paper's future-work extensions implemented by
-//! this library: multi-item cache exploitation (Section 6.3, as composed
-//! answers) and dynamic data (Section 6.2), both through a one-session
+//! Integration tests for the paper's future-work extension implemented by
+//! this library: dynamic data (Section 6.2), through a one-session
 //! [`Service`].
-
-mod common;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use skycache::core::{
-    BaselineExecutor, CbcsConfig, Executor, MprMode, QueryRequest, Service, ServiceConfig,
-};
+use skycache::core::{BaselineExecutor, Executor, QueryRequest, Service, ServiceConfig};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
@@ -34,40 +29,6 @@ fn workload(table: &Table, n: usize, seed: u64) -> Vec<Constraints> {
         .iter()
         .map(|q| q.constraints.clone())
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Multi-item processing (Section 6.3)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn multi_item_stays_correct() {
-    // Composed answers on uniform data, and on a grid sample whose every
-    // row is stored twice: the pooled pruning points must keep both
-    // copies.
-    let uniform = table_3d(4_000, 3);
-    let twins = common::twin_grid_table(3, 300, 1);
-    let inputs = [
-        ("uniform", &uniform, workload(&uniform, 80, 7)),
-        ("twins", &twins, common::grid_boxes(3, 200, 2)),
-    ];
-    for (name, table, queries) in inputs {
-        let mut baseline = BaselineExecutor::new(table);
-        for compose_items in [2usize, 3, 5] {
-            let config = CbcsConfig {
-                mpr: MprMode::Approximate { k: 2 },
-                compose_items,
-                ..Default::default()
-            };
-            let service = Service::open(table, ServiceConfig::with_cbcs(config));
-            let mut cbcs = service.session();
-            for (i, c) in queries.iter().enumerate() {
-                let want = sorted(baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
-                let got = sorted(cbcs.execute(&QueryRequest::new(c.clone())).unwrap().skyline);
-                assert_eq!(got, want, "{name}: compose_items={compose_items}, query {i}");
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

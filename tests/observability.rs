@@ -9,13 +9,13 @@
 //! 2. **The report is a rendering.** Every name in `obs::names` shows one
 //!    `QueryStats` field, on every executor, and the report's fetch phase
 //!    is the one place measured and simulated time are summed.
-//! 3. **The report format is frozen.** `skyobs-report/4` JSON is pinned
+//! 3. **The report format is frozen.** `skyobs-report/5` JSON is pinned
 //!    byte-for-byte by a golden file; any change to the rendering is a
 //!    schema change and must bump the version tag.
 
 use skycache::core::{
     BaselineExecutor, BbsExecutor, CbcsConfig, Executor, Overlap, QueryOutcome, QueryRequest,
-    QueryStats, ReplacementPolicy, SearchStrategy, Service, ServiceConfig,
+    QueryStats, SearchStrategy, Service, ServiceConfig,
 };
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::geom::{Constraints, Point};
@@ -95,16 +95,15 @@ fn recording_is_invisible_across_modes_and_strategies() {
 
 type Field = fn(&QueryStats) -> u64;
 
-/// One row per counter constant of `obs::names`: the name and the
-/// [`QueryStats`] field it renders (the one gauge is checked beside them).
-const COUNTERS: [(&str, Field); 26] = [
+/// One row per constant of `obs::names`: the name and the [`QueryStats`]
+/// field it renders.
+const COUNTERS: [(&str, Field); 25] = [
     (names::CACHE_HITS, |s| u64::from(s.cache_hit)),
     (names::CACHE_MISSES, |s| u64::from(s.cache_miss)),
     (names::CACHE_EVICTIONS, |s| s.evictions),
     (names::CACHE_INSERTIONS, |s| s.insertions),
     (names::CACHE_CANDIDATES, |s| s.candidates as u64),
     (names::CACHE_OVERLAP_SCANS, |s| s.overlap_scans),
-    (names::CACHE_COMPOSED_HITS, |s| u64::from(s.composed_items >= 2)),
     (names::CACHE_RETAINED_POINTS, |s| s.retained_points),
     (names::CACHE_REMOVED_POINTS, |s| s.removed_points),
     (names::FETCH_REGIONS, |s| s.range_queries_issued),
@@ -126,21 +125,15 @@ const COUNTERS: [(&str, Field); 26] = [
     (names::SERVE_NEGATIVE_HITS, |s| s.negative_hits),
 ];
 
-/// The counters plus the one gauge, `cache.cover_fraction`.
-const ROWS: usize = COUNTERS.len() + 1;
-
 /// Checks one recorded outcome's report against its stats, row by row,
 /// and notes which rows it showed a non-zero value for.
-fn check_rendering(who: &str, outcome: &QueryOutcome, produced: &mut [bool; ROWS]) {
+fn check_rendering(who: &str, outcome: &QueryOutcome, produced: &mut [bool; COUNTERS.len()]) {
     let stats = &outcome.stats;
     let report = outcome.report.as_ref().expect("recorded request yields a report");
     for (row, (name, field)) in COUNTERS.iter().enumerate() {
         assert_eq!(report.counter(name), field(stats), "{who}: {name}");
         produced[row] |= field(stats) > 0;
     }
-    let cover = (stats.composed_items >= 2).then_some(stats.cover_fraction);
-    assert_eq!(report.gauge(names::CACHE_COVER_FRACTION), cover, "{who}: cover fraction");
-    produced[COUNTERS.len()] |= cover.is_some();
 
     // Measured and simulated fetch time are two fields; both views show
     // their sum, and no other phase gains anything.
@@ -163,26 +156,21 @@ fn report_renders_every_named_field_on_every_executor() {
         .filter(|l| l.starts_with("pub const "))
         .map(|l| l.split('"').nth(1).expect("a name constant is a string literal"))
         .collect();
-    let mut covered: Vec<&str> = COUNTERS.iter().map(|(name, _)| *name).collect();
-    covered.push(names::CACHE_COVER_FRACTION);
+    let covered: Vec<&str> = COUNTERS.iter().map(|(name, _)| *name).collect();
     assert_eq!(sorted_names(declared), sorted_names(covered));
 
     // Default cost model, so simulated time is there to be shown.
     let points = SyntheticGen::new(Distribution::Independent, 3, 101).generate(3_000);
     let table = Table::build(points, TableConfig::default()).unwrap();
     let queries = interactive(&table, 40, 103);
-    let mut produced = [false; ROWS];
+    let mut produced = [false; COUNTERS.len()];
 
     let small = CbcsConfig { capacity: Some(4), ..Default::default() };
-    let composing =
-        CbcsConfig { compose_items: 4, policy: ReplacementPolicy::CostAware, ..small.clone() };
-    for (who, config) in [("cbcs", small), ("cbcs composing", composing)] {
-        let service = Service::open(&table, ServiceConfig::with_cbcs(config));
-        let mut cbcs = service.session();
-        for c in queries.iter().chain(&queries) {
-            let outcome = cbcs.execute(&QueryRequest::new(c.clone()).recorded()).unwrap();
-            check_rendering(who, &outcome, &mut produced);
-        }
+    let service = Service::open(&table, ServiceConfig::with_cbcs(small));
+    let mut cbcs = service.session();
+    for c in queries.iter().chain(&queries) {
+        let outcome = cbcs.execute(&QueryRequest::new(c.clone()).recorded()).unwrap();
+        check_rendering("cbcs", &outcome, &mut produced);
     }
 
     let mut baseline = BaselineExecutor::new(&table);
@@ -214,7 +202,6 @@ fn report_renders_every_named_field_on_every_executor() {
     let silent: Vec<&str> = COUNTERS
         .iter()
         .map(|(name, _)| *name)
-        .chain([names::CACHE_COVER_FRACTION])
         .zip(produced)
         .filter(|(_, seen)| !seen)
         .map(|(name, _)| name)
@@ -227,7 +214,7 @@ fn sorted_names(mut v: Vec<&str>) -> Vec<&str> {
     v
 }
 
-/// Pins the `skyobs-report/4` rendering byte-for-byte. Regenerate the
+/// Pins the `skyobs-report/5` rendering byte-for-byte. Regenerate the
 /// golden file with `UPDATE_GOLDEN=1 cargo test --test observability`
 /// after a deliberate schema bump.
 #[test]
@@ -257,8 +244,6 @@ fn report_json_matches_golden_file() {
         mpr_prune_points: 4,
         mpr_invalidated_pieces: 2,
         result_size: 17,
-        composed_items: 2,
-        cover_fraction: 0.75,
         insertions: 1,
         evictions: 2,
         negative_hits: 0,
@@ -273,7 +258,7 @@ fn report_json_matches_golden_file() {
     let want = std::fs::read_to_string(path).expect("golden file exists");
     assert_eq!(
         got, want,
-        "skyobs-report/4 bytes changed; if deliberate, bump REPORT_SCHEMA \
+        "skyobs-report/5 bytes changed; if deliberate, bump REPORT_SCHEMA \
          and regenerate with UPDATE_GOLDEN=1"
     );
 }

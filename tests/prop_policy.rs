@@ -1,8 +1,7 @@
-//! Property tests for the cache-policy layer (DESIGN.md §17): under
-//! every replacement policy (LRU, LCU, cost-aware), with compositional
-//! multi-item answering on or off and with evictions firing along the
-//! way, a sequence of queries answered through the cache must equal the
-//! from-scratch answer.
+//! Property tests for the cache-policy layer: under every replacement
+//! policy (LRU, LCU) and with evictions firing along the way, a sequence
+//! of queries answered through the cache must equal the from-scratch
+//! answer.
 
 use proptest::prelude::*;
 
@@ -82,11 +81,7 @@ fn scenario() -> impl Strategy<Value = (Vec<Point>, Vec<Constraints>)> {
 }
 
 fn policy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::Lcu),
-        Just(ReplacementPolicy::CostAware),
-    ]
+    prop_oneof![Just(ReplacementPolicy::Lru), Just(ReplacementPolicy::Lcu)]
 }
 
 fn build(points: Vec<Point>) -> Table {
@@ -107,50 +102,23 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every (policy × compose × capacity) cell answers every
-    /// query in the sequence exactly like a from-scratch recompute — the
-    /// same rows as often — no matter which items the policy evicted in
-    /// between.
+    /// Every (policy × capacity) cell answers every query in the
+    /// sequence exactly like a from-scratch recompute — the same rows as
+    /// often — no matter which items the policy evicted in between.
     #[test]
-    fn every_policy_and_composition_equals_naive(
+    fn every_policy_and_capacity_equals_naive(
         scenario in scenario(),
         policy in policy(),
-        compose in any::<bool>(),
         capacity in prop_oneof![Just(None), Just(Some(2usize)), Just(Some(4usize))],
     ) {
         let (points, queries) = scenario;
         let table = build(points.clone());
-        let compose_items = if compose { 4 } else { 1 };
-        let config = CbcsConfig { policy, compose_items, capacity, ..Default::default() };
+        let config = CbcsConfig { policy, capacity, ..Default::default() };
         let service = Service::open(&table, ServiceConfig::with_cbcs(config));
         let mut ex = service.session();
         for c in &queries {
             let got = ex.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
             prop_assert_eq!(sorted(got), reference(&points, c));
-        }
-    }
-
-    /// The composed path specifically: replay the same query sequence
-    /// with composition on and off under the same policy — both runs
-    /// must produce bitwise-identical skylines query for query (the two
-    /// caches may diverge in *content* once touch order differs, but
-    /// never in answers).
-    #[test]
-    fn composition_is_transparent(
-        scenario in scenario(),
-        policy in policy(),
-    ) {
-        let (points, queries) = scenario;
-        let table = build(points.clone());
-        let base = CbcsConfig { policy, capacity: Some(4), ..Default::default() };
-        let plain_service = Service::open(&table, ServiceConfig::with_cbcs(base.clone()));
-        let composed =
-            Service::open(&table, ServiceConfig::with_cbcs(CbcsConfig { compose_items: 4, ..base }));
-        let (mut plain, mut composed) = (plain_service.session(), composed.session());
-        for c in &queries {
-            let a = plain.execute(&QueryRequest::new(c.clone())).unwrap();
-            let b = composed.execute(&QueryRequest::new(c.clone())).unwrap();
-            prop_assert_eq!(sorted(b.skyline), sorted(a.skyline));
         }
     }
 
@@ -220,7 +188,7 @@ proptest! {
     /// outcome must be what that scan predicts — `Overlap::Exact` and the
     /// item's own skyline with nothing read when there is one, any other
     /// case when there is none (never cached, or evicted since, under
-    /// each of the three policies) — and the from-scratch skyline either
+    /// each of the two policies) — and the from-scratch skyline either
     /// way. Every answer that was computed is then cached under the
     /// query's constraints: the cache stores what it computes, and the
     /// newest item is never the one evicted. An answer the indexes prove
