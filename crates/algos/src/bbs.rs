@@ -97,7 +97,7 @@ fn corner_dominated(mbr: &Aabb, skyline: &[Point], stats: &mut BbsStats) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inmem::{Sfs, SkylineAlgorithm};
+    use crate::inmem::Sfs;
     use crate::testutil::sorted;
     use skycache_rtree::RTreeParams;
 

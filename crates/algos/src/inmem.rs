@@ -1,15 +1,12 @@
-//! In-memory skyline algorithms: BNL, SFS and two-way divide & conquer.
+//! The in-memory skyline algorithm: Sort-Filter Skyline.
 //!
-//! BNL's and SFS's inner loops run over [`PointBlock`] — a flat
-//! structure-of-arrays coordinate buffer — so the dominance-test hot path
-//! does no per-point allocation and no pointer chasing.
+//! SFS's inner loop runs over [`PointBlock`] — a flat structure-of-arrays
+//! coordinate buffer — so the dominance-test hot path does no per-point
+//! allocation and no pointer chasing.
 
 use std::cmp::Ordering;
 
-use skycache_geom::dominance::DomRelation;
-use skycache_geom::{
-    compare_rows, dominates, dominates_rows, retain_nondominated, Point, PointBlock,
-};
+use skycache_geom::{dominates_rows, Point, PointBlock};
 
 use crate::planar::{planar_applicable, planar_skyline_into};
 
@@ -44,62 +41,32 @@ impl SkylineScratch {
     }
 }
 
-/// An in-memory skyline routine.
-///
-/// CBCS's benefit is orthogonal to this choice (paper, Section 7); the
-/// engine runs [`Sfs`] on flat rows ([`Sfs::compute_block_into`]), and
-/// the other implementors are the references the tests compare it with.
-pub trait SkylineAlgorithm: Send + Sync {
-    /// Short identifier used in benchmark output.
-    fn name(&self) -> &'static str;
-
-    /// Computes the skyline of `points` (minimization in all dimensions).
-    fn compute(&self, points: Vec<Point>) -> SkylineOutput;
-}
-
-/// Block-Nested-Loops (Börzsönyi et al., ICDE 2001), unbounded-window
-/// variant: each point is compared against the current window; dominated
-/// window entries are evicted.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Bnl;
-
-impl SkylineAlgorithm for Bnl {
-    fn name(&self) -> &'static str {
-        "BNL"
-    }
-
-    fn compute(&self, points: Vec<Point>) -> SkylineOutput {
-        let Ok(input) = PointBlock::from_points(&points) else {
-            return SkylineOutput { skyline: Vec::new(), dominance_tests: 0 };
-        };
-        // skylint: allow(no-panic-paths) — input.dims() >= 1 by PointBlock construction.
-        let mut window = PointBlock::new(input.dims()).expect("dims > 0");
-        let mut tests = 0u64;
-        'next_point: for row in input.rows() {
-            let mut i = 0;
-            while i < window.len() {
-                tests += 1;
-                match compare_rows(window.row(i), row) {
-                    DomRelation::Dominates => continue 'next_point,
-                    DomRelation::DominatedBy => {
-                        window.swap_remove(i);
-                    }
-                    DomRelation::Equal | DomRelation::Incomparable => i += 1,
-                }
-            }
-            window.push_row(row);
-        }
-        SkylineOutput { skyline: window.to_points(), dominance_tests: tests }
-    }
-}
-
 /// Sort-Filter Skyline (Chomicki, Godfrey, Gryz & Liang): presort by a
 /// monotone score so that no point can dominate an earlier one, then a
 /// single filter pass against the growing skyline (no evictions needed).
+///
+/// The one in-memory skyline routine, inside both Baseline and CBCS as in
+/// the paper's evaluation (Section 7); the engine runs it on flat rows
+/// ([`Sfs::compute_block_into`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sfs;
 
 impl Sfs {
+    /// Computes the skyline of `points` (minimization in all dimensions)
+    /// through the block path: the owned-`Point` form the property suites
+    /// use as their oracle.
+    pub fn compute(&self, points: Vec<Point>) -> SkylineOutput {
+        let Ok(input) = PointBlock::from_points(&points) else {
+            return SkylineOutput { skyline: Vec::new(), dominance_tests: 0 };
+        };
+        let mut scratch = SkylineScratch::new();
+        // skylint: allow(no-panic-paths) — input.dims() >= 1 by PointBlock construction.
+        let mut skyline = PointBlock::new(input.dims()).expect("dims > 0");
+        let tests =
+            self.compute_block_into(input.as_flat(), input.dims(), &mut scratch, &mut skyline);
+        SkylineOutput { skyline: skyline.to_points(), dominance_tests: tests }
+    }
+
     /// Block-native SFS: dispatches `dims == 2` inputs to the planar
     /// monotone sweep ([`crate::planar::planar_skyline_into`], which
     /// needs no pairwise dominance tests at all) and everything else to
@@ -240,151 +207,10 @@ fn filter_sorted(
     }
 }
 
-impl SkylineAlgorithm for Sfs {
-    fn name(&self) -> &'static str {
-        "SFS"
-    }
-
-    fn compute(&self, points: Vec<Point>) -> SkylineOutput {
-        let Ok(input) = PointBlock::from_points(&points) else {
-            return SkylineOutput { skyline: Vec::new(), dominance_tests: 0 };
-        };
-        let mut scratch = SkylineScratch::new();
-        // skylint: allow(no-panic-paths) — input.dims() >= 1 by PointBlock construction.
-        let mut skyline = PointBlock::new(input.dims()).expect("dims > 0");
-        let tests =
-            self.compute_block_into(input.as_flat(), input.dims(), &mut scratch, &mut skyline);
-        SkylineOutput { skyline: skyline.to_points(), dominance_tests: tests }
-    }
-}
-
-/// Two-way divide & conquer (Börzsönyi et al.): split at the median of the
-/// first dimension, solve the halves recursively, and merge by filtering
-/// the union of the partial skylines.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DivideConquer;
-
-/// Below this size recursion falls back to BNL.
-const DC_CUTOFF: usize = 64;
-
-impl SkylineAlgorithm for DivideConquer {
-    fn name(&self) -> &'static str {
-        "D&C"
-    }
-
-    fn compute(&self, points: Vec<Point>) -> SkylineOutput {
-        let mut tests = 0u64;
-        let skyline = dc(points, 0, &mut tests);
-        SkylineOutput { skyline, dominance_tests: tests }
-    }
-}
-
-fn dc(mut points: Vec<Point>, depth: usize, tests: &mut u64) -> Vec<Point> {
-    if points.len() <= DC_CUTOFF || depth > 40 {
-        // Leaf: block cross-filter. A point survives iff no input point
-        // strictly dominates it — self-comparison is harmless (strict
-        // dominance is irreflexive), so candidate and window can hold
-        // the same rows.
-        return block_cross_filter(&points, tests);
-    }
-    let dim = depth % points[0].dims();
-    // Median split on `dim`.
-    let mid = points.len() / 2;
-    points.select_nth_unstable_by(mid, |a, b| a[dim].total_cmp(&b[dim]));
-    let upper = points.split_off(mid);
-    let mut lower_sky = dc(points, depth + 1, tests);
-    let upper_sky = dc(upper, depth + 1, tests);
-
-    // Merge: lower-half skyline points may dominate upper-half ones (and,
-    // on ties at the split value, vice versa) — cross-filter the union.
-    let merged: Vec<Point> = lower_sky.drain(..).chain(upper_sky).collect();
-    block_cross_filter(&merged, tests)
-}
-
-/// Skyline of `points` by one [`retain_nondominated`] pass of the rows
-/// against themselves. This is the D&C leaf/merge kernel: inputs here
-/// are small (≤ [`DC_CUTOFF`] at the leaves, unions of two partial
-/// skylines at the merges), so the flat block pass beats BNL's window
-/// churn despite doing the full O(k²) scan.
-fn block_cross_filter(points: &[Point], tests: &mut u64) -> Vec<Point> {
-    let Ok(mut candidates) = PointBlock::from_points(points) else {
-        return Vec::new();
-    };
-    let window = candidates.clone();
-    let stats = retain_nondominated(&mut candidates, &window);
-    *tests += stats.dominance_tests;
-    candidates.to_points()
-}
-
-/// SaLSa — Sort and Limit Skyline algorithm (Bartolini, Ciaccia & Patella):
-/// presort by the *minimum coordinate* and keep the smallest maximum
-/// coordinate seen among skyline points as a stop line. Once every
-/// remaining point's minimum coordinate exceeds that stop line, some
-/// skyline point dominates all of them and the scan terminates early —
-/// SFS, by contrast, must always scan its entire input.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Salsa;
-
-impl SkylineAlgorithm for Salsa {
-    fn name(&self) -> &'static str {
-        "SaLSa"
-    }
-
-    fn compute(&self, mut points: Vec<Point>) -> SkylineOutput {
-        // `+ 0.0` folds a `-0.0` minimum into `0.0`: the sort below ranks
-        // minC by `total_cmp`, which would put a dominated row's `-0.0`
-        // ahead of its dominator's `0.0`.
-        let min_coord =
-            |p: &Point| -> f64 { p.coords().iter().copied().fold(f64::INFINITY, f64::min) + 0.0 };
-        let max_coord =
-            |p: &Point| -> f64 { p.coords().iter().copied().fold(f64::NEG_INFINITY, f64::max) };
-        // Sort by (minC, sum, coordinates): the minC ordering enables the
-        // stop test; the other two keys keep the order monotone w.r.t.
-        // dominance. A dominator's minC and sum are both <= those of the
-        // row it dominates, but in floating point either can tie (the
-        // sums round equal), and then the dominator is the
-        // lexicographically smaller row — see `canonical_cmp`.
-        points.sort_by(|a, b| {
-            min_coord(a)
-                .total_cmp(&min_coord(b))
-                .then_with(|| a.coord_sum().total_cmp(&b.coord_sum()))
-                .then_with(|| lex_cmp(a.coords(), b.coords()))
-        });
-
-        let mut skyline: Vec<Point> = Vec::new();
-        let mut tests = 0u64;
-        let mut stop = f64::INFINITY; // min over skyline of max coordinate
-        for p in points {
-            if min_coord(&p) > stop {
-                // Every later point q has minC(q) >= minC(p) > stop, so
-                // the stop-line point strictly dominates them all.
-                break;
-            }
-            let mut dominated = false;
-            for s in &skyline {
-                tests += 1;
-                if dominates(s, &p) {
-                    dominated = true;
-                    break;
-                }
-            }
-            if !dominated {
-                stop = stop.min(max_coord(&p));
-                skyline.push(p);
-            }
-        }
-        SkylineOutput { skyline, dominance_tests: tests }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{naive_skyline, sorted};
-
-    fn algos() -> Vec<Box<dyn SkylineAlgorithm>> {
-        vec![Box::new(Bnl), Box::new(Sfs), Box::new(DivideConquer), Box::new(Salsa)]
-    }
 
     fn p(c: &[f64]) -> Point {
         Point::from(c.to_vec())
@@ -403,50 +229,35 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_with_naive() {
+    fn sfs_agrees_with_naive() {
         let pts = pseudo_random_points(400, 4, 42);
-        let want = sorted(naive_skyline(&pts));
-        for algo in algos() {
-            let got = sorted(algo.compute(pts.clone()).skyline);
-            assert_eq!(got, want, "{} diverges from naive", algo.name());
-        }
+        assert_eq!(sorted(Sfs.compute(pts.clone()).skyline), sorted(naive_skyline(&pts)));
     }
 
     #[test]
     fn empty_and_single() {
-        for algo in algos() {
-            assert!(algo.compute(vec![]).skyline.is_empty(), "{}", algo.name());
-            let one = algo.compute(vec![p(&[1.0, 2.0])]).skyline;
-            assert_eq!(one, vec![p(&[1.0, 2.0])], "{}", algo.name());
-        }
+        assert!(Sfs.compute(vec![]).skyline.is_empty());
+        assert_eq!(Sfs.compute(vec![p(&[1.0, 2.0])]).skyline, vec![p(&[1.0, 2.0])]);
     }
 
     #[test]
     fn duplicates_are_all_kept() {
         let pts = vec![p(&[1.0, 1.0]), p(&[1.0, 1.0]), p(&[2.0, 2.0])];
-        for algo in algos() {
-            let sky = algo.compute(pts.clone()).skyline;
-            assert_eq!(sky.len(), 2, "{}: duplicates of a skyline point stay", algo.name());
-            assert!(sky.iter().all(|s| *s == p(&[1.0, 1.0])));
-        }
+        let sky = Sfs.compute(pts).skyline;
+        assert_eq!(sky.len(), 2, "duplicates of a skyline point stay");
+        assert!(sky.iter().all(|s| *s == p(&[1.0, 1.0])));
     }
 
     #[test]
     fn totally_ordered_chain_yields_minimum() {
         let pts: Vec<Point> = (0..50).map(|i| p(&[i as f64, i as f64])).collect();
-        for algo in algos() {
-            let sky = algo.compute(pts.clone()).skyline;
-            assert_eq!(sky, vec![p(&[0.0, 0.0])], "{}", algo.name());
-        }
+        assert_eq!(Sfs.compute(pts).skyline, vec![p(&[0.0, 0.0])]);
     }
 
     #[test]
     fn anti_chain_is_fully_kept() {
         let pts: Vec<Point> = (0..50).map(|i| p(&[i as f64, (49 - i) as f64])).collect();
-        for algo in algos() {
-            let sky = algo.compute(pts.clone()).skyline;
-            assert_eq!(sky.len(), 50, "{}", algo.name());
-        }
+        assert_eq!(Sfs.compute(pts).skyline.len(), 50);
     }
 
     /// The block-native SFS entry point must be indistinguishable from
@@ -472,54 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn sfs_does_fewer_tests_than_bnl_on_sorted_friendly_data() {
-        // On a dominance chain SFS needs one test per point; BNL's window
-        // churn costs at least as much.
-        let pts: Vec<Point> = (0..2000).map(|i| p(&[i as f64, i as f64, i as f64])).collect();
-        let sfs = Sfs.compute(pts.clone());
-        let bnl = Bnl.compute(pts);
-        assert!(sfs.dominance_tests <= bnl.dominance_tests);
-        assert_eq!(sfs.skyline.len(), 1);
-    }
-
-    #[test]
-    fn salsa_terminates_early_on_correlated_data() {
-        // A strong dominator near the origin lets SaLSa stop after a few
-        // points, while SFS scans everything.
-        let mut pts: Vec<Point> = (1..2_000)
-            .map(|i| {
-                let v = 0.5 + i as f64 / 2_000.0;
-                p(&[v, v + 0.01, v + 0.02])
-            })
-            .collect();
-        pts.push(p(&[0.1, 0.1, 0.1]));
-        let salsa = Salsa.compute(pts.clone());
-        let sfs = Sfs.compute(pts);
-        assert_eq!(crate::testutil::sorted(salsa.skyline), crate::testutil::sorted(sfs.skyline));
-        assert!(
-            salsa.dominance_tests * 10 < sfs.dominance_tests,
-            "SaLSa {} vs SFS {}",
-            salsa.dominance_tests,
-            sfs.dominance_tests
-        );
-    }
-
-    #[test]
     fn output_is_a_subset_and_undominated() {
         let pts = pseudo_random_points(300, 3, 7);
-        for algo in algos() {
-            let sky = algo.compute(pts.clone()).skyline;
-            for s in &sky {
-                assert!(pts.contains(s), "{}: fabricated point", algo.name());
-                assert!(
-                    !pts.iter().any(|t| skycache_geom::dominates(t, s)),
-                    "{}: dominated point in skyline",
-                    algo.name()
-                );
-            }
-            // Completeness: every undominated input point appears.
-            let want = naive_skyline(&pts);
-            assert_eq!(sky.len(), want.len(), "{}", algo.name());
+        let sky = Sfs.compute(pts.clone()).skyline;
+        for s in &sky {
+            assert!(pts.contains(s), "fabricated point");
+            assert!(
+                !pts.iter().any(|t| skycache_geom::dominates(t, s)),
+                "dominated point in skyline"
+            );
         }
+        // Completeness: every undominated input point appears.
+        assert_eq!(sky.len(), naive_skyline(&pts).len());
     }
 }

@@ -1,28 +1,21 @@
 //! Skyline algorithms.
 //!
-//! The paper's evaluation uses three computational components, all
+//! The paper's evaluation uses two skyline computations, both
 //! implemented here from scratch:
 //!
 //! * [`Sfs`] — Sort-Filter Skyline (Chomicki et al.), the in-memory
 //!   skyline routine inside both the Baseline method and CBCS ("we use the
-//!   Sort-Filter Skyline algorithm in both", Section 7);
-//! * [`Bnl`] — Block-Nested-Loops (Börzsönyi et al.), the original
-//!   skyline algorithm, kept as a second pluggable component to
-//!   demonstrate that CBCS is "independent of the skyline algorithm used"
-//!   (Section 7.3);
+//!   Sort-Filter Skyline algorithm in both", Section 7); at `d = 2` it
+//!   dispatches to the monotone sweep in [`planar`];
 //! * [`bbs`] — Branch-and-Bound Skyline (Papadias et al.) over the
 //!   workspace R\*-tree, the I/O-optimal non-caching state of the art that
-//!   CBCS is compared against;
-//! * [`DivideConquer`] — the D&C scheme of Börzsönyi et al. in its basic
-//!   two-way form, included for completeness of the in-memory suite;
-//! * [`Salsa`] — the Sort-and-Limit variant (Bartolini et al.), whose
-//!   early-termination behaviour rounds out the pluggable-component study.
+//!   CBCS is compared against.
 //!
-//! Every routine counts its dominance tests — the paper's proxy for
-//! skyline computation cost.
+//! Both count their dominance tests — the paper's proxy for skyline
+//! computation cost.
 //!
 //! ```
-//! use skycache_algos::{Sfs, SkylineAlgorithm};
+//! use skycache_algos::Sfs;
 //! use skycache_geom::Point;
 //!
 //! let hotels = vec![
@@ -48,7 +41,7 @@ mod inmem;
 pub mod planar;
 
 pub use bbs::{bbs_constrained, BbsOutput, BbsStats};
-pub use inmem::{Bnl, DivideConquer, Salsa, Sfs, SkylineAlgorithm, SkylineOutput, SkylineScratch};
+pub use inmem::{Sfs, SkylineOutput, SkylineScratch};
 pub use planar::{planar_applicable, planar_skyline_into, PLANAR_DIMS};
 
 #[cfg(test)]

@@ -22,9 +22,12 @@
 //! [`crate::service`]: a [`crate::Session`] of a [`crate::Service`] is
 //! the one CBCS executor, whether one session runs (the figures, the CLI)
 //! or many (the server). This module holds its [`CbcsConfig`] and the
-//! stages it shares with Baseline — the miss path's one range query, the
-//! hit path's coalesced remainder fetch, merge and skyline. The in-memory
-//! skyline stage is SFS, as in the paper's evaluation.
+//! stages CBCS runs after the cache: the fetch stage every computed
+//! answer, miss or hit, goes through (the corner-first step where the
+//! cost model says it pays, then the coalesced remainder fetch), merge and
+//! skyline. Only Baseline runs the one constraint range query
+//! (`query_naive`). The in-memory skyline stage is SFS, as in the paper's
+//! evaluation.
 //!
 //! Measured CPU time ([`QueryStats::phase_ns`]) and the deterministic
 //! simulated I/O latency of the table's [`skycache_storage::CostModel`]
@@ -518,10 +521,12 @@ pub struct BbsExecutor<'t> {
 }
 
 impl<'t> BbsExecutor<'t> {
-    /// Builds the dataset R-tree (STR bulk load) and the executor.
+    /// Builds the R-tree of the table's live rows (STR bulk load) and the
+    /// executor. Tombstoned slots stay out of the tree, so BBS never
+    /// answers with a deleted point.
     pub fn new(table: &'t Table) -> Self {
         let tree = RStarTree::bulk_load_points(
-            table.all_points().iter().enumerate().map(|(i, p)| (p.clone(), i as u32)),
+            table.live_points().map(|(row, p)| (p.clone(), row)),
             RTreeParams::default(),
         );
         BbsExecutor { table, tree }
@@ -913,6 +918,24 @@ mod tests {
             assert_eq!(a, b, "BBS diverged on {cc:?}");
             assert_eq!(a, d, "CBCS diverged on {cc:?}");
         }
+    }
+
+    /// A 10 × 10 integer grid with `(0, 0)` deleted: BBS must answer from
+    /// the live rows, as Baseline does, not from every heap slot.
+    #[test]
+    fn bbs_skips_deleted_rows() {
+        let points: Vec<Point> =
+            (0..10).flat_map(|i| (0..10).map(move |j| p(&[f64::from(i), f64::from(j)]))).collect();
+        let mut table = Table::build(points, TableConfig::default()).unwrap();
+        assert_eq!(table.delete(0), Some(p(&[0.0, 0.0])));
+        let cc = c(&[(0.0, 9.0), (0.0, 9.0)]);
+        let mut want = run(&mut BaselineExecutor::new(&table), &cc).skyline;
+        let mut got = run(&mut BbsExecutor::new(&table), &cc).skyline;
+        let key = |x: &Point| (x[0].to_bits(), x[1].to_bits());
+        want.sort_by_key(key);
+        got.sort_by_key(key);
+        assert_eq!(want, vec![p(&[0.0, 1.0]), p(&[1.0, 0.0])]);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -190,27 +190,6 @@ impl Aabb {
             .product()
     }
 
-    /// Squared minimum distance from a coordinate vector to the box
-    /// (0 when the point is inside) — the `MINDIST` of BBS and kNN search.
-    pub fn min_dist_sq(&self, coords: &[f64]) -> f64 {
-        debug_assert_eq!(self.dims(), coords.len());
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .zip(coords)
-            .map(|((l, h), c)| {
-                let d = if c < l {
-                    l - c
-                } else if c > h {
-                    c - h
-                } else {
-                    0.0
-                };
-                d * d
-            })
-            .sum()
-    }
-
     /// Center coordinates.
     ///
     /// Infinity-safe: a dimension unbounded on both sides centers at 0,
@@ -290,14 +269,6 @@ mod tests {
         assert_eq!(a.area(), 4.0);
         assert_eq!(a.margin(), 4.0);
         assert_eq!(a.overlap_area(&c), 1.0);
-    }
-
-    #[test]
-    fn min_dist_sq_cases() {
-        let a = b(&[1.0, 1.0], &[2.0, 2.0]);
-        assert_eq!(a.min_dist_sq(&[1.5, 1.5]), 0.0); // inside
-        assert_eq!(a.min_dist_sq(&[0.0, 1.5]), 1.0); // left
-        assert_eq!(a.min_dist_sq(&[0.0, 0.0]), 2.0); // corner
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl Constraints {
         self.bounds.intersection(&other.bounds)
     }
 
-    /// Volume of the overlap region (the `MaxOverlap` strategy's score).
-    pub fn overlap_volume(&self, other: &Constraints) -> f64 {
-        self.bounds.overlap_area(&other.bounds)
-    }
-
     /// Whether `other`'s region is fully contained in `self`'s.
     pub fn contains(&self, other: &Constraints) -> bool {
         self.bounds.contains_box(&other.bounds)
@@ -157,7 +152,6 @@ mod tests {
         let a = c(&[0.0, 0.0], &[2.0, 2.0]);
         let b = c(&[1.0, 1.0], &[3.0, 3.0]);
         assert!(a.overlaps(&b));
-        assert_eq!(a.overlap_volume(&b), 1.0);
         let o = a.overlap_region(&b).unwrap();
         assert_eq!(o.lo(), &[1.0, 1.0]);
         assert_eq!(o.hi(), &[2.0, 2.0]);

@@ -9,11 +9,11 @@
 //! Routing every comparison through one of these helpers makes the choice
 //! auditable.
 //!
-//! * [`exact_eq`] / [`exact_ne`] — IEEE-754 equality. The right choice for
+//! * [`exact_eq`] — IEEE-754 equality. The right choice for
 //!   endpoint bookkeeping: the MPR construction only ever *copies* bounds
 //!   (never recomputes them), so equal endpoints are bit-equal and a
 //!   tolerance would merge regions that must stay disjoint.
-//! * [`approx_eq`] / [`approx_ne`] — absolute-epsilon equality for derived
+//! * [`approx_eq`] — absolute-epsilon equality for derived
 //!   quantities (areas, distances) where rounding noise is expected.
 
 /// Default absolute tolerance for [`approx_eq`].
@@ -33,22 +33,10 @@ pub fn exact_eq(a: f64, b: f64) -> bool {
     a == b
 }
 
-/// Negation of [`exact_eq`].
-#[inline]
-pub fn exact_ne(a: f64, b: f64) -> bool {
-    !exact_eq(a, b)
-}
-
 /// Absolute-epsilon equality with the default tolerance [`EPS`].
 #[inline]
 pub fn approx_eq(a: f64, b: f64) -> bool {
     approx_eq_eps(a, b, EPS)
-}
-
-/// Negation of [`approx_eq`].
-#[inline]
-pub fn approx_ne(a: f64, b: f64) -> bool {
-    !approx_eq(a, b)
 }
 
 /// Absolute-epsilon equality with a caller-chosen tolerance.
@@ -71,24 +59,24 @@ mod tests {
     #[test]
     fn exact_is_ieee() {
         assert!(exact_eq(0.5, 0.5));
-        assert!(exact_ne(0.1 + 0.2, 0.3)); // the motivating example
+        assert!(!exact_eq(0.1 + 0.2, 0.3)); // the motivating example
         assert!(exact_eq(f64::INFINITY, f64::INFINITY));
-        assert!(exact_ne(f64::NAN, f64::NAN));
+        assert!(!exact_eq(f64::NAN, f64::NAN));
         assert!(exact_eq(0.0, -0.0));
     }
 
     #[test]
     fn approx_absorbs_rounding_noise() {
         assert!(approx_eq(0.1 + 0.2, 0.3));
-        assert!(approx_ne(0.3, 0.3 + 1e-9));
+        assert!(!approx_eq(0.3, 0.3 + 1e-9));
         assert!(approx_eq_eps(0.3, 0.3 + 1e-9, 1e-6));
     }
 
     #[test]
     fn approx_handles_non_finite() {
         assert!(approx_eq(f64::INFINITY, f64::INFINITY));
-        assert!(approx_ne(f64::INFINITY, f64::NEG_INFINITY));
-        assert!(approx_ne(f64::NAN, f64::NAN));
-        assert!(approx_ne(f64::INFINITY, 1.0));
+        assert!(!approx_eq(f64::INFINITY, f64::NEG_INFINITY));
+        assert!(!approx_eq(f64::NAN, f64::NAN));
+        assert!(!approx_eq(f64::INFINITY, 1.0));
     }
 }

@@ -9,8 +9,8 @@
 //!   with strict inequalities so that the emitted range queries stay
 //!   pairwise disjoint;
 //! * [`HyperRect`] — a product of intervals (a possibly half-open box);
-//! * [`Aabb`] — a closed axis-aligned box with the area/margin/mindist
-//!   algebra required by the R\*-tree;
+//! * [`Aabb`] — a closed axis-aligned box with the area/margin algebra
+//!   required by the R\*-tree;
 //! * [`Constraints`] — a closed box with query semantics, the `C = ⟨C̲, C̄⟩`
 //!   of the paper;
 //! * [`dominance`] — Pareto dominance tests and dominance regions;
@@ -43,12 +43,12 @@ mod rect;
 pub mod subtract;
 
 pub use aabb::Aabb;
-pub use block::{retain_nondominated, BlockFilter, PointBlock};
+pub use block::PointBlock;
 pub use constraints::Constraints;
-pub use dominance::{dominated_by_any_rows, dominates, dominates_weak, DomRelation};
+pub use dominance::{dominated_by_any_rows, dominates};
 pub use error::GeomError;
 pub use interval::Interval;
-pub use kernel::{compare_rows, dominates_rows, Kernel};
+pub use kernel::{dominates_rows, Kernel};
 pub use point::Point;
 pub use rect::HyperRect;
 

@@ -50,15 +50,6 @@ impl Point {
         &self.coords
     }
 
-    /// Squared Euclidean distance to another point.
-    ///
-    /// # Panics
-    /// Panics in debug builds if dimensionalities differ.
-    pub fn dist_sq(&self, other: &Point) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        self.coords.iter().zip(other.coords.iter()).map(|(a, b)| (a - b) * (a - b)).sum()
-    }
-
     /// Sum of coordinates — the monotone scoring function used by SFS
     /// presorting (a point with smaller sum can never be dominated by one
     /// with a larger sum).
@@ -110,12 +101,5 @@ mod tests {
         assert_eq!(p[1], 2.0);
         assert_eq!(p.coords(), &[1.0, 2.0, 3.0]);
         assert_eq!(p.coord_sum(), 6.0);
-    }
-
-    #[test]
-    fn dist_sq_is_squared_l2() {
-        let a = Point::new(vec![0.0, 0.0]).unwrap();
-        let b = Point::new(vec![3.0, 4.0]).unwrap();
-        assert_eq!(a.dist_sq(&b), 25.0);
     }
 }

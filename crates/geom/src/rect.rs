@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{Aabb, Interval, Point};
+use crate::{Interval, Point};
 
 /// A hyper-rectangle: the Cartesian product of per-dimension [`Interval`]s,
 /// each face independently open or closed.
@@ -114,16 +114,6 @@ impl HyperRect {
         }
         self.dims.iter().map(Interval::width).product()
     }
-
-    /// The smallest closed box covering this rectangle. Used when handing a
-    /// rectangle to closed-box consumers (e.g., R-tree window queries);
-    /// consumers that care about strictness must re-filter with
-    /// [`HyperRect::contains_point`].
-    pub fn to_aabb(&self) -> Aabb {
-        let lo: Vec<f64> = self.dims.iter().map(Interval::lo).collect();
-        let hi: Vec<f64> = self.dims.iter().map(Interval::hi).collect();
-        Aabb::new_unchecked(lo, hi)
-    }
 }
 
 impl fmt::Debug for HyperRect {
@@ -172,16 +162,5 @@ mod tests {
         let empty = r.with_interval(0, Interval::new(1.0, 1.0, true, false));
         assert!(empty.is_empty());
         assert_eq!(empty.volume(), 0.0);
-    }
-
-    #[test]
-    fn to_aabb_closes_faces() {
-        let r = HyperRect::from_intervals(vec![
-            Interval::new(0.0, 1.0, true, true),
-            Interval::closed(2.0, 3.0),
-        ]);
-        let b = r.to_aabb();
-        assert_eq!(b.lo(), &[0.0, 2.0]);
-        assert_eq!(b.hi(), &[1.0, 3.0]);
     }
 }

@@ -6,9 +6,7 @@
 //! order. These invariants are checked on random geometry here.
 
 use proptest::prelude::*;
-use skycache_geom::dominance::{
-    compare, dominated_by_any, dominated_by_any_rows, dominates, DomRelation,
-};
+use skycache_geom::dominance::{dominated_by_any_rows, dominates};
 use skycache_geom::subtract::{disjoint_union, pairwise_disjoint, subtract_box};
 use skycache_geom::{Aabb, HyperRect, Point, PointBlock};
 
@@ -34,16 +32,16 @@ fn aabb() -> impl Strategy<Value = Aabb> {
 }
 
 proptest! {
-    /// s ≺ t is irreflexive and asymmetric; `compare` agrees with `dominates`.
+    /// s ≺ t is irreflexive and asymmetric, and equal points do not
+    /// dominate each other.
     #[test]
     fn dominance_is_strict_partial_order(s in point(), t in point()) {
         prop_assert!(!dominates(&s, &s));
         if dominates(&s, &t) {
             prop_assert!(!dominates(&t, &s));
-            prop_assert_eq!(compare(&s, &t), DomRelation::Dominates);
         }
         if s == t {
-            prop_assert_eq!(compare(&s, &t), DomRelation::Equal);
+            prop_assert!(!dominates(&s, &t));
         }
     }
 
@@ -109,21 +107,10 @@ proptest! {
         }
     }
 
-    /// min_dist_sq is zero exactly for contained points and otherwise
-    /// bounded by the squared distance to any corner.
-    #[test]
-    fn min_dist_consistency(b in aabb(), p in point()) {
-        let d = b.min_dist_sq(p.coords());
-        prop_assert_eq!(d == 0.0, b.contains_point(&p));
-        let corner = Point::from(b.lo().to_vec());
-        prop_assert!(d <= p.dist_sq(&corner) + 1e-12);
-    }
-
-    /// dominated_by_any and its rows-based twin agree with a naive scan.
+    /// The rows-based any-dominator scan agrees with a naive scan.
     #[test]
     fn dominated_by_any_matches_scan(t in point(), cands in prop::collection::vec(point(), 0..8)) {
         let naive = cands.iter().any(|s| dominates(s, &t));
-        prop_assert_eq!(dominated_by_any(&t, &cands), naive);
         let mut block = PointBlock::new(DIMS).expect("nonzero dims");
         for s in &cands {
             block.push_row(s.coords());

@@ -37,8 +37,9 @@
 //!     (Point::from(vec![f64::from(i % 37), f64::from(i % 53)]), i)
 //! });
 //! let bulk = RStarTree::bulk_load_points(points, RTreeParams::default());
-//! let (d2, _nearest) = bulk.nearest_k(&[5.0, 5.0], 1)[0];
-//! assert_eq!(d2, 0.0); // (5, 5) exists in the data
+//! assert_eq!(bulk.len(), 1000);
+//! // The six i < 1000 with both i % 37 and i % 53 in [2, 4].
+//! assert_eq!(bulk.search(&window).len(), 6);
 //! ```
 
 #![warn(missing_docs)]

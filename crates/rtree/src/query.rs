@@ -1,5 +1,4 @@
-//! Prioritized traversal: the best-first cursor used by BBS, and
-//! k-nearest-neighbor search built on top of it.
+//! Prioritized traversal: the best-first cursor used by BBS.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,11 +59,11 @@ impl<T> PartialOrd for HeapItem<'_, T> {
 /// Best-first traversal cursor over an [`RStarTree`].
 ///
 /// Entries pop in ascending order of a caller-supplied score on their
-/// bounding boxes (e.g. `mindist` for kNN, the `L1` lower-corner distance
-/// for BBS). The caller controls descent: a popped [`Popped::Node`] is
-/// only descended into when handed back via [`expand`](BestFirst::expand),
-/// which is what lets BBS prune entire subtrees that are dominated or
-/// outside the constraint region.
+/// bounding boxes (for BBS, the `L1` lower-corner distance). The caller
+/// controls descent: a popped [`Popped::Node`] is only descended into
+/// when handed back via [`expand`](BestFirst::expand), which is what lets
+/// BBS prune entire subtrees that are dominated or outside the constraint
+/// region.
 pub struct BestFirst<'t, T, S: Fn(&Aabb) -> f64> {
     score: S,
     heap: BinaryHeap<HeapItem<'t, T>>,
@@ -133,32 +132,6 @@ impl<'t, T, S: Fn(&Aabb) -> f64> BestFirst<'t, T, S> {
     }
 }
 
-impl<T> RStarTree<T> {
-    /// The `k` values nearest to `target` (squared-Euclidean `MINDIST`
-    /// order), with their distances. Deterministic for ties (insertion
-    /// order).
-    pub fn nearest_k(&self, target: &[f64], k: usize) -> Vec<(f64, &T)> {
-        assert_eq!(target.len(), self.dims(), "target dimensionality mismatch");
-        let mut out = Vec::with_capacity(k);
-        if k == 0 {
-            return out;
-        }
-        let mut bf = BestFirst::new(self, |mbr| mbr.min_dist_sq(target));
-        while let Some((score, popped)) = bf.pop() {
-            match popped {
-                Popped::Node(node, _) => bf.expand(node, |_| true),
-                Popped::Item(_, value) => {
-                    out.push((score, value));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,29 +146,6 @@ mod tests {
                 (Point::from(vec![x, y]), i)
             })
             .collect()
-    }
-
-    #[test]
-    fn nearest_k_matches_bruteforce() {
-        let data = pts(500);
-        let tree = RStarTree::bulk_load_points(data.clone(), RTreeParams::default());
-        let target = [30.0, 40.0];
-        let got = tree.nearest_k(&target, 10);
-        assert_eq!(got.len(), 10);
-
-        let mut want: Vec<(f64, usize)> =
-            data.iter().map(|(p, v)| (p.dist_sq(&Point::from(target.to_vec())), *v)).collect();
-        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let want_dists: Vec<f64> = want.iter().take(10).map(|w| w.0).collect();
-        let got_dists: Vec<f64> = got.iter().map(|g| g.0).collect();
-        assert_eq!(got_dists, want_dists);
-    }
-
-    #[test]
-    fn nearest_k_more_than_len() {
-        let tree = RStarTree::bulk_load_points(pts(5), RTreeParams::default());
-        assert_eq!(tree.nearest_k(&[0.0, 0.0], 100).len(), 5);
-        assert!(tree.nearest_k(&[0.0, 0.0], 0).is_empty());
     }
 
     #[test]
@@ -219,9 +169,10 @@ mod tests {
     fn pruning_skips_subtrees() {
         let tree = RStarTree::bulk_load_points(pts(300), RTreeParams::default());
         // Keep only boxes intersecting a small window; item count must
-        // equal a brute-force filter.
+        // equal a brute-force filter. Scored by BBS's mindist, the sum of
+        // the lower corner.
         let window = Aabb::new(vec![0.0, 0.0], vec![30.0, 30.0]).unwrap();
-        let mut bf = BestFirst::new(&tree, |mbr| mbr.min_dist_sq(&[0.0, 0.0]));
+        let mut bf = BestFirst::new(&tree, |mbr| mbr.lo().iter().sum());
         let mut items = 0;
         while let Some((_, popped)) = bf.pop() {
             match popped {

@@ -182,34 +182,4 @@ proptest! {
             }
         }
     }
-
-    /// nearest_k distances are sorted and match brute force.
-    #[test]
-    fn nearest_k_sorted_and_correct(
-        coords in prop::collection::vec((0..100u8, 0..100u8), 1..150),
-        tx in 0..100u8, ty in 0..100u8, k in 1..20usize,
-    ) {
-        let points: Vec<(Point, usize)> = coords
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (Point::from(vec![f64::from(x), f64::from(y)]), i))
-            .collect();
-        let tree = RStarTree::bulk_load_points(points.clone(), RTreeParams::default());
-        let target = [f64::from(tx), f64::from(ty)];
-        let got = tree.nearest_k(&target, k);
-        prop_assert_eq!(got.len(), k.min(points.len()));
-        // Sorted ascending.
-        for w in got.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
-        // Distances match brute force.
-        let mut dists: Vec<f64> = points
-            .iter()
-            .map(|(p, _)| p.dist_sq(&Point::from(target.to_vec())))
-            .collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (i, (d, _)) in got.iter().enumerate() {
-            prop_assert_eq!(*d, dists[i]);
-        }
-    }
 }

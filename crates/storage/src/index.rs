@@ -83,23 +83,6 @@ impl ColumnIndex {
         &self.rows[start..end]
     }
 
-    /// Number of rows whose key lies in `iv`.
-    pub fn count_in(&self, iv: &Interval) -> usize {
-        let (s, e) = self.locate(iv);
-        e - s
-    }
-
-    /// Row ids whose key lies in `iv`, in key order.
-    pub fn rows_in(&self, iv: &Interval) -> &[RowId] {
-        let (s, e) = self.locate(iv);
-        &self.rows[s..e]
-    }
-
-    /// Smallest and largest key, if any.
-    pub fn key_bounds(&self) -> Option<(f64, f64)> {
-        Some((*self.keys.first()?, *self.keys.last()?))
-    }
-
     /// All `(key, row)` entries in key order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (f64, RowId)> + '_ {
         self.keys.iter().copied().zip(self.rows.iter().copied())
@@ -173,49 +156,55 @@ mod tests {
         ColumnIndex::build(keys.iter().copied().zip(0..))
     }
 
+    /// Sorted keys `[1, 3, 3, 5, 9]` held by rows `[1, {2, 3}, 0, 4]`.
     fn idx() -> ColumnIndex {
         index_of(&[5.0, 1.0, 3.0, 3.0, 9.0])
+    }
+
+    /// The rows at the positions `locate` finds for `iv`, sorted (the
+    /// order between equal keys is unspecified).
+    fn rows(i: &ColumnIndex, iv: &Interval) -> Vec<RowId> {
+        let (start, end) = i.locate(iv);
+        let mut rows = i.rows_at(start, end).to_vec();
+        rows.sort_unstable();
+        rows
     }
 
     #[test]
     fn build_sorts_keys() {
         let i = idx();
         assert_eq!(i.len(), 5);
-        assert_eq!(i.key_bounds(), Some((1.0, 9.0)));
+        assert_eq!((0..5).map(|p| i.key_at(p)).collect::<Vec<_>>(), [1.0, 3.0, 3.0, 5.0, 9.0]);
     }
 
     #[test]
     fn count_closed_range() {
         let i = idx();
-        assert_eq!(i.count_in(&Interval::closed(3.0, 5.0)), 3);
-        assert_eq!(i.count_in(&Interval::closed(0.0, 10.0)), 5);
-        assert_eq!(i.count_in(&Interval::closed(6.0, 8.0)), 0);
+        assert_eq!(i.locate(&Interval::closed(3.0, 5.0)), (1, 4));
+        assert_eq!(i.locate(&Interval::closed(0.0, 10.0)), (0, 5));
+        assert_eq!(i.locate(&Interval::closed(6.0, 8.0)), (4, 4));
     }
 
     #[test]
     fn open_endpoints_exclude_keys() {
         let i = idx();
-        assert_eq!(i.count_in(&Interval::new(3.0, 5.0, true, false)), 1); // only 5
-        assert_eq!(i.count_in(&Interval::new(3.0, 5.0, false, true)), 2); // the 3s
-        assert_eq!(i.count_in(&Interval::new(3.0, 3.0, true, true)), 0);
+        assert_eq!(i.locate(&Interval::new(3.0, 5.0, true, false)), (3, 4)); // only 5
+        assert_eq!(i.locate(&Interval::new(3.0, 5.0, false, true)), (1, 3)); // the 3s
+        assert_eq!(i.locate(&Interval::new(3.0, 3.0, true, true)), (3, 3));
     }
 
     #[test]
     fn unbounded_ranges() {
         let i = idx();
-        assert_eq!(i.count_in(&Interval::closed(f64::NEG_INFINITY, f64::INFINITY)), 5);
-        assert_eq!(i.count_in(&Interval::closed(f64::NEG_INFINITY, 3.0)), 3);
-        assert_eq!(i.count_in(&Interval::closed(5.0, f64::INFINITY)), 2);
+        assert_eq!(i.locate(&Interval::closed(f64::NEG_INFINITY, f64::INFINITY)), (0, 5));
+        assert_eq!(i.locate(&Interval::closed(f64::NEG_INFINITY, 3.0)), (0, 3));
+        assert_eq!(i.locate(&Interval::closed(5.0, f64::INFINITY)), (3, 5));
     }
 
     #[test]
     fn rows_in_returns_matching_rows() {
-        let i = idx();
-        let rows = i.rows_in(&Interval::closed(3.0, 3.0));
-        // Rows 2 and 3 hold key 3.0 (order between equal keys unspecified).
-        let mut rows = rows.to_vec();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![2, 3]);
+        // Rows 2 and 3 hold key 3.0.
+        assert_eq!(rows(&idx(), &Interval::closed(3.0, 3.0)), vec![2, 3]);
     }
 
     #[test]
@@ -223,10 +212,10 @@ mod tests {
         let mut i = idx();
         i.insert(4.0, 9);
         assert_eq!(i.len(), 6);
-        assert_eq!(i.count_in(&Interval::closed(3.5, 4.5)), 1);
-        assert_eq!(i.rows_in(&Interval::closed(4.0, 4.0)), &[9]);
+        assert_eq!(i.locate(&Interval::closed(3.5, 4.5)), (3, 4));
+        assert_eq!(rows(&i, &Interval::closed(4.0, 4.0)), vec![9]);
         i.insert(0.5, 10);
-        assert_eq!(i.key_bounds(), Some((0.5, 9.0)));
+        assert_eq!((i.key_at(0), i.key_at(6)), (0.5, 9.0));
     }
 
     #[test]
@@ -234,8 +223,7 @@ mod tests {
         let mut i = idx();
         // Two rows hold key 3.0; remove only row 3.
         assert!(i.remove(3.0, 3));
-        assert_eq!(i.count_in(&Interval::closed(3.0, 3.0)), 1);
-        assert_eq!(i.rows_in(&Interval::closed(3.0, 3.0)), &[2]);
+        assert_eq!(rows(&i, &Interval::closed(3.0, 3.0)), vec![2]);
         // Removing a non-existent pairing is a no-op.
         assert!(!i.remove(3.0, 99));
         assert!(!i.remove(77.0, 2));
@@ -246,19 +234,18 @@ mod tests {
     fn signed_zeros_keep_numeric_range_semantics() {
         // total_cmp sorts -0.0 before 0.0; numerically they are equal, so
         // every range bound of either zero sign must treat the whole run
-        // of zeros as one key value.
+        // of zeros as one key value. Sorted: -1 (row 3), -0 (row 0),
+        // 0 (row 2), 2 (row 1).
         let i = index_of(&[-0.0, 2.0, 0.0, -1.0]);
-        assert_eq!(i.count_in(&Interval::closed(0.0, 0.0)), 2);
-        assert_eq!(i.count_in(&Interval::closed(-0.0, 0.0)), 2);
-        assert_eq!(i.count_in(&Interval::closed(-1.0, -0.0)), 3);
+        assert_eq!(i.locate(&Interval::closed(0.0, 0.0)), (1, 3));
+        assert_eq!(i.locate(&Interval::closed(-0.0, 0.0)), (1, 3));
+        assert_eq!(i.locate(&Interval::closed(-1.0, -0.0)), (0, 3));
         // Open bounds exclude both zero signs...
-        assert_eq!(i.count_in(&Interval::new(0.0, 2.0, true, false)), 1);
-        assert_eq!(i.count_in(&Interval::new(-1.0, -0.0, false, true)), 1);
+        assert_eq!(i.locate(&Interval::new(0.0, 2.0, true, false)), (3, 4));
+        assert_eq!(i.locate(&Interval::new(-1.0, -0.0, false, true)), (0, 1));
         // ...and never split the zero run down the middle.
-        assert_eq!(i.count_in(&Interval::new(-0.0, f64::INFINITY, true, false)), 1);
-        let mut rows = i.rows_in(&Interval::closed(0.0, 0.0)).to_vec();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![0, 2]);
+        assert_eq!(i.locate(&Interval::new(-0.0, f64::INFINITY, true, false)), (3, 4));
+        assert_eq!(rows(&i, &Interval::closed(0.0, 0.0)), vec![0, 2]);
     }
 
     #[test]
@@ -270,23 +257,20 @@ mod tests {
         i.insert(0.0, 2);
         i.insert(-0.0, 3);
         i.insert(-1.0, 4);
-        assert_eq!(i.count_in(&Interval::closed(-1.0, 0.0)), 4);
-        let mut zeros = i.rows_in(&Interval::closed(0.0, 0.0)).to_vec();
-        zeros.sort_unstable();
-        assert_eq!(zeros, vec![1, 2, 3]);
+        assert_eq!(i.locate(&Interval::closed(-1.0, 0.0)), (0, 4));
+        assert_eq!(rows(&i, &Interval::closed(0.0, 0.0)), vec![1, 2, 3]);
         // remove() must find a row anywhere in the mixed-sign zero run.
         assert!(i.remove(0.0, 1));
         assert!(i.remove(-0.0, 2));
-        assert_eq!(i.count_in(&Interval::closed(0.0, 0.0)), 1);
-        assert_eq!(i.rows_in(&Interval::closed(-0.0, -0.0)), &[3]);
+        assert_eq!(i.locate(&Interval::closed(0.0, 0.0)), (1, 2));
+        assert_eq!(rows(&i, &Interval::closed(-0.0, -0.0)), vec![3]);
     }
 
     #[test]
     fn empty_index() {
         let i = index_of(&[]);
         assert!(i.is_empty());
-        assert_eq!(i.count_in(&Interval::closed(0.0, 1.0)), 0);
-        assert_eq!(i.key_bounds(), None);
+        assert_eq!(i.locate(&Interval::closed(0.0, 1.0)), (0, 0));
         assert!(i.quantile_keys(128).is_empty());
     }
 

@@ -11,7 +11,7 @@
 //! * [`storage`] — paged point store with per-dimension indexes and an I/O
 //!   cost model (the "PostgreSQL + B-trees" substrate of the paper);
 //! * [`rtree`] — an R\*-tree (the "libspatialindex" substrate);
-//! * [`algos`] — skyline algorithms: BNL, SFS, divide & conquer, BBS;
+//! * [`algos`] — skyline algorithms: SFS and BBS;
 //! * [`obs`] — the observability vocabulary: phases, metric names and the
 //!   versioned per-query [`obs::QueryReport`];
 //! * [`core`] — the paper's contribution: stability theory, the four

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use skycache::algos::{Sfs, SkylineAlgorithm};
+use skycache::algos::Sfs;
 use skycache::core::{cases, MprMode};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen, Workload};
 use skycache::geom::{Constraints, HyperRect, Interval, Point, PointBlock};

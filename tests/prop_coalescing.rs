@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use skycache::algos::{Sfs, SkylineAlgorithm};
+use skycache::algos::Sfs;
 use skycache::core::{missing_points_region, MprMode};
 use skycache::geom::{Constraints, HyperRect, Point, PointBlock};
 use skycache::storage::{CostModel, FetchPlan, FetchScratch, RowId, Table, TableConfig};

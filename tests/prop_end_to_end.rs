@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use skycache::algos::{Sfs, SkylineAlgorithm};
+use skycache::algos::Sfs;
 use skycache::core::{
     missing_points_region, CbcsConfig, MprMode, QueryRequest, Service, ServiceConfig,
 };

@@ -1,10 +1,9 @@
-//! Differential property tests for the row-level dominance tests: the
-//! production (lane-blocked, branch-free) `dominates_rows` /
-//! `compare_rows` and the block loops built on them must be *bitwise*
-//! equivalent to the early-exit reference (`dominates_raw` /
-//! `compare_raw`) on arbitrary rows — including equal rows, signed
-//! zeros, infinities, empty and one-row blocks — and the planar d = 2
-//! sweep must reproduce the classic SFS filter row for row. The SFS
+//! Differential property tests for the row-level dominance test: the
+//! production (lane-blocked, branch-free) `dominates_rows` and the block
+//! scan built on it must be *bitwise* equivalent to the early-exit
+//! reference `dominates_raw` on arbitrary rows — including equal rows,
+//! signed zeros, infinities, empty and one-row blocks — and the planar
+//! d = 2 sweep must reproduce the classic SFS filter row for row. The SFS
 //! filter itself, which sorts lazily, must be indistinguishable from a
 //! reference that sorts its whole input first: same rows, same order,
 //! same dominance-test count.
@@ -13,13 +12,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use skycache::algos::{
-    planar_skyline_into, Bnl, DivideConquer, Salsa, Sfs, SkylineAlgorithm, SkylineScratch,
-};
-use skycache::geom::dominance::{compare_raw, dominated_by_any_rows, dominates_raw};
-use skycache::geom::{
-    compare_rows, dominates_rows, retain_nondominated, BlockFilter, Kernel, Point, PointBlock,
-};
+use skycache::algos::{planar_skyline_into, Sfs, SkylineScratch};
+use skycache::geom::dominance::{dominated_by_any_rows, dominates_raw};
+use skycache::geom::{dominates_rows, Kernel, Point, PointBlock};
 
 /// Wide enough that every row crosses at least one full lane block plus a
 /// remainder when truncated to fewer dims.
@@ -143,38 +138,29 @@ fn shaped_rows(shape: u8, n: usize, dims: usize, seed: u64) -> Vec<f64> {
 /// whole-sort bound (`head = max(32, n / 16)`), up to several thousand.
 const SFS_SIZES: [usize; 10] = [0, 1, 2, 63, 64, 65, 66, 511, 1_200, 3_000];
 
-/// A sort key that ties is no licence to keep input order. In both
-/// inputs the second row dominates the first and their coordinate sums —
-/// in the second input the minimum coordinates too — round equal: every
-/// algorithm, and SFS through its block path as well, returns the
-/// dominator alone.
+/// A sort key that ties is no licence to keep input order. In every
+/// input the second row dominates the first: in the first two their
+/// coordinate sums round equal, the third pits a leading `-0.0` against a
+/// leading `0.0`, and the fourth does both — `total_cmp` would rank the
+/// dominated row's `-0.0` first. SFS, through `compute` and through its
+/// block path, returns the dominator alone.
 #[test]
 fn float_tied_scores_do_not_leak_dominated_rows() {
     let p = |c: &[f64]| Point::from(c.to_vec());
     for pts in [
         vec![p(&[0.5, 0.5, 2e-17]), p(&[0.5, 0.5, 1e-17])],
         vec![p(&[1.0, 1e17, 3.0]), p(&[1.0, 1e17, 2.0])],
+        vec![p(&[-0.0, 6.0, 7.0]), p(&[0.0, 5.0, 7.0])],
+        vec![p(&[-0.0, 1e17, 3.0]), p(&[0.0, 1e17, 2.0])],
     ] {
         let want = vec![pts[1].clone()];
         assert!(dominates_raw(pts[1].coords(), pts[0].coords()));
-        let algos: [&dyn SkylineAlgorithm; 4] = [&Sfs, &Salsa, &Bnl, &DivideConquer];
-        for algo in algos {
-            assert_eq!(algo.compute(pts.clone()).skyline, want, "{} on {pts:?}", algo.name());
-        }
+        assert_eq!(Sfs.compute(pts.clone()).skyline, want, "SFS on {pts:?}");
         let input = PointBlock::from_points(&pts).expect("non-empty");
         let mut out = PointBlock::new(3).expect("dims");
         Sfs.compute_block_into(input.as_flat(), 3, &mut SkylineScratch::new(), &mut out);
         assert_eq!(out.to_points(), want, "SFS block path on {pts:?}");
     }
-}
-
-/// SaLSa ranks by the minimum coordinate first: a dominated row whose
-/// minimum is `-0.0` must not sort ahead of a dominator whose is `0.0`.
-#[test]
-fn salsa_minimum_ignores_the_sign_of_zero() {
-    let p = |c: &[f64]| Point::from(c.to_vec());
-    let pts = vec![p(&[-0.0, 6.0, 7.0]), p(&[0.0, 5.0, 7.0])];
-    assert_eq!(Salsa.compute(pts.clone()).skyline, vec![pts[1].clone()]);
 }
 
 proptest! {
@@ -205,50 +191,21 @@ proptest! {
 }
 
 proptest! {
-    /// Production dominance and comparison agree with the early-exit
-    /// reference on every row pair, equal rows included, and the
-    /// `Kernel` pair names exactly those two implementations.
+    /// Production dominance agrees with the early-exit reference on
+    /// every row pair, equal rows included, and the `Kernel` pair names
+    /// exactly those two implementations.
     #[test]
-    fn wide_dominates_and_compare_match_scalar(
+    fn wide_dominates_matches_scalar(
         dims in 1usize..=MAX_DIMS, a in raw_row(), b in raw_row(), dup in any::<bool>(),
     ) {
         let s = truncate(&a, dims);
         let t = if dup { s.clone() } else { truncate(&b, dims) };
         prop_assert_eq!(dominates_rows(&s, &t), dominates_raw(&s, &t));
         prop_assert_eq!(dominates_rows(&t, &s), dominates_raw(&t, &s));
-        prop_assert_eq!(compare_rows(&s, &t), compare_raw(&s, &t));
         prop_assert_eq!(Kernel::Wide.dominates(&s, &t), dominates_rows(&s, &t));
         prop_assert_eq!(Kernel::Scalar.dominates(&s, &t), dominates_raw(&s, &t));
-        prop_assert_eq!(Kernel::Wide.compare(&s, &t), Kernel::Scalar.compare(&s, &t));
         // Self-comparison: a row never dominates itself.
         prop_assert!(!dominates_rows(&s, &s));
-    }
-
-    /// Block-vs-block filtering matches a per-candidate scan with the
-    /// early-exit reference: identical survivors in identical order, and
-    /// identical dominance-test counts (the window scan stops at the
-    /// first dominator). Empty and one-row blocks are in range.
-    #[test]
-    fn retain_nondominated_generations_agree(
-        dims in 1usize..=MAX_DIMS, cands in raw_rows(20), window in raw_rows(20),
-    ) {
-        let window = to_block(&window, dims);
-        let mut got = to_block(&cands, dims);
-        let mut want = PointBlock::new(dims).expect("nonzero dims");
-        let mut want_stats = BlockFilter::default();
-        for row in got.rows() {
-            let hit = window.rows().position(|w| dominates_raw(w, row));
-            want_stats.dominance_tests += hit.map_or(window.len(), |i| i + 1) as u64;
-            match hit {
-                Some(_) => want_stats.removed += 1,
-                None => want.push_row(row),
-            }
-        }
-        let stats = retain_nondominated(&mut got, &window);
-        // Bit-level row equality: `-0.0 == 0.0` must not hide a swap.
-        let bits = |b: &PointBlock| b.as_flat().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&got), bits(&want));
-        prop_assert_eq!(stats, want_stats);
     }
 
     /// The rows-based any-dominator scan agrees with the reference.

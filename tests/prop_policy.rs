@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use skycache::algos::{Sfs, SkylineAlgorithm};
+use skycache::algos::Sfs;
 use skycache::core::{
     Cache, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy, Service, ServiceConfig,
 };

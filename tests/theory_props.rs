@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use skycache::algos::{Sfs, SkylineAlgorithm};
+use skycache::algos::Sfs;
 use skycache::core::{classify, is_stable, Overlap};
 use skycache::geom::{dominates, Constraints, Point};
 
