@@ -224,7 +224,10 @@ fn predicting_a_plan_allocates_nothing() {
         .iter()
         .zip(queries.iter().skip(1))
         .flat_map(|(a, b)| {
-            [FetchPlan::constrained(a), FetchPlan::new(vec![a.region(), b.region()])]
+            [
+                FetchPlan::constrained(a),
+                FetchPlan::new([a.region(), b.region()].into_iter().collect()),
+            ]
         })
         .collect();
     let rows = table.config().cost_model.seek_rows();
@@ -233,8 +236,7 @@ fn predicting_a_plan_allocates_nothing() {
     let a0 = allocations();
     for plan in &plans {
         ns += table.predict(plan).ns;
-        cuts +=
-            usize::from(table.corner_cut(plan.regions[0].intervals(), rows, &mut cut).is_some());
+        cuts += usize::from(table.corner_cut(&plan.regions[0], rows, &mut cut).is_some());
     }
     let allocs = allocations() - a0;
     assert_eq!(allocs, 0, "predicting {} plans allocated", plans.len());

@@ -21,28 +21,31 @@
 //! license skipping work entirely (exact hits and Case (b)); all other
 //! classes share the MPR machinery.
 
-use skycache_geom::{Constraints, HyperRect, PointBlock};
+use skycache_geom::{Constraints, PointBlock, Regions};
 
 use crate::mpr::{missing_points_region, MprMode};
 use crate::stability::{classify, Overlap};
 
-/// What the engine must do to answer `C′` from the cache.
+/// What the engine must do to answer `C′` from the cache: the one plan
+/// type, built by the fast paths below or by [`missing_points_region`].
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     /// Classified relationship between the cached item's constraints and
     /// the queried ones.
     pub overlap: Overlap,
-    /// Disjoint range queries to fetch from storage.
-    pub regions: Vec<HyperRect>,
-    /// Cached skyline points that remain candidates under `C′`, as a
-    /// columnar block shared with the merge kernels.
+    /// Pairwise-disjoint range queries to fetch from storage.
+    pub regions: Regions,
+    /// Cached skyline points that remain candidates under `C′` (the merge
+    /// input of Theorem 6), in cache order — a columnar block shared with
+    /// the merge kernels, so planning copies coordinates instead of
+    /// cloning one `Point` per retained row.
     pub retained: PointBlock,
     /// Whether a skyline recomputation over `retained ∪ fetched` is
     /// required (false for exact hits and Case (b), per Theorem 3).
     pub needs_skyline: bool,
     /// Cached skyline points invalidated by `C′`.
     pub removed_points: usize,
-    /// Retained points used for dominance pruning.
+    /// Retained points actually used for dominance pruning.
     pub prune_points_used: usize,
     /// Disjoint pieces contributed by the invalidated (unstable) region.
     pub invalidated_pieces: usize,
@@ -60,7 +63,7 @@ pub fn plan(
     let overlap = classify(old, new);
     let free = |retained: PointBlock, removed_points: usize| QueryPlan {
         overlap,
-        regions: Vec::new(),
+        regions: Regions::default(),
         retained,
         needs_skyline: false,
         removed_points,
@@ -85,24 +88,14 @@ pub fn plan(
             }
             free(retained, removed)
         }
-        _ => {
-            let out = missing_points_region(old, cached_skyline, new, mode);
-            QueryPlan {
-                overlap,
-                regions: out.regions,
-                retained: out.retained,
-                needs_skyline: true,
-                removed_points: out.removed_points,
-                prune_points_used: out.prune_points_used,
-                invalidated_pieces: out.invalidated_pieces,
-            }
-        }
+        _ => missing_points_region(old, cached_skyline, new, mode),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skycache_geom::rect::contains;
     use skycache_geom::Point;
 
     fn c(pairs: &[(f64, f64)]) -> Constraints {
@@ -151,7 +144,7 @@ mod tests {
         assert!(plan.needs_skyline);
         assert_eq!(plan.regions.len(), 1);
         // Theorem 2: no pruning of ΔC is possible.
-        assert!(plan.regions[0].contains_point(&p(&[0.2, 0.9])));
+        assert!(contains(&plan.regions[0], &[0.2, 0.9]));
     }
 
     #[test]

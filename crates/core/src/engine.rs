@@ -40,7 +40,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
-use skycache_geom::{Constraints, HyperRect, Interval, Point, PointBlock};
+use skycache_geom::subtract;
+use skycache_geom::{Constraints, Point, PointBlock, Regions};
 use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
 use skycache_storage::{FetchOutcome, FetchPlan, FetchScratch, RowId, Table};
@@ -153,11 +154,12 @@ impl QueryScratch {
 }
 
 /// The corner-first step's buffers (DESIGN.md §18), reused across queries
-/// so that in steady state it allocates only the regions it hands to
-/// storage.
+/// so that the step allocates only where a buffer grows.
 #[derive(Default)]
 struct CornerScratch {
-    /// The corner range query's rows, and whether this query read them.
+    /// The corner range query's one region (`R_C′` until it is cut), its
+    /// rows, and whether this query read them.
+    region: Regions,
     fetch: FetchScratch,
     taken: bool,
     /// The corner's upper keys, then one pruning point's `DR` lower corner.
@@ -167,14 +169,13 @@ struct CornerScratch {
     regions: Remainder,
 }
 
-/// The remainder being pruned and a trial one: region lists of `d`
-/// intervals per region, beside the predicted nanoseconds of each region
-/// fetched by a range query of its own.
+/// The remainder being pruned and a trial one, beside the predicted
+/// nanoseconds of each region fetched by a range query of its own.
 #[derive(Default)]
 struct Remainder {
-    rest: Vec<Interval>,
+    rest: Regions,
     rest_ns: Vec<f64>,
-    trial: Vec<Interval>,
+    trial: Regions,
     trial_ns: Vec<f64>,
 }
 
@@ -653,7 +654,7 @@ impl QueryScratch {
         &mut self,
         table: &Table,
         c: &Constraints,
-        regions: Vec<HyperRect>,
+        regions: Regions,
         retained: &[f64],
         stats: &mut QueryStats,
     ) -> Vec<Point> {
@@ -691,16 +692,19 @@ impl QueryScratch {
         &mut self,
         table: &Table,
         c: &Constraints,
-        regions: Vec<HyperRect>,
+        regions: Regions,
         stats: &mut QueryStats,
-    ) -> Vec<HyperRect> {
+    ) -> Regions {
         let t0 = Stopwatch::start();
-        let corner = self.corner.choose(table, c, &regions);
+        self.corner.taken = self.corner.choose(table, c, &regions);
         stats.time(Phase::MprCompute, t0);
-        self.corner.taken = corner.is_some();
-        let Some(corner) = corner else { return regions };
-        // skylint: allow(hot-path-alloc) — the corner read's one-region list.
-        fetch_into(table, &FetchPlan::new(vec![corner]), &mut self.corner.fetch, stats);
+        if !self.corner.taken {
+            return regions;
+        }
+        // The corner's plan borrows its region buffer and gives it back.
+        let plan = FetchPlan::new(std::mem::take(&mut self.corner.region));
+        fetch_into(table, &plan, &mut self.corner.fetch, stats);
+        self.corner.region = plan.regions;
         let (dims, rows) = (table.dims(), self.corner.fetch.rows().coords());
         if rows.is_empty() {
             return regions;
@@ -731,91 +735,68 @@ impl QueryScratch {
                 cost = trial;
             }
         }
-        let rest = s.regions.rest.chunks_exact(dims);
-        // skylint: allow(hot-path-alloc) — the regions handed to storage, one allocation each.
-        let regions = rest.map(|r| HyperRect::from_intervals(r.to_vec())).collect();
         stats.time(Phase::MprCompute, t2);
-        regions
+        // The caller's list becomes the next query's remainder buffer.
+        std::mem::replace(&mut s.regions.rest, regions)
     }
 }
 
 impl CornerScratch {
     /// The corner-first step's choice, on predicted cost alone
-    /// ([`Table::predict_region`]): the corner `[C̲′, cut]` of `R_C′`
-    /// predicted to hold one seek's worth of rows ([`Table::corner_cut`]),
-    /// if reading it and then `regions ∖ corner ∖ [cut, C̄′]` is predicted
-    /// to cost less than reading `regions` — with `regions ∖ corner` left
-    /// as the remainder — else `None`.
-    fn choose(
-        &mut self,
-        table: &Table,
-        c: &Constraints,
-        regions: &[HyperRect],
-    ) -> Option<HyperRect> {
+    /// ([`Table::predict_region`]): whether to read the corner `[C̲′, cut]`
+    /// of `R_C′` predicted to hold one seek's worth of rows
+    /// ([`Table::corner_cut`]) — left in `self.region` — because reading
+    /// it and then `regions ∖ corner ∖ [cut, C̄′]` is predicted to cost
+    /// less than reading `regions`. `regions ∖ corner` is left as the
+    /// remainder.
+    fn choose(&mut self, table: &Table, c: &Constraints, regions: &Regions) -> bool {
         let rows = table.config().cost_model.seek_rows();
         let (lo, hi, r) = (c.lo(), c.hi(), &mut self.regions);
-        // The trial list holds `R_C′`, then the corner, until the first carve.
-        r.trial.clear();
-        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
-        r.trial.extend(lo.iter().zip(hi).map(|(&l, &h)| Interval::closed(l, h)));
+        self.region.clear();
+        self.region.push_closed(lo, hi);
         self.cut.resize(lo.len(), 0.0);
         // Any row of a non-empty corner dominates [cut, C̄′]: go on only if
         // that space is predicted to hold two seeks' worth of rows.
-        if table.corner_cut(&r.trial, rows, &mut self.cut)? < 2.0 * rows {
-            return None;
+        let Some(dominated) = table.corner_cut(&self.region[0], rows, &mut self.cut) else {
+            return false;
+        };
+        if dominated < 2.0 * rows {
+            return false;
         }
-        for (iv, &key) in r.trial.iter_mut().zip(&self.cut) {
-            *iv = Interval::closed(iv.lo(), key);
-        }
-        let corner = table.predict_region(&r.trial).ns;
+        self.region.clear();
+        self.region.push_closed(lo, &self.cut);
+        let corner = table.predict_region(&self.region[0]).ns;
         r.rest.clear();
         r.rest_ns.clear();
-        regions.iter().for_each(|region| r.rest.extend_from_slice(region.intervals()));
         // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
-        r.rest_ns.extend(regions.iter().map(|region| table.predict_region(region.intervals()).ns));
+        r.rest.extend(regions.iter());
+        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        r.rest_ns.extend(regions.iter().map(|region| table.predict_region(region).ns));
         let before: f64 = r.rest_ns.iter().sum();
         r.carve(table, lo, &self.cut);
         r.keep_trial();
-        let pays = corner + r.carve(table, &self.cut, hi) < before;
-        pays.then(|| HyperRect::closed(lo, &self.cut))
+        corner + r.carve(table, &self.cut, hi) < before
     }
 }
 
 impl Remainder {
     /// Carves the closed box `[lo, hi]` out of the remainder into the
-    /// trial list — pairwise disjoint pieces, carved and ordered as
-    /// [`skycache_geom::subtract::subtract_box_into`] carves them, without
-    /// its allocation per piece — and returns the trial's predicted cost. Only the pieces are priced: a
-    /// region the box misses keeps its cost. A region the box meets is
-    /// narrowed in place at the end of the list, its pieces copied out
-    /// behind it, and dropped once the box covers the rest.
+    /// trial list ([`subtract::carve`]) and returns the trial's predicted
+    /// cost. Only the pieces are priced: a region the box misses keeps its
+    /// cost.
     fn carve(&mut self, table: &Table, lo: &[f64], hi: &[f64]) -> f64 {
-        let (d, side) = (lo.len(), |i: usize| Interval::closed(lo[i], hi[i]));
         let (out, costs) = (&mut self.trial, &mut self.trial_ns);
         out.clear();
         costs.clear();
-        for (r, &ns) in self.rest.chunks_exact(d).zip(&self.rest_ns) {
+        for (r, &ns) in self.rest.iter().zip(&self.rest_ns) {
             let at = out.len();
-            out.extend_from_slice(r);
-            if !r.iter().enumerate().all(|(i, iv)| iv.intersects(&side(i))) {
+            if subtract::carve(r, lo, hi, out) {
+                // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+                costs.extend(out.iter().skip(at).map(|piece| table.predict_region(piece).ns));
+            } else {
                 // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
                 costs.push(ns);
-                continue;
             }
-            for i in 0..d {
-                let iv = out[at + i];
-                for piece in [iv.below(lo[i], true), iv.above(hi[i], true)] {
-                    if !piece.is_empty() {
-                        out.extend_from_within(at..at + d);
-                        let last = out.len() - d + i;
-                        out[last] = piece;
-                    }
-                }
-                out[at + i] = iv.intersect(&side(i));
-            }
-            out.drain(at..at + d);
-            // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
-            costs.extend(out[at..].chunks_exact(d).map(|piece| table.predict_region(piece).ns));
         }
         costs.iter().sum()
     }
@@ -1003,6 +984,31 @@ mod tests {
             a.sort_by_key(key);
             b.sort_by_key(key);
             assert_eq!(a, b, "diverged on {cc:?}");
+        }
+    }
+
+    /// `-0.0` and `0.0` are one coordinate: a cached query bounded above
+    /// by `x ≤ -0.0` leaves `x > 0` unknown to the next query, not
+    /// `x ≥ 0`. The plan is `(0, 1] × [0, 0.25)` alone — the part of
+    /// `R_C′` the cached row `(0, 0.25)` does not dominate — and without
+    /// pruning it does not overlap the column `[0, -0.0] × (0.5, 1]`.
+    #[test]
+    fn signed_zero_bounds_leave_no_overlapping_regions() {
+        let points: Vec<Point> = (0..10)
+            .flat_map(|i| (1..=10).map(move |j| p(&[f64::from(i) / 4.0, f64::from(j) / 4.0])))
+            .collect();
+        let table = Table::build(points, TableConfig::default()).unwrap();
+        let (c1, c2) = (c(&[(-1.0, -0.0), (0.0, 0.5)]), c(&[(0.0, 1.0), (0.0, 1.0)]));
+        let want = run(&mut BaselineExecutor::new(&table), &c2).skyline;
+        for (k, regions) in [(1, 1), (0, 2)] {
+            let config = CbcsConfig { mpr: MprMode::Approximate { k }, ..Default::default() };
+            let service = open(&table, config);
+            let mut cbcs = service.session();
+            assert_eq!(run(&mut cbcs, &c1).skyline, vec![p(&[0.0, 0.25])]);
+            let r2 = run(&mut cbcs, &c2);
+            assert!(r2.stats.cache_hit);
+            assert_eq!(r2.stats.mpr_regions, regions, "k = {k}");
+            assert_eq!(r2.skyline, want);
         }
     }
 

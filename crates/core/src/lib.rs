@@ -89,7 +89,7 @@ pub use engine::{
     StageTimes,
 };
 pub use error::CoreError;
-pub use mpr::{missing_points_region, MprMode, MprOutput};
+pub use mpr::{missing_points_region, MprMode};
 pub use service::{Service, ServiceConfig, ServiceMetrics, Session};
 pub use shared::SharedCache;
 pub use stability::{classify, is_stable, Overlap};

@@ -27,8 +27,11 @@
 //! queries (Section 5.3).
 
 use skycache_geom::dominance::dominance_box_coords;
-use skycache_geom::subtract::{disjoint_union, subtract_box_from_all, subtract_box_into};
-use skycache_geom::{Constraints, HyperRect, Interval, PointBlock};
+use skycache_geom::subtract::{carve, disjoint_union};
+use skycache_geom::{Constraints, Interval, PointBlock, Regions};
+
+use crate::cases::QueryPlan;
+use crate::stability::classify;
 
 /// Exact or approximate MPR computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,27 +57,12 @@ impl MprMode {
     }
 }
 
-/// Result of an MPR computation.
-#[derive(Clone, Debug)]
-pub struct MprOutput {
-    /// Pairwise-disjoint range queries covering the (approximate) MPR.
-    pub regions: Vec<HyperRect>,
-    /// Cached skyline points that still satisfy `C′` (the merge input of
-    /// Theorem 6), in cache order — a columnar block, so planning copies
-    /// coordinates instead of cloning one `Point` per retained row.
-    pub retained: PointBlock,
-    /// Number of cached skyline points invalidated by `C′`.
-    pub removed_points: usize,
-    /// Number of retained points actually used for dominance pruning.
-    pub prune_points_used: usize,
-    /// Disjoint pieces contributed by the invalidated (unstable) region.
-    pub invalidated_pieces: usize,
-}
-
 /// Computes the (approximate) Missing Points Region.
 ///
-/// Returns disjoint range queries plus the retained cached points; per
-/// Theorem 6, `Sky(S, C′) = Sky(retained ∪ fetch(regions), C′)`. The
+/// Returns the plan: disjoint range queries plus the retained cached
+/// points; per Theorem 6, `Sky(S, C′) = Sky(retained ∪ fetch(regions), C′)`.
+/// The regions are one flat [`Regions`] list, cut by
+/// [`skycache_geom::subtract::carve`] without an allocation per piece. The
 /// cached item's *trusted* space — its overlap with `R_C′` minus what its
 /// removed skyline rows invalidate — is subtracted from `R_C′`; the
 /// retained rows then prune the rest.
@@ -97,7 +85,7 @@ pub fn missing_points_region(
     cached_skyline: &PointBlock,
     new: &Constraints,
     mode: MprMode,
-) -> MprOutput {
+) -> QueryPlan {
     assert_eq!(old.dims(), new.dims(), "constraints dimensionality mismatch");
     // Partition the cached skyline under C′: satisfying rows are copied
     // into the columnar block (not one `Point` clone per row), removed
@@ -117,33 +105,25 @@ pub fn missing_points_region(
     // preprocessing); it lies inside the overlap box.
     let pieces = invalidated_space(cached_skyline, &removed, old, new, mode);
     let invalidated_pieces = pieces.len();
-    let region = new.region();
     // The unknown space: `(R_C′ ∖ overlap)`, then the resurfaced invalid
     // pieces. The two halves are disjoint because every piece lies inside
-    // the overlap box; a piece poking out of an open face of `R_C′` is
-    // clipped to it.
-    let unknown = match old.overlap_region(new) {
-        Some(overlap) => {
-            let mut unknown = Vec::new();
-            subtract_box_into(&region, &overlap, &mut unknown);
-            for piece in pieces {
-                if region.contains_rect(&piece) {
-                    unknown.push(piece);
-                } else if let Some(clipped) = region.intersection(&piece) {
-                    if !clipped.is_empty() {
-                        unknown.push(clipped);
-                    }
-                }
-            }
-            unknown
-        }
-        None => vec![region],
-    };
+    // the overlap box (the dominance boxes are clipped to `R_C′`, and there
+    // are none without an overlap).
+    let region = new.region();
+    let mut unknown = Regions::default();
+    if let Some(overlap) = old.overlap_region(new) {
+        carve(&region, overlap.lo(), overlap.hi(), &mut unknown);
+    } else {
+        unknown.push(&region);
+    }
+    unknown.extend(pieces.iter());
 
     let (regions, prune_points_used) = prune_regions(unknown, &retained, new, mode);
-    MprOutput {
+    QueryPlan {
+        overlap: classify(old, new),
         regions,
         retained,
+        needs_skyline: true,
         removed_points: removed.len(),
         prune_points_used,
         invalidated_pieces,
@@ -168,7 +148,7 @@ fn invalidated_space(
     old: &Constraints,
     new: &Constraints,
     mode: MprMode,
-) -> Vec<HyperRect> {
+) -> Regions {
     match mode {
         MprMode::Exact => {
             let boxes: Vec<_> = removed
@@ -192,12 +172,12 @@ fn invalidated_space(
 /// `R_C′` iff `t` lies below `C̄′` as well, and every such intersection
 /// has the upper corner `min(C̄, C̄′)` — so only the lower corner, the
 /// minimum over the rows of `max(t, C̲, C̲′)`, is folded, straight into
-/// the returned rectangle: no box per row is built.
+/// the returned region: no box per row is built.
 fn invalid_cover<'a>(
     removed: impl Iterator<Item = &'a [f64]>,
     old: &Constraints,
     new: &Constraints,
-) -> Option<HyperRect> {
+) -> Option<Vec<Interval>> {
     if !old.overlaps(new) {
         return None;
     }
@@ -215,26 +195,26 @@ fn invalid_cover<'a>(
             }
             None => {
                 let hi = |d: usize| old.hi()[d].min(new.hi()[d]);
-                // skylint: allow(hot-path-alloc) — the returned rectangle, the one allocation of the cover.
+                // skylint: allow(hot-path-alloc) — the returned region, the one allocation of the cover.
                 cover = Some((0..t.len()).map(|d| Interval::closed(lo(d), hi(d))).collect());
             }
         }
     }
-    cover.map(HyperRect::from_intervals)
+    cover
 }
 
 /// Step 3 of the MPR construction: subtract retained dominance regions
 /// `DR(u, C′)` from the unknown regions (Algorithm 1 lines 13–26).
 /// Pruning points are applied nearest-to-`C̲′` first — the near points
 /// prune the most (Section 5.3) — and the aMPR stops after `k` of them.
-/// Returns the pruned regions (degenerate leftovers dropped) and the
-/// number of pruning points actually applied.
+/// Returns the pruned regions and the number of pruning points actually
+/// applied.
 fn prune_regions(
-    mut regions: Vec<HyperRect>,
+    mut regions: Regions,
     retained: &PointBlock,
     new: &Constraints,
     mode: MprMode,
-) -> (Vec<HyperRect>, usize) {
+) -> (Regions, usize) {
     let mut order: Vec<usize> = (0..retained.len()).collect();
     let corner = new.lo();
     let dist = |row: &[f64]| -> f64 {
@@ -256,7 +236,7 @@ fn prune_regions(
         MprMode::Approximate { k } => k.min(order.len()),
     };
 
-    let mut prune_points_used = 0;
+    let (mut prune_points_used, mut next) = (0, Regions::default());
     for &idx in order.iter().take(limit) {
         if regions.is_empty() {
             break;
@@ -264,22 +244,29 @@ fn prune_regions(
         let Some(dr) = dominance_box_coords(retained.row(idx), new) else {
             continue;
         };
-        regions = subtract_box_from_all(regions, &dr);
+        next.clear();
+        for r in regions.iter() {
+            carve(r, dr.lo(), dr.hi(), &mut next);
+        }
+        std::mem::swap(&mut regions, &mut next);
         prune_points_used += 1;
     }
-
-    // Drop any degenerate leftovers.
-    regions.retain(|r| !r.is_empty());
 
     // Invariant (debug builds): the emitted range queries are pairwise
     // disjoint — in both modes. Step 1 splits with strict inequalities
     // (Algorithm 1), step 2 lies inside the overlap (disjoint from step
     // 1; `disjoint_union` or a single cover box internally), and step 3
     // only subtracts. Overlapping regions would double-fetch rows and
-    // break the paper's minimality accounting (Thm. 7).
+    // break the paper's minimality accounting (Thm. 7). None is empty:
+    // `R_C′` and the invalid boxes are closed and non-empty, and `carve`
+    // emits non-empty pieces only.
     debug_assert!(
         skycache_geom::subtract::pairwise_disjoint(&regions),
         "MPR emitted overlapping range queries"
+    );
+    debug_assert!(
+        !regions.iter().any(skycache_geom::rect::is_empty),
+        "MPR emitted an empty region"
     );
 
     (regions, prune_points_used)
@@ -289,6 +276,7 @@ fn prune_regions(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use skycache_geom::rect::contains;
     use skycache_geom::subtract::pairwise_disjoint;
     use skycache_geom::Point;
 
@@ -304,8 +292,8 @@ mod tests {
         PointBlock::from_points(points).unwrap()
     }
 
-    fn covers(regions: &[HyperRect], point: &Point) -> usize {
-        regions.iter().filter(|r| r.contains_point(point)).count()
+    fn covers(regions: &Regions, point: &Point) -> usize {
+        regions.iter().filter(|r| contains(r, point.coords())).count()
     }
 
     #[test]
@@ -324,7 +312,7 @@ mod tests {
         let new = c(&[(2.0, 3.0), (2.0, 3.0)]);
         let out = missing_points_region(&old, &block(&[p(&[0.5, 0.5])]), &new, MprMode::Exact);
         assert_eq!(out.regions.len(), 1);
-        assert_eq!(out.regions[0], new.region());
+        assert_eq!(&out.regions[0], &*new.region());
         assert!(out.retained.is_empty());
         assert_eq!(out.removed_points, 1);
         // The removed point's old dominance region misses R_C′ entirely.
@@ -341,9 +329,9 @@ mod tests {
         // One slab; cached dominance regions cannot intersect ΔC.
         assert_eq!(out.regions.len(), 1);
         let slab = &out.regions[0];
-        assert!(slab.contains_point(&p(&[0.7, 1.5])));
-        assert!(!slab.contains_point(&p(&[1.0, 1.5]))); // boundary goes to overlap
-        assert!(!slab.contains_point(&p(&[1.2, 1.1])));
+        assert!(contains(slab, &[0.7, 1.5]));
+        assert!(!contains(slab, &[1.0, 1.5])); // boundary goes to overlap
+        assert!(!contains(slab, &[1.2, 1.1]));
         assert_eq!(out.retained.to_points(), sky);
     }
 
@@ -522,7 +510,7 @@ mod tests {
         rows: &PointBlock,
         old: &Constraints,
         new: &Constraints,
-    ) -> Option<HyperRect> {
+    ) -> Option<Vec<Interval>> {
         let mut boxes = rows
             .rows()
             .filter_map(|t| dominance_box_coords(t, old))
@@ -531,7 +519,7 @@ mod tests {
         for b in boxes {
             cover.merge(&b);
         }
-        Some(cover.to_rect())
+        Some(cover.lo().iter().zip(cover.hi()).map(|(&l, &h)| Interval::closed(l, h)).collect())
     }
 
     /// Coordinates on a coarse grid (so rows land exactly on constraint
@@ -576,10 +564,9 @@ mod tests {
             }
             let got = invalid_cover(removed.rows(), &old, &new);
             let want = cover_box_by_box(&removed, &old, &new);
-            let bits = |r: &Option<HyperRect>| {
+            let bits = |r: &Option<Vec<Interval>>| {
                 r.as_ref().map(|r| {
-                    r.intervals()
-                        .iter()
+                    r.iter()
                         .map(|i| (i.lo().to_bits(), i.hi().to_bits(), i.lo_open(), i.hi_open()))
                         .collect::<Vec<_>>()
                 })
@@ -589,7 +576,7 @@ mod tests {
             let order: Vec<usize> = (0..removed.len()).collect();
             let pieces =
                 invalidated_space(&removed, &order, &old, &new, MprMode::Approximate { k: 1 });
-            prop_assert_eq!(pieces, want.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(pieces, want.into_iter().collect::<Regions>());
         }
     }
 }

@@ -249,7 +249,7 @@ impl Session<'_> {
         let skyline = match selection {
             None => {
                 stats.cache_miss = true;
-                scratch.fetch_stage(table, c, vec![c.region()], &[], &mut stats)
+                scratch.fetch_stage(table, c, c.region().into(), &[], &mut stats)
             }
             Some((plan, id, item_text)) => {
                 stats.cache_hit = true;

@@ -1,12 +1,12 @@
 use std::fmt;
 
-use crate::{GeomError, HyperRect, Interval, Point, Result};
+use crate::{GeomError, Point, Result};
 
 /// A closed axis-aligned bounding box `[lo, hi]`.
 ///
 /// This is the workhorse of the R\*-tree (node bounding rectangles, window
 /// queries) and of the cache (minimum bounding rectangles of cached
-/// skylines). Unlike [`HyperRect`], all faces are closed, which matches
+/// skylines). Unlike a [`crate::rect`] region, all faces are closed, which matches
 /// both R-tree semantics and the paper's constraint definition.
 #[derive(Clone, PartialEq)]
 pub struct Aabb {
@@ -50,25 +50,12 @@ impl Aabb {
 
     /// Smallest box containing every point of a non-empty slice.
     pub fn bounding(points: &[Point]) -> Option<Self> {
-        let first = points.first()?;
-        let mut lo = first.coords().to_vec();
-        let mut hi = lo.clone();
-        for p in &points[1..] {
-            for (i, &c) in p.coords().iter().enumerate() {
-                if c < lo[i] {
-                    lo[i] = c;
-                }
-                if c > hi[i] {
-                    hi[i] = c;
-                }
-            }
-        }
-        Some(Aabb { lo: lo.into(), hi: hi.into() })
+        Aabb::bounding_rows(points.iter().map(Point::coords))
     }
 
     /// Smallest box containing every coordinate row of a non-empty
-    /// iterator — the zero-copy twin of [`Aabb::bounding`] for rows
-    /// coming out of a [`crate::PointBlock`].
+    /// iterator: [`Aabb::bounding`] for rows coming out of a
+    /// [`crate::PointBlock`].
     pub fn bounding_rows<'a>(mut rows: impl Iterator<Item = &'a [f64]>) -> Option<Self> {
         let first = rows.next()?;
         let mut lo = first.to_vec();
@@ -209,17 +196,6 @@ impl Aabb {
                 }
             })
             .collect()
-    }
-
-    /// Converts to a closed [`HyperRect`].
-    pub fn to_rect(&self) -> HyperRect {
-        HyperRect::from_intervals(
-            self.lo
-                .iter()
-                .zip(self.hi.iter())
-                .map(|(&l, &h)| Interval::closed(l, h))
-                .collect::<Vec<_>>(),
-        )
     }
 }
 

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{Aabb, GeomError, HyperRect, Point, Result};
+use crate::{Aabb, GeomError, Interval, Point, Result};
 
 /// Orthogonal range constraints `C = ⟨C̲, C̄⟩` (Section 3 of the paper).
 ///
@@ -60,9 +60,9 @@ impl Constraints {
         &self.bounds
     }
 
-    /// The constraint region `R_C` as a closed [`HyperRect`].
-    pub fn region(&self) -> HyperRect {
-        self.bounds.to_rect()
+    /// The constraint region `R_C`: one closed [`Interval`] per dimension.
+    pub fn region(&self) -> Box<[Interval]> {
+        self.lo().iter().zip(self.hi()).map(|(&l, &h)| Interval::closed(l, h)).collect()
     }
 
     /// Whether point `s` satisfies the constraints (`s ∈ S_C` membership).

@@ -70,20 +70,21 @@ impl Interval {
         above_lo && below_hi
     }
 
-    /// Intersection of two intervals (may be empty).
+    /// Intersection of two intervals (may be empty). Endpoints compare
+    /// numerically; on a tie (`-0.0` against `0.0` included) the endpoint
+    /// keeps `self`'s value and is open if either side's is.
     pub fn intersect(&self, other: &Interval) -> Interval {
-        // total_cmp never panics; endpoints are NaN-free by construction
-        // (Aabb/Constraints validate), so its -0.0 < 0.0 refinement only
-        // affects which bit pattern of a numeric tie is kept.
-        let (lo, lo_open) = match self.lo.total_cmp(&other.lo) {
-            std::cmp::Ordering::Greater => (self.lo, self.lo_open),
-            std::cmp::Ordering::Less => (other.lo, other.lo_open),
-            std::cmp::Ordering::Equal => (self.lo, self.lo_open || other.lo_open),
+        // Endpoints are NaN-free by construction (Aabb/Constraints
+        // validate), so `None` does not occur.
+        let (lo, lo_open) = match self.lo.partial_cmp(&other.lo) {
+            Some(std::cmp::Ordering::Greater) => (self.lo, self.lo_open),
+            Some(std::cmp::Ordering::Less) => (other.lo, other.lo_open),
+            _ => (self.lo, self.lo_open || other.lo_open),
         };
-        let (hi, hi_open) = match self.hi.total_cmp(&other.hi) {
-            std::cmp::Ordering::Less => (self.hi, self.hi_open),
-            std::cmp::Ordering::Greater => (other.hi, other.hi_open),
-            std::cmp::Ordering::Equal => (self.hi, self.hi_open || other.hi_open),
+        let (hi, hi_open) = match self.hi.partial_cmp(&other.hi) {
+            Some(std::cmp::Ordering::Less) => (self.hi, self.hi_open),
+            Some(std::cmp::Ordering::Greater) => (other.hi, other.hi_open),
+            _ => (self.hi, self.hi_open || other.hi_open),
         };
         Interval { lo, hi, lo_open, hi_open }
     }
@@ -168,6 +169,19 @@ mod tests {
         let c = a.intersect(&b);
         assert!(c.lo_open());
         assert!(c.hi_open());
+    }
+
+    /// `-0.0` and `0.0` are one number: a tie between them combines the
+    /// openness of both sides instead of taking one side's endpoint.
+    #[test]
+    fn intersect_treats_signed_zeros_as_a_tie() {
+        let above_neg_zero = Interval::new(-0.0, f64::INFINITY, true, true);
+        let c = Interval::closed(0.0, 1.0).intersect(&above_neg_zero);
+        assert!(c.lo_open() && !c.contains(0.0) && c.contains(0.5));
+        let below_zero = Interval::new(f64::NEG_INFINITY, 0.0, true, true);
+        let c = Interval::closed(-1.0, -0.0).intersect(&below_zero);
+        assert!(c.hi_open() && !c.contains(0.0) && !c.contains(-0.0));
+        assert!(Interval::closed(0.0, 1.0).below(-0.0, true).is_empty());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Row *containment* is the opposite case — a selective post-filter
 //! rejects most rows on their first or second coordinate — and exists
-//! only in its early-exit form ([`crate::HyperRect::contains_coords`],
+//! only in its early-exit form ([`crate::rect::contains`],
 //! [`crate::Aabb::contains_coords`]).
 
 use crate::dominance::dominates_raw;

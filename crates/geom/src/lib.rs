@@ -8,14 +8,18 @@
 //!   because the MPR algorithm (Algorithm 1 of the paper) splits regions
 //!   with strict inequalities so that the emitted range queries stay
 //!   pairwise disjoint;
-//! * [`HyperRect`] — a product of intervals (a possibly half-open box);
+//! * [`rect`] — a region, one [`Interval`] per dimension (a possibly
+//!   half-open box), as a bare `&[Interval]`, and [`Regions`], a flat list
+//!   of them — the one region format of the MPR, the fetch stage and
+//!   storage;
 //! * [`Aabb`] — a closed axis-aligned box with the area/margin algebra
 //!   required by the R\*-tree;
 //! * [`Constraints`] — a closed box with query semantics, the `C = ⟨C̲, C̄⟩`
 //!   of the paper;
 //! * [`dominance`] — Pareto dominance tests and dominance regions;
-//! * [`subtract`] — box subtraction and disjoint decomposition, the kernel
-//!   of the Missing Points Region computation.
+//! * [`subtract`] — [`subtract::carve`], the one box subtraction, and
+//!   disjoint decomposition: the kernel of the Missing Points Region
+//!   computation.
 //!
 //! All skylines in this workspace **minimize** every dimension, matching the
 //! paper; a preference for maximization is handled by negating the attribute.
@@ -38,7 +42,8 @@ mod interval;
 /// The lane-blocked production dominance tests over bare rows.
 pub mod kernel;
 mod point;
-mod rect;
+/// Regions as interval slices, and flat lists of them.
+pub mod rect;
 /// Box subtraction and disjoint decomposition (the MPR kernel).
 pub mod subtract;
 
@@ -50,7 +55,7 @@ pub use error::GeomError;
 pub use interval::Interval;
 pub use kernel::{dominates_rows, Kernel};
 pub use point::Point;
-pub use rect::HyperRect;
+pub use rect::Regions;
 
 /// Convenience alias: results of fallible geometric constructors.
 pub type Result<T> = std::result::Result<T, GeomError>;

@@ -1,168 +1,150 @@
 //! Region algebra: box subtraction and disjoint decomposition.
 //!
 //! These operations are the computational kernel of the Missing Points
-//! Region (Algorithm 1 of the paper). Subtracting a box `d` from a
-//! rectangle `r` corresponds to one full pass of the algorithm's
-//! per-dimension splitting loop for a single pruning point: the rectangle
-//! is carved into at most `2·|D|` disjoint pieces lying outside `d`, and
-//! the part inside `d` (the "dominated" part) is discarded.
+//! Region (Algorithm 1 of the paper). Carving a box `d` out of a region
+//! `r` corresponds to one full pass of the algorithm's per-dimension
+//! splitting loop for a single pruning point: the region is cut into at
+//! most `2·|D|` disjoint pieces lying outside `d`, and the part inside `d`
+//! (the "dominated" part) is discarded.
 
-use crate::{Aabb, HyperRect, Interval};
+use crate::{Aabb, Interval, Regions};
 
-/// Subtracts closed box `d` from rectangle `r`, pushing the disjoint
-/// remainder pieces onto `out`. Pieces are carved dimension by dimension:
-/// for each dimension the parts of `r` strictly below `d.lo[i]` and
-/// strictly above `d.hi[i]` are emitted, then `r` is narrowed to `d`'s
-/// footprint in that dimension. The pieces plus `r ∩ d` exactly tile `r`.
+/// Carves the closed box `[lo, hi]` out of the region `r`, pushing the
+/// disjoint remainder pieces onto `out`. Pieces are carved dimension by
+/// dimension: for dimension `i` the parts of `r` strictly below `lo[i]`
+/// and strictly above `hi[i]` are emitted, in that order, each narrowed
+/// to the box in the dimensions before `i`. The pieces plus `r ∩ [lo, hi]`
+/// exactly tile `r`.
 ///
-/// When `r` and `d` are disjoint, `r` itself is pushed unchanged.
-pub fn subtract_box_into(r: &HyperRect, d: &Aabb, out: &mut Vec<HyperRect>) {
-    debug_assert_eq!(r.dims(), d.dims());
-    if r.is_empty() {
-        return;
+/// Returns whether the box meets `r`; when it does not, `r` itself is
+/// pushed unchanged. This is the one box subtraction of the workspace:
+/// the (a)MPR and the corner-first fetch step both cut with it.
+pub fn carve(r: &[Interval], lo: &[f64], hi: &[f64], out: &mut Regions) -> bool {
+    debug_assert_eq!((r.len(), r.len()), (lo.len(), hi.len()));
+    let side = |i: usize| Interval::closed(lo[i], hi[i]);
+    if !r.iter().enumerate().all(|(i, iv)| iv.intersects(&side(i))) {
+        out.push(r);
+        return false;
     }
-    let d_rect = d.to_rect();
-    if !r.intersects(&d_rect) {
-        out.push(r.clone());
-        return;
-    }
-    let mut remaining = r.clone();
-    for i in 0..r.dims() {
-        let iv = *remaining.interval(i);
-        // Part strictly below d.lo[i]: x < d.lo[i].
-        let below = iv.below(d.lo()[i], true);
-        if !below.is_empty() {
-            out.push(remaining.with_interval(i, below));
+    for (i, iv) in r.iter().enumerate() {
+        // Part strictly below lo[i], then part strictly above hi[i].
+        for piece in [iv.below(lo[i], true), iv.above(hi[i], true)] {
+            if !piece.is_empty() {
+                let copy = out.push(r);
+                for (j, narrowed) in copy[..i].iter_mut().enumerate() {
+                    *narrowed = narrowed.intersect(&side(j));
+                }
+                copy[i] = piece;
+            }
         }
-        // Part strictly above d.hi[i]: x > d.hi[i].
-        let above = iv.above(d.hi()[i], true);
-        if !above.is_empty() {
-            out.push(remaining.with_interval(i, above));
-        }
-        // Narrow to d's footprint in dimension i and continue.
-        let inner = iv.intersect(&Interval::closed(d.lo()[i], d.hi()[i]));
-        debug_assert!(!inner.is_empty());
-        remaining = remaining.with_interval(i, inner);
     }
-    // `remaining` is now r ∩ d — the discarded (covered) part.
+    // What is not pushed, r ∩ [lo, hi], is the discarded (covered) part.
+    true
 }
 
-/// Convenience wrapper around [`subtract_box_into`].
-pub fn subtract_box(r: &HyperRect, d: &Aabb) -> Vec<HyperRect> {
-    let mut out = Vec::new();
-    subtract_box_into(r, d, &mut out);
-    out
-}
-
-/// Subtracts `d` from every rectangle in `rects`, returning the disjoint
-/// remainder. The output rectangles remain pairwise disjoint if the input
-/// ones were.
-pub fn subtract_box_from_all(rects: Vec<HyperRect>, d: &Aabb) -> Vec<HyperRect> {
-    let mut out = Vec::with_capacity(rects.len());
-    for r in &rects {
-        subtract_box_into(r, d, &mut out);
-    }
-    out
-}
-
-/// Decomposes the union of closed boxes into pairwise-disjoint
-/// hyper-rectangles.
+/// Decomposes the union of closed boxes into pairwise-disjoint regions:
+/// each box minus the boxes before it.
 ///
 /// Used for the unstable-case invalidated region: the union of the
 /// (clipped) dominance regions of removed skyline points must be turned
 /// into disjoint range queries. Complexity is `O(n² · |D|)` in the number
 /// of boxes, fine for the small removed-point sets the paper observes
 /// ("the extent of invalidation is limited", Section 7.3.1).
-pub fn disjoint_union(boxes: &[Aabb]) -> Vec<HyperRect> {
-    let mut out: Vec<HyperRect> = Vec::new();
+pub fn disjoint_union(boxes: &[Aabb]) -> Regions {
+    let (mut out, mut pieces, mut next) =
+        (Regions::default(), Regions::default(), Regions::default());
     for (k, b) in boxes.iter().enumerate() {
-        let mut pieces = vec![b.to_rect()];
+        pieces.clear();
+        pieces.push_closed(b.lo(), b.hi());
         for prev in &boxes[..k] {
-            pieces = subtract_box_from_all(pieces, prev);
             if pieces.is_empty() {
                 break;
             }
+            next.clear();
+            for r in pieces.iter() {
+                carve(r, prev.lo(), prev.hi(), &mut next);
+            }
+            std::mem::swap(&mut pieces, &mut next);
         }
-        out.extend(pieces);
+        out.extend(pieces.iter());
     }
     out
 }
 
-/// True iff no two rectangles in the slice share a point. `O(n²)`;
-/// intended for tests and debug assertions.
-pub fn pairwise_disjoint(rects: &[HyperRect]) -> bool {
-    for (i, a) in rects.iter().enumerate() {
-        for b in &rects[i + 1..] {
-            if a.intersects(b) {
-                return false;
-            }
-        }
-    }
-    true
+/// True iff no two regions of the list share a point. `O(n²)`; intended
+/// for tests and debug assertions.
+pub fn pairwise_disjoint(regions: &Regions) -> bool {
+    let meet = |a: &[Interval], b: &[Interval]| a.iter().zip(b).all(|(x, y)| x.intersects(y));
+    regions.iter().enumerate().all(|(i, a)| regions.iter().skip(i + 1).all(|b| !meet(a, b)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Point;
+    use crate::rect::{contains, volume};
 
     fn aabb(lo: &[f64], hi: &[f64]) -> Aabb {
         Aabb::new(lo.to_vec(), hi.to_vec()).unwrap()
     }
 
+    /// The pieces of closed box `[r_lo, r_hi]` outside `d`.
+    fn subtract(r_lo: &[f64], r_hi: &[f64], d: &Aabb) -> Regions {
+        let (mut r, mut out) = (Regions::default(), Regions::default());
+        r.push_closed(r_lo, r_hi);
+        let met = carve(&r[0], d.lo(), d.hi(), &mut out);
+        assert_eq!(met, out != r);
+        out
+    }
+
+    fn total_volume(regions: &Regions) -> f64 {
+        regions.iter().map(volume).sum()
+    }
+
     #[test]
     fn subtract_disjoint_returns_original() {
-        let r = HyperRect::closed(&[0.0, 0.0], &[1.0, 1.0]);
         let d = aabb(&[2.0, 2.0], &[3.0, 3.0]);
-        let out = subtract_box(&r, &d);
-        assert_eq!(out, vec![r]);
+        let out = subtract(&[0.0, 0.0], &[1.0, 1.0], &d);
+        let mut want = Regions::default();
+        want.push_closed(&[0.0, 0.0], &[1.0, 1.0]);
+        assert_eq!(out, want);
     }
 
     #[test]
     fn subtract_covering_returns_nothing() {
-        let r = HyperRect::closed(&[1.0, 1.0], &[2.0, 2.0]);
         let d = aabb(&[0.0, 0.0], &[3.0, 3.0]);
-        assert!(subtract_box(&r, &d).is_empty());
+        assert!(subtract(&[1.0, 1.0], &[2.0, 2.0], &d).is_empty());
     }
 
     #[test]
     fn subtract_corner_produces_disjoint_cover() {
         // Remove the upper-right quadrant of the unit square.
-        let r = HyperRect::closed(&[0.0, 0.0], &[1.0, 1.0]);
         let d = aabb(&[0.5, 0.5], &[2.0, 2.0]);
-        let out = subtract_box(&r, &d);
+        let out = subtract(&[0.0, 0.0], &[1.0, 1.0], &d);
         assert_eq!(out.len(), 2);
         assert!(pairwise_disjoint(&out));
         // Total volume preserved: 1 - 0.25 = 0.75.
-        let vol: f64 = out.iter().map(HyperRect::volume).sum();
-        assert!((vol - 0.75).abs() < 1e-12);
+        assert!((total_volume(&out) - 0.75).abs() < 1e-12);
         // Boundary points on the cut belong to exactly the removed side.
-        let on_cut = Point::from(vec![0.5, 0.5]);
-        assert!(!out.iter().any(|p| p.contains_point(&on_cut)));
-        let below_cut = Point::from(vec![0.49999, 0.9]);
-        assert_eq!(out.iter().filter(|p| p.contains_point(&below_cut)).count(), 1);
+        assert!(!out.iter().any(|p| contains(p, &[0.5, 0.5])));
+        assert_eq!(out.iter().filter(|p| contains(p, &[0.49999, 0.9])).count(), 1);
     }
 
     #[test]
     fn subtract_inner_box_produces_2d_ring() {
-        let r = HyperRect::closed(&[0.0, 0.0], &[3.0, 3.0]);
         let d = aabb(&[1.0, 1.0], &[2.0, 2.0]);
-        let out = subtract_box(&r, &d);
+        let out = subtract(&[0.0, 0.0], &[3.0, 3.0], &d);
         assert_eq!(out.len(), 4);
         assert!(pairwise_disjoint(&out));
-        let vol: f64 = out.iter().map(HyperRect::volume).sum();
-        assert!((vol - 8.0).abs() < 1e-12);
+        assert!((total_volume(&out) - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn subtract_3d_box_counts() {
-        let r = HyperRect::closed(&[0.0; 3], &[3.0; 3]);
         let d = aabb(&[1.0; 3], &[2.0; 3]);
-        let out = subtract_box(&r, &d);
+        let out = subtract(&[0.0; 3], &[3.0; 3], &d);
         assert_eq!(out.len(), 6);
         assert!(pairwise_disjoint(&out));
-        let vol: f64 = out.iter().map(HyperRect::volume).sum();
-        assert!((vol - 26.0).abs() < 1e-12);
+        assert!((total_volume(&out) - 26.0).abs() < 1e-12);
     }
 
     #[test]
@@ -174,22 +156,19 @@ mod tests {
         ];
         let out = disjoint_union(&boxes);
         assert!(pairwise_disjoint(&out));
-        let vol: f64 = out.iter().map(HyperRect::volume).sum();
         // |A ∪ B| = 4 + 4 - 1 = 7.
-        assert!((vol - 7.0).abs() < 1e-12);
+        assert!((total_volume(&out) - 7.0).abs() < 1e-12);
         // Every source-box corner sample must be covered exactly once.
         for probe in [[0.1, 0.1], [2.5, 2.5], [1.2, 1.2], [1.0, 2.5]] {
-            let p = Point::from(probe.to_vec());
-            assert_eq!(out.iter().filter(|r| r.contains_point(&p)).count(), 1, "probe {probe:?}");
+            assert_eq!(out.iter().filter(|r| contains(r, &probe)).count(), 1, "probe {probe:?}");
         }
     }
 
     #[test]
     fn subtract_preserves_membership_semantics() {
         // Any point in r is either inside d or in exactly one output piece.
-        let r = HyperRect::closed(&[0.0, 0.0, 0.0], &[4.0, 4.0, 4.0]);
         let d = aabb(&[1.0, 2.0, 0.5], &[3.0, 5.0, 3.5]);
-        let out = subtract_box(&r, &d);
+        let out = subtract(&[0.0, 0.0, 0.0], &[4.0, 4.0, 4.0], &d);
         assert!(pairwise_disjoint(&out));
         let mut x = 0.05_f64;
         for _ in 0..200 {
@@ -197,9 +176,9 @@ mod tests {
             x = (x * 97.31).fract();
             let y = (x * 57.17).fract();
             let z = (x * 31.73).fract();
-            let p = Point::from(vec![x * 4.0, y * 4.0, z * 4.0]);
-            let in_d = d.contains_point(&p);
-            let covered = out.iter().filter(|rr| rr.contains_point(&p)).count();
+            let p = [x * 4.0, y * 4.0, z * 4.0];
+            let in_d = d.contains_coords(&p);
+            let covered = out.iter().filter(|rr| contains(rr, &p)).count();
             assert_eq!(covered, usize::from(!in_d), "probe {p:?}");
         }
     }

@@ -1,20 +1,35 @@
 //! Property-based tests for the geometric kernel.
 //!
 //! The MPR computation is only correct if the underlying region algebra is:
-//! subtraction must tile (cover exactly, without overlap), intersection must
+//! carving must tile (cover exactly, without overlap), intersection must
 //! be commutative and shrinking, and dominance must be a strict partial
-//! order. These invariants are checked on random geometry here.
+//! order. These invariants are checked on random geometry here — for the
+//! region algebra on half-open regions and signed-zero endpoints too.
 
 use proptest::prelude::*;
 use skycache_geom::dominance::{dominated_by_any_rows, dominates};
-use skycache_geom::subtract::{disjoint_union, pairwise_disjoint, subtract_box};
-use skycache_geom::{Aabb, HyperRect, Point, PointBlock};
+use skycache_geom::rect::{contains, volume};
+use skycache_geom::subtract::{carve, disjoint_union, pairwise_disjoint};
+use skycache_geom::{Aabb, Interval, Point, PointBlock, Regions};
 
 const DIMS: usize = 3;
 
 fn coord() -> impl Strategy<Value = f64> {
-    // Coarse grid so that boundary coincidences (the hard cases) actually occur.
-    (0..=20u8).prop_map(|v| f64::from(v) / 4.0)
+    // Coarse grid so that boundary coincidences (the hard cases) actually
+    // occur, with both zeros: `-0.0` and `0.0` are one number to every
+    // comparison the algebra makes.
+    (-7..=16i8).prop_map(|v| if v < -4 { -0.0 } else { f64::from(v) / 4.0 })
+}
+
+/// A region with each face independently open or closed.
+fn region() -> impl Strategy<Value = Vec<Interval>> {
+    let side = (coord(), coord(), any::<bool>(), any::<bool>());
+    prop::collection::vec(side, DIMS).prop_map(|sides| {
+        sides
+            .into_iter()
+            .map(|(a, b, lo_open, hi_open)| Interval::new(a.min(b), a.max(b), lo_open, hi_open))
+            .collect()
+    })
 }
 
 fn point() -> impl Strategy<Value = Point> {
@@ -53,31 +68,44 @@ proptest! {
         }
     }
 
-    /// Subtraction tiles: every probe point of r is either in d or in
-    /// exactly one output piece, and pieces are pairwise disjoint.
+    /// Carving tiles: every probe point of r is either in d or in exactly
+    /// one output piece, and pieces are pairwise disjoint. Each probe
+    /// coordinate is a face of r or d, or a grid value.
     #[test]
-    fn subtract_box_tiles(r in aabb(), d in aabb(), probe in point()) {
-        let rect = r.to_rect();
-        let pieces = subtract_box(&rect, &d);
+    fn carve_tiles(
+        r in region(),
+        d in aabb(),
+        picks in prop::collection::vec((0..5u8, coord()), DIMS),
+    ) {
+        let mut pieces = Regions::default();
+        carve(&r, d.lo(), d.hi(), &mut pieces);
         prop_assert!(pairwise_disjoint(&pieces));
-        if rect.contains_point(&probe) {
-            let covered = pieces.iter().filter(|p| p.contains_point(&probe)).count();
-            let expected = usize::from(!d.contains_point(&probe));
-            prop_assert_eq!(covered, expected);
+        let probe: Vec<f64> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(pick, v))| [r[i].lo(), r[i].hi(), d.lo()[i], d.hi()[i], v][pick as usize])
+            .collect();
+        let covered = pieces.iter().filter(|p| contains(p, &probe)).count();
+        if contains(&r, &probe) {
+            prop_assert_eq!(covered, usize::from(!d.contains_coords(&probe)));
         } else {
             // No piece may leak outside r.
-            prop_assert!(pieces.iter().all(|p| !p.contains_point(&probe)
-                || rect.contains_point(&probe)));
+            prop_assert_eq!(covered, 0);
         }
     }
 
-    /// Subtraction preserves volume: |r \ d| = |r| - |r ∩ d|.
+    /// Carving preserves volume: |r \ d| = |r| - |r ∩ d|.
     #[test]
-    fn subtract_box_preserves_volume(r in aabb(), d in aabb()) {
-        let rect = r.to_rect();
-        let pieces = subtract_box(&rect, &d);
-        let got: f64 = pieces.iter().map(HyperRect::volume).sum();
-        let want = rect.volume() - r.intersection(&d).map_or(0.0, |b| b.area());
+    fn carve_preserves_volume(r in region(), d in aabb()) {
+        let mut pieces = Regions::default();
+        carve(&r, d.lo(), d.hi(), &mut pieces);
+        let got: f64 = pieces.iter().map(volume).sum();
+        let inside: Vec<Interval> = r
+            .iter()
+            .enumerate()
+            .map(|(i, iv)| iv.intersect(&Interval::closed(d.lo()[i], d.hi()[i])))
+            .collect();
+        let want = volume(&r) - volume(&inside);
         prop_assert!((got - want).abs() < 1e-9, "got {got}, want {want}");
     }
 
@@ -88,7 +116,7 @@ proptest! {
         let pieces = disjoint_union(&boxes);
         prop_assert!(pairwise_disjoint(&pieces));
         let in_union = boxes.iter().any(|b| b.contains_point(&probe));
-        let covered = pieces.iter().filter(|p| p.contains_point(&probe)).count();
+        let covered = pieces.iter().filter(|p| contains(p, probe.coords())).count();
         prop_assert_eq!(covered, usize::from(in_union));
     }
 

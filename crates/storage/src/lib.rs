@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use skycache_geom::{Constraints, Point};
-//! use skycache_storage::{FetchPlan, Table, TableConfig};
+//! use skycache_storage::{FetchPlan, FetchScratch, Table, TableConfig};
 //!
 //! let points: Vec<Point> = (0..100)
 //!     .map(|i| Point::from(vec![f64::from(i % 10), f64::from(i / 10)]))
@@ -43,12 +43,15 @@
 //! let table = Table::build(points, TableConfig::default()).unwrap();
 //!
 //! let c = Constraints::from_pairs(&[(2.0, 4.0), (3.0, 5.0)]).unwrap();
-//! let result = table.fetch_plan(&FetchPlan::constrained(&c));
-//! assert_eq!(result.rows.len(), 9);
+//! let mut scratch = FetchScratch::new();
+//! let outcome = table.fetch_plan_into(&FetchPlan::constrained(&c), &mut scratch);
+//! let rows = scratch.rows();
+//! assert_eq!(rows.len(), 9);
+//! assert!((0..rows.len()).all(|i| c.satisfies_coords(rows.row(i))));
 //! // Both per-dimension indexes were probed; a bitmap AND plan read only
 //! // the matching rows from the heap.
-//! assert_eq!(result.stats.points_read, 9);
-//! assert!(result.simulated_latency.as_nanos() > 0);
+//! assert_eq!(outcome.stats.points_read, 9);
+//! assert!(outcome.simulated_latency.as_nanos() > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -68,7 +71,7 @@ pub use cost::{CostModel, FetchStats, Prediction};
 pub use error::StorageError;
 pub use index::ColumnIndex;
 pub use scratch::{FetchBuf, FetchScratch};
-pub use table::{FetchOutcome, FetchPlan, FetchResult, Row, RowId, Table, TableConfig};
+pub use table::{FetchOutcome, FetchPlan, RowId, Table, TableConfig};
 
 /// Convenience alias for storage results.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -221,14 +221,17 @@ mod tests {
             Constraints::from_pairs(&[(99.0, 99.0), (99.0, 99.0)]).unwrap(),
         ] {
             let plan = crate::table::FetchPlan::constrained(&c);
-            let (a, b) = (t.fetch_plan(&plan), loaded.fetch_plan(&plan));
             // Row order among equal index keys is unspecified; compare sets.
-            let mut ra = a.rows.clone();
-            let mut rb = b.rows.clone();
-            ra.sort_by_key(|r| r.id);
-            rb.sort_by_key(|r| r.id);
-            assert_eq!(ra, rb, "constraints {c:?}");
-            assert_eq!(a.stats, b.stats);
+            let fetch = |table: &Table| {
+                let mut scratch = crate::FetchScratch::new();
+                let stats = table.fetch_plan_into(&plan, &mut scratch).stats;
+                let buf = scratch.rows();
+                let mut rows: Vec<_> =
+                    (0..buf.len()).map(|i| (buf.ids()[i], buf.row(i).to_vec())).collect();
+                rows.sort_by_key(|r| r.0);
+                (rows, stats)
+            };
+            assert_eq!(fetch(&t), fetch(&loaded), "constraints {c:?}");
         }
     }
 

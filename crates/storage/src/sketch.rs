@@ -11,7 +11,7 @@
 //! every emitted row: the sketch only keeps the walk from touching heap
 //! rows it would reject.
 
-use skycache_geom::HyperRect;
+use skycache_geom::Interval;
 
 use crate::index::ColumnIndex;
 use crate::table::RowId;
@@ -105,11 +105,10 @@ impl Sketch {
     /// The bucket box of `region`. Conservative for open, closed and
     /// infinite bounds alike: `lo <= c <= hi` numerically implies
     /// `bucket(lo) <= bucket(c) <= bucket(hi)`.
-    pub(crate) fn region_box(&self, region: &HyperRect) -> BucketBox {
-        let bounds = region.intervals();
+    pub(crate) fn region_box(&self, region: &[Interval]) -> BucketBox {
         BucketBox {
-            lo: self.pack(|lane| bounds[lane].lo()),
-            hi: self.pack(|lane| bounds[lane].hi()),
+            lo: self.pack(|lane| region[lane].lo()),
+            hi: self.pack(|lane| region[lane].hi()),
         }
     }
 }

@@ -1,7 +1,7 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
-use skycache_geom::{Constraints, HyperRect, Interval, Point};
+use skycache_geom::{rect, Constraints, Interval, Point, Regions};
 
 use crate::cost::{CostModel, FetchStats, Prediction};
 use crate::error::StorageError;
@@ -21,15 +21,6 @@ const BATCH: usize = 32;
 /// Identifier of a stored row.
 pub type RowId = u32;
 
-/// A fetched row: its id plus a copy of the stored point.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Row {
-    /// Stable row identifier.
-    pub id: RowId,
-    /// The point's coordinates.
-    pub point: Point,
-}
-
 /// Table construction knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TableConfig {
@@ -47,13 +38,12 @@ impl Default for TableConfig {
 
 /// Declarative description of one storage access: which regions to
 /// range-query and whether the planner may coalesce. Callers build a plan
-/// and hand it to
-/// [`Table::fetch_plan_into`] (columnar scratch, the query hot path) or
-/// [`Table::fetch_plan`] (materialized rows).
+/// and hand it to [`Table::fetch_plan_into`], which leaves the rows in a
+/// columnar scratch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
-    pub regions: Vec<HyperRect>,
+    pub regions: Regions,
     /// Whether the planner may coalesce regions whose chosen-dimension
     /// index ranges overlap or abut into single range queries — where
     /// that is predicted cheaper than a query each — and dedup row ids
@@ -64,25 +54,20 @@ pub struct FetchPlan {
 
 impl FetchPlan {
     /// A non-coalescing plan over `regions`.
-    pub fn new(regions: Vec<HyperRect>) -> Self {
+    pub fn new(regions: Regions) -> Self {
         FetchPlan { regions, coalesce: false }
-    }
-
-    /// A plan fetching a single region.
-    pub fn single(region: HyperRect) -> Self {
-        FetchPlan::new(vec![region])
     }
 
     /// The naive approach's constraint range query `RQ(C)`.
     pub fn constrained(c: &Constraints) -> Self {
-        FetchPlan::single(c.region())
+        FetchPlan::new(c.region().into())
     }
 
     /// A coalescing plan over an MPR *remainder*: the region lists the
     /// planner emits routinely contain overlapping or abutting boxes
     /// (subtraction fragments), so each heap row must be fetched at most
     /// once for the merged skyline to stay duplicate-budget exact.
-    pub fn remainder(regions: Vec<HyperRect>) -> Self {
+    pub fn remainder(regions: Regions) -> Self {
         FetchPlan::new(regions).coalesced()
     }
 
@@ -98,21 +83,10 @@ impl FetchPlan {
     }
 }
 
-/// Result of executing a [`FetchPlan`].
-#[derive(Clone, Debug, Default)]
-pub struct FetchResult {
-    /// Rows satisfying the query region(s).
-    pub rows: Vec<Row>,
-    /// I/O counters for the fetch.
-    pub stats: FetchStats,
-    /// Simulated latency under the table's [`CostModel`].
-    pub simulated_latency: Duration,
-}
-
 /// Result of [`Table::fetch_plan_into`]: accounting only. The fetched
 /// rows stay inside the caller's [`FetchScratch`] as a borrowed columnar
 /// view ([`FetchScratch::rows`]) — `Point`s are materialized only when a
-/// caller crosses the public-API boundary (see [`Table::fetch_plan`]).
+/// caller crosses the public-API boundary.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FetchOutcome {
     /// I/O counters for the fetch (deduped work for coalescing plans).
@@ -213,15 +187,14 @@ impl Table {
     /// prove the region holds no rows, without any heap access.
     ///
     /// This is the planning-time emptiness detection of
-    /// [`Table::fetch_plan`] exposed as a standalone predicate so callers
+    /// [`Table::fetch_plan_into`] exposed as a standalone predicate so callers
     /// (the query service) can answer a provably empty constraint region
     /// before committing to a full query.
     /// Conservative: a `false` answer means "not provably empty", not
     /// "non-empty" — a region can pass every single-dimension probe and
     /// still match no row.
-    pub fn probe_region_empty(&self, region: &HyperRect) -> bool {
-        let region = region.intervals();
-        region.iter().any(Interval::is_empty) || self.probes(region).any(|(_, lo, hi)| lo == hi)
+    pub fn probe_region_empty(&self, region: &[Interval]) -> bool {
+        rect::is_empty(region) || self.probes(region).any(|(_, lo, hi)| lo == hi)
     }
 
     /// The one probe loop, shared by [`Table::probe_region_empty`], fetch
@@ -317,23 +290,6 @@ impl Table {
         row as usize / self.config.page_capacity
     }
 
-    /// Executes a [`FetchPlan`], materializing owned [`Row`]s from a
-    /// throwaway scratch. This is the public-API boundary where `Point`
-    /// allocation is allowed; hot callers hold a [`FetchScratch`] and use
-    /// [`Table::fetch_plan_into`] instead.
-    pub fn fetch_plan(&self, plan: &FetchPlan) -> FetchResult {
-        let mut scratch = FetchScratch::new();
-        let outcome = self.fetch_plan_into(plan, &mut scratch);
-        let buf = scratch.rows();
-        let rows: Vec<Row> = buf
-            .ids()
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| Row { id, point: Point::new_unchecked(buf.row(i).to_vec()) })
-            .collect();
-        FetchResult { rows, stats: outcome.stats, simulated_latency: outcome.simulated_latency }
-    }
-
     /// Executes a [`FetchPlan`] into a caller-provided [`FetchScratch`]
     /// — the table's zero-copy fetch kernel. The fetched rows are left
     /// in `scratch` ([`FetchScratch::rows`]) as a columnar block view;
@@ -368,7 +324,7 @@ impl Table {
         scratch.begin(self.dims);
 
         // Phase 1: plan every region (index probes only).
-        for region in &plan.regions {
+        for region in plan.regions.iter() {
             self.plan_region(region, scratch);
         }
 
@@ -396,13 +352,12 @@ impl Table {
     /// Plans one region: index probes, emptiness detection and chosen
     /// (most selective) dimension. Mirrors a DBMS with one B-tree per
     /// dimension; no heap access happens here.
-    fn plan_region(&self, region: &HyperRect, scratch: &mut FetchScratch) {
+    fn plan_region(&self, region: &[Interval], scratch: &mut FetchScratch) {
         let mut stats = FetchStats { range_queries_issued: 1, ..Default::default() };
         let mark = scratch.probe_mark();
         // The probe that proves a region empty is counted, not logged.
-        let intervals = region.intervals();
-        let empty = intervals.iter().any(Interval::is_empty)
-            || self.probes(intervals).any(|(dim, lo, hi)| {
+        let empty = rect::is_empty(region)
+            || self.probes(region).any(|(dim, lo, hi)| {
                 stats.index_probes += 1;
                 if lo < hi {
                     scratch.note_probe(dim as u32, lo as u32, hi as u32);
@@ -440,7 +395,7 @@ impl Table {
     /// candidate's sketch word is tested against the bucket box of every
     /// member region whose probed range covers the position. Only
     /// candidates some box admits are fetched from the heap, a batch at a
-    /// time, and put to that region's exact `contains_coords` test, which
+    /// time, and put to that region's exact [`rect::contains`] test, which
     /// alone decides what is emitted — in walk order.
     ///
     /// What the walk *costs* is the simulated plan's business, not the
@@ -460,7 +415,7 @@ impl Table {
     /// walk — predicted decides, actual pays, as for a unit of one region.
     fn run_unit(
         &self,
-        regions: &[HyperRect],
+        regions: &Regions,
         view: ExecView<'_>,
         unit: &FetchUnit,
         out: &mut FetchBuf,
@@ -526,7 +481,7 @@ impl Table {
                         // need not be: a candidate is emitted once however
                         // many of the unit's regions it satisfies, and
                         // counted for each of them.
-                        if regions[r as usize].contains_coords(coords[slot]) {
+                        if rect::contains(&regions[r as usize], coords[slot]) {
                             charge.matched[r as usize] += 1;
                             if row != emitted {
                                 emitted = row;
@@ -620,7 +575,7 @@ impl Table {
     /// read and nothing is allocated.
     pub fn predict(&self, plan: &FetchPlan) -> Prediction {
         let mut total = Prediction::default();
-        for p in plan.regions.iter().map(|region| self.predict_region(region.intervals())) {
+        for p in plan.regions.iter().map(|region| self.predict_region(region)) {
             total.range_queries += p.range_queries;
             total.heap_fetches += p.heap_fetches;
             total.ns += p.ns;
@@ -633,7 +588,7 @@ impl Table {
     /// dimension, else the cheaper one-region plan [`Table::run_unit`]
     /// would charge it alone.
     pub fn predict_region(&self, region: &[Interval]) -> Prediction {
-        let mut empty = region.iter().any(Interval::is_empty);
+        let mut empty = rect::is_empty(region);
         let (_, rows, entries) = self.predict_single(self.probes(region).map(|(_, lo, hi)| {
             empty |= lo == hi;
             hi - lo
@@ -742,12 +697,31 @@ mod tests {
         Table::build(points, TableConfig::default()).unwrap()
     }
 
-    fn fetch_one(t: &Table, region: &HyperRect) -> FetchResult {
-        t.fetch_plan(&FetchPlan::single(region.clone()))
+    /// A fetch's rows, `(id, point)` in emission order, and its outcome.
+    struct Fetched {
+        rows: Vec<(RowId, Point)>,
+        stats: FetchStats,
+        simulated_latency: Duration,
     }
 
-    fn fetch_c(t: &Table, c: &Constraints) -> FetchResult {
-        t.fetch_plan(&FetchPlan::constrained(c))
+    fn fetch(t: &Table, plan: &FetchPlan) -> Fetched {
+        let mut scratch = FetchScratch::new();
+        let FetchOutcome { stats, simulated_latency } = t.fetch_plan_into(plan, &mut scratch);
+        let buf = scratch.rows();
+        let rows = (0..buf.len()).map(|i| (buf.ids()[i], Point::from(buf.row(i).to_vec())));
+        Fetched { rows: rows.collect(), stats, simulated_latency }
+    }
+
+    fn fetch_one(t: &Table, region: &[Interval]) -> Fetched {
+        fetch(t, &FetchPlan::new(Regions::from_iter([region])))
+    }
+
+    fn fetch_c(t: &Table, c: &Constraints) -> Fetched {
+        fetch(t, &FetchPlan::constrained(c))
+    }
+
+    fn regions(boxes: &[[(f64, f64); 2]]) -> Regions {
+        boxes.iter().map(|pairs| Constraints::from_pairs(pairs).unwrap().region()).collect()
     }
 
     #[test]
@@ -774,7 +748,7 @@ mod tests {
         let c = Constraints::from_pairs(&[(2.0, 4.0), (3.0, 5.0)]).unwrap();
         let res = fetch_c(&t, &c);
         assert_eq!(res.rows.len(), 9);
-        assert!(res.rows.iter().all(|r| c.satisfies(&r.point)));
+        assert!(res.rows.iter().all(|r| c.satisfies(&r.1)));
         assert_eq!(res.stats.rows_matched, 9);
         // Both dimensions are moderately selective (30 candidates each,
         // ~9 estimated matches): the planner picks a bitmap AND, so only
@@ -816,10 +790,10 @@ mod tests {
     #[test]
     fn degenerate_region_rejected_in_planning() {
         let t = table();
-        let region = HyperRect::from_intervals(vec![
+        let region = [
             Interval::new(3.0, 3.0, true, false), // empty interval
             Interval::closed(0.0, 9.0),
-        ]);
+        ];
         let res = fetch_one(&t, &region);
         assert!(res.rows.is_empty());
         assert_eq!(res.stats.range_queries_empty, 1);
@@ -829,13 +803,13 @@ mod tests {
     #[test]
     fn half_open_region_excludes_boundary() {
         let t = table();
-        let region = HyperRect::from_intervals(vec![
+        let region = [
             Interval::new(2.0, 4.0, true, true), // only key 3
             Interval::closed(0.0, 9.0),
-        ]);
+        ];
         let res = fetch_one(&t, &region);
         assert_eq!(res.rows.len(), 10);
-        assert!(res.rows.iter().all(|r| r.point[0] == 3.0));
+        assert!(res.rows.iter().all(|r| r.1[0] == 3.0));
     }
 
     #[test]
@@ -851,9 +825,10 @@ mod tests {
     #[test]
     fn batch_merges_stats() {
         let t = table();
-        let r1 = Constraints::from_pairs(&[(0.0, 1.0), (0.0, 1.0)]).unwrap().region();
-        let r2 = Constraints::from_pairs(&[(8.0, 9.0), (8.0, 9.0)]).unwrap().region();
-        let res = t.fetch_plan(&FetchPlan::new(vec![r1, r2]));
+        let res = fetch(
+            &t,
+            &FetchPlan::new(regions(&[[(0.0, 1.0), (0.0, 1.0)], [(8.0, 9.0), (8.0, 9.0)]])),
+        );
         assert_eq!(res.rows.len(), 8);
         assert_eq!(res.stats.range_queries_issued, 2);
         assert_eq!(res.stats.range_queries_executed, 2);
@@ -871,7 +846,7 @@ mod tests {
         // 10i..10i+10, i.e. exactly one page.
         let c = Constraints::from_pairs(&[(3.0, 3.0), (0.0, 9.0)]).unwrap();
         let res = fetch_c(&t, &c);
-        let ids = |rows: &[Row]| rows.iter().map(|r| r.id).collect::<Vec<RowId>>();
+        let ids = |rows: &[(RowId, Point)]| rows.iter().map(|r| r.0).collect::<Vec<RowId>>();
         assert_eq!(t.pages_touched_ids(&ids(&res.rows)), 1);
         let all = fetch_c(&t, &Constraints::unbounded(2).unwrap());
         assert_eq!(t.pages_touched_ids(&ids(&all.rows)), 10);
@@ -882,14 +857,14 @@ mod tests {
     fn fetch_plan_builders() {
         let c = Constraints::from_pairs(&[(1.0, 2.0), (1.0, 2.0)]).unwrap();
         let plan = FetchPlan::constrained(&c);
-        assert_eq!(plan.regions, vec![c.region()]);
+        assert_eq!(plan.regions, Regions::from_iter([c.region()]));
         assert!(!plan.coalesce);
-        assert!(FetchPlan::remainder(vec![c.region()]).coalesce);
+        assert!(FetchPlan::remainder(plan.regions).coalesce);
     }
 
     #[test]
     fn empty_plan_fetches_nothing() {
-        let none = table().fetch_plan(&FetchPlan::new(vec![]));
+        let none = fetch(&table(), &FetchPlan::new(Regions::default()));
         assert!(none.rows.is_empty());
         assert_eq!(none.stats, FetchStats::default());
         assert_eq!(none.simulated_latency, Duration::ZERO);
@@ -914,7 +889,7 @@ mod tests {
         let c = Constraints::from_pairs(&[(3.2, 3.8), (3.2, 3.8)]).unwrap();
         let res = fetch_c(&t, &c);
         assert_eq!(res.rows.len(), 1);
-        assert_eq!(res.rows[0].id, row);
+        assert_eq!(res.rows[0].0, row);
         // Dimensionality is validated.
         assert!(t.insert(Point::from(vec![1.0])).is_err());
     }
@@ -935,7 +910,7 @@ mod tests {
         // Sequential scan path skips it too.
         let all = fetch_c(&t, &Constraints::unbounded(2).unwrap());
         assert_eq!(all.rows.len(), 99);
-        assert!(all.rows.iter().all(|r| r.id != 44));
+        assert!(all.rows.iter().all(|r| r.0 != 44));
         // live_points agrees.
         assert_eq!(t.live_points().count(), 99);
     }
@@ -956,9 +931,8 @@ mod tests {
             Constraints::from_pairs(&[(1.0, 3.0), (6.0, 8.0)]).unwrap(),
             Constraints::from_pairs(&[(2.5, 2.5), (7.5, 7.5)]).unwrap(),
         ] {
-            let mut a: Vec<Point> = fetch_c(&t, &c).rows.into_iter().map(|r| r.point).collect();
-            let mut b: Vec<Point> =
-                fetch_c(&rebuilt, &c).rows.into_iter().map(|r| r.point).collect();
+            let mut a: Vec<Point> = fetch_c(&t, &c).rows.into_iter().map(|r| r.1).collect();
+            let mut b: Vec<Point> = fetch_c(&rebuilt, &c).rows.into_iter().map(|r| r.1).collect();
             let key = |p: &Point| (p[0].to_bits(), p[1].to_bits());
             a.sort_by_key(key);
             b.sort_by_key(key);
@@ -975,19 +949,19 @@ mod tests {
         // Dim-0 candidate position ranges: 0..30, 20..50, 30..60 (each
         // grid column holds 10 rows). Dim 1 is unbounded so dim 0 is the
         // chosen dimension for all three.
-        let regions: Vec<HyperRect> =
-            [[(0.0, 2.0), (0.0, 9.0)], [(2.0, 4.0), (0.0, 9.0)], [(3.0, 5.0), (0.0, 9.0)]]
-                .iter()
-                .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-                .collect();
+        let regions = regions(&[
+            [(0.0, 2.0), (0.0, 9.0)],
+            [(2.0, 4.0), (0.0, 9.0)],
+            [(3.0, 5.0), (0.0, 9.0)],
+        ]);
 
-        let naive = t.fetch_plan(&FetchPlan::new(regions.clone()));
+        let naive = fetch(&t, &FetchPlan::new(regions.clone()));
         // Columns 2 and 3,4,5 are double-counted by the overlaps.
         assert_eq!(naive.rows.len(), 90);
         assert_eq!(naive.stats.range_queries_executed, 3);
         assert_eq!(naive.stats.regions_coalesced, 0);
 
-        let co = t.fetch_plan(&FetchPlan::new(regions).coalesced());
+        let co = fetch(&t, &FetchPlan::new(regions).coalesced());
         assert_eq!(co.rows.len(), 60, "each of columns 0..=5 exactly once");
         assert_eq!(co.stats.range_queries_issued, 3);
         assert_eq!(co.stats.range_queries_executed, 1, "one merged range query");
@@ -996,10 +970,10 @@ mod tests {
         assert_eq!(co.stats.points_read, 60);
 
         // Same deduped row set as the naive plan.
-        let mut naive_ids: Vec<RowId> = naive.rows.iter().map(|r| r.id).collect();
+        let mut naive_ids: Vec<RowId> = naive.rows.iter().map(|r| r.0).collect();
         naive_ids.sort_unstable();
         naive_ids.dedup();
-        let mut co_ids: Vec<RowId> = co.rows.iter().map(|r| r.id).collect();
+        let mut co_ids: Vec<RowId> = co.rows.iter().map(|r| r.0).collect();
         co_ids.sort_unstable();
         assert_eq!(co_ids, naive_ids);
     }
@@ -1009,51 +983,19 @@ mod tests {
     #[test]
     fn coalescing_handles_abutting_and_disjoint_ranges() {
         let t = table();
-        let abutting: Vec<HyperRect> = [[(0.0, 1.0), (0.0, 9.0)], [(2.0, 3.0), (0.0, 9.0)]]
-            .iter()
-            .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-            .collect();
-        let res = t.fetch_plan(&FetchPlan::new(abutting).coalesced());
+        let abutting = regions(&[[(0.0, 1.0), (0.0, 9.0)], [(2.0, 3.0), (0.0, 9.0)]]);
+        let res = fetch(&t, &FetchPlan::new(abutting).coalesced());
         // Positions 0..20 and 20..40 abut → one merged query.
         assert_eq!(res.stats.range_queries_executed, 1);
         assert_eq!(res.stats.regions_coalesced, 1);
         assert_eq!(res.rows.len(), 40);
 
-        let disjoint: Vec<HyperRect> = [[(0.0, 1.0), (0.0, 9.0)], [(5.0, 6.0), (0.0, 9.0)]]
-            .iter()
-            .map(|pairs| Constraints::from_pairs(pairs).unwrap().region())
-            .collect();
-        let res = t.fetch_plan(&FetchPlan::new(disjoint).coalesced());
+        let disjoint = regions(&[[(0.0, 1.0), (0.0, 9.0)], [(5.0, 6.0), (0.0, 9.0)]]);
+        let res = fetch(&t, &FetchPlan::new(disjoint).coalesced());
         // Positions 0..20 and 50..70 leave a gap → two queries, no saving.
         assert_eq!(res.stats.range_queries_executed, 2);
         assert_eq!(res.stats.regions_coalesced, 0);
         assert_eq!(res.rows.len(), 40);
-    }
-
-    /// The zero-copy entry point leaves the rows in the caller's scratch;
-    /// materializing them via fetch_plan yields the same result.
-    #[test]
-    fn fetch_plan_into_matches_fetch_plan() {
-        let t = table();
-        let plan = FetchPlan::new(vec![
-            Constraints::from_pairs(&[(2.0, 4.0), (3.0, 5.0)]).unwrap().region(),
-            Constraints::from_pairs(&[(0.0, 1.0), (0.0, 1.0)]).unwrap().region(),
-        ]);
-        let mut scratch = FetchScratch::new();
-        let outcome = t.fetch_plan_into(&plan, &mut scratch);
-        let expect = t.fetch_plan(&plan);
-        assert_eq!(outcome.stats, expect.stats);
-        assert_eq!(outcome.simulated_latency, expect.simulated_latency);
-        let buf = scratch.rows();
-        assert_eq!(buf.len(), expect.rows.len());
-        for (i, row) in expect.rows.iter().enumerate() {
-            assert_eq!(buf.ids()[i], row.id);
-            assert_eq!(buf.row(i), row.point.coords());
-        }
-        // The scratch is reusable: a second fetch overwrites the first.
-        let single = FetchPlan::single(Constraints::unbounded(2).unwrap().region());
-        t.fetch_plan_into(&single, &mut scratch);
-        assert_eq!(scratch.rows().len(), 100);
     }
 
     /// The sketch's one obligation, stated directly: at every
@@ -1084,23 +1026,22 @@ mod tests {
             }
             let mut inside = 0;
             for _ in 0..60 {
-                let region = HyperRect::from_intervals(
-                    (0..dims)
-                        .map(|_| {
-                            let (a, b) = (coord(&mut rng), coord(&mut rng));
-                            let (lo_open, hi_open) =
-                                (rng.gen_range(0..2) == 0, rng.gen_range(0..2) == 0);
-                            match rng.gen_range(0..4u8) {
-                                0 => Interval::closed(f64::NEG_INFINITY, f64::INFINITY),
-                                1 => Interval::new(f64::NEG_INFINITY, b, false, hi_open),
-                                2 => Interval::new(a, f64::INFINITY, lo_open, false),
-                                _ => Interval::new(a.min(b), a.max(b), lo_open, hi_open),
-                            }
-                        })
-                        .collect::<Vec<_>>(),
-                );
+                let region: Vec<Interval> = (0..dims)
+                    .map(|_| {
+                        let (a, b) = (coord(&mut rng), coord(&mut rng));
+                        let (lo_open, hi_open) =
+                            (rng.gen_range(0..2) == 0, rng.gen_range(0..2) == 0);
+                        match rng.gen_range(0..4u8) {
+                            0 => Interval::closed(f64::NEG_INFINITY, f64::INFINITY),
+                            1 => Interval::new(f64::NEG_INFINITY, b, false, hi_open),
+                            2 => Interval::new(a, f64::INFINITY, lo_open, false),
+                            _ => Interval::new(a.min(b), a.max(b), lo_open, hi_open),
+                        }
+                    })
+                    .collect();
                 let bucket_box = t.sketch.region_box(&region);
-                for (row, p) in t.live_points().filter(|(_, p)| region.contains_point(p)) {
+                for (row, p) in t.live_points().filter(|(_, p)| rect::contains(&region, p.coords()))
+                {
                     inside += 1;
                     assert!(bucket_box.admits(t.sketch.word(row)), "d={dims} {p:?} in {region:?}");
                 }

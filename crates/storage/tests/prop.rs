@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 
-use skycache_geom::{HyperRect, Interval, Point};
-use skycache_storage::{FetchPlan, Table, TableConfig};
+use skycache_geom::rect::contains;
+use skycache_geom::{Interval, Point, Regions};
+use skycache_storage::{FetchOutcome, FetchPlan, FetchScratch, Table, TableConfig};
 
 const DIMS: usize = 3;
 
@@ -35,8 +36,20 @@ fn interval() -> impl Strategy<Value = Interval> {
     )
 }
 
-fn region() -> impl Strategy<Value = HyperRect> {
-    prop::collection::vec(interval(), DIMS).prop_map(HyperRect::from_intervals)
+fn region() -> impl Strategy<Value = Vec<Interval>> {
+    prop::collection::vec(interval(), DIMS)
+}
+
+/// The row ids one plan fetches, in emission order, and its outcome.
+fn fetch(table: &Table, plan: &FetchPlan) -> (Vec<u32>, FetchOutcome) {
+    let mut scratch = FetchScratch::new();
+    let outcome = table.fetch_plan_into(plan, &mut scratch);
+    (scratch.rows().ids().to_vec(), outcome)
+}
+
+/// The row ids of one region fetched by a plan of its own, and the outcome.
+fn fetch_one(table: &Table, region: &[Interval]) -> (Vec<u32>, FetchOutcome) {
+    fetch(table, &FetchPlan::new(Regions::from_iter([region])))
 }
 
 /// The widest table of the mutation test; narrower ones use a prefix.
@@ -59,7 +72,7 @@ fn wide_point() -> impl Strategy<Value = Point> {
     prop::collection::vec(signed_coord(), WIDE_DIMS).prop_map(Point::from)
 }
 
-fn wide_region() -> impl Strategy<Value = HyperRect> {
+fn wide_region() -> impl Strategy<Value = Vec<Interval>> {
     let interval = (signed_coord(), signed_coord(), any::<bool>(), any::<bool>(), 0..6u8).prop_map(
         |(a, b, lo_open, hi_open, shape)| match shape {
             0 | 1 => Interval::closed(f64::NEG_INFINITY, f64::INFINITY),
@@ -68,7 +81,7 @@ fn wide_region() -> impl Strategy<Value = HyperRect> {
             _ => Interval::new(a.min(b), a.max(b), lo_open, hi_open),
         },
     );
-    prop::collection::vec(interval, WIDE_DIMS).prop_map(HyperRect::from_intervals)
+    prop::collection::vec(interval, WIDE_DIMS)
 }
 
 proptest! {
@@ -78,14 +91,13 @@ proptest! {
     #[test]
     fn fetch_matches_bruteforce(points in dataset(), region in region()) {
         let table = Table::build(points.clone(), TableConfig::default()).unwrap();
-        let result = table.fetch_plan(&FetchPlan::single(region.clone()));
-
-        let mut got: Vec<u32> = result.rows.iter().map(|r| r.id).collect();
+        let (mut got, result) = fetch_one(&table, &region);
+        let fetched = got.len();
         got.sort_unstable();
         let mut want: Vec<u32> = points
             .iter()
             .enumerate()
-            .filter(|(_, p)| region.contains_point(p))
+            .filter(|(_, p)| contains(&region, p.coords()))
             .map(|(i, _)| i as u32)
             .collect();
         want.sort_unstable();
@@ -93,13 +105,13 @@ proptest! {
 
         // Accounting invariants.
         let s = &result.stats;
-        prop_assert_eq!(s.rows_matched as usize, result.rows.len());
+        prop_assert_eq!(s.rows_matched as usize, fetched);
         prop_assert_eq!(s.points_read, s.rows_matched);
         prop_assert!(s.heap_fetches >= s.rows_matched);
         prop_assert_eq!(s.range_queries_issued, 1);
         prop_assert_eq!(s.range_queries_executed + s.range_queries_empty, 1);
         if s.range_queries_empty == 1 {
-            prop_assert!(result.rows.is_empty());
+            prop_assert_eq!(fetched, 0);
             prop_assert_eq!(s.heap_fetches, 0);
         }
         prop_assert_eq!(
@@ -112,10 +124,10 @@ proptest! {
     #[test]
     fn empty_detection_is_sound(points in dataset(), region in region()) {
         let table = Table::build(points.clone(), TableConfig::default()).unwrap();
-        let result = table.fetch_plan(&FetchPlan::single(region.clone()));
+        let (_, result) = fetch_one(&table, &region);
         if result.stats.range_queries_empty == 1 {
             prop_assert!(
-                points.iter().all(|p| !region.contains_point(p)),
+                points.iter().all(|p| !contains(&region, p.coords())),
                 "empty detection discarded a non-empty query"
             );
         }
@@ -136,10 +148,7 @@ proptest! {
         regions in prop::collection::vec(wide_region(), 1..4),
     ) {
         let cut = |p: &Point| Point::from(p.coords()[..dims].to_vec());
-        let regions: Vec<HyperRect> = regions
-            .iter()
-            .map(|r| HyperRect::from_intervals(r.intervals()[..dims].to_vec()))
-            .collect();
+        let regions: Regions = regions.iter().map(|r| &r[..dims]).collect();
         let initial: Vec<Point> = initial.iter().map(cut).collect();
         let mut table = Table::build(initial.clone(), TableConfig::default()).unwrap();
         let mut model: Vec<(u32, Point)> = (0..).zip(initial).collect();
@@ -160,23 +169,23 @@ proptest! {
             ids
         };
         let mut in_any = Vec::new();
-        for region in &regions {
-            let got = table.fetch_plan(&FetchPlan::single(region.clone()));
+        for region in regions.iter() {
+            let (got, _) = fetch_one(&table, region);
             let want: Vec<u32> = table
                 .live_points()
-                .filter(|(_, p)| region.contains_point(p))
+                .filter(|(_, p)| contains(region, p.coords()))
                 .map(|(row, _)| row)
                 .collect();
             let from_model =
-                model.iter().filter(|(_, p)| region.contains_point(p)).map(|(row, _)| *row);
+                model.iter().filter(|(_, p)| contains(region, p.coords())).map(|(row, _)| *row);
             prop_assert_eq!(&sorted(from_model.collect()), &want);
-            prop_assert_eq!(sorted(got.rows.iter().map(|r| r.id).collect()), want.clone());
+            prop_assert_eq!(sorted(got), want.clone());
             in_any.extend(want);
         }
         in_any.sort_unstable();
         in_any.dedup();
-        let coalesced = table.fetch_plan(&FetchPlan::remainder(regions));
-        prop_assert_eq!(sorted(coalesced.rows.iter().map(|r| r.id).collect()), in_any);
+        let (coalesced, _) = fetch(&table, &FetchPlan::remainder(regions));
+        prop_assert_eq!(sorted(coalesced), in_any);
     }
 
     /// Save/load roundtrips arbitrary mutated tables bit-exactly.
@@ -206,8 +215,8 @@ proptest! {
         std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(loaded.len(), table.len());
-        let mut a: Vec<u32> = table.fetch_plan(&FetchPlan::single(region.clone())).rows.iter().map(|r| r.id).collect();
-        let mut b: Vec<u32> = loaded.fetch_plan(&FetchPlan::single(region.clone())).rows.iter().map(|r| r.id).collect();
+        let (mut a, _) = fetch_one(&table, &region);
+        let (mut b, _) = fetch_one(&loaded, &region);
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);

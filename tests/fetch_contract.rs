@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use skycache::algos::Sfs;
 use skycache::core::{cases, MprMode};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen, Workload};
-use skycache::geom::{Constraints, HyperRect, Interval, Point, PointBlock};
+use skycache::geom::{Constraints, Interval, Point, PointBlock, Regions};
 use skycache::storage::{FetchPlan, FetchScratch, FetchStats, Table, TableConfig};
 
 const DIMS: usize = 4;
@@ -37,12 +37,12 @@ fn run_line(
     table: &Table,
     scratch: &mut FetchScratch,
     name: &str,
-    regions: &[HyperRect],
+    regions: &Regions,
     out: &mut String,
 ) {
     let mut separate = std::time::Duration::MAX;
     for coalesce in [false, true] {
-        let plan = FetchPlan::new(regions.to_vec());
+        let plan = FetchPlan::new(regions.clone());
         let plan = if coalesce { plan.coalesced() } else { plan };
         let outcome = table.fetch_plan_into(&plan, scratch);
         if !coalesce {
@@ -99,19 +99,19 @@ fn check_prediction(table: &Table, plan: &FetchPlan, s: &FetchStats, name: &str)
     );
 }
 
-fn closed(pairs: [(f64, f64); DIMS]) -> HyperRect {
-    HyperRect::from_intervals(pairs.map(|(lo, hi)| Interval::closed(lo, hi)).to_vec())
+fn closed(pairs: [(f64, f64); DIMS]) -> Vec<Interval> {
+    pairs.map(|(lo, hi)| Interval::closed(lo, hi)).to_vec()
 }
 
-fn rect(ivs: [Interval; DIMS]) -> HyperRect {
-    HyperRect::from_intervals(ivs.to_vec())
+fn rect(ivs: [Interval; DIMS]) -> Vec<Interval> {
+    ivs.to_vec()
 }
 
 const ALL: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
 /// Overlapping, abutting, nested, degenerate, empty and unbounded region
 /// sets: the shapes the coalescing planner groups, splits and dedups.
-fn hand_built() -> Vec<(&'static str, Vec<HyperRect>)> {
+fn hand_built() -> Vec<(&'static str, Vec<Vec<Interval>>)> {
     let any = Interval::closed(ALL.0, ALL.1);
     let slab = |lo: f64, hi: f64| closed([(lo, hi), ALL, ALL, ALL]);
     vec![
@@ -245,7 +245,7 @@ fn fetch_rows_order_stats_and_latency_match_golden_file() {
     let sets = hand_built();
     assert!(sets.len() >= 20);
     for (name, regions) in &sets {
-        run_line(&table, &mut scratch, name, regions, &mut got);
+        run_line(&table, &mut scratch, name, &regions.iter().collect(), &mut got);
     }
 
     check_golden("fetch_contract.txt", &got);
@@ -288,7 +288,7 @@ fn wide_points(dist: Distribution, dims: usize, n: usize, seed: u64) -> Vec<Poin
 /// open, closed, half-infinite and degenerate ends. Most sets pair the
 /// dimension under test with a quantile band on its neighbour, so the
 /// shaped bound is decided by the post-filter, not by the index walk.
-fn wide_regions(points: &[Point]) -> Vec<(String, Vec<HyperRect>)> {
+fn wide_regions(points: &[Point]) -> Vec<(String, Vec<Vec<Interval>>)> {
     let dims = points[0].dims();
     let n = points.len();
     let any = Interval::closed(ALL.0, ALL.1);
@@ -298,7 +298,7 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<HyperRect>)> {
         for &(dim, iv) in bounds {
             ivs[dim] = iv;
         }
-        HyperRect::from_intervals(ivs)
+        ivs
     };
     let columns: Vec<Vec<f64>> = (0..dims)
         .map(|dim| {
@@ -309,7 +309,7 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<HyperRect>)> {
         .collect();
     // The key at equi-depth rank `k`/128 of column `dim`.
     let q = |dim: usize, k: usize| columns[dim][(k * n / 128).min(n - 1)];
-    let mut sets: Vec<(String, Vec<HyperRect>)> = Vec::new();
+    let mut sets: Vec<(String, Vec<Vec<Interval>>)> = Vec::new();
 
     let mut probe_dims = vec![0, dims / 2, dims - 1];
     if dims > 8 {
@@ -383,19 +383,14 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<HyperRect>)> {
     // Every dimension bounded on grid values (ties on all lanes).
     for (lo_open, hi_open) in [(false, false), (true, true), (false, true)] {
         let iv = Interval::new(0.25, 0.75, lo_open, hi_open);
-        sets.push((
-            format!("grid-box-lo_open={lo_open}-hi_open={hi_open}"),
-            vec![HyperRect::from_intervals(vec![iv; dims])],
-        ));
+        sets.push((format!("grid-box-lo_open={lo_open}-hi_open={hi_open}"), vec![vec![iv; dims]]));
     }
     // Every dimension bounded on its own quantile keys, ends alternating.
     sets.push((
         "quantile-box-all-dims".into(),
-        vec![HyperRect::from_intervals(
-            (0..dims)
-                .map(|dim| Interval::new(q(dim, 8), q(dim, 120), dim % 2 == 0, dim % 3 == 0))
-                .collect::<Vec<_>>(),
-        )],
+        vec![(0..dims)
+            .map(|dim| Interval::new(q(dim, 8), q(dim, 120), dim % 2 == 0, dim % 3 == 0))
+            .collect()],
     ));
     // Grid cells sharing faces: abutting ranges in the chosen dimension.
     sets.push((
@@ -415,9 +410,7 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<HyperRect>)> {
     // A stored (duplicated) row as a point region, and as the excluded
     // corner of an open box.
     let dup = points[n - 1].coords();
-    let around = |f: &dyn Fn(f64) -> Interval| {
-        HyperRect::from_intervals(dup.iter().map(|&c| f(c)).collect::<Vec<_>>())
-    };
+    let around = |f: &dyn Fn(f64) -> Interval| dup.iter().map(|&c| f(c)).collect::<Vec<_>>();
     sets.push(("duplicate-row-point".into(), vec![around(&|c| Interval::closed(c, c))]));
     sets.push((
         "duplicate-row-open-corner".into(),
@@ -474,7 +467,8 @@ fn wide_tables_match_golden_file() {
             assert!(chain_plans >= 30, "only {chain_plans} non-trivial remainder plans");
         }
         for (name, regions) in &wide_regions(&points) {
-            run_line(&table, &mut scratch, &format!("{tag}{name}"), regions, &mut got);
+            let regions = regions.iter().collect();
+            run_line(&table, &mut scratch, &format!("{tag}{name}"), &regions, &mut got);
         }
     }
     check_golden("fetch_contract_wide.txt", &got);

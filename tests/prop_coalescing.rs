@@ -11,8 +11,10 @@ use proptest::prelude::*;
 
 use skycache::algos::Sfs;
 use skycache::core::{missing_points_region, MprMode};
-use skycache::geom::{Constraints, HyperRect, Point, PointBlock};
-use skycache::storage::{CostModel, FetchPlan, FetchScratch, RowId, Table, TableConfig};
+use skycache::geom::{Constraints, Point, PointBlock, Regions};
+use skycache::storage::{
+    CostModel, FetchOutcome, FetchPlan, FetchScratch, RowId, Table, TableConfig,
+};
 
 fn coord() -> impl Strategy<Value = f64> {
     (0..=16u8).prop_map(|v| f64::from(v) / 16.0)
@@ -47,15 +49,22 @@ fn sorted_points(mut v: Vec<Point>) -> Vec<Point> {
     v
 }
 
+/// The rows `(id, point)` of one fetch, in emission order, and its
+/// outcome.
+fn fetch(table: &Table, plan: &FetchPlan) -> (Vec<(RowId, Point)>, FetchOutcome) {
+    let mut scratch = FetchScratch::new();
+    let outcome = table.fetch_plan_into(plan, &mut scratch);
+    let buf = scratch.rows();
+    let rows = (0..buf.len()).map(|i| (buf.ids()[i], Point::from(buf.row(i).to_vec())));
+    (rows.collect(), outcome)
+}
+
 /// Row ids and points of a naive fetch: one independent range query per
 /// region, rows deduplicated by id afterwards.
-fn naive_fetch(table: &Table, regions: &[HyperRect]) -> (Vec<RowId>, Vec<Point>) {
+fn naive_fetch(table: &Table, regions: &Regions) -> (Vec<RowId>, Vec<Point>) {
     let mut rows: Vec<(RowId, Point)> = regions
         .iter()
-        .flat_map(|r| {
-            let fetched = table.fetch_plan(&FetchPlan::single(r.clone()));
-            fetched.rows.into_iter().map(|row| (row.id, row.point))
-        })
+        .flat_map(|r| fetch(table, &FetchPlan::new(Regions::from_iter([r]))).0)
         .collect();
     rows.sort_by_key(|(id, _)| *id);
     rows.dedup_by_key(|(id, _)| *id);
@@ -63,23 +72,15 @@ fn naive_fetch(table: &Table, regions: &[HyperRect]) -> (Vec<RowId>, Vec<Point>)
 }
 
 /// Row ids and points of the coalescing planner over the same regions.
-fn coalesced_fetch(table: &Table, regions: &[HyperRect]) -> (Vec<RowId>, Vec<Point>) {
-    let mut scratch = FetchScratch::new();
-    table.fetch_plan_into(&FetchPlan::new(regions.to_vec()).coalesced(), &mut scratch);
-    let buf = scratch.rows();
-    let mut rows: Vec<(RowId, Point)> = buf
-        .ids()
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, Point::from(buf.row(i).to_vec())))
-        .collect();
+fn coalesced_fetch(table: &Table, regions: &Regions) -> (Vec<RowId>, Vec<Point>) {
+    let (mut rows, _) = fetch(table, &FetchPlan::new(regions.clone()).coalesced());
     rows.sort_by_key(|(id, _)| *id);
     rows.into_iter().unzip()
 }
 
 fn assert_same_rows_and_skyline(
     table: &Table,
-    regions: &[HyperRect],
+    regions: &Regions,
 ) -> std::result::Result<(), TestCaseError> {
     let (naive_ids, naive_points) = naive_fetch(table, regions);
     let (plan_ids, plan_points) = coalesced_fetch(table, regions);
@@ -95,13 +96,10 @@ fn assert_same_rows_and_skyline(
 
 /// The accounting half of the contract. `table` counts only
 /// (`CostModel::free()`); its twin charges the default model.
-fn assert_accounting(
-    table: &Table,
-    regions: &[HyperRect],
-) -> std::result::Result<(), TestCaseError> {
-    let plan = FetchPlan::new(regions.to_vec()).coalesced();
-    let counted = table.fetch_plan(&plan);
-    let charged = build_with(table.all_points().to_vec(), CostModel::default()).fetch_plan(&plan);
+fn assert_accounting(table: &Table, regions: &Regions) -> std::result::Result<(), TestCaseError> {
+    let plan = FetchPlan::new(regions.clone()).coalesced();
+    let (_, counted) = fetch(table, &plan);
+    let (_, charged) = fetch(&build_with(table.all_points().to_vec(), CostModel::default()), &plan);
     prop_assert_eq!(counted.stats, charged.stats, "counters depend on whether latency is charged");
     prop_assert_eq!(counted.simulated_latency, std::time::Duration::ZERO);
 
@@ -122,7 +120,7 @@ proptest! {
         region_boxes in prop::collection::vec(constraints(3), 1..6),
     ) {
         let table = build(points);
-        let regions: Vec<HyperRect> = region_boxes.iter().map(Constraints::region).collect();
+        let regions: Regions = region_boxes.iter().map(Constraints::region).collect();
         assert_same_rows_and_skyline(&table, &regions)?;
     }
 
@@ -135,7 +133,7 @@ proptest! {
         slabs in prop::collection::vec((0..3usize, coord(), coord()), 1..8),
     ) {
         let table = build_with(points, CostModel::default());
-        let regions: Vec<HyperRect> = slabs
+        let regions: Regions = slabs
             .iter()
             .map(|&(dim, a, b)| {
                 let mut pairs = [(f64::NEG_INFINITY, f64::INFINITY); 3];
@@ -143,8 +141,8 @@ proptest! {
                 Constraints::from_pairs(&pairs).expect("ordered").region()
             })
             .collect();
-        let separate = table.fetch_plan(&FetchPlan::new(regions.clone()));
-        let coalesced = table.fetch_plan(&FetchPlan::new(regions).coalesced());
+        let (_, separate) = fetch(&table, &FetchPlan::new(regions.clone()));
+        let (_, coalesced) = fetch(&table, &FetchPlan::new(regions).coalesced());
         prop_assert!(coalesced.simulated_latency <= separate.simulated_latency);
     }
 
