@@ -110,24 +110,34 @@ fn run_cbcs(
     run_queries(&mut session, queries)
 }
 
-fn method_rows(label: &str, records: &[QueryStats]) {
-    let all = summarize(records.iter());
+/// Average time, points read and range queries issued.
+fn time_cells(s: &Summary) -> [String; 3] {
+    [secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]
+}
+
+/// Average points read and range queries issued and executed (Fig. 8).
+fn points_cells(s: &Summary) -> [String; 3] {
+    [count(s.avg_points), count(s.avg_rq), count(s.avg_rq_executed)]
+}
+
+/// One row for all of `records`, then one each for their stable and
+/// unstable cache hits where there are any.
+fn method_rows(label: &str, records: &[QueryStats], cells: fn(&Summary) -> [String; 3]) {
+    print_row(label, &cells(&summarize(records)));
     let (stable, unstable) = split_by_stability(records);
-    print_row(label, &[secs(all.avg_time_s), count(all.avg_points), count(all.avg_rq)]);
-    if !stable.is_empty() {
-        let s = summarize(stable.iter().copied());
-        print_row(
-            &format!("{label} (Stable)"),
-            &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
-        );
+    for (part, hits) in [("Stable", stable), ("Unstable", unstable)] {
+        if !hits.is_empty() {
+            print_row(&format!("{label} ({part})"), &cells(&summarize(hits)));
+        }
     }
-    if !unstable.is_empty() {
-        let s = summarize(unstable.iter().copied());
-        print_row(
-            &format!("{label} (Unstable)"),
-            &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
-        );
-    }
+}
+
+/// The Baseline and BBS rows over `queries`.
+fn reference_rows(table: &Table, queries: &[Constraints]) {
+    let baseline = summarize(&run_queries(&mut BaselineExecutor::new(table), queries));
+    print_row("Baseline", &time_cells(&baseline));
+    let bbs = summarize(&run_queries(&mut BbsExecutor::new(table), queries));
+    print_row("BBS", &time_cells(&bbs));
 }
 
 fn size_columns() -> Vec<String> {
@@ -149,15 +159,13 @@ pub fn fig5(scale: &Scale) {
                 &size_columns(),
             );
 
-            let mut baseline = BaselineExecutor::new(&table);
-            let b = summarize(&run_queries(&mut baseline, &queries));
-            print_row("Baseline", &[secs(b.avg_time_s), count(b.avg_points), count(b.avg_rq)]);
+            reference_rows(&table, &queries);
 
-            let mut bbs = BbsExecutor::new(&table);
-            let s = summarize(&run_queries(&mut bbs, &queries));
-            print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
-
-            method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
+            method_rows(
+                "aMPR",
+                &run_cbcs(&table, &queries, &[], CbcsConfig::default()),
+                time_cells,
+            );
         }
     }
 }
@@ -171,17 +179,11 @@ pub fn fig6(scale: &Scale) {
         let queries = interactive_queries(&table, scale.interactive_queries, 17, None);
         print_header(&format!("Fig 6 |S| = {}", fmt_size(n)), &size_columns());
 
-        let mut baseline = BaselineExecutor::new(&table);
-        let b = summarize(&run_queries(&mut baseline, &queries));
-        print_row("Baseline", &[secs(b.avg_time_s), count(b.avg_points), count(b.avg_rq)]);
-
-        let mut bbs = BbsExecutor::new(&table);
-        let s = summarize(&run_queries(&mut bbs, &queries));
-        print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
+        reference_rows(&table, &queries);
 
         let exact = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
-        method_rows("MPR", &run_cbcs(&table, &queries, &[], exact));
-        method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
+        method_rows("MPR", &run_cbcs(&table, &queries, &[], exact), time_cells);
+        method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()), time_cells);
     }
 }
 
@@ -195,15 +197,9 @@ pub fn fig7(scale: &Scale) {
         let queries = interactive_queries(&table, scale.interactive_queries, 17, Some(5));
         print_header(&format!("Fig 7 |D| = {d}"), &size_columns());
 
-        let mut baseline = BaselineExecutor::new(&table);
-        let b = summarize(&run_queries(&mut baseline, &queries));
-        print_row("Baseline", &[secs(b.avg_time_s), count(b.avg_points), count(b.avg_rq)]);
+        reference_rows(&table, &queries);
 
-        let mut bbs = BbsExecutor::new(&table);
-        let s = summarize(&run_queries(&mut bbs, &queries));
-        print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
-
-        method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
+        method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()), time_cells);
     }
 }
 
@@ -221,37 +217,18 @@ pub fn fig8(scale: &Scale) {
 
             let mut baseline = BaselineExecutor::new(&table);
             let b = summarize(&run_queries(&mut baseline, &queries));
-            print_row(
-                "Baseline",
-                &[count(b.avg_points), count(b.avg_rq), count(b.avg_rq_executed)],
-            );
+            print_row("Baseline", &points_cells(&b));
 
             if with_mpr {
                 let exact = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
-                points_rows("MPR", &run_cbcs(&table, &queries, &[], exact));
+                method_rows("MPR", &run_cbcs(&table, &queries, &[], exact), points_cells);
             }
-            points_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
+            method_rows(
+                "aMPR",
+                &run_cbcs(&table, &queries, &[], CbcsConfig::default()),
+                points_cells,
+            );
         }
-    }
-}
-
-fn points_rows(label: &str, records: &[QueryStats]) {
-    let all = summarize(records.iter());
-    print_row(label, &[count(all.avg_points), count(all.avg_rq), count(all.avg_rq_executed)]);
-    let (stable, unstable) = split_by_stability(records);
-    if !stable.is_empty() {
-        let s = summarize(stable.iter().copied());
-        print_row(
-            &format!("{label} (Stable)"),
-            &[count(s.avg_points), count(s.avg_rq), count(s.avg_rq_executed)],
-        );
-    }
-    if !unstable.is_empty() {
-        let s = summarize(unstable.iter().copied());
-        print_row(
-            &format!("{label} (Unstable)"),
-            &[count(s.avg_points), count(s.avg_rq), count(s.avg_rq_executed)],
-        );
     }
 }
 
@@ -377,7 +354,7 @@ pub fn fig11(scale: &Scale) {
     for strategy in &strategies {
         let config = CbcsConfig { strategy: strategy.clone(), ..Default::default() };
         let s = summarize(&run_cbcs(&table, &queries, &[], config));
-        print_row(&strategy.label(), &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
+        print_row(&strategy.label(), &time_cells(&s));
     }
 
     // (b) independent queries over a preloaded cache. The paper drops
@@ -391,7 +368,7 @@ pub fn fig11(scale: &Scale) {
         }
         let config = CbcsConfig { strategy: strategy.clone(), ..Default::default() };
         let s = summarize(&run_cbcs(&table, &queries, &preload, config));
-        print_row(&strategy.label(), &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
+        print_row(&strategy.label(), &time_cells(&s));
     }
 }
 
@@ -407,33 +384,19 @@ pub fn fig12(scale: &Scale) {
     let queries = interactive_queries(&table, scale.interactive_queries, 17, None);
     print_header("Fig 12a (interactive)", &size_columns());
 
-    let mut baseline = BaselineExecutor::new(&table);
-    let b = summarize(&run_queries(&mut baseline, &queries));
-    print_row("Baseline", &[secs(b.avg_time_s), count(b.avg_points), count(b.avg_rq)]);
+    reference_rows(&table, &queries);
 
-    let mut bbs = BbsExecutor::new(&table);
-    let s = summarize(&run_queries(&mut bbs, &queries));
-    print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
-
-    method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()));
+    method_rows("aMPR", &run_cbcs(&table, &queries, &[], CbcsConfig::default()), time_cells);
 
     // (b) independent queries, preloaded cache, varying #NN.
     let preload = independent_queries(&table, scale.preload, 5, None);
     let queries = independent_queries(&table, scale.independent_queries.clamp(25, 50), 19, None);
     print_header("Fig 12b (independent, preloaded cache)", &size_columns());
-    let mut baseline = BaselineExecutor::new(&table);
-    let b = summarize(&run_queries(&mut baseline, &queries));
-    print_row("Baseline", &[secs(b.avg_time_s), count(b.avg_points), count(b.avg_rq)]);
-    let mut bbs = BbsExecutor::new(&table);
-    let s = summarize(&run_queries(&mut bbs, &queries));
-    print_row("BBS", &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)]);
+    reference_rows(&table, &queries);
     for k in [1usize, 5, 10] {
         let config = cbcs_config(MprMode::Approximate { k }, SearchStrategy::prioritized_nd_std());
         let s = summarize(&run_cbcs(&table, &queries, &preload, config));
-        print_row(
-            &format!("aMPR({k}p)"),
-            &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
-        );
+        print_row(&format!("aMPR({k}p)"), &time_cells(&s));
     }
 }
 
@@ -511,10 +474,7 @@ pub fn ablation_k(scale: &Scale) {
     let table = synthetic_table(Distribution::Independent, 4, scale.mid_n.min(200_000), 42);
     for interactive in [true, false] {
         let name = if interactive { "interactive" } else { "independent" };
-        print_header(
-            &format!("aMPR k sweep ({name})"),
-            &["avg time".into(), "pts read".into(), "range qs".into()],
-        );
+        print_header(&format!("aMPR k sweep ({name})"), &size_columns());
         let (preload, queries) = if interactive {
             (Vec::new(), interactive_queries(&table, scale.interactive_queries, 17, None))
         } else {
@@ -530,12 +490,8 @@ pub fn ablation_k(scale: &Scale) {
                 SearchStrategy::prioritized_nd_std()
             };
             let config = cbcs_config(MprMode::Approximate { k }, strategy);
-            let records = run_cbcs(&table, &queries, &preload, config);
-            let s = summarize(records.iter());
-            print_row(
-                &format!("k={k}"),
-                &[secs(s.avg_time_s), count(s.avg_points), count(s.avg_rq)],
-            );
+            let s = summarize(&run_cbcs(&table, &queries, &preload, config));
+            print_row(&format!("k={k}"), &time_cells(&s));
         }
     }
 }

@@ -140,10 +140,8 @@ pub enum ReplacementPolicy {
 pub struct LookupStats {
     /// Cached items individually tested for overlap (1 when an item
     /// cached under the very constraints answered the lookup alone, 0
-    /// when the lookup short-circuited).
+    /// when the cache-wide bounding box proved the lookup empty).
     pub scans: u64,
-    /// Whether the cache-wide bounding box proved the lookup empty.
-    pub short_circuited: bool,
 }
 
 /// The cache: items plus an R\*-tree over their index boxes.
@@ -374,12 +372,12 @@ impl Cache {
         ids.clear();
         let query = new.aabb();
         if !self.bound.as_ref().is_some_and(|b| b.intersects(query)) {
-            return LookupStats { scans: 0, short_circuited: true };
+            return LookupStats { scans: 0 };
         }
         if let Some(id) = self.exact_id(query) {
             // skylint: allow(hot-path-alloc) — one id into the caller's reused scratch vector; steady state reuses its capacity.
             ids.push(id);
-            return LookupStats { scans: 1, short_circuited: false };
+            return LookupStats { scans: 1 };
         }
         self.index.for_each_in(query, |index_box, &id| {
             // skylint: allow(hot-path-alloc) — appends into the caller's reused scratch vector; steady state reuses its capacity.
@@ -397,7 +395,7 @@ impl Cache {
             ids.swap(rank, 2 * rank + 1);
         }
         ids.truncate(scans);
-        LookupStats { scans: scans as u64, short_circuited: false }
+        LookupStats { scans: scans as u64 }
     }
 
     /// The lowest id cached under constraints whose box equals `query`
@@ -408,11 +406,6 @@ impl Cache {
         self.constraint_index
             .for_each_equal(query, |&id| found = Some(found.map_or(id, |low| low.min(id))));
         found
-    }
-
-    /// Union of every cached item's index box (`None` when empty).
-    pub fn bound(&self) -> Option<&Aabb> {
-        self.bound.as_ref()
     }
 
     /// Items evicted by the replacement policy since construction
@@ -726,7 +719,6 @@ mod tests {
         let mut cache = Cache::new(2);
         // Empty cache: trivially short-circuited.
         let (ids, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
-        assert!(stats.short_circuited);
         assert_eq!(stats.scans, 0);
         assert!(ids.is_empty());
 
@@ -736,13 +728,11 @@ mod tests {
         // Disjoint from the union of index boxes: answered from the
         // cache-wide bound, zero per-item scans.
         let (ids, miss) = lookup(&cache, &c(&[(8.0, 9.0), (8.0, 9.0)]));
-        assert!(miss.short_circuited);
         assert_eq!(miss.scans, 0);
         assert!(ids.is_empty());
 
         // Overlapping: the R*-tree walk scans candidates.
         let (ids, hit) = lookup(&cache, &c(&[(0.5, 0.9), (0.1, 0.4)]));
-        assert!(!hit.short_circuited);
         assert_eq!(ids.len(), 1);
         assert!(hit.scans >= 1);
     }
@@ -750,22 +740,22 @@ mod tests {
     #[test]
     fn bound_tracks_inserts_and_removals() {
         let mut cache = Cache::new(1);
-        assert!(cache.bound().is_none());
+        assert!(cache.bound.is_none());
         let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
         let b = cache.insert(c(&[(5.0, 6.0)]), &[p(&[5.5])]);
-        let both = cache.bound().unwrap().clone();
+        let both = cache.bound.clone().unwrap();
         assert!(both.contains_point(&p(&[0.5])));
         assert!(both.contains_point(&p(&[5.5])));
 
         // Removal refreshes the bound exactly (no stale union).
         cache.remove(b).unwrap();
-        let shrunk = cache.bound().unwrap().clone();
+        let shrunk = cache.bound.clone().unwrap();
         assert!(shrunk.contains_point(&p(&[0.5])));
         assert!(!shrunk.contains_point(&p(&[5.5])));
-        assert!(lookup(&cache, &c(&[(5.0, 6.0)])).1.short_circuited);
+        assert_eq!(lookup(&cache, &c(&[(5.0, 6.0)])).1.scans, 0);
 
         cache.remove(a).unwrap();
-        assert!(cache.bound().is_none());
+        assert!(cache.bound.is_none());
     }
 
     #[test]
@@ -909,7 +899,6 @@ mod tests {
         let (order, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
         assert_eq!(order, vec![large, medium, small], "descending overlap area");
         assert_eq!(stats.scans, 3);
-        assert!(!stats.short_circuited);
     }
 
     #[test]
@@ -924,7 +913,7 @@ mod tests {
         // A repeat, however it spells its zeros: the older duplicate alone.
         let repeat = c(&[(-0.0, 1.0), (-0.0, 1.0)]);
         let (ids, stats) = lookup(&cache, &repeat);
-        assert_eq!((ids, stats.scans, stats.short_circuited), (vec![first], 1, false));
+        assert_eq!((ids, stats.scans), (vec![first], 1));
         cache.remove(first).unwrap();
         assert_eq!(lookup(&cache, &repeat).0, [second]);
         // With no exact item left the slow path answers again.

@@ -44,7 +44,7 @@ use skycache_geom::subtract;
 use skycache_geom::{Constraints, Point, PointBlock, Regions};
 use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
-use skycache_storage::{FetchOutcome, FetchPlan, FetchScratch, RowId, Table};
+use skycache_storage::{FetchOutcome, FetchPlan, FetchScratch, Table};
 
 use crate::cache::ReplacementPolicy;
 use crate::cases::QueryPlan;
@@ -123,7 +123,7 @@ impl QueryOutcome {
 #[derive(Default)]
 pub(crate) struct QueryScratch {
     /// Storage-side fetch buffers (row ids + columnar coordinates).
-    pub(crate) fetch: FetchScratch,
+    fetch: FetchScratch,
     /// The corner-first step's buffers.
     corner: CornerScratch,
     /// Skyline-kernel ordering buffer.
@@ -142,15 +142,6 @@ pub(crate) struct QueryScratch {
     /// across queries so the lookup path allocates nothing in steady
     /// state (mirrors [`FetchScratch`] on the storage side).
     pub(crate) lookup_ids: Vec<u64>,
-}
-
-impl QueryScratch {
-    /// Row ids of the last fetch stage's reads: the corner's, if it read
-    /// one, then the remainder's.
-    pub(crate) fn fetched_ids(&self) -> Vec<RowId> {
-        let corner = if self.corner.taken { self.corner.fetch.rows().ids() } else { &[] };
-        [corner, self.fetch.rows().ids()].concat()
-    }
 }
 
 /// The corner-first step's buffers (DESIGN.md §18), reused across queries
@@ -309,16 +300,10 @@ pub struct QueryStats {
     /// charged as part of a neighbor's merged range query because that
     /// was predicted cheaper than a query of their own.
     pub regions_coalesced: u64,
-    /// Rows matching their region after post-filtering.
-    pub rows_matched: u64,
     /// Per-dimension B-tree probes during fetch planning.
     pub index_probes: u64,
     /// Index entries scanned by the chosen storage plans.
     pub index_entries_scanned: u64,
-    /// Distinct heap pages the fetched rows sit on. Derived after the
-    /// query and only for a recorded request (0 otherwise): it costs a
-    /// pass over the fetched row ids.
-    pub pages_touched: u64,
     /// Pairwise dominance tests performed.
     pub dominance_tests: u64,
     /// Measured time per [`Phase`] in nanoseconds, indexed by
@@ -338,9 +323,6 @@ pub struct QueryStats {
     pub case: Option<Overlap>,
     /// Number of overlapping cache items the lookup returned.
     pub candidates: usize,
-    /// Cached items individually tested for overlap during the lookup
-    /// (0 when the cache-wide bounding box short-circuits the search).
-    pub overlap_scans: u64,
     /// Cached skyline points merged into the result computation.
     pub retained_points: u64,
     /// Cached skyline points invalidated by the new constraints.
@@ -385,7 +367,6 @@ impl QueryStats {
         self.range_queries_executed += f.range_queries_executed;
         self.range_queries_empty += f.range_queries_empty;
         self.regions_coalesced += f.regions_coalesced;
-        self.rows_matched += f.rows_matched;
         self.index_probes += f.index_probes;
         self.index_entries_scanned += f.index_entries_scanned;
         self.fetch_sim_ns += fetch.simulated_latency.as_nanos() as u64;
@@ -425,7 +406,6 @@ impl QueryStats {
             (names::CACHE_EVICTIONS, self.evictions),
             (names::CACHE_INSERTIONS, self.insertions),
             (names::CACHE_CANDIDATES, self.candidates as u64),
-            (names::CACHE_OVERLAP_SCANS, self.overlap_scans),
             (names::CACHE_RETAINED_POINTS, self.retained_points),
             (names::CACHE_REMOVED_POINTS, self.removed_points),
             (names::FETCH_REGIONS, self.range_queries_issued),
@@ -433,10 +413,8 @@ impl QueryStats {
             (names::FETCH_RQ_EMPTY, self.range_queries_empty),
             (names::FETCH_POINTS_READ, self.points_read),
             (names::FETCH_HEAP_FETCHES, self.heap_fetches),
-            (names::FETCH_ROWS_MATCHED, self.rows_matched),
             (names::FETCH_INDEX_PROBES, self.index_probes),
             (names::FETCH_INDEX_ENTRIES, self.index_entries_scanned),
-            (names::FETCH_PAGES_TOUCHED, self.pages_touched),
             (names::FETCH_REGIONS_COALESCED, self.regions_coalesced),
             (names::FETCH_SIM_NS, self.fetch_sim_ns),
             (names::MPR_REGIONS, self.mpr_regions),
@@ -492,10 +470,6 @@ impl Executor for BaselineExecutor<'_> {
 
         let mut stats = QueryStats::default();
         let skyline = query_naive(self.table, c, &mut self.scratch, &mut stats);
-        if req.record {
-            let fetched = self.scratch.fetch.rows();
-            stats.pages_touched = self.table.pages_touched_ids(fetched.ids());
-        }
         Ok(QueryOutcome::finish(req, skyline, None, stats))
     }
 }
@@ -1147,7 +1121,6 @@ mod tests {
         assert_eq!(miss.counter(names::CACHE_HITS), 0);
         assert_eq!(miss.counter(names::CACHE_INSERTIONS), 1);
         assert!(miss.counter(names::FETCH_POINTS_READ) > 0);
-        assert!(miss.counter(names::FETCH_PAGES_TOUCHED) > 0);
         assert!(miss.phase_ns(Phase::Skyline) > 0);
 
         // Case (a) hit (lower bound widened): MPR regions must be

@@ -260,10 +260,6 @@ impl Session<'_> {
                 query_planned(table, c, plan, scratch, &mut stats)
             }
         };
-        if req.record && stats.range_queries_issued > 0 {
-            // The rows of this query's fetches are still in the scratch.
-            stats.pages_touched = table.pages_touched_ids(&scratch.fetched_ids());
-        }
 
         // An exact hit's result is already cached under these very
         // constraints; re-inserting would duplicate the item and evict an
@@ -301,11 +297,10 @@ impl Session<'_> {
         let (config, data_bounds) = (&service.config.cbcs, &service.data_bounds);
 
         let t0 = Stopwatch::start();
-        let lookup = items.lookup_into(c, &mut scratch.lookup_ids);
+        items.lookup_into(c, &mut scratch.lookup_ids);
         let ids: &[u64] = &scratch.lookup_ids;
         stats.time(Phase::CacheLookup, t0);
         stats.candidates = ids.len();
-        stats.overlap_scans = lookup.scans;
 
         // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
         let item = |id: u64| items.get(id).expect("lookup ids are live");

@@ -75,26 +75,14 @@ impl SearchStrategy {
         }
     }
 
-    /// Chooses among `candidates` (all overlapping the query per the cache
-    /// lookup). Returns an index into `candidates`, or `None` when empty.
+    /// Chooses among the `n` candidates `get(0..n)` (all overlapping the
+    /// query per the cache lookup). Returns a candidate index, or `None`
+    /// when `n` is 0; ties keep the first (best-covering) candidate. The
+    /// accessor lets the engine resolve candidate ids lazily through the
+    /// cache without building a per-query `Vec<&CacheItem>`.
     ///
     /// `data_bounds` clamps unbounded constraint dimensions so overlap
     /// volumes and corner distances stay finite.
-    pub fn select<R: Rng>(
-        &self,
-        candidates: &[&CacheItem],
-        new: &Constraints,
-        data_bounds: &Aabb,
-        rng: &mut R,
-    ) -> Option<usize> {
-        self.select_indexed(candidates.len(), |i| candidates[i], new, data_bounds, rng)
-    }
-
-    /// [`SearchStrategy::select`] over an indexed accessor instead of a
-    /// materialized slice of references — the scratch-based engine path
-    /// resolves candidate ids lazily through the cache without building
-    /// a per-query `Vec<&CacheItem>`. Semantics are identical: ties keep
-    /// the first (best-covering) candidate.
     pub fn select_indexed<'a, R: Rng>(
         &self,
         n: usize,
@@ -291,6 +279,15 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    fn select(
+        s: &SearchStrategy,
+        candidates: &[&CacheItem],
+        new: &Constraints,
+        rng: &mut StdRng,
+    ) -> Option<usize> {
+        s.select_indexed(candidates.len(), |i| candidates[i], new, &bounds(), rng)
+    }
+
     /// The allocation-free scores equal their definitions over
     /// [`clamp_box`] bit for bit: on boxes inside, across and outside the
     /// data bounds, touching ones, and partially unbounded ones.
@@ -329,7 +326,7 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let new = Constraints::from_pairs(&[(0.0, 1.0), (0.0, 1.0)]).unwrap();
-        assert_eq!(SearchStrategy::Random.select(&[], &new, &bounds(), &mut rng()), None);
+        assert_eq!(select(&SearchStrategy::Random, &[], &new, &mut rng()), None);
     }
 
     #[test]
@@ -337,8 +334,7 @@ mod tests {
         let a = item(0, &[(0.0, 2.0), (0.0, 2.0)]);
         let b = item(1, &[(0.0, 5.0), (0.0, 5.0)]);
         let new = Constraints::from_pairs(&[(0.0, 4.0), (0.0, 4.0)]).unwrap();
-        let got =
-            SearchStrategy::MaxOverlap.select(&[&a, &b], &new, &bounds(), &mut rng()).unwrap();
+        let got = select(&SearchStrategy::MaxOverlap, &[&a, &b], &new, &mut rng()).unwrap();
         assert_eq!(got, 1);
     }
 
@@ -352,12 +348,10 @@ mod tests {
         let new = Constraints::from_pairs(&[(1.0, 4.5), (1.0, 4.5)]).unwrap();
         assert!(!is_stable(&a.constraints, &new));
         assert!(is_stable(&b.constraints, &new));
-        let got =
-            SearchStrategy::MaxOverlapSP.select(&[&a, &b], &new, &bounds(), &mut rng()).unwrap();
+        let got = select(&SearchStrategy::MaxOverlapSP, &[&a, &b], &new, &mut rng()).unwrap();
         assert_eq!(got, 1);
         // Plain MaxOverlap would pick `a`.
-        let plain =
-            SearchStrategy::MaxOverlap.select(&[&a, &b], &new, &bounds(), &mut rng()).unwrap();
+        let plain = select(&SearchStrategy::MaxOverlap, &[&a, &b], &new, &mut rng()).unwrap();
         assert_eq!(plain, 0);
     }
 
@@ -368,9 +362,8 @@ mod tests {
         let case_b = item(0, &[(1.0, 4.0), (1.0, 3.0)]);
         // Case A item: query extends its lower bound in dim 0.
         let case_a = item(1, &[(2.0, 3.0), (1.0, 3.0)]);
-        let got = SearchStrategy::Prioritized1D
-            .select(&[&case_a, &case_b], &new, &bounds(), &mut rng())
-            .unwrap();
+        let got =
+            select(&SearchStrategy::Prioritized1D, &[&case_a, &case_b], &new, &mut rng()).unwrap();
         assert_eq!(got, 1);
     }
 
@@ -381,14 +374,14 @@ mod tests {
         let cheap = item(0, &[(1.0, 4.0), (1.0, 4.0)]);
         // Item whose two changed bounds are lower increases (weight 20).
         let pricey = item(1, &[(0.0, 3.0), (0.0, 3.0)]);
-        let got = SearchStrategy::prioritized_nd_std()
-            .select(&[&pricey, &cheap], &new, &bounds(), &mut rng())
-            .unwrap();
+        let got =
+            select(&SearchStrategy::prioritized_nd_std(), &[&pricey, &cheap], &new, &mut rng())
+                .unwrap();
         assert_eq!(got, 1);
         // The Bad weights invert the preference.
-        let got_bad = SearchStrategy::prioritized_nd_bad()
-            .select(&[&pricey, &cheap], &new, &bounds(), &mut rng())
-            .unwrap();
+        let got_bad =
+            select(&SearchStrategy::prioritized_nd_bad(), &[&pricey, &cheap], &new, &mut rng())
+                .unwrap();
         assert_eq!(got_bad, 0);
     }
 
@@ -397,9 +390,8 @@ mod tests {
         let new = Constraints::from_pairs(&[(2.0, 3.0), (2.0, 3.0)]).unwrap();
         let near = item(0, &[(2.1, 5.0), (1.9, 5.0)]);
         let far = item(1, &[(0.0, 5.0), (0.0, 5.0)]);
-        let got = SearchStrategy::OptimumDistance
-            .select(&[&far, &near], &new, &bounds(), &mut rng())
-            .unwrap();
+        let got =
+            select(&SearchStrategy::OptimumDistance, &[&far, &near], &new, &mut rng()).unwrap();
         assert_eq!(got, 1);
     }
 
@@ -411,8 +403,8 @@ mod tests {
         let mut r1 = rng();
         let mut r2 = rng();
         for _ in 0..20 {
-            let x = SearchStrategy::Random.select(&[&a, &b], &new, &bounds(), &mut r1);
-            let y = SearchStrategy::Random.select(&[&a, &b], &new, &bounds(), &mut r2);
+            let x = select(&SearchStrategy::Random, &[&a, &b], &new, &mut r1);
+            let y = select(&SearchStrategy::Random, &[&a, &b], &new, &mut r2);
             assert_eq!(x, y);
             assert!(x.unwrap() < 2);
         }

@@ -14,7 +14,7 @@
 //!   that renders them (`QueryStats::report`) and every consumer.
 //! * [`QueryReport`] — one query's phase times plus a [`Registry`] of
 //!   named counters, with a versioned JSON rendering
-//!   (`"skyobs-report/5"`, hand-rolled, no serde). Built on request only,
+//!   (`"skyobs-report/6"`, hand-rolled, no serde). Built on request only,
 //!   after the query has finished.
 //!
 //! Nothing below `core` depends on this crate: kernels (geom, algos,

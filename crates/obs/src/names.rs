@@ -18,9 +18,6 @@ pub const CACHE_EVICTIONS: &str = "cache.evictions";
 pub const CACHE_INSERTIONS: &str = "cache.insertions";
 /// Overlapping candidate items returned by cache lookups. Counter.
 pub const CACHE_CANDIDATES: &str = "cache.candidates";
-/// Cached items individually tested for overlap during lookups (0 when
-/// the cache-wide bounding box short-circuits the search). Counter.
-pub const CACHE_OVERLAP_SCANS: &str = "cache.overlap_scans";
 /// Cached skyline points retained into the new computation. Counter.
 pub const CACHE_RETAINED_POINTS: &str = "cache.retained_points";
 /// Cached skyline points invalidated by the new constraints. Counter.
@@ -38,15 +35,10 @@ pub const FETCH_RQ_EMPTY: &str = "fetch.range_queries_empty";
 pub const FETCH_POINTS_READ: &str = "fetch.points_read";
 /// Heap tuples fetched by the chosen storage plans. Counter.
 pub const FETCH_HEAP_FETCHES: &str = "fetch.heap_fetches";
-/// Rows matching their region after post-filtering. Counter.
-pub const FETCH_ROWS_MATCHED: &str = "fetch.rows_matched";
 /// Per-dimension B-tree probes during planning. Counter.
 pub const FETCH_INDEX_PROBES: &str = "fetch.index_probes";
 /// Index entries scanned by the chosen plans. Counter.
 pub const FETCH_INDEX_ENTRIES: &str = "fetch.index_entries_scanned";
-/// Distinct heap pages touched by fetched rows (derived from the fetched
-/// row ids after the query, for recorded requests only). Counter.
-pub const FETCH_PAGES_TOUCHED: &str = "fetch.pages_touched";
 /// Range queries saved by the coalescing fetch planner (non-empty
 /// candidate regions minus merged range queries executed for them).
 /// Counter.

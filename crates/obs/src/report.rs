@@ -1,7 +1,7 @@
 //! The per-query [`QueryReport`] and its versioned JSON rendering.
 //!
 //! The report format is versioned: the top-level object carries
-//! `"schema": "skyobs-report/5"` and consumers must check it. Field
+//! `"schema": "skyobs-report/6"` and consumers must check it. Field
 //! order is fixed (phases in pipeline order, metrics in name order), so
 //! two equal reports serialize byte-identically — the golden-file test
 //! under `tests/golden/` pins the exact bytes.
@@ -12,7 +12,7 @@ use crate::metrics::Registry;
 use crate::recorder::Phase;
 
 /// Version tag of the report format.
-pub const REPORT_SCHEMA: &str = "skyobs-report/5";
+pub const REPORT_SCHEMA: &str = "skyobs-report/6";
 
 /// Everything one query reported: per-phase time plus its named counters.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn json_has_schema_and_all_phases() {
         let json = sample_report().to_json();
-        assert!(json.starts_with("{\n  \"schema\": \"skyobs-report/5\",\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"skyobs-report/6\",\n"));
         for phase in Phase::ALL {
             assert!(json.contains(&format!("\"{}\"", phase.label())), "missing {phase:?}");
         }

@@ -54,4 +54,4 @@ mod split;
 mod tree;
 
 pub use query::{BestFirst, NodeRef, Popped};
-pub use tree::{RStarTree, RTreeParams, TreeStats};
+pub use tree::{RStarTree, RTreeParams};

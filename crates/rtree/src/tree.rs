@@ -60,36 +60,6 @@ impl<T> AnyEntry<T> {
     }
 }
 
-/// Structural diagnostics of an R\*-tree (see [`RStarTree::stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TreeStats {
-    /// Tree height (leaf root = 1).
-    pub height: usize,
-    /// Stored entries.
-    pub entries: usize,
-    /// Leaf node count.
-    pub leaf_nodes: usize,
-    /// Inner node count.
-    pub inner_nodes: usize,
-    /// Sum of per-leaf fill ratios (divide by `leaf_nodes` for the mean).
-    pub leaf_fill_sum: f64,
-    /// Total overlap volume between sibling MBRs.
-    pub sibling_overlap_sum: f64,
-    /// Number of sibling pairs inspected.
-    pub sibling_pairs: usize,
-}
-
-impl TreeStats {
-    /// Mean leaf fill ratio in `[0, 1]`.
-    pub fn avg_leaf_fill(&self) -> f64 {
-        if self.leaf_nodes == 0 {
-            0.0
-        } else {
-            self.leaf_fill_sum / self.leaf_nodes as f64
-        }
-    }
-}
-
 /// An R\*-tree mapping bounding boxes to values.
 ///
 /// The tree is *persistent*: nodes are shared behind `Arc`, so `clone` is
@@ -142,11 +112,6 @@ impl<T> RStarTree<T> {
     /// Dimensionality of stored boxes.
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// Tree parameters.
-    pub fn params(&self) -> &RTreeParams {
-        &self.params
     }
 
     /// Height of the tree (a lone leaf root has height 1).
@@ -219,37 +184,6 @@ impl<T> RStarTree<T> {
         }
         walk(&self.root, &mut out);
         out.into_iter()
-    }
-
-    /// Diagnostic statistics of the tree's structure — useful for
-    /// understanding why BBS degrades with dimensionality (sibling MBR
-    /// overlap grows, so constraint pruning keeps fewer subtrees out).
-    pub fn stats(&self) -> TreeStats {
-        let mut stats =
-            TreeStats { height: self.height(), entries: self.len(), ..Default::default() };
-        fn walk<T>(node: &Node<T>, s: &mut TreeStats, max_entries: usize) {
-            match node {
-                Node::Leaf(entries) => {
-                    s.leaf_nodes += 1;
-                    s.leaf_fill_sum += entries.len() as f64 / max_entries as f64;
-                }
-                Node::Inner { children, .. } => {
-                    s.inner_nodes += 1;
-                    // Pairwise sibling overlap, normalized by node area.
-                    for (i, a) in children.iter().enumerate() {
-                        for b in &children[i + 1..] {
-                            s.sibling_overlap_sum += a.mbr.overlap_area(&b.mbr);
-                            s.sibling_pairs += 1;
-                        }
-                    }
-                    for c in children {
-                        walk(&c.child, s, max_entries);
-                    }
-                }
-            }
-        }
-        walk(&self.root, &mut stats, self.params.max_entries);
-        stats
     }
 
     /// Structural invariant check for tests: uniform leaf depth, tight and
@@ -752,28 +686,6 @@ mod tests {
     fn insert_wrong_dims_panics() {
         let mut t: RStarTree<u8> = RStarTree::new(2);
         t.insert(Aabb::new(vec![0.0; 3], vec![1.0; 3]).unwrap(), 0);
-    }
-
-    #[test]
-    fn stats_reflect_structure() {
-        let t = grid_tree(1_000);
-        let s = t.stats();
-        assert_eq!(s.entries, 1_000);
-        assert_eq!(s.height, t.height());
-        assert!(s.leaf_nodes >= 1_000 / t.params().max_entries);
-        let fill = s.avg_leaf_fill();
-        assert!(fill > 0.3 && fill <= 1.0, "implausible leaf fill {fill}");
-        // Bulk-loaded trees pack tighter than incrementally built ones.
-        let bulk = RStarTree::bulk_load_points(
-            (0..1_000usize)
-                .map(|i| (skycache_geom::Point::from(vec![(i % 37) as f64, (i / 37) as f64]), i)),
-            RTreeParams::default(),
-        );
-        assert!(bulk.stats().avg_leaf_fill() >= fill * 0.9);
-        // Empty tree stats are all-zero except height.
-        let empty: RStarTree<u8> = RStarTree::new(2);
-        assert_eq!(empty.stats().entries, 0);
-        assert_eq!(empty.stats().avg_leaf_fill(), 0.0);
     }
 
     #[test]

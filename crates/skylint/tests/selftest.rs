@@ -90,8 +90,8 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
     (
         "no-panic-paths",
         "crates/storage/src/persist.rs",
-        "let dims = buf.get_u32_le() as usize;",
-        "let dims = usize::try_from(buf.get_u32_le()).unwrap();",
+        "let dims = u32::from_le_bytes(buf.field()?) as usize;",
+        "let dims = usize::try_from(u32::from_le_bytes(buf.field()?)).unwrap();",
     ),
     // The one crate that parses bytes from a socket is under the rule.
     (
@@ -147,8 +147,8 @@ const SEEDS: [(&str, &str, &str, &str); 12] = [
     (
         "range-taint",
         "crates/storage/src/persist.rs",
-        "let n = checked_len(buf.get_u64_le(), dims * 8, &buf, \"slot count\")?;",
-        "let n = buf.get_u64_le() as usize;",
+        "let n = checked_len(u64::from_le_bytes(buf.field()?), dims * 8, buf.0, \"slot count\")?;",
+        "let n = u64::from_le_bytes(buf.field()?) as usize;",
     ),
     (
         "dead-allow",

@@ -138,8 +138,6 @@ pub struct FetchStats {
     /// matches of a bitmap AND scan, or the merged slice of a range query
     /// serving several regions) — the latency driver.
     pub heap_fetches: u64,
-    /// Rows surviving the full constraint filter (= `points_read`).
-    pub rows_matched: u64,
     /// Index probes performed (range location / emptiness checks).
     pub index_probes: u64,
     /// Index entries scanned by bitmap index scans.
@@ -158,7 +156,6 @@ impl AddAssign for FetchStats {
         self.range_queries_empty += rhs.range_queries_empty;
         self.points_read += rhs.points_read;
         self.heap_fetches += rhs.heap_fetches;
-        self.rows_matched += rhs.rows_matched;
         self.index_probes += rhs.index_probes;
         self.index_entries_scanned += rhs.index_entries_scanned;
         self.regions_coalesced += rhs.regions_coalesced;
@@ -178,7 +175,6 @@ mod tests {
             range_queries_empty: 1,
             points_read: 40,
             heap_fetches: 100,
-            rows_matched: 40,
             index_probes: 9,
             index_entries_scanned: 500,
             regions_coalesced: 0,
@@ -198,10 +194,10 @@ mod tests {
 
     #[test]
     fn stats_addition() {
-        let mut c = FetchStats { points_read: 5, rows_matched: 2, ..Default::default() };
+        let mut c = FetchStats { points_read: 5, heap_fetches: 2, ..Default::default() };
         c += FetchStats { points_read: 7, index_probes: 3, ..Default::default() };
         assert_eq!(c.points_read, 12);
-        assert_eq!(c.rows_matched, 2);
+        assert_eq!(c.heap_fetches, 2);
         assert_eq!(c.index_probes, 3);
     }
 }

@@ -14,8 +14,6 @@ pub enum StorageError {
         /// The offending point's dimensionality.
         actual: usize,
     },
-    /// Page capacity must be at least one point.
-    InvalidPageCapacity,
     /// The table would hold more heap slots than row ids exist.
     TooManyRows,
     /// An underlying geometric constructor failed.
@@ -33,7 +31,6 @@ impl fmt::Display for StorageError {
             StorageError::DimensionMismatch { expected, actual } => {
                 write!(f, "point dimensionality {actual} != table dimensionality {expected}")
             }
-            StorageError::InvalidPageCapacity => write!(f, "page capacity must be >= 1"),
             StorageError::TooManyRows => {
                 write!(f, "a table holds at most {} rows", crate::RowId::MAX)
             }
@@ -70,8 +67,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_full_table_is_not_reported_as_a_page_capacity_problem() {
+    fn a_full_table_names_the_row_limit() {
         assert_eq!(StorageError::TooManyRows.to_string(), "a table holds at most 4294967295 rows");
-        assert_eq!(StorageError::InvalidPageCapacity.to_string(), "page capacity must be >= 1");
     }
 }

@@ -1,4 +1,4 @@
-//! Paged point storage with per-dimension indexes and an I/O cost model.
+//! Row storage with per-dimension indexes and an I/O cost model.
 //!
 //! This crate is the workspace's substitute for the paper's experimental
 //! substrate — "data is stored in PostgreSQL 9.1 with each dimension

@@ -2,13 +2,12 @@
 //! bit-exactly, so large generated experiment inputs can be reused across
 //! runs.
 //!
-//! Format (`SKYC` v1, little-endian):
+//! Format (`SKYC` v2, little-endian):
 //!
 //! ```text
 //! magic   b"SKYC"            4 bytes
-//! version u32                = 1
+//! version u32                = 2
 //! dims    u32
-//! page_capacity u64
 //! cost model: seek, per_point, probe, index_entry  4 × u64
 //! n_slots u64                heap slots, including tombstoned rows
 //! live bitmap                ⌈n_slots / 8⌉ bytes (LSB-first)
@@ -18,13 +17,12 @@
 //!
 //! Indexes are rebuilt on load (cheaper than storing them and immune to
 //! format drift). Loading validates magic, version, checksum and NaN-
-//! freedom before constructing the table.
+//! freedom before constructing the table; a version 1 file (which also
+//! carried a heap page size) is refused as an unsupported version.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use skycache_geom::Point;
 
@@ -34,18 +32,18 @@ use crate::table::{Table, TableConfig};
 use crate::Result;
 
 const MAGIC: &[u8; 4] = b"SKYC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Validates a decoded item count against the bytes that must back it:
-/// `n` items of `item_bytes` each have to fit in what remains of `buf`,
-/// so a corrupted header can never drive an allocation larger than the
-/// file that carries it. This is the designated `range-taint` validator
-/// for this module — decoded counts pass through here before reaching
+/// `n` items of `item_bytes` each have to fit in `rest`, so a corrupted
+/// header can never drive an allocation larger than the file that
+/// carries it. This is the designated `range-taint` validator for this
+/// module — decoded counts pass through here before reaching
 /// `Vec::with_capacity`.
-fn checked_len(n: u64, item_bytes: usize, buf: &Bytes, what: &str) -> Result<usize> {
+fn checked_len(n: u64, item_bytes: usize, rest: &[u8], what: &str) -> Result<usize> {
     let n = usize::try_from(n).map_err(|_| StorageError::Corrupt(format!("{what} overflow")))?;
     match n.checked_mul(item_bytes) {
-        Some(total) if total <= buf.remaining() => Ok(n),
+        Some(total) if total <= rest.len() => Ok(n),
         _ => Err(StorageError::Corrupt(format!("{what} exceeds payload"))),
     }
 }
@@ -60,21 +58,43 @@ fn fnv1a(data: &[u8]) -> u64 {
     hash
 }
 
+/// The verified file image, consumed front to back.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The next `n` bytes; a shorter image is a truncated `what`.
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| StorageError::Corrupt(format!("truncated {what}")))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The next header field, as the array its `from_le_bytes` takes.
+    fn field<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or_else(|| StorageError::Corrupt("truncated header".into()))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+}
+
 impl Table {
     /// Serializes the table (heap + tombstones + config) to `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let mut buf = BytesMut::with_capacity(64 + self.slot_count() * (self.dims() * 8 + 1));
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.dims() as u32);
-        buf.put_u64_le(self.config().page_capacity as u64);
-        let m = self.config().cost_model;
-        buf.put_u64_le(m.seek_ns);
-        buf.put_u64_le(m.per_point_ns);
-        buf.put_u64_le(m.probe_ns);
-        buf.put_u64_le(m.index_entry_ns);
         let n = self.slot_count();
-        buf.put_u64_le(n as u64);
+        let mut buf = Vec::with_capacity(64 + n * (self.dims() * 8 + 1));
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&(self.dims() as u32).to_le_bytes());
+        let m = self.config().cost_model;
+        for word in [m.seek_ns, m.per_point_ns, m.probe_ns, m.index_entry_ns, n as u64] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
 
         // Live bitmap, LSB-first.
         let mut byte = 0u8;
@@ -83,22 +103,22 @@ impl Table {
                 byte |= 1 << (slot % 8);
             }
             if slot % 8 == 7 {
-                buf.put_u8(byte);
+                buf.push(byte);
                 byte = 0;
             }
         }
         if !n.is_multiple_of(8) {
-            buf.put_u8(byte);
+            buf.push(byte);
         }
 
         for p in self.all_points() {
             for &c in p.coords() {
-                buf.put_f64_le(c);
+                buf.extend_from_slice(&c.to_le_bytes());
             }
         }
 
         let checksum = fnv1a(&buf);
-        buf.put_u64_le(checksum);
+        buf.extend_from_slice(&checksum.to_le_bytes());
 
         let mut file = BufWriter::new(File::create(path)?);
         file.write_all(&buf)?;
@@ -110,7 +130,7 @@ impl Table {
     /// held in memory once — verified, then parsed in place — and released
     /// before the indexes are rebuilt.
     pub fn load(path: impl AsRef<Path>) -> Result<Table> {
-        let mut raw = std::fs::read(path)?;
+        let raw = std::fs::read(path)?;
         let payload_len = raw
             .len()
             .checked_sub(8)
@@ -121,51 +141,37 @@ impl Table {
         if fnv1a(payload) != stored {
             return Err(StorageError::Corrupt("checksum mismatch".into()));
         }
-        raw.truncate(payload_len);
 
-        let mut buf = Bytes::from(raw);
-        fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-            if buf.remaining() < n {
-                return Err(StorageError::Corrupt(format!("truncated {what}")));
-            }
-            Ok(())
-        }
-        need(&buf, 4 + 4 + 4 + 8 + 32 + 8, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let mut buf = Reader(payload);
+        if &buf.field::<4>()? != MAGIC {
             return Err(StorageError::Corrupt("bad magic".into()));
         }
-        if buf.get_u32_le() != VERSION {
+        if u32::from_le_bytes(buf.field()?) != VERSION {
             return Err(StorageError::Corrupt("unsupported version".into()));
         }
-        let dims = buf.get_u32_le() as usize;
+        let dims = u32::from_le_bytes(buf.field()?) as usize;
         if dims == 0 {
             return Err(StorageError::Corrupt("zero dimensions".into()));
         }
-        let page_capacity = usize::try_from(buf.get_u64_le())
-            .map_err(|_| StorageError::Corrupt("page capacity overflow".into()))?;
         let cost_model = CostModel {
-            seek_ns: buf.get_u64_le(),
-            per_point_ns: buf.get_u64_le(),
-            probe_ns: buf.get_u64_le(),
-            index_entry_ns: buf.get_u64_le(),
+            seek_ns: u64::from_le_bytes(buf.field()?),
+            per_point_ns: u64::from_le_bytes(buf.field()?),
+            probe_ns: u64::from_le_bytes(buf.field()?),
+            index_entry_ns: u64::from_le_bytes(buf.field()?),
         };
-        let n = checked_len(buf.get_u64_le(), dims * 8, &buf, "slot count")?;
+        let n = checked_len(u64::from_le_bytes(buf.field()?), dims * 8, buf.0, "slot count")?;
 
-        let bitmap_len = n.div_ceil(8);
-        need(&buf, bitmap_len, "live bitmap")?;
-        let bitmap = &buf.chunk()[..bitmap_len];
+        let bitmap = buf.take(n.div_ceil(8), "live bitmap")?;
         let live: Vec<bool> = (0..n).map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0).collect();
-        buf.advance(bitmap_len);
 
         let payload_len = n
             .checked_mul(dims * 8)
             .ok_or_else(|| StorageError::Corrupt("point payload overflow".into()))?;
-        need(&buf, payload_len, "points")?;
+        let image = buf.take(payload_len, "points")?;
         let mut points = Vec::with_capacity(n);
-        for slot in 0..n {
-            let coords: Vec<f64> = (0..dims).map(|_| buf.get_f64_le()).collect();
+        for (slot, row) in image.chunks_exact(dims * 8).enumerate() {
+            let (words, _) = row.as_chunks();
+            let coords: Vec<f64> = words.iter().map(|&w| f64::from_le_bytes(w)).collect();
             if coords.iter().any(|c| c.is_nan()) {
                 return Err(StorageError::Corrupt(format!("NaN in slot {slot}")));
             }
@@ -173,9 +179,9 @@ impl Table {
         }
         // The file image goes before the index build allocates its sort
         // buffers: from here on the heap is the only copy of the data.
-        drop(buf);
+        drop(raw);
 
-        Table::from_parts(points, live, TableConfig { page_capacity, cost_model })
+        Table::from_parts(points, live, TableConfig { cost_model })
     }
 }
 
@@ -250,25 +256,45 @@ mod tests {
         assert_eq!(loaded.dims(), t.dims());
     }
 
-    #[test]
-    fn oversized_slot_count_is_rejected_before_allocating() {
-        // Hand-build a header whose slot count claims more points than
-        // the file can possibly carry; load must fail in the validator,
-        // not inside an attempted huge allocation.
-        let mut data = Vec::new();
-        data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&VERSION.to_le_bytes());
-        data.extend_from_slice(&2u32.to_le_bytes()); // dims
-        data.extend_from_slice(&64u64.to_le_bytes()); // page_capacity
-        data.extend_from_slice(&[0u8; 32]); // cost model
-        data.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd slot count
+    /// Loads a hand-built file image — `data` plus its checksum — and
+    /// returns the error it must fail with.
+    fn load_image(name: &str, mut data: Vec<u8>) -> StorageError {
         let checksum = super::fnv1a(&data);
         data.extend_from_slice(&checksum.to_le_bytes());
-        let path = temp("oversize");
+        let path = temp(name);
         std::fs::write(&path, &data).unwrap();
         let err = Table::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        err
+    }
+
+    /// A header up to and including the slot count.
+    fn header(version: u32, slots: u64) -> Vec<u8> {
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&version.to_le_bytes());
+        data.extend_from_slice(&2u32.to_le_bytes()); // dims
+        data.extend_from_slice(&[0u8; 32]); // cost model
+        data.extend_from_slice(&slots.to_le_bytes());
+        data
+    }
+
+    #[test]
+    fn oversized_slot_count_is_rejected_before_allocating() {
+        // A slot count that claims more points than the file can possibly
+        // carry must fail in the validator, not inside an attempted huge
+        // allocation.
+        let err = load_image("oversize", header(VERSION, u64::MAX));
+        assert_eq!(err, StorageError::Corrupt("slot count exceeds payload".into()));
+    }
+
+    #[test]
+    fn version_1_file_is_rejected() {
+        // Version 1 carried a heap page size after `dims`; such a file is
+        // refused by its version field.
+        let mut data = header(1, 0);
+        data.splice(12..12, 128u64.to_le_bytes());
+        let err = load_image("v1", data);
+        assert_eq!(err, StorageError::Corrupt("unsupported version".into()));
     }
 
     #[test]
@@ -299,15 +325,9 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let path = temp("magic");
-        let mut data = b"NOPE".to_vec();
-        data.extend_from_slice(&[0u8; 64]);
-        let checksum = super::fnv1a(&data);
-        data.extend_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        let err = Table::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
+        let mut data = header(VERSION, 0);
+        data[..4].copy_from_slice(b"NOPE");
+        assert_eq!(load_image("magic", data), StorageError::Corrupt("bad magic".into()));
     }
 
     #[test]

@@ -22,18 +22,10 @@ const BATCH: usize = 32;
 pub type RowId = u32;
 
 /// Table construction knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TableConfig {
-    /// Points per heap page (affects page accounting only).
-    pub page_capacity: usize,
     /// I/O latency model used to simulate fetch times.
     pub cost_model: CostModel,
-}
-
-impl Default for TableConfig {
-    fn default() -> Self {
-        TableConfig { page_capacity: 128, cost_model: CostModel::default() }
-    }
 }
 
 /// Declarative description of one storage access: which regions to
@@ -95,7 +87,7 @@ pub struct FetchOutcome {
     pub simulated_latency: Duration,
 }
 
-/// A read-only table of points: paged heap plus one [`ColumnIndex`] per
+/// A read-only table of points: a heap of rows plus one [`ColumnIndex`] per
 /// dimension (the paper's "PostgreSQL with each dimension indexed by a
 /// standard B-tree").
 #[derive(Clone, Debug)]
@@ -136,9 +128,6 @@ impl Table {
         live: Vec<bool>,
         config: TableConfig,
     ) -> Result<Self> {
-        if config.page_capacity == 0 {
-            return Err(StorageError::InvalidPageCapacity);
-        }
         if points.len() != live.len() {
             return Err(StorageError::Corrupt("liveness bitmap length mismatch".into()));
         }
@@ -285,11 +274,6 @@ impl Table {
         Some(point)
     }
 
-    /// Heap page of a row.
-    pub fn page_of(&self, row: RowId) -> usize {
-        row as usize / self.config.page_capacity
-    }
-
     /// Executes a [`FetchPlan`] into a caller-provided [`FetchScratch`]
     /// — the table's zero-copy fetch kernel. The fetched rows are left
     /// in `scratch` ([`FetchScratch::rows`]) as a columnar block view;
@@ -317,8 +301,8 @@ impl Table {
     /// `range_queries_executed` counts the range queries the units are
     /// charged — per unit the cheapest set covering its regions, see
     /// `Table::run_unit` — their difference for non-empty regions is
-    /// `regions_coalesced`, `points_read` / `rows_matched` count the
-    /// **deduped** emitted rows, and `simulated_latency` is the
+    /// `regions_coalesced`, `points_read` counts the **deduped** emitted
+    /// rows, and `simulated_latency` is the
     /// [`CostModel`] charge for the summed unit stats.
     pub fn fetch_plan_into(&self, plan: &FetchPlan, scratch: &mut FetchScratch) -> FetchOutcome {
         scratch.begin(self.dims);
@@ -344,8 +328,7 @@ impl Table {
             stats += self.run_unit(&plan.regions, view, unit, out, seen.as_deref_mut(), charge);
         }
         let simulated_latency = self.config.cost_model.fetch_latency(&stats);
-        stats.rows_matched = out.len() as u64;
-        stats.points_read = stats.rows_matched;
+        stats.points_read = out.len() as u64;
         FetchOutcome { stats, simulated_latency }
     }
 
@@ -387,8 +370,8 @@ impl Table {
     /// Executes one unit, appending matching rows to `out` — skipping
     /// rows an earlier unit already emitted when `seen` is given — and
     /// returning the unit's stats (planning stats of its member regions
-    /// plus the heap work, which dedup does not reduce; `points_read` /
-    /// `rows_matched` are set by the caller from the emitted rows).
+    /// plus the heap work, which dedup does not reduce; `points_read` is
+    /// set by the caller from the emitted rows).
     ///
     /// An indexed unit is one *walk* over its (merged) slice of the chosen
     /// dimension's index. The walk itself reads no heap row: each
@@ -439,8 +422,8 @@ impl Table {
         match unit.state {
             RegionState::Empty => stats,
             RegionState::FullScan => {
-                // Sequential scan of the heap (dead slots are still paged
-                // in, hence still charged).
+                // Sequential scan of the heap (dead slots are still read,
+                // hence still charged).
                 stats.range_queries_executed += 1;
                 stats.heap_fetches += self.points.len() as u64;
                 for (row, point) in self.points.iter().enumerate() {
@@ -650,24 +633,6 @@ impl Table {
             (best_count, best_count)
         }
     }
-
-    /// Distinct heap pages touched by a set of fetched row ids (the
-    /// derived `fetch.pages_touched` metric, fed from [`FetchBuf::ids`];
-    /// needs the table's page geometry, so it lives here rather than on
-    /// [`FetchOutcome`]).
-    ///
-    /// Runs on every recorded fetch, over every fetched id: one bit per
-    /// page up to the highest one touched, set and counted — no ordered
-    /// set, one allocation.
-    pub fn pages_touched_ids(&self, ids: &[RowId]) -> u64 {
-        let Some(&top) = ids.iter().max() else { return 0 };
-        let mut touched = vec![0u64; self.page_of(top) / 64 + 1];
-        for &id in ids {
-            let page = self.page_of(id);
-            touched[page / 64] |= 1 << (page % 64);
-        }
-        touched.iter().map(|word| u64::from(word.count_ones())).sum()
-    }
 }
 
 /// A borrowed table, for holders that copy it on their first write.
@@ -735,11 +700,6 @@ mod tests {
             Table::build(bad, TableConfig::default()).unwrap_err(),
             StorageError::DimensionMismatch { expected: 2, actual: 1 }
         ));
-        let cfg = TableConfig { page_capacity: 0, ..Default::default() };
-        assert_eq!(
-            Table::build(vec![Point::from(vec![0.0])], cfg).unwrap_err(),
-            StorageError::InvalidPageCapacity
-        );
     }
 
     #[test]
@@ -749,7 +709,6 @@ mod tests {
         let res = fetch_c(&t, &c);
         assert_eq!(res.rows.len(), 9);
         assert!(res.rows.iter().all(|r| c.satisfies(&r.1)));
-        assert_eq!(res.stats.rows_matched, 9);
         // Both dimensions are moderately selective (30 candidates each,
         // ~9 estimated matches): the planner picks a bitmap AND, so only
         // the matching rows hit the heap while both index ranges are
@@ -832,25 +791,7 @@ mod tests {
         assert_eq!(res.rows.len(), 8);
         assert_eq!(res.stats.range_queries_issued, 2);
         assert_eq!(res.stats.range_queries_executed, 2);
-        assert_eq!(res.stats.rows_matched, 8);
-    }
-
-    #[test]
-    fn pages_touched_counts_distinct_pages() {
-        let cfg = TableConfig { page_capacity: 10, ..Default::default() };
-        let points: Vec<Point> = (0..10)
-            .flat_map(|i| (0..10).map(move |j| Point::from(vec![i as f64, j as f64])))
-            .collect();
-        let t = Table::build(points, cfg).unwrap();
-        // Rows 0..100 land on pages 0..10; one grid column i spans rows
-        // 10i..10i+10, i.e. exactly one page.
-        let c = Constraints::from_pairs(&[(3.0, 3.0), (0.0, 9.0)]).unwrap();
-        let res = fetch_c(&t, &c);
-        let ids = |rows: &[(RowId, Point)]| rows.iter().map(|r| r.0).collect::<Vec<RowId>>();
-        assert_eq!(t.pages_touched_ids(&ids(&res.rows)), 1);
-        let all = fetch_c(&t, &Constraints::unbounded(2).unwrap());
-        assert_eq!(t.pages_touched_ids(&ids(&all.rows)), 10);
-        assert_eq!(t.pages_touched_ids(&[]), 0);
+        assert_eq!(res.stats.points_read, 8);
     }
 
     #[test]
@@ -1056,15 +997,5 @@ mod tests {
         assert_eq!(checked_row(RowId::MAX as usize - 1), Ok(RowId::MAX - 1));
         assert_eq!(checked_row(RowId::MAX as usize), Err(StorageError::TooManyRows));
         assert_eq!(checked_row(usize::MAX), Err(StorageError::TooManyRows));
-    }
-
-    #[test]
-    fn page_accounting() {
-        let cfg = TableConfig { page_capacity: 7, ..Default::default() };
-        let t = Table::build((0..20).map(|i| Point::from(vec![i as f64])).collect(), cfg).unwrap();
-        assert_eq!(t.page_of(0), 0);
-        assert_eq!(t.page_of(6), 0);
-        assert_eq!(t.page_of(7), 1);
-        assert_eq!(t.page_of(19), 2);
     }
 }

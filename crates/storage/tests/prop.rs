@@ -105,9 +105,8 @@ proptest! {
 
         // Accounting invariants.
         let s = &result.stats;
-        prop_assert_eq!(s.rows_matched as usize, fetched);
-        prop_assert_eq!(s.points_read, s.rows_matched);
-        prop_assert!(s.heap_fetches >= s.rows_matched);
+        prop_assert_eq!(s.points_read as usize, fetched);
+        prop_assert!(s.heap_fetches >= s.points_read);
         prop_assert_eq!(s.range_queries_issued, 1);
         prop_assert_eq!(s.range_queries_executed + s.range_queries_empty, 1);
         if s.range_queries_empty == 1 {

@@ -9,7 +9,7 @@ use skycache::geom::Constraints;
 use skycache::storage::{Table, TableConfig};
 
 fn main() {
-    // 100k independent 3-D points in [0,1]^3, stored in the paged table
+    // 100k independent 3-D points in [0,1]^3, stored in a table of rows
     // with one index per dimension (the paper's PostgreSQL stand-in).
     println!("building table (100k points, 3 dimensions)...");
     let points = SyntheticGen::new(Distribution::Independent, 3, 42).generate(100_000);

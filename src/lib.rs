@@ -8,7 +8,7 @@
 //!
 //! * [`geom`] — points, boxes, dominance, region algebra;
 //! * [`datagen`] — synthetic datasets and query workloads;
-//! * [`storage`] — paged point store with per-dimension indexes and an I/O
+//! * [`storage`] — row store with per-dimension indexes and an I/O
 //!   cost model (the "PostgreSQL + B-trees" substrate of the paper);
 //! * [`rtree`] — an R\*-tree (the "libspatialindex" substrate);
 //! * [`algos`] — skyline algorithms: SFS and BBS;

@@ -21,7 +21,7 @@ pub fn twin_grid_table(dims: usize, n: usize, seed: u64) -> Table {
             Point::from((0..dims).map(|_| f64::from(rng.gen_range(0..GRID))).collect::<Vec<_>>());
         points.extend([p.clone(), p]);
     }
-    let config = TableConfig { cost_model: CostModel::free(), ..Default::default() };
+    let config = TableConfig { cost_model: CostModel::free() };
     Table::build(points, config).expect("grid points are valid")
 }
 

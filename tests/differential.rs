@@ -31,7 +31,7 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
 
 fn table_for(dist: Distribution, dims: usize, n: usize, seed: u64) -> Table {
     let points = SyntheticGen::new(dist, dims, seed).generate(n);
-    let config = TableConfig { cost_model: CostModel::free(), ..Default::default() };
+    let config = TableConfig { cost_model: CostModel::free() };
     Table::build(points, config).unwrap()
 }
 

@@ -17,7 +17,7 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
 
 fn table_3d(n: usize, seed: u64) -> Table {
     let points = SyntheticGen::new(Distribution::Independent, 3, seed).generate(n);
-    let config = TableConfig { cost_model: CostModel::free(), ..Default::default() };
+    let config = TableConfig { cost_model: CostModel::free() };
     Table::build(points, config).unwrap()
 }
 
@@ -63,9 +63,7 @@ fn dynamic_executor_matches_recomputation_under_churn() {
         // The cached answer must equal recomputing from the live data.
         let got = sorted(service.session().execute(&QueryRequest::new(c.clone())).unwrap().skyline);
         let live: Vec<Point> = service.table().live_points().map(|(_, p)| p.clone()).collect();
-        let fresh =
-            Table::build(live, TableConfig { cost_model: CostModel::free(), ..Default::default() })
-                .unwrap();
+        let fresh = Table::build(live, TableConfig { cost_model: CostModel::free() }).unwrap();
         let want = sorted(
             BaselineExecutor::new(&fresh).execute(&QueryRequest::new(c.clone())).unwrap().skyline,
         );
@@ -117,9 +115,7 @@ fn delete_of_skyline_point_invalidates_only_affected_items() {
     // Re-querying region 1 is correct (recomputed, then re-cached).
     let got = sorted(service.session().execute(&QueryRequest::new(c1.clone())).unwrap().skyline);
     let live: Vec<Point> = service.table().live_points().map(|(_, p)| p.clone()).collect();
-    let fresh =
-        Table::build(live, TableConfig { cost_model: CostModel::free(), ..Default::default() })
-            .unwrap();
+    let fresh = Table::build(live, TableConfig { cost_model: CostModel::free() }).unwrap();
     let want = sorted(
         BaselineExecutor::new(&fresh).execute(&QueryRequest::new(c1.clone())).unwrap().skyline,
     );

@@ -59,7 +59,7 @@ fn run_line(
         writeln!(
             out,
             "{name} coalesce={coalesce} regions={} rows={} ids={:016x} issued={} executed={} \
-             empty={} points_read={} heap_fetches={} rows_matched={} index_probes={} \
+             empty={} points_read={} heap_fetches={} index_probes={} \
              index_entries={} coalesced={} sim_ns={}",
             regions.len(),
             ids.len(),
@@ -69,7 +69,6 @@ fn run_line(
             s.range_queries_empty,
             s.points_read,
             s.heap_fetches,
-            s.rows_matched,
             s.index_probes,
             s.index_entries_scanned,
             s.regions_coalesced,

@@ -9,7 +9,7 @@
 //! 2. **The report is a rendering.** Every name in `obs::names` shows one
 //!    `QueryStats` field, on every executor, and the report's fetch phase
 //!    is the one place measured and simulated time are summed.
-//! 3. **The report format is frozen.** `skyobs-report/5` JSON is pinned
+//! 3. **The report format is frozen.** `skyobs-report/6` JSON is pinned
 //!    byte-for-byte by a golden file; any change to the rendering is a
 //!    schema change and must bump the version tag.
 
@@ -29,7 +29,7 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
 
 fn table_for(dims: usize, n: usize, seed: u64) -> Table {
     let points = SyntheticGen::new(Distribution::Independent, dims, seed).generate(n);
-    let config = TableConfig { cost_model: CostModel::free(), ..Default::default() };
+    let config = TableConfig { cost_model: CostModel::free() };
     Table::build(points, config).unwrap()
 }
 
@@ -44,10 +44,9 @@ fn interactive(table: &Table, n: usize, seed: u64) -> Vec<Constraints> {
 }
 
 /// Every deterministic field of [`QueryStats`]: all of it except the
-/// measured phase times and `pages_touched`, which is derived for
-/// recorded requests only.
+/// measured phase times.
 fn deterministic(stats: &QueryStats) -> String {
-    format!("{:?}", QueryStats { phase_ns: [0; Phase::COUNT], pages_touched: 0, ..stats.clone() })
+    format!("{:?}", QueryStats { phase_ns: [0; Phase::COUNT], ..stats.clone() })
 }
 
 #[test]
@@ -97,13 +96,12 @@ type Field = fn(&QueryStats) -> u64;
 
 /// One row per constant of `obs::names`: the name and the [`QueryStats`]
 /// field it renders.
-const COUNTERS: [(&str, Field); 25] = [
+const COUNTERS: [(&str, Field); 22] = [
     (names::CACHE_HITS, |s| u64::from(s.cache_hit)),
     (names::CACHE_MISSES, |s| u64::from(s.cache_miss)),
     (names::CACHE_EVICTIONS, |s| s.evictions),
     (names::CACHE_INSERTIONS, |s| s.insertions),
     (names::CACHE_CANDIDATES, |s| s.candidates as u64),
-    (names::CACHE_OVERLAP_SCANS, |s| s.overlap_scans),
     (names::CACHE_RETAINED_POINTS, |s| s.retained_points),
     (names::CACHE_REMOVED_POINTS, |s| s.removed_points),
     (names::FETCH_REGIONS, |s| s.range_queries_issued),
@@ -111,10 +109,8 @@ const COUNTERS: [(&str, Field); 25] = [
     (names::FETCH_RQ_EMPTY, |s| s.range_queries_empty),
     (names::FETCH_POINTS_READ, |s| s.points_read),
     (names::FETCH_HEAP_FETCHES, |s| s.heap_fetches),
-    (names::FETCH_ROWS_MATCHED, |s| s.rows_matched),
     (names::FETCH_INDEX_PROBES, |s| s.index_probes),
     (names::FETCH_INDEX_ENTRIES, |s| s.index_entries_scanned),
-    (names::FETCH_PAGES_TOUCHED, |s| s.pages_touched),
     (names::FETCH_REGIONS_COALESCED, |s| s.regions_coalesced),
     (names::FETCH_SIM_NS, |s| s.fetch_sim_ns),
     (names::MPR_REGIONS, |s| s.mpr_regions),
@@ -214,7 +210,7 @@ fn sorted_names(mut v: Vec<&str>) -> Vec<&str> {
     v
 }
 
-/// Pins the `skyobs-report/5` rendering byte-for-byte. Regenerate the
+/// Pins the `skyobs-report/6` rendering byte-for-byte. Regenerate the
 /// golden file with `UPDATE_GOLDEN=1 cargo test --test observability`
 /// after a deliberate schema bump.
 #[test]
@@ -226,10 +222,8 @@ fn report_json_matches_golden_file() {
         range_queries_executed: 2,
         range_queries_empty: 1,
         regions_coalesced: 1,
-        rows_matched: 420,
         index_probes: 9,
         index_entries_scanned: 2_048,
-        pages_touched: 37,
         dominance_tests: 1_337,
         phase_ns: [1_200, 800, 15_000, 300_000, 4_000, 90_000],
         fetch_sim_ns: 2_200_000,
@@ -237,7 +231,6 @@ fn report_json_matches_golden_file() {
         cache_miss: false,
         case: Some(Overlap::GeneralStable),
         candidates: 7,
-        overlap_scans: 11,
         retained_points: 12,
         removed_points: 5,
         mpr_regions: 3,
@@ -258,7 +251,7 @@ fn report_json_matches_golden_file() {
     let want = std::fs::read_to_string(path).expect("golden file exists");
     assert_eq!(
         got, want,
-        "skyobs-report/5 bytes changed; if deliberate, bump REPORT_SCHEMA \
+        "skyobs-report/6 bytes changed; if deliberate, bump REPORT_SCHEMA \
          and regenerate with UPDATE_GOLDEN=1"
     );
 }

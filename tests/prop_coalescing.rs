@@ -36,8 +36,7 @@ fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
 }
 
 fn build_with(points: Vec<Point>, cost_model: CostModel) -> Table {
-    Table::build(points, TableConfig { cost_model, ..Default::default() })
-        .expect("generated data is valid")
+    Table::build(points, TableConfig { cost_model }).expect("generated data is valid")
 }
 
 fn build(points: Vec<Point>) -> Table {

@@ -69,7 +69,7 @@ proptest! {
     ) {
         let table = Table::build(
             points.clone(),
-            TableConfig { cost_model: CostModel::free(), ..Default::default() },
+            TableConfig { cost_model: CostModel::free() },
         ).unwrap();
         let mode = if exact { MprMode::Exact } else { MprMode::Approximate { k } };
         let config = CbcsConfig { mpr: mode, ..Default::default() };

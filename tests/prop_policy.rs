@@ -85,7 +85,7 @@ fn policy() -> impl Strategy<Value = ReplacementPolicy> {
 }
 
 fn build(points: Vec<Point>) -> Table {
-    Table::build(points, TableConfig { cost_model: CostModel::free(), ..Default::default() })
+    Table::build(points, TableConfig { cost_model: CostModel::free() })
         .expect("generated data is valid")
 }
 
