@@ -244,10 +244,10 @@ fn predicting_a_plan_allocates_nothing() {
 }
 
 /// The lookup itself — `Cache::lookup_into` with a reused scratch ids
-/// vector — must be allocation-free in steady state: the cache-wide
-/// bound check, the R*-tree walk, and the cover-order sort all run
-/// without touching the allocator once the scratch vector has grown to
-/// its working capacity. A single stray `Vec`/`format!` in that path
+/// vector — must be allocation-free in steady state: the exact probe,
+/// the R*-tree window walk with its MBR filter, and the cover-order sort
+/// all run without touching the allocator once the scratch vector has
+/// grown to its working capacity. A single stray `Vec`/`format!` in that path
 /// costs ≥ 1 alloc per lookup and trips the near-zero ceiling at once.
 #[test]
 fn warm_cache_lookup_is_allocation_free() {

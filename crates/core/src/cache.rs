@@ -1,14 +1,17 @@
 //! The in-memory constrained-skyline cache (paper Section 6 / Def. 3).
 //!
-//! Each cache item is the 3-tuple `⟨Sky(S,C), MBR, C⟩`. Items are indexed
-//! by an R\*-tree over the skylines' minimum bounding rectangles; a lookup
-//! for new constraints `C′` returns every item with `R_C′ ∩ MBR ≠ ∅`.
-//! (For an item whose skyline is *empty*, the MBR is undefined; we index
-//! such items by their constraint region instead so the knowledge "this
-//! region is empty" stays discoverable — a strict improvement documented
-//! in DESIGN.md.) A `C′` the cache has seen before is the exception: the
-//! item cached under it answers alone, found without the MBR search, and
-//! keeps the text of its skyline for the reply (DESIGN.md §17.5).
+//! Each cache item is the 3-tuple `⟨Sky(S,C), MBR, C⟩`, and a lookup for
+//! new constraints `C′` returns every item with `R_C′ ∩ MBR ≠ ∅`. Items
+//! sit once in one R\*-tree, under their constraint regions: a skyline
+//! lies inside its constraints, so the tree's window search over `R_C′`
+//! finds a superset of those items, and the MBR test filters it. (For an
+//! item whose skyline is *empty*, the MBR is undefined; such an item is
+//! tested by its constraint region instead so the knowledge "this region
+//! is empty" stays discoverable — a strict improvement documented in
+//! DESIGN.md.) A `C′` the cache has seen before is the exception: the
+//! item cached under it answers alone, found by one containment descent
+//! of the same tree, and keeps the text of its skyline for the reply
+//! (DESIGN.md §17.5).
 //!
 //! Replacement (Section 6.2): insertion and use counters on the items
 //! support LRU (least recently used) and LCU (least commonly used)
@@ -17,8 +20,9 @@
 //! per-eviction scan.
 
 // BTreeMap/BTreeSet, not HashMap/HashSet: eviction order and the order
-// of cache reindexing feed back into query planning, and iteration
-// order must not depend on a randomized hasher (determinism lint).
+// of dynamic-data maintenance feed back into query planning, and
+// iteration order must not depend on a randomized hasher (determinism
+// lint).
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -138,34 +142,33 @@ pub enum ReplacementPolicy {
 /// themselves land in the caller's scratch vector.
 #[derive(Clone, Copy, Debug)]
 pub struct LookupStats {
-    /// Cached items individually tested for overlap (1 when an item
-    /// cached under the very constraints answered the lookup alone, 0
-    /// when the cache-wide bounding box proved the lookup empty).
+    /// Candidates the lookup ranked: the items whose index box meets the
+    /// query region (1 when an item cached under the very constraints
+    /// answered the lookup alone, 0 when no index box meets the query).
     pub scans: u64,
 }
 
-/// The cache: items plus an R\*-tree over their index boxes.
+/// The cache: items plus one R\*-tree over their constraint regions.
 ///
 /// `Clone` is deliberate: the multi-tenant [`crate::SharedCache`]
 /// publishes immutable epoch snapshots by cloning the write-side master.
 /// A clone is a fully independent, internally consistent cache state
 /// that *shares* everything immutable with its source: items (and their
-/// skyline blocks) sit behind `Arc` and both R\*-trees are persistent,
-/// so cloning copies one pointer per item plus the victim index —
-/// no points, no boxes, no tree nodes. Every mutation un-shares just
-/// what it changes (`Arc::make_mut`), so neither copy can observe the
-/// other's writes.
+/// skyline blocks) sit behind `Arc` and the R\*-tree is persistent, so
+/// cloning copies one pointer per item, one root pointer and the victim
+/// index — no points, no boxes, no tree nodes. Every mutation un-shares
+/// just what it changes (`Arc::make_mut`), so neither copy can observe
+/// the other's writes.
 #[derive(Clone, Debug)]
 pub struct Cache {
     items: BTreeMap<u64, Arc<CacheItem>>,
+    /// The items' ids, each once, under its *constraint* region (the
+    /// closed cover of a possibly-open box). A skyline change leaves an
+    /// item where it is. Lookups walk it ([`Cache::lookup_into`]);
+    /// dynamic-data maintenance probes it with the inserted point instead
+    /// of scanning every item, and re-filters with the exact
+    /// [`Constraints::satisfies`] test, so open boundaries stay correct.
     index: RStarTree<u64>,
-    /// Second R\*-tree, over the items' *constraint* regions (closed
-    /// covers of possibly-open boxes). Dynamic-data maintenance probes it
-    /// with the inserted point instead of scanning every item; candidates
-    /// are re-filtered with the exact [`Constraints::satisfies`] test, so
-    /// open boundaries stay correct. Every lookup asks it first for an
-    /// item under the query's own constraints ([`Cache::lookup_into`]).
-    constraint_index: RStarTree<u64>,
     /// Ordered victim index: one `(rank, inserted_at, id)` key per item,
     /// maintained incrementally on insert/touch/remove so eviction pops
     /// the smallest key in `O(log n)` instead of scanning every item.
@@ -175,10 +178,6 @@ pub struct Cache {
     capacity: Option<usize>,
     policy: ReplacementPolicy,
     dims: usize,
-    /// Union of every item's index box, maintained incrementally on
-    /// insert and refreshed exactly on removal/reindex — lets lookups
-    /// for regions outside everything cached skip the R\*-tree walk.
-    bound: Option<Aabb>,
     /// Items evicted by the replacement policy since construction.
     evictions: u64,
     /// Items individually examined by dynamic-data maintenance
@@ -202,14 +201,12 @@ impl Cache {
         Cache {
             items: BTreeMap::new(),
             index: RStarTree::new(dims),
-            constraint_index: RStarTree::new(dims),
             victims: BTreeSet::new(),
             clock: 0,
             next_id: 0,
             capacity,
             policy,
             dims,
-            bound: None,
             evictions: 0,
             maintenance_scans: 0,
         }
@@ -230,12 +227,6 @@ impl Cache {
         self.dims
     }
 
-    /// The box an item is indexed under: the skyline MBR, or the
-    /// constraint region for empty skylines.
-    fn index_box(constraints: &Constraints, mbr: &Option<Aabb>) -> Aabb {
-        mbr.clone().unwrap_or_else(|| constraints.aabb().clone())
-    }
-
     /// Inserts a result, evicting if over capacity; the new item is
     /// never the one evicted. Returns the item id.
     ///
@@ -253,13 +244,7 @@ impl Cache {
         for point in skyline {
             block.push(point);
         }
-        let key = Self::index_box(&constraints, &mbr);
-        match &mut self.bound {
-            Some(b) => b.merge(&key),
-            None => self.bound = Some(key.clone()),
-        }
-        self.index.insert(key, id);
-        self.constraint_index.insert(constraints.aabb().clone(), id);
+        self.index.insert(constraints.aabb().clone(), id);
         let item = CacheItem {
             id,
             constraints,
@@ -321,12 +306,8 @@ impl Cache {
         let item = self.items.remove(&id)?;
         let dropped = self.victims.remove(&victim_key(self.policy, &item));
         debug_assert!(dropped, "victim index out of sync with items");
-        let key = Self::index_box(&item.constraints, &item.mbr);
-        let removed = self.index.remove(&key, |&v| v == id);
+        let removed = self.index.remove(item.constraints.aabb(), |&v| v == id);
         debug_assert!(removed.is_some(), "index out of sync with items");
-        let removed = self.constraint_index.remove(item.constraints.aabb(), |&v| v == id);
-        debug_assert!(removed.is_some(), "constraint index out of sync with items");
-        self.bound = self.index.mbr();
         Some(item)
     }
 
@@ -339,27 +320,26 @@ impl Cache {
     /// numerically equal to `new` (`-0.0 == 0.0` — the equality
     /// [`crate::classify`] reports as [`crate::Overlap::Exact`]), `ids`
     /// is that item's id alone, the lowest among duplicates; otherwise
-    /// `ids` is every item whose index box intersects the query region
-    /// (the paper's `R_C′ ∩ MBR ≠ ∅`), *cover-ordered*: descending
+    /// `ids` is every item whose index box — its skyline's MBR, or its
+    /// constraint region when the skyline is empty — intersects the query
+    /// region (the paper's `R_C′ ∩ MBR ≠ ∅`), *cover-ordered*: descending
     /// overlap area between index box and query region, ties by
     /// ascending id. Returns the work accounting.
     ///
     /// An exact item answers with zero fetch under every search
     /// strategy, so nothing else is worth finding once it is: the probe
-    /// is one containment descent of the constraint R\*-tree
-    /// ([`RStarTree::for_each_equal`]), and the MBR walk, the ranking
-    /// and the sort never run. Before either, the query region is tested
-    /// against the cache-wide bounding box, so a query disjoint from
-    /// everything cached — it can have no exact item either, an item's
-    /// index box lies inside its constraints — is answered in `O(d)`
-    /// with zero per-item scans.
+    /// is one containment descent of the R\*-tree
+    /// ([`RStarTree::for_each_equal`]), and the window walk, the ranking
+    /// and the sort never run.
     ///
-    /// On the slow path each candidate is ranked once, while the
-    /// R\*-tree visitor hands over its index box, and the sort compares
-    /// the decorated entries without going back to the cache. The
-    /// decoration lives in `ids` itself — two words `[area bits, id]`
-    /// per candidate until the sorted ids are compacted to the front —
-    /// so the caller's scratch vector is still the only storage used.
+    /// Otherwise the walk visits every item whose constraint region meets
+    /// the query — an index box lies inside its item's constraints, so no
+    /// candidate is missed — and keeps those whose index box meets it
+    /// too, ranking each once as it is kept; the sort compares the
+    /// decorated entries without going back to the cache. The decoration
+    /// lives in `ids` itself — two words `[area bits, id]` per candidate
+    /// until the sorted ids are compacted to the front — so the caller's
+    /// scratch vector is still the only storage used.
     ///
     /// Allocation-free in steady state: both tree walks are recursive
     /// visitors and the sort is in-place, so a warm `ids` vector (two
@@ -371,17 +351,18 @@ impl Cache {
         assert_eq!(new.dims(), self.dims, "constraints dimensionality mismatch");
         ids.clear();
         let query = new.aabb();
-        if !self.bound.as_ref().is_some_and(|b| b.intersects(query)) {
-            return LookupStats { scans: 0 };
-        }
         if let Some(id) = self.exact_id(query) {
             // skylint: allow(hot-path-alloc) — one id into the caller's reused scratch vector; steady state reuses its capacity.
             ids.push(id);
             return LookupStats { scans: 1 };
         }
-        self.index.for_each_in(query, |index_box, &id| {
-            // skylint: allow(hot-path-alloc) — appends into the caller's reused scratch vector; steady state reuses its capacity.
-            ids.extend([index_box.overlap_area(query).to_bits(), id]);
+        self.index.for_each_in(query, |_, id| {
+            let Some(item) = self.items.get(id) else { return };
+            let index_box = item.mbr.as_ref().unwrap_or_else(|| item.constraints.aabb());
+            if index_box.intersects(query) {
+                // skylint: allow(hot-path-alloc) — appends into the caller's reused scratch vector; steady state reuses its capacity.
+                ids.extend([index_box.overlap_area(query).to_bits(), *id]);
+            }
         });
         let (ranked, _) = ids.as_chunks_mut::<2>();
         // Unstable sort: allocation-free, and the ascending-id tiebreak
@@ -399,12 +380,10 @@ impl Cache {
     }
 
     /// The lowest id cached under constraints whose box equals `query`
-    /// numerically, if any: one containment descent of the constraint
-    /// R\*-tree every insert, eviction and publish already maintains.
+    /// numerically, if any: one containment descent of the R\*-tree.
     fn exact_id(&self, query: &Aabb) -> Option<u64> {
         let mut found: Option<u64> = None;
-        self.constraint_index
-            .for_each_equal(query, |&id| found = Some(found.map_or(id, |low| low.min(id))));
+        self.index.for_each_equal(query, |&id| found = Some(found.map_or(id, |low| low.min(id))));
         found
     }
 
@@ -415,9 +394,9 @@ impl Cache {
     }
 
     /// Items individually examined by dynamic-data maintenance since
-    /// construction. With the constraint R\*-tree this grows with the
-    /// number of items whose regions actually contain the inserted points,
-    /// not with cache size.
+    /// construction. With the R\*-tree over constraint regions this grows
+    /// with the number of items whose regions actually contain the
+    /// inserted points, not with cache size.
     pub fn maintenance_scans(&self) -> u64 {
         self.maintenance_scans
     }
@@ -444,36 +423,19 @@ impl Cache {
         self.items.values().map(Arc::as_ref)
     }
 
-    /// Re-derives an item's MBR and index entry after its skyline changed.
-    fn reindex(&mut self, id: u64) {
-        let Some(item) = self.items.get_mut(&id) else { return };
-        let old_key = Self::index_box(&item.constraints, &item.mbr);
-        let new_mbr = Aabb::bounding_rows(item.skyline.rows());
-        if new_mbr == item.mbr {
-            return;
-        }
-        let item = Arc::make_mut(item);
-        item.mbr = new_mbr;
-        let new_key = Self::index_box(&item.constraints, &item.mbr);
-        let removed = self.index.remove(&old_key, |&v| v == id);
-        debug_assert!(removed.is_some(), "index out of sync with items");
-        self.index.insert(new_key, id);
-        self.bound = self.index.mbr();
-    }
-
     /// Dynamic-data maintenance (paper Section 6.2, "each cache item as a
     /// separate dataset with a continuous skyline query"): integrates a
     /// newly inserted data point into every cached result whose
     /// constraints it satisfies. Returns the number of items updated.
     pub fn on_insert(&mut self, p: &Point) -> usize {
         assert_eq!(p.dims(), self.dims, "point dimensionality mismatch");
-        // Probe the constraint R*-tree with the point instead of scanning
-        // every item: only items whose constraint region (closed cover)
-        // contains p are examined. The exact `satisfies` re-filter keeps
-        // open-boundary semantics; ids are sorted so updates run in the
-        // same ascending-id order as the old full scan.
-        let mut affected: Vec<u64> =
-            self.constraint_index.search(&Aabb::from_point(p)).into_iter().copied().collect();
+        // Probe the R*-tree with the point instead of scanning every item:
+        // only items whose constraint region (closed cover) contains p are
+        // examined. The exact `satisfies` re-filter keeps open-boundary
+        // semantics; ids are sorted so updates run in the same
+        // ascending-id order as the old full scan.
+        let mut affected = Vec::new();
+        self.index.for_each_in(&Aabb::from_point(p), |_, &id| affected.push(id));
         self.maintenance_scans += affected.len() as u64;
         affected.sort_unstable();
         affected.retain(|id| self.items.get(id).is_some_and(|item| item.constraints.satisfies(p)));
@@ -485,11 +447,13 @@ impl Cache {
             }
             // p enters the skyline; points it dominates leave — in this
             // cache's own copy of the item and its block, never in one a
-            // clone still shares.
-            let skyline = Arc::make_mut(item).skyline_mut();
+            // clone still shares. The item stays where it is in the index,
+            // under its constraints; only its MBR follows the skyline.
+            let item = Arc::make_mut(item);
+            let skyline = item.skyline_mut();
             skyline.retain_rows(|s| !dominates_rows(p.coords(), s));
             skyline.push(p);
-            self.reindex(id);
+            item.mbr = Aabb::bounding_rows(item.skyline.rows());
             updated += 1;
         }
         updated
@@ -644,7 +608,7 @@ mod tests {
         assert_eq!(updated, 1);
         assert_eq!(cache.get(a).unwrap().skyline.to_points(), vec![p(&[0.2, 0.2])]);
         assert_eq!(cache.get(b).unwrap().skyline.to_points(), vec![p(&[2.5, 2.5])]);
-        // The MBR index moved with the skyline.
+        // The lookup follows the skyline's new MBR.
         let (hits, _) = lookup(&cache, &c(&[(0.1, 0.3), (0.1, 0.3)]));
         assert!(hits.contains(&a));
 
@@ -717,7 +681,7 @@ mod tests {
     #[test]
     fn lookup_short_circuits_disjoint_queries() {
         let mut cache = Cache::new(2);
-        // Empty cache: trivially short-circuited.
+        // Empty cache: nothing to visit.
         let (ids, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
         assert_eq!(stats.scans, 0);
         assert!(ids.is_empty());
@@ -725,37 +689,22 @@ mod tests {
         cache.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.2, 0.8]), p(&[0.6, 0.3])]);
         cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]);
 
-        // Disjoint from the union of index boxes: answered from the
-        // cache-wide bound, zero per-item scans.
+        // Disjoint from every constraint region: the R*-tree walk visits
+        // no item, zero candidates ranked.
         let (ids, miss) = lookup(&cache, &c(&[(8.0, 9.0), (8.0, 9.0)]));
         assert_eq!(miss.scans, 0);
         assert!(ids.is_empty());
 
-        // Overlapping: the R*-tree walk scans candidates.
+        // Inside a constraint region but disjoint from its skyline's MBR:
+        // the item is visited and filtered out, still zero ranked.
+        let (ids, miss) = lookup(&cache, &c(&[(0.9, 1.0), (0.9, 1.0)]));
+        assert_eq!(miss.scans, 0);
+        assert!(ids.is_empty());
+
+        // Overlapping: the walk ranks the candidates.
         let (ids, hit) = lookup(&cache, &c(&[(0.5, 0.9), (0.1, 0.4)]));
         assert_eq!(ids.len(), 1);
         assert!(hit.scans >= 1);
-    }
-
-    #[test]
-    fn bound_tracks_inserts_and_removals() {
-        let mut cache = Cache::new(1);
-        assert!(cache.bound.is_none());
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        let b = cache.insert(c(&[(5.0, 6.0)]), &[p(&[5.5])]);
-        let both = cache.bound.clone().unwrap();
-        assert!(both.contains_point(&p(&[0.5])));
-        assert!(both.contains_point(&p(&[5.5])));
-
-        // Removal refreshes the bound exactly (no stale union).
-        cache.remove(b).unwrap();
-        let shrunk = cache.bound.clone().unwrap();
-        assert!(shrunk.contains_point(&p(&[0.5])));
-        assert!(!shrunk.contains_point(&p(&[5.5])));
-        assert_eq!(lookup(&cache, &c(&[(5.0, 6.0)])).1.scans, 0);
-
-        cache.remove(a).unwrap();
-        assert!(cache.bound.is_none());
     }
 
     #[test]

@@ -618,9 +618,9 @@ const CORNER_CANDIDATES: usize = 8;
 impl QueryScratch {
     /// The fetch stage of every computed answer, miss or hit: reads
     /// `regions` — the part of `R_C′` the cache leaves unknown, all of it
-    /// on a miss — with a *coalescing* plan (overlapping or abutting index
-    /// ranges merge into one range query; rows are deduplicated across
-    /// regions), merges the rows with the `retained` ones (flat rows) and
+    /// on a miss — with one plan (overlapping or abutting index ranges
+    /// merge into one range query where that is cheaper; rows are
+    /// deduplicated across regions), merges the rows with the `retained` ones (flat rows) and
     /// runs the skyline kernel over them. Where the cost model predicts it
     /// pays, the corner-first step reads the lower corner of `R_C′` first
     /// ([`QueryScratch::corner_first`]).
@@ -634,7 +634,7 @@ impl QueryScratch {
     ) -> Vec<Point> {
         let dims = table.dims();
         let regions = self.corner_first(table, c, regions, stats);
-        fetch_into(table, &FetchPlan::remainder(regions), &mut self.fetch, stats);
+        fetch_into(table, &FetchPlan::new(regions), &mut self.fetch, stats);
 
         let t0 = Stopwatch::start();
         let corner = if self.corner.taken { self.corner.fetch.rows().coords() } else { &[] };

@@ -17,8 +17,9 @@
 //!   preprocessing for unstable cache items), plus the approximate MPR
 //!   that prunes with only the `k` nearest cached skyline points;
 //! * [`cache`] — the in-memory constrained-skyline cache of Section 6:
-//!   items `⟨Sky(S,C), MBR, C⟩` indexed by an R\*-tree over their MBRs,
-//!   with LRU/LCU replacement;
+//!   items `⟨Sky(S,C), MBR, C⟩`, each indexed once by an R\*-tree over
+//!   their constraint regions and found by MBR overlap, with LRU/LCU
+//!   replacement;
 //! * [`strategy`] — the cache search strategies of Section 6.1;
 //! * [`engine`] — the executor interface, the naive [`BaselineExecutor`]
 //!   and the [`BbsExecutor`] state of the art, each reporting the

@@ -285,7 +285,7 @@ impl Session<'_> {
     /// lazily through the cache, so no per-query `Vec<&CacheItem>` is
     /// built, and the plan owns its points, so nothing borrowed from the
     /// cache survives into the fetch. Phases timed here: cache-lookup
-    /// (R\*-tree search + bounding-box short-circuit), case-analysis
+    /// (exact probe + R\*-tree window walk filtered by MBR), case-analysis
     /// (strategy selection), mpr-compute (plan construction).
     fn process(
         &mut self,

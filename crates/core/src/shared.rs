@@ -17,9 +17,10 @@
 //!   in place.
 //!
 //! Clone-and-publish is cheap because [`Cache`] shares structure: items
-//! (and their skyline blocks) sit behind `Arc` and both R\*-trees are
-//! persistent, so `master.clone()` copies one pointer per item plus the
-//! victim index — no points, no boxes, no tree nodes — and dropping the
+//! (and their skyline blocks) sit behind `Arc` and the one R\*-tree is
+//! persistent, so `master.clone()` copies one pointer per item, one root
+//! pointer and the victim index — no points, no boxes, no tree nodes —
+//! and dropping the
 //! snapshot it replaces frees only what no other snapshot or the master
 //! still holds. The master then un-shares exactly what its next write
 //! changes: the tree nodes on one insert path, or the one item a `touch`

@@ -9,7 +9,8 @@
 /// actually goes inside CBCS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// R\*-tree cache search plus the bounding-box short-circuit.
+    /// The cache lookup: the exact probe, then the R\*-tree window walk
+    /// over constraint boxes, filtered by MBR, and the cover-order sort.
     CacheLookup,
     /// Strategy selection and overlap-case classification.
     CaseAnalysis,

@@ -35,8 +35,9 @@ fn main() {
         assert_eq!(t.len(), live.len());
         // verify search completeness
         for (coords, id) in &live {
-            let hits = t.search(&Aabb::from_point(&Point::from(coords.clone())));
-            assert!(hits.contains(&id), "missing {id}");
+            let mut found = false;
+            t.for_each_in(&Aabb::from_point(&Point::from(coords.clone())), |_, v| found |= v == id);
+            assert!(found, "missing {id}");
         }
         println!("dims {dims} ok, len {}", t.len());
     }

@@ -171,7 +171,8 @@ mod tests {
         let pts = points(5_000);
         let t = RStarTree::bulk_load_points(pts.clone(), RTreeParams::default());
         let window = Aabb::new(vec![10.0, 20.0, 5.0], vec![40.0, 60.0, 30.0]).unwrap();
-        let mut got: Vec<usize> = t.search(&window).into_iter().copied().collect();
+        let mut got = Vec::new();
+        t.for_each_in(&window, |_, &v| got.push(v));
         got.sort_unstable();
         let mut want: Vec<usize> =
             pts.iter().filter(|(p, _)| window.contains_point(p)).map(|&(_, v)| v).collect();

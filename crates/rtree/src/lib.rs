@@ -7,11 +7,12 @@
 //!    R-tree of the dataset (the paper used libspatialindex). Large trees
 //!    are built with STR bulk loading ([`RStarTree::bulk_load`]); the
 //!    traversal primitive is [`BestFirst`].
-//! 2. **Cache index** — CBCS organizes its cache items "by an R\*-tree
-//!    indexing the MBR of each cached skyline" (Section 6). That tree is
-//!    small and dynamic: incremental [`insert`](RStarTree::insert) with
-//!    forced reinsertion and [`remove`](RStarTree::remove) for cache
-//!    eviction.
+//! 2. **Cache index** — the paper organizes CBCS's cache items "by an
+//!    R\*-tree indexing the MBR of each cached skyline" (Section 6);
+//!    skycache indexes each item once, under its constraint region, and
+//!    filters the window search by MBR. That tree is small and dynamic:
+//!    incremental [`insert`](RStarTree::insert) with forced reinsertion
+//!    and [`remove`](RStarTree::remove) for cache eviction.
 //!
 //! The implementation follows Beckmann, Kriegel, Schneider & Seeger (1990):
 //! `ChooseSubtree` minimizes overlap enlargement at the leaf level and area
@@ -30,7 +31,9 @@
 //!     tree.insert(Aabb::from_point(&p), i);
 //! }
 //! let window = Aabb::new(vec![2.0, 2.0], vec![4.0, 4.0]).unwrap();
-//! assert_eq!(tree.search(&window).len(), 9);
+//! let mut hits = 0;
+//! tree.for_each_in(&window, |_, _| hits += 1);
+//! assert_eq!(hits, 9);
 //!
 //! // Bulk loading (the BBS dataset-index usage).
 //! let points = (0..1000u32).map(|i| {
@@ -39,7 +42,9 @@
 //! let bulk = RStarTree::bulk_load_points(points, RTreeParams::default());
 //! assert_eq!(bulk.len(), 1000);
 //! // The six i < 1000 with both i % 37 and i % 53 in [2, 4].
-//! assert_eq!(bulk.search(&window).len(), 6);
+//! let mut hits = 0;
+//! bulk.for_each_in(&window, |_, _| hits += 1);
+//! assert_eq!(hits, 6);
 //! ```
 
 #![warn(missing_docs)]

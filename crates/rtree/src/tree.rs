@@ -162,13 +162,6 @@ impl<T> RStarTree<T> {
         visit_equal(&self.root, mbr, &mut f);
     }
 
-    /// Values whose box intersects `window`.
-    pub fn search(&self, window: &Aabb) -> Vec<&T> {
-        let mut out = Vec::new();
-        self.for_each_in(window, |_, v| out.push(v));
-        out
-    }
-
     /// Iterates over all values.
     pub fn iter(&self) -> impl Iterator<Item = (&Aabb, &T)> {
         let mut out = Vec::with_capacity(self.len);
@@ -596,6 +589,13 @@ mod tests {
         t
     }
 
+    /// The values `for_each_in` visits for `window`, in visit order.
+    fn values_in<T: Copy>(t: &RStarTree<T>, window: &Aabb) -> Vec<T> {
+        let mut out = Vec::new();
+        t.for_each_in(window, |_, &v| out.push(v));
+        out
+    }
+
     #[test]
     fn insert_and_len() {
         let t = grid_tree(500);
@@ -608,7 +608,7 @@ mod tests {
     fn window_query_matches_bruteforce() {
         let t = grid_tree(1000);
         let window = Aabb::new(vec![5.0, 3.0], vec![20.0, 11.0]).unwrap();
-        let mut got: Vec<usize> = t.search(&window).into_iter().copied().collect();
+        let mut got = values_in(&t, &window);
         got.sort_unstable();
         let mut want: Vec<usize> = (0..1000)
             .filter(|i| {
@@ -625,7 +625,7 @@ mod tests {
         let t: RStarTree<u8> = RStarTree::new(3);
         assert!(t.is_empty());
         assert_eq!(t.mbr(), None);
-        assert!(t.search(&Aabb::new(vec![0.0; 3], vec![1.0; 3]).unwrap()).is_empty());
+        assert!(values_in(&t, &Aabb::new(vec![0.0; 3], vec![1.0; 3]).unwrap()).is_empty());
         t.check_invariants();
     }
 
@@ -637,8 +637,7 @@ mod tests {
         assert_eq!(t.len(), 299);
         t.check_invariants();
         // It is gone from queries.
-        let hits = t.search(&pt_box(5.0, 2.0));
-        assert!(!hits.contains(&&79));
+        assert!(!values_in(&t, &pt_box(5.0, 2.0)).contains(&79));
     }
 
     #[test]
@@ -668,9 +667,9 @@ mod tests {
             t.insert(pt_box(1.0, 1.0), i);
         }
         t.check_invariants();
-        assert_eq!(t.search(&pt_box(1.0, 1.0)).len(), 100);
+        assert_eq!(values_in(&t, &pt_box(1.0, 1.0)).len(), 100);
         assert_eq!(t.remove(&pt_box(1.0, 1.0), |&v| v == 42), Some(42));
-        assert_eq!(t.search(&pt_box(1.0, 1.0)).len(), 99);
+        assert_eq!(values_in(&t, &pt_box(1.0, 1.0)).len(), 99);
     }
 
     #[test]

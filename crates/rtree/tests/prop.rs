@@ -73,7 +73,8 @@ proptest! {
             vec![f64::from(wx), f64::from(wy)],
             vec![f64::from(wx + ww), f64::from(wy + wh)],
         ).unwrap();
-        let mut got: Vec<(u8, u8)> = tree.search(&window).into_iter().copied().collect();
+        let mut got: Vec<(u8, u8)> = Vec::new();
+        tree.for_each_in(&window, |_, &v| got.push(v));
         let mut want: Vec<(u8, u8)> = model
             .iter()
             .filter(|&&(x, y)| window.contains_point(&Point::from(vec![f64::from(x), f64::from(y)])))
@@ -129,8 +130,9 @@ proptest! {
         incr.check_invariants();
 
         let window = Aabb::new(vec![10.0, 10.0], vec![35.0, 35.0]).unwrap();
-        let mut a: Vec<usize> = bulk.search(&window).into_iter().copied().collect();
-        let mut b: Vec<usize> = incr.search(&window).into_iter().copied().collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        bulk.for_each_in(&window, |_, &v| a.push(v));
+        incr.for_each_in(&window, |_, &v| b.push(v));
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);

@@ -235,9 +235,12 @@ fn panic_census_matches_the_merge_ledger() {
     // place. 22 → 20 direct with one skyline algorithm: BNL's window
     // `expect` went with BNL, and the `expect` of `PointBlock`'s
     // `From<&[Point]>` (no caller) with the impl; `Sfs::compute`'s stays,
-    // an inherent method now, and the witnesses do not move.
+    // an inherent method now, and the witnesses do not move. 21 → 20
+    // with one cache index: `Cache::on_insert` leaves an item where it
+    // is in the R*-tree, so it no longer reaches `RStarTree::insert_entry`'s
+    // `expect` through the deleted `Cache::reindex`.
     let in_serve = witnesses.iter().filter(|f| f.file.starts_with("crates/serve/")).count();
-    assert_eq!((witnesses.len() - in_serve, in_serve), (21, 2), "witnesses:\n{}", report(&found));
+    assert_eq!((witnesses.len() - in_serve, in_serve), (20, 2), "witnesses:\n{}", report(&found));
 }
 
 /// Every `.rs` file at or under `path`.

@@ -122,9 +122,9 @@ pub struct FetchStats {
     /// Range queries handed to the executor.
     pub range_queries_issued: u64,
     /// Range queries that actually touched the heap, one seek each. A
-    /// coalescing plan is charged, per group of regions whose index ranges
-    /// overlap or abut, the cheapest set of range queries covering them
-    /// (never more than one per region).
+    /// plan is charged, per group of regions whose index ranges overlap or
+    /// abut, the cheapest set of range queries covering them (never more
+    /// than one per region).
     pub range_queries_executed: u64,
     /// Range queries discarded by index-only emptiness detection.
     pub range_queries_empty: u64,
@@ -144,7 +144,7 @@ pub struct FetchStats {
     pub index_entries_scanned: u64,
     /// Range queries *saved* by the coalescing fetch planner: non-empty
     /// indexed regions minus the range queries executed for them. Zero for
-    /// non-coalescing plans, and for regions that share a walk but are
+    /// a plan of one region, and for regions that share a walk but are
     /// each cheaper fetched by a range query of their own.
     pub regions_coalesced: u64,
 }

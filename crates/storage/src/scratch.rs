@@ -296,7 +296,7 @@ pub struct FetchScratch {
     order: Vec<u32>,
     /// Executable units, in execution order.
     units: Vec<FetchUnit>,
-    /// Cross-unit row dedup marks (coalesced plans only).
+    /// Cross-unit row dedup marks (plans of several units only).
     seen: SeenSet,
     /// Per-unit charge decision and per-region match counts.
     charge: UnitCharge,
@@ -351,11 +351,10 @@ impl FetchScratch {
     /// Groups the planned regions into executable units, in execution
     /// order.
     ///
-    /// Non-coalescing plans get exactly one unit per region, in region
-    /// order. Coalescing plans put the non-ready regions first (in region
-    /// order), then group ready regions by chosen dimension and merge
-    /// position ranges that overlap or abut into one unit each.
-    pub(crate) fn build_units(&mut self, coalesce: bool) {
+    /// The non-ready regions come first (in region order, one unit each),
+    /// then the ready regions grouped by chosen dimension, position ranges
+    /// that overlap or abut merged into one unit each.
+    pub(crate) fn build_units(&mut self) {
         self.units.clear();
         self.order.clear();
         let n = self.regions.len();
@@ -363,26 +362,24 @@ impl FetchScratch {
         self.charge.matched.clear();
         self.charge.matched.resize(n, 0);
 
-        if coalesce {
-            // Ready regions sorted by (dim, pos_lo, pos_hi, idx), after the
-            // non-ready ones (kept in region order).
-            let regions = &self.regions;
-            self.order.sort_unstable_by_key(|&i| {
-                let pr = &regions[i as usize];
-                match pr.state {
-                    RegionState::Ready => (1u8, pr.chosen_dim, pr.pos_lo, pr.pos_hi, i),
-                    _ => (0u8, 0, 0, 0, i),
-                }
-            });
-        }
+        // Ready regions sorted by (dim, pos_lo, pos_hi, idx), after the
+        // non-ready ones (kept in region order).
+        let regions = &self.regions;
+        self.order.sort_unstable_by_key(|&i| {
+            let pr = &regions[i as usize];
+            match pr.state {
+                RegionState::Ready => (1u8, pr.chosen_dim, pr.pos_lo, pr.pos_hi, i),
+                _ => (0u8, 0, 0, 0, i),
+            }
+        });
         let mut k = 0usize;
         while k < n {
             let pr = self.regions[self.order[k] as usize];
             let (start, mut pos_hi) = (k, pr.pos_hi);
             k += 1;
-            // A ready region of a coalescing plan takes in the following
-            // ones whose range in the same dimension overlaps or abuts.
-            while coalesce && pr.state == RegionState::Ready && k < n {
+            // A ready region takes in the following ones whose range in
+            // the same dimension overlaps or abuts.
+            while pr.state == RegionState::Ready && k < n {
                 let q = self.regions[self.order[k] as usize];
                 if q.state != pr.state || q.chosen_dim != pr.chosen_dim || q.pos_lo > pos_hi {
                     break;

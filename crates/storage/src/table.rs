@@ -29,25 +29,27 @@ pub struct TableConfig {
 }
 
 /// Declarative description of one storage access: which regions to
-/// range-query and whether the planner may coalesce. Callers build a plan
-/// and hand it to [`Table::fetch_plan_into`], which leaves the rows in a
-/// columnar scratch.
+/// range-query. Callers build a plan and hand it to
+/// [`Table::fetch_plan_into`], which leaves the rows in a columnar
+/// scratch.
+///
+/// Every plan coalesces: each heap row is emitted at most once even when
+/// it lies in several of the regions, and regions whose chosen-dimension
+/// index ranges overlap or abut are charged as one range query wherever
+/// one scan of the merged slice is predicted cheaper than a range query
+/// each. The range queries saved are reported in
+/// [`FetchStats::regions_coalesced`]. A plan of one region is charged
+/// exactly as that region's range query alone.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
     pub regions: Regions,
-    /// Whether the planner may coalesce regions whose chosen-dimension
-    /// index ranges overlap or abut into single range queries — where
-    /// that is predicted cheaper than a query each — and dedup row ids
-    /// across regions. Off by default (exact per-region semantics,
-    /// duplicates across overlapping regions preserved).
-    pub coalesce: bool,
 }
 
 impl FetchPlan {
-    /// A non-coalescing plan over `regions`.
+    /// A plan over `regions`.
     pub fn new(regions: Regions) -> Self {
-        FetchPlan { regions, coalesce: false }
+        FetchPlan { regions }
     }
 
     /// The naive approach's constraint range query `RQ(C)`.
@@ -55,23 +57,10 @@ impl FetchPlan {
         FetchPlan::new(c.region().into())
     }
 
-    /// A coalescing plan over an MPR *remainder*: the region lists the
-    /// planner emits routinely contain overlapping or abutting boxes
-    /// (subtraction fragments), so each heap row must be fetched at most
-    /// once for the merged skyline to stay duplicate-budget exact.
+    /// [`FetchPlan::new`]: it remains only because skybench calls it,
+    /// until ROADMAP item 1h deletes it with `Cache::insert_with_cost`.
     pub fn remainder(regions: Regions) -> Self {
-        FetchPlan::new(regions).coalesced()
-    }
-
-    /// Enables planner coalescing (builder style): each heap row is
-    /// emitted at most once even when it lies in several candidate
-    /// ranges, and overlapping/abutting index ranges are charged as one
-    /// range query wherever one scan of the merged slice is predicted
-    /// cheaper than a range query per region. The range queries saved
-    /// are reported in [`FetchStats::regions_coalesced`].
-    pub fn coalesced(mut self) -> Self {
-        self.coalesce = true;
-        self
+        FetchPlan::new(regions)
     }
 }
 
@@ -81,7 +70,7 @@ impl FetchPlan {
 /// caller crosses the public-API boundary.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FetchOutcome {
-    /// I/O counters for the fetch (deduped work for coalescing plans).
+    /// I/O counters for the fetch (deduped work).
     pub stats: FetchStats,
     /// Simulated latency under the table's [`CostModel`].
     pub simulated_latency: Duration,
@@ -287,15 +276,12 @@ impl Table {
     ///    index alone — "the B-trees detect the empty queries", paper
     ///    Section 7.3.2) and annotated with its most selective
     ///    dimension's index position range.
-    /// 2. **Coalesce** (when [`FetchPlan::coalesce`] is set): regions
-    ///    whose chosen-dimension position ranges overlap or abut share
-    ///    one unit — one walk — each. Without coalescing there is one
-    ///    unit per region, in region order.
+    /// 2. **Coalesce**: regions whose chosen-dimension position ranges
+    ///    overlap or abut share one unit — one walk — each.
     /// 3. **Execute**: units run in unit order, appending straight into
-    ///    the output buffer. A coalescing plan emits each heap row at
-    ///    most once across the whole plan; a non-coalescing plan keeps
-    ///    exact per-region semantics (duplicates across overlapping
-    ///    regions preserved).
+    ///    the output buffer. Each heap row is emitted at most once across
+    ///    the whole plan; a plan of one unit needs no dedup marks, as a
+    ///    unit's walk meets each row once.
     ///
     /// Accounting contract: `range_queries_issued` counts plan regions,
     /// `range_queries_executed` counts the range queries the units are
@@ -313,16 +299,14 @@ impl Table {
         }
 
         // Phase 2: group regions into executable units.
-        scratch.build_units(plan.coalesce);
+        scratch.build_units();
 
         // Phase 3: execute the units in order.
         let (view, out, seen, charge) = scratch.exec_parts();
-        let mut seen = if plan.coalesce {
+        let mut seen = (view.units.len() > 1).then(|| {
             seen.begin_pass(self.points.len());
-            Some(seen)
-        } else {
-            None
-        };
+            seen
+        });
         let mut stats = FetchStats::default();
         for unit in view.units {
             stats += self.run_unit(&plan.regions, view, unit, out, seen.as_deref_mut(), charge);
@@ -799,8 +783,7 @@ mod tests {
         let c = Constraints::from_pairs(&[(1.0, 2.0), (1.0, 2.0)]).unwrap();
         let plan = FetchPlan::constrained(&c);
         assert_eq!(plan.regions, Regions::from_iter([c.region()]));
-        assert!(!plan.coalesce);
-        assert!(FetchPlan::remainder(plan.regions).coalesce);
+        assert_eq!(FetchPlan::remainder(plan.regions.clone()), plan);
     }
 
     #[test]
@@ -881,9 +864,9 @@ mod tests {
         }
     }
 
-    /// Three regions whose dim-0 index ranges overlap pairwise must merge
-    /// into one range query under coalescing, with the duplicate rows of
-    /// the overlaps emitted exactly once.
+    /// Three regions whose dim-0 index ranges overlap pairwise merge into
+    /// one range query, with the duplicate rows of the overlaps emitted
+    /// exactly once.
     #[test]
     fn coalescing_merges_overlapping_index_ranges() {
         let t = table();
@@ -896,13 +879,20 @@ mod tests {
             [(3.0, 5.0), (0.0, 9.0)],
         ]);
 
-        let naive = fetch(&t, &FetchPlan::new(regions.clone()));
-        // Columns 2 and 3,4,5 are double-counted by the overlaps.
-        assert_eq!(naive.rows.len(), 90);
-        assert_eq!(naive.stats.range_queries_executed, 3);
-        assert_eq!(naive.stats.regions_coalesced, 0);
+        // The regions one by one: columns 2 and 3,4,5 are double-counted
+        // by the overlaps.
+        let mut naive_ids: Vec<RowId> = Vec::new();
+        let mut naive = FetchStats::default();
+        for region in regions.iter() {
+            let one = fetch_one(&t, region);
+            naive_ids.extend(one.rows.iter().map(|r| r.0));
+            naive += one.stats;
+        }
+        assert_eq!(naive_ids.len(), 90);
+        assert_eq!(naive.range_queries_executed, 3);
+        assert_eq!(naive.regions_coalesced, 0);
 
-        let co = fetch(&t, &FetchPlan::new(regions).coalesced());
+        let co = fetch(&t, &FetchPlan::new(regions));
         assert_eq!(co.rows.len(), 60, "each of columns 0..=5 exactly once");
         assert_eq!(co.stats.range_queries_issued, 3);
         assert_eq!(co.stats.range_queries_executed, 1, "one merged range query");
@@ -910,8 +900,7 @@ mod tests {
         assert_eq!(co.stats.heap_fetches, 60, "merged slice scanned once");
         assert_eq!(co.stats.points_read, 60);
 
-        // Same deduped row set as the naive plan.
-        let mut naive_ids: Vec<RowId> = naive.rows.iter().map(|r| r.0).collect();
+        // Same deduped row set as the regions one by one.
         naive_ids.sort_unstable();
         naive_ids.dedup();
         let mut co_ids: Vec<RowId> = co.rows.iter().map(|r| r.0).collect();
@@ -925,14 +914,14 @@ mod tests {
     fn coalescing_handles_abutting_and_disjoint_ranges() {
         let t = table();
         let abutting = regions(&[[(0.0, 1.0), (0.0, 9.0)], [(2.0, 3.0), (0.0, 9.0)]]);
-        let res = fetch(&t, &FetchPlan::new(abutting).coalesced());
+        let res = fetch(&t, &FetchPlan::new(abutting));
         // Positions 0..20 and 20..40 abut → one merged query.
         assert_eq!(res.stats.range_queries_executed, 1);
         assert_eq!(res.stats.regions_coalesced, 1);
         assert_eq!(res.rows.len(), 40);
 
         let disjoint = regions(&[[(0.0, 1.0), (0.0, 9.0)], [(5.0, 6.0), (0.0, 9.0)]]);
-        let res = fetch(&t, &FetchPlan::new(disjoint).coalesced());
+        let res = fetch(&t, &FetchPlan::new(disjoint));
         // Positions 0..20 and 50..70 leave a gap → two queries, no saving.
         assert_eq!(res.stats.range_queries_executed, 2);
         assert_eq!(res.stats.regions_coalesced, 0);

@@ -137,7 +137,7 @@ proptest! {
     /// bucket sketch covers fully (1..=8) or in part (9, 10), with keys the
     /// splits were never built from (inserts beyond the initial range,
     /// both zeros), and with the rows a region admits spread over several
-    /// regions of one coalescing plan. A sketch false negative is a row
+    /// regions of one plan. A sketch false negative is a row
     /// missing here.
     #[test]
     fn mutations_preserve_fetch_semantics(
@@ -183,7 +183,7 @@ proptest! {
         }
         in_any.sort_unstable();
         in_any.dedup();
-        let (coalesced, _) = fetch(&table, &FetchPlan::remainder(regions));
+        let (coalesced, _) = fetch(&table, &FetchPlan::new(regions));
         prop_assert_eq!(sorted(coalesced), in_any);
     }
 

@@ -1,11 +1,11 @@
 //! Pins what `Table::fetch_plan_into` emits, not just which row set: the
 //! row ids *in emission order* (SFS input order, hence `dominance_tests`,
 //! depends on it), every `FetchStats` field and the simulated latency in
-//! nanoseconds, for coalescing and non-coalescing runs of the same region
-//! list. `tests/prop_coalescing.rs` compares sorted row sets only, so a
-//! reordering would pass there and fail here. Every case is also held to
-//! `sim_ns(coalesce=true) <= sim_ns(coalesce=false)`, and `Table::predict`
-//! to what each run was charged (`check_prediction`).
+//! nanoseconds, for one plan over each region list.
+//! `tests/prop_coalescing.rs` compares sorted row sets only, so a
+//! reordering would pass there and fail here. Every plan is also held to
+//! costing no more than its regions fetched one by one, and
+//! `Table::predict` to what it was charged (`check_prediction`).
 //!
 //! The expected lines live in `tests/golden/fetch_contract.txt` (d = 4)
 //! and `tests/golden/fetch_contract_wide.txt` (d = 6 and d = 10: ties,
@@ -30,9 +30,9 @@ fn ids_fingerprint(ids: &[u32]) -> u64 {
     })
 }
 
-/// One golden line per (plan, coalesce) run. Coalescing buys range
-/// queries only where they pay: its plan is never charged more than the
-/// same regions fetched one by one.
+/// One golden line per plan. Coalescing buys range queries only where
+/// they pay: a plan is never charged more than the cost model charges its
+/// regions fetched one by one, one plan of one region each.
 fn run_line(
     table: &Table,
     scratch: &mut FetchScratch,
@@ -40,42 +40,41 @@ fn run_line(
     regions: &Regions,
     out: &mut String,
 ) {
-    let mut separate = std::time::Duration::MAX;
-    for coalesce in [false, true] {
-        let plan = FetchPlan::new(regions.clone());
-        let plan = if coalesce { plan.coalesced() } else { plan };
-        let outcome = table.fetch_plan_into(&plan, scratch);
-        if !coalesce {
-            separate = outcome.simulated_latency;
-        }
-        assert!(
-            outcome.simulated_latency <= separate,
-            "{name}: coalesced {:?} > separate {separate:?}",
-            outcome.simulated_latency
-        );
-        let s = outcome.stats;
-        check_prediction(table, &plan, &s, name);
-        let ids = scratch.rows().ids();
-        writeln!(
-            out,
-            "{name} coalesce={coalesce} regions={} rows={} ids={:016x} issued={} executed={} \
-             empty={} points_read={} heap_fetches={} index_probes={} \
-             index_entries={} coalesced={} sim_ns={}",
-            regions.len(),
-            ids.len(),
-            ids_fingerprint(ids),
-            s.range_queries_issued,
-            s.range_queries_executed,
-            s.range_queries_empty,
-            s.points_read,
-            s.heap_fetches,
-            s.index_probes,
-            s.index_entries_scanned,
-            s.regions_coalesced,
-            outcome.simulated_latency.as_nanos(),
-        )
-        .expect("writing to a String cannot fail");
+    let mut one_by_one = FetchStats::default();
+    for region in regions.iter() {
+        let one = FetchPlan::new(Regions::from_iter([region]));
+        one_by_one += table.fetch_plan_into(&one, scratch).stats;
     }
+    let separate = table.config().cost_model.fetch_latency(&one_by_one);
+    let plan = FetchPlan::new(regions.clone());
+    let outcome = table.fetch_plan_into(&plan, scratch);
+    assert!(
+        outcome.simulated_latency <= separate,
+        "{name}: coalesced {:?} > separate {separate:?}",
+        outcome.simulated_latency
+    );
+    let s = outcome.stats;
+    check_prediction(table, &plan, &s, name);
+    let ids = scratch.rows().ids();
+    writeln!(
+        out,
+        "{name} regions={} rows={} ids={:016x} issued={} executed={} \
+         empty={} points_read={} heap_fetches={} index_probes={} \
+         index_entries={} coalesced={} sim_ns={}",
+        regions.len(),
+        ids.len(),
+        ids_fingerprint(ids),
+        s.range_queries_issued,
+        s.range_queries_executed,
+        s.range_queries_empty,
+        s.points_read,
+        s.heap_fetches,
+        s.index_probes,
+        s.index_entries_scanned,
+        s.regions_coalesced,
+        outcome.simulated_latency.as_nanos(),
+    )
+    .expect("writing to a String cannot fail");
 }
 
 /// Pins [`Table::predict`] against what the fetch charged. It predicts

@@ -13,7 +13,7 @@ use skycache::algos::Sfs;
 use skycache::core::{missing_points_region, MprMode};
 use skycache::geom::{Constraints, Point, PointBlock, Regions};
 use skycache::storage::{
-    CostModel, FetchOutcome, FetchPlan, FetchScratch, RowId, Table, TableConfig,
+    CostModel, FetchOutcome, FetchPlan, FetchScratch, FetchStats, RowId, Table, TableConfig,
 };
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -72,7 +72,7 @@ fn naive_fetch(table: &Table, regions: &Regions) -> (Vec<RowId>, Vec<Point>) {
 
 /// Row ids and points of the coalescing planner over the same regions.
 fn coalesced_fetch(table: &Table, regions: &Regions) -> (Vec<RowId>, Vec<Point>) {
-    let (mut rows, _) = fetch(table, &FetchPlan::new(regions.clone()).coalesced());
+    let (mut rows, _) = fetch(table, &FetchPlan::new(regions.clone()));
     rows.sort_by_key(|(id, _)| *id);
     rows.into_iter().unzip()
 }
@@ -96,7 +96,7 @@ fn assert_same_rows_and_skyline(
 /// The accounting half of the contract. `table` counts only
 /// (`CostModel::free()`); its twin charges the default model.
 fn assert_accounting(table: &Table, regions: &Regions) -> std::result::Result<(), TestCaseError> {
-    let plan = FetchPlan::new(regions.clone()).coalesced();
+    let plan = FetchPlan::new(regions.clone());
     let (_, counted) = fetch(table, &plan);
     let (_, charged) = fetch(&build_with(table.all_points().to_vec(), CostModel::default()), &plan);
     prop_assert_eq!(counted.stats, charged.stats, "counters depend on whether latency is charged");
@@ -125,7 +125,8 @@ proptest! {
 
     /// Slabs — one bounded dimension each, so a region's predicted cost
     /// alone *is* what it is charged alone: the coalesced plan is never
-    /// dearer than the same regions fetched one by one.
+    /// dearer than the cost model's charge for the same regions fetched
+    /// one by one, one plan of one region each.
     #[test]
     fn coalesced_slabs_never_cost_more_than_separate_ones(
         points in dataset(3),
@@ -140,9 +141,13 @@ proptest! {
                 Constraints::from_pairs(&pairs).expect("ordered").region()
             })
             .collect();
-        let (_, separate) = fetch(&table, &FetchPlan::new(regions.clone()));
-        let (_, coalesced) = fetch(&table, &FetchPlan::new(regions).coalesced());
-        prop_assert!(coalesced.simulated_latency <= separate.simulated_latency);
+        let mut one_by_one = FetchStats::default();
+        for region in regions.iter() {
+            one_by_one += fetch(&table, &FetchPlan::new(Regions::from_iter([region]))).1.stats;
+        }
+        let separate = CostModel::default().fetch_latency(&one_by_one);
+        let (_, coalesced) = fetch(&table, &FetchPlan::new(regions));
+        prop_assert!(coalesced.simulated_latency <= separate);
     }
 
     /// Genuine MPR region sets: the planner input the engine actually

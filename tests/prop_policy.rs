@@ -9,7 +9,7 @@ use skycache::algos::Sfs;
 use skycache::core::{
     Cache, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy, Service, ServiceConfig,
 };
-use skycache::geom::{Constraints, Point};
+use skycache::geom::{Aabb, Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -46,6 +46,73 @@ fn respell_zeros(c: &Constraints) -> Constraints {
     let lo: Vec<f64> = c.lo().iter().map(flip).collect();
     let hi: Vec<f64> = c.hi().iter().map(flip).collect();
     Constraints::new(lo, hi).expect("the same numbers stay ordered")
+}
+
+/// `rows` moved inside `c`'s closed box: a cached skyline lies inside its
+/// constraints.
+fn inside(c: &Constraints, rows: &[Vec<f64>]) -> Vec<Point> {
+    let clamp = |row: &Vec<f64>| -> Vec<f64> {
+        let sides = c.lo().iter().zip(c.hi());
+        row.iter().zip(sides).map(|(v, (lo, hi))| v.clamp(*lo, *hi)).collect()
+    };
+    rows.iter().map(clamp).map(Point::from).collect()
+}
+
+/// Up to two 3-d rows: the points of a cached item.
+fn item_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec(prop::collection::vec(coord(), 3), 0..3)
+}
+
+/// One change to a cache between two lookups.
+#[derive(Clone, Debug)]
+enum Change {
+    /// `Cache::remove` of the item at this position of `iter()`.
+    Remove(usize),
+    /// `Cache::on_insert` of a data point: every item whose constraints
+    /// it satisfies and whose skyline it is not dominated by moves its
+    /// MBR.
+    InsertPoint(Vec<f64>),
+    /// `Cache::on_delete` of the first skyline row of the item at this
+    /// position of `iter()`.
+    DeletePoint(usize),
+    /// `Cache::insert` of one more item, evicting at capacity.
+    NewItem(Constraints, Vec<Vec<f64>>),
+}
+
+fn change() -> impl Strategy<Value = Change> {
+    let point = || prop::collection::vec(coord(), 3).prop_map(Change::InsertPoint);
+    prop_oneof![
+        (0..64usize).prop_map(Change::Remove),
+        point(),
+        point(),
+        (0..64usize).prop_map(Change::DeletePoint),
+        (open_constraints(), item_rows()).prop_map(|(c, rows)| Change::NewItem(c, rows)),
+    ]
+}
+
+/// Applies `change` to `cache`.
+fn apply(cache: &mut Cache, change: &Change) {
+    let nth = |cache: &Cache, k: usize| cache.iter().nth(k % cache.len().max(1)).cloned();
+    match change {
+        Change::Remove(k) => {
+            if let Some(item) = nth(cache, *k) {
+                cache.remove(item.id);
+            }
+        }
+        Change::InsertPoint(coords) => {
+            cache.on_insert(&Point::from(coords.clone()));
+        }
+        Change::DeletePoint(k) => {
+            if let Some(row) =
+                nth(cache, *k).and_then(|it| it.skyline.rows().next().map(<[f64]>::to_vec))
+            {
+                cache.on_delete(&Point::from(row));
+            }
+        }
+        Change::NewItem(c, rows) => {
+            cache.insert(c.clone(), &inside(c, rows));
+        }
+    }
 }
 
 fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -131,35 +198,41 @@ proptest! {
     /// With one or more such items — found here by scanning `iter()` for
     /// numerically equal constraints — the answer is the lowest of their
     /// ids and nothing else, however the query spells its zeros. Items
-    /// without points are indexed by their — possibly unbounded —
-    /// constraint box.
+    /// without points are found by their — possibly unbounded —
+    /// constraint box. Between lookups the cache changes: items are
+    /// removed, evicted at capacity, dropped by a deleted point, or see
+    /// their skyline — and with it their MBR — change under an inserted
+    /// one; the reference derives every index box from the skyline the
+    /// item holds at that moment.
     #[test]
     fn lookup_order_matches_the_per_comparison_comparator(
-        items in prop::collection::vec(
-            (open_constraints(), prop::collection::vec(prop::collection::vec(coord(), 3), 0..3)),
-            1..40,
+        items in prop::collection::vec((open_constraints(), item_rows()), 1..40),
+        steps in prop::collection::vec(
+            (open_constraints(), prop::collection::vec(change(), 0..4)),
+            1..8,
         ),
-        queries in prop::collection::vec(open_constraints(), 1..6),
         repeat in 0..40usize,
+        policy in policy(),
+        capacity in prop_oneof![Just(None), Just(Some(12usize))],
     ) {
-        let mut cache = Cache::new(3);
+        let mut cache = Cache::with_capacity(3, capacity, policy);
         for (c, rows) in &items {
-            // A cached skyline lies inside its constraints.
-            let inside = |row: &Vec<f64>| -> Vec<f64> {
-                let sides = c.lo().iter().zip(c.hi());
-                row.iter().zip(sides).map(|(v, (lo, hi))| v.clamp(*lo, *hi)).collect()
-            };
-            let skyline: Vec<Point> = rows.iter().map(inside).map(Point::from).collect();
-            cache.insert(c.clone(), &skyline);
+            cache.insert(c.clone(), &inside(c, rows));
         }
-        // Two queries repeat a cached box, one of them with the other
-        // spelling of every zero bound; that box is cached a second time,
-        // without points, so the repeats meet duplicates.
+        // Two last queries repeat a box, one of them with the other
+        // spelling of every zero bound; that box is cached (again, if it
+        // still is) without points just before them, so the repeats meet
+        // duplicates, and the newest item is never the one evicted.
         let repeated = items[repeat % items.len()].0.clone();
-        cache.insert(repeated.clone(), &[]);
-        let respelled = respell_zeros(&repeated);
+        let repeats = [
+            (repeated.clone(), vec![Change::NewItem(repeated.clone(), vec![])]),
+            (respell_zeros(&repeated), vec![]),
+        ];
         let mut ids = Vec::new();
-        for q in queries.iter().chain([&repeated, &respelled]) {
+        for (q, changes) in steps.iter().chain(&repeats) {
+            for change in changes {
+                apply(&mut cache, change);
+            }
             let stats = cache.lookup_into(q, &mut ids);
             let query = q.aabb();
             let exact =
@@ -171,7 +244,8 @@ proptest! {
             }
             let index_box = |id: u64| {
                 let item = cache.get(id).expect("lookup ids are live");
-                item.mbr.clone().unwrap_or_else(|| item.constraints.aabb().clone())
+                Aabb::bounding_rows(item.skyline.rows())
+                    .unwrap_or_else(|| item.constraints.aabb().clone())
             };
             let area = |id: u64| index_box(id).overlap_area(query);
             let mut want: Vec<u64> =
