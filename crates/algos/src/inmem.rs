@@ -60,7 +60,7 @@ impl Sfs {
             return SkylineOutput { skyline: Vec::new(), dominance_tests: 0 };
         };
         let mut scratch = SkylineScratch::new();
-        // skylint: allow(no-panic-paths) — input.dims() >= 1 by PointBlock construction.
+        #[expect(clippy::expect_used, reason = "input.dims() >= 1 by PointBlock construction")]
         let mut skyline = PointBlock::new(input.dims()).expect("dims > 0");
         let tests =
             self.compute_block_into(input.as_flat(), input.dims(), &mut scratch, &mut skyline);

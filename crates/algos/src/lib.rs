@@ -31,11 +31,6 @@
 //! assert_eq!(out.dominance_tests, 0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod bbs;
 mod inmem;
 pub mod planar;

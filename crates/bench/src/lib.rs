@@ -7,9 +7,6 @@
 //! the paper plots. Performance numbers come from skybench
 //! (`benchmark/run.sh`), not from here.
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-
 pub mod figures;
 pub mod serve;
 

@@ -19,10 +19,14 @@
 //! order is maintained incrementally in an ordered victim index — no
 //! per-eviction scan.
 
+// An out-of-bounds index here would panic a thread holding the shared
+// cache: every access goes through `get`.
+#![deny(clippy::indexing_slicing)]
+
 // BTreeMap/BTreeSet, not HashMap/HashSet: eviction order and the order
 // of dynamic-data maintenance feed back into query planning, and
-// iteration order must not depend on a randomized hasher (determinism
-// lint).
+// iteration order must not depend on a randomized hasher (`clippy.toml`
+// bans the hash collections).
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -238,8 +242,8 @@ impl Cache {
         let id = self.next_id;
         self.next_id += 1;
         let mbr = Aabb::bounding(skyline);
+        #[expect(clippy::expect_used, reason = "dims > 0 asserted at construction")]
         let mut block = PointBlock::with_capacity(self.dims, skyline.len())
-            // skylint: allow(no-panic-paths) — dims > 0 asserted at construction.
             .expect("cache dimensionality is nonzero");
         for point in skyline {
             block.push(point);
@@ -352,7 +356,7 @@ impl Cache {
         ids.clear();
         let query = new.aabb();
         if let Some(id) = self.exact_id(query) {
-            // skylint: allow(hot-path-alloc) — one id into the caller's reused scratch vector; steady state reuses its capacity.
+            // Into the caller's reused scratch vector: steady state reuses its capacity.
             ids.push(id);
             return LookupStats { scans: 1 };
         }
@@ -360,7 +364,7 @@ impl Cache {
             let Some(item) = self.items.get(id) else { return };
             let index_box = item.mbr.as_ref().unwrap_or_else(|| item.constraints.aabb());
             if index_box.intersects(query) {
-                // skylint: allow(hot-path-alloc) — appends into the caller's reused scratch vector; steady state reuses its capacity.
+                // Into the caller's reused scratch vector: steady state reuses its capacity.
                 ids.extend([index_box.overlap_area(query).to_bits(), *id]);
             }
         });

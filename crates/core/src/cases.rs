@@ -60,6 +60,7 @@ pub fn plan(
     new: &Constraints,
     mode: MprMode,
 ) -> QueryPlan {
+    crate::shared::assert_guards_held(0);
     let overlap = classify(old, new);
     let free = |retained: PointBlock, removed_points: usize| QueryPlan {
         overlap,
@@ -75,9 +76,9 @@ pub fn plan(
         Overlap::CaseB { .. } => {
             // Theorem 3: Sky(S, C′) = Sky(S, C) ∩ S_C′. Copy surviving
             // rows into a fresh block; no per-point clones.
-            let mut retained = PointBlock::new(new.dims())
-                // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
-                .expect("constraints are at least one-dimensional");
+            #[expect(clippy::expect_used, reason = "Constraints reject zero dimensions")]
+            let mut retained =
+                PointBlock::new(new.dims()).expect("constraints are at least one-dimensional");
             let mut removed = 0usize;
             for row in cached_skyline.rows() {
                 if new.satisfies_coords(row) {

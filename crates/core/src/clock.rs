@@ -1,8 +1,8 @@
 //! The audited wall-clock site.
 //!
-//! The `determinism` lint forbids `std::time::Instant` anywhere else in
-//! the library crates: the executors' *results* (skylines, cached plans,
-//! fetch counters) must be a pure function of inputs, and stray wall-clock
+//! `clippy.toml` bans `std::time::Instant` anywhere else in the library
+//! crates: the executors' *results* (skylines, cached plans, fetch
+//! counters) must be a pure function of inputs, and stray wall-clock
 //! reads are how accidental time-dependence creeps in. Timing still has a
 //! legitimate consumer — the Figure-10 stage breakdown reported in
 //! `QueryStats` — so it is concentrated here, behind a type whose values
@@ -11,7 +11,7 @@
 //! If a new timing need appears, extend this module rather than importing
 //! `Instant` elsewhere; the lint will hold you to it.
 
-// skylint: allow(determinism) — the import this module exists to confine.
+#[expect(clippy::disallowed_types, reason = "the import this module exists to confine")]
 use std::time::{Duration, Instant};
 
 /// A started timer; the only way library code reads the clock.
@@ -22,9 +22,9 @@ use std::time::{Duration, Instant};
 /// let elapsed: std::time::Duration = sw.elapsed();
 /// assert!(elapsed >= std::time::Duration::ZERO);
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "confined here by design; see module docs")]
 pub struct Stopwatch {
-    // skylint: allow(determinism) — confined here by design; see module docs.
     start: Instant,
 }
 
@@ -32,8 +32,9 @@ impl Stopwatch {
     /// Starts a timer.
     #[inline]
     pub fn start() -> Self {
-        // skylint: allow(determinism) — the one sanctioned clock read.
-        Stopwatch { start: Instant::now() }
+        #[expect(clippy::disallowed_types, reason = "the one sanctioned clock read")]
+        let start = Instant::now();
+        Stopwatch { start }
     }
 
     /// Time since [`Stopwatch::start`].

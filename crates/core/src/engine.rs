@@ -121,7 +121,7 @@ impl QueryOutcome {
 /// owned [`Point`]s are materialized exactly once — for the returned
 /// skyline, at the public-API boundary.
 #[derive(Default)]
-pub(crate) struct QueryScratch {
+pub struct QueryScratch {
     /// Storage-side fetch buffers (row ids + columnar coordinates).
     fetch: FetchScratch,
     /// The corner-first step's buffers.
@@ -174,10 +174,11 @@ struct Remainder {
 /// lazily initialized scratch slot, reusing its capacity across queries.
 fn reuse_block(slot: &mut Option<PointBlock>, dims: usize) -> &mut PointBlock {
     if !matches!(slot, Some(b) if b.dims() == dims) {
-        // skylint: allow(no-panic-paths) — Table construction enforces dims > 0.
-        *slot = Some(PointBlock::new(dims).expect("tables are at least one-dimensional"));
+        #[expect(clippy::expect_used, reason = "Table construction enforces dims > 0")]
+        let block = PointBlock::new(dims).expect("tables are at least one-dimensional");
+        *slot = Some(block);
     }
-    // skylint: allow(no-panic-paths) — the slot was just filled above.
+    #[expect(clippy::expect_used, reason = "the slot was just filled above")]
     let block = slot.as_mut().expect("slot initialized above");
     block.clear();
     block
@@ -235,7 +236,7 @@ fn merge_rows<'a>(
         if !indexed {
             indexed = true;
             order.clear();
-            // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+            // A reused buffer: it grows to its high-water mark once.
             order.extend(0..(retained.len() / dims) as u32);
             order.sort_unstable_by(|&a, &b| cmp_bits(kept(a), kept(b)).then(a.cmp(&b)));
             budget.clear();
@@ -569,6 +570,7 @@ fn query_naive(
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
 ) -> Vec<Point> {
+    crate::shared::assert_guards_held(0);
     fetch_into(table, &FetchPlan::constrained(c), &mut scratch.fetch, stats);
 
     let t1 = Stopwatch::start();
@@ -599,6 +601,7 @@ pub(crate) fn query_planned(
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
 ) -> Vec<Point> {
+    crate::shared::assert_guards_held(0);
     stats.case = Some(plan.overlap);
     stats.retained_points = plan.retained.len() as u64;
     stats.removed_points = plan.removed_points as u64;
@@ -624,7 +627,7 @@ impl QueryScratch {
     /// runs the skyline kernel over them. Where the cost model predicts it
     /// pays, the corner-first step reads the lower corner of `R_C′` first
     /// ([`QueryScratch::corner_first`]).
-    pub(crate) fn fetch_stage(
+    pub fn fetch_stage(
         &mut self,
         table: &Table,
         c: &Constraints,
@@ -632,6 +635,7 @@ impl QueryScratch {
         retained: &[f64],
         stats: &mut QueryStats,
     ) -> Vec<Point> {
+        crate::shared::assert_guards_held(0);
         let dims = table.dims();
         let regions = self.corner_first(table, c, regions, stats);
         fetch_into(table, &FetchPlan::new(regions), &mut self.fetch, stats);
@@ -649,7 +653,7 @@ impl QueryScratch {
         let out = reuse_block(&mut self.sky_out, dims);
         stats.dominance_tests += Sfs.compute_block_into(merged.as_flat(), dims, &mut self.sky, out);
         stats.time(Phase::Skyline, t1);
-        // skylint: allow(hot-path-alloc) — the returned skyline, owned at the public-API boundary.
+        // The returned skyline, owned at the public-API boundary.
         out.to_points()
     }
 
@@ -694,7 +698,7 @@ impl QueryScratch {
             u.iter().zip(lo.iter().zip(hi)).map(|(&u, (&l, &h))| h - u.max(l)).product()
         };
         s.order.clear();
-        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        // A reused buffer: it grows to its high-water mark once.
         s.order.extend(candidates.rows().enumerate().map(|(i, u)| (dominated(u), i as u32)));
         s.order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut cost: f64 = s.regions.rest_ns.iter().sum();
@@ -742,9 +746,9 @@ impl CornerScratch {
         let corner = table.predict_region(&self.region[0]).ns;
         r.rest.clear();
         r.rest_ns.clear();
-        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        // A reused buffer: it grows to its high-water mark once.
         r.rest.extend(regions.iter());
-        // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+        // A reused buffer: it grows to its high-water mark once.
         r.rest_ns.extend(regions.iter().map(|region| table.predict_region(region).ns));
         let before: f64 = r.rest_ns.iter().sum();
         r.carve(table, lo, &self.cut);
@@ -765,10 +769,10 @@ impl Remainder {
         for (r, &ns) in self.rest.iter().zip(&self.rest_ns) {
             let at = out.len();
             if subtract::carve(r, lo, hi, out) {
-                // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+                // A reused buffer: it grows to its high-water mark once.
                 costs.extend(out.iter().skip(at).map(|piece| table.predict_region(piece).ns));
             } else {
-                // skylint: allow(hot-path-alloc) — a reused buffer: it grows to its high-water mark once.
+                // A reused buffer: it grows to its high-water mark once.
                 costs.push(ns);
             }
         }

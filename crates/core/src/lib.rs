@@ -59,11 +59,6 @@
 //! assert_eq!(report.counter("cache.hits"), 1);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 /// The constrained-skyline cache (Section 6): items, index, replacement.
 pub mod cache;
 /// Specialized solutions for the four single-bound cases (Theorems 2–5).

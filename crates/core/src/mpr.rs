@@ -90,9 +90,9 @@ pub fn missing_points_region(
     // Partition the cached skyline under C′: satisfying rows are copied
     // into the columnar block (not one `Point` clone per row), removed
     // rows stay as indices into the cached block.
-    let mut retained = PointBlock::new(new.dims())
-        // skylint: allow(no-panic-paths) — Constraints reject zero dimensions.
-        .expect("constraints are at least one-dimensional");
+    #[expect(clippy::expect_used, reason = "Constraints reject zero dimensions")]
+    let mut retained =
+        PointBlock::new(new.dims()).expect("constraints are at least one-dimensional");
     let mut removed: Vec<usize> = Vec::new();
     for (r, row) in cached_skyline.rows().enumerate() {
         if new.satisfies_coords(row) {
@@ -173,7 +173,7 @@ fn invalidated_space(
 /// has the upper corner `min(C̄, C̄′)` — so only the lower corner, the
 /// minimum over the rows of `max(t, C̲, C̲′)`, is folded, straight into
 /// the returned region: no box per row is built.
-fn invalid_cover<'a>(
+pub fn invalid_cover<'a>(
     removed: impl Iterator<Item = &'a [f64]>,
     old: &Constraints,
     new: &Constraints,
@@ -195,7 +195,7 @@ fn invalid_cover<'a>(
             }
             None => {
                 let hi = |d: usize| old.hi()[d].min(new.hi()[d]);
-                // skylint: allow(hot-path-alloc) — the returned region, the one allocation of the cover.
+                // The returned region: the one allocation of the cover.
                 cover = Some((0..t.len()).map(|d| Interval::closed(lo(d), hi(d))).collect());
             }
         }

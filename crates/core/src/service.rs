@@ -127,9 +127,8 @@ impl<'t> Service<'t> {
     /// (`&Table`, copied on the first write) or owned (`Table`).
     pub fn open(table: impl Into<Cow<'t, Table>>, config: ServiceConfig) -> Self {
         let table = table.into();
-        let data_bounds = Aabb::bounding(table.all_points())
-            // skylint: allow(no-panic-paths) — Table::build rejects empty point sets.
-            .expect("tables are non-empty");
+        #[expect(clippy::expect_used, reason = "Table::build rejects empty point sets")]
+        let data_bounds = Aabb::bounding(table.all_points()).expect("tables are non-empty");
         Service {
             cache: SharedCache::new(table.dims(), &config.cbcs),
             table,
@@ -239,6 +238,7 @@ impl Session<'_> {
     /// the plan owns its points, so the snapshot is dropped before the
     /// fetch. Fetch, merge and skyline are timed by the fetch stage.
     fn pipeline(&mut self, req: &QueryRequest) -> QueryOutcome {
+        crate::shared::assert_guards_held(0);
         let (service, c) = (self.service, &req.constraints);
         let table = &*service.table;
         let mut stats = QueryStats::default();
@@ -302,7 +302,11 @@ impl Session<'_> {
         stats.time(Phase::CacheLookup, t0);
         stats.candidates = ids.len();
 
-        // skylint: allow(no-panic-paths) — `lookup_into` only emits ids present in the items map, and the cache is not mutated between lookup and resolution.
+        #[expect(
+            clippy::expect_used,
+            reason = "`lookup_into` only emits ids present in the items map, and the cache is \
+                      not mutated between lookup and resolution"
+        )]
         let item = |id: u64| items.get(id).expect("lookup ids are live");
 
         let t1 = Stopwatch::start();
@@ -401,7 +405,7 @@ mod tests {
         let busy = |lo: f64| Constraints::from_pairs(&[(lo, 1.3), (0.2, 1.3)]).unwrap();
         let stream = [empty(0.11), busy(0.2), empty(0.11), busy(0.2), empty(0.12), busy(0.3)];
         let service = Service::open(&t, ServiceConfig::default());
-        std::thread::scope(|scope| {
+        skycheck::sync::thread::scope(|scope| {
             for _ in 0..4 {
                 let mut s = service.session();
                 let stream = &stream;

@@ -58,20 +58,26 @@
 //! publication happens nested under the master guard so two racing
 //! inserts cannot publish out of order). Every guard lives inside one
 //! [`SharedCache`] method; what a write did comes back by value and the
-//! pipeline adds it to its statistics after the call returns — skylint's
-//! `guard-hold-span` rule enforces that no guard is live across
-//! planning, fetching or the skyline. A cached item may be evicted
-//! between the snapshot read and the write phase; that is benign (the
-//! plan was built from the pinned snapshot, and `touch` on a gone item
-//! is a no-op).
+//! pipeline adds it to its statistics after the call returns. Debug
+//! builds check both rules: each acquisition asserts how many guards its
+//! thread already holds (`skycheck::sync::held_guards`: none, or the
+//! master guard for `publish`'s nested `snap` write), and planning,
+//! fetching and the skyline assert that the thread holds none. A cached
+//! item may be evicted between the snapshot read and the write phase;
+//! that is benign (the plan was built from the pinned snapshot, and
+//! `touch` on a gone item is a no-op).
 //!
 //! The query flow itself is not written here: a session runs the one
 //! CBCS pipeline of [`crate::service`] against these methods — snapshot
 //! reads, master writes.
 
+// An out-of-bounds index here would panic a thread holding the shared
+// cache: every access goes through `get`.
+#![deny(clippy::indexing_slicing)]
+
 // Shim sync primitives: identical to `std`/`parking_lot` in production,
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
-use skycheck::sync::{Arc, AtomicU64, Ordering, RwLock};
+use skycheck::sync::{held_guards, Arc, AtomicU64, Ordering, RwLock};
 
 use crate::cache::Cache;
 use crate::engine::CbcsConfig;
@@ -88,6 +94,18 @@ struct SharedCacheInner {
     snap: RwLock<Arc<Cache>>,
     /// Publication counter; bumped once per snapshot swap.
     epoch: AtomicU64,
+}
+
+/// Debug builds: asserts that the calling thread holds `n` shim guards.
+/// Each acquisition below holds none, except `publish`'s nested `snap`
+/// write, which holds the master guard; planning, fetching and the
+/// skyline start holding none.
+pub(crate) fn assert_guards_held(n: usize) {
+    debug_assert_eq!(
+        held_guards(),
+        n,
+        "the lock order is master → snap, and no guard spans planning, fetching or the skyline"
+    );
 }
 
 /// A cache shared between executors (and threads), sealed behind an
@@ -119,7 +137,8 @@ impl SharedCache {
     /// returned cache is immutable and can be searched for as long as
     /// the caller likes without blocking writers.
     pub fn snapshot(&self) -> Arc<Cache> {
-        self.inner.snap.read().clone() // lock-order: read
+        assert_guards_held(0);
+        self.inner.snap.read().clone()
     }
 
     /// The publication epoch: how many snapshots have been published.
@@ -129,17 +148,20 @@ impl SharedCache {
 
     /// Number of cached items (authoritative, reads the master).
     pub fn len(&self) -> usize {
-        self.inner.master.read().len() // lock-order: read
+        assert_guards_held(0);
+        self.inner.master.read().len()
     }
 
     /// Whether the cache is empty (authoritative, reads the master).
     pub fn is_empty(&self) -> bool {
-        self.inner.master.read().is_empty() // lock-order: read
+        assert_guards_held(0);
+        self.inner.master.read().is_empty()
     }
 
     /// Dimensionality of the cached constraint space.
     pub fn dims(&self) -> usize {
-        self.inner.master.read().dims() // lock-order: read
+        assert_guards_held(0);
+        self.inner.master.read().dims()
     }
 
     /// Runs a closure with read access to the authoritative cache state.
@@ -147,17 +169,18 @@ impl SharedCache {
     /// This sees master-side bookkeeping (`use_count`, evictions) that
     /// published snapshots deliberately omit. The closure must stay
     /// cheap: it runs under the master read lock (shared and re-entrant,
-    /// so nested `with_read` is safe).
+    /// so nested `with_read` is safe, which makes this the one
+    /// acquisition that may run under another guard).
     pub fn with_read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
-        f(&self.inner.master.read()) // lock-order: read
+        f(&self.inner.master.read())
     }
 
     /// Records a hit on item `id` (replacement bookkeeping; a no-op if
     /// the item is gone) on the master only — no republication, see the
     /// module docs.
     pub(crate) fn touch(&self, id: u64) {
-        // skylint: allow(lock-order) — the callee is `Cache::touch` on the guard's own target (lock-free); the name-match to this very method is not a nested acquisition.
-        self.inner.master.write().touch(id); // lock-order: write
+        assert_guards_held(0);
+        self.inner.master.write().touch(id);
     }
 
     /// Runs `write` on the master, publishes a fresh snapshot and bumps
@@ -166,7 +189,8 @@ impl SharedCache {
     /// under the master guard and must stay cheap: an insert or an
     /// index-probed maintenance pass, never planning or a fetch.
     pub(crate) fn publish<R>(&self, write: impl FnOnce(&mut Cache) -> R) -> R {
-        let mut master = self.inner.master.write(); // lock-order: write
+        assert_guards_held(0);
+        let mut master = self.inner.master.write();
         let written = write(&mut master);
         // Publish nested under the master guard: racing writes publish
         // in master order, so a newer snapshot is never overwritten by
@@ -174,7 +198,8 @@ impl SharedCache {
         // master (see the module docs), so holding the lock across it is
         // cheap.
         let published = Arc::new(master.clone());
-        *self.inner.snap.write() = published; // lock-order: write
+        assert_guards_held(1);
+        *self.inner.snap.write() = published;
         self.inner.epoch.fetch_add(1, Ordering::Release);
         written
     }
@@ -320,7 +345,7 @@ mod tests {
             }
         }
 
-        std::thread::scope(|scope| {
+        skycheck::sync::thread::scope(|scope| {
             for worker in 0..4 {
                 let mut ex = service.session();
                 let queries = &queries;

@@ -10,6 +10,7 @@
 //! lower bound can remove a cached skyline point *and* keep alive points
 //! it used to dominate.
 
+use skycache_geom::float::exact_eq;
 use skycache_geom::Constraints;
 
 /// How new constraints `C′` relate to cached constraints `C`.
@@ -97,10 +98,10 @@ pub fn classify(old: &Constraints, new: &Constraints) -> Overlap {
     // Locate changed bounds.
     let mut changed: Vec<(usize, bool /* is_lower */, bool /* increased */)> = Vec::new();
     for i in 0..old.dims() {
-        if old.lo()[i] != new.lo()[i] {
+        if !exact_eq(old.lo()[i], new.lo()[i]) {
             changed.push((i, true, new.lo()[i] > old.lo()[i]));
         }
-        if old.hi()[i] != new.hi()[i] {
+        if !exact_eq(old.hi()[i], new.hi()[i]) {
             changed.push((i, false, new.hi()[i] > old.hi()[i]));
         }
     }

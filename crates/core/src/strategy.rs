@@ -6,6 +6,7 @@
 
 use rand::Rng;
 
+use skycache_geom::float::exact_eq;
 use skycache_geom::{Aabb, Constraints};
 
 use crate::cache::CacheItem;
@@ -60,9 +61,10 @@ impl SearchStrategy {
             SearchStrategy::MaxOverlapSP => "MaxOverlapSP".into(),
             SearchStrategy::Prioritized1D => "Prioritized1D".into(),
             SearchStrategy::PrioritizedND { weights } => {
-                if *weights == [10.0, 0.0, 5.0, 20.0] {
+                let is = |w: [f64; 4]| weights.iter().zip(w).all(|(&a, b)| exact_eq(a, b));
+                if is([10.0, 0.0, 5.0, 20.0]) {
                     "PrioritizednD(Std)".into()
-                } else if *weights == [10.0, 50.0, 30.0, 0.0] {
+                } else if is([10.0, 50.0, 30.0, 0.0]) {
                     "PrioritizednD(Bad)".into()
                 } else {
                     format!(

@@ -8,8 +8,8 @@
 //! (a) concurrent `touch`/`insert` never violate LRU-clock monotonicity;
 //! (b) eviction between an executor's read and write phases never loses
 //!     the inserted result or double-counts a hit;
-//! (c) the lock-order annotations in `shared.rs` admit no AB/BA schedule —
-//!     two full concurrent `execute()` calls cannot deadlock.
+//! (c) `shared.rs`'s lock order (`master → snap`) admits no AB/BA
+//!     schedule — two full concurrent `execute()` calls cannot deadlock.
 //!
 //! Plus the satellite pins: `SharedCache::with_read` re-entrancy, and a
 //! deliberately seeded touch-without-write-lock bug that must yield a
@@ -22,6 +22,12 @@
 //! The library holds no process-wide mutable state, so every run of a
 //! harness starts from the same state — run-to-run determinism is what
 //! makes trace replay byte-stable.
+
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
 
 use skycache_core::engine::{CbcsConfig, QueryRequest};
 use skycache_core::{Cache, ReplacementPolicy, Service, ServiceConfig, SharedCache};
@@ -135,10 +141,11 @@ fn harness_b_eviction_between_phases_never_loses_or_double_counts() {
     assert!(outcome.stats.schedules <= 260, "interleaving space grew: {:?}", outcome.stats);
 }
 
-/// Invariant (c): the `// lock-order: read`/`write` protocol in
-/// `shared.rs` holds at most one cache lock at a time, so two full
-/// concurrent `execute()` calls admit no AB/BA schedule — exhaustive
-/// exploration finds no deadlock, and hit accounting stays consistent.
+/// Invariant (c): `shared.rs` takes its two locks only in the order
+/// `master → snap` (debug builds assert each acquisition's held-guard
+/// count), so two full concurrent `execute()` calls admit no AB/BA
+/// schedule — exhaustive exploration finds no deadlock, and hit
+/// accounting stays consistent.
 #[test]
 fn harness_c_concurrent_execute_admits_no_deadlock() {
     let t = table();

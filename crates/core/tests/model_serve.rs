@@ -12,6 +12,12 @@
 //!
 //! It also asserts a schedule ceiling, as the harnesses in `model.rs` do.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use skycache_core::engine::QueryRequest;
 use skycache_core::{Service, ServiceConfig};
 use skycache_geom::{Constraints, Point};

@@ -27,11 +27,6 @@
 //! assert_eq!(workload.queries()[0].step, 0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod real_estate;
 mod synthetic;
 pub mod workload;

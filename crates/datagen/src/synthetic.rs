@@ -77,7 +77,7 @@ impl SyntheticGen {
     /// produce the same coordinates for the same seed.
     pub fn generate_block(&self, n: usize) -> PointBlock {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // skylint: allow(no-panic-paths) — SyntheticGen::new asserts dims >= 1.
+        #[expect(clippy::expect_used, reason = "SyntheticGen::new asserts dims >= 1")]
         let mut block = PointBlock::with_capacity(self.dims, n).expect("dims > 0");
         let mut row = Vec::with_capacity(self.dims);
         for _ in 0..n {

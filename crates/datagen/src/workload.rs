@@ -20,6 +20,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use skycache_geom::float::exact_eq;
 use skycache_geom::{Constraints, Point};
 
 /// Per-dimension mean and standard deviation of a dataset, the anchor for
@@ -106,6 +107,7 @@ struct GenParams {
     sigma_span: f64,
 }
 
+#[expect(clippy::expect_used, reason = "lo/hi are min/max of the same two samples")]
 fn initial_constraints<R: Rng>(rng: &mut R, stats: &[DimStats], params: &GenParams) -> Constraints {
     let dims = stats.len();
     let mut lo = vec![f64::NEG_INFINITY; dims];
@@ -118,7 +120,6 @@ fn initial_constraints<R: Rng>(rng: &mut R, stats: &[DimStats], params: &GenPara
         lo[i] = a.min(b);
         hi[i] = a.max(b);
     }
-    // skylint: allow(no-panic-paths) — lo/hi are min/max of the same two samples.
     Constraints::new(lo, hi).expect("lo <= hi by construction")
 }
 
@@ -162,7 +163,7 @@ fn refine<R: Rng>(
             Refinement::DecreaseUpper => (lo, (hi - delta).max(lo)),
             Refinement::IncreaseUpper => (lo, hi + delta),
         };
-        if new_lo > new_hi || (new_lo == lo && new_hi == hi) {
+        if new_lo > new_hi || (exact_eq(new_lo, lo) && exact_eq(new_hi, hi)) {
             continue;
         }
         if let Ok(next) = c.with_dim(dim, new_lo, new_hi) {
@@ -363,7 +364,11 @@ impl ZipfWorkload {
                 let offset =
                     i.checked_div(self.rotate_every).map_or(0, |r| r * (self.pool / 4).max(1));
                 let idx = (rank + offset) % self.pool;
-                // skylint: allow(no-panic-paths) — rank < pool (partition_point over the pool-sized table) and the offset is reduced mod pool.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rank < pool (partition_point over the pool-sized table) \
+                              and the offset is reduced mod pool"
+                )]
                 let base = bases.get(idx).expect("index stays inside the pool");
                 if rng.gen_bool(self.refine_prob) {
                     let drifted = refine(&mut rng, base, &self.stats, &self.params);
@@ -378,6 +383,7 @@ impl ZipfWorkload {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
     use crate::{Distribution, SyntheticGen};
@@ -465,7 +471,7 @@ mod tests {
         assert_eq!(w.len(), 50);
         assert!(w.queries().iter().all(|q| q.step == 0));
         // Chains all distinct.
-        let chains: std::collections::HashSet<_> = w.queries().iter().map(|q| q.chain).collect();
+        let chains: std::collections::BTreeSet<_> = w.queries().iter().map(|q| q.chain).collect();
         assert_eq!(chains.len(), 50);
     }
 

@@ -206,6 +206,7 @@ impl fmt::Debug for Aabb {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
 

@@ -22,7 +22,6 @@ impl PointBlock {
         if dims == 0 {
             return Err(GeomError::ZeroDimensions);
         }
-        // skylint: allow(hot-path-alloc) — an empty `Vec` allocates nothing.
         Ok(PointBlock { coords: Vec::new(), dims })
     }
 
@@ -126,7 +125,6 @@ impl PointBlock {
 
     /// Materializes the block as owned [`Point`]s.
     pub fn to_points(&self) -> Vec<Point> {
-        // skylint: allow(hot-path-alloc) — owned points are this method's purpose; the lint flags its callers.
         self.rows().map(|r| Point::new_unchecked(r.to_vec())).collect()
     }
 }

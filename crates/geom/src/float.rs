@@ -1,7 +1,7 @@
 //! Explicit float-comparison helpers.
 //!
-//! The `determinism` lint (see DESIGN.md §9) forbids raw `==`/`!=` on
-//! `f64` values in geometry code: a bare comparison does not say whether
+//! `clippy::float_cmp` (see DESIGN.md §9) rejects raw `==`/`!=` on `f64`
+//! values in every library crate: a bare comparison does not say whether
 //! the author wanted *tolerance* semantics (measured quantities that may
 //! carry rounding error) or *exact bit-level* semantics (interval
 //! endpoints copied around by the region algebra, where `0.1 + 0.2 ≠ 0.3`
@@ -29,7 +29,8 @@ pub const EPS: f64 = 1e-12;
 /// relies on copied bounds comparing equal *exactly*.
 #[inline]
 pub fn exact_eq(a: f64, b: f64) -> bool {
-    // Deliberately spelled raw: this helper IS the audited comparison site.
+    // The one audited raw comparison. `clippy::float_cmp` exempts a
+    // function whose name ends in `_eq`, so it needs no escape.
     a == b
 }
 

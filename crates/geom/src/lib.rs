@@ -24,11 +24,6 @@
 //! All skylines in this workspace **minimize** every dimension, matching the
 //! paper; a preference for maximization is handled by negating the attribute.
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 mod aabb;
 /// Flat structure-of-arrays point storage for allocation-free hot loops.
 pub mod block;

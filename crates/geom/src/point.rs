@@ -81,6 +81,7 @@ impl From<Vec<f64>> for Point {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
 

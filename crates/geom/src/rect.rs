@@ -119,6 +119,7 @@ impl<R: AsRef<[Interval]>> FromIterator<R> for Regions {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
 

@@ -6,6 +6,12 @@
 //! order. These invariants are checked on random geometry here — for the
 //! region algebra on half-open regions and signed-zero endpoints too.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use proptest::prelude::*;
 use skycache_geom::dominance::{dominated_by_any_rows, dominates};
 use skycache_geom::rect::{contains, volume};

@@ -20,11 +20,6 @@
 //! Nothing below `core` depends on this crate: kernels (geom, algos,
 //! rtree, storage) return their counts by value.
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 /// Named counters in deterministic order.
 pub mod metrics;
 /// Canonical metric names shared by producers and consumers.

@@ -2,8 +2,8 @@
 //!
 //! Everything is keyed by `&'static str` names (see [`crate::names`]) in
 //! `BTreeMap`s, so iteration order — and therefore every serialized
-//! report — is independent of hasher seeds (the workspace determinism
-//! policy).
+//! report — is independent of hasher seeds (`clippy.toml` bans the hash
+//! collections in library code).
 
 use std::collections::BTreeMap;
 

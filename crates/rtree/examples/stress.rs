@@ -1,3 +1,5 @@
+//! Randomized insert/delete stress of the R*-tree, checked against its invariants.
+
 use skycache_geom::{Aabb, Point};
 use skycache_rtree::{RStarTree, RTreeParams};
 

@@ -39,10 +39,10 @@ impl<T> RStarTree<T> {
         while nodes.len() > 1 {
             let children: Vec<ChildEntry<T>> = nodes
                 .into_iter()
-                .map(|child| ChildEntry {
-                    // skylint: allow(no-panic-paths) — STR packing never emits empty nodes.
-                    mbr: child.mbr().expect("packed nodes are non-empty"),
-                    child,
+                .map(|child| {
+                    #[expect(clippy::expect_used, reason = "STR packing never emits empty nodes")]
+                    let mbr = child.mbr().expect("packed nodes are non-empty");
+                    ChildEntry { mbr, child }
                 })
                 .collect();
             let groups = str_partition(children, dims, params.max_entries);
@@ -50,8 +50,9 @@ impl<T> RStarTree<T> {
                 groups.into_iter().map(|g| Arc::new(Node::Inner { level, children: g })).collect();
             level += 1;
         }
-        // skylint: allow(no-panic-paths) — the packing loop always leaves a root.
-        RStarTree::from_root(nodes.pop().expect("at least one node"), params, dims, len)
+        #[expect(clippy::expect_used, reason = "the packing loop always leaves a root")]
+        let root = nodes.pop().expect("at least one node");
+        RStarTree::from_root(root, params, dims, len)
     }
 
     /// Convenience: bulk-loads a tree of points (degenerate boxes), the

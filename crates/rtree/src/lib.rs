@@ -47,11 +47,6 @@
 //! assert_eq!(hits, 6);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 mod bulk;
 mod node;
 mod query;

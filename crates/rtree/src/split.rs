@@ -1,5 +1,6 @@
 //! The R\* topological split (Beckmann et al. 1990, §4.2).
 
+use skycache_geom::float::exact_eq;
 use skycache_geom::Aabb;
 
 use crate::node::{ChildEntry, LeafEntry};
@@ -68,7 +69,7 @@ pub(crate) fn rstar_split<E: HasMbr>(mut entries: Vec<E>, min: usize) -> (Vec<E>
         let (a, b) = (bounding(&entries[..k]), bounding(&entries[k..]));
         let overlap = a.overlap_area(&b);
         let area = a.area() + b.area();
-        if overlap < best_overlap || (overlap == best_overlap && area < best_area) {
+        if overlap < best_overlap || (exact_eq(overlap, best_overlap) && area < best_area) {
             best_overlap = overlap;
             best_area = area;
             best_k = k;
@@ -95,6 +96,7 @@ fn sort_entries<E: HasMbr>(entries: &mut [E], axis: usize, by_upper: bool) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
 

@@ -205,8 +205,11 @@ impl<T> RStarTree<T> {
                 Node::Inner { children, .. } => {
                     assert!(!children.is_empty() || is_root, "empty inner node");
                     for c in children {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant checker; panics are its job"
+                        )]
                         let child_mbr = walk(&c.child, expected_level - 1, false, params, count)
-                            // skylint: allow(no-panic-paths) — invariant checker; panics are its job.
                             .expect("non-root nodes are non-empty");
                         assert_eq!(c.mbr, child_mbr, "stored child MBR not tight");
                     }
@@ -253,7 +256,7 @@ impl<T: Clone> RStarTree<T> {
         if let Some(sibling) = split {
             // Root split: grow the tree by one level.
             let old_root = Arc::clone(&self.root);
-            // skylint: allow(no-panic-paths) — a root that just split holds entries.
+            #[expect(clippy::expect_used, reason = "a root that just split holds entries")]
             let old_mbr = old_root.mbr().expect("split root is non-empty");
             let level = old_root.level() + 1;
             self.root = Arc::new(Node::Inner {
@@ -400,11 +403,9 @@ fn insert_impl<T: Clone>(
     );
     // Recompute the child MBR: it may have grown (insert) or shrunk
     // (forced reinsertion removed entries).
-    children[idx].mbr = children[idx]
-        .child
-        .mbr()
-        // skylint: allow(no-panic-paths) — children keep >= min entries during insertion.
-        .expect("children keep >= min entries during insertion");
+    #[expect(clippy::expect_used, reason = "children keep >= min entries during insertion")]
+    let mbr = children[idx].child.mbr().expect("children keep >= min entries during insertion");
+    children[idx].mbr = mbr;
     if let Some(sibling) = split {
         children.push(sibling);
         if children.len() > params.max_entries {
@@ -434,7 +435,7 @@ fn overflow_leaf<T>(
     let (keep, split) = rstar_split(all, params.min_entries);
     *entries = keep;
     let sibling = Node::Leaf(split);
-    // skylint: allow(no-panic-paths) — rstar_split emits two non-empty groups.
+    #[expect(clippy::expect_used, reason = "rstar_split emits two non-empty groups")]
     let mbr = sibling.mbr().expect("split group is non-empty");
     Some(ChildEntry { mbr, child: Arc::new(sibling) })
 }
@@ -459,7 +460,7 @@ fn overflow_inner<T>(
     let (keep, split) = rstar_split(all, params.min_entries);
     *children = keep;
     let sibling = Node::Inner { level, children: split };
-    // skylint: allow(no-panic-paths) — rstar_split emits two non-empty groups.
+    #[expect(clippy::expect_used, reason = "rstar_split emits two non-empty groups")]
     let mbr = sibling.mbr().expect("split group is non-empty");
     Some(ChildEntry { mbr, child: Arc::new(sibling) })
 }
@@ -562,8 +563,9 @@ fn remove_at<T: Clone>(
                     }
                 }
             } else {
-                // skylint: allow(no-panic-paths) — underfull children were drained above.
-                children[i].mbr = children[i].child.mbr().expect("non-empty");
+                #[expect(clippy::expect_used, reason = "underfull children were drained above")]
+                let mbr = children[i].child.mbr().expect("non-empty");
+                children[i].mbr = mbr;
             }
             removed
         }

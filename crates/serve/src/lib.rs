@@ -17,11 +17,6 @@
 //! table. `repro serve` drives a concurrent-load benchmark against this
 //! server and writes `BENCH_serve.json`.
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod proto;
 pub mod server;
 

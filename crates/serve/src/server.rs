@@ -133,6 +133,11 @@ pub fn serve(
     let stop = Arc::new(AtomicBool::new(false));
     let live = Arc::new(AtomicUsize::new(0));
     let (thread_stop, thread_live) = (stop.clone(), live.clone());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the accept thread: with its scoped connection threads, the only threads a \
+                  library crate spawns"
+    )]
     let join = thread::Builder::new().name("skyserve-accept".to_owned()).spawn(move || {
         let service = Service::open(table, config);
         accept_loop(&listener, &service, &thread_stop, &thread_live)

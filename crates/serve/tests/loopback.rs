@@ -1,6 +1,13 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, real
 //! TCP clients speaking the line protocol.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+#![allow(clippy::disallowed_types, reason = "a test may time itself with the wall clock")]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};

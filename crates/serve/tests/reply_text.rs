@@ -3,6 +3,12 @@
 //! and a reply built from it must be the bytes the renderer writes for
 //! the same points.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use std::sync::Arc;
 
 use proptest::prelude::*;

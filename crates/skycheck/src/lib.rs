@@ -17,10 +17,6 @@
 //! with `SKYCHECK_MAX_SCHEDULES=<n>`. See DESIGN.md §15 for the scheduler
 //! architecture and the soundness argument.
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-
 mod sched;
 pub mod sync;
 

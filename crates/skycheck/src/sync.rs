@@ -18,10 +18,48 @@
 pub use std::sync::atomic::Ordering;
 pub use std::sync::Arc;
 
+#[cfg(debug_assertions)]
+use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::{PoisonError, TryLockError};
 
 use crate::sched::{self, ObjCell, Op, ThreadCtx};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static HELD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many shim lock guards the calling thread holds right now.
+///
+/// Counted only in builds with debug assertions (0 otherwise), for
+/// `debug_assert!`s such as "no guard is live across planning" and "the
+/// second lock is taken only under the first".
+pub fn held_guards() -> usize {
+    #[cfg(debug_assertions)]
+    return HELD.with(Cell::get);
+    #[cfg(not(debug_assertions))]
+    0
+}
+
+/// A guard's entry in its thread's [`held_guards`] count; a no-op type
+/// without debug assertions.
+struct Held;
+
+impl Held {
+    fn take() -> Held {
+        #[cfg(debug_assertions)]
+        HELD.with(|n| n.set(n.get() + 1));
+        Held
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Held {
+    fn drop(&mut self) {
+        HELD.with(|n| n.set(n.get() - 1));
+    }
+}
 
 fn strip<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
@@ -66,9 +104,14 @@ impl<T: ?Sized> Mutex<T> {
                 MutexGuard {
                     inner: Some(strip_try(self.inner.try_lock(), "Mutex")),
                     model: Some((ctx, id)),
+                    _held: Held::take(),
                 }
             }
-            None => MutexGuard { inner: Some(strip(self.inner.lock())), model: None },
+            None => MutexGuard {
+                inner: Some(strip(self.inner.lock())),
+                model: None,
+                _held: Held::take(),
+            },
         }
     }
 
@@ -94,6 +137,7 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: Option<std::sync::MutexGuard<'a, T>>,
     model: Option<(ThreadCtx, u32)>,
+    _held: Held,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -155,9 +199,14 @@ impl<T: ?Sized> RwLock<T> {
                 RwLockReadGuard {
                     inner: Some(strip_try(self.inner.try_read(), "RwLock (read)")),
                     model: Some((ctx, id)),
+                    _held: Held::take(),
                 }
             }
-            None => RwLockReadGuard { inner: Some(strip(self.inner.read())), model: None },
+            None => RwLockReadGuard {
+                inner: Some(strip(self.inner.read())),
+                model: None,
+                _held: Held::take(),
+            },
         }
     }
 
@@ -170,9 +219,14 @@ impl<T: ?Sized> RwLock<T> {
                 RwLockWriteGuard {
                     inner: Some(strip_try(self.inner.try_write(), "RwLock (write)")),
                     model: Some((ctx, id)),
+                    _held: Held::take(),
                 }
             }
-            None => RwLockWriteGuard { inner: Some(strip(self.inner.write())), model: None },
+            None => RwLockWriteGuard {
+                inner: Some(strip(self.inner.write())),
+                model: None,
+                _held: Held::take(),
+            },
         }
     }
 
@@ -198,6 +252,7 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: Option<std::sync::RwLockReadGuard<'a, T>>,
     model: Option<(ThreadCtx, u32)>,
+    _held: Held,
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
@@ -222,6 +277,7 @@ impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
     model: Option<(ThreadCtx, u32)>,
+    _held: Held,
 }
 
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {

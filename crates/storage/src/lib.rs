@@ -54,11 +54,6 @@
 //! assert!(outcome.simulated_latency.as_nanos() > 0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 mod cost;
 mod error;
 mod index;

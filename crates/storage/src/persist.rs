@@ -37,9 +37,9 @@ const VERSION: u32 = 2;
 /// Validates a decoded item count against the bytes that must back it:
 /// `n` items of `item_bytes` each have to fit in `rest`, so a corrupted
 /// header can never drive an allocation larger than the file that
-/// carries it. This is the designated `range-taint` validator for this
-/// module — decoded counts pass through here before reaching
-/// `Vec::with_capacity`.
+/// carries it. Every decoded count passes through here before it sizes
+/// an allocation (`crates/bench/tests/alloc_ceiling.rs` loads hostile
+/// headers under a counting allocator).
 fn checked_len(n: u64, item_bytes: usize, rest: &[u8], what: &str) -> Result<usize> {
     let n = usize::try_from(n).map_err(|_| StorageError::Corrupt(format!("{what} overflow")))?;
     match n.checked_mul(item_bytes) {
@@ -136,7 +136,7 @@ impl Table {
             .checked_sub(8)
             .ok_or_else(|| StorageError::Corrupt("file too short".into()))?;
         let (payload, tail) = raw.split_at(payload_len);
-        // skylint: allow(no-panic-paths) — split_at gives tail exactly 8 bytes.
+        #[expect(clippy::expect_used, reason = "split_at gives tail exactly 8 bytes")]
         let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
         if fnv1a(payload) != stored {
             return Err(StorageError::Corrupt("checksum mismatch".into()));
@@ -168,6 +168,9 @@ impl Table {
             .checked_mul(dims * 8)
             .ok_or_else(|| StorageError::Corrupt("point payload overflow".into()))?;
         let image = buf.take(payload_len, "points")?;
+        if !buf.0.is_empty() {
+            return Err(StorageError::Corrupt("trailing bytes after the points".into()));
+        }
         let mut points = Vec::with_capacity(n);
         for (slot, row) in image.chunks_exact(dims * 8).enumerate() {
             let (words, _) = row.as_chunks();

@@ -13,11 +13,10 @@
 //! rows stay inside [`FetchBuf`] as borrowed views until a caller
 //! explicitly materializes `Point`s at the public-API boundary.
 //!
-//! This file is deliberately **not** a `skylint` `scope-file`: the fetch
-//! kernel in `table.rs` is lint-checked and calls only the amortized
-//! mutators below (`append`, `note_*`, `mark`, …) whose names are not in
-//! the lint's allocation list — growth happens here, once, not per row
-//! on the hot path.
+//! The fetch kernel in `table.rs` calls only the amortized mutators
+//! below (`append`, `note_*`, `mark`, …): growth happens here, once, not
+//! per row on the hot path, and `crates/bench/tests/alloc_ceiling.rs`
+//! holds `Table::fetch_plan_into` to zero allocations in steady state.
 
 use crate::cost::FetchStats;
 use crate::sketch::BucketBox;
@@ -409,6 +408,7 @@ impl FetchScratch {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
 

@@ -634,6 +634,7 @@ impl From<Table> for Cow<'_, Table> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
     use skycache_geom::Interval;

@@ -30,7 +30,7 @@ fn hotels(n: usize, seed: u64) -> Vec<Point> {
 
 fn show(skyline: &[Point]) -> String {
     let mut sky: Vec<&Point> = skyline.iter().collect();
-    sky.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("NaN-free"));
+    sky.sort_by(|a, b| a[0].total_cmp(&b[0]));
     let head: Vec<String> =
         sky.iter().take(10).map(|p| format!("({:.1}km, {:.0}€)", p[0], p[1])).collect();
     if sky.len() > 10 {
@@ -40,8 +40,8 @@ fn show(skyline: &[Point]) -> String {
     }
 }
 
-fn main() {
-    let table = Table::build(hotels(50_000, 7), TableConfig::default()).expect("valid data");
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let table = Table::build(hotels(50_000, 7), TableConfig::default())?;
     // Prioritized1D favours the simple single-bound cases, so the
     // session below exercises exactly the four cases of Section 4.
     let config = CbcsConfig {
@@ -63,8 +63,8 @@ fn main() {
     ];
 
     for (label, pairs) in steps {
-        let c = Constraints::from_pairs(&pairs).expect("valid constraints");
-        let r = engine.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+        let c = Constraints::from_pairs(&pairs)?;
+        let r = engine.execute(&QueryRequest::new(c.clone()))?;
         println!("» {label}");
         println!(
             "  case={:<16} points read={:<6} range queries={:<3} skyline size={}",
@@ -75,4 +75,5 @@ fn main() {
         );
         println!("  skyline: {}\n", show(&r.skyline));
     }
+    Ok(())
 }

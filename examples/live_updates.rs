@@ -16,22 +16,22 @@ use skycache::datagen::{Distribution, SyntheticGen};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{Table, TableConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -------- Part 1: live updates ------------------------------------
     println!("== dynamic data (Section 6.2) ==");
     let points = SyntheticGen::new(Distribution::Independent, 2, 11).generate(50_000);
-    let table = Table::build(points, TableConfig::default()).expect("valid data");
+    let table = Table::build(points, TableConfig::default())?;
     let mut service = Service::open(table, ServiceConfig::default());
 
-    let c = Constraints::from_pairs(&[(0.2, 0.7), (0.2, 0.7)]).expect("valid");
-    let r1 = service.session().execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+    let c = Constraints::from_pairs(&[(0.2, 0.7), (0.2, 0.7)])?;
+    let r1 = service.session().execute(&QueryRequest::new(c.clone()))?;
     println!("initial skyline: {} points (cache miss)", r1.skyline.len());
 
     // A hot new listing lands at the cached region's best corner — it
     // dominates everything there and must take over the cached skyline.
     let hot = Point::from(vec![0.2, 0.2]);
-    service.insert(hot.clone()).expect("insert succeeds");
-    let r2 = service.session().execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+    service.insert(hot.clone())?;
+    let r2 = service.session().execute(&QueryRequest::new(c.clone()))?;
     println!(
         "after insert:    {} points (cache hit: {}, includes new listing: {})",
         r2.skyline.len(),
@@ -46,9 +46,9 @@ fn main() {
         .live_points()
         .find(|(_, p)| **p == hot)
         .map(|(row, _)| row)
-        .expect("just inserted");
-    service.delete(row).expect("delete succeeds");
-    let r3 = service.session().execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+        .ok_or("the listing was just inserted")?;
+    service.delete(row).ok_or("the listing is live")?;
+    let r3 = service.session().execute(&QueryRequest::new(c.clone()))?;
     println!(
         "after delete:    {} points (gone again: {})\n",
         r3.skyline.len(),
@@ -58,14 +58,14 @@ fn main() {
     // -------- Part 2: multi-user shared cache --------------------------
     println!("== multi-user shared cache ==");
     let points = SyntheticGen::new(Distribution::Independent, 3, 13).generate(100_000);
-    let table = Table::build(points, TableConfig::default()).expect("valid data");
+    let table = Table::build(points, TableConfig::default())?;
     let service = Service::open(&table, ServiceConfig::default());
 
     let mut alice = service.session();
     let mut bob = service.session();
 
-    let c = Constraints::from_pairs(&[(0.1, 0.6); 3]).expect("valid");
-    let ra = alice.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+    let c = Constraints::from_pairs(&[(0.1, 0.6); 3])?;
+    let ra = alice.execute(&QueryRequest::new(c.clone()))?;
     println!(
         "alice: {:>6} points read ({})",
         ra.stats.points_read,
@@ -73,8 +73,8 @@ fn main() {
     );
 
     // Bob refines Alice's query and benefits from her cached result.
-    let c2 = Constraints::from_pairs(&[(0.1, 0.65), (0.1, 0.6), (0.1, 0.6)]).expect("valid");
-    let rb = bob.execute(&QueryRequest::new(c2.clone())).expect("query succeeds");
+    let c2 = Constraints::from_pairs(&[(0.1, 0.65), (0.1, 0.6), (0.1, 0.6)])?;
+    let rb = bob.execute(&QueryRequest::new(c2.clone()))?;
     println!(
         "bob:   {:>6} points read ({}, case {})",
         rb.stats.points_read,
@@ -83,4 +83,5 @@ fn main() {
     );
     println!("shared cache now holds {} items", service.cache().len());
     assert!(rb.stats.points_read < ra.stats.points_read / 4);
+    Ok(())
 }

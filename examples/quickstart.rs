@@ -8,12 +8,12 @@ use skycache::datagen::{Distribution, SyntheticGen};
 use skycache::geom::Constraints;
 use skycache::storage::{Table, TableConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 100k independent 3-D points in [0,1]^3, stored in a table of rows
     // with one index per dimension (the paper's PostgreSQL stand-in).
     println!("building table (100k points, 3 dimensions)...");
     let points = SyntheticGen::new(Distribution::Independent, 3, 42).generate(100_000);
-    let table = Table::build(points, TableConfig::default()).expect("valid dataset");
+    let table = Table::build(points, TableConfig::default())?;
 
     // One session of a CBCS service: the cache-backed executor.
     let service = Service::open(&table, ServiceConfig::default());
@@ -34,9 +34,9 @@ fn main() {
         "#", "|skyline|", "CBCS pts read", "Base pts read", "case", "CBCS total"
     );
     for (i, pairs) in session.iter().enumerate() {
-        let c = Constraints::from_pairs(pairs).expect("valid constraints");
-        let r = cbcs.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
-        let b = baseline.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+        let c = Constraints::from_pairs(pairs)?;
+        let r = cbcs.execute(&QueryRequest::new(c.clone()))?;
+        let b = baseline.execute(&QueryRequest::new(c.clone()))?;
         assert_eq!(r.skyline.len(), b.skyline.len(), "executors must agree");
         println!(
             "{:<4} {:>9} {:>14} {:>14} {:>10} {:>13.2?}",
@@ -54,4 +54,5 @@ fn main() {
         "(CBCS reads a fraction of Baseline's points: refinements are answered from the \
          cache, and the first query reads its lower corner first to prune the rest)"
     );
+    Ok(())
 }

@@ -11,12 +11,12 @@ use skycache::core::{
 use skycache::datagen::{DimStats, IndependentWorkload, RealEstateGen};
 use skycache::storage::{Table, TableConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 200k properties: (-year, -sqm, valuation, price), all minimized —
     // i.e. the skyline prefers new, large, cheap, low-valuation homes.
     println!("generating properties (200k records, 4 dimensions)...");
     let records = RealEstateGen::new(2005).generate(200_000);
-    let table = Table::build(records, TableConfig::default()).expect("valid data");
+    let table = Table::build(records, TableConfig::default())?;
     let stats = DimStats::compute(table.all_points());
 
     // Preload the cache with earlier users' queries.
@@ -30,7 +30,7 @@ fn main() {
     let mut cbcs = service.session();
     println!("preloading cache with {} queries...", preload.len());
     for q in preload.queries() {
-        cbcs.execute(&QueryRequest::new(q.constraints.clone())).expect("preload query succeeds");
+        cbcs.execute(&QueryRequest::new(q.constraints.clone()))?;
     }
 
     // Fresh users arrive.
@@ -45,10 +45,9 @@ fn main() {
         "user", "|skyline|", "CBCS", "Baseline", "BBS", "hit"
     );
     for (i, q) in incoming.queries().iter().enumerate() {
-        let r_c = cbcs.execute(&QueryRequest::new(q.constraints.clone())).expect("query succeeds");
-        let r_b =
-            baseline.execute(&QueryRequest::new(q.constraints.clone())).expect("query succeeds");
-        let r_s = bbs.execute(&QueryRequest::new(q.constraints.clone())).expect("query succeeds");
+        let r_c = cbcs.execute(&QueryRequest::new(q.constraints.clone()))?;
+        let r_b = baseline.execute(&QueryRequest::new(q.constraints.clone()))?;
+        let r_s = bbs.execute(&QueryRequest::new(q.constraints.clone()))?;
         assert_eq!(r_c.skyline.len(), r_b.skyline.len(), "executors must agree");
         assert_eq!(r_s.skyline.len(), r_b.skyline.len(), "executors must agree");
         let t = [
@@ -77,4 +76,5 @@ fn main() {
         totals[2] / incoming.len() as f64 * 1e3,
     );
     println!("(times include the deterministic simulated I/O latency — see DESIGN.md)");
+    Ok(())
 }

@@ -7,10 +7,10 @@ use skycache::core::{CbcsConfig, MprMode, QueryRequest, SearchStrategy, Service,
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::storage::{Table, TableConfig};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("building table (150k independent points, 5 dimensions)...");
     let points = SyntheticGen::new(Distribution::Independent, 5, 3).generate(150_000);
-    let table = Table::build(points, TableConfig::default()).expect("valid data");
+    let table = Table::build(points, TableConfig::default())?;
     let stats = DimStats::compute(table.all_points());
     let workload = InteractiveWorkload::new(stats).generate(150, 17);
 
@@ -36,8 +36,7 @@ fn main() {
         let mut engine = service.session();
         let (mut time, mut pts, mut rq, mut unstable, mut hits) = (0.0, 0u64, 0u64, 0u64, 0u64);
         for q in workload.queries() {
-            let r =
-                engine.execute(&QueryRequest::new(q.constraints.clone())).expect("query succeeds");
+            let r = engine.execute(&QueryRequest::new(q.constraints.clone()))?;
             time += r.stats.stages().total().as_secs_f64();
             pts += r.stats.points_read;
             rq += r.stats.range_queries_issued;
@@ -59,4 +58,5 @@ fn main() {
         );
     }
     println!("\n(lower time and fewer points read are better; compare PrioritizednD Std vs Bad)");
+    Ok(())
 }

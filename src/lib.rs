@@ -47,11 +47,6 @@
 //! # let _ = (r1, r2);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub use skycache_algos as algos;
 pub use skycache_core as core;
 pub use skycache_datagen as datagen;

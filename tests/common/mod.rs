@@ -1,6 +1,12 @@
 //! Adversarial inputs shared by the end-to-end suites — the first member
 //! of ROADMAP item 6c's coordinate generator: duplicate rows.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -8,6 +8,12 @@
 //! planning, the R\*-tree, or the skyline algorithms shows up here as a
 //! skyline mismatch.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 mod common;
 
 use skycache::core::{

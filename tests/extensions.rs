@@ -2,6 +2,12 @@
 //! this library: dynamic data (Section 6.2), through a one-session
 //! [`Service`].
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -13,6 +13,17 @@
 //! regenerate with `UPDATE_GOLDEN=1 cargo test --test fetch_contract`
 //! only for a deliberate change of the fetch contract.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    reason = "the golden files are found through the environment, and `UPDATE_GOLDEN` rewrites them"
+)]
+
 use std::fmt::Write as _;
 
 use skycache::algos::Sfs;

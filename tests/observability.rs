@@ -13,6 +13,17 @@
 //!    byte-for-byte by a golden file; any change to the rendering is a
 //!    schema change and must bump the version tag.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    reason = "the golden files are found through the environment, and `UPDATE_GOLDEN` rewrites them"
+)]
+
 use skycache::core::{
     BaselineExecutor, BbsExecutor, CbcsConfig, Executor, Overlap, QueryOutcome, QueryRequest,
     QueryStats, SearchStrategy, Service, ServiceConfig,

@@ -7,6 +7,12 @@
 //! the cost model's charge for the counters, and counters that do not
 //! depend on whether latency is charged at all.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use proptest::prelude::*;
 
 use skycache::algos::Sfs;

@@ -2,6 +2,12 @@
 //! (not just workload-shaped ones), answering the second query from the
 //! first query's cached result must equal computing it from scratch.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use proptest::prelude::*;
 
 use skycache::algos::Sfs;

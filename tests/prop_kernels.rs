@@ -8,6 +8,12 @@
 //! reference that sorts its whole input first: same rows, same order,
 //! same dominance-test count.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -3,11 +3,17 @@
 //! of queries answered through the cache must equal the from-scratch
 //! answer.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use proptest::prelude::*;
 
 use skycache::algos::Sfs;
 use skycache::core::{
-    Cache, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy, Service, ServiceConfig,
+    classify, Cache, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy, Service, ServiceConfig,
 };
 use skycache::geom::{Aabb, Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
@@ -171,7 +177,10 @@ proptest! {
 
     /// Every (policy × capacity) cell answers every query in the
     /// sequence exactly like a from-scratch recompute — the same rows as
-    /// often — no matter which items the policy evicted in between.
+    /// often — no matter which items the policy evicted in between. Each
+    /// query is followed by its refinement that only flips its zero
+    /// bounds between `0.0` and `-0.0`: that classifies as unchanged
+    /// against the query, and answers like a recompute too.
     #[test]
     fn every_policy_and_capacity_equals_naive(
         scenario in scenario(),
@@ -185,6 +194,10 @@ proptest! {
         let mut ex = service.session();
         for c in &queries {
             let got = ex.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
+            prop_assert_eq!(sorted(got), reference(&points, c));
+            let respelled = respell_zeros(c);
+            prop_assert_eq!(classify(c, &respelled), Overlap::Exact);
+            let got = ex.execute(&QueryRequest::new(respelled)).unwrap().skyline;
             prop_assert_eq!(sorted(got), reference(&points, c));
         }
     }

@@ -3,6 +3,12 @@
 //! case solutions (Theorems 2–5), checked semantically on random data —
 //! i.e., we test the *theorems*, not just our code paths.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a failed expectation fails the test"
+)]
+
 use proptest::prelude::*;
 
 use skycache::algos::Sfs;
