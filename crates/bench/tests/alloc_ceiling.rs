@@ -437,10 +437,9 @@ fn exact_probes_allocate_nothing() {
     assert_eq!((allocs, found), (0, items.len()), "for_each_equal: allocations, boxes found");
 }
 
-/// Candidate scoring — by overlap (`clamped_overlap`), stability,
-/// weighted bound changes or corner distance — allocates nothing.
-/// (`Prioritized1D` ranks by `classify`, which collects the changed
-/// bounds into a `Vec`; it is not a hot kernel.)
+/// Candidate scoring — by overlap (`clamped_overlap`), stability, case
+/// rank (`classify`), weighted bound changes or corner distance —
+/// allocates nothing.
 #[test]
 fn strategy_scoring_allocates_nothing() {
     let _serial = serial();
@@ -460,6 +459,7 @@ fn strategy_scoring_allocates_nothing() {
     for strategy in [
         SearchStrategy::MaxOverlap,
         SearchStrategy::MaxOverlapSP,
+        SearchStrategy::Prioritized1D,
         SearchStrategy::prioritized_nd_std(),
         SearchStrategy::OptimumDistance,
     ] {
@@ -499,13 +499,6 @@ fn the_invalid_cover_allocates_only_its_region() {
 /// rows, skyline — works in the session's scratch: once that has grown
 /// over a workload, a miss or a planned hit allocates exactly its answer,
 /// one `Vec` and one allocation per skyline point.
-///
-/// The corner step keeps the caller's region list as its next remainder
-/// buffer and hands its own on to the fetch (`QueryScratch::corner_first`),
-/// so the lists here have room to spare: a session's lists are sized to
-/// their regions, and a query that takes the step after one with a
-/// smaller list regrows the remainder (up to 6 allocations seen on this
-/// workload, however many rows it reads).
 #[test]
 fn the_fetch_stage_allocates_only_its_answer() {
     let _serial = serial();
@@ -519,12 +512,12 @@ fn the_fetch_stage_allocates_only_its_answer() {
         let mut inputs: Vec<(&Constraints, Regions, PointBlock)> = Vec::new();
         for c in &queries {
             let empty = PointBlock::new(DIMS).expect("DIMS > 0");
-            inputs.push((c, roomy(&Regions::from(c.region())), empty));
+            inputs.push((c, Regions::from(c.region()), empty));
             cache.lookup_into(c, &mut ids);
             if let Some(item) = ids.first().and_then(|&id| cache.get(id)) {
                 let plan = cases::plan(&item.constraints, &item.skyline, c, approximate);
                 if plan.needs_skyline {
-                    inputs.push((c, roomy(&plan.regions), plan.retained));
+                    inputs.push((c, plan.regions, plan.retained));
                 }
             }
         }
@@ -545,20 +538,6 @@ fn the_fetch_stage_allocates_only_its_answer() {
         points += skyline.len();
     }
     assert!(hits > 0 && points > 0, "the stage must merge retained rows and answer");
-}
-
-/// `regions` in a list with room for 256 regions.
-fn roomy(regions: &Regions) -> Regions {
-    let mut list = Regions::default();
-    let first = regions.iter().next().expect("a fetch has a region");
-    for _ in 0..256 {
-        list.push(first);
-    }
-    list.clear();
-    for region in regions.iter() {
-        list.push(region);
-    }
-    list
 }
 
 /// A per-run file path in the system's temporary directory.

@@ -637,11 +637,15 @@ impl QueryScratch {
     ) -> Vec<Point> {
         crate::shared::assert_guards_held(0);
         let dims = table.dims();
-        let regions = self.corner_first(table, c, regions, stats);
-        fetch_into(table, &FetchPlan::new(regions), &mut self.fetch, stats);
+        let plan = FetchPlan::new(self.corner_first(table, c, regions, stats));
+        fetch_into(table, &plan, &mut self.fetch, stats);
 
         let t0 = Stopwatch::start();
         let corner = if self.corner.taken { self.corner.fetch.rows().coords() } else { &[] };
+        if !corner.is_empty() {
+            // The step fetched its own remainder list: it goes back.
+            self.corner.regions.rest = plan.regions;
+        }
         let fetched = self.fetch.rows().coords().chunks_exact(dims);
         let merged = reuse_block(&mut self.merged, dims);
         let (bbox, order, budget) =
@@ -714,8 +718,8 @@ impl QueryScratch {
             }
         }
         stats.time(Phase::MprCompute, t2);
-        // The caller's list becomes the next query's remainder buffer.
-        std::mem::replace(&mut s.regions.rest, regions)
+        // Lent to the fetch; `fetch_stage` gives it back.
+        std::mem::take(&mut s.regions.rest)
     }
 }
 

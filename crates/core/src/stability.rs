@@ -95,23 +95,18 @@ pub fn classify(old: &Constraints, new: &Constraints) -> Overlap {
         return Overlap::Disjoint;
     }
 
-    // Locate changed bounds.
-    let mut changed: Vec<(usize, bool /* is_lower */, bool /* increased */)> = Vec::new();
-    for i in 0..old.dims() {
-        if !exact_eq(old.lo()[i], new.lo()[i]) {
-            changed.push((i, true, new.lo()[i] > old.lo()[i]));
-        }
-        if !exact_eq(old.hi()[i], new.hi()[i]) {
-            changed.push((i, false, new.hi()[i] > old.hi()[i]));
-        }
-    }
-
-    match changed.as_slice() {
-        [] => Overlap::Exact,
-        [(dim, true, false)] => Overlap::CaseA { dim: *dim },
-        [(dim, false, false)] => Overlap::CaseB { dim: *dim },
-        [(dim, false, true)] => Overlap::CaseC { dim: *dim },
-        [(dim, true, true)] => Overlap::CaseD { dim: *dim },
+    // The changed bounds as (dim, is_lower, increased): a case is named
+    // by a lone change, so two are as many as the answer needs.
+    let lo = old.lo().iter().zip(new.lo()).enumerate().map(|(i, b)| (i, true, b));
+    let hi = old.hi().iter().zip(new.hi()).enumerate().map(|(i, b)| (i, false, b));
+    let mut changed = lo.chain(hi).filter(|(_, _, (&o, &n))| !exact_eq(o, n));
+    let first = changed.next().map(|(dim, is_lower, (o, n))| (dim, is_lower, n > o));
+    match (first, changed.next()) {
+        (None, _) => Overlap::Exact,
+        (Some((dim, true, false)), None) => Overlap::CaseA { dim },
+        (Some((dim, false, false)), None) => Overlap::CaseB { dim },
+        (Some((dim, false, true)), None) => Overlap::CaseC { dim },
+        (Some((dim, true, true)), None) => Overlap::CaseD { dim },
         _ => {
             if is_stable(old, new) {
                 Overlap::GeneralStable

@@ -27,6 +27,9 @@ fn grid_table() -> Table {
     Table::build(points, TableConfig::default()).unwrap()
 }
 
+/// How long a client waits for a reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -35,12 +38,29 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect to loopback server");
+        // A reply that never comes fails the test instead of hanging it.
+        stream.set_read_timeout(Some(REPLY_TIMEOUT)).expect("set a read timeout");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Client { reader, writer: stream }
     }
 
     fn roundtrip(&mut self, request: &str) -> String {
         writeln!(self.writer, "{request}").expect("send request");
+        self.reply()
+    }
+
+    /// Sends `request` and its newline as two writes, cut at byte `at`,
+    /// with a pause between them.
+    fn split_roundtrip(&mut self, request: &str, at: usize) -> String {
+        let line = format!("{request}\n");
+        let (head, tail) = line.as_bytes().split_at(at);
+        self.writer.write_all(head).expect("send the head");
+        std::thread::sleep(Duration::from_millis(2));
+        self.writer.write_all(tail).expect("send the tail");
+        self.reply()
+    }
+
+    fn reply(&mut self) -> String {
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read reply");
         assert!(line.ends_with('\n'), "reply must be a complete line: {line:?}");
@@ -115,26 +135,65 @@ fn unbounded_and_recorded_queries() {
     handle.shutdown().unwrap();
 }
 
+/// The longest line the server takes: 64 KiB before its newline.
+const LINE_BOUND: usize = 64 * 1024;
+
 #[test]
 fn an_over_long_line_is_refused_and_the_server_keeps_serving() {
     let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
-    let mut flood = TcpStream::connect(handle.addr()).unwrap();
-    // 1 MiB without a newline. The server stops reading after 64 KiB and
-    // closes, so the tail of the write may fail — that is the refusal.
-    let chunk = [b'7'; 4096];
-    for _ in 0..256 {
-        if flood.write_all(&chunk).is_err() {
-            break;
+    // One byte past the bound, and 1 MiB, without a newline. The server
+    // stops reading past the bound and closes, so the tail of a long
+    // write may fail — that is the refusal.
+    for len in [LINE_BOUND + 1, 1 << 20] {
+        let mut flood = TcpStream::connect(handle.addr()).unwrap();
+        flood.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        for chunk in vec![b'7'; len].chunks(4096) {
+            if flood.write_all(chunk).is_err() {
+                break;
+            }
         }
+        // Whatever the server said before closing is its whole reply; the
+        // close itself may surface as end-of-stream or as a reset.
+        let mut reply = Vec::new();
+        drop(flood.read_to_end(&mut reply));
+        assert_eq!(String::from_utf8_lossy(&reply), "ERR line too long\n", "{len} bytes");
     }
-    // Whatever the server said before closing is its whole reply; the
-    // close itself may surface as end-of-stream or as a reset.
-    let mut reply = Vec::new();
-    drop(flood.read_to_end(&mut reply));
-    assert_eq!(String::from_utf8_lossy(&reply), "ERR line too long\n");
 
     let mut fresh = Client::connect(handle.addr());
     assert_eq!(fresh.roundtrip("PING"), "OK pong");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_line_of_exactly_the_bound_is_answered() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr());
+    let short = client.roundtrip("Q 0.2 1.0 0.2 1.0");
+    // The same query with its first bound padded by trailing zeros.
+    let (head, tail) = ("Q 0.2", " 1.0 0.2 1.0");
+    let long = format!("{head}{}{tail}", "0".repeat(LINE_BOUND - head.len() - tail.len()));
+    assert_eq!(long.len(), LINE_BOUND);
+    assert_eq!(client.roundtrip(&long), short.replacen("miss", "hit", 1));
+    assert_eq!(client.roundtrip("PING"), "OK pong");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_line_split_across_writes_gets_the_unsplit_reply() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr());
+    client.writer.set_nodelay(true).unwrap();
+    // The first query misses; from then on the unsplit line is a hit.
+    let query = "Q 0.2 1.0 0.2 1.0";
+    assert!(client.roundtrip(query).starts_with("OK 1 miss "));
+    for request in [query, "PING"] {
+        let unsplit = client.roundtrip(request);
+        assert!(unsplit.starts_with("OK "), "got {unsplit:?}");
+        // Every cut, the one before the newline included.
+        for at in 1..=request.len() {
+            assert_eq!(client.split_roundtrip(request, at), unsplit, "{request:?} cut at {at}");
+        }
+    }
     handle.shutdown().unwrap();
 }
 

@@ -4,9 +4,7 @@
 //! The parser gives structure (which tokens belong to which function); this
 //! module turns each function body into a flat list of [`Event`]s — method
 //! calls with receiver chains, path calls, macro uses, indexing, and lock
-//! acquisitions with **guard liveness extents**. The
-//! call graph (`callgraph.rs`) consumes these events; it never looks at raw
-//! tokens again.
+//! acquisitions with **guard liveness extents**.
 //!
 //! Guard liveness follows Rust's temporary-drop semantics, which is what
 //! makes the lock-order analysis precise enough to run on real code:

@@ -1,5 +1,6 @@
-//! Adversarial inputs shared by the end-to-end suites — the first member
-//! of ROADMAP item 6c's coordinate generator: duplicate rows.
+//! Adversarial inputs shared by the end-to-end suites — members of
+//! ROADMAP item 8c's coordinate generator: duplicate rows and signed
+//! zeros.
 
 #![allow(
     clippy::expect_used,
@@ -44,4 +45,49 @@ pub fn grid_boxes(dims: usize, n: usize, seed: u64) -> Vec<Constraints> {
             Constraints::from_pairs(&sides).expect("ordered bounds")
         })
         .collect()
+}
+
+/// `n` random points of a 12-per-axis integer grid centred on 0 (−6 to
+/// 5), every one stored twice: once with its zero coordinates as `0.0`
+/// and once as `-0.0`. The two copies compare equal, so a skyline holds
+/// both or neither, and each must come back with its own zeros' signs.
+pub fn signed_zero_table(dims: usize, n: usize, seed: u64) -> Table {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut points = Vec::with_capacity(2 * n);
+    for _ in 0..n {
+        let cells: Vec<u8> = (0..dims).map(|_| rng.gen_range(0..GRID)).collect();
+        let row = |zero: f64| cells.iter().map(|&cell| centred(cell, zero)).collect::<Vec<_>>();
+        points.extend([Point::from(row(0.0)), Point::from(row(-0.0))]);
+    }
+    let config = TableConfig { cost_model: CostModel::free() };
+    Table::build(points, config).expect("grid points are valid")
+}
+
+/// `n` random boxes with integer bounds on the grid of
+/// [`signed_zero_table`], each zero bound spelled `0.0` or `-0.0` at
+/// random.
+pub fn signed_zero_boxes(dims: usize, n: usize, seed: u64) -> Vec<Constraints> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut side = || {
+        let (a, b) = (rng.gen_range(0..GRID), rng.gen_range(0..GRID));
+        let (za, zb) = (ZEROS[rng.gen_range(0..2)], ZEROS[rng.gen_range(0..2)]);
+        (centred(a.min(b), za), centred(a.max(b), zb))
+    };
+    (0..n)
+        .map(|_| {
+            let sides: Vec<(f64, f64)> = (0..dims).map(|_| side()).collect();
+            Constraints::from_pairs(&sides).expect("ordered bounds")
+        })
+        .collect()
+}
+
+/// The two spellings of zero.
+const ZEROS: [f64; 2] = [0.0, -0.0];
+
+/// Cell `cell` of [`signed_zero_table`]'s axis, with `zero` at the centre.
+fn centred(cell: u8, zero: f64) -> f64 {
+    match cell.cmp(&(GRID / 2)) {
+        std::cmp::Ordering::Equal => zero,
+        _ => f64::from(cell) - f64::from(GRID / 2),
+    }
 }

@@ -212,18 +212,23 @@ fn cbcs_reads_fewer_points_than_baseline_on_refinement_chains() {
 fn every_policy_and_capacity_matches_baseline() {
     // Every replacement policy × capacity, through a one-session service:
     // the skyline is Baseline's, row for row as a multiset, on uniform
-    // data and where every row is stored twice — all 200 queries, the
-    // ones the indexes prove empty included. Default cost model, so the
-    // corner-first step prices its choices as it does in production.
+    // data, where every row is stored twice and where the two copies
+    // differ in their zeros' signs — all 300 queries, the ones the
+    // indexes prove empty included. Default cost model for uniform data,
+    // so the corner-first step prices its choices as it does in
+    // production.
     let points = SyntheticGen::new(Distribution::Independent, 3, 53).generate(2_000);
     let uniform = Table::build(points, TableConfig::default()).unwrap();
     let mut queries = interactive_queries(&uniform, 60, 59);
     queries.extend(independent_queries(&uniform, 40, 61));
     let twins = common::twin_grid_table(3, 300, 1);
+    let zeros = common::signed_zero_table(3, 300, 3);
 
-    for (name, table, queries) in
-        [("uniform", &uniform, queries), ("twins", &twins, common::grid_boxes(3, 100, 2))]
-    {
+    for (name, table, queries) in [
+        ("uniform", &uniform, queries),
+        ("twins", &twins, common::grid_boxes(3, 100, 2)),
+        ("signed zeros", &zeros, common::signed_zero_boxes(3, 100, 4)),
+    ] {
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
             for capacity in [None, Some(8)] {
                 let cbcs = CbcsConfig { policy, capacity, ..Default::default() };
