@@ -6,14 +6,19 @@
 //!   the from-scratch range query, and a stable hit less than an unstable
 //!   one. Both inverted once without a test noticing, when every
 //!   coalesced unit was charged its whole merged slice.
+//! * Fig. 9: exact MPR's range queries grow by orders of magnitude with
+//!   the dimensionality, while aMPR(1)'s stay few (at |S| = 5 k, as in
+//!   the figure).
 //! * Fig. 10: a Case 2 hit is free, and a Case 3 hit fetches less than a
 //!   Case 1 hit.
 
 use skycache_bench::{
-    filter_by_case, interactive_queries, run_queries, split_by_stability, synthetic_table,
+    filter_by_case, interactive_queries, run_queries, split_by_stability, summarize,
+    synthetic_table,
 };
 use skycache_core::{
-    BaselineExecutor, CbcsConfig, Overlap, QueryStats, SearchStrategy, Service, ServiceConfig,
+    BaselineExecutor, CbcsConfig, MprMode, Overlap, QueryStats, SearchStrategy, Service,
+    ServiceConfig,
 };
 use skycache_datagen::Distribution;
 
@@ -38,6 +43,34 @@ fn cbcs_beats_baseline_and_stable_hits_beat_unstable_ones() {
     assert!(stable.len() >= 10 && unstable.len() >= 10, "too few hits of either kind");
     let (stable_ns, unstable_ns) = (mean_sim_ns(stable), mean_sim_ns(unstable));
     assert!(stable_ns < unstable_ns, "stable {stable_ns} ns/hit vs unstable {unstable_ns} ns/hit");
+}
+
+/// Mean range queries issued per cache hit in `repro fig9`'s interactive
+/// set-up: independent data, |S| = 5 k, 60 chained queries,
+/// `MaxOverlapSP`.
+fn fig9_rq_per_hit(dims: usize, mpr: MprMode) -> f64 {
+    let table = synthetic_table(Distribution::Independent, dims, 5_000, 42);
+    let queries = interactive_queries(&table, 60, 17, None);
+    let config = CbcsConfig { mpr, strategy: SearchStrategy::MaxOverlapSP, ..Default::default() };
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+    let records = run_queries(&mut service.session(), &queries);
+    summarize(filter_by_case(&records, |_| true)).avg_rq
+}
+
+/// Fig. 9: exact MPR carves the dominance region of every retained
+/// cached skyline point out of the new region, and each carve may split
+/// every piece left into up to d more, so its range queries per hit
+/// explode with d (1.5 at d = 2, 358 at d = 5 here). aMPR(1) carves with
+/// one point and covers the invalidated space with boxes, so it issues a
+/// handful at every d.
+#[test]
+fn exact_mpr_range_queries_explode_with_d_while_ampr_stays_small() {
+    let (low, high) = (fig9_rq_per_hit(2, MprMode::Exact), fig9_rq_per_hit(5, MprMode::Exact));
+    assert!(high >= 100.0 * low, "exact MPR: {low} range queries/hit at d = 2, {high} at d = 5");
+    for dims in 2..=5 {
+        let ampr = fig9_rq_per_hit(dims, MprMode::Approximate { k: 1 });
+        assert!(ampr <= 10.0, "aMPR(1): {ampr} range queries/hit at d = {dims}");
+    }
 }
 
 /// Fig. 10's set-up: independent data, d = 3, `Prioritized1D` (which

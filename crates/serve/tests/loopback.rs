@@ -12,6 +12,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use skycache_core::ServiceConfig;
 use skycache_geom::Point;
 use skycache_serve::server::MAX_CONNECTIONS;
@@ -195,6 +197,59 @@ fn a_line_split_across_writes_gets_the_unsplit_reply() {
         }
     }
     handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_pipelined_burst_cut_at_random_offsets_gets_the_replies_of_its_lines() {
+    // Two servers over the same table see the same lines in the same
+    // order: one a line at a time, the other as bursts cut into 3–6
+    // writes at random offsets. Every reply must match, byte for byte and
+    // in order, so the state carried between reads (a partial line, or
+    // several whole lines and a partial one) is never lost or reordered.
+    let (reference, cut) = (
+        serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap(),
+        serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap(),
+    );
+    let mut one_by_one = Client::connect(reference.addr());
+    let mut burst = Client::connect(cut.addr());
+    burst.writer.set_nodelay(true).unwrap();
+    let warm = ["Q 0.2 1.0 0.2 1.0", "Q 0.3 1.4 0.3 1.4"];
+    for query in warm {
+        assert_eq!(burst.roundtrip(query), one_by_one.roundtrip(query));
+    }
+
+    let mut rng = StdRng::seed_from_u64(7);
+    for round in 0..8 {
+        // A column of its own per round, below every cached box: a miss.
+        let x = 1.0 + f64::from(round) / 10.0;
+        let miss = format!("Q {x:.2} {:.2} 0 0.15", x + 0.05);
+        let lines =
+            ["PING", warm[0], warm[1], &miss, warm[0], "Q 0.11 0.19 0.11 0.19", warm[1], "PING"];
+        let want: Vec<String> = lines.iter().map(|line| one_by_one.roundtrip(line)).collect();
+        assert!(want[3].starts_with("OK 1 miss "), "round {round}: {:?}", want[3]);
+
+        let bytes: Vec<u8> =
+            lines.iter().flat_map(|line| format!("{line}\n").into_bytes()).collect();
+        // 3–6 writes: the burst's two ends and 2–5 distinct cuts.
+        let writes = rng.gen_range(3..=6);
+        let mut cuts = vec![0, bytes.len()];
+        while cuts.len() <= writes {
+            let at = rng.gen_range(1..bytes.len());
+            if !cuts.contains(&at) {
+                cuts.push(at);
+            }
+        }
+        cuts.sort_unstable();
+        for piece in cuts.windows(2) {
+            burst.writer.write_all(&bytes[piece[0]..piece[1]]).expect("send a piece");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for (line, want) in lines.iter().zip(&want) {
+            assert_eq!(&burst.reply(), want, "round {round}: {line:?} cut at {cuts:?}");
+        }
+    }
+    reference.shutdown().unwrap();
+    cut.shutdown().unwrap();
 }
 
 #[test]

@@ -670,12 +670,6 @@ impl Explorer {
         self
     }
 
-    /// Set the cap on total runs (completed + pruned).
-    pub fn with_max_schedules(mut self, max: u64) -> Self {
-        self.max_schedules = max;
-        self
-    }
-
     /// Exhaustively explore the interleavings of `f` under the configured
     /// bounds. If `SKYCHECK_REPLAY` is set, runs that single trace instead.
     pub fn explore<F: Fn() + Send + Sync>(&self, f: F) -> Outcome {

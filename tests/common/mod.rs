@@ -1,6 +1,7 @@
 //! Adversarial inputs shared by the end-to-end suites — members of
-//! ROADMAP item 8c's coordinate generator: duplicate rows and signed
-//! zeros.
+//! ROADMAP item 8c's coordinate generator: duplicate rows, signed zeros,
+//! coordinates at 1e17 that round to ties, subnormal coordinates, and
+//! boxes open to ±∞.
 
 #![allow(
     clippy::expect_used,
@@ -90,4 +91,51 @@ fn centred(cell: u8, zero: f64) -> f64 {
         std::cmp::Ordering::Equal => zero,
         _ => f64::from(cell) - f64::from(GRID / 2),
     }
+}
+
+/// Cell `cell` of a grid at 1e17. Its 8-unit step is half the 16-unit
+/// spacing of `f64` there: every odd cell is a tie that rounds to the
+/// even neighbour, so up to three cells collapse into one value.
+pub fn huge(cell: u8) -> f64 {
+    1e17 + f64::from(cell) * 8.0
+}
+
+/// Cell `cell` of an evenly spaced grid of subnormals (0 at cell 0): a
+/// width is subnormal, and a product of two widths underflows to zero.
+pub fn subnormal(cell: u8) -> f64 {
+    f64::from_bits(u64::from(cell) << 40)
+}
+
+/// `n` random points of a 12-per-axis grid whose cell `c` sits at
+/// `coord(c)`, priced by the default cost model, so the corner-first
+/// step takes its cut keys from these coordinates.
+pub fn coord_table(dims: usize, n: usize, seed: u64, coord: fn(u8) -> f64) -> Table {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points = (0..n)
+        .map(|_| Point::from((0..dims).map(|_| coord(rng.gen_range(0..GRID))).collect::<Vec<_>>()))
+        .collect();
+    Table::build(points, TableConfig::default()).expect("grid points are valid")
+}
+
+/// `n` random boxes on [`coord_table`]'s grid; each side is open to
+/// `-∞` (lower) or `+∞` (upper) with probability 0.3.
+pub fn open_sided_boxes(
+    dims: usize,
+    n: usize,
+    seed: u64,
+    coord: fn(u8) -> f64,
+) -> Vec<Constraints> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut side = || {
+        let (a, b) = (rng.gen_range(0..GRID), rng.gen_range(0..GRID));
+        let lo = if rng.gen_bool(0.3) { f64::NEG_INFINITY } else { coord(a.min(b)) };
+        let hi = if rng.gen_bool(0.3) { f64::INFINITY } else { coord(a.max(b)) };
+        (lo, hi)
+    };
+    (0..n)
+        .map(|_| {
+            let sides: Vec<(f64, f64)> = (0..dims).map(|_| side()).collect();
+            Constraints::from_pairs(&sides).expect("ordered bounds")
+        })
+        .collect()
 }

@@ -212,22 +212,28 @@ fn cbcs_reads_fewer_points_than_baseline_on_refinement_chains() {
 fn every_policy_and_capacity_matches_baseline() {
     // Every replacement policy × capacity, through a one-session service:
     // the skyline is Baseline's, row for row as a multiset, on uniform
-    // data, where every row is stored twice and where the two copies
-    // differ in their zeros' signs — all 300 queries, the ones the
-    // indexes prove empty included. Default cost model for uniform data,
-    // so the corner-first step prices its choices as it does in
-    // production.
+    // data, where every row is stored twice, where the two copies differ
+    // in their zeros' signs, at 1e17 where neighbouring cells round to
+    // ties, and on subnormals — all 500 queries, the ones the indexes
+    // prove empty and the ones open to ±∞ included. Default cost model
+    // for uniform data and the last two tables, so the corner-first step
+    // prices its choices as it does in production, on non-uniform
+    // coordinates too.
     let points = SyntheticGen::new(Distribution::Independent, 3, 53).generate(2_000);
     let uniform = Table::build(points, TableConfig::default()).unwrap();
     let mut queries = interactive_queries(&uniform, 60, 59);
     queries.extend(independent_queries(&uniform, 40, 61));
     let twins = common::twin_grid_table(3, 300, 1);
     let zeros = common::signed_zero_table(3, 300, 3);
+    let huge = common::coord_table(3, 300, 5, common::huge);
+    let subnormal = common::coord_table(3, 300, 7, common::subnormal);
 
     for (name, table, queries) in [
         ("uniform", &uniform, queries),
         ("twins", &twins, common::grid_boxes(3, 100, 2)),
         ("signed zeros", &zeros, common::signed_zero_boxes(3, 100, 4)),
+        ("1e17 ties", &huge, common::open_sided_boxes(3, 100, 6, common::huge)),
+        ("subnormals", &subnormal, common::open_sided_boxes(3, 100, 8, common::subnormal)),
     ] {
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
             for capacity in [None, Some(8)] {
