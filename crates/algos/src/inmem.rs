@@ -16,7 +16,8 @@ pub struct SkylineOutput {
     /// The skyline points. Duplicate coordinate vectors are all kept
     /// (equal points do not dominate one another).
     pub skyline: Vec<Point>,
-    /// Number of pairwise dominance tests performed.
+    /// Number of full pairwise dominance tests performed (pairs the grid
+    /// pre-test rejects are not tests).
     pub dominance_tests: u64,
 }
 
@@ -32,6 +33,11 @@ pub struct SkylineScratch {
     /// Secondary `(score, row index)` buffer: the planar sweep's
     /// survivor list, re-sorted into canonical output order.
     pub(crate) aux: Vec<(f64, u32)>,
+    /// Per dimension, the `(origin, scale)` of the filter's pre-test
+    /// grid ([`Grid`]).
+    pub(crate) grid: Vec<(f64, f64)>,
+    /// The grid code of each row of the filter's window, in window order.
+    pub(crate) codes: Vec<u64>,
 }
 
 impl SkylineScratch {
@@ -106,6 +112,12 @@ impl Sfs {
     /// identical to it (`tests/prop_kernels.rs` pins all three). Inputs
     /// of at most `2 · head` rows sort whole: the head is the input.
     ///
+    /// Each row meets the first [`LEAD`] window rows with the full test.
+    /// Past them, a window row gets the full test only if it passes the
+    /// grid pre-test ([`Grid`]) on the row: the grid is built over the
+    /// head, so it is the same whichever way the rest is sorted, and the
+    /// count stays exact. The count is of full tests only.
+    ///
     /// Public so the differential tests can compare the planar sweep
     /// against it at `dims == 2` without hitting their own dispatch.
     pub fn classic_block_into(
@@ -119,7 +131,7 @@ impl Sfs {
         debug_assert_eq!(out.dims(), dims);
         out.clear();
         let n = rows.len() / dims;
-        let order = &mut scratch.order;
+        let SkylineScratch { order, grid, codes, .. } = scratch;
         order.clear();
         order.extend(
             rows.chunks_exact(dims).enumerate().map(|(i, row)| (row.iter().sum::<f64>(), i as u32)),
@@ -134,21 +146,24 @@ impl Sfs {
         };
         let (smallest, rest) = order.split_at_mut(head);
         smallest.sort_unstable_by(cmp);
+        let grid = Grid::over(grid, rows, dims, smallest);
+        codes.clear();
         let mut tests = 0u64;
-        filter_sorted(rows, smallest, 0, out, &mut tests);
+        filter_sorted(rows, smallest, 0, &grid, codes, out, &mut tests);
         let w0 = out.len();
         let mut kept = 0;
+        let window = Window::of(out, codes, 0);
         for k in 0..rest.len() {
             let entry = rest[k];
             let row = &rows[entry.1 as usize * dims..(entry.1 as usize + 1) * dims];
-            if !dominated_in(out.as_flat(), row, &mut tests) {
+            if window.undominated(row, &grid, &mut tests).is_some() {
                 rest[kept] = entry;
                 kept += 1;
             }
         }
         let survivors = &mut rest[..kept];
         survivors.sort_unstable_by(cmp);
-        filter_sorted(rows, survivors, w0, out, &mut tests);
+        filter_sorted(rows, survivors, w0, &grid, codes, out, &mut tests);
         tests
     }
 }
@@ -177,32 +192,140 @@ fn lex_cmp(a: &[f64], b: &[f64]) -> Ordering {
     a.partial_cmp(b).unwrap_or(Ordering::Equal)
 }
 
-/// Whether a row of the flat `window` dominates `row`, scanning in
-/// window order and stopping at the first dominator; the tests made are
-/// added to `tests` once, after the scan (counting inside it costs a
-/// wide window a store per test).
-#[inline]
-fn dominated_in(window: &[f64], row: &[f64], tests: &mut u64) -> bool {
-    let hit = window.chunks_exact(row.len()).position(|s| dominates_rows(s, row));
-    *tests += hit.map_or(window.len() / row.len(), |at| at + 1) as u64;
-    hit.is_some()
+/// Window rows every row meets with the full test before its grid code
+/// is computed: most rows past the head fall to the first of them, and
+/// those never pay for a code.
+const LEAD: usize = 2;
+
+/// The filter's pre-test: a monotone grid over the finite bounding box
+/// of the head rows, `2^(L−1)` buckets a dimension, with one row's
+/// buckets packed into a `u64` code in lanes of `L = min(⌊64/d⌋, 16)`
+/// bits, the top bit of each lane a guard that no bucket reaches.
+///
+/// A bucket is `(x − origin) · scale`, clamped to `[0, top]` (a `NaN`,
+/// from `0 · ∞`, to 0) and rounded to the nearest integer. Correctly
+/// rounded subtraction, multiplication by a scale `≥ 0`, the clamp and
+/// the rounding are monotone, so `w ≤ p` in a coordinate gives
+/// `bucket(w) ≤ bucket(p)` there: `-0.0` and `0.0` land in one bucket,
+/// `±∞` in the end buckets, and a `NaN` only where every smaller value
+/// is in bucket 0 too. So a row `w` dominates `p` only if every bucket
+/// of `w` is `≤` the same bucket of `p`, which is
+/// [`Grid::may_dominate`]. Past `d = 32` a lane has no room for a
+/// bucket: every code is 0 and every pair passes.
+struct Grid<'a> {
+    /// Per dimension, `(origin, scale)`.
+    cells: &'a [(f64, f64)],
+    /// Bits per lane.
+    lane: usize,
+    /// The top bucket, `2^(L−1) − 1` (0 when a lane has no room).
+    top: u64,
+    /// The guard bit of every lane.
+    guards: u64,
+}
+
+impl<'a> Grid<'a> {
+    /// The grid over the finite bounding box of the `head` rows, kept in
+    /// `grid`. A dimension without two distinct finite values there maps
+    /// every coordinate to bucket 0.
+    fn over(grid: &'a mut Vec<(f64, f64)>, rows: &[f64], dims: usize, head: &[(f64, u32)]) -> Self {
+        let lane = (64 / dims).min(16);
+        let guard = (1u64 << lane) >> 1;
+        grid.clear();
+        grid.resize(dims, (f64::INFINITY, f64::NEG_INFINITY));
+        for row in head.iter().map(|&(_, i)| &rows[i as usize * dims..(i as usize + 1) * dims]) {
+            for (cell, &x) in grid.iter_mut().zip(row).filter(|(_, x)| x.is_finite()) {
+                *cell = (cell.0.min(x), cell.1.max(x));
+            }
+        }
+        for (lo, hi) in grid.iter_mut() {
+            (*lo, *hi) = if *hi > *lo { (*lo, guard as f64 / (*hi - *lo)) } else { (0.0, 0.0) };
+        }
+        let guards = (0..dims).fold(0, |g, i| g | guard << (i * lane));
+        Grid { cells: grid, lane, top: guard.saturating_sub(1), guards }
+    }
+
+    /// The code of `row`: its bucket in dimension `i` in lane `i`. Adding
+    /// `2^52` to a value in `[0, 2^15)` rounds it to the nearest integer
+    /// and leaves that integer in the low bits, which is cheaper than a
+    /// saturating cast.
+    fn code(&self, row: &[f64]) -> u64 {
+        let (top, round) = (self.top as f64, 2f64.powi(52));
+        let buckets = row.iter().zip(self.cells).map(|(&x, &(lo, scale))| {
+            (((x - lo) * scale).max(0.0).min(top) + round).to_bits() - round.to_bits()
+        });
+        buckets.enumerate().fold(0, |code, (i, b)| code | b << (i * self.lane))
+    }
+
+    /// Whether the row coded `w` may dominate the row coded `p`: every
+    /// lane of `w` is `≤` the same lane of `p`. Each lane of `p | guards`
+    /// is at least its guard bit, which exceeds every bucket, so no
+    /// borrow crosses a lane, and a lane keeps its guard bit exactly when
+    /// it did not borrow.
+    #[inline]
+    fn may_dominate(&self, w: u64, p: u64) -> bool {
+        ((p | self.guards) - w) & self.guards == self.guards
+    }
+}
+
+/// The window rows a row is filtered against: the ones before [`LEAD`],
+/// which get the full test, and the rest, with their codes, which get it
+/// only if they pass the grid pre-test.
+struct Window<'w> {
+    plain: &'w [f64],
+    coded: &'w [f64],
+    codes: &'w [u64],
+}
+
+impl<'w> Window<'w> {
+    /// The rows of `out`, coded `codes`, from row `from` on.
+    fn of(out: &'w PointBlock, codes: &'w [u64], from: usize) -> Self {
+        let (dims, lead) = (out.dims(), LEAD.clamp(from, codes.len()));
+        let (plain, coded) = out.as_flat().split_at(lead * dims);
+        Window { plain: &plain[from * dims..], coded, codes: &codes[lead..] }
+    }
+
+    /// Whether no window row dominates `row`, scanning in window order
+    /// and stopping at the first dominator: `row`'s code if none does.
+    /// The full tests made are added to `tests`.
+    #[inline]
+    fn undominated(&self, row: &[f64], grid: &Grid<'_>, tests: &mut u64) -> Option<u64> {
+        let plain = self.plain.chunks_exact(row.len());
+        let hit = plain.clone().position(|w| dominates_rows(w, row));
+        *tests += hit.map_or(plain.len(), |at| at + 1) as u64;
+        if hit.is_some() {
+            return None;
+        }
+        let code = grid.code(row);
+        for (&w_code, w) in self.codes.iter().zip(self.coded.chunks_exact(row.len())) {
+            if grid.may_dominate(w_code, code) {
+                *tests += 1;
+                if dominates_rows(w, row) {
+                    return None;
+                }
+            }
+        }
+        Some(code)
+    }
 }
 
 /// The SFS filter pass over `order`, already in canonical order: each
 /// row is tested against the window rows of `out` from row `from` on
-/// and appended when none dominates it.
+/// and appended, with its code, when none dominates it.
 fn filter_sorted(
     rows: &[f64],
     order: &[(f64, u32)],
     from: usize,
+    grid: &Grid<'_>,
+    codes: &mut Vec<u64>,
     out: &mut PointBlock,
     tests: &mut u64,
 ) {
     let dims = out.dims();
     for &(_, i) in order {
         let row = &rows[i as usize * dims..(i as usize + 1) * dims];
-        if !dominated_in(&out.as_flat()[from * dims..], row, tests) {
+        if let Some(code) = Window::of(out, codes, from).undominated(row, grid, tests) {
             out.push_row(row);
+            codes.push(code);
         }
     }
 }
@@ -280,6 +403,28 @@ mod tests {
         let tests2 = Sfs.compute_block_into(input2.as_flat(), 3, &mut scratch, &mut out);
         assert_eq!(tests2, want2.dominance_tests);
         assert_eq!(out.to_points(), want2.skyline);
+    }
+
+    /// At every width the top bucket stays below its lane's guard bit: a
+    /// row of `+∞` or on the grid's upper edge codes every lane to the
+    /// top bucket, a row of `-∞` or on the lower edge to 0, and the
+    /// pre-test orders the two — except past `d = 32`, where a lane has
+    /// no room for a bucket and every pair passes.
+    #[test]
+    fn grid_codes_stay_below_their_guard_bits() {
+        for dims in [1, 2, 3, 4, 6, 16, 32, 33, 64, 65] {
+            let rows: Vec<f64> = [0.0, 1.0].iter().flat_map(|&x| vec![x; dims]).collect();
+            let mut cells = Vec::new();
+            let grid = Grid::over(&mut cells, &rows, dims, &[(0.0, 0), (dims as f64, 1)]);
+            let top = (0..dims).fold(0, |code, i| code | grid.top << (i * grid.lane));
+            let high = grid.code(&vec![f64::INFINITY; dims]);
+            assert_eq!((high, grid.code(&rows[dims..])), (top, top), "d = {dims}");
+            assert_eq!(high & grid.guards, 0, "d = {dims}");
+            let low = grid.code(&vec![f64::NEG_INFINITY; dims]);
+            assert_eq!((low, grid.code(&rows[..dims])), (0, 0), "d = {dims}");
+            assert!(grid.may_dominate(low, high));
+            assert_eq!(grid.may_dominate(high, low), dims > 32, "d = {dims}");
+        }
     }
 
     #[test]

@@ -105,8 +105,6 @@ pub struct Summary {
     pub avg_rq: f64,
     /// Mean range queries that actually read data.
     pub avg_rq_executed: f64,
-    /// Mean dominance tests.
-    pub avg_dom_tests: f64,
     /// Mean per-stage seconds: processing, fetching, skyline.
     pub stages_s: [f64; 3],
 }
@@ -121,7 +119,6 @@ pub fn summarize<'a>(records: impl IntoIterator<Item = &'a QueryStats>) -> Summa
         s.avg_points += r.points_read as f64;
         s.avg_rq += r.range_queries_issued as f64;
         s.avg_rq_executed += r.range_queries_executed as f64;
-        s.avg_dom_tests += r.dominance_tests as f64;
         s.stages_s[0] += stages.processing.as_secs_f64();
         s.stages_s[1] += stages.fetching.as_secs_f64();
         s.stages_s[2] += stages.skyline.as_secs_f64();
@@ -132,7 +129,6 @@ pub fn summarize<'a>(records: impl IntoIterator<Item = &'a QueryStats>) -> Summa
         s.avg_points /= n;
         s.avg_rq /= n;
         s.avg_rq_executed /= n;
-        s.avg_dom_tests /= n;
         for v in &mut s.stages_s {
             *v /= n;
         }

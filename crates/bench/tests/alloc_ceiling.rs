@@ -4,8 +4,9 @@
 //! This test binary installs a counting global allocator (`repro` and
 //! every other binary run on the system allocator), so allocation events
 //! here are exact and deterministic: the workloads are seeded, the engine
-//! is single-threaded, and the tests serialize on [`SERIAL`] because the
-//! counter is process-wide. Four properties are pinned:
+//! is single-threaded, and the counters are per thread, so a window
+//! counts the thread that opened it and nothing libtest or a parallel
+//! test allocates on another. Four properties are pinned:
 //!
 //! 1. allocs/query on the cached steady-state workload stays under a
 //!    fixed ceiling — reintroducing a per-point clone anywhere in the
@@ -19,9 +20,10 @@
 //!    their item) — and the reply to one allocates at most twice, the
 //!    cached item keeping its text; a replayed query the indexes prove
 //!    empty is answered by the probe, never by the cache;
-//! 3. points read and range queries issued / executed / coalesced over
-//!    both paper workloads are exact: the planner and the coalescing
-//!    fetch are seeded end to end, so any drift is a behaviour change;
+//! 3. points read, range queries issued / executed / coalesced and
+//!    dominance tests over both paper workloads are exact: the planner,
+//!    the coalescing fetch and the skyline filter are seeded end to end,
+//!    so any drift is a behaviour change;
 //! 4. the storage estimates the fetch stage plans with (`Table::predict`,
 //!    `Table::corner_cut`) allocate nothing;
 //! 5. every hot kernel allocates nothing in steady state — the dominance
@@ -45,8 +47,8 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
+use std::sync::Barrier;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -69,20 +71,25 @@ use skycache_storage::{FetchPlan, FetchScratch, StorageError, Table};
 
 /// Counting wrapper around the system allocator: counts heap-allocation
 /// *events* (alloc, realloc, alloc_zeroed — frees are not counted) and
-/// the bytes they request in process-wide monotone counters; measure
-/// deltas via [`allocations`] and [`allocated_bytes`].
+/// the bytes they request in monotone counters of the allocating thread;
+/// measure deltas via [`allocations`] and [`allocated_bytes`].
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+thread_local! {
+    /// Allocation events and bytes requested on this thread. Const-
+    /// initialised and without a destructor, so the allocator reads and
+    /// bumps them without allocating, at any point of a thread's life.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: defers entirely to the system allocator; the counter is a
-// Relaxed atomic with no effect on allocation behavior.
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: defers entirely to the system allocator; the counters are
+// thread-local cells with no effect on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -111,46 +118,61 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap-allocation events since process start (monotone; take deltas).
+/// Heap-allocation events on this thread since it started (monotone;
+/// take deltas).
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Bytes requested since process start (monotone; take deltas).
+/// Bytes requested on this thread since it started (monotone; take
+/// deltas).
 fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
+    BYTES.with(Cell::get)
 }
 
-/// Allocation events during `f`, with its result.
+/// Allocation events of this thread during `f`, with its result.
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let a0 = allocations();
     let r = f();
     (allocations() - a0, r)
 }
 
+/// A window counts the thread that opened it: an allocation another
+/// thread makes while the window is open lands in that thread's own
+/// window, not in this one.
+#[test]
+fn a_window_counts_only_its_own_thread() {
+    let (opened, allocated) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|scope| {
+        let other = scope.spawn(|| {
+            opened.wait();
+            let (allocs, buffer) = counted(|| vec![7u8; 4096]);
+            allocated.wait();
+            (allocs, buffer.len())
+        });
+        let (allocs, ()) = counted(|| {
+            opened.wait();
+            allocated.wait();
+        });
+        assert_eq!(allocs, 0, "another thread's allocation landed in this window");
+        assert_eq!(other.join().expect("the other thread finishes"), (1, 4096));
+    });
+}
+
 const DIMS: usize = 4;
 const N: usize = 100_000;
 const QUERIES: usize = 100;
-
-/// The allocation counter is process-wide and libtest runs tests on
-/// parallel threads: every test holds this for its whole body so no
-/// other test's allocations land in its measurement window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A test that failed while holding the lock leaves no state behind.
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn table() -> Table {
     synthetic_table(Distribution::Independent, DIMS, N, 42)
 }
 
 /// One cold-start run of a workload through one session of a fresh
-/// service: allocs/query plus the summed points read and range queries
-/// issued / executed / coalesced. The cache warms within the first few
-/// queries, so the run is dominated by the cached steady state.
-fn cold_run(table: &Table, queries: &[Constraints]) -> (f64, [u64; 4]) {
+/// service: allocs/query plus the summed points read, range queries
+/// issued / executed / coalesced and dominance tests. The cache warms
+/// within the first few queries, so the run is dominated by the cached
+/// steady state.
+fn cold_run(table: &Table, queries: &[Constraints]) -> (f64, [u64; 5]) {
     let service = Service::open(table, ServiceConfig::default());
     let mut session = service.session();
     let a0 = allocations();
@@ -158,14 +180,15 @@ fn cold_run(table: &Table, queries: &[Constraints]) -> (f64, [u64; 4]) {
     let allocs = allocations() - a0;
     let hits = records.iter().filter(|r| r.cache_hit).count();
     assert!(hits * 2 > queries.len(), "workload must be cache-dominated, got {hits} hits");
-    let mut fetch = [0u64; 4];
+    let mut counts = [0u64; 5];
     for r in &records {
-        fetch[0] += r.points_read;
-        fetch[1] += r.range_queries_issued;
-        fetch[2] += r.range_queries_executed;
-        fetch[3] += r.regions_coalesced;
+        counts[0] += r.points_read;
+        counts[1] += r.range_queries_issued;
+        counts[2] += r.range_queries_executed;
+        counts[3] += r.regions_coalesced;
+        counts[4] += r.dominance_tests;
     }
-    (allocs as f64 / queries.len() as f64, fetch)
+    (allocs as f64 / queries.len() as f64, counts)
 }
 
 /// Allocs/query when re-running a workload the cache has already
@@ -186,10 +209,9 @@ fn replay_allocs_per_query(table: &Table, queries: &[Constraints]) -> f64 {
 
 #[test]
 fn steady_state_cached_path_allocs_stay_under_ceiling() {
-    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
-    let (allocs, fetch) = cold_run(&table, &queries);
+    let (allocs, counts) = cold_run(&table, &queries);
     assert!(
         allocs <= BLOCK_CEILING,
         "cached steady state regressed to {allocs:.1} allocs/query (ceiling {BLOCK_CEILING})"
@@ -199,24 +221,25 @@ fn steady_state_cached_path_allocs_stay_under_ceiling() {
     // plan's regions, plus the corner read where the corner-first step
     // pays (DESIGN.md §18). `executed` counts the range queries a unit is
     // *charged* — the cheapest covering set, not one per walk (DESIGN.md
-    // §12): 26 regions share a merged one.
-    assert_eq!(fetch, [19_686, 297, 144, 26], "interactive fetch counters moved");
+    // §12): 26 regions share a merged one. The dominance tests are full
+    // row tests: the skyline filter's grid pre-test (DESIGN.md §13) skips
+    // the rest, and without it they were 642 355.
+    assert_eq!(counts, [19_686, 297, 144, 26, 59_551], "interactive counters moved");
 }
 
 #[test]
 fn independent_workload_fetch_counters_are_exact() {
-    let _serial = serial();
     let table = table();
     let queries = independent_queries(&table, QUERIES, 19, None);
-    let (_, fetch) = cold_run(&table, &queries);
+    let (_, counts) = cold_run(&table, &queries);
     // As above: 26 of the 100 queries are provably empty, and 86 regions
-    // share a merged range query.
-    assert_eq!(fetch, [65_513, 1_218, 959, 86], "independent fetch counters moved");
+    // share a merged range query. Without the grid pre-test the
+    // dominance tests were 1 045 413.
+    assert_eq!(counts, [65_513, 1_218, 959, 86, 144_050], "independent counters moved");
 }
 
 #[test]
 fn exact_hit_replay_allocs_stay_under_ceiling() {
-    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
     let replay = replay_allocs_per_query(&table, &queries);
@@ -233,7 +256,6 @@ fn exact_hit_replay_allocs_stay_under_ceiling() {
 /// `Vec` on top, and the points' formatting every time.
 #[test]
 fn an_exact_hit_reply_allocates_at_most_twice() {
-    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
     let service = Service::open(&table, ServiceConfig::default());
@@ -274,7 +296,6 @@ fn workload_plans(table: &Table) -> Vec<FetchPlan> {
 /// plans of a whole workload.
 #[test]
 fn predicting_a_plan_allocates_nothing() {
-    let _serial = serial();
     let table = table();
     let plans = workload_plans(&table);
     let rows = table.config().cost_model.seek_rows();
@@ -298,7 +319,6 @@ fn predicting_a_plan_allocates_nothing() {
 /// path costs ≥ 1 alloc per lookup and fails at once.
 #[test]
 fn warm_cache_lookup_is_allocation_free() {
-    let _serial = serial();
     let table = table();
     let queries = interactive_queries(&table, QUERIES, 17, None);
     let sample: Vec<_> = table.all_points().iter().take(8).cloned().collect();
@@ -354,7 +374,6 @@ type PairKernel = dyn Fn(&Point, &Point) -> bool;
 /// rows and over points, and the block scan — allocate nothing.
 #[test]
 fn dominance_kernels_allocate_nothing() {
-    let _serial = serial();
     let table = table();
     let points = &table.all_points()[..300];
     let block = PointBlock::from_points(points).expect("non-empty rows");
@@ -383,7 +402,6 @@ fn dominance_kernels_allocate_nothing() {
 /// nothing, single- and two-region plans alike.
 #[test]
 fn fetching_a_plan_allocates_nothing_in_steady_state() {
-    let _serial = serial();
     let table = table();
     let plans = workload_plans(&table);
     let mut scratch = FetchScratch::default();
@@ -405,7 +423,6 @@ fn fetching_a_plan_allocates_nothing_in_steady_state() {
 /// ids vector holds one id, and the bare tree walk allocates nothing.
 #[test]
 fn exact_probes_allocate_nothing() {
-    let _serial = serial();
     let table = table();
     let (cache, _) = warm_cache_and_probes(&table);
     let items: Vec<_> = cache.iter().collect();
@@ -442,7 +459,6 @@ fn exact_probes_allocate_nothing() {
 /// allocates nothing.
 #[test]
 fn strategy_scoring_allocates_nothing() {
-    let _serial = serial();
     let table = table();
     let (cache, queries) = warm_cache_and_probes(&table);
     let bounds = Aabb::bounding(table.all_points()).expect("non-empty table");
@@ -480,7 +496,6 @@ fn strategy_scoring_allocates_nothing() {
 /// none when there is not.
 #[test]
 fn the_invalid_cover_allocates_only_its_region() {
-    let _serial = serial();
     let table = table();
     let (cache, queries) = warm_cache_and_probes(&table);
     let mut covers = 0;
@@ -501,7 +516,6 @@ fn the_invalid_cover_allocates_only_its_region() {
 /// one `Vec` and one allocation per skyline point.
 #[test]
 fn the_fetch_stage_allocates_only_its_answer() {
-    let _serial = serial();
     let table = table();
     let (cache, queries) = warm_cache_and_probes(&table);
     let approximate = MprMode::Approximate { k: 1 };
@@ -582,7 +596,6 @@ const N_SLOTS: std::ops::Range<usize> = 44..52;
 /// valid: a flip there loads, under the flipped model.
 #[test]
 fn hostile_table_files_are_errors_within_a_bounded_allocation() {
-    let _serial = serial();
     let path = temp_path("hostile");
     let table = synthetic_table(Distribution::Independent, 3, 40, 5);
     table.save(&path).expect("save");
@@ -631,7 +644,6 @@ fn hostile_table_files_are_errors_within_a_bounded_allocation() {
 /// allocates within a fixed multiple of the line's length.
 #[test]
 fn hostile_request_lines_are_errors_within_a_bounded_allocation() {
-    let _serial = serial();
     let valid = ["Q 0.1 0.9 0.2 0.8", "Q * 0.5 -1e3 * record", "STATS", "PING", "QUIT"];
     let mut lines: Vec<String> =
         valid.iter().flat_map(|l| (0..=l.len()).map(|k| l[..k].to_owned())).collect();

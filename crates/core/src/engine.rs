@@ -305,7 +305,8 @@ pub struct QueryStats {
     pub index_probes: u64,
     /// Index entries scanned by the chosen storage plans.
     pub index_entries_scanned: u64,
-    /// Pairwise dominance tests performed.
+    /// Pairwise dominance tests performed: full row tests only. A pair
+    /// the SFS filter's grid pre-test rejects is not counted.
     pub dominance_tests: u64,
     /// Measured time per [`Phase`] in nanoseconds, indexed by
     /// [`Phase::index`] — wall clock only; the simulated disk time of the

@@ -8,7 +8,9 @@
 //! exactly the shape the autovectorizer turns into packed `f64` compares
 //! plus a movmsk — and branches once per row. Every dominance loop in the
 //! workspace (the SFS filter, the BBS corner prune, cache maintenance)
-//! calls it.
+//! calls it. The SFS filter calls it only on the pairs its grid pre-test
+//! lets through (DESIGN.md §13), and `dominance_tests` counts these full
+//! row tests only, never the pre-test.
 //!
 //! The early-exit form [`crate::dominance::dominates_raw`] costs a
 //! data-dependent branch per element, which a sort-filter window scan
