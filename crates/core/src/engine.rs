@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
-use skycache_geom::subtract;
+use skycache_geom::{rect, subtract};
 use skycache_geom::{Constraints, Point, PointBlock, Regions};
 use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
@@ -128,16 +128,11 @@ pub struct QueryScratch {
     corner: CornerScratch,
     /// Skyline-kernel ordering buffer.
     sky: SkylineScratch,
-    /// Merge output: retained ∪ fetched rows, deduplicated.
+    /// Merge output: the retained rows no read region holds, then the
+    /// corner rows and the fetched rows.
     merged: Option<PointBlock>,
     /// Skyline output block.
     sky_out: Option<PointBlock>,
-    /// Bounding box of the retained points: lower corner, then upper.
-    merge_box: Vec<f64>,
-    /// Indices of retained points sorted by coordinate bit pattern.
-    merge_order: Vec<u32>,
-    /// Per retained point: fetched duplicate copies still to drop.
-    dup_budget: Vec<u32>,
     /// Cache-lookup scratch: cover-ordered candidate item ids, reused
     /// across queries so the lookup path allocates nothing in steady
     /// state (mirrors [`FetchScratch`] on the storage side).
@@ -182,82 +177,6 @@ fn reuse_block(slot: &mut Option<PointBlock>, dims: usize) -> &mut PointBlock {
     let block = slot.as_mut().expect("slot initialized above");
     block.clear();
     block
-}
-
-/// Total order on coordinate rows by bit pattern — identity is `to_bits`
-/// equality per coordinate (`-0.0 ≠ 0.0`, NaN payloads distinct). Only
-/// grouping matters; the order itself is arbitrary but consistent.
-fn cmp_bits(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
-    a.iter().map(|v| v.to_bits()).cmp(b.iter().map(|v| v.to_bits()))
-}
-
-/// Fills `merged` with the retained rows (flat, `merged`'s stride)
-/// followed by the fetched rows that survive deduplication, dropping one
-/// fetched copy per identical retained row: with the approximate MPR,
-/// regions not pruned by a retained point `u` may re-fetch `u`'s stored
-/// row, and a corner read may re-fetch any retained row; keeping both
-/// copies would duplicate `u` in the result.
-///
-/// Only a fetched row inside the retained rows' bounding box can be such
-/// a copy — a row bit-identical to a retained one is numerically inside
-/// it — and few are, so every other row is copied straight through, and
-/// the sorted index of the retained rows is built when the first fetched
-/// row lands inside the box, if one does. `bbox`, `order` and `budget`
-/// are reusable buffers.
-fn merge_rows<'a>(
-    retained: &[f64],
-    fetched: impl Iterator<Item = &'a [f64]>,
-    merged: &mut PointBlock,
-    bbox: &mut Vec<f64>,
-    order: &mut Vec<u32>,
-    budget: &mut Vec<u32>,
-) {
-    // Lower corner then upper corner; empty (nothing is inside) until a
-    // retained row widens it.
-    let dims = merged.dims();
-    let kept = |idx: u32| &retained[idx as usize * dims..(idx as usize + 1) * dims];
-    bbox.clear();
-    bbox.resize(dims, f64::INFINITY);
-    bbox.resize(2 * dims, f64::NEG_INFINITY);
-    let (lo, hi) = bbox.split_at_mut(dims);
-    for row in retained.chunks_exact(dims) {
-        merged.push_row(row);
-        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
-            *l = l.min(v);
-            *h = h.max(v);
-        }
-    }
-    let mut indexed = false;
-    for row in fetched {
-        if !row.iter().zip(lo.iter().zip(hi.iter())).all(|(v, (l, h))| l <= v && v <= h) {
-            merged.push_row(row);
-            continue;
-        }
-        if !indexed {
-            indexed = true;
-            order.clear();
-            // A reused buffer: it grows to its high-water mark once.
-            order.extend(0..(retained.len() / dims) as u32);
-            order.sort_unstable_by(|&a, &b| cmp_bits(kept(a), kept(b)).then(a.cmp(&b)));
-            budget.clear();
-            budget.resize(order.len(), 1);
-        }
-        let start = order.partition_point(|&idx| cmp_bits(kept(idx), row).is_lt());
-        let mut taken = false;
-        for &idx in &order[start..] {
-            if cmp_bits(kept(idx), row).is_ne() {
-                break;
-            }
-            if budget[idx as usize] > 0 {
-                budget[idx as usize] -= 1;
-                taken = true;
-                break;
-            }
-        }
-        if !taken {
-            merged.push_row(row);
-        }
-    }
 }
 
 /// The Figure-10 stage breakdown of one query ([`QueryStats::stages`]).
@@ -624,10 +543,21 @@ impl QueryScratch {
     /// `regions` — the part of `R_C′` the cache leaves unknown, all of it
     /// on a miss — with one plan (overlapping or abutting index ranges
     /// merge into one range query where that is cheaper; rows are
-    /// deduplicated across regions), merges the rows with the `retained` ones (flat rows) and
-    /// runs the skyline kernel over them. Where the cost model predicts it
-    /// pays, the corner-first step reads the lower corner of `R_C′` first
-    /// ([`QueryScratch::corner_first`]).
+    /// deduplicated across regions), merges the rows with the `retained`
+    /// ones (flat rows) and runs the skyline kernel over them. Where the
+    /// cost model predicts it pays, the corner-first step reads the lower
+    /// corner of `R_C′` first ([`QueryScratch::corner_first`]).
+    ///
+    /// The merge is Theorem 6's union `retained ∪ fetch(MPR)` as a
+    /// multiset, so a row must not enter it twice. It keeps the retained
+    /// rows that no read region (the corner, then the remainder) contains,
+    /// then every corner and fetched row. That is exact because the fetch
+    /// emits every live row a read region contains, once
+    /// ([`rect::contains`] is its post-filter), and a cached skyline is
+    /// `Sky(S, C)` with multiplicity: [`crate::Cache::on_insert`] folds in
+    /// every new row, copies included, and [`crate::Cache::on_delete`]
+    /// drops each item holding a deleted row's coordinates. So a retained
+    /// row inside a read region comes back from the fetch, once per copy.
     pub fn fetch_stage(
         &mut self,
         table: &Table,
@@ -643,15 +573,21 @@ impl QueryScratch {
 
         let t0 = Stopwatch::start();
         let corner = if self.corner.taken { self.corner.fetch.rows().coords() } else { &[] };
+        let read = |row: &[f64]| {
+            (self.corner.taken && rect::contains(&self.corner.region[0], row))
+                || plan.regions.iter().any(|region| rect::contains(region, row))
+        };
+        let merged = reuse_block(&mut self.merged, dims);
+        let kept = retained.chunks_exact(dims).filter(|row| !read(row));
+        let fetched =
+            corner.chunks_exact(dims).chain(self.fetch.rows().coords().chunks_exact(dims));
+        for row in kept.chain(fetched) {
+            merged.push_row(row);
+        }
         if !corner.is_empty() {
             // The step fetched its own remainder list: it goes back.
             self.corner.regions.rest = plan.regions;
         }
-        let fetched = self.fetch.rows().coords().chunks_exact(dims);
-        let merged = reuse_block(&mut self.merged, dims);
-        let (bbox, order, budget) =
-            (&mut self.merge_box, &mut self.merge_order, &mut self.dup_budget);
-        merge_rows(retained, corner.chunks_exact(dims).chain(fetched), merged, bbox, order, budget);
         stats.time(Phase::Merge, t0);
 
         let t1 = Stopwatch::start();
@@ -814,31 +750,6 @@ mod tests {
         Constraints::from_pairs(pairs).unwrap()
     }
 
-    /// Vec-based reference for [`merge_rows`]: retained points followed by
-    /// the fetched ones, minus one fetched copy per identical retained
-    /// point.
-    fn merge_dedup(retained: Vec<Point>, fetched: Vec<Point>) -> Vec<Point> {
-        use std::collections::BTreeMap;
-        if retained.is_empty() {
-            return fetched;
-        }
-        let mut counts: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-        for p in &retained {
-            let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
-            *counts.entry(key).or_insert(0) += 1;
-        }
-        let mut merged = retained;
-        merged.reserve(fetched.len());
-        for p in fetched {
-            let key: Vec<u64> = p.coords().iter().map(|c| c.to_bits()).collect();
-            match counts.get_mut(&key) {
-                Some(n) if *n > 0 => *n -= 1, // drop this duplicate copy
-                _ => merged.push(p),
-            }
-        }
-        merged
-    }
-
     fn run(ex: &mut impl Executor, cc: &Constraints) -> QueryOutcome {
         ex.execute(&QueryRequest::new(cc.clone())).unwrap()
     }
@@ -997,8 +908,8 @@ mod tests {
 
     #[test]
     fn cbcs_no_duplicates_with_small_k() {
-        // aMPR(0) prunes nothing: every retained point's region is
-        // re-fetched, and dedup must kill the copies.
+        // aMPR(0) prunes nothing with the retained points: a row the
+        // stage reads again must enter the merge once.
         let table = grid_table();
         let config = CbcsConfig { mpr: MprMode::Approximate { k: 0 }, ..CbcsConfig::default() };
         let service = open(&table, config);
@@ -1022,61 +933,75 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn merge_rows_matches_merge_dedup() {
-        // Rows fetched into the columnar scratch, merged block-natively,
-        // must equal the Vec-based merge bit for bit — including the
-        // duplicate-budget semantics with repeated retained points, and
-        // wherever the fetched rows lie relative to the retained rows'
-        // bounding box. Besides the grid the table holds three copies of
-        // (0.35, 0.45) and a (0.0, 0.45) row.
-        let mut points: Vec<Point> = (0..20)
-            .flat_map(|i| (0..20).map(move |j| p(&[f64::from(i) / 10.0, f64::from(j) / 10.0])))
+    /// The integer points of `[0, 9]³` on or above the plane
+    /// `x + y + z = 12`, every one stored twice: a box's skyline is the
+    /// plane's points in it.
+    fn twin_plane_table() -> Table {
+        let cell = (0..10).map(f64::from);
+        let points: Vec<Point> = cell
+            .clone()
+            .flat_map(|x| {
+                cell.clone().flat_map(move |y| (0..10).map(move |z| [x, y, f64::from(z)]))
+            })
+            .filter(|q| q.iter().sum::<f64>() >= 12.0)
+            .flat_map(|q| [p(&q), p(&q)])
             .collect();
-        points.extend([p(&[0.35, 0.45]), p(&[0.35, 0.45]), p(&[0.35, 0.45]), p(&[0.0, 0.45])]);
-        let table = Table::build(points, TableConfig::default()).unwrap();
-        let mut fetch_scratch = skycache_storage::FetchScratch::new();
-        let cc = c(&[(0.0, 0.5), (0.2, 0.5)]);
-        table.fetch_plan_into(&FetchPlan::constrained(&cc), &mut fetch_scratch);
-        let buf = fetch_scratch.rows();
-        let fetched: Vec<Point> = (0..buf.len()).map(|i| p(buf.row(i))).collect();
-        assert_eq!(fetched.iter().filter(|f| **f == p(&[0.35, 0.45])).count(), 3);
+        Table::build(points, TableConfig::default()).unwrap()
+    }
 
-        let bits = |pts: &[Point]| -> Vec<Vec<u64>> {
-            pts.iter().map(|q| q.coords().iter().map(|v| v.to_bits()).collect()).collect()
-        };
-        // The buffers are reused across cases, as the engine reuses them.
-        let mut bbox = Vec::new();
-        let mut order = Vec::new();
-        let mut budget = Vec::new();
-        for (retained, dropped) in [
-            // Empty retained block: the box is empty, nothing is inside.
-            (vec![], 0),
-            // Every fetched row outside the box: no index is built.
-            (vec![p(&[9.0, 9.0]), p(&[8.0, 9.5])], 0),
-            // Fetched rows outside, inside and on the faces of the box
-            // [0.2, 0.4] x [0.2, 0.4]; its corners are fetched copies.
-            (vec![p(&[0.2, 0.4]), p(&[0.4, 0.2])], 2),
-            (vec![p(&[0.3, 0.4]), p(&[9.0, 9.0])], 1),
-            (vec![p(&[0.3, 0.4]), p(&[0.3, 0.4]), p(&[0.2, 0.2])], 2),
-            // More fetched copies (three) than budget (one, then two).
-            (vec![p(&[0.35, 0.45]), p(&[0.1, 0.3])], 2),
-            (vec![p(&[0.35, 0.45]), p(&[0.35, 0.45])], 2),
-            // -0.0 retained, 0.0 fetched: inside the box (on its face)
-            // but not identical, so both rows are kept.
-            (vec![p(&[-0.0, 0.45]), p(&[0.1, 0.5])], 1),
-        ] {
-            let want = merge_dedup(retained.clone(), fetched.clone());
-            assert_eq!(want.len(), retained.len() + fetched.len() - dropped, "{retained:?}");
-            let mut merged = PointBlock::new(2).unwrap();
-            let mut retained_block = PointBlock::new(2).unwrap();
-            for rp in &retained {
-                retained_block.push(rp);
+    /// The merge keeps a retained row only outside the regions the stage
+    /// read: the merged rows are the retained, corner and fetched rows
+    /// minus one fetched copy per bit-identical retained row, and the
+    /// answer is Baseline's. Both hits are unstable under aMPR(0), whose
+    /// invalid cover re-reads retained rows: 3 twin rows on the first,
+    /// which stays off the corner step, and every retained row on the
+    /// second, whose corner read holds some of them.
+    #[test]
+    fn merge_drops_retained_rows_the_stage_read() {
+        use std::collections::BTreeMap;
+        fn bits(row: &[f64]) -> Vec<u64> {
+            row.iter().map(|v| v.to_bits()).collect()
+        }
+        fn sorted<'a>(rows: impl Iterator<Item = &'a [f64]>) -> Vec<Vec<u64>> {
+            let mut rows: Vec<_> = rows.map(bits).collect();
+            rows.sort();
+            rows
+        }
+        let table = twin_plane_table();
+        for (hi, corner_taken, dropped) in [(6.0, false, 6), (9.0, true, 42)] {
+            let c_old = c(&[(2.0, hi); 3]);
+            let c_new = c(&[(3.0, hi), (2.0, hi), (2.0, hi)]);
+            let cached = run(&mut BaselineExecutor::new(&table), &c_old).skyline;
+            let cached = PointBlock::from_points(&cached).unwrap();
+            let plan = crate::cases::plan(&c_old, &cached, &c_new, MprMode::Approximate { k: 0 });
+            let retained = plan.retained.clone();
+            let (mut scratch, mut stats) = (QueryScratch::default(), QueryStats::default());
+            let got = query_planned(&table, &c_new, plan, &mut scratch, &mut stats);
+            assert_eq!(scratch.corner.taken, corner_taken, "C̄ = {hi}");
+
+            let corner = if corner_taken { scratch.corner.fetch.rows().coords() } else { &[] };
+            let mut copies: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+            for row in retained.rows() {
+                *copies.entry(bits(row)).or_default() += 1;
             }
-            let fetched_rows = buf.coords().chunks_exact(2);
-            let flat = retained_block.as_flat();
-            merge_rows(flat, fetched_rows, &mut merged, &mut bbox, &mut order, &mut budget);
-            assert_eq!(bits(&merged.to_points()), bits(&want), "retained = {retained:?}");
+            let fetched: Vec<&[f64]> = corner
+                .chunks_exact(3)
+                .chain(scratch.fetch.rows().coords().chunks_exact(3))
+                .collect();
+            let mut want = retained.as_flat().to_vec();
+            for row in &fetched {
+                match copies.get_mut(&bits(row)) {
+                    Some(n) if *n > 0 => *n -= 1,
+                    _ => want.extend_from_slice(row),
+                }
+            }
+            let merged = scratch.merged.as_ref().unwrap();
+            assert_eq!(merged.len() + dropped, retained.len() + fetched.len(), "C̄ = {hi}");
+            assert_eq!(sorted(merged.rows()), sorted(want.chunks_exact(3)), "C̄ = {hi}");
+
+            let want = run(&mut BaselineExecutor::new(&table), &c_new).skyline;
+            let (got, want) = (got.iter().map(Point::coords), want.iter().map(Point::coords));
+            assert_eq!(sorted(got), sorted(want), "C̄ = {hi}");
         }
     }
 
@@ -1088,16 +1013,6 @@ mod tests {
         assert_eq!(stats.regions_coalesced, 3);
         assert_eq!(stats.fetch_sim_ns, 7);
         assert_eq!(stats.report().counter(names::FETCH_REGIONS_COALESCED), 3);
-    }
-
-    #[test]
-    fn merge_dedup_drops_one_copy_per_retained() {
-        let retained = vec![p(&[1.0, 1.0]), p(&[2.0, 2.0])];
-        let fetched = vec![p(&[1.0, 1.0]), p(&[1.0, 1.0]), p(&[3.0, 3.0])];
-        let merged = merge_dedup(retained, fetched);
-        // 2 retained + (1 duplicate of [1,1] kept — the data really holds
-        // two copies) + [3,3].
-        assert_eq!(merged.len(), 4);
     }
 
     #[test]

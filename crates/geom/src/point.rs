@@ -5,10 +5,11 @@ use crate::{GeomError, Result};
 
 /// An owned point in `R^|D|`.
 ///
-/// Coordinates are finite `f64`s; constructors reject NaN so that every
-/// comparison in the crate is a total order. Points are the unit of data in
-/// the whole workspace: the storage engine stores them as rows, skyline
-/// algorithms compare them, and cache items hold them as results.
+/// Coordinates are `f64`s other than NaN, `±∞` included; constructors
+/// reject NaN so that every comparison in the crate is a total order.
+/// Points are the unit of data in the whole workspace: the storage engine
+/// stores them as rows, skyline algorithms compare them, and cache items
+/// hold them as results.
 #[derive(Clone, PartialEq)]
 pub struct Point {
     coords: Box<[f64]>,

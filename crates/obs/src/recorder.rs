@@ -20,7 +20,8 @@ pub enum Phase {
     /// its CPU time and is charged the cost model's simulated I/O
     /// latency separately; a report shows the sum.
     Fetch,
-    /// Merging retained cached points with fetched rows (dedup).
+    /// Merging the retained cached points that no read region holds with
+    /// the fetched rows.
     Merge,
     /// The in-memory skyline computation.
     Skyline,

@@ -407,14 +407,13 @@ impl Table {
             RegionState::Empty => stats,
             RegionState::FullScan => {
                 // Sequential scan of the heap (dead slots are still read,
-                // hence still charged).
+                // hence still charged), post-filtered by the unit's one
+                // region: an unbounded side may still be open at ±∞.
                 stats.range_queries_executed += 1;
                 stats.heap_fetches += self.points.len() as u64;
-                for (row, point) in self.points.iter().enumerate() {
-                    if self.live[row] {
-                        emit(row as RowId, point.coords());
-                    }
-                }
+                let region = &regions[members[0] as usize];
+                let rows = self.live_points().filter(|(_, p)| rect::contains(region, p.coords()));
+                rows.for_each(|(row, point)| emit(row, point.coords()));
                 stats
             }
             RegionState::Ready => {
@@ -764,6 +763,25 @@ mod tests {
         assert_eq!(res.rows.len(), 100);
         assert_eq!(res.stats.points_read, 100);
         assert_eq!(res.stats.heap_fetches, 100);
+    }
+
+    /// A region unbounded on every side is a heap scan, and the scan
+    /// keeps the region's openness at ±∞ as the indexed walk does.
+    #[test]
+    fn full_scan_filters_by_its_region() {
+        let points =
+            [[1.0, 2.0], [f64::INFINITY, 0.5], [3.0, 1.0]].map(|q| Point::from(q.to_vec()));
+        let t = Table::build(points.to_vec(), TableConfig::default()).unwrap();
+        let x = Interval::new(f64::NEG_INFINITY, f64::INFINITY, false, true);
+        let scan = fetch_one(&t, &[x, Interval::closed(f64::NEG_INFINITY, f64::INFINITY)]);
+        let walk = fetch_one(&t, &[x, Interval::closed(f64::NEG_INFINITY, 10.0)]);
+        for res in [&scan, &walk] {
+            let mut ids: Vec<RowId> = res.rows.iter().map(|r| r.0).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, [0, 2]);
+        }
+        // The scan still reads, and is charged, every slot.
+        assert_eq!(scan.stats.heap_fetches, 3);
     }
 
     #[test]

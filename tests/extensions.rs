@@ -11,10 +11,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use skycache::core::{BaselineExecutor, Executor, QueryRequest, Service, ServiceConfig};
+use skycache::core::{
+    BaselineExecutor, CbcsConfig, Executor, MprMode, QueryRequest, Service, ServiceConfig,
+};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen};
 use skycache::geom::{Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
+
+#[allow(dead_code, reason = "each suite uses its own part of the shared inputs")]
+mod common;
 
 fn sorted(mut v: Vec<Point>) -> Vec<Point> {
     v.sort_by_key(|p| p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>());
@@ -74,6 +79,66 @@ fn dynamic_executor_matches_recomputation_under_churn() {
             BaselineExecutor::new(&fresh).execute(&QueryRequest::new(c.clone())).unwrap().skyline,
         );
         assert_eq!(got, want, "query {i} diverged after churn");
+    }
+}
+
+/// Churn over tables whose rows all come in twins — bit-identical, or
+/// equal with their zeros' signs apart — under aMPR(0) and aMPR(1): after
+/// each query a copy of one of its answer rows is inserted, and now and
+/// then a live row is deleted. The query and the next box, asked again,
+/// must return Baseline's answer over the live rows as bit-identical
+/// multisets: a retained row the stage reads again must enter the merge
+/// once per stored copy.
+#[test]
+fn duplicate_rows_under_churn_match_recomputation() {
+    let bits = |rows: Vec<Point>| {
+        let mut rows: Vec<Vec<u64>> =
+            rows.iter().map(|p| p.coords().iter().map(|c| c.to_bits()).collect()).collect();
+        rows.sort();
+        rows
+    };
+    for dims in [2, 3] {
+        for k in [0, 1] {
+            let inputs = [
+                ("twins", common::twin_grid_table(dims, 150, 1), common::grid_boxes(dims, 60, 2)),
+                (
+                    "signed zeros",
+                    common::signed_zero_table(dims, 150, 3),
+                    common::signed_zero_boxes(dims, 60, 4),
+                ),
+            ];
+            for (name, table, boxes) in inputs {
+                let mut rng = StdRng::seed_from_u64(5);
+                let config = CbcsConfig { mpr: MprMode::Approximate { k }, ..Default::default() };
+                let mut service = Service::open(table, ServiceConfig::with_cbcs(config));
+                let ask = |service: &Service<'_>, c: &Constraints| {
+                    service.session().execute(&QueryRequest::new(c.clone())).unwrap().skyline
+                };
+                for (i, pair) in boxes.windows(2).enumerate() {
+                    let answer = ask(&service, &pair[0]);
+                    if !answer.is_empty() {
+                        service.insert(answer[rng.gen_range(0..answer.len())].clone()).unwrap();
+                    }
+                    if rng.gen_bool(0.3) {
+                        let live: Vec<u32> =
+                            service.table().live_points().map(|(r, _)| r).collect();
+                        service.delete(live[rng.gen_range(0..live.len())]).unwrap();
+                    }
+                    let live: Vec<Point> =
+                        service.table().live_points().map(|(_, p)| p.clone()).collect();
+                    let fresh = Table::build(live, TableConfig { cost_model: CostModel::free() });
+                    let mut baseline = BaselineExecutor::new(fresh.as_ref().unwrap());
+                    for (which, c) in [("this", &pair[0]), ("next", &pair[1])] {
+                        let want = baseline.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
+                        assert_eq!(
+                            bits(ask(&service, c)),
+                            bits(want),
+                            "{name} d={dims} k={k} {which} of {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -1,6 +1,7 @@
-//! Property-based end-to-end tests: for *arbitrary* constraint pairs
-//! (not just workload-shaped ones), answering the second query from the
-//! first query's cached result must equal computing it from scratch.
+//! Property-based end-to-end tests: for *arbitrary* chains of constraints
+//! (not just workload-shaped ones), answering each query from the cached
+//! results of the ones before must equal computing it from scratch. The
+//! tables include `tests/common`'s adversarial inputs.
 
 #![allow(
     clippy::expect_used,
@@ -17,6 +18,8 @@ use skycache::core::{
 use skycache::geom::rect::contains;
 use skycache::geom::{Constraints, Point, PointBlock};
 use skycache::storage::{CostModel, Table, TableConfig};
+
+mod common;
 
 fn coord() -> impl Strategy<Value = f64> {
     (0..=16u8).prop_map(|v| f64::from(v) / 16.0)
@@ -35,6 +38,39 @@ fn constraints(dims: usize) -> impl Strategy<Value = Constraints> {
 fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(prop::collection::vec(coord(), dims), 1..250)
         .prop_map(|rows| rows.into_iter().map(Point::from).collect())
+}
+
+/// A table and a chain of boxes on its coordinates: random points on a
+/// 1/16 grid, or one of `tests/common`'s adversarial tables — twin rows,
+/// signed zeros, 1e17 ties or subnormals, the last two under the default
+/// cost model with boxes open to ±∞ on some sides.
+fn table_and_boxes(dims: usize) -> impl Strategy<Value = (Table, Vec<Constraints>)> {
+    let adversarial =
+        move |table: fn(usize, usize, u64) -> Table,
+              boxes: fn(usize, usize, u64) -> Vec<Constraints>| {
+            (1..150usize, 2..6usize, any::<u64>()).prop_map(move |(n, chain, seed)| {
+                (table(dims, n, seed), boxes(dims, chain, seed ^ 1))
+            })
+        };
+    let grid = (dataset(dims), prop::collection::vec(constraints(dims), 2..6)).prop_map(
+        |(points, boxes)| {
+            let table = Table::build(points, TableConfig { cost_model: CostModel::free() });
+            (table.unwrap(), boxes)
+        },
+    );
+    prop_oneof![
+        grid,
+        adversarial(common::twin_grid_table, common::grid_boxes),
+        adversarial(common::signed_zero_table, common::signed_zero_boxes),
+        adversarial(
+            |d, n, seed| common::coord_table(d, n, seed, common::huge),
+            |d, n, seed| common::open_sided_boxes(d, n, seed, common::huge),
+        ),
+        adversarial(
+            |d, n, seed| common::coord_table(d, n, seed, common::subnormal),
+            |d, n, seed| common::open_sided_boxes(d, n, seed, common::subnormal),
+        ),
+    ]
 }
 
 fn reference(points: &[Point], c: &Constraints) -> Vec<Point> {
@@ -59,34 +95,37 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
     v
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The rows' bit patterns, sorted: `-0.0` and `0.0` differ.
+fn bits(v: Vec<Point>) -> Vec<Vec<u64>> {
+    let mut rows: Vec<_> =
+        v.iter().map(|p| p.coords().iter().map(|c| c.to_bits()).collect()).collect();
+    rows.sort();
+    rows
+}
 
-    /// Theorem 6 end to end: answering C′ via the cached C equals the
-    /// naive answer, for random data and arbitrary (C, C′) pairs — grid
-    /// coordinates force boundary coincidences and duplicate points.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Theorem 6 end to end: answering each C′ of a chain via the cache
+    /// equals the naive answer, for random data and arbitrary boxes —
+    /// grid coordinates force boundary coincidences and duplicate points,
+    /// and the adversarial tables add bit-identical twins, rows equal but
+    /// for their zeros' signs, ties at 1e17 and subnormals.
     #[test]
     fn cached_answer_equals_naive(
-        points in dataset(3),
-        c_old in constraints(3),
-        c_new in constraints(3),
+        input in table_and_boxes(3),
         exact in any::<bool>(),
         k in 0..5usize,
     ) {
-        let table = Table::build(
-            points.clone(),
-            TableConfig { cost_model: CostModel::free() },
-        ).unwrap();
+        let (table, boxes) = input;
         let mode = if exact { MprMode::Exact } else { MprMode::Approximate { k } };
         let config = CbcsConfig { mpr: mode, ..Default::default() };
         let service = Service::open(&table, ServiceConfig::with_cbcs(config));
         let mut cbcs = service.session();
-
-        let r_old = cbcs.execute(&QueryRequest::new(c_old.clone())).unwrap();
-        prop_assert_eq!(sorted(r_old.skyline), reference(&points, &c_old));
-
-        let r_new = cbcs.execute(&QueryRequest::new(c_new.clone())).unwrap();
-        prop_assert_eq!(sorted(r_new.skyline), reference(&points, &c_new));
+        for (i, c) in boxes.iter().enumerate() {
+            let got = cbcs.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
+            prop_assert_eq!(bits(got), bits(reference(table.all_points(), c)), "box {}", i);
+        }
     }
 
     /// Theorem 6 at the MPR level, without the engine: the cached skyline
