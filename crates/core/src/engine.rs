@@ -906,20 +906,38 @@ mod tests {
         }
     }
 
+    /// aMPR(0) prunes nothing with the retained points, and raising both
+    /// lower bounds removes the staircase's two end rows: the invalid
+    /// cover, the bounding box of what they dominated in `R_C′`, is all of
+    /// `C′`. The stage reads every retained row again, and each must
+    /// enter the merge once.
     #[test]
     fn cbcs_no_duplicates_with_small_k() {
-        // aMPR(0) prunes nothing with the retained points: a row the
-        // stage reads again must enter the merge once.
-        let table = grid_table();
-        let config = CbcsConfig { mpr: MprMode::Approximate { k: 0 }, ..CbcsConfig::default() };
-        let service = open(&table, config);
-        let mut cbcs = service.session();
-        run(&mut cbcs, &c(&[(0.2, 1.0), (0.2, 1.0)]));
-        let res = run(&mut cbcs, &c(&[(0.1, 1.0), (0.2, 1.0)]));
-        let mut sky = res.skyline.clone();
-        sky.sort_by_key(|x| (x[0].to_bits(), x[1].to_bits()));
+        // The integer points of `[0, 19]²` on or above `x + y = 10`.
+        let staircase = (0..20).flat_map(|x| (0..20).map(move |y| [x, y]));
+        let points: Vec<Point> =
+            staircase.filter(|q| q[0] + q[1] >= 10).map(|q| p(&q.map(f64::from))).collect();
+        let table = Table::build(points, TableConfig::default()).unwrap();
+        let (c_old, c_new) = (c(&[(2.0, 10.0); 2]), c(&[(3.0, 10.0); 2]));
+        let cached = run(&mut BaselineExecutor::new(&table), &c_old).skyline;
+        let cached = PointBlock::from_points(&cached).unwrap();
+        let plan = crate::cases::plan(&c_old, &cached, &c_new, MprMode::Approximate { k: 0 });
+        let retained = plan.retained.len();
+        assert_eq!((cached.len(), retained), (7, 5));
+        let (mut scratch, mut stats) = (QueryScratch::default(), QueryStats::default());
+        let mut sky = query_planned(&table, &c_new, plan, &mut scratch, &mut stats);
+        let corner = if scratch.corner.taken { scratch.corner.fetch.rows().len() } else { 0 };
+        let merged = scratch.merged.as_ref().unwrap().len();
+        let read = corner + scratch.fetch.rows().len();
+        assert!(merged < retained + read, "no retained row was read again");
+
+        let key = |x: &Point| (x[0].to_bits(), x[1].to_bits());
+        sky.sort_by_key(key);
+        let mut want = run(&mut BaselineExecutor::new(&table), &c_new).skyline;
+        want.sort_by_key(key);
+        assert_eq!(sky, want);
         sky.dedup();
-        assert_eq!(sky.len(), res.skyline.len(), "duplicate points in result");
+        assert_eq!(sky.len(), want.len(), "duplicate points in result");
     }
 
     #[test]

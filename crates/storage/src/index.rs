@@ -4,37 +4,38 @@ use crate::table::RowId;
 
 /// A read-optimized single-dimension index: the B-tree stand-in.
 ///
-/// Keys are stored as a sorted `(key, row)` array; range location is two
-/// binary searches (`O(log n)`), mirroring a B-tree descent, and the rows
-/// of a range are a contiguous slice, mirroring a leaf scan.
+/// Keys are stored as a sorted `(key, row, word)` array; range location is
+/// two binary searches (`O(log n)`), mirroring a B-tree descent, and the
+/// rows of a range are a contiguous slice, mirroring a leaf scan. Each
+/// entry carries its row's bucket-sketch word for this index, so the
+/// candidate walk scans words in position order.
 #[derive(Clone, Debug)]
-pub struct ColumnIndex {
+pub(crate) struct ColumnIndex {
     /// Sorted keys.
     keys: Vec<f64>,
     /// Row ids parallel to `keys`.
     rows: Vec<RowId>,
+    /// Sketch words parallel to `keys` ([`crate::sketch`]).
+    words: Vec<u32>,
 }
 
 impl ColumnIndex {
     /// Builds the index of one dimension from the `(key, row)` entries of
-    /// the rows it should cover (a table passes its live rows only).
-    pub fn build(entries: impl Iterator<Item = (f64, RowId)>) -> Self {
+    /// the rows it should cover (a table passes its live rows only). Its
+    /// words are [`ColumnIndex::fill_words`]'s to write.
+    pub(crate) fn build(entries: impl Iterator<Item = (f64, RowId)>) -> Self {
         let mut pairs: Vec<(f64, RowId)> = entries.collect();
         pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         ColumnIndex {
             keys: pairs.iter().map(|p| p.0).collect(),
             rows: pairs.iter().map(|p| p.1).collect(),
+            words: Vec::new(),
         }
     }
 
-    /// Number of indexed rows.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+    /// Sets every entry's word to `word_of` its row.
+    pub(crate) fn fill_words(&mut self, word_of: impl Fn(RowId) -> u32) {
+        self.words = self.rows.iter().map(|&row| word_of(row)).collect();
     }
 
     /// Half-open position range `[start, end)` of keys inside `iv`.
@@ -83,6 +84,12 @@ impl ColumnIndex {
         &self.rows[start..end]
     }
 
+    /// Sketch words at sorted-key positions `[start, end)`.
+    #[inline]
+    pub(crate) fn words_at(&self, start: usize, end: usize) -> &[u32] {
+        &self.words[start..end]
+    }
+
     /// All `(key, row)` entries in key order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (f64, RowId)> + '_ {
         self.keys.iter().copied().zip(self.rows.iter().copied())
@@ -95,10 +102,11 @@ impl ColumnIndex {
         (1..parts).filter_map(|i| self.keys.get(i * self.keys.len() / parts).copied()).collect()
     }
 
-    /// Inserts a `(key, row)` entry, keeping keys sorted (`O(n)` memmove,
-    /// like a B-tree leaf insert without node splits — adequate for the
-    /// moderate update rates of the dynamic-data extension).
-    pub fn insert(&mut self, key: f64, row: RowId) {
+    /// Inserts a `(key, row)` entry with its sketch word, keeping keys
+    /// sorted (`O(n)` memmove, like a B-tree leaf insert without node
+    /// splits — adequate for the moderate update rates of the dynamic-data
+    /// extension).
+    pub(crate) fn insert(&mut self, key: f64, row: RowId, word: u32) {
         debug_assert!(!key.is_nan());
         // total_cmp, not `<`: a numeric predicate would file `0.0` before
         // an existing `-0.0` and silently break the total sort order that
@@ -106,10 +114,12 @@ impl ColumnIndex {
         let pos = self.keys.partition_point(|&k| k.total_cmp(&key).is_lt());
         self.keys.insert(pos, key);
         self.rows.insert(pos, row);
+        self.words.insert(pos, word);
     }
 
-    /// Removes the entry for `(key, row)`. Returns whether it existed.
-    pub fn remove(&mut self, key: f64, row: RowId) -> bool {
+    /// Removes the entry for `(key, row)` and its word. Returns whether it
+    /// existed.
+    pub(crate) fn remove(&mut self, key: f64, row: RowId) -> bool {
         // The run of numerically equal keys can mix `-0.0` and `0.0`;
         // normalize the bounds so the scan covers the whole run.
         let lo = norm_down(key);
@@ -120,6 +130,7 @@ impl ColumnIndex {
             if self.rows[i] == row {
                 self.keys.remove(i);
                 self.rows.remove(i);
+                self.words.remove(i);
                 return true;
             }
         }
@@ -151,9 +162,19 @@ fn norm_up(v: f64) -> f64 {
 mod tests {
     use super::*;
 
-    /// An index over `keys`, row ids in slice order.
+    /// An index over `keys`, row ids in slice order, each entry's word
+    /// its row id.
     fn index_of(keys: &[f64]) -> ColumnIndex {
-        ColumnIndex::build(keys.iter().copied().zip(0..))
+        let mut index = ColumnIndex::build(keys.iter().copied().zip(0..));
+        index.fill_words(|row| row);
+        index
+    }
+
+    /// The number of entries, after checking that every word still sits
+    /// beside its own row.
+    fn len(i: &ColumnIndex) -> usize {
+        assert_eq!(i.words, i.rows, "words moved apart from their rows");
+        i.keys.len()
     }
 
     /// Sorted keys `[1, 3, 3, 5, 9]` held by rows `[1, {2, 3}, 0, 4]`.
@@ -173,7 +194,7 @@ mod tests {
     #[test]
     fn build_sorts_keys() {
         let i = idx();
-        assert_eq!(i.len(), 5);
+        assert_eq!(len(&i), 5);
         assert_eq!((0..5).map(|p| i.key_at(p)).collect::<Vec<_>>(), [1.0, 3.0, 3.0, 5.0, 9.0]);
     }
 
@@ -210,11 +231,12 @@ mod tests {
     #[test]
     fn insert_keeps_sorted_order() {
         let mut i = idx();
-        i.insert(4.0, 9);
-        assert_eq!(i.len(), 6);
+        i.insert(4.0, 9, 9);
+        assert_eq!(len(&i), 6);
         assert_eq!(i.locate(&Interval::closed(3.5, 4.5)), (3, 4));
         assert_eq!(rows(&i, &Interval::closed(4.0, 4.0)), vec![9]);
-        i.insert(0.5, 10);
+        i.insert(0.5, 10, 10);
+        assert_eq!(len(&i), 7);
         assert_eq!((i.key_at(0), i.key_at(6)), (0.5, 9.0));
     }
 
@@ -227,7 +249,7 @@ mod tests {
         // Removing a non-existent pairing is a no-op.
         assert!(!i.remove(3.0, 99));
         assert!(!i.remove(77.0, 2));
-        assert_eq!(i.len(), 4);
+        assert_eq!(len(&i), 4);
     }
 
     #[test]
@@ -253,15 +275,16 @@ mod tests {
         let mut i = index_of(&[]);
         // A numeric `<` insert predicate would place 0.0 *before* an
         // existing -0.0, breaking the total_cmp sort order.
-        i.insert(-0.0, 1);
-        i.insert(0.0, 2);
-        i.insert(-0.0, 3);
-        i.insert(-1.0, 4);
+        i.insert(-0.0, 1, 1);
+        i.insert(0.0, 2, 2);
+        i.insert(-0.0, 3, 3);
+        i.insert(-1.0, 4, 4);
         assert_eq!(i.locate(&Interval::closed(-1.0, 0.0)), (0, 4));
         assert_eq!(rows(&i, &Interval::closed(0.0, 0.0)), vec![1, 2, 3]);
         // remove() must find a row anywhere in the mixed-sign zero run.
         assert!(i.remove(0.0, 1));
         assert!(i.remove(-0.0, 2));
+        assert_eq!(len(&i), 2);
         assert_eq!(i.locate(&Interval::closed(0.0, 0.0)), (1, 2));
         assert_eq!(rows(&i, &Interval::closed(-0.0, -0.0)), vec![3]);
     }
@@ -269,7 +292,7 @@ mod tests {
     #[test]
     fn empty_index() {
         let i = index_of(&[]);
-        assert!(i.is_empty());
+        assert_eq!(len(&i), 0);
         assert_eq!(i.locate(&Interval::closed(0.0, 1.0)), (0, 0));
         assert!(i.quantile_keys(128).is_empty());
     }

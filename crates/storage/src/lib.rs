@@ -10,7 +10,8 @@
 //!    would pay: that index's candidate rows fetched from the heap and
 //!    post-filtered on the remaining dimensions (or, when cheaper, a
 //!    bitmap AND of the per-dimension row sets). What the walk really
-//!    dereferences is smaller — see the bucket sketch below.
+//!    dereferences is smaller: it scans the chosen index's sketch words
+//!    first — see the bucket sketch below.
 //! 2. **Empty-query detection.** "The remaining queries were discarded by
 //!    the DBMS without any disk seeks because the B-trees detect the empty
 //!    queries" (Section 7.3.2): a query whose projection on any indexed
@@ -22,14 +23,14 @@
 //!    (points read — Fig. 8; range queries generated/executed — Fig. 9;
 //!    fetch time — Figs. 5–7, 10, 12).
 //!
-//! The store itself is in-memory: a heap of points in row-id order, a
-//! sorted `(key, row)` array per dimension (the B-tree equivalent, with
-//! `O(log n)` range location) and the *bucket sketch* — one packed `u64`
-//! per heap slot holding a 7-bit equi-depth bucket per dimension, which
-//! the candidate walk tests against the region's bucket box before it
-//! touches the heap row, so the measured fetch dereferences about the rows
-//! it returns while [`FetchStats`] keeps charging the simulated plan
-//! (DESIGN.md §12). [`Table::insert`]/[`Table::delete`] support the
+//! The store itself is in-memory: a heap of points in row-id order and a
+//! sorted `(key, row, word)` array per dimension (the B-tree equivalent,
+//! with `O(log n)` range location). The words are the *bucket sketch*:
+//! one packed `u32` per index position holding an equi-depth bucket of
+//! the entry's row on each other dimension, which the candidate walk scans
+//! against the region's bucket box before it touches the heap row, so the
+//! measured fetch dereferences about the rows it returns while
+//! [`FetchStats`] keeps charging the simulated plan (DESIGN.md §12). [`Table::insert`]/[`Table::delete`] support the
 //! dynamic-data extension and [`Table::save`]/[`Table::load`] persist
 //! snapshots (heap and tombstones only; indexes and sketch are rebuilt).
 //!
@@ -64,7 +65,6 @@ mod table;
 
 pub use cost::{CostModel, FetchStats, Prediction};
 pub use error::StorageError;
-pub use index::ColumnIndex;
 pub use scratch::{FetchBuf, FetchScratch};
 pub use table::{FetchOutcome, FetchPlan, RowId, Table, TableConfig};
 

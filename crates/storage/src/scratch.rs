@@ -109,8 +109,9 @@ pub(crate) struct RegionProbe {
     /// Position range `[pos_lo, pos_hi)` in the chosen dimension's index.
     pub pos_lo: u32,
     pub pos_hi: u32,
-    /// The region in bucket space, when `Ready`: what the candidate walk
-    /// tests a row's sketch word against before touching the heap.
+    /// The region in bucket space for the chosen dimension's sketch
+    /// words, when `Ready`: what the candidate walk tests a position's
+    /// word against before touching the heap.
     pub bucket_box: BucketBox,
 }
 
@@ -145,8 +146,8 @@ pub(crate) struct FetchUnit {
     pub pos_hi: u32,
     /// The planning state its members share. Only `Ready` units have more
     /// than one member: ready regions whose index ranges overlap or abut,
-    /// answered by one walk of the union slice, candidates tested against
-    /// every member region.
+    /// answered by one walk of the union slice, each member scanning its
+    /// own range of it.
     pub state: RegionState,
 }
 
@@ -275,6 +276,14 @@ impl ExecView<'_> {
     }
 }
 
+/// The writable side of the workspace during execution.
+pub(crate) struct ExecBufs<'a> {
+    pub out: &'a mut FetchBuf,
+    pub seen: &'a mut SeenSet,
+    pub charge: &'a mut UnitCharge,
+    pub admitted: &'a mut Vec<(u32, u32)>,
+}
+
 /// The complete per-caller workspace of the block-oriented fetch path.
 ///
 /// Hold one per executor and pass it to every
@@ -299,6 +308,8 @@ pub struct FetchScratch {
     seen: SeenSet,
     /// Per-unit charge decision and per-region match counts.
     charge: UnitCharge,
+    /// The current unit's admitted candidates, `(slice offset, member)`.
+    admitted: Vec<(u32, u32)>,
 }
 
 impl FetchScratch {
@@ -398,12 +409,21 @@ impl FetchScratch {
     }
 
     /// Splits the workspace for execution: planning view, output buffer,
-    /// the dedup set and the charge workspace.
-    pub(crate) fn exec_parts(
-        &mut self,
-    ) -> (ExecView<'_>, &mut FetchBuf, &mut SeenSet, &mut UnitCharge) {
-        let FetchScratch { out, probed, regions, region_stats, order, units, seen, charge } = self;
-        (ExecView { probed, regions, region_stats, order, units }, out, seen, charge)
+    /// the dedup set, the charge workspace and the admitted candidates.
+    pub(crate) fn exec_parts(&mut self) -> (ExecView<'_>, ExecBufs<'_>) {
+        let FetchScratch {
+            out,
+            probed,
+            regions,
+            region_stats,
+            order,
+            units,
+            seen,
+            charge,
+            admitted,
+        } = self;
+        let view = ExecView { probed, regions, region_stats, order, units };
+        (view, ExecBufs { out, seen, charge, admitted })
     }
 }
 

@@ -7,8 +7,7 @@ use crate::cost::{CostModel, FetchStats, Prediction};
 use crate::error::StorageError;
 use crate::index::ColumnIndex;
 use crate::scratch::{
-    ExecView, FetchBuf, FetchScratch, FetchUnit, ProbedDim, RegionProbe, RegionState, SeenSet,
-    UnitCharge,
+    ExecBufs, ExecView, FetchScratch, FetchUnit, ProbedDim, RegionProbe, RegionState,
 };
 use crate::sketch::Sketch;
 use crate::Result;
@@ -76,7 +75,7 @@ pub struct FetchOutcome {
     pub simulated_latency: Duration,
 }
 
-/// A read-only table of points: a heap of rows plus one [`ColumnIndex`] per
+/// A read-only table of points: a heap of rows plus one `ColumnIndex` per
 /// dimension (the paper's "PostgreSQL with each dimension indexed by a
 /// standard B-tree").
 #[derive(Clone, Debug)]
@@ -87,8 +86,9 @@ pub struct Table {
     /// index-driven plans never see them).
     live: Vec<bool>,
     live_count: usize,
+    /// One index per dimension, each entry with its bucket-sketch word.
     indexes: Vec<ColumnIndex>,
-    /// One packed bucket word per heap slot: the candidate walk's cheap
+    /// The sketch's splits and lane layout: the candidate walk's cheap
     /// pre-filter in front of the heap (never persisted; rebuilt from the
     /// indexes on load).
     sketch: Sketch,
@@ -126,13 +126,13 @@ impl Table {
         }
         checked_row(points.len() - 1)?;
         let live_count = live.iter().filter(|&&l| l).count();
-        let indexes: Vec<ColumnIndex> = (0..dims)
+        let mut indexes: Vec<ColumnIndex> = (0..dims)
             .map(|d| {
                 let live_rows = points.iter().enumerate().filter(|&(row, _)| live[row]);
                 ColumnIndex::build(live_rows.map(|(row, p)| (p[d], row as RowId)))
             })
             .collect();
-        let sketch = Sketch::build(&indexes, points.len());
+        let sketch = Sketch::build(&mut indexes, points.len());
         Ok(Table { points, live, live_count, indexes, sketch, dims, config })
     }
 
@@ -235,9 +235,8 @@ impl Table {
         }
         let row = checked_row(self.points.len())?;
         for (dim, index) in self.indexes.iter_mut().enumerate() {
-            index.insert(point[dim], row);
+            index.insert(point[dim], row, self.sketch.word(dim, point.coords()));
         }
-        self.sketch.push(point.coords());
         self.points.push(point);
         self.live.push(true);
         self.live_count += 1;
@@ -245,9 +244,8 @@ impl Table {
     }
 
     /// Deletes a row (tombstoning its heap slot and removing its index
-    /// entries; its sketch word stays, unreachable like the slot). Returns
-    /// the deleted point, or `None` if the row does not exist or was
-    /// already deleted.
+    /// entries with their sketch words). Returns the deleted point, or
+    /// `None` if the row does not exist or was already deleted.
     pub fn delete(&mut self, row: RowId) -> Option<Point> {
         let idx = row as usize;
         if !self.live.get(idx).copied().unwrap_or(false) {
@@ -302,17 +300,17 @@ impl Table {
         scratch.build_units();
 
         // Phase 3: execute the units in order.
-        let (view, out, seen, charge) = scratch.exec_parts();
-        let mut seen = (view.units.len() > 1).then(|| {
-            seen.begin_pass(self.points.len());
-            seen
-        });
+        let (view, mut bufs) = scratch.exec_parts();
+        let dedup = view.units.len() > 1;
+        if dedup {
+            bufs.seen.begin_pass(self.points.len());
+        }
         let mut stats = FetchStats::default();
         for unit in view.units {
-            stats += self.run_unit(&plan.regions, view, unit, out, seen.as_deref_mut(), charge);
+            stats += self.run_unit(&plan.regions, view, unit, &mut bufs, dedup);
         }
         let simulated_latency = self.config.cost_model.fetch_latency(&stats);
-        stats.points_read = out.len() as u64;
+        stats.points_read = bufs.out.len() as u64;
         FetchOutcome { stats, simulated_latency }
     }
 
@@ -344,26 +342,26 @@ impl Table {
                 chosen_dim: best.dim,
                 pos_lo: best.pos_lo,
                 pos_hi: best.pos_hi,
-                bucket_box: self.sketch.region_box(region),
+                bucket_box: self.sketch.region_box(best.dim as usize, region),
                 ..base
             },
         };
         scratch.note_region(probe, stats);
     }
 
-    /// Executes one unit, appending matching rows to `out` — skipping
-    /// rows an earlier unit already emitted when `seen` is given — and
-    /// returning the unit's stats (planning stats of its member regions
-    /// plus the heap work, which dedup does not reduce; `points_read` is
-    /// set by the caller from the emitted rows).
+    /// Executes one unit, appending matching rows to `bufs.out` —
+    /// skipping rows an earlier unit already emitted when `dedup` is set —
+    /// and returning the unit's stats (planning stats of its member
+    /// regions plus the heap work, which dedup does not reduce;
+    /// `points_read` is set by the caller from the emitted rows).
     ///
     /// An indexed unit is one *walk* over its (merged) slice of the chosen
-    /// dimension's index. The walk itself reads no heap row: each
-    /// candidate's sketch word is tested against the bucket box of every
-    /// member region whose probed range covers the position. Only
-    /// candidates some box admits are fetched from the heap, a batch at a
-    /// time, and put to that region's exact [`rect::contains`] test, which
-    /// alone decides what is emitted — in walk order.
+    /// dimension's index. The walk itself reads no heap row: each member
+    /// region scans the sketch words of its own probed range against its
+    /// bucket box. Only candidates some box admits are fetched from the
+    /// heap, a batch at a time, and put to that region's exact
+    /// [`rect::contains`] test, which alone decides what is emitted — in
+    /// position order.
     ///
     /// What the walk *costs* is the simulated plan's business, not the
     /// walk's: the unit is charged the cheapest set of range queries that
@@ -385,21 +383,17 @@ impl Table {
         regions: &Regions,
         view: ExecView<'_>,
         unit: &FetchUnit,
-        out: &mut FetchBuf,
-        mut seen: Option<&mut SeenSet>,
-        charge: &mut UnitCharge,
+        bufs: &mut ExecBufs<'_>,
+        dedup: bool,
     ) -> FetchStats {
         let members = view.members_of(unit);
         let mut stats = FetchStats::default();
         for &r in members {
             stats += view.region_stats[r as usize];
         }
+        let ExecBufs { out, seen, charge, admitted } = bufs;
         let mut emit = |row: RowId, coords: &[f64]| {
-            let first_sighting = match seen.as_deref_mut() {
-                Some(seen) => seen.mark(row),
-                None => true,
-            };
-            if first_sighting {
+            if !dedup || seen.mark(row) {
                 out.append(row, coords);
             }
         };
@@ -429,65 +423,53 @@ impl Table {
                     |span| model.predicted_ns(f64::from(span), f64::from(span)),
                 );
 
-                let rows = self.indexes[unit.dim as usize]
-                    .rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
-                // The heap side, a batch of admitted `(row, region)` pairs
-                // at a time: first every row's header, then exact filter
-                // and emission, so that the first of a heap row's two
+                // The walk: sketch words only, one scan per member of its
+                // own probed range. Sorted by `(offset, member)`, the
+                // admitted pairs of several members meet the heap in
+                // position order, a row's pairs adjacent.
+                let index = &self.indexes[unit.dim as usize];
+                let rows = index.rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
+                admitted.clear();
+                for (m, &r) in (0u32..).zip(members) {
+                    let probe = &view.regions[r as usize];
+                    let words = index.words_at(probe.pos_lo as usize, probe.pos_hi as usize);
+                    for (offset, &word) in (probe.pos_lo - unit.pos_lo..).zip(words) {
+                        if probe.bucket_box.admits(word) {
+                            admitted.push((offset, m));
+                        }
+                    }
+                }
+                if members.len() > 1 {
+                    admitted.sort_unstable();
+                }
+
+                // The heap side, a batch of admitted pairs at a time:
+                // first every row's header, then exact filter and
+                // emission, so that the first of a heap row's two
                 // dependent cache misses overlaps across the batch instead
                 // of stalling the walk one row at a time.
                 let mut emitted = RowId::MAX; // no row has this id
-                let mut fetch_batch = |batch: &[(RowId, u32)]| {
+                for batch in admitted.chunks(BATCH) {
                     let mut coords: [&[f64]; BATCH] = [&[]; BATCH];
-                    for (slot, &(row, _)) in batch.iter().enumerate() {
-                        coords[slot] = self.points[row as usize].coords();
+                    for (slot, &(offset, _)) in batch.iter().enumerate() {
+                        coords[slot] = self.points[rows[offset as usize] as usize].coords();
                     }
-                    for (slot, &(row, r)) in batch.iter().enumerate() {
+                    for (slot, &(offset, m)) in batch.iter().enumerate() {
                         // MPR regions are pairwise disjoint, but a plan's
                         // need not be: a candidate is emitted once however
                         // many of the unit's regions it satisfies, and
                         // counted for each of them.
-                        if rect::contains(&regions[r as usize], coords[slot]) {
-                            charge.matched[r as usize] += 1;
+                        let r = members[m as usize] as usize;
+                        if rect::contains(&regions[r], coords[slot]) {
+                            charge.matched[r] += 1;
+                            let row = rows[offset as usize];
                             if row != emitted {
                                 emitted = row;
                                 emit(row, coords[slot]);
                             }
                         }
                     }
-                };
-
-                // The walk: sketch words only. Members arrive sorted by
-                // `pos_lo` and the slice is walked in position order, so a
-                // sliding activation window `[first, last)` keeps the
-                // per-candidate test to the members whose probed range can
-                // still cover the current position instead of all of them.
-                let mut batch = [(0 as RowId, 0u32); BATCH];
-                let mut filled = 0usize;
-                let (mut first, mut last) = (0usize, 0usize);
-                for (offset, &row) in rows.iter().enumerate() {
-                    let pos = unit.pos_lo + offset as u32;
-                    while last < members.len() && view.regions[members[last] as usize].pos_lo <= pos
-                    {
-                        last += 1;
-                    }
-                    while first < last && view.regions[members[first] as usize].pos_hi <= pos {
-                        first += 1;
-                    }
-                    let word = self.sketch.word(row);
-                    for &r in &members[first..last] {
-                        let probe = &view.regions[r as usize];
-                        if pos < probe.pos_hi && probe.bucket_box.admits(word) {
-                            batch[filled] = (row, r);
-                            filled += 1;
-                            if filled == BATCH {
-                                fetch_batch(&batch);
-                                filled = 0;
-                            }
-                        }
-                    }
                 }
-                fetch_batch(&batch[..filled]);
 
                 // What the chosen range queries pay, on actual counts.
                 stats.regions_coalesced += members.len() as u64;
@@ -948,51 +930,74 @@ mod tests {
     }
 
     /// The sketch's one obligation, stated directly: at every
-    /// dimensionality, however a row got there (built, or inserted later
-    /// with keys the frozen splits never saw), a live row inside a region
-    /// is admitted by the region's bucket box.
+    /// dimensionality and for the words of every index, however a row got
+    /// there (built, or inserted later with keys the frozen splits never
+    /// saw, ±∞ among them), a live row inside a region is admitted by the
+    /// region's bucket box for that index.
     #[test]
     fn bucket_box_admits_every_row_inside_the_region() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5EED);
-        let coord = |rng: &mut StdRng| match rng.gen_range(0..20u8) {
-            0 => -0.0,
-            1 => -40.0,
-            2 => 100.0,
-            v => f64::from(v % 9) * 0.5,
-        };
-        for dims in 1..=10 {
-            let point =
-                |rng: &mut StdRng| Point::from((0..dims).map(|_| coord(rng)).collect::<Vec<_>>());
-            let initial: Vec<Point> = (0..150).map(|_| point(&mut rng)).collect();
+        // Built from keys in [-40, 100]; inserts also draw keys outside.
+        let coord =
+            |rng: &mut StdRng, wide: bool| match rng.gen_range(0..if wide { 24 } else { 20u8 }) {
+                0 => -0.0,
+                1 => -40.0,
+                2 => 100.0,
+                20 => f64::NEG_INFINITY,
+                21 => f64::INFINITY,
+                22 => -1e9,
+                23 => 1e9,
+                v => f64::from(v % 9) * 0.5,
+            };
+        for dims in 1..=20 {
+            let point = |rng: &mut StdRng, wide| {
+                Point::from((0..dims).map(|_| coord(rng, wide)).collect::<Vec<_>>())
+            };
+            let initial: Vec<Point> = (0..150).map(|_| point(&mut rng, false)).collect();
             let mut t = Table::build(initial, TableConfig::default()).unwrap();
             for step in 0..90 {
                 if step % 3 == 0 {
                     t.delete(rng.gen_range(0..t.slot_count()) as RowId);
                 } else {
-                    t.insert(point(&mut rng)).unwrap();
+                    t.insert(point(&mut rng, true)).unwrap();
                 }
             }
             let mut inside = 0;
-            for _ in 0..60 {
+            for round in 0..30 {
+                // Every other region is stretched around a live row, so
+                // that regions hold rows at every dimensionality.
+                let anchor = (round % 2 == 0)
+                    .then(|| t.live_points().nth(rng.gen_range(0..t.len())))
+                    .flatten()
+                    .map(|(_, p)| p.clone());
                 let region: Vec<Interval> = (0..dims)
-                    .map(|_| {
-                        let (a, b) = (coord(&mut rng), coord(&mut rng));
+                    .map(|dim| {
+                        let (a, b) = (coord(&mut rng, true), coord(&mut rng, true));
                         let (lo_open, hi_open) =
                             (rng.gen_range(0..2) == 0, rng.gen_range(0..2) == 0);
-                        match rng.gen_range(0..4u8) {
-                            0 => Interval::closed(f64::NEG_INFINITY, f64::INFINITY),
-                            1 => Interval::new(f64::NEG_INFINITY, b, false, hi_open),
-                            2 => Interval::new(a, f64::INFINITY, lo_open, false),
-                            _ => Interval::new(a.min(b), a.max(b), lo_open, hi_open),
+                        match (anchor.as_ref().map(|p| p[dim]), rng.gen_range(0..4u8)) {
+                            (Some(c), _) => Interval::closed(a.min(c), b.max(c)),
+                            (None, 0) => Interval::closed(f64::NEG_INFINITY, f64::INFINITY),
+                            (None, 1) => Interval::new(f64::NEG_INFINITY, b, false, hi_open),
+                            (None, 2) => Interval::new(a, f64::INFINITY, lo_open, false),
+                            (None, _) => Interval::new(a.min(b), a.max(b), lo_open, hi_open),
                         }
                     })
                     .collect();
-                let bucket_box = t.sketch.region_box(&region);
-                for (row, p) in t.live_points().filter(|(_, p)| rect::contains(&region, p.coords()))
-                {
-                    inside += 1;
-                    assert!(bucket_box.admits(t.sketch.word(row)), "d={dims} {p:?} in {region:?}");
+                for (dim, index) in t.indexes.iter().enumerate() {
+                    let bucket_box = t.sketch.region_box(dim, &region);
+                    let (rows, words) = (index.rows_at(0, t.len()), index.words_at(0, t.len()));
+                    for (&row, &word) in rows.iter().zip(words) {
+                        let p = t.point(row);
+                        if rect::contains(&region, p.coords()) {
+                            inside += 1;
+                            assert!(
+                                bucket_box.admits(word),
+                                "d={dims} k={dim} {p:?} in {region:?}"
+                            );
+                        }
+                    }
                 }
             }
             assert!(inside > 0, "d={dims}: no region held a row");

@@ -322,7 +322,7 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<Vec<Interval>>)> {
 
     let mut probe_dims = vec![0, dims / 2, dims - 1];
     if dims > 8 {
-        probe_dims.push(8); // first unsketched lane
+        probe_dims.push(8); // index 9's words leave it unsketched
     }
     for &dim in &probe_dims {
         let next = (dim + 1) % dims;
@@ -430,7 +430,8 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<Vec<Interval>>)> {
         vec![around(&|c| Interval::new(c, c + 0.25, false, true))],
     ));
     // Quantile boxes over the first two, the last two and a split pair of
-    // dimensions: at d = 10 the second set is decided by lanes 8–9 alone.
+    // dimensions: at d = 10 the second set bounds dimensions 8 and 9 alone,
+    // and either index's words leave the other one unsketched.
     for (name, a, b) in [("head", 0, 1), ("tail", dims - 2, dims - 1), ("head-tail", 1, dims - 1)] {
         sets.push((
             format!("{name}-quantile-boxes"),

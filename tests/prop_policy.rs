@@ -1,7 +1,7 @@
 //! Property tests for the cache-policy layer: under every replacement
 //! policy (LRU, LCU) and with evictions firing along the way, a sequence
 //! of queries answered through the cache must equal the from-scratch
-//! answer.
+//! answer, on random grids and on `tests/common`'s adversarial tables.
 
 #![allow(
     clippy::expect_used,
@@ -17,6 +17,8 @@ use skycache::core::{
 };
 use skycache::geom::{Aabb, Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
+
+mod common;
 
 fn coord() -> impl Strategy<Value = f64> {
     (0..=16u8).prop_map(|v| f64::from(v) / 16.0)
@@ -126,16 +128,24 @@ fn dataset(dims: usize) -> impl Strategy<Value = Vec<Point>> {
         .prop_map(|rows| rows.into_iter().map(Point::from).collect())
 }
 
-/// Dimensionality plus matching dataset and query sequence: the query
-/// count exceeds the smallest capacity below, so evictions actually
-/// fire. Generated at d = 6 and
-/// projected down to the sampled dimensionality (the vendored proptest
-/// subset has no `prop_flat_map`). The grid coordinates already collide;
-/// half the scenarios also store every row twice, so each skyline row has
-/// a twin every path must keep.
-fn scenario() -> impl Strategy<Value = (Vec<Point>, Vec<Constraints>)> {
-    (2..=6usize, dataset(6), prop::collection::vec(constraints(6), 2..8), any::<bool>()).prop_map(
-        |(dims, points, queries, twins)| {
+/// A table and a query sequence on its coordinates, at a dimensionality
+/// from 2 to 6: the query count exceeds the smallest capacity below, so
+/// evictions actually fire. Either random points on a 1/16 grid —
+/// generated at d = 6 and projected down (the vendored proptest subset
+/// has no `prop_flat_map`), half the scenarios storing every row twice so
+/// each skyline row has a twin every path must keep — or one of
+/// `tests/common`'s adversarial tables: twin rows, signed zeros, 1e17
+/// ties or subnormals, the last two under the default cost model with
+/// boxes open to ±∞ on some sides.
+fn scenario() -> impl Strategy<Value = (Table, Vec<Constraints>)> {
+    let adversarial = |table: fn(usize, usize, u64) -> Table,
+                       boxes: fn(usize, usize, u64) -> Vec<Constraints>| {
+        (2..=6usize, 1..150usize, 2..8usize, any::<u64>()).prop_map(
+            move |(dims, n, queries, seed)| (table(dims, n, seed), boxes(dims, queries, seed ^ 1)),
+        )
+    };
+    let grid = (2..=6usize, dataset(6), prop::collection::vec(constraints(6), 2..8), any::<bool>())
+        .prop_map(|(dims, points, queries, twins)| {
             let copies = if twins { 2 } else { 1 };
             let points: Vec<Point> = points
                 .into_iter()
@@ -148,9 +158,21 @@ fn scenario() -> impl Strategy<Value = (Vec<Point>, Vec<Constraints>)> {
                         .expect("prefix of an ordered box stays ordered")
                 })
                 .collect();
-            (points, queries)
-        },
-    )
+            (build(points), queries)
+        });
+    prop_oneof![
+        grid,
+        adversarial(common::twin_grid_table, common::grid_boxes),
+        adversarial(common::signed_zero_table, common::signed_zero_boxes),
+        adversarial(
+            |d, n, seed| common::coord_table(d, n, seed, common::huge),
+            |d, n, seed| common::open_sided_boxes(d, n, seed, common::huge),
+        ),
+        adversarial(
+            |d, n, seed| common::coord_table(d, n, seed, common::subnormal),
+            |d, n, seed| common::open_sided_boxes(d, n, seed, common::subnormal),
+        ),
+    ]
 }
 
 fn policy() -> impl Strategy<Value = ReplacementPolicy> {
@@ -172,33 +194,43 @@ fn sorted(mut v: Vec<Point>) -> Vec<Point> {
     v
 }
 
+/// The rows' bit patterns, sorted: `-0.0` and `0.0` differ.
+fn bits(v: Vec<Point>) -> Vec<Vec<u64>> {
+    let mut rows: Vec<_> =
+        v.iter().map(|p| p.coords().iter().map(|c| c.to_bits()).collect()).collect();
+    rows.sort();
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every (policy × capacity) cell answers every query in the
     /// sequence exactly like a from-scratch recompute — the same rows as
-    /// often — no matter which items the policy evicted in between. Each
-    /// query is followed by its refinement that only flips its zero
-    /// bounds between `0.0` and `-0.0`: that classifies as unchanged
-    /// against the query, and answers like a recompute too.
+    /// often, each with its own bit pattern — no matter which items the
+    /// policy evicted in between. Each query is followed by its
+    /// refinement that only flips its zero bounds between `0.0` and
+    /// `-0.0`: that classifies as unchanged against the query, and
+    /// answers like a recompute too.
     #[test]
     fn every_policy_and_capacity_equals_naive(
         scenario in scenario(),
         policy in policy(),
         capacity in prop_oneof![Just(None), Just(Some(2usize)), Just(Some(4usize))],
     ) {
-        let (points, queries) = scenario;
-        let table = build(points.clone());
+        let (table, queries) = scenario;
+        let points = table.all_points();
         let config = CbcsConfig { policy, capacity, ..Default::default() };
         let service = Service::open(&table, ServiceConfig::with_cbcs(config));
         let mut ex = service.session();
-        for c in &queries {
+        for (i, c) in queries.iter().enumerate() {
+            let want = bits(reference(points, c));
             let got = ex.execute(&QueryRequest::new(c.clone())).unwrap().skyline;
-            prop_assert_eq!(sorted(got), reference(&points, c));
+            prop_assert_eq!(bits(got), want.clone(), "query {}", i);
             let respelled = respell_zeros(c);
             prop_assert_eq!(classify(c, &respelled), Overlap::Exact);
             let got = ex.execute(&QueryRequest::new(respelled)).unwrap().skyline;
-            prop_assert_eq!(sorted(got), reference(&points, c));
+            prop_assert_eq!(bits(got), want, "query {} respelled", i);
         }
     }
 
