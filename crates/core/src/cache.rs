@@ -400,7 +400,7 @@ impl Cache {
     /// Items individually examined by dynamic-data maintenance since
     /// construction. With the R\*-tree over constraint regions this grows
     /// with the number of items whose regions actually contain the
-    /// inserted points, not with cache size.
+    /// inserted or deleted points, not with cache size.
     pub fn maintenance_scans(&self) -> u64 {
         self.maintenance_scans
     }
@@ -432,17 +432,8 @@ impl Cache {
     /// newly inserted data point into every cached result whose
     /// constraints it satisfies. Returns the number of items updated.
     pub fn on_insert(&mut self, p: &Point) -> usize {
-        assert_eq!(p.dims(), self.dims, "point dimensionality mismatch");
-        // Probe the R*-tree with the point instead of scanning every item:
-        // only items whose constraint region (closed cover) contains p are
-        // examined. The exact `satisfies` re-filter keeps open-boundary
-        // semantics; ids are sorted so updates run in the same
-        // ascending-id order as the old full scan.
-        let mut affected = Vec::new();
-        self.index.for_each_in(&Aabb::from_point(p), |_, &id| affected.push(id));
-        self.maintenance_scans += affected.len() as u64;
-        affected.sort_unstable();
-        affected.retain(|id| self.items.get(id).is_some_and(|item| item.constraints.satisfies(p)));
+        // The exact `satisfies` re-filter keeps open-boundary semantics.
+        let affected = self.items_around(p, |item| item.constraints.satisfies(p));
         let mut updated = 0;
         for id in affected {
             let Some(item) = self.items.get_mut(&id) else { continue };
@@ -470,18 +461,29 @@ impl Cache {
     /// (paper ref. [21]) is a possible refinement. Returns the number of
     /// items dropped.
     pub fn on_delete(&mut self, p: &Point) -> usize {
-        assert_eq!(p.dims(), self.dims, "point dimensionality mismatch");
-        let affected: Vec<u64> = self
-            .items
-            .values()
-            .filter(|item| item.skyline.rows().any(|s| s == p.coords()))
-            .map(|item| item.id)
-            .collect();
+        // An item whose skyline holds p has constraints that contain it.
+        let affected = self.items_around(p, |item| item.skyline.rows().any(|s| s == p.coords()));
         let dropped = affected.len();
         for id in affected {
             self.remove(id);
         }
         dropped
+    }
+
+    /// The ids, ascending (the order of a full scan), of the items that
+    /// dynamic-data maintenance for point `p` must act on: the R\*-tree
+    /// is probed with the point instead of every item scanned, so only
+    /// items whose constraint region's closed cover contains `p` are
+    /// examined — each counted in [`Cache::maintenance_scans`] — and kept
+    /// if `keep` holds.
+    fn items_around(&mut self, p: &Point, keep: impl Fn(&CacheItem) -> bool) -> Vec<u64> {
+        assert_eq!(p.dims(), self.dims, "point dimensionality mismatch");
+        let mut ids = Vec::new();
+        self.index.for_each_in(&Aabb::from_point(p), |_, &id| ids.push(id));
+        self.maintenance_scans += ids.len() as u64;
+        ids.sort_unstable();
+        ids.retain(|id| self.items.get(id).is_some_and(|item| keep(item)));
+        ids
     }
 }
 
@@ -664,6 +666,14 @@ mod tests {
         cache.remove(near).unwrap();
         assert_eq!(cache.on_insert(&p(&[0.5, 0.5])), 0);
         assert_eq!(cache.maintenance_scans(), 1);
+
+        // A delete inside exactly one item's box examines that item
+        // alone, whether or not its skyline holds the point.
+        assert_eq!(cache.on_delete(&p(&[13.2, 13.2])), 0);
+        assert_eq!(cache.maintenance_scans(), 2);
+        assert_eq!(cache.on_delete(&p(&[13.0, 13.0])), 1);
+        assert_eq!(cache.maintenance_scans(), 3);
+        assert_eq!(cache.len(), 9);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!    the DBMS without any disk seeks because the B-trees detect the empty
 //!    queries" (Section 7.3.2): a query whose projection on any indexed
 //!    dimension is empty is answered from the index alone.
+//!
+//!    Both are one decision, made once per region: a single probe pass
+//!    yields the region's one plan — empty, heap scan or indexed; its most
+//!    selective range; bitmap AND or not; predicted rows and cost — and
+//!    [`Table::probe_region_empty`], [`Table::fetch_plan_into`] (planning
+//!    and charge) and [`Table::predict_region`] all read that plan.
 //! 3. **Deterministic I/O accounting.** Instead of timing a spinning disk,
 //!    [`CostModel`] converts the observable work (range-query seeks, heap
 //!    points fetched, index probes) into simulated nanoseconds, and

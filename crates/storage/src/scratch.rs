@@ -13,14 +13,14 @@
 //! rows stay inside [`FetchBuf`] as borrowed views until a caller
 //! explicitly materializes `Point`s at the public-API boundary.
 //!
-//! The fetch kernel in `table.rs` calls only the amortized mutators
-//! below (`append`, `note_*`, `mark`, …): growth happens here, once, not
-//! per row on the hot path, and `crates/bench/tests/alloc_ceiling.rs`
-//! holds `Table::fetch_plan_into` to zero allocations in steady state.
+//! The fetch kernel in `table.rs` only pushes onto these buffers and
+//! calls the amortized mutators below (`append`, `mark`, …): growth
+//! happens here, once, not per row on the hot path, and
+//! `crates/bench/tests/alloc_ceiling.rs` holds `Table::fetch_plan_into`
+//! to zero allocations in steady state.
 
-use crate::cost::FetchStats;
 use crate::sketch::BucketBox;
-use crate::table::RowId;
+use crate::table::{RegionPlan, RegionState, RowId};
 
 /// Columnar fetch output: row ids plus a row-major coordinate block,
 /// reused across queries (the zero-copy replacement for `Vec<Row>`).
@@ -81,52 +81,6 @@ impl FetchBuf {
         debug_assert_eq!(row.len(), self.dims);
         self.ids.push(id);
         self.coords.extend_from_slice(row);
-    }
-}
-
-/// How a region left the planning phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum RegionState {
-    /// Matches nothing: geometrically empty (rejected before any index
-    /// work), or an index probe proved it.
-    #[default]
-    Empty,
-    /// No dimension is bounded: answered by a full heap scan.
-    FullScan,
-    /// Has a chosen index dimension and a non-empty position range.
-    Ready,
-}
-
-/// Planning-phase record for one region of a plan.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct RegionProbe {
-    /// Range into [`FetchScratch::probed`] holding this region's probes.
-    pub probed_start: u32,
-    pub probed_end: u32,
-    pub state: RegionState,
-    /// Chosen (most selective) index dimension, when `Ready`.
-    pub chosen_dim: u32,
-    /// Position range `[pos_lo, pos_hi)` in the chosen dimension's index.
-    pub pos_lo: u32,
-    pub pos_hi: u32,
-    /// The region in bucket space for the chosen dimension's sketch
-    /// words, when `Ready`: what the candidate walk tests a position's
-    /// word against before touching the heap.
-    pub bucket_box: BucketBox,
-}
-
-/// One probed dimension of a region: its index position range.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ProbedDim {
-    pub dim: u32,
-    pub pos_lo: u32,
-    pub pos_hi: u32,
-}
-
-impl ProbedDim {
-    #[inline]
-    pub(crate) fn count(&self) -> usize {
-        (self.pos_hi - self.pos_lo) as usize
     }
 }
 
@@ -250,38 +204,18 @@ impl SeenSet {
     }
 }
 
-/// Read-only view of the planning state, split off the scratch so units
-/// can read it while appending to the output buffer.
-#[derive(Clone, Copy)]
-pub(crate) struct ExecView<'a> {
-    pub probed: &'a [ProbedDim],
-    pub regions: &'a [RegionProbe],
-    pub region_stats: &'a [FetchStats],
-    pub order: &'a [u32],
-    pub units: &'a [FetchUnit],
-}
-
-impl ExecView<'_> {
-    /// The probed dimensions of region `r`.
-    #[inline]
-    pub(crate) fn probed_of(&self, r: u32) -> &[ProbedDim] {
-        let pr = &self.regions[r as usize];
-        &self.probed[pr.probed_start as usize..pr.probed_end as usize]
-    }
-
-    /// The member region indices of `unit`.
-    #[inline]
-    pub(crate) fn members_of(&self, unit: &FetchUnit) -> &[u32] {
-        &self.order[unit.members_start as usize..unit.members_end as usize]
-    }
-}
-
-/// The writable side of the workspace during execution.
-pub(crate) struct ExecBufs<'a> {
-    pub out: &'a mut FetchBuf,
-    pub seen: &'a mut SeenSet,
-    pub charge: &'a mut UnitCharge,
-    pub admitted: &'a mut Vec<(u32, u32)>,
+/// The walk's side of the workspace: what a unit writes while it reads
+/// the planning records beside it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WalkBufs {
+    /// Output rows, in unit order.
+    pub out: FetchBuf,
+    /// Cross-unit row dedup marks (plans of several units only).
+    pub seen: SeenSet,
+    /// Per-unit charge decision and per-region match counts.
+    pub charge: UnitCharge,
+    /// The current unit's admitted candidates, `(slice offset, member)`.
+    pub admitted: Vec<(u32, u32)>,
 }
 
 /// The complete per-caller workspace of the block-oriented fetch path.
@@ -292,24 +226,14 @@ pub(crate) struct ExecBufs<'a> {
 /// the next fetch reuses the buffers.
 #[derive(Clone, Debug, Default)]
 pub struct FetchScratch {
-    /// Output rows, in unit order.
-    out: FetchBuf,
-    /// Flat probe records, region-delimited via `RegionProbe`.
-    probed: Vec<ProbedDim>,
-    /// One planning record per plan region.
-    regions: Vec<RegionProbe>,
-    /// Planning-phase stats (issued/empty/probes) per region.
-    region_stats: Vec<FetchStats>,
+    /// One plan per plan region, with its bucket box when `Ready`.
+    pub(crate) plans: Vec<(RegionPlan, BucketBox)>,
     /// Region indices, grouped into units (`FetchUnit` spans).
-    order: Vec<u32>,
+    pub(crate) order: Vec<u32>,
     /// Executable units, in execution order.
-    units: Vec<FetchUnit>,
-    /// Cross-unit row dedup marks (plans of several units only).
-    seen: SeenSet,
-    /// Per-unit charge decision and per-region match counts.
-    charge: UnitCharge,
-    /// The current unit's admitted candidates, `(slice offset, member)`.
-    admitted: Vec<(u32, u32)>,
+    pub(crate) units: Vec<FetchUnit>,
+    /// The walk's buffers.
+    pub(crate) walk: WalkBufs,
 }
 
 impl FetchScratch {
@@ -320,42 +244,15 @@ impl FetchScratch {
 
     /// The rows of the most recent fetch, as a borrowed columnar view.
     pub fn rows(&self) -> &FetchBuf {
-        &self.out
+        &self.walk.out
     }
 
     /// Clears all per-fetch state and binds the table dimensionality.
     pub(crate) fn begin(&mut self, dims: usize) {
-        self.out.reset(dims);
-        self.probed.clear();
-        self.regions.clear();
-        self.region_stats.clear();
+        self.walk.out.reset(dims);
+        self.plans.clear();
         self.order.clear();
         self.units.clear();
-    }
-
-    /// Current length of the probe log (used to delimit a region's run).
-    #[inline]
-    pub(crate) fn probe_mark(&self) -> u32 {
-        self.probed.len() as u32
-    }
-
-    /// Logs one probed dimension of the region being planned.
-    #[inline]
-    pub(crate) fn note_probe(&mut self, dim: u32, pos_lo: u32, pos_hi: u32) {
-        self.probed.push(ProbedDim { dim, pos_lo, pos_hi });
-    }
-
-    /// The probes logged since `mark` (the region being planned).
-    #[inline]
-    pub(crate) fn probes_since(&self, mark: u32) -> &[ProbedDim] {
-        &self.probed[mark as usize..]
-    }
-
-    /// Finishes planning one region.
-    #[inline]
-    pub(crate) fn note_region(&mut self, probe: RegionProbe, stats: FetchStats) {
-        self.regions.push(probe);
-        self.region_stats.push(stats);
     }
 
     /// Groups the planned regions into executable units, in execution
@@ -367,31 +264,31 @@ impl FetchScratch {
     pub(crate) fn build_units(&mut self) {
         self.units.clear();
         self.order.clear();
-        let n = self.regions.len();
+        let n = self.plans.len();
         self.order.extend(0..n as u32);
-        self.charge.matched.clear();
-        self.charge.matched.resize(n, 0);
+        self.walk.charge.matched.clear();
+        self.walk.charge.matched.resize(n, 0);
 
         // Ready regions sorted by (dim, pos_lo, pos_hi, idx), after the
         // non-ready ones (kept in region order).
-        let regions = &self.regions;
+        let plans = &self.plans;
         self.order.sort_unstable_by_key(|&i| {
-            let pr = &regions[i as usize];
-            match pr.state {
-                RegionState::Ready => (1u8, pr.chosen_dim, pr.pos_lo, pr.pos_hi, i),
+            let (plan, _) = &plans[i as usize];
+            match plan.state {
+                RegionState::Ready => (1u8, plan.dim, plan.pos_lo, plan.pos_hi, i),
                 _ => (0u8, 0, 0, 0, i),
             }
         });
         let mut k = 0usize;
         while k < n {
-            let pr = self.regions[self.order[k] as usize];
-            let (start, mut pos_hi) = (k, pr.pos_hi);
+            let (plan, _) = self.plans[self.order[k] as usize];
+            let (start, mut pos_hi) = (k, plan.pos_hi);
             k += 1;
             // A ready region takes in the following ones whose range in
             // the same dimension overlaps or abuts.
-            while pr.state == RegionState::Ready && k < n {
-                let q = self.regions[self.order[k] as usize];
-                if q.state != pr.state || q.chosen_dim != pr.chosen_dim || q.pos_lo > pos_hi {
+            while plan.state == RegionState::Ready && k < n {
+                let (q, _) = self.plans[self.order[k] as usize];
+                if q.state != plan.state || q.dim != plan.dim || q.pos_lo > pos_hi {
                     break;
                 }
                 pos_hi = pos_hi.max(q.pos_hi);
@@ -400,30 +297,12 @@ impl FetchScratch {
             self.units.push(FetchUnit {
                 members_start: start as u32,
                 members_end: k as u32,
-                dim: pr.chosen_dim,
-                pos_lo: pr.pos_lo,
+                dim: plan.dim,
+                pos_lo: plan.pos_lo,
                 pos_hi,
-                state: pr.state,
+                state: plan.state,
             });
         }
-    }
-
-    /// Splits the workspace for execution: planning view, output buffer,
-    /// the dedup set, the charge workspace and the admitted candidates.
-    pub(crate) fn exec_parts(&mut self) -> (ExecView<'_>, ExecBufs<'_>) {
-        let FetchScratch {
-            out,
-            probed,
-            regions,
-            region_stats,
-            order,
-            units,
-            seen,
-            charge,
-            admitted,
-        } = self;
-        let view = ExecView { probed, regions, region_stats, order, units };
-        (view, ExecBufs { out, seen, charge, admitted })
     }
 }
 

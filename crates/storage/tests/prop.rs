@@ -40,6 +40,22 @@ fn region() -> impl Strategy<Value = Vec<Interval>> {
     prop::collection::vec(interval(), DIMS)
 }
 
+/// [`region`]'s intervals mixed with the bounds it never draws:
+/// degenerate ones (a single key, or empty by an open end) and sides open
+/// at ±∞.
+fn edge_region() -> impl Strategy<Value = Vec<Interval>> {
+    let edge =
+        (coord(), any::<bool>(), any::<bool>(), 0..4u8).prop_map(|(a, lo_open, hi_open, shape)| {
+            match shape {
+                0 => Interval::new(a, a, lo_open, hi_open),
+                1 => Interval::new(f64::NEG_INFINITY, a, true, hi_open),
+                2 => Interval::new(a, f64::INFINITY, lo_open, true),
+                _ => Interval::new(f64::NEG_INFINITY, f64::INFINITY, lo_open, hi_open),
+            }
+        });
+    prop::collection::vec(prop_oneof![interval(), edge], DIMS)
+}
+
 /// The row ids one plan fetches, in emission order, and its outcome.
 fn fetch(table: &Table, plan: &FetchPlan) -> (Vec<u32>, FetchOutcome) {
     let mut scratch = FetchScratch::new();
@@ -129,6 +145,28 @@ proptest! {
                 points.iter().all(|p| !contains(&region, p.coords())),
                 "empty detection discarded a non-empty query"
             );
+        }
+    }
+
+    /// The three readers of a region's one plan agree: the emptiness
+    /// probe, the prediction and a fetch of the region alone prove it
+    /// empty together or not at all, and a fetch charged a scan — a
+    /// single-index scan (one heap fetch per index entry) or, bounding no
+    /// dimension, a heap scan — fetches the rows predicted.
+    #[test]
+    #[expect(clippy::float_cmp, reason = "a scan's prediction is an exact row count")]
+    fn probe_prediction_and_fetch_agree(points in dataset(), region in edge_region()) {
+        let table = Table::build(points, TableConfig::default()).unwrap();
+        let empty = table.probe_region_empty(&region);
+        let predicted = table.predict_region(&region);
+        let (_, result) = fetch_one(&table, &region);
+        let s = &result.stats;
+        prop_assert_eq!(predicted.range_queries == 0, empty);
+        prop_assert_eq!(s.range_queries_empty == 1, empty);
+        let unbounded =
+            region.iter().all(|iv| iv.lo() == f64::NEG_INFINITY && iv.hi() == f64::INFINITY);
+        if s.index_entries_scanned == s.heap_fetches || unbounded {
+            prop_assert_eq!(predicted.heap_fetches, s.heap_fetches as f64);
         }
     }
 
