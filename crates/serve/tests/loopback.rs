@@ -167,6 +167,37 @@ fn an_over_long_line_is_refused_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn complete_lines_before_an_over_long_tail_are_answered_first() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut flood = TcpStream::connect(handle.addr()).unwrap();
+    flood.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+    let mut bytes = b"PING\n".to_vec();
+    bytes.resize(bytes.len() + LINE_BOUND + 1, b'7');
+    for chunk in bytes.chunks(4096) {
+        if flood.write_all(chunk).is_err() {
+            break;
+        }
+    }
+    let mut reply = Vec::new();
+    drop(flood.read_to_end(&mut reply));
+    assert_eq!(String::from_utf8_lossy(&reply), "OK pong\nERR line too long\n");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn quit_in_a_pipelined_burst_answers_the_lines_before_it_and_closes() {
+    let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(handle.addr()).unwrap();
+    client.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+    client.write_all(b"PING\nQUIT\nPING\n").unwrap();
+    // The line after QUIT gets no reply: the server closes instead.
+    let mut reply = Vec::new();
+    drop(client.read_to_end(&mut reply));
+    assert_eq!(String::from_utf8_lossy(&reply), "OK pong\nOK bye\n");
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn a_line_of_exactly_the_bound_is_answered() {
     let handle = serve(grid_table(), ServiceConfig::default(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(handle.addr());
