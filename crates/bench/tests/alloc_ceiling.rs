@@ -64,7 +64,7 @@ use skycache_core::{
 use skycache_datagen::Distribution;
 use skycache_geom::dominance::dominates_raw;
 use skycache_geom::{dominated_by_any_rows, dominates, dominates_rows, Aabb, Kernel};
-use skycache_geom::{Constraints, Point, PointBlock, Regions};
+use skycache_geom::{subtract, Constraints, Point, PointBlock, Regions};
 use skycache_rtree::RStarTree;
 use skycache_serve::proto;
 use skycache_storage::{FetchPlan, FetchScratch, StorageError, Table};
@@ -275,24 +275,25 @@ fn an_exact_hit_reply_allocates_at_most_twice() {
     assert!(points > queries.len(), "the replies must carry points");
 }
 
-/// Single- and two-region fetch plans over an interactive workload's
-/// queries.
+/// Single- and several-region fetch plans over an interactive workload's
+/// queries: each query alone, and each query together with the part of
+/// the next one outside it (`a` plus `b ∖ a`, disjoint as every plan's
+/// regions are).
 fn workload_plans(table: &Table) -> Vec<FetchPlan> {
     let queries = interactive_queries(table, QUERIES, 17, None);
     let pairs = queries.iter().zip(queries.iter().skip(1));
     pairs
         .flat_map(|(a, b)| {
-            [
-                FetchPlan::constrained(a),
-                FetchPlan::new([a.region(), b.region()].into_iter().collect()),
-            ]
+            let mut regions = Regions::from_iter([a.region()]);
+            subtract::carve(&b.region(), a.lo(), a.hi(), &mut regions);
+            [FetchPlan::constrained(a), FetchPlan::new(regions)]
         })
         .collect()
 }
 
 /// The fetch stage's estimates read the indexes only: pricing a plan
 /// (`Table::predict`) and cutting a query region's corner
-/// (`Table::corner_cut`) allocate nothing, over single- and two-region
+/// (`Table::corner_cut`) allocate nothing, over single- and several-region
 /// plans of a whole workload.
 #[test]
 fn predicting_a_plan_allocates_nothing() {
@@ -399,7 +400,7 @@ fn dominance_kernels_allocate_nothing() {
 
 /// `Table::fetch_plan_into` reads into the caller's scratch: once that
 /// has grown over a workload's plans, fetching them again allocates
-/// nothing, single- and two-region plans alike.
+/// nothing, single- and several-region plans alike.
 #[test]
 fn fetching_a_plan_allocates_nothing_in_steady_state() {
     let table = table();

@@ -6,6 +6,8 @@
 //!   the from-scratch range query, and a stable hit less than an unstable
 //!   one. Both inverted once without a test noticing, when every
 //!   coalesced unit was charged its whole merged slice.
+//! * Fig. 6: under the exact MPR, an unstable hit issues more range
+//!   queries than a stable one.
 //! * Fig. 9: exact MPR's range queries grow by orders of magnitude with
 //!   the dimensionality, while aMPR(1)'s stay few (at |S| = 5 k, as in
 //!   the figure).
@@ -43,6 +45,29 @@ fn cbcs_beats_baseline_and_stable_hits_beat_unstable_ones() {
     assert!(stable.len() >= 10 && unstable.len() >= 10, "too few hits of either kind");
     let (stable_ns, unstable_ns) = (mean_sim_ns(stable), mean_sim_ns(unstable));
     assert!(stable_ns < unstable_ns, "stable {stable_ns} ns/hit vs unstable {unstable_ns} ns/hit");
+}
+
+/// Fig. 6's set-up: independent data, d = 3, 100 interactive queries, at
+/// its smallest |S| (50 k), with the exact MPR. Its unstable hits issue
+/// more range queries per hit than its stable ones (21.9 against 18.2
+/// here, over 15 and 36 hits) — the paper's "prohibitive amount of range
+/// queries". Smaller tables flip the order (8.9 against 13.6 at 5 k,
+/// 14.5 against 15.9 at 20 k).
+#[test]
+fn exact_mpr_unstable_hits_issue_more_range_queries_than_stable_ones() {
+    let table = synthetic_table(Distribution::Independent, 3, 50_000, 42);
+    let queries = interactive_queries(&table, 100, 17, None);
+    let config = CbcsConfig { mpr: MprMode::Exact, ..Default::default() };
+    let service = Service::open(&table, ServiceConfig::with_cbcs(config));
+    let records = run_queries(&mut service.session(), &queries);
+
+    let (stable, unstable) = split_by_stability(&records);
+    assert!(stable.len() >= 10 && unstable.len() >= 10, "too few hits of either kind");
+    let (stable_rq, unstable_rq) = (summarize(stable).avg_rq, summarize(unstable).avg_rq);
+    assert!(
+        unstable_rq > stable_rq,
+        "exact MPR: unstable {unstable_rq} range queries/hit vs stable {stable_rq}"
+    );
 }
 
 /// Mean range queries issued per cache hit in `repro fig9`'s interactive

@@ -542,11 +542,11 @@ impl QueryScratch {
     /// The fetch stage of every computed answer, miss or hit: reads
     /// `regions` — the part of `R_C′` the cache leaves unknown, all of it
     /// on a miss — with one plan (overlapping or abutting index ranges
-    /// merge into one range query where that is cheaper; rows are
-    /// deduplicated across regions), merges the rows with the `retained`
-    /// ones (flat rows) and runs the skyline kernel over them. Where the
-    /// cost model predicts it pays, the corner-first step reads the lower
-    /// corner of `R_C′` first ([`QueryScratch::corner_first`]).
+    /// merge into one range query where that is cheaper; the regions are
+    /// disjoint, so each row is read once), merges the rows with the
+    /// `retained` ones (flat rows) and runs the skyline kernel over them.
+    /// Where the cost model predicts it pays, the corner-first step reads
+    /// the lower corner of `R_C′` first ([`QueryScratch::corner_first`]).
     ///
     /// The merge is Theorem 6's union `retained ∪ fetch(MPR)` as a
     /// multiset, so a row must not enter it twice. It keeps the retained

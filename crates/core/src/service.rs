@@ -396,6 +396,24 @@ mod tests {
         assert_eq!(service.cache().epoch(), 0);
     }
 
+    /// A query that bounds no dimension is proven empty once every row
+    /// is deleted: a negative hit, nothing computed or cached.
+    #[test]
+    fn an_unbounded_query_over_no_live_row_is_a_negative_hit() {
+        let mut service = Service::open(table(), ServiceConfig::default());
+        for row in 0..400 {
+            assert!(service.delete(row).is_some());
+        }
+        let outcome = service
+            .session()
+            .execute(&QueryRequest::new(Constraints::unbounded(2).unwrap()))
+            .unwrap();
+        assert!(outcome.skyline.is_empty());
+        assert_eq!(outcome.stats.negative_hits, 1);
+        assert_eq!(service.metrics().computes, 0);
+        assert!(service.cache().is_empty());
+    }
+
     /// Every executed query leaves by exactly one exit, proven empty or
     /// computed, over fresh and repeated empties, misses and hits.
     #[test]

@@ -129,9 +129,10 @@ pub struct FetchStats {
     /// Range queries discarded by index-only emptiness detection.
     pub range_queries_empty: u64,
     /// Rows of the queried region(s) read from the heap — the paper's
-    /// "points read" metric (Fig. 8). Equals the matching rows: plans
-    /// that scan extra candidate tuples surface that work in
-    /// [`FetchStats::heap_fetches`] and the latency model instead.
+    /// "points read" metric (Fig. 8). Equals the matching rows, each
+    /// once (a plan's regions are disjoint): plans that scan extra
+    /// candidate tuples surface that work in [`FetchStats::heap_fetches`]
+    /// and the latency model instead.
     pub points_read: u64,
     /// Heap tuples actually fetched by the chosen plan, summed over its
     /// executed range queries (candidates of a single-index scan, just the
@@ -140,7 +141,8 @@ pub struct FetchStats {
     pub heap_fetches: u64,
     /// Index probes performed (range location / emptiness checks).
     pub index_probes: u64,
-    /// Index entries scanned by bitmap index scans.
+    /// Index entries scanned: every probed range's for a bitmap AND scan,
+    /// else the scanned slice's.
     pub index_entries_scanned: u64,
     /// Range queries *saved* by the coalescing fetch planner: non-empty
     /// indexed regions minus the range queries executed for them. Zero for

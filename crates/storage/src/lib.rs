@@ -18,10 +18,13 @@
 //!    dimension is empty is answered from the index alone.
 //!
 //!    Both are one decision, made once per region: a single probe pass
-//!    yields the region's one plan — empty, heap scan or indexed; its most
-//!    selective range; bitmap AND or not; predicted rows and cost — and
-//!    [`Table::probe_region_empty`], [`Table::fetch_plan_into`] (planning
-//!    and charge) and [`Table::predict_region`] all read that plan.
+//!    yields the region's one plan — empty or ready; its most selective
+//!    range (all of index 0 when no dimension is bounded); bitmap AND or
+//!    not; predicted rows and cost — and [`Table::probe_region_empty`],
+//!    [`Table::fetch_plan_into`] (planning and charge) and
+//!    [`Table::predict_region`] all read that plan. Every ready region is
+//!    read by one path, a walk of its index range; a plan's regions are
+//!    pairwise disjoint, so the walk emits each row once.
 //! 3. **Deterministic I/O accounting.** Instead of timing a spinning disk,
 //!    [`CostModel`] converts the observable work (range-query seeks, heap
 //!    points fetched, index probes) into simulated nanoseconds, and

@@ -14,13 +14,13 @@
 //! explicitly materializes `Point`s at the public-API boundary.
 //!
 //! The fetch kernel in `table.rs` only pushes onto these buffers and
-//! calls the amortized mutators below (`append`, `mark`, …): growth
+//! calls the amortized mutators below (`append`, `partition`, …): growth
 //! happens here, once, not per row on the hot path, and
 //! `crates/bench/tests/alloc_ceiling.rs` holds `Table::fetch_plan_into`
 //! to zero allocations in steady state.
 
 use crate::sketch::BucketBox;
-use crate::table::{RegionPlan, RegionState, RowId};
+use crate::table::{RegionPlan, RowId};
 
 /// Columnar fetch output: row ids plus a row-major coordinate block,
 /// reused across queries (the zero-copy replacement for `Vec<Row>`).
@@ -84,25 +84,22 @@ impl FetchBuf {
     }
 }
 
-/// One executable unit of a fetch plan: a group of regions answered by a
-/// single *walk* over their (possibly merged) index slice. What the walk
-/// is charged — how many range queries, over which sub-slices — is decided
-/// per unit by [`UnitCharge`], not by the grouping.
+/// One executable unit of a fetch plan: ready regions whose index ranges
+/// in one dimension overlap or abut, answered by a single *walk* over
+/// their merged index slice, each member scanning its own range of it.
+/// What the walk is charged — how many range queries, over which
+/// sub-slices — is decided per unit by [`UnitCharge`], not by the
+/// grouping.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FetchUnit {
     /// Range into [`FetchScratch::order`] listing member region indices.
     pub members_start: u32,
     pub members_end: u32,
-    /// Chosen index dimension shared by all members (when indexed).
+    /// Chosen index dimension shared by all members.
     pub dim: u32,
     /// Merged position range `[pos_lo, pos_hi)` in that dimension.
     pub pos_lo: u32,
     pub pos_hi: u32,
-    /// The planning state its members share. Only `Ready` units have more
-    /// than one member: ready regions whose index ranges overlap or abut,
-    /// answered by one walk of the union slice, each member scanning its
-    /// own range of it.
-    pub state: RegionState,
 }
 
 /// What one ready unit's walk is *charged*: the cheapest split of its
@@ -169,49 +166,12 @@ impl UnitCharge {
     }
 }
 
-/// Per-heap-slot dedup marks with epoch-based O(1) reset.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SeenSet {
-    marks: Vec<u32>,
-    epoch: u32,
-}
-
-impl SeenSet {
-    /// Starts a fresh dedup pass over a heap of `slots` rows.
-    pub(crate) fn begin_pass(&mut self, slots: usize) {
-        if self.marks.len() < slots {
-            self.marks.resize(slots, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: old marks could alias; hard-reset once every
-            // u32::MAX passes.
-            self.marks.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Marks a row as emitted; returns `true` on first sighting.
-    #[inline]
-    pub(crate) fn mark(&mut self, row: RowId) -> bool {
-        let slot = &mut self.marks[row as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
-    }
-}
-
 /// The walk's side of the workspace: what a unit writes while it reads
 /// the planning records beside it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkBufs {
     /// Output rows, in unit order.
     pub out: FetchBuf,
-    /// Cross-unit row dedup marks (plans of several units only).
-    pub seen: SeenSet,
     /// Per-unit charge decision and per-region match counts.
     pub charge: UnitCharge,
     /// The current unit's admitted candidates, `(slice offset, member)`.
@@ -226,9 +186,9 @@ pub(crate) struct WalkBufs {
 /// the next fetch reuses the buffers.
 #[derive(Clone, Debug, Default)]
 pub struct FetchScratch {
-    /// One plan per plan region, with its bucket box when `Ready`.
+    /// One plan per plan region, with its bucket box when ready.
     pub(crate) plans: Vec<(RegionPlan, BucketBox)>,
-    /// Region indices, grouped into units (`FetchUnit` spans).
+    /// Ready region indices, grouped into units (`FetchUnit` spans).
     pub(crate) order: Vec<u32>,
     /// Executable units, in execution order.
     pub(crate) units: Vec<FetchUnit>,
@@ -255,40 +215,28 @@ impl FetchScratch {
         self.units.clear();
     }
 
-    /// Groups the planned regions into executable units, in execution
-    /// order.
-    ///
-    /// The non-ready regions come first (in region order, one unit each),
-    /// then the ready regions grouped by chosen dimension, position ranges
+    /// Groups the ready regions into executable units, in execution
+    /// order: sorted by chosen dimension and position range, the ranges
     /// that overlap or abut merged into one unit each.
     pub(crate) fn build_units(&mut self) {
-        self.units.clear();
-        self.order.clear();
-        let n = self.plans.len();
-        self.order.extend(0..n as u32);
-        self.walk.charge.matched.clear();
-        self.walk.charge.matched.resize(n, 0);
-
-        // Ready regions sorted by (dim, pos_lo, pos_hi, idx), after the
-        // non-ready ones (kept in region order).
         let plans = &self.plans;
+        self.walk.charge.matched.clear();
+        self.walk.charge.matched.resize(plans.len(), 0);
+        self.order.extend((0..plans.len() as u32).filter(|&i| plans[i as usize].0.ready));
         self.order.sort_unstable_by_key(|&i| {
             let (plan, _) = &plans[i as usize];
-            match plan.state {
-                RegionState::Ready => (1u8, plan.dim, plan.pos_lo, plan.pos_hi, i),
-                _ => (0u8, 0, 0, 0, i),
-            }
+            (plan.dim, plan.pos_lo, plan.pos_hi, i)
         });
         let mut k = 0usize;
-        while k < n {
-            let (plan, _) = self.plans[self.order[k] as usize];
+        while k < self.order.len() {
+            let (plan, _) = plans[self.order[k] as usize];
             let (start, mut pos_hi) = (k, plan.pos_hi);
             k += 1;
-            // A ready region takes in the following ones whose range in
-            // the same dimension overlaps or abuts.
-            while plan.state == RegionState::Ready && k < n {
-                let (q, _) = self.plans[self.order[k] as usize];
-                if q.state != plan.state || q.dim != plan.dim || q.pos_lo > pos_hi {
+            // A region takes in the following ones whose range in the
+            // same dimension overlaps or abuts.
+            while let Some(&next) = self.order.get(k) {
+                let (q, _) = plans[next as usize];
+                if q.dim != plan.dim || q.pos_lo > pos_hi {
                     break;
                 }
                 pos_hi = pos_hi.max(q.pos_hi);
@@ -300,7 +248,6 @@ impl FetchScratch {
                 dim: plan.dim,
                 pos_lo: plan.pos_lo,
                 pos_hi,
-                state: plan.state,
             });
         }
     }

@@ -1,7 +1,7 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
-use skycache_geom::{rect, Constraints, Interval, Point, Regions};
+use skycache_geom::{rect, subtract, Constraints, Interval, Point, Regions};
 
 use crate::cost::{CostModel, FetchStats, Prediction};
 use crate::error::StorageError;
@@ -30,13 +30,16 @@ pub struct TableConfig {
 /// [`Table::fetch_plan_into`], which leaves the rows in a columnar
 /// scratch.
 ///
-/// Every plan coalesces: each heap row is emitted at most once even when
-/// it lies in several of the regions, and regions whose chosen-dimension
-/// index ranges overlap or abut are charged as one range query wherever
-/// one scan of the merged slice is predicted cheaper than a range query
-/// each. The range queries saved are reported in
-/// [`FetchStats::regions_coalesced`]. A plan of one region is charged
-/// exactly as that region's range query alone.
+/// The regions must be pairwise disjoint, as the paper's MPR is (its
+/// range queries are the strict splits of Algorithm 1): a row then lies
+/// in at most one region, and is emitted once. Debug builds check it.
+///
+/// Every plan coalesces: regions whose chosen-dimension index ranges
+/// overlap or abut are charged as one range query wherever one scan of
+/// the merged slice is predicted cheaper than a range query each. The
+/// range queries saved are reported in [`FetchStats::regions_coalesced`].
+/// A plan of one region is charged exactly as that region's range query
+/// alone.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FetchPlan {
     /// Regions to fetch, one issued range query each.
@@ -67,23 +70,10 @@ impl FetchPlan {
 /// caller crosses the public-API boundary.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FetchOutcome {
-    /// I/O counters for the fetch (deduped work).
+    /// I/O counters for the fetch.
     pub stats: FetchStats,
     /// Simulated latency under the table's [`CostModel`].
     pub simulated_latency: Duration,
-}
-
-/// How a region left its probe pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum RegionState {
-    /// Matches nothing: geometrically empty (rejected before any index
-    /// work), or an index probe proved it.
-    #[default]
-    Empty,
-    /// No dimension is bounded: answered by a full heap scan.
-    FullScan,
-    /// Has a chosen index dimension and a non-empty position range.
-    Ready,
 }
 
 /// The one plan of one region's range query, from [`Table::plan_of`]'s
@@ -94,9 +84,12 @@ pub(crate) struct RegionPlan {
     /// Index probes made: the bounded dimensions up to and including the
     /// first empty range.
     pub probe_count: u32,
-    pub state: RegionState,
-    /// The most selective index range, when `Ready`: its dimension and
-    /// position range `[pos_lo, pos_hi)` (the first of equal counts).
+    /// Whether the region is to be read: not geometrically empty
+    /// (rejected before any index work), nor proved empty by a probe.
+    pub ready: bool,
+    /// The most selective index range, when ready: its dimension and
+    /// position range `[pos_lo, pos_hi)` (the first of equal counts); all
+    /// of index 0 when no dimension is bounded.
     pub dim: u32,
     pub pos_lo: u32,
     pub pos_hi: u32,
@@ -104,8 +97,7 @@ pub(crate) struct RegionPlan {
     /// than a single-index scan of the most selective one.
     pub bitmap: bool,
     /// Index entries the chosen plan scans: every probed range's for a
-    /// bitmap AND, else the most selective range's (every slot for a full
-    /// scan).
+    /// bitmap AND, else the most selective range's.
     pub entries: u64,
     /// Heap rows the chosen plan is predicted to fetch, and the predicted
     /// ns of the region's own range query.
@@ -211,7 +203,7 @@ impl Table {
     /// "non-empty" — a region can pass every single-dimension probe and
     /// still match no row.
     pub fn probe_region_empty(&self, region: &[Interval]) -> bool {
-        self.plan_of(region).state == RegionState::Empty
+        !self.plan_of(region).ready
     }
 
     /// The one probe pass, shared by [`Table::probe_region_empty`], fetch
@@ -222,8 +214,9 @@ impl Table {
     /// empty it keeps the most selective range and decides, by the
     /// standard selectivity-product estimate over the probed ranges'
     /// counts, whether a bitmap AND of them is cheaper than a
-    /// single-index scan of the most selective one; no range at all is a
-    /// scan of every slot.
+    /// single-index scan of the most selective one. A region that bounds
+    /// no dimension is a scan of all of index 0, its live rows, and empty
+    /// when no row is live.
     pub(crate) fn plan_of(&self, region: &[Interval]) -> RegionPlan {
         assert_eq!(region.len(), self.dims, "query/table dimensionality mismatch");
         let mut plan = RegionPlan::default();
@@ -248,13 +241,16 @@ impl Table {
                 (plan.dim, plan.pos_lo, plan.pos_hi) = (dim as u32, lo as u32, hi as u32);
             }
         }
-        let (state, best) = match plan.probe_count {
-            0 => (RegionState::FullScan, n),
-            _ => (RegionState::Ready, (plan.pos_hi - plan.pos_lo) as usize),
-        };
+        if plan.probe_count == 0 {
+            if self.live_count == 0 {
+                return plan;
+            }
+            plan.pos_hi = self.live_count as u32;
+        }
+        let best = (plan.pos_hi - plan.pos_lo) as usize;
         let model = self.config.cost_model;
         let bitmap_cost = est_match + model.entry_to_point_ratio() * entries as f64;
-        plan.state = state;
+        plan.ready = true;
         plan.bitmap = plan.probe_count > 1 && bitmap_cost < best as f64;
         let (rows, entries) = if plan.bitmap { (est_match, entries) } else { (best as f64, best) };
         (plan.rows, plan.entries) = (rows, entries as u64);
@@ -340,46 +336,47 @@ impl Table {
     ///    from the index alone — "the B-trees detect the empty queries",
     ///    paper Section 7.3.2), and a ready one the bucket box of its most
     ///    selective dimension's index range.
-    /// 2. **Coalesce**: regions whose chosen-dimension position ranges
-    ///    overlap or abut share one unit — one walk — each.
+    /// 2. **Coalesce**: ready regions whose chosen-dimension position
+    ///    ranges overlap or abut share one unit — one walk — each.
     /// 3. **Execute**: units run in unit order, appending straight into
-    ///    the output buffer. Each heap row is emitted at most once across
-    ///    the whole plan; a plan of one unit needs no dedup marks, as a
-    ///    unit's walk meets each row once.
+    ///    the output buffer. The plan's regions are disjoint (its
+    ///    precondition, checked in debug builds), so each row is emitted
+    ///    at most once without marks.
     ///
     /// Accounting contract: `range_queries_issued` counts plan regions,
     /// `range_queries_executed` counts the range queries the units are
     /// charged — per unit the cheapest set covering its regions, see
     /// `Table::run_unit` — their difference for non-empty regions is
-    /// `regions_coalesced`, `points_read` counts the **deduped** emitted
-    /// rows, and `simulated_latency` is the
-    /// [`CostModel`] charge for the summed unit stats.
+    /// `regions_coalesced`, `points_read` counts the emitted rows, and
+    /// `simulated_latency` is the [`CostModel`] charge for the summed
+    /// stats.
     pub fn fetch_plan_into(&self, plan: &FetchPlan, scratch: &mut FetchScratch) -> FetchOutcome {
+        debug_assert!(subtract::pairwise_disjoint(&plan.regions), "fetch regions overlap");
         scratch.begin(self.dims);
 
         // Phase 1: plan every region (index probes only).
+        let mut stats = FetchStats::default();
         for region in plan.regions.iter() {
             let region_plan = self.plan_of(region);
-            let bucket_box = match region_plan.state {
-                RegionState::Ready => self.sketch.region_box(region_plan.dim as usize, region),
-                _ => BucketBox::default(),
+            stats.range_queries_issued += 1;
+            stats.range_queries_empty += u64::from(!region_plan.ready);
+            stats.index_probes += u64::from(region_plan.probe_count);
+            let bucket_box = if region_plan.ready {
+                self.sketch.region_box(region_plan.dim as usize, region)
+            } else {
+                BucketBox::default()
             };
             scratch.plans.push((region_plan, bucket_box));
         }
 
-        // Phase 2: group regions into executable units.
+        // Phase 2: group the ready regions into executable units.
         scratch.build_units();
 
         // Phase 3: execute the units in order.
         let FetchScratch { plans, order, units, walk } = scratch;
-        let dedup = units.len() > 1;
-        if dedup {
-            walk.seen.begin_pass(self.points.len());
-        }
-        let mut stats = FetchStats::default();
         for unit in units.iter() {
             let members = &order[unit.members_start as usize..unit.members_end as usize];
-            stats += self.run_unit(&plan.regions, plans, members, unit, walk, dedup);
+            stats += self.run_unit(&plan.regions, plans, members, unit, walk);
         }
         let simulated_latency = self.config.cost_model.fetch_latency(&stats);
         stats.points_read = walk.out.len() as u64;
@@ -387,13 +384,11 @@ impl Table {
     }
 
     /// Executes one unit, its `members` indices into `regions` and their
-    /// `plans`, appending matching rows to `walk.out` — skipping rows an
-    /// earlier unit already emitted when `dedup` is set — and returning
-    /// the unit's stats (the probe work of its member regions plus the
-    /// heap work, which dedup does not reduce; `points_read` is set by the
-    /// caller from the emitted rows).
+    /// `plans`, appending matching rows to `walk.out` and returning the
+    /// unit's heap and index-scan stats (the caller counts the probes and
+    /// sets `points_read` from the emitted rows).
     ///
-    /// An indexed unit is one *walk* over its (merged) slice of the chosen
+    /// A unit is one *walk* over its (merged) slice of the chosen
     /// dimension's index. The walk itself reads no heap row: each member
     /// region scans the sketch words of its own probed range against its
     /// bucket box. Only candidates some box admits are fetched from the
@@ -422,115 +417,75 @@ impl Table {
         members: &[u32],
         unit: &FetchUnit,
         walk: &mut WalkBufs,
-        dedup: bool,
     ) -> FetchStats {
+        // The charge is settled before the walk, on predicted cost.
+        let WalkBufs { out, charge, admitted } = walk;
+        let model = self.config.cost_model;
+        charge.partition(
+            members.iter().map(|&r| {
+                let plan = &plans[r as usize].0;
+                (plan.pos_lo, plan.pos_hi, plan.ns)
+            }),
+            |span| model.predicted_ns(f64::from(span), f64::from(span)),
+        );
+
+        // The walk: sketch words only, one scan per member of its own
+        // probed range. Sorted by `(offset, member)`, the admitted pairs of
+        // several members meet the heap in position order.
+        let index = &self.indexes[unit.dim as usize];
+        let rows = index.rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
+        admitted.clear();
+        for (m, &r) in (0u32..).zip(members) {
+            let (plan, bucket_box) = plans[r as usize];
+            let words = index.words_at(plan.pos_lo as usize, plan.pos_hi as usize);
+            for (offset, &word) in (plan.pos_lo - unit.pos_lo..).zip(words) {
+                if bucket_box.admits(word) {
+                    admitted.push((offset, m));
+                }
+            }
+        }
+        if members.len() > 1 {
+            admitted.sort_unstable();
+        }
+
+        // The heap side, a batch of admitted pairs at a time: first every
+        // row's header, then exact filter and emission, so that the first
+        // of a heap row's two dependent cache misses overlaps across the
+        // batch instead of stalling the walk one row at a time. The
+        // regions are disjoint, so a candidate lies in at most one.
+        for batch in admitted.chunks(BATCH) {
+            let mut coords: [&[f64]; BATCH] = [&[]; BATCH];
+            for (slot, &(offset, _)) in batch.iter().enumerate() {
+                coords[slot] = self.points[rows[offset as usize] as usize].coords();
+            }
+            for (slot, &(offset, m)) in batch.iter().enumerate() {
+                let r = members[m as usize] as usize;
+                if rect::contains(&regions[r], coords[slot]) {
+                    charge.matched[r] += 1;
+                    out.append(rows[offset as usize], coords[slot]);
+                }
+            }
+        }
+
+        // What the chosen range queries pay, on actual counts.
         let mut stats = FetchStats::default();
-        for &r in members {
-            let plan = &plans[r as usize].0;
-            stats.range_queries_issued += 1;
-            stats.range_queries_empty += u64::from(plan.state == RegionState::Empty);
-            stats.index_probes += u64::from(plan.probe_count);
+        for (group, span) in charge.groups() {
+            let (heap_fetches, index_entries) = match members[group] {
+                // Bitmap AND: every probed index range is scanned (cheap,
+                // index-only); only the matches hit the heap. Else every
+                // candidate of the group's slice — one region's: its most
+                // selective range — is fetched and post-filtered.
+                [r] if plans[r as usize].0.bitmap => {
+                    (charge.matched[r as usize], plans[r as usize].0.entries)
+                }
+                _ => (span, span),
+            };
+            stats.range_queries_executed += 1;
+            stats.heap_fetches += heap_fetches;
+            stats.index_entries_scanned += index_entries;
         }
-        let WalkBufs { out, seen, charge, admitted } = walk;
-        let mut emit = |row: RowId, coords: &[f64]| {
-            if !dedup || seen.mark(row) {
-                out.append(row, coords);
-            }
-        };
-        match unit.state {
-            RegionState::Empty => stats,
-            RegionState::FullScan => {
-                // Sequential scan of the heap (dead slots are still read,
-                // hence still charged), post-filtered by the unit's one
-                // region: an unbounded side may still be open at ±∞.
-                stats.range_queries_executed += 1;
-                stats.heap_fetches += self.points.len() as u64;
-                let region = &regions[members[0] as usize];
-                let rows = self.live_points().filter(|(_, p)| rect::contains(region, p.coords()));
-                rows.for_each(|(row, point)| emit(row, point.coords()));
-                stats
-            }
-            RegionState::Ready => {
-                // The charge is settled before the walk, on predicted cost.
-                let model = self.config.cost_model;
-                charge.partition(
-                    members.iter().map(|&r| {
-                        let plan = &plans[r as usize].0;
-                        (plan.pos_lo, plan.pos_hi, plan.ns)
-                    }),
-                    |span| model.predicted_ns(f64::from(span), f64::from(span)),
-                );
-
-                // The walk: sketch words only, one scan per member of its
-                // own probed range. Sorted by `(offset, member)`, the
-                // admitted pairs of several members meet the heap in
-                // position order, a row's pairs adjacent.
-                let index = &self.indexes[unit.dim as usize];
-                let rows = index.rows_at(unit.pos_lo as usize, unit.pos_hi as usize);
-                admitted.clear();
-                for (m, &r) in (0u32..).zip(members) {
-                    let (plan, bucket_box) = plans[r as usize];
-                    let words = index.words_at(plan.pos_lo as usize, plan.pos_hi as usize);
-                    for (offset, &word) in (plan.pos_lo - unit.pos_lo..).zip(words) {
-                        if bucket_box.admits(word) {
-                            admitted.push((offset, m));
-                        }
-                    }
-                }
-                if members.len() > 1 {
-                    admitted.sort_unstable();
-                }
-
-                // The heap side, a batch of admitted pairs at a time:
-                // first every row's header, then exact filter and
-                // emission, so that the first of a heap row's two
-                // dependent cache misses overlaps across the batch instead
-                // of stalling the walk one row at a time.
-                let mut emitted = RowId::MAX; // no row has this id
-                for batch in admitted.chunks(BATCH) {
-                    let mut coords: [&[f64]; BATCH] = [&[]; BATCH];
-                    for (slot, &(offset, _)) in batch.iter().enumerate() {
-                        coords[slot] = self.points[rows[offset as usize] as usize].coords();
-                    }
-                    for (slot, &(offset, m)) in batch.iter().enumerate() {
-                        // MPR regions are pairwise disjoint, but a plan's
-                        // need not be: a candidate is emitted once however
-                        // many of the unit's regions it satisfies, and
-                        // counted for each of them.
-                        let r = members[m as usize] as usize;
-                        if rect::contains(&regions[r], coords[slot]) {
-                            charge.matched[r] += 1;
-                            let row = rows[offset as usize];
-                            if row != emitted {
-                                emitted = row;
-                                emit(row, coords[slot]);
-                            }
-                        }
-                    }
-                }
-
-                // What the chosen range queries pay, on actual counts.
-                stats.regions_coalesced += members.len() as u64;
-                for (group, span) in charge.groups() {
-                    let (heap_fetches, index_entries) = match members[group] {
-                        // Bitmap AND: every probed index range is scanned
-                        // (cheap, index-only); only the matches hit the
-                        // heap. Else every candidate of the group's slice —
-                        // one region's: its most selective range — is
-                        // fetched and post-filtered.
-                        [r] if plans[r as usize].0.bitmap => {
-                            (charge.matched[r as usize], plans[r as usize].0.entries)
-                        }
-                        _ => (span, span),
-                    };
-                    stats.range_queries_executed += 1;
-                    stats.regions_coalesced -= 1;
-                    stats.heap_fetches += heap_fetches;
-                    stats.index_entries_scanned += index_entries;
-                }
-                stats
-            }
-        }
+        stats.regions_coalesced = members.len() as u64 - stats.range_queries_executed;
+        stats
     }
 
     /// What [`Table::fetch_plan_into`] is predicted to charge `plan`,
@@ -548,12 +503,11 @@ impl Table {
     }
 
     /// The predicted cost of one range query over `region`, read off its
-    /// `RegionPlan`: nothing when the indexes prove it empty, a heap scan
-    /// when it bounds no dimension, else the cheaper one-region plan
-    /// `Table::run_unit` would charge it alone.
+    /// `RegionPlan`: nothing when the indexes prove it empty, else the
+    /// cheaper one-region plan `Table::run_unit` would charge it alone.
     pub fn predict_region(&self, region: &[Interval]) -> Prediction {
         match self.plan_of(region) {
-            plan if plan.state == RegionState::Empty => Prediction::default(),
+            plan if !plan.ready => Prediction::default(),
             plan => Prediction { range_queries: 1, heap_fetches: plan.rows, ns: plan.ns },
         }
     }
@@ -743,8 +697,8 @@ mod tests {
         assert_eq!(res.stats.heap_fetches, 100);
     }
 
-    /// A region unbounded on every side is a heap scan, and the scan
-    /// keeps the region's openness at ±∞ as the indexed walk does.
+    /// A region that bounds no dimension is a walk of all of index 0,
+    /// and keeps the region's openness at ±∞ as every walk does.
     #[test]
     fn full_scan_filters_by_its_region() {
         let points =
@@ -758,8 +712,47 @@ mod tests {
             ids.sort_unstable();
             assert_eq!(ids, [0, 2]);
         }
-        // The scan still reads, and is charged, every slot.
+        // The scan reads, and is charged, every live row.
         assert_eq!(scan.stats.heap_fetches, 3);
+    }
+
+    /// A region that bounds no dimension reads the live rows only, each
+    /// once, and is charged one heap fetch per live row, not per slot;
+    /// once no row is live the probe proves it empty.
+    #[test]
+    fn an_unbounded_region_reads_each_live_row_once() {
+        let points: Vec<Point> =
+            (0..10).map(|i| Point::from(vec![f64::from(i), f64::from(9 - i)])).collect();
+        let mut t = Table::build(points, TableConfig::default()).unwrap();
+        for row in [1, 4, 7] {
+            t.delete(row).unwrap();
+        }
+        let all = Constraints::unbounded(2).unwrap();
+        let res = fetch_c(&t, &all);
+        let mut ids: Vec<RowId> = res.rows.iter().map(|r| r.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 2, 3, 5, 6, 8, 9]);
+        assert_eq!((res.stats.points_read, res.stats.heap_fetches), (7, 7));
+        assert_eq!(t.predict_region(&all.region()).heap_fetches, 7.0);
+
+        assert!(!t.probe_region_empty(&all.region()));
+        for row in [0, 2, 3, 5, 6, 8, 9] {
+            t.delete(row).unwrap();
+        }
+        assert!(t.probe_region_empty(&all.region()));
+        let res = fetch_c(&t, &all);
+        assert!(res.rows.is_empty());
+        assert_eq!((res.stats.range_queries_empty, res.stats.heap_fetches), (1, 0));
+    }
+
+    /// A plan's regions must be pairwise disjoint; debug builds refuse two
+    /// slabs that share rows.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "fetch regions overlap")]
+    fn overlapping_regions_are_refused() {
+        let slabs = regions(&[[(0.0, 2.0), (0.0, 9.0)], [(2.0, 4.0), (0.0, 9.0)]]);
+        fetch(&table(), &FetchPlan::new(slabs));
     }
 
     #[test]
@@ -828,7 +821,7 @@ mod tests {
         // Single-index and bitmap plans no longer see it.
         let c = Constraints::from_pairs(&[(4.0, 4.0), (4.0, 4.0)]).unwrap();
         assert!(fetch_c(&t, &c).rows.is_empty());
-        // Sequential scan path skips it too.
+        // The walk of a region that bounds no dimension skips it too.
         let all = fetch_c(&t, &Constraints::unbounded(2).unwrap());
         assert_eq!(all.rows.len(), 99);
         assert!(all.rows.iter().all(|r| r.0 != 44));
@@ -861,50 +854,6 @@ mod tests {
         }
     }
 
-    /// Three regions whose dim-0 index ranges overlap pairwise merge into
-    /// one range query, with the duplicate rows of the overlaps emitted
-    /// exactly once.
-    #[test]
-    fn coalescing_merges_overlapping_index_ranges() {
-        let t = table();
-        // Dim-0 candidate position ranges: 0..30, 20..50, 30..60 (each
-        // grid column holds 10 rows). Dim 1 is unbounded so dim 0 is the
-        // chosen dimension for all three.
-        let regions = regions(&[
-            [(0.0, 2.0), (0.0, 9.0)],
-            [(2.0, 4.0), (0.0, 9.0)],
-            [(3.0, 5.0), (0.0, 9.0)],
-        ]);
-
-        // The regions one by one: columns 2 and 3,4,5 are double-counted
-        // by the overlaps.
-        let mut naive_ids: Vec<RowId> = Vec::new();
-        let mut naive = FetchStats::default();
-        for region in regions.iter() {
-            let one = fetch_one(&t, region);
-            naive_ids.extend(one.rows.iter().map(|r| r.0));
-            naive += one.stats;
-        }
-        assert_eq!(naive_ids.len(), 90);
-        assert_eq!(naive.range_queries_executed, 3);
-        assert_eq!(naive.regions_coalesced, 0);
-
-        let co = fetch(&t, &FetchPlan::new(regions));
-        assert_eq!(co.rows.len(), 60, "each of columns 0..=5 exactly once");
-        assert_eq!(co.stats.range_queries_issued, 3);
-        assert_eq!(co.stats.range_queries_executed, 1, "one merged range query");
-        assert_eq!(co.stats.regions_coalesced, 2);
-        assert_eq!(co.stats.heap_fetches, 60, "merged slice scanned once");
-        assert_eq!(co.stats.points_read, 60);
-
-        // Same deduped row set as the regions one by one.
-        naive_ids.sort_unstable();
-        naive_ids.dedup();
-        let mut co_ids: Vec<RowId> = co.rows.iter().map(|r| r.0).collect();
-        co_ids.sort_unstable();
-        assert_eq!(co_ids, naive_ids);
-    }
-
     /// Abutting (non-overlapping) index ranges coalesce too; disjoint
     /// ranges with a gap stay separate range queries.
     #[test]
@@ -912,9 +861,11 @@ mod tests {
         let t = table();
         let abutting = regions(&[[(0.0, 1.0), (0.0, 9.0)], [(2.0, 3.0), (0.0, 9.0)]]);
         let res = fetch(&t, &FetchPlan::new(abutting));
-        // Positions 0..20 and 20..40 abut → one merged query.
+        // Positions 0..20 and 20..40 abut → one merged query, its slice
+        // scanned once.
         assert_eq!(res.stats.range_queries_executed, 1);
         assert_eq!(res.stats.regions_coalesced, 1);
+        assert_eq!(res.stats.heap_fetches, 40);
         assert_eq!(res.rows.len(), 40);
 
         let disjoint = regions(&[[(0.0, 1.0), (0.0, 9.0)], [(5.0, 6.0), (0.0, 9.0)]]);

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use skycache::algos::Sfs;
 use skycache::core::{cases, MprMode};
 use skycache::datagen::{DimStats, Distribution, InteractiveWorkload, SyntheticGen, Workload};
-use skycache::geom::{Constraints, Interval, Point, PointBlock, Regions};
+use skycache::geom::{subtract, Aabb, Constraints, Interval, Point, PointBlock, Regions};
 use skycache::storage::{FetchPlan, FetchScratch, FetchStats, Table, TableConfig};
 
 const DIMS: usize = 4;
@@ -118,18 +118,34 @@ fn rect(ivs: [Interval; DIMS]) -> Vec<Interval> {
 
 const ALL: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
-/// Overlapping, abutting, nested, degenerate, empty and unbounded region
-/// sets: the shapes the coalescing planner groups, splits and dedups.
+/// The closed boxes `regions` made pairwise disjoint, as a fetch plan's
+/// regions must be (`subtract::disjoint_union`): the first keeps its
+/// shape, a later one what the boxes before it leave.
+fn carved(regions: &[Vec<Interval>]) -> Vec<Vec<Interval>> {
+    let boxes: Vec<Aabb> = regions
+        .iter()
+        .map(|region| {
+            let (lo, hi): (Vec<f64>, Vec<f64>) = region.iter().map(|iv| (iv.lo(), iv.hi())).unzip();
+            Aabb::new(lo, hi).expect("ordered bounds")
+        })
+        .collect();
+    subtract::disjoint_union(&boxes).iter().map(<[Interval]>::to_vec).collect()
+}
+
+/// Abutting, carved, degenerate, empty and unbounded region sets, pairwise
+/// disjoint as every fetch plan's are: the shapes the coalescing planner
+/// groups and splits. Regions that share a face share it half-open;
+/// regions that would cross are carved.
 fn hand_built() -> Vec<(&'static str, Vec<Vec<Interval>>)> {
     let any = Interval::closed(ALL.0, ALL.1);
     let slab = |lo: f64, hi: f64| closed([(lo, hi), ALL, ALL, ALL]);
+    let half_open = |lo: f64, hi: f64| rect([Interval::new(lo, hi, false, true), any, any, any]);
     vec![
         ("no-regions", vec![]),
         ("unbounded", vec![closed([ALL; DIMS])]),
-        ("unbounded-twice", vec![closed([ALL; DIMS]), closed([ALL; DIMS])]),
         ("degenerate", vec![rect([Interval::new(0.3, 0.3, true, false), any, any, any])]),
         ("probed-empty", vec![closed([(2.0, 3.0), (0.0, 1.0), ALL, ALL])]),
-        ("overlap-pair", vec![slab(0.10, 0.30), slab(0.25, 0.40)]),
+        ("overlap-pair-carved", carved(&[slab(0.10, 0.30), slab(0.25, 0.40)])),
         (
             "abut-half-open",
             vec![
@@ -137,49 +153,55 @@ fn hand_built() -> Vec<(&'static str, Vec<Vec<Interval>>)> {
                 rect([Interval::new(0.20, 0.30, false, false), any, any, any]),
             ],
         ),
-        ("abut-closed-shared-key", vec![slab(0.10, 0.20), slab(0.20, 0.30)]),
-        ("nested", vec![slab(0.10, 0.60), slab(0.30, 0.40)]),
-        ("nested-inner-first", vec![slab(0.30, 0.40), slab(0.10, 0.60)]),
-        ("identical-twice", vec![slab(0.45, 0.55), slab(0.45, 0.55)]),
+        (
+            "abut-shared-key-second-open",
+            vec![slab(0.10, 0.20), rect([Interval::new(0.20, 0.30, true, false), any, any, any])],
+        ),
+        ("nested-carved", carved(&[slab(0.30, 0.40), slab(0.10, 0.60)])),
         ("disjoint-gap", vec![slab(0.05, 0.10), slab(0.80, 0.85)]),
         ("disjoint-gap-reversed", vec![slab(0.80, 0.85), slab(0.05, 0.10)]),
-        ("chain-of-three", vec![slab(0.10, 0.30), slab(0.28, 0.50), slab(0.48, 0.70)]),
         (
-            "slabs-descending",
-            (0..10).rev().map(|i| slab(f64::from(i) * 0.05, f64::from(i + 1) * 0.05)).collect(),
+            "chain-of-three-half-open",
+            vec![half_open(0.10, 0.30), half_open(0.30, 0.50), slab(0.50, 0.70)],
         ),
         (
-            "mixed-states",
+            "slabs-descending-half-open",
+            (0..10)
+                .rev()
+                .map(|i| half_open(f64::from(i) * 0.05, f64::from(i + 1) * 0.05))
+                .collect(),
+        ),
+        (
+            "mixed-states-disjoint",
             vec![
                 slab(0.60, 0.70),
                 rect([Interval::new(0.5, 0.5, true, true), any, any, any]),
                 closed([(5.0, 6.0), ALL, ALL, ALL]),
-                closed([ALL; DIMS]),
-                slab(0.65, 0.75),
+                rect([Interval::new(0.70, 0.75, true, false), any, any, any]),
             ],
         ),
         (
-            "different-chosen-dims",
-            vec![
+            "different-chosen-dims-carved",
+            carved(&[
                 closed([(0.40, 0.45), ALL, ALL, ALL]),
                 closed([ALL, (0.40, 0.45), ALL, ALL]),
                 closed([ALL, ALL, (0.40, 0.45), ALL]),
                 closed([ALL, ALL, ALL, (0.40, 0.45)]),
-            ],
+            ]),
         ),
         (
-            "same-rows-two-dims",
-            vec![
+            "same-rows-two-dims-carved",
+            carved(&[
                 closed([(0.20, 0.25), (0.00, 1.00), ALL, ALL]),
                 closed([(0.00, 1.00), (0.20, 0.25), ALL, ALL]),
-            ],
+            ]),
         ),
         (
-            "bitmap-beside-single-index",
-            vec![
+            "bitmap-beside-single-index-carved",
+            carved(&[
                 closed([(0.30, 0.50), (0.30, 0.50), (0.30, 0.50), (0.30, 0.50)]),
                 closed([(0.45, 0.47), ALL, ALL, ALL]),
-            ],
+            ]),
         ),
         ("point-region", vec![closed([(0.5, 0.5), (0.5, 0.5), ALL, ALL])]),
         (
@@ -190,20 +212,27 @@ fn hand_built() -> Vec<(&'static str, Vec<Vec<Interval>>)> {
             ],
         ),
         (
-            "cells-2x2",
-            vec![
-                closed([(0.2, 0.4), (0.2, 0.4), ALL, ALL]),
-                closed([(0.2, 0.4), (0.4, 0.6), ALL, ALL]),
-                closed([(0.4, 0.6), (0.2, 0.4), ALL, ALL]),
-                closed([(0.4, 0.6), (0.4, 0.6), ALL, ALL]),
-            ],
+            "cells-2x2-half-open",
+            [(0.2, 0.4), (0.4, 0.6)]
+                .iter()
+                .flat_map(|&(a, b)| {
+                    [(0.2, 0.4), (0.4, 0.6)].map(|(c, d)| {
+                        rect([
+                            Interval::new(a, b, false, true),
+                            Interval::new(c, d, false, true),
+                            any,
+                            any,
+                        ])
+                    })
+                })
+                .collect(),
         ),
         (
-            "big-then-contained-other-dim",
-            vec![
+            "big-then-contained-other-dim-carved",
+            carved(&[
                 closed([(0.0, 0.9), (0.0, 0.9), (0.0, 0.9), (0.0, 0.9)]),
                 closed([ALL, ALL, ALL, (0.10, 0.12)]),
-            ],
+            ]),
         ),
     ]
 }
@@ -360,13 +389,19 @@ fn wide_regions(points: &[Point]) -> Vec<(String, Vec<Vec<Interval>>)> {
         for (name, iv) in shapes {
             sets.push((format!("dim{dim}-{name}"), vec![boxed(&[band, (dim, iv)])]));
         }
-        // The same shapes with the tested dimension driving the walk.
+        // The same shapes with the tested dimension driving the walk:
+        // abutting quantile ranges, and the two sides of zero.
         sets.push((
-            format!("dim{dim}-alone-ends"),
+            format!("dim{dim}-alone-quantile-ends"),
             vec![
-                boxed(&[(dim, Interval::new(q(dim, 10), q(dim, 14), true, false))]),
+                boxed(&[(dim, Interval::new(q(dim, 10), q(dim, 13), true, false))]),
                 boxed(&[(dim, Interval::new(q(dim, 13), q(dim, 17), true, true))]),
                 boxed(&[(dim, Interval::new(q(dim, 17), q(dim, 19), false, true))]),
+            ],
+        ));
+        sets.push((
+            format!("dim{dim}-alone-zero-ends"),
+            vec![
                 boxed(&[(dim, Interval::new(0.0, 0.0625, true, false))]),
                 boxed(&[(dim, Interval::closed(-0.25, -0.0))]),
             ],
