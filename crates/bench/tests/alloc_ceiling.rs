@@ -350,13 +350,14 @@ fn warm_cache_lookup_is_allocation_free() {
 
 /// ~2× the observed steady-state cost (194.4 allocs/query).
 const BLOCK_CEILING: f64 = 370.0;
-/// ~2× the observed exact-hit replay cost (80.8 allocs/query — exact
+/// ~2× the observed exact-hit replay cost (77.8 allocs/query — exact
 /// hits re-materialize the full result, so this scales with result
 /// size, not points read; the measured replay is every item's first
 /// exact hit, so it includes rendering each item's reply text once,
-/// three allocations, and its first `touch` copying the item away from
-/// the published snapshot; every query builds its region for the
-/// emptiness probe).
+/// three allocations; a hit's `touch` writes the master's replacement
+/// record and copies no item — 80.8 while the first touch after a
+/// publish copied the item away from the snapshot; every query builds
+/// its region for the emptiness probe).
 const REPLAY_CEILING: f64 = 150.0;
 
 /// The published cache of one workload run, and the queries of another

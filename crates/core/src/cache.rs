@@ -13,21 +13,23 @@
 //! of the same tree, and keeps the text of its skyline for the reply
 //! (DESIGN.md §17.5).
 //!
-//! Replacement (Section 6.2): insertion and use counters on the items
-//! support LRU (least recently used) and LCU (least commonly used)
-//! eviction when a capacity is set. Every insert is stored; eviction
-//! order is maintained incrementally in an ordered victim index — no
-//! per-eviction scan.
+//! Replacement (Section 6.2) is not the items' business: a [`Cache`] is
+//! what a query reads, and its `insert` never evicts. LRU (least recently
+//! used) and LCU (least commonly used) eviction live in one
+//! `Replacement` record beside the master cache of a
+//! [`crate::SharedCache`]: a victim key per item, kept in an ordered
+//! victim index — no per-eviction scan — and the logical clock. A hit
+//! writes that record alone, and no published snapshot carries it.
 
 // An out-of-bounds index here would panic a thread holding the shared
 // cache: every access goes through `get`.
 #![deny(clippy::indexing_slicing)]
 
-// BTreeMap/BTreeSet, not HashMap/HashSet: eviction order and the order
-// of dynamic-data maintenance feed back into query planning, and
-// iteration order must not depend on a randomized hasher (`clippy.toml`
-// bans the hash collections).
-use std::collections::{BTreeMap, BTreeSet};
+// BTreeMap, not HashMap: eviction order and the order of dynamic-data
+// maintenance feed back into query planning, and iteration order must
+// not depend on a randomized hasher (`clippy.toml` bans the hash
+// collections).
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -45,7 +47,9 @@ pub struct ItemCost {
     pub fetch_ns: u64,
 }
 
-/// A cached constrained-skyline result.
+/// A cached constrained-skyline result: what a lookup reads, written
+/// once. How often and how lately it was used is the master's
+/// `Replacement` record's to know, so a hit copies nothing.
 #[derive(Clone, Debug)]
 pub struct CacheItem {
     /// Unique id within the cache.
@@ -54,25 +58,15 @@ pub struct CacheItem {
     pub constraints: Constraints,
     /// The cached result `Sky(S, C)` in columnar form: steady-state
     /// planning copies coordinate rows out of this block instead of
-    /// cloning one heap-boxed `Point` per cached result point. Behind its
-    /// own `Arc`, so copying an item to update its counters
-    /// ([`Cache::touch`]) never copies points.
-    pub skyline: Arc<PointBlock>,
+    /// cloning one heap-boxed `Point` per cached result point.
+    pub skyline: PointBlock,
     /// Minimum bounding rectangle of the skyline (`None` when empty).
     pub mbr: Option<Aabb>,
-    /// Logical insertion time.
-    pub inserted_at: u64,
-    /// Logical time of last use.
-    pub last_used: u64,
-    /// Number of times the item answered a query.
-    pub use_count: u64,
     /// `skyline` as text ([`render_points`]): empty until the first exact
-    /// hit renders it, read by every later one. Behind its own `Arc`, so
-    /// the copy of an item a cache makes to update its counters
-    /// ([`Cache::touch`]) still shares the slot with every snapshot that
-    /// holds the item; whoever changes `skyline` must start a new slot
-    /// with it.
-    pub(crate) text: Arc<OnceLock<Arc<str>>>,
+    /// hit renders it, read by every later one. Every cache that holds
+    /// the item holds this one slot; [`Cache::on_insert`], which changes
+    /// a skyline, starts an empty one in its copy of the item.
+    pub(crate) text: OnceLock<Arc<str>>,
 }
 
 impl CacheItem {
@@ -85,16 +79,6 @@ impl CacheItem {
             text.into()
         };
         Arc::clone(self.text.get_or_init(render))
-    }
-
-    /// Write access to this copy's skyline, un-shared from every other
-    /// copy of the item. Text rendered from the old skyline would be a
-    /// wrong answer for the new one, so the slot is replaced here, with
-    /// an empty one; the copies that keep the old block keep the old
-    /// slot.
-    fn skyline_mut(&mut self) -> &mut PointBlock {
-        self.text = Arc::default();
-        Arc::make_mut(&mut self.skyline)
     }
 }
 
@@ -123,15 +107,6 @@ pub fn render_points<'a>(out: &mut String, rows: impl Iterator<Item = &'a [f64]>
     }
 }
 
-/// The ordered victim-index key for an item under a policy: the victim
-/// is always the *smallest* key present. Lower = evicted sooner.
-fn victim_key(policy: ReplacementPolicy, item: &CacheItem) -> (u64, u64, u64) {
-    match policy {
-        ReplacementPolicy::Lru => (item.last_used, item.inserted_at, item.id),
-        ReplacementPolicy::Lcu => (item.use_count, item.inserted_at, item.id),
-    }
-}
-
 /// Cache eviction policy (applies only when a capacity is configured).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReplacementPolicy {
@@ -157,12 +132,12 @@ pub struct LookupStats {
 /// `Clone` is deliberate: the multi-tenant [`crate::SharedCache`]
 /// publishes immutable epoch snapshots by cloning the write-side master.
 /// A clone is a fully independent, internally consistent cache state
-/// that *shares* everything immutable with its source: items (and their
-/// skyline blocks) sit behind `Arc` and the R\*-tree is persistent, so
-/// cloning copies one pointer per item, one root pointer and the victim
-/// index — no points, no boxes, no tree nodes. Every mutation un-shares
-/// just what it changes (`Arc::make_mut`), so neither copy can observe
-/// the other's writes.
+/// that *shares* everything immutable with its source: items sit behind
+/// `Arc` and the R\*-tree is persistent, so cloning copies one pointer
+/// per item and one root pointer — no points, no boxes, no tree nodes,
+/// and no replacement state, which stays on the master's
+/// `Replacement` record. Every mutation un-shares just what it changes
+/// (`Arc::make_mut`), so neither copy can observe the other's writes.
 #[derive(Clone, Debug)]
 pub struct Cache {
     items: BTreeMap<u64, Arc<CacheItem>>,
@@ -173,16 +148,9 @@ pub struct Cache {
     /// of scanning every item, and re-filters with the exact
     /// [`Constraints::satisfies`] test, so open boundaries stay correct.
     index: RStarTree<u64>,
-    /// Ordered victim index: one `(rank, inserted_at, id)` key per item,
-    /// maintained incrementally on insert/touch/remove so eviction pops
-    /// the smallest key in `O(log n)` instead of scanning every item.
-    victims: BTreeSet<(u64, u64, u64)>,
-    clock: u64,
     next_id: u64,
-    capacity: Option<usize>,
-    policy: ReplacementPolicy,
     dims: usize,
-    /// Items evicted by the replacement policy since construction.
+    /// Items evicted by a `Replacement` record since construction.
     evictions: u64,
     /// Items individually examined by dynamic-data maintenance
     /// ([`Cache::on_insert`]).
@@ -190,26 +158,16 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an unbounded cache for `dims`-dimensional data.
-    pub fn new(dims: usize) -> Self {
-        Self::with_capacity(dims, None, ReplacementPolicy::default())
-    }
-
-    /// Creates a cache with an optional capacity and eviction policy.
+    /// Creates an empty cache for `dims`-dimensional data.
     ///
     /// # Panics
-    /// Panics if `dims == 0` or `capacity == Some(0)`.
-    pub fn with_capacity(dims: usize, capacity: Option<usize>, policy: ReplacementPolicy) -> Self {
+    /// Panics if `dims == 0`.
+    pub fn new(dims: usize) -> Self {
         assert!(dims > 0, "zero-dimensional cache");
-        assert!(capacity != Some(0), "capacity must be at least 1");
         Cache {
             items: BTreeMap::new(),
             index: RStarTree::new(dims),
-            victims: BTreeSet::new(),
-            clock: 0,
             next_id: 0,
-            capacity,
-            policy,
             dims,
             evictions: 0,
             maintenance_scans: 0,
@@ -231,14 +189,13 @@ impl Cache {
         self.dims
     }
 
-    /// Inserts a result, evicting if over capacity; the new item is
-    /// never the one evicted. Returns the item id.
+    /// Inserts a result and returns its id; nothing is evicted here (a
+    /// master cache's `Replacement` record evicts).
     ///
     /// # Panics
     /// Panics on dimensionality mismatch.
     pub fn insert(&mut self, constraints: Constraints, skyline: &[Point]) -> u64 {
         assert_eq!(constraints.dims(), self.dims, "constraints dimensionality mismatch");
-        self.clock += 1;
         let id = self.next_id;
         self.next_id += 1;
         let mbr = Aabb::bounding(skyline);
@@ -249,24 +206,8 @@ impl Cache {
             block.push(point);
         }
         self.index.insert(constraints.aabb().clone(), id);
-        let item = CacheItem {
-            id,
-            constraints,
-            skyline: Arc::new(block),
-            mbr,
-            inserted_at: self.clock,
-            last_used: self.clock,
-            use_count: 0,
-            text: Arc::default(),
-        };
-        self.victims.insert(victim_key(self.policy, &item));
+        let item = CacheItem { id, constraints, skyline: block, mbr, text: OnceLock::new() };
         self.items.insert(id, Arc::new(item));
-        if let Some(cap) = self.capacity {
-            while self.items.len() > cap {
-                self.evict_one(id);
-            }
-        }
-        self.debug_assert_clock_monotone();
         id
     }
 
@@ -276,40 +217,10 @@ impl Cache {
         self.insert(c, skyline)
     }
 
-    /// Invariant (debug builds): the logical clock dominates every
-    /// timestamp recorded in the cache. Eviction compares `last_used` /
-    /// `inserted_at` values; if a stale clock ever re-issued an old
-    /// timestamp, LRU ordering would silently rank a fresh use below an
-    /// ancient one (the exact bug class fixed in `touch` — see the
-    /// `touch_on_unknown_id_does_not_advance_the_clock` regression test).
-    fn debug_assert_clock_monotone(&self) {
-        debug_assert!(
-            self.items
-                .values()
-                .all(|it| it.last_used <= self.clock && it.inserted_at <= self.clock),
-            "logical clock fell behind a recorded timestamp"
-        );
-        debug_assert_eq!(self.victims.len(), self.items.len(), "victim index out of sync");
-    }
-
-    /// Evicts the policy victim — the smallest key in the ordered victim
-    /// index — skipping the just-inserted `protect` item. `O(log n)` via
-    /// the incrementally maintained index; no per-item scan.
-    fn evict_one(&mut self, protect: u64) {
-        let victim = self.victims.iter().find(|&&(_, _, id)| id != protect).map(|&(_, _, id)| id);
-        if let Some(id) = victim {
-            if self.remove(id).is_some() {
-                self.evictions += 1;
-            }
-        }
-    }
-
     /// Removes an item by id, returning it (still shared with any clone
     /// of the cache that holds it).
     pub fn remove(&mut self, id: u64) -> Option<Arc<CacheItem>> {
         let item = self.items.remove(&id)?;
-        let dropped = self.victims.remove(&victim_key(self.policy, &item));
-        debug_assert!(dropped, "victim index out of sync with items");
         let removed = self.index.remove(item.constraints.aabb(), |&v| v == id);
         debug_assert!(removed.is_some(), "index out of sync with items");
         Some(item)
@@ -391,7 +302,7 @@ impl Cache {
         found
     }
 
-    /// Items evicted by the replacement policy since construction
+    /// Items a `Replacement` record evicted since construction
     /// (explicit [`Cache::remove`] calls are not evictions).
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -403,23 +314,6 @@ impl Cache {
     /// inserted or deleted points, not with cache size.
     pub fn maintenance_scans(&self) -> u64 {
         self.maintenance_scans
-    }
-
-    /// Records a use of the item (updates LRU/LCU counters). A miss on
-    /// an unknown id leaves the logical clock untouched, so recency
-    /// ordering only advances on real cache events.
-    pub fn touch(&mut self, id: u64) {
-        let policy = self.policy;
-        if let Some(item) = self.items.get_mut(&id).map(Arc::make_mut) {
-            let old_key = victim_key(policy, item);
-            self.clock += 1;
-            item.last_used = self.clock;
-            item.use_count += 1;
-            let dropped = self.victims.remove(&old_key);
-            debug_assert!(dropped, "victim index out of sync with items");
-            self.victims.insert(victim_key(policy, item));
-        }
-        self.debug_assert_clock_monotone();
     }
 
     /// Iterates over all items.
@@ -441,13 +335,16 @@ impl Cache {
                 continue; // dominated: the cached skyline is unchanged
             }
             // p enters the skyline; points it dominates leave — in this
-            // cache's own copy of the item and its block, never in one a
-            // clone still shares. The item stays where it is in the index,
-            // under its constraints; only its MBR follows the skyline.
+            // cache's own copy of the item, never in one a clone still
+            // shares. Text rendered from the old skyline would be a wrong
+            // answer for the new one, so the copy starts an empty slot;
+            // the copies that keep the old skyline keep the old text. The
+            // item stays where it is in the index, under its constraints;
+            // only its MBR follows the skyline.
             let item = Arc::make_mut(item);
-            let skyline = item.skyline_mut();
-            skyline.retain_rows(|s| !dominates_rows(p.coords(), s));
-            skyline.push(p);
+            item.text = OnceLock::new();
+            item.skyline.retain_rows(|s| !dominates_rows(p.coords(), s));
+            item.skyline.push(p);
             item.mbr = Aabb::bounding_rows(item.skyline.rows());
             updated += 1;
         }
@@ -458,16 +355,15 @@ impl Cache {
     /// contains the deleted point can no longer be trusted (points it
     /// dominated may resurface) and are dropped — the conservative
     /// strategy; exclusive-dominance-region recomputation à la DeltaSky
-    /// (paper ref. [21]) is a possible refinement. Returns the number of
-    /// items dropped.
-    pub fn on_delete(&mut self, p: &Point) -> usize {
+    /// (paper ref. [21]) is a possible refinement. Returns the ids of the
+    /// items dropped, ascending, for a `Replacement` record to forget.
+    pub fn on_delete(&mut self, p: &Point) -> Vec<u64> {
         // An item whose skyline holds p has constraints that contain it.
         let affected = self.items_around(p, |item| item.skyline.rows().any(|s| s == p.coords()));
-        let dropped = affected.len();
-        for id in affected {
+        for &id in &affected {
             self.remove(id);
         }
-        dropped
+        affected
     }
 
     /// The ids, ascending (the order of a full scan), of the items that
@@ -484,6 +380,110 @@ impl Cache {
         ids.sort_unstable();
         ids.retain(|id| self.items.get(id).is_some_and(|item| keep(item)));
         ids
+    }
+}
+
+/// The replacement record of a master cache (paper Section 6.2): each
+/// item's victim key `(rank, admitted)` — `rank` the stamp of its last
+/// use under LRU, its number of uses under LCU; `admitted` its admission
+/// stamp, which breaks ties oldest first — the same keys in an ordered
+/// victim index, the logical clock, the capacity and the policy.
+///
+/// [`crate::SharedCache`] keeps it beside its master [`Cache`], under the
+/// master lock, and tells it of every item that comes and goes there:
+/// [`Replacement::admit`] after an insert, [`Replacement::forget`] for
+/// each id [`Cache::on_delete`] dropped. A hit's [`Replacement::touch`]
+/// writes nothing else, and no published snapshot has a record.
+#[derive(Debug, Default)]
+pub(crate) struct Replacement {
+    policy: ReplacementPolicy,
+    capacity: Option<usize>,
+    /// Advanced by every admission and every use: the stamps it issues
+    /// strictly increase.
+    clock: u64,
+    /// Uses recorded since construction.
+    touches: u64,
+    /// Each item's victim key, by id.
+    keys: BTreeMap<u64, (u64, u64)>,
+    /// The keys of `keys`, ordered: the victim is the first.
+    victims: BTreeMap<(u64, u64), u64>,
+}
+
+impl Replacement {
+    /// An empty record.
+    ///
+    /// # Panics
+    /// Panics if `capacity == Some(0)`.
+    pub(crate) fn new(capacity: Option<usize>, policy: ReplacementPolicy) -> Self {
+        assert!(capacity != Some(0), "capacity must be at least 1");
+        Replacement { policy, capacity, ..Replacement::default() }
+    }
+
+    /// Items the record holds a key for.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Uses recorded since construction.
+    pub(crate) fn touches(&self) -> u64 {
+        self.touches
+    }
+
+    /// Admits `id`, just inserted into `cache`, then evicts the smallest
+    /// keys other than `id` until `cache` is within capacity. Returns how
+    /// many items it evicted.
+    pub(crate) fn admit(&mut self, cache: &mut Cache, id: u64) -> u64 {
+        let admitted = self.tick();
+        let rank = if self.policy == ReplacementPolicy::Lru { admitted } else { 0 };
+        self.set(id, (rank, admitted));
+        let evictions_before = cache.evictions;
+        while self.capacity.is_some_and(|cap| cache.len() > cap) {
+            let Some(victim) = self.victims.values().copied().find(|&v| v != id) else { break };
+            cache.remove(victim);
+            cache.evictions += 1;
+            self.forget(victim);
+        }
+        cache.evictions - evictions_before
+    }
+
+    /// Records a use of item `id`. An unknown id leaves the clock alone,
+    /// so recency only advances on real cache events.
+    pub(crate) fn touch(&mut self, id: u64) {
+        let Some(&(rank, admitted)) = self.keys.get(&id) else { return };
+        let used = self.tick();
+        self.touches += 1;
+        let rank = if self.policy == ReplacementPolicy::Lru { used } else { rank + 1 };
+        self.set(id, (rank, admitted));
+    }
+
+    /// Drops item `id`'s key, if it has one.
+    pub(crate) fn forget(&mut self, id: u64) {
+        if let Some(key) = self.keys.remove(&id) {
+            self.victims.remove(&key);
+        }
+    }
+
+    fn set(&mut self, id: u64, key: (u64, u64)) {
+        if let Some(old) = self.keys.insert(id, key) {
+            self.victims.remove(&old);
+        }
+        self.victims.insert(key, id);
+    }
+
+    /// The next stamp. Invariant (debug builds, `O(log n)`): the clock
+    /// has run past every recorded stamp — the newest admission (the
+    /// highest id's) and the top rank (under LRU the newest use; under LCU
+    /// a use count, which never exceeds the uses stamped). If a stale
+    /// clock re-issued an old stamp, LRU would rank a fresh use below an
+    /// ancient one.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        let newest_admission = self.keys.last_key_value().map_or(0, |(_, key)| key.1);
+        let top_rank = self.victims.last_key_value().map_or(0, |(key, _)| key.0);
+        let newest = newest_admission.max(top_rank);
+        debug_assert!(newest < self.clock, "logical clock fell behind a recorded stamp");
+        debug_assert_eq!(self.keys.len(), self.victims.len(), "victim index out of step");
+        self.clock
     }
 }
 
@@ -530,39 +530,65 @@ mod tests {
         assert!(cache.get(id).unwrap().mbr.is_none());
     }
 
+    /// A cache and its replacement record, as a shared cache's master
+    /// holds them.
+    struct Master {
+        cache: Cache,
+        record: Replacement,
+    }
+
+    impl Master {
+        fn new(capacity: Option<usize>, policy: ReplacementPolicy) -> Self {
+            Master { cache: Cache::new(1), record: Replacement::new(capacity, policy) }
+        }
+
+        /// Inserts and admits one item on `[lo, lo + 1]`; returns its id.
+        fn insert(&mut self, lo: f64) -> u64 {
+            let id = self.cache.insert(c(&[(lo, lo + 1.0)]), &[p(&[lo + 0.5])]);
+            self.record.admit(&mut self.cache, id);
+            id
+        }
+
+        fn has(&self, id: u64) -> bool {
+            self.cache.get(id).is_some()
+        }
+    }
+
     #[test]
     fn lru_eviction() {
-        let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::Lru);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
-        cache.touch(a); // a is now more recent than b
-        let _c = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(a).is_some(), "recently used item kept");
-        assert!(cache.get(b).is_none(), "LRU item evicted");
+        let mut m = Master::new(Some(2), ReplacementPolicy::Lru);
+        let a = m.insert(0.0);
+        let b = m.insert(1.0);
+        m.record.touch(a); // a is now more recent than b
+        m.insert(2.0);
+        assert_eq!(m.cache.len(), 2);
+        assert!(m.has(a), "recently used item kept");
+        assert!(!m.has(b), "LRU item evicted");
     }
 
     #[test]
     fn lcu_eviction() {
-        let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::Lcu);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
-        cache.touch(b);
-        cache.touch(b);
-        cache.touch(a);
-        let _c = cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
-        assert!(cache.get(b).is_some(), "commonly used item kept");
-        assert!(cache.get(a).is_none(), "LCU item evicted");
+        let mut m = Master::new(Some(2), ReplacementPolicy::Lcu);
+        let a = m.insert(0.0);
+        let b = m.insert(1.0);
+        m.record.touch(b);
+        m.record.touch(b);
+        m.record.touch(a);
+        m.insert(2.0);
+        assert!(m.has(b), "commonly used item kept");
+        assert!(!m.has(a), "LCU item evicted");
     }
 
     #[test]
     fn newest_item_is_protected_from_eviction() {
-        let mut cache = Cache::with_capacity(1, Some(1), ReplacementPolicy::Lru);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(a).is_none());
-        assert!(cache.get(b).is_some());
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
+            let mut m = Master::new(Some(1), policy);
+            let a = m.insert(0.0);
+            let b = m.insert(1.0);
+            assert_eq!((m.cache.len(), m.record.len()), (1, 1));
+            assert!(!m.has(a));
+            assert!(m.has(b));
+        }
     }
 
     #[test]
@@ -669,9 +695,9 @@ mod tests {
 
         // A delete inside exactly one item's box examines that item
         // alone, whether or not its skyline holds the point.
-        assert_eq!(cache.on_delete(&p(&[13.2, 13.2])), 0);
+        assert!(cache.on_delete(&p(&[13.2, 13.2])).is_empty());
         assert_eq!(cache.maintenance_scans(), 2);
-        assert_eq!(cache.on_delete(&p(&[13.0, 13.0])), 1);
+        assert_eq!(cache.on_delete(&p(&[13.0, 13.0])).len(), 1);
         assert_eq!(cache.maintenance_scans(), 3);
         assert_eq!(cache.len(), 9);
     }
@@ -684,12 +710,12 @@ mod tests {
         let keep = cache.insert(c(&[(2.0, 3.0), (2.0, 3.0)]), &[p(&[2.5, 2.5])]);
 
         let dropped = cache.on_delete(&p(&[0.5, 0.5]));
-        assert_eq!(dropped, 2);
+        assert_eq!(dropped, [a, b]);
         assert!(cache.get(a).is_none());
         assert!(cache.get(b).is_none());
         assert!(cache.get(keep).is_some());
         // Deleting a non-skyline point is free.
-        assert_eq!(cache.on_delete(&p(&[9.0, 9.0])), 0);
+        assert!(cache.on_delete(&p(&[9.0, 9.0])).is_empty());
     }
 
     #[test]
@@ -723,127 +749,148 @@ mod tests {
 
     #[test]
     fn evictions_counter_counts_only_policy_evictions() {
-        let mut cache = Cache::with_capacity(1, Some(2), ReplacementPolicy::Lru);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
-        assert_eq!(cache.evictions(), 0);
-        cache.insert(c(&[(2.0, 3.0)]), &[p(&[2.5])]);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(a).is_none());
+        let mut m = Master::new(Some(2), ReplacementPolicy::Lru);
+        let a = m.insert(0.0);
+        m.insert(1.0);
+        assert_eq!(m.cache.evictions(), 0);
+        m.insert(2.0);
+        assert_eq!(m.cache.evictions(), 1);
+        assert!(!m.has(a));
         // Explicit removal is not an eviction.
-        let survivor = cache.iter().next().unwrap().id;
-        cache.remove(survivor).unwrap();
-        assert_eq!(cache.evictions(), 1);
+        let survivor = m.cache.iter().next().unwrap().id;
+        m.cache.remove(survivor).unwrap();
+        assert_eq!(m.cache.evictions(), 1);
     }
 
     #[test]
     fn touch_updates_counters() {
-        let mut cache = Cache::new(1);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        let before = cache.get(a).unwrap().last_used;
-        cache.touch(a);
-        let item = cache.get(a).unwrap();
-        assert_eq!(item.use_count, 1);
-        assert!(item.last_used > before);
+        let mut m = Master::new(None, ReplacementPolicy::Lru);
+        let a = m.insert(0.0);
+        let (rank, admitted) = m.record.keys[&a];
+        assert_eq!(rank, admitted);
+        m.record.touch(a);
+        assert_eq!(m.record.touches(), 1);
+        assert!(m.record.keys[&a].0 > rank, "a use moves the LRU rank past the admission");
+        let mut m = Master::new(None, ReplacementPolicy::Lcu);
+        let a = m.insert(0.0);
+        m.record.touch(a);
+        m.record.touch(a);
+        assert_eq!((m.record.keys[&a].0, m.record.touches()), (2, 2), "the LCU rank counts uses");
     }
 
     #[test]
     fn logical_clock_is_strictly_monotone_over_cache_events() {
-        // Invariant backing `debug_assert_clock_monotone`: every insert
-        // and every successful touch produces a timestamp strictly greater
-        // than all timestamps recorded before it, so LRU recency is a
-        // total, stable order.
-        let mut cache = Cache::new(1);
+        // Invariant behind `Replacement::tick`'s assertion: every
+        // admission and every successful touch is stamped strictly past
+        // every stamp recorded before it, so LRU recency is a total,
+        // stable order.
+        let mut m = Master::new(None, ReplacementPolicy::Lru);
         let mut seen_max = 0u64;
         let mut ids = Vec::new();
         for i in 0..5 {
-            let id = cache.insert(c(&[(f64::from(i), f64::from(i) + 1.0)]), &[]);
-            let stamp = cache.get(id).unwrap().inserted_at;
-            assert!(stamp > seen_max, "insert stamp {stamp} not past {seen_max}");
+            let id = m.insert(f64::from(i));
+            let stamp = m.record.keys[&id].1;
+            assert!(stamp > seen_max, "admission stamp {stamp} not past {seen_max}");
             seen_max = stamp;
             ids.push(id);
         }
         for &id in ids.iter().rev() {
-            cache.touch(id);
-            let stamp = cache.get(id).unwrap().last_used;
+            m.record.touch(id);
+            let stamp = m.record.keys[&id].0;
             assert!(stamp > seen_max, "touch stamp {stamp} not past {seen_max}");
             seen_max = stamp;
         }
-        // Failed touches leave the order untouched.
-        cache.touch(9999);
-        assert!(cache.iter().all(|it| it.last_used <= seen_max));
+        // A failed touch leaves the clock and the order alone.
+        m.record.touch(9999);
+        assert_eq!(m.record.clock, seen_max);
+        assert!(m.record.keys.values().all(|&(rank, _)| rank <= seen_max));
     }
 
     #[test]
     fn touch_on_unknown_id_does_not_advance_the_clock() {
         // Regression: touch() used to bump the clock before checking
         // presence, so misses inflated later items' recency timestamps.
-        let mut cache = Cache::new(1);
-        let a = cache.insert(c(&[(0.0, 1.0)]), &[p(&[0.5])]);
-        cache.touch(a + 1000); // no such item
-        let b = cache.insert(c(&[(1.0, 2.0)]), &[p(&[1.5])]);
-        assert_eq!(cache.get(a).unwrap().inserted_at, 1);
-        assert_eq!(cache.get(b).unwrap().inserted_at, 2);
-        assert_eq!(cache.get(a).unwrap().use_count, 0);
+        let mut m = Master::new(None, ReplacementPolicy::Lru);
+        let a = m.insert(0.0);
+        m.record.touch(a + 1000); // no such item
+        let b = m.insert(1.0);
+        assert_eq!(m.record.keys[&a], (1, 1));
+        assert_eq!(m.record.keys[&b], (2, 2));
+        assert_eq!(m.record.touches(), 0);
     }
 
-    /// The victim the retired `evict_one` full scan would have chosen —
-    /// the reference implementation for the differential test below.
-    fn scan_victim(cache: &Cache, policy: ReplacementPolicy) -> Option<u64> {
-        cache
-            .iter()
-            .min_by_key(|it| match policy {
-                ReplacementPolicy::Lru => (it.last_used, it.inserted_at, it.id),
-                ReplacementPolicy::Lcu => (it.use_count, it.inserted_at, it.id),
-            })
-            .map(|it| it.id)
+    /// What the three retired per-item counters recorded of one item.
+    #[derive(Clone, Copy)]
+    struct Counters {
+        inserted_at: u64,
+        last_used: u64,
+        use_count: u64,
+    }
+
+    /// The victim a full scan over the counters selects: the retired
+    /// `evict_one` scan, the reference for the differential test below.
+    fn scan_victim(model: &BTreeMap<u64, Counters>, policy: ReplacementPolicy) -> Option<u64> {
+        let key = |(&id, it): (&u64, &Counters)| match policy {
+            ReplacementPolicy::Lru => (it.last_used, it.inserted_at, id),
+            ReplacementPolicy::Lcu => (it.use_count, it.inserted_at, id),
+        };
+        model.iter().map(key).min().map(|(_, _, id)| id)
     }
 
     #[test]
     fn victim_index_matches_reference_scan() {
-        // Differential pin: the incremental ordered victim index evicts
-        // exactly the item the old O(n) min_by_key scan selected, over a
-        // deterministic pseudo-random schedule of inserts, touches and
-        // dynamic-data maintenance — inserted points that change a live
-        // item's skyline, deleted points that drop the item. (The newly
-        // inserted item is protected in both implementations, so the
+        // Differential pin: the record's ordered victim index evicts
+        // exactly the item a full scan over an independent model of the
+        // retired counters (`inserted_at`, `last_used`, `use_count`)
+        // selects, over a deterministic pseudo-random schedule of
+        // inserts, touches and dynamic-data maintenance — inserted points
+        // that change a live item's skyline, deleted points that drop the
+        // item. (The newly inserted item is protected in both, so the
         // pre-insert scan predicts the victim.)
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Lcu] {
-            let mut cache = Cache::with_capacity(1, Some(4), policy);
+            let mut m = Master::new(Some(4), policy);
+            let mut model: BTreeMap<u64, Counters> = BTreeMap::new();
+            let mut clock = 0u64;
             let mut state = 0x2545_F491_4F6C_DD1Du64; // LCG seed
-            let mut live: Vec<u64> = Vec::new();
             for i in 0..200 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let live: Vec<u64> = model.keys().copied().collect();
                 // Interleave touches of pseudo-random live items.
                 if !live.is_empty() && !state.is_multiple_of(3) {
                     let pick = live[(state >> 33) as usize % live.len()];
-                    cache.touch(pick);
+                    m.record.touch(pick);
+                    clock += 1;
+                    let it = model.get_mut(&pick).unwrap();
+                    (it.last_used, it.use_count) = (clock, it.use_count + 1);
                 }
                 // Every item's constraints are disjoint from the others',
                 // so each point lands in exactly the picked item.
                 if !live.is_empty() && (state >> 40).is_multiple_of(4) {
                     let pick = live[(state >> 13) as usize % live.len()];
-                    let item = cache.get(pick).unwrap();
+                    let item = m.cache.get(pick).unwrap();
                     let (lo, row) = (item.constraints.lo()[0], item.skyline.row(0)[0]);
                     if (state >> 50).is_multiple_of(2) {
-                        assert_eq!(cache.on_insert(&p(&[(lo + row) / 2.0])), 1);
+                        assert_eq!(m.cache.on_insert(&p(&[(lo + row) / 2.0])), 1);
                     } else {
-                        assert_eq!(cache.on_delete(&p(&[row])), 1);
-                        live.retain(|&v| v != pick);
+                        assert_eq!(m.cache.on_delete(&p(&[row])), [pick]);
+                        m.record.forget(pick);
+                        model.remove(&pick);
                     }
                 }
-                let predicted = (cache.len() == 4).then(|| scan_victim(&cache, policy).unwrap());
-                let lo = f64::from(i);
-                let id = cache.insert(c(&[(lo, lo + 0.5)]), &[p(&[lo + 0.25])]);
-                live.push(id);
+                let predicted = (model.len() == 4).then(|| scan_victim(&model, policy).unwrap());
+                let id = m.insert(f64::from(i));
+                clock += 1;
+                model.insert(id, Counters { inserted_at: clock, last_used: clock, use_count: 0 });
                 if let Some(victim) = predicted {
                     assert!(
-                        cache.get(victim).is_none(),
+                        !m.has(victim),
                         "{policy:?}: index evicted a different item than the reference scan"
                     );
-                    live.retain(|&v| v != victim);
+                    model.remove(&victim);
                 }
-                assert_eq!(cache.len(), live.len().min(4));
+                let held: Vec<u64> = m.cache.iter().map(|it| it.id).collect();
+                assert_eq!(held, model.keys().copied().collect::<Vec<_>>());
+                assert_eq!(m.record.len(), held.len());
             }
         }
     }
@@ -887,11 +934,13 @@ mod tests {
     #[test]
     fn skyline_text_is_shared_between_copies_and_replaced_with_the_skyline() {
         let mut master = Cache::new(2);
+        let mut record = Replacement::new(None, ReplacementPolicy::Lru);
         let a = master.insert(c(&[(0.0, 1.0), (0.0, 1.0)]), &[p(&[0.5, 0.5]), p(&[0.2, 0.8])]);
+        record.admit(&mut master, a);
         let snapshot = master.clone();
-        // The master copies the item to count the use; the slot stays one.
-        master.touch(a);
-        assert!(!std::ptr::eq(master.get(a).unwrap(), snapshot.get(a).unwrap()));
+        // A use is the record's: the master's item stays the snapshot's.
+        record.touch(a);
+        assert!(std::ptr::eq(master.get(a).unwrap(), snapshot.get(a).unwrap()));
         let text = snapshot.get(a).unwrap().skyline_text();
         assert_eq!(&*text, " 0.2,0.8 0.5,0.5");
         assert!(Arc::ptr_eq(&text, &master.get(a).unwrap().skyline_text()));

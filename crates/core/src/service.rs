@@ -183,7 +183,7 @@ impl<'t> Service<'t> {
     pub fn insert(&mut self, p: Point) -> Result<RowId> {
         let row = self.table.to_mut().insert(p.clone())?;
         self.data_bounds.merge(&Aabb::from_point(&p));
-        self.cache.publish(|cache| cache.on_insert(&p));
+        self.cache.publish(|cache, _| cache.on_insert(&p));
         Ok(row)
     }
 
@@ -192,7 +192,9 @@ impl<'t> Service<'t> {
     /// deleted point, or `None` if the row was not live.
     pub fn delete(&mut self, row: RowId) -> Option<Point> {
         let p = self.table.to_mut().delete(row)?;
-        self.cache.publish(|cache| cache.on_delete(&p));
+        self.cache.publish(|cache, record| {
+            cache.on_delete(&p).into_iter().for_each(|id| record.forget(id))
+        });
         Some(p)
     }
 }
@@ -267,10 +269,9 @@ impl Session<'_> {
         if stats.case != Some(Overlap::Exact) {
             // The key is cloned before the master guard is taken.
             let key = c.clone();
-            stats.evictions = service.cache.publish(|cache| {
-                let evictions_before = cache.evictions();
-                cache.insert(key, &skyline);
-                cache.evictions() - evictions_before
+            stats.evictions = service.cache.publish(|cache, record| {
+                let id = cache.insert(key, &skyline);
+                record.admit(cache, id)
             });
             stats.insertions = 1;
         }

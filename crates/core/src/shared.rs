@@ -10,22 +10,24 @@
 //!
 //! The cache state is held twice:
 //!
-//! * a **master** copy behind a `RwLock` — the authoritative write side
-//!   every mutation (`touch`, `publish`) goes through;
+//! * a **master** behind a `RwLock` — the authoritative write side every
+//!   mutation (`touch`, `publish`) goes through: the [`Cache`] and, beside
+//!   it, the replacement record (the LRU/LCU victim keys, the ordered
+//!   victim index, the clock, the capacity and the policy);
 //! * a **published snapshot** — an `Arc<Cache>` behind an `RwLock`,
 //!   replaced wholesale by `publish` (clone-and-publish), never mutated
-//!   in place.
+//!   in place. It is the items a query reads and nothing else: no
+//!   snapshot has a replacement record.
 //!
 //! Clone-and-publish is cheap because [`Cache`] shares structure: items
-//! (and their skyline blocks) sit behind `Arc` and the one R\*-tree is
-//! persistent, so `master.clone()` copies one pointer per item, one root
-//! pointer and the victim index — no points, no boxes, no tree nodes —
-//! and dropping the
+//! sit behind `Arc` and the one R\*-tree is persistent, so
+//! `master.clone()` copies one pointer per item and one root pointer — no
+//! points, no boxes, no tree nodes, no victim index — and dropping the
 //! snapshot it replaces frees only what no other snapshot or the master
 //! still holds. The master then un-shares exactly what its next write
-//! changes: the tree nodes on one insert path, or the one item a `touch`
-//! updates. What a publish costs follows what changed since the last
-//! one, not everything ever cached.
+//! changes: the tree nodes on one insert path, or the one item whose
+//! skyline `on_insert` rewrites. What a publish costs follows what
+//! changed since the last one, not everything ever cached.
 //!
 //! Readers call [`SharedCache::snapshot`], which clones the `Arc` under
 //! a momentary read lock and releases it before any lookup work begins:
@@ -40,17 +42,16 @@
 //! post-insert cache, never a torn intermediate (model-checked in
 //! `crates/core/tests/model_serve.rs`).
 //!
-//! `touch` (LRU bookkeeping on a hit) deliberately mutates only the
-//! master: replacement decisions made under the master lock always see
-//! it, and a hit stays free of the publication — the snapshot swap, the
-//! epoch bump and the per-item pointer copies — that nothing reading a
-//! snapshot needs (lookups rank by geometry, never by recency). The
-//! master copies the touched item's counters away from the snapshots
-//! that share it; its points stay shared. Snapshots therefore carry
-//! slightly stale recency metadata — never stale results. An exact hit's
-//! whole write phase is that one `touch`: a single master write lock and
-//! no publication. Every other computed answer is inserted — the cache
-//! refuses none — and publishes once, as does each write of
+//! `touch` (LRU/LCU bookkeeping on a hit) writes the master's replacement
+//! record and nothing else: replacement decisions made under the master
+//! lock always see it, and a hit stays free of the publication — the
+//! snapshot swap, the epoch bump and the per-item pointer copies — that
+//! nothing reading a snapshot needs (lookups rank by geometry, never by
+//! recency). No item is copied for it: the master's items stay the
+//! snapshots' own. An exact hit's whole write phase is that one `touch`:
+//! a single master write lock and no publication. Every other computed
+//! answer is inserted — the cache refuses none — admitted to the record,
+//! which evicts down to capacity, and published once, as is each write of
 //! [`crate::Service::insert`] and [`crate::Service::delete`]: `publish` is
 //! the one write path that changes what queries see.
 //!
@@ -79,17 +80,24 @@
 // schedulable under a `skycheck::Explorer` model run (see DESIGN.md §15).
 use skycheck::sync::{held_guards, Arc, AtomicU64, Ordering, RwLock};
 
-use crate::cache::Cache;
+use crate::cache::{Cache, Replacement};
 use crate::engine::CbcsConfig;
+
+/// The authoritative cache state: the items and their replacement record,
+/// kept in step under one lock.
+struct Master {
+    cache: Cache,
+    record: Replacement,
+}
 
 /// Write side plus published snapshot; see the module docs for the
 /// protocol. Private so no caller can reach a raw lock or its guard —
 /// all access flows through the sealed [`SharedCache`] methods.
 struct SharedCacheInner {
-    /// Authoritative cache state; every mutation happens here first.
-    /// A `RwLock` so metadata reads (`len`, `with_read`) stay shared and
-    /// re-entrant; the query path never read-locks it — it reads `snap`.
-    master: RwLock<Cache>,
+    /// Every mutation happens here first. A `RwLock` so metadata reads
+    /// (`len`, `with_read`) stay shared and re-entrant; the query path
+    /// never read-locks it — it reads `snap`.
+    master: RwLock<Master>,
     /// Immutable snapshot readers clone; replaced wholesale on insert.
     snap: RwLock<Arc<Cache>>,
     /// Publication counter; bumped once per snapshot swap.
@@ -120,8 +128,9 @@ pub struct SharedCache {
 impl SharedCache {
     /// Creates a shared cache with the capacity/policy of `config`.
     pub fn new(dims: usize, config: &CbcsConfig) -> Self {
-        let master = Cache::with_capacity(dims, config.capacity, config.policy);
-        let snap = Arc::new(master.clone());
+        let cache = Cache::new(dims);
+        let snap = Arc::new(cache.clone());
+        let master = Master { cache, record: Replacement::new(config.capacity, config.policy) };
         SharedCache {
             inner: Arc::new(SharedCacheInner {
                 master: RwLock::new(master),
@@ -149,55 +158,65 @@ impl SharedCache {
     /// Number of cached items (authoritative, reads the master).
     pub fn len(&self) -> usize {
         assert_guards_held(0);
-        self.inner.master.read().len()
+        self.inner.master.read().cache.len()
     }
 
     /// Whether the cache is empty (authoritative, reads the master).
     pub fn is_empty(&self) -> bool {
         assert_guards_held(0);
-        self.inner.master.read().is_empty()
+        self.inner.master.read().cache.is_empty()
     }
 
     /// Dimensionality of the cached constraint space.
     pub fn dims(&self) -> usize {
         assert_guards_held(0);
-        self.inner.master.read().dims()
+        self.inner.master.read().cache.dims()
     }
 
-    /// Runs a closure with read access to the authoritative cache state.
+    /// Runs a closure with read access to the authoritative cache state,
+    /// the master's [`Cache`] (its counters, such as
+    /// [`Cache::evictions`], included).
     ///
-    /// This sees master-side bookkeeping (`use_count`, evictions) that
-    /// published snapshots deliberately omit. The closure must stay
-    /// cheap: it runs under the master read lock (shared and re-entrant,
-    /// so nested `with_read` is safe, which makes this the one
-    /// acquisition that may run under another guard).
+    /// The closure must stay cheap: it runs under the master read lock
+    /// (shared and re-entrant, so nested `with_read` is safe, which makes
+    /// this the one acquisition that may run under another guard).
     pub fn with_read<R>(&self, f: impl FnOnce(&Cache) -> R) -> R {
-        f(&self.inner.master.read())
+        f(&self.inner.master.read().cache)
     }
 
-    /// Records a hit on item `id` (replacement bookkeeping; a no-op if
-    /// the item is gone) on the master only — no republication, see the
-    /// module docs.
+    /// Uses of cached items recorded since construction (one per hit).
+    pub fn touches(&self) -> u64 {
+        assert_guards_held(0);
+        self.inner.master.read().record.touches()
+    }
+
+    /// Records a hit on item `id` in the master's replacement record (a
+    /// no-op if the item is gone) — no item is written and nothing is
+    /// republished, see the module docs.
     pub(crate) fn touch(&self, id: u64) {
         assert_guards_held(0);
-        self.inner.master.write().touch(id);
+        self.inner.master.write().record.touch(id);
     }
 
-    /// Runs `write` on the master, publishes a fresh snapshot and bumps
-    /// the epoch; returns what `write` returned, by value, so the caller
-    /// adds it to its statistics after the guard is gone. `write` runs
-    /// under the master guard and must stay cheap: an insert or an
-    /// index-probed maintenance pass, never planning or a fetch.
-    pub(crate) fn publish<R>(&self, write: impl FnOnce(&mut Cache) -> R) -> R {
+    /// Runs `write` on the master's cache and its replacement record,
+    /// publishes a fresh snapshot of the cache and bumps the epoch;
+    /// returns what `write` returned, by value, so the caller adds it to
+    /// its statistics after the guard is gone. `write` runs under the
+    /// master guard and must stay cheap: an insert or an index-probed
+    /// maintenance pass, never planning or a fetch. It must tell the
+    /// record of every item it adds or drops.
+    pub(crate) fn publish<R>(&self, write: impl FnOnce(&mut Cache, &mut Replacement) -> R) -> R {
         assert_guards_held(0);
         let mut master = self.inner.master.write();
-        let written = write(&mut master);
+        let Master { cache, record } = &mut *master;
+        let written = write(cache, record);
+        debug_assert_eq!(record.len(), cache.len(), "replacement record out of step with items");
         // Publish nested under the master guard: racing writes publish
         // in master order, so a newer snapshot is never overwritten by
         // an older one. The clone shares items and tree nodes with the
         // master (see the module docs), so holding the lock across it is
         // cheap.
-        let published = Arc::new(master.clone());
+        let published = Arc::new(cache.clone());
         assert_guards_held(1);
         *self.inner.snap.write() = published;
         self.inner.epoch.fetch_add(1, Ordering::Release);
@@ -278,9 +297,15 @@ mod tests {
         let shared = service.cache();
         let boxed = |lo: f64| Constraints::from_pairs(&[(lo, lo + 1.0), (lo, lo + 1.0)]).unwrap();
         let point = |v: f64| [Point::from(vec![v, v])];
-        shared.publish(|cache| cache.insert(boxed(0.0), &point(0.5)));
+        let insert = |lo: f64| {
+            shared.publish(|cache, record| {
+                let id = cache.insert(boxed(lo), &point(lo + 0.5));
+                record.admit(cache, id)
+            })
+        };
+        insert(0.0);
         let first = shared.snapshot();
-        shared.publish(|cache| cache.insert(boxed(2.0), &point(2.5)));
+        insert(2.0);
         let second = shared.snapshot();
         assert_eq!((first.len(), second.len()), (1, 2));
 
@@ -288,19 +313,12 @@ mod tests {
         let id = first.iter().next().unwrap().id;
         assert!(std::ptr::eq(first.get(id).unwrap(), second.get(id).unwrap()));
 
-        // A hit's bookkeeping lands on the master's own copy of the item:
-        // no published snapshot sees it, and no points were copied for it.
+        // A hit's bookkeeping lands in the master's replacement record:
+        // the master's item stays the very allocation the snapshots hold.
         shared.touch(id);
-        for snap in [&first, &second] {
-            let item = snap.get(id).unwrap();
-            assert_eq!((item.use_count, item.last_used), (0, item.inserted_at));
-        }
+        assert_eq!(shared.touches(), 1);
         shared.with_read(|master| {
-            let item = master.get(id).unwrap();
-            assert_eq!(item.use_count, 1);
-            assert!(item.last_used > item.inserted_at);
-            let published = second.get(id).unwrap();
-            assert!(std::sync::Arc::ptr_eq(&item.skyline, &published.skyline));
+            assert!(std::ptr::eq(master.get(id).unwrap(), second.get(id).unwrap()));
         });
     }
 
@@ -317,9 +335,7 @@ mod tests {
         assert!(r.stats.cache_hit);
         assert_eq!(shared.epoch(), 1, "a hit must not publish a snapshot");
         // But the master saw the LRU bookkeeping.
-        shared.with_read(|cache| {
-            assert_eq!(cache.iter().map(|it| it.use_count).sum::<u64>(), 1);
-        });
+        assert_eq!(shared.touches(), 1);
     }
 
     #[test]

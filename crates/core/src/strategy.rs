@@ -265,16 +265,7 @@ mod tests {
         ])];
         let mbr = Aabb::bounding(&skyline);
         let skyline = skycache_geom::PointBlock::from_points(&skyline).unwrap();
-        CacheItem {
-            id,
-            constraints,
-            skyline: skyline.into(),
-            mbr,
-            inserted_at: id,
-            last_used: id,
-            use_count: 0,
-            text: Default::default(),
-        }
+        CacheItem { id, constraints, skyline, mbr, text: Default::default() }
     }
 
     fn rng() -> StdRng {

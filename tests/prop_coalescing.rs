@@ -5,8 +5,9 @@
 //! regions' one-region fetches do, each row once, and yield the same
 //! skyline over them — and account for it by the planner's contract
 //! (DESIGN.md §12): never more range queries than ready regions, latency
-//! the cost model's charge for the counters, and counters that do not
-//! depend on whether latency is charged at all.
+//! the cost model's charge for the counters, counters that do not depend
+//! on whether latency is charged at all, and a plan never dearer *by
+//! prediction* than its regions fetched alone.
 
 #![allow(
     clippy::expect_used,
@@ -14,11 +15,15 @@
     reason = "test code: a failed expectation fails the test"
 )]
 
+use std::time::Duration;
+
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use skycache::algos::Sfs;
 use skycache::core::{missing_points_region, MprMode};
-use skycache::geom::{subtract, Aabb, Constraints, Point, PointBlock, Regions};
+use skycache::geom::{subtract, Aabb, Constraints, Interval, Point, PointBlock, Regions};
 use skycache::storage::{
     CostModel, FetchOutcome, FetchPlan, FetchScratch, FetchStats, RowId, Table, TableConfig,
 };
@@ -88,6 +93,73 @@ fn coalesced_fetch(table: &Table, regions: &Regions) -> (Vec<RowId>, Vec<Point>)
     rows.into_iter().unzip()
 }
 
+/// A box bounded in dimension `dim` alone, to `[a, b]` (either order).
+fn slab(dim: usize, a: f64, b: f64) -> Constraints {
+    let mut pairs = [(f64::NEG_INFINITY, f64::INFINITY); 3];
+    pairs[dim] = (a.min(b), a.max(b));
+    Constraints::from_pairs(&pairs).expect("ordered")
+}
+
+/// `regions` fetched one plan each, under `table`'s cost model: the summed
+/// charge, and the summed charge with every region priced at the larger
+/// of its charge and what the planner predicts for it alone (its probes
+/// plus [`Table::predict_region`]).
+fn one_by_one(table: &Table, regions: &Regions) -> (Duration, f64) {
+    let model = table.config().cost_model;
+    let (mut charged, mut priced) = (Duration::ZERO, 0.0);
+    for region in regions.iter() {
+        let alone = fetch(table, &FetchPlan::new(Regions::from_iter([region]))).1;
+        let probes = (model.probe_ns * alone.stats.index_probes) as f64;
+        let predicted = probes + table.predict_region(region).ns;
+        charged += alone.simulated_latency;
+        priced += predicted.max(alone.simulated_latency.as_nanos() as f64);
+    }
+    (charged, priced)
+}
+
+/// `n` points of the 1/16 grid in three dimensions, drawn from `seed`.
+fn grid_points(n: usize, seed: u64) -> Vec<Point> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coord = || f64::from(rng.gen_range(0..=16u8)) / 16.0;
+    (0..n).map(|_| Point::from(vec![coord(), coord(), coord()])).collect()
+}
+
+/// A plan where coalescing costs more than fetching alone, pinned: two
+/// slabs of different dimensions, `x₀ ∈ [0.5, 0.75]` and
+/// `x₁ ∈ [0.125, 0.5]`, carved by `subtract::disjoint_union` into the
+/// first slab and the two pieces of the second on either side of it. The right piece is bounded in two dimensions; its bitmap AND is
+/// estimated at 18.9 rows and matches 17. By that estimate one scan of
+/// `x₀ ≥ 0.5` undercuts the piece's own range query plus the slab's, so
+/// the planner merges the two; the merged scan pays its whole span, where
+/// the piece alone pays only its matches. Predicted decides, actual pays
+/// (DESIGN.md §12): the plan is charged 29.306 ms against 29.107 ms for
+/// its regions fetched one by one. A planner that kept every plan no
+/// dearer than its regions alone would turn the first assertion around;
+/// what the planner does guarantee holds either way.
+#[test]
+fn a_bitmap_estimate_that_overshoots_makes_a_coalesced_plan_dearer() {
+    let table = build_with(grid_points(200, 10), CostModel::default());
+    let regions = disjoint(&[slab(0, 0.5, 0.75), slab(1, 0.125, 0.5)]);
+    assert_eq!(regions.len(), 3);
+    let piece: &[Interval] = &regions[2];
+    assert_eq!((piece[0].lo(), piece[1].hi()), (0.75, 0.5), "the right piece of the x₁ slab");
+    assert!((table.predict_region(piece).heap_fetches - 18.9).abs() < 1e-9);
+    assert_eq!(
+        fetch(&table, &FetchPlan::new(Regions::from_iter([piece]))).1.stats.heap_fetches,
+        17
+    );
+
+    let (_, coalesced) = fetch(&table, &FetchPlan::new(regions.clone()));
+    let (separate, priced) = one_by_one(&table, &regions);
+    assert_eq!(coalesced.stats.regions_coalesced, 1);
+    assert_eq!(
+        (coalesced.simulated_latency.as_nanos(), separate.as_nanos()),
+        (29_305_680, 29_107_360),
+        "coalesced dearer than separate"
+    );
+    assert!(coalesced.simulated_latency.as_nanos() as f64 <= priced);
+}
+
 fn assert_same_rows_and_skyline(
     table: &Table,
     regions: &Regions,
@@ -148,14 +220,7 @@ proptest! {
         slabs in prop::collection::vec((coord(), coord()), 1..8),
     ) {
         let table = build_with(points, CostModel::default());
-        let slabs: Vec<Constraints> = slabs
-            .iter()
-            .map(|&(a, b)| {
-                let mut pairs = [(f64::NEG_INFINITY, f64::INFINITY); 3];
-                pairs[dim] = (a.min(b), a.max(b));
-                Constraints::from_pairs(&pairs).expect("ordered")
-            })
-            .collect();
+        let slabs: Vec<Constraints> = slabs.iter().map(|&(a, b)| slab(dim, a, b)).collect();
         let regions = disjoint(&slabs);
         let mut one_by_one = FetchStats::default();
         for region in regions.iter() {
@@ -164,6 +229,32 @@ proptest! {
         let separate = CostModel::default().fetch_latency(&one_by_one);
         let (_, coalesced) = fetch(&table, &FetchPlan::new(regions));
         prop_assert!(coalesced.simulated_latency <= separate);
+    }
+
+    /// Slabs of any dimension and arbitrary boxes, made disjoint: pieces
+    /// bounded in two or three dimensions, where a bitmap AND's estimate
+    /// may miss what it matches, so a coalesced plan can be charged more
+    /// than its regions alone (pinned above). What the planner guarantees
+    /// is the comparison it makes, by prediction: it merges regions only
+    /// where one scan of their span is predicted cheaper than their own
+    /// range queries, and a merged scan is charged exactly its
+    /// prediction. So, each region priced at the larger of its charge and
+    /// its prediction alone, the regions alone never cost less than their
+    /// coalesced plan. (The slack covers float rounding in the sums.)
+    #[test]
+    fn a_coalesced_plan_is_never_dearer_by_prediction(
+        points in dataset(3),
+        slabs in prop::collection::vec((0..3usize, coord(), coord()), 1..8),
+        boxes in prop::collection::vec(constraints(3), 0..3),
+    ) {
+        let table = build_with(points, CostModel::default());
+        let mut all: Vec<Constraints> = slabs.iter().map(|&(dim, a, b)| slab(dim, a, b)).collect();
+        all.extend(boxes);
+        let regions = disjoint(&all);
+        let (_, priced) = one_by_one(&table, &regions);
+        let (_, coalesced) = fetch(&table, &FetchPlan::new(regions.clone()));
+        let slack = regions.len() as f64;
+        prop_assert!(coalesced.simulated_latency.as_nanos() as f64 <= priced + slack);
     }
 
     /// Genuine MPR region sets: the planner input the engine actually

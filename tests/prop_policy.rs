@@ -83,7 +83,8 @@ enum Change {
     /// `Cache::on_delete` of the first skyline row of the item at this
     /// position of `iter()`.
     DeletePoint(usize),
-    /// `Cache::insert` of one more item, evicting at capacity.
+    /// `Cache::insert` of one more item (a `Cache` never evicts: that is
+    /// the replacement record's, on a shared cache's master).
     NewItem(Constraints, Vec<Vec<f64>>),
 }
 
@@ -245,7 +246,8 @@ proptest! {
     /// ids and nothing else, however the query spells its zeros. Items
     /// without points are found by their — possibly unbounded —
     /// constraint box. Between lookups the cache changes: items are
-    /// removed, evicted at capacity, dropped by a deleted point, or see
+    /// added, removed (as an eviction removes them), dropped by a deleted
+    /// point, or see
     /// their skyline — and with it their MBR — change under an inserted
     /// one; the reference derives every index box from the skyline the
     /// item holds at that moment.
@@ -257,17 +259,15 @@ proptest! {
             1..8,
         ),
         repeat in 0..40usize,
-        policy in policy(),
-        capacity in prop_oneof![Just(None), Just(Some(12usize))],
     ) {
-        let mut cache = Cache::with_capacity(3, capacity, policy);
+        let mut cache = Cache::new(3);
         for (c, rows) in &items {
             cache.insert(c.clone(), &inside(c, rows));
         }
         // Two last queries repeat a box, one of them with the other
         // spelling of every zero bound; that box is cached (again, if it
         // still is) without points just before them, so the repeats meet
-        // duplicates, and the newest item is never the one evicted.
+        // duplicates.
         let repeated = items[repeat % items.len()].0.clone();
         let repeats = [
             (repeated.clone(), vec![Change::NewItem(repeated.clone(), vec![])]),
@@ -329,8 +329,7 @@ proptest! {
         let mut ex = service.session();
         // What a query can change in the cache: publications and touches.
         let writes = || {
-            let touches = service.cache().with_read(|c| c.iter().map(|it| it.use_count).sum());
-            (service.cache().epoch(), touches)
+            (service.cache().epoch(), service.cache().touches())
         };
         for (pick, respell) in picks {
             let q = &pool[pick % pool.len()];
