@@ -275,6 +275,29 @@ fn an_exact_hit_reply_allocates_at_most_twice() {
     assert!(points > queries.len(), "the replies must carry points");
 }
 
+/// A computed answer (a miss, or a hit that is not exact) is rendered
+/// into the reply line: one allocation for the line, one for the sort's
+/// `Vec` of rows and one growth of the line for the points, however many
+/// there are — the coordinate writer allocates nothing per coordinate.
+#[test]
+fn a_computed_reply_allocates_at_most_three_times() {
+    let table = table();
+    let queries = independent_queries(&table, QUERIES, 19, None);
+    let service = Service::open(&table, ServiceConfig::default());
+    let mut session = service.session();
+    let mut points = 0;
+    for c in &queries {
+        let outcome = session.execute(&QueryRequest::new(c.clone())).expect("query succeeds");
+        assert!(outcome.text.is_none(), "a first run of distinct queries has no exact hit");
+        let a0 = allocations();
+        let reply = proto::query_reply(&outcome);
+        let allocs = allocations() - a0;
+        assert!(allocs <= 3, "{allocs} allocations for a reply of {} bytes", reply.len());
+        points += outcome.skyline.len();
+    }
+    assert!(points > 10 * queries.len(), "the replies must carry points");
+}
+
 /// Single- and several-region fetch plans over an interactive workload's
 /// queries: each query alone, and each query together with the part of
 /// the next one outside it (`a` plus `b ∖ a`, disjoint as every plan's

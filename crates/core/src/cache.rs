@@ -30,8 +30,9 @@
 // not depend on a randomized hasher (`clippy.toml` bans the hash
 // collections).
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
+
+use crate::render_points;
 
 use skycache_geom::{dominated_by_any_rows, dominates_rows, Aabb, Constraints, Point, PointBlock};
 use skycache_rtree::RStarTree;
@@ -79,31 +80,6 @@ impl CacheItem {
             text.into()
         };
         Arc::clone(self.text.get_or_init(render))
-    }
-}
-
-/// Appends a skyline to `out` in its one text form: ` x,y,..` per point
-/// (coordinates in `f64`'s round-tripping `Display` form), points in
-/// ascending order of their coordinates' bit patterns — so equal point
-/// sets always render to equal bytes, whatever order they arrive in.
-/// This is the body of a query reply on the wire and what a
-/// [`CacheItem`] keeps of its skyline for exact repeats.
-pub fn render_points<'a>(out: &mut String, rows: impl Iterator<Item = &'a [f64]>) {
-    let mut sky: Vec<&[f64]> = rows.collect();
-    // Unstable: rows that compare equal are bit-identical, so their
-    // order cannot show in the text.
-    sky.sort_unstable_by(|a, b| a.iter().map(|x| x.to_bits()).cmp(b.iter().map(|x| x.to_bits())));
-    // One growth of `out` for the usual skyline: a round-tripped
-    // coordinate takes about 18 bytes and its separator one.
-    out.reserve(sky.iter().map(|coords| coords.len() * 20).sum());
-    for coords in sky {
-        let mut sep = ' ';
-        for c in coords {
-            out.push(sep);
-            sep = ',';
-            // Writing into a String cannot fail.
-            let _ = write!(out, "{c}");
-        }
     }
 }
 

@@ -78,8 +78,9 @@ pub mod shared;
 pub mod stability;
 /// Cache search strategies (Section 6.1).
 pub mod strategy;
+mod text;
 
-pub use cache::{render_points, Cache, CacheItem, ItemCost, LookupStats, ReplacementPolicy};
+pub use cache::{Cache, CacheItem, ItemCost, LookupStats, ReplacementPolicy};
 pub use engine::{
     BaselineExecutor, BbsExecutor, CbcsConfig, Executor, QueryOutcome, QueryRequest, QueryStats,
     StageTimes,
@@ -90,6 +91,7 @@ pub use service::{Service, ServiceConfig, ServiceMetrics, Session};
 pub use shared::SharedCache;
 pub use stability::{classify, is_stable, Overlap};
 pub use strategy::SearchStrategy;
+pub use text::render_points;
 
 /// Convenience alias for core results.
 pub type Result<T> = std::result::Result<T, CoreError>;

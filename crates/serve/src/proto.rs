@@ -16,6 +16,9 @@
 //! `OK <n> <hit|miss> <x,y,..> <x,y,..> ...` with the skyline points in
 //! canonical (bitwise-lexicographic) order, so identical queries —
 //! from any client, hit or miss — always serialize to the same bytes.
+//! Each coordinate is written by `core`'s shortest-digit writer
+//! ([`render_points`]), whose contract is the bytes of `f64`'s `Display`:
+//! the shortest digits that read back as the same `f64`, no exponent.
 //! The `STATS` reply is
 //! `OK coalesced=0 negative_hits=N negative_inserts=0 computes=N
 //! cache_len=N epoch=N`; `coalesced=0` and `negative_inserts=0` are
@@ -33,6 +36,9 @@ pub const BYE: &str = "OK bye";
 /// The whole conversation with a client that connects while the server
 /// is serving as many connections as it will: this line, then a close.
 pub const BUSY: &str = "ERR busy";
+
+/// The error for a `Q` line that is not whole pairs of bounds.
+const Q_SHAPE: &str = "Q needs one lo/hi pair per dimension: Q lo hi [lo hi ...] [record]";
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,22 +70,22 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let verb = tokens.next().ok_or_else(|| "empty request".to_owned())?;
     match verb {
         "Q" => {
-            let mut rest: Vec<&str> = tokens.collect();
-            let record = rest.last() == Some(&"record");
-            if record {
-                rest.pop();
+            // The pairs straight from the tokens. `record` where a lower
+            // bound would be is the flag when it ends the line; a line that
+            // ends in half a pair, `record` or not, has the wrong shape.
+            let mut pairs = Vec::new();
+            let mut record = false;
+            while let Some(lo) = tokens.next() {
+                match (lo, tokens.next()) {
+                    ("record", None) => record = true,
+                    (lo, Some(hi)) if hi != "record" || tokens.clone().next().is_some() => {
+                        pairs.push((parse_bound(lo, -1.0)?, parse_bound(hi, 1.0)?));
+                    }
+                    _ => return Err(Q_SHAPE.to_owned()),
+                }
             }
-            if rest.is_empty() || !rest.len().is_multiple_of(2) {
-                return Err(
-                    "Q needs one lo/hi pair per dimension: Q lo hi [lo hi ...] [record]".to_owned()
-                );
-            }
-            let mut pairs = Vec::with_capacity(rest.len() / 2);
-            for pair in rest.chunks(2) {
-                pairs.push((
-                    parse_bound(pair[0], f64::NEG_INFINITY)?,
-                    parse_bound(pair[1], f64::INFINITY)?,
-                ));
+            if pairs.is_empty() {
+                return Err(Q_SHAPE.to_owned());
             }
             let constraints = Constraints::from_pairs(&pairs).map_err(|e| e.to_string())?;
             Ok(Request::Query { constraints, record })
@@ -101,9 +107,11 @@ fn end_of_line<'a>(
     }
 }
 
-fn parse_bound(token: &str, unbounded: f64) -> Result<f64, String> {
+/// One bound: a number, or `*` for unbounded on `side` (`-1.0` below,
+/// `1.0` above).
+fn parse_bound(token: &str, side: f64) -> Result<f64, String> {
     if token == "*" {
-        return Ok(unbounded);
+        return Ok(side * f64::INFINITY);
     }
     token.parse::<f64>().map_err(|_| format!("bad bound {token:?} (expected a number or *)"))
 }
@@ -198,6 +206,10 @@ mod tests {
         assert!(parse_request("Q").is_err());
         assert!(parse_request("Q 1").is_err(), "odd bound count");
         assert!(parse_request("Q 1 x").is_err(), "non-numeric bound");
+        assert!(parse_request("Q record").is_err(), "no pair");
+        assert!(parse_request("Q 0 record").is_err(), "half a pair before the flag");
+        assert!(parse_request("Q 0 1 2 record").is_err(), "half a pair before the flag");
+        assert!(parse_request("Q 0 1 record 2").is_err(), "record is a flag only at the end");
         assert!(parse_request("Q 5 1").is_err(), "inverted interval");
         assert!(parse_request("HELLO").is_err());
         assert!(parse_request("PING extra").is_err());

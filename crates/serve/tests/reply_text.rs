@@ -69,10 +69,20 @@ fn an_insert_that_enters_a_cached_skyline_replaces_its_text() {
 }
 
 /// Coordinates whose text form is easy to get wrong: both zeros,
-/// subnormals, values that need all 17 significant digits, the extremes.
+/// subnormals, values that need all 17 significant digits, exact ties
+/// between two shortest spellings, integers past 1e17, small values
+/// written without an exponent, the extremes. The property below checks
+/// cached text against rendered text, not against `f64`'s `Display`:
+/// that contract is the writer's own test, in `skycache-core`'s `text`
+/// module (`the_writer_writes_display_bytes`).
 fn coordinate() -> impl Strategy<Value = f64> {
     prop_oneof![
         Just(0.0),
+        Just(f64::from_bits(0x4317_9085_685d_83c9)),
+        Just(f64::from_bits(0x42ea_8090_bb0f_6d84)),
+        Just(1e21),
+        Just(123_456_789_012_345_680.0),
+        Just(1.5e-7),
         Just(-0.0),
         Just(5e-324),
         Just(-2.225e-308),
