@@ -8,8 +8,6 @@ use std::cmp::Ordering;
 
 use skycache_geom::{dominates_rows, Point, PointBlock};
 
-use crate::planar::{planar_applicable, planar_skyline_into};
-
 /// Result of an in-memory skyline computation.
 #[derive(Clone, Debug)]
 pub struct SkylineOutput {
@@ -30,9 +28,6 @@ pub struct SkylineScratch {
     /// `(coordinate sum, row index)` pairs, brought into SFS canonical
     /// order as far as the filter needs it.
     pub(crate) order: Vec<(f64, u32)>,
-    /// Secondary `(score, row index)` buffer: the planar sweep's
-    /// survivor list, re-sorted into canonical output order.
-    pub(crate) aux: Vec<(f64, u32)>,
     /// Per dimension, the `(origin, scale)` of the filter's pre-test
     /// grid ([`Grid`]).
     pub(crate) grid: Vec<(f64, f64)>,
@@ -73,27 +68,7 @@ impl Sfs {
         SkylineOutput { skyline: skyline.to_points(), dominance_tests: tests }
     }
 
-    /// Block-native SFS: dispatches `dims == 2` inputs to the planar
-    /// monotone sweep ([`crate::planar::planar_skyline_into`], which
-    /// needs no pairwise dominance tests at all) and everything else to
-    /// the classic sum-sorted filter ([`Sfs::classic_block_into`]). Both
-    /// paths emit SFS canonical order, so the dispatch is invisible to
-    /// callers except in speed and in the `dominance_tests` count (0 on
-    /// the planar path).
-    pub fn compute_block_into(
-        &self,
-        rows: &[f64],
-        dims: usize,
-        scratch: &mut SkylineScratch,
-        out: &mut PointBlock,
-    ) -> u64 {
-        if planar_applicable(dims) {
-            return planar_skyline_into(rows, scratch, out);
-        }
-        self.classic_block_into(rows, dims, scratch, out)
-    }
-
-    /// The classic sum-sorted filter: orders row indices by
+    /// Block-native SFS, at every dimensionality: orders row indices by
     /// [`canonical_cmp`] and filters each row, in that order, against the
     /// growing skyline block. Allocation-free once `scratch` and `out`
     /// have warmed up.
@@ -116,11 +91,8 @@ impl Sfs {
     /// Past them, a window row gets the full test only if it passes the
     /// grid pre-test ([`Grid`]) on the row: the grid is built over the
     /// head, so it is the same whichever way the rest is sorted, and the
-    /// count stays exact. The count is of full tests only.
-    ///
-    /// Public so the differential tests can compare the planar sweep
-    /// against it at `dims == 2` without hitting their own dispatch.
-    pub fn classic_block_into(
+    /// count stays exact. The returned count is of full tests only.
+    pub fn compute_block_into(
         &self,
         rows: &[f64],
         dims: usize,
@@ -131,7 +103,7 @@ impl Sfs {
         debug_assert_eq!(out.dims(), dims);
         out.clear();
         let n = rows.len() / dims;
-        let SkylineScratch { order, grid, codes, .. } = scratch;
+        let SkylineScratch { order, grid, codes } = scratch;
         order.clear();
         order.extend(
             rows.chunks_exact(dims).enumerate().map(|(i, row)| (row.iter().sum::<f64>(), i as u32)),
@@ -181,7 +153,7 @@ impl Sfs {
 /// differ. The coordinates compare *numerically*: `-0.0` and `0.0` are
 /// equal there, where `total_cmp` would rank a dominated row's `-0.0`
 /// ahead of its dominator's `0.0`.
-pub(crate) fn canonical_cmp(rows: &[f64], dims: usize, a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+fn canonical_cmp(rows: &[f64], dims: usize, a: &(f64, u32), b: &(f64, u32)) -> Ordering {
     let row = |i: u32| &rows[i as usize * dims..(i as usize + 1) * dims];
     a.0.total_cmp(&b.0).then_with(|| lex_cmp(row(a.1), row(b.1))).then(a.1.cmp(&b.1))
 }
@@ -375,6 +347,25 @@ mod tests {
     fn totally_ordered_chain_yields_minimum() {
         let pts: Vec<Point> = (0..50).map(|i| p(&[i as f64, i as f64])).collect();
         assert_eq!(Sfs.compute(pts).skyline, vec![p(&[0.0, 0.0])]);
+    }
+
+    /// Rows sharing an `x`: only the lowest `y` survives among them, and
+    /// a row of a larger `x` only below every smaller `x`'s `y`.
+    #[test]
+    fn equal_x_keeps_the_lowest_rows() {
+        let same_x = vec![p(&[1.0, 3.0]), p(&[1.0, 2.0]), p(&[1.0, 2.0])];
+        assert_eq!(Sfs.compute(same_x).skyline, vec![p(&[1.0, 2.0]); 2]);
+        // (2, 1) is dominated by (1, 1), strictly on x; (2, 0) survives.
+        let tie = vec![p(&[1.0, 1.0]), p(&[2.0, 1.0]), p(&[2.0, 0.0])];
+        assert_eq!(sorted(Sfs.compute(tie).skyline), vec![p(&[1.0, 1.0]), p(&[2.0, 0.0])]);
+    }
+
+    /// `-0.0` and `0.0` are one coordinate: `(0.0, -1.75)` dominates both
+    /// other rows, the one at `x = -0.0` included.
+    #[test]
+    fn signed_zero_x_is_one_group() {
+        let pts = vec![p(&[-0.0, -1.25]), p(&[0.0, -1.75]), p(&[0.75, -1.5])];
+        assert_eq!(Sfs.compute(pts).skyline, vec![p(&[0.0, -1.75])]);
     }
 
     #[test]

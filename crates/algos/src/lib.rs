@@ -5,8 +5,8 @@
 //!
 //! * [`Sfs`] — Sort-Filter Skyline (Chomicki et al.), the in-memory
 //!   skyline routine inside both the Baseline method and CBCS ("we use the
-//!   Sort-Filter Skyline algorithm in both", Section 7); at `d = 2` it
-//!   dispatches to the monotone sweep in [`planar`];
+//!   Sort-Filter Skyline algorithm in both", Section 7), at every
+//!   dimensionality;
 //! * [`bbs`] — Branch-and-Bound Skyline (Papadias et al.) over the
 //!   workspace R\*-tree, the I/O-optimal non-caching state of the art that
 //!   CBCS is compared against.
@@ -26,18 +26,17 @@
 //! ];
 //! let out = Sfs.compute(hotels);
 //! assert_eq!(out.skyline.len(), 3);
-//! // Two-dimensional inputs take the planar monotone sweep, which
-//! // needs no pairwise dominance tests at all (see [`planar`]).
-//! assert_eq!(out.dominance_tests, 0);
+//! // Sorted by coordinate sum, each hotel meets the skyline rows before
+//! // it, and (4.0, 200.0) stops at its dominator, the second of them:
+//! // 0 + 1 + 2 + 2 tests.
+//! assert_eq!(out.dominance_tests, 5);
 //! ```
 
 pub mod bbs;
 mod inmem;
-pub mod planar;
 
 pub use bbs::{bbs_constrained, BbsOutput, BbsStats};
 pub use inmem::{Sfs, SkylineOutput, SkylineScratch};
-pub use planar::{planar_applicable, planar_skyline_into, PLANAR_DIMS};
 
 #[cfg(test)]
 pub(crate) mod testutil {

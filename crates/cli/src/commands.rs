@@ -215,25 +215,26 @@ pub fn compare(args: &Args) -> CmdResult {
     ];
 
     println!("\n{:<14} {:>12} {:>12} {:>14}", "method", "avg time", "pts read", "dom. tests");
-    let mut reference: Option<Vec<usize>> = None;
+    let mut reference = None;
     for (name, ex) in &mut methods {
-        let (mut time, mut pts, mut dom) = (0.0f64, 0u64, 0u64);
-        let mut sizes = Vec::with_capacity(queries.len());
+        let (mut time, mut pts, mut dom, mut answers) = (0.0f64, 0u64, 0u64, Vec::new());
         for c in &queries {
             let r = ex.execute(&QueryRequest::new(c.clone()))?;
             time += r.stats.stages().total().as_secs_f64();
             pts += r.stats.points_read;
             dom += r.stats.dominance_tests;
-            sizes.push(r.skyline.len());
+            let mut answer: Vec<Vec<u64>> = r
+                .skyline
+                .iter()
+                .map(|p| p.coords().iter().map(|x| x.to_bits()).collect())
+                .collect();
+            answer.sort_unstable();
+            answers.push(answer);
         }
-        // All methods must agree on every result cardinality.
-        match &reference {
-            None => reference = Some(sizes),
-            Some(want) => {
-                if *want != sizes {
-                    return Err(format!("{name} disagrees with Baseline").into());
-                }
-            }
+        // Every method must return Baseline's answer to every query: the
+        // same multiset of points, compared as coordinate bit patterns.
+        if *reference.get_or_insert_with(|| answers.clone()) != answers {
+            return Err(format!("{name} disagrees with Baseline").into());
         }
         println!(
             "{name:<14} {:>10.1}ms {:>12.0} {:>14.0}",
@@ -242,6 +243,6 @@ pub fn compare(args: &Args) -> CmdResult {
             dom as f64 / queries.len() as f64,
         );
     }
-    println!("\n(all methods returned identical skyline cardinalities on all {n} queries)");
+    println!("\n(all methods returned identical skylines on all {n} queries)");
     Ok(())
 }

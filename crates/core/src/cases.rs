@@ -17,9 +17,9 @@
 //!   old dominance regions inside `R_C′` resurface, minus retained
 //!   dominance regions.
 //!
-//! The planner therefore runs true fast paths only where the theorems
-//! license skipping work entirely (exact hits and Case (b)); all other
-//! classes share the MPR machinery.
+//! The planner's fast paths: exact hits; a plan that fetches nothing is
+//! its answer. Every class but the exact hit goes through the MPR
+//! machinery, so Case (b) is just such a plan.
 
 use skycache_geom::{Constraints, PointBlock, Regions};
 
@@ -27,7 +27,8 @@ use crate::mpr::{missing_points_region, MprMode};
 use crate::stability::{classify, Overlap};
 
 /// What the engine must do to answer `C′` from the cache: the one plan
-/// type, built by the fast paths below or by [`missing_points_region`].
+/// type, built by the exact-hit fast path below or by
+/// [`missing_points_region`].
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     /// Classified relationship between the cached item's constraints and
@@ -41,7 +42,9 @@ pub struct QueryPlan {
     /// cloning one `Point` per retained row.
     pub retained: PointBlock,
     /// Whether a skyline recomputation over `retained ∪ fetched` is
-    /// required (false for exact hits and Case (b), per Theorem 3).
+    /// required: false exactly when `regions` is empty — an exact hit, or
+    /// any plan that fetches nothing (Case (b), per Theorem 3), answers
+    /// with `retained` as it is.
     pub needs_skyline: bool,
     /// Cached skyline points invalidated by `C′`.
     pub removed_points: usize,
@@ -52,8 +55,8 @@ pub struct QueryPlan {
 }
 
 /// Builds the execution plan for answering `new` from the cached result
-/// `(old, cached_skyline)`: the exact-hit and Case (b) fast paths, else
-/// the (approximate) MPR ([`missing_points_region`]).
+/// `(old, cached_skyline)`: the exact-hit fast path, else the
+/// (approximate) MPR ([`missing_points_region`]).
 pub fn plan(
     old: &Constraints,
     cached_skyline: &PointBlock,
@@ -62,34 +65,17 @@ pub fn plan(
 ) -> QueryPlan {
     crate::shared::assert_guards_held(0);
     let overlap = classify(old, new);
-    let free = |retained: PointBlock, removed_points: usize| QueryPlan {
+    if overlap != Overlap::Exact {
+        return missing_points_region(old, cached_skyline, new, mode);
+    }
+    QueryPlan {
         overlap,
         regions: Regions::default(),
-        retained,
+        retained: cached_skyline.clone(),
         needs_skyline: false,
-        removed_points,
+        removed_points: 0,
         prune_points_used: 0,
         invalidated_pieces: 0,
-    };
-    match overlap {
-        Overlap::Exact => free(cached_skyline.clone(), 0),
-        Overlap::CaseB { .. } => {
-            // Theorem 3: Sky(S, C′) = Sky(S, C) ∩ S_C′. Copy surviving
-            // rows into a fresh block; no per-point clones.
-            #[expect(clippy::expect_used, reason = "Constraints reject zero dimensions")]
-            let mut retained =
-                PointBlock::new(new.dims()).expect("constraints are at least one-dimensional");
-            let mut removed = 0usize;
-            for row in cached_skyline.rows() {
-                if new.satisfies_coords(row) {
-                    retained.push_row(row);
-                } else {
-                    removed += 1;
-                }
-            }
-            free(retained, removed)
-        }
-        _ => missing_points_region(old, cached_skyline, new, mode),
     }
 }
 
@@ -133,6 +119,20 @@ mod tests {
         assert!(!plan.needs_skyline);
         assert_eq!(plan.retained.to_points(), vec![p(&[0.5, 0.2])]);
         assert_eq!(plan.removed_points, 1);
+    }
+
+    /// A stable hit the MPR prunes to nothing is its own answer too: a
+    /// Case (c) widening whose whole new slab a retained row dominates.
+    #[test]
+    fn fully_pruned_plan_needs_no_skyline() {
+        let old = c(&[(0.0, 1.0), (0.0, 1.0)]);
+        let new = c(&[(0.0, 2.0), (0.0, 1.0)]);
+        let sky = vec![p(&[0.0, 0.0])];
+        let plan = plan(&old, &block(&sky), &new, MprMode::Exact);
+        assert_eq!(plan.overlap, Overlap::CaseC { dim: 0 });
+        assert!(plan.regions.is_empty());
+        assert!(!plan.needs_skyline);
+        assert_eq!(plan.retained.to_points(), sky);
     }
 
     #[test]

@@ -128,8 +128,8 @@ pub struct QueryScratch {
     corner: CornerScratch,
     /// Skyline-kernel ordering buffer.
     sky: SkylineScratch,
-    /// Merge output: the retained rows no read region holds, then the
-    /// corner rows and the fetched rows.
+    /// Merge output: the corner's skyline rows, then the retained rows no
+    /// read region holds and the fetched rows.
     merged: Option<PointBlock>,
     /// Skyline output block.
     sky_out: Option<PointBlock>,
@@ -143,10 +143,9 @@ pub struct QueryScratch {
 /// so that the step allocates only where a buffer grows.
 #[derive(Default)]
 struct CornerScratch {
-    /// The corner range query's one region (`R_C′` until it is cut), its
-    /// rows, and whether this query read them.
+    /// The corner range query's one region (`R_C′` until it is cut), and
+    /// whether this query read rows there.
     region: Regions,
-    fetch: FetchScratch,
     taken: bool,
     /// The corner's upper keys, then one pruning point's `DR` lower corner.
     cut: Vec<f64>,
@@ -165,8 +164,8 @@ struct Remainder {
     trial_ns: Vec<f64>,
 }
 
-/// Hands out a cleared [`PointBlock`] of the right dimensionality from a
-/// lazily initialized scratch slot, reusing its capacity across queries.
+/// Hands out the [`PointBlock`] of a lazily initialized scratch slot, of
+/// the right dimensionality, reusing its capacity across queries.
 fn reuse_block(slot: &mut Option<PointBlock>, dims: usize) -> &mut PointBlock {
     if !matches!(slot, Some(b) if b.dims() == dims) {
         #[expect(clippy::expect_used, reason = "Table construction enforces dims > 0")]
@@ -174,9 +173,7 @@ fn reuse_block(slot: &mut Option<PointBlock>, dims: usize) -> &mut PointBlock {
         *slot = Some(block);
     }
     #[expect(clippy::expect_used, reason = "the slot was just filled above")]
-    let block = slot.as_mut().expect("slot initialized above");
-    block.clear();
-    block
+    slot.as_mut().expect("slot initialized above")
 }
 
 /// The Figure-10 stage breakdown of one query ([`QueryStats::stages`]).
@@ -512,8 +509,8 @@ fn fetch_into(table: &Table, plan: &FetchPlan, fetch: &mut FetchScratch, stats: 
     stats.absorb(outcome);
 }
 
-/// A cache hit: the plan's counters, then the fetch stage — or, for an
-/// exact hit or Case (b), the retained points as they are.
+/// A cache hit: the plan's counters, then the fetch stage — or, for a
+/// plan that fetches nothing, the retained points as they are.
 pub(crate) fn query_planned(
     table: &Table,
     c: &Constraints,
@@ -549,15 +546,18 @@ impl QueryScratch {
     /// the lower corner of `R_C′` first ([`QueryScratch::corner_first`]).
     ///
     /// The merge is Theorem 6's union `retained ∪ fetch(MPR)` as a
-    /// multiset, so a row must not enter it twice. It keeps the retained
-    /// rows that no read region (the corner, then the remainder) contains,
-    /// then every corner and fetched row. That is exact because the fetch
-    /// emits every live row a read region contains, once
-    /// ([`rect::contains`] is its post-filter), and a cached skyline is
-    /// `Sky(S, C)` with multiplicity: [`crate::Cache::on_insert`] folds in
-    /// every new row, copies included, and [`crate::Cache::on_delete`]
+    /// multiset, so a row must not enter it twice. It holds the corner's
+    /// skyline rows (a corner row dominated in the corner is dominated in
+    /// `R_C′`), the retained rows that no read region (the corner, then
+    /// the remainder) contains, and every fetched row. That is exact
+    /// because the fetch emits every live row a read region contains,
+    /// once ([`rect::contains`] is its post-filter), and a cached skyline
+    /// is `Sky(S, C)` with multiplicity: [`crate::Cache::on_insert`] folds
+    /// in every new row, copies included, and [`crate::Cache::on_delete`]
     /// drops each item holding a deleted row's coordinates. So a retained
     /// row inside a read region comes back from the fetch, once per copy.
+    /// Numerically equal rows fall in one of the three groups, in their
+    /// fetch order, so the skyline's order does not depend on the groups'.
     pub fn fetch_stage(
         &mut self,
         table: &Table,
@@ -568,23 +568,21 @@ impl QueryScratch {
     ) -> Vec<Point> {
         crate::shared::assert_guards_held(0);
         let dims = table.dims();
+        reuse_block(&mut self.merged, dims).clear();
         let plan = FetchPlan::new(self.corner_first(table, c, regions, stats));
         fetch_into(table, &plan, &mut self.fetch, stats);
 
         let t0 = Stopwatch::start();
-        let corner = if self.corner.taken { self.corner.fetch.rows().coords() } else { &[] };
         let read = |row: &[f64]| {
             (self.corner.taken && rect::contains(&self.corner.region[0], row))
                 || plan.regions.iter().any(|region| rect::contains(region, row))
         };
         let merged = reuse_block(&mut self.merged, dims);
         let kept = retained.chunks_exact(dims).filter(|row| !read(row));
-        let fetched =
-            corner.chunks_exact(dims).chain(self.fetch.rows().coords().chunks_exact(dims));
-        for row in kept.chain(fetched) {
+        for row in kept.chain(self.fetch.rows().coords().chunks_exact(dims)) {
             merged.push_row(row);
         }
-        if !corner.is_empty() {
+        if self.corner.taken {
             // The step fetched its own remainder list: it goes back.
             self.corner.regions.rest = plan.regions;
         }
@@ -600,12 +598,13 @@ impl QueryScratch {
 
     /// The corner-first step (DESIGN.md §18): when [`CornerScratch::choose`]
     /// predicts it pays, one range query reads the lower corner of `R_C′`,
-    /// and the corner's skyline rows `u`, largest dominated volume inside
-    /// `R_C′` first, each subtract `DR(u, C′)` from `regions ∖ corner` if
-    /// that lowers its predicted cost ([`Table::predict_region`]),
-    /// [`CORNER_CANDIDATES`] tried at most. Returns what is left to fetch —
-    /// `regions` as they are if the step does not pay or the corner holds
-    /// no row. The choice and the pruning are timed as MPR computation,
+    /// its skyline goes into the merge block, and those rows `u`, largest
+    /// dominated volume inside `R_C′` first, each subtract `DR(u, C′)` from
+    /// `regions ∖ corner` if that lowers its predicted cost
+    /// ([`Table::predict_region`]), [`CORNER_CANDIDATES`] tried at most.
+    /// Returns what is left to fetch — `regions` as they are if the step
+    /// does not pay or the corner holds no row, which leaves it not
+    /// taken. The choice and the pruning are timed as MPR computation,
     /// the corner read as fetch, its skyline as skyline.
     fn corner_first(
         &mut self,
@@ -622,14 +621,16 @@ impl QueryScratch {
         }
         // The corner's plan borrows its region buffer and gives it back.
         let plan = FetchPlan::new(std::mem::take(&mut self.corner.region));
-        fetch_into(table, &plan, &mut self.corner.fetch, stats);
+        fetch_into(table, &plan, &mut self.fetch, stats);
         self.corner.region = plan.regions;
-        let (dims, rows) = (table.dims(), self.corner.fetch.rows().coords());
+        let (dims, rows) = (table.dims(), self.fetch.rows().coords());
         if rows.is_empty() {
+            // No row there, so no retained row either: nothing was read.
+            self.corner.taken = false;
             return regions;
         }
         let t1 = Stopwatch::start();
-        let candidates = reuse_block(&mut self.sky_out, dims);
+        let candidates = reuse_block(&mut self.merged, dims);
         stats.dominance_tests += Sfs.compute_block_into(rows, dims, &mut self.sky, candidates);
         stats.time(Phase::Skyline, t1);
 
@@ -759,6 +760,18 @@ mod tests {
         Service::open(table, ServiceConfig::with_cbcs(config))
     }
 
+    /// The skyline of the corner the fetch stage read, if it took the
+    /// corner step: the corner region read again into a fresh buffer.
+    fn corner_skyline(table: &Table, scratch: &QueryScratch) -> Vec<f64> {
+        let mut fetch = FetchScratch::default();
+        if scratch.corner.taken {
+            table.fetch_plan_into(&FetchPlan::new(scratch.corner.region.clone()), &mut fetch);
+        }
+        let (dims, mut out) = (table.dims(), PointBlock::new(table.dims()).unwrap());
+        Sfs.compute_block_into(fetch.rows().coords(), dims, &mut SkylineScratch::new(), &mut out);
+        out.as_flat().to_vec()
+    }
+
     #[test]
     fn baseline_computes_constrained_skyline() {
         let table = grid_table();
@@ -846,6 +859,29 @@ mod tests {
         assert_eq!(r2.stats.dominance_tests, 0);
     }
 
+    /// Lowering two upper bounds of a cached box is no named case, but its
+    /// MPR is empty as Case (b)'s is: the retained rows are the answer,
+    /// with no range query and no dominance test.
+    #[test]
+    fn cbcs_empty_mpr_hit_runs_no_skyline() {
+        let table = twin_plane_table();
+        let service = open(&table, CbcsConfig::default());
+        let mut cbcs = service.session();
+        run(&mut cbcs, &c(&[(2.0, 9.0); 3]));
+        let c2 = c(&[(2.0, 9.0), (2.0, 7.0), (2.0, 6.0)]);
+        let r2 = run(&mut cbcs, &c2);
+        assert_eq!(r2.stats.case, Some(Overlap::GeneralStable));
+        assert_eq!((r2.stats.mpr_regions, r2.stats.range_queries_issued), (0, 0));
+        assert_eq!((r2.stats.points_read, r2.stats.dominance_tests), (0, 0));
+        let key = |x: &Point| x.coords().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut got = r2.skyline;
+        let mut want = run(&mut BaselineExecutor::new(&table), &c2).skyline;
+        got.sort_by_key(key);
+        want.sort_by_key(key);
+        assert!(want.len() > 1);
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn cbcs_exact_hit_is_free() {
         let table = grid_table();
@@ -910,7 +946,8 @@ mod tests {
     /// lower bounds removes the staircase's two end rows: the invalid
     /// cover, the bounding box of what they dominated in `R_C′`, is all of
     /// `C′`. The stage reads every retained row again, and each must
-    /// enter the merge once.
+    /// enter the merge once: the merge is the corner's skyline and the
+    /// fetched rows.
     #[test]
     fn cbcs_no_duplicates_with_small_k() {
         // The integer points of `[0, 19]²` on or above `x + y = 10`.
@@ -926,10 +963,9 @@ mod tests {
         assert_eq!((cached.len(), retained), (7, 5));
         let (mut scratch, mut stats) = (QueryScratch::default(), QueryStats::default());
         let mut sky = query_planned(&table, &c_new, plan, &mut scratch, &mut stats);
-        let corner = if scratch.corner.taken { scratch.corner.fetch.rows().len() } else { 0 };
+        let corner = corner_skyline(&table, &scratch).len() / 2;
         let merged = scratch.merged.as_ref().unwrap().len();
-        let read = corner + scratch.fetch.rows().len();
-        assert!(merged < retained + read, "no retained row was read again");
+        assert_eq!(merged, corner + scratch.fetch.rows().len(), "no retained row was read again");
 
         let key = |x: &Point| (x[0].to_bits(), x[1].to_bits());
         sky.sort_by_key(key);
@@ -968,12 +1004,12 @@ mod tests {
     }
 
     /// The merge keeps a retained row only outside the regions the stage
-    /// read: the merged rows are the retained, corner and fetched rows
-    /// minus one fetched copy per bit-identical retained row, and the
-    /// answer is Baseline's. Both hits are unstable under aMPR(0), whose
-    /// invalid cover re-reads retained rows: 3 twin rows on the first,
-    /// which stays off the corner step, and every retained row on the
-    /// second, whose corner read holds some of them.
+    /// read: the merged rows are the retained rows, the corner's skyline
+    /// and the fetched rows, minus one read copy per bit-identical
+    /// retained row, and the answer is Baseline's. Both hits are unstable
+    /// under aMPR(0), whose invalid cover re-reads retained rows: 3 twin
+    /// rows on the first, which stays off the corner step, and every
+    /// retained row on the second, whose corner read holds some of them.
     #[test]
     fn merge_drops_retained_rows_the_stage_read() {
         use std::collections::BTreeMap;
@@ -997,7 +1033,7 @@ mod tests {
             let got = query_planned(&table, &c_new, plan, &mut scratch, &mut stats);
             assert_eq!(scratch.corner.taken, corner_taken, "C̄ = {hi}");
 
-            let corner = if corner_taken { scratch.corner.fetch.rows().coords() } else { &[] };
+            let corner = corner_skyline(&table, &scratch);
             let mut copies: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
             for row in retained.rows() {
                 *copies.entry(bits(row)).or_default() += 1;

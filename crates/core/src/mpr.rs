@@ -61,6 +61,9 @@ impl MprMode {
 ///
 /// Returns the plan: disjoint range queries plus the retained cached
 /// points; per Theorem 6, `Sky(S, C′) = Sky(retained ∪ fetch(regions), C′)`.
+/// With no region left the retained rows are that skyline as they are
+/// (Theorem 3 is one such plan): they are rows of one cached skyline,
+/// and no row of a skyline dominates another.
 /// The regions are one flat [`Regions`] list, cut by
 /// [`skycache_geom::subtract::carve`] without an allocation per piece. The
 /// cached item's *trusted* space — its overlap with `R_C′` minus what its
@@ -121,9 +124,9 @@ pub fn missing_points_region(
     let (regions, prune_points_used) = prune_regions(unknown, &retained, new, mode);
     QueryPlan {
         overlap: classify(old, new),
+        needs_skyline: !regions.is_empty(),
         regions,
         retained,
-        needs_skyline: true,
         removed_points: removed.len(),
         prune_points_used,
         invalidated_pieces,
@@ -215,6 +218,9 @@ fn prune_regions(
     new: &Constraints,
     mode: MprMode,
 ) -> (Regions, usize) {
+    if regions.is_empty() {
+        return (regions, 0);
+    }
     let mut order: Vec<usize> = (0..retained.len()).collect();
     let corner = new.lo();
     let dist = |row: &[f64]| -> f64 {

@@ -2,9 +2,8 @@
 //! production (lane-blocked, branch-free) `dominates_rows` and the block
 //! scan built on it must be *bitwise* equivalent to the early-exit
 //! reference `dominates_raw` on arbitrary rows — including equal rows,
-//! signed zeros, infinities, empty and one-row blocks — and the planar
-//! d = 2 sweep must reproduce the classic SFS filter row for row. The SFS
-//! filter itself, which sorts lazily and pre-tests on a grid, must emit
+//! signed zeros, infinities, empty and one-row blocks. The SFS filter,
+//! which sorts lazily and pre-tests on a grid, must emit
 //! the rows of a reference that sorts its whole input first and tests
 //! every pair in full — same rows, same order — after exactly the
 //! dominance tests of the same reference applying the same pre-test.
@@ -22,7 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use skycache::algos::{planar_skyline_into, Sfs, SkylineScratch};
+use skycache::algos::{Sfs, SkylineScratch};
 use skycache::geom::dominance::{dominated_by_any_rows, dominates_raw};
 use skycache::geom::{dominates_rows, Kernel, Point, PointBlock};
 
@@ -30,15 +29,11 @@ use skycache::geom::{dominates_rows, Kernel, Point, PointBlock};
 /// remainder when truncated to fewer dims.
 const MAX_DIMS: usize = 8;
 
-/// Finite coordinates on a coarse grid spanning both signs, with the
-/// negative zero bit pattern explicitly representable (sentinel −9) so
-/// sign-of-zero disagreements between the two tests would surface.
-fn finite_coord() -> impl Strategy<Value = f64> {
-    (-9..=8i8).prop_map(|v| if v == -9 { -0.0 } else { f64::from(v) / 4.0 })
-}
-
-/// [`finite_coord`] plus both infinities (sentinels ±10), the values
-/// unbounded constraint corners carry.
+/// Coordinates on a coarse grid spanning both signs, with the negative
+/// zero bit pattern explicitly representable (sentinels ±9) so
+/// sign-of-zero disagreements between the two tests would surface, and
+/// both infinities (sentinels ±10), the values unbounded constraint
+/// corners carry.
 fn coord() -> impl Strategy<Value = f64> {
     (-10..=10i8).prop_map(|v| match v {
         -10 => f64::NEG_INFINITY,
@@ -66,12 +61,6 @@ fn to_block(raws: &[Vec<f64>], dims: usize) -> PointBlock {
         b.push_row(&r[..dims]);
     }
     b
-}
-
-/// Finite rows for the SFS-level tests: the coordinate-sum presort is
-/// only monotone w.r.t. dominance on finite data (`∞ − ∞` is NaN).
-fn finite_rows(max: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(finite_coord(), 2), 0..max)
 }
 
 /// Window rows the filter tests in full before it pre-tests.
@@ -269,7 +258,7 @@ proptest! {
         let n = if dims > 10 { SFS_SIZES[size].min(511) } else { SFS_SIZES[size] };
         for (shape, n) in [(shape, n), ((shape + 1) % SHAPES, 100)] {
             let rows = shaped_rows(shape, n, dims, seed);
-            let tests = Sfs.classic_block_into(&rows, dims, &mut scratch, &mut out);
+            let tests = Sfs.compute_block_into(&rows, dims, &mut scratch, &mut out);
             let (want, full_tests, want_tests) = sfs_full_sort(&rows, dims);
             let bits = |r: &[f64]| r.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(out.as_flat()), bits(&want));
@@ -308,37 +297,5 @@ proptest! {
             dominated_by_any_rows(&t, &cands),
             cands.rows().any(|s| dominates_raw(s, &t))
         );
-    }
-
-    /// The planar sweep reproduces the classic SFS filter exactly — same
-    /// rows, same canonical order — on random d = 2 blocks, and never
-    /// runs a pairwise dominance test.
-    #[test]
-    fn planar_sweep_matches_classic_sfs(pts in finite_rows(60)) {
-        let rows: Vec<f64> = pts.iter().flat_map(|r| [r[0], r[1]]).collect();
-        let mut scratch = SkylineScratch::new();
-        let mut fast = PointBlock::new(2).expect("dims");
-        let tests = planar_skyline_into(&rows, &mut scratch, &mut fast);
-        prop_assert_eq!(tests, 0);
-        let mut scratch2 = SkylineScratch::new();
-        let mut classic = PointBlock::new(2).expect("dims");
-        Sfs.classic_block_into(&rows, 2, &mut scratch2, &mut classic);
-        prop_assert_eq!(fast.to_points(), classic.to_points());
-    }
-
-    /// Presorted input (ascending x) is the planar best case — results
-    /// must still match the classic filter exactly.
-    #[test]
-    fn planar_sweep_matches_on_presorted_input(pts in finite_rows(60)) {
-        let mut pts: Vec<(f64, f64)> = pts.iter().map(|r| (r[0], r[1])).collect();
-        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let rows: Vec<f64> = pts.iter().flat_map(|&(x, y)| [x, y]).collect();
-        let mut scratch = SkylineScratch::new();
-        let mut fast = PointBlock::new(2).expect("dims");
-        planar_skyline_into(&rows, &mut scratch, &mut fast);
-        let mut scratch2 = SkylineScratch::new();
-        let mut classic = PointBlock::new(2).expect("dims");
-        Sfs.classic_block_into(&rows, 2, &mut scratch2, &mut classic);
-        prop_assert_eq!(fast.to_points(), classic.to_points());
     }
 }
