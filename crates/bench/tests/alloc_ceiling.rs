@@ -59,7 +59,7 @@ use skycache_bench::{independent_queries, interactive_queries, run_queries, synt
 use skycache_core::engine::{QueryScratch, QueryStats};
 use skycache_core::mpr::invalid_cover;
 use skycache_core::{
-    cases, Cache, MprMode, Overlap, QueryRequest, SearchStrategy, Service, ServiceConfig,
+    cases, Cache, CacheItem, MprMode, Overlap, QueryRequest, SearchStrategy, Service, ServiceConfig,
 };
 use skycache_datagen::Distribution;
 use skycache_geom::dominance::dominates_raw;
@@ -339,11 +339,11 @@ fn predicting_a_plan_allocates_nothing() {
 }
 
 /// The lookup itself — `Cache::lookup_into` with a reused scratch ids
-/// vector — must be allocation-free in steady state: the exact probe,
-/// the R*-tree window walk with its MBR filter, and the cover-order sort
-/// all run without touching the allocator once the scratch vector has
-/// grown to its working capacity. A single stray `Vec`/`format!` in that
-/// path costs ≥ 1 alloc per lookup and fails at once.
+/// vector — must be allocation-free in steady state: the exact probe
+/// and the R*-tree window walk with its MBR filter run without touching
+/// the allocator once the scratch vector has grown to its working
+/// capacity. A single stray `Vec`/`format!` in that path costs ≥ 1 alloc
+/// per lookup and fails at once.
 #[test]
 fn warm_cache_lookup_is_allocation_free() {
     let table = table();
@@ -547,8 +547,9 @@ fn the_fetch_stage_allocates_only_its_answer() {
     let table = table();
     let (cache, queries) = warm_cache_and_probes(&table);
     let approximate = MprMode::Approximate { k: 1 };
-    // Each query as a miss, and as a hit on the first cached candidate
-    // where that needs a fetch.
+    // Each query as a miss, and as a hit on the best-covering candidate
+    // (largest index-box overlap with the query, then lowest id) where
+    // that needs a fetch.
     let inputs = || {
         let mut ids = Vec::new();
         let mut inputs: Vec<(&Constraints, Regions, PointBlock)> = Vec::new();
@@ -556,7 +557,10 @@ fn the_fetch_stage_allocates_only_its_answer() {
             let empty = PointBlock::new(DIMS).expect("DIMS > 0");
             inputs.push((c, Regions::from(c.region()), empty));
             cache.lookup_into(c, &mut ids);
-            if let Some(item) = ids.first().and_then(|&id| cache.get(id)) {
+            let area = |item: &CacheItem| item.index_box().overlap_area(c.aabb());
+            let candidates = ids.iter().filter_map(|&id| cache.get(id));
+            let best = candidates.min_by(|a, b| area(b).total_cmp(&area(a)).then(a.id.cmp(&b.id)));
+            if let Some(item) = best {
                 let plan = cases::plan(&item.constraints, &item.skyline, c, approximate);
                 if plan.needs_skyline {
                     inputs.push((c, plan.regions, plan.retained));

@@ -71,6 +71,12 @@ pub struct CacheItem {
 }
 
 impl CacheItem {
+    /// The box a lookup finds the item by: its skyline's MBR, or its
+    /// constraint region when the skyline is empty.
+    pub fn index_box(&self) -> &Aabb {
+        self.mbr.as_ref().unwrap_or_else(|| self.constraints.aabb())
+    }
+
     /// The cached skyline as [`render_points`] text, rendered on the
     /// first call and shared from then on.
     pub fn skyline_text(&self) -> Arc<str> {
@@ -97,7 +103,7 @@ pub enum ReplacementPolicy {
 /// themselves land in the caller's scratch vector.
 #[derive(Clone, Copy, Debug)]
 pub struct LookupStats {
-    /// Candidates the lookup ranked: the items whose index box meets the
+    /// Candidates the lookup found: the items whose index box meets the
     /// query region (1 when an item cached under the very constraints
     /// answered the lookup alone, 0 when no index box meets the query).
     pub scans: u64,
@@ -211,30 +217,25 @@ impl Cache {
     /// numerically equal to `new` (`-0.0 == 0.0` — the equality
     /// [`crate::classify`] reports as [`crate::Overlap::Exact`]), `ids`
     /// is that item's id alone, the lowest among duplicates; otherwise
-    /// `ids` is every item whose index box — its skyline's MBR, or its
-    /// constraint region when the skyline is empty — intersects the query
-    /// region (the paper's `R_C′ ∩ MBR ≠ ∅`), *cover-ordered*: descending
-    /// overlap area between index box and query region, ties by
-    /// ascending id. Returns the work accounting.
+    /// `ids` is every item whose index box ([`CacheItem::index_box`])
+    /// intersects the query region (the paper's `R_C′ ∩ MBR ≠ ∅`), in
+    /// the order the walk meets them: ranking them is the search
+    /// strategy's ([`crate::SearchStrategy::select_indexed`]). Returns
+    /// the work accounting.
     ///
     /// An exact item answers with zero fetch under every search
     /// strategy, so nothing else is worth finding once it is: the probe
     /// is one containment descent of the R\*-tree
-    /// ([`RStarTree::for_each_equal`]), and the window walk, the ranking
-    /// and the sort never run.
+    /// ([`RStarTree::for_each_equal`]), and the window walk never runs.
     ///
     /// Otherwise the walk visits every item whose constraint region meets
     /// the query — an index box lies inside its item's constraints, so no
     /// candidate is missed — and keeps those whose index box meets it
-    /// too, ranking each once as it is kept; the sort compares the
-    /// decorated entries without going back to the cache. The decoration
-    /// lives in `ids` itself — two words `[area bits, id]` per candidate
-    /// until the sorted ids are compacted to the front — so the caller's
-    /// scratch vector is still the only storage used.
+    /// too.
     ///
     /// Allocation-free in steady state: both tree walks are recursive
-    /// visitors and the sort is in-place, so a warm `ids` vector (two
-    /// words per candidate of the largest lookup so far) never regrows.
+    /// visitors, so a warm `ids` vector (one word per candidate of the
+    /// largest lookup so far) never regrows.
     ///
     /// # Panics
     /// Panics on dimensionality mismatch.
@@ -248,26 +249,12 @@ impl Cache {
             return LookupStats { scans: 1 };
         }
         self.index.for_each_in(query, |_, id| {
-            let Some(item) = self.items.get(id) else { return };
-            let index_box = item.mbr.as_ref().unwrap_or_else(|| item.constraints.aabb());
-            if index_box.intersects(query) {
+            if self.items.get(id).is_some_and(|item| item.index_box().intersects(query)) {
                 // Into the caller's reused scratch vector: steady state reuses its capacity.
-                ids.extend([index_box.overlap_area(query).to_bits(), *id]);
+                ids.push(*id);
             }
         });
-        let (ranked, _) = ids.as_chunks_mut::<2>();
-        // Unstable sort: allocation-free, and the ascending-id tiebreak
-        // makes the order total, hence deterministic. total_cmp: the
-        // overlap of partially unbounded boxes may be inf or NaN.
-        ranked.sort_unstable_by(|&[area_a, a], &[area_b, b]| {
-            f64::from_bits(area_b).total_cmp(&f64::from_bits(area_a)).then_with(|| a.cmp(&b))
-        });
-        let scans = ranked.len();
-        for rank in 0..scans {
-            ids.swap(rank, 2 * rank + 1);
-        }
-        ids.truncate(scans);
-        LookupStats { scans: scans as u64 }
+        LookupStats { scans: ids.len() as u64 }
     }
 
     /// The lowest id cached under constraints whose box equals `query`
@@ -475,7 +462,7 @@ mod tests {
         Point::from(coords.to_vec())
     }
 
-    /// `lookup_into` with a throwaway scratch: the ids it found (in
+    /// `lookup_into` with a throwaway scratch: the ids it found (in walk
     /// order) and its work accounting.
     fn lookup(cache: &Cache, new: &Constraints) -> (Vec<u64>, LookupStats) {
         let mut ids = Vec::new();
@@ -872,18 +859,21 @@ mod tests {
     }
 
     #[test]
-    fn lookup_is_cover_ordered() {
+    fn lookup_finds_every_item_whose_index_box_meets_the_query() {
         let mut cache = Cache::new(2);
         // Three items with strictly increasing overlap with the query
-        // region, inserted in ascending-overlap order.
+        // region, inserted in ascending-overlap order, and one whose
+        // constraints meet the query but whose MBR does not.
         let small =
             cache.insert(c(&[(0.0, 0.2), (0.0, 0.2)]), &[p(&[0.05, 0.05]), p(&[0.15, 0.15])]);
         let medium =
             cache.insert(c(&[(0.0, 0.5), (0.0, 0.5)]), &[p(&[0.05, 0.45]), p(&[0.45, 0.05])]);
         let large =
             cache.insert(c(&[(0.0, 0.9), (0.0, 0.9)]), &[p(&[0.05, 0.85]), p(&[0.85, 0.05])]);
-        let (order, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
-        assert_eq!(order, vec![large, medium, small], "descending overlap area");
+        cache.insert(c(&[(0.0, 2.0), (0.0, 2.0)]), &[p(&[1.5, 1.5])]);
+        let (mut found, stats) = lookup(&cache, &c(&[(0.0, 1.0), (0.0, 1.0)]));
+        found.sort_unstable();
+        assert_eq!(found, vec![small, medium, large], "the candidate set");
         assert_eq!(stats.scans, 3);
     }
 

@@ -133,7 +133,7 @@ pub struct QueryScratch {
     merged: Option<PointBlock>,
     /// Skyline output block.
     sky_out: Option<PointBlock>,
-    /// Cache-lookup scratch: cover-ordered candidate item ids, reused
+    /// Cache-lookup scratch: candidate item ids in walk order, reused
     /// across queries so the lookup path allocates nothing in steady
     /// state (mirrors [`FetchScratch`] on the storage side).
     pub(crate) lookup_ids: Vec<u64>,

@@ -114,8 +114,8 @@ pub struct Service<'t> {
     table: Cow<'t, Table>,
     config: ServiceConfig,
     cache: SharedCache,
-    /// Bounding box of the table's points: normalizes strategy scores.
-    /// Computed at `open`, grown by `insert`.
+    /// Bounding box of the table's live rows: normalizes strategy
+    /// scores. Computed at `open`, grown by `insert`.
     data_bounds: Aabb,
     sessions: AtomicU64,
     negative_hits: AtomicU64,
@@ -127,8 +127,15 @@ impl<'t> Service<'t> {
     /// (`&Table`, copied on the first write) or owned (`Table`).
     pub fn open(table: impl Into<Cow<'t, Table>>, config: ServiceConfig) -> Self {
         let table = table.into();
+        // Live rows only: a loaded or deleted-from table keeps its
+        // tombstones in its slots. With no live row every query is an
+        // index-proven empty, so the bounds go unread until an insert
+        // resets them; the slots' box keeps them defined until then.
+        let live = table.live_points().map(|(_, p)| p.coords());
         #[expect(clippy::expect_used, reason = "Table::build rejects empty point sets")]
-        let data_bounds = Aabb::bounding(table.all_points()).expect("tables are non-empty");
+        let data_bounds = Aabb::bounding_rows(live)
+            .or_else(|| Aabb::bounding(table.all_points()))
+            .expect("tables have slots");
         Service {
             cache: SharedCache::new(table.dims(), &config.cbcs),
             table,
@@ -182,7 +189,13 @@ impl<'t> Service<'t> {
     /// Returns the new row id.
     pub fn insert(&mut self, p: Point) -> Result<RowId> {
         let row = self.table.to_mut().insert(p.clone())?;
-        self.data_bounds.merge(&Aabb::from_point(&p));
+        if self.table.len() == 1 {
+            // The first live row: the bounds `open` gave a table without
+            // one held only its tombstones.
+            self.data_bounds = Aabb::from_point(&p);
+        } else {
+            self.data_bounds.merge(&Aabb::from_point(&p));
+        }
         self.cache.publish(|cache, _| cache.on_insert(&p));
         Ok(row)
     }
@@ -281,8 +294,8 @@ impl Session<'_> {
 
     /// The processing stage, against one pinned cache state: lookup,
     /// strategy, classification, MPR; the plan and the selected item's id,
-    /// or `None` for a miss. The lookup fills
-    /// the reused id scratch (cover-ordered); candidate items are resolved
+    /// or `None` for a miss. The lookup fills the reused id scratch in
+    /// walk order, and the strategy ranks the candidates; they are resolved
     /// lazily through the cache, so no per-query `Vec<&CacheItem>` is
     /// built, and the plan owns its points, so nothing borrowed from the
     /// cache survives into the fetch. Phases timed here: cache-lookup
@@ -348,6 +361,7 @@ fn empty_outcome(req: &QueryRequest) -> QueryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SearchStrategy;
     use skycache_storage::TableConfig;
 
     fn table() -> Table {
@@ -413,6 +427,52 @@ mod tests {
         assert_eq!(outcome.stats.negative_hits, 1);
         assert_eq!(service.metrics().computes, 0);
         assert!(service.cache().is_empty());
+    }
+
+    /// Strategy scores are clamped to the live rows' box, not to every
+    /// slot's: a row deleted before `open` — as a table loaded with its
+    /// tombstones has them — no longer stretches an item unbounded in x.
+    /// Under MaxOverlap the bounded item covers the query's clamped box
+    /// best (100 against 50); clamped to x ≤ 1000 the unbounded one would
+    /// (9 950 against 100), and answer through Case A instead of Case C.
+    #[test]
+    fn strategy_scores_ignore_rows_deleted_before_open() {
+        let mut points: Vec<Point> = (0..=10)
+            .flat_map(|i| (0..=10).map(move |j| Point::from(vec![f64::from(i), f64::from(j)])))
+            .collect();
+        points.push(Point::from(vec![1000.0, 5.0]));
+        let mut t = Table::build(points, TableConfig::default()).unwrap();
+        assert!(t.delete(121).is_some(), "the far-out row");
+        let cbcs = CbcsConfig { strategy: SearchStrategy::MaxOverlap, ..CbcsConfig::default() };
+        let service = Service::open(&t, ServiceConfig::with_cbcs(cbcs));
+        let mut s = service.session();
+        let inf = f64::INFINITY;
+        for pairs in [[(5.0, inf), (0.0, 10.0)], [(0.0, 10.0), (0.0, 10.0)]] {
+            s.execute(&QueryRequest::new(Constraints::from_pairs(&pairs).unwrap())).unwrap();
+        }
+        let c = Constraints::from_pairs(&[(0.0, inf), (0.0, 10.0)]).unwrap();
+        let outcome = s.execute(&QueryRequest::new(c)).unwrap();
+        assert_eq!(outcome.stats.candidates, 2);
+        assert!(matches!(outcome.stats.case, Some(Overlap::CaseC { .. })), "{outcome:?}");
+        assert_eq!(outcome.skyline, vec![Point::from(vec![0.0, 0.0])]);
+    }
+
+    /// A table whose every row was deleted before `open` opens, answers
+    /// as a negative hit, and after an insert answers with that row.
+    #[test]
+    fn a_table_without_live_rows_opens_and_serves_after_an_insert() {
+        let mut t = table();
+        for row in 0..400 {
+            assert!(t.delete(row).is_some());
+        }
+        let mut service = Service::open(t, ServiceConfig::default());
+        let c = Constraints::unbounded(2).unwrap();
+        let outcome = service.session().execute(&QueryRequest::new(c.clone())).unwrap();
+        assert_eq!((outcome.skyline.len(), outcome.stats.negative_hits), (0, 1));
+        service.insert(Point::from(vec![0.5, 0.5])).unwrap();
+        assert_eq!(service.data_bounds, Aabb::from_point(&Point::from(vec![0.5, 0.5])));
+        let outcome = service.session().execute(&QueryRequest::new(c)).unwrap();
+        assert_eq!(outcome.skyline, vec![Point::from(vec![0.5, 0.5])]);
     }
 
     /// Every executed query leaves by exactly one exit, proven empty or

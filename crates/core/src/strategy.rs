@@ -78,10 +78,16 @@ impl SearchStrategy {
     }
 
     /// Chooses among the `n` candidates `get(0..n)` (all overlapping the
-    /// query per the cache lookup). Returns a candidate index, or `None`
-    /// when `n` is 0; ties keep the first (best-covering) candidate. The
-    /// accessor lets the engine resolve candidate ids lazily through the
-    /// cache without building a per-query `Vec<&CacheItem>`.
+    /// query per the cache lookup, in any order). Returns a candidate
+    /// index, or `None` when `n` is 0. The accessor lets the engine
+    /// resolve candidate ids lazily through the cache without building a
+    /// per-query `Vec<&CacheItem>`.
+    ///
+    /// Each candidate is scored once, with its strategy's key (a pair of
+    /// `f64`, larger better); the largest wins, and a tie goes to the
+    /// candidate first in the *cover order*: larger overlap between its
+    /// index box ([`CacheItem::index_box`]) and the query region, then
+    /// lower id. `Random` draws a rank in that same order.
     ///
     /// `data_bounds` clamps unbounded constraint dimensions so overlap
     /// volumes and corner distances stay finite.
@@ -93,74 +99,54 @@ impl SearchStrategy {
         data_bounds: &Aabb,
         rng: &mut R,
     ) -> Option<usize> {
-        if n == 0 {
-            return None;
+        if n < 2 {
+            return (n == 1).then_some(0);
         }
-        if n == 1 {
-            return Some(0);
-        }
-        let best = match self {
-            SearchStrategy::Random => rng.gen_range(0..n),
-            SearchStrategy::MaxOverlap => {
-                argmax_by(n, &get, |it| clamped_overlap(it, new, data_bounds))
-            }
-            SearchStrategy::MaxOverlapSP => {
-                argmax_by(n, &get, |it| {
-                    let stable = is_stable(&it.constraints, new);
-                    // Stability dominates; overlap breaks ties.
-                    (u8::from(stable), clamped_overlap(it, new, data_bounds))
-                })
-            }
-            SearchStrategy::Prioritized1D => argmax_by(n, &get, |it| {
-                let rank = case_rank(classify(&it.constraints, new));
-                (std::cmp::Reverse(rank), clamped_overlap(it, new, data_bounds))
-            }),
-            SearchStrategy::PrioritizedND { weights } => argmax_by(n, &get, |it| {
-                let penalty = nd_penalty(&it.constraints, new, weights);
-                (std::cmp::Reverse(FiniteF64(penalty)), clamped_overlap(it, new, data_bounds))
-            }),
-            SearchStrategy::OptimumDistance => argmax_by(n, &get, |it| {
-                std::cmp::Reverse(FiniteF64(corner_distance(it, new, data_bounds)))
-            }),
+        // `Less` when candidate `i` comes before candidate `j`. total_cmp:
+        // the overlap of partially unbounded boxes may be inf or NaN.
+        let cover = |i: usize, j: usize| {
+            let (a, b) = (get(i), get(j));
+            let area = |item: &CacheItem| item.index_box().overlap_area(new.aabb());
+            area(b).total_cmp(&area(a)).then(a.id.cmp(&b.id))
         };
+        if *self == SearchStrategy::Random {
+            let draw = rng.gen_range(0..n);
+            // Figure-only: one small list per lookup.
+            let mut ranked: Vec<usize> = (0..n).collect();
+            return Some(*ranked.select_nth_unstable_by(draw, |&i, &j| cover(i, j)).1);
+        }
+        let key = |i: usize| self.key(get(i), new, data_bounds);
+        let (mut best, mut best_key) = (0, key(0));
+        for i in 1..n {
+            let k = key(i);
+            let order = k.0.total_cmp(&best_key.0).then(k.1.total_cmp(&best_key.1));
+            if order.then_with(|| cover(best, i)).is_gt() {
+                (best, best_key) = (i, k);
+            }
+        }
         Some(best)
     }
-}
 
-/// Total-order wrapper for scores (IEEE total order, so no panic path
-/// even if a score ever degenerates to NaN).
-#[derive(PartialEq)]
-struct FiniteF64(f64);
-
-impl Eq for FiniteF64 {}
-
-impl Ord for FiniteF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl PartialOrd for FiniteF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-fn argmax_by<'a, K: Ord>(
-    n: usize,
-    get: impl Fn(usize) -> &'a CacheItem,
-    mut key: impl FnMut(&CacheItem) -> K,
-) -> usize {
-    let mut best = 0;
-    let mut best_key = key(get(0));
-    for i in 1..n {
-        let k = key(get(i));
-        if k > best_key {
-            best_key = k;
-            best = i;
+    /// A candidate's score, larger is better, pairs compared
+    /// lexicographically by `total_cmp` (so no panic path even if a score
+    /// degenerates to NaN). A cost is negated: under `total_cmp` that
+    /// reverses its order exactly, signed zeros and NaN included.
+    fn key(&self, item: &CacheItem, new: &Constraints, bounds: &Aabb) -> (f64, f64) {
+        let old = &item.constraints;
+        let overlap = || clamped_overlap(item, new, bounds);
+        match self {
+            // Never scored: every candidate ties, and the draw ranks them.
+            SearchStrategy::Random => (0.0, 0.0),
+            SearchStrategy::MaxOverlap => (overlap(), 0.0),
+            // Stability dominates; overlap breaks ties.
+            SearchStrategy::MaxOverlapSP => (f64::from(u8::from(is_stable(old, new))), overlap()),
+            SearchStrategy::Prioritized1D => (-f64::from(case_rank(classify(old, new))), overlap()),
+            SearchStrategy::PrioritizedND { weights } => {
+                (-nd_penalty(old, new, weights), overlap())
+            }
+            SearchStrategy::OptimumDistance => (-corner_distance(item, new, bounds), 0.0),
         }
     }
-    best
 }
 
 /// `c` clamped to `bounds`, with an empty side collapsed onto its lower
@@ -186,17 +172,17 @@ fn clamped_side(c: &Constraints, bounds: &Aabb, d: usize) -> (f64, f64) {
 /// clamped to `bounds` — [`Aabb::overlap_area`] of the two clamped boxes
 /// bit for bit (same `min` / `max`, same left-to-right product), without
 /// building either: this runs once per candidate of every lookup.
-fn clamped_overlap(item: &CacheItem, new: &Constraints, bounds: &Aabb) -> FiniteF64 {
+fn clamped_overlap(item: &CacheItem, new: &Constraints, bounds: &Aabb) -> f64 {
     let mut volume = 1.0;
     for d in 0..new.dims() {
         let (al, ah) = clamped_side(&item.constraints, bounds, d);
         let (bl, bh) = clamped_side(new, bounds, d);
         if !(al <= bh && bl <= ah) {
-            return FiniteF64(0.0);
+            return 0.0;
         }
         volume *= ah.min(bh) - al.max(bl);
     }
-    FiniteF64(volume)
+    volume
 }
 
 /// Squared distance between the lower corners of the item's and the
@@ -304,7 +290,7 @@ mod tests {
             let new = Constraints::from_pairs(&[side(&mut rng), side(&mut rng)]).unwrap();
             let (ca, cn) = (clamp_box(&a.constraints, &bounds()), clamp_box(&new, &bounds()));
             let want = ca.overlap_area(&cn);
-            assert_eq!(clamped_overlap(&a, &new, &bounds()).0.to_bits(), want.to_bits());
+            assert_eq!(clamped_overlap(&a, &new, &bounds()).to_bits(), want.to_bits());
             let want_dist: f64 = ca.lo().iter().zip(cn.lo()).map(|(x, y)| (x - y) * (x - y)).sum();
             assert_eq!(corner_distance(&a, &new, &bounds()).to_bits(), want_dist.to_bits());
             if ca.intersects(&cn) {
@@ -400,6 +386,53 @@ mod tests {
             let y = select(&SearchStrategy::Random, &[&a, &b], &new, &mut r2);
             assert_eq!(x, y);
             assert!(x.unwrap() < 2);
+        }
+    }
+
+    /// Candidates whose keys tie under every strategy — one constraint
+    /// box, skylines of different extent — go to the best cover, then to
+    /// the lowest id, in whatever order they arrive; `Random`'s seeded
+    /// draw picks the same item in every order too.
+    #[test]
+    fn ties_go_to_the_cover_order_in_any_input_order() {
+        let cached = Constraints::from_pairs(&[(0.0, 4.0), (0.0, 4.0)]).unwrap();
+        let new = Constraints::from_pairs(&[(1.0, 5.0), (1.0, 5.0)]).unwrap();
+        // Skyline MBR `[1, corner]²`: it covers `(corner − 1)²` of the query.
+        let tied = |id: u64, corner: f64| {
+            let skyline = [Point::from(vec![1.0, corner]), Point::from(vec![corner, 1.0])];
+            CacheItem {
+                id,
+                constraints: cached.clone(),
+                skyline: skycache_geom::PointBlock::from_points(&skyline).unwrap(),
+                mbr: Aabb::bounding(&skyline),
+                text: Default::default(),
+            }
+        };
+        let strategies = [
+            SearchStrategy::MaxOverlap,
+            SearchStrategy::MaxOverlapSP,
+            SearchStrategy::Prioritized1D,
+            SearchStrategy::prioritized_nd_std(),
+            SearchStrategy::prioritized_nd_bad(),
+            SearchStrategy::OptimumDistance,
+        ];
+        let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        // Best cover first; then, with two best covers, the lower id.
+        for (trio, winner) in [
+            ([tied(5, 3.0), tied(3, 2.0), tied(4, 2.5)], 5),
+            ([tied(5, 3.0), tied(3, 2.0), tied(4, 3.0)], 4),
+        ] {
+            let mut random = Vec::new();
+            for order in orders {
+                let candidates: Vec<&CacheItem> = order.iter().map(|&i| &trio[i]).collect();
+                for s in &strategies {
+                    let got = select(s, &candidates, &new, &mut rng()).unwrap();
+                    assert_eq!(candidates[got].id, winner, "{} over {order:?}", s.label());
+                }
+                let drawn = select(&SearchStrategy::Random, &candidates, &new, &mut rng());
+                random.push(candidates[drawn.unwrap()].id);
+            }
+            assert!(random.iter().all(|&id| id == random[0]), "Random drew {random:?}");
         }
     }
 

@@ -163,8 +163,9 @@ impl Aabb {
     ///
     /// Allocation-free — equivalent to `intersection(other)` followed by
     /// [`Aabb::area`], but computed per dimension without materializing
-    /// the intersection box, so comparator-position callers (cache
-    /// cover-ordering, R\*-tree split heuristics) stay off the allocator.
+    /// the intersection box, so comparator-position callers (the cache
+    /// search's cover-order tie-break, R\*-tree split heuristics) stay
+    /// off the allocator.
     pub fn overlap_area(&self, other: &Aabb) -> f64 {
         if !self.intersects(other) {
             return 0.0;

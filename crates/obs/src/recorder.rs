@@ -10,7 +10,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// The cache lookup: the exact probe, then the R\*-tree window walk
-    /// over constraint boxes, filtered by MBR, and the cover-order sort.
+    /// over constraint boxes, filtered by MBR.
     CacheLookup,
     /// Strategy selection and overlap-case classification.
     CaseAnalysis,

@@ -12,8 +12,14 @@
 use proptest::prelude::*;
 
 use skycache::algos::Sfs;
+use std::cmp::Ordering;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use skycache::core::{
-    classify, Cache, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy, Service, ServiceConfig,
+    classify, is_stable, Cache, CacheItem, CbcsConfig, Overlap, QueryRequest, ReplacementPolicy,
+    SearchStrategy, Service, ServiceConfig,
 };
 use skycache::geom::{Aabb, Constraints, Point};
 use skycache::storage::{CostModel, Table, TableConfig};
@@ -203,6 +209,98 @@ fn bits(v: Vec<Point>) -> Vec<Vec<u64>> {
     rows
 }
 
+/// An item's index box as the lookup defines it, derived from the
+/// skyline the item holds: its MBR, or its constraint box when empty.
+fn index_box(item: &CacheItem) -> Aabb {
+    Aabb::bounding_rows(item.skyline.rows()).unwrap_or_else(|| item.constraints.aabb().clone())
+}
+
+/// The pick of the pipeline that sorted the lookup's candidates: `ids`
+/// in cover order (index-box overlap with the query descending, then id
+/// ascending), and the first maximum of the strategy's score in that
+/// order — or, for `Random`, the seeded draw's index into it. Each score
+/// is a comparison over boxes clamped to `bounds`, a cost compared in
+/// reverse.
+fn first_maximum(
+    strategy: &SearchStrategy,
+    cache: &Cache,
+    ids: &[u64],
+    new: &Constraints,
+    bounds: &Aabb,
+    rng: &mut StdRng,
+) -> Option<u64> {
+    let item = |id: u64| cache.get(id).expect("lookup ids are live");
+    let area = |id: u64| index_box(item(id)).overlap_area(new.aabb());
+    let mut ranked = ids.to_vec();
+    ranked.sort_by(|&a, &b| area(b).total_cmp(&area(a)).then(a.cmp(&b)));
+    if ranked.len() < 2 {
+        return ranked.first().copied();
+    }
+    if *strategy == SearchStrategy::Random {
+        return Some(ranked[rng.gen_range(0..ranked.len())]);
+    }
+    let clamp = |c: &Constraints| {
+        let lo: Vec<f64> = c.lo().iter().zip(bounds.lo()).map(|(v, b)| v.max(*b)).collect();
+        let sides = c.hi().iter().zip(bounds.hi()).zip(&lo);
+        let hi: Vec<f64> = sides.map(|((v, b), l)| v.min(*b).max(*l)).collect();
+        Aabb::new_unchecked(lo, hi)
+    };
+    let clamped_new = clamp(new);
+    let overlap = |it: &CacheItem| clamp(&it.constraints).overlap_area(&clamped_new);
+    let distance = |it: &CacheItem| -> f64 {
+        let corner = clamp(&it.constraints);
+        corner.lo().iter().zip(clamped_new.lo()).map(|(x, y)| (x - y) * (x - y)).sum()
+    };
+    let rank = |it: &CacheItem| match classify(&it.constraints, new) {
+        Overlap::Exact => 0,
+        Overlap::CaseB { .. } => 1,
+        Overlap::CaseC { .. } => 2,
+        Overlap::CaseA { .. } => 3,
+        Overlap::GeneralStable => 4,
+        Overlap::CaseD { .. } => 5,
+        Overlap::GeneralUnstable => 6,
+        Overlap::Disjoint => 7,
+    };
+    // One bound's change, priced `down` for a decrease and `up` for an increase.
+    let change = |to: f64, from: f64, down: f64, up: f64| match to.partial_cmp(&from) {
+        Some(Ordering::Less) => down,
+        Some(Ordering::Greater) => up,
+        _ => 0.0,
+    };
+    let penalty = |it: &CacheItem, w: &[f64; 4]| -> f64 {
+        let (old, mut sum) = (&it.constraints, 0.0);
+        for i in 0..old.dims() {
+            sum += change(new.lo()[i], old.lo()[i], w[0], w[3]);
+            sum += change(new.hi()[i], old.hi()[i], w[1], w[2]);
+        }
+        sum
+    };
+    let better = |a: &CacheItem, b: &CacheItem| -> Ordering {
+        let by_overlap = || overlap(a).total_cmp(&overlap(b));
+        match strategy {
+            // Drawn above.
+            SearchStrategy::Random => Ordering::Equal,
+            SearchStrategy::MaxOverlap => by_overlap(),
+            SearchStrategy::MaxOverlapSP => {
+                let stable = |it: &CacheItem| is_stable(&it.constraints, new);
+                stable(a).cmp(&stable(b)).then_with(by_overlap)
+            }
+            SearchStrategy::Prioritized1D => rank(b).cmp(&rank(a)).then_with(by_overlap),
+            SearchStrategy::PrioritizedND { weights } => {
+                penalty(b, weights).total_cmp(&penalty(a, weights)).then_with(by_overlap)
+            }
+            SearchStrategy::OptimumDistance => distance(b).total_cmp(&distance(a)),
+        }
+    };
+    let mut best = ranked[0];
+    for &id in &ranked[1..] {
+        if better(item(id), item(best)).is_gt() {
+            best = id;
+        }
+    }
+    Some(best)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -236,23 +334,20 @@ proptest! {
     }
 
     /// `lookup_into` is exact first. With no item cached under the query's
-    /// own constraints it ranks every candidate once and sorts the
-    /// decorated list, and the order must be the one the retired
-    /// comparator produced, which went back to the cache for both sides of
-    /// every comparison: descending overlap area of index box and query
-    /// (`total_cmp`, so `inf` and NaN have a place), then ascending id.
-    /// With one or more such items — found here by scanning `iter()` for
-    /// numerically equal constraints — the answer is the lowest of their
-    /// ids and nothing else, however the query spells its zeros. Items
-    /// without points are found by their — possibly unbounded —
-    /// constraint box. Between lookups the cache changes: items are
-    /// added, removed (as an eviction removes them), dropped by a deleted
-    /// point, or see
-    /// their skyline — and with it their MBR — change under an inserted
-    /// one; the reference derives every index box from the skyline the
-    /// item holds at that moment.
+    /// own constraints its candidates must be the items the reference
+    /// finds by scanning every item: those whose index box meets the
+    /// query, as a set (the walk's order is the tree's; ranking them is
+    /// `select_indexed`'s, checked below). With one or more such items —
+    /// found here by scanning `iter()` for numerically equal constraints —
+    /// the answer is the lowest of their ids and nothing else, however
+    /// the query spells its zeros. Items without points are found by
+    /// their — possibly unbounded — constraint box. Between lookups the
+    /// cache changes: items are added, removed (as an eviction removes
+    /// them), dropped by a deleted point, or see their skyline — and with
+    /// it their MBR — change under an inserted one; the reference derives
+    /// every index box from the skyline the item holds at that moment.
     #[test]
-    fn lookup_order_matches_the_per_comparison_comparator(
+    fn lookup_candidates_match_the_per_item_reference(
         items in prop::collection::vec((open_constraints(), item_rows()), 1..40),
         steps in prop::collection::vec(
             (open_constraints(), prop::collection::vec(change(), 0..4)),
@@ -287,18 +382,64 @@ proptest! {
                 prop_assert_eq!(stats.scans, 1);
                 continue;
             }
-            let index_box = |id: u64| {
-                let item = cache.get(id).expect("lookup ids are live");
-                Aabb::bounding_rows(item.skyline.rows())
-                    .unwrap_or_else(|| item.constraints.aabb().clone())
-            };
-            let area = |id: u64| index_box(id).overlap_area(query);
-            let mut want: Vec<u64> =
-                cache.iter().map(|it| it.id).filter(|&id| index_box(id).intersects(query)).collect();
-            want.sort_by(|&a, &b| area(b).total_cmp(&area(a)).then_with(|| a.cmp(&b)));
-            prop_assert_eq!(&ids, &want);
+            let want: Vec<u64> =
+                cache.iter().filter(|it| index_box(it).intersects(query)).map(|it| it.id).collect();
+            let mut found = ids.clone();
+            found.sort_unstable();
+            prop_assert_eq!(&found, &want);
+            prop_assert_eq!(stats.scans, want.len() as u64);
         }
         prop_assert_eq!(cache.lookup_into(&repeated, &mut ids).scans, 1, "the repeat is exact");
+    }
+
+    /// `select_indexed` ranks the candidates itself: over the lookup's
+    /// candidates shuffled, every strategy picks what [`first_maximum`]
+    /// picks from them in cover order, `Random` with the same seed as
+    /// the reference. Same generators and cache changes as above.
+    #[test]
+    fn every_strategy_picks_the_first_maximum_in_cover_order(
+        items in prop::collection::vec((open_constraints(), item_rows()), 1..40),
+        steps in prop::collection::vec(
+            (open_constraints(), prop::collection::vec(change(), 0..4)),
+            1..8,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let mut cache = Cache::new(3);
+        for (c, rows) in &items {
+            cache.insert(c.clone(), &inside(c, rows));
+        }
+        let bounds = Aabb::new(vec![0.0; 3], vec![1.0; 3]).expect("the unit cube");
+        let mut ids = Vec::new();
+        for (q, changes) in &steps {
+            for change in changes {
+                apply(&mut cache, change);
+            }
+            cache.lookup_into(q, &mut ids);
+            let mut shuffled = ids.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let item = |id: u64| cache.get(id).expect("lookup ids are live");
+            for strategy in [
+                SearchStrategy::Random,
+                SearchStrategy::MaxOverlap,
+                SearchStrategy::MaxOverlapSP,
+                SearchStrategy::Prioritized1D,
+                SearchStrategy::prioritized_nd_std(),
+                SearchStrategy::prioritized_nd_bad(),
+                SearchStrategy::OptimumDistance,
+            ] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let got = strategy
+                    .select_indexed(shuffled.len(), |i| item(shuffled[i]), q, &bounds, &mut rng)
+                    .map(|i| shuffled[i]);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let want = first_maximum(&strategy, &cache, &ids, q, &bounds, &mut rng);
+                prop_assert_eq!(got, want, "{}", strategy.label());
+            }
+        }
     }
 
     /// The exact path against the slow path, through a session: before
