@@ -31,7 +31,8 @@
 //!    R*-tree's equal-box walk and the strategy scoring — except the
 //!    aMPR's invalid cover, which allocates exactly the region it
 //!    returns, and the fetch stage, which allocates exactly the skyline
-//!    it returns;
+//!    it returns — for hand-picked inputs and over seeded workloads at
+//!    d = 2 to 6, after one warm pass;
 //! 6. hostile input — truncated or bit-flipped table files, request
 //!    lines of every prefix, random bytes and huge tokens — is an error
 //!    or a valid value, never a panic, and allocates within a fixed
@@ -61,13 +62,13 @@ use skycache_core::mpr::invalid_cover;
 use skycache_core::{
     cases, Cache, CacheItem, MprMode, Overlap, QueryRequest, SearchStrategy, Service, ServiceConfig,
 };
-use skycache_datagen::Distribution;
+use skycache_datagen::{Distribution, SyntheticGen};
 use skycache_geom::dominance::dominates_raw;
 use skycache_geom::{dominated_by_any_rows, dominates, dominates_rows, Aabb, Kernel};
 use skycache_geom::{subtract, Constraints, Point, PointBlock, Regions};
 use skycache_rtree::RStarTree;
 use skycache_serve::proto;
-use skycache_storage::{FetchPlan, FetchScratch, StorageError, Table};
+use skycache_storage::{CostModel, FetchPlan, FetchScratch, StorageError, Table, TableConfig};
 
 /// Counting wrapper around the system allocator: counts heap-allocation
 /// *events* (alloc, realloc, alloc_zeroed — frees are not counted) and
@@ -538,52 +539,128 @@ fn the_invalid_cover_allocates_only_its_region() {
     assert!(covers > 0, "some removed rows must invalidate space");
 }
 
+/// A query's cache candidates, best covering first: largest index-box
+/// overlap with the query, then lowest id.
+fn by_cover<'c>(c: &Constraints, mut items: Vec<&'c CacheItem>) -> Vec<&'c CacheItem> {
+    let area = |item: &CacheItem| item.index_box().overlap_area(c.aabb());
+    items.sort_by(|a, b| area(b).total_cmp(&area(a)).then(a.id.cmp(&b.id)));
+    items
+}
+
+/// Which of a query's candidates, given in walk order, to plan hits on.
+type Pick = for<'c> fn(&Constraints, Vec<&'c CacheItem>) -> Vec<&'c CacheItem>;
+
+/// A seeded workload generator of `skycache_bench`.
+type Workload = fn(&Table, usize, u64, Option<usize>) -> Vec<Constraints>;
+
+/// One fetch-stage input: the query, the regions to fetch and the
+/// retained rows.
+type StageInput<'q> = (&'q Constraints, Regions, PointBlock);
+
+/// The fetch stage's inputs for `queries` over `cache`: each query as a
+/// miss, then as a planned hit on each candidate `pick` takes, where that
+/// needs a fetch.
+fn stage_inputs<'q>(cache: &Cache, queries: &'q [Constraints], pick: Pick) -> Vec<StageInput<'q>> {
+    let approximate = MprMode::Approximate { k: 1 };
+    let mut ids = Vec::new();
+    let mut inputs = Vec::new();
+    for c in queries {
+        let empty = PointBlock::new(c.dims()).expect("dims > 0");
+        inputs.push((c, Regions::from(c.region()), empty));
+        cache.lookup_into(c, &mut ids);
+        let walk = ids.iter().filter_map(|&id| cache.get(id)).collect();
+        for item in pick(c, walk) {
+            let plan = cases::plan(&item.constraints, &item.skyline, c, approximate);
+            if plan.needs_skyline {
+                inputs.push((c, plan.regions, plan.retained));
+            }
+        }
+    }
+    inputs
+}
+
+/// Runs `inputs` through a fresh scratch once to warm it, then again
+/// counted, checking that each input allocates exactly its answer: one
+/// `Vec` and one allocation per skyline point. Returns the inputs that
+/// merged retained rows, the skyline points, and the inputs whose range
+/// queries are not their regions, one each: those the corner-first step
+/// changed.
+fn warm_then_replay(table: &Table, inputs: Vec<StageInput<'_>>) -> (usize, usize, usize) {
+    let mut scratch = QueryScratch::default();
+    let mut stats = QueryStats::default();
+    for (c, regions, retained) in inputs.clone() {
+        scratch.fetch_stage(table, c, regions, retained.as_flat(), &mut stats);
+    }
+    let (mut hits, mut points, mut cornered) = (0, 0, 0);
+    for (c, regions, retained) in inputs {
+        hits += usize::from(!retained.is_empty());
+        let mut stats = QueryStats::default();
+        let issued = regions.len() as u64;
+        let (allocs, skyline) =
+            counted(|| scratch.fetch_stage(table, c, regions, retained.as_flat(), &mut stats));
+        let answer = skyline.len() as u64 + u64::from(!skyline.is_empty());
+        assert_eq!(allocs, answer, "{} skyline points under {c:?}", skyline.len());
+        points += skyline.len();
+        cornered += usize::from(stats.range_queries_issued != issued);
+    }
+    (hits, points, cornered)
+}
+
 /// The fetch stage — corner-first choice, fetch, merge with the retained
 /// rows, skyline — works in the session's scratch: once that has grown
 /// over a workload, a miss or a planned hit allocates exactly its answer,
-/// one `Vec` and one allocation per skyline point.
+/// one `Vec` and one allocation per skyline point. Each query comes as a
+/// miss and as a hit on the best-covering candidate (largest index-box
+/// overlap with the query, then lowest id); then, in a scratch of its
+/// own, as a miss and as a hit on the lookup's first candidate in walk
+/// order.
 #[test]
 fn the_fetch_stage_allocates_only_its_answer() {
     let table = table();
     let (cache, queries) = warm_cache_and_probes(&table);
-    let approximate = MprMode::Approximate { k: 1 };
-    // Each query as a miss, and as a hit on the best-covering candidate
-    // (largest index-box overlap with the query, then lowest id) where
-    // that needs a fetch.
-    let inputs = || {
-        let mut ids = Vec::new();
-        let mut inputs: Vec<(&Constraints, Regions, PointBlock)> = Vec::new();
-        for c in &queries {
-            let empty = PointBlock::new(DIMS).expect("DIMS > 0");
-            inputs.push((c, Regions::from(c.region()), empty));
-            cache.lookup_into(c, &mut ids);
-            let area = |item: &CacheItem| item.index_box().overlap_area(c.aabb());
-            let candidates = ids.iter().filter_map(|&id| cache.get(id));
-            let best = candidates.min_by(|a, b| area(b).total_cmp(&area(a)).then(a.id.cmp(&b.id)));
-            if let Some(item) = best {
-                let plan = cases::plan(&item.constraints, &item.skyline, c, approximate);
-                if plan.needs_skyline {
-                    inputs.push((c, plan.regions, plan.retained));
+    let best: Pick = |c, walk| by_cover(c, walk).into_iter().take(1).collect();
+    let first: Pick = |_, walk| walk.into_iter().take(1).collect();
+    for pick in [best, first] {
+        let (hits, points, _) = warm_then_replay(&table, stage_inputs(&cache, &queries, pick));
+        assert!(hits > 0 && points > 0, "the stage must merge retained rows and answer");
+    }
+}
+
+/// The same over seeded workloads: interactive and independent, d = 2 to
+/// 6, under the default cost model and one whose seek costs two rows'
+/// fetch, so that the corner-first step is taken and not taken. Each of
+/// the 1 000 queries comes as a miss and as a hit on each of its
+/// candidates in walk order, then, in a scratch of its own, on each in
+/// best-covering order.
+#[test]
+fn the_fetch_stage_allocates_only_its_answer_over_workloads() {
+    let cheap_seeks = CostModel { seek_ns: 300_000, ..CostModel::default() };
+    let walk: Pick = |_, walk| walk;
+    let cover: Pick = by_cover;
+    let workloads: [Workload; 2] = [interactive_queries, independent_queries];
+    let (mut queries, mut inputs, mut hits, mut points, mut cornered) = (0, 0, 0, 0, 0);
+    for dims in 2..=6 {
+        let rows = SyntheticGen::new(Distribution::Independent, dims, 40 + dims as u64);
+        let rows = rows.generate(1_000);
+        for cost_model in [CostModel::default(), cheap_seeks] {
+            let table = Table::build(rows.clone(), TableConfig { cost_model }).expect("valid");
+            for workload in workloads {
+                let service = Service::open(&table, ServiceConfig::default());
+                run_queries(&mut service.session(), &workload(&table, 20, 7, None));
+                let (cache, probes) = (service.cache().snapshot(), workload(&table, 50, 11, None));
+                queries += probes.len();
+                for pick in [walk, cover] {
+                    let stage = stage_inputs(&cache, &probes, pick);
+                    inputs += stage.len();
+                    let (h, p, k) = warm_then_replay(&table, stage);
+                    (hits, points, cornered) = (hits + h, points + p, cornered + k);
                 }
             }
         }
-        inputs
-    };
-    let mut scratch = QueryScratch::default();
-    let mut stats = QueryStats::default();
-    for (c, regions, retained) in inputs() {
-        scratch.fetch_stage(&table, c, regions, retained.as_flat(), &mut stats);
     }
-    let (mut hits, mut points) = (0, 0);
-    for (c, regions, retained) in inputs() {
-        hits += usize::from(!retained.is_empty());
-        let (allocs, skyline) =
-            counted(|| scratch.fetch_stage(&table, c, regions, retained.as_flat(), &mut stats));
-        let answer = skyline.len() as u64 + u64::from(!skyline.is_empty());
-        assert_eq!(allocs, answer, "{} skyline points under {c:?}", skyline.len());
-        points += skyline.len();
-    }
+    assert!(queries >= 1_000, "{queries} queries");
     assert!(hits > 0 && points > 0, "the stage must merge retained rows and answer");
+    assert!(cornered > 0 && cornered < inputs, "corner step changed {cornered} of {inputs} inputs");
 }
 
 /// A per-run file path in the system's temporary directory.

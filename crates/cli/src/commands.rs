@@ -25,6 +25,17 @@ fn load_table(args: &Args) -> Result<Table, Box<dyn Error>> {
     Ok(Table::load(path)?)
 }
 
+/// Per-dimension statistics of the table's live rows: a loaded table
+/// keeps its deleted rows' slots, and they are not data. A table without
+/// tombstones gives its every slot, in row order, as before.
+fn live_stats(table: &Table) -> Result<Vec<DimStats>, Box<dyn Error>> {
+    if table.is_empty() {
+        return Err("the table holds no live row".into());
+    }
+    let live: Vec<Point> = table.live_points().map(|(_, p)| p.clone()).collect();
+    Ok(DimStats::compute(&live))
+}
+
 /// `skycache generate`
 pub fn generate(args: &Args) -> CmdResult {
     let n: usize = args.get_or("n", 100_000)?;
@@ -59,7 +70,7 @@ pub fn info(args: &Args) -> CmdResult {
     args.finish()?;
     println!("points:     {}", table.len());
     println!("dimensions: {}", table.dims());
-    let stats = DimStats::compute(table.all_points());
+    let stats = live_stats(&table)?;
     println!("{:<6} {:>14} {:>14}", "dim", "mean", "std");
     for (i, s) in stats.iter().enumerate() {
         println!("{i:<6} {:>14.4} {:>14.4}", s.mean, s.std);
@@ -143,7 +154,7 @@ fn cbcs_config(args: &Args) -> Result<CbcsConfig, Box<dyn Error>> {
 
 fn build_workload(args: &Args, table: &Table) -> Result<Vec<Constraints>, Box<dyn Error>> {
     let seed: u64 = args.get_or("seed", 17)?;
-    let stats = DimStats::compute(table.all_points());
+    let stats = live_stats(table)?;
     let queries = if let Some(n) = args.get("independent") {
         let n: usize = n.parse().map_err(|_| "--independent expects a count")?;
         IndependentWorkload::new(stats).generate(n, seed)
@@ -196,7 +207,7 @@ pub fn compare(args: &Args) -> CmdResult {
     let table = load_table(args)?;
     let n: usize = args.get_or("queries", 50usize)?;
     let seed: u64 = args.get_or("seed", 17)?;
-    let stats = DimStats::compute(table.all_points());
+    let stats = live_stats(&table)?;
     let queries: Vec<Constraints> = InteractiveWorkload::new(stats)
         .generate(n, seed)
         .queries()
@@ -245,4 +256,48 @@ pub fn compare(args: &Args) -> CmdResult {
     }
     println!("\n(all methods returned identical skylines on all {n} queries)");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(stats: &[DimStats]) -> Vec<(u64, u64)> {
+        stats.iter().map(|s| (s.mean.to_bits(), s.std.to_bits())).collect()
+    }
+
+    /// A saved table keeps its deleted rows' slots; loaded back, its
+    /// statistics are those of a table built from its live rows alone,
+    /// and a table without tombstones keeps its every slot's, bit for bit.
+    #[test]
+    fn statistics_cover_the_live_rows_of_a_loaded_table() {
+        let points = SyntheticGen::new(Distribution::AntiCorrelated, 3, 5).generate(200);
+        let mut table = Table::build(points.clone(), TableConfig::default()).unwrap();
+        assert_eq!(bits(&live_stats(&table).unwrap()), bits(&DimStats::compute(&points)));
+
+        let far = table.insert(Point::from(vec![1e6, -1e6, 1e6])).unwrap();
+        for row in [far, 0, 17, 199] {
+            table.delete(row).unwrap();
+        }
+        let path = std::env::temp_dir().join(format!("skycache-cli-{}.skyc", std::process::id()));
+        table.save(&path).unwrap();
+        let loaded = Table::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        let loaded = loaded.unwrap();
+        assert_eq!((loaded.len(), loaded.slot_count()), (197, 201));
+
+        let live: Vec<Point> = loaded.live_points().map(|(_, p)| p.clone()).collect();
+        let rebuilt = Table::build(live, TableConfig::default()).unwrap();
+        let want = DimStats::compute(rebuilt.all_points());
+        assert_eq!(bits(&live_stats(&loaded).unwrap()), bits(&want));
+        assert_ne!(bits(&DimStats::compute(loaded.all_points())), bits(&want), "tombstones count");
+    }
+
+    #[test]
+    fn a_table_without_live_rows_has_no_statistics() {
+        let mut table =
+            Table::build(vec![Point::from(vec![1.0, 2.0])], TableConfig::default()).unwrap();
+        table.delete(0).unwrap();
+        assert!(live_stats(&table).is_err());
+    }
 }

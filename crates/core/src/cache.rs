@@ -166,11 +166,6 @@ impl Cache {
         self.items.is_empty()
     }
 
-    /// Dimensionality of cached queries.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// Inserts a result and returns its id; nothing is evicted here (a
     /// master cache's `Replacement` record evicts).
     ///

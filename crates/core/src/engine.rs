@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use skycache_algos::{bbs_constrained, BbsStats, Sfs, SkylineScratch};
 use skycache_geom::{rect, subtract};
-use skycache_geom::{Constraints, Point, PointBlock, Regions};
+use skycache_geom::{Aabb, Constraints, Point, PointBlock, Regions};
 use skycache_obs::{names, Phase, QueryReport, Registry};
 use skycache_rtree::{RStarTree, RTreeParams};
 use skycache_storage::{FetchOutcome, FetchPlan, FetchScratch, Table};
@@ -137,6 +137,9 @@ pub struct QueryScratch {
     /// across queries so the lookup path allocates nothing in steady
     /// state (mirrors [`FetchScratch`] on the storage side).
     pub(crate) lookup_ids: Vec<u64>,
+    /// The table's live-rows box that strategy scores are clamped to,
+    /// refilled from the indexes before each scored choice.
+    pub(crate) bounds: Option<Aabb>,
 }
 
 /// The corner-first step's buffers (DESIGN.md §18), reused across queries
@@ -721,10 +724,14 @@ impl Remainder {
         costs.iter().sum()
     }
 
-    /// Makes the trial list the remainder.
+    /// Makes the trial list the remainder. A copy, not a swap: each
+    /// buffer keeps its role, so its high-water mark is its role's and
+    /// not a function of how many trials were kept.
     fn keep_trial(&mut self) {
-        std::mem::swap(&mut self.rest, &mut self.trial);
-        std::mem::swap(&mut self.rest_ns, &mut self.trial_ns);
+        self.rest.clear();
+        self.rest.extend(self.trial.iter());
+        self.rest_ns.clear();
+        self.rest_ns.extend_from_slice(&self.trial_ns);
     }
 }
 

@@ -41,7 +41,7 @@ use rand::SeedableRng;
 // under a `skycheck::Explorer` model run (see DESIGN.md §15–16).
 use skycheck::sync::{AtomicU64, Ordering};
 
-use skycache_geom::{Aabb, Constraints, Point};
+use skycache_geom::{Constraints, Point};
 use skycache_obs::Phase;
 use skycache_storage::{RowId, Table};
 
@@ -114,9 +114,6 @@ pub struct Service<'t> {
     table: Cow<'t, Table>,
     config: ServiceConfig,
     cache: SharedCache,
-    /// Bounding box of the table's live rows: normalizes strategy
-    /// scores. Computed at `open`, grown by `insert`.
-    data_bounds: Aabb,
     sessions: AtomicU64,
     negative_hits: AtomicU64,
     computes: AtomicU64,
@@ -127,20 +124,10 @@ impl<'t> Service<'t> {
     /// (`&Table`, copied on the first write) or owned (`Table`).
     pub fn open(table: impl Into<Cow<'t, Table>>, config: ServiceConfig) -> Self {
         let table = table.into();
-        // Live rows only: a loaded or deleted-from table keeps its
-        // tombstones in its slots. With no live row every query is an
-        // index-proven empty, so the bounds go unread until an insert
-        // resets them; the slots' box keeps them defined until then.
-        let live = table.live_points().map(|(_, p)| p.coords());
-        #[expect(clippy::expect_used, reason = "Table::build rejects empty point sets")]
-        let data_bounds = Aabb::bounding_rows(live)
-            .or_else(|| Aabb::bounding(table.all_points()))
-            .expect("tables have slots");
         Service {
             cache: SharedCache::new(table.dims(), &config.cbcs),
             table,
             config,
-            data_bounds,
             sessions: AtomicU64::new(0),
             negative_hits: AtomicU64::new(0),
             computes: AtomicU64::new(0),
@@ -189,13 +176,6 @@ impl<'t> Service<'t> {
     /// Returns the new row id.
     pub fn insert(&mut self, p: Point) -> Result<RowId> {
         let row = self.table.to_mut().insert(p.clone())?;
-        if self.table.len() == 1 {
-            // The first live row: the bounds `open` gave a table without
-            // one held only its tombstones.
-            self.data_bounds = Aabb::from_point(&p);
-        } else {
-            self.data_bounds.merge(&Aabb::from_point(&p));
-        }
         self.cache.publish(|cache, _| cache.on_insert(&p));
         Ok(row)
     }
@@ -308,7 +288,7 @@ impl Session<'_> {
         stats: &mut QueryStats,
     ) -> Option<(QueryPlan, u64, Option<Arc<str>>)> {
         let Session { service, rng, scratch } = self;
-        let (config, data_bounds) = (&service.config.cbcs, &service.data_bounds);
+        let config = &service.config.cbcs;
 
         let t0 = Stopwatch::start();
         items.lookup_into(c, &mut scratch.lookup_ids);
@@ -324,8 +304,15 @@ impl Session<'_> {
         let item = |id: u64| items.get(id).expect("lookup ids are live");
 
         let t1 = Stopwatch::start();
-        let picked =
-            config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, data_bounds, rng);
+        // Scores are clamped to the live rows' box, read from the table's
+        // indexes, and only a choice among two or more candidates scores
+        // one: an exact hit reads nothing. A table without live rows never
+        // gets here, for the indexes prove every region over it empty.
+        let bounds = scratch.bounds.get_or_insert_with(|| c.aabb().clone());
+        if ids.len() > 1 {
+            bounds.set_sides(service.table.live_bounds());
+        }
+        let picked = config.strategy.select_indexed(ids.len(), |i| item(ids[i]), c, bounds, rng);
         stats.time(Phase::CaseAnalysis, t1);
         let selected = item(ids[picked?]);
 
@@ -429,6 +416,34 @@ mod tests {
         assert!(service.cache().is_empty());
     }
 
+    /// The outcome of a MaxOverlap query over the 11 × 11 grid, through
+    /// an item unbounded in x and one bounded, once the far-out row
+    /// `(1000, 5)` is deleted: from the table before `open`, or through
+    /// the service after the two items were cached.
+    fn far_out_row_deleted(before_open: bool) -> QueryOutcome {
+        let mut points: Vec<Point> = (0..=10)
+            .flat_map(|i| (0..=10).map(move |j| Point::from(vec![f64::from(i), f64::from(j)])))
+            .collect();
+        points.push(Point::from(vec![1000.0, 5.0]));
+        let mut t = Table::build(points, TableConfig::default()).unwrap();
+        if before_open {
+            assert!(t.delete(121).is_some(), "the far-out row");
+        }
+        let cbcs = CbcsConfig { strategy: SearchStrategy::MaxOverlap, ..CbcsConfig::default() };
+        let mut service = Service::open(t, ServiceConfig::with_cbcs(cbcs));
+        let inf = f64::INFINITY;
+        for pairs in [[(5.0, inf), (0.0, 10.0)], [(0.0, 10.0), (0.0, 10.0)]] {
+            let c = Constraints::from_pairs(&pairs).unwrap();
+            service.session().execute(&QueryRequest::new(c)).unwrap();
+        }
+        if !before_open {
+            assert!(service.delete(121).is_some(), "the far-out row");
+            assert_eq!(service.cache().len(), 2, "neither skyline holds the far-out row");
+        }
+        let c = Constraints::from_pairs(&[(0.0, inf), (0.0, 10.0)]).unwrap();
+        service.session().execute(&QueryRequest::new(c)).unwrap()
+    }
+
     /// Strategy scores are clamped to the live rows' box, not to every
     /// slot's: a row deleted before `open` — as a table loaded with its
     /// tombstones has them — no longer stretches an item unbounded in x.
@@ -437,28 +452,27 @@ mod tests {
     /// (9 950 against 100), and answer through Case A instead of Case C.
     #[test]
     fn strategy_scores_ignore_rows_deleted_before_open() {
-        let mut points: Vec<Point> = (0..=10)
-            .flat_map(|i| (0..=10).map(move |j| Point::from(vec![f64::from(i), f64::from(j)])))
-            .collect();
-        points.push(Point::from(vec![1000.0, 5.0]));
-        let mut t = Table::build(points, TableConfig::default()).unwrap();
-        assert!(t.delete(121).is_some(), "the far-out row");
-        let cbcs = CbcsConfig { strategy: SearchStrategy::MaxOverlap, ..CbcsConfig::default() };
-        let service = Service::open(&t, ServiceConfig::with_cbcs(cbcs));
-        let mut s = service.session();
-        let inf = f64::INFINITY;
-        for pairs in [[(5.0, inf), (0.0, 10.0)], [(0.0, 10.0), (0.0, 10.0)]] {
-            s.execute(&QueryRequest::new(Constraints::from_pairs(&pairs).unwrap())).unwrap();
-        }
-        let c = Constraints::from_pairs(&[(0.0, inf), (0.0, 10.0)]).unwrap();
-        let outcome = s.execute(&QueryRequest::new(c)).unwrap();
+        let outcome = far_out_row_deleted(true);
         assert_eq!(outcome.stats.candidates, 2);
         assert!(matches!(outcome.stats.case, Some(Overlap::CaseC { .. })), "{outcome:?}");
         assert_eq!(outcome.skyline, vec![Point::from(vec![0.0, 0.0])]);
     }
 
+    /// The same for a row deleted through the service after `open`: the
+    /// box is the live rows' at query time, whatever the table held when
+    /// the service opened, so the answer comes through Case C as above.
+    #[test]
+    fn strategy_scores_ignore_rows_deleted_after_open() {
+        let (after, before) = (far_out_row_deleted(false), far_out_row_deleted(true));
+        assert_eq!(after.stats.candidates, 2);
+        assert!(matches!(after.stats.case, Some(Overlap::CaseC { .. })), "{after:?}");
+        assert_eq!((after.skyline, after.stats.case), (before.skyline, before.stats.case));
+    }
+
     /// A table whose every row was deleted before `open` opens, answers
-    /// as a negative hit, and after an insert answers with that row.
+    /// as a negative hit, and after an insert answers with that row; two
+    /// more inserts and a third cached item make the next query score
+    /// its candidates against the three live rows' box.
     #[test]
     fn a_table_without_live_rows_opens_and_serves_after_an_insert() {
         let mut t = table();
@@ -470,9 +484,22 @@ mod tests {
         let outcome = service.session().execute(&QueryRequest::new(c.clone())).unwrap();
         assert_eq!((outcome.skyline.len(), outcome.stats.negative_hits), (0, 1));
         service.insert(Point::from(vec![0.5, 0.5])).unwrap();
-        assert_eq!(service.data_bounds, Aabb::from_point(&Point::from(vec![0.5, 0.5])));
-        let outcome = service.session().execute(&QueryRequest::new(c)).unwrap();
+        let outcome = service.session().execute(&QueryRequest::new(c.clone())).unwrap();
         assert_eq!(outcome.skyline, vec![Point::from(vec![0.5, 0.5])]);
+        assert_eq!(outcome.stats.negative_hits, 0);
+
+        service.insert(Point::from(vec![0.25, 0.75])).unwrap();
+        service.insert(Point::from(vec![0.75, 0.25])).unwrap();
+        let right = Constraints::from_pairs(&[(0.6, 1.0), (0.0, 1.0)]).unwrap();
+        let outcome = service.session().execute(&QueryRequest::new(right)).unwrap();
+        assert_eq!(outcome.skyline, vec![Point::from(vec![0.75, 0.25])]);
+        let wide = Constraints::from_pairs(&[(0.0, 0.8), (0.0, 1.0)]).unwrap();
+        let outcome = service.session().execute(&QueryRequest::new(wide)).unwrap();
+        assert_eq!(outcome.stats.candidates, 2, "the unbounded item and the right one");
+        let mut skyline = outcome.skyline;
+        skyline.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        let want = [[0.25, 0.75], [0.5, 0.5], [0.75, 0.25]].map(|p| Point::from(p.to_vec()));
+        assert_eq!(skyline, want);
     }
 
     /// Every executed query leaves by exactly one exit, proven empty or

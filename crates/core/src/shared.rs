@@ -167,12 +167,6 @@ impl SharedCache {
         self.inner.master.read().cache.is_empty()
     }
 
-    /// Dimensionality of the cached constraint space.
-    pub fn dims(&self) -> usize {
-        assert_guards_held(0);
-        self.inner.master.read().cache.dims()
-    }
-
     /// Runs a closure with read access to the authoritative cache state,
     /// the master's [`Cache`] (its counters, such as
     /// [`Cache::evictions`], included).

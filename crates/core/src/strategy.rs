@@ -89,8 +89,13 @@ impl SearchStrategy {
     /// index box ([`CacheItem::index_box`]) and the query region, then
     /// lower id. `Random` draws a rank in that same order.
     ///
-    /// `data_bounds` clamps unbounded constraint dimensions so overlap
-    /// volumes and corner distances stay finite.
+    /// `data_bounds` is the box every score is clamped to, so overlap
+    /// volumes and corner distances stay finite on unbounded constraint
+    /// dimensions. It should be the live rows' box of the table the query
+    /// is answered over, as of the query: a session reads it from the
+    /// table's indexes ([`skycache_storage::Table::live_bounds`]) for
+    /// every choice among two or more candidates. Fewer are not scored,
+    /// and the box is not read.
     pub fn select_indexed<'a, R: Rng>(
         &self,
         n: usize,

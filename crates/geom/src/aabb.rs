@@ -140,6 +140,16 @@ impl Aabb {
         Aabb { lo: lo.into(), hi: hi.into() }
     }
 
+    /// Overwrites the box in place with `sides`, one `(lo, hi)` pair per
+    /// dimension: a reused box takes new bounds without allocating. Sides
+    /// past the box's dimensionality are ignored, and a missing side
+    /// keeps its bounds.
+    pub fn set_sides(&mut self, sides: impl IntoIterator<Item = (f64, f64)>) {
+        for ((lo, hi), (l, h)) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(sides) {
+            (*lo, *hi) = (l, h);
+        }
+    }
+
     /// Grows `self` in place to enclose `other`.
     pub fn merge(&mut self, other: &Aabb) {
         debug_assert_eq!(self.dims(), other.dims());
@@ -272,6 +282,15 @@ mod tests {
         assert_eq!(c[0], 0.0);
         assert_eq!(c[1], -f64::MAX);
         assert_eq!(c[2], f64::MAX);
+    }
+
+    #[test]
+    fn set_sides_overwrites_in_place() {
+        let mut a = b(&[0.0, 0.0], &[1.0, 1.0]);
+        a.set_sides([(-2.0, -1.0), (5.0, 6.0)]);
+        assert_eq!(a, b(&[-2.0, 5.0], &[-1.0, 6.0]));
+        a.set_sides([(3.0, 4.0)]);
+        assert_eq!(a, b(&[3.0, 5.0], &[4.0, 6.0]), "a missing side keeps its bounds");
     }
 
     #[test]

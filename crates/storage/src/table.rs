@@ -281,6 +281,16 @@ impl Table {
             .map(|(row, p)| (row as RowId, p))
     }
 
+    /// The live rows' bounding box, one `(lo, hi)` pair per dimension:
+    /// each index's first and last key, in O(d), for every index holds
+    /// one entry per live row and no other. Empty when no row is live.
+    /// The indexes order `-0.0` before `0.0`, so an end where both zeros
+    /// lie reads `-0.0` as the lower bound and `0.0` as the upper.
+    pub fn live_bounds(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let last = self.live_count.checked_sub(1);
+        self.indexes.iter().filter_map(move |i| last.map(|l| (i.key_at(0), i.key_at(l))))
+    }
+
     /// Whether a row is live.
     pub fn is_live(&self, row: RowId) -> bool {
         self.live.get(row as usize).copied().unwrap_or(false)
@@ -561,7 +571,7 @@ impl From<Table> for Cow<'_, Table> {
 #[expect(clippy::float_cmp, reason = "exact expectations on exactly computed values")]
 mod tests {
     use super::*;
-    use skycache_geom::Interval;
+    use skycache_geom::{Aabb, Interval};
 
     fn table() -> Table {
         // Grid of 100 2-D points: (i, j) for i, j in 0..10.
@@ -827,6 +837,61 @@ mod tests {
         assert!(all.rows.iter().all(|r| r.0 != 44));
         // live_points agrees.
         assert_eq!(t.live_points().count(), 99);
+    }
+
+    /// The live rows' box, read from the indexes' ends, equals
+    /// `Aabb::bounding_rows` over the live rows coordinate by coordinate
+    /// (`==`, so `-0.0 == 0.0`) across deletes and inserts, and shrinks
+    /// when an extreme row goes. Where both zeros lie at one end, the
+    /// lower bound is `-0.0` and the upper `0.0`, whatever the row order.
+    #[test]
+    fn live_bounds_are_the_live_rows_box() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let sides = |t: &Table| t.live_bounds().collect::<Vec<_>>();
+        let agrees = |t: &Table| match Aabb::bounding_rows(t.live_points().map(|(_, p)| p.coords()))
+        {
+            None => sides(t).is_empty(),
+            Some(b) => {
+                sides(t) == b.lo().iter().copied().zip(b.hi().iter().copied()).collect::<Vec<_>>()
+            }
+        };
+
+        let rows =
+            [[0.0, -5.0], [-0.0, 0.0], [3.0, -0.0], [0.0, -0.0]].map(|p| Point::from(p.to_vec()));
+        let mut t = Table::build(rows.to_vec(), TableConfig::default()).unwrap();
+        assert!(agrees(&t));
+        let got = sides(&t);
+        assert_eq!(got, vec![(0.0, 3.0), (-5.0, 0.0)]);
+        assert!(got[0].0.is_sign_negative(), "x's lower end is -0.0, where row 0 says 0.0");
+        assert!(got[1].1.is_sign_positive(), "y's upper end is 0.0, where rows 2 and 3 say -0.0");
+        t.delete(2).unwrap();
+        t.delete(0).unwrap();
+        assert_eq!(sides(&t), vec![(0.0, 0.0), (0.0, 0.0)], "the extreme rows went");
+        assert!(agrees(&t));
+        t.delete(1).unwrap();
+        t.delete(3).unwrap();
+        assert!(sides(&t).is_empty() && agrees(&t), "no live row, no box");
+        t.insert(Point::from(vec![1.0, 2.0])).unwrap();
+        assert_eq!(sides(&t), vec![(1.0, 1.0), (2.0, 2.0)]);
+
+        let mut rng = StdRng::seed_from_u64(25);
+        for dims in 1..=4 {
+            let coords = [-0.0, 0.0, -1.0, 2.5, 7.0];
+            let point = |rng: &mut StdRng| {
+                let row = (0..dims).map(|_| coords[rng.gen_range(0..coords.len())]);
+                Point::from(row.collect::<Vec<_>>())
+            };
+            let initial: Vec<Point> = (0..12).map(|_| point(&mut rng)).collect();
+            let mut t = Table::build(initial, TableConfig::default()).unwrap();
+            for step in 0..80 {
+                if rng.gen_bool(0.5) {
+                    t.delete(rng.gen_range(0..t.slot_count()) as RowId);
+                } else {
+                    t.insert(point(&mut rng)).unwrap();
+                }
+                assert!(agrees(&t), "d={dims} step {step}: {:?}", sides(&t));
+            }
+        }
     }
 
     #[test]
